@@ -213,7 +213,12 @@ def _cmd_run(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serve import DaemonThread, Session
 
-    session = Session(execution=_execution_options(args))
+    session = Session(
+        execution=_execution_options(args),
+        compiler=CompilerOptions(
+            merge_loops=args.merge, hyperplane=args.hyperplane
+        ),
+    )
     for path in args.modules:
         name = session.load_file(path)
         print(f"loaded {name} from {path}", file=sys.stderr)
@@ -465,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queue", type=int, default=32, metavar="N",
                    help="waiting requests beyond which the daemon answers "
                         "Overloaded (default 32)")
+    p.add_argument("--merge", action="store_true",
+                   help="compile every module with the loop-merging pass")
+    p.add_argument("--hyperplane", action="store_true",
+                   help="compile every module with the section-4 "
+                        "transformation applied first")
     _add_execution_flags(p)
     p.set_defaults(func=_cmd_serve)
 

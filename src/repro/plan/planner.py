@@ -97,6 +97,11 @@ def _default_options() -> Any:
     )
 
 
+def host_cpu_count() -> int:
+    """The planner's one read of the host (``tests/plan`` forbids it)."""
+    return os.cpu_count() or 1
+
+
 def build_plan(
     analyzed,
     flowchart: Flowchart,
@@ -113,9 +118,11 @@ def build_plan(
     ``options`` duck-types :class:`repro.runtime.executor.ExecutionOptions`;
     ``scalar_env`` supplies integer parameter values for trip counts (loops
     whose bounds cannot be evaluated get a conservative default);
-    ``cpu_count`` bounds the parallelism the cost model believes in (the
-    machine's real core count by default — a worker count above it buys
-    nothing, which is exactly what ``auto`` must know); ``backend``
+    ``cpu_count`` stands in for the machine's real core count (read only
+    when this is None): it bounds the parallelism the cost model believes
+    in — a worker count above it buys nothing, which is exactly what
+    ``auto`` must know — and is the worker count when ``options.workers``
+    is unset, so a plan built with it never depends on the host; ``backend``
     overrides ``options.backend`` (a backend walking a hand-built state
     pins the plan to itself); ``candidates`` narrows what ``auto`` may
     choose from (module calls restrict callees to the in-process backends
@@ -138,9 +145,9 @@ def build_plan(
     # Resolve the machine's core count exactly once: a worker count and an
     # effective-parallelism bound read under two different affinity
     # settings would silently disagree.
-    ncpu = os.cpu_count() or 1
+    ncpu = cpu_count if cpu_count is not None else host_cpu_count()
     workers = max(1, options.workers if options.workers is not None else ncpu)
-    effective = max(1, min(workers, cpu_count if cpu_count is not None else ncpu))
+    effective = max(1, min(workers, ncpu))
     use_kernels = bool(options.use_kernels) and not options.debug_windows
     use_collapse = bool(getattr(options, "use_collapse", True))
     use_fission = bool(getattr(options, "use_fission", True))
@@ -284,11 +291,14 @@ def forced_plan(
     default: str | None = None,
     overrides: dict[tuple[int, ...], str] | None = None,
     model: MachineModel | None = None,
+    cpu_count: int | None = None,
 ) -> ExecutionPlan:
     """A hand-forced plan: every parallel loop takes ``default`` (when
     given), individual loops take ``overrides[path]``. Strategies are
     validated — forcing ``chunk`` on a chunk-unsafe loop or ``nest`` on an
     unfusable one raises :class:`PlanError` rather than risking semantics.
+    ``cpu_count`` stands in for the host's core count when
+    ``options.workers`` is unset, exactly as in :func:`build_plan`.
     """
     options = options or _default_options()
     tier = getattr(options, "kernel_tier", "native")
@@ -299,7 +309,7 @@ def forced_plan(
         analyzed,
         flowchart,
         backend,
-        max(1, options.workers or os.cpu_count() or 1),
+        max(1, options.workers or cpu_count or host_cpu_count()),
         1,
         scalar_env or {},
         model or MachineModel(),
@@ -901,9 +911,17 @@ class _Planner:
             return None
         from repro.schedule.pipeline_stages import group_starting_at
 
-        return group_starting_at(
+        group = group_starting_at(
             self.analyzed, self.flowchart, container, offset, self.use_windows
         )
+        if group is not None and not self.force_soft and any(
+            container + (offset + j,) in self.force_overrides
+            for j in range(group.size)
+        ):
+            # A hard per-path pin outranks the group: the member plans on
+            # its own, where the pin is honoured or raises PlanError.
+            return None
+        return group
 
     def _seq_fusable(self, desc: LoopDescriptor) -> bool:
         return self.use_kernels and nest_fusable(

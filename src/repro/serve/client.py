@@ -1,10 +1,12 @@
 """A small synchronous client for the serve daemon.
 
-One socket, one request/response line at a time — a deliberately boring
+One socket, one request and its response at a time — a deliberately boring
 transport so the interesting guarantees (bit-exact results, input
 isolation, structured errors) live server-side and are testable there.
-Concurrency comes from using one :class:`ReproClient` per thread, exactly
-how the benchmark and the daemon tests drive it.
+Arrays travel as raw frames (see :mod:`repro.serve.wire`): sent straight
+from the caller's memory, received straight into the buffers the returned
+arrays live on. Concurrency comes from using one :class:`ReproClient` per
+thread, exactly how the benchmark and the daemon tests drive it.
 
 Structured daemon errors re-raise as :class:`~repro.errors.ClientError`
 with the wire ``type`` in ``.kind``, so callers can tell ``UnknownModule``
@@ -56,23 +58,40 @@ class ReproClient:
     def request(self, payload: dict[str, Any]) -> Any:
         """Send one raw request object, return the ``result`` of the
         response, raising :class:`ClientError` on a structured error."""
+        return self._exchange(payload)[0]
+
+    def _exchange(
+        self, payload: dict[str, Any], blobs: list | None = None
+    ) -> tuple[Any, list[bytearray]]:
+        """One round trip: ``payload`` (framed with ``blobs`` when given)
+        out, the response's ``result`` and the blobs of its frame back."""
         try:
-            self._sock.sendall(
-                json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-            )
+            views = wire.frame(payload, blobs)
+            while views:  # one sendmsg moves it all unless the socket fills
+                sent = self._sock.sendmsg(views)
+                while views and sent >= len(views[0]):
+                    sent -= len(views.pop(0))
+                if sent:
+                    views[0] = memoryview(views[0])[sent:]
             line = self._file.readline(wire.MAX_LINE)
+            if not line:
+                raise ClientError("daemon closed the connection", "Transport")
+            response = json.loads(line)
+            received = [bytearray(n) for n in wire.blob_sizes(response) or ()]
+            for blob in received:
+                if self._file.readinto(blob) != len(blob):
+                    raise ClientError("daemon closed mid-frame", "Transport")
         except OSError as exc:
             raise ClientError(f"transport failure: {exc}", "Transport") from exc
-        if not line:
-            raise ClientError("daemon closed the connection", "Transport")
-        response = json.loads(line)
+        except ValueError as exc:  # not JSON, or not a frame announcement
+            raise ClientError(f"malformed response: {exc}", "Transport") from exc
         if not response.get("ok"):
             err = response.get("error") or {}
             raise ClientError(
                 err.get("message", "unknown daemon error"),
                 err.get("type", "ClientError"),
             )
-        return response.get("result")
+        return response.get("result"), received
 
     def close(self) -> None:
         try:
@@ -136,19 +155,21 @@ class ReproClient:
         seed: int = 0,
         **execution: Any,
     ) -> dict[str, np.ndarray | Any]:
-        """Execute one request; array results come back as numpy arrays
-        (float64 values round-trip bit-exactly through the JSON wire)."""
-        result = self.request(
+        """Execute one request; array results come back as numpy arrays,
+        bit for bit what the daemon computed (dtype, shape, byte order)."""
+        blobs: list = []
+        result, received = self._exchange(
             {
                 "op": "run",
                 "module": module,
-                "args": wire.encode_mapping(args),
+                "args": wire.encode_mapping(args, blobs),
                 "fill": bool(fill),
                 "seed": seed,
                 "execution": execution,
-            }
+            },
+            blobs,
         )
-        return wire.decode_mapping(result)
+        return wire.decode_mapping(result, received)
 
     def shutdown(self) -> str:
         """Ask the daemon to shut down; the connection dies with it."""

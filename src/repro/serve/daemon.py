@@ -1,22 +1,25 @@
 """The ``repro serve`` daemon: a :class:`~repro.serve.session.Session`
 behind a socket.
 
-The asyncio loop owns only the transport — accept, read a line, write a
-line. Every request body executes in a thread pool against one shared
-warm session, so concurrent clients overlap wherever the session allows
-(always for planning and in-process backends; process-pool runs serialise
-on their backend). Two pressure valves bound a burst of clients:
+The asyncio loop owns only the transport — accept, read a message, write
+a message. Every request body (array decode and encode included) executes
+in a thread pool against one shared warm session, so concurrent clients
+overlap wherever the session allows (always for planning and in-process
+backends; process-pool runs serialise on their backend). Two pressure
+valves bound a burst of clients:
 
 * ``max_inflight`` requests execute at once (a semaphore over the
   executor), and
 * at most ``max_queue`` more may wait; beyond that the daemon answers
   ``Overloaded`` immediately instead of buffering unboundedly.
 
-Wire protocol: one JSON object per line (see :mod:`repro.serve.wire`).
-Requests carry ``op`` plus op-specific fields; every response is either
-``{"ok": true, "result": ...}`` or a structured error. A malformed line
-gets a ``BadRequest`` error and the connection stays open — one bad
-request must not kill a client's pipeline.
+Wire protocol: one JSON header line per message, optionally followed by
+a frame of raw array bytes (see :mod:`repro.serve.wire`). Requests carry
+``op`` plus op-specific fields; every response is either ``{"ok": true,
+"result": ...}`` or a structured error. A malformed line gets a
+``BadRequest`` error and the connection stays open — one bad request must
+not kill a client's pipeline; only an unusable frame (oversize, or cut
+short) closes it, because the stream cannot be resynchronised.
 
 Supported ops: ``ping``, ``modules``, ``describe``, ``stats``, ``plan``,
 ``warm``, ``run``, ``shutdown``.
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import json
 import threading
+from time import perf_counter
 from typing import Any
 
 from repro.errors import ReproError, SessionError
@@ -63,6 +68,12 @@ class ReproDaemon:
         self._sem = asyncio.Semaphore(self.max_inflight)
         self._pending = 0
         self._pending_lock = threading.Lock()
+        #: what `stats` reports about the daemon itself (under the lock);
+        #: the seconds leave out time spent waiting on the socket
+        self._totals = {
+            "requests": 0, "bytes_in": 0, "bytes_out": 0,
+            "decode_s": 0.0, "queue_s": 0.0, "run_s": 0.0, "encode_s": 0.0,
+        }
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
@@ -75,54 +86,84 @@ class ReproDaemon:
 
     # -- request handling --------------------------------------------------
 
-    def _handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Execute one request synchronously (runs on the executor)."""
+    def _count(self, **amounts: float) -> None:
+        with self._pending_lock:
+            for key, amount in amounts.items():
+                self._totals[key] += amount
+
+    def stats(self) -> dict[str, Any]:
+        """The session's counters plus this daemon's own: requests answered,
+        payload bytes each way, and where the seconds went — wire-bound
+        (decode + encode), saturated (queue) or kernel-bound (run)?"""
+        with self._pending_lock:
+            own = dict(self._totals)
+        return {**self.session.stats().to_dict(), "daemon": own}
+
+    def _handle(
+        self, request: dict[str, Any], blobs: list | None, accepted: float
+    ) -> tuple[list, dict[str, float]]:
+        """Execute one request synchronously (runs on the executor): the
+        buffers of its reply, framed iff the request was, and where the
+        seconds since it was ``accepted`` went."""
+        started = perf_counter()
         op = request.get("op")
+        if op != "run":
+            reply = wire.frame(wire.ok(self._simple_op(op, request)))
+            return reply, {
+                "queue_s": started - accepted,
+                "run_s": perf_counter() - started,
+            }
+        module = self._module_of(request)
+        raw = request.get("args")
+        if not isinstance(raw, dict):
+            raise _BadRequest("'args' must be an object")
+        args = wire.decode_mapping(raw, blobs)
+        decoded = perf_counter()
+        if request.get("fill"):
+            fill_random_arrays(
+                self.session.result_for(module).analyzed,
+                args,
+                seed=int(request.get("seed", 0)),
+            )
+        out = self.session.run(module, args, **self._overrides(request))
+        ran = perf_counter()
+        reply_blobs = None if blobs is None else []
+        reply = wire.frame(wire.ok(wire.encode_mapping(out, reply_blobs)), reply_blobs)
+        return reply, {
+            "queue_s": started - accepted,
+            "decode_s": decoded - started,
+            "run_s": ran - decoded,
+            "encode_s": perf_counter() - ran,
+        }
+
+    def _simple_op(self, op: Any, request: dict[str, Any]) -> Any:
+        """The ops whose requests and results are plain JSON."""
         if op == "ping":
-            return wire.ok("pong")
+            return "pong"
         if op == "modules":
-            return wire.ok(self.session.modules())
+            return self.session.modules()
         if op == "stats":
-            return wire.ok(self.session.stats().to_dict())
+            return self.stats()
         if op == "describe":
-            return wire.ok(self.session.describe(self._module_of(request)))
+            return self.session.describe(self._module_of(request))
         if op == "plan":
             module = self._module_of(request)
-            sizes = wire.decode_mapping(request.get("sizes") or {})
-            plan = self.session.plan(module, sizes, **self._overrides(request))
-            return wire.ok(
-                {
-                    "backend": plan.backend,
-                    "workers": plan.workers,
-                    "cycles": plan.cycles,
-                    "strategies": [
-                        list(pair) for pair in plan.strategies()
-                    ],
-                }
+            plan = self.session.plan(
+                module, request.get("sizes") or {}, **self._overrides(request)
             )
+            return {
+                "backend": plan.backend,
+                "workers": plan.workers,
+                "cycles": plan.cycles,
+                "strategies": [list(pair) for pair in plan.strategies()],
+            }
         if op == "warm":
             module = request.get("module")
             if module is not None and not isinstance(module, str):
                 raise _BadRequest("'module' must be a string")
-            sizes = wire.decode_mapping(request.get("sizes") or {})
-            report = self.session.warm(
-                module, sizes or None, **self._overrides(request)
+            return self.session.warm(
+                module, request.get("sizes") or None, **self._overrides(request)
             )
-            return wire.ok(report)
-        if op == "run":
-            module = self._module_of(request)
-            raw = request.get("args")
-            if not isinstance(raw, dict):
-                raise _BadRequest("'args' must be an object")
-            args = wire.decode_mapping(raw)
-            if request.get("fill"):
-                fill_random_arrays(
-                    self.session.result_for(module).analyzed,
-                    args,
-                    seed=int(request.get("seed", 0)),
-                )
-            out = self.session.run(module, args, **self._overrides(request))
-            return wire.ok(wire.encode_mapping(out))
         raise _BadRequest(f"unknown op {op!r}")
 
     def _module_of(self, request: dict[str, Any]) -> str:
@@ -156,21 +197,25 @@ class ReproDaemon:
             while not self._shutdown.is_set():
                 try:
                     line = await reader.readline()
+                    if not line:
+                        break
+                    reply, reusable = await self._respond(line, reader)
                 except (ValueError, ConnectionError):
                     # over-long line or peer reset: nothing sane to answer on
                     break
-                if not line:
-                    break
-                response = await self._respond(line)
-                if response is _SHUTDOWN:
-                    writer.write(_dumps(wire.ok("shutting down")))
-                    await writer.drain()
-                    self.request_shutdown()
-                    break
-                writer.write(_dumps(response))
+                stop = reply is _SHUTDOWN
+                if stop:
+                    reply = wire.frame(wire.ok("shutting down"))
+                self._count(requests=1, bytes_out=sum(map(len, reply)))
+                # (no empty buffers: 3.12's sendmsg path never drains them)
+                writer.writelines([b for b in reply if len(b)])
                 await writer.drain()
-        except asyncio.CancelledError:
-            pass  # daemon shutting down while this connection idled
+                if stop:
+                    self.request_shutdown()
+                if not reusable:
+                    break
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # peer gone mid-reply, or the daemon shut down while we idled
         finally:
             writer.close()
             try:
@@ -178,38 +223,73 @@ class ReproDaemon:
             except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _respond(self, line: bytes) -> Any:
+    async def _respond(
+        self, line: bytes, reader: asyncio.StreamReader
+    ) -> tuple[Any, bool]:
+        """The reply buffers for one request line (reading its frame off
+        ``reader``), and whether the stream can carry another request."""
+
+        def reject(message: str, reusable: bool = True) -> tuple[list, bool]:
+            return wire.frame(wire.error("BadRequest", message)), reusable
+
+        received = perf_counter()
         try:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
-            return wire.error("BadRequest", f"malformed JSON: {exc}")
+            return reject(f"malformed JSON: {exc}")
+        parsed = perf_counter()
         if not isinstance(request, dict):
-            return wire.error("BadRequest", "request must be a JSON object")
+            return reject("request must be a JSON object")
+        blobs = None
+        try:
+            sizes = wire.blob_sizes(request)
+            if sizes is not None:
+                frame = memoryview(await reader.readexactly(sum(sizes)))
+                ends = list(itertools.accumulate(sizes))
+                blobs = [frame[end - n : end] for n, end in zip(sizes, ends)]
+        except wire.WireError as exc:
+            return reject(str(exc), reusable=False)
+        except asyncio.IncompleteReadError as exc:
+            return reject(
+                f"frame cut short: {len(exc.partial)} of {exc.expected} bytes",
+                reusable=False,
+            )
+        self._count(
+            bytes_in=len(line) + sum(sizes or ()), decode_s=parsed - received
+        )
         if request.get("op") == "shutdown":
-            return _SHUTDOWN
+            return _SHUTDOWN, False
         with self._pending_lock:
             if self._pending >= self.max_inflight + self.max_queue:
-                return wire.error(
-                    "Overloaded",
-                    f"{self._pending} requests already in flight or queued "
-                    f"(max {self.max_inflight} + {self.max_queue})",
-                )
+                return wire.frame(
+                    wire.error(
+                        "Overloaded",
+                        f"{self._pending} requests already in flight or "
+                        f"queued (max {self.max_inflight} + {self.max_queue})",
+                    )
+                ), True
             self._pending += 1
         try:
+            accepted = perf_counter()
             async with self._sem:
                 loop = asyncio.get_running_loop()
                 try:
-                    return await loop.run_in_executor(
-                        self._executor, self._handle, request
+                    reply, seconds = await loop.run_in_executor(
+                        self._executor, self._handle, request, blobs, accepted
                     )
+                    self._count(**seconds)
+                    return reply, True
                 except _DaemonReject as exc:
-                    return wire.error(exc.kind, str(exc))
+                    failure = wire.error(exc.kind, str(exc))
+                except wire.WireError as exc:  # an array that does not decode
+                    failure = wire.error("BadRequest", str(exc))
                 except ReproError as exc:
-                    return wire.error(type(exc).__name__, str(exc))
+                    failure = wire.error(type(exc).__name__, str(exc))
                 except Exception as exc:  # a bug, but the wire stays clean
-                    return wire.error(
+                    failure = wire.error(
                         "InternalError", f"{type(exc).__name__}: {exc}"
                     )
+                return wire.frame(failure), True
         finally:
             with self._pending_lock:
                 self._pending -= 1
@@ -278,10 +358,6 @@ class _UnknownModule(_DaemonReject):
 
 
 _SHUTDOWN = object()
-
-
-def _dumps(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
 
 class DaemonThread:

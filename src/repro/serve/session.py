@@ -375,10 +375,10 @@ class Session:
         """Do all one-time work up front so the first request pays nothing:
         compile every reachable kernel (native C tier included), build and
         cache the plan for ``sizes``, and — when ``prime`` is true and
-        ``sizes`` are given — execute one throwaway run with zero-filled
-        inputs, which forks worker pools and exercises the exact request
-        path. ``module=None`` warms every loaded module. Returns
-        per-module kernel-cache statistics."""
+        ``sizes`` are given — execute one throwaway run with every other
+        parameter zero (scalars and arrays alike), which forks worker
+        pools and exercises the exact request path. ``module=None`` warms
+        every loaded module. Returns per-module kernel-cache statistics."""
         self._check_open()
         names = [module] if module is not None else self.modules()
         options = ExecutionOptions.resolve(self._execution, **overrides)
@@ -393,20 +393,27 @@ class Session:
                 if prime:
                     args: dict[str, Any] = dict(sizes)
                     analyzed = result.analyzed
-                    for pname in analyzed.param_names:
-                        sym = analyzed.symbol(pname)
-                        if isinstance(sym.type, ArrayType) and pname not in args:
-                            bounds = array_bounds(
-                                sym.type,
-                                {
-                                    k: int(v)
-                                    for k, v in args.items()
-                                    if isinstance(v, (int, np.integer))
-                                },
-                            )
+                    missing = {
+                        pname: analyzed.symbol(pname).type
+                        for pname in analyzed.param_names
+                        if pname not in args
+                    }
+                    # scalars first (a zero of the declared type): array
+                    # bounds may use them
+                    for pname, t in missing.items():
+                        if not isinstance(t, (ArrayType, RecordType)):
+                            args[pname] = dtype_for(t)(0).item()
+                    scalars = {
+                        k: int(v)
+                        for k, v in args.items()
+                        if isinstance(v, (int, np.integer))
+                    }
+                    for pname, t in missing.items():
+                        if isinstance(t, ArrayType):
+                            bounds = array_bounds(t, scalars)
                             shape = tuple(hi - lo + 1 for lo, hi in bounds)
                             args[pname] = np.zeros(
-                                shape, dtype=dtype_for(sym.type.element)
+                                shape, dtype=dtype_for(t.element)
                             )
                     self.run(served, args, **overrides)
             report[served] = result.kernel_cache.stats()

@@ -78,3 +78,25 @@ WORKLOADS = list(_workloads())
 @pytest.fixture(params=WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def workload(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def _no_host_cpu_count(monkeypatch):
+    """Plans, goldens and gates never depend on the host: any plan test
+    whose planning reaches ``os.cpu_count()`` fails — pass ``cpu_count=``
+    to ``build_plan`` / ``forced_plan``, or use :func:`pinned_host`."""
+
+    def reached():
+        raise AssertionError(
+            "the planner read os.cpu_count(); pass cpu_count= or use the "
+            "pinned_host fixture"
+        )
+
+    monkeypatch.setattr("repro.plan.planner.host_cpu_count", reached)
+
+
+@pytest.fixture()
+def pinned_host(_no_host_cpu_count, monkeypatch):
+    """For tests that *execute* through the runtime, which plans
+    internally and takes no ``cpu_count=``: a fixed two-core host."""
+    monkeypatch.setattr("repro.plan.planner.host_cpu_count", lambda: 2)

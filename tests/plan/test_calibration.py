@@ -11,6 +11,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from repro.core.pipeline import compile_source
 from repro.machine.report import compare_plans
@@ -189,7 +190,9 @@ class TestMispredictionCorrected:
         result, args = self._workload()
         scalars = {"r": 6, "c": 40}
         options = ExecutionOptions(backend="auto", workers=2)
-        first = build_plan(result.analyzed, result.flowchart, options, scalars)
+        first = build_plan(
+            result.analyzed, result.flowchart, options, scalars, cpu_count=2
+        )
         other = "serial" if first.backend != "serial" else "vectorized"
         cal = PlanCalibration()
         cal.record(
@@ -202,10 +205,11 @@ class TestMispredictionCorrected:
         )
         second = build_plan(
             result.analyzed, result.flowchart, options, scalars,
-            calibration=cal,
+            cpu_count=2, calibration=cal,
         )
         assert second.backend == other
 
+    @pytest.mark.usefixtures("pinned_host")
     def test_compare_plans_records_and_compile_result_replans(self):
         """End to end: compare_plans feeds the CompileResult's store, the
         plan cache keys on the store version, and the next auto plan picks
@@ -221,6 +225,7 @@ class TestMispredictionCorrected:
         assert recalibrated is not stale  # version key invalidated the cache
         assert recalibrated.backend == cmp.best_backend
 
+    @pytest.mark.usefixtures("pinned_host")
     def test_compare_plans_standalone_store(self):
         result, args = self._workload()
         cal = PlanCalibration()

@@ -98,7 +98,7 @@ end Vec;
         with pytest.raises(PlanError, match="not a collapse-safe"):
             forced_plan(
                 analyzed, flow, "threaded",
-                overrides={flow.path_of(loop): "collapse"},
+                overrides={flow.path_of(loop): "collapse"}, cpu_count=4,
             )
 
     def test_three_deep_chain(self):
@@ -109,6 +109,7 @@ end Vec;
         assert loop_collapse_safe(outer, analyzed, flow.windows, False)
 
 
+@pytest.mark.usefixtures("pinned_host")
 class TestCollapseExecution:
     @pytest.mark.parametrize(
         "backend", ["serial", "vectorized", "threaded", "process", "process-fork"]

@@ -153,7 +153,7 @@ class TestFissionDecision:
         with pytest.raises(PlanError, match="cannot force 'fission'"):
             forced_plan(
                 analyzed, chart, "threaded", scalar_env={"n": 64},
-                overrides={path: "fission"},
+                overrides={path: "fission"}, cpu_count=4,
             )
 
     def test_window_mode_hazard_degrades_softly(self):

@@ -50,7 +50,7 @@ class TestTallSkinnyGrid:
         plan = build_plan(
             analyzed, flow,
             ExecutionOptions(backend=backend, workers=8),
-            {"r": 4, "c": 4096},
+            {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
         assert outer.strategy == "collapse"
@@ -68,7 +68,7 @@ class TestTallSkinnyGrid:
         plan = build_plan(
             analyzed, flow,
             ExecutionOptions(backend=backend, workers=8, use_collapse=False),
-            {"r": 4, "c": 4096},
+            {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
         assert outer.strategy == "iterate"
@@ -82,7 +82,7 @@ class TestTallSkinnyGrid:
         plan = build_plan(
             analyzed, flow,
             ExecutionOptions(backend="threaded", workers=8),
-            {"r": 64, "c": 64},
+            {"r": 64, "c": 64}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
         assert outer.strategy == "chunk"
@@ -96,12 +96,13 @@ class TestTallSkinnyGrid:
         plan = build_plan(
             analyzed, flow,
             ExecutionOptions(backend="threaded", workers=8),
-            {"r": 4, "c": 8},
+            {"r": 4, "c": 8}, cpu_count=8,
         )
         outer, _ = _outer_inner(plan)
         assert outer.strategy == "chunk"
         assert outer.parts == 4
 
+    @pytest.mark.usefixtures("pinned_host")
     def test_inner_chunked_execution_is_exact(self):
         analyzed, flow, args = _setup(4, 4096)
         expected = execute_module(
@@ -114,6 +115,7 @@ class TestTallSkinnyGrid:
         )["B"]
         assert np.array_equal(out, expected)
 
+    @pytest.mark.usefixtures("pinned_host")
     def test_inner_chunking_distributes_all_elements(self):
         """Eval counts survive the iterate+chunk path: every element is
         computed exactly once."""
@@ -152,7 +154,7 @@ class TestJacobiKeepsOuterChunking:
         plan = build_plan(
             analyzed, flow,
             ExecutionOptions(backend="threaded", workers=4),
-            {"M": 62, "maxK": 4},
+            {"M": 62, "maxK": 4}, cpu_count=4,
         )
         strategies = dict(plan.strategies())
         # 64 rows >> 4 workers: the outer DOALL keeps the team.

@@ -15,7 +15,7 @@ from repro.core.recurrences import (
     scan_args,
 )
 from repro.errors import ExecutionError
-from repro.plan.planner import build_plan
+from repro.plan.planner import build_plan, forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions
@@ -236,6 +236,22 @@ class TestGoldenPipelinePlans:
         (note,) = plan.provenance["pipeline_groups"]
         assert note["chosen"] and note["why"] == "decoupling is cheaper"
         assert note["pipeline_cycles"] < note["serial_cycles"]
+
+    def test_hard_pin_on_a_member_outranks_the_group(self):
+        # A hard per-path pin is honoured or raises, never dropped: the
+        # group that wins on merit above must not claim a pinned member.
+        analyzed = line_sweep_analyzed()
+        chart = schedule_module(analyzed)
+        options = ExecutionOptions(backend="threaded", workers=4)
+        scalars = _scalars(line_sweep_args())
+        free = forced_plan(analyzed, chart, "threaded", options, scalars)
+        head = next(lp for lp in free.loops.values() if lp.strategy == "pipeline")
+        pinned = forced_plan(
+            analyzed, chart, "threaded", options, scalars,
+            overrides={head.path: "serial"},
+        )
+        assert pinned.loops[head.path].strategy == "serial"
+        assert all(s != "pipeline" for _, s in pinned.strategies())
 
     def test_scan_rejected_without_force_at_small_trip(self):
         # At trip 64 the stage spin-up dominates: auto pricing must keep

@@ -19,6 +19,9 @@ from repro.schedule.flowchart import LoopDescriptor
 
 from tests.plan.conftest import WORKLOADS
 
+# every test here runs the reference evaluator through the runtime
+pytestmark = pytest.mark.usefixtures("pinned_host")
+
 
 def _reference(analyzed, flow, args, result):
     return execute_module(

@@ -2,6 +2,7 @@
 in-process callee plans, plan re-binding, and auto always being measurable."""
 
 import numpy as np
+import pytest
 
 from repro.core.paper import jacobi_analyzed
 from repro.plan.planner import build_plan
@@ -70,6 +71,7 @@ class TestGilAwareChunkCosts:
         assert all(e.kernel == "nest" for e in numpy_plan.equations.values())
 
 
+@pytest.mark.usefixtures("pinned_host")
 class TestCalleePlansStayInProcess:
     def test_callee_memo_never_plans_a_pool(self):
         """Module calls fire per element; the callee's auto plan must stay
@@ -93,7 +95,8 @@ class TestPlanRebinding:
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
         plan = build_plan(
-            analyzed, flow, ExecutionOptions(workers=2), {"M": 4, "maxK": 3}
+            analyzed, flow, ExecutionOptions(workers=2), {"M": 4, "maxK": 3},
+            cpu_count=2,
         )
         index = plan._by_id
         plan.bind(flow)
@@ -105,6 +108,7 @@ class TestPlanRebinding:
         assert plan.loop_for(doall) is not None
 
 
+@pytest.mark.usefixtures("pinned_host")
 class TestComparePlansAlwaysMeasuresAuto:
     def test_auto_backend_appended_to_candidates(self):
         from repro.machine.report import compare_plans

@@ -2,6 +2,7 @@
 subprocesses over a unix socket — the same round trip CI's bench-smoke
 runs."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.paper import RELAXATION_JACOBI_SOURCE
+from repro.core.paper import (
+    RELAXATION_GAUSS_SEIDEL_SOURCE,
+    RELAXATION_JACOBI_SOURCE,
+)
+from repro.core.recurrences import MIXED_SOURCE
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -33,37 +38,48 @@ def _client(*argv, sock):
     )
 
 
-@pytest.fixture()
-def daemon_proc(tmp_path):
+@contextlib.contextmanager
+def _serving(tmp_path, source, *flags):
     # unix socket paths are capped (~108 bytes); keep it in a short tmp dir
     sockdir = tempfile.mkdtemp(prefix="repro-serve-")
     sock = os.path.join(sockdir, "d.sock")
-    module = tmp_path / "relax.ps"
-    module.write_text(RELAXATION_JACOBI_SOURCE)
+    module = tmp_path / "module.ps"
+    module.write_text(source)
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", str(module),
-            "--socket", sock, "--warm", "M=6", "--warm", "maxK=2",
+            "--socket", sock, *flags,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=_env(),
     )
-    deadline = time.monotonic() + 120
-    while not os.path.exists(sock):
-        if proc.poll() is not None:
-            raise AssertionError(
-                f"serve died before binding: {proc.stderr.read()}"
-            )
-        if time.monotonic() > deadline:
-            proc.kill()
-            raise AssertionError("serve never bound its socket")
-        time.sleep(0.1)
-    yield proc, sock
-    if proc.poll() is None:
-        proc.terminate()
-        proc.wait(timeout=30)
+    try:
+        deadline = time.monotonic() + 120
+        while not os.path.exists(sock):
+            if proc.poll() is not None:
+                raise AssertionError(
+                    f"serve died before binding: {proc.stderr.read()}"
+                )
+            if time.monotonic() > deadline:
+                raise AssertionError("serve never bound its socket")
+            time.sleep(0.1)
+        yield proc, sock
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+            proc.wait(timeout=30)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.fixture()
+def daemon_proc(tmp_path):
+    with _serving(
+        tmp_path, RELAXATION_JACOBI_SOURCE, "--warm", "M=6", "--warm", "maxK=2"
+    ) as served:
+        yield served
 
 
 def test_full_round_trip_and_clean_shutdown(daemon_proc):
@@ -107,3 +123,26 @@ def test_client_without_daemon_reports_transport_error(tmp_path):
     out = _client("ping", sock=str(tmp_path / "nothing.sock"))
     assert out.returncode == 1
     assert "cannot connect" in out.stderr
+
+
+def test_serve_compiles_with_hyperplane(tmp_path):
+    """``repro serve --hyperplane`` serves the section-4 transformed
+    module, as ``repro compile --hyperplane`` would emit it."""
+    source = RELAXATION_GAUSS_SEIDEL_SOURCE
+    with _serving(tmp_path, source, "--hyperplane") as (_, sock):
+        assert _client("modules", sock=sock).stdout.split() == ["RelaxationHyper"]
+        out = _client(
+            "run", "RelaxationHyper", "--set", "M=6", "--set", "maxK=2", sock=sock
+        )
+        assert out.returncode == 0, out.stderr
+
+
+def test_serve_compiles_with_merge(tmp_path):
+    """``repro serve --merge``: merged nests are what fission splits."""
+    with _serving(tmp_path, MIXED_SOURCE, "--merge") as (_, sock):
+        out = _client(
+            "plan", "Mixed", "--set", "n=200000",
+            "--backend", "threaded", "--workers", "2", sock=sock,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "fission" in out.stdout

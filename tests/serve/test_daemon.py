@@ -2,8 +2,12 @@
 structured errors that keep the connection alive, deterministic
 backpressure, and clean shutdown."""
 
+import asyncio
+import glob
 import json
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -64,6 +68,18 @@ class TestProtocol:
             out = client.run("Relaxation", args)
         assert out["newA"].dtype == np.float64
         assert np.array_equal(out["newA"], expected)
+
+    def test_stats_say_where_the_daemon_spends_its_time(self, served):
+        daemon, _ = served
+        a = make_input(1)
+        with connect(daemon) as client:
+            client.run("Relaxation", {**SIZES, "InitialA": a})
+            client.ping()
+            own = client.stats()["daemon"]
+        assert own["requests"] == 2  # the stats request is still in flight
+        assert own["bytes_in"] > a.nbytes and own["bytes_out"] > a.nbytes
+        for phase in ("decode_s", "queue_s", "run_s", "encode_s"):
+            assert own[phase] > 0, phase
 
     def test_plan_op_reports_backend(self, served):
         daemon, _ = served
@@ -197,6 +213,46 @@ class TestConcurrency:
             worker.join(30)
             assert result == [{}]
             first.close()
+
+
+class TestDisconnects:
+    def test_peer_vanishing_mid_frame_leaks_nothing(self, served):
+        """A header that announces 1 MB, half of it, then a dead socket:
+        the connection's task ends, no thread or shm segment stays behind,
+        and the daemon keeps serving."""
+        daemon, session = served
+
+        def tasks() -> int:
+            async def count():
+                return len(asyncio.all_tasks())
+
+            future = asyncio.run_coroutine_threadsafe(count(), daemon._loop)
+            return future.result(30) - 1  # minus the counting task itself
+
+        def shm() -> set:
+            return set(glob.glob("/dev/shm/psm_*"))
+
+        args = {**SIZES, "InitialA": make_input(5)}
+        expected = serial_reference(session, args)
+        with connect(daemon) as client:
+            client.run("Relaxation", args)  # executor thread started
+        before = tasks(), threading.active_count(), shm()
+        for _ in range(4):
+            sock = socket.create_connection(daemon.address)
+            header = {"op": "run", "module": "Relaxation", "blobs": [1 << 20]}
+            sock.sendall(json.dumps(header).encode() + b"\n" + bytes(1 << 19))
+            sock.close()
+        with connect(daemon) as client:
+            out = client.run("Relaxation", args)
+        assert np.array_equal(out["newA"], expected)
+        deadline = time.monotonic() + 30
+        while not (
+            tasks() <= before[0]
+            and threading.active_count() <= before[1]
+            and shm() <= before[2]
+        ):
+            assert time.monotonic() < deadline, "a connection left something"
+            time.sleep(0.01)
 
 
 class TestShutdown:

@@ -10,6 +10,7 @@ import pytest
 import repro.runtime.backends.process as process_mod
 import repro.runtime.kernels.cache as cache_mod
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
+from repro.core.recurrences import COUPLED_SOURCE, SCAN_SOURCE
 from repro.errors import SessionError
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import Session
@@ -124,6 +125,17 @@ class TestExecution:
         )
         out = session.run("Relaxation", args)
         assert np.array_equal(out["newA"], ref["newA"])
+
+    @pytest.mark.parametrize(
+        "source", [SCAN_SOURCE, COUPLED_SOURCE], ids=["Scan", "Coupled"]
+    )
+    def test_warm_primes_modules_with_real_scalar_parameters(self, source):
+        """Priming fills every parameter the sizes leave out — real
+        scalars as well as arrays — so the throwaway run has its inputs."""
+        with Session() as s:
+            name = s.load(source)
+            s.warm(name, {"n": 16})
+            assert s.stats().runs == 1
 
     def test_plan_coalesces_concurrent_lookups(self, session):
         barrier = threading.Barrier(8)
