@@ -78,7 +78,7 @@ def test_p2_wallclock_transformed(benchmark):
     args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
     out = benchmark(
         lambda: execute_module(
-            res.transformed, args, options=ExecutionOptions(vectorize=True)
+            res.transformed, args, options=ExecutionOptions()
         )
     )
     assert out["newA"].shape == (m + 2, m + 2)

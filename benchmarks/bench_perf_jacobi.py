@@ -46,7 +46,7 @@ def test_p1_wallclock_vectorized(benchmark):
 
     out = benchmark(
         lambda: execute_module(
-            analyzed, args, options=ExecutionOptions(vectorize=True)
+            analyzed, args, options=ExecutionOptions()
         )
     )
     assert out["newA"].shape == (m + 2, m + 2)
@@ -61,7 +61,7 @@ def test_p1_wallclock_scalar_reference(benchmark):
 
     out = benchmark(
         lambda: execute_module(
-            analyzed, args, options=ExecutionOptions(vectorize=False)
+            analyzed, args, options=ExecutionOptions(backend="serial")
         )
     )
     assert out["newA"].shape == (m + 2, m + 2)

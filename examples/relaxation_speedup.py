@@ -55,11 +55,11 @@ def wall_clock() -> None:
     args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
 
     t0 = time.perf_counter()
-    fast = execute_module(analyzed, args, options=ExecutionOptions(vectorize=True))
+    fast = execute_module(analyzed, args, options=ExecutionOptions())
     t_fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    slow = execute_module(analyzed, args, options=ExecutionOptions(vectorize=False))
+    slow = execute_module(analyzed, args, options=ExecutionOptions(backend="serial"))
     t_slow = time.perf_counter() - t0
 
     assert np.allclose(fast["newA"], slow["newA"])

@@ -98,7 +98,6 @@ def __getattr__(name):
         "execute_module": "repro.runtime.executor",
         "ExecutionOptions": "repro.runtime.executor",
         "available_backends": "repro.runtime.backends",
-        "create_backend": "repro.runtime.backends",
         "MachineModel": "repro.machine.cost",
         "simulate_flowchart": "repro.machine.simulator",
         "predicted_speedup": "repro.machine.simulator",

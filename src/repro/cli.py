@@ -119,13 +119,12 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _execution_options(args, vectorize: bool = True) -> ExecutionOptions:
+def _execution_options(args) -> ExecutionOptions:
     """Execution options from the shared CLI flags, through the one
     documented resolution path (``ExecutionOptions.resolve``) that the
     library, the serve daemon, and these commands all use."""
     return ExecutionOptions.resolve(
         None,
-        vectorize=vectorize,
         backend=args.backend,
         workers=args.workers,
         use_windows=args.windows,
@@ -191,12 +190,7 @@ def _cmd_run(args) -> int:
         shape = run_args[pname].shape
         print(f"note: filled {pname} with random{shape} (seed {args.seed})",
               file=sys.stderr)
-    if args.scalar and args.backend not in ("auto", "serial"):
-        raise ReproError(
-            f"--scalar is shorthand for --backend serial and conflicts "
-            f"with --backend {args.backend}"
-        )
-    options = _execution_options(args, vectorize=not args.scalar)
+    options = _execution_options(args)
     flow = (
         _flowchart(analyzed, True) if getattr(args, "merge", False) else None
     )
@@ -412,14 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="array parameter from a .npy file")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for auto-filled array parameters")
-    p.add_argument("--scalar", action="store_true",
-                   help="use the scalar reference interpreter "
-                        "(shorthand for --backend serial)")
     p.add_argument("--windows", action="store_true",
                    help="allocate virtual dimensions as windows")
     p.add_argument("--backend", default="auto",
                    choices=["auto", *available_backends()],
-                   help="DOALL execution backend (auto follows --scalar)")
+                   help="DOALL execution backend (auto: the cost-driven "
+                        "planner chooses; serial: the scalar reference "
+                        "interpreter)")
     p.add_argument("--strategy", default=None, choices=list(STRATEGIES),
                    help="prefer this strategy wherever it is valid "
                         "(pipeline: decouple every partitionable sibling "

@@ -13,7 +13,6 @@ and window allocation (section 3.4).
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -84,55 +83,10 @@ class CompileResult:
             self._kernel_cache = KernelCache(self.analyzed, self.flowchart)
         return self._kernel_cache
 
-    @staticmethod
-    def _merge_execution(
-        execution: ExecutionOptions | None,
-        backend: str | None,
-        workers: int | None,
-    ) -> ExecutionOptions:
-        """Deprecated: the scattered ``backend=``/``workers=`` kwarg merge.
-        :meth:`ExecutionOptions.resolve` is the one options-resolution path
-        now (shared with the CLI and the serve daemon); this shim remains
-        so old callers keep working, with a warning."""
-        warnings.warn(
-            "CompileResult._merge_execution is deprecated; use "
-            "ExecutionOptions.resolve(execution, backend=..., workers=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExecutionOptions.resolve(
-            execution, backend=backend, workers=workers
-        )
-
-    @staticmethod
-    def _resolve_execution(
-        execution: ExecutionOptions | None,
-        backend: str | None,
-        workers: int | None,
-        caller: str,
-    ) -> ExecutionOptions:
-        """Resolve options through the shared path, warning once per call
-        site when the deprecated scattered kwargs are used."""
-        if backend is not None or workers is not None:
-            warnings.warn(
-                f"CompileResult.{caller}(backend=..., workers=...) is "
-                f"deprecated; pass execution="
-                f"ExecutionOptions.resolve(backend=..., workers=...) "
-                f"instead — one documented options-resolution path for "
-                f"library, CLI, and daemon",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return ExecutionOptions.resolve(
-            execution, backend=backend, workers=workers
-        )
-
     def plan(
         self,
         args: dict[str, Any] | None = None,
         execution: ExecutionOptions | None = None,
-        backend: str | None = None,
-        workers: int | None = None,
     ) -> ExecutionPlan:
         """The execution plan for this compilation under the given options
         and (integer) arguments, cached across ``run()`` calls.
@@ -140,22 +94,13 @@ class CompileResult:
         ``backend="auto"`` (the default) asks the cost-driven planner to
         choose; an explicit backend pins the plan to it.
         """
-        execution = self._resolve_execution(execution, backend, workers, "plan")
+        execution = execution or ExecutionOptions()
         scalars = {
             k: int(v)
             for k, v in (args or {}).items()
             if isinstance(v, (int, np.integer))
         }
-        key = (
-            execution.backend, execution.workers, execution.vectorize,
-            execution.use_windows, execution.use_kernels,
-            execution.debug_windows, execution.use_collapse,
-            getattr(execution, "use_fission", True),
-            getattr(execution, "kernel_tier", "native"),
-            getattr(execution, "strategy", None),
-            getattr(execution, "allow_reassoc", False),
-            tuple(sorted(scalars.items())),
-        )
+        key = (execution.key(), tuple(sorted(scalars.items())))
         # Calibration only influences the auto decision, so pinned-backend
         # entries stay valid across calibrations; an auto entry is replaced
         # (not stranded) when new measurements arrive.
@@ -200,19 +145,17 @@ class CompileResult:
         self,
         args: dict[str, Any],
         execution: ExecutionOptions | None = None,
-        backend: str | None = None,
-        workers: int | None = None,
         plan: ExecutionPlan | None = None,
     ) -> dict[str, Any]:
         """Execute the (possibly transformed) module on the interpreter.
 
-        ``backend`` / ``workers`` select the DOALL execution backend
-        (overriding ``execution`` when given) — e.g.
-        ``result.run(args, backend="threaded", workers=4)``. The execution
-        follows the cached cost-driven :meth:`plan` unless a prebuilt
-        ``plan`` is supplied.
+        ``execution`` selects the DOALL execution backend and the rest of
+        the run's options — e.g. ``result.run(args,
+        ExecutionOptions.resolve(backend="threaded", workers=4))``. The
+        execution follows the cached cost-driven :meth:`plan` unless a
+        prebuilt ``plan`` is supplied.
         """
-        execution = self._resolve_execution(execution, backend, workers, "run")
+        execution = execution or ExecutionOptions()
         if plan is None:
             plan = self.plan(args, execution=execution)
         return execute_module(

@@ -39,13 +39,13 @@ from repro.plan.ir import (
     PlanError,
     StagePlan,
 )
-from repro.runtime.kernels.emit import (
-    equation_affine_fast_path,
+from repro.runtime.kernels.emit import equation_affine_fast_path
+from repro.runtime.kernels.native import native_emittable
+from repro.runtime.kernels.nest import (
     kernelizable,
     kernelizable_reason,
     nest_fusable,
 )
-from repro.runtime.kernels.native import native_emittable, native_span_emittable
 from repro.runtime.values import eval_bound
 from repro.schedule.flowchart import (
     Flowchart,
@@ -84,7 +84,6 @@ INNER_CHUNK_FACTOR = 2
 
 def _default_options() -> Any:
     return SimpleNamespace(
-        vectorize=True,
         use_windows=False,
         debug_windows=False,
         backend="auto",
@@ -171,10 +170,6 @@ def build_plan(
         from repro.runtime.backends.process import require_fork
 
         require_fork(requested)
-    if requested == "auto" and not options.vectorize:
-        # The legacy --scalar path: auto used to follow the vectorize flag.
-        requested = "serial"
-
     if requested == "auto":
         from repro.runtime.backends.process import _fork_available
 
@@ -463,14 +458,9 @@ class _Planner:
         key = (id(desc), variant)
         ok = self._native.get(key)
         if ok is None:
-            if variant == "span":
-                ok = native_span_emittable(
-                    desc, self.analyzed, self.flowchart, self.use_windows
-                )
-            else:
-                ok = native_emittable(
-                    desc, self.analyzed, self.flowchart, self.use_windows, variant
-                )
+            ok = native_emittable(
+                desc, self.analyzed, self.flowchart, self.use_windows, variant
+            )
             self._native[key] = ok
         return ok
 
@@ -923,11 +913,6 @@ class _Planner:
             return None
         return group
 
-    def _seq_fusable(self, desc: LoopDescriptor) -> bool:
-        return self.use_kernels and nest_fusable(
-            desc, self.analyzed, self.flowchart, self.use_windows, "seq"
-        )
-
     # -- scan pricing ------------------------------------------------------
 
     def _scan_gated(self, info) -> bool:
@@ -943,8 +928,8 @@ class _Planner:
     def _price_scan(self, desc: LoopDescriptor, info) -> dict:
         """Cycles for the three-phase blocked scan of a recognized
         recurrence, plus the comparators: the in-order walk (the strategy
-        actually replaced) and the ``"seq"`` fused kernel (what a pipeline
-        sequential stage would stream — recorded in provenance)."""
+        actually replaced) and the fused kernel run in order (what a
+        pipeline sequential stage would stream — recorded in provenance)."""
         from repro.machine.cost import expression_cost
 
         m = self.model
@@ -978,11 +963,11 @@ class _Planner:
         )
         serial = self._cost_serial_root(desc)
         seq: float | None = None
-        if self._native_ok(desc, "seq"):
+        if self._native_ok(desc, "full"):
             seq = m.native_call_overhead + sum(
                 self._cost(d, "native", t) for d in desc.body
             )
-        elif self._seq_fusable(desc):
+        elif self._fusable(desc):
             seq = m.vector_setup + sum(
                 self._cost(d, "nest", t) for d in desc.body
             )
@@ -1305,11 +1290,11 @@ class _Planner:
         for idx, s in enumerate(stages):
             if s.kind == "sequential":
                 loop = group.loops[s.members[0]]
-                if self._native_ok(loop, "seq"):
+                if self._native_ok(loop, "full"):
                     work = blocks * m.native_call_overhead + sum(
                         self._cost(d, "native", t) for d in loop.body
                     )
-                elif self._seq_fusable(loop):
+                elif self._fusable(loop):
                     work = blocks * m.vector_setup + sum(
                         self._cost(d, "nest", t) for d in loop.body
                     )
@@ -1462,7 +1447,7 @@ class _Planner:
             k = stage_of[j]
             stage = stages[k]
             head = j == 0
-            seq_fuse = stage.kind == "sequential" and self._seq_fusable(loop)
+            seq_fuse = stage.kind == "sequential" and self._fusable(loop)
             lp = LoopPlan(
                 path, loop.index, loop.keyword, "pipeline",
                 parts=priced["workers_used"] if head else None,
@@ -1492,7 +1477,7 @@ class _Planner:
                 self.entries.append(PlanEntry(depth + 1, equation=ep))
             elif stage.kind == "sequential":
                 if seq_fuse:
-                    self._native_root = self._native_ok(loop, "seq")
+                    self._native_root = self._native_ok(loop, "full")
                     try:
                         for i, d in enumerate(loop.body):
                             self._emit(

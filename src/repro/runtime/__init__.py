@@ -3,7 +3,7 @@ evaluator (scalar reference semantics and a vectorised NumPy path for DOALL
 dimensions), the flowchart interpreter, and the pluggable parallel execution
 backends (serial / vectorized / threaded / process)."""
 
-from repro.runtime.backends import available_backends, create_backend
+from repro.runtime.backends import available_backends
 from repro.runtime.executor import (
     ExecutionOptions,
     execute_module,
@@ -15,7 +15,6 @@ __all__ = [
     "ExecutionOptions",
     "RuntimeArray",
     "available_backends",
-    "create_backend",
     "eval_bound",
     "execute_module",
     "execute_program_module",

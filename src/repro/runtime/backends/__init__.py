@@ -2,11 +2,12 @@
 
 Registry::
 
-    from repro.runtime.backends import create_backend, available_backends
-    backend = create_backend(options)     # resolves ExecutionOptions.backend
+    from repro.runtime.backends import instantiate_backend, available_backends
+    backend = instantiate_backend("threaded", workers=4)
 
-``"auto"`` resolves to ``vectorized`` (or ``serial`` when
-``ExecutionOptions.vectorize`` is off), preserving the historical flags.
+Which backend a run uses is the planner's decision
+(:mod:`repro.plan.planner` resolves ``ExecutionOptions.backend``, ``"auto"``
+included); the executor instantiates ``plan.backend`` from this registry.
 """
 
 from __future__ import annotations
@@ -45,22 +46,8 @@ def available_backends() -> list[str]:
     return sorted(BACKENDS)
 
 
-def resolve_backend_name(options) -> str:
-    """Legacy direct-construction resolution: ``"auto"`` falls back to the
-    historical ``vectorize``-flag behaviour. The executor does NOT use
-    this — it asks the cost-driven planner (:mod:`repro.plan.planner`) and
-    instantiates ``plan.backend``; this path remains for helpers that walk
-    descriptors without a plan (e.g. ``runtime.wavefront``) and for tests
-    constructing backends directly."""
-    name = getattr(options, "backend", "auto")
-    if name == "auto":
-        return "vectorized" if options.vectorize else "serial"
-    return name
-
-
 def instantiate_backend(name: str, workers: int | None = None) -> ExecutionBackend:
-    """Registry lookup shared by the executor (``plan.backend``) and the
-    legacy :func:`create_backend` path."""
+    """Registry lookup: the backend class registered under ``name``."""
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -69,12 +56,6 @@ def instantiate_backend(name: str, workers: int | None = None) -> ExecutionBacke
             f"available: {', '.join(available_backends())}"
         ) from None
     return cls(workers=workers)
-
-
-def create_backend(options) -> ExecutionBackend:
-    return instantiate_backend(
-        resolve_backend_name(options), workers=getattr(options, "workers", None)
-    )
 
 
 __all__ = [
@@ -89,9 +70,7 @@ __all__ = [
     "VectorizedBackend",
     "available_backends",
     "chunk_safe",
-    "create_backend",
     "equation_is_vector_safe",
     "free_threading_active",
     "instantiate_backend",
-    "resolve_backend_name",
 ]

@@ -128,12 +128,6 @@ class ExecutionState:
         for label, n in counts.items():
             self.eval_counts[label] = self.eval_counts.get(label, 0) + n
 
-    def kernel_for(self, eq: AnalyzedEquation, vector: bool):
-        """The compiled kernel for ``eq`` (None: use the evaluator)."""
-        if self.kernels is None:
-            return None
-        return self.kernels.kernel_for(eq, vector, self.options.use_windows)
-
     def kernel_tier(self) -> str:
         """The nest-kernel tier this execution looks up first
         (``"native"`` unless the options narrowed it)."""
@@ -397,6 +391,41 @@ class ExecutionBackend:
         for d in desc.body:
             self.exec_descriptor(state, d, env2, vector_names + [desc.index])
 
+    def _run_kernel(
+        self, state: ExecutionState, kernel, env: dict[str, Any],
+        lo: int | None = None, hi: int | None = None,
+        label: str | None = None,
+    ) -> None:
+        """The one kernel call site. A loop kernel runs ``[lo, hi]`` and
+        returns ``{label: count}``; a per-equation kernel (``label`` given)
+        takes no range and returns the count of its one equation. Either
+        way the counts are booked here, and a missing data/env binding
+        inside the kernel is the evaluator's "unbound name" error. (Two
+        plain calls, not one ``*range`` call: this runs per element on the
+        scalar walk, where the unpacking call measured ~5% of the run.)"""
+        try:
+            if label is None:
+                counts = kernel(state.data, env, lo, hi)
+            else:
+                counts = kernel(state.data, env)
+        except KeyError as exc:
+            raise ExecutionError(f"unbound name {exc.args[0]!r}") from None
+        if label is None:
+            state.merge_counts(counts)
+        else:
+            state.eval_counts[label] = state.eval_counts.get(label, 0) + counts
+
+    def _loop_kernel(self, state: ExecutionState, desc: LoopDescriptor, shape: str):
+        """The compiled kernel of ``shape`` for ``desc`` — the native (C)
+        tier first, then the NumPy tier — or None when there is none and
+        the caller must walk the loop itself."""
+        if state.kernels is None:
+            return None
+        return state.kernels.nest_kernel_for(
+            desc, state.options.use_windows, variant=shape,
+            tier=state.kernel_tier(),
+        )
+
     def exec_nest_kernel(
         self,
         state: ExecutionState,
@@ -404,28 +433,16 @@ class ExecutionBackend:
         lo: int,
         hi: int,
         env: dict[str, Any],
-        variant: str = "full",
     ) -> bool:
-        """Run the whole nest through its fused compiled kernel — the
-        native (C) tier first, then the NumPy tier; False when no kernel is
-        available (the caller falls back to the scalar walk). ``variant``
-        selects the emission (``"seq"``: the in-order nest a pipeline
-        sequential stage runs block-wise)."""
-        if state.kernels is None:
-            return False
-        kernel = state.kernels.nest_kernel_for(
-            desc, state.options.use_windows, variant=variant,
-            tier=state.kernel_tier(),
-        )
+        """Run the root subrange ``[lo, hi]`` of the whole nest as one
+        compiled kernel, in iteration order; False when no kernel is
+        available (the caller falls back to the scalar walk)."""
+        kernel = self._loop_kernel(state, desc, "full")
         if kernel is None:
             return False
         for eq in desc.nested_equations():
             self.ensure_targets(state, eq)
-        try:
-            counts = kernel(state.data, env, lo, hi)
-        except KeyError as exc:
-            raise ExecutionError(f"unbound name {exc.args[0]!r}") from None
-        state.merge_counts(counts)
+        self._run_kernel(state, kernel, env, lo, hi)
         return True
 
     def exec_chunked_loop(
@@ -452,31 +469,6 @@ class ExecutionBackend:
             return
         self.dispatch_chunks(state, desc, spans, env, vector_names)
 
-    def exec_native_span(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> bool:
-        """Run one chunk subrange through the composite native span kernel
-        (one C function per equation); False when the span is not natively
-        available so the caller falls through to ``exec_vector_span``.
-        Targets are pre-allocated by the chunk dispatcher before spans run,
-        so the kernel only writes disjoint elements."""
-        if state.kernels is None or state.kernel_tier() != "native":
-            return False
-        kernel = state.kernels.span_kernel_for(desc, state.options.use_windows)
-        if kernel is None:
-            return False
-        try:
-            counts = kernel(state.data, env, lo, hi)
-        except KeyError as exc:
-            raise ExecutionError(f"unbound name {exc.args[0]!r}") from None
-        state.merge_counts(counts)
-        return True
-
     def exec_chunk_span(
         self,
         state: ExecutionState,
@@ -487,12 +479,16 @@ class ExecutionBackend:
         vector_names: list[str],
     ) -> None:
         """One worker's chunk of a chunk-dispatched DOALL: the native span
-        kernel when one compiles (cffi releases the GIL around the C call,
-        so threaded chunks genuinely overlap), the NumPy per-equation
-        distribution otherwise."""
-        if not vector_names and self.exec_native_span(state, desc, lo, hi, env):
-            return
-        self.exec_vector_span(state, desc, lo, hi, env, vector_names)
+        kernel (one C function per equation) when one compiles — cffi
+        releases the GIL around the C call, so threaded chunks genuinely
+        overlap — the NumPy per-equation distribution otherwise. Targets
+        are pre-allocated by the chunk dispatcher before spans run, so the
+        kernel only writes disjoint elements."""
+        kernel = None if vector_names else self._loop_kernel(state, desc, "span")
+        if kernel is None:
+            self.exec_vector_span(state, desc, lo, hi, env, vector_names)
+        else:
+            self._run_kernel(state, kernel, env, lo, hi)
 
     def dispatch_chunks(
         self,
@@ -519,11 +515,11 @@ class ExecutionBackend:
         hi: int,
         env: dict[str, Any],
     ) -> None:
-        """One in-order block of a pipeline *sequential* stage: the fused
-        ``"seq"``-variant nest kernel when the nest lowers, the strictly
+        """One in-order block of a pipeline *sequential* stage: the nest
+        kernel over the ``DO`` subrange when the nest lowers, the strictly
         ordered per-iteration walk otherwise (whose inner loops were
         planned in-stage, so they never re-enter a worker pool)."""
-        if self.exec_nest_kernel(state, desc, lo, hi, env, variant="seq"):
+        if self.exec_nest_kernel(state, desc, lo, hi, env):
             return
         for i in range(lo, hi + 1):
             env2 = dict(env)
@@ -637,20 +633,11 @@ class ExecutionBackend:
         through the fused flat-variant nest kernel when available, else by
         the delinearized per-equation walk. The chunked backends reuse
         this per worker chunk."""
-        kernel = None
-        if fuse and state.kernels is not None:
-            kernel = state.kernels.nest_kernel_for(
-                desc, state.options.use_windows, variant="flat",
-                tier=state.kernel_tier(),
-            )
-        if kernel is not None:
-            try:
-                counts = kernel(state.data, env, flo, fhi)
-            except KeyError as exc:
-                raise ExecutionError(f"unbound name {exc.args[0]!r}") from None
-            state.merge_counts(counts)
-            return
-        self.exec_flat_walk(state, desc, flo, fhi, env)
+        kernel = self._loop_kernel(state, desc, "flat") if fuse else None
+        if kernel is None:
+            self.exec_flat_walk(state, desc, flo, fhi, env)
+        else:
+            self._run_kernel(state, kernel, env, flo, fhi)
 
     def exec_flat_walk(
         self,
@@ -737,17 +724,13 @@ class ExecutionBackend:
             return
 
         self.ensure_targets(state, eq)
-        kernel = state.kernel_for(eq, vector)
-        if kernel is not None:
-            try:
-                count = kernel(state.data, env)
-            except KeyError as exc:
-                # A missing data/env binding inside a kernel is the
-                # evaluator's "unbound name" error.
-                raise ExecutionError(f"unbound name {exc.args[0]!r}") from None
-            state.eval_counts[eq.label] = (
-                state.eval_counts.get(eq.label, 0) + count
+        kernel = None
+        if state.kernels is not None:
+            kernel = state.kernels.kernel_for(
+                eq, vector, state.options.use_windows
             )
+        if kernel is not None:
+            self._run_kernel(state, kernel, env, None, None, eq.label)
             return
         value = state.evaluator.eval(eq.rhs, env, vector=vector)
         state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + (

@@ -18,8 +18,6 @@ Options:
 * ``backend`` / ``workers`` — backend selection; ``"auto"`` asks the
   cost-driven planner (:mod:`repro.plan.planner`) to choose, while an
   explicit backend pins the plan to it;
-* ``vectorize`` — NumPy the DOALL dimensions (default; the scalar path is
-  the reference semantics used to cross-check it);
 * ``use_windows`` — allocate virtual dimensions as windows, as the paper's
   section 3.4 directs the code generator to do;
 * ``debug_windows`` — arm window tags that fault on any read of an
@@ -50,20 +48,13 @@ if TYPE_CHECKING:  # a module-level import would cycle through the package
     from repro.plan.ir import ExecutionPlan
 
 
-#: Backward-compatible alias — the mutable per-execution state now lives in
-#: :mod:`repro.runtime.backends.base`.
-_State = ExecutionState
-
-
 @dataclass
 class ExecutionOptions:
-    vectorize: bool = True
     use_windows: bool = False
     debug_windows: bool = False
     #: execution backend: "auto", "serial", "vectorized", "threaded",
-    #: "process" — "auto" asks the cost-driven planner to choose (with
-    #: ``vectorize=False`` it pins the serial reference path, preserving
-    #: the historical --scalar flag)
+    #: "process" — "auto" asks the cost-driven planner to choose;
+    #: "serial" is the scalar reference path
     backend: str = "auto"
     #: worker count for the chunked backends (None: os.cpu_count())
     workers: int | None = None
@@ -124,6 +115,15 @@ class ExecutionOptions:
         if base is None:
             return cls(**effective)
         return replace(base, **effective) if effective else base
+
+    def key(self) -> tuple:
+        """Every field's value, in declaration order — THE definition of
+        "these options are the same plan" for every cache that keys on
+        options (plan caches, the serve layer's backend slots). Derived
+        from the dataclass fields (a subclass's included), so a new option
+        cannot be left out; the class is a flat record of scalars, so no
+        ``astuple`` recursion — this runs per serve request."""
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
 def execute_module(
@@ -309,14 +309,7 @@ def _callee_plan(
     if memo is None:
         memo = {}
         state.program._plan_memo = memo
-    key = (
-        name, options.backend, options.workers, options.vectorize,
-        options.use_windows, options.use_kernels, options.debug_windows,
-        options.use_collapse, getattr(options, "kernel_tier", "native"),
-        getattr(options, "use_fission", True),
-        getattr(options, "strategy", None),
-        getattr(options, "allow_reassoc", False),
-    )
+    key = (name, options.key())
     plan = memo.get(key)
     if plan is None:
         from repro.plan.planner import build_plan

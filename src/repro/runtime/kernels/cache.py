@@ -1,25 +1,23 @@
-"""The per-compilation kernel cache.
+"""The per-compilation kernel cache: one tiered lookup.
 
 One :class:`KernelCache` lives for as long as its ``(analyzed, flowchart)``
 pair — :class:`repro.core.pipeline.CompileResult` keeps one across ``run()``
 calls, and ``execute_module`` creates a transient one otherwise. Kernels are
-compiled on first use and keyed by equation label, variant, and the window
-mode (window allocation changes the subscript mapping the kernel bakes in);
-nest kernels are keyed by descriptor path plus the nest variant (``"full"``
-runs a root subrange, ``"flat"`` a collapse-chunked flat range, ``"seq"``
-an in-order block of a sequential root for pipeline stages). A ``None``
-entry records a non-kernelizable equation so the backends ask exactly once
-and fall back to the evaluator thereafter.
+compiled on first use. Per-equation kernels are keyed by equation label,
+dialect, and the window mode (window allocation changes the subscript
+mapping the kernel bakes in); everything that heads a loop — nest kernels
+in the shapes of :mod:`repro.runtime.kernels.nest` and the scan bundles —
+is keyed by descriptor path, window mode and shape.
 
-Nest kernels come in **tiers**: :meth:`nest_kernel_for` serves the
-cffi-compiled *native* kernel when the requested tier is ``"native"`` and
-the nest lowers to bit-exact C on a machine with a C compiler (see
-:mod:`repro.runtime.kernels.native`), the exec-compiled NumPy kernel
-otherwise, and ``None`` (the evaluator walk) when neither applies — the
-lookup order native -> NumPy -> evaluator. Native kernels are memoized
-under the same path+window-mode+variant key, so the process backend's
-pre-fork :meth:`warm` loads every shared object once and forked workers
-inherit the dlopened libraries.
+Loop kernels come in **tiers** and every public lookup goes through
+:meth:`KernelCache._lookup`: the cffi-compiled *native* kernel when the
+requested tier is ``"native"``, the nest lowers to bit-exact C and this
+machine has a C compiler (see :mod:`repro.runtime.kernels.native`); the
+exec-compiled NumPy kernel otherwise; ``None`` — the caller walks the
+evaluator — when neither applies. A ``None`` is memoized like any other
+answer (:meth:`KernelCache._memo`), so a refusal or a broken toolchain is
+paid for once, and the process backend's pre-fork :meth:`KernelCache.warm`
+loads every shared object once for forked workers to inherit.
 
 The cache also owns the *call box*: a one-slot list every compiled kernel
 reads module-call handlers through. :meth:`bind_call_fn` points it at the
@@ -30,18 +28,12 @@ workers inherit the binding with the cache).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.runtime.kernels import native as native_mod
-from repro.runtime.kernels.emit import (
-    NEST_VARIANTS,
-    KernelError,
-    compile_kernel,
-    compile_nest_kernel,
-    kernelizable,
-    nest_fusable,
-)
+from repro.runtime.kernels.emit import compile_kernel, compile_nest_kernel
+from repro.runtime.kernels.nest import NEST_SHAPES, KernelError
 from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
@@ -49,18 +41,14 @@ from repro.schedule.flowchart import (
     loop_collapse_safe,
 )
 
-#: kernel tiers ``ExecutionOptions.kernel_tier`` may select
-KERNEL_TIERS = ("native", "numpy", "evaluator")
-
-
 class KernelCache:
     def __init__(self, analyzed: AnalyzedModule, flowchart: Flowchart):
         self.analyzed = analyzed
         self.flowchart = flowchart
         self._compiled: dict[tuple[str, bool, bool], Callable | None] = {}
-        #: fused nest kernels keyed by (descriptor path, window mode, variant)
+        #: NumPy-tier loop kernels keyed by (descriptor path, window mode, shape)
         self._nests: dict[tuple[tuple[int, ...], bool, str], Callable | None] = {}
-        #: cffi-compiled native nest kernels, same key shape
+        #: native-tier loop kernels, same key shape
         self._native: dict[tuple[tuple[int, ...], bool, str], Callable | None] = {}
         #: one-slot module-call dispatch box shared by every compiled kernel
         self._call_box: list = [None]
@@ -71,6 +59,24 @@ class KernelCache:
         the box at call time, so already-compiled kernels follow."""
         self._call_box[0] = call_fn
 
+    def _memo(self, table: dict, key, native: bool, build, *args):
+        """Build ``table[key]`` on its first request and remember the
+        answer — ``None`` included, so the compile (or its failure) happens
+        exactly once."""
+        fn = None
+        if not native or native_mod.native_supported():
+            try:
+                fn = build(*args)
+            except KernelError:
+                pass
+            except Exception:
+                if not native:
+                    raise
+                # A toolchain failure (compiler crash, dlopen error) must
+                # degrade to the NumPy tier, never take the run down.
+        table[key] = fn
+        return fn
+
     def kernel_for(
         self, eq: AnalyzedEquation, vector: bool, use_windows: bool
     ) -> Callable | None:
@@ -80,18 +86,64 @@ class KernelCache:
         try:
             return self._compiled[key]
         except KeyError:
-            pass
-        fn: Callable | None = None
-        if kernelizable(eq, self.analyzed):
-            try:
-                fn = compile_kernel(
-                    eq, self.analyzed, self.flowchart, vector, use_windows,
-                    call_box=self._call_box,
-                )
-            except KernelError:
-                fn = None
-        self._compiled[key] = fn
-        return fn
+            return self._memo(
+                self._compiled, key, False, compile_kernel,
+                eq, self.analyzed, self.flowchart, vector, use_windows,
+                self._call_box,
+            )
+
+    def _lookup(
+        self, desc: LoopDescriptor, use_windows: bool, shape: str, tier: str
+    ):
+        """The kernel of ``shape`` for the loop ``desc``, highest tier
+        first: native -> NumPy -> ``None`` (the caller walks the loop on
+        per-equation kernels or the evaluator)."""
+        path = self.flowchart.path_of(desc)
+        if path is None:
+            return None
+        key = (path, bool(use_windows), shape)
+        if tier == "native":
+            fn = self._tier(self._native, key, True, desc, use_windows, shape)
+            if fn is not None:
+                return fn
+        if shape == "span":
+            # The NumPy tier's per-equation distribution is the
+            # per-equation vector kernels; there is nothing to look up.
+            return None
+        return self._tier(self._nests, key, False, desc, use_windows, shape)
+
+    def _tier(
+        self, table: dict, key, native: bool,
+        desc: LoopDescriptor, use_windows: bool, shape: str,
+    ):
+        try:
+            return table[key]
+        except KeyError:
+            return self._memo(
+                table, key, native, self._compile,
+                native, desc, use_windows, shape,
+            )
+
+    def _compile(
+        self, native: bool, desc: LoopDescriptor, use_windows: bool, shape: str
+    ):
+        if shape == "scan":
+            from repro.runtime.kernels import scan as scan_mod
+            from repro.schedule.scan_detect import scan_info
+
+            info = scan_info(self.analyzed, self.flowchart, desc, use_windows)
+            if info is None:
+                return None
+            make = scan_mod.native_kernels if native else scan_mod.numpy_kernels
+            return make(info)
+        if native:
+            return native_mod.compile_native_nest(
+                desc, self.analyzed, self.flowchart, use_windows, shape
+            )
+        return compile_nest_kernel(
+            desc, self.analyzed, self.flowchart, use_windows, shape,
+            self._call_box,
+        )
 
     def nest_kernel_for(
         self,
@@ -100,194 +152,21 @@ class KernelCache:
         variant: str = "full",
         tier: str = "native",
     ) -> Callable | None:
-        """The fused kernel for a whole DOALL nest, or None when the nest
-        cannot be fused (the caller then walks it descriptor by descriptor).
-        Keyed by the descriptor's path in this cache's flowchart plus the
-        nest variant (``"flat"`` for collapse-chunked execution).
+        """The kernel for a whole nest — ``kernel(data, env, lo, hi) ->
+        {label: count}`` — or None when the nest cannot be lowered (the
+        caller then walks it descriptor by descriptor). ``variant`` is a
+        shape of :mod:`repro.runtime.kernels.nest`: ``"full"`` runs a root
+        subrange (of a ``DOALL``, or in-order blocks of a ``DO``),
+        ``"flat"`` a collapse-chunked flat range, ``"span"`` a root
+        subrange one equation at a time.
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
         to the NumPy kernel otherwise; ``tier="numpy"`` skips the native
         tier outright."""
-        if variant not in NEST_VARIANTS:
+        if variant not in NEST_SHAPES:
             raise KernelError(f"unknown nest-kernel variant {variant!r}")
-        path = self.flowchart.path_of(desc)
-        if path is None:
-            return None
-        if tier == "native":
-            fn = self.native_nest_kernel_for(desc, use_windows, variant, path)
-            if fn is not None:
-                return fn
-        key = (path, bool(use_windows), variant)
-        try:
-            return self._nests[key]
-        except KeyError:
-            pass
-        fn: Callable | None = None
-        if nest_fusable(desc, self.analyzed, self.flowchart, use_windows, variant):
-            try:
-                fn = compile_nest_kernel(
-                    desc, self.analyzed, self.flowchart, use_windows,
-                    variant=variant, call_box=self._call_box,
-                )
-            except KernelError:
-                fn = None
-        self._nests[key] = fn
-        return fn
-
-    def native_nest_kernel_for(
-        self,
-        desc: LoopDescriptor,
-        use_windows: bool,
-        variant: str = "full",
-        path: tuple[int, ...] | None = None,
-    ) -> Callable | None:
-        """The native (C) kernel for a nest, or None when the nest is not
-        natively emittable or this machine has no C compiler — the caller
-        then falls through to the NumPy tier. A ``None`` entry is memoized
-        so the compile (or its failure) happens exactly once."""
-        if path is None:
-            path = self.flowchart.path_of(desc)
-            if path is None:
-                return None
-        key = (path, bool(use_windows), variant)
-        try:
-            return self._native[key]
-        except KeyError:
-            pass
-        fn: Callable | None = None
-        if native_mod.native_supported():
-            try:
-                fn = native_mod.compile_native_nest(
-                    desc, self.analyzed, self.flowchart, use_windows,
-                    variant=variant,
-                )
-            except KernelError:
-                fn = None
-            except Exception:
-                # A toolchain failure (compiler crash, dlopen error) must
-                # degrade to the NumPy tier, never take the run down.
-                fn = None
-        self._native[key] = fn
-        return fn
-
-    def warm(self, use_windows: bool, tier: str = "native") -> None:
-        """Compile every equation's kernels and every *reachable* nest and
-        span kernel up front — the process backend calls this before forking
-        so workers inherit the full cache (including dlopened native
-        libraries) and never compile anything themselves, and
-        ``Session.warm`` calls it so first-request latency never pays an
-        in-flight cc compile.
-
-        Every parallel loop is a potential kernel root, not just the
-        outermost ones: when an enclosing loop plans ``serial``/``iterate``
-        the scalar walk meets the *inner* parallel loops directly, and
-        chunk dispatch runs span kernels per subrange. So each parallel
-        loop warms its fused nest kernel, the flat variant when its chain
-        is collapse-safe, and the native span kernels when it is
-        chunk-safe. Sequential loops that head a pipeline sequential stage
-        additionally warm the ``"seq"`` nest variant those stages advance
-        through."""
-        for eq in self.analyzed.equations:
-            for vector in (False, True):
-                self.kernel_for(eq, vector, use_windows)
-
-        for desc in self.flowchart.loops():
-            if not desc.parallel:
-                continue
-            self.nest_kernel_for(desc, use_windows, tier=tier)
-            if loop_collapse_safe(
-                desc, self.analyzed, self.flowchart.windows, use_windows
-            ):
-                self.nest_kernel_for(desc, use_windows, variant="flat", tier=tier)
-            if tier == "native" and loop_chunk_safe(
-                desc, self.analyzed, self.flowchart.windows, use_windows
-            ):
-                self.span_kernel_for(desc, use_windows)
-
-        # Fission replicas live outside the main tree (marker paths), so
-        # the loops() walk above never meets them; a promoted piece is a
-        # DOALL kernel root in its own right. Lazy import: fission sits
-        # above the kernel layer.
-        from repro.schedule.fission import fission_splits
-
-        for split in fission_splits(self.analyzed, self.flowchart).values():
-            if not split.usable(use_windows):
-                continue
-            for piece in split.pieces:
-                if not piece.parallel:
-                    continue
-                self.nest_kernel_for(piece, use_windows, tier=tier)
-                if loop_collapse_safe(
-                    piece, self.analyzed, self.flowchart.windows, use_windows
-                ):
-                    self.nest_kernel_for(
-                        piece, use_windows, variant="flat", tier=tier
-                    )
-                if tier == "native" and loop_chunk_safe(
-                    piece, self.analyzed, self.flowchart.windows, use_windows
-                ):
-                    self.span_kernel_for(piece, use_windows)
-
-        # Lazy import: pipeline_stages sits above the kernel layer.
-        from repro.schedule.pipeline_stages import pipeline_groups
-
-        for groups in pipeline_groups(
-            self.analyzed, self.flowchart, use_windows
-        ).values():
-            for group in groups:
-                for stage in group.stages:
-                    if stage.kind != "sequential":
-                        continue
-                    for m in stage.members:
-                        self.nest_kernel_for(
-                            group.loops[m], use_windows, variant="seq", tier=tier
-                        )
-
-        # Recognized recurrences warm their three-phase scan bundle (one
-        # static C library covers every op x dtype, so the first loop pays
-        # the compile and the rest just dlopen-share it).
-        from repro.schedule.scan_detect import scan_loops
-
-        for spath in scan_loops(self.analyzed, self.flowchart, use_windows):
-            sdesc = self.flowchart.descriptor_at(spath)
-            if isinstance(sdesc, LoopDescriptor):
-                self.scan_kernel_for(sdesc, use_windows, tier=tier)
-
-    def span_kernel_for(
-        self,
-        desc: LoopDescriptor,
-        use_windows: bool,
-        path: tuple[int, ...] | None = None,
-    ) -> Callable | None:
-        """The composite native span kernel (one C function per equation
-        over a root subrange) for a chunk-dispatched DOALL, or None when the
-        span is not natively emittable or this machine has no C compiler —
-        chunk dispatch then falls back to the NumPy ``exec_vector_span``
-        path. Memoized under the reserved variant key ``"span"``."""
-        if path is None:
-            path = self.flowchart.path_of(desc)
-            if path is None:
-                return None
-        key = (path, bool(use_windows), "span")
-        try:
-            return self._native[key]
-        except KeyError:
-            pass
-        fn: Callable | None = None
-        if native_mod.native_supported():
-            try:
-                fn = native_mod.compile_native_span(
-                    desc, self.analyzed, self.flowchart, use_windows
-                )
-            except KernelError:
-                fn = None
-            except Exception:
-                # Same degradation contract as the nest tier: a toolchain
-                # failure serves the NumPy path, never takes the run down.
-                fn = None
-        self._native[key] = fn
-        return fn
+        return self._lookup(desc, use_windows, variant, tier)
 
     def scan_kernel_for(
         self,
@@ -300,42 +179,73 @@ class KernelCache:
         when the loop is unrecognized — the backend then walks it in
         order. ``tier="native"`` serves the compiled bundle when the
         static scan library loads on this machine, degrading to the NumPy
-        bundle otherwise; memoized under the reserved variant keys
-        ``"scan-native"`` / ``"scan-numpy"``."""
-        from repro.runtime.kernels import scan as scan_mod
-        from repro.schedule.scan_detect import scan_info
+        bundle otherwise."""
+        return self._lookup(desc, use_windows, "scan", tier)
 
-        info = scan_info(self.analyzed, self.flowchart, desc, use_windows)
-        if info is None:
-            return None
-        path = self.flowchart.path_of(desc)
-        if path is None:
-            return None
-        if tier == "native":
-            key = (path, bool(use_windows), "scan-native")
-            try:
-                bundle = self._native[key]
-            except KeyError:
-                bundle = None
-                if native_mod.native_supported():
-                    try:
-                        bundle = scan_mod.native_kernels(info)
-                    except KernelError:
-                        bundle = None
-                    except Exception:
-                        # Same degradation contract as the nest tier.
-                        bundle = None
-                self._native[key] = bundle
-            if bundle is not None:
-                return bundle
-        key = (path, bool(use_windows), "scan-numpy")
-        try:
-            return self._nests[key]
-        except KeyError:
-            pass
-        bundle = scan_mod.numpy_kernels(info)
-        self._nests[key] = bundle
-        return bundle
+    def _kernel_roots(self, use_windows: bool) -> Iterator[LoopDescriptor]:
+        """Every DOALL a run can dispatch a nest kernel from. All parallel
+        loops of the main tree, not just the outermost ones: when an
+        enclosing loop plans ``serial``/``iterate`` the scalar walk meets
+        the *inner* parallel loops directly. And the promoted pieces of
+        every usable fission split: replicas live outside the main tree
+        (marker paths), so ``loops()`` never meets them."""
+        # Lazy import: fission sits above the kernel layer.
+        from repro.schedule.fission import fission_splits
+
+        yield from (d for d in self.flowchart.loops() if d.parallel)
+        for split in fission_splits(self.analyzed, self.flowchart).values():
+            if split.usable(use_windows):
+                yield from (p for p in split.pieces if p.parallel)
+
+    def warm(self, use_windows: bool, tier: str = "native") -> None:
+        """Compile every equation's kernels and every *reachable* loop
+        kernel up front — the process backend calls this before forking
+        so workers inherit the full cache (including dlopened native
+        libraries) and never compile anything themselves, and
+        ``Session.warm`` calls it so first-request latency never pays an
+        in-flight cc compile.
+
+        Each kernel root warms its ``"full"`` kernel, ``"flat"`` when its
+        chain is collapse-safe, and the native ``"span"`` kernels when it
+        is chunk-safe (chunk dispatch runs them per subrange). Sequential
+        loops that head a pipeline sequential stage warm the ``"full"``
+        kernel those stages advance through block by block."""
+        for eq in self.analyzed.equations:
+            for vector in (False, True):
+                self.kernel_for(eq, vector, use_windows)
+
+        windows = self.flowchart.windows
+        for desc in self._kernel_roots(use_windows):
+            self._lookup(desc, use_windows, "full", tier)
+            if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
+                self._lookup(desc, use_windows, "flat", tier)
+            if tier == "native" and loop_chunk_safe(
+                desc, self.analyzed, windows, use_windows
+            ):
+                self._lookup(desc, use_windows, "span", tier)
+
+        # Lazy import: pipeline_stages sits above the kernel layer.
+        from repro.schedule.pipeline_stages import pipeline_groups
+
+        for groups in pipeline_groups(
+            self.analyzed, self.flowchart, use_windows
+        ).values():
+            for group in groups:
+                for stage in group.stages:
+                    if stage.kind != "sequential":
+                        continue
+                    for m in stage.members:
+                        self._lookup(group.loops[m], use_windows, "full", tier)
+
+        # Recognized recurrences warm their three-phase scan bundle (one
+        # static C library covers every op x dtype, so the first loop pays
+        # the compile and the rest just dlopen-share it).
+        from repro.schedule.scan_detect import scan_loops
+
+        for spath in scan_loops(self.analyzed, self.flowchart, use_windows):
+            sdesc = self.flowchart.descriptor_at(spath)
+            if isinstance(sdesc, LoopDescriptor):
+                self._lookup(sdesc, use_windows, "scan", tier)
 
     def stats(self) -> dict[str, int]:
         compiled = sum(1 for v in self._compiled.values() if v is not None)

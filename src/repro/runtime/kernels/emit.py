@@ -1,19 +1,22 @@
-"""Equation -> specialized Python kernel source, compiled once per module.
+"""The Python dialects of the nest lowering, ``exec``-compiled per module.
 
-For each analyzed equation two kernel variants are emitted on demand:
+Kernels come in two Python dialects, both driven by the one walk in
+:mod:`repro.runtime.kernels.nest`:
 
 * **scalar** — index variables are Python ints; ``if`` lowers to a lazy
   conditional expression (reference semantics: the guarded branch is never
   touched) and array elements are read through range-checked, origin-shifted
   storage indexing (out-of-range subscripts raise ``ExecutionError`` exactly
-  like the evaluator);
+  like the evaluator). Per-equation scalar kernels and ``"full"`` nest
+  kernels speak it;
 * **vector** — index variables may be contiguous NumPy aranges; ``if``
   lowers to ``np.where`` and array reads clip into range exactly like the
   vector evaluator, but affine subscripts (``I + c``) go through
   :func:`~repro.runtime.kernels.runtime.affine_gather`, which selects the
-  same values via basic slices instead of fancy indexing.
+  same values via basic slices instead of fancy indexing. Per-equation
+  vector kernels and the row loop of ``"flat"`` nest kernels speak it.
 
-Both variants share the expression walk with the whole-module Python
+Both dialects share the expression walk with the whole-module Python
 generator (:mod:`repro.codegen.exprlower`), so runtime kernels and generated
 modules provably lower expressions through one code path. An equation the
 emitter cannot specialize (module calls, record fields, partial-rank array
@@ -29,13 +32,11 @@ import numpy as np
 
 from repro.codegen.exprlower import ExprLowerer
 from repro.codegen.naming import py_name
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 from repro.ps.ast import (
     BinOp,
     Call,
     Expr,
-    FieldRef,
-    IfExpr,
     Index,
     IntLit,
     Name,
@@ -44,118 +45,16 @@ from repro.ps.ast import (
     walk_expr,
 )
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule, is_builtin
-from repro.ps.symbols import SymbolKind
 from repro.ps.types import ArrayType
 from repro.runtime.kernels import runtime as _rt
-from repro.schedule.flowchart import (
-    Flowchart,
-    LoopDescriptor,
-    NodeDescriptor,
-    collapse_chain,
+from repro.runtime.kernels.nest import (
+    NEST_VARIANTS,
+    KernelError,
+    lower_equation,
+    lower_nest,
+    static_windows,
 )
-
-
-class KernelError(ReproError):
-    """The equation cannot be lowered to a specialized kernel."""
-
-
-def static_windows(
-    name: str, analyzed: AnalyzedModule, flowchart: Flowchart, use_windows: bool
-) -> dict[int, int]:
-    """The window dimensions ``RuntimeArray.allocate`` will give ``name`` —
-    the emitter mirrors the allocation rule in the backends exactly."""
-    sym = analyzed.symbol(name)
-    if not use_windows or sym.kind is not SymbolKind.VAR:
-        return {}
-    return dict(flowchart.window_of(name))
-
-
-def _atomic_target_names(analyzed: AnalyzedModule) -> set[str]:
-    return {
-        t.name for eq in analyzed.equations if eq.atomic for t in eq.targets
-    }
-
-
-def kernelizable(eq: AnalyzedEquation, analyzed: AnalyzedModule) -> bool:
-    """Static check: can this equation be compiled at all?
-
-    Rejected: atomic equations (multi-target wholesale rebinds),
-    *index-dependent* module calls (each element would recurse into the
-    interpreter with different arguments), record fields, partial-rank
-    array indexing and bare array names (whole-array values), and unknown
-    names. Index-*independent* module calls compile: the kernel invokes
-    the execution's ``call_fn`` through the cache's call box (see
-    :meth:`repro.runtime.kernels.cache.KernelCache.bind_call_fn`), exactly
-    as the evaluator would. Everything rejected here falls back to the
-    evaluator.
-    """
-    return kernelizable_reason(eq, analyzed) is None
-
-
-def kernelizable_reason(
-    eq: AnalyzedEquation, analyzed: AnalyzedModule
-) -> str | None:
-    """Why :func:`kernelizable` rejects this equation — ``None`` when it
-    compiles. The single source of truth for the check itself, and the
-    reason string ``plan.explain()`` prints for evaluator-bound nests."""
-    if eq.atomic:
-        return "atomic equation"
-    if len(eq.targets) != 1:
-        return "multi-target equation"
-    exprs: list[Expr] = [eq.rhs]
-    exprs.extend(eq.targets[0].subscripts)
-    found: list[str] = []
-
-    def fail(why: str) -> bool:
-        found.append(why)
-        return False
-
-    def scan(expr: Expr) -> bool:
-        if isinstance(expr, FieldRef):
-            return fail("record-field access")
-        if isinstance(expr, Call):
-            if not is_builtin(expr.func):
-                # An index-independent module call evaluates to one value
-                # per kernel invocation — bindable through the call box. An
-                # index-dependent one stays on the evaluator.
-                index_names = set(eq.index_names)
-                for a in expr.args:
-                    if names_in(a) & index_names:
-                        return fail(
-                            f"calls module {expr.func} with "
-                            f"index-dependent arguments"
-                        )
-            return all(scan(a) for a in expr.args)
-        if isinstance(expr, Index):
-            if not isinstance(expr.base, Name):
-                return fail("computed array base")
-            sym = analyzed.table.symbol(expr.base.ident)
-            if sym is None or not isinstance(sym.type, ArrayType):
-                return fail(f"subscripted non-array {expr.base.ident}")
-            if len(expr.subscripts) != sym.type.rank:
-                return fail(f"partial-rank indexing of {expr.base.ident}")
-            return all(scan(s) for s in expr.subscripts)
-        if isinstance(expr, Name):
-            ident = expr.ident
-            if ident in eq.index_names:
-                return True
-            sym = analyzed.table.symbol(ident)
-            if sym is not None:
-                # A bare array name is a whole-array value — evaluator only.
-                if isinstance(sym.type, ArrayType):
-                    return fail(f"whole-array value {ident}")
-                return True
-            if ident in analyzed.table.enum_members:
-                return True
-            return fail(f"unknown name {ident}")
-        for child in _children(expr):
-            if not scan(child):
-                return False
-        return True
-
-    if all(scan(e) for e in exprs):
-        return None
-    return found[0]
+from repro.schedule.flowchart import Flowchart, LoopDescriptor
 
 
 def equation_affine_fast_path(
@@ -247,16 +146,6 @@ def classify_affine_subscript(
     return None
 
 
-def _children(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BinOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, UnOp):
-        return [expr.operand]
-    if isinstance(expr, IfExpr):
-        return [expr.cond, expr.then, expr.orelse]
-    return []
-
-
 class _KernelLowerer(ExprLowerer):
     """Shared kernel dialect pieces: name hoisting and builtin calls."""
 
@@ -326,6 +215,17 @@ class _KernelLowerer(ExprLowerer):
         args = ", ".join(self.lower(a) for a in expr.args)
         return f"_bf_{expr.func}({args})"
 
+    def lower_store(self, target) -> str:
+        """The statement storing ``__v`` into ``target`` — called after the
+        right-hand side is lowered."""
+        sym = self.analyzed.symbol(target.name)
+        if not isinstance(sym.type, ArrayType):
+            return f"_store(data, {target.name!r}, __v)"
+        if len(target.subscripts) != sym.type.rank:
+            raise self.error(f"partial-rank target {target.name!r}")
+        self.register_array(target.name)
+        return self.lower_array_store(target.name, target.subscripts)
+
     # The evaluator dispatches these operators on the runtime value kind;
     # the helpers replicate those branches exactly in both variants.
     def lower_div(self, left: str, right: str) -> str:
@@ -344,6 +244,9 @@ class _KernelLowerer(ExprLowerer):
 class _ScalarLowerer(_KernelLowerer):
     """Scalar variant: range-checked storage indexing, lazy ``if``,
     short-circuit logicals — the reference semantics, minus the tree walk."""
+
+    #: what one evaluation adds to the equation's element count
+    count_code = "1"
 
     def subscript_code(self, name: str, d: int, s: Expr) -> str:
         """One storage-relative subscript, range-checked like the
@@ -376,6 +279,9 @@ class _ScalarLowerer(_KernelLowerer):
         ]
         return f"_s_{py_name(name)}[{', '.join(parts)}]"
 
+    def lower_array_store(self, name: str, subscripts: list[Expr]) -> str:
+        return f"{self.lower_array_ref(name, subscripts)} = __v"
+
     def lower_logical(self, op: str, left: str, right: str) -> str:
         return f"(bool({left}) {op} bool({right}))"
 
@@ -383,6 +289,8 @@ class _ScalarLowerer(_KernelLowerer):
 class _VectorLowerer(_KernelLowerer):
     """Vector variant: NumPy ops with ``np.where`` clipping; affine
     subscripts go through the slice-based gather/scatter helpers."""
+
+    count_code = "int(np.size(__v))"
 
     def lower_array_ref(self, name: str, subscripts: list[Expr]) -> str:
         wins = self.register_array(name)
@@ -392,6 +300,14 @@ class _VectorLowerer(_KernelLowerer):
             return f"_ag(_a_{pname}, ({', '.join(specs)},))"
         codes = ", ".join(self.lower(s) for s in subscripts)
         return f"_a_{pname}.get([{codes}], clip=True)"
+
+    def lower_array_store(self, name: str, subscripts: list[Expr]) -> str:
+        pname = py_name(name)
+        specs = self._affine_specs(subscripts, self.arrays[name])
+        if specs is not None:
+            return f"_asc(_a_{pname}, ({', '.join(specs)},), __v)"
+        codes = ", ".join(self.lower(s) for s in subscripts)
+        return f"_a_{pname}.set([{codes}], __v)"
 
     def _affine_specs(
         self, subscripts: list[Expr], wins: dict[int, int]
@@ -440,179 +356,6 @@ class _VectorLowerer(_KernelLowerer):
         )
 
 
-def emit_kernel_source(
-    eq: AnalyzedEquation,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    vector: bool,
-    use_windows: bool,
-) -> tuple[str, set[str]]:
-    """Emit the kernel function source; returns ``(source, builtins_used)``.
-
-    Raises :class:`KernelError` when the equation cannot be specialized.
-    """
-    lowerer_cls = _VectorLowerer if vector else _ScalarLowerer
-    low = lowerer_cls(eq, analyzed, flowchart, use_windows)
-
-    # An atomic equation elsewhere may rebind an array wholesale, dropping
-    # its window mapping; a kernel that baked the mapping in would then
-    # address stale planes. Such equations stay on the evaluator.
-    atomic_names = _atomic_target_names(analyzed)
-
-    value_code = low.lower(eq.rhs)
-
-    target = eq.targets[0]
-    sym = analyzed.symbol(target.name)
-    store_lines: list[str] = []
-    if isinstance(sym.type, ArrayType):
-        if len(target.subscripts) != sym.type.rank:
-            raise low.error(f"partial-rank target {target.name!r}")
-        pname = py_name(target.name)
-        wins = low.register_array(target.name)
-        if vector:
-            specs = low._affine_specs(target.subscripts, wins)
-            if specs is not None:
-                store_lines.append(
-                    f"_asc(_a_{pname}, ({', '.join(specs)},), __v)"
-                )
-            else:
-                codes = ", ".join(low.lower(s) for s in target.subscripts)
-                store_lines.append(f"_a_{pname}.set([{codes}], __v)")
-        else:
-            parts = [
-                low.subscript_code(target.name, d, s)
-                for d, s in enumerate(target.subscripts)
-            ]
-            store_lines.append(f"_s_{pname}[{', '.join(parts)}] = __v")
-    else:
-        store_lines.append(f"_store(data, {target.name!r}, __v)")
-
-    for name, wins in low.arrays.items():
-        if wins and name in atomic_names:
-            raise low.error(
-                f"windowed array {name!r} is rebound by an atomic equation"
-            )
-
-    lines = ["def _kernel(data, env):"]
-    for name in sorted(low.arrays):
-        pname = py_name(name)
-        lines.append(f"    _a_{pname} = data[{name!r}]")
-        if not vector:
-            sym_t = analyzed.symbol(name).type
-            lines.append(f"    _s_{pname} = _a_{pname}.storage")
-            for d in range(sym_t.rank):
-                lines.append(f"    _o_{pname}_{d} = _a_{pname}.los[{d}]")
-                lines.append(f"    _h_{pname}_{d} = _a_{pname}.his[{d}]")
-            for d in sorted(low.arrays[name]):
-                lines.append(f"    _w_{pname}_{d} = _a_{pname}.windows[{d}]")
-    for name in sorted(low.env_names):
-        lines.append(f"    _v_{py_name(name)} = env[{name!r}]")
-    for name in sorted(low.scalar_names):
-        lines.append(f"    _v_{py_name(name)} = data[{name!r}]")
-    lines.append("    with np.errstate(invalid='ignore', divide='ignore'):")
-    lines.append(f"        __v = {value_code}")
-    for stmt in store_lines:
-        lines.append(f"        {stmt}")
-    if vector:
-        lines.append("    return int(np.size(__v))")
-    else:
-        lines.append("    return 1")
-    return "\n".join(lines) + "\n", set(low.builtins)
-
-
-def compile_kernel(
-    eq: AnalyzedEquation,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    vector: bool,
-    use_windows: bool,
-    call_box: list | None = None,
-) -> Callable:
-    """Emit, ``compile()``/``exec`` and return the kernel callable.
-
-    The callable has signature ``kernel(data, env) -> int`` (the element
-    count for the evaluation statistics) and writes its target in place.
-    ``call_box`` is the one-slot module-call box the kernel's ``_mc``
-    reads at call time (see :func:`repro.runtime.kernels.runtime.module_call`).
-    """
-    source, builtins = emit_kernel_source(
-        eq, analyzed, flowchart, vector, use_windows
-    )
-    namespace: dict = {
-        "np": np,
-        "ExecutionError": ExecutionError,
-        "_ag": _rt.affine_gather,
-        "_asc": _rt.affine_scatter,
-        "_ck": _rt.check_index,
-        "_div": _rt.kdiv,
-        "_fdiv": _rt.kfloordiv,
-        "_mc": _rt.make_module_call(call_box),
-        "_mod": _rt.kmod,
-        "_not": _rt.knot,
-        "_store": _rt.store_scalar,
-    }
-    for name in builtins:
-        namespace[f"_bf_{name}"] = _rt.BUILTIN_FUNCS[name]
-    variant = "vector" if vector else "scalar"
-    filename = f"<kernel:{analyzed.name}.{eq.label}:{variant}>"
-    exec(compile(source, filename, "exec"), namespace)
-    fn = namespace["_kernel"]
-    fn.__kernel_source__ = source
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# Nest-level kernels: one compiled function per fusable DOALL nest
-# ---------------------------------------------------------------------------
-#
-# The per-equation scalar kernel still pays one Python call, one prologue
-# hoist, and one eval-count dict update *per element*. A fused nest kernel
-# hoists once and runs the whole nest as compiled ``for`` loops — the serial
-# path's per-element interpretation tax collapses to the loop body itself.
-# Semantics are identical to the serial walk: descriptors execute in order
-# inside each iteration, subranges ascend, and every element store goes
-# through the same range-checked, window-mapped scalar indexing.
-
-
-def nest_fusable(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-    variant: str = "full",
-) -> bool:
-    """Static check: can this nest be lowered into one kernel?
-
-    Required: a parallel root (except for ``variant="seq"``, whose whole
-    point is a sequential root executed in iteration order); a nest of
-    loops and equations only (no data declarations); every equation
-    kernelizable with a full-rank *array* target. A scalar target is
-    rejected because the nest kernel hoists scalar reads once — a write
-    inside the nest would be invisible to a later read, unlike the
-    per-element walk.
-    """
-    if variant != "seq" and not desc.parallel:
-        return False
-    saw_equation = False
-    for d in desc.nested_descriptors():
-        if isinstance(d, LoopDescriptor):
-            continue
-        assert isinstance(d, NodeDescriptor)
-        if not d.node.is_equation:
-            return False
-        eq = d.node.equation
-        if not kernelizable(eq, analyzed):
-            return False
-        target = eq.targets[0]
-        sym = analyzed.symbol(target.name)
-        if not isinstance(sym.type, ArrayType):
-            return False
-        if len(target.subscripts) != sym.type.rank:
-            return False
-        saw_equation = True
-    return saw_equation
-
-
 class _BoundLowerer:
     """Subrange bounds -> Python ints read from the data environment.
 
@@ -640,15 +383,163 @@ class _BoundLowerer:
         raise KernelError(f"invalid bound expression {type(expr).__name__}")
 
 
-#: nest-kernel variants: ``"full"`` executes the root subrange ``[lo, hi]``
-#: (chunkable on the root index only); ``"flat"`` executes the inclusive
-#: *flat* range ``[flo, fhi]`` of the collapsed perfect DOALL chain,
-#: delinearizing each flat offset back to the chain indices in-loop;
-#: ``"seq"`` is the ``"full"`` emission with a *sequential* root — the
-#: body already runs in strict iteration order, so relaxing the
-#: root-parallel requirement is bit-exact by construction. Pipeline
-#: sequential stages advance block by block through it.
-NEST_VARIANTS = ("full", "flat", "seq")
+class _PyKernel:
+    """One Python kernel under construction — what the nest walk drives.
+
+    ``vector`` picks the dialect. ``nest_indices`` tells the two calling
+    conventions apart: ``None`` is a per-equation kernel
+    ``kernel(data, env) -> count``; a set is a nest kernel
+    ``kernel(data, env, lo, hi) -> {label: count}`` that binds those loop
+    indices itself and reads only the *enclosing* ones from ``env``.
+
+    A nest kernel pays one prologue hoist and one call per *chunk* where
+    the per-equation scalar kernel pays them per element. Semantics are
+    identical to the serial walk: descriptors execute in order inside each
+    iteration, subranges ascend, and every element store goes through the
+    same range-checked, window-mapped indexing."""
+
+    def __init__(
+        self,
+        analyzed: AnalyzedModule,
+        flowchart: Flowchart,
+        use_windows: bool,
+        vector: bool,
+        nest_indices: set[str] | None = None,
+    ):
+        self.analyzed = analyzed
+        self.flowchart = flowchart
+        self.use_windows = use_windows
+        self.vector = vector
+        self.lowerer_cls = _VectorLowerer if vector else _ScalarLowerer
+        self.nest_indices = nest_indices
+        #: array name -> static window dims, over every equation lowered
+        self.arrays: dict[str, dict[int, int]] = {}
+        self.scalar_names: set[str] = set()
+        self.env_names: set[str] = set()
+        self.builtins: set[str] = set()
+        self.bounds = _BoundLowerer(self.scalar_names)
+        self.counters: list[str] = []  # equation labels, emission order
+        self.prologue: list[str] = []
+        self.body: list[str] = []
+        self.indent = 2  # inside ``def`` and ``with np.errstate``
+
+    def line(self, text: str) -> None:
+        self.body.append("    " * self.indent + text)
+
+    def open_loop(self, d: LoopDescriptor, root: bool) -> None:
+        if root:
+            span = "_nlo, _nhi + 1"
+        else:
+            lo = self.bounds.lower(d.subrange.lo)
+            hi = self.bounds.lower(d.subrange.hi)
+            span = f"{lo}, {hi} + 1"
+        self.line(f"for _v_{py_name(d.index)} in range({span}):")
+        self.indent += 1
+
+    def close_loop(self) -> None:
+        self.indent -= 1
+
+    def open_flat(self, chain: list[LoopDescriptor]) -> None:
+        """The row loop of a flat kernel. The prologue evaluates every
+        chain extent from the data environment (bounds only ever reference
+        integer parameters); the body walks the flat chunk one *row* at a
+        time — a row is one combination of the outer chain indices with a
+        contiguous segment of the innermost subrange, clipped to the chunk
+        at its ends — recovering the outer indices with a divmod cascade
+        per row and running the innermost dimension as a NumPy vector. A
+        chunk may start and end mid-row, which is what load-balances
+        tall-skinny nests over workers."""
+        for k, loop in enumerate(chain):
+            lo = self.bounds.lower(loop.subrange.lo)
+            hi = self.bounds.lower(loop.subrange.hi)
+            self.prologue.append(f"    _lo{k} = {lo}")
+            if k > 0:
+                self.prologue.append(f"    _n{k} = ({hi}) - _lo{k} + 1")
+        last = len(chain) - 1
+        self.line(f"_row0, _off0 = divmod(_nlo, _n{last})")
+        self.line(f"_row1, _off1 = divmod(_nhi, _n{last})")
+        self.line("for _row in range(_row0, _row1 + 1):")
+        self.indent += 1
+        self.line(f"_jlo = _lo{last} + (_off0 if _row == _row0 else 0)")
+        self.line(
+            f"_jhi = _lo{last} + (_off1 if _row == _row1 else _n{last} - 1)"
+        )
+        self.line("_r = _row")
+        for k in range(last - 1, 0, -1):
+            self.line(f"_v_{py_name(chain[k].index)} = _r % _n{k} + _lo{k}")
+            self.line(f"_r //= _n{k}")
+        self.line(f"_v_{py_name(chain[0].index)} = _r + _lo0")
+        self.line(
+            f"_v_{py_name(chain[last].index)} = np.arange(_jlo, _jhi + 1)"
+        )
+
+    def store(self, eq: AnalyzedEquation) -> None:
+        low = self.lowerer_cls(
+            eq, self.analyzed, self.flowchart, self.use_windows
+        )
+        self.line(f"__v = {low.lower(eq.rhs)}")
+        self.line(low.lower_store(eq.targets[0]))
+        if self.nest_indices is not None:
+            self.line(f"_c{len(self.counters)} += {low.count_code}")
+        self.counters.append(eq.label)
+        self.arrays.update(low.arrays)
+        self.scalar_names.update(low.scalar_names)
+        self.env_names.update(low.env_names)
+        self.builtins.update(low.builtins)
+
+    def array_windows(self):
+        return self.arrays.items()
+
+    def assemble(self) -> tuple[str, set[str]]:
+        """``(source, builtins_used)``: the hoist prologue, then the body
+        under one ``np.errstate``."""
+        nest = self.nest_indices is not None
+        lines = [f"def _kernel(data, env{', _nlo, _nhi' if nest else ''}):"]
+        for name in sorted(self.arrays):
+            pname = py_name(name)
+            lines.append(f"    _a_{pname} = data[{name!r}]")
+            if self.vector:
+                # The vector dialect addresses arrays through the
+                # RuntimeArray helpers; no storage-relative hoists needed.
+                continue
+            lines.append(f"    _s_{pname} = _a_{pname}.storage")
+            for d in range(self.analyzed.symbol(name).type.rank):
+                lines.append(f"    _o_{pname}_{d} = _a_{pname}.los[{d}]")
+                lines.append(f"    _h_{pname}_{d} = _a_{pname}.his[{d}]")
+            for d in sorted(self.arrays[name]):
+                lines.append(f"    _w_{pname}_{d} = _a_{pname}.windows[{d}]")
+        for name in sorted(self.env_names - (self.nest_indices or set())):
+            lines.append(f"    _v_{py_name(name)} = env[{name!r}]")
+        for name in sorted(self.scalar_names):
+            lines.append(f"    _v_{py_name(name)} = data[{name!r}]")
+        lines.extend(self.prologue)
+        if nest:
+            lines.extend(f"    _c{i} = 0" for i in range(len(self.counters)))
+        lines.append("    with np.errstate(invalid='ignore', divide='ignore'):")
+        lines.extend(self.body)
+        if nest:
+            result = ", ".join(
+                f"{label!r}: _c{i}" for i, label in enumerate(self.counters)
+            )
+            lines.append(f"    return {{{result}}}")
+        else:
+            lines.append(f"    return {self.lowerer_cls.count_code}")
+        return "\n".join(lines) + "\n", self.builtins
+
+
+def emit_kernel_source(
+    eq: AnalyzedEquation,
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    vector: bool,
+    use_windows: bool,
+) -> tuple[str, set[str]]:
+    """Emit the per-equation kernel source; ``(source, builtins_used)``.
+
+    Raises :class:`KernelError` when the equation cannot be specialized.
+    """
+    out = _PyKernel(analyzed, flowchart, use_windows, vector)
+    return lower_equation(out, eq, analyzed)
 
 
 def emit_nest_kernel_source(
@@ -660,217 +551,32 @@ def emit_nest_kernel_source(
 ) -> tuple[str, set[str]]:
     """Emit one kernel for the whole nest; ``(source, builtins_used)``.
 
-    ``variant="full"`` (the PR 3 shape): signature
-    ``kernel(data, env, lo, hi) -> dict`` where ``[lo, hi]`` is the root
-    subrange to execute (chunkable by the caller on the root index).
-
-    ``variant="flat"`` (the collapse shape): signature
-    ``kernel(data, env, flo, fhi) -> dict`` where ``[flo, fhi]`` is an
-    inclusive range of *flat* offsets into the collapsed chain's
-    row-major iteration space (``0 .. prod(extents) - 1``). The prologue
-    evaluates every chain bound from the data environment; the body walks
-    the chunk one *row* at a time (a row is one combination of the outer
-    chain indices with a contiguous segment of the innermost subrange,
-    clipped to the chunk at its ends), recovering the outer indices with a
-    divmod cascade per row and running the innermost dimension as NumPy
-    vector spans — the same lowering as the per-equation vector kernels,
-    fused into one prologue and one compiled row loop. A chunk may start
-    and end mid-row, which is what load-balances tall-skinny nests over
-    workers.
-
-    ``variant="seq"`` is the ``"full"`` shape over a *sequential* root:
-    the caller hands in-order blocks ``[lo, hi]`` of a ``DO`` subrange and
-    the kernel runs them element by element exactly as the serial walk
-    would — what a pipeline sequential stage advances its frontier with.
-
-    Either way the result maps equation labels to element counts.
+    ``variant="full"``: the scalar dialect over the root subrange
+    ``[lo, hi]`` (chunkable by the caller on the root index; in-order
+    blocks when the root is a ``DO``). ``variant="flat"``: the vector
+    dialect over an inclusive range of *flat* offsets into the collapsed
+    chain's row-major iteration space (``0 .. prod(extents) - 1``). The
+    NumPy tier has no ``"span"`` kernels: per-equation distribution on
+    that tier *is* the per-equation vector kernels.
     """
     if variant not in NEST_VARIANTS:
         raise KernelError(f"unknown nest-kernel variant {variant!r}")
-    if not nest_fusable(desc, analyzed, flowchart, use_windows, variant):
-        raise KernelError(f"{desc.index} nest is not fusable")
-
-    atomic_names = _atomic_target_names(analyzed)
-    nest_indices = desc.nest_indices()
-    arrays: dict[str, dict[int, int]] = {}
-    scalar_names: set[str] = set()
-    env_names: set[str] = set()
-    builtins: set[str] = set()
-    bounds = _BoundLowerer(scalar_names)
-    counters: list[str] = []  # equation labels, emission order
-    body_lines: list[str] = []
-    prologue: list[str] = []
-
-    def emit_equation(eq: AnalyzedEquation, indent: int) -> None:
-        low = _ScalarLowerer(eq, analyzed, flowchart, use_windows)
-        value_code = low.lower(eq.rhs)
-        target = eq.targets[0]
-        low.register_array(target.name)
-        parts = [
-            low.subscript_code(target.name, d, s)
-            for d, s in enumerate(target.subscripts)
-        ]
-        arrays.update(low.arrays)
-        scalar_names.update(low.scalar_names)
-        env_names.update(low.env_names)
-        builtins.update(low.builtins)
-        label_ix = len(counters)
-        counters.append(eq.label)
-        pad = "    " * indent
-        body_lines.append(f"{pad}__v = {value_code}")
-        body_lines.append(f"{pad}_s_{py_name(target.name)}[{', '.join(parts)}] = __v")
-        body_lines.append(f"{pad}_c{label_ix} += 1")
-
-    def emit_vector_equation(eq: AnalyzedEquation, indent: int) -> None:
-        """One equation as a NumPy span over the vectorised innermost
-        chain index — the same lowering as the per-equation vector
-        kernels, inlined into the fused row loop."""
-        low = _VectorLowerer(eq, analyzed, flowchart, use_windows)
-        value_code = low.lower(eq.rhs)
-        target = eq.targets[0]
-        wins = low.register_array(target.name)
-        pname = py_name(target.name)
-        specs = low._affine_specs(target.subscripts, wins)
-        if specs is not None:
-            store = f"_asc(_a_{pname}, ({', '.join(specs)},), __v)"
-        else:
-            codes = ", ".join(low.lower(s) for s in target.subscripts)
-            store = f"_a_{pname}.set([{codes}], __v)"
-        arrays.update(low.arrays)
-        scalar_names.update(low.scalar_names)
-        env_names.update(low.env_names)
-        builtins.update(low.builtins)
-        label_ix = len(counters)
-        counters.append(eq.label)
-        pad = "    " * indent
-        body_lines.append(f"{pad}__v = {value_code}")
-        body_lines.append(f"{pad}{store}")
-        body_lines.append(f"{pad}_c{label_ix} += int(np.size(__v))")
-
-    def emit_descriptor(
-        d, indent: int, root: bool = False, vector: bool = False
-    ) -> None:
-        if isinstance(d, NodeDescriptor):
-            if vector:
-                emit_vector_equation(d.node.equation, indent)
-            else:
-                emit_equation(d.node.equation, indent)
-            return
-        assert isinstance(d, LoopDescriptor)
-        pad = "    " * indent
-        var = f"_v_{py_name(d.index)}"
-        if root:
-            body_lines.append(f"{pad}for {var} in range(_nlo, _nhi + 1):")
-        else:
-            lo = bounds.lower(d.subrange.lo)
-            hi = bounds.lower(d.subrange.hi)
-            body_lines.append(f"{pad}for {var} in range({lo}, {hi} + 1):")
-        for child in d.body:
-            emit_descriptor(child, indent + 1, vector=vector)
-
-    if variant == "flat":
-        chain, chain_body = collapse_chain(desc)
-        if len(chain) < 2:
-            # One loop alone is plain chunking — the full variant already
-            # covers it, and the row/divmod shape below needs an inner dim.
-            raise KernelError(
-                f"DOALL {desc.index} is not a perfect nest; nothing to collapse"
-            )
-        chain_indices = {loop.index for loop in chain}
-        for loop in chain:
-            for bound in (loop.subrange.lo, loop.subrange.hi):
-                if names_in(bound) & chain_indices:
-                    raise KernelError(
-                        f"non-rectangular nest: bound of {loop.index} "
-                        f"references a collapsed index"
-                    )
-        # Prologue: every chain extent from the data environment (bounds
-        # only ever reference integer parameters).
-        for k, loop in enumerate(chain):
-            lo = bounds.lower(loop.subrange.lo)
-            hi = bounds.lower(loop.subrange.hi)
-            prologue.append(f"    _lo{k} = {lo}")
-            if k > 0:
-                prologue.append(f"    _n{k} = ({hi}) - _lo{k} + 1")
-        last = len(chain) - 1
-        inner_var = f"_v_{py_name(chain[last].index)}"
-        body_lines.append(f"        _row0, _off0 = divmod(_nlo, _n{last})")
-        body_lines.append(f"        _row1, _off1 = divmod(_nhi, _n{last})")
-        body_lines.append("        for _row in range(_row0, _row1 + 1):")
-        body_lines.append(
-            f"            _jlo = _lo{last} + (_off0 if _row == _row0 else 0)"
-        )
-        body_lines.append(
-            f"            _jhi = _lo{last} + "
-            f"(_off1 if _row == _row1 else _n{last} - 1)"
-        )
-        body_lines.append("            _r = _row")
-        for k in range(last - 1, 0, -1):
-            var = f"_v_{py_name(chain[k].index)}"
-            body_lines.append(f"            {var} = _r % _n{k} + _lo{k}")
-            body_lines.append(f"            _r //= _n{k}")
-        body_lines.append(f"            _v_{py_name(chain[0].index)} = _r + _lo0")
-        body_lines.append(f"            {inner_var} = np.arange(_jlo, _jhi + 1)")
-        for child in chain_body:
-            emit_descriptor(child, 3, vector=True)
-    else:
-        emit_descriptor(desc, 2, root=True)
-
-    for name, wins in arrays.items():
-        if wins and name in atomic_names:
-            raise KernelError(
-                f"windowed array {name!r} is rebound by an atomic equation"
-            )
-
-    lines = ["def _kernel(data, env, _nlo, _nhi):"]
-    for name in sorted(arrays):
-        pname = py_name(name)
-        lines.append(f"    _a_{pname} = data[{name!r}]")
-        if variant == "flat":
-            # The vector row lowering addresses arrays through the
-            # RuntimeArray helpers; no storage-relative hoists needed.
-            continue
-        sym_t = analyzed.symbol(name).type
-        lines.append(f"    _s_{pname} = _a_{pname}.storage")
-        for d in range(sym_t.rank):
-            lines.append(f"    _o_{pname}_{d} = _a_{pname}.los[{d}]")
-            lines.append(f"    _h_{pname}_{d} = _a_{pname}.his[{d}]")
-        for d in sorted(arrays[name]):
-            lines.append(f"    _w_{pname}_{d} = _a_{pname}.windows[{d}]")
-    for name in sorted(env_names - nest_indices):
-        lines.append(f"    _v_{py_name(name)} = env[{name!r}]")
-    for name in sorted(scalar_names):
-        lines.append(f"    _v_{py_name(name)} = data[{name!r}]")
-    lines.extend(prologue)
-    for i in range(len(counters)):
-        lines.append(f"    _c{i} = 0")
-    lines.append("    with np.errstate(invalid='ignore', divide='ignore'):")
-    lines.extend(body_lines)
-    result = ", ".join(
-        f"{label!r}: _c{i}" for i, label in enumerate(counters)
-    )
-    lines.append(f"    return {{{result}}}")
-    return "\n".join(lines) + "\n", builtins
+    return lower_nest(
+        lambda: _PyKernel(
+            analyzed, flowchart, use_windows,
+            vector=variant == "flat", nest_indices=desc.nest_indices(),
+        ),
+        desc, analyzed, flowchart, use_windows, variant,
+    )[0]
 
 
-def compile_nest_kernel(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-    variant: str = "full",
-    call_box: list | None = None,
+def _compile(
+    emitted: tuple[str, set[str]], filename: str, call_box: list | None
 ) -> Callable:
-    """Emit and compile the fused nest kernel for ``desc``.
-
-    The callable has signature ``kernel(data, env, lo, hi) -> dict[str, int]``
-    (per-equation element counts; ``[lo, hi]`` is a root subrange for
-    ``variant="full"``, a flat collapsed range for ``variant="flat"``) and
-    writes its targets in place.
-    """
-    source, builtins = emit_nest_kernel_source(
-        desc, analyzed, flowchart, use_windows, variant
-    )
+    """``compile()``/``exec`` one emitted kernel. ``call_box`` is the
+    one-slot module-call box the kernel's ``_mc`` reads at call time (see
+    :func:`repro.runtime.kernels.runtime.module_call`)."""
+    source, builtins = emitted
     namespace: dict = {
         "np": np,
         "ExecutionError": ExecutionError,
@@ -882,11 +588,49 @@ def compile_nest_kernel(
         "_mc": _rt.make_module_call(call_box),
         "_mod": _rt.kmod,
         "_not": _rt.knot,
+        "_store": _rt.store_scalar,
     }
     for name in builtins:
         namespace[f"_bf_{name}"] = _rt.BUILTIN_FUNCS[name]
-    filename = f"<kernel:{analyzed.name}.nest-{desc.index}:{variant}>"
     exec(compile(source, filename, "exec"), namespace)
     fn = namespace["_kernel"]
     fn.__kernel_source__ = source
     return fn
+
+
+def compile_kernel(
+    eq: AnalyzedEquation,
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    vector: bool,
+    use_windows: bool,
+    call_box: list | None = None,
+) -> Callable:
+    """Emit and compile the per-equation kernel: ``kernel(data, env) ->
+    int`` (the element count for the evaluation statistics), writing its
+    target in place."""
+    variant = "vector" if vector else "scalar"
+    return _compile(
+        emit_kernel_source(eq, analyzed, flowchart, vector, use_windows),
+        f"<kernel:{analyzed.name}.{eq.label}:{variant}>",
+        call_box,
+    )
+
+
+def compile_nest_kernel(
+    desc: LoopDescriptor,
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    use_windows: bool,
+    variant: str = "full",
+    call_box: list | None = None,
+) -> Callable:
+    """Emit and compile the nest kernel for ``desc``: ``kernel(data, env,
+    lo, hi) -> dict[str, int]`` (per-equation element counts; ``[lo, hi]``
+    is a root subrange for ``variant="full"``, a flat collapsed range for
+    ``variant="flat"``), writing its targets in place."""
+    return _compile(
+        emit_nest_kernel_source(desc, analyzed, flowchart, use_windows, variant),
+        f"<kernel:{analyzed.name}.nest-{desc.index}:{variant}>",
+        call_box,
+    )

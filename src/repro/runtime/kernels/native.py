@@ -1,16 +1,16 @@
-"""Native kernel tier: DOALL nests compiled to C, loaded via cffi.
+"""Native kernel tier: the C dialect of the nest lowering, loaded via cffi.
 
 The NumPy kernel tier (:mod:`repro.runtime.kernels.emit`) removed the
 per-element tree walk but still pays interpreter overhead per scalar
-fallback and per dispatch. This module lowers the same fusable DOALL nests
-all the way to C — the classic restructuring-compiler endgame (PFC-style
-automatic translation; see PAPERS.md) — compiles each nest **once** with
-the system C compiler, and loads the shared object through ``cffi``'s ABI
-mode. The result is registered in :class:`~repro.runtime.kernels.cache.
-KernelCache` as a third tier with the same callable signature as the fused
-NumPy nest kernels (``kernel(data, env, lo, hi) -> dict[label, count]``),
-so every backend dispatches through it unchanged. Lookup order is
-**native -> NumPy kernel -> evaluator**.
+fallback and per dispatch. This module lets the same walk
+(:mod:`repro.runtime.kernels.nest`) print C instead — the classic
+restructuring-compiler endgame (PFC-style automatic translation; see
+PAPERS.md) — compiles each kernel **once** with the system C compiler, and
+loads the shared object through ``cffi``'s ABI mode. The result is
+registered in :class:`~repro.runtime.kernels.cache.KernelCache` with the
+same callable signature as the Python nest kernels (``kernel(data, env, lo,
+hi) -> dict[label, count]``), so every backend dispatches through it
+unchanged. Lookup order is **native -> NumPy kernel -> evaluator**.
 
 Bit-exactness contract: the emitted C performs the identical IEEE-754
 operation sequence the scalar reference evaluator performs (lazy ``if``,
@@ -51,20 +51,18 @@ from repro.codegen.clower import (
 )
 from repro.codegen.naming import c_name
 from repro.errors import ExecutionError
-from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp, names_in
+from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.ps.types import ArrayType
-from repro.runtime.kernels.emit import (
-    NEST_VARIANTS,
+from repro.runtime.kernels.nest import (
+    NEST_SHAPES,
     KernelError,
-    nest_fusable,
+    lower_nest,
     static_windows,
 )
 from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
-    NodeDescriptor,
-    collapse_chain,
     outermost_parallel_loops,
 )
 
@@ -147,7 +145,7 @@ def persist_plan(
 
 
 # ---------------------------------------------------------------------------
-# Emission: one C function per fusable DOALL nest
+# Emission: the C dialect of the nest walk
 # ---------------------------------------------------------------------------
 
 
@@ -170,10 +168,11 @@ class NativeKernelSpec:
     counters: list[str]
 
 
-class _NativeLowerer(CExprLowerer):
-    """The nest-kernel C dialect: loop indices and hoisted scalars are
-    function parameters/locals, array references are range-checked,
-    window-mapped, row-major flattened reads of the raw storage pointers."""
+class _NativeKernel(CExprLowerer):
+    """One C kernel under construction — what the nest walk drives. Loop
+    indices and hoisted scalars are function parameters/locals, array
+    references are range-checked, window-mapped, row-major flattened reads
+    of the raw storage pointers."""
 
     error_type = KernelError
 
@@ -196,6 +195,8 @@ class _NativeLowerer(CExprLowerer):
         self.arrays: dict[str, tuple[int, int, str, dict[int, int]]] = {}
         self.scalar_names: set[str] = set()
         self.env_names: set[str] = set()
+        self.counters: list[str] = []  # equation labels, emission order
+        self.prologue: list[str] = []
 
     def register_array(self, name: str) -> tuple[int, int, str, dict[int, int]]:
         entry = self.arrays.get(name)
@@ -293,314 +294,199 @@ class _NativeLowerer(CExprLowerer):
             return f"{helper}({tl}, {tr})"
         return super().lower_binop(expr)
 
+    # -- what the walk drives ----------------------------------------------
 
-def _bound_c(expr: Expr, low: _NativeLowerer) -> str:
-    """Subrange bound -> C (integer parameters only, like the Python nest
-    kernels' ``_BoundLowerer``). Bounds with ``div``/``mod`` are rejected:
-    they evaluate in prologue initialisers where the zero-divisor guard
-    cannot be emitted, so such nests stay on the NumPy tier."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Name):
-        low.scalar_names.add(expr.ident)
-        sym = low.analyzed.table.symbol(expr.ident)
-        if sym is None or kind_of_type(sym.type) != "int":
-            raise KernelError(f"non-integer bound name {expr.ident!r}")
-        return f"v_{c_name(expr.ident)}"
-    if isinstance(expr, UnOp):
-        if expr.op not in ("-", "+"):
-            raise KernelError(f"invalid bound operator {expr.op!r}")
-        return f"({expr.op}{_bound_c(expr.operand, low)})"
-    if isinstance(expr, BinOp):
-        ops = {"+": "+", "-": "-", "*": "*"}
-        if expr.op not in ops:
-            raise KernelError(f"unguardable bound operator {expr.op!r}")
-        return f"({_bound_c(expr.left, low)} {ops[expr.op]} {_bound_c(expr.right, low)})"
-    raise KernelError(f"invalid bound expression {type(expr).__name__}")
+    def bound(self, expr: Expr) -> str:
+        """Subrange bound -> C (integer parameters only, like the Python
+        nest kernels' ``_BoundLowerer``). Bounds with ``div``/``mod`` are
+        rejected: they evaluate in prologue initialisers where the
+        zero-divisor guard cannot be emitted, so such nests stay on the
+        NumPy tier."""
+        if isinstance(expr, IntLit):
+            return str(expr.value)
+        if isinstance(expr, Name):
+            self.scalar_names.add(expr.ident)
+            sym = self.analyzed.table.symbol(expr.ident)
+            if sym is None or kind_of_type(sym.type) != "int":
+                raise KernelError(f"non-integer bound name {expr.ident!r}")
+            return f"v_{c_name(expr.ident)}"
+        if isinstance(expr, UnOp):
+            if expr.op not in ("-", "+"):
+                raise KernelError(f"invalid bound operator {expr.op!r}")
+            return f"({expr.op}{self.bound(expr.operand)})"
+        if isinstance(expr, BinOp):
+            if expr.op not in ("+", "-", "*"):
+                raise KernelError(f"unguardable bound operator {expr.op!r}")
+            return f"({self.bound(expr.left)} {expr.op} {self.bound(expr.right)})"
+        raise KernelError(f"invalid bound expression {type(expr).__name__}")
 
+    def open_loop(self, d: LoopDescriptor, root: bool) -> None:
+        var = f"v_{c_name(d.index)}"
+        self.index_names.add(d.index)
+        lo, hi = (
+            ("nlo", "nhi")
+            if root
+            else (self.bound(d.subrange.lo), self.bound(d.subrange.hi))
+        )
+        self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; {var}++) {{")
+        self.indent += 1
 
-def _emit_equation_store(
-    low: _NativeLowerer, eq: AnalyzedEquation, counters: list[str]
-) -> None:
-    """Lower one equation's store into ``low``'s statement stream: RHS,
-    range-checked flattened target subscript, element-kind cast, and the
-    per-label evaluation counter."""
-    if eq.atomic or len(eq.targets) != 1:
-        raise KernelError(f"{eq.label}: not a single-target equation")
-    low.current_dims = set(eq.index_names)
-    target = eq.targets[0]
-    _ordinal, rank, kind, _wins = low.register_array(target.name)
-    if len(target.subscripts) != rank:
-        raise KernelError(f"{eq.label}: partial-rank target")
-    value = low.lower(eq.rhs)
-    ctype = C_STORAGE_TYPES[kind]
-    an = c_name(target.name)
-    parts = [
-        low.subscript_code(target.name, d, s)
-        for d, s in enumerate(target.subscripts)
-    ]
-    flat = parts[0]
-    for d in range(1, rank):
-        flat = f"({flat} * {an}_n{d} + {parts[d]})"
-    if kind == "bool":
-        low.stmt(f"s_{an}[{flat}] = ({ctype})(({value}) != 0);")
-    else:
-        low.stmt(f"s_{an}[{flat}] = ({ctype})({value});")
-    label_ix = len(counters)
-    counters.append(eq.label)
-    low.stmt(f"_c{label_ix} += 1;")
+    def close_loop(self) -> None:
+        self.indent -= 1
+        self.stmt("}")
 
-
-def _check_windowed_atomics(low: _NativeLowerer, analyzed: AnalyzedModule) -> None:
-    """An atomic equation elsewhere may rebind a windowed array wholesale —
-    same restriction as the Python nest kernels."""
-    atomic_names = {
-        t.name for eq in analyzed.equations if eq.atomic for t in eq.targets
-    }
-    for name, (_ordinal, _rank, _kind, wins) in low.arrays.items():
-        if wins and name in atomic_names:
-            raise KernelError(
-                f"windowed array {name!r} is rebound by an atomic equation"
+    def open_flat(self, chain: list[LoopDescriptor]) -> None:
+        """One loop over the flat range ``[nlo, nhi]``, recovering the
+        chain indices with a divmod cascade per element (row-major,
+        innermost fastest — the exact iteration order of the reference
+        ``exec_flat_walk``)."""
+        for k, loop in enumerate(chain):
+            self.prologue.append(
+                f"    const i64 _clo{k} = {self.bound(loop.subrange.lo)};"
             )
+            if k > 0:
+                hi_c = self.bound(loop.subrange.hi)
+                self.prologue.append(
+                    f"    const i64 _cn{k} = ({hi_c}) - _clo{k} + 1;"
+                )
+        for loop in chain:
+            self.index_names.add(loop.index)
+        self.stmt("for (i64 _f = nlo; _f <= nhi; _f++) {")
+        self.indent += 1
+        self.stmt("i64 _r = _f;")
+        for k in range(len(chain) - 1, 0, -1):
+            var = f"v_{c_name(chain[k].index)}"
+            self.stmt(f"i64 {var} = _r % _cn{k} + _clo{k};")
+            self.stmt(f"_r /= _cn{k};")
+        self.stmt(f"i64 v_{c_name(chain[0].index)} = _r + _clo0;")
+
+    def store(self, eq: AnalyzedEquation) -> None:
+        """RHS, range-checked flattened target subscript, element-kind
+        cast, and the per-label evaluation counter."""
+        self.current_dims = set(eq.index_names)
+        target = eq.targets[0]
+        kind = self.register_array(target.name)[2]
+        value = self.lower(eq.rhs)
+        element = self.lower_array_ref(target.name, target.subscripts)
+        ctype = C_STORAGE_TYPES[kind]
+        if kind == "bool":
+            self.stmt(f"{element} = ({ctype})(({value}) != 0);")
+        else:
+            self.stmt(f"{element} = ({ctype})({value});")
+        self.stmt(f"_c{len(self.counters)} += 1;")
+        self.counters.append(eq.label)
+
+    def array_windows(self):
+        return ((name, entry[3]) for name, entry in self.arrays.items())
+
+    def assemble(self) -> NativeKernelSpec:
+        """The lowered body as a full translation unit with the shared
+        parameter layout (array pointers, geometry, hoisted scalars, env
+        names, subrange, counters, error channel)."""
+        arrays = sorted(self.arrays.items(), key=lambda kv: kv[1][0])
+        scalar_names = sorted(self.scalar_names)
+        env_names = sorted(self.env_names - self.nest_indices)
+        counters = self.counters
+        params: list[str] = []
+        for name, (_ordinal, _rank, kind, _wins) in arrays:
+            params.append(f"{C_STORAGE_TYPES[kind]} *s_{c_name(name)}")
+        params.append("const i64 *geom")
+        scalar_kinds: list[tuple[str, str]] = []
+        for name in scalar_names:
+            kind = kind_of_type(self.analyzed.table.symbol(name).type)
+            scalar_kinds.append((name, kind))
+            ctype = "double" if kind == "real" else "i64"
+            params.append(f"{ctype} v_{c_name(name)}")
+        for name in env_names:
+            params.append(f"i64 v_{c_name(name)}")
+        params.extend(["i64 nlo", "i64 nhi", "i64 *counts", "i64 *err"])
+
+        body: list[str] = []
+        pos = 0
+        for name, (_ordinal, rank, _kind, _wins) in arrays:
+            an = c_name(name)
+            for d in range(rank):
+                body.append(f"    const i64 {an}_lo{d} = geom[{pos}];")
+                body.append(f"    const i64 {an}_hi{d} = geom[{pos + 1}];")
+                body.append(f"    const i64 {an}_n{d} = geom[{pos + 2}];")
+                pos += 3
+        body.extend(self.prologue)
+        for i in range(len(counters)):
+            body.append(f"    i64 _c{i} = 0;")
+        body.extend(self.lines)
+        for i in range(len(counters)):
+            body.append(f"    counts[{i}] = _c{i};")
+        body.append("    return 0;")
+
+        digest_src = "\n".join(body) + "|" + ", ".join(params)
+        fn_name = "k_" + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
+        signature = f"int {fn_name}({', '.join(params)})"
+        source = (
+            C_PRELUDE
+            + "\n"
+            + signature
+            + "\n{\n"
+            + "\n".join(body)
+            + "\n}\n"
+        )
+        cdef = (
+            "typedef int64_t i64; "
+            + signature.replace("const i64 *geom", "const int64_t *geom") + ";"
+        )
+        return NativeKernelSpec(
+            source=source,
+            fn_name=fn_name,
+            cdef=cdef,
+            arrays=[(name, entry[2]) for name, entry in arrays],
+            ranks=[entry[1] for _name, entry in arrays],
+            scalars=scalar_kinds,
+            env_names=env_names,
+            counters=counters,
+        )
 
 
-def _assemble_spec(
-    low: _NativeLowerer,
-    counters: list[str],
-    prologue: list[str],
-    nest_indices: set[str],
-    analyzed: AnalyzedModule,
-) -> NativeKernelSpec:
-    """Assemble one lowered kernel body into a full translation unit with
-    the shared parameter layout (array pointers, geometry, hoisted scalars,
-    env names, subrange, counters, error channel)."""
-    arrays = sorted(low.arrays.items(), key=lambda kv: kv[1][0])
-    scalar_names = sorted(low.scalar_names)
-    env_names = sorted(low.env_names - nest_indices)
-    params: list[str] = []
-    for name, (_ordinal, _rank, kind, _wins) in arrays:
-        params.append(f"{C_STORAGE_TYPES[kind]} *s_{c_name(name)}")
-    params.append("const i64 *geom")
-    scalar_kinds: list[tuple[str, str]] = []
-    for name in scalar_names:
-        kind = kind_of_type(analyzed.table.symbol(name).type)
-        scalar_kinds.append((name, kind))
-        ctype = "double" if kind == "real" else "i64"
-        params.append(f"{ctype} v_{c_name(name)}")
-    for name in env_names:
-        params.append(f"i64 v_{c_name(name)}")
-    params.extend(["i64 nlo", "i64 nhi", "i64 *counts", "i64 *err"])
-
-    body: list[str] = []
-    pos = 0
-    for name, (_ordinal, rank, _kind, _wins) in arrays:
-        an = c_name(name)
-        for d in range(rank):
-            body.append(f"    const i64 {an}_lo{d} = geom[{pos}];")
-            body.append(f"    const i64 {an}_hi{d} = geom[{pos + 1}];")
-            body.append(f"    const i64 {an}_n{d} = geom[{pos + 2}];")
-            pos += 3
-    body.extend(prologue)
-    for i in range(len(counters)):
-        body.append(f"    i64 _c{i} = 0;")
-    body.extend(low.lines)
-    for i in range(len(counters)):
-        body.append(f"    counts[{i}] = _c{i};")
-    body.append("    return 0;")
-
-    digest_src = "\n".join(body) + "|" + ", ".join(params)
-    fn_name = "k_" + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
-    signature = f"int {fn_name}({', '.join(params)})"
-    source = (
-        C_PRELUDE
-        + "\n"
-        + signature
-        + "\n{\n"
-        + "\n".join(body)
-        + "\n}\n"
-    )
-    cdef = (
-        "typedef int64_t i64; "
-        + signature.replace("const i64 *geom", "const int64_t *geom") + ";"
-    )
-    return NativeKernelSpec(
-        source=source,
-        fn_name=fn_name,
-        cdef=cdef,
-        arrays=[(name, entry[2]) for name, entry in arrays],
-        ranks=[entry[1] for _name, entry in arrays],
-        scalars=scalar_kinds,
-        env_names=env_names,
-        counters=counters,
-    )
-
-
-def emit_native_nest_source(
+def native_specs(
     desc: LoopDescriptor,
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
-    variant: str = "full",
-) -> NativeKernelSpec:
-    """Lower a fusable DOALL nest to one C function.
-
-    ``variant="full"``: execute the root subrange ``[nlo, nhi]`` with the
-    inner loops at their declared bounds — the native analogue of the fused
-    Python nest kernel. ``variant="flat"``: execute the inclusive flat
-    range ``[nlo, nhi]`` of the collapsed perfect DOALL chain, recovering
-    the chain indices with a divmod cascade per element (row-major,
-    innermost fastest — the exact iteration order of the reference
-    ``exec_flat_walk``). ``variant="seq"``: the ``"full"`` emission over a
-    *sequential* root — the C loops already run in strict iteration order,
-    so a ``DO`` subrange block executes bit-exactly; pipeline sequential
-    stages advance through it.
+    shape: str = "full",
+) -> list[NativeKernelSpec]:
+    """Lower the nest rooted at ``desc`` to C in ``shape`` — one spec for
+    ``"full"`` (the root subrange ``[nlo, nhi]``, inner loops at their
+    declared bounds; in-order blocks when the root is a ``DO``) and
+    ``"flat"`` (the inclusive flat range of the collapsed chain), one spec
+    per equation for ``"span"``.
 
     Raises :class:`KernelError` when the nest is not natively emittable
     (module calls, transcendental builtins, non-rectangular chains, scalar
     targets — anything whose C translation would not be bit-exact).
-    """
-    if variant not in NEST_VARIANTS:
-        raise KernelError(f"unknown nest-kernel variant {variant!r}")
-    if not nest_fusable(desc, analyzed, flowchart, use_windows, variant):
-        raise KernelError(f"{desc.index} nest is not fusable")
+    Whether this machine can *compile* the result is
+    :func:`native_supported`; this answer is machine-independent.
 
-    nest_indices = desc.nest_indices()
-    low = _NativeLowerer(analyzed, flowchart, use_windows, nest_indices)
-    counters: list[str] = []
-    prologue: list[str] = []
-
-    def emit_descriptor(d, root: bool = False) -> None:
-        if isinstance(d, NodeDescriptor):
-            if not d.node.is_equation:
-                raise KernelError("non-equation node in nest")
-            _emit_equation_store(low, d.node.equation, counters)
-            return
-        assert isinstance(d, LoopDescriptor)
-        var = f"v_{c_name(d.index)}"
-        low.index_names.add(d.index)
-        if root:
-            low.stmt(f"for (i64 {var} = nlo; {var} <= nhi; {var}++) {{")
-        else:
-            lo_c = _bound_c(d.subrange.lo, low)
-            hi_c = _bound_c(d.subrange.hi, low)
-            low.stmt(
-                f"for (i64 {var} = {lo_c}; {var} <= {hi_c}; {var}++) {{"
+    Memoized on the flowchart by (path, window mode, shape), refusals
+    included: the ``auto`` planner asks "does it lower?" once per
+    candidate backend and the kernel cache then asks for the same specs to
+    compile, so one emission serves them all."""
+    memo = flowchart.__dict__.setdefault("_native_emit_memo", {})
+    path = flowchart.path_of(desc)
+    key = (path, bool(use_windows), shape)
+    found = memo.get(key) if path is not None else None
+    if found is None:
+        try:
+            found = lower_nest(
+                lambda: _NativeKernel(
+                    analyzed, flowchart, use_windows, desc.nest_indices()
+                ),
+                desc, analyzed, flowchart, use_windows, shape,
             )
-        low.indent += 1
-        for child in d.body:
-            emit_descriptor(child)
-        low.indent -= 1
-        low.stmt("}")
-
-    if variant == "flat":
-        chain, chain_body = collapse_chain(desc)
-        if len(chain) < 2:
-            raise KernelError(
-                f"DOALL {desc.index} is not a perfect nest; nothing to collapse"
-            )
-        chain_indices = {loop.index for loop in chain}
-        for loop in chain:
-            for bound in (loop.subrange.lo, loop.subrange.hi):
-                if names_in(bound) & chain_indices:
-                    raise KernelError(
-                        f"non-rectangular nest: bound of {loop.index} "
-                        f"references a collapsed index"
-                    )
-        for k, loop in enumerate(chain):
-            lo_c = _bound_c(loop.subrange.lo, low)
-            prologue.append(f"    const i64 _clo{k} = {lo_c};")
-            if k > 0:
-                hi_c = _bound_c(loop.subrange.hi, low)
-                prologue.append(
-                    f"    const i64 _cn{k} = ({hi_c}) - _clo{k} + 1;"
-                )
-        for loop in chain:
-            low.index_names.add(loop.index)
-        last = len(chain) - 1
-        low.stmt("for (i64 _f = nlo; _f <= nhi; _f++) {")
-        low.indent += 1
-        low.stmt("i64 _r = _f;")
-        for k in range(last, 0, -1):
-            var = f"v_{c_name(chain[k].index)}"
-            low.stmt(f"i64 {var} = _r % _cn{k} + _clo{k};")
-            low.stmt(f"_r /= _cn{k};")
-        low.stmt(f"i64 v_{c_name(chain[0].index)} = _r + _clo0;")
-        for child in chain_body:
-            emit_descriptor(child)
-        low.indent -= 1
-        low.stmt("}")
-    else:
-        emit_descriptor(desc, root=True)
-
-    _check_windowed_atomics(low, analyzed)
-    return _assemble_spec(low, counters, prologue, nest_indices, analyzed)
-
-
-def emit_native_span_sources(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-) -> list[NativeKernelSpec]:
-    """Lower a chunk-dispatchable DOALL subtree to **span kernels**: one C
-    function per equation, each executing the root subrange ``[nlo, nhi]``
-    with its enclosing inner loops at their declared bounds. This is the
-    native analogue of ``exec_vector_span``'s per-equation distribution —
-    and exactly as there, distribution is only order-preserving when every
-    loop in the subtree is DOALL (a sequential inner ``DO`` carries
-    cross-iteration dependences that per-equation reordering would break),
-    so any non-parallel loop makes the whole span non-emittable.
-
-    All-or-nothing: if *any* equation in the subtree fails to lower, the
-    span stays on the NumPy tier (no mixed native/NumPy dispatch).
-    """
-    if not desc.parallel:
-        raise KernelError(f"loop {desc.index} is not DOALL")
-    pairs: list[tuple[list[LoopDescriptor], AnalyzedEquation]] = []
-
-    def walk(d, chain: list[LoopDescriptor]) -> None:
-        if isinstance(d, NodeDescriptor):
-            if not d.node.is_equation:
-                raise KernelError("non-equation node in span")
-            pairs.append((chain, d.node.equation))
-            return
-        assert isinstance(d, LoopDescriptor)
-        if not d.parallel:
-            raise KernelError(
-                f"sequential loop {d.index} inside span: per-equation "
-                "distribution would reorder its cross-iteration dependences"
-            )
-        for child in d.body:
-            walk(child, [*chain, d])
-
-    walk(desc, [])
-    if not pairs:
-        raise KernelError(f"DOALL {desc.index}: empty span")
-
-    specs: list[NativeKernelSpec] = []
-    for chain, eq in pairs:
-        chain_indices = {loop.index for loop in chain}
-        low = _NativeLowerer(analyzed, flowchart, use_windows, chain_indices)
-        counters: list[str] = []
-        for depth, loop in enumerate(chain):
-            var = f"v_{c_name(loop.index)}"
-            low.index_names.add(loop.index)
-            if depth == 0:
-                low.stmt(f"for (i64 {var} = nlo; {var} <= nhi; {var}++) {{")
-            else:
-                lo_c = _bound_c(loop.subrange.lo, low)
-                hi_c = _bound_c(loop.subrange.hi, low)
-                low.stmt(
-                    f"for (i64 {var} = {lo_c}; {var} <= {hi_c}; {var}++) {{"
-                )
-            low.indent += 1
-        _emit_equation_store(low, eq, counters)
-        for _ in chain:
-            low.indent -= 1
-            low.stmt("}")
-        _check_windowed_atomics(low, analyzed)
-        specs.append(_assemble_spec(low, counters, [], chain_indices, analyzed))
-    return specs
+        except KernelError as exc:
+            found = str(exc)
+        if path is not None:
+            memo[key] = found
+    if isinstance(found, str):
+        raise KernelError(found)
+    return found
 
 
 def native_emittable(
@@ -608,88 +494,38 @@ def native_emittable(
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
-    variant: str = "full",
+    shape: str = "full",
 ) -> bool:
-    """Machine-independent static check: does this nest lower to bit-exact
-    C? (Whether the machine can *compile* it is :func:`native_supported`.)
-
-    Memoized on the flowchart by (path, window mode, variant): the
-    ``auto`` planner asks once per candidate backend, and re-running the
-    full emission per candidate would multiply planning cost by the
-    candidate count."""
-    memo = getattr(flowchart, "_native_emit_memo", None)
-    if memo is None:
-        memo = {}
-        flowchart._native_emit_memo = memo
-    key = (flowchart.path_of(desc), bool(use_windows), variant)
-    verdict = memo.get(key)
-    if verdict is None:
-        try:
-            emit_native_nest_source(
-                desc, analyzed, flowchart, use_windows, variant
-            )
-            verdict = True
-        except KernelError:
-            verdict = False
-        memo[key] = verdict
-    return verdict
-
-
-def native_span_emittable(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-) -> bool:
-    """Machine-independent static check for the span shape, memoized like
-    :func:`native_emittable` under the reserved variant key ``"span"``."""
-    memo = getattr(flowchart, "_native_emit_memo", None)
-    if memo is None:
-        memo = {}
-        flowchart._native_emit_memo = memo
-    key = (flowchart.path_of(desc), bool(use_windows), "span")
-    verdict = memo.get(key)
-    if verdict is None:
-        try:
-            emit_native_span_sources(desc, analyzed, flowchart, use_windows)
-            verdict = True
-        except KernelError:
-            verdict = False
-        memo[key] = verdict
-    return verdict
+    """Does :func:`native_specs` lower this nest? The planner's question."""
+    try:
+        native_specs(desc, analyzed, flowchart, use_windows, shape)
+    except KernelError:
+        return False
+    return True
 
 
 def emittable_nest_sources(
     analyzed: AnalyzedModule, flowchart: Flowchart, use_windows: bool = False
 ) -> dict[str, str]:
     """Generated C for every natively emittable outermost DOALL nest of a
-    module, keyed ``nest-<flowchart path>-<index>-<variant>`` (the path
-    disambiguates same-named loop indices) — what ``repro plan --save``
-    persists next to the plan text for offline builds."""
+    module, keyed ``nest-<flowchart path>-<index>-<shape>`` and
+    ``span-<path>-<index>-<n>`` (the path disambiguates same-named loop
+    indices) — what ``repro plan --save`` persists next to the plan text
+    for offline builds."""
     sources: dict[str, str] = {}
     for desc in outermost_parallel_loops(flowchart.descriptors):
         path = flowchart.path_of(desc)
         at = "_".join(str(i) for i in path) if path else "x"
-        for variant in NEST_VARIANTS:
-            if variant == "seq":
-                # For a parallel root "seq" is byte-identical to "full";
-                # persisting it would only duplicate sources.
-                continue
+        for shape in NEST_SHAPES:
             try:
-                spec = emit_native_nest_source(
-                    desc, analyzed, flowchart, use_windows, variant
-                )
+                specs = native_specs(desc, analyzed, flowchart, use_windows, shape)
             except KernelError:
                 continue
-            sources[f"nest-{at}-{desc.index}-{variant}"] = spec.source
-        try:
-            span_specs = emit_native_span_sources(
-                desc, analyzed, flowchart, use_windows
-            )
-        except KernelError:
-            continue
-        for n, spec in enumerate(span_specs):
-            sources[f"span-{at}-{desc.index}-{n}"] = spec.source
+            if shape == "span":
+                for n, spec in enumerate(specs):
+                    sources[f"span-{at}-{desc.index}-{n}"] = spec.source
+            else:
+                sources[f"nest-{at}-{desc.index}-{shape}"] = specs[0].source
     return sources
 
 
@@ -854,31 +690,18 @@ def compile_native_nest(
     use_windows: bool,
     variant: str = "full",
 ) -> Callable:
-    """Emit, compile (or reload from the on-disk cache), and wrap the
-    native kernel for ``desc``. The wrapper has the exact signature of the
-    fused Python nest kernels — ``kernel(data, env, lo, hi) -> dict`` —
-    and raises the evaluator's out-of-range :class:`ExecutionError` when
-    the C code reports one.
-    """
-    spec = emit_native_nest_source(
-        desc, analyzed, flowchart, use_windows, variant
-    )
-    return _wrap_spec(spec)
-
-
-def compile_native_span(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-) -> Callable:
-    """Emit, compile, and wrap the per-equation span kernels for ``desc``
-    as one composite callable with the shared kernel signature
-    (``kernel(data, env, nlo, nhi) -> dict[label, count]``). Kernels run
-    in emission order — the same per-equation distribution order as
-    ``exec_vector_span`` — and their counters are merged."""
-    specs = emit_native_span_sources(desc, analyzed, flowchart, use_windows)
+    """Compile (or reload from the on-disk cache) and wrap the native
+    kernel(s) of :func:`native_specs` for ``desc``. The result has the
+    exact signature of the Python nest kernels — ``kernel(data, env, lo,
+    hi) -> dict`` — and raises the evaluator's out-of-range
+    :class:`ExecutionError` when the C code reports one. ``"span"`` yields
+    one composite callable that runs the per-equation kernels in emission
+    order — the same distribution order as ``exec_vector_span`` — and
+    merges their counters."""
+    specs = native_specs(desc, analyzed, flowchart, use_windows, variant)
     kernels = [_wrap_spec(spec) for spec in specs]
+    if len(kernels) == 1:
+        return kernels[0]
 
     def _span_kernel(data, env, nlo, nhi):
         counts: dict[str, int] = {}

@@ -122,12 +122,12 @@ def execute_transformed_windowed(
 
     # Run the independent descriptors first (there are typically none: the
     # rewriter merges initialisation into the recurrence).
-    from repro.runtime.backends import create_backend
+    from repro.runtime.backends import instantiate_backend
     from repro.runtime.backends.base import ExecutionState
     from repro.runtime.executor import ExecutionOptions
 
-    options = ExecutionOptions(vectorize=True)
-    backend = create_backend(options)
+    options = ExecutionOptions()
+    backend = instantiate_backend("vectorized")
     state = ExecutionState(
         analyzed,
         flowchart,

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.graph.scc import topological_sccs
 from repro.ps.ast import Name, names_in
 from repro.ps.types import ArrayType
 from repro.schedule.flowchart import (
@@ -295,88 +296,6 @@ def _unit_edges(
     return edges
 
 
-def _condense(edges: list[set[int]]) -> list[list[int]]:
-    """Strongly connected components of the unit graph in a topological
-    order of the condensation (iterative Tarjan; ties broken by smallest
-    member offset for determinism). Members stay in textual order."""
-    n = len(edges)
-    order = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    visited = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [1]
-
-    for root in range(n):
-        if visited[root]:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                order[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succs = sorted(edges[v])
-            while pi < len(succs):
-                w = succs[pi]
-                pi += 1
-                if not visited[w]:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == order[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(sccs)
-                    scc.append(w)
-                    if w == v:
-                        break
-                scc.sort()
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    # Kahn topological order over the condensation, smallest member first.
-    m = len(sccs)
-    cedges: list[set[int]] = [set() for _ in range(m)]
-    indeg = [0] * m
-    for a in range(n):
-        for b in edges[a]:
-            ca, cb = comp[a], comp[b]
-            if ca != cb and cb not in cedges[ca]:
-                cedges[ca].add(cb)
-                indeg[cb] += 1
-    ready = sorted(
-        (c for c in range(m) if indeg[c] == 0), key=lambda c: sccs[c][0]
-    )
-    out: list[list[int]] = []
-    while ready:
-        c = ready.pop(0)
-        out.append(sccs[c])
-        freed = []
-        for d in cedges[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                freed.append(d)
-        ready = sorted(ready + freed, key=lambda c: sccs[c][0])
-    return out
-
-
 def _group_promotes(
     group: list[int], facts: list[_UnitFacts], index: str
 ) -> bool:
@@ -409,7 +328,13 @@ def _analyze_loop(
             return f
         facts.append(f)
     edges = _unit_edges(facts, loop.index)
-    groups = _condense(edges)
+    # Dependence groups: the SCCs of the unit graph in a topological order
+    # of the condensation (ties broken by smallest member offset for
+    # determinism), members in textual order.
+    groups = [
+        sorted(comp)
+        for comp in topological_sccs(range(len(units)), edges.__getitem__, key=min)
+    ]
     if len(groups) < 2:
         return "carried dependences interlock the body into one group"
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -48,16 +48,6 @@ from repro.ps.types import ArrayType, RecordType
 from repro.runtime.backends import BACKENDS, instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.values import array_bounds, dtype_for
-
-
-#: flat field-name tuple for options cache keys — ExecutionOptions is a
-#: flat dataclass of scalars, so this beats dataclasses.astuple's
-#: recursive walk on the per-request path
-_OPTION_FIELDS = tuple(f.name for f in fields(ExecutionOptions))
-
-
-def _options_key(options: ExecutionOptions) -> tuple:
-    return tuple(getattr(options, name) for name in _OPTION_FIELDS)
 
 
 def fill_random_arrays(
@@ -278,7 +268,7 @@ class Session:
             for k, v in (sizes or {}).items()
             if isinstance(v, (int, np.integer))
         }
-        key = (module, _options_key(options), tuple(sorted(sizes.items())))
+        key = (module, options.key(), tuple(sorted(sizes.items())))
         with self._lock:
             self._plan_requests += 1
             lock = self._plan_locks.get(key)
@@ -341,7 +331,7 @@ class Session:
         # fork-time flowchart, so their pool must only ever see that
         # module's descriptors. In-process backends are module-agnostic.
         scope = module if cls.serialize_runs else None
-        key = (scope, plan.backend, plan.workers, _options_key(options))
+        key = (scope, plan.backend, plan.workers, options.key())
         with self._lock:
             self._check_open()
             slot = self._backends.get(key)

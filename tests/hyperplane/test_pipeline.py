@@ -104,10 +104,10 @@ class TestNumericEquivalence:
         initial = rng.random((m + 2, m + 2))
         args = {"InitialA": initial, "M": m, "maxK": maxk}
         fast = execute_module(
-            result.transformed, args, options=ExecutionOptions(vectorize=True)
+            result.transformed, args, options=ExecutionOptions()
         )
         slow = execute_module(
-            result.transformed, args, options=ExecutionOptions(vectorize=False)
+            result.transformed, args, options=ExecutionOptions(backend="serial")
         )
         np.testing.assert_allclose(fast["newA"], slow["newA"])
 

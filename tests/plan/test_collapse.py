@@ -323,7 +323,7 @@ class TestFlatKernelSource:
         assert "_row" not in source
 
     def test_unknown_variant_rejected(self):
-        from repro.runtime.kernels.emit import KernelError
+        from repro.runtime.kernels import KernelError
 
         analyzed, flow, _ = _setup(SCALE_SOURCE)
         outer = next(d for d in flow.loops() if d.parallel)

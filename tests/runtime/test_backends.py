@@ -16,11 +16,7 @@ from repro.errors import ExecutionError
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
-from repro.runtime.backends import (
-    available_backends,
-    create_backend,
-    resolve_backend_name,
-)
+from repro.runtime.backends import available_backends, instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 
 PARALLEL_BACKENDS = ["vectorized", "threaded", "process"]
@@ -76,14 +72,9 @@ class TestRegistry:
             "threaded", "vectorized",
         ]
 
-    def test_auto_follows_vectorize_flag(self):
-        assert resolve_backend_name(ExecutionOptions()) == "vectorized"
-        assert resolve_backend_name(ExecutionOptions(vectorize=False)) == "serial"
-        assert resolve_backend_name(ExecutionOptions(backend="threaded")) == "threaded"
-
     def test_unknown_backend_raises(self):
         with pytest.raises(ExecutionError, match="unknown execution backend"):
-            create_backend(ExecutionOptions(backend="gpu"))
+            instantiate_backend("gpu")
 
     def test_unknown_backend_raises_at_execution(self):
         with pytest.raises(ExecutionError, match="unknown execution backend"):
@@ -124,8 +115,10 @@ class TestJacobiParity:
         m, maxk = 6, 5
         rng = np.random.default_rng(0)
         args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
-        ref = result.run(args, backend="serial")
-        out = result.run(args, backend=backend, workers=4)
+        ref = result.run(args, ExecutionOptions.resolve(backend="serial"))
+        out = result.run(
+            args, ExecutionOptions.resolve(backend=backend, workers=4)
+        )
         np.testing.assert_allclose(
             out["newA"], ref["newA"], rtol=1e-12, atol=1e-12
         )

@@ -146,27 +146,27 @@ class TestArrays:
 
 
 class TestPaperModules:
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_jacobi_matches_reference(self, vectorize):
+    @pytest.mark.parametrize("backend", ["auto", "serial"])
+    def test_jacobi_matches_reference(self, backend):
         rng = np.random.default_rng(42)
         m, maxk = 6, 5
         initial = rng.random((m + 2, m + 2))
         out = execute_module(
             jacobi_analyzed(),
             {"InitialA": initial, "M": m, "maxK": maxk},
-            options=ExecutionOptions(vectorize=vectorize),
+            options=ExecutionOptions(backend=backend),
         )
         np.testing.assert_allclose(out["newA"], jacobi_reference(initial, maxk))
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_gauss_seidel_matches_reference(self, vectorize):
+    @pytest.mark.parametrize("backend", ["auto", "serial"])
+    def test_gauss_seidel_matches_reference(self, backend):
         rng = np.random.default_rng(7)
         m, maxk = 5, 4
         initial = rng.random((m + 2, m + 2))
         out = execute_module(
             gauss_seidel_analyzed(),
             {"InitialA": initial, "M": m, "maxK": maxk},
-            options=ExecutionOptions(vectorize=vectorize),
+            options=ExecutionOptions(backend=backend),
         )
         np.testing.assert_allclose(out["newA"], gauss_seidel_reference(initial, maxk))
 
@@ -176,10 +176,10 @@ class TestPaperModules:
         initial = rng.random((m + 2, m + 2))
         args = {"InitialA": initial, "M": m, "maxK": maxk}
         fast = execute_module(
-            jacobi_analyzed(), args, options=ExecutionOptions(vectorize=True)
+            jacobi_analyzed(), args, options=ExecutionOptions()
         )
         slow = execute_module(
-            jacobi_analyzed(), args, options=ExecutionOptions(vectorize=False)
+            jacobi_analyzed(), args, options=ExecutionOptions(backend="serial")
         )
         np.testing.assert_allclose(fast["newA"], slow["newA"])
 

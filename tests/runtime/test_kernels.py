@@ -173,7 +173,7 @@ class TestKernelParity:
 
     def test_eval_counts_match(self):
         """The kernels maintain the same per-equation statistics."""
-        from repro.runtime.backends import create_backend
+        from repro.runtime.backends import instantiate_backend
         from repro.runtime.backends.base import ExecutionState
 
         analyzed = jacobi_analyzed()
@@ -193,7 +193,7 @@ class TestKernelParity:
                 analyzed, flow, opts, data, Evaluator(data),
                 kernels=KernelCache(analyzed, flow) if kernels else None,
             )
-            backend = create_backend(opts)
+            backend = instantiate_backend(opts.backend, opts.workers)
             try:
                 backend.run(state)
             finally:
@@ -251,7 +251,7 @@ class TestKernelCache:
         r1 = result.run(args)
         stats = result.kernel_cache.stats()
         assert stats["compiled"] > 0
-        r2 = result.run(args, backend="serial")
+        r2 = result.run(args, ExecutionOptions.resolve(backend="serial"))
         # Same cache object, no growth beyond the two variants per equation.
         assert result.kernel_cache.stats()["entries"] >= stats["entries"]
         assert np.array_equal(r1["newA"], r2["newA"])

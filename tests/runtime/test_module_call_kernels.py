@@ -19,8 +19,7 @@ from repro.runtime.executor import (
     execute_module,
     execute_program_module,
 )
-from repro.runtime.kernels import KernelCache
-from repro.runtime.kernels.emit import kernelizable, nest_fusable
+from repro.runtime.kernels import KernelCache, kernelizable, nest_fusable
 from repro.schedule.scheduler import schedule_module
 
 PROGRAM = """\

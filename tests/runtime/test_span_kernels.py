@@ -10,8 +10,8 @@ subrange instead of the per-equation NumPy spans. These tests pin:
 * the emission rules — one spec per equation, sequential inner ``DO``
   rejects the whole span (per-equation distribution would reorder its
   cross-iteration dependences), all-or-nothing on lowering failures;
-* the cache contract — ``span_kernel_for`` memoizes, degrades to ``None``
-  without a C toolchain, and ``warm()`` covers the span shapes;
+* the cache contract — ``warm()`` covers the span shapes (memoization and
+  degradation are rows of ``test_native_kernels.TestTieredLookup``);
 * genuine parallelism — two threads make simultaneous progress inside one
   GIL-released native span kernel.
 """
@@ -177,8 +177,8 @@ class TestSpanEmission:
             d for d in flow.descriptors
             if isinstance(d, LoopDescriptor) and d.parallel
         )
-        specs = native_mod.emit_native_span_sources(
-            outer, analyzed, flow, use_windows=False
+        specs = native_mod.native_specs(
+            outer, analyzed, flow, use_windows=False, shape="span"
         )
         assert len(specs) == len(outer.nested_equations()) == 1
         assert "nlo" in specs[0].source and "nhi" in specs[0].source
@@ -200,17 +200,17 @@ class TestSpanEmission:
                 for b in d.body
             )
         )
-        assert not native_mod.native_span_emittable(
-            rec, analyzed, flow, use_windows=False
+        assert not native_mod.native_emittable(
+            rec, analyzed, flow, use_windows=False, shape="span"
         )
         flat = [d for d in loops if d is not rec]
         assert flat and all(
-            native_mod.native_span_emittable(d, analyzed, flow, False)
+            native_mod.native_emittable(d, analyzed, flow, False, "span")
             for d in flat
         )
 
     def test_non_doall_root_rejected(self):
-        from repro.runtime.kernels.emit import KernelError
+        from repro.runtime.kernels import KernelError
 
         name, analyzed, flow, args, out = WORKLOADS[0]
         do_k = next(
@@ -218,33 +218,10 @@ class TestSpanEmission:
             if isinstance(d, LoopDescriptor) and not d.parallel
         )
         with pytest.raises(KernelError):
-            native_mod.emit_native_span_sources(do_k, analyzed, flow, False)
+            native_mod.native_specs(do_k, analyzed, flow, False, "span")
 
 
 class TestSpanCache:
-    def test_span_kernel_memoized(self, span_cache):
-        if not native_supported():
-            pytest.skip("no C compiler / cffi on this machine")
-        name, analyzed, flow, args, out = WORKLOADS[0]
-        cache = KernelCache(analyzed, flow)
-        outer = next(
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and d.parallel
-        )
-        k1 = cache.span_kernel_for(outer, False)
-        assert k1 is not None and getattr(k1, "__native__", False)
-        assert cache.span_kernel_for(outer, False) is k1
-
-    def test_degrades_to_none_without_toolchain(self, monkeypatch):
-        name, analyzed, flow, args, out = WORKLOADS[0]
-        monkeypatch.setattr(native_mod, "native_supported", lambda: False)
-        cache = KernelCache(analyzed, flow)
-        outer = next(
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and d.parallel
-        )
-        assert cache.span_kernel_for(outer, False) is None
-
     @needs_toolchain
     def test_warm_covers_span_shapes(self, span_cache):
         """Session.warm()'s path — KernelCache.warm(tier="native") — must
@@ -278,8 +255,8 @@ class TestGilRelease:
             d for d in flow.descriptors
             if isinstance(d, LoopDescriptor) and d.parallel
         )
-        kern = native_mod.compile_native_span(
-            outer, analyzed, flow, use_windows=False
+        kern = native_mod.compile_native_nest(
+            outer, analyzed, flow, use_windows=False, variant="span"
         )
         arr = RuntimeArray.allocate("A", RealType, [(1, n), (1, n)])
         data = {"A": arr, "n": n}

@@ -50,10 +50,10 @@ class TestMixedNests:
         rng = np.random.default_rng(0)
         x = rng.random((n + 1, n + 1))
         fast = execute_module(
-            analyzed, {"n": n, "X": x}, options=ExecutionOptions(vectorize=True)
+            analyzed, {"n": n, "X": x}, options=ExecutionOptions()
         )
         slow = execute_module(
-            analyzed, {"n": n, "X": x}, options=ExecutionOptions(vectorize=False)
+            analyzed, {"n": n, "X": x}, options=ExecutionOptions(backend="serial")
         )
         assert fast["y"] == pytest.approx(slow["y"])
 
@@ -130,7 +130,7 @@ class TestDimensionSelection:
         n = 6
         fast = execute_module(analyzed, {"n": n})
         slow = execute_module(
-            analyzed, {"n": n}, options=ExecutionOptions(vectorize=False)
+            analyzed, {"n": n}, options=ExecutionOptions(backend="serial")
         )
         assert fast["y"] == pytest.approx(slow["y"])
 
@@ -177,7 +177,7 @@ class TestThreeArrayMutualRecursion:
         assert validate_flowchart_order(analyzed, flow, {"n": 8}) == []
         out = execute_module(analyzed, {"n": 8})
         slow = execute_module(
-            analyzed, {"n": 8}, options=ExecutionOptions(vectorize=False)
+            analyzed, {"n": 8}, options=ExecutionOptions(backend="serial")
         )
         assert out["y"] == pytest.approx(slow["y"])
 

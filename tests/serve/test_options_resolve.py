@@ -1,11 +1,12 @@
-"""ExecutionOptions.resolve — the one options-resolution path — and the
-deprecation of the scattered ``backend=``/``workers=`` kwargs it replaced."""
+"""ExecutionOptions.resolve — the one options-resolution path — and
+ExecutionOptions.key — the one options cache key."""
 
-import numpy as np
+from dataclasses import dataclass, fields, replace
+
 import pytest
 
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
-from repro.core.pipeline import CompileResult, compile_source
+from repro.core.pipeline import compile_source
 from repro.runtime.executor import ExecutionOptions
 
 ARGS = {"M": 4, "maxK": 2}
@@ -47,44 +48,53 @@ class TestResolve:
             ExecutionOptions.resolve(base=ExecutionOptions())
 
     def test_false_and_zero_are_real_overrides(self):
-        base = ExecutionOptions(use_kernels=True, vectorize=True)
+        base = ExecutionOptions(use_kernels=True, use_collapse=True)
         merged = ExecutionOptions.resolve(base, use_kernels=False)
         assert merged.use_kernels is False
-        assert merged.vectorize is True
+        assert merged.use_collapse is True
 
 
-class TestDeprecatedKwargs:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return compile_source(RELAXATION_JACOBI_SOURCE)
+#: a non-default value per non-boolean field; a new non-boolean option must
+#: be added here, which is the point — it cannot be left out of the key
+OTHER_VALUE = {
+    "backend": "serial",
+    "workers": 3,
+    "kernel_tier": "numpy",
+    "strategy": "nest",
+}
 
-    def test_run_backend_kwarg_warns_and_still_works(self, result):
-        rng = np.random.default_rng(0)
-        args = {**ARGS, "InitialA": rng.random((6, 6))}
-        with pytest.warns(DeprecationWarning, match="run.*deprecated"):
-            old = result.run(dict(args), backend="serial")
-        new = result.run(
-            dict(args),
-            execution=ExecutionOptions.resolve(None, backend="serial"),
-        )
-        assert np.array_equal(old["newA"], new["newA"])
 
-    def test_plan_workers_kwarg_warns(self, result):
-        with pytest.warns(DeprecationWarning, match="plan.*deprecated"):
-            plan = result.plan(ARGS, backend="threaded", workers=2)
-        assert plan.backend == "threaded"
-        assert plan.workers == 2
+def _each_field_changed():
+    base = ExecutionOptions()
+    for f in fields(ExecutionOptions):
+        value = getattr(base, f.name)
+        changed = (not value) if isinstance(value, bool) else OTHER_VALUE[f.name]
+        yield f.name, replace(base, **{f.name: changed})
 
-    def test_execution_object_path_does_not_warn(self, result):
-        import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result.plan(ARGS, execution=ExecutionOptions(backend="serial"))
+class TestOptionsKey:
+    """``ExecutionOptions.key()`` is the one definition of "these options
+    are the same plan"; every options-keyed cache uses it."""
 
-    def test_merge_execution_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="_merge_execution"):
-            merged = CompileResult._merge_execution(
-                ExecutionOptions(workers=5), "threaded", None
-            )
-        assert merged == ExecutionOptions(backend="threaded", workers=5)
+    def test_every_field_changes_the_key(self):
+        base = ExecutionOptions().key()
+        for name, changed in _each_field_changed():
+            assert changed.key() != base, name
+
+    def test_a_subclass_field_is_part_of_the_key(self):
+        @dataclass
+        class Extended(ExecutionOptions):
+            new_option: bool = False
+
+        assert Extended(new_option=True).key() != Extended().key()
+        assert len(Extended().key()) == len(ExecutionOptions().key()) + 1
+
+    def test_every_field_gets_its_own_plan_cache_entry(self):
+        """The staleness bug a hand-listed key tuple allows: an option
+        missing from the key is served another option's cached plan."""
+        result = compile_source(RELAXATION_JACOBI_SOURCE)
+        result.plan(ARGS)
+        for name, changed in _each_field_changed():
+            before = len(result._plan_cache)
+            result.plan(ARGS, execution=changed)
+            assert len(result._plan_cache) == before + 1, name

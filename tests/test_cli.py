@@ -166,10 +166,10 @@ class TestRun:
         # All-ones input is a fixed point of the relaxation.
         assert "1." in out
 
-    def test_scalar_and_windows_flags(self, jacobi_file, capsys):
+    def test_serial_and_windows_flags(self, jacobi_file, capsys):
         rc = main(
             ["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
-             "--scalar", "--windows"]
+             "--backend", "serial", "--windows"]
         )
         assert rc == 0
 
@@ -186,17 +186,6 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
                   "--backend", "gpu"])
-
-    def test_scalar_conflicts_with_parallel_backend(self, jacobi_file, capsys):
-        rc = main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
-                   "--scalar", "--backend", "threaded"])
-        assert rc == 1
-        assert "conflicts" in capsys.readouterr().err
-
-    def test_scalar_with_serial_backend_ok(self, jacobi_file, capsys):
-        rc = main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
-                   "--scalar", "--backend", "serial"])
-        assert rc == 0
 
     def test_bad_set_syntax(self, jacobi_file, capsys):
         assert main(["run", jacobi_file, "--set", "M"]) == 1

@@ -72,10 +72,10 @@ class TestExecutionAgreement:
             rng = np.random.default_rng(n)
             args = {"n": n, "Seed": rng.random(n + 1)}
             fast = execute_module(
-                analyzed, args, options=ExecutionOptions(vectorize=True)
+                analyzed, args, options=ExecutionOptions()
             )
             slow = execute_module(
-                analyzed, args, options=ExecutionOptions(vectorize=False)
+                analyzed, args, options=ExecutionOptions(backend="serial")
             )
         except ScheduleError:
             return
