@@ -9,8 +9,8 @@ its output row by row. The ``pipeline`` strategy partitions such a run of
 sibling loops into stages over the dependence structure:
 
 * the cyclic loop (the recurrence itself) becomes a *sequential* stage —
-  one worker, blocks strictly in order, through the in-order ``"seq"``
-  compiled nest kernel;
+  one worker, blocks strictly in order, through the same compiled
+  in-order nest kernel an unpipelined ``DO I -> nest`` runs;
 * each acyclic consumer becomes (or joins) a *replicated* stage — several
   workers claiming blocks as the upstream frontier releases them.
 

@@ -79,20 +79,20 @@ def _cmd_compile(args) -> int:
         use_windows=not args.no_windows,
     )
     result = compile_source(source, options)
+    # generated on access; a generator failure lands in result.warnings
+    text = {
+        "c": lambda: result.c_source,
+        "python": lambda: result.python_source,
+        "flowchart": result.flowchart.pretty,
+    }[args.emit]()
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.emit == "c":
-        if result.c_source is None:
-            print("error: C generation failed (see warnings)", file=sys.stderr)
-            return 1
-        print(result.c_source)
-    elif args.emit == "python":
-        if result.python_source is None:
-            print("error: Python generation failed (see warnings)", file=sys.stderr)
-            return 1
-        print(result.python_source)
-    else:
-        print(result.flowchart.pretty())
+    if text is None:
+        language = "C" if args.emit == "c" else "Python"
+        print(f"error: {language} generation failed (see warnings)",
+              file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 
@@ -144,7 +144,7 @@ def _cmd_plan(args) -> int:
     analyzed = analyze_module(_read_module(args.module))
     flow = _flowchart(analyzed, getattr(args, "merge", False))
     options = _execution_options(args)
-    scalars = _parse_assignments(args.set or [])
+    scalars = _parse_assignments(args.set or [], _local_scalar_types(analyzed))
     # The durable per-machine store, so the provenance block reports the
     # calibration hits/misses an actual auto run would see.
     plan = build_plan(
@@ -166,19 +166,63 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _parse_assignments(pairs: Sequence[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _local_scalar_types(analyzed) -> dict[str, str]:
+    from repro.serve.session import describe_module  # lazy: pulls asyncio
+
+    return _scalar_types(describe_module(analyzed))
+
+
+def _scalar_types(signature: dict) -> dict[str, str]:
+    """Parameter name -> declared type name (``"array"`` / ``"record"`` for
+    the non-scalars), from a ``describe`` signature — the local commands
+    build it with :func:`describe_module`, the client ones ask the daemon,
+    so ``--set`` parses identically on both sides."""
+    return {
+        p["name"]: p.get("type", p["kind"]) for p in signature["params"]
+    }
+
+
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _parse_assignments(
+    pairs: Sequence[str], types: dict[str, str] | None = None
+) -> dict[str, int | float | bool]:
+    """``NAME=VALUE`` pairs parsed by the parameter's declared PS type
+    (``real`` -> float, ``bool`` -> true/false, everything else — ``int``,
+    subranges, enumeration ordinals, names that are not parameters — int)."""
+    types = types or {}
+    out: dict[str, int | float | bool] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ReproError(f"--set expects NAME=INT, got {pair!r}")
+            raise ReproError(f"--set expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[name] = int(value)
+        declared = types.get(name, "int")
+        if declared in ("array", "record"):
+            raise ReproError(
+                f"--set {name}: parameter {name!r} is {declared}-valued; "
+                f"pass arrays with --load {name}=FILE.npy"
+            )
+        try:
+            if declared == "real":
+                out[name] = float(value)
+            elif declared == "bool":
+                out[name] = _BOOLS[value.lower()]
+            else:
+                out[name] = int(value)
+        except (ValueError, KeyError):
+            raise ReproError(
+                f"--set {name}: {value!r} is not a valid {declared} "
+                f"(parameter {name!r} is declared {declared})"
+            ) from None
     return out
 
 
 def _cmd_run(args) -> int:
     analyzed = analyze_module(_read_module(args.module))
-    run_args: dict = dict(_parse_assignments(args.set or []))
+    run_args: dict = dict(
+        _parse_assignments(args.set or [], _local_scalar_types(analyzed))
+    )
     for pair in args.load or []:
         name, _, path = pair.partition("=")
         run_args[name] = np.load(path)
@@ -250,11 +294,13 @@ def _client_overrides(args) -> dict:
 
 
 def _cmd_client_run(args) -> int:
-    run_args: dict = dict(_parse_assignments(args.set or []))
-    for pair in args.load or []:
-        name, _, path = pair.partition("=")
-        run_args[name] = np.load(path)
     with _client(args) as client:
+        run_args: dict = dict(_parse_assignments(
+            args.set or [], _scalar_types(client.describe(args.run_module))
+        ))
+        for pair in args.load or []:
+            name, _, path = pair.partition("=")
+            run_args[name] = np.load(path)
         results = client.run(
             args.run_module,
             run_args,
@@ -270,8 +316,10 @@ def _cmd_client_run(args) -> int:
 
 
 def _cmd_client_plan(args) -> int:
-    sizes = _parse_assignments(args.set or [])
     with _client(args) as client:
+        sizes = _parse_assignments(
+            args.set or [], _scalar_types(client.describe(args.run_module))
+        )
         plan = client.plan(args.run_module, sizes, **_client_overrides(args))
     print(f"backend: {plan['backend']}  workers: {plan['workers']}  "
           f"cycles: {plan['cycles']:.0f}")
@@ -360,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print the cost-driven execution plan")
     p.add_argument("module")
-    p.add_argument("--set", action="append", metavar="NAME=INT",
-                   help="scalar parameter (trip counts need sizes)")
+    p.add_argument("--set", action="append", metavar="NAME=VALUE",
+                   help="scalar parameter, parsed by its declared type "
+                        "(trip counts need sizes)")
     p.add_argument("--backend", default="auto",
                    choices=["auto", *available_backends()],
                    help="pin the plan to a backend (default: planner's choice)")
@@ -400,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a module")
     p.add_argument("module")
-    p.add_argument("--set", action="append", metavar="NAME=INT",
-                   help="scalar parameter")
+    p.add_argument("--set", action="append", metavar="NAME=VALUE",
+                   help="scalar parameter, parsed by its declared type")
     p.add_argument("--load", action="append", metavar="NAME=FILE.npy",
                    help="array parameter from a .npy file")
     p.add_argument("--seed", type=int, default=0,
@@ -481,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("run", parents=[conn], help="execute a module")
     c.add_argument("run_module", metavar="MODULE", help="served module name")
-    c.add_argument("--set", action="append", metavar="NAME=INT",
-                   help="scalar parameter")
+    c.add_argument("--set", action="append", metavar="NAME=VALUE",
+                   help="scalar parameter, parsed by its declared type")
     c.add_argument("--load", action="append", metavar="NAME=FILE.npy",
                    help="array parameter from a .npy file")
     c.add_argument("--seed", type=int, default=0,
@@ -495,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("plan", parents=[conn],
                         help="show the plan the daemon would execute")
     c.add_argument("run_module", metavar="MODULE")
-    c.add_argument("--set", action="append", metavar="NAME=INT")
+    c.add_argument("--set", action="append", metavar="NAME=VALUE")
     c.add_argument("--backend", default=None,
                    choices=["auto", *available_backends()])
     c.add_argument("--workers", type=int, default=None, metavar="N")

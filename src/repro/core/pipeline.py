@@ -7,7 +7,7 @@ and window allocation (section 3.4).
 
     result = compile_source(RELAXATION_JACOBI_SOURCE)
     result.flowchart.pretty()   # Figure 6
-    result.c_source             # annotated C
+    result.c_source             # annotated C (generated on first access)
     result.run({...})           # execute via the interpreter
 """
 
@@ -43,6 +43,9 @@ class CompilerOptions:
     merge_loops: bool = False  # apply the loop-merging improvement pass
     hyperplane: bool = False  # restructure recursive components (section 4)
     use_windows: bool = True  # window allocation in generated code
+    #: whether ``CompileResult.c_source`` / ``.python_source`` may be
+    #: generated at all (they are generated on first access, never during
+    #: compilation; off, the property is None)
     emit_c: bool = True
     emit_python: bool = True
 
@@ -54,10 +57,12 @@ class CompileResult:
     graph: DependencyGraph
     flowchart: Flowchart
     options: CompilerOptions
-    c_source: str | None = None
-    python_source: str | None = None
     hyperplane_result: HyperplaneResult | None = None
     warnings: list[str] = field(default_factory=list)
+    #: generated module texts by language, filled on first access
+    _sources: dict[str, str | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: compiled-kernel cache shared by every ``run()`` of this result —
     #: each equation is exec-compiled at most once per variant, no matter
     #: how many times (or on how many backends) the module executes
@@ -76,6 +81,35 @@ class CompileResult:
     _calibration: PlanCalibration = field(
         default_factory=PlanCalibration.load, repr=False, compare=False
     )
+
+    def _generated(self, language: str, enabled: bool, generate) -> str | None:
+        """The whole-module text in ``language``, generated on first access
+        (only ``repro compile --emit`` and callers of these properties read
+        it — compilation itself never pays for it). A module the generator
+        cannot express yields None and a warning."""
+        if language not in self._sources:
+            text = None
+            if enabled:
+                try:
+                    text = generate(
+                        self.analyzed, self.flowchart,
+                        use_windows=self.options.use_windows,
+                    )
+                except CodegenError as exc:
+                    self.warnings.append(f"{language} generation skipped: {exc}")
+            self._sources[language] = text
+        return self._sources[language]
+
+    @property
+    def c_source(self) -> str | None:
+        """The paper's annotated C for the whole module."""
+        return self._generated("C", self.options.emit_c, generate_c)
+
+    @property
+    def python_source(self) -> str | None:
+        return self._generated(
+            "Python", self.options.emit_python, generate_python
+        )
 
     @property
     def kernel_cache(self) -> KernelCache:
@@ -194,32 +228,14 @@ def compile_module(
     if options.merge_loops:
         flowchart = merge_loops(flowchart, graph)
 
-    c_source = None
-    python_source = None
-    warnings = list(analyzed.warnings)
-    if options.emit_c:
-        try:
-            c_source = generate_c(analyzed, flowchart, use_windows=options.use_windows)
-        except CodegenError as exc:
-            warnings.append(f"C generation skipped: {exc}")
-    if options.emit_python:
-        try:
-            python_source = generate_python(
-                analyzed, flowchart, use_windows=options.use_windows
-            )
-        except CodegenError as exc:
-            warnings.append(f"Python generation skipped: {exc}")
-
     return CompileResult(
         module=module,
         analyzed=analyzed,
         graph=graph,
         flowchart=flowchart,
         options=options,
-        c_source=c_source,
-        python_source=python_source,
         hyperplane_result=hyper,
-        warnings=warnings,
+        warnings=list(analyzed.warnings),
     )
 
 

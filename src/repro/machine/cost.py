@@ -73,6 +73,13 @@ class MachineModel:
     #: per-invocation cost of one native kernel call (the cffi wrapper
     #: marshals array pointers, geometry, and scalars)
     native_call_overhead: float = 400.0
+    #: one-time cost of building one more native kernel function (≈ 15 ms
+    #: of ``cc`` per function inside a shared translation unit; a unit's
+    #: fixed ≈ 45 ms is shared by the whole plan). Priced like
+    #: ``process_spinup`` — a one-time term, not amortised: a sequential
+    #: loop whose whole predicted walk costs less than this is not worth a
+    #: compiler run and takes the exec-compiled Python dialect instead
+    native_build: float = 300000.0
     #: fraction of the scalar equation cost a NumPy vector op pays per
     #: element once the span is large enough to amortise dispatch
     vector_element_factor: float = 0.012

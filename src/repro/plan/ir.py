@@ -17,9 +17,13 @@ Loop strategies
     Scalar iterations in subrange order (the reference semantics); body
     equations run on per-equation scalar kernels or the evaluator.
 ``nest``
-    The whole DOALL nest runs as one fused compiled kernel — the
-    per-element Python call of the serial path is amortised into compiled
-    ``for`` loops.
+    The whole nest runs as one fused compiled kernel — the per-element
+    Python call of the serial path is amortised into compiled ``for``
+    loops. On a ``DOALL`` root or a ``DO`` root alike: the kernel runs the
+    root subrange in iteration order, so a sequential loop whose nest
+    lowers is a real compiled loop (the paper's §3.4 ``DO``), not a walk.
+    ``LoopPlan.dialect`` says which text of the kernel runs — C
+    (``"native"``) or the exec-compiled Python dialect (``"python"``).
 ``vector``
     The subrange executes as one NumPy span (nested DOALLs broadcast).
 ``chunk``
@@ -171,6 +175,23 @@ class LoopPlan:
     group_size: int | None = None
     #: per-stage hand-off block size, in iterations (head loop only)
     queue_depth: int | None = None
+    #: which dialect of its nest kernel a kernel-dispatching loop runs
+    #: (``nest`` / ``collapse`` / ``chunk`` roots, pipeline stage members):
+    #: ``"native"`` — C, built before the plan's first run, degrading to
+    #: the Python dialect and then the walk when the toolchain fails — or
+    #: ``"python"`` — the exec-compiled kernels only; no compiler is
+    #: started for this loop. ``None``: the loop dispatches no kernel.
+    dialect: str | None = None
+
+    def kernel_shape(self) -> str | None:
+        """The nest shape (:mod:`repro.runtime.kernels.nest`) the loop's
+        strategy dispatches its kernel in, None for strategies that
+        dispatch none. Meaningful on a loop that carries a ``dialect``."""
+        if self.strategy == "pipeline":
+            return "full" if self.fuse else "span"
+        return {"nest": "full", "collapse": "flat", "chunk": "span"}.get(
+            self.strategy
+        )
 
     def annotation(self) -> str:
         bits = [self.strategy]
@@ -293,6 +314,15 @@ class ExecutionPlan:
     def equation_for(self, label: str) -> EquationPlan | None:
         return self.equations.get(label)
 
+    def native_kernels(self) -> list[tuple[tuple[int, ...], str]]:
+        """(descriptor path, shape) of every native kernel this plan will
+        dispatch — what one translation unit per (module, plan) holds."""
+        return [
+            (path, lp.kernel_shape())
+            for path, lp in self.loops.items()
+            if lp.dialect == "native"
+        ]
+
     # -- summaries ---------------------------------------------------------
 
     def strategies(self) -> list[tuple[str, str]]:
@@ -388,9 +418,13 @@ class ExecutionPlan:
                 f"trip {note['trip']} — {verdict}"
             )
             if note.get("scan_cycles") is not None:
+                against = (
+                    "compiled DO" if note.get("do_compiled") else "in-order"
+                )
                 row += (
                     f": predicted ~{note['scan_cycles']:.0f} vs "
-                    f"~{note['serial_cycles']:.0f} cycles in-order"
+                    f"~{note.get('do_cycles', note['serial_cycles']):.0f} "
+                    f"cycles {against}"
                 )
             if note.get("why"):
                 row += f" ({note['why']})"
@@ -413,6 +447,23 @@ class ExecutionPlan:
                 row += (
                     f": predicted ~{note['fission_cycles']:.0f} vs "
                     f"~{note['unfissioned_cycles']:.0f} cycles unfissioned"
+                )
+            if note.get("why"):
+                row += f" ({note['why']})"
+            lines.append(row)
+        for note in p.get("do_loops", []):
+            if note["strategy"] == "nest":
+                row = (
+                    f"  DO {note['loop_index']} @{note['index']}: compiled "
+                    f"nest [{note['dialect']}], trip {note['trip']}: "
+                    f"predicted ~{note['cycles']:.0f} vs "
+                    f"~{note['walk_cycles']:.0f} cycles on the walk"
+                )
+            else:
+                row = (
+                    f"  DO {note['loop_index']} @{note['index']}: left on "
+                    f"the walk, trip {note['trip']}, "
+                    f"~{note['walk_cycles']:.0f} cycles"
                 )
             if note.get("why"):
                 row += f" ({note['why']})"

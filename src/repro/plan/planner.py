@@ -9,6 +9,11 @@ entry, exactly once per (module, options, scalar bindings):
   cheapest; an explicit backend pins the plan;
 * how each DOALL runs on that backend — scalar walk, fused nest kernel,
   vector span, or chunked across workers;
+* how each sequential ``DO`` runs — as one compiled in-order nest kernel
+  (C when the walk it replaces costs more than a compiler run, the
+  exec-compiled Python dialect below that), as a blocked scan, pipeline
+  stage or fission split when those beat the compiled loop at the plan's
+  worker count, or on the reference walk when its nest does not lower;
 * where the workers go in a nest — a DOALL whose trip count is below the
   worker count hands the team to a chunk-safe inner DOALL instead of
   leaving workers idle (``iterate`` + inner ``chunk``);
@@ -39,6 +44,7 @@ from repro.plan.ir import (
     PlanError,
     StagePlan,
 )
+from repro.plan.strategy import NEST
 from repro.runtime.kernels.emit import equation_affine_fast_path
 from repro.runtime.kernels.native import native_emittable
 from repro.runtime.kernels.nest import (
@@ -76,6 +82,9 @@ AUTO_CANDIDATES = ("serial", "vectorized", "threaded", "process")
 
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16
+
+#: strategies that only a DOALL can take
+DOALL_ONLY = ("vector", "chunk", "iterate", "collapse")
 
 #: a chunk-safe inner DOALL takes the team only when its own trip count
 #: keeps every worker busy at least this many chunks deep
@@ -220,6 +229,7 @@ def build_plan(
             "pipeline_groups": best.pipeline_notes,
             "scan_loops": best.scan_notes,
             "fission_loops": best.fission_notes,
+            "do_loops": best.do_notes,
             "slow_loops": best.slow_notes(),
             "mode": "auto",
             "workers": workers,
@@ -258,6 +268,7 @@ def build_plan(
         "pipeline_groups": planner.pipeline_notes,
         "scan_loops": planner.scan_notes,
         "fission_loops": planner.fission_notes,
+        "do_loops": planner.do_notes,
         "slow_loops": planner.slow_notes(),
         "mode": "pinned",
         "workers": workers,
@@ -292,6 +303,10 @@ def forced_plan(
     given), individual loops take ``overrides[path]``. Strategies are
     validated — forcing ``chunk`` on a chunk-unsafe loop or ``nest`` on an
     unfusable one raises :class:`PlanError` rather than risking semantics.
+    A sequential ``DO`` honours ``serial`` (the reference walk) and
+    ``nest`` (the compiled in-order nest; :class:`PlanError` when its nest
+    does not lower); under a default naming a DOALL-only strategy it stays
+    on the walk, so the forced loops inside it are the ones that run.
     ``cpu_count`` stands in for the host's core count when
     ``options.workers`` is unset, exactly as in :func:`build_plan`.
     """
@@ -324,12 +339,14 @@ def forced_plan(
 def valid_strategies(
     analyzed, flowchart: Flowchart, desc: LoopDescriptor, use_windows: bool = False
 ) -> list[str]:
-    """The strategies a parallel loop may be forced to (property tests draw
-    from this set)."""
+    """The strategies a loop may be forced to (property tests draw from
+    this set)."""
     from repro.schedule.fission import fission_split
 
     if not desc.parallel:
         out = ["serial"]
+        if nest_fusable(desc, analyzed, flowchart, use_windows):
+            out.append("nest")
         from repro.schedule.scan_detect import scan_info
 
         info = scan_info(analyzed, flowchart, desc, use_windows)
@@ -399,6 +416,9 @@ class _Planner:
         self.scan_notes: list[dict] = []
         #: one provenance note per fission-considered loop (split or not)
         self.fission_notes: list[dict] = []
+        #: one provenance note per sequential DO planned on its own: the
+        #: compiled nest against the walk, and why the loser lost
+        self.do_notes: list[dict] = []
         #: True while planning the body of a pipeline sequential stage that
         #: cannot fuse — inner DOALLs must stay off the pool (the stage
         #: already runs *on* a pool worker)
@@ -409,6 +429,8 @@ class _Planner:
         self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
         self._choices: dict[int, tuple[str, int | None, float, str, str | None]] = {}
+        #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
+        self._do_choices: dict[int, tuple] = {}
         #: (id(desc), variant) -> machine-independent native emittability
         self._native: dict[tuple[int, str], bool] = {}
         #: True while emitting the body of a natively executing nest
@@ -549,27 +571,30 @@ class _Planner:
             return released + bound
         # ctx == "walk"
         if not desc.parallel:
-            return t * (
-                self.model.loop_overhead
-                + sum(self._cost(d, "walk", 1) for d in desc.body)
-            )
+            return self._do_choice(desc)[2]
         return self._choose(desc)[2]
+
+    def _cost_interpreted(self, desc) -> float:
+        """Cycles of walking ``desc`` element by element — every loop a
+        Python ``for``, every equation one kernel (or evaluator) call per
+        element: what a loop costs before any strategy touches it, on any
+        backend. The one-time native build of a ``DO`` is weighed against
+        this (see :meth:`NestStrategy.price`)."""
+        if isinstance(desc, NodeDescriptor):
+            if not desc.node.is_equation:
+                return 0.0
+            eq = desc.node.equation
+            return self.model.element_cost(eq, self._eq_mode(eq, "walk"))
+        return self._trip_est(desc) * (
+            self.model.loop_overhead
+            + sum(self._cost_interpreted(d) for d in desc.body)
+        )
 
     def _cost_serial_root(self, desc: LoopDescriptor) -> float:
         t = self._trip_est(desc)
         return t * (
             self.model.loop_overhead
             + sum(self._cost(d, "walk", 1) for d in desc.body)
-        )
-
-    def _cost_nest_root(self, desc: LoopDescriptor) -> float:
-        t = self._trip_est(desc)
-        if self._native_ok(desc, "full"):
-            return self.model.native_call_overhead + sum(
-                self._cost(d, "native", t) for d in desc.body
-            )
-        return self.model.vector_setup + sum(
-            self._cost(d, "nest", t) for d in desc.body
         )
 
     def _cost_vector_root(self, desc: LoopDescriptor) -> float:
@@ -789,7 +814,7 @@ class _Planner:
             best = ("serial", None, self._cost_serial_root(desc),
                     "inside pipeline stage", None)
             if self._fusable(desc):
-                c_nest = self._cost_nest_root(desc)
+                c_nest = NEST.price(self, desc).cycles
                 if c_nest < best[2]:
                     best = ("nest", None, c_nest, "inside pipeline stage", None)
             c_vec = self._cost_vector_root(desc)
@@ -808,7 +833,7 @@ class _Planner:
                 parts = None
                 cost = {
                     "serial": self._cost_serial_root,
-                    "nest": self._cost_nest_root,
+                    "nest": lambda d: NEST.price(self, d).cycles,
                     "vector": self._cost_vector_root,
                     "iterate": self._cost_iterate_root,
                 }[forced]
@@ -818,7 +843,7 @@ class _Planner:
         if self.backend == "serial":
             c_serial = self._cost_serial_root(desc)
             if self._fusable(desc):
-                c_nest = self._cost_nest_root(desc)
+                c_nest = NEST.price(self, desc).cycles
                 if c_nest < c_serial:
                     return ("nest", None, c_nest, "fused nest kernel", None)
             return ("serial", None, c_serial, "", None)
@@ -882,6 +907,66 @@ class _Planner:
 
         raise PlanError(f"unknown execution backend {self.backend!r}")
 
+    def _hard_pin(self, path) -> bool:
+        """Whether ``path`` carries a hard per-path override: the pinned
+        strategy is then honoured or raises — no merit decision (fission,
+        scan, a pipeline group) may take the loop first."""
+        return not self.force_soft and path in self.force_overrides
+
+    def _do_choice(self, desc: LoopDescriptor):
+        """(strategy, NestPrice | None, cycles, why) for a sequential
+        ``DO`` met on the scalar walk: the compiled in-order nest against
+        the reference walk. Its cycles are the price every other ``DO``
+        strategy (scan, pipeline, fission) has to beat — compiled
+        sequential code, not the interpreter. Memoized per descriptor."""
+        cached = self._do_choices.get(id(desc))
+        if cached is not None:
+            return cached
+        walk = self._cost_serial_root(desc)
+        path = self.flowchart.path_of(desc)
+        forced = self.force_overrides.get(path, self.force_default)
+        hard = forced is not None and not self.force_soft
+        refusal = NEST.recognise(self, desc)
+        if refusal is None and not self.force_soft and any(
+            len(p) > len(path) and p[: len(path)] == path
+            for p in self.force_overrides
+        ):
+            refusal = "a loop inside it is pinned to its own strategy"
+        if refusal is not None:
+            if forced == "nest" and hard:
+                raise PlanError(
+                    f"cannot force 'nest' on DO {desc.index}: {refusal}"
+                )
+            choice = ("serial", None, walk, refusal)
+        elif forced == "serial" or (hard and forced in DOALL_ONLY):
+            # a hard default naming a DOALL-only strategy is a complete
+            # specification: the loops it names must be the ones that run
+            choice = ("serial", None, walk, "forced")
+        else:
+            interpreted = self._cost_interpreted(desc)
+            priced = NEST.price(self, desc, interpreted)
+            if forced == "nest":
+                choice = ("nest", priced, priced.cycles, "forced")
+            elif priced.cycles < walk:
+                choice = ("nest", priced, priced.cycles, "compiled in order")
+            elif priced.dialect == "python" and self._native_ok(desc, "full"):
+                choice = (
+                    "serial", None, walk,
+                    f"walked element by element it costs "
+                    f"~{interpreted:.0f} cycles, less than one native build "
+                    f"(~{self.model.native_build:.0f}), and the "
+                    f"Python-dialect nest (~{priced.cycles:.0f}) loses to "
+                    f"the walk",
+                )
+            else:
+                choice = (
+                    "serial", None, walk,
+                    f"the walk is cheaper than the {priced.dialect}-dialect "
+                    f"nest (~{priced.cycles:.0f} cycles)",
+                )
+        self._do_choices[id(desc)] = choice
+        return choice
+
     # -- pipeline groups ---------------------------------------------------
 
     def _pipeline_group_at(self, container: tuple[int, ...], offset: int):
@@ -904,8 +989,8 @@ class _Planner:
         group = group_starting_at(
             self.analyzed, self.flowchart, container, offset, self.use_windows
         )
-        if group is not None and not self.force_soft and any(
-            container + (offset + j,) in self.force_overrides
+        if group is not None and any(
+            self._hard_pin(container + (offset + j,))
             for j in range(group.size)
         ):
             # A hard per-path pin outranks the group: the member plans on
@@ -927,9 +1012,12 @@ class _Planner:
 
     def _price_scan(self, desc: LoopDescriptor, info) -> dict:
         """Cycles for the three-phase blocked scan of a recognized
-        recurrence, plus the comparators: the in-order walk (the strategy
-        actually replaced) and the fused kernel run in order (what a
-        pipeline sequential stage would stream — recorded in provenance)."""
+        recurrence, plus the comparators: ``do`` — the loop's best in-order
+        plan, the compiled ``DO`` wherever its nest lowers, which is what
+        the scan has to beat — the reference walk, and the fused kernel run
+        in order (what a pipeline sequential stage would stream). ``ratio``
+        is the scan's arithmetic (coefficient vectors + both sweeps, before
+        dividing by workers) over one in-order pass."""
         from repro.machine.cost import expression_cost
 
         m = self.model
@@ -961,17 +1049,20 @@ class _Planner:
             + parts * m.loop_overhead
             + work * m.scan_fixup_factor / p
         )
-        serial = self._cost_serial_root(desc)
-        seq: float | None = None
-        if self._native_ok(desc, "full"):
-            seq = m.native_call_overhead + sum(
-                self._cost(d, "native", t) for d in desc.body
-            )
-        elif self._fusable(desc):
-            seq = m.vector_setup + sum(
-                self._cost(d, "nest", t) for d in desc.body
-            )
-        return {"cycles": cycles, "serial": serial, "seq": seq, "parts": parts}
+        do = self._do_choice(desc)
+        return {
+            "cycles": cycles,
+            "do": do[2],
+            "do_compiled": do[0] == "nest",
+            "serial": self._cost_serial_root(desc),
+            "seq": (
+                NEST.price(self, desc).cycles if self._fusable(desc) else None
+            ),
+            "parts": parts,
+            "ratio": (
+                coeff + work * (m.scan_reduce_factor + m.scan_fixup_factor)
+            ) / max(work, 1e-9),
+        }
 
     def _scan_decision(self, desc: LoopDescriptor, path) -> dict | None:
         """Decide one sequential DO loop met on the walk: a dict for
@@ -985,6 +1076,8 @@ class _Planner:
         forced_name = self.force_overrides.get(path, self.force_default)
         forced = forced_name == "scan"
         hard = forced and not self.force_soft
+        if self._hard_pin(path) and not forced:
+            return None
         if info is None:
             if hard and path in self.force_overrides:
                 raise PlanError(
@@ -1002,6 +1095,8 @@ class _Planner:
             "scan_cycles": None,
             "serial_cycles": None,
             "seq_cycles": None,
+            "do_cycles": None,
+            "do_compiled": False,
             "chosen": False,
             "why": "",
         }
@@ -1027,13 +1122,20 @@ class _Planner:
         note["scan_cycles"] = priced["cycles"]
         note["serial_cycles"] = priced["serial"]
         note["seq_cycles"] = priced["seq"]
+        note["do_cycles"] = priced["do"]
+        note["do_compiled"] = priced["do_compiled"]
         if not forced:
             if self.backend not in PIPELINE_BACKENDS:
                 return reject(f"no scan engine on backend {self.backend!r}")
             if self.workers < 2 or t < 4:
                 return reject("nothing to split")
-            if priced["cycles"] >= priced["serial"]:
-                return reject("in-order walk is cheaper")
+            if priced["cycles"] >= priced["do"]:
+                if not priced["do_compiled"]:
+                    return reject("in-order walk is cheaper")
+                return reject(
+                    f"scan x{priced['parts']}: {priced['ratio']:.1f}x the "
+                    f"arithmetic + 2 barriers > compiled DO"
+                )
         note["chosen"] = True
         note["why"] = "forced" if forced else "blocked scan is cheaper"
         return {"info": info, "forced": forced, **priced}
@@ -1076,6 +1178,8 @@ class _Planner:
         forced_name = self.force_overrides.get(path, self.force_default)
         forced = forced_name == "fission"
         hard = forced and not self.force_soft
+        if self._hard_pin(path) and not forced:
+            return None
         split = fission_split(
             self.analyzed, self.flowchart, desc, self.use_windows
         )
@@ -1106,14 +1210,15 @@ class _Planner:
         }
         self.fission_notes.append(note)
         fissioned = self._price_fission(split, path)
-        unfissioned = (
-            self._choose(desc)[2] if desc.parallel
-            else self._cost_serial_root(desc)
-        )
+        unfissioned = self._cost(desc, "walk", 1)
         note["fission_cycles"] = fissioned
         note["unfissioned_cycles"] = unfissioned
         if not forced and fissioned >= unfissioned:
             note["why"] = "unfissioned plan is cheaper"
+            if not desc.parallel and self._do_choice(desc)[0] == "nest":
+                note["why"] += (
+                    f": {split.parts} passes over memory > one compiled DO"
+                )
             return None
         note["chosen"] = True
         note["why"] = "forced" if forced else "split pieces are cheaper"
@@ -1122,11 +1227,12 @@ class _Planner:
     def _piece_cost(self, piece: LoopDescriptor) -> float:
         """What one replica loop will cost when emitted: parallel pieces
         price through the normal strategy choice, sequential pieces through
-        the in-order walk or — under exactly the gates ``_scan_decision``
-        applies on merit — the blocked scan."""
+        their best in-order plan (the compiled ``DO`` where the piece
+        lowers) or — under exactly the gates ``_scan_decision`` applies on
+        merit — the blocked scan."""
+        serial = self._cost(piece, "walk", 1)
         if piece.parallel:
-            return self._choose(piece)[2]
-        serial = self._cost_serial_root(piece)
+            return serial
         if not self.use_kernels:
             return serial
         from repro.schedule.scan_detect import scan_info
@@ -1265,7 +1371,8 @@ class _Planner:
         The model: one fork/barrier for the group, one spin-up per stage
         worker, the bottleneck stage's time (sequential stages run their
         whole subrange through block-wise sequential nest kernels; a
-        replicated stage divides its span work over its workers), bounded
+        replicated stage divides its span work over its workers) plus one
+        block of it per further stage to fill and drain the pipe, bounded
         below by total work over the machine's effective parallelism, plus
         one link hand-off per block per stage boundary."""
         m = self.model
@@ -1366,8 +1473,13 @@ class _Planner:
         )
         n_engine = len(engine_times)
         if engine_times:
+            # Stage k starts its first block only when stage k-1 has
+            # finished one: the bottleneck runs for its whole time and
+            # every other stage adds one block of fill (or drain).
+            bottleneck = max(engine_times)
             compute = scan_up_front + max(
-                max(engine_times), engine_work / max(1, self.parallelism)
+                bottleneck + (n_engine - 1) * bottleneck / blocks,
+                engine_work / max(1, self.parallelism),
             )
         else:
             compute = scan_up_front
@@ -1422,6 +1534,13 @@ class _Planner:
             return None
         if not forced and priced["cycles"] >= priced["serial_cycles"]:
             note["why"] = "undecoupled plan is cheaper"
+            if any(
+                not loop.parallel and self._do_choice(loop)[0] == "nest"
+                for loop in group.loops
+            ):
+                note["why"] += (
+                    ": stage spin-up + block hand-offs > compiled DO members"
+                )
             return None
         note["chosen"] = True
         note["why"] = "forced" if forced else "decoupling is cheaper"
@@ -1465,7 +1584,6 @@ class _Planner:
             )
             self._register(lp, depth)
             te = self._trip_est(loop)
-            prev_native = self._native_root
             if stage.kind == "scan":
                 eq = loop.body[0].node.equation
                 ep = EquationPlan(
@@ -1477,14 +1595,11 @@ class _Planner:
                 self.entries.append(PlanEntry(depth + 1, equation=ep))
             elif stage.kind == "sequential":
                 if seq_fuse:
-                    self._native_root = self._native_ok(loop, "full")
-                    try:
-                        for i, d in enumerate(loop.body):
-                            self._emit(
-                                d, path + (i,), depth + 1, "nest", float(te)
-                            )
-                    finally:
-                        self._native_root = prev_native
+                    native = self._native_ok(loop, "full")
+                    lp.dialect = "native" if native else "python"
+                    self._emit_body(
+                        loop, path, depth, "nest", float(te), native
+                    )
                 else:
                     self._in_stage = True
                     try:
@@ -1493,15 +1608,12 @@ class _Planner:
                     finally:
                         self._in_stage = False
             else:
-                self._native_root = self._native_ok(loop, "span")
-                try:
-                    for i, d in enumerate(loop.body):
-                        self._emit(
-                            d, path + (i,), depth + 1, "vector",
-                            float(priced["block"]),
-                        )
-                finally:
-                    self._native_root = prev_native
+                native = self._native_ok(loop, "span")
+                lp.dialect = "native" if native else "python"
+                self._emit_body(
+                    loop, path, depth, "vector", float(priced["block"]),
+                    native,
+                )
         return priced["cycles"]
 
     # -- emission ----------------------------------------------------------
@@ -1622,6 +1734,17 @@ class _Planner:
             scan = self._scan_decision(desc, path)
             if scan is not None:
                 return self._emit_scan(desc, path, depth, scan)
+            strategy, priced, cost, why = self._do_choice(desc)
+            self.do_notes.append({
+                "index": str(path), "loop_index": desc.index,
+                "strategy": strategy, "trip": te,
+                "dialect": priced.dialect if priced else None,
+                "cycles": cost,
+                "walk_cycles": self._cost_serial_root(desc),
+                "why": why,
+            })
+            if strategy == NEST.name:
+                return NEST.emit(self, desc, path, depth, priced, why)
             lp = LoopPlan(path, desc.index, desc.keyword, "serial", trip=t)
             self._register(lp, depth)
             body = self._emit_siblings(desc.body, path, depth + 1, "walk", 1.0)
@@ -1629,6 +1752,10 @@ class _Planner:
             return lp.cycles
 
         strategy, parts, cost, reason, chunk_index = self._choose(desc)
+        if strategy == NEST.name:
+            return NEST.emit(
+                self, desc, path, depth, NEST.price(self, desc), reason
+            )
         collapse_depth = flat_exact = None
         if strategy == "collapse":
             collapse_depth = len(collapse_chain(desc)[0])
@@ -1636,9 +1763,7 @@ class _Planner:
         lp = LoopPlan(
             path, desc.index, desc.keyword, strategy,
             parts=parts, trip=t,
-            fuse=strategy == "nest" or (
-                strategy == "collapse" and self._fusable(desc)
-            ),
+            fuse=strategy == "collapse" and self._fusable(desc),
             chunk_index=chunk_index if strategy == "iterate" else (
                 desc.index if strategy == "chunk" else None
             ),
@@ -1651,7 +1776,6 @@ class _Planner:
         body_ctx = {
             "serial": "walk",
             "iterate": "walk",
-            "nest": "nest",
             "vector": "vector",
             "chunk": "vector",
             "collapse": "collapse",
@@ -1666,23 +1790,29 @@ class _Planner:
             body_span = {
                 "serial": 1.0,
                 "iterate": 1.0,
-                "nest": float(te),
                 "vector": float(te),
                 "chunk": float(ceil(te / parts)) if parts else float(te),
             }[strategy]
+        shape = lp.kernel_shape()
+        native = shape is not None and self._native_ok(desc, shape)
+        if shape is not None and (native or self._fusable(desc)):
+            lp.dialect = "native" if native else "python"
+        self._emit_body(desc, path, depth, body_ctx, body_span, native)
+        return cost
+
+    def _emit_body(
+        self, desc: LoopDescriptor, path, depth, ctx, span, native: bool
+    ) -> None:
+        """Emit ``desc``'s body one level down under ``ctx``; ``native``
+        says whether the enclosing kernel-dispatching loop runs the C
+        dialect (equation kernels and per-element costs follow it)."""
         prev_native = self._native_root
-        if strategy == "nest":
-            self._native_root = self._native_ok(desc, "full")
-        elif strategy == "collapse":
-            self._native_root = self._native_ok(desc, "flat")
-        elif strategy == "chunk":
-            self._native_root = self._native_ok(desc, "span")
+        self._native_root = native
         try:
             for i, d in enumerate(desc.body):
-                self._emit(d, path + (i,), depth + 1, body_ctx, body_span)
+                self._emit(d, path + (i,), depth + 1, ctx, span)
         finally:
             self._native_root = prev_native
-        return cost
 
     def _register(self, lp: LoopPlan, depth: int) -> None:
         self.loops[lp.path] = lp

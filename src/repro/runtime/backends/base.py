@@ -9,7 +9,9 @@ one strategy dispatch — a ``DOALL`` runs by whatever its
 * ``serial`` / ``iterate`` — scalar iterations in subrange order (the
   reference semantics; ``iterate`` exists so a low-trip outer DOALL hands
   the workers to a chunked inner loop);
-* ``nest`` — the whole nest as one fused compiled kernel;
+* ``nest`` — the whole nest as one fused compiled kernel, whether its root
+  is a ``DOALL`` or a sequential ``DO`` (a strategy object of
+  :mod:`repro.plan.strategy`, which executes itself);
 * ``vector`` — the whole subrange as one NumPy operation;
 * ``chunk`` — the subrange split into contiguous chunks handed to
   :meth:`ExecutionBackend.dispatch_chunks`, the one hook the parallel
@@ -162,6 +164,12 @@ class ExecutionBackend:
 
     def __init__(self, workers: int | None = None):
         self.workers = max(1, workers if workers is not None else os.cpu_count() or 1)
+        # Imported here: the plan layer imports the runtime.
+        from repro.plan.strategy import LOOP_STRATEGIES
+
+        #: plan-strategy name -> strategy object, for the strategies that
+        #: execute themselves; the rest are still dispatched by the walk
+        self.strategies = LOOP_STRATEGIES
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -185,6 +193,15 @@ class ExecutionBackend:
                 state.scalar_env(),
                 backend=self.name,
             )
+        if state.kernels is not None and state.kernel_tier() == "native":
+            # One translation unit per (module, plan): every native kernel
+            # the plan will dispatch is built now, as one batch — not one
+            # compiler process per kernel as the walk meets them.
+            windows = bool(state.options.use_windows)
+            state.kernels.prepare([
+                (path, windows, shape)
+                for path, shape in state.plan.native_kernels()
+            ])
         self.exec_descriptor_list(state, state.flowchart.descriptors, {}, [])
 
     def end_run(self) -> None:
@@ -229,6 +246,14 @@ class ExecutionBackend:
         if hi < lo:
             return
         plan = None if vector_names else state.plan_of(desc, self.name)
+        if plan is not None:
+            strategy = self.strategies.get(plan.strategy)
+            if strategy is not None and strategy.execute(
+                self, state, desc, lo, hi, env
+            ):
+                return
+            # no strategy object, or it declined (its kernel is unavailable
+            # here): the dispatch below ends on the reference walk
         if plan is not None and plan.strategy == "fission":
             self.exec_fission_loop(state, desc, lo, hi, env)
             return
@@ -276,10 +301,12 @@ class ExecutionBackend:
         env: dict[str, Any],
     ) -> None:
         """Run a ``DO`` loop planned as a blocked scan. The base backend
-        has no worker pool, so this is the in-order reference fallback
-        (serial/vectorized/process); the threaded backends override it
-        with the three-phase parallel engine."""
-        self.exec_sequential_loop(state, desc, lo, hi, env, [])
+        has no worker pool, so this is the in-order fallback
+        (serial/vectorized/process) — the compiled nest when the loop
+        lowers, the reference walk otherwise; the threaded backends
+        override it with the three-phase parallel engine."""
+        if not self.exec_nest_kernel(state, desc, lo, hi, env):
+            self.exec_sequential_loop(state, desc, lo, hi, env, [])
 
     def exec_sequential_loop(
         self,
@@ -290,6 +317,9 @@ class ExecutionBackend:
         env: dict[str, Any],
         vector_names: list[str],
     ) -> None:
+        """The reference walk: one iteration at a time, in subrange order.
+        What every compiled strategy is differentially tested against, and
+        where a loop ends up when nothing compiled applies to it."""
         for i in range(lo, hi + 1):
             env2 = dict(env)
             env2[desc.index] = i
@@ -350,11 +380,9 @@ class ExecutionBackend:
             return
         plan = state.plan_of(desc, self.name)
         strategy = plan.strategy if plan is not None else self.fallback_strategy
-        if strategy == "nest":
-            if self.exec_nest_kernel(state, desc, lo, hi, env):
-                return
-            strategy = "serial"  # kernels unavailable: the reference walk
-        if strategy in ("serial", "iterate"):
+        if strategy in ("serial", "iterate", "nest"):
+            # "nest" arrives here only after its strategy object declined
+            # in exec_descriptor (no kernel available): the reference walk
             self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
         elif strategy == "vector":
             self.exec_vector_span(state, desc, lo, hi, env, vector_names)
@@ -418,12 +446,16 @@ class ExecutionBackend:
     def _loop_kernel(self, state: ExecutionState, desc: LoopDescriptor, shape: str):
         """The compiled kernel of ``shape`` for ``desc`` — the native (C)
         tier first, then the NumPy tier — or None when there is none and
-        the caller must walk the loop itself."""
+        the caller must walk the loop itself. The loop's plan says which
+        dialect it was priced on: a ``"python"`` loop starts no native
+        build (it runs a native kernel only if one is already loaded)."""
         if state.kernels is None:
             return None
+        plan = state.plan_of(desc, self.name)
         return state.kernels.nest_kernel_for(
             desc, state.options.use_windows, variant=shape,
             tier=state.kernel_tier(),
+            build_native=plan is None or plan.dialect != "python",
         )
 
     def exec_nest_kernel(

@@ -16,8 +16,12 @@ machine has a C compiler (see :mod:`repro.runtime.kernels.native`); the
 exec-compiled NumPy kernel otherwise; ``None`` — the caller walks the
 evaluator — when neither applies. A ``None`` is memoized like any other
 answer (:meth:`KernelCache._memo`), so a refusal or a broken toolchain is
-paid for once, and the process backend's pre-fork :meth:`KernelCache.warm`
-loads every shared object once for forked workers to inherit.
+paid for once. Native kernels are built in batches
+(:meth:`KernelCache.prepare`): the kernels a plan will dispatch before its
+first run, the whole warm set in the process backend's pre-fork
+:meth:`KernelCache.warm` (forked workers inherit the loaded library), or a
+batch of one on a lazy request — each batch is one translation unit and at
+most one compiler process.
 
 The cache also owns the *call box*: a one-slot list every compiled kernel
 reads module-call handlers through. :meth:`bind_call_fn` points it at the
@@ -41,15 +45,22 @@ from repro.schedule.flowchart import (
     loop_collapse_safe,
 )
 
+#: (descriptor path, window mode, shape) — what loop kernels are keyed by
+_Key = tuple[tuple[int, ...], bool, str]
+
+
 class KernelCache:
     def __init__(self, analyzed: AnalyzedModule, flowchart: Flowchart):
         self.analyzed = analyzed
         self.flowchart = flowchart
         self._compiled: dict[tuple[str, bool, bool], Callable | None] = {}
         #: NumPy-tier loop kernels keyed by (descriptor path, window mode, shape)
-        self._nests: dict[tuple[tuple[int, ...], bool, str], Callable | None] = {}
+        self._nests: dict[_Key, Callable | None] = {}
         #: native-tier loop kernels, same key shape
-        self._native: dict[tuple[tuple[int, ...], bool, str], Callable | None] = {}
+        self._native: dict[_Key, Callable | None] = {}
+        #: native translation units this cache had loaded, and how many of
+        #: them started a compiler (the rest came from the on-disk cache)
+        self._built = {"tus": 0, "cc_calls": 0}
         #: one-slot module-call dispatch box shared by every compiled kernel
         self._call_box: list = [None]
 
@@ -59,14 +70,15 @@ class KernelCache:
         the box at call time, so already-compiled kernels follow."""
         self._call_box[0] = call_fn
 
-    def _memo(self, table: dict, key, native: bool, build, *args):
-        """Build ``table[key]`` on its first request and remember the
-        answer — ``None`` included, so the compile (or its failure) happens
-        exactly once."""
-        fn = None
+    def _memo(self, table: dict, keys: list, native: bool, build) -> None:
+        """Answer every key of ``keys`` in ``table`` with one
+        ``build(keys) -> {key: kernel}`` call and remember each answer —
+        ``None`` (a key the build left out, or a build that failed)
+        included, so a compile or its failure happens exactly once."""
+        found: dict = {}
         if not native or native_mod.native_supported():
             try:
-                fn = build(*args)
+                found = build(keys)
             except KernelError:
                 pass
             except Exception:
@@ -74,8 +86,8 @@ class KernelCache:
                     raise
                 # A toolchain failure (compiler crash, dlopen error) must
                 # degrade to the NumPy tier, never take the run down.
-        table[key] = fn
-        return fn
+        for key in keys:
+            table[key] = found.get(key)
 
     def kernel_for(
         self, eq: AnalyzedEquation, vector: bool, use_windows: bool
@@ -86,64 +98,100 @@ class KernelCache:
         try:
             return self._compiled[key]
         except KeyError:
-            return self._memo(
-                self._compiled, key, False, compile_kernel,
-                eq, self.analyzed, self.flowchart, vector, use_windows,
-                self._call_box,
+            self._memo(
+                self._compiled, [key], False,
+                lambda keys: {key: compile_kernel(
+                    eq, self.analyzed, self.flowchart, vector, use_windows,
+                    self._call_box,
+                )},
             )
+            return self._compiled[key]
 
     def _lookup(
-        self, desc: LoopDescriptor, use_windows: bool, shape: str, tier: str
+        self, desc: LoopDescriptor, use_windows: bool, shape: str, tier: str,
+        build_native: bool = True,
     ):
         """The kernel of ``shape`` for the loop ``desc``, highest tier
         first: native -> NumPy -> ``None`` (the caller walks the loop on
-        per-equation kernels or the evaluator)."""
+        per-equation kernels or the evaluator). ``build_native=False``
+        still serves a native kernel some earlier batch built, but starts
+        no build for this one: the plan priced the loop as not worth a
+        compiler run."""
         path = self.flowchart.path_of(desc)
         if path is None:
             return None
         key = (path, bool(use_windows), shape)
         if tier == "native":
-            fn = self._tier(self._native, key, True, desc, use_windows, shape)
+            if build_native and key not in self._native:
+                self.prepare([key])
+            fn = self._native.get(key)
             if fn is not None:
                 return fn
         if shape == "span":
             # The NumPy tier's per-equation distribution is the
             # per-equation vector kernels; there is nothing to look up.
             return None
-        return self._tier(self._nests, key, False, desc, use_windows, shape)
+        if key not in self._nests:
+            self._memo(self._nests, [key], False, self._build_numpy)
+        return self._nests[key]
 
-    def _tier(
-        self, table: dict, key, native: bool,
-        desc: LoopDescriptor, use_windows: bool, shape: str,
-    ):
-        try:
-            return table[key]
-        except KeyError:
-            return self._memo(
-                table, key, native, self._compile,
-                native, desc, use_windows, shape,
-            )
+    def prepare(self, keys: list[_Key]) -> None:
+        """Build the native kernels of ``keys`` — ``(path, window mode,
+        shape)`` — that this cache has not answered yet, as **one** batch
+        (one translation unit, see :func:`native.build_kernels`). A lazily
+        requested kernel, the kernels of a plan about to run
+        (:meth:`ExecutionPlan.native_kernels`) and the warm set all come
+        through here."""
+        missing = [key for key in keys if key not in self._native]
+        if missing:
+            self._memo(self._native, missing, True, self._build_native)
 
-    def _compile(
-        self, native: bool, desc: LoopDescriptor, use_windows: bool, shape: str
-    ):
+    def _scan_bundle(self, key: _Key, native: bool):
+        from repro.runtime.kernels import scan as scan_mod
+        from repro.schedule.scan_detect import scan_info
+
+        path, use_windows, _shape = key
+        info = scan_info(
+            self.analyzed, self.flowchart, self.flowchart.descriptor_at(path),
+            use_windows,
+        )
+        if info is None:
+            return None
+        make = scan_mod.native_kernels if native else scan_mod.numpy_kernels
+        return make(info)
+
+    def _build_native(self, keys: list[_Key]) -> dict:
+        nests: dict[_Key, list] = {}
+        out: dict = {}
+        for key in keys:
+            path, use_windows, shape = key
+            try:
+                if shape == "scan":
+                    out[key] = self._scan_bundle(key, True)
+                else:
+                    nests[key] = native_mod.native_specs(
+                        self.flowchart.descriptor_at(path), self.analyzed,
+                        self.flowchart, use_windows, shape,
+                    )
+            except KernelError:
+                pass  # this loop alone does not lower; the batch goes on
+        native_mod.build_kernels(
+            [spec for specs in nests.values() for spec in specs], self._built
+        )
+        for key, specs in nests.items():
+            out[key] = native_mod.bind_kernel(specs)
+        return out
+
+    def _build_numpy(self, keys: list[_Key]) -> dict:
+        (key,) = keys
+        path, use_windows, shape = key
         if shape == "scan":
-            from repro.runtime.kernels import scan as scan_mod
-            from repro.schedule.scan_detect import scan_info
-
-            info = scan_info(self.analyzed, self.flowchart, desc, use_windows)
-            if info is None:
-                return None
-            make = scan_mod.native_kernels if native else scan_mod.numpy_kernels
-            return make(info)
-        if native:
-            return native_mod.compile_native_nest(
-                desc, self.analyzed, self.flowchart, use_windows, shape
-            )
-        return compile_nest_kernel(
+            return {key: self._scan_bundle(key, False)}
+        desc = self.flowchart.descriptor_at(path)
+        return {key: compile_nest_kernel(
             desc, self.analyzed, self.flowchart, use_windows, shape,
             self._call_box,
-        )
+        )}
 
     def nest_kernel_for(
         self,
@@ -151,22 +199,25 @@ class KernelCache:
         use_windows: bool,
         variant: str = "full",
         tier: str = "native",
+        build_native: bool = True,
     ) -> Callable | None:
         """The kernel for a whole nest — ``kernel(data, env, lo, hi) ->
         {label: count}`` — or None when the nest cannot be lowered (the
         caller then walks it descriptor by descriptor). ``variant`` is a
         shape of :mod:`repro.runtime.kernels.nest`: ``"full"`` runs a root
-        subrange (of a ``DOALL``, or in-order blocks of a ``DO``),
-        ``"flat"`` a collapse-chunked flat range, ``"span"`` a root
-        subrange one equation at a time.
+        subrange (of a ``DOALL``, or in order of a ``DO``), ``"flat"`` a
+        collapse-chunked flat range, ``"span"`` a root subrange one
+        equation at a time.
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
         to the NumPy kernel otherwise; ``tier="numpy"`` skips the native
-        tier outright."""
+        tier outright; ``build_native=False`` (a loop the plan put on the
+        Python dialect) takes a native kernel only when it is already
+        built."""
         if variant not in NEST_SHAPES:
             raise KernelError(f"unknown nest-kernel variant {variant!r}")
-        return self._lookup(desc, use_windows, variant, tier)
+        return self._lookup(desc, use_windows, variant, tier, build_native)
 
     def scan_kernel_for(
         self,
@@ -182,20 +233,44 @@ class KernelCache:
         bundle otherwise."""
         return self._lookup(desc, use_windows, "scan", tier)
 
-    def _kernel_roots(self, use_windows: bool) -> Iterator[LoopDescriptor]:
-        """Every DOALL a run can dispatch a nest kernel from. All parallel
-        loops of the main tree, not just the outermost ones: when an
-        enclosing loop plans ``serial``/``iterate`` the scalar walk meets
-        the *inner* parallel loops directly. And the promoted pieces of
-        every usable fission split: replicas live outside the main tree
-        (marker paths), so ``loops()`` never meets them."""
-        # Lazy import: fission sits above the kernel layer.
+    def _warm_set(
+        self, use_windows: bool, tier: str
+    ) -> Iterator[tuple[LoopDescriptor, str]]:
+        """Every (loop, shape) a run can dispatch a kernel from. All loops
+        of the main tree, not just the outermost ones: when an enclosing
+        loop plans ``serial``/``iterate`` the scalar walk meets the inner
+        loops directly. And the pieces of every usable fission split:
+        replicas live outside the main tree (marker paths), so ``loops()``
+        never meets them. A ``DOALL`` takes ``"full"``, ``"flat"`` when its
+        chain is collapse-safe and the native ``"span"`` kernels when it is
+        chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order nest,
+        also what pipeline sequential stages advance through)."""
+        # Lazy imports: fission and scan detection sit above the kernel layer.
         from repro.schedule.fission import fission_splits
+        from repro.schedule.scan_detect import scan_loops
 
-        yield from (d for d in self.flowchart.loops() if d.parallel)
+        loops = list(self.flowchart.loops())
         for split in fission_splits(self.analyzed, self.flowchart).values():
             if split.usable(use_windows):
-                yield from (p for p in split.pieces if p.parallel)
+                loops.extend(split.pieces)
+        windows = self.flowchart.windows
+        for desc in loops:
+            yield desc, "full"
+            if not desc.parallel:
+                continue
+            if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
+                yield desc, "flat"
+            if tier == "native" and loop_chunk_safe(
+                desc, self.analyzed, windows, use_windows
+            ):
+                yield desc, "span"
+        # Recognized recurrences warm their three-phase scan bundle (one
+        # static C library covers every op x dtype, so the first loop pays
+        # the compile and the rest just dlopen-share it).
+        for spath in scan_loops(self.analyzed, self.flowchart, use_windows):
+            sdesc = self.flowchart.descriptor_at(spath)
+            if isinstance(sdesc, LoopDescriptor):
+                yield sdesc, "scan"
 
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop
@@ -203,49 +278,19 @@ class KernelCache:
         so workers inherit the full cache (including dlopened native
         libraries) and never compile anything themselves, and
         ``Session.warm`` calls it so first-request latency never pays an
-        in-flight cc compile.
-
-        Each kernel root warms its ``"full"`` kernel, ``"flat"`` when its
-        chain is collapse-safe, and the native ``"span"`` kernels when it
-        is chunk-safe (chunk dispatch runs them per subrange). Sequential
-        loops that head a pipeline sequential stage warm the ``"full"``
-        kernel those stages advance through block by block."""
+        in-flight cc compile. The native kernels of the whole warm set
+        are one :meth:`prepare` batch."""
         for eq in self.analyzed.equations:
             for vector in (False, True):
                 self.kernel_for(eq, vector, use_windows)
-
-        windows = self.flowchart.windows
-        for desc in self._kernel_roots(use_windows):
-            self._lookup(desc, use_windows, "full", tier)
-            if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
-                self._lookup(desc, use_windows, "flat", tier)
-            if tier == "native" and loop_chunk_safe(
-                desc, self.analyzed, windows, use_windows
-            ):
-                self._lookup(desc, use_windows, "span", tier)
-
-        # Lazy import: pipeline_stages sits above the kernel layer.
-        from repro.schedule.pipeline_stages import pipeline_groups
-
-        for groups in pipeline_groups(
-            self.analyzed, self.flowchart, use_windows
-        ).values():
-            for group in groups:
-                for stage in group.stages:
-                    if stage.kind != "sequential":
-                        continue
-                    for m in stage.members:
-                        self._lookup(group.loops[m], use_windows, "full", tier)
-
-        # Recognized recurrences warm their three-phase scan bundle (one
-        # static C library covers every op x dtype, so the first loop pays
-        # the compile and the rest just dlopen-share it).
-        from repro.schedule.scan_detect import scan_loops
-
-        for spath in scan_loops(self.analyzed, self.flowchart, use_windows):
-            sdesc = self.flowchart.descriptor_at(spath)
-            if isinstance(sdesc, LoopDescriptor):
-                self._lookup(sdesc, use_windows, "scan", tier)
+        wanted = list(self._warm_set(use_windows, tier))
+        if tier == "native":
+            self.prepare([
+                (self.flowchart.path_of(desc), bool(use_windows), shape)
+                for desc, shape in wanted
+            ])
+        for desc, shape in wanted:
+            self._lookup(desc, use_windows, shape, tier)
 
     def stats(self) -> dict[str, int]:
         compiled = sum(1 for v in self._compiled.values() if v is not None)
@@ -256,4 +301,5 @@ class KernelCache:
             "compiled": compiled + nests + natives,
             "nests": nests,
             "native": natives,
+            **self._built,
         }

@@ -6,7 +6,10 @@ fallback and per dispatch. This module lets the same walk
 (:mod:`repro.runtime.kernels.nest`) print C instead — the classic
 restructuring-compiler endgame (PFC-style automatic translation; see
 PAPERS.md) — compiles each kernel **once** with the system C compiler, and
-loads the shared object through ``cffi``'s ABI mode. The result is
+loads the shared object through ``cffi``'s ABI mode. Kernels are built in
+batches (:func:`build_kernels`): the functions of a whole execution plan, of
+the warm set, or of one lazily requested nest share one translation unit,
+one compiler process and one ``dlopen``. The result is
 registered in :class:`~repro.runtime.kernels.cache.KernelCache` with the
 same callable signature as the Python nest kernels (``kernel(data, env, lo,
 hi) -> dict[label, count]``), so every backend dispatches through it
@@ -21,7 +24,8 @@ transcendental builtins) make the nest non-emittable and it stays on the
 NumPy tier.
 
 Compiled artifacts persist in an on-disk cache keyed by the SHA-256 of the
-generated source (``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro/native``):
+generated translation unit (``$REPRO_NATIVE_CACHE`` or
+``~/.cache/repro/native``):
 a second process — or a later session — dlopens the existing ``.so``
 without invoking the compiler. The generated ``.c`` is kept next to it,
 and :func:`persist_plan` stores execution plans beside the generated C for
@@ -153,9 +157,12 @@ def persist_plan(
 class NativeKernelSpec:
     """Everything needed to compile and call one native nest kernel."""
 
-    source: str  # full C translation unit (prelude + function)
+    #: the C function alone (signature + body) — what a shared translation
+    #: unit concatenates after one prelude
+    function: str
+    #: named by the hash of its own text, so equal functions share a name
     fn_name: str
-    cdef: str  # cffi declaration of the function
+    decl: str  # cffi declaration of the function
     #: ordered (array name, element kind) pairs — pointer args
     arrays: list[tuple[str, str]]
     #: per-array rank, same order (geometry layout)
@@ -166,6 +173,13 @@ class NativeKernelSpec:
     env_names: list[str]
     #: equation labels in emission order (counts layout)
     counters: list[str]
+
+    @property
+    def source(self) -> str:
+        """The kernel as a translation unit of its own (prelude +
+        function): what ``tests/runtime/kernel_sources.json`` pins and
+        ``repro plan --save`` writes out."""
+        return C_PRELUDE + "\n" + self.function
 
 
 class _NativeKernel(CExprLowerer):
@@ -421,22 +435,10 @@ class _NativeKernel(CExprLowerer):
         digest_src = "\n".join(body) + "|" + ", ".join(params)
         fn_name = "k_" + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
         signature = f"int {fn_name}({', '.join(params)})"
-        source = (
-            C_PRELUDE
-            + "\n"
-            + signature
-            + "\n{\n"
-            + "\n".join(body)
-            + "\n}\n"
-        )
-        cdef = (
-            "typedef int64_t i64; "
-            + signature.replace("const i64 *geom", "const int64_t *geom") + ";"
-        )
         return NativeKernelSpec(
-            source=source,
+            function=signature + "\n{\n" + "\n".join(body) + "\n}\n",
             fn_name=fn_name,
-            cdef=cdef,
+            decl=signature.replace("const i64 *geom", "const int64_t *geom") + ";",
             arrays=[(name, entry[2]) for name, entry in arrays],
             ranks=[entry[1] for _name, entry in arrays],
             scalars=scalar_kinds,
@@ -533,31 +535,31 @@ def emittable_nest_sources(
 # Compilation and the Python-callable wrapper
 # ---------------------------------------------------------------------------
 
-#: source hash -> (lib, ffi) for shared objects already loaded here
+#: what this process has dlopened: translation-unit digest -> (lib, ffi),
+#: and kernel function name -> the (lib, ffi) of the unit defining it
 _loaded: dict[str, tuple] = {}
 
-#: serializes compile+dlopen within this process. Pool threads dispatching
-#: the first chunks of a run race to compile the same span kernel; without
-#: the lock they also duplicated cc invocations for one digest.
-_load_lock = threading.Lock()
+#: serializes build+dlopen within this process. Request threads planning the
+#: same module race to build the same kernels; without the lock they also
+#: duplicated cc invocations for one digest.
+_load_lock = threading.RLock()
 
 
-def _compile_so(source: str, digest: str) -> Path:
+def _compile_so(source: str, digest: str) -> tuple[Path, bool]:
     """Compile ``source`` into the on-disk cache (or reuse the cached
-    ``.so``); returns the shared-object path.
+    ``.so``); returns the shared-object path and whether ``cc`` ran.
 
     Every file lands via ``os.replace`` from a unique temp name — including
     the ``.c``, and the compiler reads the *temp* copy. A concurrent
-    compile of the same digest (another thread before the lock existed,
-    or another process sharing the cache) must never let cc read a
-    half-written source: a truncated ``.c`` can still compile clean and
-    produce a ``.so`` without the kernel symbol, which would then be
-    dlopened and memoized while a later good compile silently fixes only
-    the disk file."""
+    compile of the same digest (another process sharing the cache) must
+    never let cc read a half-written source: a truncated ``.c`` can still
+    compile clean and produce a ``.so`` without the kernel symbol, which
+    would then be dlopened and memoized while a later good compile silently
+    fixes only the disk file."""
     out_dir = cache_dir()
     so_path = out_dir / f"{digest}.so"
     if so_path.exists():
-        return so_path
+        return so_path, False
     cc = find_compiler()
     if cc is None:
         raise KernelError("no C compiler available")
@@ -586,14 +588,18 @@ def _compile_so(source: str, digest: str) -> Path:
             os.unlink(tmp_c)
         if tmp_path.exists():
             tmp_path.unlink()
-    return so_path
+    return so_path, True
 
 
-def load_library(source: str, cdef: str) -> tuple:
+def load_library(
+    source: str, cdef: str, counters: dict[str, int] | None = None
+) -> tuple:
     """Compile (or reuse from cache) one C translation unit and dlopen it,
-    returning ``(lib, ffi)``. Raises :class:`KernelError` when no compiler
-    or cffi is available. Shared by the per-nest kernel specs and the
-    static scan kernel library (:mod:`repro.runtime.kernels.scan`)."""
+    returning ``(lib, ffi)`` — the one place a compiler process starts.
+    Raises :class:`KernelError` when no compiler or cffi is available.
+    ``counters`` (a :class:`KernelCache`'s) books the unit under ``"tus"``
+    and a real compile under ``"cc_calls"``. Shared by :func:`build_kernels`
+    and the static scan kernel library (:mod:`repro.runtime.kernels.scan`)."""
     # The flags are part of the artifact's semantics (-ffp-contract=off,
     # -fwrapv): a .so built under different flags must not be reused.
     key = source + "|" + " ".join(C_FLAGS)
@@ -606,27 +612,51 @@ def load_library(source: str, cdef: str) -> tuple:
                 cffi = _ffi_module()
                 if cffi is None:
                     raise KernelError("cffi is not available")
-                so_path = _compile_so(source, digest)
+                so_path, compiled = _compile_so(source, digest)
                 ffi = cffi.FFI()
                 ffi.cdef(cdef)
                 lib = ffi.dlopen(str(so_path))
                 entry = (lib, ffi)
                 _loaded[digest] = entry
+                if counters is not None:
+                    counters["tus"] += 1
+                    counters["cc_calls"] += compiled
     return entry
 
 
-def _load(spec: NativeKernelSpec) -> tuple:
-    return load_library(spec.source, spec.cdef)
+def build_kernels(
+    specs: list[NativeKernelSpec], counters: dict[str, int] | None = None
+) -> None:
+    """THE native build path, for a batch of any size: every function of
+    ``specs`` this process has not loaded yet goes into **one** translation
+    unit — the prelude once, the functions after it in name order, one
+    ``cc``, one ``dlopen``, the digest over the set. A plan's kernels, the
+    warm set and a lone lazily requested kernel are the same call with
+    different batches. A unit of one is byte-for-byte ``spec.source``."""
+    with _load_lock:
+        missing = {
+            s.fn_name: s for s in specs if s.fn_name not in _loaded
+        }
+        if not missing:
+            return
+        unit = [missing[name] for name in sorted(missing)]
+        entry = load_library(
+            C_PRELUDE + "\n" + "\n".join(s.function for s in unit),
+            "typedef int64_t i64; " + " ".join(s.decl for s in unit),
+            counters,
+        )
+        for s in unit:
+            _loaded[s.fn_name] = entry
 
 
 def _wrap_spec(spec: NativeKernelSpec) -> Callable:
-    """Compile (or reload from the on-disk cache) one spec and wrap it as
-    ``kernel(data, env, nlo, nhi) -> dict[label, count]``. The wrapper pins
-    every storage buffer for the duration of the call (cffi's ABI mode
-    releases the GIL around the C invocation, so a free-running thread must
-    not let the arrays be collected mid-kernel), checks the error channel
-    after, and re-raises the evaluator's exact exceptions."""
-    lib, ffi = _load(spec)
+    """Wrap one built spec as ``kernel(data, env, nlo, nhi) -> dict[label,
+    count]``. The wrapper pins every storage buffer for the duration of the
+    call (cffi's ABI mode releases the GIL around the C invocation, so a
+    free-running thread must not let the arrays be collected mid-kernel),
+    checks the error channel after, and re-raises the evaluator's exact
+    exceptions."""
+    lib, ffi = _loaded[spec.fn_name]
     fn = getattr(lib, spec.fn_name)
     array_names = [name for name, _kind in spec.arrays]
     ptr_types = [
@@ -683,22 +713,15 @@ def _wrap_spec(spec: NativeKernelSpec) -> Callable:
     return _kernel
 
 
-def compile_native_nest(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-    variant: str = "full",
-) -> Callable:
-    """Compile (or reload from the on-disk cache) and wrap the native
-    kernel(s) of :func:`native_specs` for ``desc``. The result has the
-    exact signature of the Python nest kernels — ``kernel(data, env, lo,
-    hi) -> dict`` — and raises the evaluator's out-of-range
-    :class:`ExecutionError` when the C code reports one. ``"span"`` yields
-    one composite callable that runs the per-equation kernels in emission
-    order — the same distribution order as ``exec_vector_span`` — and
-    merges their counters."""
-    specs = native_specs(desc, analyzed, flowchart, use_windows, variant)
+def bind_kernel(specs: list[NativeKernelSpec]) -> Callable:
+    """The Python callable over the *built* ``specs`` of one nest (see
+    :func:`build_kernels`), with the exact signature of the Python nest
+    kernels — ``kernel(data, env, lo, hi) -> dict`` — raising the
+    evaluator's out-of-range :class:`ExecutionError` when the C code
+    reports one. The several specs of a ``"span"`` become one composite
+    callable that runs the per-equation kernels in emission order — the
+    same distribution order as ``exec_vector_span`` — and merges their
+    counters."""
     kernels = [_wrap_spec(spec) for spec in specs]
     if len(kernels) == 1:
         return kernels[0]
@@ -713,3 +736,17 @@ def compile_native_nest(
     _span_kernel.__kernel_source__ = "\n".join(spec.source for spec in specs)
     _span_kernel.__native__ = True
     return _span_kernel
+
+
+def compile_native_nest(
+    desc: LoopDescriptor,
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    use_windows: bool,
+    variant: str = "full",
+) -> Callable:
+    """Lower, build (a batch of one nest) and bind the native kernel of
+    ``desc`` in shape ``variant``."""
+    specs = native_specs(desc, analyzed, flowchart, use_windows, variant)
+    build_kernels(specs)
+    return bind_kernel(specs)

@@ -179,13 +179,11 @@ def _children(expr: Expr) -> list[Expr]:
     return []
 
 
-def nest_fusable(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-) -> bool:
-    """Static check: can this nest be lowered into one kernel?
+def nest_unfusable_reason(
+    desc: LoopDescriptor, analyzed: AnalyzedModule
+) -> str | None:
+    """Why the nest rooted at ``desc`` cannot be lowered into one kernel —
+    ``None`` when it can.
 
     Required: a nest of loops and equations only (no data declarations);
     every equation kernelizable with a full-rank *array* target. A scalar
@@ -200,18 +198,30 @@ def nest_fusable(
             continue
         assert isinstance(d, NodeDescriptor)
         if not d.node.is_equation:
-            return False
+            return f"data declaration {d.node.id} inside the nest"
         eq = d.node.equation
-        if not kernelizable(eq, analyzed):
-            return False
+        why = kernelizable_reason(eq, analyzed)
+        if why is not None:
+            return f"{eq.label} not kernelizable: {why}"
         target = eq.targets[0]
         sym = analyzed.symbol(target.name)
         if not isinstance(sym.type, ArrayType):
-            return False
+            return f"{eq.label} assigns the scalar {target.name}"
         if len(target.subscripts) != sym.type.rank:
-            return False
+            return f"{eq.label} writes {target.name} at partial rank"
         saw_equation = True
-    return saw_equation
+    return None if saw_equation else "no equation in the nest"
+
+
+def nest_fusable(
+    desc: LoopDescriptor,
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    use_windows: bool,
+) -> bool:
+    """Static check: can this nest be lowered into one kernel? (See
+    :func:`nest_unfusable_reason` for the rules and the refusal.)"""
+    return nest_unfusable_reason(desc, analyzed) is None
 
 
 def _rectangular_chain(

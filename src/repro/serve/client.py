@@ -46,6 +46,9 @@ class ReproClient:
                 )
             else:
                 raise ClientError("need a port or a unix_path to connect to")
+            self._sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER
+            )
         except OSError as exc:
             target = unix_path if unix_path is not None else f"{host}:{port}"
             raise ClientError(

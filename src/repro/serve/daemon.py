@@ -31,6 +31,7 @@ import asyncio
 import concurrent.futures
 import itertools
 import json
+import socket
 import threading
 from time import perf_counter
 from typing import Any
@@ -193,6 +194,9 @@ class ReproDaemon:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER
+        )
         try:
             while not self._shutdown.is_set():
                 try:

@@ -57,6 +57,10 @@ import numpy as np
 MAX_LINE = 1 << 26
 #: the most raw bytes one header may announce in ``blobs``
 MAX_FRAME = 1 << 28
+#: ``SO_SNDBUF`` both ends ask for (the kernel clamps it to its own limit):
+#: a frame of a few MB then leaves in one ``sendmsg`` instead of stalling
+#: every ~200 KB until the peer's reading thread has been scheduled again
+SEND_BUFFER = 1 << 22
 
 
 class WireError(ValueError):

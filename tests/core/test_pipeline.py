@@ -19,6 +19,32 @@ class TestCompileSource:
         assert result.python_source and "def Relaxation(" in result.python_source
         assert ("DO", "K") in result.flowchart.loop_kinds()
 
+    def test_module_texts_are_generated_on_access_not_at_compile(
+        self, monkeypatch
+    ):
+        import repro.core.pipeline as pipeline
+
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "generate_c", lambda *a, **k: calls.append("c") or "C!"
+        )
+        monkeypatch.setattr(
+            pipeline, "generate_python",
+            lambda *a, **k: calls.append("py") or "P!",
+        )
+        result = compile_source(RELAXATION_JACOBI_SOURCE)
+        result.run({"InitialA": np.zeros((4, 4)), "M": 2, "maxK": 2})
+        assert calls == []  # neither compiling nor running reads the texts
+        assert result.c_source == result.c_source == "C!"
+        assert result.python_source == "P!"
+        assert calls == ["c", "py"]  # each generated once, then remembered
+        off = compile_source(
+            RELAXATION_JACOBI_SOURCE,
+            CompilerOptions(emit_c=False, emit_python=False),
+        )
+        assert off.c_source is None and off.python_source is None
+        assert calls == ["c", "py"]
+
     def test_run(self):
         result = compile_source(RELAXATION_JACOBI_SOURCE)
         rng = np.random.default_rng(0)

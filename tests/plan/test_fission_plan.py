@@ -47,12 +47,12 @@ eq.1 [kernel=scalar]
 eq.2 [kernel=scalar]
 eq.3 [kernel=scalar]
 DO I -> fission x3; trip 64; forced dependence split
-    DO I -> serial; trip 64
-        eq.4 [kernel=scalar]
-    DO I -> serial; trip 64
-        eq.5 [kernel=scalar]
-    DO I -> serial; trip 64
-        eq.6 [kernel=scalar]"""
+    DO I -> nest; trip 64; compiled in order
+        eq.4 [kernel=nest]
+    DO I -> nest; trip 64; compiled in order
+        eq.5 [kernel=nest]
+    DO I -> nest; trip 64; compiled in order
+        eq.6 [kernel=nest]"""
 
 GOLDEN_MERIT = """\
 plan Mixed: backend=threaded workers=4 kernels=native windows=off [pinned]
@@ -119,7 +119,10 @@ class TestFissionDecision:
         assert "fission" not in [s for _, s in plan.strategies()]
         (note,) = plan.provenance["fission_loops"]
         assert not note["chosen"]
-        assert note["why"] == "unfissioned plan is cheaper"
+        assert note["why"] == (
+            "unfissioned plan is cheaper: 3 passes over memory > one "
+            "compiled DO"
+        )
 
     def test_no_fission_escape_hatch(self):
         analyzed, chart = _mixed()

@@ -158,24 +158,25 @@ GOLDEN_FORCED = {
         DOALL I -> pipeline; trip 64; stage 2/2
             eq.5 [kernel=native]""",
     # The standalone scan workloads have no consumer siblings, so there is
-    # no group to force: at trip 64 the blocked scan loses to the in-order
-    # walk and the loops stay serial (tests/plan/test_scan_plan.py pins
-    # the forced-scan texts).
+    # no group to force: at trip 64 the blocked scan loses to the compiled
+    # in-order nest (Python dialect: a 64-trip walk is far cheaper than a
+    # compiler run) — tests/plan/test_scan_plan.py pins the forced-scan
+    # texts.
     "isum": """\
         plan ISum: backend=threaded workers=4 kernels=native windows=off [pinned]
         eq.1 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.2 [kernel=scalar]""",
+        DO I -> nest; trip 64; compiled in order
+            eq.2 [kernel=nest]""",
     "runmax": """\
         plan RunMax: backend=threaded workers=4 kernels=native windows=off [pinned]
         eq.1 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.2 [kernel=scalar]""",
+        DO I -> nest; trip 64; compiled in order
+            eq.2 [kernel=nest]""",
     "ilinrec": """\
         plan ILinRec: backend=threaded workers=4 kernels=native windows=off [pinned]
         eq.1 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.2 [kernel=scalar]""",
+        DO I -> nest; trip 64; compiled in order
+            eq.2 [kernel=nest]""",
     # Unmerged, the three recurrences interleave with their base-case
     # nodes, so no sibling run of loops forms and there is no group to
     # force (merged, this workload is the fission gate —
@@ -183,14 +184,14 @@ GOLDEN_FORCED = {
     "mixed": """\
         plan Mixed: backend=threaded workers=4 kernels=native windows=off [pinned]
         eq.1 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.4 [kernel=scalar]
+        DO I -> nest; trip 64; compiled in order
+            eq.4 [kernel=nest]
         eq.2 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.5 [kernel=scalar]
+        DO I -> nest; trip 64; compiled in order
+            eq.5 [kernel=nest]
         eq.3 [kernel=scalar]
-        DO I -> serial; trip 64
-            eq.6 [kernel=scalar]""",
+        DO I -> nest; trip 64; compiled in order
+            eq.6 [kernel=nest]""",
     "line_sweep": """\
         plan LineSweep: backend=threaded workers=4 kernels=native windows=off [pinned]
         DOALL J -> chunk x4; trip 10
@@ -239,16 +240,18 @@ class TestGoldenPipelinePlans:
 
     def test_hard_pin_on_a_member_outranks_the_group(self):
         # A hard per-path pin is honoured or raises, never dropped: the
-        # group that wins on merit above must not claim a pinned member.
+        # group the pipeline default forms must not claim a pinned member.
         analyzed = line_sweep_analyzed()
         chart = schedule_module(analyzed)
         options = ExecutionOptions(backend="threaded", workers=4)
         scalars = _scalars(line_sweep_args())
-        free = forced_plan(analyzed, chart, "threaded", options, scalars)
+        free = forced_plan(
+            analyzed, chart, "threaded", options, scalars, default="pipeline"
+        )
         head = next(lp for lp in free.loops.values() if lp.strategy == "pipeline")
         pinned = forced_plan(
             analyzed, chart, "threaded", options, scalars,
-            overrides={head.path: "serial"},
+            default="pipeline", overrides={head.path: "serial"},
         )
         assert pinned.loops[head.path].strategy == "serial"
         assert all(s != "pipeline" for _, s in pinned.strategies())
@@ -265,7 +268,8 @@ class TestGoldenPipelinePlans:
         assert all(s != "pipeline" for _, s in plan.strategies())
         (note,) = plan.provenance["pipeline_groups"]
         assert not note["chosen"]
-        assert note["why"] == "undecoupled plan is cheaper"
+        assert note["why"].startswith("undecoupled plan is cheaper")
+        assert "compiled DO" in note["why"]
 
     def test_pipeline_degrades_to_serial_when_workers_lack(self):
         # Soft force with one worker: a stage per worker is impossible, so

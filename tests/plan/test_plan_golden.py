@@ -30,10 +30,10 @@ GOLDEN = {
         DOALL I -> vector; trip 10
             DOALL J -> vector; trip 10; nested in span
                 eq.1 [kernel=vector]
-        DO K -> serial; trip 3
-            DO I -> serial; trip 10
-                DO J -> serial; trip 10
-                    eq.3 [kernel=scalar]
+        DO K -> nest; trip 3; compiled in order
+            DO I -> nest; trip 10; fused
+                DO J -> nest; trip 10; fused
+                    eq.3 [kernel=nest]
         DOALL I -> vector; trip 10
             DOALL J -> vector; trip 10; nested in span
                 eq.2 [kernel=vector]""",
@@ -55,9 +55,9 @@ GOLDEN = {
             eq.1 [kernel=vector]
         DOALL I -> vector; trip 6
             eq.2 [kernel=vector]
-        DO I -> serial; trip 6
-            DO J -> serial; trip 6
-                eq.3 [kernel=scalar]
+        DO I -> nest; trip 6; compiled in order
+            DO J -> nest; trip 6; fused
+                eq.3 [kernel=nest]
         eq.4 [kernel=scalar]""",
     "paths_int": """\
         plan Paths: backend=vectorized workers=4 kernels=native windows=off [auto]
@@ -65,9 +65,9 @@ GOLDEN = {
             eq.1 [kernel=vector]
         DOALL I -> vector; trip 6
             eq.2 [kernel=vector]
-        DO I -> serial; trip 6
-            DO J -> serial; trip 6
-                eq.3 [kernel=scalar]
+        DO I -> nest; trip 6; compiled in order
+            DO J -> nest; trip 6; fused
+                eq.3 [kernel=nest]
         DOALL _i0 -> vector; trip 7
             eq.4 [kernel=vector]""",
 }
@@ -95,10 +95,10 @@ GOLDEN_COLLAPSE = {
         DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
             DOALL J -> collapse; trip 10; collapsed
                 eq.1 [kernel=native]
-        DO K -> serial; trip 3
-            DO I -> serial; trip 10
-                DO J -> serial; trip 10
-                    eq.3 [kernel=scalar]
+        DO K -> nest; trip 3; compiled in order
+            DO I -> nest; trip 10; fused
+                DO J -> nest; trip 10; fused
+                    eq.3 [kernel=nest]
         DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
             DOALL J -> collapse; trip 10; collapsed
                 eq.2 [kernel=native]""",
@@ -117,9 +117,9 @@ GOLDEN_COLLAPSE = {
             eq.1 [kernel=native]
         DOALL I -> chunk x4; trip 6
             eq.2 [kernel=native]
-        DO I -> serial; trip 6
-            DO J -> serial; trip 6
-                eq.3 [kernel=scalar]
+        DO I -> nest; trip 6; compiled in order
+            DO J -> nest; trip 6; fused
+                eq.3 [kernel=nest]
         eq.4 [kernel=scalar]""",
     "paths_int": """\
         plan Paths: backend=process workers=4 kernels=native windows=off [pinned]
@@ -127,9 +127,9 @@ GOLDEN_COLLAPSE = {
             eq.1 [kernel=native]
         DOALL I -> chunk x4; trip 6
             eq.2 [kernel=native]
-        DO I -> serial; trip 6
-            DO J -> serial; trip 6
-                eq.3 [kernel=scalar]
+        DO I -> nest; trip 6; compiled in order
+            DO J -> nest; trip 6; fused
+                eq.3 [kernel=nest]
         DOALL _i0 -> chunk x4; trip 7
             eq.4 [kernel=native]""",
 }
@@ -180,6 +180,9 @@ class TestGoldenPlans:
         # collapse (one fused native flat kernel per chunk): collapse wins
         # by the span tier's per-call overhead, and is the better shape —
         # fewer native calls, perfect load balance over the flat space.
+        # The three 10x10 sweeps under DO K are cheaper as one in-order
+        # Python-dialect nest than as three pool dispatches (and far too
+        # small to be worth a compiler run).
         name, analyzed, flow, args, _ = WORKLOADS[0]
         plan = build_plan(
             analyzed, flow,
@@ -191,10 +194,10 @@ class TestGoldenPlans:
             DOALL I -> collapse x4; depth 2 flat 100; trip 10
                 DOALL J -> collapse; trip 10; collapsed
                     eq.1 [kernel=native]
-            DO K -> serial; trip 3
-                DOALL I -> collapse x4; depth 2 flat 100; trip 10
-                    DOALL J -> collapse; trip 10; collapsed
-                        eq.3 [kernel=native]
+            DO K -> nest; trip 3; compiled in order
+                DOALL I -> nest; trip 10; fused
+                    DOALL J -> nest; trip 10; fused
+                        eq.3 [kernel=nest]
             DOALL I -> collapse x4; depth 2 flat 100; trip 10
                 DOALL J -> collapse; trip 10; collapsed
                     eq.2 [kernel=native]""")

@@ -122,7 +122,7 @@ class TestValidStrategies:
             choices = valid_strategies(analyzed, flow, desc)
             assert "serial" in choices and "vector" in choices
 
-    def test_do_loops_only_serial(self):
+    def test_do_loops_offer_walk_and_nest(self):
         name, analyzed, flow, args, result = WORKLOADS[1]  # gauss_seidel
         do = next(d for d in flow.loops() if not d.parallel)
-        assert valid_strategies(analyzed, flow, do) == ["serial"]
+        assert valid_strategies(analyzed, flow, do) == ["serial", "nest"]

@@ -60,13 +60,16 @@ class TestScanMerit:
         analyzed = ilinrec_analyzed()
         plan = build_plan(
             analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 50_000}, cpu_count=4,
+            ExecutionOptions(backend="threaded", workers=8),
+            {"n": 2_000_000}, cpu_count=8,
         )
+        # The comparator is the compiled DO, not the walk: the scan needs
+        # both a long trip and real cores to pay for its second pass.
         assert ("I", "scan") in plan.strategies()
         (note,) = plan.provenance["scan_loops"]
         assert note["chosen"] and note["why"] == "blocked scan is cheaper"
-        assert note["scan_cycles"] < note["serial_cycles"]
+        assert note["do_compiled"]
+        assert note["scan_cycles"] < note["do_cycles"] < note["serial_cycles"]
         # The seq fused-kernel comparator is recorded alongside.
         assert note["seq_cycles"] is not None
 
@@ -77,10 +80,36 @@ class TestScanMerit:
             ExecutionOptions(backend="threaded", workers=4),
             {"n": 64}, cpu_count=4,
         )
-        assert ("I", "serial") in plan.strategies()
+        assert ("I", "nest") in plan.strategies()
         (note,) = plan.provenance["scan_loops"]
         assert not note["chosen"]
-        assert note["why"] == "in-order walk is cheaper"
+        assert note["why"].endswith("> compiled DO")
+
+    def test_four_workers_do_not_beat_the_compiled_loop(self):
+        # ROADMAP, measured: at n=50000..200000 one thread of C ties or
+        # beats the blocked scan at p = 2 and 4. The planner must say so.
+        analyzed = ilinrec_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend="threaded", workers=4),
+            {"n": 50_000}, cpu_count=4,
+        )
+        assert ("I", "nest") in plan.strategies()
+        assert plan.loops[(1,)].dialect == "native"
+        assert "scan x4: 1.9x the arithmetic + 2 barriers > compiled DO" in (
+            plan.explain()
+        )
+
+    def test_kernels_off_compares_against_the_walk(self):
+        analyzed = ilinrec_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend="threaded", workers=4, use_kernels=False),
+            {"n": 64}, cpu_count=4,
+        )
+        assert ("I", "serial") in plan.strategies()
+        (do,) = plan.provenance["do_loops"]
+        assert do["why"] == "kernels off"
 
     def test_serial_backend_never_scans_on_merit(self):
         analyzed = ilinrec_analyzed()
@@ -89,7 +118,7 @@ class TestScanMerit:
             ExecutionOptions(backend="serial"),
             {"n": 50_000}, cpu_count=4,
         )
-        assert ("I", "serial") in plan.strategies()
+        assert ("I", "nest") in plan.strategies()
         (note,) = plan.provenance["scan_loops"]
         assert "no scan engine" in note["why"]
 
@@ -109,19 +138,22 @@ class TestScanMerit:
         analyzed = ilinrec_analyzed()
         plan = build_plan(
             analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 50_000}, cpu_count=4,
+            ExecutionOptions(backend="threaded", workers=8),
+            {"n": 2_000_000}, cpu_count=8,
         )
         text = plan.explain()
         assert "scan loop" in text
         assert "linrec" in text
         assert "chosen" in text
+        assert "cycles compiled DO" in text
 
     def test_valid_strategies_offers_scan_for_bit_exact_loops(self):
         analyzed = isum_analyzed()
         flow = schedule_module(analyzed)
         (do_loop,) = [d for d in flow.loops() if not d.parallel]
-        assert valid_strategies(analyzed, flow, do_loop) == ["serial", "scan"]
+        assert valid_strategies(analyzed, flow, do_loop) == [
+            "serial", "nest", "scan",
+        ]
 
     def test_valid_strategies_excludes_gated_float_ops(self):
         # Float linrec needs allow_reassoc: valid_strategies (the hard
@@ -129,7 +161,7 @@ class TestScanMerit:
         analyzed = scan_analyzed()
         flow = schedule_module(analyzed)
         (do_loop,) = [d for d in flow.loops() if not d.parallel]
-        assert valid_strategies(analyzed, flow, do_loop) == ["serial"]
+        assert valid_strategies(analyzed, flow, do_loop) == ["serial", "nest"]
 
     def test_per_path_scan_force_on_doall_raises(self):
         analyzed = scan_analyzed()

@@ -192,12 +192,14 @@ class TestGracefulDegradation:
             assert cache.stats()["native"] == 0
 
 
-#: shape -> (strategy that dispatches it, workload name)
+#: shape -> (strategy that dispatches it, workload name); "do" is the
+#: "full" shape over a sequential DO root — the compiled in-order nest
 LOOKUP_SHAPES = {
     "full": ("nest", "jacobi"),
     "flat": ("collapse", "jacobi"),
     "span": ("chunk", "jacobi"),
     "scan": ("scan", "isum"),
+    "do": ("nest", "isum"),
 }
 
 #: condition -> tier the lookup must serve under it
@@ -278,18 +280,27 @@ class TestTieredLookup:
 
         cache = KernelCache(analyzed, flow)
         builds = []
-        real_compile = cache._compile
 
-        def counting_compile(native, *rest):
-            builds.append(native)
-            return real_compile(native, *rest)
+        def counting(native, real_build):
+            def build(keys):
+                builds.append(native)
+                return real_build(keys)
 
-        monkeypatch.setattr(cache, "_compile", counting_compile)
+            return build
+
+        monkeypatch.setattr(
+            cache, "_build_native", counting(True, cache._build_native)
+        )
+        monkeypatch.setattr(
+            cache, "_build_numpy", counting(False, cache._build_numpy)
+        )
 
         def lookup():
             if shape == "scan":
                 return cache.scan_kernel_for(desc, False)
-            return cache.nest_kernel_for(desc, False, variant=shape)
+            return cache.nest_kernel_for(
+                desc, False, variant="full" if shape == "do" else shape
+            )
 
         served = lookup()
         if expected is None:

@@ -17,7 +17,7 @@ from repro.core.paper import (
     RELAXATION_GAUSS_SEIDEL_SOURCE,
     RELAXATION_JACOBI_SOURCE,
 )
-from repro.core.recurrences import MIXED_SOURCE
+from repro.core.recurrences import MIXED_SOURCE, SCAN_SOURCE
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -145,4 +145,19 @@ def test_serve_compiles_with_merge(tmp_path):
             "--backend", "threaded", "--workers", "2", sock=sock,
         )
         assert out.returncode == 0, out.stderr
-        assert "fission" in out.stdout
+        # the three recurrences are one merged loop (unmerged: three)
+        assert out.stdout.count("loop I:") == 1
+
+
+def test_client_set_parses_by_the_declared_type(tmp_path):
+    """``repro client run|plan --set`` asks the daemon for the signature,
+    so a real-valued parameter parses exactly as ``repro run`` parses it."""
+    with _serving(tmp_path, SCAN_SOURCE) as (_, sock):
+        out = _client("run", "Scan", "--set", "n=6", "--set", "a=0.5", sock=sock)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("Y =")
+        out = _client("plan", "Scan", "--set", "n=6", "--set", "a=0.5", sock=sock)
+        assert out.returncode == 0, out.stderr
+        out = _client("run", "Scan", "--set", "n=6", "--set", "a=half", sock=sock)
+        assert out.returncode == 1
+        assert "--set a: 'half' is not a valid real" in out.stderr

@@ -16,7 +16,7 @@ import pytest
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
 from repro.errors import ClientError
 from repro.runtime.executor import ExecutionOptions, execute_module
-from repro.serve import DaemonThread, ReproClient, Session
+from repro.serve import DaemonThread, ReproClient, Session, wire
 
 SIZES = {"M": 6, "maxK": 2}
 
@@ -213,6 +213,30 @@ class TestConcurrency:
             worker.join(30)
             assert result == [{}]
             first.close()
+
+
+class TestSendBuffers:
+    def test_both_ends_size_their_send_buffer_for_a_frame(self, served, monkeypatch):
+        """Client and daemon each ask for ``wire.SEND_BUFFER`` of SO_SNDBUF
+        on their end of a connection, so a MB-sized frame is not handed
+        over one default socket buffer at a time."""
+        daemon, _ = served
+        asked = []
+        real = asyncio.trsock.TransportSocket.setsockopt
+
+        def spy(self, *args):
+            asked.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(asyncio.trsock.TransportSocket, "setsockopt", spy)
+        with socket.socket() as probe:  # what the kernel grants that request
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
+            granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        with connect(daemon) as client:
+            assert client.ping() == "pong"
+            mine = client._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        assert mine == granted
+        assert asked == [(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)]
 
 
 class TestDisconnects:

@@ -5,12 +5,20 @@ import pytest
 
 from repro.cli import main
 from repro.core.paper import RELAXATION_GAUSS_SEIDEL_SOURCE, RELAXATION_JACOBI_SOURCE
+from repro.core.recurrences import SCAN_SOURCE
 
 
 @pytest.fixture()
 def jacobi_file(tmp_path):
     path = tmp_path / "relaxation.ps"
     path.write_text(RELAXATION_JACOBI_SOURCE)
+    return str(path)
+
+
+@pytest.fixture()
+def scan_file(tmp_path):
+    path = tmp_path / "scan.ps"
+    path.write_text(SCAN_SOURCE)
     return str(path)
 
 
@@ -189,3 +197,29 @@ class TestRun:
 
     def test_bad_set_syntax(self, jacobi_file, capsys):
         assert main(["run", jacobi_file, "--set", "M"]) == 1
+
+    def test_set_parses_by_the_declared_type(self, scan_file, tmp_path, capsys):
+        # ``a`` is declared real: 0.5 must arrive as 0.5, not fail int().
+        x = np.arange(1.0, 5.0)
+        np.save(tmp_path / "x.npy", x)
+        rc = main(["run", scan_file, "--set", "n=4", "--set", "a=0.5",
+                   "--load", f"X={tmp_path / 'x.npy'}"])
+        assert rc == 0
+        s, want = 0.0, []
+        for v in x:
+            s = s * 0.5 + v
+            want.append(s * s + v)
+        with np.printoptions(precision=6, suppress=True):
+            assert capsys.readouterr().out == f"Y =\n{np.array(want)}\n"
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize("pair, needle", [
+        ("a=half", "--set a: 'half' is not a valid real"),
+        ("n=1.5", "--set n: '1.5' is not a valid int"),
+        ("X=3", "parameter 'X' is array-valued"),
+    ])
+    def test_bad_set_value_names_the_parameter(
+        self, scan_file, command, pair, needle, capsys
+    ):
+        assert main([command, scan_file, "--set", pair]) == 1
+        assert needle in capsys.readouterr().err
