@@ -1,4 +1,4 @@
-"""B-native — the cffi-compiled C kernel tier vs the NumPy nest kernels.
+"""B-native — the cffi-compiled C kernel tier vs the NumPy tier's kernels.
 
 The native tier (``repro.runtime.kernels.native``) lowers fusable DOALL
 nests all the way to C, compiled once and dlopened through cffi — the
@@ -9,20 +9,26 @@ and writes ``BENCH_native.json``.
 
 Acceptance gates (CI-enforced):
 
-* the native tier is >= 1.5x faster than the NumPy nest kernel on serial
-  Jacobi at the largest benchmarked grid (measured ~50-80x on the
-  baseline box — the gate is deliberately conservative for slow CI
+* the native tier is >= 1.5x faster than the *Python-dialect nest kernel*
+  (the exec-compiled ``for`` loops of the NumPy tier's ``"full"`` shape)
+  on serial Jacobi at the largest benchmarked grid (measured ~100-200x on
+  the baseline box — the gate is deliberately conservative for slow CI
   runners);
+* the native tier is no slower than the **NumPy spans** of the vectorized
+  backend on the same grid — the comparison ``auto`` actually decides on
+  (a compiled ``DO K`` nest against 8 vector sweeps), measured ~0.3x;
 * chunk-forced **threaded + native span kernels** (GIL released inside
   the C calls) is no slower than 1.10x the process backend on Jacobi at
   4 workers — threads dodge the fork/IPC tax once the compute runs
   outside the GIL, and this pins that claim on every CI box;
 * every timed pair agrees **bit-exactly** with the evaluator.
 
-The threaded rows carry ``native_seconds`` + ``workers`` so
-``MachineModel.from_native_bench`` can recalibrate ``chunk_dispatch``
-from the same artifact. Both tests accumulate into one
-``BENCH_native.json`` payload.
+Every serial row records Python-nest, native and NumPy-span seconds of one
+grid, so ``MachineModel.from_native_bench`` fits ``native_element_factor``
+and ``vector_element_factor`` — and therefore their ratio — from one
+payload. The threaded rows carry ``native_seconds`` + ``workers`` so it can
+recalibrate ``chunk_dispatch`` from the same artifact. Both tests
+accumulate into one ``BENCH_native.json`` payload.
 
 On a machine without a C compiler (or cffi) the whole module skips with a
 notice — the tier itself degrades to NumPy kernels there, which
@@ -31,6 +37,7 @@ notice — the tier itself degrades to NumPy kernels there, which
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,8 +59,11 @@ pytestmark = pytest.mark.skipif(
 GRIDS = [32, 64, 96]
 MAXK = 8
 
-#: wall-clock advantage the gate demands
+#: wall-clock advantage over the Python nest kernel the gate demands
 NATIVE_GATE_SPEEDUP = 1.5
+
+#: native seconds may be at most this multiple of NumPy-span seconds
+NATIVE_VS_SPAN_GATE = 1.0
 
 #: the threaded-native gate: threaded wall clock may exceed the process
 #: backend's by at most this factor on chunk-forced Jacobi
@@ -103,6 +113,16 @@ def _run_nest(analyzed, flow, args, tier, cache):
     )
 
 
+def _run_spans(analyzed, flow, args, cache):
+    """One execution on the vectorized backend: every DOALL a NumPy span,
+    the ``DO K`` loop walked around them — the plan ``auto`` weighs a
+    compiled nest against."""
+    options = ExecutionOptions(backend="vectorized", workers=1, kernel_tier="numpy")
+    return execute_module(
+        analyzed, args, flowchart=flow, options=options, kernel_cache=cache
+    )
+
+
 def _native_matrix(workload, make, grids, repeats):
     rows = []
     for m in grids:
@@ -111,21 +131,26 @@ def _native_matrix(workload, make, grids, repeats):
             analyzed, args, flowchart=flow,
             options=ExecutionOptions(backend="serial", use_kernels=False),
         )
-        caches = {t: KernelCache(analyzed, flow) for t in ("numpy", "native")}
+        caches = {t: KernelCache(analyzed, flow) for t in ("numpy", "native", "span")}
+        runs = {
+            "numpy": partial(_run_nest, analyzed, flow, args, "numpy", caches["numpy"]),
+            "native": partial(_run_nest, analyzed, flow, args, "native", caches["native"]),
+            "span": partial(_run_spans, analyzed, flow, args, caches["span"]),
+        }
         outs = {}
         times = {}
-        for tier in ("numpy", "native"):
-            _run_nest(analyzed, flow, args, tier, caches[tier])  # warm-up
-            times[tier], outs[tier] = _time(
-                lambda t=tier: _run_nest(analyzed, flow, args, t, caches[t]),
-                repeats=repeats,
+        for name, run in runs.items():
+            run()  # warm-up
+            # the compiled tiers are milliseconds: more repeats, same budget
+            times[name], outs[name] = _time(
+                run, repeats=repeats if name == "numpy" else 5 * repeats
             )
         assert caches["native"].stats()["native"] > 0, (
             f"{workload} M={m}: native tier silently unused"
         )
-        for tier in ("numpy", "native"):
-            assert np.array_equal(outs[tier]["newA"], ref["newA"]), (
-                f"{workload}/{tier} diverged from the evaluator at M={m}"
+        for name in runs:
+            assert np.array_equal(outs[name]["newA"], ref["newA"]), (
+                f"{workload}/{name} diverged from the evaluator at M={m}"
             )
         rows.append({
             "workload": workload,
@@ -134,6 +159,7 @@ def _native_matrix(workload, make, grids, repeats):
             "maxk": args["maxK"],
             "nest_seconds": times["numpy"],
             "native_seconds": times["native"],
+            "span_seconds": times["span"],
             "speedup": times["numpy"] / times["native"],
         })
     return rows
@@ -159,6 +185,17 @@ def test_native_speedup_matrix(artifact):
     _PAYLOAD["gates"][f"jacobi_native_vs_nest_M{largest}"] = {
         "speedup": row["speedup"],
         "required": NATIVE_GATE_SPEEDUP,
+        "passed": True,
+    }
+    ratio = row["native_seconds"] / row["span_seconds"]
+    assert ratio <= NATIVE_VS_SPAN_GATE, (
+        f"native tier took {ratio:.2f}x the NumPy spans on serial jacobi at "
+        f"M={largest} (gate: <= {NATIVE_VS_SPAN_GATE}x) — the planner "
+        f"prices it at about a third"
+    )
+    _PAYLOAD["gates"][f"jacobi_native_vs_span_M{largest}"] = {
+        "ratio": ratio,
+        "required": NATIVE_VS_SPAN_GATE,
         "passed": True,
     }
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))

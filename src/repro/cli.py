@@ -157,12 +157,20 @@ def _cmd_plan(args) -> int:
     if args.save:
         from repro.runtime.kernels import native
 
-        sources = native.emittable_nest_sources(
-            analyzed, flow, use_windows=args.windows
+        specs = [
+            spec
+            for path, shape in plan.native_kernels()
+            for spec in native.native_specs(
+                flow.descriptor_at(path), analyzed, flow, plan.use_windows,
+                shape,
+            )
+        ]
+        out = native.persist_plan(analyzed.name, text, specs)
+        print(
+            f"saved plan + its translation unit "
+            f"({len({s.fn_name for s in specs})} C function(s)) to {out}",
+            file=sys.stderr,
         )
-        out = native.persist_plan(analyzed.name, text, sources)
-        print(f"saved plan + {len(sources)} generated C kernel(s) to {out}",
-              file=sys.stderr)
     return 0
 
 

@@ -18,7 +18,14 @@ expressions to C. The pieces they must agree on live here:
   block: a conditional lowers to a real ``if``/``else`` so the untaken
   branch is never evaluated (the reference evaluator's lazy semantics —
   a C ternary would do, but range-checked array reads need statements), and
-  ``and``/``or`` short-circuit the same way.
+  ``and``/``or`` short-circuit the same way. Because it is the walk that
+  knows which operand runs under which condition, it also keeps the
+  **facts stack**: every operand lowered under a guard is bracketed by
+  :meth:`CExprLowerer.push_fact` / :meth:`CExprLowerer.pop_fact` (the
+  branches of an ``if`` under its condition and its negation, the right
+  side of ``and`` / ``or`` under the left). The native kernel's range
+  proof (:mod:`repro.runtime.kernels.ranges`) listens there to learn the
+  guards an array reference sits under; the hooks do nothing otherwise.
 
 Bit-exactness ground rules baked in here: only operations whose IEEE-754
 behaviour is identical between NumPy and C are emitted (add/sub/mul/div,
@@ -257,6 +264,22 @@ class CExprLowerer(ExprLowerer):
     def lower_logical(self, op: str, left: str, right: str) -> str:
         raise AssertionError("handled in lower_binop via statements")
 
+    # -- the facts stack ----------------------------------------------------
+    #
+    # Lazy constructs evaluate an operand only when a guard came out one
+    # way: the right side of ``and`` / ``or`` under the left, each branch
+    # of an ``if`` under its condition. The walk brackets exactly those
+    # operands with push_fact / pop_fact, so a subclass that tracks what is
+    # known at the point of emission (the native kernel's range proof) sees
+    # every guard an array reference sits under. No-ops here.
+
+    def push_fact(self, cond: Expr, truth: bool) -> None:
+        """``cond`` evaluated to ``truth`` for everything lowered until the
+        matching :meth:`pop_fact`."""
+
+    def pop_fact(self) -> None:
+        pass
+
     def lower_binop_logical(self, expr) -> str:
         tmp = self.fresh("_b")
         left = self.lower(expr.left)
@@ -264,7 +287,9 @@ class CExprLowerer(ExprLowerer):
         opener = f"if ({tmp}) {{" if expr.op == "and" else f"if (!{tmp}) {{"
         self.stmt(opener)
         self.indent += 1
+        self.push_fact(expr.left, expr.op == "and")
         right = self.lower(expr.right)
+        self.pop_fact()
         self.stmt(f"{tmp} = {self.truth(right, expr.right)};")
         self.indent -= 1
         self.stmt("}")
@@ -287,12 +312,16 @@ class CExprLowerer(ExprLowerer):
         cond = self.lower(expr.cond)
         self.stmt(f"if {self.truth(cond, expr.cond)} {{")
         self.indent += 1
+        self.push_fact(expr.cond, True)
         then = self.lower(expr.then)
+        self.pop_fact()
         self.stmt(f"{tmp} = ({ctype})({then});")
         self.indent -= 1
         self.stmt("} else {")
         self.indent += 1
+        self.push_fact(expr.cond, False)
         orelse = self.lower(expr.orelse)
+        self.pop_fact()
         self.stmt(f"{tmp} = ({ctype})({orelse});")
         self.indent -= 1
         self.stmt("}")

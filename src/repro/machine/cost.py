@@ -6,13 +6,17 @@ multiprocessor (cheap scalar ops, noticeable fork/barrier overhead) — the
 regime the paper targets, where loop-level parallelism pays only when the
 loop body times the iteration count dominates the synchronisation cost.
 
-The *execution-mode* fields are calibrated against this repo's own runtime
-(``BENCH_kernels.json``): the same equation costs wildly different numbers
-of cycles depending on whether it runs on the tree-walking evaluator, a
-per-equation compiled kernel, a fused nest kernel, or the NumPy vector
-path. One cycle is anchored at roughly 50 ns of the calibration machine;
-only ratios matter to the planner. ``MachineModel.from_kernel_bench``
-re-derives the mode overheads from a fresh benchmark artifact.
+The *execution-mode* fields are calibrated against this repo's own runtime:
+the same equation costs wildly different numbers of cycles depending on
+whether it runs on the tree-walking evaluator, a per-equation compiled
+kernel, a fused nest kernel, a NumPy vector span or compiled C. One cycle
+is anchored at roughly 50 ns of the calibration machine; only ratios matter
+to the planner. ``MachineModel.from_kernel_bench`` re-derives the
+interpreter overheads from ``BENCH_kernels.json``;
+``MachineModel.from_native_bench`` re-derives the two compiled per-element
+factors — ``native_element_factor`` and ``vector_element_factor``, whose
+*ratio* is what ``auto`` decides a C nest against a NumPy span on — from
+one row of ``BENCH_native.json``, so that ratio is a measurement.
 """
 
 from __future__ import annotations
@@ -67,9 +71,10 @@ class MachineModel:
     #: inside a row run as NumPy spans and price like ``vector``
     collapse_row_overhead: float = 60.0
     #: fraction of the structural equation cost one element costs inside a
-    #: cffi-compiled native nest kernel (calibrated from BENCH_native.json;
-    #: real machine code, so well below the NumPy vector factor)
-    native_element_factor: float = 0.017
+    #: cffi-compiled native nest kernel: real machine code with its range
+    #: checks proven at entry, about a third of the NumPy vector factor
+    #: (both fitted from one serial Jacobi row of BENCH_native.json)
+    native_element_factor: float = 0.004
     #: per-invocation cost of one native kernel call (the cffi wrapper
     #: marshals array pointers, geometry, and scalars)
     native_call_overhead: float = 400.0
@@ -154,17 +159,15 @@ class MachineModel:
     def from_kernel_bench(
         cls, bench: dict, base: MachineModel | None = None
     ) -> MachineModel:
-        """Recalibrate the execution-mode overheads from a
-        ``BENCH_kernels.json`` payload (see ``benchmarks/bench_kernels.py``).
+        """Recalibrate the evaluator overhead from a ``BENCH_kernels.json``
+        payload (see ``benchmarks/bench_kernels.py``).
 
-        The Jacobi rows carry enough information to solve for the per-element
-        costs: a grid of ``M`` swept ``maxK`` times performs
-        ``(maxK + 1) * (M + 2)^2`` element evaluations per run (eq.1 and
-        eq.2 once each, eq.3 over ``maxK - 1`` sweeps); each row records its
-        own ``maxk`` (rows from older artifacts fall back to the historical
-        8). The compiled scalar kernel row anchors the cycle length (its
-        overhead is held at the default); evaluator and vector overheads are
-        then solved from their measured per-element seconds.
+        The largest serial Jacobi row times the tree-walking evaluator and
+        the per-equation compiled scalar kernel over the same elements. The
+        kernel row anchors the cycle length (its overhead is held at the
+        default); the evaluator overhead is solved from the measured ratio.
+        (The NumPy vector factor is fitted by :meth:`from_native_bench`,
+        beside the native one it is compared with.)
         """
         from repro.core.paper import jacobi_analyzed
 
@@ -173,39 +176,41 @@ class MachineModel:
         eq3 = next(eq for eq in analyzed.equations if eq.label == "eq.3")
         eqc = equation_cost(eq3, base)
 
-        def per_element(backend: str) -> tuple[float, float]:
-            rows = [
-                r
-                for r in bench.get("rows", [])
-                if r["workload"] == "jacobi" and r["backend"] == backend
-            ]
-            if not rows:
-                raise ValueError(f"no jacobi/{backend} rows in bench payload")
-            row = max(rows, key=lambda r: r["grid"])
-            elements = (row.get("maxk", 8) + 1) * (row["grid"] + 2) ** 2
-            return row["evaluator_seconds"] / elements, row["kernel_seconds"] / elements
-
-        eval_s, kernel_s = per_element("serial")
-        _, vector_s = per_element("vectorized")
-        cycle = kernel_s / (eqc + base.kernel_element_overhead)
+        rows = [
+            r
+            for r in bench.get("rows", [])
+            if r["workload"] == "jacobi" and r["backend"] == "serial"
+        ]
+        if not rows:
+            raise ValueError("no jacobi/serial rows in bench payload")
+        row = max(rows, key=lambda r: r["grid"])
+        cycles_per_kernel_second = (
+            eqc + base.kernel_element_overhead
+        ) / row["kernel_seconds"]
         return replace(
             base,
-            eval_element_overhead=max(0.0, eval_s / cycle - eqc),
-            vector_element_factor=max(1e-6, (vector_s / cycle) / eqc),
+            eval_element_overhead=max(
+                0.0, row["evaluator_seconds"] * cycles_per_kernel_second - eqc
+            ),
         )
 
     @classmethod
     def from_native_bench(
         cls, bench: dict, base: MachineModel | None = None
     ) -> MachineModel:
-        """Recalibrate ``native_element_factor`` from a
-        ``BENCH_native.json`` payload (see ``benchmarks/bench_native.py``).
+        """Recalibrate ``native_element_factor`` and
+        ``vector_element_factor`` from a ``BENCH_native.json`` payload (see
+        ``benchmarks/bench_native.py``).
 
-        The serial Jacobi row pairs the fused NumPy nest kernel and the
-        native kernel on the same grid; the native per-element factor is
-        derived from that measured ratio against the nest overhead the
-        model already carries — a pure ratio, so it transfers between
-        machines the same way the other mode constants do.
+        The serial Jacobi row times the Python nest kernel, the native
+        kernel and — when it carries ``span_seconds`` — the NumPy spans of
+        the vectorized backend on the same grid. Each compiled factor is
+        that row's measured ratio to the Python nest kernel, scaled by the
+        nest overhead the model already carries: pure ratios, so they
+        transfer between machines like the other mode constants, and the
+        ratio *between* the two factors — what ``auto`` decides a compiled
+        nest against a NumPy span on — is measured on one machine, one
+        grid, one run.
 
         When the payload additionally carries a **threaded** Jacobi row
         (the threaded-native gate: native span kernels dispatched on the
@@ -234,11 +239,14 @@ class MachineModel:
         eq3 = next(eq for eq in analyzed.equations if eq.label == "eq.3")
         eqc = equation_cost(eq3, base)
         nest_per_element = eqc + base.nest_element_overhead
-        ratio = row["native_seconds"] / row["nest_seconds"]
-        model = replace(
-            base,
-            native_element_factor=max(1e-6, ratio * nest_per_element / eqc),
-        )
+        def factor(seconds: float) -> float:
+            return max(1e-6, seconds / row["nest_seconds"] * nest_per_element / eqc)
+
+        model = replace(base, native_element_factor=factor(row["native_seconds"]))
+        if row.get("span_seconds"):
+            model = replace(
+                model, vector_element_factor=factor(row["span_seconds"])
+            )
 
         threaded = [
             r

@@ -468,6 +468,21 @@ class ExecutionPlan:
             if note.get("why"):
                 row += f" ({note['why']})"
             lines.append(row)
+        for note in p.get("native_nests", []):
+            checks, proven = note["checks"], note["proven"]
+            row = (
+                f"  native {note['shape']} kernel @{note['index']} "
+                f"({note['keyword']} {note['loop_index']}): range checks: "
+            )
+            if proven == checks:
+                row += f"{proven} of {checks} proven at entry"
+            else:
+                ref, why = note["inline"]
+                row += (
+                    f"{proven} of {checks} at entry, {checks - proven} per "
+                    f"element ({ref}: {why})"
+                )
+            lines.append(row)
         for note in p.get("slow_loops", []):
             row = (
                 f"  slow loop @{note['index']} ({note['keyword']} "

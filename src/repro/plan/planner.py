@@ -46,7 +46,7 @@ from repro.plan.ir import (
 )
 from repro.plan.strategy import NEST
 from repro.runtime.kernels.emit import equation_affine_fast_path
-from repro.runtime.kernels.native import native_emittable
+from repro.runtime.kernels.native import native_emittable, native_specs
 from repro.runtime.kernels.nest import (
     kernelizable,
     kernelizable_reason,
@@ -85,6 +85,14 @@ DEFAULT_TRIP = 16
 
 #: strategies that only a DOALL can take
 DOALL_ONLY = ("vector", "chunk", "iterate", "collapse")
+
+#: ``auto`` treats candidates predicted within this fraction of the cheapest
+#: as tied — well inside the model's error (``plan.pred_spread``) — and a
+#: tie goes to the plan that builds the fewest native functions: equal run
+#: time is not worth a longer cold start. This is what keeps one-shot copies
+#: (``eq.1`` / ``eq.2`` of Jacobi) on NumPy spans beside a compiled sweep,
+#: instead of a serial plan that compiles all three for a 1 % edge.
+AUTO_TIE = 0.05
 
 #: a chunk-safe inner DOALL takes the team only when its own trip count
 #: keeps every worker busy at least this many chunks deep
@@ -223,13 +231,33 @@ def build_plan(
                 )
                 if rec is not None:
                     measured[p.backend] = rec.seconds
-        best = min(zip(totals, planners), key=lambda pair: pair[0])[1]
+        tied = (1.0 + AUTO_TIE) * min(totals)
+        best = min(
+            (pair for pair in zip(totals, planners) if pair[0] <= tied),
+            key=lambda pair: (pair[1].native_functions(), pair[0]),
+        )[1]
+        if totals[planners.index(best)] > min(totals):
+            reason = (
+                f"within {AUTO_TIE:.0%} of the cheapest candidate, and it "
+                f"builds the fewest native functions"
+            )
+        elif measured:
+            reason = (
+                "lowest measured/anchored seconds for these sizes "
+                "(online calibration)"
+            )
+        else:
+            reason = (
+                "lowest predicted cycles (no calibration record for these "
+                "sizes)"
+            )
         plan = best.finish(analyzed.name, requested="auto", pinned=False)
         plan.provenance = {
             "pipeline_groups": best.pipeline_notes,
             "scan_loops": best.scan_notes,
             "fission_loops": best.fission_notes,
             "do_loops": best.do_notes,
+            "native_nests": best.native_notes(),
             "slow_loops": best.slow_notes(),
             "mode": "auto",
             "workers": workers,
@@ -240,18 +268,13 @@ def build_plan(
                     "predicted_cycles": p.total,
                     "adjusted_cost": adj,
                     "measured_seconds": measured.get(p.backend),
+                    "native_functions": p.native_functions(),
                     "winner": p is best,
                 }
                 for p, adj in zip(planners, totals)
             ],
             "excluded": excluded,
-            "reason": (
-                "lowest measured/anchored seconds for these sizes "
-                "(online calibration)"
-                if measured
-                else "lowest predicted cycles (no calibration record "
-                "for these sizes)"
-            ),
+            "reason": reason,
         }
         return plan
 
@@ -269,6 +292,7 @@ def build_plan(
         "scan_loops": planner.scan_notes,
         "fission_loops": planner.fission_notes,
         "do_loops": planner.do_notes,
+        "native_nests": planner.native_notes(),
         "slow_loops": planner.slow_notes(),
         "mode": "pinned",
         "workers": workers,
@@ -435,6 +459,8 @@ class _Planner:
         self._native: dict[tuple[int, str], bool] = {}
         #: True while emitting the body of a natively executing nest
         self._native_root = False
+        #: :meth:`native_notes`, once the plan is complete
+        self._native_notes: list[dict] | None = None
 
     # -- shared verdicts ---------------------------------------------------
 
@@ -1295,6 +1321,38 @@ class _Planner:
         )
         lp.cycles = cost
         return cost
+
+    def native_notes(self) -> list[dict]:
+        """One provenance note per loop the plan runs on a native kernel:
+        what its entry range proof settles statically — how many of the
+        kernel's subscript checks are discharged once per call and which
+        stay in the loop text, with the first such reference and why."""
+        if self._native_notes is not None:
+            return self._native_notes
+        notes = self._native_notes = []
+        for path, lp in self.loops.items():
+            if lp.dialect != "native":
+                continue
+            specs = native_specs(
+                self.flowchart.descriptor_at(path), self.analyzed,
+                self.flowchart, self.use_windows, lp.kernel_shape(),
+            )
+            inline = [pair for spec in specs for pair in spec.inline]
+            notes.append({
+                "index": str(path), "loop_index": lp.index,
+                "keyword": lp.keyword, "shape": lp.kernel_shape(),
+                "functions": sorted({spec.fn_name for spec in specs}),
+                "checks": sum(spec.checks for spec in specs),
+                "proven": sum(spec.proven for spec in specs),
+                "inline": inline[0] if inline else None,
+            })
+        return notes
+
+    def native_functions(self) -> int:
+        """How many distinct C functions this plan builds."""
+        return len({
+            fn for note in self.native_notes() for fn in note["functions"]
+        })
 
     def slow_notes(self) -> list[dict]:
         """Per-loop why-not provenance for nests left on the slow path: the

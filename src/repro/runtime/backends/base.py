@@ -43,6 +43,7 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule, AnalyzedProgram
 from repro.ps.symbols import SymbolKind
 from repro.ps.types import ArrayType
 from repro.runtime.evaluator import Evaluator
+from repro.runtime.kernels.native import RangeUnproven
 from repro.runtime.values import (
     RuntimeArray,
     StorageFactory,
@@ -443,20 +444,59 @@ class ExecutionBackend:
         else:
             state.eval_counts[label] = state.eval_counts.get(label, 0) + counts
 
-    def _loop_kernel(self, state: ExecutionState, desc: LoopDescriptor, shape: str):
-        """The compiled kernel of ``shape`` for ``desc`` — the native (C)
-        tier first, then the NumPy tier — or None when there is none and
-        the caller must walk the loop itself. The loop's plan says which
-        dialect it was priced on: a ``"python"`` loop starts no native
-        build (it runs a native kernel only if one is already loaded)."""
+    def _run_loop_kernel(
+        self, state: ExecutionState, desc: LoopDescriptor, shape: str,
+        env: dict[str, Any], lo: int, hi: int,
+    ) -> bool:
+        """Run ``[lo, hi]`` of ``desc`` on its compiled kernel of
+        ``shape`` — the native (C) tier first, then the NumPy tier; False
+        when there is none and the caller must walk the range itself. The
+        loop's plan says which dialect it was priced on: a ``"python"``
+        loop starts no native build (it runs a native kernel only if one
+        is already loaded)."""
         if state.kernels is None:
-            return None
+            return False
         plan = state.plan_of(desc, self.name)
-        return state.kernels.nest_kernel_for(
+        kernel = state.kernels.nest_kernel_for(
             desc, state.options.use_windows, variant=shape,
             tier=state.kernel_tier(),
             build_native=plan is None or plan.dialect != "python",
         )
+        if kernel is None:
+            return False
+        try:
+            self._run_kernel(state, kernel, env, lo, hi)
+        except RangeUnproven:
+            self._rerun_checked(state, desc, shape, env, lo, hi)
+        return True
+
+    def _rerun_checked(
+        self, state: ExecutionState, desc: LoopDescriptor, shape: str,
+        env: dict[str, Any], lo: int, hi: int,
+    ) -> None:
+        """A native kernel's entry range proof failed: it stored nothing,
+        and this call — this chunk, not its siblings — runs again on code
+        that checks every subscript per element. The proof is exact, so
+        this is where the evaluator's out-of-range error is raised, in
+        iteration order. ``"full"`` degrades to its Python dialect (scalar
+        loops, range-checked); ``"span"`` and ``"flat"`` go to the strictly
+        serial walk, because their NumPy tiers are vector rows, which clip
+        a stray subscript instead of raising."""
+        if shape == "flat":
+            self.exec_flat_walk(state, desc, lo, hi, env)
+            return
+        if shape == "full":
+            kernel = state.kernels.nest_kernel_for(
+                desc, state.options.use_windows, variant="full", tier="numpy"
+            )
+            if kernel is not None:
+                self._run_kernel(state, kernel, env, lo, hi)
+                return
+        for i in range(lo, hi + 1):
+            env2 = dict(env)
+            env2[desc.index] = i
+            for d in desc.body:
+                self._exec_descriptor_strictly_serial(state, d, env2)
 
     def exec_nest_kernel(
         self,
@@ -469,13 +509,9 @@ class ExecutionBackend:
         """Run the root subrange ``[lo, hi]`` of the whole nest as one
         compiled kernel, in iteration order; False when no kernel is
         available (the caller falls back to the scalar walk)."""
-        kernel = self._loop_kernel(state, desc, "full")
-        if kernel is None:
-            return False
         for eq in desc.nested_equations():
             self.ensure_targets(state, eq)
-        self._run_kernel(state, kernel, env, lo, hi)
-        return True
+        return self._run_loop_kernel(state, desc, "full", env, lo, hi)
 
     def exec_chunked_loop(
         self,
@@ -516,11 +552,10 @@ class ExecutionBackend:
         overlap — the NumPy per-equation distribution otherwise. Targets
         are pre-allocated by the chunk dispatcher before spans run, so the
         kernel only writes disjoint elements."""
-        kernel = None if vector_names else self._loop_kernel(state, desc, "span")
-        if kernel is None:
+        if vector_names or not self._run_loop_kernel(
+            state, desc, "span", env, lo, hi
+        ):
             self.exec_vector_span(state, desc, lo, hi, env, vector_names)
-        else:
-            self._run_kernel(state, kernel, env, lo, hi)
 
     def dispatch_chunks(
         self,
@@ -665,11 +700,10 @@ class ExecutionBackend:
         through the fused flat-variant nest kernel when available, else by
         the delinearized per-equation walk. The chunked backends reuse
         this per worker chunk."""
-        kernel = self._loop_kernel(state, desc, "flat") if fuse else None
-        if kernel is None:
+        if not fuse or not self._run_loop_kernel(
+            state, desc, "flat", env, flo, fhi
+        ):
             self.exec_flat_walk(state, desc, flo, fhi, env)
-        else:
-            self._run_kernel(state, kernel, env, flo, fhi)
 
     def exec_flat_walk(
         self,

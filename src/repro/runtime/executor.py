@@ -238,7 +238,14 @@ def execute_module(
             kernels=kernels,
             plan=plan,
         )
-        state.evaluator.call_fn = lambda name, cargs: _call_module(state, name, cargs)
+        # The handler closes over the program and the options, not the
+        # state: the kernel cache keeps the last handler bound (its call
+        # box), and a handler holding the state would keep every array of
+        # a finished run alive until the module's next run — and then only
+        # until a cycle collection, state -> evaluator -> handler -> state.
+        state.evaluator.call_fn = lambda name, cargs: _call_module(
+            program, options, name, cargs
+        )
 
         backend.run(state)
         results = {}
@@ -293,7 +300,7 @@ def _callee_runtime(program: AnalyzedProgram, name: str):
 
 
 def _callee_plan(
-    state: ExecutionState,
+    program: AnalyzedProgram,
     name: str,
     callee,
     flowchart: Flowchart,
@@ -305,10 +312,10 @@ def _callee_plan(
     counts are taken from the first call's scalar arguments; strategy
     *safety* is static, so later calls with different sizes stay correct.
     """
-    memo = getattr(state.program, "_plan_memo", None)
+    memo = getattr(program, "_plan_memo", None)
     if memo is None:
         memo = {}
-        state.program._plan_memo = memo
+        program._plan_memo = memo
     key = (name, options.key())
     plan = memo.get(key)
     if plan is None:
@@ -325,32 +332,37 @@ def _callee_plan(
     return plan
 
 
-def _call_module(state: ExecutionState, name: str, cargs: list[Any]) -> Any:
-    if state.program is None:
+def _call_module(
+    program: AnalyzedProgram | None,
+    options: ExecutionOptions,
+    name: str,
+    cargs: list[Any],
+) -> Any:
+    if program is None:
         raise ExecutionError(
             f"module call {name!r} requires program-level execution"
         )
-    callee = state.program[name]
+    callee = program[name]
     call_args = dict(zip(callee.param_names, cargs))
     # Callees run on the in-process backends: parallelism belongs to the
     # outermost module (nested pools/forks inside worker chunks would
     # oversubscribe or crash).
-    callee_options = state.options
+    callee_options = options
     if callee_options.backend not in ("auto", "serial", "vectorized"):
         callee_options = replace(callee_options, backend="auto")
-    flowchart, kernel_cache = _callee_runtime(state.program, name)
+    flowchart, kernel_cache = _callee_runtime(program, name)
     scalar_env = {
         k: int(v) for k, v in call_args.items() if isinstance(v, (int, np.integer))
     }
     plan = _callee_plan(
-        state, name, callee, flowchart, callee_options, scalar_env
+        program, name, callee, flowchart, callee_options, scalar_env
     )
     results = execute_module(
         callee,
         call_args,
         flowchart=flowchart,
         options=callee_options,
-        program=state.program,
+        program=program,
         kernel_cache=kernel_cache,
         plan=plan,
     )

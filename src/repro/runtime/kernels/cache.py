@@ -23,6 +23,12 @@ first run, the whole warm set in the process backend's pre-fork
 batch of one on a lazy request — each batch is one translation unit and at
 most one compiler process.
 
+A native kernel proves the range of its provable-form subscripts once per
+call, at entry (:mod:`repro.runtime.kernels.ranges`); the cache counts the
+verdicts — :meth:`KernelCache.stats` reports ``range_proven`` and
+``range_unproven`` calls, the latter rerun on per-element checks by the
+backend — so a loop that keeps falling off the native tier is visible.
+
 The cache also owns the *call box*: a one-slot list every compiled kernel
 reads module-call handlers through. :meth:`bind_call_fn` points it at the
 executing state's ``call_fn`` once per run — that is what lets kernels
@@ -32,6 +38,7 @@ workers inherit the binding with the cache).
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Iterator
 
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
@@ -61,6 +68,10 @@ class KernelCache:
         #: native translation units this cache had loaded, and how many of
         #: them started a compiler (the rest came from the on-disk cache)
         self._built = {"tus": 0, "cc_calls": 0}
+        #: native kernel calls by the verdict of their entry range proof;
+        #: an unproven call was rerun one tier down by the backend
+        self._proofs = {"range_proven": 0, "range_unproven": 0}
+        self._proofs_lock = threading.Lock()
         #: one-slot module-call dispatch box shared by every compiled kernel
         self._call_box: list = [None]
 
@@ -69,6 +80,10 @@ class KernelCache:
         execution's ``call_fn``. Rebound at each run start; kernels read
         the box at call time, so already-compiled kernels follow."""
         self._call_box[0] = call_fn
+
+    def _book_proof(self, held: bool) -> None:
+        with self._proofs_lock:
+            self._proofs["range_proven" if held else "range_unproven"] += 1
 
     def _memo(self, table: dict, keys: list, native: bool, build) -> None:
         """Answer every key of ``keys`` in ``table`` with one
@@ -179,7 +194,7 @@ class KernelCache:
             [spec for specs in nests.values() for spec in specs], self._built
         )
         for key, specs in nests.items():
-            out[key] = native_mod.bind_kernel(specs)
+            out[key] = native_mod.bind_kernel(specs, self._book_proof)
         return out
 
     def _build_numpy(self, keys: list[_Key]) -> dict:
@@ -302,4 +317,5 @@ class KernelCache:
             "nests": nests,
             "native": natives,
             **self._built,
+            **self._proofs,
         }

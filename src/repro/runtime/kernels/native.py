@@ -23,6 +23,21 @@ off. Equations that would not be bit-exact in C (module calls,
 transcendental builtins) make the nest non-emittable and it stays on the
 NumPy tier.
 
+Range checks are made where they are cheapest. A subscript of the paper's
+Figure-2 classes (*index ± integer expression*, or index-free) has its
+range over the loop box decided by the box's endpoints, so the kernel
+proves it **once per call**, at function entry, from the box refined by
+the guards the reference sits under (:mod:`repro.runtime.kernels.ranges`;
+the guards come from the lowerer's facts stack). Such a reference carries
+no check in the loop and its storage-relative terms are computed in the
+header of the loop that binds their index. A kernel whose proof fails
+returns before its first store and the wrapper raises
+:class:`RangeUnproven`; the backend reruns that one call a tier down
+(the nest's Python dialect, or the strictly serial walk for a span or flat
+chunk — code that checks every subscript), which is where the evaluator's
+out-of-range error comes from. Every other subscript keeps a
+compare-and-return per element, reporting through the error channel.
+
 Compiled artifacts persist in an on-disk cache keyed by the SHA-256 of the
 generated translation unit (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro/native``):
@@ -56,19 +71,17 @@ from repro.codegen.clower import (
 from repro.codegen.naming import c_name
 from repro.errors import ExecutionError
 from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
+from repro.ps.printer import format_expression
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.ps.types import ArrayType
 from repro.runtime.kernels.nest import (
-    NEST_SHAPES,
     KernelError,
     lower_nest,
+    span_is_full,
     static_windows,
 )
-from repro.schedule.flowchart import (
-    Flowchart,
-    LoopDescriptor,
-    outermost_parallel_loops,
-)
+from repro.runtime.kernels.ranges import UNPROVEN, RangeProof
+from repro.schedule.flowchart import Flowchart, LoopDescriptor
 
 # ---------------------------------------------------------------------------
 # Toolchain discovery and the on-disk artifact cache
@@ -123,27 +136,28 @@ def cache_dir() -> Path:
 
 
 def persist_plan(
-    module_name: str, plan_text: str, c_sources: dict[str, str]
+    module_name: str, plan_text: str, specs: list[NativeKernelSpec]
 ) -> Path:
-    """Store an execution plan next to the generated C for offline builds
-    (the ROADMAP follow-up): ``plans/<module>-<hash>/plan.txt``, one
-    ``.c`` per natively emittable nest, and a ``build.sh`` recording the
-    *mandatory* bit-exactness flags (an offline ``cc -O2`` without
+    """Store an execution plan next to the C it builds, for offline builds:
+    ``plans/<module>-<hash>/plan.txt``, ``<module>.c`` — the plan's one
+    translation unit, the very text :func:`build_kernels` hands to ``cc``
+    for ``specs`` — and a ``build.sh`` recording the *mandatory*
+    bit-exactness flags (an offline ``cc -O2`` without
     ``-ffp-contract=off``/``-fwrapv`` would contract FMAs and reintroduce
-    signed-overflow UB). The hash keys the plan text, so re-saving an
-    unchanged plan is idempotent."""
+    signed-overflow UB). A plan that dispatches no native kernel saves no
+    C. The hash keys the plan text, so re-saving an unchanged plan is
+    idempotent."""
     digest = hashlib.sha256(plan_text.encode()).hexdigest()[:16]
     out = cache_dir() / "plans" / f"{module_name}-{digest}"
     out.mkdir(parents=True, exist_ok=True)
     (out / "plan.txt").write_text(plan_text)
-    for name, source in c_sources.items():
-        (out / f"{name}.c").write_text(source)
-    flags = " ".join(C_FLAGS)
     lines = ["#!/bin/sh", "# bit-exactness requires exactly these flags", "set -e"]
-    lines.extend(
-        f'cc {flags} -shared -o "{name}.so" "{name}.c" -lm'
-        for name in sorted(c_sources)
-    )
+    if specs:
+        (out / f"{module_name}.c").write_text(unit_source(specs))
+        lines.append(
+            f'cc {" ".join(C_FLAGS)} -shared -o "{module_name}.so" '
+            f'"{module_name}.c" -lm'
+        )
     (out / "build.sh").write_text("\n".join(lines) + "\n")
     return out
 
@@ -173,6 +187,12 @@ class NativeKernelSpec:
     env_names: list[str]
     #: equation labels in emission order (counts layout)
     counters: list[str]
+    #: range checks the kernel's array subscripts need, and how many of
+    #: them its entry proof discharges (the rest stay in the loop text)
+    checks: int = 0
+    proven: int = 0
+    #: (reference, why) per subscript that keeps its per-element check
+    inline: tuple[tuple[str, str], ...] = ()
 
     @property
     def source(self) -> str:
@@ -182,11 +202,61 @@ class NativeKernelSpec:
         return C_PRELUDE + "\n" + self.function
 
 
+def _is_int_scalar(t) -> bool:
+    if isinstance(t, ArrayType):
+        return False
+    try:
+        return kind_of_type(t) == "int"
+    except ValueError:
+        return False
+
+
+class RangeUnproven(KernelError):
+    """A native kernel's entry proof failed (see
+    :mod:`repro.runtime.kernels.ranges`): it returned before its first
+    store, and the call has to run one tier down — where, the obligations
+    being exact, it raises the evaluator's out-of-range error."""
+
+
+class _Header:
+    """Subscript terms computed where their index is bound: one ``const``
+    per distinct C text, declared at the top of a loop body (or at function
+    entry). A header sits in the kernel's line list at its position and is
+    flattened by :meth:`_NativeKernel.assemble`."""
+
+    def __init__(self, indent: int):
+        self.indent = indent
+        self.terms: dict[str, str] = {}
+
+    def lines(self) -> list[str]:
+        pad = "    " * self.indent
+        return [f"{pad}const i64 {n} = {t};" for t, n in self.terms.items()]
+
+
 class _NativeKernel(CExprLowerer):
     """One C kernel under construction — what the nest walk drives. Loop
     indices and hoisted scalars are function parameters/locals, array
-    references are range-checked, window-mapped, row-major flattened reads
-    of the raw storage pointers."""
+    references are window-mapped, row-major flattened reads of the raw
+    storage pointers.
+
+    Every subscript is range-checked exactly like the evaluator, in one of
+    two places. A subscript of the form *index ± index-free integer
+    expression* under guards the facts stack understands is checked **once
+    per call**: :class:`~repro.runtime.kernels.ranges.RangeProof` turns the
+    loop box, refined by those guards, into obligations at function entry,
+    the check leaves the loop text, and the storage-relative term
+    (``v_K - 1 - A_lo0``, modulo the literal window size where the storage
+    turns out to be windowed) is computed in the header of the loop that
+    binds its index. Everything else — two-index hyperplane subscripts,
+    indirect subscripts, references below a guard like ``I mod 2 = 0`` —
+    keeps the per-element compare-and-return it always had.
+
+    **No-trap rule.** Entry obligations and hoisted terms run before
+    guards and checks that used to precede them, so they contain nothing
+    that traps or loads: integer ``+ - *`` over parameters and loop
+    indices (wrapping, ``-fwrapv``), comparisons, and ``%`` by a positive
+    literal — never ``%`` or ``/`` by a run-time value, never an array
+    read."""
 
     error_type = KernelError
 
@@ -205,12 +275,26 @@ class _NativeKernel(CExprLowerer):
         #: indices outside the nest resolve through ``env``, like the
         #: Python nest kernels)
         self.current_dims: set[str] = set()
+        #: every name that is an index where the walk stands (open loops +
+        #: the dims of the equation being lowered)
+        self.indices: set[str] = set()
         #: array name -> (ordinal, rank, element kind, windowed dims)
         self.arrays: dict[str, tuple[int, int, str, dict[int, int]]] = {}
+        #: array name -> the windows ``RuntimeArray.allocate`` gives it
+        #: when windows are on — asked in both modes
+        self.window_sizes: dict[str, dict[int, int]] = {}
         self.scalar_names: set[str] = set()
         self.env_names: set[str] = set()
         self.counters: list[str] = []  # equation labels, emission order
         self.prologue: list[str] = []
+        self.proof = RangeProof(self._offset, self.lower_name, self.fresh)
+        #: hoisted subscript terms: function entry, then one header per
+        #: open loop as (indices it binds, header), innermost last
+        self.entry = _Header(1)
+        self.headers: list[tuple[set[str], _Header]] = []
+        self.checks = 0
+        self.proven = 0
+        self.inline: list[tuple[str, str]] = []
 
     def register_array(self, name: str) -> tuple[int, int, str, dict[int, int]]:
         entry = self.arrays.get(name)
@@ -223,6 +307,9 @@ class _NativeKernel(CExprLowerer):
             )
             entry = (len(self.arrays), sym.type.rank, kind_of_type(sym.type), wins)
             self.arrays[name] = entry
+            self.window_sizes[name] = wins if self.use_windows else static_windows(
+                name, self.analyzed, self.flowchart, True
+            )
         return entry
 
     # -- name resolution ---------------------------------------------------
@@ -253,14 +340,71 @@ class _NativeKernel(CExprLowerer):
 
     # -- array references --------------------------------------------------
 
-    def subscript_code(self, name: str, d: int, sub: Expr) -> str:
-        """One storage-relative subscript: range-checked exactly like the
-        evaluator (error info reported through ``err``), window modulo
-        applied. Emits statements; returns the C index variable."""
+    def push_fact(self, cond: Expr, truth: bool) -> None:
+        self.proof.push_fact(cond, truth, self.indices)
+
+    def pop_fact(self) -> None:
+        self.proof.pop_fact()
+
+    def _offset(self, expr: Expr) -> str | None:
+        """C text of an index-free integer expression of the :meth:`bound`
+        language, or None — what a range proof may add to an endpoint or
+        compare one against. (Whatever scalar :meth:`bound` books before it
+        refuses is booked anyway when the expression is lowered in full.)"""
+        try:
+            return self.bound(expr)
+        except KernelError:
+            return None
+
+    def _hoist(self, index: str | None, text: str) -> str:
+        """The variable holding ``text``, declared once in the header of
+        the loop that binds ``index`` (function entry when nothing in the
+        kernel does: a constant, or an index arriving through ``env``)."""
+        header = self.entry
+        for bound, candidate in reversed(self.headers):
+            if index in bound:
+                header = candidate
+                break
+        name = header.terms.get(text)
+        if name is None:
+            name = header.terms[text] = self.fresh("_s")
+        return name
+
+    def subscript_code(
+        self, name: str, d: int, sub: Expr, subscripts: list[Expr]
+    ) -> str:
+        """One storage-relative subscript (``subscripts[d]`` of a reference
+        to ``name``), range-checked exactly like the evaluator, window
+        modulo applied: proven at entry and hoisted when the subscript is
+        provable-form, else checked inline (error info reported through
+        ``err``). May emit statements; returns C."""
         ordinal, _rank, _kind, wins = self.arrays[name]
+        an = c_name(name)
+        self.checks += 1
+        why, index = self.proof.prove(
+            sub, self.indices, f"{an}_lo{d}", f"{an}_hi{d}"
+        )
+        if why is None:
+            self.proven += 1
+            mapped = f"({self.lower(sub)} - {an}_lo{d})"
+            size = self.window_sizes[name].get(d)
+            if size:
+                # The storage is either the window RuntimeArray.allocate
+                # gives this dimension in window mode or the full extent;
+                # which one is read from ``geom`` at entry, so one function
+                # serves both modes (and a module run in both builds it
+                # once). The modulo is by the literal size.
+                self.proof.require(
+                    f"({an}_n{d} == {size}) | "
+                    f"({an}_n{d} == {an}_hi{d} - {an}_lo{d} + 1)"
+                )
+                windowed = self._hoist(None, f"({an}_n{d} == {size})")
+                mapped = f"({windowed} ? {mapped} % {size} : {mapped})"
+            return self._hoist(index, mapped)
+        ref = f"{name}[{', '.join(format_expression(s) for s in subscripts)}]"
+        self.inline.append((ref, why))
         raw = self.fresh("_i")
         self.stmt(f"i64 {raw} = (i64)({self.lower(sub)});")
-        an = c_name(name)
         self.stmt(
             f"if ({raw} < {an}_lo{d} || {raw} > {an}_hi{d}) "
             f"{{ err[0] = {raw}; err[1] = {d}; err[2] = {ordinal}; "
@@ -277,7 +421,8 @@ class _NativeKernel(CExprLowerer):
             raise self.error(f"partial-rank reference to {name!r}")
         an = c_name(name)
         parts = [
-            self.subscript_code(name, d, s) for d, s in enumerate(subscripts)
+            self.subscript_code(name, d, s, subscripts)
+            for d, s in enumerate(subscripts)
         ]
         flat = parts[0]
         for d in range(1, rank):
@@ -319,10 +464,10 @@ class _NativeKernel(CExprLowerer):
         if isinstance(expr, IntLit):
             return str(expr.value)
         if isinstance(expr, Name):
-            self.scalar_names.add(expr.ident)
             sym = self.analyzed.table.symbol(expr.ident)
-            if sym is None or kind_of_type(sym.type) != "int":
+            if sym is None or not _is_int_scalar(sym.type):
                 raise KernelError(f"non-integer bound name {expr.ident!r}")
+            self.scalar_names.add(expr.ident)
             return f"v_{c_name(expr.ident)}"
         if isinstance(expr, UnOp):
             if expr.op not in ("-", "+"):
@@ -344,8 +489,17 @@ class _NativeKernel(CExprLowerer):
         )
         self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; {var}++) {{")
         self.indent += 1
+        self._open_header({d.index})
+        self.proof.open_loops([(d.index, lo, hi)])
+
+    def _open_header(self, indices: set[str]) -> None:
+        header = _Header(self.indent)
+        self.lines.append(header)
+        self.headers.append((indices, header))
 
     def close_loop(self) -> None:
+        self.headers.pop()
+        self.proof.close_loops()
         self.indent -= 1
         self.stmt("}")
 
@@ -373,11 +527,24 @@ class _NativeKernel(CExprLowerer):
             self.stmt(f"i64 {var} = _r % _cn{k} + _clo{k};")
             self.stmt(f"_r /= _cn{k};")
         self.stmt(f"i64 v_{c_name(chain[0].index)} = _r + _clo0;")
+        # The flat range is a slice of the chain's box; the proof is over
+        # the whole box (exact for a call that covers it, conservative for
+        # a chunk), empty when the flat range is.
+        self._open_header({loop.index for loop in chain})
+        self.proof.open_loops(
+            [
+                (loop.index, self.bound(loop.subrange.lo),
+                 self.bound(loop.subrange.hi))
+                for loop in chain
+            ],
+            empty="(nlo > nhi)",
+        )
 
     def store(self, eq: AnalyzedEquation) -> None:
         """RHS, range-checked flattened target subscript, element-kind
         cast, and the per-label evaluation counter."""
         self.current_dims = set(eq.index_names)
+        self.indices = self.index_names | self.current_dims
         target = eq.targets[0]
         kind = self.register_array(target.name)[2]
         value = self.lower(eq.rhs)
@@ -425,9 +592,15 @@ class _NativeKernel(CExprLowerer):
                 body.append(f"    const i64 {an}_n{d} = geom[{pos + 2}];")
                 pos += 3
         body.extend(self.prologue)
+        body.extend("    " + line for line in self.proof.lines())
+        body.extend(self.entry.lines())
         for i in range(len(counters)):
             body.append(f"    i64 _c{i} = 0;")
-        body.extend(self.lines)
+        for line in self.lines:
+            if isinstance(line, _Header):
+                body.extend(line.lines())
+            else:
+                body.append(line)
         for i in range(len(counters)):
             body.append(f"    counts[{i}] = _c{i};")
         body.append("    return 0;")
@@ -444,6 +617,9 @@ class _NativeKernel(CExprLowerer):
             scalars=scalar_kinds,
             env_names=env_names,
             counters=counters,
+            checks=self.checks,
+            proven=self.proven,
+            inline=tuple(dict.fromkeys(self.inline)),
         )
 
 
@@ -469,7 +645,11 @@ def native_specs(
     Memoized on the flowchart by (path, window mode, shape), refusals
     included: the ``auto`` planner asks "does it lower?" once per
     candidate backend and the kernel cache then asks for the same specs to
-    compile, so one emission serves them all."""
+    compile, so one emission serves them all. (The span of a one-equation
+    nest *is* its full kernel and is lowered as such — see
+    :func:`~repro.runtime.kernels.nest.span_is_full`.)"""
+    if shape == "span" and span_is_full(desc):
+        shape = "full"
     memo = flowchart.__dict__.setdefault("_native_emit_memo", {})
     path = flowchart.path_of(desc)
     key = (path, bool(use_windows), shape)
@@ -504,31 +684,6 @@ def native_emittable(
     except KernelError:
         return False
     return True
-
-
-def emittable_nest_sources(
-    analyzed: AnalyzedModule, flowchart: Flowchart, use_windows: bool = False
-) -> dict[str, str]:
-    """Generated C for every natively emittable outermost DOALL nest of a
-    module, keyed ``nest-<flowchart path>-<index>-<shape>`` and
-    ``span-<path>-<index>-<n>`` (the path disambiguates same-named loop
-    indices) — what ``repro plan --save`` persists next to the plan text
-    for offline builds."""
-    sources: dict[str, str] = {}
-    for desc in outermost_parallel_loops(flowchart.descriptors):
-        path = flowchart.path_of(desc)
-        at = "_".join(str(i) for i in path) if path else "x"
-        for shape in NEST_SHAPES:
-            try:
-                specs = native_specs(desc, analyzed, flowchart, use_windows, shape)
-            except KernelError:
-                continue
-            if shape == "span":
-                for n, spec in enumerate(specs):
-                    sources[f"span-{at}-{desc.index}-{n}"] = spec.source
-            else:
-                sources[f"nest-{at}-{desc.index}-{shape}"] = specs[0].source
-    return sources
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +779,15 @@ def load_library(
     return entry
 
 
+def unit_source(specs: list[NativeKernelSpec]) -> str:
+    """The one translation unit holding ``specs``: the prelude once, each
+    distinct function after it in name order."""
+    functions = {s.fn_name: s.function for s in specs}
+    return C_PRELUDE + "\n" + "\n".join(
+        functions[name] for name in sorted(functions)
+    )
+
+
 def build_kernels(
     specs: list[NativeKernelSpec], counters: dict[str, int] | None = None
 ) -> None:
@@ -641,7 +805,7 @@ def build_kernels(
             return
         unit = [missing[name] for name in sorted(missing)]
         entry = load_library(
-            C_PRELUDE + "\n" + "\n".join(s.function for s in unit),
+            unit_source(unit),
             "typedef int64_t i64; " + " ".join(s.decl for s in unit),
             counters,
         )
@@ -649,13 +813,16 @@ def build_kernels(
             _loaded[s.fn_name] = entry
 
 
-def _wrap_spec(spec: NativeKernelSpec) -> Callable:
+def _wrap_spec(
+    spec: NativeKernelSpec, on_proof: Callable[[bool], None] | None = None
+) -> Callable:
     """Wrap one built spec as ``kernel(data, env, nlo, nhi) -> dict[label,
     count]``. The wrapper pins every storage buffer for the duration of the
     call (cffi's ABI mode releases the GIL around the C invocation, so a
     free-running thread must not let the arrays be collected mid-kernel),
     checks the error channel after, and re-raises the evaluator's exact
-    exceptions."""
+    exceptions — or :class:`RangeUnproven` when the entry proof failed.
+    ``on_proof(held)`` hears the verdict of every call that had one."""
     lib, ffi = _loaded[spec.fn_name]
     fn = getattr(lib, spec.fn_name)
     array_names = [name for name, _kind in spec.arrays]
@@ -666,6 +833,8 @@ def _wrap_spec(spec: NativeKernelSpec) -> Callable:
     scalars = spec.scalars
     env_names = spec.env_names
     counters = spec.counters
+    if not spec.proven:
+        on_proof = None
 
     def _kernel(data, env, nlo, nhi):
         cargs = []
@@ -691,6 +860,12 @@ def _wrap_spec(spec: NativeKernelSpec) -> Callable:
         counts = ffi.new("int64_t[]", max(1, len(counters)))
         err = ffi.new("int64_t[]", 4)
         rc = fn(*cargs, int(nlo), int(nhi), counts, err)
+        if on_proof is not None:
+            on_proof(rc != UNPROVEN)
+        if rc == UNPROVEN:
+            raise RangeUnproven(
+                f"range proof of {spec.fn_name} failed over [{nlo}, {nhi}]"
+            )
         if rc == 2:
             # the evaluator's exact exception for a zero divisor
             raise ZeroDivisionError("integer division or modulo by zero")
@@ -713,16 +888,24 @@ def _wrap_spec(spec: NativeKernelSpec) -> Callable:
     return _kernel
 
 
-def bind_kernel(specs: list[NativeKernelSpec]) -> Callable:
+def bind_kernel(
+    specs: list[NativeKernelSpec],
+    on_proof: Callable[[bool], None] | None = None,
+) -> Callable:
     """The Python callable over the *built* ``specs`` of one nest (see
     :func:`build_kernels`), with the exact signature of the Python nest
     kernels — ``kernel(data, env, lo, hi) -> dict`` — raising the
     evaluator's out-of-range :class:`ExecutionError` when the C code
-    reports one. The several specs of a ``"span"`` become one composite
-    callable that runs the per-equation kernels in emission order — the
-    same distribution order as ``exec_vector_span`` — and merges their
-    counters."""
-    kernels = [_wrap_spec(spec) for spec in specs]
+    reports one and :class:`RangeUnproven` when its entry proof fails.
+    The several specs of a ``"span"`` become one composite callable that
+    runs the per-equation kernels in emission order — the same
+    distribution order as ``exec_vector_span`` — and merges their
+    counters. When a later equation's proof fails the earlier ones have
+    stored; rerunning the whole span a tier down recomputes the same
+    values from the same inputs (every loop of a span is a ``DOALL``: no
+    equation reads what its own pass wrote) and counts each element once,
+    because a failed call returns no counts."""
+    kernels = [_wrap_spec(spec, on_proof) for spec in specs]
     if len(kernels) == 1:
         return kernels[0]
 

@@ -15,7 +15,9 @@ around equation bodies — seen through three parameters:
   (:func:`lower_equation`);
 * **dialect** — what the text looks like: Python over ints, Python over
   NumPy row vectors (:mod:`repro.runtime.kernels.emit`), or C
-  (:mod:`repro.runtime.kernels.native`). A dialect object is one kernel
+  (:mod:`repro.runtime.kernels.native`, which also follows the walk with
+  the loop box its entry range proof is stated over —
+  :mod:`repro.runtime.kernels.ranges`). A dialect object is one kernel
   under construction; it supplies ``open_loop`` / ``open_flat`` /
   ``close_loop`` / ``store`` / ``array_windows`` / ``assemble`` and
   nothing else differs between tiers.
@@ -260,6 +262,18 @@ def _check_distributable(desc: LoopDescriptor) -> None:
                 f"sequential loop {loop.index} inside span: per-equation "
                 "distribution would reorder its cross-iteration dependences"
             )
+
+
+def span_is_full(desc: LoopDescriptor) -> bool:
+    """Whether the ``"span"`` kernels of ``desc`` are its ``"full"``
+    kernel: a legal span (every loop a ``DOALL``) of a nest holding one
+    equation projects onto all of its loops, so the two emissions are the
+    same text and a dialect that memoizes may lower it once."""
+    return (
+        desc.parallel
+        and all(loop.parallel for loop in desc.nested_loops())
+        and len(desc.nested_equations()) == 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -304,23 +304,6 @@ def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-def outermost_parallel_loops(descriptors) -> list[LoopDescriptor]:
-    """The outermost parallel loops met on a scalar walk of
-    ``descriptors`` — exactly the nests that can dispatch a fused nest
-    kernel (inner loops of a span or nest never dispatch their own). One
-    rule, shared by the kernel cache's pre-fork warm-up and the offline
-    artifact export."""
-    out: list[LoopDescriptor] = []
-    for d in descriptors:
-        if not isinstance(d, LoopDescriptor):
-            continue
-        if d.parallel:
-            out.append(d)
-        else:
-            out.extend(outermost_parallel_loops(d.body))
-    return out
-
-
 @dataclass
 class Flowchart:
     """The scheduler's output for one module (or one component)."""

@@ -86,17 +86,14 @@ class TestCalibration:
         assert default.eval_element_overhead == pytest.approx(
             calibrated.eval_element_overhead, rel=1.0
         )
-        assert default.vector_element_factor == pytest.approx(
-            calibrated.vector_element_factor, rel=1.0
-        )
 
     def test_mode_ordering(self):
         """Per-element cost must rank evaluator > kernel > nest > vector —
         the orderings the planner's choices rest on. The native mode sits
-        far below nest but in the same memory-bound band as vector (large
-        NumPy spans and compiled C loops both stream the same doubles);
-        what native saves is the per-span setup and per-row bookkeeping,
-        which the planner prices separately."""
+        far below nest and below vector: a C nest whose range checks are
+        proven at entry streams the doubles once, where a NumPy span makes
+        a pass and a temporary per operator (about 0.3x, measured in
+        BENCH_native.json)."""
         m = MachineModel()
         eq = _eq3()
         costs = [
@@ -107,13 +104,15 @@ class TestCalibration:
         assert costs[0] > 10 * costs[1]  # the interpretation tax is real
         native = m.element_cost(eq, "native")
         assert native < m.element_cost(eq, "nest") / 10
-        assert native == pytest.approx(m.element_cost(eq, "vector"), rel=2.0)
+        assert native < m.element_cost(eq, "vector")
 
-    def test_native_factor_tracks_the_native_baseline(self):
-        """``from_native_bench`` re-derives the native per-element factor
-        from the committed BENCH_native.json; the shipped default must stay
-        within a 2x band of that derivation (same contract as the other
-        mode constants)."""
+    def test_compiled_factors_track_the_native_baseline(self):
+        """``from_native_bench`` re-derives the native and the NumPy-span
+        per-element factors from one serial Jacobi row of the committed
+        BENCH_native.json; the shipped defaults must stay within a 2x band
+        of that derivation (same contract as the other mode constants) —
+        and so must their *ratio*, the number ``auto`` decides a compiled
+        nest against a vector span on."""
         path = BASELINE.parent / "BENCH_native.json"
         payload = json.loads(path.read_text())
         derived = MachineModel.from_native_bench(payload)
@@ -121,6 +120,21 @@ class TestCalibration:
         assert default.native_element_factor == pytest.approx(
             derived.native_element_factor, rel=1.0
         )
+        assert default.vector_element_factor == pytest.approx(
+            derived.vector_element_factor, rel=1.0
+        )
+        row = max(
+            (r for r in payload["rows"]
+             if r["workload"] == "jacobi" and r["backend"] == "serial"),
+            key=lambda r: r["grid"],
+        )
+        measured = row["native_seconds"] / row["span_seconds"]
+        assert derived.native_element_factor / derived.vector_element_factor == (
+            pytest.approx(measured)
+        )
+        modelled = default.native_element_factor / default.vector_element_factor
+        assert measured / 2 <= modelled <= measured * 2
+        assert modelled < 1  # a C nest is priced below a NumPy span
         # native stays far below the Python nest tier after recalibration
         eq = _eq3()
         assert derived.element_cost(eq, "native") < derived.element_cost(

@@ -54,18 +54,33 @@ DO I -> fission x3; trip 64; forced dependence split
     DO I -> nest; trip 64; compiled in order
         eq.6 [kernel=nest]"""
 
-GOLDEN_MERIT = """\
-plan Mixed: backend=threaded workers=4 kernels=native windows=off [pinned]
-eq.1 [kernel=scalar]
-eq.2 [kernel=scalar]
-eq.3 [kernel=scalar]
-DO I -> fission x3; trip 200000; dependence split
-    DO I -> pipeline x3; stages 3 [seq(eq.4) | seq(eq.5) | seq(eq.6)]; block 12500; trip 200000; decoupled sibling run
-        eq.4 [kernel=native]
-    DO I -> pipeline; trip 200000; stage 2/3
-        eq.5 [kernel=native]
-    DO I -> pipeline; trip 200000; stage 3/3
-        eq.6 [kernel=native]"""
+#: trips the merit tests walk to find where the model's prices cross
+TRIP_LADDER = (64, 20_000, 200_000, 2_000_000, 20_000_000, 200_000_000)
+
+
+def _merit_plan(n, workers=4):
+    analyzed, chart = _mixed()
+    plan = build_plan(
+        analyzed, chart,
+        ExecutionOptions(backend="threaded", workers=workers),
+        {"n": n}, cpu_count=workers,
+    )
+    (note,) = plan.provenance["fission_loops"]
+    return plan, note
+
+
+def _fission_crossover(workers=4):
+    """(last trip of the ladder where the unfissioned plan is priced
+    cheaper, first trip where the split is): the two sides of the
+    crossover, found from the model rather than pinned."""
+    below = None
+    for n in TRIP_LADDER:
+        _plan, note = _merit_plan(n, workers)
+        if note["fission_cycles"] < note["unfissioned_cycles"]:
+            assert below is not None, "fission wins even at the shortest trip"
+            return below, n
+        below = n
+    raise AssertionError("fission never beats the compiled DO on the ladder")
 
 
 class TestGoldenFissionPlans:
@@ -79,33 +94,45 @@ class TestGoldenFissionPlans:
         )
         assert plan.pretty() == GOLDEN_FORCED
 
-    def test_merit_fission_text_with_pipelined_replicas(self):
-        # At a long trip the split wins on price alone, and the replica
-        # run decouples into a three-stage pipeline — the transforms
-        # compose: fission exposes the siblings, pipeline decouples them.
-        analyzed, chart = _mixed()
-        plan = build_plan(
-            analyzed, chart,
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 200000}, cpu_count=4,
-        )
-        assert plan.pretty() == GOLDEN_MERIT
+    def test_merit_fission_with_pipelined_replicas(self):
+        # Past the trip where three decoupled passes are priced below one
+        # compiled DO the split wins on price alone, and the replica run
+        # decouples into a three-stage pipeline — the transforms compose:
+        # fission exposes the siblings, pipeline decouples them. Below it
+        # the loop stays one compiled nest.
+        below, above = _fission_crossover()
+        plan, _note = _merit_plan(below)
+        assert plan.strategies() == [("I", "nest")]
+        plan, _note = _merit_plan(above)
+        assert plan.strategies() == [
+            ("I", "fission"), ("I", "pipeline"), ("I", "pipeline"),
+            ("I", "pipeline"),
+        ]
+        root = plan.loops[(3,)]
+        assert root.annotation() == f"fission x3; trip {above}; dependence split"
+        head = plan.loops[(3, -1, 0)]
+        assert [s.labels for s in head.stages] == [
+            ("eq.4",), ("eq.5",), ("eq.6",),
+        ]
+        assert head.stages[0].kind == head.stages[1].kind == "sequential"
+        assert head.reason == "decoupled sibling run"
+        assert {plan.equations[f"eq.{k}"].kernel for k in (4, 5, 6)} == {"native"}
 
 
 class TestFissionDecision:
     def test_merit_provenance_fields(self):
-        analyzed, chart = _mixed()
-        plan = build_plan(
-            analyzed, chart,
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 200000}, cpu_count=4,
-        )
-        (note,) = plan.provenance["fission_loops"]
+        below, above = _fission_crossover()
+        plan, note = _merit_plan(above)
         assert note["chosen"] and note["why"] == "split pieces are cheaper"
         assert note["parts"] == 3
         assert note["pieces"] == ["DO(eq.4)", "DO(eq.5)", "DO(eq.6)"]
         assert note["fission_cycles"] < note["unfissioned_cycles"]
         assert "fission @" in plan.explain()
+        # and on the other side of the crossover the note says who won
+        plan, note = _merit_plan(below)
+        assert not note["chosen"]
+        assert note["fission_cycles"] >= note["unfissioned_cycles"]
+        assert note["why"].startswith("unfissioned plan is cheaper")
 
     def test_short_trip_keeps_the_unfissioned_plan(self):
         # At trip 64 the split's replica loops only add overhead: auto
@@ -126,11 +153,12 @@ class TestFissionDecision:
 
     def test_no_fission_escape_hatch(self):
         analyzed, chart = _mixed()
+        _below, above = _fission_crossover()  # where the split would win
         plan = build_plan(
             analyzed, chart,
             ExecutionOptions(backend="threaded", workers=4,
                              use_fission=False),
-            {"n": 200000}, cpu_count=4,
+            {"n": above}, cpu_count=4,
         )
         assert "fission" not in [s for _, s in plan.strategies()]
         assert not plan.provenance.get("fission_loops")

@@ -7,10 +7,15 @@ import textwrap
 
 import pytest
 
+from repro.core.paper import jacobi_analyzed
 from repro.plan.planner import build_plan, forced_plan, valid_strategies
+from repro.ps.parser import parse_module
+from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions
+from repro.schedule.scheduler import schedule_module
 
 from tests.plan.conftest import WORKLOADS
+from tests.runtime.test_kernel_sources import TALLSKINNY_SOURCE
 
 GOLDEN = {
     "jacobi": """\
@@ -221,6 +226,77 @@ class TestGoldenPlans:
         )
         assert all(e.kernel == "evaluator" for e in plan.equations.values())
         assert all(lp.strategy != "nest" for lp in plan.loops.values())
+
+
+#: the paper's DOALL grids at the sizes ``benchmarks/e2e`` runs them, at
+#: two cores: ``auto`` compiles the sweep and nothing else
+GRID_PINS = {
+    "jacobi": (
+        jacobi_analyzed, {"M": 128, "maxK": 40}, """\
+        plan Relaxation: backend=vectorized workers=2 kernels=native windows={w} [auto]
+        DOALL I -> vector; trip 130
+            DOALL J -> vector; trip 130; nested in span
+                eq.1 [kernel=vector]
+        DO K -> nest; trip 39; compiled in order
+            DOALL I -> nest; trip 130; fused
+                DOALL J -> nest; trip 130; fused
+                    eq.3 [kernel=native]
+        DOALL I -> vector; trip 130
+            DOALL J -> vector; trip 130; nested in span
+                eq.2 [kernel=vector]""",
+    ),
+    "tallskinny": (
+        lambda: analyze_module(parse_module(TALLSKINNY_SOURCE)),
+        {"r": 4, "c": 4096, "maxK": 20}, """\
+        plan Relax: backend=vectorized workers=2 kernels=native windows={w} [auto]
+        DOALL I -> vector; trip 4
+            DOALL J -> vector; trip 4096; nested in span
+                eq.1 [kernel=vector]
+        DO K -> nest; trip 20; compiled in order
+            DOALL I -> nest; trip 4; fused
+                DOALL J -> nest; trip 4096; fused
+                    eq.2 [kernel=native]
+        DOALL I -> vector; trip 4
+            DOALL J -> vector; trip 4096; nested in span
+                eq.3 [kernel=vector]""",
+    ),
+}
+
+
+class TestCompiledSweepPins:
+    """The sweep of a DOALL grid is the one loop worth a compiler run: its
+    native kernel is priced at about a third of the NumPy spans it
+    replaces (a ratio measured in BENCH_native.json), while the one-shot
+    copies around it stay on spans — equal run time within the model's
+    precision, two fewer C functions in a cold start."""
+
+    @pytest.mark.parametrize("use_windows", [False, True])
+    @pytest.mark.parametrize("name", list(GRID_PINS))
+    def test_auto_compiles_the_sweep_and_only_the_sweep(self, name, use_windows):
+        make, scalars, golden = GRID_PINS[name]
+        analyzed = make()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend="auto", workers=2, use_windows=use_windows),
+            scalars, cpu_count=2,
+        )
+        assert plan.pretty() == textwrap.dedent(golden).format(
+            w="on" if use_windows else "off"
+        )
+        assert plan.native_kernels() == [((1,), "full")]
+        (note,) = plan.provenance["native_nests"]
+        assert note["proven"] == note["checks"] > 0 and len(note["functions"]) == 1
+        assert (
+            f"range checks: {note['checks']} of {note['checks']} proven at entry"
+            in plan.explain()
+        )
+        # the serial candidate would run a hair faster and compile all
+        # three nests; the tie goes to the plan that builds fewest
+        rows = {r["backend"]: r for r in plan.provenance["candidates"]}
+        assert rows["serial"]["predicted_cycles"] < rows["vectorized"]["predicted_cycles"]
+        assert rows["serial"]["native_functions"] == 3
+        assert rows["vectorized"]["native_functions"] == 1
+        assert "builds the fewest native functions" in plan.provenance["reason"]
 
 
 class TestGoldenCollapsePlans:

@@ -3,6 +3,7 @@ the ``repro plan`` interface), the merit decision at realistic sizes, the
 float-reassociation gate, composition with the pipeline engine, and the
 pricing provenance lines ``plan.explain()`` prints."""
 
+import re
 import textwrap
 
 import pytest
@@ -55,23 +56,55 @@ class TestGoldenScanPlans:
         assert plan.pretty() == textwrap.dedent(GOLDEN_FORCED[name])
 
 
+#: (trip, workers) grid the merit tests walk to find where the model's
+#: prices cross — the crossover is computed, not pinned
+TRIPS = (2_000_000, 20_000_000, 200_000_000)
+WORKERS = (2, 4, 8, 16, 32)
+
+
+def _scan_plan(analyzed_fn, n, workers, **options):
+    analyzed = analyzed_fn()
+    return build_plan(
+        analyzed, schedule_module(analyzed),
+        ExecutionOptions(backend="threaded", workers=workers, **options),
+        {"n": n}, cpu_count=workers,
+    )
+
+
+def _scan_sides():
+    """Every (workload, trip, workers) of the grid with its plan and scan
+    note, split by what the model prices cheaper: (blocked scan wins,
+    compiled DO wins)."""
+    wins, loses = [], []
+    for _name, analyzed_fn, _args, _ in SCAN_WORKLOADS:
+        for n in TRIPS:
+            for p in WORKERS:
+                plan = _scan_plan(analyzed_fn, n, p)
+                (note,) = plan.provenance["scan_loops"]
+                side = wins if note["scan_cycles"] < note["do_cycles"] else loses
+                side.append((plan, note))
+    return wins, loses
+
+
 class TestScanMerit:
-    def test_auto_picks_scan_at_large_trip(self):
-        analyzed = ilinrec_analyzed()
-        plan = build_plan(
-            analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=8),
-            {"n": 2_000_000}, cpu_count=8,
-        )
+    def test_auto_picks_scan_exactly_where_it_is_priced_cheaper(self):
         # The comparator is the compiled DO, not the walk: the scan needs
-        # both a long trip and real cores to pay for its second pass.
-        assert ("I", "scan") in plan.strategies()
-        (note,) = plan.provenance["scan_loops"]
-        assert note["chosen"] and note["why"] == "blocked scan is cheaper"
-        assert note["do_compiled"]
-        assert note["scan_cycles"] < note["do_cycles"] < note["serial_cycles"]
-        # The seq fused-kernel comparator is recorded alongside.
-        assert note["seq_cycles"] is not None
+        # both a long trip and real cores to pay for its coefficient pass
+        # and its second sweep. Both sides of that crossover exist on the
+        # grid, and the choice follows the prices on each.
+        wins, loses = _scan_sides()
+        assert wins and loses
+        for plan, note in wins:
+            assert ("I", "scan") in plan.strategies()
+            assert note["chosen"] and note["why"] == "blocked scan is cheaper"
+            assert note["do_compiled"]
+            assert note["scan_cycles"] < note["do_cycles"] < note["serial_cycles"]
+            # The seq fused-kernel comparator is recorded alongside.
+            assert note["seq_cycles"] is not None
+        for plan, note in loses:
+            assert ("I", "nest") in plan.strategies()
+            assert not note["chosen"]
+            assert note["why"].endswith("> compiled DO")
 
     def test_small_trip_stays_in_order(self):
         analyzed = ilinrec_analyzed()
@@ -96,9 +129,16 @@ class TestScanMerit:
         )
         assert ("I", "nest") in plan.strategies()
         assert plan.loops[(1,)].dialect == "native"
-        assert "scan x4: 1.9x the arithmetic + 2 barriers > compiled DO" in (
-            plan.explain()
+        (note,) = plan.provenance["scan_loops"]
+        assert note["scan_cycles"] > note["do_cycles"]
+        # the verdict names the scan's arithmetic relative to one in-order
+        # pass (coefficient vectors + both sweeps: more than 1.5 passes)
+        said = re.fullmatch(
+            r"scan x4: (\d+\.\d)x the arithmetic \+ 2 barriers > compiled DO",
+            note["why"],
         )
+        assert said and float(said.group(1)) > 1.5
+        assert note["why"] in plan.explain()
 
     def test_kernels_off_compares_against_the_walk(self):
         analyzed = ilinrec_analyzed()
@@ -135,17 +175,13 @@ class TestScanMerit:
         assert ("I", "scan") in plan.strategies()
 
     def test_explain_prints_the_scan_verdict(self):
-        analyzed = ilinrec_analyzed()
-        plan = build_plan(
-            analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=8),
-            {"n": 2_000_000}, cpu_count=8,
-        )
-        text = plan.explain()
-        assert "scan loop" in text
-        assert "linrec" in text
-        assert "chosen" in text
-        assert "cycles compiled DO" in text
+        wins, loses = _scan_sides()
+        for (plan, note), verdict in ((wins[0], "chosen"), (loses[0], "rejected")):
+            text = plan.explain()
+            assert "scan loop" in text
+            assert note["kind"] in text
+            assert verdict in text
+            assert "cycles compiled DO" in text
 
     def test_valid_strategies_offers_scan_for_bit_exact_loops(self):
         analyzed = isum_analyzed()
@@ -176,35 +212,49 @@ class TestScanMerit:
             )
 
 
+def _pipelined_heads(**options):
+    """(trip, workers, head LoopPlan, group note) wherever the Scan
+    workload's sibling run is priced below the undecoupled plan."""
+    out = []
+    for n in TRIPS:
+        for p in WORKERS:
+            plan = _scan_plan(scan_analyzed, n, p, **options)
+            (note,) = plan.provenance["pipeline_groups"]
+            head = plan.loops[(1,)]
+            cheaper = note["pipeline_cycles"] < note["serial_cycles"]
+            assert (head.strategy == "pipeline") == note["chosen"] == cheaper
+            if cheaper:
+                out.append((n, p, plan, head))
+            else:
+                assert head.strategy == "nest"  # the compiled DO + consumer
+    return out
+
+
 class TestPipelineComposition:
     def test_scan_head_stage_under_allow_reassoc(self):
         # The float linrec head of the Scan workload's pipeline group
-        # converts to a scan stage once reassociation is allowed and the
-        # trip is large enough for the blocked scan to beat streaming.
-        analyzed = scan_analyzed()
-        plan = build_plan(
-            analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=4,
-                             allow_reassoc=True),
-            {"n": 2_000_000}, cpu_count=4,
-        )
-        head = plan.loops[(1,)]
-        assert head.strategy == "pipeline"
-        kinds = [s.kind for s in head.stages]
-        assert kinds == ["scan", "replicated"]
-        assert "scan x4(eq.2)" in plan.pretty()
+        # converts to a scan stage once reassociation is allowed, where the
+        # trip and the worker count make the blocked scan beat streaming —
+        # and streams in order on the other side of that price.
+        heads = _pipelined_heads(allow_reassoc=True)
+        scanned = [
+            (n, p, plan) for n, p, plan, head in heads
+            if [s.kind for s in head.stages] == ["scan", "replicated"]
+        ]
+        streamed = [
+            head for _n, _p, _plan, head in heads
+            if [s.kind for s in head.stages] == ["sequential", "replicated"]
+        ]
+        assert scanned and streamed
+        assert len(scanned) + len(streamed) == len(heads)
+        for _n, p, plan in scanned:
+            assert f"scan x{p}(eq.2)" in plan.pretty()
 
     def test_no_reassoc_keeps_the_sequential_stage(self):
-        analyzed = scan_analyzed()
-        plan = build_plan(
-            analyzed, schedule_module(analyzed),
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 2_000_000}, cpu_count=4,
-        )
-        head = plan.loops[(1,)]
-        assert head.strategy == "pipeline"
-        kinds = [s.kind for s in head.stages]
-        assert kinds == ["sequential", "replicated"]
+        heads = _pipelined_heads()
+        assert heads
+        for _n, _p, _plan, head in heads:
+            assert [s.kind for s in head.stages] == ["sequential", "replicated"]
 
 
 class TestKernelGates:

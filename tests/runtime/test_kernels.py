@@ -265,7 +265,7 @@ class TestKernelCache:
         assert cache.kernel_for(eq, True, False) is None
         assert cache.stats() == {
             "entries": 1, "compiled": 0, "nests": 0, "native": 0,
-            "tus": 0, "cc_calls": 0,
+            "tus": 0, "cc_calls": 0, "range_proven": 0, "range_unproven": 0,
         }
 
     def test_callee_runtime_is_memoized_across_calls(self):

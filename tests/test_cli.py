@@ -94,7 +94,10 @@ class TestPlan:
         saved = list(cache.glob("plans/Relaxation-*/plan.txt"))
         assert len(saved) == 1
         assert "plan Relaxation:" in saved[0].read_text()
-        assert list(saved[0].parent.glob("nest-*.c"))
+        # the plan's one translation unit, one cc line to build it
+        unit = saved[0].parent / "Relaxation.c"
+        assert unit.read_text().count("\nint k_") == 3  # eq.1, eq.3, eq.2 nests
+        assert (saved[0].parent / "build.sh").read_text().count("\ncc ") == 1
 
 
 class TestGraph:
