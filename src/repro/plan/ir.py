@@ -259,6 +259,16 @@ class ExecutionPlan:
     #: calibration-adjusted costs, which had measured records, and why the
     #: winner won — rendered by :meth:`explain` for ``repro plan``
     provenance: dict | None = field(default=None, repr=False, compare=False)
+    #: how ``ensure_targets`` allocates each array the equations define: a
+    #: string says why it is zero-filled; an ``(ArrayType, boxes)`` pair
+    #: says nothing in this plan reads it early, so a run at whose sizes
+    #: :func:`repro.runtime.values.undefined_part` finds it totally defined
+    #: leaves it uninitialised. An array not named here is zero-filled.
+    storage: dict = field(default_factory=dict, repr=False, compare=False)
+    #: array name -> (sizes, totally defined?) of the last run that asked
+    defined: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the sizes the plan was built for (``explain`` evaluates boxes at them)
+    sizes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: id(descriptor) -> LoopPlan for O(1) lookup during execution; rebuilt
     #: by bind() — valid only against the flowchart the plan was built from
     _by_id: dict[int, LoopPlan] = field(
@@ -373,6 +383,8 @@ class ExecutionPlan:
                 f"provenance {self.module}: none recorded "
                 f"(prebuilt or forced plan)"
             )
+        from repro.runtime.values import undefined_part
+
         p = self.provenance
         lines = [f"provenance {self.module}: {p['mode']} -> {self.backend}"]
         for row in p.get("candidates", []):
@@ -492,4 +504,11 @@ class ExecutionPlan:
             if note.get("fission"):
                 row += f"; {note['fission']}"
             lines.append(row)
+        for name, how in self.storage.items():
+            if isinstance(how, tuple):
+                how = undefined_part(*how, self.sizes)
+            lines.append(
+                f"  {name}: zero-filled, {how}" if how
+                else f"  {name}: uninitialised, every element is defined"
+            )
         return "\n".join(lines)

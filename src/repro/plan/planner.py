@@ -45,6 +45,8 @@ from repro.plan.ir import (
     StagePlan,
 )
 from repro.plan.strategy import NEST
+from repro.ps.coverage import definition_boxes
+from repro.ps.symbols import SymbolKind
 from repro.runtime.kernels.emit import equation_affine_fast_path
 from repro.runtime.kernels.native import native_emittable, native_specs
 from repro.runtime.kernels.nest import (
@@ -1890,5 +1892,46 @@ class _Planner:
             loops=self.loops,
             equations=self.equations,
             cycles=self.total,
+            storage=self._storage(),
+            sizes=dict(self.scalar_env),
         )
         return plan.bind(self.flowchart)
+
+    def _storage(self) -> dict:
+        """``ExecutionPlan.storage``. An array keeps its definition boxes —
+        the run decides, at its sizes, whether they cover it — unless the
+        plan rules a skipped zero-fill out: only lazily evaluating code
+        (native kernels, the scalar walk) reads exactly the elements the
+        equations ask for; a vector-tier equation also gathers the lanes its
+        ``if`` discards, so it may read the array only once every definition
+        has run — from a later top-level descriptor than the last of them,
+        and not as a stage of a pipeline group."""
+        plans = [(self.equations[eq.label], eq) for eq in self.analyzed.equations]
+        piped = {p[0] for p, lp in self.loops.items() if lp.strategy == "pipeline"}
+        out: dict = {}
+        for name, boxes in definition_boxes(self.analyzed).items():
+            sym = self.analyzed.symbol(name)
+            last = max(
+                ep.path[0] for ep, eq in plans if any(t.name == name for t in eq.targets)
+            )
+            early = [
+                ep for ep, eq in plans
+                if ep.kernel not in ("native", "scalar")
+                and any(ref.name == name for ref in eq.refs)
+                and (ep.path[0] <= last or ep.path[0] in piped)
+            ]
+            if not self.use_kernels or self.tier != "native":
+                out[name] = "the plan dispatches no native kernels"
+            elif (
+                self.use_windows and sym.kind is SymbolKind.VAR
+                and self.flowchart.window_of(name)
+            ):
+                out[name] = "it has a window dimension"
+            elif early:
+                out[name] = (
+                    f"{early[0].label} [kernel={early[0].kernel}] may read it "
+                    f"before every definition has run"
+                )
+            else:
+                out[name] = (sym.type, boxes)
+        return out

@@ -32,6 +32,9 @@ class _DimDomain:
     lo: int | None = None  # literal range bounds, when decidable
     hi: int | None = None
     symbolic: bool = False  # True when bounds are not integer literals
+    #: the ``(lo, hi)`` expressions the literals were folded from (a "const"
+    #: is the point ``(subscript, subscript)``), for evaluation at run time
+    exprs: tuple[Expr, Expr] | None = None
 
 
 def _literal_value(expr: Expr) -> int | None:
@@ -70,13 +73,10 @@ def _const_vs_range(c: _DimDomain, r: _DimDomain) -> bool | None:
     return None
 
 
-def check_coverage(analyzed) -> None:
-    """Raise :class:`CoverageError` on definite overlap; append warnings to
-    ``analyzed.warnings`` for undecidable cases. Also verifies that every
-    result and local variable has at least one defining equation."""
-    table = analyzed.table
-
-    defs: dict[str, list[tuple[str, list[_DimDomain]]]] = {}
+def definition_domains(analyzed) -> dict[str, list[tuple]]:
+    """Per defined name, ``(equation, [_DimDomain per target dimension])``
+    for every equation that defines it."""
+    defs: dict[str, list[tuple]] = {}
     for eq in analyzed.equations:
         index_ranges = {d.index: d.subrange for d in eq.dims}
         for target in eq.targets:
@@ -92,12 +92,41 @@ def check_coverage(analyzed) -> None:
                             lo=lo,
                             hi=hi,
                             symbolic=(lo is None or hi is None),
+                            exprs=(sr.lo, sr.hi),
                         )
                     )
                 else:
                     c = _literal_value(sub)
-                    dims.append(_DimDomain("const", const=c, symbolic=(c is None)))
-            defs.setdefault(target.name, []).append((eq.label, dims))
+                    dims.append(
+                        _DimDomain("const", const=c, symbolic=c is None, exprs=(sub, sub))
+                    )
+            defs.setdefault(target.name, []).append((eq, dims))
+    return defs
+
+
+def definition_boxes(analyzed) -> dict[str, list]:
+    """Per array the equations define element-wise, the box each defining
+    equation covers: one ``(lo, hi)`` expression pair per dimension, to be
+    evaluated with a run's sizes. A target subscript is an index of its own
+    or index-free (semantic analysis rejects ``A[I+1]`` and ``A[I, I]``), so
+    every definition domain is a box. Arrays a module call assigns wholesale
+    are left out: no storage is allocated for them."""
+    return {
+        name: [[d.exprs for d in dims] for _eq, dims in entries]
+        for name, entries in definition_domains(analyzed).items()
+        if entries[0][1] and not any(eq.atomic for eq, _dims in entries)
+    }
+
+
+def check_coverage(analyzed) -> None:
+    """Raise :class:`CoverageError` on definite overlap; append warnings to
+    ``analyzed.warnings`` for undecidable cases. Also verifies that every
+    result and local variable has at least one defining equation."""
+    table = analyzed.table
+    defs = {
+        name: [(eq.label, dims) for eq, dims in entries]
+        for name, entries in definition_domains(analyzed).items()
+    }
 
     # Pairwise overlap check per target.
     for name, entries in defs.items():

@@ -33,6 +33,7 @@ fallback.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,10 +47,10 @@ from repro.runtime.evaluator import Evaluator
 from repro.runtime.kernels.native import RangeUnproven
 from repro.runtime.values import (
     RuntimeArray,
-    StorageFactory,
     array_bounds,
-    default_storage,
     eval_bound,
+    new_storage,
+    undefined_part,
 )
 from repro.schedule.flowchart import (
     Descriptor,
@@ -65,8 +66,8 @@ from repro.schedule.flowchart import (
 
 @dataclass
 class ExecutionState:
-    """Everything one module execution mutates: the data environment,
-    evaluation statistics, and the storage factory backends plug in."""
+    """Everything one module execution mutates: the data environment and
+    evaluation statistics."""
 
     analyzed: AnalyzedModule
     flowchart: Flowchart
@@ -76,13 +77,14 @@ class ExecutionState:
     program: AnalyzedProgram | None = None
     #: statistics: equation label -> number of element evaluations
     eval_counts: dict[str, int] = field(default_factory=dict)
-    #: how target arrays are materialised (process backend: shared memory)
-    storage_factory: StorageFactory = default_storage
     #: compiled-kernel cache (None: evaluate everything on the tree walk)
     kernels: Any = None  # KernelCache | None (untyped: import cycle)
     #: the ExecutionPlan driving strategy dispatch (built lazily when a
     #: state is constructed by hand without one)
     plan: Any = None  # ExecutionPlan | None (untyped: import cycle)
+    #: every native kernel the plan dispatches is built and loaded — what
+    #: ``ensure_targets`` needs before it trusts ``plan.storage``
+    native_ready: bool = False
 
     def plan_of(self, desc, backend: str | None = None):
         """The LoopPlan for ``desc``, building the module plan on first
@@ -122,7 +124,6 @@ class ExecutionState:
             self.evaluator,
             program=self.program,
             eval_counts={},
-            storage_factory=self.storage_factory,
             kernels=self.kernels,
             plan=self.plan,
         )
@@ -151,6 +152,12 @@ def chunk_safe(state: ExecutionState, desc: LoopDescriptor) -> bool:
     )
 
 
+#: what :attr:`ExecutionBackend.counters` counts
+STORAGE_COUNTERS = (
+    "arg_bytes_borrowed", "arg_bytes_converted", "arrays_uninitialised", "arrays_zeroed",
+)
+
+
 class ExecutionBackend:
     """Base class: the shared walk plus the hooks backends override."""
 
@@ -171,12 +178,15 @@ class ExecutionBackend:
         #: plan-strategy name -> strategy object, for the strategies that
         #: execute themselves; the rest are still dispatched by the walk
         self.strategies = LOOP_STRATEGIES
+        #: argument bytes borrowed / copied on import, target arrays left
+        #: uninitialised / zero-filled, over every run of this instance
+        self.counters = dict.fromkeys(STORAGE_COUNTERS, 0)
+        self._counters_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, state: ExecutionState) -> None:
         """Execute the whole flowchart against ``state``."""
-        state.storage_factory = self.make_storage
         if state.kernels is not None:
             # Kernels with module calls dispatch through the cache's call
             # box; point it at this execution's handler before anything runs
@@ -199,7 +209,7 @@ class ExecutionBackend:
             # the plan will dispatch is built now, as one batch — not one
             # compiler process per kernel as the walk meets them.
             windows = bool(state.options.use_windows)
-            state.kernels.prepare([
+            state.native_ready = state.kernels.prepare([
                 (path, windows, shape)
                 for path, shape in state.plan.native_kernels()
             ])
@@ -219,8 +229,22 @@ class ExecutionBackend:
 
     # -- storage hooks -----------------------------------------------------
 
-    def make_storage(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return default_storage(shape, dtype)
+    def count(self, counter: str, n: int = 1) -> None:
+        with self._counters_lock:
+            self.counters[counter] += n
+
+    def make_storage(self, shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
+        return new_storage(shape, dtype, zero)
+
+    def import_array(self, array, dtype) -> np.ndarray:
+        """The storage a run reads an array argument from. In process:
+        the caller's array itself, borrowed read-only for the run — PS is
+        single-assignment, no lowering can write an argument — and copied
+        only when its dtype, byte order or layout must be converted."""
+        out = np.ascontiguousarray(array, dtype=dtype)
+        took = isinstance(array, np.ndarray) and np.may_share_memory(out, array)
+        self.count("arg_bytes_borrowed" if took else "arg_bytes_converted", out.nbytes)
+        return out
 
     def export_result(self, array: np.ndarray) -> np.ndarray:
         """Detach a result from backend-owned storage (a no-op unless the
@@ -849,33 +873,46 @@ class ExecutionBackend:
                 dense = v.to_numpy() if isinstance(v, RuntimeArray) else np.asarray(v)
                 bounds = array_bounds(sym.type, state.scalar_env())
                 state.data[target.name] = RuntimeArray.from_numpy(
-                    target.name,
-                    dense,
-                    bounds,
-                    storage_factory=state.storage_factory,
+                    target.name, self.import_array(dense, dense.dtype), bounds
                 )
             else:
                 state.data[target.name] = v
         state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + 1
 
     def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
-        """Allocate target arrays on first definition."""
+        """Allocate target arrays on first definition — zero-filled, unless
+        nothing in the plan reads the array early (``ExecutionPlan.storage``)
+        and at this run's sizes it is totally defined (:func:`undefined_part`)."""
         for target in eq.targets:
             if target.name in state.data:
                 continue
             sym = state.analyzed.symbol(target.name)
             if isinstance(sym.type, ArrayType):
-                bounds = array_bounds(sym.type, state.scalar_env())
+                env = state.scalar_env()
+                bounds = array_bounds(sym.type, env)
                 windows: dict[int, int] = {}
                 if state.options.use_windows and sym.kind is SymbolKind.VAR:
                     windows = dict(state.flowchart.window_of(target.name))
+                how = state.native_ready and state.plan.storage.get(target.name)
+                zero = True
+                if isinstance(how, tuple) and not windows:
+                    # one verdict per (array, sizes): a session's plan is
+                    # cached per sizes, so its warm runs all hit the memo
+                    sizes = tuple(env.items())
+                    memo = state.plan.defined.get(target.name)
+                    if memo is None or memo[0] != sizes:
+                        memo = sizes, undefined_part(*how, env) is None
+                        state.plan.defined[target.name] = memo
+                    zero = not memo[1]
+                self.count("arrays_zeroed" if zero else "arrays_uninitialised")
                 state.data[target.name] = RuntimeArray.allocate(
                     target.name,
                     sym.type.element,
                     bounds,
                     windows=windows,
                     debug=state.options.debug_windows,
-                    storage_factory=state.storage_factory,
+                    make=self.make_storage,
+                    zero=zero,
                 )
             # Scalars are created on assignment.
 

@@ -95,14 +95,22 @@ class ForkProcessBackend(ExecutionBackend):
 
     # -- storage -----------------------------------------------------------
 
-    def make_storage(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def make_storage(self, shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
+        """A fresh shared-memory segment — zero pages, whatever ``zero`` says."""
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         self._segments.append(shm)
         arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        arr[...] = 0
         self._seg_by_storage[id(arr)] = (arr, shm.name)
         return arr
+
+    def import_array(self, array, dtype) -> np.ndarray:
+        """One copy (converting on the way), straight into a segment the
+        workers can attach."""
+        storage = self.make_storage(np.shape(array), dtype, zero=False)
+        storage[...] = array
+        self.count("arg_bytes_converted", storage.nbytes)
+        return storage
 
     def segment_name_for(self, storage: np.ndarray) -> str | None:
         entry = self._seg_by_storage.get(id(storage))

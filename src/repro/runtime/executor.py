@@ -139,7 +139,10 @@ def execute_module(
     """Execute a module with the given inputs; returns its results.
 
     Array arguments are NumPy arrays shaped to the declared bounds; scalar
-    arguments are Python numbers. ``kernel_cache`` carries compiled kernels
+    arguments are Python numbers. Array arguments are *borrowed*: read in
+    place for the duration of the run (copied only to convert dtype, byte
+    order or layout, or into shared memory by a process backend), never
+    written, and never aliased by a result. ``kernel_cache`` carries kernels
     across executions of the same ``(analyzed, flowchart)`` pair (a
     :class:`~repro.core.pipeline.CompileResult` keeps one for its lifetime);
     without it a transient cache is built per call. ``plan`` supplies a
@@ -199,9 +202,9 @@ def execute_module(
         )
 
     try:
-        # Input arrays materialise through the backend's storage factory —
-        # a process backend places them in named shared-memory segments, so
-        # a persistent pool forked on an earlier run re-attaches this run's
+        # Input arrays come in through the backend: borrowed in process,
+        # copied into named shared-memory segments by a process backend — a
+        # persistent pool forked on an earlier run re-attaches this run's
         # inputs by name instead of relying on fork-time inheritance.
         for pname in analyzed.param_names:
             sym = analyzed.symbol(pname)
@@ -211,9 +214,8 @@ def execute_module(
                 bounds = array_bounds(sym.type, scalar_env)
                 data[pname] = RuntimeArray.from_numpy(
                     pname,
-                    np.asarray(args[pname], dtype=dtype_for(sym.type.element)),
+                    backend.import_array(args[pname], dtype_for(sym.type.element)),
                     bounds,
-                    storage_factory=backend.make_storage,
                 )
         # Record parameters may arrive as dicts; flatten dotted names.
         for key, value in args.items():

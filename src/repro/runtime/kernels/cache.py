@@ -150,16 +150,17 @@ class KernelCache:
             self._memo(self._nests, [key], False, self._build_numpy)
         return self._nests[key]
 
-    def prepare(self, keys: list[_Key]) -> None:
+    def prepare(self, keys: list[_Key]) -> bool:
         """Build the native kernels of ``keys`` — ``(path, window mode,
         shape)`` — that this cache has not answered yet, as **one** batch
         (one translation unit, see :func:`native.build_kernels`). A lazily
         requested kernel, the kernels of a plan about to run
         (:meth:`ExecutionPlan.native_kernels`) and the warm set all come
-        through here."""
+        through here. True when every key has a native kernel now."""
         missing = [key for key in keys if key not in self._native]
         if missing:
             self._memo(self._native, missing, True, self._build_native)
+        return all(self._native[key] is not None for key in keys)
 
     def _scan_bundle(self, key: _Key, native: bool):
         from repro.runtime.kernels import scan as scan_mod

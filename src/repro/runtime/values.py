@@ -9,7 +9,7 @@ failure-injection tests rely on this)."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +18,12 @@ from repro.errors import ExecutionError
 from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 from repro.ps.types import ArrayType, BoolType, RealType, Type
 
-#: ``(shape, dtype) -> ndarray`` — how a backend materialises array storage.
-#: The default is plain ``np.zeros``; the process backend supplies a factory
-#: that places storage in ``multiprocessing.shared_memory`` so forked
-#: wavefront workers write into the same planes the parent reads.
-StorageFactory = Callable[[tuple[int, ...], np.dtype], np.ndarray]
-
-
-def default_storage(shape: tuple[int, ...], dtype) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
+def new_storage(shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
+    """Fresh array storage (the in-process ``make_storage``). ``zero=False``
+    is for an array the run's equations define everywhere before anything
+    reads it (:func:`undefined_part`): its pages are first touched by the
+    kernel that writes them. The test suites poison such storage."""
+    return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
 
 
 def eval_bound(expr: Expr, env: dict[str, int]) -> int:
@@ -89,9 +86,10 @@ class RuntimeArray:
         bounds: list[tuple[int, int]],
         windows: dict[int, int] | None = None,
         debug: bool = False,
-        storage_factory: StorageFactory | None = None,
+        make=new_storage,
+        zero: bool = True,
     ) -> RuntimeArray:
-        make = storage_factory or default_storage
+        """``make`` is a backend's ``make_storage(shape, dtype, zero)``."""
         windows = dict(windows or {})
         los = [lo for lo, _ in bounds]
         his = [hi for _, hi in bounds]
@@ -107,10 +105,10 @@ class RuntimeArray:
                 extent = min(extent, windows[d])
                 windows[d] = extent
             shape.append(extent)
-        storage = make(tuple(shape), dtype_for(element))
+        storage = make(tuple(shape), dtype_for(element), zero)
         tags = None
         if debug and windows:
-            tags = make(tuple(shape), np.int64)
+            tags = make(tuple(shape), np.int64, False)
             tags[...] = -(10**9)
         return cls(name, los, his, storage, windows, tags)
 
@@ -180,7 +178,8 @@ class RuntimeArray:
         return tag
 
     def to_numpy(self) -> np.ndarray:
-        """Dense copy (only valid when no window dims exist)."""
+        """The dense storage itself — not a copy (only valid when no window
+        dims exist)."""
         if self.windows:
             raise ExecutionError(
                 f"{self.name!r} uses window storage; dense view unavailable"
@@ -193,26 +192,62 @@ class RuntimeArray:
         name: str,
         array: np.ndarray,
         bounds: list[tuple[int, int]],
-        storage_factory: StorageFactory | None = None,
     ) -> RuntimeArray:
+        """Wrap ``array`` — borrowed, never copied: PS is single-assignment,
+        so nothing writes an argument. Run arguments come through the
+        backend's ``import_array`` first (dtype, layout, placement)."""
         expected = tuple(hi - lo + 1 for lo, hi in bounds)
         if array.shape != expected:
             raise ExecutionError(
                 f"argument {name!r} has shape {array.shape}, expected "
                 f"{expected} from the declared bounds"
             )
-        if storage_factory is None:
-            storage = np.array(array)
-        else:
-            storage = storage_factory(expected, array.dtype)
-            storage[...] = array
         return cls(
             name,
             [lo for lo, _ in bounds],
             [hi for _, hi in bounds],
-            storage,
+            array,
             {},
         )
+
+
+def undefined_part(arr_type: ArrayType, boxes: list, env: dict[str, int]) -> str | None:
+    """What the defining equations of an array leave undefined at the sizes
+    ``env``, given the ``boxes`` they define
+    (:func:`repro.ps.coverage.definition_boxes`). ``None``: every box lies
+    inside the declared bounds, they are pairwise disjoint and their volumes
+    sum to the declared volume — the array is *totally defined* and needs no
+    zero-fill. Otherwise the phrase ``plan.explain()`` prints."""
+    try:
+        bounds = array_bounds(arr_type, env)
+        spans = [
+            [(eval_bound(lo, env), eval_bound(hi, env)) for lo, hi in box]
+            for box in boxes
+        ]
+    except ExecutionError:
+        return "a range is not an integer expression of the plan's sizes"
+    if any(hi < lo for box in (bounds, *spans) for lo, hi in box):
+        return "a definition range is empty"
+    rank = len(bounds)
+    for d, (blo, bhi) in enumerate(bounds):
+        cover = [box[d] for box in spans]
+        if any(lo < blo or hi > bhi for lo, hi in cover):
+            return f"a definition leaves the bounds of dimension {d}"
+        for i in sorted({blo, *(hi + 1 for _, hi in cover)}):
+            if i <= bhi and not any(lo <= i <= hi for lo, hi in cover):
+                at = ", ".join(str(i) if k == d else "*" for k in range(rank))
+                return f"[{at}] never defined"
+    if any(
+        all(a[d][0] <= b[d][1] and b[d][0] <= a[d][1] for d in range(rank))
+        for i, a in enumerate(spans)
+        for b in spans[i + 1 :]
+    ):
+        return "two definitions overlap"
+    defined, declared = (
+        sum(math.prod(hi - lo + 1 for lo, hi in box) for box in group)
+        for group in (spans, [bounds])
+    )
+    return None if defined == declared else f"{defined} of {declared} elements defined"
 
 
 def zero_scalar(t: Type):

@@ -25,9 +25,12 @@ serve daemon does). Identical ``(module, sizes)`` plan lookups coalesce on
 a per-key lock so the planner runs once; runs on a pooled process backend
 serialise on the backend instance (its task/result queues multiplex one
 run at a time — see ``ExecutionBackend.serialize_runs``), while in-process
-backends run concurrently. Every request's inputs are copied into
-run-private storage, so concurrent clients never observe each other's
-arrays and client-supplied buffers are never mutated.
+backends run concurrently. Array arguments are *borrowed*: a run reads
+them in place (copying only to convert dtype, byte order or layout, or into
+shared memory on the process backends) and never writes them, so the same
+array may feed concurrent runs — but the caller must not mutate it until
+every run reading it has returned. Results are freshly allocated and never
+alias an argument or another request's arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -46,6 +49,7 @@ from repro.plan.ir import ExecutionPlan
 from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RecordType
 from repro.runtime.backends import BACKENDS, instantiate_backend
+from repro.runtime.backends.base import STORAGE_COUNTERS
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.values import array_bounds, dtype_for
 
@@ -122,16 +126,15 @@ class SessionStats:
     plan_requests: int
     backends: list[str]
     kernels: dict[str, dict[str, int]]
+    #: argument bytes the runs read in place / had to copy on import, and
+    #: target arrays they allocated without / with a zero-fill
+    arg_bytes_borrowed: int = 0
+    arg_bytes_converted: int = 0
+    arrays_uninitialised: int = 0
+    arrays_zeroed: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "modules": self.modules,
-            "runs": self.runs,
-            "plans_built": self.plans_built,
-            "plan_requests": self.plan_requests,
-            "backends": self.backends,
-            "kernels": self.kernels,
-        }
+        return asdict(self)
 
 
 class Session:
@@ -160,6 +163,8 @@ class Session:
         self._runs = 0
         self._plans_built = 0
         self._plan_requests = 0
+        #: the storage counters of backends already retired
+        self._retired = dict.fromkeys(STORAGE_COUNTERS, 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -291,10 +296,12 @@ class Session:
         **overrides: Any,
     ) -> dict[str, Any]:
         """Execute one request against the warm state: cached plan,
-        compiled kernels, and a persistent backend. Inputs are copied into
-        run-private storage (shared-memory segments on the process
-        backends), so the caller's arrays are never mutated and concurrent
-        requests are isolated from each other."""
+        compiled kernels, and a persistent backend. Array arguments are
+        borrowed read-only for the duration of the run — read in place,
+        copied only to convert dtype / byte order / layout or into shared
+        memory on the process backends — so they are never mutated here and
+        must not be mutated by another thread meanwhile; results are fresh
+        arrays that never alias them."""
         self._check_open()
         result = self._result(module)
         options = ExecutionOptions.resolve(self._execution, **overrides)
@@ -348,6 +355,8 @@ class Session:
             for key, existing in list(self._backends.items()):
                 if existing is slot:
                     del self._backends[key]
+                    for counter, n in slot.backend.counters.items():
+                        self._retired[counter] += n
         try:
             slot.backend.close()
         except Exception:
@@ -419,6 +428,10 @@ class Session:
             runs, built, requests = (
                 self._runs, self._plans_built, self._plan_requests
             )
+            storage = dict(self._retired)
+            for slot in self._backends.values():
+                for counter, n in slot.backend.counters.items():
+                    storage[counter] += n
         return SessionStats(
             modules=self.modules(),
             runs=runs,
@@ -429,4 +442,5 @@ class Session:
                 name: result.kernel_cache.stats()
                 for name, result in sorted(self._modules.items())
             },
+            **storage,
         )

@@ -16,6 +16,16 @@ the array's C-contiguous buffer and ``dtype`` is NumPy's byte-order-
 qualified string (``"<f8"``, ``">i8"``, ``"|b1"``; only boolean, integer,
 float and complex kinds are accepted).
 
+A decoded array is a **view on the bytes it arrived in** — copied only
+when those bytes are misaligned for its dtype — so it is writeable exactly
+when that buffer is: the daemon reads a request's frame into one ``bytes``
+object, so the arrays of a framed request are read-only views that reach
+the kernels without a copy (a run borrows its arguments and never writes
+them); an inline array sits on the ``bytes`` base64 decoding returned and
+is read-only too; :class:`~repro.serve.client.ReproClient` receives each
+result blob into a ``bytearray`` of its own, so result arrays are
+writeable and the caller's.
+
 **Framed** — what :class:`~repro.serve.client.ReproClient` sends. The
 header has ``"blobs": [n0, n1, ...]`` and exactly ``n0 + n1 + ...`` raw
 bytes follow its newline, blob 0 first, nothing between or after them.
@@ -123,9 +133,9 @@ def encode_value(value: Any, blobs: list | None = None) -> Any:
 
 
 def decode_value(value: Any, blobs: list | None = None) -> Any:
-    """The inverse of :func:`encode_value`. Arrays come back writable,
-    aligned and each on a buffer of its own; a payload that does not
-    decode raises :class:`WireError`."""
+    """The inverse of :func:`encode_value`. Arrays come back aligned, as
+    views on their blob (read-only when it is — see the module docstring);
+    a payload that does not decode raises :class:`WireError`."""
     if not (isinstance(value, dict) and "__array__" in value):
         return value
     payload = value["__array__"]
@@ -158,9 +168,7 @@ def decode_value(value: Any, blobs: list | None = None) -> Any:
             f"shape {shape} of {dtype.str} is {need} bytes, payload has {len(raw)}"
         )
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    if not (arr.flags.writeable and arr.flags.aligned):
-        arr = arr.copy()
-    return arr
+    return arr if arr.flags.aligned else arr.copy()
 
 
 def encode_mapping(

@@ -21,3 +21,33 @@ def _isolated_native_cache(tmp_path_factory):
         os.environ.pop("REPRO_NATIVE_CACHE", None)
     else:
         os.environ["REPRO_NATIVE_CACHE"] = old
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _poisoned_uninitialised_storage():
+    """Fill every array a backend allocates *without* a zero-fill with 0xAB
+    bytes, for the whole suite. A run leaves an array uninitialised only on
+    a proof that its equations define every element before anything reads
+    it; fresh pages happen to be zero, so a wrong proof would pass
+    unnoticed — poisoned, it shows as a mismatch against the evaluator in
+    the differential, parity and generated-program suites."""
+    import numpy as np
+
+    from repro.runtime.backends.base import ExecutionBackend
+    from repro.runtime.backends.process import ForkProcessBackend
+
+    originals = {
+        cls: cls.make_storage for cls in (ExecutionBackend, ForkProcessBackend)
+    }
+    for cls, make in originals.items():
+
+        def poisoned(self, shape, dtype, zero=True, _make=make):
+            storage = _make(self, shape, dtype, zero)
+            if not zero:
+                storage.view(np.uint8)[...] = 0xAB
+            return storage
+
+        cls.make_storage = poisoned
+    yield
+    for cls, make in originals.items():
+        cls.make_storage = make

@@ -81,6 +81,20 @@ class TestProtocol:
         for phase in ("decode_s", "queue_s", "run_s", "encode_s"):
             assert own[phase] > 0, phase
 
+    def test_a_request_array_reaches_the_run_without_a_copy(self, served):
+        """The frame's bytes are decoded as a read-only view and the run
+        borrows it: nothing between the socket and the kernel copies."""
+        daemon, _ = served
+        a = make_input(2)
+        with connect(daemon) as client:
+            before = client.stats()
+            out = client.run("Relaxation", {**SIZES, "InitialA": a})
+            after = client.stats()
+        assert out["newA"].flags.writeable
+        assert after["arg_bytes_borrowed"] - before["arg_bytes_borrowed"] == a.nbytes
+        assert after["arg_bytes_converted"] == before["arg_bytes_converted"] == 0
+        assert after["arrays_uninitialised"] + after["arrays_zeroed"] > 0
+
     def test_plan_op_reports_backend(self, served):
         daemon, _ = served
         with connect(daemon) as client:

@@ -184,6 +184,24 @@ class TestExecution:
         assert stats.runs == 2
         assert stats.modules == ["Relaxation"]
 
+    def test_stats_count_borrowed_bytes_and_allocations(self, session):
+        before = session.stats()
+        a = make_input(5)
+        session.run("Relaxation", {**SIZES, "InitialA": a})
+        session.run("Relaxation", {**SIZES, "InitialA": a.astype(np.float32)})
+        after = session.stats()
+        assert after.arg_bytes_borrowed - before.arg_bytes_borrowed == a.nbytes
+        assert after.arg_bytes_converted - before.arg_bytes_converted == a.nbytes
+        allocated = (
+            after.arrays_uninitialised + after.arrays_zeroed
+            - before.arrays_uninitialised - before.arrays_zeroed
+        )
+        assert allocated == 4  # A and newA, twice
+        assert set(after.to_dict()) >= {
+            "arg_bytes_borrowed", "arg_bytes_converted",
+            "arrays_uninitialised", "arrays_zeroed",
+        }
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_final(self):

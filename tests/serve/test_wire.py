@@ -39,23 +39,27 @@ def arrays(draw):
     return LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](arr)
 
 
-def through_wire(mapping: dict, framed: bool) -> dict:
-    """Encode, serialise exactly as the socket would carry it, decode."""
+def through_wire(mapping: dict, framed: bool, receive=bytearray) -> dict:
+    """Encode, serialise exactly as the socket would carry it, decode.
+    ``receive`` is the buffer type a blob arrives in: the client reads each
+    result blob into a ``bytearray``, the daemon a request's frame into
+    ``bytes``."""
     blobs = [] if framed else None
     line, *sent = wire.frame({"args": wire.encode_mapping(mapping, blobs)}, blobs)
     header = json.loads(line)
     sizes = wire.blob_sizes(header)
     assert (sizes is not None) == framed
-    received = None if sizes is None else [bytearray(b) for b in sent]
+    received = None if sizes is None else [receive(b) for b in sent]
     assert sizes is None or sizes == [len(b) for b in received]
     return wire.decode_mapping(header["args"], received)
 
 
-def assert_same_bits(out: np.ndarray, arr: np.ndarray) -> None:
+def assert_same_bits(out: np.ndarray, arr: np.ndarray, writeable: bool) -> None:
     assert isinstance(out, np.ndarray)
     assert out.dtype.str == arr.dtype.str and out.shape == arr.shape
     assert out.tobytes() == arr.tobytes()
-    assert out.flags.writeable and out.flags.aligned and out.flags.c_contiguous
+    assert out.flags.aligned and out.flags.c_contiguous
+    assert out.flags.writeable == writeable
 
 
 class TestRoundTrip:
@@ -69,8 +73,15 @@ class TestRoundTrip:
         assert out["n"] == 3 and out["t"] == 0.5
         for name, arr in mapping.items():
             if isinstance(arr, np.ndarray):
-                assert_same_bits(out[name], arr)
-        decoded = [v for v in out.values() if isinstance(v, np.ndarray)]
+                # client side: results sit on bytearrays of their own; an
+                # inline array sits on the bytes base64 decoding returned
+                assert_same_bits(out[name], arr, writeable=framed)
+        # writeable arrays never share a buffer (read-only ones may: CPython
+        # interns the one-byte ``bytes`` two tiny inline payloads decode to)
+        decoded = [
+            v for v in out.values()
+            if isinstance(v, np.ndarray) and v.flags.writeable
+        ]
         for i, a in enumerate(decoded):
             assert not any(np.shares_memory(a, b) for b in decoded[i + 1 :])
 
@@ -88,8 +99,28 @@ class TestRoundTrip:
         }
         out = through_wire(mapping, framed)
         for name, arr in mapping.items():
-            assert_same_bits(out[name], arr)
+            assert_same_bits(out[name], arr, writeable=framed)
         assert out["scalar"].shape == ()
+
+    def test_request_blobs_decode_as_read_only_views_without_a_copy(self):
+        """Daemon side: the frame is one ``bytes`` object, and an aligned
+        blob of it reaches ``Session.run`` as a view — no copy."""
+        mapping = {"x": np.arange(6.0).reshape(2, 3), "k": np.arange(5)}
+        blobs: list = []
+        header = {"args": wire.encode_mapping(mapping, blobs)}
+        frame = memoryview(b"".join(bytes(b) for b in blobs))
+        received = [frame[:48], frame[48:]]
+        out = wire.decode_mapping(header["args"], received)
+        for name, arr in mapping.items():
+            assert_same_bits(out[name], arr, writeable=False)
+            assert np.shares_memory(out[name], np.frombuffer(frame, np.uint8))
+
+    def test_a_misaligned_blob_is_copied(self):
+        frame = memoryview(b"\0" + np.arange(3.0).tobytes())
+        value = {"__array__": {"blob": 0, "shape": [3], "dtype": "<f8"}}
+        out = wire.decode_value(value, [frame[1:]])
+        assert out.flags.aligned and np.array_equal(out, np.arange(3.0))
+        assert not np.shares_memory(out, np.frombuffer(frame, np.uint8))
 
     def test_inline_is_the_one_argument_form(self):
         """What line-only tools (and the benchmark's wire meter) rely on."""
