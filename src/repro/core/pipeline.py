@@ -121,12 +121,14 @@ class CompileResult:
         self,
         args: dict[str, Any] | None = None,
         execution: ExecutionOptions | None = None,
+        options_key: tuple | None = None,
     ) -> ExecutionPlan:
         """The execution plan for this compilation under the given options
         and (integer) arguments, cached across ``run()`` calls.
 
         ``backend="auto"`` (the default) asks the cost-driven planner to
-        choose; an explicit backend pins the plan to it.
+        choose; an explicit backend pins the plan to it. ``options_key`` is
+        ``execution.key()`` when the caller has already built it.
         """
         execution = execution or ExecutionOptions()
         scalars = {
@@ -134,7 +136,7 @@ class CompileResult:
             for k, v in (args or {}).items()
             if isinstance(v, (int, np.integer))
         }
-        key = (execution.key(), tuple(sorted(scalars.items())))
+        key = (options_key or execution.key(), tuple(sorted(scalars.items())))
         # Calibration only influences the auto decision, so pinned-backend
         # entries stay valid across calibrations; an auto entry is replaced
         # (not stranded) when new measurements arrive.

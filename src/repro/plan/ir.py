@@ -267,6 +267,10 @@ class ExecutionPlan:
     storage: dict = field(default_factory=dict, repr=False, compare=False)
     #: array name -> (sizes, totally defined?) of the last run that asked
     defined: dict = field(default_factory=dict, repr=False, compare=False)
+    #: a run of this plan has completed: later ones recycle their arrays
+    ran: bool = field(default=False, repr=False, compare=False)
+    #: array name -> where its storage comes from on those later runs
+    reuse: dict = field(default_factory=dict, repr=False, compare=False)
     #: the sizes the plan was built for (``explain`` evaluates boxes at them)
     sizes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: id(descriptor) -> LoopPlan for O(1) lookup during execution; rebuilt
@@ -508,7 +512,8 @@ class ExecutionPlan:
             if isinstance(how, tuple):
                 how = undefined_part(*how, self.sizes)
             lines.append(
-                f"  {name}: zero-filled, {how}" if how
-                else f"  {name}: uninitialised, every element is defined"
+                (f"  {name}: zero-filled, {how}" if how
+                 else f"  {name}: uninitialised, every element is defined")
+                + f"; {self.reuse[name]}"
             )
         return "\n".join(lines)

@@ -33,6 +33,8 @@ from math import ceil
 from types import SimpleNamespace
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ExecutionError
 from repro.machine.cost import MachineModel
 from repro.plan.ir import (
@@ -54,7 +56,7 @@ from repro.runtime.kernels.nest import (
     kernelizable_reason,
     nest_fusable,
 )
-from repro.runtime.values import eval_bound
+from repro.runtime.values import RECYCLE_MIN_BYTES, array_bounds, dtype_for, eval_bound
 from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
@@ -1879,6 +1881,7 @@ class _Planner:
         self.entries.append(PlanEntry(depth, loop=lp))
 
     def finish(self, module: str, requested: str, pinned: bool) -> ExecutionPlan:
+        storage = self._storage()
         plan = ExecutionPlan(
             module=module,
             backend=self.backend,
@@ -1892,10 +1895,31 @@ class _Planner:
             loops=self.loops,
             equations=self.equations,
             cycles=self.total,
-            storage=self._storage(),
+            storage=storage,
+            reuse={name: self._reuse(name) for name in storage},
             sizes=dict(self.scalar_env),
         )
         return plan.bind(self.flowchart)
+
+    def _reuse(self, name: str) -> str:
+        """``ExecutionPlan.reuse``: where a warm run's storage for ``name``
+        comes from, by the bytes it allocates at the plan's sizes (a window
+        dimension at its window size)."""
+        if self.backend in ("process", "process-fork"):
+            return "a new shared-memory segment every run"
+        sym = self.analyzed.symbol(name)
+        windows = {}
+        if self.use_windows and sym.kind is SymbolKind.VAR:
+            windows = self.flowchart.window_of(name)
+        try:
+            nbytes = np.dtype(dtype_for(sym.type.element)).itemsize
+            for d, (lo, hi) in enumerate(array_bounds(sym.type, self.scalar_env)):
+                nbytes *= max(0, min(hi - lo + 1, windows.get(d, hi - lo + 1)))
+        except ExecutionError:
+            return "size unknown until the run"
+        if nbytes < RECYCLE_MIN_BYTES:
+            return "below 128 KiB: left to malloc"
+        return "recycled between runs"
 
     def _storage(self) -> dict:
         """``ExecutionPlan.storage``. An array keeps its definition boxes —

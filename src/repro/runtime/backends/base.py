@@ -46,6 +46,7 @@ from repro.ps.types import ArrayType
 from repro.runtime.evaluator import Evaluator
 from repro.runtime.kernels.native import RangeUnproven
 from repro.runtime.values import (
+    BufferStore,
     RuntimeArray,
     array_bounds,
     eval_bound,
@@ -182,6 +183,9 @@ class ExecutionBackend:
         #: uninitialised / zero-filled, over every run of this instance
         self.counters = dict.fromkeys(STORAGE_COUNTERS, 0)
         self._counters_lock = threading.Lock()
+        #: where the big arrays of a plan's second and later runs come from
+        #: (None: storage is shared memory, a new segment every run)
+        self.store: BufferStore | None = BufferStore()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -214,6 +218,7 @@ class ExecutionBackend:
                 for path, shape in state.plan.native_kernels()
             ])
         self.exec_descriptor_list(state, state.flowchart.descriptors, {}, [])
+        state.plan.ran = True
 
     def end_run(self) -> None:
         """Release *per-run* resources (e.g. this run's shared-memory
@@ -222,6 +227,7 @@ class ExecutionBackend:
         the backend's lifetime outlives one execution (a
         :class:`~repro.serve.session.Session` owns such backends);
         :meth:`close` implies it."""
+        self.store.trim()
 
     def close(self) -> None:
         """Release pools/segments. Called after results are exported."""
@@ -882,7 +888,9 @@ class ExecutionBackend:
     def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
         """Allocate target arrays on first definition — zero-filled, unless
         nothing in the plan reads the array early (``ExecutionPlan.storage``)
-        and at this run's sizes it is totally defined (:func:`undefined_part`)."""
+        and at this run's sizes it is totally defined (:func:`undefined_part`).
+        Only a plan that has completed a run takes from the store, so a
+        process that runs each plan once retains nothing."""
         for target in eq.targets:
             if target.name in state.data:
                 continue
@@ -905,13 +913,16 @@ class ExecutionBackend:
                         state.plan.defined[target.name] = memo
                     zero = not memo[1]
                 self.count("arrays_zeroed" if zero else "arrays_uninitialised")
+                make = self.make_storage
+                if self.store is not None and state.plan is not None and state.plan.ran:
+                    make = self.store.take
                 state.data[target.name] = RuntimeArray.allocate(
                     target.name,
                     sym.type.element,
                     bounds,
                     windows=windows,
                     debug=state.options.debug_windows,
-                    make=self.make_storage,
+                    make=make,
                     zero=zero,
                 )
             # Scalars are created on assignment.

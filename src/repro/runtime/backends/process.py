@@ -86,6 +86,7 @@ class ForkProcessBackend(ExecutionBackend):
     def __init__(self, workers: int | None = None):
         super().__init__(workers)
         require_fork(self.name)
+        self.store = None
         self._warmed = False
         self._segments: list[shared_memory.SharedMemory] = []
         #: id(storage) -> (storage, segment name); the strong reference

@@ -104,6 +104,8 @@ class ExecutionOptions:
         through. Unknown names raise ``TypeError`` — options typos must
         not silently plan a different execution.
         """
+        if not overrides:
+            return base if base is not None else cls()
         known = {f.name for f in fields(cls)}
         unknown = set(overrides) - known
         if unknown:
@@ -142,8 +144,11 @@ def execute_module(
     arguments are Python numbers. Array arguments are *borrowed*: read in
     place for the duration of the run (copied only to convert dtype, byte
     order or layout, or into shared memory by a process backend), never
-    written, and never aliased by a result. ``kernel_cache`` carries kernels
-    across executions of the same ``(analyzed, flowchart)`` pair (a
+    written, and never aliased by a result. A result's bytes are the
+    caller's while any view of them is held; with a ``backend`` that has run
+    ``plan`` before, big results are views (``owndata`` false) of buffers
+    that backend reuses once the last view is gone. ``kernel_cache`` carries
+    kernels across executions of the same ``(analyzed, flowchart)`` pair (a
     :class:`~repro.core.pipeline.CompileResult` keeps one for its lifetime);
     without it a transient cache is built per call. ``plan`` supplies a
     prebuilt (possibly hand-forced) :class:`ExecutionPlan`; without it the

@@ -10,6 +10,8 @@ failure-injection tests rely on this)."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,104 @@ def new_storage(shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
     reads it (:func:`undefined_part`): its pages are first touched by the
     kernel that writes them. The test suites poison such storage."""
     return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+
+
+#: glibc's default mmap threshold. A smaller array is recycled by malloc
+#: itself (measured: 0 page faults per warm run); a larger one loses its
+#: pages whenever two or three are freed together and the heap is trimmed.
+RECYCLE_MIN_BYTES = 128 << 10
+#: owner sizes are multiples of this, so requests a few bytes apart share
+_OWNER_GRAIN = 64 << 10
+#: an owner serves requests down to 1/1.5 of its size — the rest stays idle
+_OWNER_SLACK = 1.5
+
+
+class BufferStore:
+    """Big buffers handed out again once nobody can reach their bytes.
+
+    The store keeps the only direct reference to each *owner* (a flat byte
+    array) and hands out views. Every view, slice, ``memoryview`` or
+    ``frombuffer`` array derived from one keeps the owner referenced
+    (NumPy points the ``.base`` of a view of a view at the owning array),
+    so the owner's reference count is at its idle value exactly when no
+    result, transport buffer or running kernel can still touch it — and
+    only then is it handed out again. Where reference counts prove nothing
+    (a free-threaded interpreter) every ``take`` is a fresh allocation."""
+
+    def __init__(self) -> None:
+        self._owners: list[np.ndarray] = [np.empty(0, np.uint8)]
+        self._lock = threading.Lock()
+        # what getrefcount reads for an owner only the list refers to. Ask
+        # for it as ``_idle`` does: a loop variable or ``enumerate`` tuple
+        # would be one more reference.
+        self._idle_count = sys.getrefcount(self._owners[0])
+        self._owners.clear()
+        self._counted = getattr(sys, "_is_gil_enabled", lambda: True)()
+        self._taken = 0  # owner bytes handed out since the last trim
+        self._keep = 0  # idle bytes kept: the most taken between two trims
+        #: bytes handed out on pages already touched / on new ones
+        self.recycled = self.fresh = 0
+
+    def _idle(self, i: int) -> bool:
+        return sys.getrefcount(self._owners[i]) == self._idle_count
+
+    def take(self, shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
+        """``new_storage``, but at :data:`RECYCLE_MIN_BYTES` and above a
+        view of the smallest idle owner of at most 1.5x the bytes (cleared
+        with a memset of warm pages, not by faulting zero pages in), or of
+        a new owner when there is none."""
+        dtype = np.dtype(dtype)
+        need = math.prod(shape) * dtype.itemsize
+        if need < RECYCLE_MIN_BYTES or not self._counted:
+            return new_storage(shape, dtype, zero)
+        with self._lock:
+            best = None
+            for i in range(len(self._owners)):
+                size = self._owners[i].nbytes
+                if (
+                    need <= size <= _OWNER_SLACK * need
+                    and (best is None or size < self._owners[best].nbytes)
+                    and self._idle(i)
+                ):
+                    best = i
+            if best is None:
+                size = -(-need // _OWNER_GRAIN) * _OWNER_GRAIN
+                owner = new_storage((size,), np.uint8, zero)
+                self.fresh += need
+                zero = False
+            else:
+                owner = self._owners.pop(best)
+                self.recycled += need
+            self._owners.append(owner)  # least recently taken first
+            self._taken += owner.nbytes
+            out = owner[:need].view(dtype).reshape(shape)
+        if zero:
+            out.fill(0)
+        return out
+
+    def _idle_owners(self) -> list[int]:
+        return [i for i in range(len(self._owners)) if self._idle(i)]
+
+    def held(self) -> int:
+        """Bytes of idle owners."""
+        with self._lock:
+            return sum(self._owners[i].nbytes for i in self._idle_owners())
+
+    def trim(self) -> None:
+        """Drop the least recently taken idle owners until the idle bytes are
+        at most what the largest run (response) so far took. A run that
+        took nothing pays one attribute read."""
+        if not self._taken:
+            return
+        with self._lock:
+            self._keep, self._taken = max(self._keep, self._taken), 0
+            idle = self._idle_owners()
+            excess = sum(self._owners[i].nbytes for i in idle) - self._keep
+            for dropped, i in enumerate(idle):
+                if excess <= 0:
+                    break
+                excess -= self._owners[i - dropped].nbytes
+                del self._owners[i - dropped]
 
 
 def eval_bound(expr: Expr, env: dict[str, int]) -> int:

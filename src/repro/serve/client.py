@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ClientError
+from repro.runtime.values import BufferStore
 from repro.serve import wire
 
 
@@ -55,6 +56,9 @@ class ReproClient:
                 f"cannot connect to daemon at {target}: {exc}", "Transport"
             ) from exc
         self._file = self._sock.makefile("rb")
+        #: where big result blobs land: buffers of earlier responses whose
+        #: arrays the caller has let go of (at most the largest response)
+        self._store = BufferStore()
 
     # -- transport ---------------------------------------------------------
 
@@ -65,7 +69,7 @@ class ReproClient:
 
     def _exchange(
         self, payload: dict[str, Any], blobs: list | None = None
-    ) -> tuple[Any, list[bytearray]]:
+    ) -> tuple[Any, list[np.ndarray]]:
         """One round trip: ``payload`` (framed with ``blobs`` when given)
         out, the response's ``result`` and the blobs of its frame back."""
         try:
@@ -80,10 +84,14 @@ class ReproClient:
             if not line:
                 raise ClientError("daemon closed the connection", "Transport")
             response = json.loads(line)
-            received = [bytearray(n) for n in wire.blob_sizes(response) or ()]
+            received = [
+                self._store.take((n,), np.uint8, zero=False)
+                for n in wire.blob_sizes(response) or ()
+            ]
             for blob in received:
                 if self._file.readinto(blob) != len(blob):
                     raise ClientError("daemon closed mid-frame", "Transport")
+            self._store.trim()
         except OSError as exc:
             raise ClientError(f"transport failure: {exc}", "Transport") from exc
         except ValueError as exc:  # not JSON, or not a frame announcement
@@ -159,7 +167,11 @@ class ReproClient:
         **execution: Any,
     ) -> dict[str, np.ndarray | Any]:
         """Execute one request; array results come back as numpy arrays,
-        bit for bit what the daemon computed (dtype, shape, byte order)."""
+        bit for bit what the daemon computed (dtype, shape, byte order).
+        They are writeable, and their bytes are yours while you hold any
+        view of them; a big one is a view (``owndata`` false) of a buffer
+        this client receives a later response into only after the last
+        view of it is gone."""
         blobs: list = []
         result, received = self._exchange(
             {

@@ -126,7 +126,7 @@ class ReproDaemon:
                 args,
                 seed=int(request.get("seed", 0)),
             )
-        out = self.session.run(module, args, **self._overrides(request))
+        out = self.session.run(module, args, options=self._options(request))
         ran = perf_counter()
         reply_blobs = None if blobs is None else []
         reply = wire.frame(wire.ok(wire.encode_mapping(out, reply_blobs)), reply_blobs)
@@ -150,7 +150,7 @@ class ReproDaemon:
         if op == "plan":
             module = self._module_of(request)
             plan = self.session.plan(
-                module, request.get("sizes") or {}, **self._overrides(request)
+                module, request.get("sizes") or {}, options=self._options(request)
             )
             return {
                 "backend": plan.backend,
@@ -163,7 +163,7 @@ class ReproDaemon:
             if module is not None and not isinstance(module, str):
                 raise _BadRequest("'module' must be a string")
             return self.session.warm(
-                module, request.get("sizes") or None, **self._overrides(request)
+                module, request.get("sizes") or None, options=self._options(request)
             )
         raise _BadRequest(f"unknown op {op!r}")
 
@@ -178,16 +178,15 @@ class ReproDaemon:
             )
         return module
 
-    @staticmethod
-    def _overrides(request: dict[str, Any]) -> dict[str, Any]:
+    def _options(self, request: dict[str, Any]) -> ExecutionOptions:
+        """The request's ``execution`` overrides, resolved once."""
         overrides = request.get("execution") or {}
         if not isinstance(overrides, dict):
             raise _BadRequest("'execution' must be an object of option overrides")
         try:
-            ExecutionOptions.resolve(None, **overrides)
+            return self.session.options(**overrides)
         except TypeError as exc:
             raise _BadRequest(str(exc)) from None
-        return overrides
 
     # -- connection loop ---------------------------------------------------
 
@@ -214,6 +213,7 @@ class ReproDaemon:
                 # (no empty buffers: 3.12's sendmsg path never drains them)
                 writer.writelines([b for b in reply if len(b)])
                 await writer.drain()
+                reply = None  # sent: the session may reuse the result arrays
                 if stop:
                     self.request_shutdown()
                 if not reusable:

@@ -29,8 +29,11 @@ backends run concurrently. Array arguments are *borrowed*: a run reads
 them in place (copying only to convert dtype, byte order or layout, or into
 shared memory on the process backends) and never writes them, so the same
 array may feed concurrent runs — but the caller must not mutate it until
-every run reading it has returned. Results are freshly allocated and never
-alias an argument or another request's arrays.
+every run reading it has returned. A result's bytes are the caller's for as
+long as the caller holds any view of them (the array, a slice, a
+``memoryview``) and never alias an argument; big result arrays are views
+(``owndata`` false, ``.base`` the store's owner) of buffers the session
+reuses for a later run only after the last such view is gone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -132,6 +136,11 @@ class SessionStats:
     arg_bytes_converted: int = 0
     arrays_uninitialised: int = 0
     arrays_zeroed: int = 0
+    #: bytes of big target arrays handed out on pages an earlier run had
+    #: touched / on new pages, and idle bytes kept for the next run
+    storage_bytes_recycled: int = 0
+    storage_bytes_fresh: int = 0
+    storage_bytes_held: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -257,6 +266,8 @@ class Session:
         self,
         module: str,
         sizes: dict[str, int] | None = None,
+        *,
+        options: ExecutionOptions | None = None,
         **overrides: Any,
     ) -> ExecutionPlan:
         """The cached execution plan for ``(module, sizes, options)``.
@@ -266,14 +277,26 @@ class Session:
         module's plan cache — N clients asking for the same warm plan cost
         one planner run, not N."""
         self._check_open()
+        options = options or self.options(**overrides)
+        return self._plan(module, sizes, options, options.key())
+
+    def options(self, **overrides: Any) -> ExecutionOptions:
+        """The session's execution options with ``overrides`` applied: what
+        ``plan`` / ``run`` / ``warm`` resolve their keyword overrides to, or
+        take ready-made as ``options=`` in their place — the daemon resolves
+        once per request, which is also where it rejects an unknown name."""
+        return ExecutionOptions.resolve(self._execution, **overrides)
+
+    def _plan(
+        self, module: str, sizes: dict | None, options: ExecutionOptions, okey: tuple
+    ) -> ExecutionPlan:
         result = self._result(module)
-        options = ExecutionOptions.resolve(self._execution, **overrides)
         sizes = {
             k: int(v)
             for k, v in (sizes or {}).items()
             if isinstance(v, (int, np.integer))
         }
-        key = (module, options.key(), tuple(sorted(sizes.items())))
+        key = (module, okey, tuple(sorted(sizes.items())))
         with self._lock:
             self._plan_requests += 1
             lock = self._plan_locks.get(key)
@@ -281,7 +304,7 @@ class Session:
                 lock = self._plan_locks[key] = threading.Lock()
         with lock:
             before = len(result._plan_cache)
-            plan = result.plan(sizes, execution=options)
+            plan = result.plan(sizes, execution=options, options_key=okey)
             if len(result._plan_cache) != before:
                 with self._lock:
                     self._plans_built += 1
@@ -293,6 +316,8 @@ class Session:
         self,
         module: str,
         args: dict[str, Any],
+        *,
+        options: ExecutionOptions | None = None,
         **overrides: Any,
     ) -> dict[str, Any]:
         """Execute one request against the warm state: cached plan,
@@ -300,13 +325,17 @@ class Session:
         borrowed read-only for the duration of the run — read in place,
         copied only to convert dtype / byte order / layout or into shared
         memory on the process backends — so they are never mutated here and
-        must not be mutated by another thread meanwhile; results are fresh
-        arrays that never alias them."""
+        must not be mutated by another thread meanwhile. A result's bytes
+        are yours while you hold any view of them (the array, a slice, a
+        ``memoryview``) and never alias an argument; a big result is itself
+        a view (``owndata`` false, ``.base`` the store's owner) of a buffer
+        that a later run reuses only after the last view of it is gone."""
         self._check_open()
         result = self._result(module)
-        options = ExecutionOptions.resolve(self._execution, **overrides)
-        plan = self.plan(module, args, **overrides)
-        slot = self._backend_slot(module, plan, options)
+        options = options or self.options(**overrides)
+        okey = options.key()
+        plan = self._plan(module, args, options, okey)
+        slot = self._backend_slot(module, plan, okey)
         ctx = slot.lock if slot.lock is not None else contextlib.nullcontext()
         try:
             with ctx:
@@ -331,14 +360,14 @@ class Session:
         return out
 
     def _backend_slot(
-        self, module: str, plan: ExecutionPlan, options: ExecutionOptions
+        self, module: str, plan: ExecutionPlan, okey: tuple
     ) -> _BackendSlot:
         cls = BACKENDS[plan.backend]
         # Pooled backends are scoped per module: forked workers hold the
         # fork-time flowchart, so their pool must only ever see that
         # module's descriptors. In-process backends are module-agnostic.
         scope = module if cls.serialize_runs else None
-        key = (scope, plan.backend, plan.workers, options.key())
+        key = (scope, plan.backend, plan.workers, okey)
         with self._lock:
             self._check_open()
             slot = self._backends.get(key)
@@ -369,6 +398,8 @@ class Session:
         module: str | None = None,
         sizes: dict[str, int] | None = None,
         prime: bool = True,
+        *,
+        options: ExecutionOptions | None = None,
         **overrides: Any,
     ) -> dict[str, Any]:
         """Do all one-time work up front so the first request pays nothing:
@@ -380,7 +411,7 @@ class Session:
         every loaded module. Returns per-module kernel-cache statistics."""
         self._check_open()
         names = [module] if module is not None else self.modules()
-        options = ExecutionOptions.resolve(self._execution, **overrides)
+        options = options or self.options(**overrides)
         report: dict[str, Any] = {}
         for served in names:
             result = self._result(served)
@@ -388,7 +419,7 @@ class Session:
             if options.use_kernels and tier != "evaluator":
                 result.kernel_cache.warm(options.use_windows, tier=tier)
             if sizes:
-                self.plan(served, dict(sizes), **overrides)
+                self.plan(served, dict(sizes), options=options)
                 if prime:
                     args: dict[str, Any] = dict(sizes)
                     analyzed = result.analyzed
@@ -414,7 +445,7 @@ class Session:
                             args[pname] = np.zeros(
                                 shape, dtype=dtype_for(t.element)
                             )
-                    self.run(served, args, **overrides)
+                    self.run(served, args, options=options)
             report[served] = result.kernel_cache.stats()
         return report
 
@@ -428,10 +459,16 @@ class Session:
             runs, built, requests = (
                 self._runs, self._plans_built, self._plan_requests
             )
-            storage = dict(self._retired)
+            storage = Counter(self._retired)
             for slot in self._backends.values():
-                for counter, n in slot.backend.counters.items():
-                    storage[counter] += n
+                storage.update(slot.backend.counters)
+                store = slot.backend.store
+                if store is not None:
+                    storage.update(
+                        storage_bytes_recycled=store.recycled,
+                        storage_bytes_fresh=store.fresh,
+                        storage_bytes_held=store.held(),
+                    )
         return SessionStats(
             modules=self.modules(),
             runs=runs,

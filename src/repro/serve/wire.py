@@ -23,8 +23,10 @@ object, so the arrays of a framed request are read-only views that reach
 the kernels without a copy (a run borrows its arguments and never writes
 them); an inline array sits on the ``bytes`` base64 decoding returned and
 is read-only too; :class:`~repro.serve.client.ReproClient` receives each
-result blob into a ``bytearray`` of its own, so result arrays are
-writeable and the caller's.
+result blob into a writeable buffer of its own — from 128 KiB up a recycled
+one, reused for a later response only after the caller has dropped every
+view of the array on it — so result arrays are writeable and the caller's
+for as long as the caller holds them.
 
 **Framed** — what :class:`~repro.serve.client.ReproClient` sends. The
 header has ``"blobs": [n0, n1, ...]`` and exactly ``n0 + n1 + ...`` raw

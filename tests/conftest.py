@@ -26,20 +26,29 @@ def _isolated_native_cache(tmp_path_factory):
 @pytest.fixture(scope="session", autouse=True)
 def _poisoned_uninitialised_storage():
     """Fill every array a backend allocates *without* a zero-fill with 0xAB
-    bytes, for the whole suite. A run leaves an array uninitialised only on
-    a proof that its equations define every element before anything reads
-    it; fresh pages happen to be zero, so a wrong proof would pass
-    unnoticed — poisoned, it shows as a mismatch against the evaluator in
-    the differential, parity and generated-program suites."""
+    bytes, for the whole suite — from ``make_storage`` and from the buffer
+    store alike. A run leaves an array uninitialised only on a proof that
+    its equations define every element before anything reads it; fresh
+    pages happen to be zero, and a recycled buffer usually holds the
+    previous run's *correct answer*, so a wrong proof (or a kernel that
+    skips an element) would pass unnoticed — poisoned, it shows as a
+    mismatch against the evaluator in the differential, parity and
+    generated-program suites."""
     import numpy as np
 
     from repro.runtime.backends.base import ExecutionBackend
     from repro.runtime.backends.process import ForkProcessBackend
+    from repro.runtime.values import BufferStore
 
     originals = {
-        cls: cls.make_storage for cls in (ExecutionBackend, ForkProcessBackend)
+        (cls, name): getattr(cls, name)
+        for cls, name in (
+            (ExecutionBackend, "make_storage"),
+            (ForkProcessBackend, "make_storage"),
+            (BufferStore, "take"),
+        )
     }
-    for cls, make in originals.items():
+    for (cls, name), make in originals.items():
 
         def poisoned(self, shape, dtype, zero=True, _make=make):
             storage = _make(self, shape, dtype, zero)
@@ -47,7 +56,7 @@ def _poisoned_uninitialised_storage():
                 storage.view(np.uint8)[...] = 0xAB
             return storage
 
-        cls.make_storage = poisoned
+        setattr(cls, name, poisoned)
     yield
-    for cls, make in originals.items():
-        cls.make_storage = make
+    for (cls, name), make in originals.items():
+        setattr(cls, name, make)

@@ -183,8 +183,17 @@ def test_a_warm_run_allocates_nothing_input_sized():
         try:
             out = session.run(served, args)
             _, peak = tracemalloc.get_traced_memory()
+            # ... and the run after it nothing array-sized at all, once the
+            # caller has let go of the result: both arrays are recycled
+            shape = out["Y"].shape
+            del out
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            session.run(served, args)
+            _, third = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert out["Y"].shape == (n,)
+    assert shape == (n,)
     needed = (2 * n + 1) * 8
     assert needed <= peak < needed + n * 8 // 2, (peak, needed)
+    assert third - before < n * 8 // 8, (third, before)

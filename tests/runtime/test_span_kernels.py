@@ -12,8 +12,8 @@ subrange instead of the per-equation NumPy spans. These tests pin:
   cross-iteration dependences), all-or-nothing on lowering failures;
 * the cache contract — ``warm()`` covers the span shapes (memoization and
   degradation are rows of ``test_native_kernels.TestTieredLookup``);
-* genuine parallelism — two threads make simultaneous progress inside one
-  GIL-released native span kernel.
+* genuine parallelism — a Python thread keeps running while another sits
+  inside a GIL-released native span kernel.
 """
 
 import os
@@ -239,15 +239,16 @@ class TestSpanCache:
 
 
 @needs_toolchain
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="needs at least two cores"
-)
 class TestGilRelease:
-    def test_two_threads_progress_simultaneously(self, span_cache):
-        """cffi's ABI mode releases the GIL around the C call: two threads
-        running the same heavy span kernel must overlap, not serialize.
-        A held GIL would make the pair take ~2x one call; overlapped
-        execution stays well under that."""
+    def test_python_thread_progresses_during_the_c_call(self, span_cache):
+        """cffi's ABI mode releases the GIL around the C call: while one
+        thread sits in a heavy span kernel, a pure-Python thread keeps
+        running. With the GIL held it would stand still for the whole call
+        (measured: its longest stall is 0.7-0.95 of a GIL-holding call of
+        this length); released, the longest stall is a scheduler time
+        slice (0.1-0.25 of the call, on one core or two). Not "two kernel
+        calls overlap": two threads storing into memory-sized arrays are
+        bandwidth-bound on a small box whatever the GIL does."""
         n = 2500
         analyzed = analyze_module(parse_module(HEAVY_SOURCE))
         flow = schedule_module(analyzed)
@@ -262,37 +263,34 @@ class TestGilRelease:
         data = {"A": arr, "n": n}
         kern(data, {}, 1, n)  # warm-up: dlopen + page-in
 
-        def one_call():
-            kern(data, {}, 1, n)
+        stop = threading.Event()
+        longest = [0.0]  # the ticker's longest pause between two iterations
 
-        single = min(_timed(one_call) for _ in range(3))
-        # Retry a few times before failing: the comparison is physical,
-        # not statistical, but a loaded CI box deserves a second chance.
-        pairs = []
-        for _ in range(3):
-            start = threading.Barrier(2)
+        def tick():
+            last = time.perf_counter()
+            while not stop.is_set():
+                now = time.perf_counter()
+                if now - last > longest[0]:
+                    longest[0] = now - last
+                last = now
 
-            def work():
-                start.wait()
-                one_call()
-
-            threads = [threading.Thread(target=work) for _ in range(2)]
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            pair = time.perf_counter() - t0
-            pairs.append(pair)
-            if pair < 1.6 * single:
-                return
+        ticker = threading.Thread(target=tick, daemon=True)
+        ticker.start()
+        try:
+            # Retry before failing: the property is physical, but a loaded
+            # CI box deserves a second chance.
+            stalls = []
+            for _ in range(3):
+                longest[0] = 0.0
+                t0 = time.perf_counter()
+                kern(data, {}, 1, n)
+                stalls.append(longest[0] / (time.perf_counter() - t0))
+                if stalls[-1] < 0.5:
+                    return
+        finally:
+            stop.set()
+            ticker.join(timeout=10)
         pytest.fail(
-            f"no overlap: one call {single:.4f}s, two concurrent calls "
-            f"took {min(pairs):.4f}s (GIL apparently held)"
+            f"a Python thread stood still for {min(stalls):.0%} of a kernel "
+            f"call (GIL apparently held)"
         )
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0

@@ -168,6 +168,52 @@ class TestStructuredErrors:
             assert response["error"]["type"] == "BadRequest"
 
 
+class TestResultBuffers:
+    """Result blobs of 128 KiB and more land on buffers of earlier responses
+    whose arrays the caller has dropped — and on no buffer anything still
+    references (the run-side half is ``tests/runtime/test_storage_reuse.py``)."""
+
+    BIG = {"M": 127, "maxK": 2}  # newA: 129 x 129 reals, just over 128 KiB
+
+    def test_a_held_result_survives_twenty_later_responses(self, served):
+        daemon, session = served
+        inputs = [make_input(300 + i, m=127) for i in range(2)]
+        expected = [
+            serial_reference(session, {**self.BIG, "InitialA": a}).tobytes()
+            for a in inputs
+        ]
+        with connect(daemon) as client:
+            first = client.run("Relaxation", {**self.BIG, "InitialA": inputs[0]})["newA"]
+            kept = first[3:5]  # a slice is reference enough
+            del first
+            for i in range(1, 21):
+                out = client.run(
+                    "Relaxation", {**self.BIG, "InitialA": inputs[i % 2]}
+                )["newA"]
+                assert out.flags.writeable and out.tobytes() == expected[i % 2], i
+                assert kept.tobytes() == np.frombuffer(
+                    expected[0], np.float64
+                ).reshape(129, 129)[3:5].tobytes(), i
+            stats = client.stats()
+        assert stats["storage_bytes_recycled"] > 0
+        assert stats["storage_bytes_fresh"] > 0 and stats["storage_bytes_held"] >= 0
+
+    def test_a_dropped_result_is_the_next_responses_buffer(self, served):
+        daemon, _ = served
+        args = {**self.BIG, "InitialA": make_input(310, m=127)}
+        with connect(daemon) as client:
+            out = client.run("Relaxation", args)["newA"]
+            address, answer = out.ctypes.data, out.tobytes()
+            assert not out.flags.owndata
+            del out
+            for _ in range(3):
+                out = client.run("Relaxation", args)["newA"]
+                assert out.ctypes.data == address and out.tobytes() == answer
+                del out
+            small = client.run("Relaxation", {**SIZES, "InitialA": make_input(0)})
+            assert small["newA"].flags.writeable
+
+
 class TestConcurrency:
     def test_concurrent_clients_bit_exact_and_isolated(self, served):
         """Eight clients, eight sockets, eight different inputs — every

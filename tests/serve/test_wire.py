@@ -42,7 +42,8 @@ def arrays(draw):
 def through_wire(mapping: dict, framed: bool, receive=bytearray) -> dict:
     """Encode, serialise exactly as the socket would carry it, decode.
     ``receive`` is the buffer type a blob arrives in: the client reads each
-    result blob into a ``bytearray``, the daemon a request's frame into
+    result blob into a writeable buffer of its own (a ``bytearray`` stands
+    in for the store's byte arrays), the daemon a request's frame into
     ``bytes``."""
     blobs = [] if framed else None
     line, *sent = wire.frame({"args": wire.encode_mapping(mapping, blobs)}, blobs)
@@ -73,7 +74,7 @@ class TestRoundTrip:
         assert out["n"] == 3 and out["t"] == 0.5
         for name, arr in mapping.items():
             if isinstance(arr, np.ndarray):
-                # client side: results sit on bytearrays of their own; an
+                # client side: results sit on writeable buffers of their own; an
                 # inline array sits on the bytes base64 decoding returned
                 assert_same_bits(out[name], arr, writeable=framed)
         # writeable arrays never share a buffer (read-only ones may: CPython
