@@ -290,11 +290,9 @@ def compare_plans(
 
     backends = list(backends or AUTO_CANDIDATES)
     if not _fork_available():
-        # Spawn-only platform: pinning a process backend raises by design,
+        # Spawn-only platform: pinning the process backend raises by design,
         # so the comparison measures the backends that can actually run.
-        backends = [
-            b for b in backends if b not in ("process", "process-fork")
-        ]
+        backends = [b for b in backends if b != "process"]
     base = ExecutionOptions.resolve(execution)
     if workers is None:
         workers = base.workers

@@ -68,17 +68,17 @@ from repro.schedule.flowchart import (
 )
 
 #: backends that split DOALL subranges into worker chunks
-CHUNKED_BACKENDS = ("threaded", "free-threading", "process", "process-fork")
+CHUNKED_BACKENDS = ("threaded", "process")
 
 #: backends whose pools run the decoupled pipeline engine — the planner
 #: only *prices* pipeline groups for these (shared-memory threads; the
-#: process pools copy, and stage hand-offs flow through the module arrays).
+#: process pool copies, and stage hand-offs flow through the module arrays).
 #: A forced pipeline still plans on any backend: the base inline engine
 #: executes groups stage by stage, correct everywhere, concurrent here.
-PIPELINE_BACKENDS = ("threaded", "free-threading")
+PIPELINE_BACKENDS = ("threaded",)
 
-#: every backend a plan may target (kept in sync with the registry in
-#: ``repro.runtime.backends`` — the plan layer must not import the runtime)
+#: every backend a plan may target (the registry of
+#: ``repro.runtime.backends``; a test keeps the two sets equal)
 KNOWN_BACKENDS = ("serial", "vectorized") + CHUNKED_BACKENDS
 
 #: the candidate set ``backend="auto"`` chooses from
@@ -182,8 +182,8 @@ def build_plan(
             f"unknown execution backend {requested!r}; "
             f"available: {', '.join(KNOWN_BACKENDS)}"
         )
-    if requested in ("process", "process-fork"):
-        # Pinning a process backend on a spawn-only platform (macOS's
+    if requested == "process":
+        # Pinning the process backend on a spawn-only platform (macOS's
         # default, Windows) must fail up front with the platform named —
         # not degrade silently, not AttributeError later in the pool.
         # require_fork is a no-op when fork exists and consults the same
@@ -195,20 +195,20 @@ def build_plan(
         from repro.runtime.backends.process import _fork_available
 
         if soft_strategy in ("pipeline", "scan") and candidates is None:
-            # The decoupled/scan engines live on the thread pools; auto
+            # The decoupled/scan engines live on the thread pool; auto
             # honours the preference by choosing among backends running them.
             candidates = PIPELINE_BACKENDS
         pool = list(candidates or AUTO_CANDIDATES)
         excluded: list[tuple[str, str]] = []
         if not _fork_available():
-            # Without fork the process backends cannot run at all (their
-            # constructors raise), so auto never offers them.
+            # Without fork the process backend cannot run at all (its
+            # constructor raises), so auto never offers it.
             excluded = [
                 (c, "fork start method unavailable on this platform")
                 for c in pool
-                if c in ("process", "process-fork")
+                if c == "process"
             ]
-            pool = [c for c in pool if c not in ("process", "process-fork")]
+            pool = [c for c in pool if c != "process"]
         planners: list[_Planner] = []
         for candidate in pool:
             p = _Planner(
@@ -456,7 +456,8 @@ class _Planner:
         self.total = 0.0
         self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
-        self._choices: dict[int, tuple[str, int | None, float, str, str | None]] = {}
+        #: (id(desc), in stage) -> (strategy, parts, cycles, why, chunk index)
+        self._choices: dict[tuple[int, bool], tuple] = {}
         #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
         self._do_choices: dict[int, tuple] = {}
         #: (id(desc), variant) -> machine-independent native emittability
@@ -632,7 +633,7 @@ class _Planner:
         return sum(self._cost(d, "vector", t) for d in desc.body)
 
     def _dispatch_cost(self) -> float:
-        if self.backend in ("process", "process-fork"):
+        if self.backend == "process":
             return self.model.process_dispatch
         return self.model.chunk_dispatch
 
@@ -771,14 +772,17 @@ class _Planner:
 
     def _choose(self, desc: LoopDescriptor):
         """(strategy, parts, cycles, reason, chunk_index) for a parallel
-        loop met on the scalar walk. Memoized per descriptor."""
-        cached = self._choices.get(id(desc))
+        loop met on the scalar walk. Memoized per descriptor and stage
+        context: a loop priced outside a pipeline stage may chunk, the same
+        loop walked inside one must not re-enter the pool."""
+        key = id(desc), self._in_stage
+        cached = self._choices.get(key)
         if cached is not None:
             return cached
         choice = self._choose_uncached(desc)
         if choice[0] not in STRATEGIES:
             raise PlanError(f"planner produced unknown strategy {choice[0]!r}")
-        self._choices[id(desc)] = choice
+        self._choices[key] = choice
         return choice
 
     def _forced_for(self, desc: LoopDescriptor) -> str | None:
@@ -1905,7 +1909,7 @@ class _Planner:
         """``ExecutionPlan.reuse``: where a warm run's storage for ``name``
         comes from, by the bytes it allocates at the plan's sizes (a window
         dimension at its window size)."""
-        if self.backend in ("process", "process-fork"):
+        if self.backend == "process":
             return "a new shared-memory segment every run"
         sym = self.analyzed.symbol(name)
         windows = {}

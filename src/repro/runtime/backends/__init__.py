@@ -5,7 +5,10 @@ Registry::
     from repro.runtime.backends import instantiate_backend, available_backends
     backend = instantiate_backend("threaded", workers=4)
 
-Which backend a run uses is the planner's decision
+Four backends: ``serial`` (the scalar reference walk), ``vectorized``
+(whole subranges as NumPy operations), ``threaded`` (chunks on a thread
+pool) and ``process`` (chunks on a persistent pool of forked workers over
+shared memory). Which backend a run uses is the planner's decision
 (:mod:`repro.plan.planner` resolves ``ExecutionOptions.backend``, ``"auto"``
 included); the executor instantiates ``plan.backend`` from this registry.
 """
@@ -19,26 +22,16 @@ from repro.runtime.backends.base import (
     chunk_safe,
     equation_is_vector_safe,
 )
-from repro.runtime.backends.process import ForkProcessBackend, ProcessBackend
+from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.backends.serial import SerialBackend
-from repro.runtime.backends.threaded import (
-    FreeThreadingBackend,
-    ThreadedBackend,
-    free_threading_active,
-)
+from repro.runtime.backends.threaded import ThreadedBackend, free_threading_active
 from repro.runtime.backends.vectorized import VectorizedBackend
 
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     VectorizedBackend.name: VectorizedBackend,
     ThreadedBackend.name: ThreadedBackend,
-    # Thread-pool dispatch tuned for no-GIL CPython; degrades to exactly
-    # ThreadedBackend behaviour on a GIL build, so always constructible.
-    FreeThreadingBackend.name: FreeThreadingBackend,
     ProcessBackend.name: ProcessBackend,
-    # The fork-per-wavefront baseline the persistent pool replaced; kept
-    # for measurement (bench_kernels) and as a debugging escape hatch.
-    ForkProcessBackend.name: ForkProcessBackend,
 }
 
 
@@ -62,8 +55,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "ExecutionState",
-    "ForkProcessBackend",
-    "FreeThreadingBackend",
     "ProcessBackend",
     "SerialBackend",
     "ThreadedBackend",

@@ -13,12 +13,15 @@ one strategy dispatch — a ``DOALL`` runs by whatever its
   is a ``DOALL`` or a sequential ``DO`` (a strategy object of
   :mod:`repro.plan.strategy`, which executes itself);
 * ``vector`` — the whole subrange as one NumPy operation;
-* ``chunk`` — the subrange split into contiguous chunks handed to
-  :meth:`ExecutionBackend.dispatch_chunks`, the one hook the parallel
-  backends override (:class:`~repro.runtime.backends.threaded.ThreadedBackend`
-  submits chunks to a thread pool;
-  :class:`~repro.runtime.backends.process.ProcessBackend` to a persistent
-  pool of forked workers over shared memory, with a barrier per wavefront).
+* ``chunk`` / ``collapse`` — the subrange (or the flattened iteration
+  space of a perfect nest) split into contiguous chunks handed to
+  :meth:`ExecutionBackend.dispatch`, the one hook the parallel backends
+  override; every chunk runs through :meth:`ExecutionBackend.run_chunk`,
+  inline here, on a thread pool in
+  :class:`~repro.runtime.backends.threaded.ThreadedBackend`, and in a
+  persistent pool of forked workers over shared memory in
+  :class:`~repro.runtime.backends.process.ProcessBackend` — with one join
+  per wavefront.
 
 No backend re-derives chunking, safety, or kernel decisions from the
 flowchart: those live in the plan, produced once per execution by
@@ -114,9 +117,11 @@ class ExecutionState:
 
     def fork(self) -> ExecutionState:
         """A shallow copy with private eval counts, for one worker chunk.
-        The data environment stays shared (threads) or becomes copy-on-write
-        (forked processes); either way chunk workers only *write* array
-        elements, which chunk-safety guarantees are disjoint."""
+        The data environment stays shared: a thread-pool chunk sees the
+        parent's dict itself, a pool process its own copy whose arrays
+        address the same shared-memory segments. Either way chunk workers
+        only *write* array elements, which chunk-safety guarantees are
+        disjoint."""
         return ExecutionState(
             self.analyzed,
             self.flowchart,
@@ -166,8 +171,8 @@ class ExecutionBackend:
     name = "base"
 
     #: whether a long-lived owner (a serve :class:`Session`) must
-    #: serialise concurrent runs on one instance — the process backends
-    #: stream every run's wavefronts through one task/result queue pair,
+    #: serialise concurrent runs on one instance — the process backend
+    #: streams every run's wavefronts through one task/result queue pair,
     #: so interleaved runs would consume each other's results
     serialize_runs = False
 
@@ -418,14 +423,14 @@ class ExecutionBackend:
         elif strategy == "vector":
             self.exec_vector_span(state, desc, lo, hi, env, vector_names)
         elif strategy == "chunk":
-            self.exec_chunked_loop(state, desc, lo, hi, env, vector_names, plan)
+            self.exec_chunked_loop(state, desc, lo, hi, env, plan)
         elif strategy == "collapse":
             self.exec_collapsed_loop(state, desc, lo, hi, env, plan)
         elif strategy == "pipeline":
             # A group member reached outside its group walk (e.g. a
             # hand-driven walk of one descriptor): run the subrange as one
             # span — bit-exact, just undecoupled.
-            self.exec_chunk_span(state, desc, lo, hi, env, vector_names)
+            self.exec_chunk_span(state, desc, lo, hi, env)
         elif strategy == "fission":
             # Normally intercepted in exec_descriptor; kept for direct calls.
             self.exec_fission_loop(state, desc, lo, hi, env)
@@ -550,11 +555,10 @@ class ExecutionBackend:
         lo: int,
         hi: int,
         env: dict[str, Any],
-        vector_names: list[str],
         plan: Any,
     ) -> None:
         """Split the subrange into the planned chunk count and hand the
-        spans to :meth:`dispatch_chunks`. Targets are allocated up front so
+        spans to :meth:`dispatch`. Targets are allocated up front so
         workers never race on the data environment — inside a chunk they
         only write array elements, which the planner's chunk-safety verdict
         guarantees are disjoint."""
@@ -563,9 +567,9 @@ class ExecutionBackend:
             self.ensure_targets(state, eq)
         spans = split_range(lo, hi, parts)
         if len(spans) < 2:
-            self.exec_chunk_span(state, desc, lo, hi, env, vector_names)
+            self.exec_chunk_span(state, desc, lo, hi, env)
             return
-        self.dispatch_chunks(state, desc, spans, env, vector_names)
+        self.dispatch(state, desc, "span", spans, env, True)
 
     def exec_chunk_span(
         self,
@@ -574,7 +578,6 @@ class ExecutionBackend:
         lo: int,
         hi: int,
         env: dict[str, Any],
-        vector_names: list[str],
     ) -> None:
         """One worker's chunk of a chunk-dispatched DOALL: the native span
         kernel (one C function per equation) when one compiles — cffi
@@ -582,25 +585,43 @@ class ExecutionBackend:
         overlap — the NumPy per-equation distribution otherwise. Targets
         are pre-allocated by the chunk dispatcher before spans run, so the
         kernel only writes disjoint elements."""
-        if vector_names or not self._run_loop_kernel(
-            state, desc, "span", env, lo, hi
-        ):
-            self.exec_vector_span(state, desc, lo, hi, env, vector_names)
+        if not self._run_loop_kernel(state, desc, "span", env, lo, hi):
+            self.exec_vector_span(state, desc, lo, hi, env, [])
 
-    def dispatch_chunks(
+    def run_chunk(
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
+        kind: str,
+        lo: int,
+        hi: int,
+        env: dict[str, Any],
+        fuse: bool,
+    ) -> None:
+        """One chunk of a wavefront: ``[lo, hi]`` of ``desc``'s subrange
+        (``kind == "span"``) or of its collapsed flat iteration space
+        (``"flat"``, fused unless the plan said otherwise)."""
+        if kind == "flat":
+            self.exec_flat_span(state, desc, lo, hi, env, fuse)
+        else:
+            self.exec_chunk_span(state, desc, lo, hi, env)
+
+    def dispatch(
+        self,
+        state: ExecutionState,
+        desc: LoopDescriptor,
+        kind: str,
         spans: list[tuple[int, int]],
         env: dict[str, Any],
-        vector_names: list[str],
+        fuse: bool,
     ) -> None:
-        """Execute the chunk spans. The base implementation runs them
-        inline — a plan forced onto a backend without a worker pool stays
-        correct, just not concurrent; the parallel backends override this
-        with their pools."""
-        for clo, chi in spans:
-            self.exec_chunk_span(state, desc, clo, chi, env, vector_names)
+        """Run one wavefront's chunks (see :meth:`run_chunk`) and return
+        when all of them have. The base implementation runs them inline —
+        a plan forced onto a backend without a worker pool stays correct,
+        just not concurrent; the parallel backends override this with
+        their pools."""
+        for lo, hi in spans:
+            self.run_chunk(state, desc, kind, lo, hi, env, fuse)
 
     # -- pipeline groups ---------------------------------------------------
 
@@ -635,7 +656,7 @@ class ExecutionBackend:
         """One frontier-released block of a pipeline *replicated* stage —
         exactly a chunk span (native span kernel when one compiles, the
         NumPy distribution otherwise)."""
-        self.exec_chunk_span(state, desc, lo, hi, env, [])
+        self.exec_chunk_span(state, desc, lo, hi, env)
 
     def exec_pipeline_group(
         self,
@@ -698,7 +719,7 @@ class ExecutionBackend:
         """Run a collapse-planned DOALL chain: flatten the perfect nest
         into one ``[0, prod(extents) - 1]`` iteration space, split it into
         the planned chunk count, and hand the *flat* subranges to
-        :meth:`dispatch_flat_chunks`. Each chunk executes through the
+        :meth:`dispatch`. Each chunk executes through the
         chunk-parameterized fused nest kernel (per-equation scalar walk
         when no kernel is available or the plan disabled fusion)."""
         _chain, _body, _los, extents = self._flat_geometry(state, desc, lo, hi)
@@ -715,7 +736,7 @@ class ExecutionBackend:
         if len(spans) < 2:
             self.exec_flat_span(state, desc, 0, flat - 1, env, fuse)
             return
-        self.dispatch_flat_chunks(state, desc, spans, env, fuse)
+        self.dispatch(state, desc, "flat", spans, env, fuse)
 
     def exec_flat_span(
         self,
@@ -786,20 +807,6 @@ class ExecutionBackend:
             env2[desc.index] = i
             for d in desc.body:
                 self._exec_descriptor_strictly_serial(state, d, env2)
-
-    def dispatch_flat_chunks(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        fuse: bool,
-    ) -> None:
-        """Execute the flat chunk spans. Inline in the base (correct
-        without a pool); the parallel backends override this alongside
-        :meth:`dispatch_chunks`."""
-        for flo, fhi in spans:
-            self.exec_flat_span(state, desc, flo, fhi, env, fuse)
 
     # -- equations ---------------------------------------------------------
 

@@ -1,26 +1,22 @@
-"""Process backends: DOALL chunks in worker processes over shared memory.
+"""Process backend: DOALL chunks on a persistent pool of forked workers
+over shared memory.
 
-Two strategies share the shared-memory storage machinery:
-
-* :class:`ProcessBackend` (``"process"``) — a **persistent pool**: workers
-  are forked once, at the first chunk dispatch, inheriting the interpreter
-  state *and the warmed kernel cache*; each wavefront then costs one task
-  message and one result message per worker instead of a fork/exec/teardown.
-  Arrays allocated (or rebound) after the fork are re-attached by name
-  through their ``multiprocessing.shared_memory`` segments, so workers
-  always address the planes the parent sees.
-* :class:`ForkProcessBackend` (``"process-fork"``) — the original
-  fork-per-wavefront strategy, kept as the measured baseline (see
-  ``benchmarks/bench_kernels.py``) and as the fallback for window-debug
-  runs, whose fault-on-overwrite tag arrays must be re-inherited fresh.
+:class:`ProcessBackend` (``"process"``) forks its workers once, at the first
+chunk dispatch, and they inherit the interpreter state *and the warmed
+kernel cache*; each wavefront then costs one task message and one result
+message per chunk instead of a fork/exec/teardown. Every array a run
+allocates or imports lives in a ``multiprocessing.shared_memory`` segment —
+and so do the fault-on-overwrite tags of a window-debug run — and arrays
+allocated (or rebound) after the fork are re-attached by name, so workers
+always address the planes, and check the tags, the parent sees.
 
 Fork is required (the child must inherit the interpreter state without
 pickling). On spawn-only platforms (macOS's default, Windows) constructing
-either backend raises a clear :class:`ExecutionError` naming the platform
+the backend raises a clear :class:`ExecutionError` naming the platform
 limitation — silently degrading to in-process execution made an explicit
 ``--backend process`` a lie, and the old half-degraded state crashed later
 in ``_ensure_pool`` with an ``AttributeError`` on the missing fork context.
-The planner's ``backend="auto"`` never offers the process backends when
+The planner's ``backend="auto"`` never offers the process backend when
 fork is unavailable. Result arrays are copied out before the shared
 segments are unlinked.
 """
@@ -48,7 +44,7 @@ def _fork_available() -> bool:
 def require_fork(backend_name: str) -> None:
     """Raise the canonical spawn-only-platform error for ``backend_name``.
 
-    Shared by the backend constructors and the planner-facing helpers so an
+    Shared by the backend constructor and the planner-facing helpers so an
     explicit ``--backend process`` fails the same readable way everywhere
     (instead of the historical silent degradation or an ``AttributeError``
     on the missing fork context)."""
@@ -77,22 +73,103 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-class ForkProcessBackend(ExecutionBackend):
-    """Fork-per-wavefront baseline (PR 1 semantics)."""
+def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_q):
+    """Persistent-worker main loop (runs in the forked child).
 
-    name = "process-fork"
+    The child inherited the interpreter state — analyzed module, flowchart,
+    compiled kernel cache, and every array allocated before the fork. Each
+    task carries the *full* current sync state (scalar bindings plus the
+    shared-memory table of array storage and tags — a few hundred bytes; the
+    array contents themselves never travel) and the worker applies only the
+    deltas: an array is re-attached by segment name exactly when its
+    backing segments changed, i.e. it was allocated or rebound wholesale by
+    an atomic equation after the fork. Tasks are load-balanced off one
+    shared queue, so a worker may see none of a wavefront's tasks —
+    per-task full state is what keeps a later task self-sufficient.
+    """
+    vec = VectorizedBackend(workers=1)
+    #: array name -> (storage segment, tag segment) of the binding in use
+    known: dict[str, tuple[str | None, str | None]] = {}
+    for name, val in state.data.items():
+        if isinstance(val, RuntimeArray):
+            segs = backend.segments_of(val)
+            if segs[0] is not None:
+                known[name] = segs
+    attached: dict[str, shared_memory.SharedMemory] = {}
+
+    def view(seg: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        shm = attached.get(seg)
+        if shm is None:
+            shm = attached[seg] = _attach_shm(seg)
+        return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+
+    while True:
+        task = task_q.get()
+        if task is None:
+            break
+        task_id, kind, path, lo, hi, env, scalars, specs, fuse = task
+        try:
+            state.data.update(scalars)
+            for name, (segs, shape, dtype, los, his, windows) in specs.items():
+                if known.get(name) == segs:
+                    continue
+                seg, tag_seg = segs
+                # A window-debug run's tags are shared too: a worker checks
+                # and stamps the very tags the parent and its siblings read.
+                tags = None if tag_seg is None else view(tag_seg, shape, np.int64)
+                state.data[name] = RuntimeArray(
+                    name, list(los), list(his),
+                    view(seg, shape, np.dtype(dtype)), dict(windows), tags,
+                )
+                known[name] = segs
+            # A persistent pool outlives the run that forked it: drop names
+            # whose segments the parent has since unlinked (they are absent
+            # from this task's full sync state) and unmap attachments no
+            # name references any more, so memory use stays bounded by the
+            # *current* run's arrays, not the session's history.
+            live = set()
+            for name in list(known):
+                if name in specs:
+                    live.update(known[name])
+                else:
+                    known.pop(name)
+                    state.data.pop(name, None)
+            for seg in [s for s in attached if s not in live]:
+                shm = attached.pop(seg)
+                try:
+                    shm.close()
+                except BufferError:  # a NumPy view is still alive; retry
+                    attached[seg] = shm
+            desc = state.flowchart.descriptor_at(path)
+            sub = state.fork()
+            # Native kernels come from the pre-fork-warmed cache — pure
+            # compiled work, no GIL shared with sibling workers.
+            vec.run_chunk(sub, desc, kind, lo, hi, env, fuse)
+            result_q.put((task_id, "ok", sub.eval_counts))
+        except BaseException as exc:  # broad by design — reported to the parent
+            result_q.put((task_id, "error", f"{type(exc).__name__}: {exc}"))
+
+
+class ProcessBackend(ExecutionBackend):
+    """Persistent worker pool: fork once, stream subranges thereafter."""
+
+    name = "process"
     serialize_runs = True
 
     def __init__(self, workers: int | None = None):
         super().__init__(workers)
         require_fork(self.name)
         self.store = None
-        self._warmed = False
         self._segments: list[shared_memory.SharedMemory] = []
         #: id(storage) -> (storage, segment name); the strong reference
         #: keeps the id stable for the backend's lifetime
         self._seg_by_storage: dict[int, tuple[np.ndarray, str]] = {}
         self._ctx = multiprocessing.get_context("fork")
+        self._procs: list = []
+        self._task_q = None
+        self._result_q = None
+        self._task_seq = 0
+        self._path_cache: dict[int, tuple[int, ...]] = {}
 
     # -- storage -----------------------------------------------------------
 
@@ -113,11 +190,15 @@ class ForkProcessBackend(ExecutionBackend):
         self.count("arg_bytes_converted", storage.nbytes)
         return storage
 
-    def segment_name_for(self, storage: np.ndarray) -> str | None:
+    def segment_name_for(self, storage: np.ndarray | None) -> str | None:
         entry = self._seg_by_storage.get(id(storage))
         if entry is not None and entry[0] is storage:
             return entry[1]
         return None
+
+    def segments_of(self, array: RuntimeArray) -> tuple[str | None, str | None]:
+        """The segments behind ``array``'s storage and its debug tags."""
+        return self.segment_name_for(array.storage), self.segment_name_for(array.tags)
 
     def export_result(self, array: np.ndarray) -> np.ndarray:
         # Results must outlive the shared segments backing them.
@@ -133,211 +214,11 @@ class ForkProcessBackend(ExecutionBackend):
                 shm.unlink()
             except FileNotFoundError:
                 pass
-        # The mappings themselves are released when the last NumPy view is
-        # garbage collected; close() here would raise BufferError while
-        # exported views exist.
+        # Dropping the SharedMemory objects may unmap the segments at once
+        # (a NumPy 2 view holds no buffer export that would defer it): no
+        # view of this run's arrays may be read after this point.
         self._segments.clear()
         self._seg_by_storage.clear()
-
-    def close(self) -> None:
-        self.end_run()
-
-    # -- dispatch ----------------------------------------------------------
-
-    def dispatch_chunks(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        vector_names: list[str],
-    ) -> None:
-        self._fork_wavefront(
-            state, desc,
-            [("span", clo, chi, env, vector_names, True) for clo, chi in spans],
-        )
-
-    def dispatch_flat_chunks(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        fuse: bool,
-    ) -> None:
-        self._fork_wavefront(
-            state, desc,
-            [("flat", flo, fhi, env, [], fuse) for flo, fhi in spans],
-        )
-
-    def _fork_wavefront(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        tasks: list[tuple],
-    ) -> None:
-        """Fork one worker per task (``(kind, lo, hi, env, vector_names,
-        fuse)``) and retire the wavefront when every one has exited."""
-        # Warm the kernel cache once in the parent: forked children inherit
-        # every compiled kernel (and dlopened native library) instead of
-        # each child re-compiling per wavefront — and, on the first native
-        # wavefront, N children racing N identical cc subprocesses.
-        if state.kernels is not None and not self._warmed:
-            state.kernels.warm(
-                state.options.use_windows,
-                tier=getattr(state.options, "kernel_tier", "native"),
-            )
-            self._warmed = True
-        queue = self._ctx.SimpleQueue()
-        procs = []
-        for task in tasks:
-            sub = state.fork()
-            p = self._ctx.Process(
-                target=self._run_chunk,
-                args=(sub, desc, task, queue),
-                daemon=True,
-            )
-            p.start()
-            procs.append(p)
-        # The barrier: the wavefront retires only when every chunk has.
-        # Drain the queue *while* joining — a child blocked in put() (its
-        # payload exceeding the pipe buffer) would otherwise never exit
-        # and the bare join would deadlock.
-        messages: list[tuple[str, Any]] = []
-        pending = list(procs)
-        while pending:
-            while not queue.empty():
-                messages.append(queue.get())
-            for p in pending[:]:
-                p.join(timeout=0.01)
-                if p.exitcode is not None:
-                    pending.remove(p)
-        while not queue.empty():
-            messages.append(queue.get())
-        failures: list[str] = []
-        for status, payload in messages:
-            if status == "ok":
-                state.merge_counts(payload)
-            else:
-                failures.append(payload)
-        queue.close()
-        if failures:
-            raise ExecutionError(
-                f"DOALL {desc.index} worker failed: " + "; ".join(failures)
-            )
-        if any(p.exitcode != 0 for p in procs):
-            codes = [p.exitcode for p in procs]
-            raise ExecutionError(
-                f"DOALL {desc.index} worker died (exit codes {codes})"
-            )
-
-    def _run_chunk(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        task: tuple,
-        queue,
-    ) -> None:
-        kind, lo, hi, env, vector_names, fuse = task
-        try:
-            if kind == "flat":
-                self.exec_flat_span(state, desc, lo, hi, env, fuse)
-            else:
-                self.exec_chunk_span(state, desc, lo, hi, env, vector_names)
-            queue.put(("ok", state.eval_counts))
-        except BaseException as exc:  # broad by design — reported to the parent
-            queue.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
-def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_q):
-    """Persistent-worker main loop (runs in the forked child).
-
-    The child inherited the interpreter state — analyzed module, flowchart,
-    compiled kernel cache, and every array allocated before the fork. Each
-    task carries the *full* current sync state (scalar bindings plus the
-    shared-memory table of array storage — a few hundred bytes; the array
-    contents themselves never travel) and the worker applies only the
-    deltas: an array is re-attached by segment name exactly when its
-    backing segment changed, i.e. it was allocated or rebound wholesale by
-    an atomic equation after the fork. Tasks are load-balanced off one
-    shared queue, so a worker may see none of a wavefront's tasks —
-    per-task full state is what keeps a later task self-sufficient.
-    """
-    vec = VectorizedBackend(workers=1)
-    known: dict[str, str] = {}
-    for name, val in state.data.items():
-        if isinstance(val, RuntimeArray):
-            seg = backend.segment_name_for(val.storage)
-            if seg is not None:
-                known[name] = seg
-    attached: dict[str, shared_memory.SharedMemory] = {}
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        task_id, kind, path, lo, hi, env, scalars, specs, fuse = task
-        try:
-            state.data.update(scalars)
-            for name, (seg, shape, dtype, los, his, windows) in specs.items():
-                if known.get(name) == seg:
-                    continue
-                shm = attached.get(seg)
-                if shm is None:
-                    shm = _attach_shm(seg)
-                    attached[seg] = shm
-                storage = np.ndarray(
-                    tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf
-                )
-                state.data[name] = RuntimeArray(
-                    name, list(los), list(his), storage, dict(windows), None
-                )
-                known[name] = seg
-            # A persistent pool outlives the run that forked it: drop names
-            # whose segments the parent has since unlinked (they are absent
-            # from this task's full sync state) and unmap attachments no
-            # name references any more, so memory use stays bounded by the
-            # *current* run's arrays, not the session's history.
-            live = set()
-            for name in list(known):
-                if name in specs:
-                    live.add(known[name])
-                else:
-                    known.pop(name)
-                    state.data.pop(name, None)
-            for seg in [s for s in attached if s not in live]:
-                shm = attached.pop(seg)
-                try:
-                    shm.close()
-                except BufferError:  # a NumPy view is still alive; retry
-                    attached[seg] = shm
-            desc = state.flowchart.descriptor_at(path)
-            sub = state.fork()
-            if kind == "flat":
-                # A collapse chunk: the whole flat subrange runs inside one
-                # fused nest kernel from the pre-fork-warmed cache — pure
-                # compiled work, no GIL shared with sibling workers.
-                vec.exec_flat_span(sub, desc, lo, hi, env, fuse)
-            else:
-                # Native span kernel when the span lowers to C (inherited
-                # pre-compiled from the parent's warm), NumPy path otherwise.
-                vec.exec_chunk_span(sub, desc, lo, hi, env, [])
-            result_q.put((task_id, "ok", sub.eval_counts))
-        except BaseException as exc:  # broad by design — reported to the parent
-            result_q.put((task_id, "error", f"{type(exc).__name__}: {exc}"))
-
-
-class ProcessBackend(ForkProcessBackend):
-    """Persistent worker pool: fork once, stream subranges thereafter."""
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None):
-        super().__init__(workers)
-        self._procs: list = []
-        self._task_q = None
-        self._result_q = None
-        self._task_seq = 0
-        self._path_cache: dict[int, tuple[int, ...]] = {}
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -369,10 +250,10 @@ class ProcessBackend(ForkProcessBackend):
         for name, val in state.data.items():
             if not isinstance(val, RuntimeArray):
                 continue
-            seg = self.segment_name_for(val.storage)
-            if seg is not None:
+            segs = self.segments_of(val)
+            if segs[0] is not None:
                 specs[name] = (
-                    seg,
+                    segs,
                     val.storage.shape,
                     val.storage.dtype.str,
                     tuple(val.los),
@@ -395,41 +276,13 @@ class ProcessBackend(ForkProcessBackend):
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch_chunks(
+    def dispatch(
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        vector_names: list[str],
-    ) -> None:
-        if state.options.debug_windows:
-            # A window-debug run: workers must re-inherit the
-            # fault-injection tag arrays every wavefront.
-            super().dispatch_chunks(state, desc, spans, env, vector_names)
-            return
-        self._pool_wavefront(state, desc, spans, env, kind="span", fuse=True)
-
-    def dispatch_flat_chunks(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        fuse: bool,
-    ) -> None:
-        if state.options.debug_windows:
-            super().dispatch_flat_chunks(state, desc, spans, env, fuse)
-            return
-        self._pool_wavefront(state, desc, spans, env, kind="flat", fuse=fuse)
-
-    def _pool_wavefront(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
         kind: str,
+        spans: list[tuple[int, int]],
+        env: dict[str, Any],
         fuse: bool,
     ) -> None:
         self._ensure_pool(state)
@@ -495,4 +348,4 @@ class ProcessBackend(ForkProcessBackend):
             self._task_q = None
             self._result_q = None
         self._path_cache.clear()
-        super().close()
+        self.end_run()

@@ -1,23 +1,21 @@
-"""Threaded backends: planned DOALL chunks on a thread pool.
+"""Threaded backend: planned DOALL chunks on a thread pool.
 
-The planner splits a chunk-planned ``DOALL`` into balanced contiguous
-chunks; each chunk runs through :meth:`~repro.runtime.backends.base.
-ExecutionBackend.exec_chunk_span` — the *native span kernel* when the span
-lowers to C (cffi's ABI mode releases the GIL around the C invocation, so
-chunks genuinely overlap on today's GIL-ful CPython), the vectorised NumPy
-path otherwise (NumPy kernels release the GIL too, but the per-equation
-Python bookkeeping between them serialises). Waiting on all futures is the
-per-wavefront barrier. Chunk-safety (scalar targets, atomic equations,
-window aliasing) is the planner's concern: a DOALL this backend sees with
-a ``vector`` or ``serial`` plan simply runs that strategy via the shared
-base dispatch.
+The planner splits a chunk- or collapse-planned ``DOALL`` into balanced
+contiguous chunks; each runs through :meth:`~repro.runtime.backends.base.
+ExecutionBackend.run_chunk` on the pool — the *native span kernel* when the
+span lowers to C (cffi's ABI mode releases the GIL around the C invocation,
+so chunks genuinely overlap on a GIL build), the vectorised NumPy path
+otherwise (NumPy kernels release the GIL too, but the per-equation Python
+bookkeeping between them serialises — unless the interpreter is a no-GIL
+build, where that Python-level work overlaps as well). Chunk-safety
+(scalar targets, atomic equations, window aliasing) is the planner's
+concern: a DOALL this backend sees with a ``vector`` or ``serial`` plan
+simply runs that strategy via the shared base dispatch.
 
-:class:`FreeThreadingBackend` is the same dispatch registered as
-``free-threading``: on a no-GIL CPython build (3.13t/3.14 with the GIL
-disabled) even the pure-Python spans overlap, so *every* chunk scales with
-workers, not just the native ones. On a regular GIL build it degrades
-cleanly to exactly :class:`ThreadedBackend` behaviour — same pool, same
-dispatch — so pinning it is always safe.
+Every wave on the pool — chunk and flat wavefronts, both parallel scan
+phases, the pipeline's stage tasks — ends in :meth:`ThreadedBackend._join`:
+all tasks finish before the first failure is re-raised, so a failed run
+leaves nothing of its own running on the session's persistent pool.
 """
 
 from __future__ import annotations
@@ -71,55 +69,43 @@ class ThreadedBackend(ExecutionBackend):
                     )
         return self._pool
 
-    def _pool_wavefront(self, state: ExecutionState, spans, run_span) -> None:
-        """One wavefront on the pool: a private substate per chunk,
-        ``run_span(substate, lo, hi)`` submitted per span, then the
-        barrier — every chunk completes (or raises) before the next
-        descriptor runs — and the eval-count merge."""
-        pool = self._ensure_pool()
-        substates = [state.fork() for _ in spans]
-        futures = [
-            pool.submit(run_span, sub, lo, hi)
-            for sub, (lo, hi) in zip(substates, spans)
-        ]
+    @staticmethod
+    def _join(futures) -> None:
+        """Wait for *every* future, then re-raise the first failure — the
+        one failure protocol of the pool. Raising at the first failed
+        future would leave its siblings running on the persistent pool,
+        where the next request's waves queue behind a dead run's work (a
+        failed run's partial writes are overwritten on re-run)."""
+        first: BaseException | None = None
         for f in futures:
-            f.result()
-        for sub in substates:
-            state.merge_counts(sub.eval_counts)
+            try:
+                f.result()
+            except BaseException as exc:
+                if first is None:
+                    first = exc
+        if first is not None:
+            raise first
 
-    def dispatch_chunks(
+    def dispatch(
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        vector_names: list[str],
-    ) -> None:
-        self._pool_wavefront(
-            state, spans,
-            lambda sub, lo, hi: self.exec_chunk_span(
-                sub, desc, lo, hi, env, vector_names
-            ),
-        )
-
-    def dispatch_flat_chunks(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
+        kind: str,
         spans: list[tuple[int, int]],
         env: dict[str, Any],
         fuse: bool,
     ) -> None:
-        """Flat collapse chunks on the thread pool: the fused flat kernels
-        interleave NumPy spans (GIL released) with per-row bookkeeping
-        (GIL held), which the planner's collapse cost model prices for
-        this backend."""
-        self._pool_wavefront(
-            state, spans,
-            lambda sub, lo, hi: self.exec_flat_span(
-                sub, desc, lo, hi, env, fuse
-            ),
-        )
+        """One wavefront on the pool: a private substate per chunk, every
+        chunk joined before the next descriptor runs, then the eval-count
+        merge."""
+        pool = self._ensure_pool()
+        substates = [state.fork() for _ in spans]
+        self._join([
+            pool.submit(self.run_chunk, sub, desc, kind, lo, hi, env, fuse)
+            for sub, (lo, hi) in zip(substates, spans)
+        ])
+        for sub in substates:
+            state.merge_counts(sub.eval_counts)
 
     # -- blocked scans -----------------------------------------------------
 
@@ -141,23 +127,6 @@ class ThreadedBackend(ExecutionBackend):
     def exec_scan_fix(self, kern, t, incoming, ap) -> None:
         """Phase-3 hook: one block's carry fix-up."""
         kern.fix(t, incoming, ap)
-
-    def _scan_phase(self, tasks) -> None:
-        """Submit one parallel scan phase and join *every* future before
-        re-raising the first failure — all-or-nothing poison that leaves
-        the pool usable (the same unwind contract as the pipeline engine;
-        a failed run's partial writes are overwritten on re-run)."""
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, *args) for fn, *args in tasks]
-        first: BaseException | None = None
-        for f in futures:
-            try:
-                f.result()
-            except BaseException as exc:
-                if first is None:
-                    first = exc
-        if first is not None:
-            raise first
 
     def exec_scan_loop(
         self,
@@ -210,8 +179,9 @@ class ThreadedBackend(ExecutionBackend):
         off = lo - arr.los[0]
         t = arr.storage[off : off + n]
         spans = split_range(0, n - 1, parts)
-        self._scan_phase([
-            (
+        pool = self._ensure_pool()
+        self._join([
+            pool.submit(
                 self.exec_scan_block, kern,
                 t[s : e + 1], b[s : e + 1],
                 a[s : e + 1] if a is not None else None,
@@ -227,8 +197,8 @@ class ThreadedBackend(ExecutionBackend):
                 incoming, t[s : e + 1],
                 ap[s : e + 1] if ap is not None else None,
             )
-        self._scan_phase([
-            (
+        self._join([
+            pool.submit(
                 self.exec_scan_fix, kern,
                 t[s : e + 1], carries[k],
                 ap[s : e + 1] if ap is not None else None,
@@ -309,7 +279,7 @@ class ThreadedBackend(ExecutionBackend):
                             if len(spans) < 2:
                                 self.exec_rep_block(state, member, mlo, mhi, env)
                             else:
-                                self.dispatch_chunks(state, member, spans, env, [])
+                                self.dispatch(state, member, "span", spans, env, True)
                         else:
                             self.exec_seq_block(state, member, mlo, mhi, env)
                 return
@@ -393,8 +363,7 @@ class ThreadedBackend(ExecutionBackend):
                 sub = state.fork()
                 substates.append(sub)
                 futures.append(pool.submit(stage_worker, k, sub))
-        for f in futures:
-            f.result()  # workers trap their own exceptions: this is the join
+        self._join(futures)  # workers trap their own exceptions
         if failure:
             raise failure[0]
         for sub in substates:
@@ -404,15 +373,3 @@ class ThreadedBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class FreeThreadingBackend(ThreadedBackend):
-    """``free-threading``: the thread-pool dispatch on a no-GIL CPython.
-
-    Deliberately constructible on any interpreter — on a GIL build it *is*
-    the threaded backend (same pool, same chunk dispatch), so scripts can
-    pin ``--backend free-threading`` and run everywhere; the extra
-    parallelism on pure-Python spans simply appears when the interpreter
-    provides it (:func:`free_threading_active`)."""
-
-    name = "free-threading"

@@ -8,10 +8,14 @@ program would: a ``DO`` loop runs its subrange low-to-high sequentially; a
 * ``serial`` — one scalar iteration at a time (the reference semantics);
 * ``vectorized`` — the whole subrange as one NumPy operation (an inner
   ``DO`` nested under a vectorised ``DOALL`` keeps its own scalar loop);
-* ``threaded`` — chunked subranges on a thread pool, NumPy kernels
-  releasing the GIL;
-* ``process`` — chunked subranges in forked workers over shared-memory
-  arrays, with a barrier per wavefront.
+* ``threaded`` — chunked subranges on a thread pool, native and NumPy
+  kernels releasing the GIL (on a no-GIL build the Python-level chunk work
+  overlaps too);
+* ``process`` — chunked subranges on a persistent pool of forked workers
+  over shared-memory arrays.
+
+Every parallel wavefront ends in one join: all of its chunks finish (or
+fail) before the next descriptor runs, and the first failure is re-raised.
 
 Options:
 

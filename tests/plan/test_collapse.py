@@ -112,7 +112,7 @@ end Vec;
 @pytest.mark.usefixtures("pinned_host")
 class TestCollapseExecution:
     @pytest.mark.parametrize(
-        "backend", ["serial", "vectorized", "threaded", "process", "process-fork"]
+        "backend", ["serial", "vectorized", "threaded", "process"]
     )
     def test_forced_collapse_parity(self, backend):
         analyzed, flow, scalars = _setup(SCALE_SOURCE, r=5, c=67)

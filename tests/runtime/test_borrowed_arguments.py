@@ -21,7 +21,7 @@ from repro.runtime.backends import instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import Session
 
-BACKENDS = ["serial", "vectorized", "threaded", "process", "process-fork"]
+BACKENDS = ["serial", "vectorized", "threaded", "process"]
 TIERS = ["native", "numpy", "evaluator"]
 
 

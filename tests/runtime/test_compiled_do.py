@@ -120,7 +120,7 @@ def _reference(analyzed, flow, args, outputs, use_windows=False):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("backend", [*ALL_BACKENDS, "free-threading"])
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
     @pytest.mark.parametrize(
         "model", [ALWAYS_C, NEVER_C], ids=["c-dialect", "python-dialect"]

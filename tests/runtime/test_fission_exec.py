@@ -17,7 +17,7 @@ from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
-ALL_BACKENDS = ("serial", "vectorized", "threaded", "free-threading", "process")
+ALL_BACKENDS = ("serial", "vectorized", "threaded", "process")
 
 
 def _merged(analyzed):
@@ -45,8 +45,15 @@ def _backend_available(backend):
 
 class TestFissionParity:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    def test_forced_fission_bit_exact(self, backend, use_windows):
+    @pytest.mark.parametrize(
+        "use_windows, debug_windows",
+        [(False, False), (True, False), (True, True)],
+        ids=["flat", "win", "win-debug"],
+    )
+    def test_forced_fission_bit_exact(self, backend, use_windows, debug_windows):
+        # win-debug arms the fault-on-overwrite tags: each fissioned piece
+        # stamps and checks them wherever it runs (on threaded the pieces
+        # are pipelined on the pool).
         if not _backend_available(backend):
             pytest.skip("fork unavailable")
         analyzed = mixed_analyzed()
@@ -57,7 +64,7 @@ class TestFissionParity:
             analyzed, args, flowchart=chart,
             options=ExecutionOptions(
                 backend=backend, workers=4, strategy="fission",
-                use_windows=use_windows,
+                use_windows=use_windows, debug_windows=debug_windows,
             ),
         )
         for k, want in ref.items():

@@ -32,7 +32,7 @@ from repro.runtime.kernels.runtime import affine_gather, affine_scatter
 from repro.runtime.values import RuntimeArray
 from repro.schedule.scheduler import schedule_module
 
-ALL_BACKENDS = ["serial", "vectorized", "threaded", "process", "process-fork"]
+ALL_BACKENDS = ["serial", "vectorized", "threaded", "process"]
 
 DP_SOURCE = """\
 Align: module (CostA: array[1 .. n] of real;

@@ -18,6 +18,12 @@ from repro.core.recurrences import (
 from repro.runtime.backends.threaded import ThreadedBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 
+#: the workloads that still pipeline with window debugging on (it turns the
+#: kernels off, and the single-loop recurrences pipeline only as a compiled
+#: nest)
+DEBUG_PIPELINED = [w for w in RECURRENCE_WORKLOADS
+                   if w[0] in ("scan", "coupled", "line_sweep")]
+
 
 def _reference(analyzed, args, out):
     res = execute_module(
@@ -31,7 +37,7 @@ class TestPipelineParity:
     @pytest.mark.parametrize(
         "workload", RECURRENCE_WORKLOADS, ids=[w[0] for w in RECURRENCE_WORKLOADS]
     )
-    @pytest.mark.parametrize("backend", ["threaded", "free-threading"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
     def test_forced_pipeline_bit_exact(self, workload, backend, use_windows):
         name, analyzed_fn, args_fn, out = workload
@@ -44,6 +50,41 @@ class TestPipelineParity:
                 use_windows=use_windows,
             ),
         )
+        assert np.array_equal(
+            np.asarray(res[out]), _reference(analyzed, args, out)
+        )
+
+    @pytest.mark.parametrize(
+        "workload", DEBUG_PIPELINED, ids=[w[0] for w in DEBUG_PIPELINED]
+    )
+    def test_forced_pipeline_window_debug_bit_exact(self, workload):
+        # Fault-on-overwrite tags armed: the stage tasks stamp and check
+        # them concurrently, block by block, and no read finds a plane a
+        # downstream stage still needed overwritten.
+        from repro.plan.planner import build_plan
+        from repro.schedule.scheduler import schedule_module
+
+        name, analyzed_fn, args_fn, out = workload
+        analyzed = analyzed_fn()
+        flow = schedule_module(analyzed)
+        args = args_fn()
+        options = ExecutionOptions(
+            backend="threaded", workers=4, strategy="pipeline",
+            use_windows=True, debug_windows=True,
+        )
+        plan = build_plan(
+            analyzed, flow, options,
+            {k: int(v) for k, v in args.items() if isinstance(v, int)},
+        )
+        assert any(s == "pipeline" for _, s in plan.strategies())
+        # Without kernels a sequential stage walks its body on the pool
+        # worker: a loop in there that chunked would wait for the pool
+        # it is running on.
+        staged = [p for p, lp in plan.loops.items() if lp.strategy == "pipeline"]
+        for path, lp in plan.loops.items():
+            if any(len(path) > len(p) and path[: len(p)] == p for p in staged):
+                assert lp.strategy not in ("chunk", "collapse"), path
+        res = execute_module(analyzed, args, flow, options, plan=plan)
         assert np.array_equal(
             np.asarray(res[out]), _reference(analyzed, args, out)
         )

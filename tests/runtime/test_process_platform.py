@@ -33,10 +33,9 @@ def spawn_only(monkeypatch):
 
 
 class TestSpawnOnlyPlatforms:
-    @pytest.mark.parametrize("name", ["process", "process-fork"])
-    def test_backend_construction_fails_clearly(self, spawn_only, name):
+    def test_backend_construction_fails_clearly(self, spawn_only):
         with pytest.raises(ExecutionError, match="fork.*start method"):
-            instantiate_backend(name, workers=4)
+            instantiate_backend("process", workers=4)
 
     def test_explicit_backend_names_the_platform(self, spawn_only):
         import sys
@@ -59,7 +58,7 @@ class TestSpawnOnlyPlatforms:
     def test_auto_never_selects_process(self, spawn_only):
         """The planner's auto pool consults the same ``_fork_available``
         probe as the backends — one monkeypatch covers both layers — and
-        drops the process backends, so auto runs fine on a spawn-only
+        drops the process backend, so auto runs fine on a spawn-only
         platform."""
         from repro.plan.planner import build_plan
         from repro.schedule.scheduler import schedule_module
@@ -71,7 +70,7 @@ class TestSpawnOnlyPlatforms:
             ExecutionOptions(backend="auto", workers=8),
             {"M": 64, "maxK": 8}, cpu_count=8,
         )
-        assert plan.backend not in ("process", "process-fork")
+        assert plan.backend != "process"
 
     def test_pinned_plan_fails_clearly(self, spawn_only):
         from repro.plan.planner import build_plan
@@ -88,7 +87,7 @@ class TestSpawnOnlyPlatforms:
 
     def test_compare_plans_skips_process_backends(self, spawn_only):
         """calibrate()/compare_plans must measure the runnable backends
-        instead of dying on the process pins."""
+        instead of dying on the process pin."""
         from repro.machine.report import compare_plans
         from repro.schedule.scheduler import schedule_module
 
@@ -99,7 +98,7 @@ class TestSpawnOnlyPlatforms:
         cmp = compare_plans(analyzed, flow, args, workers=2, repeats=1)
         measured = {r["backend"] for r in cmp.rows}
         assert measured
-        assert not measured & {"process", "process-fork"}
+        assert "process" not in measured
 
 
 #: the index-dependent module call is vector-unsafe and non-kernelizable,
@@ -135,8 +134,7 @@ class _SpySharedMemory(process_mod.shared_memory.SharedMemory):
     not process_mod._fork_available(), reason="fork unavailable"
 )
 class TestSharedMemoryCleanup:
-    @pytest.mark.parametrize("backend", ["process", "process-fork"])
-    def test_failing_run_leaves_no_segments(self, monkeypatch, backend):
+    def test_failing_run_leaves_no_segments(self, monkeypatch):
         """A run that raises mid-wavefront must still unlink every
         SharedMemory segment it created."""
         _SpySharedMemory.created = []
@@ -149,7 +147,7 @@ class TestSharedMemoryCleanup:
         with pytest.raises(ExecutionError, match="out of range"):
             execute_program_module(
                 program, "Use", args,
-                options=ExecutionOptions(backend=backend, workers=4),
+                options=ExecutionOptions(backend="process", workers=4),
             )
         assert _SpySharedMemory.created, "expected shared-memory storage"
         leaked = set(_SpySharedMemory.created) - set(_SpySharedMemory.unlinked)

@@ -49,7 +49,7 @@ class TestScanParity:
     @pytest.mark.parametrize(
         "workload", SCAN_WORKLOADS, ids=[w[0] for w in SCAN_WORKLOADS]
     )
-    @pytest.mark.parametrize("backend", ["threaded", "free-threading"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
     def test_forced_scan_bit_exact(self, workload, backend, use_windows):
         name, analyzed_fn, args_fn, out = workload

@@ -5,7 +5,7 @@ of a chunk-dispatchable DOALL subtree; the chunked backends call it for a
 subrange instead of the per-equation NumPy spans. These tests pin:
 
 * bit-exact parity — every paper workload, chunk-forced on every chunked
-  backend (including ``free-threading``), in both window modes, against
+  backend, in both window modes, against
   the kernel-less serial reference, on the native *and* NumPy tiers;
 * the emission rules — one spec per equation, sequential inner ``DO``
   rejects the whole span (per-equation distribution would reorder its
@@ -36,7 +36,7 @@ from repro.schedule.scheduler import schedule_module
 
 from tests.runtime.test_kernels import WORKLOADS
 
-CHUNKED_BACKENDS = ["threaded", "free-threading", "process", "process-fork"]
+CHUNKED_BACKENDS = ["threaded", "process"]
 
 needs_toolchain = pytest.mark.skipif(
     not native_supported(), reason="no C compiler / cffi on this machine"
@@ -155,7 +155,7 @@ class TestSpanParity:
 
     def test_auto_plan_stays_bit_exact(self, span_cache):
         """The cost-driven plan (whatever it picks) matches the reference
-        on the free-threading backend too."""
+        on the threaded backend too."""
         name, analyzed, flow, args, out = WORKLOADS[0]
         ref = execute_module(
             analyzed, dict(args), flow,
@@ -163,7 +163,7 @@ class TestSpanParity:
         )
         got = execute_module(
             analyzed, dict(args), flow,
-            ExecutionOptions(backend="free-threading", workers=3),
+            ExecutionOptions(backend="threaded", workers=3),
         )
         assert np.array_equal(ref[out], got[out])
 

@@ -33,7 +33,7 @@ from repro.serve import Session
 
 from tests.runtime.test_total_definition import TALLSKINNY_SOURCE
 
-IN_PROCESS = ["serial", "vectorized", "threaded", "free-threading"]
+IN_PROCESS = ["serial", "vectorized", "threaded"]
 TIERS = ["native", "numpy"]
 #: 160 KB of reals: above the store's threshold, small enough for the NumPy
 #: tier's Python loops

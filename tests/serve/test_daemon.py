@@ -18,6 +18,8 @@ from repro.errors import ClientError
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import DaemonThread, ReproClient, Session, wire
 
+from tests.runtime.test_backends import RETIRED_BACKENDS, SURVIVORS
+
 SIZES = {"M": 6, "maxK": 2}
 
 
@@ -141,6 +143,19 @@ class TestStructuredErrors:
                 )
             assert exc.value.kind == "BadRequest"
             assert "bogus" in str(exc.value)
+
+    @pytest.mark.parametrize("name", RETIRED_BACKENDS)
+    def test_retired_backend_is_a_structured_error(self, served, name):
+        daemon, _ = served
+        with connect(daemon) as client:
+            with pytest.raises(ClientError) as exc:
+                client.run(
+                    "Relaxation", {**SIZES, "InitialA": make_input(0)},
+                    backend=name,
+                )
+            assert exc.value.kind == "ExecutionError"
+            assert f"available: {SURVIVORS}" in str(exc.value)
+            assert client.ping() == "pong"  # connection survives
 
     def test_args_must_be_object(self, served):
         daemon, _ = served

@@ -7,6 +7,8 @@ from repro.cli import main
 from repro.core.paper import RELAXATION_GAUSS_SEIDEL_SOURCE, RELAXATION_JACOBI_SOURCE
 from repro.core.recurrences import SCAN_SOURCE
 
+from tests.runtime.test_backends import RETIRED_BACKENDS
+
 
 @pytest.fixture()
 def jacobi_file(tmp_path):
@@ -197,6 +199,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
                   "--backend", "gpu"])
+
+    @pytest.mark.parametrize("name", RETIRED_BACKENDS)
+    def test_backend_flag_rejects_retired_names(self, jacobi_file, name, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
+                  "--backend", name])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "'process', 'serial', 'threaded', 'vectorized'" in err
 
     def test_bad_set_syntax(self, jacobi_file, capsys):
         assert main(["run", jacobi_file, "--set", "M"]) == 1
