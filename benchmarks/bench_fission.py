@@ -5,7 +5,7 @@ the three recurrences of the ``Mixed`` workload (an integer scan, a linear
 recurrence, and a running max) share one loop, which runs as one compiled
 in-order kernel (``DO I -> nest``). Fission replicates the loop per
 dependence group; the replicas are sibling loops the planner may then
-scan, pipeline, or compile one by one. What that buys is parallelism
+pipeline or compile one by one. What that buys is parallelism
 across (and inside) the pieces, and what it costs is one pass over memory
 per piece where the fused loop makes one; the planner prices both per
 plan. This bench checks the answer and writes ``BENCH_fission.json``.

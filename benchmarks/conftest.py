@@ -65,7 +65,7 @@ def _best_of(fn, repeats=5):
 
 @pytest.fixture()
 def strategy_vs_compiled_do():
-    """The one gate the scan / pipeline / fission benches share. The
+    """The one gate the pipeline and fission benches share. The
     baseline is the *compiled* sequential loop — the serial backend's
     unforced plan, one thread of C — never the per-element walk: beating
     an interpreter measures the kernel tier, not parallelism. Per worker

@@ -28,7 +28,7 @@ from repro.errors import ReproError
 from repro.graph.build import build_dependency_graph
 from repro.graph.dot import to_dot, to_text
 from repro.hyperplane.pipeline import hyperplane_transform
-from repro.plan.ir import STRATEGIES
+from repro.plan.ir import VALID_STRATEGIES
 from repro.ps.parser import parse_module
 from repro.ps.printer import format_module
 from repro.ps.semantics import analyze_module
@@ -133,7 +133,6 @@ def _execution_options(args) -> ExecutionOptions:
         use_fission=False if getattr(args, "no_fission", False) else None,
         kernel_tier=args.kernel_tier,
         strategy=getattr(args, "strategy", None),
-        allow_reassoc=getattr(args, "allow_reassoc", False) or None,
     )
 
 
@@ -374,10 +373,6 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel-tier", default="native",
                    choices=["native", "numpy", "evaluator"],
                    help="highest kernel tier (default: native)")
-    p.add_argument("--allow-reassoc", action="store_true",
-                   help="let the parallel scan strategy reassociate float "
-                        "+/* recurrences (bit-for-bit parity with the "
-                        "in-order reference is traded for speed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the plan to a backend (default: planner's choice)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker count the plan budgets for")
-    p.add_argument("--strategy", default=None, choices=list(STRATEGIES),
+    p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
                    help="prefer this strategy wherever it is valid "
                         "(pipeline: decouple every partitionable sibling "
                         "run of loops into concurrent stages)")
@@ -444,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highest kernel tier the plan budgets for "
                         "(default: native, degrading to numpy at run time "
                         "when no C compiler exists)")
-    p.add_argument("--allow-reassoc", action="store_true",
-                   help="let the scan strategy reassociate float +/* "
-                        "recurrences (results differ from the in-order "
-                        "reference by rounding)")
     p.add_argument("--cycles", action="store_true",
                    help="include calibrated cycle predictions")
     p.add_argument("--save", action="store_true",
@@ -470,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DOALL execution backend (auto: the cost-driven "
                         "planner chooses; serial: the scalar reference "
                         "interpreter)")
-    p.add_argument("--strategy", default=None, choices=list(STRATEGIES),
+    p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
                    help="prefer this strategy wherever it is valid "
                         "(pipeline: decouple every partitionable sibling "
                         "run of loops into concurrent stages)")
@@ -494,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(cffi-compiled C, the default), numpy "
                         "(exec-compiled NumPy kernels), or evaluator "
                         "(reference tree walk only)")
-    p.add_argument("--allow-reassoc", action="store_true",
-                   help="let the scan strategy reassociate float +/* "
-                        "recurrences (results differ from the in-order "
-                        "reference by rounding)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(

@@ -11,7 +11,7 @@ back apart. The drawn unit kinds:
 * ``map`` — a pointwise combination of inputs and earlier targets; on
   its own a DOALL candidate, so fission can *promote* its group.
 * ``scan+`` / ``scanmax`` — an associative self-recurrence; a split
-  leaves it alone in its replica, the shape the scan engine wants.
+  leaves it alone in its replica, a compiled ``DO`` of its own.
 * ``linrec`` — ``Vj[I] = C[I] * Vj[I-1] + term`` with loop-varying
   coefficients.
 * ``coupled`` — a mutually recursive *pair* of units (each reads the

@@ -19,17 +19,14 @@ uses the coupled recurrence as its gate workload.
   two chained diagnostics whose dependence is identity — they coalesce
   into one replicated stage: ``seq + par(2 loops)``.
 
-Three standalone recurrences exercise the parallel ``scan`` strategy
-(:mod:`repro.schedule.scan_detect`) — no consumer siblings, so the loop
-meets the planner alone rather than as a pipeline stage:
+Three standalone scans and linear recurrences — no consumer siblings, so
+the loop meets the planner alone rather than as a pipeline stage, and
+plans as the compiled sequential ``DO``:
 
-* :func:`isum_analyzed` — an integer sum reduction (bit-exact under
-  two's-complement wraparound).
-* :func:`runmax_analyzed` — a running maximum over reals (max is exactly
-  associative, so blocked execution is bit-exact without reassociation).
+* :func:`isum_analyzed` — an integer sum reduction.
+* :func:`runmax_analyzed` — a running maximum over reals.
 * :func:`ilinrec_analyzed` — an integer first-order linear recurrence
-  with *loop-varying* coefficients ``S[I] = A[I]*S[I-1] + B[I]`` —
-  ``benchmarks/bench_scan.py`` uses it as the gate workload.
+  with *loop-varying* coefficients ``S[I] = A[I]*S[I-1] + B[I]``.
 """
 
 from __future__ import annotations
@@ -109,8 +106,7 @@ end ISum;
 """
 
 RUNMAX_SOURCE = """\
-(* Running maximum over reals — max is exactly associative, so the
-   blocked scan is bit-exact. *)
+(* Running maximum over reals. *)
 RunMax: module (X: array[1 .. n] of real; n: int):
         [M: array[0 .. n] of real];
 type
@@ -139,8 +135,7 @@ MIXED_SOURCE = """\
 (* Three independent integer recurrences over one subrange. The
    loop-merging pass fuses them into a single DO nest, which is the
    fission gate workload: the split recovers one replica loop per
-   recurrence, and the replicas decouple as pipeline stages or blocked
-   scans. *)
+   recurrence, and the replicas decouple as pipeline stages. *)
 Mixed: module (X: array[1 .. n] of int; A: array[1 .. n] of int;
                B: array[1 .. n] of int; n: int):
        [T: array[0 .. n] of int; S: array[0 .. n] of int;

@@ -106,18 +106,6 @@ class MachineModel:
     #: per-block cost of one hand-off across a pipeline stage boundary
     #: (frontier publish + consumer wake-up under the shared condition)
     pipeline_link_overhead: float = 900.0
-    #: per-element factor on the scan strategy's phase-1 block sweep
-    #: relative to the native streaming walk of the same equation (local
-    #: scan does the same FMA/compare chain plus, for linear recurrences,
-    #: the running coefficient product)
-    scan_reduce_factor: float = 1.15
-    #: per-element factor on the scan strategy's phase-3 fix-up sweep
-    #: (one combine against a block-constant carry — cheaper than the
-    #: full recurrence body)
-    scan_fixup_factor: float = 0.4
-    #: joining one full wave of scan block tasks (two such barriers per
-    #: scan: after the block sweep and after the fix-up sweep)
-    scan_phase_barrier: float = 2500.0
     #: submitting + collecting one chunk task on the persistent process pool
     process_dispatch: float = 40000.0
     #: one-time cost of forking the persistent process pool

@@ -14,7 +14,7 @@ at loop entry.
 
 from repro.plan.calibration import CalibrationRecord, PlanCalibration
 from repro.plan.ir import (
-    STRATEGIES,
+    VALID_STRATEGIES,
     EquationPlan,
     ExecutionPlan,
     LoopPlan,
@@ -23,7 +23,7 @@ from repro.plan.ir import (
 from repro.plan.planner import build_plan, forced_plan
 
 __all__ = [
-    "STRATEGIES",
+    "VALID_STRATEGIES",
     "CalibrationRecord",
     "EquationPlan",
     "ExecutionPlan",

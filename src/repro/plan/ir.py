@@ -51,25 +51,20 @@ Loop strategies
     strategy plus the :class:`StagePlan` list and the group size; the
     other member loops carry ``pipeline`` with a ``stage k/n`` reason and
     are executed by the group engine, never dispatched individually.
-``scan``
-    A recognized sequential recurrence (associative ``+ * min max``
-    reduction/prefix scan, or a first-order linear recurrence — see
-    :mod:`repro.schedule.scan_detect`) runs as a three-phase Blelloch
-    blocked scan: ``parts`` per-block partial sweeps in parallel, a
-    serial exclusive scan of the block carries, and a parallel per-block
-    fix-up sweep. Int and min/max scans are bit-exact; float ``+``/``*``
-    requires ``allow_reassoc``. Backends without a scan engine fall back
-    to the in-order walk.
 ``fission``
     A multi-unit loop body splits along its dependence structure into
     ``parts`` replica loops over the same subrange, one per minimal
     dependence group (see :mod:`repro.schedule.fission`), each planned
     independently: pieces that come out all-DOALL regain
-    ``nest``/``chunk``/``collapse``, lone recurrences regain ``scan``,
-    and the replica run itself may plan as a ``pipeline`` group. Replica
-    LoopPlans live at marker paths ``loop_path + (-1, k)``; the original
-    loop carries the ``fission`` strategy and is executed by planning its
-    replicas in order, each equation exactly once over the full subrange.
+    ``nest``/``chunk``/``collapse``, a lone recurrence runs as its own
+    compiled ``DO``, and the replica run itself may plan as a ``pipeline``
+    group. Replica LoopPlans live at marker paths ``loop_path + (-1, k)``;
+    the original loop carries the ``fission`` strategy and is executed by
+    planning its replicas in order, each equation exactly once over the
+    full subrange.
+
+Every strategy is bit-exact against the reference evaluator: none
+reassociates floating-point arithmetic.
 """
 
 from __future__ import annotations
@@ -79,10 +74,17 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 #: valid LoopPlan.strategy values
-STRATEGIES = (
+VALID_STRATEGIES = (
     "serial", "nest", "vector", "chunk", "iterate", "collapse", "pipeline",
-    "scan", "fission",
+    "fission",
 )
+
+#: the names per-strategy loop counts are kept under: the valid ones plus
+#: the retired blocked ``scan``, which no plan carries and every entry
+#: point refuses. The end-to-end benchmark still declares a
+#: ``plan.loops.scan`` count (always 0) and reads it from this tuple;
+#: ``scan`` leaves here when that row leaves the benchmark.
+STRATEGIES = (*VALID_STRATEGIES, "scan")
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
 #: enclosing nest lowers to the cffi-compiled C tier (degrading to the
@@ -118,9 +120,7 @@ class StagePlan:
     """One stage of a pipeline group (attached to the group head's
     :class:`LoopPlan`)."""
 
-    #: "sequential" | "replicated" | "scan" (a sequential stage whose
-    #: single member loop runs as a parallel blocked scan before the
-    #: decoupled engine starts)
+    #: "sequential" | "replicated"
     kind: str
     #: offsets of the member loops within the group's sibling run
     members: tuple[int, ...]
@@ -130,12 +130,7 @@ class StagePlan:
     workers: int = 1
 
     def annotation(self) -> str:
-        if self.kind == "sequential":
-            tag = "seq"
-        elif self.kind == "scan":
-            tag = f"scan x{self.workers}"
-        else:
-            tag = f"par x{self.workers}"
+        tag = "seq" if self.kind == "sequential" else f"par x{self.workers}"
         return f"{tag}({', '.join(self.labels)})"
 
 
@@ -195,7 +190,7 @@ class LoopPlan:
 
     def annotation(self) -> str:
         bits = [self.strategy]
-        if self.strategy in ("chunk", "collapse", "scan", "fission") and self.parts:
+        if self.strategy in ("chunk", "collapse", "fission") and self.parts:
             bits[-1] += f" x{self.parts}"
         if self.strategy == "pipeline" and self.stages:
             if self.parts:
@@ -422,25 +417,6 @@ class ExecutionPlan:
                 row += (
                     f": predicted ~{note['pipeline_cycles']:.0f} vs "
                     f"~{note['serial_cycles']:.0f} cycles undecoupled"
-                )
-            if note.get("why"):
-                row += f" ({note['why']})"
-            lines.append(row)
-        for note in p.get("scan_loops", []):
-            verdict = "chosen" if note.get("chosen") else "rejected"
-            what = note["kind"] + (f" {note['op']}" if note.get("op") else "")
-            row = (
-                f"  scan loop @{note['index']} ({note['label']}): {what}, "
-                f"trip {note['trip']} — {verdict}"
-            )
-            if note.get("scan_cycles") is not None:
-                against = (
-                    "compiled DO" if note.get("do_compiled") else "in-order"
-                )
-                row += (
-                    f": predicted ~{note['scan_cycles']:.0f} vs "
-                    f"~{note.get('do_cycles', note['serial_cycles']):.0f} "
-                    f"cycles {against}"
                 )
             if note.get("why"):
                 row += f" ({note['why']})"

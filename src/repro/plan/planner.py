@@ -11,9 +11,9 @@ entry, exactly once per (module, options, scalar bindings):
   vector span, or chunked across workers;
 * how each sequential ``DO`` runs — as one compiled in-order nest kernel
   (C when the walk it replaces costs more than a compiler run, the
-  exec-compiled Python dialect below that), as a blocked scan, pipeline
-  stage or fission split when those beat the compiled loop at the plan's
-  worker count, or on the reference walk when its nest does not lower;
+  exec-compiled Python dialect below that), as a pipeline stage or
+  fission split when those beat the compiled loop at the plan's worker
+  count, or on the reference walk when its nest does not lower;
 * where the workers go in a nest — a DOALL whose trip count is below the
   worker count hands the team to a chunk-safe inner DOALL instead of
   leaving workers idle (``iterate`` + inner ``chunk``);
@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.machine.cost import MachineModel
 from repro.plan.ir import (
-    STRATEGIES,
+    VALID_STRATEGIES,
     EquationPlan,
     ExecutionPlan,
     LoopPlan,
@@ -113,7 +113,6 @@ def _default_options() -> Any:
         use_collapse=True,
         use_fission=True,
         kernel_tier="native",
-        allow_reassoc=False,
     )
 
 
@@ -157,10 +156,10 @@ def build_plan(
     scalar_env = scalar_env or {}
     model = model or MachineModel()
     soft_strategy = getattr(options, "strategy", None)
-    if soft_strategy is not None and soft_strategy not in STRATEGIES:
+    if soft_strategy is not None and soft_strategy not in VALID_STRATEGIES:
         raise ExecutionError(
             f"unknown strategy {soft_strategy!r}; "
-            f"available: {', '.join(STRATEGIES)}"
+            f"available: {', '.join(VALID_STRATEGIES)}"
         )
     # Resolve the machine's core count exactly once: a worker count and an
     # effective-parallelism bound read under two different affinity
@@ -172,7 +171,6 @@ def build_plan(
     use_collapse = bool(getattr(options, "use_collapse", True))
     use_fission = bool(getattr(options, "use_fission", True))
     tier = getattr(options, "kernel_tier", "native")
-    allow_reassoc = bool(getattr(options, "allow_reassoc", False))
     if tier == "evaluator":
         use_kernels = False
 
@@ -194,9 +192,9 @@ def build_plan(
     if requested == "auto":
         from repro.runtime.backends.process import _fork_available
 
-        if soft_strategy in ("pipeline", "scan") and candidates is None:
-            # The decoupled/scan engines live on the thread pool; auto
-            # honours the preference by choosing among backends running them.
+        if soft_strategy == "pipeline" and candidates is None:
+            # The decoupled engine lives on the thread pool; auto honours
+            # the preference by choosing among backends running it.
             candidates = PIPELINE_BACKENDS
         pool = list(candidates or AUTO_CANDIDATES)
         excluded: list[tuple[str, str]] = []
@@ -217,7 +215,6 @@ def build_plan(
                 use_collapse=use_collapse, use_fission=use_fission,
                 tier=tier,
                 force_default=soft_strategy, force_soft=True,
-                allow_reassoc=allow_reassoc,
             )
             p.plan_module()
             planners.append(p)
@@ -258,7 +255,6 @@ def build_plan(
         plan = best.finish(analyzed.name, requested="auto", pinned=False)
         plan.provenance = {
             "pipeline_groups": best.pipeline_notes,
-            "scan_loops": best.scan_notes,
             "fission_loops": best.fission_notes,
             "do_loops": best.do_notes,
             "native_nests": best.native_notes(),
@@ -287,13 +283,11 @@ def build_plan(
         scalar_env, model, use_kernels, bool(options.use_windows),
         use_collapse=use_collapse, use_fission=use_fission, tier=tier,
         force_default=soft_strategy, force_soft=True,
-        allow_reassoc=allow_reassoc,
     )
     planner.plan_module()
     plan = planner.finish(analyzed.name, requested=requested, pinned=True)
     plan.provenance = {
         "pipeline_groups": planner.pipeline_notes,
-        "scan_loops": planner.scan_notes,
         "fission_loops": planner.fission_notes,
         "do_loops": planner.do_notes,
         "native_nests": planner.native_notes(),
@@ -338,6 +332,12 @@ def forced_plan(
     ``cpu_count`` stands in for the host's core count when
     ``options.workers`` is unset, exactly as in :func:`build_plan`.
     """
+    for name in (default, *(overrides or {}).values()):
+        if name is not None and name not in VALID_STRATEGIES:
+            raise PlanError(
+                f"unknown forced strategy {name!r}; "
+                f"available: {', '.join(VALID_STRATEGIES)}"
+            )
     options = options or _default_options()
     tier = getattr(options, "kernel_tier", "native")
     use_kernels = bool(options.use_kernels) and not options.debug_windows
@@ -358,7 +358,6 @@ def forced_plan(
         tier=tier,
         force_default=default,
         force_overrides=overrides or {},
-        allow_reassoc=bool(getattr(options, "allow_reassoc", False)),
     )
     planner.plan_module()
     return planner.finish(analyzed.name, requested=backend, pinned=True)
@@ -375,15 +374,6 @@ def valid_strategies(
         out = ["serial"]
         if nest_fusable(desc, analyzed, flowchart, use_windows):
             out.append("nest")
-        from repro.schedule.scan_detect import scan_info
-
-        info = scan_info(analyzed, flowchart, desc, use_windows)
-        if info is not None and (
-            not info.is_float or info.op in ("min", "max")
-        ):
-            # Bit-exact scans only: forcing a float +/* scan needs the
-            # caller to opt into reassociation via allow_reassoc.
-            out.append("scan")
         if fission_split(analyzed, flowchart, desc, use_windows) is not None:
             out.append("fission")
         return out
@@ -419,7 +409,6 @@ class _Planner:
         force_default: str | None = None,
         force_overrides: dict[tuple[int, ...], str] | None = None,
         force_soft: bool = False,
-        allow_reassoc: bool = False,
     ):
         self.analyzed = analyzed
         self.flowchart = flowchart
@@ -436,12 +425,9 @@ class _Planner:
         self.force_default = force_default
         self.force_overrides = force_overrides or {}
         self.force_soft = force_soft
-        self.allow_reassoc = allow_reassoc
         self.entries: list[PlanEntry] = []
         #: one provenance note per pipeline group considered (chosen or not)
         self.pipeline_notes: list[dict] = []
-        #: one provenance note per recognized scan/recurrence loop considered
-        self.scan_notes: list[dict] = []
         #: one provenance note per fission-considered loop (split or not)
         self.fission_notes: list[dict] = []
         #: one provenance note per sequential DO planned on its own: the
@@ -780,7 +766,7 @@ class _Planner:
         if cached is not None:
             return cached
         choice = self._choose_uncached(desc)
-        if choice[0] not in STRATEGIES:
+        if choice[0] not in VALID_STRATEGIES:
             raise PlanError(f"planner produced unknown strategy {choice[0]!r}")
         self._choices[key] = choice
         return choice
@@ -790,8 +776,6 @@ class _Planner:
         forced = self.force_overrides.get(path, self.force_default)
         if forced is None:
             return None
-        if forced not in STRATEGIES:
-            raise PlanError(f"unknown forced strategy {forced!r}")
         if forced == "pipeline":
             # Pipeline is a *group* decision made at the sibling-list walk
             # (see _emit_siblings); a loop met individually — outside any
@@ -800,16 +784,6 @@ class _Planner:
                 raise PlanError(
                     "'pipeline' is a group-level strategy; force it as the "
                     "default, not per loop"
-                )
-            return None
-        if forced == "scan":
-            # Scan is a sequential-DO strategy (see _scan_decision); a
-            # DOALL met under a forced-scan *default* plans normally, but
-            # pinning it per loop is a contradiction.
-            if path in self.force_overrides:
-                raise PlanError(
-                    f"cannot force 'scan' on DOALL {desc.index}: 'scan' "
-                    f"applies to sequential DO recurrences"
                 )
             return None
         if forced == "fission":
@@ -944,14 +918,14 @@ class _Planner:
     def _hard_pin(self, path) -> bool:
         """Whether ``path`` carries a hard per-path override: the pinned
         strategy is then honoured or raises — no merit decision (fission,
-        scan, a pipeline group) may take the loop first."""
+        a pipeline group) may take the loop first."""
         return not self.force_soft and path in self.force_overrides
 
     def _do_choice(self, desc: LoopDescriptor):
         """(strategy, NestPrice | None, cycles, why) for a sequential
         ``DO`` met on the scalar walk: the compiled in-order nest against
         the reference walk. Its cycles are the price every other ``DO``
-        strategy (scan, pipeline, fission) has to beat — compiled
+        strategy (pipeline, fission) has to beat — compiled
         sequential code, not the interpreter. Memoized per descriptor."""
         cached = self._do_choices.get(id(desc))
         if cached is not None:
@@ -1032,171 +1006,6 @@ class _Planner:
             return None
         return group
 
-    # -- scan pricing ------------------------------------------------------
-
-    def _scan_gated(self, info) -> bool:
-        """Float ``+``/``*`` scans reassociate rounding; they need the
-        explicit ``allow_reassoc`` opt-in. Int ops wrap bit-exactly and
-        min/max are exactly associative, so those are always eligible."""
-        return (
-            info.is_float
-            and info.op not in ("min", "max")
-            and not self.allow_reassoc
-        )
-
-    def _price_scan(self, desc: LoopDescriptor, info) -> dict:
-        """Cycles for the three-phase blocked scan of a recognized
-        recurrence, plus the comparators: ``do`` — the loop's best in-order
-        plan, the compiled ``DO`` wherever its nest lowers, which is what
-        the scan has to beat — the reference walk, and the fused kernel run
-        in order (what a pipeline sequential stage would stream). ``ratio``
-        is the scan's arithmetic (coefficient vectors + both sweeps, before
-        dividing by workers) over one in-order pass."""
-        from repro.machine.cost import expression_cost
-
-        m = self.model
-        t = self._trip_est(desc)
-        eq = desc.body[0].node.equation
-        per_el = m.element_cost(eq, "native")
-        parts = max(1, min(self.workers, t // 2 if t >= 4 else 1))
-        p = max(1, min(parts, self.parallelism))
-        # Coefficient vectors evaluate once, vectorized over the subrange —
-        # priced on the coefficient sub-expressions, not the whole equation.
-        coeff = (
-            m.vector_setup
-            + t * expression_cost(info.b_expr, m) * m.vector_element_factor
-        )
-        if info.a_expr is not None:
-            coeff += (
-                m.vector_setup
-                + t * expression_cost(info.a_expr, m) * m.vector_element_factor
-            )
-        work = t * per_el
-        cycles = (
-            m.doall_fork
-            + m.doall_barrier
-            + 2 * m.scan_phase_barrier
-            + 2 * parts * m.chunk_dispatch
-            + coeff
-            + 2 * m.native_call_overhead
-            + work * m.scan_reduce_factor / p
-            + parts * m.loop_overhead
-            + work * m.scan_fixup_factor / p
-        )
-        do = self._do_choice(desc)
-        return {
-            "cycles": cycles,
-            "do": do[2],
-            "do_compiled": do[0] == "nest",
-            "serial": self._cost_serial_root(desc),
-            "seq": (
-                NEST.price(self, desc).cycles if self._fusable(desc) else None
-            ),
-            "parts": parts,
-            "ratio": (
-                coeff + work * (m.scan_reduce_factor + m.scan_fixup_factor)
-            ) / max(work, 1e-9),
-        }
-
-    def _scan_decision(self, desc: LoopDescriptor, path) -> dict | None:
-        """Decide one sequential DO loop met on the walk: a dict for
-        :meth:`_emit_scan` when the blocked scan is taken, None to fall
-        through to the in-order serial plan. Every *recognized* loop leaves
-        a provenance note either way — ``repro plan`` must be able to say
-        why scan won or was rejected."""
-        from repro.schedule.scan_detect import scan_info
-
-        info = scan_info(self.analyzed, self.flowchart, desc, self.use_windows)
-        forced_name = self.force_overrides.get(path, self.force_default)
-        forced = forced_name == "scan"
-        hard = forced and not self.force_soft
-        if self._hard_pin(path) and not forced:
-            return None
-        if info is None:
-            if hard and path in self.force_overrides:
-                raise PlanError(
-                    f"cannot force 'scan' on DO {desc.index}: not a "
-                    f"recognized reduction, scan, or linear recurrence"
-                )
-            return None
-        t = self._trip_est(desc)
-        note = {
-            "index": str(path),
-            "label": info.label,
-            "kind": info.kind,
-            "op": info.op,
-            "trip": t,
-            "scan_cycles": None,
-            "serial_cycles": None,
-            "seq_cycles": None,
-            "do_cycles": None,
-            "do_compiled": False,
-            "chosen": False,
-            "why": "",
-        }
-        self.scan_notes.append(note)
-
-        def reject(why: str) -> None:
-            note["why"] = why
-            if hard:
-                raise PlanError(
-                    f"cannot force 'scan' on DO {desc.index}: {why}"
-                )
-            return None
-
-        if not self.use_kernels:
-            return reject("kernels off")
-        if self._scan_gated(info):
-            return reject(
-                "float reassociation not allowed (pass --allow-reassoc)"
-            )
-        if self._in_stage:
-            return reject("inside pipeline stage")
-        priced = self._price_scan(desc, info)
-        note["scan_cycles"] = priced["cycles"]
-        note["serial_cycles"] = priced["serial"]
-        note["seq_cycles"] = priced["seq"]
-        note["do_cycles"] = priced["do"]
-        note["do_compiled"] = priced["do_compiled"]
-        if not forced:
-            if self.backend not in PIPELINE_BACKENDS:
-                return reject(f"no scan engine on backend {self.backend!r}")
-            if self.workers < 2 or t < 4:
-                return reject("nothing to split")
-            if priced["cycles"] >= priced["do"]:
-                if not priced["do_compiled"]:
-                    return reject("in-order walk is cheaper")
-                return reject(
-                    f"scan x{priced['parts']}: {priced['ratio']:.1f}x the "
-                    f"arithmetic + 2 barriers > compiled DO"
-                )
-        note["chosen"] = True
-        note["why"] = "forced" if forced else "blocked scan is cheaper"
-        return {"info": info, "forced": forced, **priced}
-
-    def _emit_scan(self, desc: LoopDescriptor, path, depth, decision) -> float:
-        info = decision["info"]
-        what = (
-            "linear recurrence" if info.kind == "linrec"
-            else f"{info.op}-scan"
-        )
-        lp = LoopPlan(
-            path, desc.index, desc.keyword, "scan",
-            parts=decision["parts"], trip=self.trip(desc),
-            cycles=decision["cycles"],
-            reason=("forced " if decision["forced"] else "parallel ") + what,
-        )
-        self._register(lp, depth)
-        eq = desc.body[0].node.equation
-        ep = EquationPlan(
-            eq.label, path + (0,),
-            kernel="native" if self.tier == "native" else "nest",
-            reason="scan phases",
-        )
-        self.equations[eq.label] = ep
-        self.entries.append(PlanEntry(depth + 1, equation=ep))
-        return decision["cycles"]
-
     # -- fission -----------------------------------------------------------
 
     def _fission_decision(self, desc: LoopDescriptor, path) -> dict | None:
@@ -1258,32 +1067,6 @@ class _Planner:
         note["why"] = "forced" if forced else "split pieces are cheaper"
         return {"split": split, "cycles": fissioned, "forced": forced}
 
-    def _piece_cost(self, piece: LoopDescriptor) -> float:
-        """What one replica loop will cost when emitted: parallel pieces
-        price through the normal strategy choice, sequential pieces through
-        their best in-order plan (the compiled ``DO`` where the piece
-        lowers) or — under exactly the gates ``_scan_decision`` applies on
-        merit — the blocked scan."""
-        serial = self._cost(piece, "walk", 1)
-        if piece.parallel:
-            return serial
-        if not self.use_kernels:
-            return serial
-        from repro.schedule.scan_detect import scan_info
-
-        info = scan_info(
-            self.analyzed, self.flowchart, piece, self.use_windows
-        )
-        if (
-            info is None
-            or self._scan_gated(info)
-            or self.backend not in PIPELINE_BACKENDS
-            or self.workers < 2
-            or self._trip_est(piece) < 4
-        ):
-            return serial
-        return min(serial, self._price_scan(piece, info)["cycles"])
-
     def _price_fission(self, split, path) -> float:
         """The cost of the replica run exactly as :meth:`_emit_fission`
         will emit it — including pipeline groups over the replicas (a
@@ -1304,7 +1087,7 @@ class _Planner:
                     total += priced["cycles"]
                     i += group.size
                     continue
-            total += self._piece_cost(pieces[i])
+            total += self._cost(pieces[i], "walk", 1)
             i += 1
         return total
 
@@ -1410,23 +1193,6 @@ class _Planner:
             })
         return notes
 
-    def _stage_scan_cost(self, loop: LoopDescriptor) -> dict | None:
-        """The blocked-scan price of a pipeline sequential stage's member
-        loop, or None when the stage cannot run as a scan (unrecognized,
-        float-gated, or no scan engine on this backend)."""
-        if not self.use_kernels or self.backend not in PIPELINE_BACKENDS:
-            return None
-        if self.workers < 2:
-            return None
-        from repro.schedule.scan_detect import scan_info
-
-        info = scan_info(self.analyzed, self.flowchart, loop, self.use_windows)
-        if info is None or self._scan_gated(info):
-            return None
-        if self._trip_est(loop) < 4:
-            return None
-        return self._price_scan(loop, info)
-
     def _price_pipeline(self, group) -> dict | None:
         """Price the decoupled execution of ``group``. None when the team
         cannot host one *running* task per stage — the engine's
@@ -1451,16 +1217,8 @@ class _Planner:
         block = ceil(t / blocks)
         blocks = ceil(t / block)
 
-        # Stage kinds and per-stage total work. A sequential stage whose
-        # member is a recognized recurrence is promoted to a "scan" stage
-        # when the blocked scan beats streaming the recurrence in order;
-        # the engine then runs it up front on the whole pool (see
-        # exec_pipeline_group) rather than holding a worker for the
-        # group's lifetime.
-        kinds: list[str] = []
         works: list[float] = []
-        scan_parts: dict[int, int] = {}
-        for idx, s in enumerate(stages):
+        for s in stages:
             if s.kind == "sequential":
                 loop = group.loops[s.members[0]]
                 if self._native_ok(loop, "full"):
@@ -1476,14 +1234,7 @@ class _Planner:
                         m.loop_overhead
                         + sum(self._cost(d, "walk", 1) for d in loop.body)
                     )
-                kind = "sequential"
-                if len(s.members) == 1:
-                    sp = self._stage_scan_cost(loop)
-                    if sp is not None and sp["cycles"] < work:
-                        kind, work = "scan", sp["cycles"]
-                        scan_parts[idx] = sp["parts"]
             else:
-                kind = s.kind
                 work = 0.0
                 for mem in s.members:
                     loop = group.loops[mem]
@@ -1500,68 +1251,48 @@ class _Planner:
                             sum(r for r, _ in pairs)
                             + sum(b for _, b in pairs)
                         )
-            kinds.append(kind)
             works.append(work)
 
-        # Worker assignment: scan stages run up front on the whole pool and
-        # hold no engine worker; each remaining sequential stage pins one;
+        # Worker assignment: each sequential stage pins one worker;
         # replicated stages split what is left.
-        n_seq = sum(1 for k in kinds if k == "sequential")
-        n_rep = sum(1 for k in kinds if k == "replicated")
+        n_seq = sum(1 for s in stages if s.kind == "sequential")
+        n_rep = n_stages - n_seq
         avail = self.workers - n_seq
         stage_workers: list[int] = []
         rep_seen = 0
-        for idx, k in enumerate(kinds):
-            if k == "sequential":
+        for s in stages:
+            if s.kind == "sequential":
                 stage_workers.append(1)
-            elif k == "scan":
-                stage_workers.append(scan_parts[idx])
             else:
                 w = avail // n_rep + (1 if rep_seen < avail % n_rep else 0)
                 stage_workers.append(max(1, w))
                 rep_seen += 1
-        workers_used = sum(
-            w for k, w in zip(kinds, stage_workers) if k != "scan"
-        )
+        workers_used = sum(stage_workers)
 
-        # Scan stages complete before the engine starts; the streamed
-        # stages then bottleneck as before.
-        scan_up_front = sum(
-            work for k, work in zip(kinds, works) if k == "scan"
+        # Stage k starts its first block only when stage k-1 has finished
+        # one: the bottleneck runs for its whole time and every other stage
+        # adds one block of fill (or drain).
+        bottleneck = max(
+            work / max(1, w) if s.kind == "replicated" else work
+            for s, work, w in zip(stages, works, stage_workers)
         )
-        engine_times = [
-            work / max(1, w) if k == "replicated" else work
-            for k, work, w in zip(kinds, works, stage_workers)
-            if k != "scan"
-        ]
-        engine_work = sum(
-            work for k, work in zip(kinds, works) if k != "scan"
+        compute = max(
+            bottleneck + (n_stages - 1) * bottleneck / blocks,
+            sum(works) / max(1, self.parallelism),
         )
-        n_engine = len(engine_times)
-        if engine_times:
-            # Stage k starts its first block only when stage k-1 has
-            # finished one: the bottleneck runs for its whole time and
-            # every other stage adds one block of fill (or drain).
-            bottleneck = max(engine_times)
-            compute = scan_up_front + max(
-                bottleneck + (n_engine - 1) * bottleneck / blocks,
-                engine_work / max(1, self.parallelism),
-            )
-        else:
-            compute = scan_up_front
         cycles = (
             m.doall_fork
             + m.doall_barrier
             + workers_used * m.pipeline_stage_spinup
             + compute
-            + blocks * max(0, n_engine - 1) * m.pipeline_link_overhead
+            + blocks * (n_stages - 1) * m.pipeline_link_overhead
         )
         undecoupled = sum(
             self._cost(loop, "walk", 1) for loop in group.loops
         )
         stage_plans = [
-            StagePlan(k, s.members, s.labels, workers=w)
-            for s, k, w in zip(stages, kinds, stage_workers)
+            StagePlan(s.kind, s.members, s.labels, workers=w)
+            for s, w in zip(stages, stage_workers)
         ]
         return {
             "cycles": cycles,
@@ -1650,16 +1381,7 @@ class _Planner:
             )
             self._register(lp, depth)
             te = self._trip_est(loop)
-            if stage.kind == "scan":
-                eq = loop.body[0].node.equation
-                ep = EquationPlan(
-                    eq.label, path + (0,),
-                    kernel="native" if self.tier == "native" else "nest",
-                    reason="scan phases",
-                )
-                self.equations[eq.label] = ep
-                self.entries.append(PlanEntry(depth + 1, equation=ep))
-            elif stage.kind == "sequential":
+            if stage.kind == "sequential":
                 if seq_fuse:
                     native = self._native_ok(loop, "full")
                     lp.dialect = "native" if native else "python"
@@ -1797,9 +1519,6 @@ class _Planner:
         if fis is not None:
             return self._emit_fission(desc, path, depth, fis)
         if not desc.parallel:
-            scan = self._scan_decision(desc, path)
-            if scan is not None:
-                return self._emit_scan(desc, path, depth, scan)
             strategy, priced, cost, why = self._do_choice(desc)
             self.do_notes.append({
                 "index": str(path), "loop_index": desc.index,

@@ -296,9 +296,6 @@ class ExecutionBackend:
         if desc.parallel:
             self.exec_parallel_loop(state, desc, lo, hi, env, vector_names)
         else:
-            if plan is not None and plan.strategy == "scan":
-                self.exec_scan_loop(state, desc, lo, hi, env)
-                return
             self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
 
     def exec_fission_loop(
@@ -313,8 +310,8 @@ class ExecutionBackend:
         group, in topological order over the full subrange. The replicas
         are planned descriptors in their own right (marker paths), so the
         ordinary sibling walk applies — a promoted piece runs its DOALL
-        strategy, a lone recurrence its scan, a decoupled replica run its
-        pipeline group. Each equation lands in exactly one replica, so
+        strategy, a lone recurrence its compiled ``DO``, a decoupled
+        replica run its pipeline group. Each equation lands in exactly one replica, so
         evaluation counts match the unfissioned walk."""
         from repro.schedule.fission import fission_split
 
@@ -327,22 +324,6 @@ class ExecutionBackend:
             self.exec_sequential_loop(state, desc, lo, hi, env, [])
             return
         self.exec_descriptor_list(state, list(split.pieces), env, [])
-
-    def exec_scan_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """Run a ``DO`` loop planned as a blocked scan. The base backend
-        has no worker pool, so this is the in-order fallback
-        (serial/vectorized/process) — the compiled nest when the loop
-        lowers, the reference walk otherwise; the threaded backends
-        override it with the three-phase parallel engine."""
-        if not self.exec_nest_kernel(state, desc, lo, hi, env):
-            self.exec_sequential_loop(state, desc, lo, hi, env, [])
 
     def exec_sequential_loop(
         self,

@@ -73,6 +73,25 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
+class _Mapping:
+    """The ``.base`` of every array over a shared segment: it holds the
+    :class:`SharedMemory`, so the segment stays mapped exactly as long as
+    some NumPy view of it is alive. A view made straight from ``shm.buf``
+    takes no buffer export under NumPy 2, so dropping the ``SharedMemory``
+    would unmap the segment under a live view."""
+
+    def __init__(self, shm: shared_memory.SharedMemory, shape, dtype):
+        self.shm = shm
+        self.__array_interface__ = np.ndarray(
+            shape, dtype=dtype, buffer=shm.buf
+        ).__array_interface__
+
+
+def _view(shm: shared_memory.SharedMemory, shape, dtype) -> np.ndarray:
+    """A writable array over ``shm`` that keeps its mapping alive."""
+    return np.asarray(_Mapping(shm, shape, dtype))
+
+
 def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_q):
     """Persistent-worker main loop (runs in the forked child).
 
@@ -101,7 +120,7 @@ def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_
         shm = attached.get(seg)
         if shm is None:
             shm = attached[seg] = _attach_shm(seg)
-        return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        return _view(shm, shape, dtype)
 
     while True:
         task = task_q.get()
@@ -124,9 +143,10 @@ def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_
                 known[name] = segs
             # A persistent pool outlives the run that forked it: drop names
             # whose segments the parent has since unlinked (they are absent
-            # from this task's full sync state) and unmap attachments no
-            # name references any more, so memory use stays bounded by the
-            # *current* run's arrays, not the session's history.
+            # from this task's full sync state) and the attachments no name
+            # references any more — each unmaps with its last view — so
+            # memory use stays bounded by the *current* run's arrays, not
+            # the session's history.
             live = set()
             for name in list(known):
                 if name in specs:
@@ -135,11 +155,7 @@ def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_
                     known.pop(name)
                     state.data.pop(name, None)
             for seg in [s for s in attached if s not in live]:
-                shm = attached.pop(seg)
-                try:
-                    shm.close()
-                except BufferError:  # a NumPy view is still alive; retry
-                    attached[seg] = shm
+                del attached[seg]
             desc = state.flowchart.descriptor_at(path)
             sub = state.fork()
             # Native kernels come from the pre-fork-warmed cache — pure
@@ -178,7 +194,7 @@ class ProcessBackend(ExecutionBackend):
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         self._segments.append(shm)
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        arr = _view(shm, shape, dtype)
         self._seg_by_storage[id(arr)] = (arr, shm.name)
         return arr
 
@@ -206,17 +222,17 @@ class ProcessBackend(ExecutionBackend):
 
     def end_run(self) -> None:
         """Unlink this run's shared segments (results were exported as
-        copies already). Pool workers that attached them drop their stale
-        attachments on the next task's sync (see :func:`_pool_worker`), so
-        a persistent backend does not accumulate segments across runs."""
+        copies already). Only the names go: a segment stays mapped while
+        any view of it lives — a failed run's traceback may still hold
+        some — and unmaps with the last one. Pool workers that attached
+        the segments drop their stale attachments on the next task's sync
+        (see :func:`_pool_worker`), so a persistent backend does not
+        accumulate segments across runs."""
         for shm in self._segments:
             try:
                 shm.unlink()
             except FileNotFoundError:
                 pass
-        # Dropping the SharedMemory objects may unmap the segments at once
-        # (a NumPy 2 view holds no buffer export that would defer it): no
-        # view of this run's arrays may be read after this point.
         self._segments.clear()
         self._seg_by_storage.clear()
 

@@ -12,10 +12,10 @@ build, where that Python-level work overlaps as well). Chunk-safety
 concern: a DOALL this backend sees with a ``vector`` or ``serial`` plan
 simply runs that strategy via the shared base dispatch.
 
-Every wave on the pool — chunk and flat wavefronts, both parallel scan
-phases, the pipeline's stage tasks — ends in :meth:`ThreadedBackend._join`:
-all tasks finish before the first failure is re-raised, so a failed run
-leaves nothing of its own running on the session's persistent pool.
+Every wave on the pool — chunk and flat wavefronts, the pipeline's stage
+tasks — ends in :meth:`ThreadedBackend._join`: all tasks finish before the
+first failure is re-raised, so a failed run leaves nothing of its own
+running on the session's persistent pool.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ import heapq
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Any
-
-import numpy as np
 
 from repro.runtime.backends.base import ExecutionBackend, ExecutionState
 from repro.runtime.values import eval_bound
-from repro.schedule.flowchart import Descriptor, LoopDescriptor, split_range
+from repro.schedule.flowchart import Descriptor, LoopDescriptor
 
 #: how many blocks a stage may run ahead of its downstream neighbour — the
 #: bounded hand-off buffer of the decoupled pipeline (small enough to keep
@@ -107,106 +104,6 @@ class ThreadedBackend(ExecutionBackend):
         for sub in substates:
             state.merge_counts(sub.eval_counts)
 
-    # -- blocked scans -----------------------------------------------------
-
-    def _scan_coefficient(self, state, expr, env, n, dtype) -> np.ndarray:
-        """Evaluate a loop-varying coefficient over the whole subrange as
-        one vector span, materialised contiguous in the target dtype."""
-        vals = np.asarray(state.evaluator.eval(expr, env, vector=True))
-        if vals.ndim == 0:
-            return np.full(n, vals[()], dtype=dtype)
-        if vals.shape != (n,):
-            vals = np.broadcast_to(vals, (n,))
-        return np.ascontiguousarray(vals, dtype=dtype)
-
-    def exec_scan_block(self, kern, t, b, a, ap) -> None:
-        """Phase-1 hook: one block's local sweep (overridable for fault
-        injection in tests)."""
-        kern.block(t, b, a, ap)
-
-    def exec_scan_fix(self, kern, t, incoming, ap) -> None:
-        """Phase-3 hook: one block's carry fix-up."""
-        kern.fix(t, incoming, ap)
-
-    def exec_scan_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """The three-phase blocked scan: parallel per-block local sweeps,
-        a serial exclusive scan of the block carries, and a parallel
-        per-block fix-up (see :mod:`repro.runtime.kernels.scan`). Falls
-        back to the in-order walk when the kernel bundle is missing, the
-        range is too small to split, or the seed element precedes the
-        target's storage."""
-        from repro.schedule.scan_detect import scan_info
-
-        use_windows = state.options.use_windows
-        info = scan_info(state.analyzed, state.flowchart, desc, use_windows)
-        n = hi - lo + 1
-        kern = None
-        if info is not None and state.kernels is not None:
-            kern = state.kernels.scan_kernel_for(
-                desc, use_windows, tier=state.kernel_tier()
-            )
-        plan = state.plan_of(desc, self.name)
-        parts = plan.parts if plan is not None and plan.parts else self.workers
-        parts = max(1, min(parts, self.workers, n // 2))
-        if kern is None or parts < 2:
-            super().exec_scan_loop(state, desc, lo, hi, env)
-            return
-        eq = desc.body[0].node.equation
-        self.ensure_targets(state, eq)
-        arr = state.data[info.target]
-        if lo - 1 < arr.los[0]:
-            # No stored seed element below the subrange: keep the
-            # reference walk (whatever it does, the scan must match it).
-            super().exec_scan_loop(state, desc, lo, hi, env)
-            return
-        dtype = arr.storage.dtype
-        seed = dtype.type(arr.get([lo - 1]))
-        env2 = dict(env)
-        env2[desc.index] = np.arange(lo, hi + 1)
-        b = self._scan_coefficient(state, info.b_expr, env2, n, dtype)
-        a = None
-        ap = None
-        if info.kind == "linrec":
-            a = self._scan_coefficient(state, info.a_expr, env2, n, dtype)
-            ap = np.empty(n, dtype=dtype)
-        off = lo - arr.los[0]
-        t = arr.storage[off : off + n]
-        spans = split_range(0, n - 1, parts)
-        pool = self._ensure_pool()
-        self._join([
-            pool.submit(
-                self.exec_scan_block, kern,
-                t[s : e + 1], b[s : e + 1],
-                a[s : e + 1] if a is not None else None,
-                ap[s : e + 1] if ap is not None else None,
-            )
-            for s, e in spans
-        ])
-        incoming = seed
-        carries = []
-        for s, e in spans:
-            carries.append(incoming)
-            incoming = kern.combine(
-                incoming, t[s : e + 1],
-                ap[s : e + 1] if ap is not None else None,
-            )
-        self._join([
-            pool.submit(
-                self.exec_scan_fix, kern,
-                t[s : e + 1], carries[k],
-                ap[s : e + 1] if ap is not None else None,
-            )
-            for k, (s, e) in enumerate(spans)
-        ])
-        state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + n
-
     def exec_pipeline_group(
         self,
         state: ExecutionState,
@@ -236,55 +133,8 @@ class ThreadedBackend(ExecutionBackend):
         every waiter wakes, drains, and exits — and is re-raised to the
         caller after all stage tasks have been joined, leaving the pool
         usable. The planner guarantees the total worker count fits the
-        pool; anything that doesn't falls back to the base in-order walk.
-
-        A ``scan``-kind stage (a sequential head whose recurrence the
-        planner recognised) is *peeled*: its member loops run up front as
-        whole-range blocked scans on the full pool, then the remaining
-        stages run decoupled — by the time consumers start, the
-        recurrence is already materialised, so every hand-off frontier
-        the engine tracks for it is trivially satisfied by excluding it
-        from the stage list."""
+        pool; anything that doesn't falls back to the base in-order walk."""
         stages = plan.stages
-        if any(s.kind == "scan" for s in stages):
-            scalar_env = state.scalar_env()
-            remaining = []
-            for s in stages:
-                if s.kind != "scan":
-                    remaining.append(s)
-                    continue
-                for m in s.members:
-                    member = descs[m]
-                    assert isinstance(member, LoopDescriptor)
-                    mlo = eval_bound(member.subrange.lo, scalar_env)
-                    mhi = eval_bound(member.subrange.hi, scalar_env)
-                    if mhi >= mlo:
-                        self.exec_scan_loop(state, member, mlo, mhi, env)
-            if len(remaining) < 2:
-                # One stage (the common scan + single-consumer group):
-                # nothing left to decouple — run the leftovers directly,
-                # replicated members split across the whole pool.
-                for s in remaining:
-                    for m in s.members:
-                        member = descs[m]
-                        assert isinstance(member, LoopDescriptor)
-                        for eq in member.nested_equations():
-                            self.ensure_targets(state, eq)
-                        mlo = eval_bound(member.subrange.lo, scalar_env)
-                        mhi = eval_bound(member.subrange.hi, scalar_env)
-                        if mhi < mlo:
-                            continue
-                        if member.parallel:
-                            spans = split_range(mlo, mhi, self.workers)
-                            if len(spans) < 2:
-                                self.exec_rep_block(state, member, mlo, mhi, env)
-                            else:
-                                self.dispatch(state, member, "span", spans, env, True)
-                        else:
-                            self.exec_seq_block(state, member, mlo, mhi, env)
-                return
-            plan = replace(plan, stages=remaining)
-            stages = remaining
         n_stages = len(stages)
         tasks_needed = sum(
             1 if s.kind == "sequential" else max(1, s.workers) for s in stages

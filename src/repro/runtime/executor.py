@@ -79,8 +79,9 @@ class ExecutionOptions:
     #: let the planner split ("fission") a sequential loop whose body
     #: partitions into independent dependence groups into one replica loop
     #: per group — pieces then plan independently (a DOALL piece regains
-    #: the kernel strategies, a lone recurrence regains scan/pipeline).
-    #: Off, every nest plans as scheduled (the escape hatch).
+    #: the kernel strategies, a lone recurrence runs as its own compiled
+    #: ``DO`` or a pipeline stage). Off, every nest plans as scheduled (the
+    #: escape hatch).
     use_fission: bool = True
     #: soft strategy preference (``repro run/plan --strategy``): every loop
     #: the strategy validly applies to takes it, everything else plans
@@ -89,11 +90,6 @@ class ExecutionOptions:
     #: asks the planner to take every partitionable sibling-loop run as a
     #: pipeline group regardless of predicted price.
     strategy: str | None = None
-    #: permit the parallel ``scan`` strategy to reassociate float ``+``/``*``
-    #: recurrences (results differ from the in-order reference by rounding,
-    #: typically ~1e-12 relative). Off, float scans stay in order; integer
-    #: and min/max scans are bit-exact and never need this.
-    allow_reassoc: bool = False
 
     @classmethod
     def resolve(

@@ -5,9 +5,9 @@ pair — :class:`repro.core.pipeline.CompileResult` keeps one across ``run()``
 calls, and ``execute_module`` creates a transient one otherwise. Kernels are
 compiled on first use. Per-equation kernels are keyed by equation label,
 dialect, and the window mode (window allocation changes the subscript
-mapping the kernel bakes in); everything that heads a loop — nest kernels
-in the shapes of :mod:`repro.runtime.kernels.nest` and the scan bundles —
-is keyed by descriptor path, window mode and shape.
+mapping the kernel bakes in); nest kernels, in the shapes of
+:mod:`repro.runtime.kernels.nest`, are keyed by descriptor path, window
+mode and shape.
 
 Loop kernels come in **tiers** and every public lookup goes through
 :meth:`KernelCache._lookup`: the cffi-compiled *native* kernel when the
@@ -162,47 +162,28 @@ class KernelCache:
             self._memo(self._native, missing, True, self._build_native)
         return all(self._native[key] is not None for key in keys)
 
-    def _scan_bundle(self, key: _Key, native: bool):
-        from repro.runtime.kernels import scan as scan_mod
-        from repro.schedule.scan_detect import scan_info
-
-        path, use_windows, _shape = key
-        info = scan_info(
-            self.analyzed, self.flowchart, self.flowchart.descriptor_at(path),
-            use_windows,
-        )
-        if info is None:
-            return None
-        make = scan_mod.native_kernels if native else scan_mod.numpy_kernels
-        return make(info)
-
     def _build_native(self, keys: list[_Key]) -> dict:
         nests: dict[_Key, list] = {}
-        out: dict = {}
         for key in keys:
             path, use_windows, shape = key
             try:
-                if shape == "scan":
-                    out[key] = self._scan_bundle(key, True)
-                else:
-                    nests[key] = native_mod.native_specs(
-                        self.flowchart.descriptor_at(path), self.analyzed,
-                        self.flowchart, use_windows, shape,
-                    )
+                nests[key] = native_mod.native_specs(
+                    self.flowchart.descriptor_at(path), self.analyzed,
+                    self.flowchart, use_windows, shape,
+                )
             except KernelError:
                 pass  # this loop alone does not lower; the batch goes on
         native_mod.build_kernels(
             [spec for specs in nests.values() for spec in specs], self._built
         )
-        for key, specs in nests.items():
-            out[key] = native_mod.bind_kernel(specs, self._book_proof)
-        return out
+        return {
+            key: native_mod.bind_kernel(specs, self._book_proof)
+            for key, specs in nests.items()
+        }
 
     def _build_numpy(self, keys: list[_Key]) -> dict:
         (key,) = keys
         path, use_windows, shape = key
-        if shape == "scan":
-            return {key: self._scan_bundle(key, False)}
         desc = self.flowchart.descriptor_at(path)
         return {key: compile_nest_kernel(
             desc, self.analyzed, self.flowchart, use_windows, shape,
@@ -235,20 +216,6 @@ class KernelCache:
             raise KernelError(f"unknown nest-kernel variant {variant!r}")
         return self._lookup(desc, use_windows, variant, tier, build_native)
 
-    def scan_kernel_for(
-        self,
-        desc: LoopDescriptor,
-        use_windows: bool,
-        tier: str = "native",
-    ):
-        """The three-phase scan kernel bundle for a recognized recurrence
-        ``DO`` loop (see :mod:`repro.runtime.kernels.scan`), or ``None``
-        when the loop is unrecognized — the backend then walks it in
-        order. ``tier="native"`` serves the compiled bundle when the
-        static scan library loads on this machine, degrading to the NumPy
-        bundle otherwise."""
-        return self._lookup(desc, use_windows, "scan", tier)
-
     def _warm_set(
         self, use_windows: bool, tier: str
     ) -> Iterator[tuple[LoopDescriptor, str]]:
@@ -261,9 +228,8 @@ class KernelCache:
         chain is collapse-safe and the native ``"span"`` kernels when it is
         chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order nest,
         also what pipeline sequential stages advance through)."""
-        # Lazy imports: fission and scan detection sit above the kernel layer.
+        # Lazy import: fission sits above the kernel layer.
         from repro.schedule.fission import fission_splits
-        from repro.schedule.scan_detect import scan_loops
 
         loops = list(self.flowchart.loops())
         for split in fission_splits(self.analyzed, self.flowchart).values():
@@ -280,13 +246,6 @@ class KernelCache:
                 desc, self.analyzed, windows, use_windows
             ):
                 yield desc, "span"
-        # Recognized recurrences warm their three-phase scan bundle (one
-        # static C library covers every op x dtype, so the first loop pays
-        # the compile and the rest just dlopen-share it).
-        for spath in scan_loops(self.analyzed, self.flowchart, use_windows):
-            sdesc = self.flowchart.descriptor_at(spath)
-            if isinstance(sdesc, LoopDescriptor):
-                yield sdesc, "scan"
 
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop

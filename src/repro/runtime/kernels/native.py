@@ -753,8 +753,7 @@ def load_library(
     returning ``(lib, ffi)`` — the one place a compiler process starts.
     Raises :class:`KernelError` when no compiler or cffi is available.
     ``counters`` (a :class:`KernelCache`'s) books the unit under ``"tus"``
-    and a real compile under ``"cc_calls"``. Shared by :func:`build_kernels`
-    and the static scan kernel library (:mod:`repro.runtime.kernels.scan`)."""
+    and a real compile under ``"cc_calls"``."""
     # The flags are part of the artifact's semantics (-ffp-contract=off,
     # -fwrapv): a .so built under different flags must not be reused.
     key = source + "|" + " ".join(C_FLAGS)

@@ -14,8 +14,8 @@ minimal groups by the loop-carried/loop-independent dependence structure
 (the condensation of the unit dependence graph restricted to the nest),
 replicate the enclosing loop once per group in topological order, and let
 the planner price each replica independently — an all-DOALL piece regains
-nest/collapse/native span kernels, a lone recurrence piece regains the
-blocked ``scan``, and sibling replicas over one subrange regain
+nest/collapse/native span kernels, a lone recurrence piece runs as its
+own compiled ``DO``, and sibling replicas over one subrange regain
 ``pipeline`` decoupling.
 
 Legality is all-or-nothing per unit pair, classified at the writer's

@@ -272,18 +272,16 @@ def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
                 equation_vector_safe(eq)
         elif desc.node.is_equation:
             equation_vector_safe(desc.node.equation)
-    # Fission candidates first (pipeline and scan recognition extend over
-    # the replica loops), then pipeline stage partitioning and scan shapes
-    # (lazy imports: all three consume the dependence graph machinery,
-    # which must not become a schedule-time import cycle).
+    # Fission candidates first (pipeline recognition extends over the
+    # replica loops), then pipeline stage partitioning (lazy imports: both
+    # consume the dependence graph machinery, which must not become a
+    # schedule-time import cycle).
     from repro.schedule.fission import fission_splits
     from repro.schedule.pipeline_stages import pipeline_groups
-    from repro.schedule.scan_detect import scan_loops
 
     fission_splits(analyzed, flowchart)
     for use_windows in (False, True):
         pipeline_groups(analyzed, flowchart, use_windows)
-        scan_loops(analyzed, flowchart, use_windows)
 
 
 def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:

@@ -1,9 +1,15 @@
-"""Scan/reduction recognition over sequential ``DO`` loops.
+"""Scan/reduction recognition over sequential ``DO`` loops — recognition
+only: no plan strategy, kernel or backend acts on a verdict of this module.
 
 The paper's scheduler stops at the DO/DOALL split: a carried dependence
-makes the loop iterative and that is the end of the story. Farzan's
-divide-and-conquer synthesis (arXiv 1904.01031) recovers parallelism for
-the two shapes that dominate in practice:
+makes the loop iterative, and every loop recognised here runs as the
+compiled sequential ``DO`` (the ``nest`` strategy over a ``DO`` root). A
+blocked three-phase scan over such loops did at least twice the arithmetic
+of that one compiled pass and measured 0.08-0.14x its speed at two
+workers (2-core host, warm runs, n = 2e5 and 2e6), so it was removed. This module stays because the end-to-end
+benchmark counts recognised loops (``schedule.scan_loops``); it goes when
+that counter does. Farzan's divide-and-conquer synthesis (arXiv
+1904.01031) would recover parallelism for the two shapes counted:
 
 * **associative scans** ``x[i] = x[i-1] OP b_i`` for ``OP`` in
   ``+ * min max`` (a reduction is the same loop where only the last
@@ -15,10 +21,8 @@ the two shapes that dominate in practice:
   parallelize the same way.
 
 Recognition is all-or-nothing: one carried equation, carry distance
-exactly 1, no module calls, no windowed storage in play. Anything else
-keeps the in-order walk. Verdicts are precomputed per window mode at
-flowchart-build time (mirroring ``pipeline_groups``) and memoized on the
-flowchart so planner, kernel cache, and backends all see one analysis.
+exactly 1, no module calls, no windowed storage in play. Verdicts are
+computed per window mode on first request and memoized on the flowchart.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.ps.ast import (
 from repro.ps.types import ArrayType
 from repro.schedule.flowchart import Flowchart, LoopDescriptor, NodeDescriptor
 
-#: associative operators the scan kernels implement
+#: associative operators recognised
 SCAN_OPS = ("+", "*", "min", "max")
 
 
@@ -51,9 +55,8 @@ class ScanInfo:
     ``kind == "scan"``: ``target[i] = target[i-1] OP b_expr``.
     ``kind == "linrec"``: ``target[i] = a_expr * target[i-1] + b_expr``.
     ``b_expr``/``a_expr`` never mention ``target``; both may reference the
-    loop index. ``is_float`` flags element type ``real`` — parallelizing
-    a float ``+``/``*`` scan reassociates rounding and is gated behind
-    ``ExecutionOptions.allow_reassoc`` (min/max stay exact).
+    loop index. ``is_float`` flags element type ``real`` — a parallel
+    float ``+``/``*`` scan would reassociate rounding (min/max stay exact).
     """
 
     kind: str
@@ -95,8 +98,8 @@ def _classify(analyzed, flowchart: Flowchart, desc: LoopDescriptor,
     subs = target.subscripts
     if len(subs) != 1 or not isinstance(subs[0], Name) or subs[0].ident != desc.index:
         return None
-    # Module calls anywhere in the body poison the loop: the scan kernels
-    # cannot re-enter the interpreter mid-block.
+    # Module calls anywhere in the body poison the loop: a blocked scan
+    # could not re-enter the interpreter mid-block.
     from repro.ps.semantics import is_builtin
 
     for node in walk_expr(eq.rhs):
@@ -144,7 +147,7 @@ def _classify(analyzed, flowchart: Flowchart, desc: LoopDescriptor,
                             return info("linrec", None, other, coeff)
         return None
     if rhs.op == "-" and is_carry(rhs.left) and target_free(rhs.right):
-        # x - b is x + (-b): reuse the additive scan kernels.
+        # x - b is x + (-b): an additive scan.
         return info("scan", "+", UnOp("-", rhs.right))
     return None
 
@@ -171,9 +174,8 @@ def scan_loops(analyzed, flowchart: Flowchart,
             if path is not None:
                 found[path] = info
     # Fission replicas: a split can leave a lone recurrence in its own
-    # replica loop, which is exactly the shape the scan engine wants.
-    # Replicas key by their marker paths (lazy import: fission also rides
-    # the dependence-graph machinery).
+    # replica loop. Replicas key by their marker paths (lazy import:
+    # fission also rides the dependence-graph machinery).
     from repro.schedule.fission import fission_splits
 
     for lpath, split in fission_splits(analyzed, flowchart).items():

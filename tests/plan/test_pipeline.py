@@ -157,11 +157,9 @@ GOLDEN_FORCED = {
             eq.4 [kernel=native]
         DOALL I -> pipeline; trip 64; stage 2/2
             eq.5 [kernel=native]""",
-    # The standalone scan workloads have no consumer siblings, so there is
-    # no group to force: at trip 64 the blocked scan loses to the compiled
-    # in-order nest (Python dialect: a 64-trip walk is far cheaper than a
-    # compiler run) — tests/plan/test_scan_plan.py pins the forced-scan
-    # texts.
+    # The standalone recurrences have no consumer siblings, so there is no
+    # group to force: each plans as the compiled in-order nest (Python
+    # dialect: a 64-trip walk is far cheaper than a compiler run).
     "isum": """\
         plan ISum: backend=threaded workers=4 kernels=native windows=off [pinned]
         eq.1 [kernel=scalar]

@@ -1,11 +1,18 @@
 """Planner edge cases surfaced by review: GIL-aware process selection,
-in-process callee plans, plan re-binding, and auto always being measurable."""
+in-process callee plans, plan re-binding, auto always being measurable,
+recognised recurrences planning as the compiled ``DO`` at every size, and
+the retired ``scan`` strategy refused by name."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.paper import jacobi_analyzed
-from repro.plan.planner import build_plan
+from repro.core.recurrences import ilinrec_analyzed, isum_analyzed, runmax_analyzed
+from repro.errors import ExecutionError
+from repro.plan.ir import STRATEGIES, VALID_STRATEGIES, PlanError
+from repro.plan.planner import build_plan, forced_plan
 from repro.ps.parser import parse_program
 from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions, execute_program_module
@@ -123,3 +130,87 @@ class TestComparePlansAlwaysMeasuresAuto:
         assert cmp.auto_backend in [r["backend"] for r in cmp.rows]
         assert cmp.auto_seconds > 0
         assert cmp.to_dict()["auto_backend"] == cmp.auto_backend
+
+
+#: the (trip, workers) grid on which a blocked scan once outpriced the
+#: compiled ``DO`` (threaded, ``cpu_count`` equal to the workers), plus a
+#: short trip and a single worker
+RECURRENCE_TRIPS = (64, 2_000_000, 20_000_000, 200_000_000)
+RECURRENCE_WORKERS = (1, 2, 4, 8, 16, 32)
+
+
+class TestRecognisedRecurrences:
+    @pytest.mark.parametrize("p", RECURRENCE_WORKERS, ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize("n", RECURRENCE_TRIPS, ids=lambda n: f"n{n}")
+    @pytest.mark.parametrize(
+        "analyzed_fn", [isum_analyzed, runmax_analyzed, ilinrec_analyzed],
+        ids=["isum", "runmax", "ilinrec"],
+    )
+    def test_plans_as_the_compiled_do(self, analyzed_fn, n, p):
+        """A recognised scan or linear recurrence plans as one compiled
+        in-order loop however long it is and however many workers there
+        are, and ``explain()`` keeps its ``DO`` row."""
+        analyzed = analyzed_fn()
+        flow = schedule_module(analyzed)
+        (do_loop,) = [d for d in flow.loops() if not d.parallel]
+        path = flow.path_of(do_loop)
+        plan = build_plan(
+            analyzed, flow, ExecutionOptions(backend="threaded", workers=p),
+            {"n": n}, cpu_count=p,
+        )
+        lp = plan.loops[path]
+        assert (lp.keyword, lp.strategy) == ("DO", "nest")
+        (note,) = plan.provenance["do_loops"]
+        assert (note["index"], note["strategy"]) == (str(path), "nest")
+        assert f"  DO I @{path}: compiled nest" in plan.explain()
+
+    def test_kernels_off_leaves_it_on_the_walk(self):
+        analyzed = ilinrec_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend="threaded", workers=4, use_kernels=False),
+            {"n": 64}, cpu_count=4,
+        )
+        assert ("I", "serial") in plan.strategies()
+        (do,) = plan.provenance["do_loops"]
+        assert do["why"] == "kernels off"
+
+
+def _build_with_strategy(analyzed, flow, name):
+    return build_plan(
+        analyzed, flow,
+        ExecutionOptions(backend="threaded", workers=4, strategy=name),
+        {"n": 64}, cpu_count=4,
+    )
+
+
+def _forced_default(analyzed, flow, name):
+    return forced_plan(
+        analyzed, flow, "threaded", ExecutionOptions(workers=4), {"n": 64},
+        default=name,
+    )
+
+
+def _forced_override(analyzed, flow, name):
+    (do_loop,) = [d for d in flow.loops() if not d.parallel]
+    return forced_plan(
+        analyzed, flow, "threaded", ExecutionOptions(workers=4), {"n": 64},
+        overrides={flow.path_of(do_loop): name},
+    )
+
+
+class TestRetiredStrategy:
+    @pytest.mark.parametrize("plan_with, error", [
+        (_build_with_strategy, ExecutionError),
+        (_forced_default, PlanError),
+        (_forced_override, PlanError),
+    ], ids=["build_plan", "forced_plan-default", "forced_plan-override"])
+    def test_scan_is_refused_naming_the_survivors(self, plan_with, error):
+        assert len(VALID_STRATEGIES) == 8
+        # the count vocabulary keeps the retired name, always counted 0
+        assert STRATEGIES == (*VALID_STRATEGIES, "scan")
+        analyzed = isum_analyzed()
+        flow = schedule_module(analyzed)
+        survivors = re.escape(", ".join(VALID_STRATEGIES))
+        with pytest.raises(error, match=f"'scan'; available: {survivors}$"):
+            plan_with(analyzed, flow, "scan")

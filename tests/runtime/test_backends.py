@@ -301,43 +301,6 @@ class _SlowSiblingBackend(ThreadedBackend):
         super().exec_chunk_span(state, desc, lo, hi, env)
 
 
-class _SlowSiblingScanBackend(ThreadedBackend):
-    """While armed, the first block to enter scan phase ``phase``
-    (``"block"``: the local sweeps, ``"fix"``: the carry fix-ups) fails at
-    once; every other block of that phase sleeps 0.2 s, then counts itself
-    in ``finished``."""
-
-    def __init__(self, phase, workers=None):
-        super().__init__(workers)
-        self.phase = phase
-        self.armed = True
-        self.entered = 0
-        self.finished = 0
-        self._lock = threading.Lock()
-
-    def _fail_first(self):
-        if not self.armed:
-            return
-        with self._lock:
-            self.entered += 1
-            first = self.entered == 1
-        if first:
-            raise RuntimeError(f"scan {self.phase} failed")
-        time.sleep(0.2)
-        with self._lock:
-            self.finished += 1
-
-    def exec_scan_block(self, kern, t, b, a, ap):
-        if self.phase == "block":
-            self._fail_first()
-        super().exec_scan_block(kern, t, b, a, ap)
-
-    def exec_scan_fix(self, kern, t, incoming, ap):
-        if self.phase == "fix":
-            self._fail_first()
-        super().exec_scan_fix(kern, t, incoming, ap)
-
-
 class TestOneJoin:
     def test_a_failed_wave_joins_every_chunk_before_raising(self):
         """The first failure is re-raised only after its sibling chunks
@@ -365,33 +328,6 @@ class TestOneJoin:
         finally:
             backend.close()
         assert np.array_equal(out["Y"], ref["Y"])
-
-    @pytest.mark.parametrize("phase", ["block", "fix"])
-    def test_a_failed_scan_phase_joins_every_block_before_raising(self, phase):
-        """The same protocol for both parallel phases of a blocked scan:
-        when the first block to start fails, every sibling block has
-        finished by the time the caller sees the failure."""
-        from repro.core.recurrences import ilinrec_analyzed, ilinrec_args
-
-        analyzed = ilinrec_analyzed()
-        args = ilinrec_args(n=3000)
-        options = ExecutionOptions(backend="threaded", workers=4, strategy="scan")
-        ref = execute_module(
-            analyzed, dict(args),
-            options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
-        )
-        backend = _SlowSiblingScanBackend(phase, workers=4)
-        try:
-            with pytest.raises(RuntimeError, match=f"scan {phase} failed"):
-                execute_module(analyzed, dict(args), options=options, backend=backend)
-            finished_at_raise = backend.finished
-            backend.armed = False
-            out = execute_module(analyzed, dict(args), options=options, backend=backend)
-        finally:
-            backend.close()
-        assert backend.entered >= 2
-        assert finished_at_raise == backend.entered - 1
-        assert np.array_equal(out["S"], ref["S"])
 
 
 @pytest.mark.skipif(not _fork_available(), reason="fork unavailable")

@@ -196,32 +196,31 @@ class TestFissionProperty:
 
 class _ExplodingBackend(ThreadedBackend):
     """Raises inside the middle fissioned piece (the eq.5 replica)
-    mid-run, exactly once — whichever strategy that replica planned."""
+    mid-run, exactly once — as a pipeline stage or on the walk, whichever
+    that replica planned — and records which hook it raised from."""
 
     name = "threaded"
 
     def __init__(self, workers=None):
         super().__init__(workers)
         self.armed = True
+        self.exploded_in = None
 
-    def _explode(self, desc):
+    def _explode(self, desc, hook):
         if self.armed and desc.body and (
             getattr(desc.body[0], "label", "") == "eq.5"
         ):
             self.armed = False
+            self.exploded_in = hook
             raise RuntimeError("fission piece exploded mid-run")
 
     def exec_seq_block(self, state, desc, lo, hi, env):
         if lo > 1:
-            self._explode(desc)
+            self._explode(desc, "exec_seq_block")
         super().exec_seq_block(state, desc, lo, hi, env)
 
-    def exec_scan_loop(self, state, desc, lo, hi, env):
-        self._explode(desc)
-        super().exec_scan_loop(state, desc, lo, hi, env)
-
     def exec_sequential_loop(self, state, desc, lo, hi, env, vector_names):
-        self._explode(desc)
+        self._explode(desc, "exec_sequential_loop")
         super().exec_sequential_loop(state, desc, lo, hi, env, vector_names)
 
 
@@ -245,6 +244,9 @@ class TestFissionPoison:
                     analyzed, args, flowchart=chart, options=opts,
                     backend=backend,
                 )
+            # the three replicas plan as one pipeline group of sequential
+            # stages: eq.5 fails mid-range, inside its stage's second block
+            assert backend.exploded_in == "exec_seq_block"
             res = execute_module(
                 analyzed, args, flowchart=chart, options=opts,
                 backend=backend,

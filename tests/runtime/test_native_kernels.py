@@ -272,7 +272,6 @@ LOOKUP_SHAPES = {
     "full": ("nest", "jacobi"),
     "flat": ("collapse", "jacobi"),
     "span": ("chunk", "jacobi"),
-    "scan": ("scan", "isum"),
     "do": ("nest", "isum"),
 }
 
@@ -296,18 +295,16 @@ def _lookup_workload(name):
             _outermost_parallel(flow.descriptors)
         )
     from repro.core.recurrences import isum_analyzed, isum_args
-    from repro.schedule.scan_detect import scan_loops
 
     analyzed = isum_analyzed()
     flow = schedule_module(analyzed)
-    (path,) = scan_loops(analyzed, flow, False)
-    return analyzed, flow, isum_args(), "T", flow.descriptor_at(path)
+    (do_loop,) = [d for d in flow.loops() if not d.parallel]
+    return analyzed, flow, isum_args(), "T", do_loop
 
 
 def _impose(monkeypatch, condition):
     """Put the toolchain (or the emitters) in ``condition``."""
     from repro.runtime.kernels import emit as emit_mod
-    from repro.runtime.kernels import scan as scan_mod
 
     def refuse(*args, **kwargs):
         raise native_mod.KernelError("simulated refusal")
@@ -317,7 +314,6 @@ def _impose(monkeypatch, condition):
 
     # every condition starts from nothing loaded in this process
     monkeypatch.setattr(native_mod, "_loaded", {})
-    monkeypatch.setattr(scan_mod, "_native_lib", False)
     if condition == "toolchain" and not native_supported():
         pytest.skip("no C compiler / cffi on this machine")
     elif condition == "no-compiler":
@@ -329,8 +325,6 @@ def _impose(monkeypatch, condition):
     elif condition == "emitter-refuses":
         for mod in (native_mod, emit_mod):
             monkeypatch.setattr(mod, "lower_nest", refuse)
-        for name in ("native_kernels", "numpy_kernels"):
-            monkeypatch.setattr(scan_mod, name, refuse)
 
 
 class TestTieredLookup:
@@ -370,8 +364,6 @@ class TestTieredLookup:
         )
 
         def lookup():
-            if shape == "scan":
-                return cache.scan_kernel_for(desc, False)
             return cache.nest_kernel_for(
                 desc, False, variant="full" if shape == "do" else shape
             )
@@ -380,9 +372,7 @@ class TestTieredLookup:
         if expected is None:
             assert served is None
         else:
-            is_native = getattr(served, "__native__", False) or getattr(
-                served, "native", False
-            )
+            is_native = getattr(served, "__native__", False)
             assert is_native == (expected == "native")
         assert lookup() is served
         # each tier consulted was built exactly once, refusals included

@@ -4,11 +4,17 @@ and shared-memory segments never outlive a run — even a failing one.
 The historical bugs: on platforms without the fork start method (macOS's
 default, Windows) the process backends half-degraded — ``make_storage``
 silently fell back to private arrays while the pool path would crash with
-``AttributeError: 'NoneType' object has no attribute 'Queue'`` — and a
+``AttributeError: 'NoneType' object has no attribute 'Queue'`` — a
 backend was trusted to unlink its ``SharedMemory`` segments only on the
-success path. These tests pin the fixes by monkeypatching
-``_fork_available`` and by spying on every segment create/unlink.
+success path, and a failed run unmapped segments its traceback still held
+views of, so reading them killed the interpreter. These tests pin the
+fixes by monkeypatching ``_fork_available``, by spying on every segment
+create/unlink, and by reading a failed run's arrays in a subprocess.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,3 +175,52 @@ class TestSharedMemoryCleanup:
         assert _SpySharedMemory.created
         leaked = set(_SpySharedMemory.created) - set(_SpySharedMemory.unlinked)
         assert not leaked
+
+    def test_a_failed_runs_arrays_stay_readable(self):
+        """Every array a failed run's traceback reaches reads back: a
+        segment stays mapped while a view of it lives. Reading them used to
+        end the interpreter with SIGSEGV (exit -11), and pytest with it when
+        it rendered a failing test's locals — hence the subprocess."""
+        script = f"""
+import numpy as np
+from repro.errors import ExecutionError
+from repro.ps.parser import parse_program
+from repro.ps.semantics import analyze_program
+from repro.runtime.executor import ExecutionOptions, execute_program_module
+from repro.runtime.values import RuntimeArray
+
+program = analyze_program(parse_program({FAILING_SOURCE!r}))
+try:
+    execute_program_module(
+        program, "Use", {{"A": np.arange(1.0, 9.0), "n": 8}},
+        options=ExecutionOptions(backend="process", workers=4),
+    )
+except ExecutionError as exc:
+    tb = exc.__traceback__
+else:
+    raise SystemExit("the run did not fail")
+arrays, total = 0, 0.0
+while tb is not None:
+    for value in list(tb.tb_frame.f_locals.values()):
+        for item in list(value.values()) if isinstance(value, dict) else [value]:
+            if isinstance(item, RuntimeArray):
+                item = item.storage
+            if isinstance(item, np.ndarray):
+                arrays += 1
+                total += float(np.nansum(item))
+    tb = tb.tb_next
+print(arrays)
+"""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+            ),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, text=True,
+            capture_output=True, timeout=120,
+        )
+        assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+        assert int(out.stdout.split()[-1]) > 0

@@ -1,8 +1,8 @@
 """Recognition of parallelizable recurrences (:mod:`repro.schedule.scan_detect`):
 which sequential DO loops classify as associative scans or first-order
-linear recurrences, and — just as load-bearing — which must be rejected.
-A false positive silently reassociates a loop the three-phase kernels
-cannot solve; every negative here is all-or-nothing."""
+linear recurrences, and which must be rejected; every negative here is
+all-or-nothing. Recognition only: every recognised loop plans as the
+compiled ``DO``, and the count is what ``schedule.scan_loops`` reports."""
 
 from repro.core.recurrences import (
     ilinrec_analyzed,

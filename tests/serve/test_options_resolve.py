@@ -3,13 +3,30 @@ ExecutionOptions.key — the one options cache key."""
 
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
 import pytest
 
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
 from repro.core.pipeline import compile_source
 from repro.runtime.executor import ExecutionOptions
+from repro.serve import Session
 
 ARGS = {"M": 4, "maxK": 2}
+
+#: the option that selected the retired blocked scan's float variant
+RETIRED_OPTION = "allow_reassoc"
+
+SURVIVING_FIELDS = [
+    "use_windows", "debug_windows", "backend", "workers", "use_kernels",
+    "kernel_tier", "use_collapse", "use_fission", "strategy",
+]
+
+
+def _session_run(**overrides):
+    with Session() as session:
+        session.load(RELAXATION_JACOBI_SOURCE)
+        args = {**ARGS, "InitialA": np.zeros((6, 6))}
+        return session.run("Relaxation", args, **overrides)
 
 
 class TestResolve:
@@ -40,6 +57,18 @@ class TestResolve:
     def test_unknown_field_raises_with_name(self):
         with pytest.raises(TypeError, match="bogus_field"):
             ExecutionOptions.resolve(None, bogus_field=1)
+
+    @pytest.mark.parametrize(
+        "resolve",
+        [lambda **o: ExecutionOptions.resolve(None, **o), _session_run],
+        ids=["resolve", "Session.run"],
+    )
+    def test_a_retired_option_is_refused_naming_the_fields(self, resolve):
+        assert [f.name for f in fields(ExecutionOptions)] == SURVIVING_FIELDS
+        with pytest.raises(TypeError) as exc:
+            resolve(**{RETIRED_OPTION: True})
+        assert repr([RETIRED_OPTION]) in str(exc.value)
+        assert f"valid fields: {sorted(SURVIVING_FIELDS)}" in str(exc.value)
 
     def test_base_is_positional_only(self):
         # keyword base would silently collide with a field named "base" if

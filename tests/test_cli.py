@@ -209,6 +209,24 @@ class TestRun:
         assert "invalid choice" in err
         assert "'process', 'serial', 'threaded', 'vectorized'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--allow-reassoc"],
+        ["run", "--allow-reassoc"],
+        ["serve", "--allow-reassoc"],
+        ["plan", "--strategy", "scan"],
+        ["run", "--strategy", "scan"],
+    ], ids=["plan-option", "run-option", "serve-option", "plan-scan", "run-scan"])
+    def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, jacobi_file, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if "scan" in flags:
+            assert "invalid choice: 'scan'" in err
+        else:
+            assert "unrecognized arguments: " + flags[0] in err
+
     def test_bad_set_syntax(self, jacobi_file, capsys):
         assert main(["run", jacobi_file, "--set", "M"]) == 1
 
