@@ -4,11 +4,12 @@ The merge pass fuses every same-range recurrence into one ``DO`` nest:
 the three recurrences of the ``Mixed`` workload (an integer scan, a linear
 recurrence, and a running max) share one loop, which runs as one compiled
 in-order kernel (``DO I -> nest``). Fission replicates the loop per
-dependence group; the replicas are sibling loops the planner may then
-pipeline or compile one by one. What that buys is parallelism
-across (and inside) the pieces, and what it costs is one pass over memory
-per piece where the fused loop makes one; the planner prices both per
-plan. This bench checks the answer and writes ``BENCH_fission.json``.
+dependence group; the replicas are sibling loops the planner compiles one
+by one. What that buys is parallelism inside any piece that comes out a
+``DOALL``, and what it costs is one pass over memory per piece where the
+fused loop makes one; the planner prices both per plan (on ``Mixed`` every
+piece is a recurrence, and it declines). This bench checks the answer and
+writes ``BENCH_fission.json``.
 
 The gate (``strategy_vs_compiled_do`` in ``conftest.py``): at every worker
 count the host has cores for, **if the unforced plan takes the split it

@@ -65,7 +65,8 @@ def _best_of(fn, repeats=5):
 
 @pytest.fixture()
 def strategy_vs_compiled_do():
-    """The one gate the pipeline and fission benches share. The
+    """The gate of the fission bench (a parallel strategy over a
+    sequential loop, against the compiled loop it replaces). The
     baseline is the *compiled* sequential loop — the serial backend's
     unforced plan, one thread of C — never the per-element walk: beating
     an interpreter measures the kernel tier, not parallelism. Per worker

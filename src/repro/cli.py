@@ -420,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker count the plan budgets for")
     p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
-                   help="prefer this strategy wherever it is valid "
-                        "(pipeline: decouple every partitionable sibling "
-                        "run of loops into concurrent stages)")
+                   help="prefer this strategy wherever it is valid")
     p.add_argument("--windows", action="store_true",
                    help="plan for window-allocated virtual dimensions")
     p.add_argument("--no-kernels", action="store_true",
@@ -462,9 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "planner chooses; serial: the scalar reference "
                         "interpreter)")
     p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
-                   help="prefer this strategy wherever it is valid "
-                        "(pipeline: decouple every partitionable sibling "
-                        "run of loops into concurrent stages)")
+                   help="prefer this strategy wherever it is valid")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker count for the threaded/process backends "
                         "(default: cpu count)")

@@ -1,27 +1,24 @@
 """A small recurrence-workload corpus: the loops the paper's DOALL focus
 leaves serial.
 
-Each module here schedules into a run of sibling loops over the same
-iteration space in which at least one loop is a genuine recurrence (a
-``DO`` the hyperplane rewrite cannot remove) feeding downstream ``DOALL``
-consumers — exactly the shape :mod:`repro.schedule.pipeline_stages`
-partitions into a sequential stage plus replicated stages. The parity
-suites run them against every backend, and ``benchmarks/bench_pipeline.py``
-uses the coupled recurrence as its gate workload.
+The first three modules here schedule into a run of sibling loops over the
+same iteration space in which one loop is a genuine recurrence (a ``DO``
+the hyperplane rewrite cannot remove) feeding downstream ``DOALL``
+consumers. Such a run plans loop by loop: the recurrence as the compiled
+in-order ``DO``, each consumer as an ordinary ``DOALL``. The parity suites
+run every module against every backend.
 
 * :func:`scan_analyzed` — a first-order linear scan feeding a pointwise
-  consumer: ``seq + par``.
+  consumer.
 * :func:`coupled_analyzed` — two mutually recursive sequences (one SCC,
   so the scheduler fuses them into a single ``DO`` body) feeding a
-  consumer: ``seq + par``.
+  consumer.
 * :func:`line_sweep_analyzed` — a Gauss–Seidel-style line sweep (each row
   relaxed from the previous row, rows sequential, columns DOALL) feeding
-  two chained diagnostics whose dependence is identity — they coalesce
-  into one replicated stage: ``seq + par(2 loops)``.
+  two chained per-row diagnostics.
 
-Three standalone scans and linear recurrences — no consumer siblings, so
-the loop meets the planner alone rather than as a pipeline stage, and
-plans as the compiled sequential ``DO``:
+Three standalone scans and linear recurrences — no consumer siblings —
+plan as the compiled sequential ``DO`` too:
 
 * :func:`isum_analyzed` — an integer sum reduction.
 * :func:`runmax_analyzed` — a running maximum over reals.
@@ -135,7 +132,7 @@ MIXED_SOURCE = """\
 (* Three independent integer recurrences over one subrange. The
    loop-merging pass fuses them into a single DO nest, which is the
    fission gate workload: the split recovers one replica loop per
-   recurrence, and the replicas decouple as pipeline stages. *)
+   recurrence. *)
 Mixed: module (X: array[1 .. n] of int; A: array[1 .. n] of int;
                B: array[1 .. n] of int; n: int):
        [T: array[0 .. n] of int; S: array[0 .. n] of int;

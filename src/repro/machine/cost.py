@@ -100,12 +100,6 @@ class MachineModel:
     vector_setup: float = 250.0
     #: submitting + collecting one chunk on the thread pool
     chunk_dispatch: float = 3500.0
-    #: one-time cost of standing up one pipeline stage worker (thread-pool
-    #: submit + the stage's frontier bookkeeping setup)
-    pipeline_stage_spinup: float = 3500.0
-    #: per-block cost of one hand-off across a pipeline stage boundary
-    #: (frontier publish + consumer wake-up under the shared condition)
-    pipeline_link_overhead: float = 900.0
     #: submitting + collecting one chunk task on the persistent process pool
     process_dispatch: float = 40000.0
     #: one-time cost of forking the persistent process pool

@@ -335,43 +335,6 @@ def compare_plans(
                 analyzed.name, scalars, backend, seconds,
                 predicted_cycles=plan.cycles, workers=workers,
             )
-
-    # The pipeline candidate: when the workload has a decoupleable sibling
-    # run, measure the forced-pipeline plan as its own row (distinct
-    # calibration key, so the store learns what decoupling actually buys
-    # on this machine — not just what the model predicts).
-    from repro.plan.planner import PIPELINE_BACKENDS
-
-    pipe_backend = next(
-        (b for b in PIPELINE_BACKENDS if b in backends), None
-    )
-    if pipe_backend is not None:
-        options = ExecutionOptions.resolve(
-            base, backend=pipe_backend, workers=workers, strategy="pipeline"
-        )
-        plan = build_plan(analyzed, flowchart, options, scalars)
-        if any(s == "pipeline" for _, s in plan.strategies()):
-            key = f"{pipe_backend}+pipeline"
-            seconds = _best_of(
-                lambda: execute_module(
-                    analyzed, run_args, flowchart=flowchart,
-                    options=options, plan=plan,
-                ),
-                repeats,
-            )
-            rows.append(
-                {
-                    "backend": key,
-                    "predicted_cycles": plan.cycles,
-                    "strategies": plan.strategies(),
-                    "seconds": seconds,
-                }
-            )
-            if calibration is not None:
-                calibration.record(
-                    analyzed.name, scalars, key, seconds,
-                    predicted_cycles=plan.cycles, workers=workers,
-                )
     return PlanComparison(
         workload=workload or analyzed.name,
         auto_backend=auto_plan.backend,

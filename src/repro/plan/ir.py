@@ -41,30 +41,22 @@ Loop strategies
     (per-equation scalar walk when the kernel is unavailable). Collapsing
     load-balances nests whose outer trip count is small or uneven — the
     whole flat space divides over the workers regardless of shape.
-``pipeline``
-    DSWP-style decoupling of a *run of sibling loops* over one iteration
-    space (see :mod:`repro.schedule.pipeline_stages`): sequential (``DO``)
-    stages advance block by block on one worker each — through compiled
-    sequential nest kernels where the nest lowers — while replicated
-    (``DOALL``) stages chase the upstream frontier with chunked span
-    kernels on the remaining workers. The run's *first* loop carries the
-    strategy plus the :class:`StagePlan` list and the group size; the
-    other member loops carry ``pipeline`` with a ``stage k/n`` reason and
-    are executed by the group engine, never dispatched individually.
 ``fission``
     A multi-unit loop body splits along its dependence structure into
     ``parts`` replica loops over the same subrange, one per minimal
     dependence group (see :mod:`repro.schedule.fission`), each planned
     independently: pieces that come out all-DOALL regain
-    ``nest``/``chunk``/``collapse``, a lone recurrence runs as its own
-    compiled ``DO``, and the replica run itself may plan as a ``pipeline``
-    group. Replica LoopPlans live at marker paths ``loop_path + (-1, k)``;
-    the original loop carries the ``fission`` strategy and is executed by
-    planning its replicas in order, each equation exactly once over the
-    full subrange.
+    ``nest``/``chunk``/``collapse`` and a lone recurrence runs as its own
+    compiled ``DO``. Replica LoopPlans live at marker paths
+    ``loop_path + (-1, k)``; the original loop carries the ``fission``
+    strategy and is executed by planning its replicas in order, each
+    equation exactly once over the full subrange.
 
 Every strategy is bit-exact against the reference evaluator: none
-reassociates floating-point arithmetic.
+reassociates floating-point arithmetic. A run of sibling loops over one
+subrange — a recurrence feeding its consumers — plans loop by loop: the
+recurrence as the compiled ``DO`` (``nest``), each consumer as an ordinary
+``DOALL``.
 """
 
 from __future__ import annotations
@@ -75,16 +67,16 @@ from repro.errors import ReproError
 
 #: valid LoopPlan.strategy values
 VALID_STRATEGIES = (
-    "serial", "nest", "vector", "chunk", "iterate", "collapse", "pipeline",
-    "fission",
+    "serial", "nest", "vector", "chunk", "iterate", "collapse", "fission",
 )
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
-#: the retired blocked ``scan``, which no plan carries and every entry
-#: point refuses. The end-to-end benchmark still declares a
-#: ``plan.loops.scan`` count (always 0) and reads it from this tuple;
-#: ``scan`` leaves here when that row leaves the benchmark.
-STRATEGIES = (*VALID_STRATEGIES, "scan")
+#: the retired decoupled ``pipeline`` and blocked ``scan``, which no plan
+#: carries and every entry point refuses. The end-to-end benchmark still
+#: declares ``plan.loops.pipeline`` and ``plan.loops.scan`` counts (always
+#: 0) and reads them from this tuple; the retired names leave here when
+#: those rows leave the benchmark.
+STRATEGIES = (*VALID_STRATEGIES, "pipeline", "scan")
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
 #: enclosing nest lowers to the cffi-compiled C tier (degrading to the
@@ -116,25 +108,6 @@ class EquationPlan:
 
 
 @dataclass
-class StagePlan:
-    """One stage of a pipeline group (attached to the group head's
-    :class:`LoopPlan`)."""
-
-    #: "sequential" | "replicated"
-    kind: str
-    #: offsets of the member loops within the group's sibling run
-    members: tuple[int, ...]
-    #: equation labels the stage evaluates (for display)
-    labels: tuple[str, ...]
-    #: workers assigned to the stage (1 for sequential stages)
-    workers: int = 1
-
-    def annotation(self) -> str:
-        tag = "seq" if self.kind == "sequential" else f"par x{self.workers}"
-        return f"{tag}({', '.join(self.labels)})"
-
-
-@dataclass
 class LoopPlan:
     """The planner's decision for one loop descriptor."""
 
@@ -163,15 +136,8 @@ class LoopPlan:
     cycles: float | None = None
     #: one-line rationale for the choice
     reason: str = ""
-    #: the stage partition, set on the *head* loop of a pipeline group
-    #: (member loops carry strategy "pipeline" with stages=None)
-    stages: list[StagePlan] | None = None
-    #: how many consecutive sibling loops the group spans (head loop only)
-    group_size: int | None = None
-    #: per-stage hand-off block size, in iterations (head loop only)
-    queue_depth: int | None = None
     #: which dialect of its nest kernel a kernel-dispatching loop runs
-    #: (``nest`` / ``collapse`` / ``chunk`` roots, pipeline stage members):
+    #: (``nest`` / ``collapse`` / ``chunk`` roots):
     #: ``"native"`` — C, built before the plan's first run, degrading to
     #: the Python dialect and then the walk when the toolchain fails — or
     #: ``"python"`` — the exec-compiled kernels only; no compiler is
@@ -182,8 +148,6 @@ class LoopPlan:
         """The nest shape (:mod:`repro.runtime.kernels.nest`) the loop's
         strategy dispatches its kernel in, None for strategies that
         dispatch none. Meaningful on a loop that carries a ``dialect``."""
-        if self.strategy == "pipeline":
-            return "full" if self.fuse else "span"
         return {"nest": "full", "collapse": "flat", "chunk": "span"}.get(
             self.strategy
         )
@@ -192,15 +156,6 @@ class LoopPlan:
         bits = [self.strategy]
         if self.strategy in ("chunk", "collapse", "fission") and self.parts:
             bits[-1] += f" x{self.parts}"
-        if self.strategy == "pipeline" and self.stages:
-            if self.parts:
-                bits[-1] += f" x{self.parts}"
-            bits.append(
-                f"stages {len(self.stages)} "
-                f"[{' | '.join(s.annotation() for s in self.stages)}]"
-            )
-            if self.queue_depth:
-                bits.append(f"block {self.queue_depth}")
         if self.strategy == "iterate" and self.chunk_index:
             bits.append(f"inner-chunk {self.chunk_index}")
         if self.strategy == "collapse" and self.collapse_depth:
@@ -266,6 +221,9 @@ class ExecutionPlan:
     ran: bool = field(default=False, repr=False, compare=False)
     #: array name -> where its storage comes from on those later runs
     reuse: dict = field(default_factory=dict, repr=False, compare=False)
+    #: array name -> why a window the section-3.4 read rule admits is
+    #: refused (window-mode plans only; the array is stored in full)
+    window_refusals: dict = field(default_factory=dict, repr=False, compare=False)
     #: the sizes the plan was built for (``explain`` evaluates boxes at them)
     sizes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: id(descriptor) -> LoopPlan for O(1) lookup during execution; rebuilt
@@ -406,21 +364,6 @@ class ExecutionPlan:
             lines.append(f"    {backend}: excluded ({why})")
         if p.get("reason"):
             lines.append(f"winner: {self.backend} — {p['reason']}")
-        for note in p.get("pipeline_groups", []):
-            verdict = "chosen" if note.get("chosen") else "rejected"
-            row = (
-                f"  pipeline group @{note['index']}: {note['kinds']} "
-                f"({note['stage_count']} stages, trip {note['trip']}) — "
-                f"{verdict}"
-            )
-            if note.get("pipeline_cycles") is not None:
-                row += (
-                    f": predicted ~{note['pipeline_cycles']:.0f} vs "
-                    f"~{note['serial_cycles']:.0f} cycles undecoupled"
-                )
-            if note.get("why"):
-                row += f" ({note['why']})"
-            lines.append(row)
         for note in p.get("fission_loops", []):
             verdict = "chosen" if note.get("chosen") else "rejected"
             if note.get("parts"):
@@ -487,9 +430,12 @@ class ExecutionPlan:
         for name, how in self.storage.items():
             if isinstance(how, tuple):
                 how = undefined_part(*how, self.sizes)
-            lines.append(
+            line = (
                 (f"  {name}: zero-filled, {how}" if how
                  else f"  {name}: uninitialised, every element is defined")
                 + f"; {self.reuse[name]}"
             )
+            if name in self.window_refusals:
+                line += f"; window refused: {self.window_refusals[name]}"
+            lines.append(line)
         return "\n".join(lines)

@@ -11,9 +11,9 @@ entry, exactly once per (module, options, scalar bindings):
   vector span, or chunked across workers;
 * how each sequential ``DO`` runs — as one compiled in-order nest kernel
   (C when the walk it replaces costs more than a compiler run, the
-  exec-compiled Python dialect below that), as a pipeline stage or
-  fission split when those beat the compiled loop at the plan's worker
-  count, or on the reference walk when its nest does not lower;
+  exec-compiled Python dialect below that), as a fission split when that
+  beats the compiled loop at the plan's worker count, or on the reference
+  walk when its nest does not lower;
 * where the workers go in a nest — a DOALL whose trip count is below the
   worker count hands the team to a chunk-safe inner DOALL instead of
   leaving workers idle (``iterate`` + inner ``chunk``);
@@ -44,7 +44,6 @@ from repro.plan.ir import (
     LoopPlan,
     PlanEntry,
     PlanError,
-    StagePlan,
 )
 from repro.plan.strategy import NEST
 from repro.ps.coverage import definition_boxes
@@ -69,13 +68,6 @@ from repro.schedule.flowchart import (
 
 #: backends that split DOALL subranges into worker chunks
 CHUNKED_BACKENDS = ("threaded", "process")
-
-#: backends whose pools run the decoupled pipeline engine — the planner
-#: only *prices* pipeline groups for these (shared-memory threads; the
-#: process pool copies, and stage hand-offs flow through the module arrays).
-#: A forced pipeline still plans on any backend: the base inline engine
-#: executes groups stage by stage, correct everywhere, concurrent here.
-PIPELINE_BACKENDS = ("threaded",)
 
 #: every backend a plan may target (the registry of
 #: ``repro.runtime.backends``; a test keeps the two sets equal)
@@ -192,10 +184,6 @@ def build_plan(
     if requested == "auto":
         from repro.runtime.backends.process import _fork_available
 
-        if soft_strategy == "pipeline" and candidates is None:
-            # The decoupled engine lives on the thread pool; auto honours
-            # the preference by choosing among backends running it.
-            candidates = PIPELINE_BACKENDS
         pool = list(candidates or AUTO_CANDIDATES)
         excluded: list[tuple[str, str]] = []
         if not _fork_available():
@@ -254,7 +242,6 @@ def build_plan(
             )
         plan = best.finish(analyzed.name, requested="auto", pinned=False)
         plan.provenance = {
-            "pipeline_groups": best.pipeline_notes,
             "fission_loops": best.fission_notes,
             "do_loops": best.do_notes,
             "native_nests": best.native_notes(),
@@ -287,7 +274,6 @@ def build_plan(
     planner.plan_module()
     plan = planner.finish(analyzed.name, requested=requested, pinned=True)
     plan.provenance = {
-        "pipeline_groups": planner.pipeline_notes,
         "fission_loops": planner.fission_notes,
         "do_loops": planner.do_notes,
         "native_nests": planner.native_notes(),
@@ -426,24 +412,18 @@ class _Planner:
         self.force_overrides = force_overrides or {}
         self.force_soft = force_soft
         self.entries: list[PlanEntry] = []
-        #: one provenance note per pipeline group considered (chosen or not)
-        self.pipeline_notes: list[dict] = []
         #: one provenance note per fission-considered loop (split or not)
         self.fission_notes: list[dict] = []
         #: one provenance note per sequential DO planned on its own: the
         #: compiled nest against the walk, and why the loser lost
         self.do_notes: list[dict] = []
-        #: True while planning the body of a pipeline sequential stage that
-        #: cannot fuse — inner DOALLs must stay off the pool (the stage
-        #: already runs *on* a pool worker)
-        self._in_stage = False
         self.loops: dict[tuple[int, ...], LoopPlan] = {}
         self.equations: dict[str, EquationPlan] = {}
         self.total = 0.0
         self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
-        #: (id(desc), in stage) -> (strategy, parts, cycles, why, chunk index)
-        self._choices: dict[tuple[int, bool], tuple] = {}
+        #: id(desc) -> (strategy, parts, cycles, why, chunk index)
+        self._choices: dict[int, tuple] = {}
         #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
         self._do_choices: dict[int, tuple] = {}
         #: (id(desc), variant) -> machine-independent native emittability
@@ -758,33 +738,20 @@ class _Planner:
 
     def _choose(self, desc: LoopDescriptor):
         """(strategy, parts, cycles, reason, chunk_index) for a parallel
-        loop met on the scalar walk. Memoized per descriptor and stage
-        context: a loop priced outside a pipeline stage may chunk, the same
-        loop walked inside one must not re-enter the pool."""
-        key = id(desc), self._in_stage
-        cached = self._choices.get(key)
+        loop met on the scalar walk. Memoized per descriptor."""
+        cached = self._choices.get(id(desc))
         if cached is not None:
             return cached
         choice = self._choose_uncached(desc)
         if choice[0] not in VALID_STRATEGIES:
             raise PlanError(f"planner produced unknown strategy {choice[0]!r}")
-        self._choices[key] = choice
+        self._choices[id(desc)] = choice
         return choice
 
     def _forced_for(self, desc: LoopDescriptor) -> str | None:
         path = self.flowchart.path_of(desc)
         forced = self.force_overrides.get(path, self.force_default)
         if forced is None:
-            return None
-        if forced == "pipeline":
-            # Pipeline is a *group* decision made at the sibling-list walk
-            # (see _emit_siblings); a loop met individually — outside any
-            # partitionable run — plans normally.
-            if path in self.force_overrides:
-                raise PlanError(
-                    "'pipeline' is a group-level strategy; force it as the "
-                    "default, not per loop"
-                )
             return None
         if forced == "fission":
             # Fission is decided before _choose ever runs (_fission_decision
@@ -815,20 +782,6 @@ class _Planner:
         return forced
 
     def _choose_uncached(self, desc: LoopDescriptor):
-        if self._in_stage:
-            # Inside a pipeline sequential stage the walk already runs on a
-            # pool worker: never chunk/collapse (pool re-entry deadlocks),
-            # pick the best in-worker strategy instead.
-            best = ("serial", None, self._cost_serial_root(desc),
-                    "inside pipeline stage", None)
-            if self._fusable(desc):
-                c_nest = NEST.price(self, desc).cycles
-                if c_nest < best[2]:
-                    best = ("nest", None, c_nest, "inside pipeline stage", None)
-            c_vec = self._cost_vector_root(desc)
-            if c_vec < best[2]:
-                best = ("vector", None, c_vec, "inside pipeline stage", None)
-            return best
         forced = self._forced_for(desc)
         if forced is not None:
             if forced == "chunk":
@@ -917,15 +870,15 @@ class _Planner:
 
     def _hard_pin(self, path) -> bool:
         """Whether ``path`` carries a hard per-path override: the pinned
-        strategy is then honoured or raises — no merit decision (fission,
-        a pipeline group) may take the loop first."""
+        strategy is then honoured or raises — no merit decision (fission)
+        may take the loop first."""
         return not self.force_soft and path in self.force_overrides
 
     def _do_choice(self, desc: LoopDescriptor):
         """(strategy, NestPrice | None, cycles, why) for a sequential
         ``DO`` met on the scalar walk: the compiled in-order nest against
         the reference walk. Its cycles are the price every other ``DO``
-        strategy (pipeline, fission) has to beat — compiled
+        strategy (fission) has to beat — compiled
         sequential code, not the interpreter. Memoized per descriptor."""
         cached = self._do_choices.get(id(desc))
         if cached is not None:
@@ -975,37 +928,6 @@ class _Planner:
         self._do_choices[id(desc)] = choice
         return choice
 
-    # -- pipeline groups ---------------------------------------------------
-
-    def _pipeline_group_at(self, container: tuple[int, ...], offset: int):
-        """The partitionable sibling run starting here, when this planning
-        pass may consider one at all: the thread backends price groups on
-        merit, any backend honours a forced default (the base inline engine
-        executes them correctly everywhere), and a single worker has
-        nothing to decouple over."""
-        if self._in_stage:
-            return None
-        if (
-            self.force_default != "pipeline"
-            and self.backend not in PIPELINE_BACKENDS
-        ):
-            return None
-        if self.workers < 2:
-            return None
-        from repro.schedule.pipeline_stages import group_starting_at
-
-        group = group_starting_at(
-            self.analyzed, self.flowchart, container, offset, self.use_windows
-        )
-        if group is not None and any(
-            self._hard_pin(container + (offset + j,))
-            for j in range(group.size)
-        ):
-            # A hard per-path pin outranks the group: the member plans on
-            # its own, where the pin is honoured or raises PlanError.
-            return None
-        return group
-
     # -- fission -----------------------------------------------------------
 
     def _fission_decision(self, desc: LoopDescriptor, path) -> dict | None:
@@ -1014,7 +936,7 @@ class _Planner:
         fall through to the unfissioned plan. Every loop with a legal split
         — and every multi-unit loop whose split was *rejected* — leaves a
         provenance note, so ``repro plan`` can explain both verdicts."""
-        if self._in_stage or not self.use_fission:
+        if not self.use_fission:
             return None
         from repro.schedule.fission import fission_reject, fission_split
 
@@ -1052,7 +974,7 @@ class _Planner:
             "chosen": False, "why": "",
         }
         self.fission_notes.append(note)
-        fissioned = self._price_fission(split, path)
+        fissioned = sum(self._cost(piece, "walk", 1) for piece in split.pieces)
         unfissioned = self._cost(desc, "walk", 1)
         note["fission_cycles"] = fissioned
         note["unfissioned_cycles"] = unfissioned
@@ -1066,30 +988,6 @@ class _Planner:
         note["chosen"] = True
         note["why"] = "forced" if forced else "split pieces are cheaper"
         return {"split": split, "cycles": fissioned, "forced": forced}
-
-    def _price_fission(self, split, path) -> float:
-        """The cost of the replica run exactly as :meth:`_emit_fission`
-        will emit it — including pipeline groups over the replicas (a
-        recurrence piece feeding DOALL pieces is the DSWP shape), priced
-        here without emitting their provenance notes."""
-        container = path + (-1,)
-        pieces = list(split.pieces)
-        total = 0.0
-        i = 0
-        while i < len(pieces):
-            group = self._pipeline_group_at(container, i)
-            if group is not None:
-                priced = self._price_pipeline(group)
-                if priced is not None and (
-                    self.force_default == "pipeline"
-                    or priced["cycles"] < priced["serial_cycles"]
-                ):
-                    total += priced["cycles"]
-                    i += group.size
-                    continue
-            total += self._cost(pieces[i], "walk", 1)
-            i += 1
-        return total
 
     def _emit_fission(self, desc: LoopDescriptor, path, depth, decision) -> float:
         """Emit one taken split: the original loop's LoopPlan carries the
@@ -1107,8 +1005,9 @@ class _Planner:
             ),
         )
         self._register(lp, depth)
-        cost = self._emit_siblings(
-            list(split.pieces), path + (-1,), depth + 1, "walk", 1.0
+        cost = sum(
+            self._emit(piece, path + (-1, k), depth + 1, "walk", 1.0)
+            for k, piece in enumerate(split.pieces)
         )
         lp.cycles = cost
         return cost
@@ -1193,250 +1092,16 @@ class _Planner:
             })
         return notes
 
-    def _price_pipeline(self, group) -> dict | None:
-        """Price the decoupled execution of ``group``. None when the team
-        cannot host one *running* task per stage — the engine's
-        no-deadlock requirement (every stage must make progress for the
-        frontier hand-offs to drain). Otherwise a dict the emitter and the
-        provenance notes consume.
-
-        The model: one fork/barrier for the group, one spin-up per stage
-        worker, the bottleneck stage's time (sequential stages run their
-        whole subrange through block-wise sequential nest kernels; a
-        replicated stage divides its span work over its workers) plus one
-        block of it per further stage to fill and drain the pipe, bounded
-        below by total work over the machine's effective parallelism, plus
-        one link hand-off per block per stage boundary."""
-        m = self.model
-        stages = group.stages
-        n_stages = len(stages)
-        if self.workers < n_stages:
-            return None
-        t = self._trip_est(group.loops[0])
-        blocks = max(1, min(t, 4 * self.workers))
-        block = ceil(t / blocks)
-        blocks = ceil(t / block)
-
-        works: list[float] = []
-        for s in stages:
-            if s.kind == "sequential":
-                loop = group.loops[s.members[0]]
-                if self._native_ok(loop, "full"):
-                    work = blocks * m.native_call_overhead + sum(
-                        self._cost(d, "native", t) for d in loop.body
-                    )
-                elif self._fusable(loop):
-                    work = blocks * m.vector_setup + sum(
-                        self._cost(d, "nest", t) for d in loop.body
-                    )
-                else:
-                    work = t * (
-                        m.loop_overhead
-                        + sum(self._cost(d, "walk", 1) for d in loop.body)
-                    )
-            else:
-                work = 0.0
-                for mem in s.members:
-                    loop = group.loops[mem]
-                    if self._native_ok(loop, "span"):
-                        neq = len(loop.nested_equations())
-                        work += blocks * neq * m.native_call_overhead + sum(
-                            self._cost(d, "native", t) for d in loop.body
-                        )
-                    else:
-                        pairs = [
-                            self._vector_costs(d, block) for d in loop.body
-                        ]
-                        work += blocks * (
-                            sum(r for r, _ in pairs)
-                            + sum(b for _, b in pairs)
-                        )
-            works.append(work)
-
-        # Worker assignment: each sequential stage pins one worker;
-        # replicated stages split what is left.
-        n_seq = sum(1 for s in stages if s.kind == "sequential")
-        n_rep = n_stages - n_seq
-        avail = self.workers - n_seq
-        stage_workers: list[int] = []
-        rep_seen = 0
-        for s in stages:
-            if s.kind == "sequential":
-                stage_workers.append(1)
-            else:
-                w = avail // n_rep + (1 if rep_seen < avail % n_rep else 0)
-                stage_workers.append(max(1, w))
-                rep_seen += 1
-        workers_used = sum(stage_workers)
-
-        # Stage k starts its first block only when stage k-1 has finished
-        # one: the bottleneck runs for its whole time and every other stage
-        # adds one block of fill (or drain).
-        bottleneck = max(
-            work / max(1, w) if s.kind == "replicated" else work
-            for s, work, w in zip(stages, works, stage_workers)
-        )
-        compute = max(
-            bottleneck + (n_stages - 1) * bottleneck / blocks,
-            sum(works) / max(1, self.parallelism),
-        )
-        cycles = (
-            m.doall_fork
-            + m.doall_barrier
-            + workers_used * m.pipeline_stage_spinup
-            + compute
-            + blocks * (n_stages - 1) * m.pipeline_link_overhead
-        )
-        undecoupled = sum(
-            self._cost(loop, "walk", 1) for loop in group.loops
-        )
-        stage_plans = [
-            StagePlan(s.kind, s.members, s.labels, workers=w)
-            for s, w in zip(stages, stage_workers)
-        ]
-        return {
-            "cycles": cycles,
-            "serial_cycles": undecoupled,
-            "stage_plans": stage_plans,
-            "workers_used": max(1, workers_used),
-            "block": block,
-            "trip": t,
-        }
-
-    def _emit_pipeline_maybe(
-        self, group, container: tuple[int, ...], depth: int
-    ) -> float | None:
-        """Decide one pipeline group; emit it and return its cost when
-        taken, None to leave the siblings to plan individually. Every
-        considered group leaves a provenance note either way — ``repro
-        plan`` must be able to say why pipeline won or was rejected."""
-        forced = self.force_default == "pipeline"
-        priced = self._price_pipeline(group)
-        note = {
-            "index": str(container + (group.start,)),
-            "kinds": group.kinds(),
-            "stage_count": len(group.stages),
-            "trip": self._trip_est(group.loops[0]),
-            "pipeline_cycles": priced["cycles"] if priced else None,
-            "serial_cycles": priced["serial_cycles"] if priced else None,
-            "chosen": False,
-            "why": "",
-        }
-        self.pipeline_notes.append(note)
-        if priced is None:
-            note["why"] = (
-                f"needs one worker per stage: {len(group.stages)} stages "
-                f"> {self.workers} workers"
-            )
-            return None
-        if not forced and priced["cycles"] >= priced["serial_cycles"]:
-            note["why"] = "undecoupled plan is cheaper"
-            if any(
-                not loop.parallel and self._do_choice(loop)[0] == "nest"
-                for loop in group.loops
-            ):
-                note["why"] += (
-                    ": stage spin-up + block hand-offs > compiled DO members"
-                )
-            return None
-        note["chosen"] = True
-        note["why"] = "forced" if forced else "decoupling is cheaper"
-        return self._emit_pipeline(group, container, depth, priced, forced)
-
-    def _emit_pipeline(
-        self, group, container: tuple[int, ...], depth: int, priced: dict,
-        forced: bool,
-    ) -> float:
-        """Emit the LoopPlans of one taken pipeline group: the head loop
-        carries the stage partition, worker assignment, and hand-off block
-        size; member loops carry their stage membership. Sequential-stage
-        bodies plan as (sequential) fused nests where the nest lowers and
-        as a pool-safe in-worker walk otherwise; replicated-stage bodies
-        plan exactly like chunk spans."""
-        stages = priced["stage_plans"]
-        n_stages = len(stages)
-        stage_of = {
-            mdx: k for k, s in enumerate(stages) for mdx in s.members
-        }
-        for j, loop in enumerate(group.loops):
-            path = container + (group.start + j,)
-            k = stage_of[j]
-            stage = stages[k]
-            head = j == 0
-            seq_fuse = stage.kind == "sequential" and self._fusable(loop)
-            lp = LoopPlan(
-                path, loop.index, loop.keyword, "pipeline",
-                parts=priced["workers_used"] if head else None,
-                trip=self.trip(loop),
-                fuse=seq_fuse,
-                stages=stages if head else None,
-                group_size=group.size if head else None,
-                queue_depth=priced["block"] if head else None,
-                cycles=priced["cycles"] if head else None,
-                reason=(
-                    ("forced" if forced else "decoupled sibling run")
-                    if head
-                    else f"stage {k + 1}/{n_stages}"
-                ),
-            )
-            self._register(lp, depth)
-            te = self._trip_est(loop)
-            if stage.kind == "sequential":
-                if seq_fuse:
-                    native = self._native_ok(loop, "full")
-                    lp.dialect = "native" if native else "python"
-                    self._emit_body(
-                        loop, path, depth, "nest", float(te), native
-                    )
-                else:
-                    self._in_stage = True
-                    try:
-                        for i, d in enumerate(loop.body):
-                            self._emit(d, path + (i,), depth + 1, "walk", 1.0)
-                    finally:
-                        self._in_stage = False
-            else:
-                native = self._native_ok(loop, "span")
-                lp.dialect = "native" if native else "python"
-                self._emit_body(
-                    loop, path, depth, "vector", float(priced["block"]),
-                    native,
-                )
-        return priced["cycles"]
-
     # -- emission ----------------------------------------------------------
 
     def plan_module(self) -> None:
-        total = self._emit_siblings(
-            self.flowchart.descriptors, (), 0, "walk", 1.0
+        total = sum(
+            self._emit(d, (i,), 0, "walk", 1.0)
+            for i, d in enumerate(self.flowchart.descriptors)
         )
         if self.backend == "process" and self._chunked_somewhere:
             total += self.model.process_spinup
         self.total = total
-
-    def _emit_siblings(
-        self, descs, container: tuple[int, ...], depth, ctx, span
-    ) -> float:
-        """Emit one sibling list, consuming pipeline groups where they
-        start. Groups only exist for the always-sequential containers
-        (:func:`repro.schedule.pipeline_stages.pipeline_groups` scans the
-        top level and ``DO`` bodies), so other contexts fall straight
-        through to the per-descriptor emission."""
-        total = 0.0
-        i = 0
-        n = len(descs)
-        while i < n:
-            if ctx == "walk":
-                group = self._pipeline_group_at(container, i)
-                if group is not None:
-                    cost = self._emit_pipeline_maybe(group, container, depth)
-                    if cost is not None:
-                        total += cost
-                        i += group.size
-                        continue
-            total += self._emit(descs[i], container + (i,), depth, ctx, span)
-            i += 1
-        return total
 
     def _emit_equation(self, desc: NodeDescriptor, path, depth, ctx, span) -> float:
         if not desc.node.is_equation:
@@ -1532,7 +1197,10 @@ class _Planner:
                 return NEST.emit(self, desc, path, depth, priced, why)
             lp = LoopPlan(path, desc.index, desc.keyword, "serial", trip=t)
             self._register(lp, depth)
-            body = self._emit_siblings(desc.body, path, depth + 1, "walk", 1.0)
+            body = sum(
+                self._emit(d, path + (i,), depth + 1, "walk", 1.0)
+                for i, d in enumerate(desc.body)
+            )
             lp.cycles = te * (self.model.loop_overhead + body)
             return lp.cycles
 
@@ -1620,6 +1288,9 @@ class _Planner:
             cycles=self.total,
             storage=storage,
             reuse={name: self._reuse(name) for name in storage},
+            window_refusals=(
+                dict(self.flowchart.window_refusals) if self.use_windows else {}
+            ),
             sizes=dict(self.scalar_env),
         )
         return plan.bind(self.flowchart)
@@ -1651,10 +1322,8 @@ class _Planner:
         (native kernels, the scalar walk) reads exactly the elements the
         equations ask for; a vector-tier equation also gathers the lanes its
         ``if`` discards, so it may read the array only once every definition
-        has run — from a later top-level descriptor than the last of them,
-        and not as a stage of a pipeline group."""
+        has run — from a later top-level descriptor than the last of them."""
         plans = [(self.equations[eq.label], eq) for eq in self.analyzed.equations]
-        piped = {p[0] for p, lp in self.loops.items() if lp.strategy == "pipeline"}
         out: dict = {}
         for name, boxes in definition_boxes(self.analyzed).items():
             sym = self.analyzed.symbol(name)
@@ -1665,7 +1334,7 @@ class _Planner:
                 ep for ep, eq in plans
                 if ep.kernel not in ("native", "scalar")
                 and any(ref.name == name for ref in eq.refs)
-                and (ep.path[0] <= last or ep.path[0] in piped)
+                and ep.path[0] <= last
             ]
             if not self.use_kernels or self.tier != "native":
                 out[name] = "the plan dispatches no native kernels"

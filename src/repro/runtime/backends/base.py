@@ -222,7 +222,8 @@ class ExecutionBackend:
                 (path, windows, shape)
                 for path, shape in state.plan.native_kernels()
             ])
-        self.exec_descriptor_list(state, state.flowchart.descriptors, {}, [])
+        for desc in state.flowchart.descriptors:
+            self.exec_descriptor(state, desc, {}, [])
         state.plan.ran = True
 
     def end_run(self) -> None:
@@ -309,10 +310,9 @@ class ExecutionBackend:
         """Run a loop planned as a dependence split: one replica loop per
         group, in topological order over the full subrange. The replicas
         are planned descriptors in their own right (marker paths), so the
-        ordinary sibling walk applies — a promoted piece runs its DOALL
-        strategy, a lone recurrence its compiled ``DO``, a decoupled
-        replica run its pipeline group. Each equation lands in exactly one replica, so
-        evaluation counts match the unfissioned walk."""
+        ordinary walk applies — a promoted piece runs its DOALL strategy, a
+        lone recurrence its compiled ``DO``. Each equation lands in exactly
+        one replica, so evaluation counts match the unfissioned walk."""
         from repro.schedule.fission import fission_split
 
         split = fission_split(
@@ -323,7 +323,8 @@ class ExecutionBackend:
             # copy — run the loop as scheduled (bit-exact, just unsplit).
             self.exec_sequential_loop(state, desc, lo, hi, env, [])
             return
-        self.exec_descriptor_list(state, list(split.pieces), env, [])
+        for piece in split.pieces:
+            self.exec_descriptor(state, piece, env, [])
 
     def exec_sequential_loop(
         self,
@@ -340,41 +341,8 @@ class ExecutionBackend:
         for i in range(lo, hi + 1):
             env2 = dict(env)
             env2[desc.index] = i
-            self.exec_descriptor_list(state, desc.body, env2, vector_names)
-
-    def exec_descriptor_list(
-        self,
-        state: ExecutionState,
-        descs: list[Descriptor] | tuple[Descriptor, ...],
-        env: dict[str, Any],
-        vector_names: list[str],
-    ) -> None:
-        """Walk a sibling sequence in flowchart order, recognising pipeline
-        groups: when a loop's plan is the head of a decoupled sibling run
-        (strategy ``"pipeline"`` with its stage structure attached), the
-        whole run is handed to :meth:`exec_pipeline_group` as one unit.
-        Inside a vector span the plan is already spent, so groups are only
-        recognised on the scalar walk."""
-        i = 0
-        n = len(descs)
-        while i < n:
-            desc = descs[i]
-            if not vector_names and isinstance(desc, LoopDescriptor):
-                plan = state.plan_of(desc, self.name)
-                if (
-                    plan is not None
-                    and plan.strategy == "pipeline"
-                    and plan.stages
-                    and plan.group_size
-                    and i + plan.group_size <= n
-                ):
-                    self.exec_pipeline_group(
-                        state, list(descs[i : i + plan.group_size]), plan, env
-                    )
-                    i += plan.group_size
-                    continue
-            self.exec_descriptor(state, desc, env, vector_names)
-            i += 1
+            for d in desc.body:
+                self.exec_descriptor(state, d, env2, vector_names)
 
     #: how a DOALL with no LoopPlan runs (hand-built flowcharts whose
     #: descriptors are not part of the state's planned flowchart)
@@ -407,11 +375,6 @@ class ExecutionBackend:
             self.exec_chunked_loop(state, desc, lo, hi, env, plan)
         elif strategy == "collapse":
             self.exec_collapsed_loop(state, desc, lo, hi, env, plan)
-        elif strategy == "pipeline":
-            # A group member reached outside its group walk (e.g. a
-            # hand-driven walk of one descriptor): run the subrange as one
-            # span — bit-exact, just undecoupled.
-            self.exec_chunk_span(state, desc, lo, hi, env)
         elif strategy == "fission":
             # Normally intercepted in exec_descriptor; kept for direct calls.
             self.exec_fission_loop(state, desc, lo, hi, env)
@@ -603,71 +566,6 @@ class ExecutionBackend:
         their pools."""
         for lo, hi in spans:
             self.run_chunk(state, desc, kind, lo, hi, env, fuse)
-
-    # -- pipeline groups ---------------------------------------------------
-
-    def exec_seq_block(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """One in-order block of a pipeline *sequential* stage: the nest
-        kernel over the ``DO`` subrange when the nest lowers, the strictly
-        ordered per-iteration walk otherwise (whose inner loops were
-        planned in-stage, so they never re-enter a worker pool)."""
-        if self.exec_nest_kernel(state, desc, lo, hi, env):
-            return
-        for i in range(lo, hi + 1):
-            env2 = dict(env)
-            env2[desc.index] = i
-            for d in desc.body:
-                self.exec_descriptor(state, d, env2, [])
-
-    def exec_rep_block(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """One frontier-released block of a pipeline *replicated* stage —
-        exactly a chunk span (native span kernel when one compiles, the
-        NumPy distribution otherwise)."""
-        self.exec_chunk_span(state, desc, lo, hi, env)
-
-    def exec_pipeline_group(
-        self,
-        state: ExecutionState,
-        descs: list[Descriptor],
-        plan: Any,
-        env: dict[str, Any],
-    ) -> None:
-        """Execute one pipeline group (the run of sibling loops whose head
-        carries ``plan``). The base implementation executes the member
-        loops whole, in flowchart order — sequential members through the
-        in-order stage path, replicated members as one span — which *is*
-        the reference order, so a pipeline plan forced onto a backend
-        without the decoupled engine stays correct, just not concurrent.
-        :class:`~repro.runtime.backends.threaded.ThreadedBackend` overrides
-        this with the block-decoupled stage engine."""
-        scalar_env = state.scalar_env()
-        for desc in descs:
-            assert isinstance(desc, LoopDescriptor)
-            for eq in desc.nested_equations():
-                self.ensure_targets(state, eq)
-        for desc in descs:
-            lo = eval_bound(desc.subrange.lo, scalar_env)
-            hi = eval_bound(desc.subrange.hi, scalar_env)
-            if hi < lo:
-                continue
-            if desc.parallel:
-                self.exec_rep_block(state, desc, lo, hi, env)
-            else:
-                self.exec_seq_block(state, desc, lo, hi, env)
 
     # -- collapsed nests ---------------------------------------------------
 

@@ -80,15 +80,14 @@ class ExecutionOptions:
     #: partitions into independent dependence groups into one replica loop
     #: per group — pieces then plan independently (a DOALL piece regains
     #: the kernel strategies, a lone recurrence runs as its own compiled
-    #: ``DO`` or a pipeline stage). Off, every nest plans as scheduled (the
-    #: escape hatch).
+    #: ``DO``). Off, every nest plans as scheduled (the escape hatch).
     use_fission: bool = True
     #: soft strategy preference (``repro run/plan --strategy``): every loop
     #: the strategy validly applies to takes it, everything else plans
     #: normally — unlike :func:`repro.plan.planner.forced_plan`, an
-    #: inapplicable preference degrades instead of raising. ``"pipeline"``
-    #: asks the planner to take every partitionable sibling-loop run as a
-    #: pipeline group regardless of predicted price.
+    #: inapplicable preference degrades instead of raising. One of
+    #: :data:`repro.plan.ir.VALID_STRATEGIES`; any other name, the retired
+    #: ``pipeline`` and ``scan`` included, is refused when the plan is built.
     strategy: str | None = None
 
     @classmethod

@@ -11,9 +11,8 @@ subrange ``[lo, hi]``, or a flat range of the collapsed DOALL chain),
 *dialect* (Python over ints, Python over NumPy row vectors, C):
 
 * ``"full"`` — root subrange x whole body: what the ``nest`` strategy runs
-  over a ``DOALL``, and what a pipeline sequential stage advances a ``DO``
-  through block by block (the body runs in iteration order either way; the
-  old ``"seq"`` variant was this shape over a ``DO``);
+  over a ``DOALL`` or a ``DO`` root alike (the body runs in iteration order
+  either way; the old ``"seq"`` variant was this shape over a ``DO``);
 * ``"flat"`` — flat range x whole body: one chunk of a collapsed nest;
 * ``"span"`` — root subrange x one equation each: the per-equation
   distribution of chunk dispatch, C only;

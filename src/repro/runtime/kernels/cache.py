@@ -226,8 +226,8 @@ class KernelCache:
         replicas live outside the main tree (marker paths), so ``loops()``
         never meets them. A ``DOALL`` takes ``"full"``, ``"flat"`` when its
         chain is collapse-safe and the native ``"span"`` kernels when it is
-        chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order nest,
-        also what pipeline sequential stages advance through)."""
+        chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order
+        nest)."""
         # Lazy import: fission sits above the kernel layer.
         from repro.schedule.fission import fission_splits
 

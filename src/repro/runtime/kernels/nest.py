@@ -23,9 +23,9 @@ around equation bodies — seen through three parameters:
   nothing else differs between tiers.
 
 The ``"full"`` shape does not care whether its root is a ``DOALL`` or a
-``DO``: the body runs in strict iteration order either way, so handing a
-sequential root's subrange to it block by block (what pipeline sequential
-stages do) is bit-exact by construction. Whether a ``DO`` *may* take it is
+``DO``: the body runs in strict iteration order either way, so running a
+sequential root's subrange through it (the compiled ``DO`` of the ``nest``
+strategy) is bit-exact by construction. Whether a ``DO`` *may* take it is
 the caller's decision. The other two shapes reorder iterations and demand
 a parallel root.
 """

@@ -14,9 +14,8 @@ minimal groups by the loop-carried/loop-independent dependence structure
 (the condensation of the unit dependence graph restricted to the nest),
 replicate the enclosing loop once per group in topological order, and let
 the planner price each replica independently — an all-DOALL piece regains
-nest/collapse/native span kernels, a lone recurrence piece runs as its
-own compiled ``DO``, and sibling replicas over one subrange regain
-``pipeline`` decoupling.
+nest/collapse/native span kernels, a lone module call stops poisoning its
+siblings, and a lone recurrence piece runs as its own compiled ``DO``.
 
 Legality is all-or-nothing per unit pair, classified at the writer's
 carry position (the subscript position where the loop index appears bare
@@ -135,9 +134,16 @@ class _UnitFacts:
 
 
 def _depgraph(analyzed):
-    from repro.schedule.pipeline_stages import _depgraph as shared
+    """The module dependence graph, built lazily and cached on the module —
+    the scheduler builds one transiently; unit analysis re-derives it once
+    per module."""
+    g = getattr(analyzed, "_depgraph", None)
+    if g is None:
+        from repro.graph.build import build_dependency_graph
 
-    return shared(analyzed)
+        g = build_dependency_graph(analyzed)
+        analyzed._depgraph = g
+    return g
 
 
 def _unit_facts(

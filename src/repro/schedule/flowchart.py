@@ -261,7 +261,7 @@ def loop_chunk_safe(
 
 def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
     """Precompute every loop's chunk-safety (both window modes), every
-    equation's vector-safety, and the pipeline stage partition at
+    equation's vector-safety, and the loop fission candidates at
     flowchart-build time."""
     for desc in flowchart.walk():
         if isinstance(desc, LoopDescriptor):
@@ -272,16 +272,11 @@ def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
                 equation_vector_safe(eq)
         elif desc.node.is_equation:
             equation_vector_safe(desc.node.equation)
-    # Fission candidates first (pipeline recognition extends over the
-    # replica loops), then pipeline stage partitioning (lazy imports: both
-    # consume the dependence graph machinery, which must not become a
-    # schedule-time import cycle).
+    # Lazy import: fission consumes the dependence graph machinery, which
+    # must not become a schedule-time import cycle.
     from repro.schedule.fission import fission_splits
-    from repro.schedule.pipeline_stages import pipeline_groups
 
     fission_splits(analyzed, flowchart)
-    for use_windows in (False, True):
-        pipeline_groups(analyzed, flowchart, use_windows)
 
 
 def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -309,6 +304,9 @@ class Flowchart:
     descriptors: list[Descriptor] = field(default_factory=list)
     #: virtual-dimension summary: data-node id -> {dim position: window}
     windows: dict[str, dict[int, int]] = field(default_factory=dict)
+    #: data-node id -> why a window the section-3.4 read rule admits is
+    #: refused (a definition outside the loop writes planes it would lose)
+    window_refusals: dict[str, str] = field(default_factory=dict)
     #: run-time assumptions recorded by scheduler extensions (e.g. the [14]
     #: symbolic-offset rule assumes each offset variable is >= 1)
     assumptions: list[str] = field(default_factory=list)

@@ -34,7 +34,11 @@ from repro.schedule.flowchart import Descriptor, Flowchart, LoopDescriptor, Node
 def merge_loops(flowchart: Flowchart, graph: DependencyGraph) -> Flowchart:
     """Return a new flowchart with adjacent compatible loops merged."""
     merged = _merge_list(flowchart.descriptors, graph)
-    return Flowchart(merged, windows=dict(flowchart.windows))
+    return Flowchart(
+        merged,
+        windows=dict(flowchart.windows),
+        window_refusals=dict(flowchart.window_refusals),
+    )
 
 
 def _merge_list(descs: list[Descriptor], graph: DependencyGraph) -> list[Descriptor]:

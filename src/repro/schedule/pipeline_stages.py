@@ -1,4 +1,4 @@
-"""Stage partitioning for DSWP-style pipeline execution.
+"""Recognition of DSWP-style pipeline groups — recognition only.
 
 The scheduler fuses every recurrence into one maximal strongly connected
 component, so a single ``DO`` loop's body is always one SCC — decoupling
@@ -12,28 +12,29 @@ DSWP decouples into stages over bounded hand-off queues.
 
 This module finds those runs and partitions them into stages:
 
-* a ``DO`` loop (cyclic SCC) becomes a **sequential** stage — one worker
-  advances it in iteration order, block by block;
-* a ``DOALL`` loop (acyclic SCC) becomes a **replicated** stage — blocks
-  are farmed to several workers once the upstream frontier passes them;
+* a ``DO`` loop (cyclic SCC) becomes a **sequential** stage;
+* a ``DOALL`` loop (acyclic SCC) becomes a **replicated** stage;
 * adjacent ``DOALL`` loops coalesce into one replicated stage when every
-  dependence between them is *identity* (row ``i`` reads only row ``i``),
-  so one block hand-off covers both.
+  dependence between them is *identity* (row ``i`` reads only row ``i``).
 
-A run is only usable when every loop is **stage-safe**: each nested
+A run is only recognised when every loop is **stage-safe**: each nested
 equation writes full-rank arrays whose subscripts use the run index in
-exactly one *bare* position (the array's carry position — the axis the
-hand-off frontier advances along), and every read of an array produced
-earlier in the run hits its carry position at ``index + delta`` with
-``delta <= 0`` (rows at or before the frontier). Anything else — forward
-references, index-free carry reads, windowed arrays, atomics, scalar
-targets — truncates the run before the offending loop; a run that keeps
-fewer than two stages is dropped. All-or-nothing, mirroring the native
-tier's degradation contract: no partition means the planner prices the
-loops exactly as before.
+exactly one *bare* position (the array's carry position — the axis a
+hand-off frontier would advance along), and every read of an array
+produced earlier in the run hits its carry position at ``index + delta``
+with ``delta <= 0``. Anything else — forward references, index-free carry
+reads, windowed arrays, atomics, scalar targets — truncates the run before
+the offending loop; a run that keeps fewer than two stages is dropped.
 
-Verdicts are precomputed for both window modes by ``annotate_flowchart``
-and cached on the flowchart, mirroring the chunk-safety precompute.
+Nothing executes these groups any more. The ``pipeline`` plan strategy
+that ran them as concurrent stages on the thread pool is retired: measured
+on two cores it ran at 0.78–0.95× of the compiled ``DO`` it replaced, so
+such a run now plans loop by loop — the recurrence as the compiled ``DO``,
+each consumer as an ordinary ``DOALL``. Nothing under ``src/`` imports this
+module. It stays only because the end-to-end benchmark's traced run counts
+:func:`pipeline_groups` as ``schedule.pipeline_groups``; it leaves with
+that counter. The groups are computed on first call and cached on the
+flowchart per window mode.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.ps.ast import Name, expr_equal
 from repro.ps.types import ArrayType
+from repro.schedule.fission import _depgraph, fission_splits
 from repro.schedule.flowchart import (
     Descriptor,
     Flowchart,
@@ -96,18 +98,6 @@ class _LoopFacts:
         default_factory=dict
     )
     labels: tuple[str, ...] = ()
-
-
-def _depgraph(analyzed):
-    """The module dependence graph, built lazily and cached — the scheduler
-    builds one transiently; stage analysis re-derives it once per module."""
-    g = getattr(analyzed, "_pipeline_depgraph", None)
-    if g is None:
-        from repro.graph.build import build_dependency_graph
-
-        g = build_dependency_graph(analyzed)
-        analyzed._pipeline_depgraph = g
-    return g
 
 
 def _loop_facts(
@@ -317,9 +307,9 @@ def pipeline_groups(
     """Every pipeline group in the flowchart, keyed by the path of the
     owning sibling list's container (``()`` for the top level, a loop path
     for a ``DO`` body). Only always-sequential contexts are scanned — the
-    top level and (recursively) the bodies of ``DO`` loops — because a
-    pipeline must never launch from inside a worker already running on the
-    pool. Cached on the flowchart per window mode."""
+    top level and (recursively) the bodies of ``DO`` loops, including the
+    replica runs of fission splits (marker containers ``loop_path + (-1,)``).
+    Cached on the flowchart per window mode."""
     memo = getattr(flowchart, "_pipeline_groups", None)
     if memo is None:
         memo = {}
@@ -327,13 +317,6 @@ def pipeline_groups(
     key = bool(use_windows)
     if key in memo:
         return memo[key]
-
-    # Fission replica runs are sibling lists too: the replicas of a split
-    # loop share one subrange, so a recurrence piece feeding a DOALL piece
-    # is exactly the DSWP shape. They live at marker containers
-    # ``loop_path + (-1,)`` (lazy import: fission also rides the
-    # dependence-graph machinery).
-    from repro.schedule.fission import fission_splits
 
     splits = fission_splits(analyzed, flowchart)
     found: dict[tuple[int, ...], list[PipelineGroup]] = {}
@@ -363,19 +346,3 @@ def pipeline_groups(
     memo[key] = found
     return found
 
-
-def group_starting_at(
-    analyzed,
-    flowchart: Flowchart,
-    container: tuple[int, ...],
-    offset: int,
-    use_windows: bool,
-) -> PipelineGroup | None:
-    """The group whose run starts at ``offset`` within the sibling list at
-    ``container``, if any."""
-    for group in pipeline_groups(analyzed, flowchart, use_windows).get(
-        container, []
-    ):
-        if group.start == offset:
-            return group
-    return None

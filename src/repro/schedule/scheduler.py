@@ -35,13 +35,14 @@ from repro.schedule.flowchart import (
     NodeDescriptor,
     annotate_flowchart,
 )
-from repro.schedule.virtual import check_virtual
+from repro.schedule.virtual import virtual_window
 
 
 @dataclass
 class _Context:
     graph: DependencyGraph
     windows: dict[str, dict[int, int]] = field(default_factory=dict)
+    window_refusals: dict[str, str] = field(default_factory=dict)
     #: the Myers & Gokhale [14] extension: accept "I - m" subscripts with a
     #: symbolic offset m as deletable backward references. The generated DO
     #: loop is only correct when m >= 1 at run time; the scheduler records
@@ -63,7 +64,9 @@ def schedule_module(
         graph = build_dependency_graph(analyzed)
     ctx = _Context(graph, symbolic_offsets=symbolic_offsets)
     descriptors = _schedule_graph(graph.full_view(), frozenset(), ctx)
-    flow = Flowchart(descriptors, windows=ctx.windows)
+    flow = Flowchart(
+        descriptors, windows=ctx.windows, window_refusals=ctx.window_refusals
+    )
     flow.assumptions = list(ctx.assumptions)
     annotate_flowchart(flow, analyzed)
     return flow
@@ -74,7 +77,9 @@ def schedule_graph_view(graph: DependencyGraph) -> Flowchart:
     hyperplane pipeline on transformed components)."""
     ctx = _Context(graph)
     descriptors = _schedule_graph(graph.full_view(), frozenset(), ctx)
-    return Flowchart(descriptors, windows=ctx.windows)
+    return Flowchart(
+        descriptors, windows=ctx.windows, window_refusals=ctx.window_refusals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +249,14 @@ def _schedule_dimension(
     windows: dict[str, tuple[int, int]] = {}
     for node in view.nodes():
         if node.is_data:
-            window = check_virtual(ctx.graph, node.id, d, view.node_ids)
+            window, refused = virtual_window(
+                ctx.graph, node.id, d, view.node_ids, scheduled
+            )
             if window is not None:
                 windows[node.id] = (d, window)
                 ctx.windows.setdefault(node.id, {})[d] = window
+            elif refused is not None:
+                ctx.window_refusals.setdefault(node.id, refused)
 
     # Steps 5-8: mark scheduled, create the descriptor, recurse, concatenate.
     body = _schedule_graph(view.without_edges(deleted), scheduled | {d}, ctx)

@@ -210,20 +210,40 @@ class TestMispredictionCorrected:
         assert second.backend == other
 
     @pytest.mark.usefixtures("pinned_host")
-    def test_compare_plans_records_and_compile_result_replans(self):
-        """End to end: compare_plans feeds the CompileResult's store, the
-        plan cache keys on the store version, and the next auto plan picks
-        the measured-best backend for these sizes."""
+    def test_compare_plans_records_and_compile_result_replans(self, monkeypatch):
+        """End to end with a doctored stopwatch: every candidate still runs
+        through compare_plans, but the seconds it records say the backend
+        auto did *not* pick is 50 000x faster — far outside any tie — so the
+        outcome is structural, never a race between two real timings. The
+        records land in the CompileResult's store, the plan cache keys on
+        the store version, and the next auto plan follows the store."""
+        import repro.machine.report as report
+        import repro.runtime.executor as executor
+
         result, args = self._workload()
         options = ExecutionOptions(backend="auto", workers=2)
         stale = result.plan(args, execution=options)
-        cmp = result.calibrate(
-            args, execution=options, workers=2, repeats=1
-        )
+        fast = "serial" if stale.backend != "serial" else "vectorized"
+        ran = []
+        execute = executor.execute_module
+
+        def recording(analyzed, run_args, **kwargs):
+            ran.append(kwargs["options"].backend)
+            return execute(analyzed, run_args, **kwargs)
+
+        def doctored(fn, repeats):
+            fn()
+            return 0.0001 if ran[-1] == fast else 5.0
+
+        monkeypatch.setattr(executor, "execute_module", recording)
+        monkeypatch.setattr(report, "_best_of", doctored)
+        cmp = result.calibrate(args, execution=options, workers=2)
+        assert sorted(ran) == sorted(row["backend"] for row in cmp.rows)
+        assert cmp.best_backend == fast
         assert result._calibration.version >= len(cmp.rows)
         recalibrated = result.plan(args, execution=options)
         assert recalibrated is not stale  # version key invalidated the cache
-        assert recalibrated.backend == cmp.best_backend
+        assert recalibrated.backend == fast
 
     @pytest.mark.usefixtures("pinned_host")
     def test_compare_plans_standalone_store(self):

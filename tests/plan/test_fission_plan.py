@@ -1,6 +1,11 @@
 """Planner integration of fission: golden plan texts, merit competition
 against the unfissioned plan, provenance (taken and rejected), the
-``--no-fission`` escape hatch, and forced-strategy validation."""
+``--no-fission`` escape hatch, and forced-strategy validation.
+
+Fission wins on merit where it isolates a module call the kernel tier
+cannot compile (the ``Sweep`` nest of ``examples/fission_demo.py``); over
+the pure recurrences of ``Mixed`` it never does — three compiled passes
+over memory cost more than one compiled ``DO``."""
 
 import pytest
 
@@ -54,33 +59,49 @@ DO I -> fission x3; trip 64; forced dependence split
     DO I -> nest; trip 64; compiled in order
         eq.6 [kernel=nest]"""
 
-#: trips the merit tests walk to find where the model's prices cross
-TRIP_LADDER = (64, 20_000, 200_000, 2_000_000, 20_000_000, 200_000_000)
+#: a module-call recurrence merged with three clean ones: unsplit, the call
+#: poisons the whole nest onto the walk
+SWEEP_PROGRAM = """\
+Damp: module (v: int): [w: int];
+define
+    w = v * 3 + 1;
+end Damp;
+
+Sweep: module (X: array[1 .. n] of int; n: int):
+       [T: array[0 .. n] of int; S: array[0 .. n] of int;
+        M: array[0 .. n] of int; Q: array[0 .. n] of int];
+type
+    I = 1 .. n;
+define
+    T[0] = 0;
+    S[0] = 0;
+    M[0] = X[1];
+    Q[0] = 0;
+    T[I] = T[I-1] + Damp(X[I]);
+    S[I] = S[I-1] + (X[I] * X[I] - 3 * X[I] + 7);
+    M[I] = max(M[I-1], X[I] * X[I] - 4 * X[I]);
+    Q[I] = Q[I-1] + (X[I] - 2) * (X[I] + 2);
+end Sweep;
+"""
+
+#: trips and worker counts the merit tests sweep
+TRIPS = (64, 20_000, 2_000_000, 200_000_000)
+WORKERS = (1, 2, 4, 8)
 
 
-def _merit_plan(n, workers=4):
-    analyzed, chart = _mixed()
+def _merit_plan(analyzed, chart, n, workers=4, **options):
     plan = build_plan(
         analyzed, chart,
-        ExecutionOptions(backend="threaded", workers=workers),
+        ExecutionOptions(backend="threaded", workers=workers, **options),
         {"n": n}, cpu_count=workers,
     )
-    (note,) = plan.provenance["fission_loops"]
-    return plan, note
+    notes = plan.provenance["fission_loops"]
+    return plan, (notes[0] if notes else None)
 
 
-def _fission_crossover(workers=4):
-    """(last trip of the ladder where the unfissioned plan is priced
-    cheaper, first trip where the split is): the two sides of the
-    crossover, found from the model rather than pinned."""
-    below = None
-    for n in TRIP_LADDER:
-        _plan, note = _merit_plan(n, workers)
-        if note["fission_cycles"] < note["unfissioned_cycles"]:
-            assert below is not None, "fission wins even at the shortest trip"
-            return below, n
-        below = n
-    raise AssertionError("fission never beats the compiled DO on the ladder")
+def _sweep():
+    analyzed = analyze_program(parse_program(SWEEP_PROGRAM))["Sweep"]
+    return analyzed, _merged(analyzed)
 
 
 class TestGoldenFissionPlans:
@@ -94,74 +115,43 @@ class TestGoldenFissionPlans:
         )
         assert plan.pretty() == GOLDEN_FORCED
 
-    def test_merit_fission_with_pipelined_replicas(self):
-        # Past the trip where three decoupled passes are priced below one
-        # compiled DO the split wins on price alone, and the replica run
-        # decouples into a three-stage pipeline — the transforms compose:
-        # fission exposes the siblings, pipeline decouples them. Below it
-        # the loop stays one compiled nest.
-        below, above = _fission_crossover()
-        plan, _note = _merit_plan(below)
-        assert plan.strategies() == [("I", "nest")]
-        plan, _note = _merit_plan(above)
-        assert plan.strategies() == [
-            ("I", "fission"), ("I", "pipeline"), ("I", "pipeline"),
-            ("I", "pipeline"),
-        ]
-        root = plan.loops[(3,)]
-        assert root.annotation() == f"fission x3; trip {above}; dependence split"
-        head = plan.loops[(3, -1, 0)]
-        assert [s.labels for s in head.stages] == [
-            ("eq.4",), ("eq.5",), ("eq.6",),
-        ]
-        assert head.stages[0].kind == head.stages[1].kind == "sequential"
-        assert head.reason == "decoupled sibling run"
-        assert {plan.equations[f"eq.{k}"].kernel for k in (4, 5, 6)} == {"native"}
-
 
 class TestFissionDecision:
-    def test_merit_provenance_fields(self):
-        below, above = _fission_crossover()
-        plan, note = _merit_plan(above)
+    @pytest.mark.parametrize("workers", WORKERS, ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize("n", TRIPS, ids=lambda n: f"n{n}")
+    def test_isolating_a_module_call_wins_on_merit(self, n, workers):
+        analyzed, chart = _sweep()
+        plan, note = _merit_plan(analyzed, chart, n, workers)
         assert note["chosen"] and note["why"] == "split pieces are cheaper"
-        assert note["parts"] == 3
-        assert note["pieces"] == ["DO(eq.4)", "DO(eq.5)", "DO(eq.6)"]
+        assert note["parts"] == 4
+        assert note["pieces"] == [
+            "DO(eq.5)", "DO(eq.6)", "DO(eq.7)", "DO(eq.8)",
+        ]
         assert note["fission_cycles"] < note["unfissioned_cycles"]
+        assert plan.strategies() == [
+            ("I", "fission"), ("I", "serial"),
+            ("I", "nest"), ("I", "nest"), ("I", "nest"),
+        ]
         assert "fission @" in plan.explain()
-        # and on the other side of the crossover the note says who won
-        plan, note = _merit_plan(below)
+
+    @pytest.mark.parametrize("workers", WORKERS, ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize("n", TRIPS, ids=lambda n: f"n{n}")
+    def test_pure_recurrences_stay_one_compiled_do(self, n, workers):
+        analyzed, chart = _mixed()
+        plan, note = _merit_plan(analyzed, chart, n, workers)
+        assert ("I", "fission") not in plan.strategies()
         assert not note["chosen"]
         assert note["fission_cycles"] >= note["unfissioned_cycles"]
-        assert note["why"].startswith("unfissioned plan is cheaper")
-
-    def test_short_trip_keeps_the_unfissioned_plan(self):
-        # At trip 64 the split's replica loops only add overhead: auto
-        # pricing must reject it and say why.
-        analyzed, chart = _mixed()
-        plan = build_plan(
-            analyzed, chart,
-            ExecutionOptions(backend="threaded", workers=4),
-            {"n": 64}, cpu_count=4,
-        )
-        assert "fission" not in [s for _, s in plan.strategies()]
-        (note,) = plan.provenance["fission_loops"]
-        assert not note["chosen"]
         assert note["why"] == (
             "unfissioned plan is cheaper: 3 passes over memory > one "
             "compiled DO"
         )
 
     def test_no_fission_escape_hatch(self):
-        analyzed, chart = _mixed()
-        _below, above = _fission_crossover()  # where the split would win
-        plan = build_plan(
-            analyzed, chart,
-            ExecutionOptions(backend="threaded", workers=4,
-                             use_fission=False),
-            {"n": above}, cpu_count=4,
-        )
+        analyzed, chart = _sweep()  # where the split wins on merit
+        plan, note = _merit_plan(analyzed, chart, 12000, use_fission=False)
         assert "fission" not in [s for _, s in plan.strategies()]
-        assert not plan.provenance.get("fission_loops")
+        assert note is None
 
     def test_soft_force_degrades_on_unsplittable_loops(self):
         # The coupled recurrence is one dependence group: a soft

@@ -14,10 +14,27 @@ import pytest
 
 from repro.plan.ir import PlanError
 from repro.plan.planner import forced_plan, valid_strategies
+from repro.ps.parser import parse_module
+from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.flowchart import LoopDescriptor
+from repro.schedule.scheduler import schedule_module
 
 from tests.plan.conftest import WORKLOADS
+
+#: each row a running sum, only the last row's last element escapes: the
+#: rows are a DOALL, and window mode keeps one row
+ROWS_SOURCE = """\
+Rows: module (X: array[0 .. n, 0 .. n] of int; n: int): [y: int];
+type
+    I = 0 .. n; J = 0 .. n;
+var
+    A: array [0 .. n, 0 .. n] of int;
+define
+    A[I, J] = if J = 0 then X[I, 0] else A[I, J-1] + X[I, J];
+    y = A[n, n];
+end Rows;
+"""
 
 # every test here runs the reference evaluator through the runtime
 pytestmark = pytest.mark.usefixtures("pinned_host")
@@ -75,9 +92,12 @@ class TestForcedPlansStayExact:
             )
 
     def test_forced_chunk_on_unsafe_loop_raises(self):
-        """dp's init DOALLs write windowed planes indexed by the loop —
-        chunking them under windows is rejected, not silently planned."""
-        name, analyzed, flow, args, result = WORKLOADS[3]
+        """A DOALL over a windowed dimension writes every row into one
+        plane — chunking it under windows is rejected, not silently
+        planned."""
+        analyzed = analyze_module(parse_module(ROWS_SOURCE))
+        flow = schedule_module(analyzed)
+        assert flow.window_of("A") == {0: 1, 1: 2}
         options = ExecutionOptions(backend="threaded", use_windows=True)
         unsafe = None
         for desc in flow.loops():
@@ -86,7 +106,7 @@ class TestForcedPlansStayExact:
             ):
                 unsafe = desc
                 break
-        assert unsafe is not None, "expected a chunk-unsafe DOALL in dp"
+        assert unsafe is not None, "expected a chunk-unsafe DOALL"
         with pytest.raises(PlanError, match="not chunk-safe"):
             forced_plan(
                 analyzed, flow, "threaded", options,

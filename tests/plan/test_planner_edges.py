@@ -1,7 +1,7 @@
 """Planner edge cases surfaced by review: GIL-aware process selection,
 in-process callee plans, plan re-binding, auto always being measurable,
 recognised recurrences planning as the compiled ``DO`` at every size, and
-the retired ``scan`` strategy refused by name."""
+the retired ``pipeline`` and ``scan`` strategies refused by name."""
 
 import re
 
@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core.paper import jacobi_analyzed
-from repro.core.recurrences import ilinrec_analyzed, isum_analyzed, runmax_analyzed
+from repro.core.recurrences import (
+    ilinrec_analyzed,
+    isum_analyzed,
+    runmax_analyzed,
+    scan_analyzed,
+)
 from repro.errors import ExecutionError
 from repro.plan.ir import STRATEGIES, VALID_STRATEGIES, PlanError
 from repro.plan.planner import build_plan, forced_plan
@@ -200,17 +205,21 @@ def _forced_override(analyzed, flow, name):
 
 
 class TestRetiredStrategy:
+    @pytest.mark.parametrize("name", ["pipeline", "scan"])
     @pytest.mark.parametrize("plan_with, error", [
         (_build_with_strategy, ExecutionError),
         (_forced_default, PlanError),
         (_forced_override, PlanError),
     ], ids=["build_plan", "forced_plan-default", "forced_plan-override"])
-    def test_scan_is_refused_naming_the_survivors(self, plan_with, error):
-        assert len(VALID_STRATEGIES) == 8
-        # the count vocabulary keeps the retired name, always counted 0
-        assert STRATEGIES == (*VALID_STRATEGIES, "scan")
-        analyzed = isum_analyzed()
+    def test_retired_names_are_refused_naming_the_survivors(
+        self, plan_with, error, name
+    ):
+        assert len(VALID_STRATEGIES) == 7
+        # the count vocabulary keeps the retired names, always counted 0
+        assert STRATEGIES == (*VALID_STRATEGIES, "pipeline", "scan")
+        # a recurrence feeding a consumer: the shape pipeline decoupled
+        analyzed = scan_analyzed()
         flow = schedule_module(analyzed)
         survivors = re.escape(", ".join(VALID_STRATEGIES))
-        with pytest.raises(error, match=f"'scan'; available: {survivors}$"):
-            plan_with(analyzed, flow, "scan")
+        with pytest.raises(error, match=f"'{name}'; available: {survivors}$"):
+            plan_with(analyzed, flow, name)

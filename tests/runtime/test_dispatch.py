@@ -42,14 +42,14 @@ POOL_BACKENDS = ["threaded", "process"]
 #: the chunk kind each DOALL strategy hands to ``dispatch``
 KIND_OF = {"chunk": "span", "collapse": "flat"}
 #: the two-dimensional paper workloads, where both strategies apply once
-#: the local arrays are windowed (no loop of ``dp`` chunks then, and
-#: ``paths_int`` writes ``W[I, 0]`` for every ``I`` before its ``DO I``
-#: reads them through a two-plane window, which the tags report whatever
-#: the backend)
+#: the local arrays are windowed, plus ``paths_int``: it writes ``W[I, 0]``
+#: for every ``I`` before its ``DO I``, so ``W`` plans unwindowed and its
+#: boundary sweep chunks (no loop of ``dp`` chunks in window mode)
 WINDOW_DEBUG_CASES = [
     ("jacobi", "chunk"), ("jacobi", "collapse"),
     ("gauss_seidel", "chunk"), ("gauss_seidel", "collapse"),
     ("hyperplane_gs", "chunk"), ("hyperplane_gs", "collapse"),
+    ("paths_int", "chunk"),
 ]
 WORKLOAD_BY_NAME = {w[0]: w for w in WORKLOADS}
 
@@ -222,6 +222,8 @@ class TestWindowDebugParity:
         _needs(backend_name)
         name, strategy = case
         _, analyzed, flow, args, out = WORKLOAD_BY_NAME[name]
+        if name == "paths_int":
+            assert not flow.window_of("W") and "W" in flow.window_refusals
         options = ExecutionOptions(
             backend=backend_name, workers=3,
             use_windows=True, debug_windows=True,

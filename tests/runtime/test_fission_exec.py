@@ -52,8 +52,7 @@ class TestFissionParity:
     )
     def test_forced_fission_bit_exact(self, backend, use_windows, debug_windows):
         # win-debug arms the fault-on-overwrite tags: each fissioned piece
-        # stamps and checks them wherever it runs (on threaded the pieces
-        # are pipelined on the pool).
+        # stamps and checks them wherever it runs.
         if not _backend_available(backend):
             pytest.skip("fork unavailable")
         analyzed = mixed_analyzed()
@@ -196,32 +195,23 @@ class TestFissionProperty:
 
 class _ExplodingBackend(ThreadedBackend):
     """Raises inside the middle fissioned piece (the eq.5 replica)
-    mid-run, exactly once — as a pipeline stage or on the walk, whichever
-    that replica planned — and records which hook it raised from."""
+    mid-run, exactly once — from the compiled ``DO`` that replica plans
+    as, after the eq.4 replica has run — and records what ran."""
 
     name = "threaded"
 
     def __init__(self, workers=None):
         super().__init__(workers)
         self.armed = True
-        self.exploded_in = None
+        self.ran = []
 
-    def _explode(self, desc, hook):
-        if self.armed and desc.body and (
-            getattr(desc.body[0], "label", "") == "eq.5"
-        ):
+    def exec_nest_kernel(self, state, desc, lo, hi, env):
+        label = desc.body[0].label
+        self.ran.append(label)
+        if self.armed and label == "eq.5":
             self.armed = False
-            self.exploded_in = hook
             raise RuntimeError("fission piece exploded mid-run")
-
-    def exec_seq_block(self, state, desc, lo, hi, env):
-        if lo > 1:
-            self._explode(desc, "exec_seq_block")
-        super().exec_seq_block(state, desc, lo, hi, env)
-
-    def exec_sequential_loop(self, state, desc, lo, hi, env, vector_names):
-        self._explode(desc, "exec_sequential_loop")
-        super().exec_sequential_loop(state, desc, lo, hi, env, vector_names)
+        return super().exec_nest_kernel(state, desc, lo, hi, env)
 
 
 class TestFissionPoison:
@@ -229,7 +219,7 @@ class TestFissionPoison:
         # A failure inside one replica loop of a fissioned plan must
         # unwind with the original exception and leave the same backend
         # instance (and its pools) able to run the next execution
-        # bit-exact — the pipeline poison protocol covers replica groups.
+        # bit-exact.
         analyzed = mixed_analyzed()
         chart = _merged(analyzed)
         args = mixed_args(n=2000)
@@ -244,9 +234,9 @@ class TestFissionPoison:
                     analyzed, args, flowchart=chart, options=opts,
                     backend=backend,
                 )
-            # the three replicas plan as one pipeline group of sequential
-            # stages: eq.5 fails mid-range, inside its stage's second block
-            assert backend.exploded_in == "exec_seq_block"
+            # each replica plans as its own compiled DO: eq.4's ran, eq.5's
+            # raised, eq.6's never started
+            assert backend.ran == ["eq.4", "eq.5"]
             res = execute_module(
                 analyzed, args, flowchart=chart, options=opts,
                 backend=backend,

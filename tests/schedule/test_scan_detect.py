@@ -51,7 +51,7 @@ class TestPositives:
         assert info.a_expr is not None
 
     def test_float_linrec_with_constant_coefficient(self):
-        # The pipeline corpus' scan workload: S[I] = S[I-1] * a + X[I].
+        # The recurrence corpus' scan workload: S[I] = S[I-1] * a + X[I].
         analyzed = scan_analyzed()
         flow = schedule_module(analyzed)
         (info,) = scan_loops(analyzed, flow, False).values()

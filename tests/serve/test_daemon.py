@@ -157,6 +157,19 @@ class TestStructuredErrors:
             assert "valid fields" in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
+    @pytest.mark.parametrize("name", ["pipeline", "scan"])
+    def test_retired_strategy_is_a_structured_error(self, served, name):
+        daemon, _ = served
+        with connect(daemon) as client:
+            with pytest.raises(ClientError) as exc:
+                client.run(
+                    "Relaxation", {**SIZES, "InitialA": make_input(0)},
+                    strategy=name,
+                )
+            assert exc.value.kind == "ExecutionError"
+            assert f"unknown strategy {name!r}; available: " in str(exc.value)
+            assert client.ping() == "pong"  # connection survives
+
     @pytest.mark.parametrize("name", RETIRED_BACKENDS)
     def test_retired_backend_is_a_structured_error(self, served, name):
         daemon, _ = served

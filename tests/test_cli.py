@@ -215,15 +215,20 @@ class TestRun:
         ["serve", "--allow-reassoc"],
         ["plan", "--strategy", "scan"],
         ["run", "--strategy", "scan"],
-    ], ids=["plan-option", "run-option", "serve-option", "plan-scan", "run-scan"])
+        ["plan", "--strategy", "pipeline"],
+        ["run", "--strategy", "pipeline"],
+    ], ids=[
+        "plan-option", "run-option", "serve-option", "plan-scan", "run-scan",
+        "plan-pipeline", "run-pipeline",
+    ])
     def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
         command, *flags = argv
         with pytest.raises(SystemExit) as exc:
             main([command, jacobi_file, *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        if "scan" in flags:
-            assert "invalid choice: 'scan'" in err
+        if flags[0] == "--strategy":
+            assert f"invalid choice: '{flags[1]}'" in err
         else:
             assert "unrecognized arguments: " + flags[0] in err
 
