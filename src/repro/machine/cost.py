@@ -16,7 +16,9 @@ interpreter overheads from ``BENCH_kernels.json``;
 ``MachineModel.from_native_bench`` re-derives the two compiled per-element
 factors — ``native_element_factor`` and ``vector_element_factor``, whose
 *ratio* is what ``auto`` decides a C nest against a NumPy span on — from
-one row of ``BENCH_native.json``, so that ratio is a measurement.
+one row of ``BENCH_native.json``, so that ratio is a measurement, and the
+two costs of a team kernel (``team_fork``, ``team_barrier``) from its team
+rows.
 """
 
 from __future__ import annotations
@@ -104,6 +106,14 @@ class MachineModel:
     process_dispatch: float = 40000.0
     #: one-time cost of forking the persistent process pool
     process_spinup: float = 120000.0
+    #: entering one OpenMP parallel region of a team kernel (waking the
+    #: pool's threads), once per native call — fitted with ``team_barrier``
+    #: from the team rows of BENCH_native.json (≈ 12 µs and 0.6 µs on a
+    #: 2-core VM)
+    team_fork: float = 440.0
+    #: one barrier of a team kernel: the join at the end of each body unit
+    #: (a ``DOALL`` shared among the team, or one thread's ``single``)
+    team_barrier: float = 21.0
 
     def with_processors(self, p: int) -> MachineModel:
         return replace(self, processors=p)
@@ -204,7 +214,15 @@ class MachineModel:
         sweep). The residual over the compute term, divided by that count,
         is the measured per-dispatch cost — clamped positive, and left
         untouched when the residual is noise (measured <= modelled
-        compute)."""
+        compute).
+
+        **Team** rows time the compiled ``DO K`` on one thread
+        (``native_seconds``) and on a team of ``workers`` threads
+        (``team_seconds``) at two ``maxk`` of one grid. Across them, one
+        more sweep costs one thread's sweep divided among the team plus
+        one barrier — the slope difference is ``team_barrier`` — and what
+        the team adds to a call with no sweep at all — the intercept
+        difference — is ``team_fork``. Each is kept only when positive."""
         from repro.core.paper import jacobi_analyzed
 
         base = base or cls()
@@ -230,6 +248,10 @@ class MachineModel:
                 model, vector_element_factor=factor(row["span_seconds"])
             )
 
+        # seconds per cycle, anchored on the serial nest row
+        cycle = row["nest_seconds"] / (
+            (row.get("maxk", 8) + 1) * (row["grid"] + 2) ** 2 * nest_per_element
+        )
         threaded = [
             r
             for r in bench.get("rows", [])
@@ -241,12 +263,6 @@ class MachineModel:
             maxk = trow.get("maxk", 8)
             workers = max(1, int(trow["workers"]))
             elements = (maxk + 1) * (trow["grid"] + 2) ** 2
-            # seconds per cycle, anchored on the serial nest row
-            cycle = row["nest_seconds"] / (
-                (row.get("maxk", 8) + 1)
-                * (row["grid"] + 2) ** 2
-                * nest_per_element
-            )
             compute_cycles = (
                 elements * eqc * model.native_element_factor / workers
             )
@@ -256,6 +272,34 @@ class MachineModel:
                 model = replace(
                     model, chunk_dispatch=max(1.0, residual / dispatches)
                 )
+
+        team = [
+            r
+            for r in bench.get("rows", [])
+            if r["workload"] == "jacobi" and r["backend"] == "team"
+            and r.get("native_seconds") and r.get("team_seconds")
+        ]
+        grid = min(
+            (g for g in {r["grid"] for r in team}
+             if len({r["maxk"] for r in team if r["grid"] == g}) > 1),
+            default=None,
+        )
+        if grid is not None:
+            at = sorted((r for r in team if r["grid"] == grid),
+                        key=lambda r: r["maxk"])
+            lo, hi = at[0], at[-1]
+            workers = max(1, int(hi["workers"]))
+            sweeps = hi["maxk"] - lo["maxk"]
+            one = (hi["native_seconds"] - lo["native_seconds"]) / sweeps
+            many = (hi["team_seconds"] - lo["team_seconds"]) / sweeps
+            barrier = many - one / workers
+            fork = (lo["team_seconds"] - lo["maxk"] * many) - (
+                lo["native_seconds"] - lo["maxk"] * one
+            )
+            if barrier > 0:
+                model = replace(model, team_barrier=barrier / cycle)
+            if fork > 0:
+                model = replace(model, team_fork=fork / cycle)
         return model
 
 

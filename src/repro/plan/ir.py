@@ -24,6 +24,10 @@ Loop strategies
     lowers is a real compiled loop (the paper's §3.4 ``DO``), not a walk.
     ``LoopPlan.dialect`` says which text of the kernel runs — C
     (``"native"``) or the exec-compiled Python dialect (``"python"``).
+    ``LoopPlan.team`` (``team xN``) says a ``DO`` over ``DOALL`` s runs as
+    one C call on a team of ``N`` OpenMP threads (the kernel shape
+    ``"team"``): every thread walks the ``DO``, each ``DOALL`` is divided
+    among them, and a barrier ends every body unit.
 ``vector``
     The subrange executes as one NumPy span (nested DOALLs broadcast).
 ``chunk``
@@ -143,11 +147,16 @@ class LoopPlan:
     #: ``"python"`` — the exec-compiled kernels only; no compiler is
     #: started for this loop. ``None``: the loop dispatches no kernel.
     dialect: str | None = None
+    #: how many threads the loop's C kernel runs on (a ``nest`` over a
+    #: ``DO`` that holds ``DOALL`` s); ``None``: the caller's thread alone
+    team: int | None = None
 
     def kernel_shape(self) -> str | None:
         """The nest shape (:mod:`repro.runtime.kernels.nest`) the loop's
         strategy dispatches its kernel in, None for strategies that
         dispatch none. Meaningful on a loop that carries a ``dialect``."""
+        if self.team:
+            return "team"
         return {"nest": "full", "collapse": "flat", "chunk": "span"}.get(
             self.strategy
         )
@@ -167,6 +176,8 @@ class LoopPlan:
             bits.append(f"trip {self.trip}")
         if self.reason:
             bits.append(self.reason)
+        if self.team:
+            bits.append(f"team x{self.team}")
         return "; ".join(bits)
 
 
@@ -388,9 +399,12 @@ class ExecutionPlan:
             lines.append(row)
         for note in p.get("do_loops", []):
             if note["strategy"] == "nest":
+                dialect = note["dialect"]
+                if note.get("team"):
+                    dialect += f", team x{note['team']}"
                 row = (
                     f"  DO {note['loop_index']} @{note['index']}: compiled "
-                    f"nest [{note['dialect']}], trip {note['trip']}: "
+                    f"nest [{dialect}], trip {note['trip']}: "
                     f"predicted ~{note['cycles']:.0f} vs "
                     f"~{note['walk_cycles']:.0f} cycles on the walk"
                 )
@@ -402,6 +416,8 @@ class ExecutionPlan:
                 )
             if note.get("why"):
                 row += f" ({note['why']})"
+            if note.get("team_note"):
+                row += f"; {note['team_note']}"
             lines.append(row)
         for note in p.get("native_nests", []):
             checks, proven = note["checks"], note["proven"]

@@ -13,7 +13,8 @@ entry, exactly once per (module, options, scalar bindings):
   (C when the walk it replaces costs more than a compiler run, the
   exec-compiled Python dialect below that), as a fission split when that
   beats the compiled loop at the plan's worker count, or on the reference
-  walk when its nest does not lower;
+  walk when its nest does not lower — and, for a ``DO`` over ``DOALL`` s
+  on a host with OpenMP, whether its C kernel runs on a team of threads;
 * where the workers go in a nest — a DOALL whose trip count is below the
   worker count hands the team to a chunk-safe inner DOALL instead of
   leaving workers idle (``iterate`` + inner ``chunk``);
@@ -49,7 +50,7 @@ from repro.plan.strategy import NEST
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
 from repro.runtime.kernels.emit import equation_affine_fast_path
-from repro.runtime.kernels.native import native_emittable, native_specs
+from repro.runtime.kernels.native import native_refusal, native_specs
 from repro.runtime.kernels.nest import (
     kernelizable,
     kernelizable_reason,
@@ -426,8 +427,9 @@ class _Planner:
         self._choices: dict[int, tuple] = {}
         #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
         self._do_choices: dict[int, tuple] = {}
-        #: (id(desc), variant) -> machine-independent native emittability
-        self._native: dict[tuple[int, str], bool] = {}
+        #: (id(desc), variant) -> why the nest does not lower to C in that
+        #: shape (None: it does) — machine-independent
+        self._native: dict[tuple[int, str], str | None] = {}
         #: True while emitting the body of a natively executing nest
         self._native_root = False
         #: :meth:`native_notes`, once the plan is complete
@@ -471,17 +473,20 @@ class _Planner:
         nest lowers to bit-exact C. Deliberately machine-independent (no
         compiler probe) so plans — and the golden texts pinning them — are
         identical everywhere; a compiler-less machine degrades to the NumPy
-        kernels at run time."""
+        kernels at run time. (A team is the one exception: it is offered
+        only where ``openmp_supported()`` — see ``NestStrategy``.)"""
+        return self._native_why(desc, variant) is None
+
+    def _native_why(self, desc: LoopDescriptor, variant: str) -> str | None:
+        """Why :meth:`_native_ok` says no — None when it says yes."""
         if self.tier != "native" or not self.use_kernels:
-            return False
+            return "the native tier is off"
         key = (id(desc), variant)
-        ok = self._native.get(key)
-        if ok is None:
-            ok = native_emittable(
+        if key not in self._native:
+            self._native[key] = native_refusal(
                 desc, self.analyzed, self.flowchart, self.use_windows, variant
             )
-            self._native[key] = ok
-        return ok
+        return self._native[key]
 
     def _flat_trips(self, desc: LoopDescriptor) -> tuple[int, int | None]:
         """(estimated, exact-or-None) flattened trip count of the collapse
@@ -1189,6 +1194,8 @@ class _Planner:
                 "index": str(path), "loop_index": desc.index,
                 "strategy": strategy, "trip": te,
                 "dialect": priced.dialect if priced else None,
+                "team": priced.team if priced else None,
+                "team_note": priced.note if priced else "",
                 "cycles": cost,
                 "walk_cycles": self._cost_serial_root(desc),
                 "why": why,

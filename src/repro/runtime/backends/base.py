@@ -47,7 +47,7 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule, AnalyzedProgram
 from repro.ps.symbols import SymbolKind
 from repro.ps.types import ArrayType
 from repro.runtime.evaluator import Evaluator
-from repro.runtime.kernels.native import RangeUnproven
+from repro.runtime.kernels.native import RangeUnproven, team_width
 from repro.runtime.values import (
     BufferStore,
     RuntimeArray,
@@ -159,8 +159,9 @@ def chunk_safe(state: ExecutionState, desc: LoopDescriptor) -> bool:
 
 
 #: what :attr:`ExecutionBackend.counters` counts
-STORAGE_COUNTERS = (
+RUN_COUNTERS = (
     "arg_bytes_borrowed", "arg_bytes_converted", "arrays_uninitialised", "arrays_zeroed",
+    "team_calls", "team_capped",
 )
 
 
@@ -185,8 +186,9 @@ class ExecutionBackend:
         #: execute themselves; the rest are still dispatched by the walk
         self.strategies = LOOP_STRATEGIES
         #: argument bytes borrowed / copied on import, target arrays left
-        #: uninitialised / zero-filled, over every run of this instance
-        self.counters = dict.fromkeys(STORAGE_COUNTERS, 0)
+        #: uninitialised / zero-filled, team kernel calls and those of them
+        #: run narrower than planned, over every run of this instance
+        self.counters = dict.fromkeys(RUN_COUNTERS, 0)
         self._counters_lock = threading.Lock()
         #: where the big arrays of a plan's second and later runs come from
         #: (None: storage is shared memory, a new segment every run)
@@ -402,17 +404,20 @@ class ExecutionBackend:
     def _run_kernel(
         self, state: ExecutionState, kernel, env: dict[str, Any],
         lo: int | None = None, hi: int | None = None,
-        label: str | None = None,
+        label: str | None = None, width: int | None = None,
     ) -> None:
         """The one kernel call site. A loop kernel runs ``[lo, hi]`` and
-        returns ``{label: count}``; a per-equation kernel (``label`` given)
+        returns ``{label: count}`` (a team kernel on ``width`` threads); a
+        per-equation kernel (``label`` given)
         takes no range and returns the count of its one equation. Either
         way the counts are booked here, and a missing data/env binding
-        inside the kernel is the evaluator's "unbound name" error. (Two
-        plain calls, not one ``*range`` call: this runs per element on the
+        inside the kernel is the evaluator's "unbound name" error. (Plain
+        calls, not one ``*range`` call: this runs per element on the
         scalar walk, where the unpacking call measured ~5% of the run.)"""
         try:
-            if label is None:
+            if width is not None:
+                counts = kernel(state.data, env, lo, hi, width)
+            elif label is None:
                 counts = kernel(state.data, env, lo, hi)
             else:
                 counts = kernel(state.data, env)
@@ -432,7 +437,10 @@ class ExecutionBackend:
         when there is none and the caller must walk the range itself. The
         loop's plan says which dialect it was priced on: a ``"python"``
         loop starts no native build (it runs a native kernel only if one
-        is already loaded)."""
+        is already loaded). A ``"team"`` kernel runs as wide as the plan
+        says, narrowed by :func:`~repro.runtime.kernels.native.team_width`
+        (a server's cap, a forked process) — the one place a width is
+        decided, and counted."""
         if state.kernels is None:
             return False
         plan = state.plan_of(desc, self.name)
@@ -443,8 +451,14 @@ class ExecutionBackend:
         )
         if kernel is None:
             return False
+        width = None
+        if getattr(kernel, "__team__", False):
+            width = team_width(plan.team)
+            self.count("team_calls")
+            if width < plan.team:
+                self.count("team_capped")
         try:
-            self._run_kernel(state, kernel, env, lo, hi)
+            self._run_kernel(state, kernel, env, lo, hi, width=width)
         except RangeUnproven:
             self._rerun_checked(state, desc, shape, env, lo, hi)
         return True
@@ -457,14 +471,15 @@ class ExecutionBackend:
         and this call — this chunk, not its siblings — runs again on code
         that checks every subscript per element. The proof is exact, so
         this is where the evaluator's out-of-range error is raised, in
-        iteration order. ``"full"`` degrades to its Python dialect (scalar
-        loops, range-checked); ``"span"`` and ``"flat"`` go to the strictly
+        iteration order. ``"full"`` and ``"team"`` (whose proof returned
+        before its region) degrade to the Python dialect (scalar loops,
+        range-checked); ``"span"`` and ``"flat"`` go to the strictly
         serial walk, because their NumPy tiers are vector rows, which clip
         a stray subscript instead of raising."""
         if shape == "flat":
             self.exec_flat_walk(state, desc, lo, hi, env)
             return
-        if shape == "full":
+        if shape in ("full", "team"):
             kernel = state.kernels.nest_kernel_for(
                 desc, state.options.use_windows, variant="full", tier="numpy"
             )
@@ -486,11 +501,13 @@ class ExecutionBackend:
         env: dict[str, Any],
     ) -> bool:
         """Run the root subrange ``[lo, hi]`` of the whole nest as one
-        compiled kernel, in iteration order; False when no kernel is
-        available (the caller falls back to the scalar walk)."""
+        compiled kernel, in iteration order — on a team of threads when
+        the plan gave it one; False when no kernel is available (the caller
+        falls back to the scalar walk)."""
         for eq in desc.nested_equations():
             self.ensure_targets(state, eq)
-        return self._run_loop_kernel(state, desc, "full", env, lo, hi)
+        shape = state.plan_of(desc, self.name).kernel_shape()
+        return self._run_loop_kernel(state, desc, shape, env, lo, hi)
 
     def exec_chunked_loop(
         self,

@@ -16,6 +16,9 @@ subrange ``[lo, hi]``, or a flat range of the collapsed DOALL chain),
 * ``"flat"`` — flat range x whole body: one chunk of a collapsed nest;
 * ``"span"`` — root subrange x one equation each: the per-equation
   distribution of chunk dispatch, C only;
+* ``"team"`` — ``"full"`` over a ``DO`` root on a team of OpenMP threads,
+  its ``DOALL`` s divided among them: the compiled ``DO`` that owns its
+  threads, C only;
 * a per-equation kernel — one equation with no loops left, in the scalar
   and the vector Python dialects; the general walk calls these per element
   or per vector span.
@@ -31,7 +34,7 @@ whatever neither dialect can specialize. ``ExecutionOptions(kernel_tier=...)``
 
 from repro.runtime.kernels.cache import KernelCache
 from repro.runtime.kernels.emit import emit_kernel_source
-from repro.runtime.kernels.native import native_supported
+from repro.runtime.kernels.native import native_supported, openmp_supported
 from repro.runtime.kernels.nest import KernelError, kernelizable, nest_fusable
 
 __all__ = [
@@ -41,4 +44,5 @@ __all__ = [
     "kernelizable",
     "native_supported",
     "nest_fusable",
+    "openmp_supported",
 ]

@@ -142,6 +142,9 @@ class KernelCache:
             fn = self._native.get(key)
             if fn is not None:
                 return fn
+        if shape == "team":
+            # the same loop on one thread: the C kernel, then Python
+            return self._lookup(desc, use_windows, "full", tier, build_native)
         if shape == "span":
             # The NumPy tier's per-equation distribution is the
             # per-equation vector kernels; there is nothing to look up.
@@ -166,6 +169,8 @@ class KernelCache:
         nests: dict[_Key, list] = {}
         for key in keys:
             path, use_windows, shape = key
+            if shape == "team" and not native_mod.openmp_supported():
+                continue  # a unit cc cannot build would sink the batch
             try:
                 nests[key] = native_mod.native_specs(
                     self.flowchart.descriptor_at(path), self.analyzed,
@@ -202,9 +207,11 @@ class KernelCache:
         {label: count}`` — or None when the nest cannot be lowered (the
         caller then walks it descriptor by descriptor). ``variant`` is a
         shape of :mod:`repro.runtime.kernels.nest`: ``"full"`` runs a root
-        subrange (of a ``DOALL``, or in order of a ``DO``), ``"flat"`` a
-        collapse-chunked flat range, ``"span"`` a root subrange one
-        equation at a time.
+        subrange (of a ``DOALL``, or in order of a ``DO``), ``"team"`` a
+        ``DO``'s subrange on a team of threads (its ``"full"`` kernel where
+        no team kernel builds — the callable's ``__team__`` says which
+        came back), ``"flat"`` a collapse-chunked flat range, ``"span"`` a
+        root subrange one equation at a time.
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
@@ -227,7 +234,9 @@ class KernelCache:
         never meets them. A ``DOALL`` takes ``"full"``, ``"flat"`` when its
         chain is collapse-safe and the native ``"span"`` kernels when it is
         chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order
-        nest)."""
+        nest). Its ``"team"`` kernel is left to the plan that takes it:
+        the process backend warms this set before it forks, and libgomp
+        has no business in a unit the workers inherit."""
         # Lazy import: fission sits above the kernel layer.
         from repro.schedule.fission import fission_splits
 

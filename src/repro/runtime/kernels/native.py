@@ -38,6 +38,18 @@ chunk — code that checks every subscript), which is where the evaluator's
 out-of-range error comes from. Every other subscript keeps a
 compare-and-return per element, reporting through the error channel.
 
+A ``DO`` over ``DOALL`` s may also be printed as a **team** kernel (shape
+``"team"``): one ``#pragma omp parallel`` around the ``DO``, whose width
+is the function's last argument, ``omp for schedule(static)`` on the
+outermost ``DOALL`` of each body unit and ``omp single`` around the rest;
+the implicit barrier of each construct is the wavefront join. Only a kernel
+with no exit inside the region takes a team — every subscript proven at
+entry, no ``div`` / ``mod`` guard — so a failed proof still returns before
+the region and the first store. Team units are the only ones compiled with
+``-fopenmp`` (when :func:`openmp_supported`). Every unit is loaded never to
+be unloaded: libgomp's pool threads outlive the interpreter's teardown.
+:func:`team_width` says how wide a call really runs.
+
 Compiled artifacts persist in an on-disk cache keyed by the SHA-256 of the
 generated translation unit (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro/native``):
@@ -117,9 +129,76 @@ def _ffi_module():
 def native_supported() -> bool:
     """True when the native tier can compile on this machine (cffi
     importable and a C compiler on PATH). Emittability of a given nest is
-    a separate, machine-independent question — see :func:`native_emittable`.
+    a separate, machine-independent question — see :func:`native_refusal`.
     """
     return _ffi_module() is not None and find_compiler() is not None
+
+
+#: what a unit holding a team kernel is compiled with on top of ``C_FLAGS``
+OPENMP_FLAGS = ("-fopenmp",)
+
+_openmp_cache: bool | None = None  # None: not probed yet
+
+#: the probe: one function with one parallel region
+_OPENMP_PROBE = 'void omp_probe(void) { _Pragma("omp parallel") { } }\n'
+
+
+def openmp_supported() -> bool:
+    """True when the native tier can also build team kernels: a one-line
+    ``-fopenmp`` unit compiles and links here. Probed once per process,
+    and the probe's ``.so`` is kept in :func:`cache_dir`, so a process
+    over a warm cache starts no compiler for it (monkeypatch this to plan
+    as a host with or without OpenMP would)."""
+    global _openmp_cache
+    if _openmp_cache is None:
+        _openmp_cache = native_supported() and _probe_openmp()
+    return _openmp_cache
+
+
+def _probe_openmp() -> bool:
+    flags = (*C_FLAGS, *OPENMP_FLAGS)
+    digest = hashlib.sha256(
+        (_OPENMP_PROBE + "|" + " ".join(flags)).encode()
+    ).hexdigest()[:16]
+    try:
+        _compile_so(_OPENMP_PROBE, f"omp-probe-{digest}", flags)
+    except (KernelError, OSError):
+        return False
+    return True
+
+
+#: the first process that ran a team wider than one thread
+_team_pid: int | None = None
+
+#: per thread: the widest team its calls may run (unset: the plan's)
+_team_cap = threading.local()
+
+
+def cap_teams(width: int | None) -> None:
+    """From now on, team kernels the calling thread calls run at most
+    ``width`` threads wide (None: as wide as planned) — how a server
+    running several requests at once keeps their teams from
+    oversubscribing the cores. Plans are untouched: only the width argument
+    of the call changes."""
+    _team_cap.width = width
+
+
+def team_width(planned: int) -> int:
+    """How many threads a team kernel planned ``planned`` wide runs on when
+    this thread calls it now: at most its :func:`cap_teams`, and 1
+    in any process other than the first that ran a wider team — GNU
+    libgomp is not fork-safe, so a child forked after its parent started
+    the thread pool would wait forever on threads it does not have."""
+    global _team_pid
+    cap = getattr(_team_cap, "width", None)
+    width = max(1, planned if cap is None else min(planned, cap))
+    if width > 1:
+        pid = os.getpid()
+        if _team_pid is None:
+            _team_pid = pid
+        elif _team_pid != pid:
+            return 1
+    return width
 
 
 def cache_dir() -> Path:
@@ -155,7 +234,7 @@ def persist_plan(
     if specs:
         (out / f"{module_name}.c").write_text(unit_source(specs))
         lines.append(
-            f'cc {" ".join(C_FLAGS)} -shared -o "{module_name}.so" '
+            f'cc {" ".join(unit_flags(specs))} -shared -o "{module_name}.so" '
             f'"{module_name}.c" -lm'
         )
     (out / "build.sh").write_text("\n".join(lines) + "\n")
@@ -193,6 +272,8 @@ class NativeKernelSpec:
     proven: int = 0
     #: (reference, why) per subscript that keeps its per-element check
     inline: tuple[tuple[str, str], ...] = ()
+    #: a team kernel: the team's width is the last argument
+    team: bool = False
 
     @property
     def source(self) -> str:
@@ -295,6 +376,10 @@ class _NativeKernel(CExprLowerer):
         self.checks = 0
         self.proven = 0
         self.inline: list[tuple[str, str]] = []
+        #: div/mod divisor guards printed (each may return mid-loop)
+        self.guards = 0
+        #: the root loop runs on a team (see :meth:`open_region`)
+        self.team = False
 
     def register_array(self, name: str) -> tuple[int, int, str, dict[int, int]]:
         entry = self.arrays.get(name)
@@ -437,6 +522,7 @@ class _NativeKernel(CExprLowerer):
         wrapper re-raises the evaluator's exact exception."""
         if expr.op in ("div", "mod"):
             self._int_only(expr.op, expr.left, expr.right)
+            self.guards += 1
             tl = self.fresh("_d")
             tr = self.fresh("_d")
             self.stmt(f"i64 {tl} = (i64)({self.lower(expr.left)});")
@@ -500,6 +586,27 @@ class _NativeKernel(CExprLowerer):
     def close_loop(self) -> None:
         self.headers.pop()
         self.proof.close_loops()
+        self.indent -= 1
+        self.stmt("}")
+
+    # -- the team axis -------------------------------------------------------
+
+    def open_region(self) -> None:
+        """The root loop runs on every thread of a team
+        (:meth:`assemble` prints the ``parallel`` construct before it)."""
+        self.team = True
+
+    def share(self) -> None:
+        """Divide the loop that opens next among the team; its implicit
+        barrier is the join."""
+        self.stmt("#pragma omp for schedule(static)")
+
+    def open_single(self) -> None:
+        self.stmt("#pragma omp single")
+        self.stmt("{")
+        self.indent += 1
+
+    def close_single(self) -> None:
         self.indent -= 1
         self.stmt("}")
 
@@ -581,6 +688,18 @@ class _NativeKernel(CExprLowerer):
         for name in env_names:
             params.append(f"i64 v_{c_name(name)}")
         params.extend(["i64 nlo", "i64 nhi", "i64 *counts", "i64 *err"])
+        if self.team:
+            # Nothing may leave a parallel region early: the entry proof,
+            # which runs before it, must be the only return.
+            if self.proven < self.checks:
+                ref, why = self.inline[0]
+                raise KernelError(
+                    f"in-loop range checks: {self.proven} of {self.checks} "
+                    f"proven at entry ({ref}: {why})"
+                )
+            if self.guards:
+                raise KernelError("a div/mod guard may return inside the loop")
+            params.append("i64 nthreads")
 
         body: list[str] = []
         pos = 0
@@ -596,6 +715,12 @@ class _NativeKernel(CExprLowerer):
         body.extend(self.entry.lines())
         for i in range(len(counters)):
             body.append(f"    i64 _c{i} = 0;")
+        if self.team:
+            sums = ", ".join(f"_c{i}" for i in range(len(counters)))
+            body.append(
+                "    #pragma omp parallel num_threads(nthreads) "
+                f"if(nthreads > 1) reduction(+: {sums})"
+            )
         for line in self.lines:
             if isinstance(line, _Header):
                 body.extend(line.lines())
@@ -620,6 +745,7 @@ class _NativeKernel(CExprLowerer):
             checks=self.checks,
             proven=self.proven,
             inline=tuple(dict.fromkeys(self.inline)),
+            team=self.team,
         )
 
 
@@ -632,9 +758,9 @@ def native_specs(
 ) -> list[NativeKernelSpec]:
     """Lower the nest rooted at ``desc`` to C in ``shape`` — one spec for
     ``"full"`` (the root subrange ``[nlo, nhi]``, inner loops at their
-    declared bounds; in-order blocks when the root is a ``DO``) and
-    ``"flat"`` (the inclusive flat range of the collapsed chain), one spec
-    per equation for ``"span"``.
+    declared bounds; in-order blocks when the root is a ``DO``), ``"team"``
+    (the same over a team of threads) and ``"flat"`` (the inclusive flat
+    range of the collapsed chain), one spec per equation for ``"span"``.
 
     Raises :class:`KernelError` when the nest is not natively emittable
     (module calls, transcendental builtins, non-rectangular chains, scalar
@@ -671,19 +797,20 @@ def native_specs(
     return found
 
 
-def native_emittable(
+def native_refusal(
     desc: LoopDescriptor,
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
     shape: str = "full",
-) -> bool:
-    """Does :func:`native_specs` lower this nest? The planner's question."""
+) -> str | None:
+    """Why :func:`native_specs` does not lower this nest in ``shape`` —
+    None when it does. The planner's question."""
     try:
         native_specs(desc, analyzed, flowchart, use_windows, shape)
-    except KernelError:
-        return False
-    return True
+    except KernelError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +827,12 @@ _loaded: dict[str, tuple] = {}
 _load_lock = threading.RLock()
 
 
-def _compile_so(source: str, digest: str) -> tuple[Path, bool]:
-    """Compile ``source`` into the on-disk cache (or reuse the cached
-    ``.so``); returns the shared-object path and whether ``cc`` ran.
+def _compile_so(
+    source: str, digest: str, flags: tuple[str, ...] = C_FLAGS
+) -> tuple[Path, bool]:
+    """Compile ``source`` with ``flags`` into the on-disk cache (or reuse
+    the cached ``.so``); returns the shared-object path and whether ``cc``
+    ran.
 
     Every file lands via ``os.replace`` from a unique temp name — including
     the ``.c``, and the compiler reads the *temp* copy. A concurrent
@@ -727,7 +857,7 @@ def _compile_so(source: str, digest: str) -> tuple[Path, bool]:
         tmp_path = Path(tmp.name)
     try:
         proc = subprocess.run(
-            [cc, *C_FLAGS, "-shared", "-o", str(tmp_path), tmp_c, "-lm"],
+            [cc, *flags, "-shared", "-o", str(tmp_path), tmp_c, "-lm"],
             capture_output=True,
             text=True,
         )
@@ -747,7 +877,8 @@ def _compile_so(source: str, digest: str) -> tuple[Path, bool]:
 
 
 def load_library(
-    source: str, cdef: str, counters: dict[str, int] | None = None
+    source: str, cdef: str, counters: dict[str, int] | None = None,
+    flags: tuple[str, ...] = C_FLAGS,
 ) -> tuple:
     """Compile (or reuse from cache) one C translation unit and dlopen it,
     returning ``(lib, ffi)`` — the one place a compiler process starts.
@@ -756,7 +887,7 @@ def load_library(
     and a real compile under ``"cc_calls"``."""
     # The flags are part of the artifact's semantics (-ffp-contract=off,
     # -fwrapv): a .so built under different flags must not be reused.
-    key = source + "|" + " ".join(C_FLAGS)
+    key = source + "|" + " ".join(flags)
     digest = hashlib.sha256(key.encode()).hexdigest()
     entry = _loaded.get(digest)
     if entry is None:
@@ -766,10 +897,13 @@ def load_library(
                 cffi = _ffi_module()
                 if cffi is None:
                     raise KernelError("cffi is not available")
-                so_path, compiled = _compile_so(source, digest)
+                so_path, compiled = _compile_so(source, digest, flags)
                 ffi = cffi.FFI()
                 ffi.cdef(cdef)
-                lib = ffi.dlopen(str(so_path))
+                # Never unloaded: libgomp's pool threads may still be
+                # spinning in a team kernel when the interpreter tears the
+                # library object down at exit.
+                lib = ffi.dlopen(str(so_path), ffi.RTLD_NOW | ffi.RTLD_NODELETE)
                 entry = (lib, ffi)
                 _loaded[digest] = entry
                 if counters is not None:
@@ -785,6 +919,14 @@ def unit_source(specs: list[NativeKernelSpec]) -> str:
     return C_PRELUDE + "\n" + "\n".join(
         functions[name] for name in sorted(functions)
     )
+
+
+def unit_flags(specs: list[NativeKernelSpec]) -> tuple[str, ...]:
+    """The ``cc`` flags of the unit holding ``specs``: OpenMP only when it
+    holds a team kernel, so every other unit builds exactly as before."""
+    if any(s.team for s in specs):
+        return (*C_FLAGS, *OPENMP_FLAGS)
+    return C_FLAGS
 
 
 def build_kernels(
@@ -807,6 +949,7 @@ def build_kernels(
             unit_source(unit),
             "typedef int64_t i64; " + " ".join(s.decl for s in unit),
             counters,
+            unit_flags(unit),
         )
         for s in unit:
             _loaded[s.fn_name] = entry
@@ -816,7 +959,8 @@ def _wrap_spec(
     spec: NativeKernelSpec, on_proof: Callable[[bool], None] | None = None
 ) -> Callable:
     """Wrap one built spec as ``kernel(data, env, nlo, nhi) -> dict[label,
-    count]``. The wrapper pins every storage buffer for the duration of the
+    count]`` (a team kernel takes its width as a fifth argument). The
+    wrapper pins every storage buffer for the duration of the
     call (cffi's ABI mode releases the GIL around the C invocation, so a
     free-running thread must not let the arrays be collected mid-kernel),
     checks the error channel after, and re-raises the evaluator's exact
@@ -832,10 +976,11 @@ def _wrap_spec(
     scalars = spec.scalars
     env_names = spec.env_names
     counters = spec.counters
+    team = spec.team
     if not spec.proven:
         on_proof = None
 
-    def _kernel(data, env, nlo, nhi):
+    def _kernel(data, env, nlo, nhi, width=1):
         cargs = []
         geom = ffi.new("int64_t[]", geom_size)
         pos = 0
@@ -858,7 +1003,10 @@ def _wrap_spec(
             cargs.append(int(env[name]))
         counts = ffi.new("int64_t[]", max(1, len(counters)))
         err = ffi.new("int64_t[]", 4)
-        rc = fn(*cargs, int(nlo), int(nhi), counts, err)
+        cargs += [int(nlo), int(nhi), counts, err]
+        if team:
+            cargs.append(int(width))
+        rc = fn(*cargs)
         if on_proof is not None:
             on_proof(rc != UNPROVEN)
         if rc == UNPROVEN:
@@ -884,6 +1032,7 @@ def _wrap_spec(
 
     _kernel.__kernel_source__ = spec.source
     _kernel.__native__ = True
+    _kernel.__team__ = team
     return _kernel
 
 

@@ -20,14 +20,22 @@ around equation bodies — seen through three parameters:
   :mod:`repro.runtime.kernels.ranges`). A dialect object is one kernel
   under construction; it supplies ``open_loop`` / ``open_flat`` /
   ``close_loop`` / ``store`` / ``array_windows`` / ``assemble`` and
-  nothing else differs between tiers.
+  nothing else differs between tiers;
+* **team** — whether one call runs on one thread or on a team of them
+  (shape ``"team"``: the ``"full"`` slice of a ``DO`` root, every thread
+  walking the sequential loops and the first ``DOALL`` on each path divided
+  among them, the rest of the body on one thread, a barrier after each
+  body unit). Only the C dialect prints it (``open_region`` / ``share`` /
+  ``open_single`` / ``close_single``).
 
 The ``"full"`` shape does not care whether its root is a ``DOALL`` or a
 ``DO``: the body runs in strict iteration order either way, so running a
 sequential root's subrange through it (the compiled ``DO`` of the ``nest``
 strategy) is bit-exact by construction. Whether a ``DO`` *may* take it is
-the caller's decision. The other two shapes reorder iterations and demand
-a parallel root.
+the caller's decision. ``"flat"`` and ``"span"`` reorder iterations and
+demand a parallel root. ``"team"`` keeps the ``"full"`` order wherever it
+matters: a ``DOALL``'s elements are independent, each is stored by exactly
+one thread, and the barrier ends every unit before the next one starts.
 """
 
 from __future__ import annotations
@@ -69,8 +77,9 @@ class KernelError(ReproError):
 NEST_VARIANTS = ("full", "flat")
 
 #: every nest shape; ``"span"`` is ``"full"`` projected onto each equation
-#: in turn — one kernel per equation
-NEST_SHAPES = (*NEST_VARIANTS, "span")
+#: in turn — one kernel per equation; ``"team"`` is ``"full"`` on a team of
+#: threads
+NEST_SHAPES = (*NEST_VARIANTS, "span", "team")
 
 
 def static_windows(
@@ -264,6 +273,26 @@ def _check_distributable(desc: LoopDescriptor) -> None:
             )
 
 
+def holds_doall(d: Descriptor) -> bool:
+    """Whether ``d`` is a ``DOALL`` or a loop with one inside — what a team
+    can divide."""
+    return isinstance(d, LoopDescriptor) and (
+        d.parallel or any(loop.parallel for loop in d.nested_loops())
+    )
+
+
+def team_unfit_reason(desc: LoopDescriptor) -> str | None:
+    """Why the nest rooted at ``desc`` has no ``"team"`` shape by its
+    structure alone — ``None`` when it has one: a ``DO`` root whose body
+    holds a ``DOALL``. (The C dialect adds its own refusal: a team kernel
+    may not exit inside the region.)"""
+    if desc.parallel:
+        return f"loop {desc.index} is a DOALL, not a DO over DOALLs"
+    if not holds_doall(desc):
+        return f"no DOALL inside DO {desc.index}"
+    return None
+
+
 def span_is_full(desc: LoopDescriptor) -> bool:
     """Whether the ``"span"`` kernels of ``desc`` are its ``"full"``
     kernel: a legal span (every loop a ``DOALL``) of a nest holding one
@@ -282,11 +311,20 @@ def span_is_full(desc: LoopDescriptor) -> bool:
 
 
 def _walk(
-    d: Descriptor, out, only: AnalyzedEquation | None, root: bool = False
+    d: Descriptor, out, only: AnalyzedEquation | None, root: bool = False,
+    team: bool = False,
 ) -> None:
     """Emit ``d`` into the kernel ``out`` — THE recursion over descriptor
     bodies. ``only`` projects the nest onto one equation: loops that do not
-    enclose it and its sibling equations are skipped."""
+    enclose it and its sibling equations are skipped. ``team``: every
+    thread of a team meets ``d`` — a ``DOALL`` is divided among them, a
+    ``DO`` holding one is walked by all of them, anything else runs on
+    one."""
+    if team and not holds_doall(d):
+        out.open_single()
+        _walk(d, out, only)
+        out.close_single()
+        return
     if isinstance(d, NodeDescriptor):
         if only is None or d.node.equation is only:
             out.store(d.node.equation)
@@ -294,9 +332,11 @@ def _walk(
     assert isinstance(d, LoopDescriptor)
     if only is not None and not any(eq is only for eq in d.nested_equations()):
         return
+    if team and d.parallel:
+        out.share()
     out.open_loop(d, root)
     for child in d.body:
-        _walk(child, out, only)
+        _walk(child, out, only, team=team and not d.parallel)
     out.close_loop()
 
 
@@ -344,7 +384,11 @@ def lower_nest(
         raise KernelError(f"unknown nest-kernel variant {shape!r}")
     if not nest_fusable(desc, analyzed, flowchart, use_windows):
         raise KernelError(f"{desc.index} nest is not fusable")
-    if shape != "full" and not desc.parallel:
+    if shape == "team":
+        why = team_unfit_reason(desc)
+        if why is not None:
+            raise KernelError(why)
+    elif shape != "full" and not desc.parallel:
         raise KernelError(f"loop {desc.index} is not DOALL")
     projections: list[AnalyzedEquation | None] = [None]
     if shape == "flat":
@@ -360,6 +404,11 @@ def lower_nest(
             for child in chain_body:
                 _walk(child, out, None)
             out.close_loop()
+        elif shape == "team":
+            if not hasattr(out, "open_region"):
+                raise KernelError("only the C dialect runs a team")
+            out.open_region()
+            _walk(desc, out, None, root=True, team=True)
         else:
             _walk(desc, out, only, root=True)
         kernels.append(_finish(out, analyzed))

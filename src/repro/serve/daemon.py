@@ -13,6 +13,12 @@ valves bound a burst of clients:
 * at most ``max_queue`` more may wait; beyond that the daemon answers
   ``Overloaded`` immediately instead of buffering unboundedly.
 
+Requests running side by side share the cores, so a team kernel (a
+compiled ``DO`` on a team of threads) runs at most ``cpu_count //
+max_inflight`` threads wide here, whatever its plan says — applied to the
+call, not the plan, so plans and their texts are the same as in a plain
+``Session.run``. ``stats`` counts team calls and how many were narrowed.
+
 Wire protocol: one JSON header line per message, optionally followed by
 a frame of raw array bytes (see :mod:`repro.serve.wire`). Requests carry
 ``op`` plus op-specific fields; every response is either ``{"ok": true,
@@ -31,6 +37,7 @@ import asyncio
 import concurrent.futures
 import itertools
 import json
+import os
 import socket
 import threading
 from time import perf_counter
@@ -38,6 +45,7 @@ from typing import Any
 
 from repro.errors import ReproError, SessionError
 from repro.runtime.executor import ExecutionOptions
+from repro.runtime.kernels.native import cap_teams
 from repro.serve import wire
 from repro.serve.session import Session, fill_random_arrays
 
@@ -66,6 +74,8 @@ class ReproDaemon:
         self.unix_path = unix_path
         self.max_inflight = max(1, int(max_inflight))
         self.max_queue = max(0, int(max_queue))
+        #: the widest team one request's kernels may run on
+        self.team_cap = max(1, (os.cpu_count() or 1) // self.max_inflight)
         self._sem = asyncio.Semaphore(self.max_inflight)
         self._pending = 0
         self._pending_lock = threading.Lock()
@@ -78,6 +88,8 @@ class ReproDaemon:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
+            initializer=cap_teams,
+            initargs=(self.team_cap,),
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None

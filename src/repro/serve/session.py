@@ -53,7 +53,7 @@ from repro.plan.ir import ExecutionPlan
 from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RecordType
 from repro.runtime.backends import BACKENDS, instantiate_backend
-from repro.runtime.backends.base import STORAGE_COUNTERS
+from repro.runtime.backends.base import RUN_COUNTERS
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.values import array_bounds, dtype_for
 
@@ -141,6 +141,10 @@ class SessionStats:
     storage_bytes_recycled: int = 0
     storage_bytes_fresh: int = 0
     storage_bytes_held: int = 0
+    #: calls of team kernels, and those of them run narrower than the plan
+    #: said (a daemon's per-request cap, or a forked process)
+    team_calls: int = 0
+    team_capped: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -172,8 +176,8 @@ class Session:
         self._runs = 0
         self._plans_built = 0
         self._plan_requests = 0
-        #: the storage counters of backends already retired
-        self._retired = dict.fromkeys(STORAGE_COUNTERS, 0)
+        #: the run counters of backends already retired
+        self._retired = dict.fromkeys(RUN_COUNTERS, 0)
 
     # -- lifecycle ---------------------------------------------------------
 

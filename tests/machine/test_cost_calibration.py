@@ -141,6 +141,32 @@ class TestCalibration:
             eq, "nest"
         ) / 10
 
+    def test_team_costs_track_the_native_baseline(self):
+        """``from_native_bench`` fits ``team_fork`` and ``team_barrier``
+        from the team rows of the committed BENCH_native.json (one thread
+        against a team of two, at two ``maxK`` of a barrier-bound grid);
+        the shipped defaults stay within a 2x band of that derivation, and
+        a payload without team rows leaves them alone."""
+        payload = json.loads((BASELINE.parent / "BENCH_native.json").read_text())
+        derived = MachineModel.from_native_bench(payload)
+        default = MachineModel()
+        assert default.team_fork == pytest.approx(derived.team_fork, rel=1.0)
+        assert default.team_barrier == pytest.approx(derived.team_barrier, rel=1.0)
+        without = {
+            **payload,
+            "rows": [r for r in payload["rows"] if r["backend"] != "team"],
+        }
+        unfitted = MachineModel.from_native_bench(without)
+        assert (unfitted.team_fork, unfitted.team_barrier) == (
+            default.team_fork, default.team_barrier
+        )
+        # the speedup the rows were measured for: M = 512, two threads
+        big = max(
+            (r for r in payload["rows"] if r["backend"] == "team"),
+            key=lambda r: r["grid"],
+        )
+        assert big["team_seconds"] <= 0.65 * big["native_seconds"]
+
     def test_simulator_modes_scale_cycles(self):
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)

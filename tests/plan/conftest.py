@@ -95,6 +95,25 @@ def _no_host_cpu_count(monkeypatch):
     monkeypatch.setattr("repro.plan.planner.host_cpu_count", reached)
 
 
+@pytest.fixture(autouse=True)
+def _no_host_openmp(monkeypatch):
+    """Nor on whether the host has OpenMP: plan tests plan as a host
+    without it would — no team kernels — unless they ask for
+    :func:`openmp_host`."""
+    monkeypatch.setattr(
+        "repro.runtime.kernels.native.openmp_supported", lambda: False
+    )
+
+
+@pytest.fixture()
+def openmp_host(_no_host_openmp, monkeypatch):
+    """A host whose compiler builds OpenMP: ``DO`` over ``DOALL`` nests
+    may plan a team."""
+    monkeypatch.setattr(
+        "repro.runtime.kernels.native.openmp_supported", lambda: True
+    )
+
+
 @pytest.fixture()
 def pinned_host(_no_host_cpu_count, monkeypatch):
     """For tests that *execute* through the runtime, which plans

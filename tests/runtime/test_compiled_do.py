@@ -144,9 +144,9 @@ class TestDifferential:
             for path in pins:
                 lp = plan.loops[path]
                 assert lp.strategy == "nest" and lp.keyword == "DO", name
-                native = model is ALWAYS_C and native_mod.native_emittable(
+                native = model is ALWAYS_C and native_mod.native_refusal(
                     flow.descriptor_at(path), analyzed, flow, use_windows
-                )
+                ) is None
                 assert lp.dialect == ("native" if native else "python"), name
             got = execute_module(
                 analyzed, args, flowchart=flow, options=options, plan=plan,

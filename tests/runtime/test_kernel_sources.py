@@ -11,8 +11,8 @@ A point is one of
 * an equation in the scalar or the vector dialect — the per-equation Python
   kernels;
 * a loop in shape ``full`` or ``flat``, in Python or C, or in shape ``span``
-  in C — the nest kernels. ``full`` over a ``DO`` is what used to be called
-  the ``"seq"`` variant.
+  or ``team`` in C — the nest kernels. ``full`` over a ``DO`` is what used
+  to be called the ``"seq"`` variant.
 
 over 51 programs, each with and without loop merging and window storage: the
 12 corpus modules and 3 shapes the kernel tests exercise (each also under the
@@ -184,7 +184,7 @@ def census() -> dict[str, dict[str, str]]:
                     points[f"{at_loop} {shape} py"] = _digest(
                         _nest_source, desc, analyzed, flow, w, shape
                     )
-                for shape in ("full", "flat", "span"):
+                for shape in ("full", "flat", "span", "team"):
                     points[f"{at_loop} {shape} c"] = _digest(
                         _native_sources, desc, analyzed, flow, w, shape
                     )

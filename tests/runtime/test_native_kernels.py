@@ -404,7 +404,7 @@ class TestEmittability:
         nests = list(_outermost_parallel(flow.descriptors))
         assert nests
         for nest in nests:
-            assert native_mod.native_emittable(nest, analyzed, flow, False)
+            assert native_mod.native_refusal(nest, analyzed, flow, False) is None
 
     def test_module_calls_are_not_emittable(self):
         from repro.ps.parser import parse_program
@@ -416,7 +416,7 @@ class TestEmittability:
         use = program["Use"]
         flow = schedule_module(use)
         for nest in _outermost_parallel(flow.descriptors):
-            assert not native_mod.native_emittable(nest, use, flow, False)
+            assert native_mod.native_refusal(nest, use, flow, False) is not None
 
     def test_transcendentals_are_not_emittable(self):
         """sin/exp NumPy SIMD rounding is not guaranteed to match libm —
@@ -431,7 +431,7 @@ class TestEmittability:
         analyzed = analyze_module(parse_module(src))
         flow = schedule_module(analyzed)
         nest = next(_outermost_parallel(flow.descriptors))
-        assert not native_mod.native_emittable(nest, analyzed, flow, False)
+        assert native_mod.native_refusal(nest, analyzed, flow, False) is not None
 
     def test_emitted_source_is_stable(self):
         analyzed = jacobi_analyzed()

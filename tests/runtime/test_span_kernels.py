@@ -200,12 +200,12 @@ class TestSpanEmission:
                 for b in d.body
             )
         )
-        assert not native_mod.native_emittable(
+        assert native_mod.native_refusal(
             rec, analyzed, flow, use_windows=False, shape="span"
-        )
+        ) is not None
         flat = [d for d in loops if d is not rec]
         assert flat and all(
-            native_mod.native_emittable(d, analyzed, flow, False, "span")
+            native_mod.native_refusal(d, analyzed, flow, False, "span") is None
             for d in flat
         )
 
