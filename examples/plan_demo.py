@@ -2,9 +2,9 @@
 
 Compiles the paper's Figure-1 Jacobi Relaxation, prints the cost-driven
 execution plan ``backend="auto"`` produces next to the pinned serial and
-threaded plans, shows the collapse decision on a tall-skinny grid (and
-the PR 3 inner-chunking plan behind ``use_collapse=False``), and finishes
-with a predicted-vs-planned-vs-measured comparison across every backend.
+threaded plans, shows the collapse decision on a tall-skinny grid (and,
+forced, the inner-chunking plan it replaces), and finishes with a
+predicted-vs-planned-vs-measured comparison across every backend.
 
 Run: ``PYTHONPATH=src python examples/plan_demo.py``
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.paper import jacobi_analyzed
 from repro.machine.report import compare_plans
-from repro.plan.planner import build_plan
+from repro.plan.planner import build_plan, forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions
@@ -57,15 +57,16 @@ def main() -> None:
     print("(the perfect DOALL nest flattens into one 16384-element space; "
           "each of the 8 flat chunks runs one fused flat kernel)")
     print()
-    plan = build_plan(
-        scale, sflow,
-        ExecutionOptions(backend="threaded", workers=8, use_collapse=False),
-        {"r": 4, "c": 4096},
+    plan = forced_plan(
+        scale, sflow, "threaded",
+        ExecutionOptions(backend="threaded", workers=8), {"r": 4, "c": 4096},
+        overrides={(0,): "serial", (0, 0): "chunk"},
     )
-    print("with use_collapse=False (the PR 3 plan):")
+    print("forced: the outer DOALL serial, the inner one chunked:")
     print(plan.pretty())
-    print("(the outer DOALL iterates so the 8 workers chunk the 4096-wide "
-          "inner DOALL — one dispatch wave per row instead of one total)")
+    print("(the outer DOALL runs in order so the 8 workers chunk the "
+          "4096-wide inner DOALL — one dispatch wave per row instead of one "
+          "total)")
 
     print()
     print("=== Predicted vs planned vs measured ===")

@@ -129,7 +129,6 @@ def _execution_options(args) -> ExecutionOptions:
         workers=args.workers,
         use_windows=args.windows,
         use_kernels=not args.no_kernels,
-        use_collapse=not args.no_collapse,
         use_fission=False if getattr(args, "no_fission", False) else None,
         kernel_tier=args.kernel_tier,
         strategy=getattr(args, "strategy", None),
@@ -157,12 +156,11 @@ def _cmd_plan(args) -> int:
         from repro.runtime.kernels import native
 
         specs = [
-            spec
-            for path, shape in plan.native_kernels()
-            for spec in native.native_specs(
+            native.native_spec(
                 flow.descriptor_at(path), analyzed, flow, plan.use_windows,
                 shape,
             )
+            for path, shape in plan.native_kernels()
         ]
         out = native.persist_plan(analyzed.name, text, specs)
         print(
@@ -366,8 +364,6 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
                    help="worker count for the threaded/process backends")
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled kernels (reference evaluator only)")
-    p.add_argument("--no-collapse", action="store_true",
-                   help="disable flattening of perfect DOALL nests")
     p.add_argument("--no-fission", action="store_true",
                    help="disable dependence-driven loop splitting")
     p.add_argument("--kernel-tier", default="native",
@@ -425,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plan for window-allocated virtual dimensions")
     p.add_argument("--no-kernels", action="store_true",
                    help="plan for evaluator-only execution")
-    p.add_argument("--no-collapse", action="store_true",
-                   help="disable flattening of perfect DOALL nests")
     p.add_argument("--no-fission", action="store_true",
                    help="disable dependence-driven loop splitting")
     p.add_argument("--merge", action="store_true",
@@ -467,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled equation kernels and run "
                         "everything on the reference tree-walking evaluator")
-    p.add_argument("--no-collapse", action="store_true",
-                   help="disable flattening of perfect DOALL nests into "
-                        "one chunked iteration space")
     p.add_argument("--no-fission", action="store_true",
                    help="disable dependence-driven splitting of sequential "
                         "loops into independent replica loops")

@@ -205,10 +205,10 @@ class MachineModel:
         grid, one run.
 
         When the payload additionally carries a **threaded** Jacobi row
-        (the threaded-native gate: native span kernels dispatched on the
+        (the threaded-native gate: native chunk kernels dispatched on the
         thread pool, with ``workers``), ``chunk_dispatch`` is recalibrated
         too. The serial nest row anchors seconds-per-cycle; the threaded
-        row's wall clock is then modelled as native span work (overlapping
+        row's wall clock is then modelled as native chunk work (overlapping
         across ``workers``) plus one dispatch per chunk, approximating the
         dispatch count as ``maxk * workers`` (one chunked wavefront per
         sweep). The residual over the compute term, divided by that count,

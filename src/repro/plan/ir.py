@@ -32,11 +32,11 @@ Loop strategies
     The subrange executes as one NumPy span (nested DOALLs broadcast).
 ``chunk``
     The subrange splits into ``parts`` contiguous chunks dispatched to
-    workers; each chunk runs as a vector span.
-``iterate``
-    This loop's iterations run one at a time *so that an inner loop's plan
-    gets the workers* — the planner emits it for a DOALL whose trip count
-    is below the worker count but whose inner DOALL chunks well.
+    workers; each chunk is one call of the loop's own ``"full"`` C kernel
+    over its part of the subrange (a NumPy vector span where no C kernel
+    builds). A ``serial`` DOALL whose trip count is below the worker count
+    says so in its reason when it leaves the workers to a chunked inner
+    DOALL (``trip 4 < 8 workers: DOALL J takes them``).
 ``collapse``
     A perfectly nested DOALL chain is flattened into one linearized
     iteration space, split into ``parts`` contiguous *flat* chunks; each
@@ -45,6 +45,8 @@ Loop strategies
     (per-equation scalar walk when the kernel is unavailable). Collapsing
     load-balances nests whose outer trip count is small or uneven — the
     whole flat space divides over the workers regardless of shape.
+    ``chunk`` and ``collapse`` are one strategy object
+    (:class:`repro.plan.strategy.PoolStrategy`) over two iteration spaces.
 ``fission``
     A multi-unit loop body splits along its dependence structure into
     ``parts`` replica loops over the same subrange, one per minimal
@@ -70,17 +72,16 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 #: valid LoopPlan.strategy values
-VALID_STRATEGIES = (
-    "serial", "nest", "vector", "chunk", "iterate", "collapse", "fission",
-)
+VALID_STRATEGIES = ("serial", "nest", "vector", "chunk", "collapse", "fission")
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
-#: the retired decoupled ``pipeline`` and blocked ``scan``, which no plan
-#: carries and every entry point refuses. The end-to-end benchmark still
-#: declares ``plan.loops.pipeline`` and ``plan.loops.scan`` counts (always
-#: 0) and reads them from this tuple; the retired names leave here when
-#: those rows leave the benchmark.
-STRATEGIES = (*VALID_STRATEGIES, "pipeline", "scan")
+#: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``
+#: and blocked ``scan``, which no plan carries and every entry point
+#: refuses. The end-to-end benchmark still declares ``plan.loops.iterate``,
+#: ``plan.loops.pipeline`` and ``plan.loops.scan`` counts (always 0) and
+#: reads them from this tuple; the retired names leave here when those rows
+#: leave the benchmark.
+STRATEGIES = (*VALID_STRATEGIES, "iterate", "pipeline", "scan")
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
 #: enclosing nest lowers to the cffi-compiled C tier (degrading to the
@@ -126,9 +127,6 @@ class LoopPlan:
     trip: int | None = None
     #: whether this nest is fused into one compiled kernel
     fuse: bool = False
-    #: index of the loop that actually receives the workers (for pretty
-    #: output on "iterate" loops this names the chunked inner loop)
-    chunk_index: str | None = None
     #: how many perfectly nested DOALLs are flattened (strategy "collapse"
     #: on the chain root; inner chain loops carry strategy "collapse" with
     #: depth None — their iteration space is owned by the root)
@@ -141,7 +139,7 @@ class LoopPlan:
     #: one-line rationale for the choice
     reason: str = ""
     #: which dialect of its nest kernel a kernel-dispatching loop runs
-    #: (``nest`` / ``collapse`` / ``chunk`` roots):
+    #: (``nest`` / ``chunk`` / ``collapse`` roots):
     #: ``"native"`` — C, built before the plan's first run, degrading to
     #: the Python dialect and then the walk when the toolchain fails — or
     #: ``"python"`` — the exec-compiled kernels only; no compiler is
@@ -157,16 +155,16 @@ class LoopPlan:
         dispatch none. Meaningful on a loop that carries a ``dialect``."""
         if self.team:
             return "team"
-        return {"nest": "full", "collapse": "flat", "chunk": "span"}.get(
-            self.strategy
-        )
+        # Imported here: the strategies import this module.
+        from repro.plan.strategy import LOOP_STRATEGIES
+
+        strategy = LOOP_STRATEGIES.get(self.strategy)
+        return strategy.shape if strategy is not None else None
 
     def annotation(self) -> str:
         bits = [self.strategy]
         if self.strategy in ("chunk", "collapse", "fission") and self.parts:
             bits[-1] += f" x{self.parts}"
-        if self.strategy == "iterate" and self.chunk_index:
-            bits.append(f"inner-chunk {self.chunk_index}")
         if self.strategy == "collapse" and self.collapse_depth:
             depth = f"depth {self.collapse_depth}"
             if self.flat_trip is not None:

@@ -16,8 +16,9 @@ entry, exactly once per (module, options, scalar bindings):
   walk when its nest does not lower — and, for a ``DO`` over ``DOALL`` s
   on a host with OpenMP, whether its C kernel runs on a team of threads;
 * where the workers go in a nest — a DOALL whose trip count is below the
-  worker count hands the team to a chunk-safe inner DOALL instead of
-  leaving workers idle (``iterate`` + inner ``chunk``);
+  worker count flattens with its inner DOALLs (``collapse``) or runs
+  ``serial`` and hands the team to a chunk-safe inner DOALL instead of
+  leaving workers idle;
 * which kernel variant each equation uses (scalar, vector, fused nest, or
   the reference evaluator for non-kernelizable equations).
 
@@ -30,7 +31,6 @@ bit-exact against the serial reference evaluator.
 from __future__ import annotations
 
 import os
-from math import ceil
 from types import SimpleNamespace
 from typing import Any
 
@@ -46,25 +46,18 @@ from repro.plan.ir import (
     PlanEntry,
     PlanError,
 )
-from repro.plan.strategy import NEST
+from repro.plan.strategy import CHUNK, COLLAPSE, LOOP_STRATEGIES, NEST
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
 from repro.runtime.kernels.emit import equation_affine_fast_path
-from repro.runtime.kernels.native import native_refusal, native_specs
-from repro.runtime.kernels.nest import (
-    kernelizable,
-    kernelizable_reason,
-    nest_fusable,
-)
+from repro.runtime.kernels.native import native_refusal, native_spec
+from repro.runtime.kernels.nest import kernelizable, kernelizable_reason, nest_fusable
 from repro.runtime.values import RECYCLE_MIN_BYTES, array_bounds, dtype_for, eval_bound
 from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
     NodeDescriptor,
-    collapse_chain,
     equation_vector_safe,
-    loop_chunk_safe,
-    loop_collapse_safe,
 )
 
 #: backends that split DOALL subranges into worker chunks
@@ -81,7 +74,7 @@ AUTO_CANDIDATES = ("serial", "vectorized", "threaded", "process")
 DEFAULT_TRIP = 16
 
 #: strategies that only a DOALL can take
-DOALL_ONLY = ("vector", "chunk", "iterate", "collapse")
+DOALL_ONLY = ("vector", "chunk", "collapse")
 
 #: ``auto`` treats candidates predicted within this fraction of the cheapest
 #: as tied — well inside the model's error (``plan.pred_spread``) — and a
@@ -103,7 +96,6 @@ def _default_options() -> Any:
         backend="auto",
         workers=None,
         use_kernels=True,
-        use_collapse=True,
         use_fission=True,
         kernel_tier="native",
     )
@@ -161,7 +153,6 @@ def build_plan(
     workers = max(1, options.workers if options.workers is not None else ncpu)
     effective = max(1, min(workers, ncpu))
     use_kernels = bool(options.use_kernels) and not options.debug_windows
-    use_collapse = bool(getattr(options, "use_collapse", True))
     use_fission = bool(getattr(options, "use_fission", True))
     tier = getattr(options, "kernel_tier", "native")
     if tier == "evaluator":
@@ -201,8 +192,7 @@ def build_plan(
             p = _Planner(
                 analyzed, flowchart, candidate, workers, effective,
                 scalar_env, model, use_kernels, bool(options.use_windows),
-                use_collapse=use_collapse, use_fission=use_fission,
-                tier=tier,
+                use_fission=use_fission, tier=tier,
                 force_default=soft_strategy, force_soft=True,
             )
             p.plan_module()
@@ -269,7 +259,7 @@ def build_plan(
     planner = _Planner(
         analyzed, flowchart, requested, workers, effective,
         scalar_env, model, use_kernels, bool(options.use_windows),
-        use_collapse=use_collapse, use_fission=use_fission, tier=tier,
+        use_fission=use_fission, tier=tier,
         force_default=soft_strategy, force_soft=True,
     )
     planner.plan_module()
@@ -340,7 +330,6 @@ def forced_plan(
         model or MachineModel(),
         use_kernels,
         bool(options.use_windows),
-        use_collapse=bool(getattr(options, "use_collapse", True)),
         use_fission=bool(getattr(options, "use_fission", True)),
         tier=tier,
         force_default=default,
@@ -354,23 +343,19 @@ def valid_strategies(
     analyzed, flowchart: Flowchart, desc: LoopDescriptor, use_windows: bool = False
 ) -> list[str]:
     """The strategies a loop may be forced to (property tests draw from
-    this set)."""
+    this set): the walk, a ``DOALL``'s vector span, every registered
+    strategy that recognises the loop, and its fission split."""
     from repro.schedule.fission import fission_split
 
-    if not desc.parallel:
-        out = ["serial"]
-        if nest_fusable(desc, analyzed, flowchart, use_windows):
-            out.append("nest")
-        if fission_split(analyzed, flowchart, desc, use_windows) is not None:
-            out.append("fission")
-        return out
-    out = ["serial", "vector", "iterate"]
-    if nest_fusable(desc, analyzed, flowchart, use_windows):
-        out.append("nest")
-    if loop_chunk_safe(desc, analyzed, flowchart.windows, use_windows):
-        out.append("chunk")
-    if loop_collapse_safe(desc, analyzed, flowchart.windows, use_windows):
-        out.append("collapse")
+    ctx = SimpleNamespace(
+        analyzed=analyzed, flowchart=flowchart, use_windows=use_windows,
+        use_kernels=True,
+    )
+    out = ["serial", "vector"] if desc.parallel else ["serial"]
+    out += [
+        name for name, strategy in LOOP_STRATEGIES.items()
+        if strategy.recognise(ctx, desc) is None
+    ]
     if fission_split(analyzed, flowchart, desc, use_windows) is not None:
         out.append("fission")
     return out
@@ -390,7 +375,6 @@ class _Planner:
         model: MachineModel,
         use_kernels: bool,
         use_windows: bool,
-        use_collapse: bool = True,
         use_fission: bool = True,
         tier: str = "native",
         force_default: str | None = None,
@@ -406,7 +390,6 @@ class _Planner:
         self.model = model
         self.use_kernels = use_kernels
         self.use_windows = use_windows
-        self.use_collapse = use_collapse
         self.use_fission = use_fission
         self.tier = tier
         self.force_default = force_default
@@ -423,7 +406,7 @@ class _Planner:
         self.total = 0.0
         self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
-        #: id(desc) -> (strategy, parts, cycles, why, chunk index)
+        #: id(desc) -> (strategy, parts, cycles, why)
         self._choices: dict[int, tuple] = {}
         #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
         self._do_choices: dict[int, tuple] = {}
@@ -453,16 +436,6 @@ class _Planner:
         t = self.trip(desc)
         return DEFAULT_TRIP if t is None else t
 
-    def _chunk_safe(self, desc: LoopDescriptor) -> bool:
-        return loop_chunk_safe(
-            desc, self.analyzed, self.flowchart.windows, self.use_windows
-        )
-
-    def _collapse_safe(self, desc: LoopDescriptor) -> bool:
-        return loop_collapse_safe(
-            desc, self.analyzed, self.flowchart.windows, self.use_windows
-        )
-
     def _fusable(self, desc: LoopDescriptor) -> bool:
         return self.use_kernels and nest_fusable(
             desc, self.analyzed, self.flowchart, self.use_windows
@@ -487,16 +460,6 @@ class _Planner:
                 desc, self.analyzed, self.flowchart, self.use_windows, variant
             )
         return self._native[key]
-
-    def _flat_trips(self, desc: LoopDescriptor) -> tuple[int, int | None]:
-        """(estimated, exact-or-None) flattened trip count of the collapse
-        chain rooted at ``desc``."""
-        est, exact = 1, 1
-        for loop in collapse_chain(desc)[0]:
-            est *= max(1, self._trip_est(loop))
-            t = self.trip(loop)
-            exact = None if exact is None or t is None else exact * t
-        return est, exact
 
     def _eq_mode(self, eq, ctx: str) -> str:
         """Which execution path an equation takes under ``ctx``; one of the
@@ -625,107 +588,6 @@ class _Planner:
         bound = t * (self.model.loop_overhead + sum(b for _, b in pairs))
         return (released, bound)
 
-    def _cost_chunk_root(self, desc: LoopDescriptor, parts: int) -> float:
-        t = self._trip_est(desc)
-        per_chunk = ceil(t / parts) if parts else t
-        if self._native_ok(desc, "span"):
-            # Each chunk runs as native span kernels: one C call per
-            # equation over the subrange, all behind a released GIL (cffi
-            # drops it for the call), so chunks overlap fully on every
-            # parallel backend — no GIL-bound residue, which is what lets
-            # threads outprice process dispatch whenever the span lowers.
-            m = self.model
-            neq = len(desc.nested_equations())
-            released = neq * m.native_call_overhead + sum(
-                self._cost(d, "native", per_chunk) for d in desc.body
-            )
-            waves = ceil(parts / self.parallelism)
-            return (
-                m.doall_fork
-                + m.doall_barrier
-                + parts * self._dispatch_cost()
-                + waves * released
-            )
-        pairs = [self._vector_costs(d, per_chunk) for d in desc.body]
-        released = sum(r for r, _ in pairs)
-        bound = sum(b for _, b in pairs)
-        waves = ceil(parts / self.parallelism)
-        # NumPy chunk work overlaps across threads (the GIL is released);
-        # scalar-fallback work serializes on the threaded backend but runs
-        # truly concurrently in forked processes.
-        if self.backend == "threaded":
-            bound_total = parts * bound
-        else:
-            bound_total = waves * bound
-        m = self.model
-        return (
-            m.doall_fork
-            + m.doall_barrier
-            + parts * self._dispatch_cost()
-            + waves * released
-            + bound_total
-        )
-
-    def _cost_iterate_root(self, desc: LoopDescriptor) -> float:
-        t = self._trip_est(desc)
-        return t * (
-            self.model.loop_overhead
-            + sum(self._cost(d, "walk", 1) for d in desc.body)
-        )
-
-    def _cost_collapse_root(self, desc: LoopDescriptor, parts: int) -> float:
-        """Cycles for the collapsed chain: the flat space splits into
-        ``parts`` chunks, each one fused flat-kernel invocation walking the
-        chunk row by row — NumPy spans (GIL-releasing, overlapping across
-        workers) plus per-row Python bookkeeping (GIL-bound, serialized on
-        the threaded backend). One dispatch wave total, against ``chunk``'s
-        idle workers when the outer trip is small and ``iterate``'s one
-        wave per outer iteration."""
-        chain, chain_body = collapse_chain(desc)
-        flat, _exact = self._flat_trips(desc)
-        inner_trip = max(1, self._trip_est(chain[-1]))
-        parts = max(1, min(parts, flat))
-        per_chunk_span = ceil(flat / parts)
-        if self._native_ok(desc, "flat"):
-            # One native C call per chunk: the whole chunk is compiled
-            # machine code behind a released GIL (cffi drops it for the
-            # call), so chunks overlap fully on every parallel backend and
-            # the per-row Python bookkeeping of the NumPy flat kernel
-            # disappears.
-            released = self.model.native_call_overhead + sum(
-                self._cost(d, "native", per_chunk_span) for d in chain_body
-            )
-            waves = ceil(parts / self.parallelism)
-            m = self.model
-            return (
-                m.doall_fork
-                + m.doall_barrier
-                + parts * self._dispatch_cost()
-                + waves * released
-            )
-        rows = ceil(per_chunk_span / inner_trip)
-        pairs = [
-            self._vector_costs(d, min(per_chunk_span, inner_trip))
-            for d in chain_body
-        ]
-        released = rows * sum(r for r, _ in pairs)
-        bound = rows * (
-            self.model.collapse_row_overhead + sum(b for _, b in pairs)
-        )
-        waves = ceil(parts / self.parallelism)
-        if self.backend == "threaded":
-            bound_total = parts * bound
-        else:
-            bound_total = waves * bound
-        m = self.model
-        return (
-            m.doall_fork
-            + m.doall_barrier
-            + parts * self._dispatch_cost()
-            + waves * released
-            + bound_total
-        )
-
     # -- strategy choice ---------------------------------------------------
 
     def _inner_chunk_candidate(self, desc: LoopDescriptor) -> LoopDescriptor | None:
@@ -734,7 +596,7 @@ class _Planner:
         for d in desc.body:
             if not isinstance(d, LoopDescriptor) or not d.parallel:
                 continue
-            if not self._chunk_safe(d):
+            if CHUNK.recognise(self, d) is not None:
                 continue
             it = self.trip(d)
             if it is None or it >= INNER_CHUNK_FACTOR * self.workers:
@@ -742,8 +604,8 @@ class _Planner:
         return None
 
     def _choose(self, desc: LoopDescriptor):
-        """(strategy, parts, cycles, reason, chunk_index) for a parallel
-        loop met on the scalar walk. Memoized per descriptor."""
+        """(strategy, parts, cycles, reason) for a parallel loop met on the
+        scalar walk. Memoized per descriptor."""
         cached = self._choices.get(id(desc))
         if cached is not None:
             return cached
@@ -765,81 +627,58 @@ class _Planner:
             # either it has no legal split under a soft default, or it is a
             # replica/inner loop below a split — so it plans normally.
             return None
-
-        def invalid(why: str) -> str | None:
-            if self.force_soft:
-                return None
-            raise PlanError(why)
-
-        if forced == "chunk" and not self._chunk_safe(desc):
-            return invalid(
-                f"cannot force 'chunk' on DOALL {desc.index}: not chunk-safe"
-            )
-        if forced == "nest" and not self._fusable(desc):
-            return invalid(
-                f"cannot force 'nest' on DOALL {desc.index}: not fusable"
-            )
-        if forced == "collapse" and not self._collapse_safe(desc):
-            return invalid(
-                f"cannot force 'collapse' on DOALL {desc.index}: "
-                f"not a collapse-safe perfect DOALL chain"
-            )
-        return forced
+        if forced == "nest":
+            why = None if self._fusable(desc) else "not fusable"
+        elif forced in (CHUNK.name, COLLAPSE.name):
+            why = LOOP_STRATEGIES[forced].recognise(self, desc)
+        else:
+            why = None
+        if why is None:
+            return forced
+        if self.force_soft:
+            return None
+        raise PlanError(f"cannot force {forced!r} on DOALL {desc.index}: {why}")
 
     def _choose_uncached(self, desc: LoopDescriptor):
         forced = self._forced_for(desc)
+        if forced in (CHUNK.name, COLLAPSE.name):
+            return (forced, *LOOP_STRATEGIES[forced].price(self, desc), "forced")
         if forced is not None:
-            if forced == "chunk":
-                parts = min(self.workers, self._trip_est(desc) or 1)
-                c = self._cost_chunk_root(desc, parts)
-            elif forced == "collapse":
-                parts = min(self.workers, self._flat_trips(desc)[0])
-                c = self._cost_collapse_root(desc, parts)
-            else:
-                parts = None
-                cost = {
-                    "serial": self._cost_serial_root,
-                    "nest": lambda d: NEST.price(self, d).cycles,
-                    "vector": self._cost_vector_root,
-                    "iterate": self._cost_iterate_root,
-                }[forced]
-                c = cost(desc)
-            return (forced, parts, c, "forced", None)
+            cost = {
+                "serial": self._cost_serial_root,
+                "nest": lambda d: NEST.price(self, d).cycles,
+                "vector": self._cost_vector_root,
+            }[forced]
+            return (forced, None, cost(desc), "forced")
 
         if self.backend == "serial":
             c_serial = self._cost_serial_root(desc)
             if self._fusable(desc):
                 c_nest = NEST.price(self, desc).cycles
                 if c_nest < c_serial:
-                    return ("nest", None, c_nest, "fused nest kernel", None)
-            return ("serial", None, c_serial, "", None)
+                    return ("nest", None, c_nest, "fused nest kernel")
+            return ("serial", None, c_serial, "")
 
         if self.backend == "vectorized":
-            return ("vector", None, self._cost_vector_root(desc), "", None)
+            return ("vector", None, self._cost_vector_root(desc), "")
 
         if self.backend in CHUNKED_BACKENDS:
             t = self.trip(desc)
             te = self._trip_est(desc)
-            if not self._chunk_safe(desc):
-                return (
-                    "vector", None, self._cost_vector_root(desc),
-                    "not chunk-safe", None,
-                )
+            why = CHUNK.recognise(self, desc)
+            if why is not None:
+                return ("vector", None, self._cost_vector_root(desc), why)
             if self.workers < 2 or te < 2:
                 return (
                     "vector", None, self._cost_vector_root(desc),
-                    "nothing to chunk", None,
+                    "nothing to chunk",
                 )
             # A collapse-safe, fusable chain may flatten: one linearized
             # iteration space chunked over the team, each chunk one fused
             # flat kernel. Priced against the classic alternatives below.
             collapse = None
-            if self.use_collapse and self._collapse_safe(desc) and self._fusable(desc):
-                flat_est, _ = self._flat_trips(desc)
-                cparts = min(self.workers, flat_est)
-                collapse = (
-                    cparts, self._cost_collapse_root(desc, cparts)
-                )
+            if COLLAPSE.recognise(self, desc) is None and self._fusable(desc):
+                collapse = COLLAPSE.price(self, desc)
             if t is not None and t < self.workers:
                 # Utilization rule, deliberately not a cost comparison: an
                 # outer chunk with trip < workers idles (workers - trip)
@@ -855,21 +694,18 @@ class _Planner:
                 # both apply the cheaper one wins.
                 inner = self._inner_chunk_candidate(desc)
                 if inner is not None:
-                    c_iter = self._cost_iterate_root(desc)
-                    if collapse is not None and collapse[1] < c_iter:
-                        return (
-                            "collapse", collapse[0], collapse[1],
-                            f"trip {t} < {self.workers} workers", None,
-                        )
+                    c_serial = self._cost_serial_root(desc)
+                    why = f"trip {t} < {self.workers} workers"
+                    if collapse is not None and collapse[1] < c_serial:
+                        return ("collapse", *collapse, why)
                     return (
-                        "iterate", None, c_iter,
-                        f"trip {t} < {self.workers} workers", inner.index,
+                        "serial", None, c_serial,
+                        f"{why}: DOALL {inner.index} takes them",
                     )
-            parts = min(self.workers, te)
-            c_chunk = self._cost_chunk_root(desc, parts)
-            if collapse is not None and collapse[1] < c_chunk:
-                return ("collapse", collapse[0], collapse[1], "", None)
-            return ("chunk", parts, c_chunk, "", None)
+            chunk = CHUNK.price(self, desc)
+            if collapse is not None and collapse[1] < chunk[1]:
+                return ("collapse", *collapse, "")
+            return ("chunk", *chunk, "")
 
         raise PlanError(f"unknown execution backend {self.backend!r}")
 
@@ -1028,26 +864,23 @@ class _Planner:
         for path, lp in self.loops.items():
             if lp.dialect != "native":
                 continue
-            specs = native_specs(
+            spec = native_spec(
                 self.flowchart.descriptor_at(path), self.analyzed,
                 self.flowchart, self.use_windows, lp.kernel_shape(),
             )
-            inline = [pair for spec in specs for pair in spec.inline]
             notes.append({
                 "index": str(path), "loop_index": lp.index,
                 "keyword": lp.keyword, "shape": lp.kernel_shape(),
-                "functions": sorted({spec.fn_name for spec in specs}),
-                "checks": sum(spec.checks for spec in specs),
-                "proven": sum(spec.proven for spec in specs),
-                "inline": inline[0] if inline else None,
+                "function": spec.fn_name,
+                "checks": spec.checks,
+                "proven": spec.proven,
+                "inline": spec.inline[0] if spec.inline else None,
             })
         return notes
 
     def native_functions(self) -> int:
         """How many distinct C functions this plan builds."""
-        return len({
-            fn for note in self.native_notes() for fn in note["functions"]
-        })
+        return len({note["function"] for note in self.native_notes()})
 
     def slow_notes(self) -> list[dict]:
         """Per-loop why-not provenance for nests left on the slow path: the
@@ -1211,53 +1044,24 @@ class _Planner:
             lp.cycles = te * (self.model.loop_overhead + body)
             return lp.cycles
 
-        strategy, parts, cost, reason, chunk_index = self._choose(desc)
+        strategy, parts, cost, reason = self._choose(desc)
         if strategy == NEST.name:
             return NEST.emit(
                 self, desc, path, depth, NEST.price(self, desc), reason
             )
-        collapse_depth = flat_exact = None
-        if strategy == "collapse":
-            collapse_depth = len(collapse_chain(desc)[0])
-            flat_exact = self._flat_trips(desc)[1]
+        if strategy in (CHUNK.name, COLLAPSE.name):
+            return LOOP_STRATEGIES[strategy].emit(
+                self, desc, path, depth, parts, cost, reason
+            )
         lp = LoopPlan(
-            path, desc.index, desc.keyword, strategy,
-            parts=parts, trip=t,
-            fuse=strategy == "collapse" and self._fusable(desc),
-            chunk_index=chunk_index if strategy == "iterate" else (
-                desc.index if strategy == "chunk" else None
-            ),
-            collapse_depth=collapse_depth, flat_trip=flat_exact,
-            cycles=cost, reason=reason,
+            path, desc.index, desc.keyword, strategy, trip=t, cycles=cost,
+            reason=reason,
         )
         self._register(lp, depth)
-        if strategy in ("chunk", "collapse"):
-            self._chunked_somewhere = True
-        body_ctx = {
-            "serial": "walk",
-            "iterate": "walk",
-            "vector": "vector",
-            "chunk": "vector",
-            "collapse": "collapse",
-        }[strategy]
-        if strategy == "collapse":
-            # Chain loops below multiply the span by their own trips (the
-            # shared nest emission), so the root contributes its trip
-            # divided by the chunk count — equations then see roughly the
-            # per-chunk element count.
-            body_span = te / max(1, parts or 1)
+        if strategy == "vector":
+            self._emit_body(desc, path, depth, "vector", float(te), False)
         else:
-            body_span = {
-                "serial": 1.0,
-                "iterate": 1.0,
-                "vector": float(te),
-                "chunk": float(ceil(te / parts)) if parts else float(te),
-            }[strategy]
-        shape = lp.kernel_shape()
-        native = shape is not None and self._native_ok(desc, shape)
-        if shape is not None and (native or self._fusable(desc)):
-            lp.dialect = "native" if native else "python"
-        self._emit_body(desc, path, depth, body_ctx, body_span, native)
+            self._emit_body(desc, path, depth, "walk", 1.0, False)
         return cost
 
     def _emit_body(

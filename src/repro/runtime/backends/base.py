@@ -6,22 +6,24 @@ A backend *executes* a scheduled flowchart according to an
 one strategy dispatch — a ``DOALL`` runs by whatever its
 :class:`~repro.plan.ir.LoopPlan` says:
 
-* ``serial`` / ``iterate`` — scalar iterations in subrange order (the
-  reference semantics; ``iterate`` exists so a low-trip outer DOALL hands
-  the workers to a chunked inner loop);
+* ``serial`` — scalar iterations in subrange order (the reference
+  semantics; a low-trip outer DOALL runs so to hand the workers to a
+  chunked inner loop);
 * ``nest`` — the whole nest as one fused compiled kernel, whether its root
-  is a ``DOALL`` or a sequential ``DO`` (a strategy object of
-  :mod:`repro.plan.strategy`, which executes itself);
+  is a ``DOALL`` or a sequential ``DO``;
 * ``vector`` — the whole subrange as one NumPy operation;
 * ``chunk`` / ``collapse`` — the subrange (or the flattened iteration
   space of a perfect nest) split into contiguous chunks handed to
   :meth:`ExecutionBackend.dispatch`, the one hook the parallel backends
-  override; every chunk runs through :meth:`ExecutionBackend.run_chunk`,
-  inline here, on a thread pool in
+  override; every chunk runs through :meth:`ExecutionBackend.run_chunk` on
+  the loop's own kernel, inline here, on a thread pool in
   :class:`~repro.runtime.backends.threaded.ThreadedBackend`, and in a
   persistent pool of forked workers over shared memory in
   :class:`~repro.runtime.backends.process.ProcessBackend` — with one join
   per wavefront.
+
+``nest``, ``chunk`` and ``collapse`` are strategy objects of
+:mod:`repro.plan.strategy`, which execute themselves.
 
 No backend re-derives chunking, safety, or kernel decisions from the
 flowchart: those live in the plan, produced once per execution by
@@ -64,7 +66,6 @@ from repro.schedule.flowchart import (
     collapse_chain,
     equation_vector_safe,
     loop_chunk_safe,
-    split_range,
 )
 
 
@@ -367,19 +368,12 @@ class ExecutionBackend:
             return
         plan = state.plan_of(desc, self.name)
         strategy = plan.strategy if plan is not None else self.fallback_strategy
-        if strategy in ("serial", "iterate", "nest"):
+        if strategy in ("serial", "nest"):
             # "nest" arrives here only after its strategy object declined
             # in exec_descriptor (no kernel available): the reference walk
             self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
         elif strategy == "vector":
             self.exec_vector_span(state, desc, lo, hi, env, vector_names)
-        elif strategy == "chunk":
-            self.exec_chunked_loop(state, desc, lo, hi, env, plan)
-        elif strategy == "collapse":
-            self.exec_collapsed_loop(state, desc, lo, hi, env, plan)
-        elif strategy == "fission":
-            # Normally intercepted in exec_descriptor; kept for direct calls.
-            self.exec_fission_loop(state, desc, lo, hi, env)
         else:
             raise ExecutionError(f"unknown plan strategy {strategy!r}")
 
@@ -430,14 +424,15 @@ class ExecutionBackend:
 
     def _run_loop_kernel(
         self, state: ExecutionState, desc: LoopDescriptor, shape: str,
-        env: dict[str, Any], lo: int, hi: int,
+        env: dict[str, Any], lo: int, hi: int, numpy: bool = True,
     ) -> bool:
         """Run ``[lo, hi]`` of ``desc`` on its compiled kernel of
-        ``shape`` — the native (C) tier first, then the NumPy tier; False
-        when there is none and the caller must walk the range itself. The
-        loop's plan says which dialect it was priced on: a ``"python"``
-        loop starts no native build (it runs a native kernel only if one
-        is already loaded). A ``"team"`` kernel runs as wide as the plan
+        ``shape`` — the native (C) tier first, then (unless ``numpy`` is
+        False) the NumPy tier; False when there is none and the caller must
+        walk the range itself. The loop's plan says which dialect it was
+        priced on: a ``"python"`` loop starts no native build (it runs a
+        native kernel only if one is already loaded). A ``"team"`` kernel
+        runs as wide as the plan
         says, narrowed by :func:`~repro.runtime.kernels.native.team_width`
         (a server's cap, a forked process) — the one place a width is
         decided, and counted."""
@@ -448,6 +443,7 @@ class ExecutionBackend:
             desc, state.options.use_windows, variant=shape,
             tier=state.kernel_tier(),
             build_native=plan is None or plan.dialect != "python",
+            numpy=numpy,
         )
         if kernel is None:
             return False
@@ -473,19 +469,18 @@ class ExecutionBackend:
         this is where the evaluator's out-of-range error is raised, in
         iteration order. ``"full"`` and ``"team"`` (whose proof returned
         before its region) degrade to the Python dialect (scalar loops,
-        range-checked); ``"span"`` and ``"flat"`` go to the strictly
-        serial walk, because their NumPy tiers are vector rows, which clip
-        a stray subscript instead of raising."""
+        range-checked); ``"flat"`` goes to the strictly serial walk,
+        because its NumPy tier is vector rows, which clip a stray
+        subscript instead of raising."""
         if shape == "flat":
             self.exec_flat_walk(state, desc, lo, hi, env)
             return
-        if shape in ("full", "team"):
-            kernel = state.kernels.nest_kernel_for(
-                desc, state.options.use_windows, variant="full", tier="numpy"
-            )
-            if kernel is not None:
-                self._run_kernel(state, kernel, env, lo, hi)
-                return
+        kernel = state.kernels.nest_kernel_for(
+            desc, state.options.use_windows, variant="full", tier="numpy"
+        )
+        if kernel is not None:
+            self._run_kernel(state, kernel, env, lo, hi)
+            return
         for i in range(lo, hi + 1):
             env2 = dict(env)
             env2[desc.index] = i
@@ -509,69 +504,26 @@ class ExecutionBackend:
         shape = state.plan_of(desc, self.name).kernel_shape()
         return self._run_loop_kernel(state, desc, shape, env, lo, hi)
 
-    def exec_chunked_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-        plan: Any,
-    ) -> None:
-        """Split the subrange into the planned chunk count and hand the
-        spans to :meth:`dispatch`. Targets are allocated up front so
-        workers never race on the data environment — inside a chunk they
-        only write array elements, which the planner's chunk-safety verdict
-        guarantees are disjoint."""
-        parts = plan.parts if plan is not None and plan.parts else self.workers
-        for eq in desc.nested_equations():
-            self.ensure_targets(state, eq)
-        spans = split_range(lo, hi, parts)
-        if len(spans) < 2:
-            self.exec_chunk_span(state, desc, lo, hi, env)
-            return
-        self.dispatch(state, desc, "span", spans, env, True)
-
-    def exec_chunk_span(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """One worker's chunk of a chunk-dispatched DOALL: the native span
-        kernel (one C function per equation) when one compiles — cffi
-        releases the GIL around the C call, so threaded chunks genuinely
-        overlap — the NumPy per-equation distribution otherwise. Targets
-        are pre-allocated by the chunk dispatcher before spans run, so the
-        kernel only writes disjoint elements."""
-        if not self._run_loop_kernel(state, desc, "span", env, lo, hi):
-            self.exec_vector_span(state, desc, lo, hi, env, [])
-
     def run_chunk(
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        kind: str,
+        strategy,
         lo: int,
         hi: int,
         env: dict[str, Any],
         fuse: bool,
     ) -> None:
-        """One chunk of a wavefront: ``[lo, hi]`` of ``desc``'s subrange
-        (``kind == "span"``) or of its collapsed flat iteration space
-        (``"flat"``, fused unless the plan said otherwise)."""
-        if kind == "flat":
-            self.exec_flat_span(state, desc, lo, hi, env, fuse)
-        else:
-            self.exec_chunk_span(state, desc, lo, hi, env)
+        """One chunk of a wavefront: ``[lo, hi]`` of the iteration space
+        the pool ``strategy`` (:class:`repro.plan.strategy.PoolStrategy`)
+        divides, on the loop's kernel unless ``fuse`` is False."""
+        strategy.run_chunk(self, state, desc, lo, hi, env, fuse)
 
     def dispatch(
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        kind: str,
+        strategy,
         spans: list[tuple[int, int]],
         env: dict[str, Any],
         fuse: bool,
@@ -582,7 +534,7 @@ class ExecutionBackend:
         just not concurrent; the parallel backends override this with
         their pools."""
         for lo, hi in spans:
-            self.run_chunk(state, desc, kind, lo, hi, env, fuse)
+            self.run_chunk(state, desc, strategy, lo, hi, env, fuse)
 
     # -- collapsed nests ---------------------------------------------------
 
@@ -602,55 +554,6 @@ class ExecutionBackend:
             los.append(llo)
             extents.append(max(0, lhi - llo + 1))
         return chain, chain_body, los, extents
-
-    def exec_collapsed_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-        plan: Any,
-    ) -> None:
-        """Run a collapse-planned DOALL chain: flatten the perfect nest
-        into one ``[0, prod(extents) - 1]`` iteration space, split it into
-        the planned chunk count, and hand the *flat* subranges to
-        :meth:`dispatch`. Each chunk executes through the
-        chunk-parameterized fused nest kernel (per-equation scalar walk
-        when no kernel is available or the plan disabled fusion)."""
-        _chain, _body, _los, extents = self._flat_geometry(state, desc, lo, hi)
-        flat = 1
-        for n in extents:
-            flat *= n
-        if flat <= 0:
-            return
-        for eq in desc.nested_equations():
-            self.ensure_targets(state, eq)
-        parts = plan.parts if plan is not None and plan.parts else self.workers
-        fuse = plan.fuse if plan is not None else True
-        spans = split_range(0, flat - 1, parts)
-        if len(spans) < 2:
-            self.exec_flat_span(state, desc, 0, flat - 1, env, fuse)
-            return
-        self.dispatch(state, desc, "flat", spans, env, fuse)
-
-    def exec_flat_span(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        flo: int,
-        fhi: int,
-        env: dict[str, Any],
-        fuse: bool = True,
-    ) -> None:
-        """Execute one contiguous flat subrange of a collapsed chain —
-        through the fused flat-variant nest kernel when available, else by
-        the delinearized per-equation walk. The chunked backends reuse
-        this per worker chunk."""
-        if not fuse or not self._run_loop_kernel(
-            state, desc, "flat", env, flo, fhi
-        ):
-            self.exec_flat_walk(state, desc, flo, fhi, env)
 
     def exec_flat_walk(
         self,

@@ -126,7 +126,7 @@ def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_
         task = task_q.get()
         if task is None:
             break
-        task_id, kind, path, lo, hi, env, scalars, specs, fuse = task
+        task_id, strategy, path, lo, hi, env, scalars, specs, fuse = task
         try:
             state.data.update(scalars)
             for name, (segs, shape, dtype, los, his, windows) in specs.items():
@@ -160,7 +160,7 @@ def _pool_worker(backend: ProcessBackend, state: ExecutionState, task_q, result_
             sub = state.fork()
             # Native kernels come from the pre-fork-warmed cache — pure
             # compiled work, no GIL shared with sibling workers.
-            vec.run_chunk(sub, desc, kind, lo, hi, env, fuse)
+            vec.run_chunk(sub, desc, strategy, lo, hi, env, fuse)
             result_q.put((task_id, "ok", sub.eval_counts))
         except BaseException as exc:  # broad by design — reported to the parent
             result_q.put((task_id, "error", f"{type(exc).__name__}: {exc}"))
@@ -296,7 +296,7 @@ class ProcessBackend(ExecutionBackend):
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        kind: str,
+        strategy,
         spans: list[tuple[int, int]],
         env: dict[str, Any],
         fuse: bool,
@@ -315,7 +315,7 @@ class ProcessBackend(ExecutionBackend):
             self._task_seq += 1
             batch.add(task_id)
             self._task_q.put(
-                (task_id, kind, path, clo, chi, env, scalars, specs, fuse)
+                (task_id, strategy, path, clo, chi, env, scalars, specs, fuse)
             )
         # The barrier: every chunk of the wavefront completes (or fails)
         # before the next descriptor runs.

@@ -2,12 +2,13 @@
 
 The planner splits a chunk- or collapse-planned ``DOALL`` into balanced
 contiguous chunks; each runs through :meth:`~repro.runtime.backends.base.
-ExecutionBackend.run_chunk` on the pool — the *native span kernel* when the
-span lowers to C (cffi's ABI mode releases the GIL around the C invocation,
-so chunks genuinely overlap on a GIL build), the vectorised NumPy path
-otherwise (NumPy kernels release the GIL too, but the per-equation Python
-bookkeeping between them serialises — unless the interpreter is a no-GIL
-build, where that Python-level work overlaps as well). Chunk-safety
+ExecutionBackend.run_chunk` on the pool — one call of the loop's own *C
+kernel* over the chunk when the nest lowers to C (cffi's ABI mode releases
+the GIL around the C invocation, so chunks genuinely overlap on a GIL
+build), the vectorised NumPy path otherwise (NumPy kernels release the GIL
+too, but the per-equation Python bookkeeping between them serialises —
+unless the interpreter is a no-GIL build, where that Python-level work
+overlaps as well). Chunk-safety
 (scalar targets, atomic equations, window aliasing) is the planner's
 concern: a DOALL this backend sees with a ``vector`` or ``serial`` plan
 simply runs that strategy via the shared base dispatch.
@@ -79,7 +80,7 @@ class ThreadedBackend(ExecutionBackend):
         self,
         state: ExecutionState,
         desc: LoopDescriptor,
-        kind: str,
+        strategy,
         spans: list[tuple[int, int]],
         env: dict[str, Any],
         fuse: bool,
@@ -90,7 +91,7 @@ class ThreadedBackend(ExecutionBackend):
         pool = self._ensure_pool()
         substates = [state.fork() for _ in spans]
         self._join([
-            pool.submit(self.run_chunk, sub, desc, kind, lo, hi, env, fuse)
+            pool.submit(self.run_chunk, sub, desc, strategy, lo, hi, env, fuse)
             for sub, (lo, hi) in zip(substates, spans)
         ])
         for sub in substates:

@@ -72,10 +72,6 @@ class ExecutionOptions:
     #: (exec-compiled NumPy kernels only), or "evaluator" (no kernels at
     #: all — same as ``use_kernels=False``)
     kernel_tier: str = "native"
-    #: let the planner collapse perfect DOALL nests into one flattened,
-    #: chunked iteration space executed by fused flat kernels (off, nests
-    #: plan with the per-loop strategies only — the escape hatch)
-    use_collapse: bool = True
     #: let the planner split ("fission") a sequential loop whose body
     #: partitions into independent dependence groups into one replica loop
     #: per group — pieces then plan independently (a DOALL piece regains
@@ -87,7 +83,8 @@ class ExecutionOptions:
     #: normally — unlike :func:`repro.plan.planner.forced_plan`, an
     #: inapplicable preference degrades instead of raising. One of
     #: :data:`repro.plan.ir.VALID_STRATEGIES`; any other name, the retired
-    #: ``pipeline`` and ``scan`` included, is refused when the plan is built.
+    #: ``iterate``, ``pipeline`` and ``scan`` included, is refused when the
+    #: plan is built.
     strategy: str | None = None
 
     @classmethod

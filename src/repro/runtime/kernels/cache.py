@@ -13,8 +13,9 @@ Loop kernels come in **tiers** and every public lookup goes through
 :meth:`KernelCache._lookup`: the cffi-compiled *native* kernel when the
 requested tier is ``"native"``, the nest lowers to bit-exact C and this
 machine has a C compiler (see :mod:`repro.runtime.kernels.native`); the
-exec-compiled NumPy kernel otherwise; ``None`` — the caller walks the
-evaluator — when neither applies. A ``None`` is memoized like any other
+exec-compiled NumPy kernel otherwise (unless the caller asks for the C
+kernel alone); ``None`` — the caller walks the loop — when neither
+applies. A ``None`` is memoized like any other
 answer (:meth:`KernelCache._memo`), so a refusal or a broken toolchain is
 paid for once. Native kernels are built in batches
 (:meth:`KernelCache.prepare`): the kernels a plan will dispatch before its
@@ -45,12 +46,7 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.kernels.emit import compile_kernel, compile_nest_kernel
 from repro.runtime.kernels.nest import NEST_SHAPES, KernelError
-from repro.schedule.flowchart import (
-    Flowchart,
-    LoopDescriptor,
-    loop_chunk_safe,
-    loop_collapse_safe,
-)
+from repro.schedule.flowchart import Flowchart, LoopDescriptor, loop_collapse_safe
 
 #: (descriptor path, window mode, shape) — what loop kernels are keyed by
 _Key = tuple[tuple[int, ...], bool, str]
@@ -124,14 +120,14 @@ class KernelCache:
 
     def _lookup(
         self, desc: LoopDescriptor, use_windows: bool, shape: str, tier: str,
-        build_native: bool = True,
+        build_native: bool = True, numpy: bool = True,
     ):
         """The kernel of ``shape`` for the loop ``desc``, highest tier
         first: native -> NumPy -> ``None`` (the caller walks the loop on
         per-equation kernels or the evaluator). ``build_native=False``
         still serves a native kernel some earlier batch built, but starts
         no build for this one: the plan priced the loop as not worth a
-        compiler run."""
+        compiler run. ``numpy=False`` stops after the native tier."""
         path = self.flowchart.path_of(desc)
         if path is None:
             return None
@@ -145,9 +141,7 @@ class KernelCache:
         if shape == "team":
             # the same loop on one thread: the C kernel, then Python
             return self._lookup(desc, use_windows, "full", tier, build_native)
-        if shape == "span":
-            # The NumPy tier's per-equation distribution is the
-            # per-equation vector kernels; there is nothing to look up.
+        if not numpy:
             return None
         if key not in self._nests:
             self._memo(self._nests, [key], False, self._build_numpy)
@@ -166,24 +160,22 @@ class KernelCache:
         return all(self._native[key] is not None for key in keys)
 
     def _build_native(self, keys: list[_Key]) -> dict:
-        nests: dict[_Key, list] = {}
+        specs: dict[_Key, native_mod.NativeKernelSpec] = {}
         for key in keys:
             path, use_windows, shape = key
             if shape == "team" and not native_mod.openmp_supported():
                 continue  # a unit cc cannot build would sink the batch
             try:
-                nests[key] = native_mod.native_specs(
+                specs[key] = native_mod.native_spec(
                     self.flowchart.descriptor_at(path), self.analyzed,
                     self.flowchart, use_windows, shape,
                 )
             except KernelError:
                 pass  # this loop alone does not lower; the batch goes on
-        native_mod.build_kernels(
-            [spec for specs in nests.values() for spec in specs], self._built
-        )
+        native_mod.build_kernels(list(specs.values()), self._built)
         return {
-            key: native_mod.bind_kernel(specs, self._book_proof)
-            for key, specs in nests.items()
+            key: native_mod.bind_kernel(spec, self._book_proof)
+            for key, spec in specs.items()
         }
 
     def _build_numpy(self, keys: list[_Key]) -> dict:
@@ -202,41 +194,43 @@ class KernelCache:
         variant: str = "full",
         tier: str = "native",
         build_native: bool = True,
+        numpy: bool = True,
     ) -> Callable | None:
         """The kernel for a whole nest — ``kernel(data, env, lo, hi) ->
         {label: count}`` — or None when the nest cannot be lowered (the
         caller then walks it descriptor by descriptor). ``variant`` is a
         shape of :mod:`repro.runtime.kernels.nest`: ``"full"`` runs a root
-        subrange (of a ``DOALL``, or in order of a ``DO``), ``"team"`` a
-        ``DO``'s subrange on a team of threads (its ``"full"`` kernel where
-        no team kernel builds — the callable's ``__team__`` says which
-        came back), ``"flat"`` a collapse-chunked flat range, ``"span"`` a
-        root subrange one equation at a time.
+        subrange (of a ``DOALL`` — the whole of it or one chunk — or in
+        order of a ``DO``), ``"team"`` a ``DO``'s subrange on a team of
+        threads (its ``"full"`` kernel where no team kernel builds — the
+        callable's ``__team__`` says which came back), ``"flat"`` a
+        collapse-chunked flat range.
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
-        to the NumPy kernel otherwise; ``tier="numpy"`` skips the native
-        tier outright; ``build_native=False`` (a loop the plan put on the
-        Python dialect) takes a native kernel only when it is already
-        built."""
+        to the NumPy kernel otherwise — unless ``numpy=False``: a chunk
+        would rather run NumPy vector spans than the Python dialect's
+        scalar loops; ``tier="numpy"`` skips the native tier outright;
+        ``build_native=False`` (a loop the plan put on the Python dialect)
+        takes a native kernel only when it is already built."""
         if variant not in NEST_SHAPES:
             raise KernelError(f"unknown nest-kernel variant {variant!r}")
-        return self._lookup(desc, use_windows, variant, tier, build_native)
+        return self._lookup(
+            desc, use_windows, variant, tier, build_native, numpy
+        )
 
-    def _warm_set(
-        self, use_windows: bool, tier: str
-    ) -> Iterator[tuple[LoopDescriptor, str]]:
+    def _warm_set(self, use_windows: bool) -> Iterator[tuple[LoopDescriptor, str]]:
         """Every (loop, shape) a run can dispatch a kernel from. All loops
         of the main tree, not just the outermost ones: when an enclosing
-        loop plans ``serial``/``iterate`` the scalar walk meets the inner
-        loops directly. And the pieces of every usable fission split:
-        replicas live outside the main tree (marker paths), so ``loops()``
-        never meets them. A ``DOALL`` takes ``"full"``, ``"flat"`` when its
-        chain is collapse-safe and the native ``"span"`` kernels when it is
-        chunk-safe; a ``DO`` takes ``"full"`` (the compiled in-order
-        nest). Its ``"team"`` kernel is left to the plan that takes it:
-        the process backend warms this set before it forks, and libgomp
-        has no business in a unit the workers inherit."""
+        loop plans ``serial`` the scalar walk meets the inner loops
+        directly. And the pieces of every usable fission split: replicas
+        live outside the main tree (marker paths), so ``loops()`` never
+        meets them. Every loop takes ``"full"`` (a ``DOALL``'s nest or
+        chunk kernel, a ``DO``'s compiled in-order nest) and a ``DOALL``
+        ``"flat"`` too when its chain is collapse-safe. A ``DO``'s
+        ``"team"`` kernel is left to the plan that takes it: the process
+        backend warms this set before it forks, and libgomp has no
+        business in a unit the workers inherit."""
         # Lazy import: fission sits above the kernel layer.
         from repro.schedule.fission import fission_splits
 
@@ -247,14 +241,8 @@ class KernelCache:
         windows = self.flowchart.windows
         for desc in loops:
             yield desc, "full"
-            if not desc.parallel:
-                continue
             if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
                 yield desc, "flat"
-            if tier == "native" and loop_chunk_safe(
-                desc, self.analyzed, windows, use_windows
-            ):
-                yield desc, "span"
 
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop
@@ -267,7 +255,7 @@ class KernelCache:
         for eq in self.analyzed.equations:
             for vector in (False, True):
                 self.kernel_for(eq, vector, use_windows)
-        wanted = list(self._warm_set(use_windows, tier))
+        wanted = list(self._warm_set(use_windows))
         if tier == "native":
             self.prepare([
                 (self.flowchart.path_of(desc), bool(use_windows), shape)

@@ -555,9 +555,7 @@ def emit_nest_kernel_source(
     ``[lo, hi]`` (chunkable by the caller on the root index; in-order
     blocks when the root is a ``DO``). ``variant="flat"``: the vector
     dialect over an inclusive range of *flat* offsets into the collapsed
-    chain's row-major iteration space (``0 .. prod(extents) - 1``). The
-    NumPy tier has no ``"span"`` kernels: per-equation distribution on
-    that tier *is* the per-equation vector kernels.
+    chain's row-major iteration space (``0 .. prod(extents) - 1``).
     """
     if variant not in NEST_VARIANTS:
         raise KernelError(f"unknown nest-kernel variant {variant!r}")
@@ -567,7 +565,7 @@ def emit_nest_kernel_source(
             vector=variant == "flat", nest_indices=desc.nest_indices(),
         ),
         desc, analyzed, flowchart, use_windows, variant,
-    )[0]
+    )
 
 
 def _compile(

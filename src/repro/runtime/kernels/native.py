@@ -33,8 +33,8 @@ no check in the loop and its storage-relative terms are computed in the
 header of the loop that binds their index. A kernel whose proof fails
 returns before its first store and the wrapper raises
 :class:`RangeUnproven`; the backend reruns that one call a tier down
-(the nest's Python dialect, or the strictly serial walk for a span or flat
-chunk — code that checks every subscript), which is where the evaluator's
+(the nest's Python dialect, or the strictly serial walk for a flat chunk —
+code that checks every subscript), which is where the evaluator's
 out-of-range error comes from. Every other subscript keeps a
 compare-and-return per element, reporting through the error channel.
 
@@ -86,12 +86,7 @@ from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 from repro.ps.printer import format_expression
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.ps.types import ArrayType
-from repro.runtime.kernels.nest import (
-    KernelError,
-    lower_nest,
-    span_is_full,
-    static_windows,
-)
+from repro.runtime.kernels.nest import KernelError, lower_nest, static_windows
 from repro.runtime.kernels.ranges import UNPROVEN, RangeProof
 from repro.schedule.flowchart import Flowchart, LoopDescriptor
 
@@ -749,18 +744,19 @@ class _NativeKernel(CExprLowerer):
         )
 
 
-def native_specs(
+def native_spec(
     desc: LoopDescriptor,
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
     shape: str = "full",
-) -> list[NativeKernelSpec]:
-    """Lower the nest rooted at ``desc`` to C in ``shape`` — one spec for
-    ``"full"`` (the root subrange ``[nlo, nhi]``, inner loops at their
-    declared bounds; in-order blocks when the root is a ``DO``), ``"team"``
-    (the same over a team of threads) and ``"flat"`` (the inclusive flat
-    range of the collapsed chain), one spec per equation for ``"span"``.
+) -> NativeKernelSpec:
+    """Lower the nest rooted at ``desc`` to C in ``shape``: ``"full"`` (the
+    root subrange ``[nlo, nhi]``, inner loops at their declared bounds;
+    in-order blocks when the root is a ``DO``; a chunk of a ``DOALL`` is
+    this function over a smaller range), ``"team"`` (the same over a team
+    of threads) or ``"flat"`` (the inclusive flat range of the collapsed
+    chain).
 
     Raises :class:`KernelError` when the nest is not natively emittable
     (module calls, transcendental builtins, non-rectangular chains, scalar
@@ -770,12 +766,8 @@ def native_specs(
 
     Memoized on the flowchart by (path, window mode, shape), refusals
     included: the ``auto`` planner asks "does it lower?" once per
-    candidate backend and the kernel cache then asks for the same specs to
-    compile, so one emission serves them all. (The span of a one-equation
-    nest *is* its full kernel and is lowered as such — see
-    :func:`~repro.runtime.kernels.nest.span_is_full`.)"""
-    if shape == "span" and span_is_full(desc):
-        shape = "full"
+    candidate backend and the kernel cache then asks for the same spec to
+    compile, so one emission serves them all."""
     memo = flowchart.__dict__.setdefault("_native_emit_memo", {})
     path = flowchart.path_of(desc)
     key = (path, bool(use_windows), shape)
@@ -804,10 +796,10 @@ def native_refusal(
     use_windows: bool,
     shape: str = "full",
 ) -> str | None:
-    """Why :func:`native_specs` does not lower this nest in ``shape`` —
+    """Why :func:`native_spec` does not lower this nest in ``shape`` —
     None when it does. The planner's question."""
     try:
-        native_specs(desc, analyzed, flowchart, use_windows, shape)
+        native_spec(desc, analyzed, flowchart, use_windows, shape)
     except KernelError as exc:
         return str(exc)
     return None
@@ -955,17 +947,19 @@ def build_kernels(
             _loaded[s.fn_name] = entry
 
 
-def _wrap_spec(
+def bind_kernel(
     spec: NativeKernelSpec, on_proof: Callable[[bool], None] | None = None
 ) -> Callable:
-    """Wrap one built spec as ``kernel(data, env, nlo, nhi) -> dict[label,
-    count]`` (a team kernel takes its width as a fifth argument). The
-    wrapper pins every storage buffer for the duration of the
-    call (cffi's ABI mode releases the GIL around the C invocation, so a
-    free-running thread must not let the arrays be collected mid-kernel),
-    checks the error channel after, and re-raises the evaluator's exact
-    exceptions — or :class:`RangeUnproven` when the entry proof failed.
-    ``on_proof(held)`` hears the verdict of every call that had one."""
+    """The Python callable over one *built* spec (see
+    :func:`build_kernels`), with the exact signature of the Python nest
+    kernels — ``kernel(data, env, nlo, nhi) -> dict[label, count]`` (a team
+    kernel takes its width as a fifth argument). The wrapper pins every
+    storage buffer for the duration of the call (cffi's ABI mode releases
+    the GIL around the C invocation, so a free-running thread must not let
+    the arrays be collected mid-kernel), checks the error channel after,
+    and re-raises the evaluator's exact exceptions — or
+    :class:`RangeUnproven` when the entry proof failed. ``on_proof(held)``
+    hears the verdict of every call that had one."""
     lib, ffi = _loaded[spec.fn_name]
     fn = getattr(lib, spec.fn_name)
     array_names = [name for name, _kind in spec.arrays]
@@ -1036,39 +1030,6 @@ def _wrap_spec(
     return _kernel
 
 
-def bind_kernel(
-    specs: list[NativeKernelSpec],
-    on_proof: Callable[[bool], None] | None = None,
-) -> Callable:
-    """The Python callable over the *built* ``specs`` of one nest (see
-    :func:`build_kernels`), with the exact signature of the Python nest
-    kernels — ``kernel(data, env, lo, hi) -> dict`` — raising the
-    evaluator's out-of-range :class:`ExecutionError` when the C code
-    reports one and :class:`RangeUnproven` when its entry proof fails.
-    The several specs of a ``"span"`` become one composite callable that
-    runs the per-equation kernels in emission order — the same
-    distribution order as ``exec_vector_span`` — and merges their
-    counters. When a later equation's proof fails the earlier ones have
-    stored; rerunning the whole span a tier down recomputes the same
-    values from the same inputs (every loop of a span is a ``DOALL``: no
-    equation reads what its own pass wrote) and counts each element once,
-    because a failed call returns no counts."""
-    kernels = [_wrap_spec(spec, on_proof) for spec in specs]
-    if len(kernels) == 1:
-        return kernels[0]
-
-    def _span_kernel(data, env, nlo, nhi):
-        counts: dict[str, int] = {}
-        for kern in kernels:
-            for label, n in kern(data, env, nlo, nhi).items():
-                counts[label] = counts.get(label, 0) + n
-        return counts
-
-    _span_kernel.__kernel_source__ = "\n".join(spec.source for spec in specs)
-    _span_kernel.__native__ = True
-    return _span_kernel
-
-
 def compile_native_nest(
     desc: LoopDescriptor,
     analyzed: AnalyzedModule,
@@ -1078,6 +1039,6 @@ def compile_native_nest(
 ) -> Callable:
     """Lower, build (a batch of one nest) and bind the native kernel of
     ``desc`` in shape ``variant``."""
-    specs = native_specs(desc, analyzed, flowchart, use_windows, variant)
-    build_kernels(specs)
-    return bind_kernel(specs)
+    spec = native_spec(desc, analyzed, flowchart, use_windows, variant)
+    build_kernels([spec])
+    return bind_kernel(spec)

@@ -7,11 +7,9 @@ around equation bodies — seen through three parameters:
 * **slice** — which iterations one call executes: the root subrange
   ``[lo, hi]`` with inner loops at their declared bounds (shape
   ``"full"``), or an inclusive range of *flat* offsets into the collapsed
-  perfect DOALL chain (shape ``"flat"``);
-* **projection** — how much of the body one kernel holds: all of it, or
-  only the loops enclosing one equation (shape ``"span"``: one kernel per
-  equation, the per-equation distribution chunk dispatch runs). A
-  per-equation kernel is the same projection with no loops left
+  perfect DOALL chain (shape ``"flat"``). A chunk of a ``DOALL`` is the
+  same ``"full"`` kernel called over a smaller ``[lo, hi]``; a
+  per-equation kernel is the walk of one equation with no loops at all
   (:func:`lower_equation`);
 * **dialect** — what the text looks like: Python over ints, Python over
   NumPy row vectors (:mod:`repro.runtime.kernels.emit`), or C
@@ -32,10 +30,10 @@ The ``"full"`` shape does not care whether its root is a ``DOALL`` or a
 ``DO``: the body runs in strict iteration order either way, so running a
 sequential root's subrange through it (the compiled ``DO`` of the ``nest``
 strategy) is bit-exact by construction. Whether a ``DO`` *may* take it is
-the caller's decision. ``"flat"`` and ``"span"`` reorder iterations and
-demand a parallel root. ``"team"`` keeps the ``"full"`` order wherever it
-matters: a ``DOALL``'s elements are independent, each is stored by exactly
-one thread, and the barrier ends every unit before the next one starts.
+the caller's decision. ``"flat"`` reorders iterations and demands a
+parallel root. ``"team"`` keeps the ``"full"`` order wherever it matters:
+a ``DOALL``'s elements are independent, each is stored by exactly one
+thread, and the barrier ends every unit before the next one starts.
 """
 
 from __future__ import annotations
@@ -76,10 +74,8 @@ class KernelError(ReproError):
 #: chain, delinearizing each flat offset back to the chain indices in-loop
 NEST_VARIANTS = ("full", "flat")
 
-#: every nest shape; ``"span"`` is ``"full"`` projected onto each equation
-#: in turn — one kernel per equation; ``"team"`` is ``"full"`` on a team of
-#: threads
-NEST_SHAPES = (*NEST_VARIANTS, "span", "team")
+#: every nest shape; ``"team"`` is ``"full"`` on a team of threads
+NEST_SHAPES = (*NEST_VARIANTS, "team")
 
 
 def static_windows(
@@ -258,21 +254,6 @@ def _rectangular_chain(
     return chain, body
 
 
-def _check_distributable(desc: LoopDescriptor) -> None:
-    """``"span"`` runs each equation over the whole subrange before the
-    next one starts — exactly ``exec_vector_span``'s per-equation
-    distribution, and exactly as there it is only order-preserving when
-    every loop in the subtree is DOALL (a sequential inner ``DO`` carries
-    cross-iteration dependences that per-equation reordering would
-    break)."""
-    for loop in desc.nested_loops():
-        if not loop.parallel:
-            raise KernelError(
-                f"sequential loop {loop.index} inside span: per-equation "
-                "distribution would reorder its cross-iteration dependences"
-            )
-
-
 def holds_doall(d: Descriptor) -> bool:
     """Whether ``d`` is a ``DOALL`` or a loop with one inside — what a team
     can divide."""
@@ -293,50 +274,30 @@ def team_unfit_reason(desc: LoopDescriptor) -> str | None:
     return None
 
 
-def span_is_full(desc: LoopDescriptor) -> bool:
-    """Whether the ``"span"`` kernels of ``desc`` are its ``"full"``
-    kernel: a legal span (every loop a ``DOALL``) of a nest holding one
-    equation projects onto all of its loops, so the two emissions are the
-    same text and a dialect that memoizes may lower it once."""
-    return (
-        desc.parallel
-        and all(loop.parallel for loop in desc.nested_loops())
-        and len(desc.nested_equations()) == 1
-    )
-
-
 # ---------------------------------------------------------------------------
 # The walk
 # ---------------------------------------------------------------------------
 
 
-def _walk(
-    d: Descriptor, out, only: AnalyzedEquation | None, root: bool = False,
-    team: bool = False,
-) -> None:
+def _walk(d: Descriptor, out, root: bool = False, team: bool = False) -> None:
     """Emit ``d`` into the kernel ``out`` — THE recursion over descriptor
-    bodies. ``only`` projects the nest onto one equation: loops that do not
-    enclose it and its sibling equations are skipped. ``team``: every
-    thread of a team meets ``d`` — a ``DOALL`` is divided among them, a
-    ``DO`` holding one is walked by all of them, anything else runs on
-    one."""
+    bodies. ``team``: every thread of a team meets ``d`` — a ``DOALL`` is
+    divided among them, a ``DO`` holding one is walked by all of them,
+    anything else runs on one."""
     if team and not holds_doall(d):
         out.open_single()
-        _walk(d, out, only)
+        _walk(d, out)
         out.close_single()
         return
     if isinstance(d, NodeDescriptor):
-        if only is None or d.node.equation is only:
-            out.store(d.node.equation)
+        out.store(d.node.equation)
         return
     assert isinstance(d, LoopDescriptor)
-    if only is not None and not any(eq is only for eq in d.nested_equations()):
-        return
     if team and d.parallel:
         out.share()
     out.open_loop(d, root)
     for child in d.body:
-        _walk(child, out, only, team=team and not d.parallel)
+        _walk(child, out, team=team and not d.parallel)
     out.close_loop()
 
 
@@ -373,13 +334,11 @@ def lower_nest(
     flowchart: Flowchart,
     use_windows: bool,
     shape: str = "full",
-) -> list:
-    """Lower the nest rooted at ``desc`` in ``shape``; ``new_kernel()``
-    makes one empty kernel of the wanted dialect. Returns what the dialect
-    assembles, one per kernel: a single entry for ``"full"`` / ``"flat"``,
-    one per equation (emission order) for ``"span"`` — all-or-nothing.
-    Raises :class:`KernelError` when the nest, the shape, or the dialect
-    refuses."""
+):
+    """Lower the nest rooted at ``desc`` in ``shape`` into ``new_kernel()``
+    — one empty kernel of the wanted dialect — and return what the dialect
+    assembles. Raises :class:`KernelError` when the nest, the shape, or the
+    dialect refuses."""
     if shape not in NEST_SHAPES:
         raise KernelError(f"unknown nest-kernel variant {shape!r}")
     if not nest_fusable(desc, analyzed, flowchart, use_windows):
@@ -390,26 +349,18 @@ def lower_nest(
             raise KernelError(why)
     elif shape != "full" and not desc.parallel:
         raise KernelError(f"loop {desc.index} is not DOALL")
-    projections: list[AnalyzedEquation | None] = [None]
+    out = new_kernel()
     if shape == "flat":
         chain, chain_body = _rectangular_chain(desc)
-    elif shape == "span":
-        _check_distributable(desc)
-        projections = desc.nested_equations()
-    kernels = []
-    for only in projections:
-        out = new_kernel()
-        if shape == "flat":
-            out.open_flat(chain)
-            for child in chain_body:
-                _walk(child, out, None)
-            out.close_loop()
-        elif shape == "team":
-            if not hasattr(out, "open_region"):
-                raise KernelError("only the C dialect runs a team")
-            out.open_region()
-            _walk(desc, out, None, root=True, team=True)
-        else:
-            _walk(desc, out, only, root=True)
-        kernels.append(_finish(out, analyzed))
-    return kernels
+        out.open_flat(chain)
+        for child in chain_body:
+            _walk(child, out)
+        out.close_loop()
+    elif shape == "team":
+        if not hasattr(out, "open_region"):
+            raise KernelError("only the C dialect runs a team")
+        out.open_region()
+        _walk(desc, out, root=True, team=True)
+    else:
+        _walk(desc, out, root=True)
+    return _finish(out, analyzed)

@@ -14,7 +14,7 @@ minimal groups by the loop-carried/loop-independent dependence structure
 (the condensation of the unit dependence graph restricted to the nest),
 replicate the enclosing loop once per group in topological order, and let
 the planner price each replica independently — an all-DOALL piece regains
-nest/collapse/native span kernels, a lone module call stops poisoning its
+nest/chunk/collapse native kernels, a lone module call stops poisoning its
 siblings, and a lone recurrence piece runs as its own compiled ``DO``.
 
 Legality is all-or-nothing per unit pair, classified at the writer's

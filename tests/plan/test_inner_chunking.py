@@ -1,7 +1,8 @@
 """Inner-DOALL chunking: a DOALL whose trip count is below the worker
-count must not leave workers idle — the planner hands the team to a
-chunk-safe inner DOALL (outer ``iterate``, inner ``chunk``), the waste the
-backends could never fix at loop entry on their own."""
+count must not leave workers idle — the planner collapses the nest, or
+runs the outer DOALL ``serial`` and hands the team to a chunk-safe inner
+DOALL (``chunk``), the waste the backends could never fix at loop entry on
+their own."""
 
 import numpy as np
 import pytest
@@ -61,21 +62,25 @@ class TestTallSkinnyGrid:
         assert inner.strategy == "collapse"
 
     @pytest.mark.parametrize("backend", ["threaded", "process"])
-    def test_no_collapse_restores_iterate(self, backend):
-        """--no-collapse is the escape hatch back to the PR 3 plan: the
-        outer DOALL iterates and the inner DOALL takes the team."""
+    def test_without_collapse_the_inner_doall_takes_the_team(self, backend):
+        """With no kernel to fuse (kernels off) the nest cannot collapse:
+        the outer DOALL runs in order and says which inner DOALL takes the
+        workers, and that one chunks."""
         analyzed, flow, args = _setup(4, 4096)
         plan = build_plan(
             analyzed, flow,
-            ExecutionOptions(backend=backend, workers=8, use_collapse=False),
+            ExecutionOptions(backend=backend, workers=8, use_kernels=False),
             {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
-        assert outer.strategy == "iterate"
-        assert outer.chunk_index == inner.index
-        assert "trip 4 < 8 workers" in outer.reason
+        assert outer.strategy == "serial"
+        assert outer.reason == f"trip 4 < 8 workers: DOALL {inner.index} takes them"
         assert inner.strategy == "chunk"
         assert inner.parts == 8
+        assert plan.pretty().splitlines()[1:3] == [
+            "DOALL I -> serial; trip 4; trip 4 < 8 workers: DOALL J takes them",
+            "    DOALL J -> chunk x8; trip 4096",
+        ]
 
     def test_wide_outer_still_chunks_outer(self):
         analyzed, flow, args = _setup(64, 64)
@@ -117,7 +122,7 @@ class TestTallSkinnyGrid:
 
     @pytest.mark.usefixtures("pinned_host")
     def test_inner_chunking_distributes_all_elements(self):
-        """Eval counts survive the iterate+chunk path: every element is
+        """Eval counts survive the collapsed path: every element is
         computed exactly once."""
         from repro.runtime.backends import BACKENDS
         from repro.runtime.backends.base import ExecutionState

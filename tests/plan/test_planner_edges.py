@@ -205,7 +205,7 @@ def _forced_override(analyzed, flow, name):
 
 
 class TestRetiredStrategy:
-    @pytest.mark.parametrize("name", ["pipeline", "scan"])
+    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan"])
     @pytest.mark.parametrize("plan_with, error", [
         (_build_with_strategy, ExecutionError),
         (_forced_default, PlanError),
@@ -214,9 +214,9 @@ class TestRetiredStrategy:
     def test_retired_names_are_refused_naming_the_survivors(
         self, plan_with, error, name
     ):
-        assert len(VALID_STRATEGIES) == 7
+        assert len(VALID_STRATEGIES) == 6
         # the count vocabulary keeps the retired names, always counted 0
-        assert STRATEGIES == (*VALID_STRATEGIES, "pipeline", "scan")
+        assert STRATEGIES == (*VALID_STRATEGIES, "iterate", "pipeline", "scan")
         # a recurrence feeding a consumer: the shape pipeline decoupled
         analyzed = scan_analyzed()
         flow = schedule_module(analyzed)

@@ -292,13 +292,13 @@ class _SlowSiblingBackend(ThreadedBackend):
         self.armed = True
         self.sibling_done = threading.Event()
 
-    def exec_chunk_span(self, state, desc, lo, hi, env):
+    def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
         if self.armed:
             if lo == 1:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.2)
             self.sibling_done.set()
-        super().exec_chunk_span(state, desc, lo, hi, env)
+        super().run_chunk(state, desc, strategy, lo, hi, env, fuse)
 
 
 class TestOneJoin:

@@ -1,11 +1,12 @@
 """One chunk hook on every backend: ``dispatch`` over ``run_chunk``.
 
 A chunk- or collapse-planned ``DOALL`` hands each wavefront to the
-backend's ``dispatch(state, desc, kind, spans, env, fuse)``, and every span
-runs through ``run_chunk`` — inline on ``serial`` and ``vectorized``, on the
-thread pool on ``threaded``, in the persistent forked workers on
-``process``. On every backend and for both chunk kinds (``"span"`` from
-``chunk``, ``"flat"`` from ``collapse``) these tests pin:
+backend's ``dispatch(state, desc, strategy, spans, env, fuse)``, and every
+span runs through ``run_chunk`` — inline on ``serial`` and ``vectorized``,
+on the thread pool on ``threaded``, in the persistent forked workers on
+``process``. On every backend and for both pool strategies (``chunk``,
+whose chunks run the ``"full"`` kernel over rows, and ``collapse``, whose
+chunks run the ``"flat"`` kernel over the flattened nest) these tests pin:
 
 * the spans of a wavefront partition its iteration space, each run once
   (the ``process`` workers report through a queue they inherit at fork);
@@ -39,8 +40,8 @@ from tests.runtime.test_kernels import WORKLOADS
 
 ALL_BACKENDS = ["serial", "vectorized", "threaded", "process"]
 POOL_BACKENDS = ["threaded", "process"]
-#: the chunk kind each DOALL strategy hands to ``dispatch``
-KIND_OF = {"chunk": "span", "collapse": "flat"}
+#: the kernel shape each pool strategy's chunks run
+KIND_OF = {"chunk": "full", "collapse": "flat"}
 #: the two-dimensional paper workloads, where both strategies apply once
 #: the local arrays are windowed, plus ``paths_int``: it writes ``W[I, 0]``
 #: for every ``I`` before its ``DO I``, so ``W`` plans unwindowed and its
@@ -144,9 +145,9 @@ class TestOneHook:
         self, monkeypatch, backend_name, strategy
     ):
         """Every span of the wavefront reaches ``run_chunk`` once, with the
-        strategy's kind, and together the spans cover the loop's range (the
-        rows for ``chunk``, the flattened nest for ``collapse``) without
-        overlap."""
+        planned strategy, and together the spans cover the loop's range
+        (the rows for ``chunk``, the flattened nest for ``collapse``)
+        without overlap."""
         _needs(backend_name)
         r, c = 5, 67
         options = ExecutionOptions(
@@ -157,9 +158,9 @@ class TestOneHook:
         calls = _recorder(backend)
         original = ExecutionBackend.run_chunk
 
-        def run_chunk(self, state, desc, kind, lo, hi, env, fuse):
-            calls.put((kind, lo, hi))
-            original(self, state, desc, kind, lo, hi, env, fuse)
+        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
+            calls.put((strategy.shape, lo, hi))
+            original(self, state, desc, strategy, lo, hi, env, fuse)
 
         monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
         try:
@@ -292,11 +293,11 @@ class TestWindowDebugParity:
         poison = []
         original = backend.dispatch
 
-        def dispatch(state, desc, kind, spans, env, fuse):
-            waves.append(kind)
+        def dispatch(state, desc, strategy, spans, env, fuse):
+            waves.append(strategy.shape)
             if poison:
                 state.data["A"].tags[...] = -1
-            original(state, desc, kind, spans, env, fuse)
+            original(state, desc, strategy, spans, env, fuse)
 
         backend.dispatch = dispatch
         try:
@@ -334,16 +335,16 @@ class TestFailedWave:
         sync = backend._ctx if backend_name == "process" else threading
         armed, sibling_done = sync.Event(), sync.Event()
         armed.set()
-        first = {"span": 1, "flat": 0}
+        first = {"full": 1, "flat": 0}
         original = ExecutionBackend.run_chunk
 
-        def run_chunk(self, state, desc, kind, lo, hi, env, fuse):
+        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
             if armed.is_set():
-                if lo == first[kind]:
+                if lo == first[strategy.shape]:
                     raise RuntimeError("chunk 0 failed")
                 time.sleep(0.2)
                 sibling_done.set()
-            original(self, state, desc, kind, lo, hi, env, fuse)
+            original(self, state, desc, strategy, lo, hi, env, fuse)
 
         monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
         started = []

@@ -10,9 +10,10 @@ A point is one of
 
 * an equation in the scalar or the vector dialect — the per-equation Python
   kernels;
-* a loop in shape ``full`` or ``flat``, in Python or C, or in shape ``span``
-  or ``team`` in C — the nest kernels. ``full`` over a ``DO`` is what used
-  to be called the ``"seq"`` variant.
+* a loop in shape ``full`` or ``flat``, in Python or C, or in shape
+  ``team`` in C — the nest kernels. ``full`` over a ``DO`` is what used to
+  be called the ``"seq"`` variant; a chunk of a ``DOALL`` runs its ``full``
+  kernel.
 
 over 51 programs, each with and without loop merging and window storage: the
 12 corpus modules and 3 shapes the kernel tests exercise (each also under the
@@ -38,7 +39,7 @@ from repro.ps.printer import format_module
 from repro.ps.semantics import analyze_program
 from repro.runtime.kernels import KernelError
 from repro.runtime.kernels.emit import emit_kernel_source, emit_nest_kernel_source
-from repro.runtime.kernels.native import native_specs
+from repro.runtime.kernels.native import native_spec
 from repro.schedule.fission import fission_splits
 from repro.schedule.scheduler import schedule_module
 
@@ -150,7 +151,7 @@ def _nest_source(desc, analyzed, flow, w, shape):
 
 
 def _native_sources(desc, analyzed, flow, w, shape):
-    return [spec.source for spec in native_specs(desc, analyzed, flow, w, shape)]
+    return [native_spec(desc, analyzed, flow, w, shape).source]
 
 
 def _digest(sources_of, *args) -> str:
@@ -184,7 +185,7 @@ def census() -> dict[str, dict[str, str]]:
                     points[f"{at_loop} {shape} py"] = _digest(
                         _nest_source, desc, analyzed, flow, w, shape
                     )
-                for shape in ("full", "flat", "span", "team"):
+                for shape in ("full", "flat", "team"):
                     points[f"{at_loop} {shape} c"] = _digest(
                         _native_sources, desc, analyzed, flow, w, shape
                     )

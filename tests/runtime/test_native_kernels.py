@@ -168,9 +168,9 @@ class TestNativeParity:
             if tier == "native":
                 assert _proofs(cache) == (0, 1)
         # Four threaded chunks of 16: the three in-range chunks prove and
-        # run; only the chunk holding iteration k is rerun. (The NumPy
-        # tier's vector spans clip instead of raising — the rerun is the
-        # strictly serial walk, never those.)
+        # run; only the chunk holding iteration k is rerun, on the nest's
+        # range-checked Python dialect. (The NumPy tier's vector spans clip
+        # instead of raising — a chunk never reruns on those.)
         options = ExecutionOptions(backend="threaded", workers=4)
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"n": n, "k": k},
@@ -266,12 +266,15 @@ class TestGracefulDegradation:
             assert cache.stats()["native"] == 0
 
 
-#: shape -> (strategy that dispatches it, workload name); "do" is the
-#: "full" shape over a sequential DO root — the compiled in-order nest
+#: lookup -> (strategy that dispatches it, workload name); "do" is the
+#: "full" shape over a sequential DO root — the compiled in-order nest —
+#: and "chunk" the "full" shape asked for its C kernel alone, as a chunk
+#: asks for it (a chunk runs NumPy vector spans rather than the Python
+#: dialect's scalar loops)
 LOOKUP_SHAPES = {
     "full": ("nest", "jacobi"),
     "flat": ("collapse", "jacobi"),
-    "span": ("chunk", "jacobi"),
+    "chunk": ("chunk", "jacobi"),
     "do": ("nest", "isum"),
 }
 
@@ -340,9 +343,8 @@ class TestTieredLookup:
         strategy, workload = LOOKUP_SHAPES[shape]
         analyzed, flow, args, result, desc = _lookup_workload(workload)
         expected = LOOKUP_CONDITIONS[condition]
-        if shape == "span" and expected == "numpy":
-            # the NumPy tier distributes spans through the per-equation
-            # vector kernels: nothing to serve, the caller walks
+        if shape == "chunk" and expected == "numpy":
+            # nothing to serve: the chunk runs its vector spans
             expected = None
         _impose(monkeypatch, condition)
 
@@ -365,7 +367,8 @@ class TestTieredLookup:
 
         def lookup():
             return cache.nest_kernel_for(
-                desc, False, variant="full" if shape == "do" else shape
+                desc, False, variant="flat" if shape == "flat" else "full",
+                numpy=shape != "chunk",
             )
 
         served = lookup()
@@ -437,9 +440,9 @@ class TestEmittability:
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
         nest = next(_outermost_parallel(flow.descriptors))
-        (a,) = native_mod.native_specs(nest, analyzed, flow, False)
+        a = native_mod.native_spec(nest, analyzed, flow, False)
         flow.__dict__.pop("_native_emit_memo")  # a second, real emission
-        (b,) = native_mod.native_specs(nest, analyzed, flow, False)
+        b = native_mod.native_spec(nest, analyzed, flow, False)
         assert a is not b
         assert a.source == b.source
         assert a.fn_name == b.fn_name
@@ -617,11 +620,11 @@ class TestRangeProof:
         flow = schedule_module(analyzed)
         (sweep,) = [d for d in flow.loops() if d.index == "K"]
         off, on = (
-            native_mod.native_specs(sweep, analyzed, flow, w, "full")
+            native_mod.native_spec(sweep, analyzed, flow, w, "full")
             for w in (False, True)
         )
-        assert [s.source for s in off] == [s.source for s in on]
-        assert "% 2" in off[0].function
+        assert off.source == on.source
+        assert "% 2" in off.function
 
     def test_a_wrapped_bound_proves_nothing(self, native_cache_dir):
         """``I + k`` with ``k = 2**63 - 2`` wraps for every ``I >= 2``:
@@ -663,7 +666,7 @@ define
 end Half;
 """)
         (loop,) = flow.loops()
-        (spec,) = native_mod.native_specs(loop, analyzed, flow, False, "full")
+        spec = native_mod.native_spec(loop, analyzed, flow, False, "full")
         assert (spec.checks, spec.proven) == (2, 1)  # the store proves
         assert [ref for ref, _why in spec.inline] == ["X[I - n div 2 + n div 2]"]
 
@@ -725,7 +728,7 @@ end Box;
         loop text, byte for byte as before, and the plan says so."""
         analyzed, flow = _module(_guarded("I mod 2 = 0", "X[I - 1]"))
         (loop,) = flow.loops()
-        (spec,) = native_mod.native_specs(loop, analyzed, flow, False, "full")
+        spec = native_mod.native_spec(loop, analyzed, flow, False, "full")
         assert (spec.checks, spec.proven) == (3, 1)
         assert spec.inline == (
             ("X[I - 1]", "under a guard the proof does not read"),
@@ -800,13 +803,12 @@ class TestPersistPlan:
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
         specs = [
-            spec
+            native_mod.native_spec(desc, analyzed, flow, False, shape)
             for desc in _outermost_parallel(flow.descriptors)
-            for shape in ("full", "span")
-            for spec in native_mod.native_specs(desc, analyzed, flow, False, shape)
+            for shape in ("full", "flat", "full")
         ]
         names = {spec.fn_name for spec in specs}
-        assert 1 < len(names) < len(specs)  # span of one equation == full
+        assert 1 < len(names) < len(specs)  # one function per distinct text
         out = native_mod.persist_plan("Relaxation", "plan text", specs)
         assert (out / "plan.txt").read_text() == "plan text"
         assert [p.name for p in out.glob("*.c")] == ["Relaxation.c"]

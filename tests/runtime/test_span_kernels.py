@@ -1,32 +1,40 @@
-"""Native span-kernel parity and GIL-free threaded execution.
+"""Chunk kernels: every chunk of a DOALL is one call of the loop's own
+``"full"`` C kernel over its part of the subrange.
 
-The span tier compiles one C function per (enclosing-chain, equation) pair
-of a chunk-dispatchable DOALL subtree; the chunked backends call it for a
-subrange instead of the per-equation NumPy spans. These tests pin:
+The chunked backends split a ``chunk``-planned DOALL into contiguous
+subranges and call the nest's one compiled function for each — the same
+function the ``nest`` strategy calls for the whole subrange. These tests
+pin:
 
 * bit-exact parity — every paper workload, chunk-forced on every chunked
-  backend, in both window modes, against
-  the kernel-less serial reference, on the native *and* NumPy tiers;
-* the emission rules — one spec per equation, sequential inner ``DO``
-  rejects the whole span (per-equation distribution would reorder its
-  cross-iteration dependences), all-or-nothing on lowering failures;
-* the cache contract — ``warm()`` covers the span shapes (memoization and
-  degradation are rows of ``test_native_kernels.TestTieredLookup``);
+  backend, in both window modes, against the kernel-less serial reference,
+  on the native *and* NumPy tiers;
+* a DOALL over a sequential ``DO`` (the ``rec`` program) chunks on its
+  native kernel, where per-equation kernels could not lower it;
+* one kernel call per chunk, however many equations the loop holds;
+* a chunk whose entry range proof fails reruns alone on the nest's
+  range-checked Python dialect, and the evaluator's error comes out after
+  its sibling chunks have finished;
 * genuine parallelism — a Python thread keeps running while another sits
-  inside a GIL-released native span kernel.
+  inside a GIL-released native kernel.
 """
 
 import os
+import queue
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.pipeline import CompilerOptions, compile_source
+from repro.errors import ExecutionError
 from repro.plan.planner import forced_plan, valid_strategies
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.ps.types import RealType
+from repro.runtime.backends import instantiate_backend
+from repro.runtime.backends.base import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
@@ -42,8 +50,8 @@ needs_toolchain = pytest.mark.skipif(
     not native_supported(), reason="no C compiler / cffi on this machine"
 )
 
-#: a DOALL whose body is a sequential DO — the shape the span tier must
-#: refuse (W[I, J] carries a cross-iteration dependence along J)
+#: a DOALL whose body is a sequential DO (W[I, J] carries a dependence
+#: along J): its chunks run the whole DO per row, in order
 REC_SOURCE = """\
 Rec: module (n: int): [Y: array[1 .. n] of int];
 type
@@ -57,8 +65,28 @@ define
 end Rec;
 """
 
+#: two equations over one DOALL once the loops are merged
+TWO_SOURCE = """\
+Two: module (X: array[1 .. n] of real; n: int):
+     [Y: array[1 .. n] of real; Z: array[1 .. n] of real];
+type I = 1 .. n;
+define
+    Y[I] = X[I] * 2.0;
+    Z[I] = X[I] + 1.0;
+end Two;
+"""
+
+#: ``X[I + 1]`` leaves ``X`` on the last iteration only
+SHIFT_SOURCE = """\
+Shift: module (X: array[1 .. n] of real; n: int): [Y: array[1 .. n] of real];
+type I = 1 .. n;
+define
+    Y[I] = X[I + 1];
+end Shift;
+"""
+
 #: an arithmetic-heavy single-equation nest for the concurrency test —
-#: enough C work per span call that thread overlap is measurable
+#: enough C work per call that thread overlap is measurable
 HEAVY_SOURCE = """\
 Heavy: module (n: int): [s: real];
 type
@@ -77,9 +105,9 @@ end Heavy;
 
 @pytest.fixture(scope="module")
 def span_cache(tmp_path_factory):
-    """One on-disk cache for the whole module: each span kernel compiles
-    once and later tests reload the memoized library."""
-    d = tmp_path_factory.mktemp("native-span-cache")
+    """One on-disk cache for the whole module: each kernel compiles once
+    and later tests reload the memoized library."""
+    d = tmp_path_factory.mktemp("native-chunk-cache")
     old = os.environ.get("REPRO_NATIVE_CACHE")
     os.environ["REPRO_NATIVE_CACHE"] = str(d)
     yield d
@@ -91,7 +119,7 @@ def span_cache(tmp_path_factory):
 
 def _chunk_forced_plan(analyzed, flow, backend, options, scalars):
     """Force ``chunk`` on every loop where it is valid (outermost wins) so
-    the run exercises the span dispatch path regardless of what the
+    the run exercises the chunk dispatch path regardless of what the
     cost-driven planner would pick at these tiny sizes."""
     overrides = {}
 
@@ -115,6 +143,46 @@ def _chunk_forced_plan(analyzed, flow, backend, options, scalars):
 
 def _scalars(args):
     return {k: int(v) for k, v in args.items() if isinstance(v, int)}
+
+
+def _chunked(plan):
+    return [path for path, lp in plan.loops.items() if lp.strategy == "chunk"]
+
+
+def _run_two(cache, n=40):
+    """Run ``TWO_SOURCE`` (merged) chunk-forced on two threads through
+    ``cache``; check the results and return (the run's state, ``n``)."""
+    analyzed, flow = cache.analyzed, cache.flowchart
+    args = {"X": np.linspace(0.0, 1.0, n), "n": n}
+    options = ExecutionOptions(backend="threaded", workers=2)
+    plan = forced_plan(analyzed, flow, "threaded", options, {"n": n}, default="chunk")
+    assert plan.loops[(0,)].parts == 2
+    backend = instantiate_backend("threaded", workers=2)
+    states = []
+    original = backend.run
+
+    def run(state):
+        states.append(state)
+        original(state)
+
+    backend.run = run
+    try:
+        got = execute_module(
+            analyzed, dict(args), flow, options, kernel_cache=cache,
+            plan=plan, backend=backend,
+        )
+    finally:
+        backend.close()
+    assert np.array_equal(got["Y"], args["X"] * 2.0)
+    assert np.array_equal(got["Z"], args["X"] + 1.0)
+    return states[0], n
+
+
+def _two_cache():
+    result = compile_source(TWO_SOURCE, CompilerOptions(merge_loops=True))
+    (loop,) = result.flowchart.loops()
+    assert len(loop.nested_equations()) == 2
+    return KernelCache(result.analyzed, result.flowchart)
 
 
 @needs_toolchain
@@ -168,81 +236,170 @@ class TestSpanParity:
         assert np.array_equal(ref[out], got[out])
 
 
-class TestSpanEmission:
-    def test_one_spec_per_equation(self):
-        """A two-deep DOALL nest with one equation lowers to one span
-        spec whose root loop runs ``nlo .. nhi``."""
-        name, analyzed, flow, args, out = WORKLOADS[0]  # jacobi
-        outer = next(
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and d.parallel
-        )
-        specs = native_mod.native_specs(
-            outer, analyzed, flow, use_windows=False, shape="span"
-        )
-        assert len(specs) == len(outer.nested_equations()) == 1
-        assert "nlo" in specs[0].source and "nhi" in specs[0].source
-
-    def test_sequential_inner_do_rejects_span(self):
-        """DOALL I ( DO J ( eq ) ): per-equation distribution across the
-        sequential J loop would reorder its cross-iteration dependences —
-        the whole span is non-emittable."""
+@needs_toolchain
+class TestChunkOnTheFullKernel:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
+    @pytest.mark.parametrize("backend", CHUNKED_BACKENDS)
+    def test_doall_over_a_do_chunks_natively(
+        self, backend, use_windows, workers, span_cache
+    ):
+        """``rec`` chunk-forced: every chunked loop — with windows off the
+        ``DOALL I (DO J ...)`` too — is served by its native kernel, and
+        the answer is the evaluator's, bit for bit, with uninitialised
+        storage poisoned."""
         analyzed = analyze_module(parse_module(REC_SOURCE))
         flow = schedule_module(analyzed)
-        loops = [
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and d.parallel
-        ]
-        rec = next(
-            d for d in loops
-            if any(
-                isinstance(b, LoopDescriptor) and not b.parallel
-                for b in d.body
-            )
+        n = 37
+        ref = execute_module(
+            analyzed, {"n": n}, flow,
+            ExecutionOptions(
+                backend="serial", use_windows=use_windows, use_kernels=False
+            ),
         )
-        assert native_mod.native_refusal(
-            rec, analyzed, flow, use_windows=False, shape="span"
-        ) is not None
-        flat = [d for d in loops if d is not rec]
-        assert flat and all(
-            native_mod.native_refusal(d, analyzed, flow, False, "span") is None
-            for d in flat
+        options = ExecutionOptions(
+            backend=backend, workers=workers, use_windows=use_windows
         )
-
-    def test_non_doall_root_rejected(self):
-        from repro.runtime.kernels import KernelError
-
-        name, analyzed, flow, args, out = WORKLOADS[0]
-        do_k = next(
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and not d.parallel
-        )
-        with pytest.raises(KernelError):
-            native_mod.native_specs(do_k, analyzed, flow, False, "span")
-
-
-class TestSpanCache:
-    @needs_toolchain
-    def test_warm_covers_span_shapes(self, span_cache):
-        """Session.warm()'s path — KernelCache.warm(tier="native") — must
-        pre-compile the span kernels, not only the fused nests (the
-        pool-inheritance and daemon warm paths rely on it)."""
-        name, analyzed, flow, args, out = WORKLOADS[0]
+        plan = _chunk_forced_plan(analyzed, flow, backend, options, {"n": n})
+        chunked = _chunked(plan)
+        assert ((1,) in chunked) == (not use_windows)
         cache = KernelCache(analyzed, flow)
-        cache.warm(use_windows=False, tier="native")
-        spans = [
-            key for key in cache._native
-            if len(key) == 3 and key[2] == "span"
+        got = execute_module(
+            analyzed, {"n": n}, flow, options, kernel_cache=cache, plan=plan
+        )
+        assert np.array_equal(got["Y"], ref["Y"])
+        assert chunked == [path for path, _ in plan.native_kernels()]
+        assert all(
+            cache._native[(path, use_windows, "full")] is not None
+            for path in chunked
+        )
+
+    def test_one_kernel_call_per_chunk(self, span_cache):
+        """A chunk of a two-equation loop is one C call that stores both
+        equations — not one call per equation. Every call with an entry
+        proof reports its verdict once: the spy counts the calls."""
+        cache = _two_cache()
+        calls = []
+        cache._book_proof = calls.append
+        state, n = _run_two(cache)
+        assert calls == [True, True]
+        assert state.eval_counts == {"eq.1": n, "eq.2": n}
+
+
+@needs_toolchain
+class TestUnprovenChunk:
+    def test_reruns_on_the_python_full_kernel_counting_once(
+        self, span_cache, monkeypatch
+    ):
+        """A chunk whose native call reports a failed entry proof has
+        stored nothing; it alone runs again, on the nest's range-checked
+        Python dialect — not on vector spans — and each element is counted
+        exactly once."""
+        real_bind = native_mod.bind_kernel
+
+        def unproven_from_21(spec, on_proof=None):
+            kernel = real_bind(spec, on_proof)
+
+            def fails(data, env, lo, hi, *width):
+                if lo == 21:
+                    raise native_mod.RangeUnproven("simulated")
+                return kernel(data, env, lo, hi, *width)
+
+            fails.__native__ = True
+            return fails
+
+        monkeypatch.setattr(native_mod, "bind_kernel", unproven_from_21)
+        cache = _two_cache()
+        lookups = []
+        real_lookup = cache.nest_kernel_for
+
+        def lookup(desc, use_windows, variant="full", tier="native", **kw):
+            lookups.append((variant, tier, kw.get("numpy", True)))
+            return real_lookup(desc, use_windows, variant, tier, **kw)
+
+        cache.nest_kernel_for = lookup
+        state, n = _run_two(cache)
+        assert state.eval_counts == {"eq.1": n, "eq.2": n}
+        # both chunks asked for the C kernel alone; the failed one then
+        # asked for the Python dialect of the same shape
+        assert sorted(lookups) == [
+            ("full", "native", False), ("full", "native", False),
+            ("full", "numpy", True),
         ]
-        assert spans, "warm() compiled no span kernels"
-        assert all(cache._native[k] is not None for k in spans)
+
+    @pytest.mark.parametrize("backend_name", CHUNKED_BACKENDS)
+    def test_a_real_stray_raises_the_evaluator_error_after_its_siblings(
+        self, backend_name, span_cache, monkeypatch
+    ):
+        """``X[I + 1]`` leaves ``X`` at ``I = n`` only: the last chunk's
+        proof fails, its rerun on the Python dialect raises the evaluator's
+        exact error, and the other chunks have run to completion by the
+        time it reaches the caller."""
+        analyzed = analyze_module(parse_module(SHIFT_SOURCE))
+        flow = schedule_module(analyzed)
+        n = 30
+        args = {"X": np.arange(1.0, n + 1), "n": n}
+        with pytest.raises(ExecutionError) as expected:
+            execute_module(
+                analyzed, dict(args), flow,
+                ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+            )
+        options = ExecutionOptions(backend=backend_name, workers=3)
+        plan = forced_plan(
+            analyzed, flow, backend_name, options, {"n": n}, default="chunk"
+        )
+        backend = instantiate_backend(backend_name, workers=3)
+        done = (
+            backend._ctx.SimpleQueue() if backend_name == "process"
+            else queue.SimpleQueue()
+        )
+        original = ExecutionBackend.run_chunk
+
+        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
+            if lo == 1:
+                time.sleep(0.2)  # the in-range sibling finishes last
+            original(self, state, desc, strategy, lo, hi, env, fuse)
+            done.put(lo)
+
+        monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
+        cache = KernelCache(analyzed, flow)
+        real_lookup = cache.nest_kernel_for
+
+        def lookup(desc, use_windows, variant="full", tier="native", **kw):
+            done.put((variant, tier))
+            return real_lookup(desc, use_windows, variant, tier, **kw)
+
+        cache.nest_kernel_for = lookup
+        try:
+            with pytest.raises(ExecutionError) as raised:
+                execute_module(
+                    analyzed, dict(args), flow, options, kernel_cache=cache,
+                    plan=plan, backend=backend,
+                )
+        finally:
+            backend.close()
+        assert str(expected.value) in str(raised.value)
+        heard = []
+        while not done.empty():
+            heard.append(done.get())
+        finished = sorted(x for x in heard if isinstance(x, int))
+        assert finished == [1, 11]  # both in-range chunks joined
+        # three chunks asked for the C kernel; the failed one, then, for
+        # the Python dialect
+        assert sorted(x for x in heard if isinstance(x, tuple)) == [
+            ("full", "native"), ("full", "native"), ("full", "native"),
+            ("full", "numpy"),
+        ]
+        if backend_name == "threaded":
+            stats = cache.stats()
+            assert (stats["range_proven"], stats["range_unproven"]) == (2, 1)
 
 
 @needs_toolchain
 class TestGilRelease:
     def test_python_thread_progresses_during_the_c_call(self, span_cache):
         """cffi's ABI mode releases the GIL around the C call: while one
-        thread sits in a heavy span kernel, a pure-Python thread keeps
+        thread sits in a heavy native kernel, a pure-Python thread keeps
         running. With the GIL held it would stand still for the whole call
         (measured: its longest stall is 0.7-0.95 of a GIL-holding call of
         this length); released, the longest stall is a scheduler time
@@ -257,7 +414,7 @@ class TestGilRelease:
             if isinstance(d, LoopDescriptor) and d.parallel
         )
         kern = native_mod.compile_native_nest(
-            outer, analyzed, flow, use_windows=False, variant="span"
+            outer, analyzed, flow, use_windows=False, variant="full"
         )
         arr = RuntimeArray.allocate("A", RealType, [(1, n), (1, n)])
         data = {"A": arr, "n": n}

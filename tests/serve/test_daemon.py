@@ -144,20 +144,21 @@ class TestStructuredErrors:
             assert exc.value.kind == "BadRequest"
             assert "bogus" in str(exc.value)
 
-    def test_retired_option_is_a_bad_request(self, served):
+    @pytest.mark.parametrize("name", ["allow_reassoc", "use_collapse"])
+    def test_retired_option_is_a_bad_request(self, served, name):
         daemon, _ = served
         with connect(daemon) as client:
             with pytest.raises(ClientError) as exc:
                 client.run(
                     "Relaxation", {**SIZES, "InitialA": make_input(0)},
-                    allow_reassoc=True,
+                    **{name: True},
                 )
             assert exc.value.kind == "BadRequest"
-            assert "allow_reassoc" in str(exc.value)
+            assert name in str(exc.value)
             assert "valid fields" in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
-    @pytest.mark.parametrize("name", ["pipeline", "scan"])
+    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan"])
     def test_retired_strategy_is_a_structured_error(self, served, name):
         daemon, _ = served
         with connect(daemon) as client:

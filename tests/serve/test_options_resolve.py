@@ -13,12 +13,13 @@ from repro.serve import Session
 
 ARGS = {"M": 4, "maxK": 2}
 
-#: the option that selected the retired blocked scan's float variant
-RETIRED_OPTION = "allow_reassoc"
+#: the options retired so far: the blocked scan's float variant and the
+#: switch that hid ``collapse`` from the planner
+RETIRED_OPTIONS = ["allow_reassoc", "use_collapse"]
 
 SURVIVING_FIELDS = [
     "use_windows", "debug_windows", "backend", "workers", "use_kernels",
-    "kernel_tier", "use_collapse", "use_fission", "strategy",
+    "kernel_tier", "use_fission", "strategy",
 ]
 
 
@@ -58,16 +59,17 @@ class TestResolve:
         with pytest.raises(TypeError, match="bogus_field"):
             ExecutionOptions.resolve(None, bogus_field=1)
 
+    @pytest.mark.parametrize("retired", RETIRED_OPTIONS)
     @pytest.mark.parametrize(
         "resolve",
         [lambda **o: ExecutionOptions.resolve(None, **o), _session_run],
         ids=["resolve", "Session.run"],
     )
-    def test_a_retired_option_is_refused_naming_the_fields(self, resolve):
+    def test_a_retired_option_is_refused_naming_the_fields(self, resolve, retired):
         assert [f.name for f in fields(ExecutionOptions)] == SURVIVING_FIELDS
         with pytest.raises(TypeError) as exc:
-            resolve(**{RETIRED_OPTION: True})
-        assert repr([RETIRED_OPTION]) in str(exc.value)
+            resolve(**{retired: True})
+        assert repr([retired]) in str(exc.value)
         assert f"valid fields: {sorted(SURVIVING_FIELDS)}" in str(exc.value)
 
     def test_base_is_positional_only(self):
@@ -77,10 +79,10 @@ class TestResolve:
             ExecutionOptions.resolve(base=ExecutionOptions())
 
     def test_false_and_zero_are_real_overrides(self):
-        base = ExecutionOptions(use_kernels=True, use_collapse=True)
+        base = ExecutionOptions(use_kernels=True, use_fission=True)
         merged = ExecutionOptions.resolve(base, use_kernels=False)
         assert merged.use_kernels is False
-        assert merged.use_collapse is True
+        assert merged.use_fission is True
 
 
 #: a non-default value per non-boolean field; a new non-boolean option must

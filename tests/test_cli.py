@@ -217,9 +217,15 @@ class TestRun:
         ["run", "--strategy", "scan"],
         ["plan", "--strategy", "pipeline"],
         ["run", "--strategy", "pipeline"],
+        ["plan", "--no-collapse"],
+        ["run", "--no-collapse"],
+        ["serve", "--no-collapse"],
+        ["plan", "--strategy", "iterate"],
+        ["run", "--strategy", "iterate"],
     ], ids=[
         "plan-option", "run-option", "serve-option", "plan-scan", "run-scan",
-        "plan-pipeline", "run-pipeline",
+        "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
+        "serve-no-collapse", "plan-iterate", "run-iterate",
     ])
     def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
         command, *flags = argv
