@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.recurrences import mixed_analyzed, mixed_args
 from repro.graph.build import build_dependency_graph
-from repro.plan.planner import build_plan
+from repro.plan.planner import build_plan, forced_plan
 from repro.ps.parser import parse_program
 from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions, execute_module
@@ -75,13 +75,13 @@ def _merged(analyzed):
     return merge_loops(schedule_module(analyzed, graph), graph)
 
 
-def _time(analyzed, args, options, program=None, reps=2):
+def _time(analyzed, args, options, program=None, reps=2, plan=None):
     best = None
     for _ in range(reps):
         t0 = time.perf_counter()
         result = execute_module(
             analyzed, args, flowchart=_MERGED_CACHE[id(analyzed)],
-            options=options, program=program,
+            options=options, program=program, plan=plan,
         )
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
@@ -105,17 +105,17 @@ def main() -> None:
     rng = np.random.default_rng(3)
     args = {"X": rng.integers(-9, 10, n), "n": n}
 
-    unfissioned = ExecutionOptions(
-        backend="threaded", workers=4, use_fission=False
-    )
     auto = ExecutionOptions(backend="threaded", workers=4)
+    # a per-path pin fixes the loop's strategy, so nothing splits it
+    (loop,) = [d for d in chart.loops() if not d.parallel]
+    unfissioned = forced_plan(
+        sweep, chart, "threaded", auto, {"n": n},
+        overrides={chart.path_of(loop): "serial"},
+    )
 
     print()
-    print("-- unfissioned plan (--no-fission) --")
-    plan = build_plan(sweep, chart, unfissioned, {"n": n})
-    print(plan.pretty())
-    for note in plan.provenance.get("slow_loops", []):
-        print(f"  slow loop: {note['label']} — {note['reason']}")
+    print("-- unfissioned plan (the DO pinned to serial) --")
+    print(unfissioned.pretty())
 
     print()
     print("-- auto plan: the planner takes the split on merit --")
@@ -125,9 +125,9 @@ def main() -> None:
         state = "chosen" if note["chosen"] else "rejected"
         print(f"  fission: {state} ({note['why']}); pieces {note['pieces']}")
     for note in plan.provenance.get("slow_loops", []):
-        print(f"  slow loop: {note['label']} — {note['fission']}")
+        print(f"  slow loop: {note['label']} — {note['reason']}; {note['fission']}")
 
-    t_fused, ref = _time(sweep, args, unfissioned, program)
+    t_fused, ref = _time(sweep, args, auto, program, plan=unfissioned)
     t_split, res = _time(sweep, args, auto, program)
     for name in ("T", "S", "M", "Q"):
         assert np.array_equal(np.asarray(ref[name]), np.asarray(res[name])), (
@@ -160,15 +160,17 @@ def main() -> None:
         state = "chosen" if note["chosen"] else "rejected"
         print(f"  fission: {state} ({note['why']})")
 
-    assert build_plan(analyzed, chart, unfissioned, {"n": n}).pretty() == (
-        plan.pretty()
-    ), "the auto plan should be the --no-fission plan"
-    _, ref = _time(analyzed, args, unfissioned, reps=1)
+    assert plan.strategies() == [("I", "nest")], (
+        "the auto plan should keep the loop whole, one compiled DO"
+    )
+    forced = ExecutionOptions(backend="threaded", workers=4, strategy="fission")
+    _, ref = _time(analyzed, args, forced, reps=1)
     _, res = _time(analyzed, args, auto, reps=1)
     for name in ("T", "S", "M"):
         assert np.array_equal(np.asarray(ref[name]), np.asarray(res[name]))
     print()
-    print("Same plan as --no-fission: one compiled DO, one pass over memory.")
+    print("Forced, the split gives the same answer; unforced, the planner")
+    print("keeps one compiled DO: one pass over memory.")
 
 
 if __name__ == "__main__":

@@ -129,7 +129,6 @@ def _execution_options(args) -> ExecutionOptions:
         workers=args.workers,
         use_windows=args.windows,
         use_kernels=not args.no_kernels,
-        use_fission=False if getattr(args, "no_fission", False) else None,
         kernel_tier=args.kernel_tier,
         strategy=getattr(args, "strategy", None),
     )
@@ -364,8 +363,6 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
                    help="worker count for the threaded/process backends")
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled kernels (reference evaluator only)")
-    p.add_argument("--no-fission", action="store_true",
-                   help="disable dependence-driven loop splitting")
     p.add_argument("--kernel-tier", default="native",
                    choices=["native", "numpy", "evaluator"],
                    help="highest kernel tier (default: native)")
@@ -421,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plan for window-allocated virtual dimensions")
     p.add_argument("--no-kernels", action="store_true",
                    help="plan for evaluator-only execution")
-    p.add_argument("--no-fission", action="store_true",
-                   help="disable dependence-driven loop splitting")
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before planning "
                         "(merged nests are what fission splits)")
@@ -461,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled equation kernels and run "
                         "everything on the reference tree-walking evaluator")
-    p.add_argument("--no-fission", action="store_true",
-                   help="disable dependence-driven splitting of sequential "
-                        "loops into independent replica loops")
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before execution")
     p.add_argument("--kernel-tier", default="native",

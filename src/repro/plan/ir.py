@@ -13,50 +13,19 @@ forced plan must stay bit-exact against the serial reference evaluator.
 Loop strategies
 ---------------
 
-``serial``
-    Scalar iterations in subrange order (the reference semantics); body
-    equations run on per-equation scalar kernels or the evaluator.
-``nest``
-    The whole nest runs as one fused compiled kernel — the per-element
-    Python call of the serial path is amortised into compiled ``for``
-    loops. On a ``DOALL`` root or a ``DO`` root alike: the kernel runs the
-    root subrange in iteration order, so a sequential loop whose nest
-    lowers is a real compiled loop (the paper's §3.4 ``DO``), not a walk.
-    ``LoopPlan.dialect`` says which text of the kernel runs — C
-    (``"native"``) or the exec-compiled Python dialect (``"python"``).
-    ``LoopPlan.team`` (``team xN``) says a ``DO`` over ``DOALL`` s runs as
-    one C call on a team of ``N`` OpenMP threads (the kernel shape
-    ``"team"``): every thread walks the ``DO``, each ``DOALL`` is divided
-    among them, and a barrier ends every body unit.
-``vector``
-    The subrange executes as one NumPy span (nested DOALLs broadcast).
-``chunk``
-    The subrange splits into ``parts`` contiguous chunks dispatched to
-    workers; each chunk is one call of the loop's own ``"full"`` C kernel
-    over its part of the subrange (a NumPy vector span where no C kernel
-    builds). A ``serial`` DOALL whose trip count is below the worker count
-    says so in its reason when it leaves the workers to a chunked inner
-    DOALL (``trip 4 < 8 workers: DOALL J takes them``).
-``collapse``
-    A perfectly nested DOALL chain is flattened into one linearized
-    iteration space, split into ``parts`` contiguous *flat* chunks; each
-    chunk runs through one fused, chunk-parameterized nest kernel that
-    delinearizes the flat offset back to the loop indices in its prologue
-    (per-equation scalar walk when the kernel is unavailable). Collapsing
-    load-balances nests whose outer trip count is small or uneven — the
-    whole flat space divides over the workers regardless of shape.
-    ``chunk`` and ``collapse`` are one strategy object
-    (:class:`repro.plan.strategy.PoolStrategy`) over two iteration spaces.
-``fission``
-    A multi-unit loop body splits along its dependence structure into
-    ``parts`` replica loops over the same subrange, one per minimal
-    dependence group (see :mod:`repro.schedule.fission`), each planned
-    independently: pieces that come out all-DOALL regain
-    ``nest``/``chunk``/``collapse`` and a lone recurrence runs as its own
-    compiled ``DO``. Replica LoopPlans live at marker paths
-    ``loop_path + (-1, k)``; the original loop carries the ``fission``
-    strategy and is executed by planning its replicas in order, each
-    equation exactly once over the full subrange.
+``LoopPlan.strategy`` names one entry of
+:data:`repro.plan.strategy.LOOP_STRATEGIES` — ``serial`` (the reference
+walk), ``vector`` (one NumPy span), ``nest`` (one compiled kernel, on a
+``DOALL`` or a ``DO`` root), ``chunk`` / ``collapse`` (a ``DOALL``'s
+subrange, or a perfect chain's flattened space, divided among workers) and
+``fission`` (a dependence split into replica loops at the marker paths
+``loop_path + (-1, k)``). Each is one object that recognises, prices,
+emits and executes loops, and its docstring is the reference; the plan
+reads a loop's kernel shape and the head of its ``pretty()`` row from it.
+A compiled loop's ``LoopPlan.dialect`` says which text of its kernel runs
+— C (``"native"``) or the exec-compiled Python dialect (``"python"``) —
+and ``LoopPlan.team`` (``team xN``) that a ``DO`` over ``DOALL`` s runs as
+one C call on ``N`` OpenMP threads.
 
 Every strategy is bit-exact against the reference evaluator: none
 reassociates floating-point arithmetic. A run of sibling loops over one
@@ -70,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.plan.strategy import LOOP_STRATEGIES
 
 #: valid LoopPlan.strategy values
-VALID_STRATEGIES = ("serial", "nest", "vector", "chunk", "collapse", "fission")
+VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
 #: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``
@@ -121,7 +91,7 @@ class LoopPlan:
     index: str
     keyword: str  # "DO" | "DOALL"
     strategy: str
-    #: chunk count when strategy == "chunk"
+    #: chunk (``chunk`` / ``collapse``) or replica (``fission``) count
     parts: int | None = None
     #: trip count the planner saw (None: bounds not statically evaluable)
     trip: int | None = None
@@ -155,21 +125,10 @@ class LoopPlan:
         dispatch none. Meaningful on a loop that carries a ``dialect``."""
         if self.team:
             return "team"
-        # Imported here: the strategies import this module.
-        from repro.plan.strategy import LOOP_STRATEGIES
-
-        strategy = LOOP_STRATEGIES.get(self.strategy)
-        return strategy.shape if strategy is not None else None
+        return LOOP_STRATEGIES[self.strategy].shape
 
     def annotation(self) -> str:
-        bits = [self.strategy]
-        if self.strategy in ("chunk", "collapse", "fission") and self.parts:
-            bits[-1] += f" x{self.parts}"
-        if self.strategy == "collapse" and self.collapse_depth:
-            depth = f"depth {self.collapse_depth}"
-            if self.flat_trip is not None:
-                depth += f" flat {self.flat_trip}"
-            bits.append(depth)
+        bits = LOOP_STRATEGIES[self.strategy].annotate(self)
         if self.trip is not None:
             bits.append(f"trip {self.trip}")
         if self.reason:
@@ -396,7 +355,7 @@ class ExecutionPlan:
                 row += f" ({note['why']})"
             lines.append(row)
         for note in p.get("do_loops", []):
-            if note["strategy"] == "nest":
+            if note["dialect"]:
                 dialect = note["dialect"]
                 if note.get("team"):
                     dialect += f", team x{note['team']}"

@@ -7,18 +7,15 @@ entry, exactly once per (module, options, scalar bindings):
   calibrated cost of a serial, vectorized, threaded, and process execution
   at the *effective* parallelism ``min(workers, cpu_count)`` and picks the
   cheapest; an explicit backend pins the plan;
-* how each DOALL runs on that backend — scalar walk, fused nest kernel,
-  vector span, or chunked across workers;
-* how each sequential ``DO`` runs — as one compiled in-order nest kernel
-  (C when the walk it replaces costs more than a compiler run, the
-  exec-compiled Python dialect below that), as a fission split when that
-  beats the compiled loop at the plan's worker count, or on the reference
-  walk when its nest does not lower — and, for a ``DO`` over ``DOALL`` s
-  on a host with OpenMP, whether its C kernel runs on a team of threads;
-* where the workers go in a nest — a DOALL whose trip count is below the
-  worker count flattens with its inner DOALLs (``collapse``) or runs
-  ``serial`` and hands the team to a chunk-safe inner DOALL instead of
-  leaving workers idle;
+* how each loop met on the walk runs — one walk over the strategy table
+  :data:`repro.plan.strategy.LOOP_STRATEGIES` (``_Planner._decide``): a
+  forced name asks that one strategy; otherwise every strategy that
+  recognises the loop on this backend is priced, and a later entry wins
+  only when it is strictly cheaper. So a ``DO`` compiles in order
+  (``nest``) when that beats the walk, a ``DOALL`` takes the backend's
+  vector span, fused nest or worker chunks, a low-trip ``DOALL`` hands the
+  workers to the ``DOALL`` inside it, and a fission split replaces a loop
+  only when its pieces are cheaper than the loop run whole;
 * which kernel variant each equation uses (scalar, vector, fused nest, or
   the reference evaluator for non-kernelizable equations).
 
@@ -31,6 +28,7 @@ bit-exact against the serial reference evaluator.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Any
 
@@ -39,19 +37,26 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.machine.cost import MachineModel
 from repro.plan.ir import (
-    VALID_STRATEGIES,
     EquationPlan,
     ExecutionPlan,
     LoopPlan,
     PlanEntry,
     PlanError,
 )
-from repro.plan.strategy import CHUNK, COLLAPSE, LOOP_STRATEGIES, NEST
+from repro.plan.strategy import (
+    CHUNKED_BACKENDS,
+    FISSION,
+    LOOP_STRATEGIES,
+    NEST,
+    SERIAL,
+    VECTOR,
+    Price,
+)
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
 from repro.runtime.kernels.emit import equation_affine_fast_path
 from repro.runtime.kernels.native import native_refusal, native_spec
-from repro.runtime.kernels.nest import kernelizable, kernelizable_reason, nest_fusable
+from repro.runtime.kernels.nest import kernelizable, kernelizable_reason
 from repro.runtime.values import RECYCLE_MIN_BYTES, array_bounds, dtype_for, eval_bound
 from repro.schedule.flowchart import (
     Flowchart,
@@ -59,9 +64,6 @@ from repro.schedule.flowchart import (
     NodeDescriptor,
     equation_vector_safe,
 )
-
-#: backends that split DOALL subranges into worker chunks
-CHUNKED_BACKENDS = ("threaded", "process")
 
 #: every backend a plan may target (the registry of
 #: ``repro.runtime.backends``; a test keeps the two sets equal)
@@ -73,9 +75,6 @@ AUTO_CANDIDATES = ("serial", "vectorized", "threaded", "process")
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16
 
-#: strategies that only a DOALL can take
-DOALL_ONLY = ("vector", "chunk", "collapse")
-
 #: ``auto`` treats candidates predicted within this fraction of the cheapest
 #: as tied — well inside the model's error (``plan.pred_spread``) — and a
 #: tie goes to the plan that builds the fewest native functions: equal run
@@ -84,9 +83,21 @@ DOALL_ONLY = ("vector", "chunk", "collapse")
 #: instead of a serial plan that compiles all three for a 1 % edge.
 AUTO_TIE = 0.05
 
-#: a chunk-safe inner DOALL takes the team only when its own trip count
-#: keeps every worker busy at least this many chunks deep
-INNER_CHUNK_FACTOR = 2
+
+@dataclass(frozen=True)
+class Choice:
+    """How one loop met on the walk runs: the planner's walk over
+    :data:`LOOP_STRATEGIES`, with what it saw on the way."""
+
+    strategy: Any
+    price: Price
+    #: (strategy, price) that would run the loop whole — the plan a
+    #: transform (``fission``) was weighed against
+    base: tuple | None
+    #: the strategy a caller forced on the loop, None when none was
+    forced: Any
+    #: strategy name -> its refusal or its price, for every one asked
+    verdicts: dict
 
 
 def _default_options() -> Any:
@@ -96,7 +107,6 @@ def _default_options() -> Any:
         backend="auto",
         workers=None,
         use_kernels=True,
-        use_fission=True,
         kernel_tier="native",
     )
 
@@ -141,10 +151,10 @@ def build_plan(
     scalar_env = scalar_env or {}
     model = model or MachineModel()
     soft_strategy = getattr(options, "strategy", None)
-    if soft_strategy is not None and soft_strategy not in VALID_STRATEGIES:
+    if soft_strategy is not None and soft_strategy not in LOOP_STRATEGIES:
         raise ExecutionError(
             f"unknown strategy {soft_strategy!r}; "
-            f"available: {', '.join(VALID_STRATEGIES)}"
+            f"available: {', '.join(LOOP_STRATEGIES)}"
         )
     # Resolve the machine's core count exactly once: a worker count and an
     # effective-parallelism bound read under two different affinity
@@ -153,7 +163,6 @@ def build_plan(
     workers = max(1, options.workers if options.workers is not None else ncpu)
     effective = max(1, min(workers, ncpu))
     use_kernels = bool(options.use_kernels) and not options.debug_windows
-    use_fission = bool(getattr(options, "use_fission", True))
     tier = getattr(options, "kernel_tier", "native")
     if tier == "evaluator":
         use_kernels = False
@@ -192,8 +201,7 @@ def build_plan(
             p = _Planner(
                 analyzed, flowchart, candidate, workers, effective,
                 scalar_env, model, use_kernels, bool(options.use_windows),
-                use_fission=use_fission, tier=tier,
-                force_default=soft_strategy, force_soft=True,
+                tier=tier, force_default=soft_strategy, force_soft=True,
             )
             p.plan_module()
             planners.append(p)
@@ -259,8 +267,7 @@ def build_plan(
     planner = _Planner(
         analyzed, flowchart, requested, workers, effective,
         scalar_env, model, use_kernels, bool(options.use_windows),
-        use_fission=use_fission, tier=tier,
-        force_default=soft_strategy, force_soft=True,
+        tier=tier, force_default=soft_strategy, force_soft=True,
     )
     planner.plan_module()
     plan = planner.finish(analyzed.name, requested=requested, pinned=True)
@@ -298,22 +305,25 @@ def forced_plan(
     model: MachineModel | None = None,
     cpu_count: int | None = None,
 ) -> ExecutionPlan:
-    """A hand-forced plan: every parallel loop takes ``default`` (when
-    given), individual loops take ``overrides[path]``. Strategies are
-    validated — forcing ``chunk`` on a chunk-unsafe loop or ``nest`` on an
-    unfusable one raises :class:`PlanError` rather than risking semantics.
-    A sequential ``DO`` honours ``serial`` (the reference walk) and
-    ``nest`` (the compiled in-order nest; :class:`PlanError` when its nest
-    does not lower); under a default naming a DOALL-only strategy it stays
-    on the walk, so the forced loops inside it are the ones that run.
+    """A hand-forced plan: every loop met on the walk takes ``default``
+    (when given), individual loops take ``overrides[path]``. A strategy
+    that refuses a loop it is pinned to by path — ``chunk`` on a
+    chunk-unsafe loop, ``nest`` on an unfusable one, any ``DOALL``-only
+    strategy on a ``DO`` — raises :class:`PlanError` naming the loop and
+    the refusal, rather than risking semantics or dropping the pin. A loop
+    that refuses the ``default`` stays on the walk (``serial``), so the
+    forced loops inside it are the ones that run — a ``DO`` under a
+    ``DOALL``-only default, say; a ``fission`` default leaves a loop with
+    no legal split to the planner's own choice. Unless a path pins it, a
+    loop with a legal split is still split when the pieces are cheaper.
     ``cpu_count`` stands in for the host's core count when
     ``options.workers`` is unset, exactly as in :func:`build_plan`.
     """
     for name in (default, *(overrides or {}).values()):
-        if name is not None and name not in VALID_STRATEGIES:
+        if name is not None and name not in LOOP_STRATEGIES:
             raise PlanError(
                 f"unknown forced strategy {name!r}; "
-                f"available: {', '.join(VALID_STRATEGIES)}"
+                f"available: {', '.join(LOOP_STRATEGIES)}"
             )
     options = options or _default_options()
     tier = getattr(options, "kernel_tier", "native")
@@ -330,7 +340,6 @@ def forced_plan(
         model or MachineModel(),
         use_kernels,
         bool(options.use_windows),
-        use_fission=bool(getattr(options, "use_fission", True)),
         tier=tier,
         force_default=default,
         force_overrides=overrides or {},
@@ -343,22 +352,16 @@ def valid_strategies(
     analyzed, flowchart: Flowchart, desc: LoopDescriptor, use_windows: bool = False
 ) -> list[str]:
     """The strategies a loop may be forced to (property tests draw from
-    this set): the walk, a ``DOALL``'s vector span, every registered
-    strategy that recognises the loop, and its fission split."""
-    from repro.schedule.fission import fission_split
-
-    ctx = SimpleNamespace(
-        analyzed=analyzed, flowchart=flowchart, use_windows=use_windows,
-        use_kernels=True,
+    this set): every registered strategy whose :meth:`recognise` accepts
+    the loop as a force, kernels on."""
+    ctx = _Planner(
+        analyzed, flowchart, "serial", 1, 1, {}, MachineModel(), True,
+        bool(use_windows),
     )
-    out = ["serial", "vector"] if desc.parallel else ["serial"]
-    out += [
+    return [
         name for name, strategy in LOOP_STRATEGIES.items()
-        if strategy.recognise(ctx, desc) is None
+        if strategy.recognise(ctx, desc, forced=True) is None
     ]
-    if fission_split(analyzed, flowchart, desc, use_windows) is not None:
-        out.append("fission")
-    return out
 
 
 class _Planner:
@@ -375,7 +378,6 @@ class _Planner:
         model: MachineModel,
         use_kernels: bool,
         use_windows: bool,
-        use_fission: bool = True,
         tier: str = "native",
         force_default: str | None = None,
         force_overrides: dict[tuple[int, ...], str] | None = None,
@@ -390,7 +392,6 @@ class _Planner:
         self.model = model
         self.use_kernels = use_kernels
         self.use_windows = use_windows
-        self.use_fission = use_fission
         self.tier = tier
         self.force_default = force_default
         self.force_overrides = force_overrides or {}
@@ -406,10 +407,8 @@ class _Planner:
         self.total = 0.0
         self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
-        #: id(desc) -> (strategy, parts, cycles, why)
-        self._choices: dict[int, tuple] = {}
-        #: id(desc) -> (strategy, NestPrice | None, cycles, why) per DO
-        self._do_choices: dict[int, tuple] = {}
+        #: id(desc) -> the Choice for a loop met on the walk
+        self._choices: dict[int, Choice] = {}
         #: (id(desc), variant) -> why the nest does not lower to C in that
         #: shape (None: it does) — machine-independent
         self._native: dict[tuple[int, str], str | None] = {}
@@ -435,11 +434,6 @@ class _Planner:
     def _trip_est(self, desc: LoopDescriptor) -> int:
         t = self.trip(desc)
         return DEFAULT_TRIP if t is None else t
-
-    def _fusable(self, desc: LoopDescriptor) -> bool:
-        return self.use_kernels and nest_fusable(
-            desc, self.analyzed, self.flowchart, self.use_windows
-        )
 
     def _native_ok(self, desc: LoopDescriptor, variant: str) -> bool:
         """Whether this nest *plans* as native: the tier allows it and the
@@ -535,9 +529,7 @@ class _Planner:
             released, bound = self._vector_costs(desc, span)
             return released + bound
         # ctx == "walk"
-        if not desc.parallel:
-            return self._do_choice(desc)[2]
-        return self._choose(desc)[2]
+        return self._decide(desc).price.cycles
 
     def _cost_interpreted(self, desc) -> float:
         """Cycles of walking ``desc`` element by element — every loop a
@@ -554,17 +546,6 @@ class _Planner:
             self.model.loop_overhead
             + sum(self._cost_interpreted(d) for d in desc.body)
         )
-
-    def _cost_serial_root(self, desc: LoopDescriptor) -> float:
-        t = self._trip_est(desc)
-        return t * (
-            self.model.loop_overhead
-            + sum(self._cost(d, "walk", 1) for d in desc.body)
-        )
-
-    def _cost_vector_root(self, desc: LoopDescriptor) -> float:
-        t = self._trip_est(desc)
-        return sum(self._cost(d, "vector", t) for d in desc.body)
 
     def _dispatch_cost(self) -> float:
         if self.backend == "process":
@@ -590,268 +571,107 @@ class _Planner:
 
     # -- strategy choice ---------------------------------------------------
 
-    def _inner_chunk_candidate(self, desc: LoopDescriptor) -> LoopDescriptor | None:
-        """A chunk-safe parallel loop directly in ``desc``'s body whose trip
-        count can keep the whole team busy."""
-        for d in desc.body:
-            if not isinstance(d, LoopDescriptor) or not d.parallel:
-                continue
-            if CHUNK.recognise(self, d) is not None:
-                continue
-            it = self.trip(d)
-            if it is None or it >= INNER_CHUNK_FACTOR * self.workers:
-                return d
-        return None
+    def _pinned_inside(self, desc: LoopDescriptor) -> bool:
+        """Whether a per-path pin names a loop strictly inside ``desc`` —
+        compiling ``desc`` whole would swallow it."""
+        if self.force_soft or not self.force_overrides:
+            return False
+        path = self.flowchart.path_of(desc)
+        return any(
+            len(p) > len(path) and p[: len(path)] == path
+            for p in self.force_overrides
+        )
 
-    def _choose(self, desc: LoopDescriptor):
-        """(strategy, parts, cycles, reason) for a parallel loop met on the
-        scalar walk. Memoized per descriptor."""
+    def _forced(self, desc: LoopDescriptor):
+        """(the strategy forced on ``desc``, the plan's rationale for it,
+        whether a per-path pin fixes it) — ``(None, "", False)`` when the
+        loop is the planner's to choose. A strategy that refuses a pin
+        raises; one that refuses a soft preference — or a ``default`` that
+        is a transform — leaves the choice to the planner; one that refuses
+        a hard ``default`` leaves the loop on the walk, so the loops inside
+        it take the default."""
+        if self.force_default is None and not self.force_overrides:
+            return None, "", False
+        path = self.flowchart.path_of(desc)
+        name = self.force_overrides.get(path, self.force_default)
+        if name is None:
+            return None, "", False
+        strategy = LOOP_STRATEGIES[name]
+        pinned = not self.force_soft and path in self.force_overrides
+        why = strategy.recognise(self, desc, forced=True)
+        if why is None:
+            return strategy, strategy.forced_reason, pinned
+        if pinned:
+            raise PlanError(
+                f"cannot force {name!r} on {desc.keyword} {desc.index}: {why}"
+            )
+        if self.force_soft or strategy.transform:
+            return None, "", False
+        return SERIAL, f"{name} refused: {why}", False
+
+    def _decide(self, desc: LoopDescriptor) -> Choice:
+        """How a loop met on the walk runs: one walk over
+        :data:`LOOP_STRATEGIES`, in table order. A forced strategy takes
+        the loop; otherwise every strategy that recognises it is priced and
+        a later one wins only when strictly cheaper. A transform (fission)
+        competes with whatever runs the loop whole — forced or not — unless
+        a pin fixes the loop; forced itself, it still lets the others price
+        the loop whole, which is what it is measured against. Memoized per
+        descriptor."""
         cached = self._choices.get(id(desc))
         if cached is not None:
             return cached
-        choice = self._choose_uncached(desc)
-        if choice[0] not in VALID_STRATEGIES:
-            raise PlanError(f"planner produced unknown strategy {choice[0]!r}")
-        self._choices[id(desc)] = choice
-        return choice
-
-    def _forced_for(self, desc: LoopDescriptor) -> str | None:
-        path = self.flowchart.path_of(desc)
-        forced = self.force_overrides.get(path, self.force_default)
-        if forced is None:
-            return None
-        if forced == "fission":
-            # Fission is decided before _choose ever runs (_fission_decision
-            # in the walk emission, which also raises on an invalid hard
-            # per-path pin). Reaching here means the loop was not split —
-            # either it has no legal split under a soft default, or it is a
-            # replica/inner loop below a split — so it plans normally.
-            return None
-        if forced == "nest":
-            why = None if self._fusable(desc) else "not fusable"
-        elif forced in (CHUNK.name, COLLAPSE.name):
-            why = LOOP_STRATEGIES[forced].recognise(self, desc)
-        else:
-            why = None
-        if why is None:
-            return forced
-        if self.force_soft:
-            return None
-        raise PlanError(f"cannot force {forced!r} on DOALL {desc.index}: {why}")
-
-    def _choose_uncached(self, desc: LoopDescriptor):
-        forced = self._forced_for(desc)
-        if forced in (CHUNK.name, COLLAPSE.name):
-            return (forced, *LOOP_STRATEGIES[forced].price(self, desc), "forced")
-        if forced is not None:
-            cost = {
-                "serial": self._cost_serial_root,
-                "nest": lambda d: NEST.price(self, d).cycles,
-                "vector": self._cost_vector_root,
-            }[forced]
-            return (forced, None, cost(desc), "forced")
-
-        if self.backend == "serial":
-            c_serial = self._cost_serial_root(desc)
-            if self._fusable(desc):
-                c_nest = NEST.price(self, desc).cycles
-                if c_nest < c_serial:
-                    return ("nest", None, c_nest, "fused nest kernel")
-            return ("serial", None, c_serial, "")
-
-        if self.backend == "vectorized":
-            return ("vector", None, self._cost_vector_root(desc), "")
-
-        if self.backend in CHUNKED_BACKENDS:
-            t = self.trip(desc)
-            te = self._trip_est(desc)
-            why = CHUNK.recognise(self, desc)
-            if why is not None:
-                return ("vector", None, self._cost_vector_root(desc), why)
-            if self.workers < 2 or te < 2:
-                return (
-                    "vector", None, self._cost_vector_root(desc),
-                    "nothing to chunk",
-                )
-            # A collapse-safe, fusable chain may flatten: one linearized
-            # iteration space chunked over the team, each chunk one fused
-            # flat kernel. Priced against the classic alternatives below.
-            collapse = None
-            if COLLAPSE.recognise(self, desc) is None and self._fusable(desc):
-                collapse = COLLAPSE.price(self, desc)
-            if t is not None and t < self.workers:
-                # Utilization rule, deliberately not a cost comparison: an
-                # outer chunk with trip < workers idles (workers - trip)
-                # workers for the whole wavefront, and the dispatch
-                # constants — calibrated on whatever machine produced the
-                # baseline, possibly a 1-core CI box where thread dispatch
-                # is pathologically expensive — would veto the inner
-                # chunking that real multicore hardware rewards. The
-                # INNER_CHUNK_FACTOR guard keeps the extra dispatches
-                # amortised over a genuinely wide inner loop. A collapsed
-                # flat space serves the same utilization end with one
-                # dispatch wave instead of one per outer iteration, so when
-                # both apply the cheaper one wins.
-                inner = self._inner_chunk_candidate(desc)
-                if inner is not None:
-                    c_serial = self._cost_serial_root(desc)
-                    why = f"trip {t} < {self.workers} workers"
-                    if collapse is not None and collapse[1] < c_serial:
-                        return ("collapse", *collapse, why)
-                    return (
-                        "serial", None, c_serial,
-                        f"{why}: DOALL {inner.index} takes them",
-                    )
-            chunk = CHUNK.price(self, desc)
-            if collapse is not None and collapse[1] < chunk[1]:
-                return ("collapse", *collapse, "")
-            return ("chunk", *chunk, "")
-
-        raise PlanError(f"unknown execution backend {self.backend!r}")
-
-    def _hard_pin(self, path) -> bool:
-        """Whether ``path`` carries a hard per-path override: the pinned
-        strategy is then honoured or raises — no merit decision (fission)
-        may take the loop first."""
-        return not self.force_soft and path in self.force_overrides
-
-    def _do_choice(self, desc: LoopDescriptor):
-        """(strategy, NestPrice | None, cycles, why) for a sequential
-        ``DO`` met on the scalar walk: the compiled in-order nest against
-        the reference walk. Its cycles are the price every other ``DO``
-        strategy (fission) has to beat — compiled
-        sequential code, not the interpreter. Memoized per descriptor."""
-        cached = self._do_choices.get(id(desc))
-        if cached is not None:
-            return cached
-        walk = self._cost_serial_root(desc)
-        path = self.flowchart.path_of(desc)
-        forced = self.force_overrides.get(path, self.force_default)
-        hard = forced is not None and not self.force_soft
-        refusal = NEST.recognise(self, desc)
-        if refusal is None and not self.force_soft and any(
-            len(p) > len(path) and p[: len(path)] == path
-            for p in self.force_overrides
-        ):
-            refusal = "a loop inside it is pinned to its own strategy"
-        if refusal is not None:
-            if forced == "nest" and hard:
-                raise PlanError(
-                    f"cannot force 'nest' on DO {desc.index}: {refusal}"
-                )
-            choice = ("serial", None, walk, refusal)
-        elif forced == "serial" or (hard and forced in DOALL_ONLY):
-            # a hard default naming a DOALL-only strategy is a complete
-            # specification: the loops it names must be the ones that run
-            choice = ("serial", None, walk, "forced")
-        else:
-            interpreted = self._cost_interpreted(desc)
-            priced = NEST.price(self, desc, interpreted)
-            if forced == "nest":
-                choice = ("nest", priced, priced.cycles, "forced")
-            elif priced.cycles < walk:
-                choice = ("nest", priced, priced.cycles, "compiled in order")
-            elif priced.dialect == "python" and self._native_ok(desc, "full"):
-                choice = (
-                    "serial", None, walk,
-                    f"walked element by element it costs "
-                    f"~{interpreted:.0f} cycles, less than one native build "
-                    f"(~{self.model.native_build:.0f}), and the "
-                    f"Python-dialect nest (~{priced.cycles:.0f}) loses to "
-                    f"the walk",
-                )
+        forced, reason, pinned = self._forced(desc)
+        best = base = None
+        verdicts: dict[str, Any] = {}
+        for s in LOOP_STRATEGIES.values():
+            if forced is not None and s is not forced and (
+                s.transform == forced.transform or (s.transform and pinned)
+            ):
+                continue
+            if s is forced:
+                price = replace(s.price(self, desc), reason=reason)
+                best = (s, price)
             else:
-                choice = (
-                    "serial", None, walk,
-                    f"the walk is cheaper than the {priced.dialect}-dialect "
-                    f"nest (~{priced.cycles:.0f} cycles)",
-                )
-        self._do_choices[id(desc)] = choice
+                why = s.recognise(self, desc)
+                if why is not None:
+                    verdicts[s.name] = why
+                    continue
+                price = s.price(self, desc)
+                if best is None or price.cycles < best[1].cycles:
+                    best = (s, price)
+            verdicts[s.name] = price
+            if not s.transform:
+                base = best
+        if best is None:
+            raise PlanError(
+                f"no strategy applies to {desc.keyword} {desc.index} on the "
+                f"{self.backend} backend"
+            )
+        choice = self._choices[id(desc)] = Choice(
+            best[0], best[1], base, forced, verdicts
+        )
         return choice
 
-    # -- fission -----------------------------------------------------------
-
-    def _fission_decision(self, desc: LoopDescriptor, path) -> dict | None:
-        """Decide one multi-unit loop met on the walk: a dict for
-        :meth:`_emit_fission` when splitting wins (or is forced), None to
-        fall through to the unfissioned plan. Every loop with a legal split
-        — and every multi-unit loop whose split was *rejected* — leaves a
-        provenance note, so ``repro plan`` can explain both verdicts."""
-        if not self.use_fission:
-            return None
-        from repro.schedule.fission import fission_reject, fission_split
-
-        forced_name = self.force_overrides.get(path, self.force_default)
-        forced = forced_name == "fission"
-        hard = forced and not self.force_soft
-        if self._hard_pin(path) and not forced:
-            return None
-        split = fission_split(
-            self.analyzed, self.flowchart, desc, self.use_windows
-        )
-        if split is None:
-            why = fission_reject(
-                self.analyzed, self.flowchart, desc, self.use_windows
-            )
-            if why is not None:
-                self.fission_notes.append({
-                    "index": str(path), "keyword": desc.keyword,
-                    "loop_index": desc.index, "parts": None,
-                    "trip": self._trip_est(desc), "pieces": [],
-                    "fission_cycles": None, "unfissioned_cycles": None,
-                    "chosen": False, "why": why,
-                })
-            if hard and path in self.force_overrides:
-                raise PlanError(
-                    f"cannot force 'fission' on {desc.keyword} {desc.index}: "
-                    + (why or "the body is a single dependence unit")
-                )
-            return None
-        note = {
-            "index": str(path), "keyword": desc.keyword,
-            "loop_index": desc.index, "parts": split.parts,
-            "trip": self._trip_est(desc), "pieces": split.describe(),
-            "fission_cycles": None, "unfissioned_cycles": None,
-            "chosen": False, "why": "",
+    def _do_note(self, desc: LoopDescriptor, path, choice: Choice) -> dict:
+        """The provenance of a ``DO`` planned on its own: the compiled nest
+        against the walk, and why the loser lost."""
+        price = choice.price
+        why = price.reason
+        if choice.strategy is not NEST:
+            refusal = NEST.recognise(self, desc, forced=True)
+            if refusal is not None:
+                why = refusal
+            elif not why:
+                why = NEST.walk_wins(self, desc, choice.verdicts[NEST.name])
+        return {
+            "index": str(path), "loop_index": desc.index,
+            "strategy": choice.strategy.name, "trip": self._trip_est(desc),
+            "dialect": price.dialect, "team": price.team,
+            "team_note": price.note, "cycles": price.cycles,
+            "walk_cycles": SERIAL.price(self, desc).cycles,
+            "why": why,
         }
-        self.fission_notes.append(note)
-        fissioned = sum(self._cost(piece, "walk", 1) for piece in split.pieces)
-        unfissioned = self._cost(desc, "walk", 1)
-        note["fission_cycles"] = fissioned
-        note["unfissioned_cycles"] = unfissioned
-        if not forced and fissioned >= unfissioned:
-            note["why"] = "unfissioned plan is cheaper"
-            if not desc.parallel and self._do_choice(desc)[0] == "nest":
-                note["why"] += (
-                    f": {split.parts} passes over memory > one compiled DO"
-                )
-            return None
-        note["chosen"] = True
-        note["why"] = "forced" if forced else "split pieces are cheaper"
-        return {"split": split, "cycles": fissioned, "forced": forced}
-
-    def _emit_fission(self, desc: LoopDescriptor, path, depth, decision) -> float:
-        """Emit one taken split: the original loop's LoopPlan carries the
-        ``fission`` strategy and the piece count, the replicas plan as an
-        ordinary sibling list at the marker container ``path + (-1,)`` —
-        each equation lands in exactly one replica over the full subrange,
-        so evaluation counts match the unfissioned walk exactly."""
-        split = decision["split"]
-        lp = LoopPlan(
-            path, desc.index, desc.keyword, "fission",
-            parts=split.parts, trip=self.trip(desc),
-            reason=(
-                "forced dependence split" if decision["forced"]
-                else "dependence split"
-            ),
-        )
-        self._register(lp, depth)
-        cost = sum(
-            self._emit(piece, path + (-1, k), depth + 1, "walk", 1.0)
-            for k, piece in enumerate(split.pieces)
-        )
-        lp.cycles = cost
-        return cost
 
     def native_notes(self) -> list[dict]:
         """One provenance note per loop the plan runs on a native kernel:
@@ -912,7 +732,7 @@ class _Planner:
                 continue
             seen.add(label)
             fission = None
-            if lp.strategy == "fission":
+            if LOOP_STRATEGIES[lp.strategy] is FISSION:
                 fission = "split: the offender runs in its own loop"
             else:
                 r = fission_reject(
@@ -972,35 +792,32 @@ class _Planner:
         if isinstance(desc, NodeDescriptor):
             return self._emit_equation(desc, path, depth, ctx, span)
         assert isinstance(desc, LoopDescriptor)
-        t = self.trip(desc)
         te = self._trip_est(desc)
 
         if ctx in ("nest", "collapse"):
-            lp = LoopPlan(
-                path, desc.index, desc.keyword, ctx, trip=t, fuse=True,
+            # a loop inside a fused or collapsed kernel: part of its root
+            lp = self._loop(
+                desc, path, depth, ctx, fuse=True,
                 reason="fused" if ctx == "nest" else "collapsed",
             )
-            self._register(lp, depth)
-            cost = sum(
+            lp.cycles = sum(
                 self._emit(d, path + (i,), depth + 1, ctx, span * te)
                 for i, d in enumerate(desc.body)
             )
-            lp.cycles = cost
-            return cost
+            return lp.cycles
 
         if ctx == "vector":
+            # a loop inside a vector span: a DOALL broadcasts, a DO loops
             span_reason = ""
             if desc.parallel:
                 span_reason = (
                     "nested in native span" if self._native_root
                     else "nested in span"
                 )
-            lp = LoopPlan(
-                path, desc.index, desc.keyword,
-                "vector" if desc.parallel else "serial",
-                trip=t, reason=span_reason,
+            lp = self._loop(
+                desc, path, depth, (VECTOR if desc.parallel else SERIAL).name,
+                reason=span_reason,
             )
-            self._register(lp, depth)
             if desc.parallel:
                 cost = sum(
                     self._emit(d, path + (i,), depth + 1, "vector", span * te)
@@ -1017,52 +834,14 @@ class _Planner:
             lp.cycles = cost
             return cost
 
-        # ctx == "walk"
-        fis = self._fission_decision(desc, path)
-        if fis is not None:
-            return self._emit_fission(desc, path, depth, fis)
-        if not desc.parallel:
-            strategy, priced, cost, why = self._do_choice(desc)
-            self.do_notes.append({
-                "index": str(path), "loop_index": desc.index,
-                "strategy": strategy, "trip": te,
-                "dialect": priced.dialect if priced else None,
-                "team": priced.team if priced else None,
-                "team_note": priced.note if priced else "",
-                "cycles": cost,
-                "walk_cycles": self._cost_serial_root(desc),
-                "why": why,
-            })
-            if strategy == NEST.name:
-                return NEST.emit(self, desc, path, depth, priced, why)
-            lp = LoopPlan(path, desc.index, desc.keyword, "serial", trip=t)
-            self._register(lp, depth)
-            body = sum(
-                self._emit(d, path + (i,), depth + 1, "walk", 1.0)
-                for i, d in enumerate(desc.body)
-            )
-            lp.cycles = te * (self.model.loop_overhead + body)
-            return lp.cycles
-
-        strategy, parts, cost, reason = self._choose(desc)
-        if strategy == NEST.name:
-            return NEST.emit(
-                self, desc, path, depth, NEST.price(self, desc), reason
-            )
-        if strategy in (CHUNK.name, COLLAPSE.name):
-            return LOOP_STRATEGIES[strategy].emit(
-                self, desc, path, depth, parts, cost, reason
-            )
-        lp = LoopPlan(
-            path, desc.index, desc.keyword, strategy, trip=t, cycles=cost,
-            reason=reason,
-        )
-        self._register(lp, depth)
-        if strategy == "vector":
-            self._emit_body(desc, path, depth, "vector", float(te), False)
-        else:
-            self._emit_body(desc, path, depth, "walk", 1.0, False)
-        return cost
+        # ctx == "walk": the loop's own decision, and its provenance
+        choice = self._decide(desc)
+        note = FISSION.note(self, desc, path, choice)
+        if note is not None:
+            self.fission_notes.append(note)
+        if not desc.parallel and not choice.strategy.transform:
+            self.do_notes.append(self._do_note(desc, path, choice))
+        return choice.strategy.emit(self, desc, path, depth, choice.price)
 
     def _emit_body(
         self, desc: LoopDescriptor, path, depth, ctx, span, native: bool
@@ -1078,9 +857,15 @@ class _Planner:
         finally:
             self._native_root = prev_native
 
-    def _register(self, lp: LoopPlan, depth: int) -> None:
-        self.loops[lp.path] = lp
+    def _loop(self, desc: LoopDescriptor, path, depth, strategy: str, **fields) -> LoopPlan:
+        """Register the plan of the loop at ``path``, next in pre-order."""
+        lp = LoopPlan(
+            path, desc.index, desc.keyword, strategy, trip=self.trip(desc),
+            **fields,
+        )
+        self.loops[path] = lp
         self.entries.append(PlanEntry(depth, loop=lp))
+        return lp
 
     def finish(self, module: str, requested: str, pinned: bool) -> ExecutionPlan:
         storage = self._storage()

@@ -1,35 +1,43 @@
 """Loop strategies as objects: ``recognise -> price -> emit -> execute``.
 
-A strategy is one object that says whether it applies to a loop
-(:meth:`recognise`, with the refusal as text ``plan.explain()`` can print),
-what it would cost there (:meth:`price`, against the planner as cost
-context), how it appears in the plan (:meth:`emit`) and how a backend runs
-it (:meth:`execute`; False hands the loop back to the reference walk).
-Objects register by plan-strategy name in :data:`LOOP_STRATEGIES`, which
-the planner consults when it chooses, the backends' shared walk when it
-dispatches and :meth:`repro.plan.ir.LoopPlan.kernel_shape` for the kernel a
-loop runs — so a strategy is one entry here, not a branch in each.
+Every way a loop can run is one object here, registered by plan-strategy
+name in :data:`LOOP_STRATEGIES` — the one list of strategy names in the
+package. A strategy says whether it applies to a loop (:meth:`recognise`,
+with the refusal as text that ``plan.explain()`` and a refused force
+print), what it would cost there (:meth:`price`, against the planner as
+cost context), how it appears in the plan (:meth:`emit`, :meth:`annotate`)
+and how a backend runs it (:meth:`execute`).
 
-:class:`NestStrategy` (``nest``) runs a whole nest as one compiled kernel;
-:class:`PoolStrategy` (``chunk`` and ``collapse``) divides a ``DOALL``
-among the backend's workers, each chunk on the loop's own kernel. The
-``serial``, ``vector`` and ``fission`` strategies are still decided on
-``_Planner`` and run by the backends' walk (ROADMAP, "Strategies as
-objects").
+The planner's choice for a loop met on the walk is one walk over the table
+(``_Planner._decide``): a forced name asks that one strategy; otherwise
+every strategy that recognises the loop is priced, and a later entry wins
+only when it is strictly cheaper. The backends' walk runs every planned
+loop through its strategy's :meth:`execute`, and
+:class:`repro.plan.ir.LoopPlan` reads its kernel shape and the head of its
+``pretty()`` row from it — so a strategy is one entry here, not a branch
+in each of those places.
+
+In table order: :class:`SerialStrategy` (``serial``) walks a loop element
+by element; :class:`VectorStrategy` (``vector``) runs a ``DOALL`` as one
+NumPy span; :class:`NestStrategy` (``nest``) runs a whole nest as one
+compiled kernel; :class:`PoolStrategy` (``chunk`` and ``collapse``) divides
+a ``DOALL`` among the backend's workers, each chunk on the loop's own
+kernel; :class:`FissionStrategy` (``fission``) splits a loop along its
+dependence groups into replica loops that plan on their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, prod
 
-from repro.plan.ir import LoopPlan
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.kernels.nest import (
     holds_doall,
     nest_unfusable_reason,
     team_unfit_reason,
 )
+from repro.schedule.fission import fission_reject, fission_split
 from repro.schedule.flowchart import (
     LoopDescriptor,
     collapse_chain,
@@ -38,17 +46,198 @@ from repro.schedule.flowchart import (
     split_range,
 )
 
+#: backends that divide a ``DOALL`` among a pool of workers
+CHUNKED_BACKENDS = ("threaded", "process")
+
+#: a chunk-safe inner DOALL takes the team only when its own trip count
+#: keeps every worker busy at least this many chunks deep
+INNER_CHUNK_FACTOR = 2
+
+#: why a strategy that reorders iterations refuses a ``DO``
+IN_ORDER = "its iterations must run in order"
+
 
 @dataclass(frozen=True)
-class NestPrice:
-    #: which text of the kernel the loop runs: ``"native"`` | ``"python"``
-    dialect: str
+class Price:
+    """What running one loop one way costs, and why it is offered."""
+
     #: predicted cycles of one execution (a build is not part of a run)
     cycles: float
+    #: chunks (``chunk`` / ``collapse``) or replica loops (``fission``)
+    parts: int | None = None
+    #: the one-line rationale the plan prints beside the strategy
+    reason: str = ""
+    #: which text of the nest kernel runs: ``"native"`` | ``"python"``
+    dialect: str | None = None
     #: the width of the team the C kernel runs on (None: one thread)
     team: int | None = None
     #: why a ``DO`` over ``DOALL`` s runs without a team, for ``explain()``
     note: str = ""
+
+
+class LoopStrategy:
+    """What every strategy shares: no kernel of its own, ``forced`` as the
+    rationale of a forced choice, and a ``pretty()`` row headed by its
+    name (with its part count, where it has one)."""
+
+    name = ""
+    #: the nest-kernel shape the loop runs (None: it dispatches no kernel)
+    shape: str | None = None
+    #: the plan's rationale when a caller forced the strategy on the loop
+    forced_reason = "forced"
+    #: the strategy replaces the loop by other loops (``fission``). It
+    #: then competes with whatever runs the loop — forced or chosen —
+    #: unless a per-path pin fixes the loop's strategy.
+    transform = False
+
+    def recognise(self, planner, desc: LoopDescriptor, forced: bool = False) -> str | None:
+        """None when the strategy applies to ``desc``, else why not. The
+        loop's shape always counts; unless ``forced``, so does whether
+        this backend offers the strategy for such a loop."""
+        raise NotImplementedError
+
+    def price(self, planner, desc: LoopDescriptor) -> Price:
+        raise NotImplementedError
+
+    def emit(self, planner, desc: LoopDescriptor, path, depth: int, price: Price) -> float:
+        """Register the loop's plan (and its body's) on ``planner``; the
+        cycles the loop adds to the plan's total."""
+        raise NotImplementedError
+
+    def execute(self, backend, state, desc: LoopDescriptor, lo, hi, env) -> None:
+        """Run ``[lo, hi]`` of ``desc`` on ``backend``."""
+        raise NotImplementedError
+
+    def annotate(self, lp) -> list[str]:
+        """The leading fields of the loop's ``pretty()`` row."""
+        return [f"{self.name} x{lp.parts}" if lp.parts else self.name]
+
+
+def _pool_refusal(planner, desc: LoopDescriptor) -> str | None:
+    """Why the backend's workers cannot divide ``desc``, None when they
+    can."""
+    if planner.backend not in CHUNKED_BACKENDS:
+        return f"the {planner.backend} backend has no worker pool"
+    why = CHUNK.recognise(planner, desc, forced=True)
+    if why is not None:
+        return why
+    if planner.workers < 2 or planner._trip_est(desc) < 2:
+        return "nothing to chunk"
+    return None
+
+
+def _idle_team(planner, desc: LoopDescriptor) -> LoopDescriptor | None:
+    """The utilization rule: a ``DOALL`` the workers could divide, but
+    whose trip count is below the worker count, leaves them to a chunk-safe
+    ``DOALL`` directly in its body whose own trip count keeps the whole
+    team busy — that inner loop, or None. Deliberately not a cost
+    comparison: an outer chunk with trip < workers idles (workers − trip)
+    workers for the whole wavefront, and dispatch constants calibrated on
+    a 1-core box would veto the inner chunking multicore hardware rewards.
+    ``INNER_CHUNK_FACTOR`` keeps the extra dispatches amortised over a
+    genuinely wide inner loop."""
+    t = planner.trip(desc)
+    if t is None or t >= planner.workers or _pool_refusal(planner, desc):
+        return None
+    for d in desc.body:
+        if not isinstance(d, LoopDescriptor) or not d.parallel:
+            continue
+        if CHUNK.recognise(planner, d, forced=True) is not None:
+            continue
+        it = planner.trip(d)
+        if it is None or it >= INNER_CHUNK_FACTOR * planner.workers:
+            return d
+    return None
+
+
+def _short_trip(planner, desc: LoopDescriptor) -> str:
+    return f"trip {planner.trip(desc)} < {planner.workers} workers"
+
+
+class SerialStrategy(LoopStrategy):
+    """``serial``: the reference walk — one iteration at a time in
+    subrange order, every body equation on its scalar kernel or the
+    evaluator. Any loop may be forced onto it. Unforced, every ``DO``
+    offers it (the price a compiled ``DO`` has to beat), and so does a
+    ``DOALL`` on the serial backend — or, on a pool backend, a ``DOALL``
+    under the utilization rule (``trip 4 < 8 workers: DOALL J takes
+    them``)."""
+
+    name = "serial"
+
+    def recognise(self, planner, desc, forced=False):
+        if forced or not desc.parallel or planner.backend == "serial":
+            return None
+        if _idle_team(planner, desc) is None:
+            return f"the {planner.backend} backend runs a DOALL whole"
+        return None
+
+    def price(self, planner, desc):
+        t = planner._trip_est(desc)
+        cycles = t * (
+            planner.model.loop_overhead
+            + sum(planner._cost(d, "walk", 1) for d in desc.body)
+        )
+        inner = _idle_team(planner, desc) if desc.parallel else None
+        if inner is None:
+            return Price(cycles)
+        return Price(
+            cycles,
+            reason=f"{_short_trip(planner, desc)}: DOALL {inner.index} takes them",
+        )
+
+    def emit(self, planner, desc, path, depth, price):
+        # a DO's row stays plain: why it walks is its explain() row
+        planner._loop(
+            desc, path, depth, self.name, cycles=price.cycles,
+            reason=price.reason if desc.parallel else "",
+        )
+        planner._emit_body(desc, path, depth, "walk", 1.0, native=False)
+        return price.cycles
+
+    def execute(self, backend, state, desc, lo, hi, env):
+        backend.exec_sequential_loop(state, desc, lo, hi, env, [])
+
+
+class VectorStrategy(LoopStrategy):
+    """``vector``: a ``DOALL``'s whole subrange as one NumPy operation,
+    nested ``DOALL`` s broadcasting. Unforced, the vectorized backend's way
+    to run a ``DOALL``, and a pool backend's when the workers cannot divide
+    the loop (the plan says why)."""
+
+    name = "vector"
+
+    def recognise(self, planner, desc, forced=False):
+        if not desc.parallel:
+            return IN_ORDER
+        if forced or planner.backend == "vectorized":
+            return None
+        if planner.backend not in CHUNKED_BACKENDS:
+            return f"the {planner.backend} backend runs no vector spans"
+        if _pool_refusal(planner, desc) is None:
+            return "the workers divide it"
+        return None
+
+    def price(self, planner, desc):
+        t = planner._trip_est(desc)
+        cycles = sum(planner._cost(d, "vector", t) for d in desc.body)
+        if planner.backend not in CHUNKED_BACKENDS:
+            return Price(cycles)
+        return Price(cycles, reason=_pool_refusal(planner, desc) or "")
+
+    def emit(self, planner, desc, path, depth, price):
+        planner._loop(
+            desc, path, depth, self.name, cycles=price.cycles,
+            reason=price.reason,
+        )
+        planner._emit_body(
+            desc, path, depth, "vector", float(planner._trip_est(desc)),
+            native=False,
+        )
+        return price.cycles
+
+    def execute(self, backend, state, desc, lo, hi, env):
+        backend.exec_vector_span(state, desc, lo, hi, env, [])
 
 
 def _team_work(planner, body, span: float, p: int) -> tuple[float, float]:
@@ -69,48 +258,55 @@ def _team_work(planner, body, span: float, p: int) -> tuple[float, float]:
     return cycles, barriers
 
 
-class NestStrategy:
+class NestStrategy(LoopStrategy):
     """``nest``: the whole nest rooted at a loop runs as one compiled
     kernel over the root subrange, in iteration order. That order is the
     reference order of a ``DOALL`` and the only legal one of a ``DO``, so
     the same kernel serves both: over a ``DO`` root it is the paper's §3.4
     sequential loop as real compiled code instead of a per-element walk.
     A ``DO`` over ``DOALL`` s may also run its C kernel on a team of
-    threads (``team xN``) — priced here, against the same kernel alone."""
+    threads (``team xN``) — priced here, against the same kernel alone.
+    Unforced, every ``DO`` whose nest lowers offers it; of the ``DOALL``
+    s, only the serial backend's."""
 
     name = "nest"
     #: the kernel shape the loop runs (``"team"`` when it has a team)
     shape = "full"
 
-    def recognise(self, planner, desc: LoopDescriptor) -> str | None:
-        """None when the nest lowers into one kernel, else why not."""
+    def recognise(self, planner, desc, forced=False):
         if not planner.use_kernels:
             return "kernels off"
-        return nest_unfusable_reason(desc, planner.analyzed)
+        if desc.parallel and not forced and planner.backend != "serial":
+            return f"the {planner.backend} backend does not fuse a DOALL nest"
+        why = nest_unfusable_reason(desc, planner.analyzed)
+        if why is None and not desc.parallel and planner._pinned_inside(desc):
+            why = "a loop inside it is pinned to its own strategy"
+        return why
 
-    def price(
-        self, planner, desc: LoopDescriptor, interpreted: float | None = None
-    ) -> NestPrice:
+    def price(self, planner, desc):
         """The dialect the loop would run and its cycles. The C dialect
         needs the tier to allow it and the nest to lower to bit-exact C;
-        given ``interpreted`` — the predicted cycles of walking the whole
-        nest element by element, passed for ``DO`` roots — it must also be
-        worth a compiler run: a loop whose whole walk is cheaper than one
-        native build (``MachineModel.native_build``) stays off ``cc``."""
+        over a ``DO`` it must also be worth a compiler run: a loop whose
+        whole walk element by element (:meth:`_Planner._cost_interpreted`)
+        is cheaper than one native build (``MachineModel.native_build``)
+        stays off ``cc``."""
         m = planner.model
         t = planner._trip_est(desc)
+        reason = "fused nest kernel" if desc.parallel else "compiled in order"
         if planner._native_ok(desc, "full") and (
-            interpreted is None or interpreted >= m.native_build
+            desc.parallel or planner._cost_interpreted(desc) >= m.native_build
         ):
-            return self._price_team(planner, desc, m.native_call_overhead + sum(
+            alone = m.native_call_overhead + sum(
                 planner._cost(d, "native", t) for d in desc.body
-            ))
-        return NestPrice("python", m.vector_setup + sum(
-            planner._cost(d, "nest", t) for d in desc.body
-        ))
+            )
+            return self._price_team(
+                planner, desc, Price(alone, reason=reason, dialect="native")
+            )
+        cycles = m.vector_setup + sum(planner._cost(d, "nest", t) for d in desc.body)
+        return Price(cycles, reason=reason, dialect="python")
 
-    def _price_team(self, planner, desc: LoopDescriptor, alone: float) -> NestPrice:
-        """The C kernel on the caller's thread (``alone`` cycles) against
+    def _price_team(self, planner, desc, alone: Price) -> Price:
+        """The C kernel on the caller's thread (priced ``alone``) against
         the same kernel on a team as wide as the plan's parallelism. Never
         on the process backend: libgomp is not fork-safe once a team ran.
         No candidate at parallelism 1, so a one-worker plan never changes,
@@ -121,44 +317,53 @@ class NestStrategy:
             or team_unfit_reason(desc) is not None
             or not native_mod.openmp_supported()
         ):
-            return NestPrice("native", alone)
+            return alone
         why = planner._native_why(desc, "team")
         if why is not None:
-            return NestPrice("native", alone, note=f"team refused: {why}")
+            return replace(alone, note=f"team refused: {why}")
         m = planner.model
         work, barriers = _team_work(planner, desc.body, planner._trip_est(desc), p)
         cycles = (
             m.native_call_overhead + m.team_fork + work
             + barriers * m.team_barrier
         )
-        if cycles < alone:
-            return NestPrice("native", cycles, team=p)
-        return NestPrice(
-            "native", alone,
-            note=f"team x{p} not cheaper (~{cycles:.0f} cycles)",
+        if cycles < alone.cycles:
+            return replace(alone, cycles=cycles, team=p)
+        return replace(alone, note=f"team x{p} not cheaper (~{cycles:.0f} cycles)")
+
+    def walk_wins(self, planner, desc, price: Price) -> str:
+        """Why the walk of a ``DO`` beat its nest priced at ``price``."""
+        if price.dialect == "python" and planner._native_ok(desc, "full"):
+            return (
+                f"walked element by element it costs "
+                f"~{planner._cost_interpreted(desc):.0f} cycles, less than "
+                f"one native build (~{planner.model.native_build:.0f}), and "
+                f"the Python-dialect nest (~{price.cycles:.0f}) loses to "
+                f"the walk"
+            )
+        return (
+            f"the walk is cheaper than the {price.dialect}-dialect nest "
+            f"(~{price.cycles:.0f} cycles)"
         )
 
-    def emit(
-        self, planner, desc: LoopDescriptor, path, depth: int,
-        priced: NestPrice, reason: str,
-    ) -> float:
-        lp = LoopPlan(
-            path, desc.index, desc.keyword, self.name,
-            trip=planner.trip(desc), fuse=True, dialect=priced.dialect,
-            cycles=priced.cycles, reason=reason, team=priced.team,
+    def emit(self, planner, desc, path, depth, price):
+        planner._loop(
+            desc, path, depth, self.name, fuse=True, dialect=price.dialect,
+            cycles=price.cycles, reason=price.reason, team=price.team,
         )
-        planner._register(lp, depth)
         planner._emit_body(
             desc, path, depth, "nest", float(planner._trip_est(desc)),
-            native=priced.dialect == "native",
+            native=price.dialect == "native",
         )
-        return priced.cycles
+        return price.cycles
 
-    def execute(self, backend, state, desc: LoopDescriptor, lo, hi, env) -> bool:
-        return backend.exec_nest_kernel(state, desc, lo, hi, env)
+    def execute(self, backend, state, desc, lo, hi, env):
+        # no kernel available here: the reference walk
+        if not backend.exec_nest_kernel(state, desc, lo, hi, env):
+            backend.exec_sequential_loop(state, desc, lo, hi, env, [])
 
 
-class PoolStrategy:
+class PoolStrategy(LoopStrategy):
     """``chunk`` / ``collapse``: a ``DOALL``'s iteration space split into
     ``parts`` contiguous chunks on the backend's workers, every chunk
     running the whole loop body over its iterations — noelle's ``DOALL``
@@ -168,7 +373,8 @@ class PoolStrategy:
     its ``"flat"`` kernel, so a nest whose outer trip is below the team
     still divides evenly. Where no C kernel builds, a ``chunk`` runs NumPy
     vector spans and a ``collapse`` chunk the NumPy flat kernel, then the
-    per-element walk."""
+    per-element walk. Unforced, only a pool backend offers them, and
+    ``chunk`` steps aside under the utilization rule."""
 
     def __init__(self, name: str, shape: str, safe, refusal: str):
         self.name = name
@@ -179,13 +385,27 @@ class PoolStrategy:
         self._safe = safe
         self._refusal = refusal
 
-    def recognise(self, planner, desc: LoopDescriptor) -> str | None:
-        """None when the chunks may run concurrently, else why not."""
-        if self._safe(
+    def recognise(self, planner, desc, forced=False):
+        """None when the chunks may run concurrently (and, unforced, the
+        backend's workers should divide this loop), else why not."""
+        if not desc.parallel:
+            return IN_ORDER
+        if not self._safe(
             desc, planner.analyzed, planner.flowchart.windows, planner.use_windows
         ):
+            return self._refusal
+        if forced:
             return None
-        return self._refusal
+        why = _pool_refusal(planner, desc)
+        if why is not None:
+            return why
+        if self.shape == "flat":
+            # priced on its flat kernel: the nest must lower
+            return NEST.recognise(planner, desc, forced=True)
+        inner = _idle_team(planner, desc)
+        if inner is not None:
+            return f"{_short_trip(planner, desc)}: DOALL {inner.index} takes them"
+        return None
 
     def _space(self, desc: LoopDescriptor):
         """(the loops whose iterations the chunks divide, the body below
@@ -194,14 +414,14 @@ class PoolStrategy:
             return collapse_chain(desc)
         return [desc], desc.body
 
-    def price(self, planner, desc: LoopDescriptor) -> tuple[int, float]:
-        """(parts, cycles): one chunk per worker, fewer when the space is
-        smaller. A chunk of a loop that lowers to C is one kernel call
-        behind a released GIL, overlapping fully across workers; otherwise
-        it is NumPy rows — vector work that overlaps, plus GIL-bound Python
-        (scalar fallbacks, a collapsed chunk's per-row bookkeeping) that
-        serialises on the threaded backend. Plus one fork, one join and one
-        dispatch per chunk."""
+    def price(self, planner, desc):
+        """One chunk per worker, fewer when the space is smaller. A chunk
+        of a loop that lowers to C is one kernel call behind a released
+        GIL, overlapping fully across workers; otherwise it is NumPy rows —
+        vector work that overlaps, plus GIL-bound Python (scalar
+        fallbacks, a collapsed chunk's per-row bookkeeping) that serialises
+        on the threaded backend. Plus one fork, one join and one dispatch
+        per chunk. A ``collapse`` under the utilization rule says so."""
         m = planner.model
         loops, body = self._space(desc)
         space = prod(max(1, planner._trip_est(loop)) for loop in loops)
@@ -221,19 +441,22 @@ class PoolStrategy:
             bound = rows * (overhead + sum(b for _, b in pairs))
         waves = ceil(parts / planner.parallelism)
         serialised = parts if planner.backend == "threaded" else waves
-        return parts, (
+        reason = ""
+        if self.shape == "flat" and _idle_team(planner, desc) is not None:
+            reason = _short_trip(planner, desc)
+        return Price(
             m.doall_fork + m.doall_barrier + parts * planner._dispatch_cost()
-            + waves * released + serialised * bound
+            + waves * released + serialised * bound,
+            parts=parts, reason=reason,
         )
 
-    def emit(
-        self, planner, desc: LoopDescriptor, path, depth: int,
-        parts: int, cycles: float, reason: str,
-    ) -> float:
-        lp = LoopPlan(
-            path, desc.index, desc.keyword, self.name, parts=parts,
-            trip=planner.trip(desc), fuse=planner._fusable(desc),
-            cycles=cycles, reason=reason,
+    def emit(self, planner, desc, path, depth, price):
+        native = planner._native_ok(desc, self.shape)
+        fuse = NEST.recognise(planner, desc, forced=True) is None
+        lp = planner._loop(
+            desc, path, depth, self.name, parts=price.parts, fuse=fuse,
+            cycles=price.cycles, reason=price.reason,
+            dialect=("native" if native else "python") if native or fuse else None,
         )
         te = planner._trip_est(desc)
         if self.shape == "flat":
@@ -243,18 +466,23 @@ class PoolStrategy:
             lp.flat_trip = None if None in trips else prod(trips)
             # the chain loops below multiply the span by their own trips,
             # so equations see roughly the per-chunk element count
-            ctx, span = "collapse", te / parts
+            ctx, span = "collapse", te / price.parts
         else:
-            ctx, span = "vector", float(ceil(te / parts))
-        native = planner._native_ok(desc, self.shape)
-        if native or lp.fuse:
-            lp.dialect = "native" if native else "python"
-        planner._register(lp, depth)
+            ctx, span = "vector", float(ceil(te / price.parts))
         planner._chunked_somewhere = True
         planner._emit_body(desc, path, depth, ctx, span, native)
-        return cycles
+        return price.cycles
 
-    def execute(self, backend, state, desc: LoopDescriptor, lo, hi, env) -> bool:
+    def annotate(self, lp):
+        bits = super().annotate(lp)
+        if lp.collapse_depth:
+            depth = f"depth {lp.collapse_depth}"
+            if lp.flat_trip is not None:
+                depth += f" flat {lp.flat_trip}"
+            bits.append(depth)
+        return bits
+
+    def execute(self, backend, state, desc, lo, hi, env):
         """Split the space into the planned chunk count and hand the
         chunks to :meth:`~repro.runtime.backends.base.ExecutionBackend.
         dispatch` — one wavefront, joined before the next descriptor runs.
@@ -264,7 +492,7 @@ class PoolStrategy:
             extents = backend._flat_geometry(state, desc, lo, hi)[3]
             lo, hi = 0, prod(extents) - 1
             if hi < lo:
-                return True
+                return
         for eq in desc.nested_equations():
             backend.ensure_targets(state, eq)
         plan = state.plan_of(desc, backend.name)
@@ -273,7 +501,6 @@ class PoolStrategy:
             self.run_chunk(backend, state, desc, lo, hi, env, plan.fuse)
         else:
             backend.dispatch(state, desc, self, spans, env, plan.fuse)
-        return True
 
     def run_chunk(self, backend, state, desc: LoopDescriptor, lo, hi, env, fuse) -> None:
         """One chunk, ``[lo, hi]`` of the space, wherever the pool runs it:
@@ -292,13 +519,122 @@ class PoolStrategy:
             backend.exec_vector_span(state, desc, lo, hi, env, [])
 
 
+class FissionStrategy(LoopStrategy):
+    """``fission``: a multi-unit loop body split along its dependence
+    structure (:mod:`repro.schedule.fission`) into one replica loop per
+    group, in topological order over the same subrange, each planned on its
+    own at the marker path ``loop_path + (-1, k)`` — a piece that comes out
+    all-``DOALL`` regains ``nest`` / ``chunk`` / ``collapse``, a lone
+    recurrence runs as its own compiled ``DO``. Each equation lands in
+    exactly one replica, so evaluation counts match the unsplit walk. It
+    replaces the loop rather than running it, so it is priced last, against
+    whatever would run the loop whole, and wins only when strictly cheaper."""
+
+    name = "fission"
+    forced_reason = "forced dependence split"
+    transform = True
+
+    @staticmethod
+    def _split(planner, desc):
+        return fission_split(
+            planner.analyzed, planner.flowchart, desc, planner.use_windows
+        )
+
+    def recognise(self, planner, desc, forced=False):
+        if self._split(planner, desc) is not None:
+            return None
+        return (
+            fission_reject(
+                planner.analyzed, planner.flowchart, desc, planner.use_windows
+            )
+            or "the body is a single dependence unit"
+        )
+
+    def price(self, planner, desc):
+        split = self._split(planner, desc)
+        return Price(
+            sum(planner._cost(piece, "walk", 1) for piece in split.pieces),
+            parts=split.parts, reason="dependence split",
+        )
+
+    def note(self, planner, desc, path, choice) -> dict | None:
+        """The provenance note of a loop this strategy was asked about
+        (None: it was not, or the loop has a single body unit): the split
+        and both prices, or why there is no legal split."""
+        verdict = choice.verdicts.get(self.name)
+        if verdict is None:
+            return None
+        note = {
+            "index": str(path), "keyword": desc.keyword,
+            "loop_index": desc.index, "parts": None,
+            "trip": planner._trip_est(desc), "pieces": [],
+            "fission_cycles": None, "unfissioned_cycles": None,
+            "chosen": False, "why": "",
+        }
+        if isinstance(verdict, str):
+            why = fission_reject(
+                planner.analyzed, planner.flowchart, desc, planner.use_windows
+            )
+            if why is None:
+                return None
+            note["why"] = why
+            return note
+        split = self._split(planner, desc)
+        note["parts"] = split.parts
+        note["pieces"] = split.describe()
+        note["fission_cycles"] = verdict.cycles
+        note["unfissioned_cycles"] = choice.base[1].cycles
+        note["chosen"] = choice.strategy is self
+        if choice.forced is self:
+            note["why"] = "forced"
+        elif note["chosen"]:
+            note["why"] = "split pieces are cheaper"
+        else:
+            note["why"] = "unfissioned plan is cheaper"
+            if not desc.parallel and choice.base[0] is NEST:
+                note["why"] += (
+                    f": {split.parts} passes over memory > one compiled DO"
+                )
+        return note
+
+    def emit(self, planner, desc, path, depth, price):
+        """The original loop's plan carries the strategy and the piece
+        count; the replicas plan as an ordinary sibling list at the marker
+        container ``path + (-1,)``."""
+        lp = planner._loop(
+            desc, path, depth, self.name, parts=price.parts, reason=price.reason,
+        )
+        lp.cycles = sum(
+            planner._emit(piece, path + (-1, k), depth + 1, "walk", 1.0)
+            for k, piece in enumerate(self._split(planner, desc).pieces)
+        )
+        return lp.cycles
+
+    def execute(self, backend, state, desc, lo, hi, env):
+        split = fission_split(
+            state.analyzed, state.flowchart, desc, state.options.use_windows
+        )
+        if split is None:
+            # Memoized at annotate time; missing means a foreign flowchart
+            # copy — run the loop as scheduled (bit-exact, just unsplit).
+            backend.exec_sequential_loop(state, desc, lo, hi, env, [])
+            return
+        for piece in split.pieces:
+            backend.exec_descriptor(state, piece, env, [])
+
+
+SERIAL = SerialStrategy()
+VECTOR = VectorStrategy()
 NEST = NestStrategy()
 CHUNK = PoolStrategy("chunk", "full", loop_chunk_safe, "not chunk-safe")
 COLLAPSE = PoolStrategy(
     "collapse", "flat", loop_collapse_safe,
     "not a collapse-safe perfect DOALL chain",
 )
+FISSION = FissionStrategy()
 
-#: plan-strategy name -> strategy object, in the order the planner offers
-#: them to a loop
-LOOP_STRATEGIES = {s.name: s for s in (NEST, CHUNK, COLLAPSE)}
+#: plan-strategy name -> strategy object, in the order the planner's walk
+#: asks them
+LOOP_STRATEGIES = {
+    s.name: s for s in (SERIAL, VECTOR, NEST, CHUNK, COLLAPSE, FISSION)
+}

@@ -19,7 +19,6 @@ from repro.errors import ExecutionError
 from repro.runtime.backends.base import (
     ExecutionBackend,
     ExecutionState,
-    chunk_safe,
     equation_is_vector_safe,
 )
 from repro.runtime.backends.process import ProcessBackend
@@ -60,7 +59,6 @@ __all__ = [
     "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
-    "chunk_safe",
     "equation_is_vector_safe",
     "free_threading_active",
     "instantiate_backend",

@@ -2,28 +2,18 @@
 
 A backend *executes* a scheduled flowchart according to an
 :class:`~repro.plan.ir.ExecutionPlan`. All backends share one walk
-(sequential ``DO`` loops, equation evaluation, lazy target allocation) and
-one strategy dispatch — a ``DOALL`` runs by whatever its
-:class:`~repro.plan.ir.LoopPlan` says:
-
-* ``serial`` — scalar iterations in subrange order (the reference
-  semantics; a low-trip outer DOALL runs so to hand the workers to a
-  chunked inner loop);
-* ``nest`` — the whole nest as one fused compiled kernel, whether its root
-  is a ``DOALL`` or a sequential ``DO``;
-* ``vector`` — the whole subrange as one NumPy operation;
-* ``chunk`` / ``collapse`` — the subrange (or the flattened iteration
-  space of a perfect nest) split into contiguous chunks handed to
-  :meth:`ExecutionBackend.dispatch`, the one hook the parallel backends
-  override; every chunk runs through :meth:`ExecutionBackend.run_chunk` on
-  the loop's own kernel, inline here, on a thread pool in
-  :class:`~repro.runtime.backends.threaded.ThreadedBackend`, and in a
-  persistent pool of forked workers over shared memory in
-  :class:`~repro.runtime.backends.process.ProcessBackend` — with one join
-  per wavefront.
-
-``nest``, ``chunk`` and ``collapse`` are strategy objects of
-:mod:`repro.plan.strategy`, which execute themselves.
+(equation evaluation, lazy target allocation, vector spans, the reference
+walk of a loop) and one dispatch: every planned loop runs through
+``LOOP_STRATEGIES[plan.strategy].execute`` (:mod:`repro.plan.strategy`),
+which calls back into the walk's primitives here. The one hook the
+parallel backends override is :meth:`ExecutionBackend.dispatch`, where the
+``chunk`` / ``collapse`` strategies hand a wavefront of chunks: each chunk
+runs through :meth:`ExecutionBackend.run_chunk` on the loop's own kernel —
+inline here, on a thread pool in
+:class:`~repro.runtime.backends.threaded.ThreadedBackend`, and in a
+persistent pool of forked workers over shared memory in
+:class:`~repro.runtime.backends.process.ProcessBackend` — with one join
+per wavefront.
 
 No backend re-derives chunking, safety, or kernel decisions from the
 flowchart: those live in the plan, produced once per execution by
@@ -65,7 +55,6 @@ from repro.schedule.flowchart import (
     NodeDescriptor,
     collapse_chain,
     equation_vector_safe,
-    loop_chunk_safe,
 )
 
 
@@ -150,15 +139,6 @@ def equation_is_vector_safe(eq: AnalyzedEquation) -> bool:
     return equation_vector_safe(eq)
 
 
-def chunk_safe(state: ExecutionState, desc: LoopDescriptor) -> bool:
-    """Cached chunk-safety verdict: precomputed at flowchart-build time by
-    :func:`repro.schedule.flowchart.annotate_flowchart`, derived on first
-    use for hand-built flowcharts."""
-    return loop_chunk_safe(
-        desc, state.analyzed, state.flowchart.windows, state.options.use_windows
-    )
-
-
 #: what :attr:`ExecutionBackend.counters` counts
 RUN_COUNTERS = (
     "arg_bytes_borrowed", "arg_bytes_converted", "arrays_uninitialised", "arrays_zeroed",
@@ -183,8 +163,7 @@ class ExecutionBackend:
         # Imported here: the plan layer imports the runtime.
         from repro.plan.strategy import LOOP_STRATEGIES
 
-        #: plan-strategy name -> strategy object, for the strategies that
-        #: execute themselves; the rest are still dispatched by the walk
+        #: plan-strategy name -> the strategy object that runs such loops
         self.strategies = LOOP_STRATEGIES
         #: argument bytes borrowed / copied on import, target arrays left
         #: uninitialised / zero-filled, team kernel calls and those of them
@@ -285,49 +264,20 @@ class ExecutionBackend:
         hi = eval_bound(desc.subrange.hi, scalar_env)
         if hi < lo:
             return
-        plan = None if vector_names else state.plan_of(desc, self.name)
-        if plan is not None:
-            strategy = self.strategies.get(plan.strategy)
-            if strategy is not None and strategy.execute(
-                self, state, desc, lo, hi, env
-            ):
-                return
-            # no strategy object, or it declined (its kernel is unavailable
-            # here): the dispatch below ends on the reference walk
-        if plan is not None and plan.strategy == "fission":
-            self.exec_fission_loop(state, desc, lo, hi, env)
+        if vector_names:
+            # Inside a vector span the nest is already one NumPy operation:
+            # a nested DOALL broadcasts, a nested DO keeps its own loop.
+            if desc.parallel:
+                self.exec_vector_span(state, desc, lo, hi, env, vector_names)
+            else:
+                self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
             return
-        if desc.parallel:
-            self.exec_parallel_loop(state, desc, lo, hi, env, vector_names)
-        else:
-            self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
-
-    def exec_fission_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """Run a loop planned as a dependence split: one replica loop per
-        group, in topological order over the full subrange. The replicas
-        are planned descriptors in their own right (marker paths), so the
-        ordinary walk applies — a promoted piece runs its DOALL strategy, a
-        lone recurrence its compiled ``DO``. Each equation lands in exactly
-        one replica, so evaluation counts match the unfissioned walk."""
-        from repro.schedule.fission import fission_split
-
-        split = fission_split(
-            state.analyzed, state.flowchart, desc, state.options.use_windows
-        )
-        if split is None:
-            # Memoized at annotate time; missing means a foreign flowchart
-            # copy — run the loop as scheduled (bit-exact, just unsplit).
+        plan = state.plan_of(desc, self.name)
+        if plan is None:
+            # a descriptor the plan does not cover: the reference walk
             self.exec_sequential_loop(state, desc, lo, hi, env, [])
-            return
-        for piece in split.pieces:
-            self.exec_descriptor(state, piece, env, [])
+        else:
+            self.strategies[plan.strategy].execute(self, state, desc, lo, hi, env)
 
     def exec_sequential_loop(
         self,
@@ -346,36 +296,6 @@ class ExecutionBackend:
             env2[desc.index] = i
             for d in desc.body:
                 self.exec_descriptor(state, d, env2, vector_names)
-
-    #: how a DOALL with no LoopPlan runs (hand-built flowcharts whose
-    #: descriptors are not part of the state's planned flowchart)
-    fallback_strategy = "vector"
-
-    def exec_parallel_loop(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-        vector_names: list[str],
-    ) -> None:
-        """Run a DOALL by its LoopPlan. Inside a vector span the nest is
-        already one NumPy operation — nested DOALLs broadcast structurally
-        and the plan has nothing left to decide."""
-        if vector_names:
-            self.exec_vector_span(state, desc, lo, hi, env, vector_names)
-            return
-        plan = state.plan_of(desc, self.name)
-        strategy = plan.strategy if plan is not None else self.fallback_strategy
-        if strategy in ("serial", "nest"):
-            # "nest" arrives here only after its strategy object declined
-            # in exec_descriptor (no kernel available): the reference walk
-            self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
-        elif strategy == "vector":
-            self.exec_vector_span(state, desc, lo, hi, env, vector_names)
-        else:
-            raise ExecutionError(f"unknown plan strategy {strategy!r}")
 
     def exec_vector_span(
         self,

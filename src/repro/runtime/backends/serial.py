@@ -14,7 +14,3 @@ from repro.runtime.backends.base import ExecutionBackend
 
 class SerialBackend(ExecutionBackend):
     name = "serial"
-
-    #: a hand-built descriptor without a plan runs scalar, preserving the
-    #: reference semantics this backend exists to provide
-    fallback_strategy = "serial"

@@ -10,8 +10,8 @@ too, but the per-equation Python bookkeeping between them serialises —
 unless the interpreter is a no-GIL build, where that Python-level work
 overlaps as well). Chunk-safety
 (scalar targets, atomic equations, window aliasing) is the planner's
-concern: a DOALL this backend sees with a ``vector`` or ``serial`` plan
-simply runs that strategy via the shared base dispatch.
+concern: a loop with any other plan runs its strategy through the shared
+base dispatch.
 
 Every wave on the pool — a ``chunk`` wavefront of spans, a ``collapse``
 wavefront of flat chunks — ends in :meth:`ThreadedBackend._join`: all

@@ -72,12 +72,6 @@ class ExecutionOptions:
     #: (exec-compiled NumPy kernels only), or "evaluator" (no kernels at
     #: all — same as ``use_kernels=False``)
     kernel_tier: str = "native"
-    #: let the planner split ("fission") a sequential loop whose body
-    #: partitions into independent dependence groups into one replica loop
-    #: per group — pieces then plan independently (a DOALL piece regains
-    #: the kernel strategies, a lone recurrence runs as its own compiled
-    #: ``DO``). Off, every nest plans as scheduled (the escape hatch).
-    use_fission: bool = True
     #: soft strategy preference (``repro run/plan --strategy``): every loop
     #: the strategy validly applies to takes it, everything else plans
     #: normally — unlike :func:`repro.plan.planner.forced_plan`, an

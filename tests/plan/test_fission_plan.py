@@ -1,6 +1,6 @@
 """Planner integration of fission: golden plan texts, merit competition
-against the unfissioned plan, provenance (taken and rejected), the
-``--no-fission`` escape hatch, and forced-strategy validation.
+against the unfissioned plan, provenance (taken and rejected), a ``serial``
+pin as the escape hatch, and forced-strategy validation.
 
 Fission wins on merit where it isolates a module call the kernel tier
 cannot compile (the ``Sweep`` nest of ``examples/fission_demo.py``); over
@@ -148,10 +148,16 @@ class TestFissionDecision:
         )
 
     def test_no_fission_escape_hatch(self):
-        analyzed, chart = _sweep()  # where the split wins on merit
-        plan, note = _merit_plan(analyzed, chart, 12000, use_fission=False)
-        assert "fission" not in [s for _, s in plan.strategies()]
-        assert note is None
+        # where the split wins on merit, a ``serial`` pin keeps the loop
+        # whole: a pin fixes the loop's strategy, so fission is not asked
+        analyzed, chart = _sweep()
+        (loop,) = [d for d in chart.loops() if not d.parallel]
+        plan = forced_plan(
+            analyzed, chart, "threaded",
+            ExecutionOptions(backend="threaded", workers=4), {"n": 12000},
+            overrides={chart.path_of(loop): "serial"}, cpu_count=4,
+        )
+        assert plan.strategies() == [("I", "serial")]
 
     def test_soft_force_degrades_on_unsplittable_loops(self):
         # The coupled recurrence is one dependence group: a soft

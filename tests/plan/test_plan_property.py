@@ -117,7 +117,9 @@ class TestForcedPlansStayExact:
         name, analyzed, flow, args, result = WORKLOADS[0]
         options = ExecutionOptions(backend="serial", use_kernels=False)
         doall = next(d for d in flow.loops() if d.parallel)
-        with pytest.raises(PlanError, match="not fusable"):
+        with pytest.raises(
+            PlanError, match=f"cannot force 'nest' on DOALL {doall.index}: kernels off"
+        ):
             forced_plan(
                 analyzed, flow, "serial", options,
                 overrides={flow.path_of(doall): "nest"},

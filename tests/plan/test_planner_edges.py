@@ -1,7 +1,8 @@
 """Planner edge cases surfaced by review: GIL-aware process selection,
 in-process callee plans, plan re-binding, auto always being measurable,
-recognised recurrences planning as the compiled ``DO`` at every size, and
-the retired ``pipeline`` and ``scan`` strategies refused by name."""
+recognised recurrences planning as the compiled ``DO`` at every size,
+``DOALL``-only strategies forced on a ``DO``, and the retired ``pipeline``
+and ``scan`` strategies refused by name."""
 
 import re
 
@@ -202,6 +203,40 @@ def _forced_override(analyzed, flow, name):
         analyzed, flow, "threaded", ExecutionOptions(workers=4), {"n": 64},
         overrides={flow.path_of(do_loop): name},
     )
+
+
+class TestForcedOnADo:
+    """A ``DOALL``-only strategy pinned by path on a ``DO`` is refused
+    loudly, naming the loop; as a default it leaves the ``DO`` on the walk
+    so the ``DOALL`` s inside it take it."""
+
+    def _jacobi(self):
+        analyzed = jacobi_analyzed()
+        flow = schedule_module(analyzed)
+        (do_k,) = [d for d in flow.loops() if not d.parallel]
+        return analyzed, flow, flow.path_of(do_k)
+
+    @pytest.mark.parametrize("name", ["vector", "chunk", "collapse"])
+    def test_a_pin_raises_naming_the_loop(self, name):
+        analyzed, flow, path = self._jacobi()
+        with pytest.raises(
+            PlanError,
+            match=f"cannot force '{name}' on DO K: its iterations must run in order",
+        ):
+            forced_plan(
+                analyzed, flow, "threaded", ExecutionOptions(workers=2),
+                {"M": 16, "maxK": 4}, overrides={path: name}, cpu_count=2,
+            )
+
+    @pytest.mark.parametrize("name", ["vector", "chunk", "collapse"])
+    def test_a_default_leaves_the_do_on_the_walk(self, name):
+        analyzed, flow, path = self._jacobi()
+        plan = forced_plan(
+            analyzed, flow, "threaded", ExecutionOptions(workers=2),
+            {"M": 16, "maxK": 4}, default=name, cpu_count=2,
+        )
+        assert plan.loops[path].strategy == "serial"
+        assert plan.loops[path + (0,)].strategy == name
 
 
 class TestRetiredStrategy:

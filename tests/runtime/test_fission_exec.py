@@ -1,8 +1,9 @@
 """Fission execution: bit-exactness of split plans against the reference
 evaluator on every backend in both window modes, property-based
 equivalence over randomly generated programs, and the poison-protocol
-regression (a mid-run failure inside one fissioned piece unwinds with the
-original exception and leaves the pool usable)."""
+regression (a mid-run failure inside one fissioned piece, run by the
+``fission`` strategy's ``execute``, unwinds with the original exception and
+leaves the pool usable)."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 from repro.core.genprog import generate_program, program_args
 from repro.core.recurrences import mixed_analyzed, mixed_args
 from repro.graph.build import build_dependency_graph
+from repro.plan.planner import forced_plan
+from repro.plan.strategy import LOOP_STRATEGIES
 from repro.runtime.backends.threaded import ThreadedBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
+from repro.schedule.fission import fission_splits
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
@@ -28,11 +32,19 @@ def _merged(analyzed):
 def _reference(analyzed, args, outs):
     res = execute_module(
         analyzed, args,
-        options=ExecutionOptions(
-            backend="serial", use_kernels=False, use_fission=False
-        ),
+        options=ExecutionOptions(backend="serial", use_kernels=False),
     )
     return {k: np.asarray(res[k]) for k in outs}
+
+
+def _unfissioned(analyzed, chart, options, args):
+    """The plan with every loop that has a legal split pinned ``serial``:
+    no loop of it is split."""
+    scalars = {k: v for k, v in args.items() if isinstance(v, int)}
+    return forced_plan(
+        analyzed, chart, options.backend, options, scalars,
+        overrides=dict.fromkeys(fission_splits(analyzed, chart), "serial"),
+    )
 
 
 def _backend_available(backend):
@@ -91,11 +103,11 @@ class TestFissionParity:
         chart = _merged(analyzed)
         args = mixed_args(n=300)
         ref = _reference(analyzed, args, ("T", "S", "M"))
+        options = ExecutionOptions(backend="threaded", workers=4)
+        plan = _unfissioned(analyzed, chart, options, args)
+        assert ("I", "fission") not in plan.strategies()
         res = execute_module(
-            analyzed, args, flowchart=chart,
-            options=ExecutionOptions(
-                backend="threaded", workers=4, use_fission=False
-            ),
+            analyzed, args, flowchart=chart, options=options, plan=plan,
         )
         for k, want in ref.items():
             assert np.array_equal(np.asarray(res[k]), want)
@@ -113,25 +125,26 @@ class TestFissionParity:
         n = 50
         args = mixed_args(n=n)
         counts = {}
-        for use_fission in (True, False):
+        for split in (True, False):
             data = {"n": n}
             for k in ("X", "A", "B"):
                 data[k] = RuntimeArray.from_numpy(
                     k, np.asarray(args[k]), [(1, n)]
                 )
             options = ExecutionOptions(
-                backend="serial", use_kernels=False, use_fission=use_fission,
-                strategy="fission" if use_fission else None,
+                backend="serial", use_kernels=False,
+                strategy="fission" if split else None,
             )
+            plan = None if split else _unfissioned(analyzed, chart, options, args)
             state = ExecutionState(
-                analyzed, chart, options, data, Evaluator(data)
+                analyzed, chart, options, data, Evaluator(data), plan=plan,
             )
             backend = SerialBackend()
             try:
                 backend.run(state)
             finally:
                 backend.close()
-            counts[use_fission] = dict(state.eval_counts)
+            counts[split] = dict(state.eval_counts)
         assert counts[True] == counts[False]
 
 
@@ -181,11 +194,10 @@ class TestFissionProperty:
                 backend="threaded", workers=2, strategy="fission"
             ),
         )
+        options = ExecutionOptions(backend="threaded", workers=2)
         plain = execute_module(
-            analyzed, args, flowchart=chart,
-            options=ExecutionOptions(
-                backend="threaded", workers=2, use_fission=False
-            ),
+            analyzed, args, flowchart=chart, options=options,
+            plan=_unfissioned(analyzed, chart, options, args),
         )
         for k in prog.outputs:
             assert np.array_equal(
@@ -215,11 +227,20 @@ class _ExplodingBackend(ThreadedBackend):
 
 
 class TestFissionPoison:
-    def test_piece_failure_leaves_the_pool_usable(self):
+    def test_piece_failure_leaves_the_pool_usable(self, monkeypatch):
         # A failure inside one replica loop of a fissioned plan must
-        # unwind with the original exception and leave the same backend
-        # instance (and its pools) able to run the next execution
+        # unwind with the original exception — out of the ``fission``
+        # strategy's execute, which runs the pieces — and leave the same
+        # backend instance (and its pools) able to run the next execution
         # bit-exact.
+        fission = LOOP_STRATEGIES["fission"]
+        splits = []
+
+        def execute(backend, state, desc, lo, hi, env):
+            splits.append(desc.index)
+            type(fission).execute(fission, backend, state, desc, lo, hi, env)
+
+        monkeypatch.setattr(fission, "execute", execute)
         analyzed = mixed_analyzed()
         chart = _merged(analyzed)
         args = mixed_args(n=2000)
@@ -237,11 +258,13 @@ class TestFissionPoison:
             # each replica plans as its own compiled DO: eq.4's ran, eq.5's
             # raised, eq.6's never started
             assert backend.ran == ["eq.4", "eq.5"]
+            assert splits == ["I"]
             res = execute_module(
                 analyzed, args, flowchart=chart, options=opts,
                 backend=backend,
             )
             for k, want in ref.items():
                 assert np.array_equal(np.asarray(res[k]), want)
+            assert splits == ["I", "I"]
         finally:
             backend.close()

@@ -144,7 +144,7 @@ class TestStructuredErrors:
             assert exc.value.kind == "BadRequest"
             assert "bogus" in str(exc.value)
 
-    @pytest.mark.parametrize("name", ["allow_reassoc", "use_collapse"])
+    @pytest.mark.parametrize("name", ["allow_reassoc", "use_collapse", "use_fission"])
     def test_retired_option_is_a_bad_request(self, served, name):
         daemon, _ = served
         with connect(daemon) as client:

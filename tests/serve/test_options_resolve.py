@@ -14,12 +14,12 @@ from repro.serve import Session
 ARGS = {"M": 4, "maxK": 2}
 
 #: the options retired so far: the blocked scan's float variant and the
-#: switch that hid ``collapse`` from the planner
-RETIRED_OPTIONS = ["allow_reassoc", "use_collapse"]
+#: switches that hid ``collapse`` and ``fission`` from the planner
+RETIRED_OPTIONS = ["allow_reassoc", "use_collapse", "use_fission"]
 
 SURVIVING_FIELDS = [
     "use_windows", "debug_windows", "backend", "workers", "use_kernels",
-    "kernel_tier", "use_fission", "strategy",
+    "kernel_tier", "strategy",
 ]
 
 
@@ -79,10 +79,10 @@ class TestResolve:
             ExecutionOptions.resolve(base=ExecutionOptions())
 
     def test_false_and_zero_are_real_overrides(self):
-        base = ExecutionOptions(use_kernels=True, use_fission=True)
+        base = ExecutionOptions(use_kernels=True, use_windows=True)
         merged = ExecutionOptions.resolve(base, use_kernels=False)
         assert merged.use_kernels is False
-        assert merged.use_fission is True
+        assert merged.use_windows is True
 
 
 #: a non-default value per non-boolean field; a new non-boolean option must

@@ -222,10 +222,14 @@ class TestRun:
         ["serve", "--no-collapse"],
         ["plan", "--strategy", "iterate"],
         ["run", "--strategy", "iterate"],
+        ["plan", "--no-fission"],
+        ["run", "--no-fission"],
+        ["serve", "--no-fission"],
     ], ids=[
         "plan-option", "run-option", "serve-option", "plan-scan", "run-scan",
         "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
-        "serve-no-collapse", "plan-iterate", "run-iterate",
+        "serve-no-collapse", "plan-iterate", "run-iterate", "plan-no-fission",
+        "run-no-fission", "serve-no-fission",
     ])
     def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
         command, *flags = argv
