@@ -26,6 +26,9 @@ Acceptance gates (CI-enforced):
   same kernel on one thread on Jacobi at M = 512 — the paper's wavefront
   as one native call that owns its threads (skipped below 2 cores or
   without OpenMP);
+* the **hyperplane Gauss-Seidel** ``DO Kp`` (M = 384, ``maxK`` = 16) on a
+  team of 2 takes no longer than on one thread; its rows also time ``auto``
+  at one and two workers and the untransformed program at both;
 * every timed pair agrees **bit-exactly** with the evaluator.
 
 Every serial row records Python-nest, native and NumPy-span seconds of one
@@ -34,8 +37,10 @@ and ``vector_element_factor`` — and therefore their ratio — from one
 payload. The threaded rows carry ``native_seconds`` + ``workers`` so it can
 recalibrate ``chunk_dispatch`` from the same artifact, and the team rows
 (one thread vs two, at M = 512 and at two ``maxK`` of a barrier-bound
-M = 32) fit ``team_fork`` and ``team_barrier``. The tests accumulate into
-one ``BENCH_native.json`` payload.
+M = 32) fit ``team_fork`` and ``team_barrier``; the hyperplane team row
+refits ``team_barrier`` upward to what one of its planes pays beyond half a
+thread's work. The tests accumulate into one ``BENCH_native.json``
+payload.
 
 On a machine without a C compiler (or cffi) the whole module skips with a
 notice — the tier itself degrades to NumPy kernels there, which
@@ -52,10 +57,11 @@ import pytest
 
 from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
 from repro.hyperplane.pipeline import hyperplane_transform
-from repro.plan.planner import forced_plan
+from repro.plan.planner import build_plan, forced_plan
 from repro.runtime.backends import instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported, openmp_supported
+from repro.runtime.values import eval_bound
 from repro.schedule.scheduler import schedule_module
 
 pytestmark = pytest.mark.skipif(
@@ -84,6 +90,8 @@ TEAM_GATE_RATIO = 0.65
 TEAM_GRID, TEAM_MAXK = 512, 40
 #: the barrier-bound rows the fit reads: (grid, maxK) pairs of one grid
 TEAM_FIT_ROWS = [(32, 50), (32, 400)]
+#: the hyperplane Gauss-Seidel team row (ROADMAP item 2's acceptance size)
+HYPER_TEAM_GRID, HYPER_TEAM_MAXK = 384, 16
 
 #: both tests accumulate rows/gates here and rewrite the one artifact, so
 #: a partial run (-k) still emits whatever it measured
@@ -339,6 +347,81 @@ def test_team_gate(artifact):
     _PAYLOAD["gates"][f"jacobi_team2_vs_one_thread_M{TEAM_GRID}"] = {
         "ratio": ratio,
         "required": TEAM_GATE_RATIO,
+        "passed": True,
+    }
+    artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
+
+
+def _auto_runner(analyzed, flow, args, workers):
+    """Warm executions of the plan ``auto`` makes at ``workers`` (on a
+    host with that many cores), one plan and one backend across runs."""
+    options = ExecutionOptions(workers=workers)
+    scalars = {k: v for k, v in args.items() if isinstance(v, int)}
+    plan = build_plan(analyzed, flow, options, scalars, cpu_count=workers)
+    cache = KernelCache(analyzed, flow)
+    backend = instantiate_backend(plan.backend, workers=workers)
+    return partial(
+        execute_module, analyzed, args, flowchart=flow, options=options,
+        kernel_cache=cache, plan=plan, backend=backend,
+    )
+
+
+def test_hyperplane_team_rows(artifact):
+    """Hyperplane Gauss-Seidel at M = 384, ``maxK`` = 16: the ``DO Kp``
+    kernel alone and on a team of two (the fit row and the gate: the team
+    no slower than one thread), ``auto`` at one and two workers, and the
+    untransformed program at both — all bit-exact against one another."""
+    if not openmp_supported() or (os.cpu_count() or 1) < 2:
+        pytest.skip("team kernels need OpenMP and two cores")
+    m, maxk = HYPER_TEAM_GRID, HYPER_TEAM_MAXK
+    analyzed, flow, args = _hyperplane_gs(m, maxk)
+    plain = gauss_seidel_analyzed()
+    runs = {
+        "native": _team_runner(analyzed, flow, args, None),
+        "team": _team_runner(analyzed, flow, args, 2),
+        "auto1": _auto_runner(analyzed, flow, args, 1),
+        "auto2": _auto_runner(analyzed, flow, args, 2),
+        "untransformed1": _auto_runner(plain, schedule_module(plain), args, 1),
+        "untransformed2": _auto_runner(plain, schedule_module(plain), args, 2),
+    }
+    times, outs = {}, {}
+    for name, run in runs.items():
+        # one second of warm-up per variant, as in test_team_gate
+        start = time.perf_counter()
+        while time.perf_counter() - start < 1.0:
+            run()
+        times[name], outs[name] = _time(run, repeats=7)
+    for name in runs:
+        assert np.array_equal(outs[name]["newA"], outs["native"]["newA"]), (
+            f"hyperplane team rows: {name} diverged at M={m}"
+        )
+    (sweep,) = [d for d in flow.loops() if not d.parallel]
+    scalars = {k: v for k, v in args.items() if isinstance(v, int)}
+    lo, hi = (
+        eval_bound(b, scalars) for b in (sweep.subrange.lo, sweep.subrange.hi)
+    )
+    _PAYLOAD["rows"].append({
+        "workload": "gs_hyper",
+        "backend": "team",
+        "grid": m,
+        "maxk": maxk,
+        "workers": 2,
+        "planes": hi - lo + 1,
+        "native_seconds": times["native"],
+        "team_seconds": times["team"],
+        "auto1_seconds": times["auto1"],
+        "auto2_seconds": times["auto2"],
+        "untransformed1_seconds": times["untransformed1"],
+        "untransformed2_seconds": times["untransformed2"],
+    })
+    ratio = times["team"] / times["native"]
+    assert ratio <= 1.0, (
+        f"a team of 2 took {ratio:.2f}x one thread on hyperplane "
+        f"Gauss-Seidel M={m} maxK={maxk} (gate: <= 1.0x)"
+    )
+    _PAYLOAD["gates"][f"gs_hyper_team2_vs_one_thread_M{m}"] = {
+        "ratio": ratio,
+        "required": 1.0,
         "passed": True,
     }
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))

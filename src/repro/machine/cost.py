@@ -108,12 +108,14 @@ class MachineModel:
     process_spinup: float = 120000.0
     #: entering one OpenMP parallel region of a team kernel (waking the
     #: pool's threads), once per native call — fitted with ``team_barrier``
-    #: from the team rows of BENCH_native.json (≈ 12 µs and 0.6 µs on a
-    #: 2-core VM)
+    #: from the team rows of BENCH_native.json (≈ 12 µs on a 2-core VM)
     team_fork: float = 440.0
     #: one barrier of a team kernel: the join at the end of each body unit
-    #: (a ``DOALL`` shared among the team, or one thread's ``single``)
-    team_barrier: float = 21.0
+    #: (a ``DOALL`` shared among the team, or one thread's ``single``),
+    #: including the wait for the slower thread — fitted from the
+    #: hyperplane Gauss-Seidel team row, whose thin, sliding planes pay
+    #: ≈ 60 cycles (3.5 µs on a 2-core VM) where the Jacobi rows fit 16
+    team_barrier: float = 60.0
 
     def with_processors(self, p: int) -> MachineModel:
         return replace(self, processors=p)
@@ -222,7 +224,13 @@ class MachineModel:
         more sweep costs one thread's sweep divided among the team plus
         one barrier — the slope difference is ``team_barrier`` — and what
         the team adds to a call with no sweep at all — the intercept
-        difference — is ``team_fork``. Each is kept only when positive."""
+        difference — is ``team_fork``. Each is kept only when positive.
+        A hyperplane Gauss-Seidel team row (``gs_hyper``, with its
+        ``planes``) raises ``team_barrier`` to what one of its planes costs
+        the team beyond one thread's share divided among it, fork
+        deducted: a thin plane whose live part slides across the shared
+        ``DOALL`` keeps a thread waiting, which Jacobi's full planes never
+        show."""
         from repro.core.paper import jacobi_analyzed
 
         base = base or cls()
@@ -300,6 +308,22 @@ class MachineModel:
                 model = replace(model, team_barrier=barrier / cycle)
             if fork > 0:
                 model = replace(model, team_fork=fork / cycle)
+
+        hyper = [
+            r
+            for r in bench.get("rows", [])
+            if r["workload"] == "gs_hyper" and r["backend"] == "team"
+            and r.get("native_seconds") and r.get("team_seconds")
+        ]
+        for r in hyper:
+            workers = max(1, int(r["workers"]))
+            excess = (
+                r["team_seconds"] - r["native_seconds"] / workers
+            ) / cycle - model.team_fork
+            model = replace(
+                model,
+                team_barrier=max(model.team_barrier, excess / r["planes"]),
+            )
         return model
 
 

@@ -24,13 +24,19 @@ transcendental builtins) make the nest non-emittable and it stays on the
 NumPy tier.
 
 Range checks are made where they are cheapest. A subscript of the paper's
-Figure-2 classes (*index ± integer expression*, or index-free) has its
+Figure-2 classes (*index ± integer expression*, or index-free) or linear
+in several indices (the §4 hyperplane's ``Kp - 2 * Ip - Jp``) has its
 range over the loop box decided by the box's endpoints, so the kernel
 proves it **once per call**, at function entry, from the box refined by
 the guards the reference sits under (:mod:`repro.runtime.kernels.ranges`;
-the guards come from the lowerer's facts stack). Such a reference carries
-no check in the loop and its storage-relative terms are computed in the
-header of the loop that binds their index. A kernel whose proof fails
+the guards come from the lowerer's facts stack). A guard that compares
+linear forms records an interval for its form and tightens, by one round
+of interval propagation, every index with coefficient ±1 in it; the box
+stays an over-approximation of what the loops reach, so a proof can fail
+without a subscript being out of range (the call then merely runs a tier
+down) but never hold for one that is. Such a reference carries no check
+in the loop and its storage-relative terms are computed in the header of
+the innermost loop that binds one of its indices. A kernel whose proof fails
 returns before its first store and the wrapper raises
 :class:`RangeUnproven`; the backend reruns that one call a tier down
 (the nest's Python dialect, or the strictly serial walk for a flat chunk —
@@ -316,16 +322,17 @@ class _NativeKernel(CExprLowerer):
     storage pointers.
 
     Every subscript is range-checked exactly like the evaluator, in one of
-    two places. A subscript of the form *index ± index-free integer
-    expression* under guards the facts stack understands is checked **once
-    per call**: :class:`~repro.runtime.kernels.ranges.RangeProof` turns the
+    two places. A subscript linear in the indices with integer literal
+    coefficients and an index-free offset (``I - 1``, ``Kp - 2 * Ip -
+    Jp``) under guards the facts stack understands is checked **once per
+    call**: :class:`~repro.runtime.kernels.ranges.RangeProof` turns the
     loop box, refined by those guards, into obligations at function entry,
     the check leaves the loop text, and the storage-relative term
     (``v_K - 1 - A_lo0``, modulo the literal window size where the storage
-    turns out to be windowed) is computed in the header of the loop that
-    binds its index. Everything else — two-index hyperplane subscripts,
-    indirect subscripts, references below a guard like ``I mod 2 = 0`` —
-    keeps the per-element compare-and-return it always had.
+    turns out to be windowed) is computed in the header of the innermost
+    loop that binds one of its indices. Everything else — indirect
+    subscripts, products of indices, references below a guard like ``I
+    mod 2 = 0`` — keeps the per-element compare-and-return it always had.
 
     **No-trap rule.** Entry obligations and hoisted terms run before
     guards and checks that used to precede them, so they contain nothing
@@ -436,13 +443,14 @@ class _NativeKernel(CExprLowerer):
         except KernelError:
             return None
 
-    def _hoist(self, index: str | None, text: str) -> str:
+    def _hoist(self, indices: set[str], text: str) -> str:
         """The variable holding ``text``, declared once in the header of
-        the loop that binds ``index`` (function entry when nothing in the
-        kernel does: a constant, or an index arriving through ``env``)."""
+        the innermost loop that binds one of ``indices`` (function entry
+        when nothing in the kernel does: a constant, or indices arriving
+        through ``env``)."""
         header = self.entry
         for bound, candidate in reversed(self.headers):
-            if index in bound:
+            if bound & indices:
                 header = candidate
                 break
         name = header.terms.get(text)
@@ -461,7 +469,7 @@ class _NativeKernel(CExprLowerer):
         ordinal, _rank, _kind, wins = self.arrays[name]
         an = c_name(name)
         self.checks += 1
-        why, index = self.proof.prove(
+        why, mentioned = self.proof.prove(
             sub, self.indices, f"{an}_lo{d}", f"{an}_hi{d}"
         )
         if why is None:
@@ -478,9 +486,9 @@ class _NativeKernel(CExprLowerer):
                     f"({an}_n{d} == {size}) | "
                     f"({an}_n{d} == {an}_hi{d} - {an}_lo{d} + 1)"
                 )
-                windowed = self._hoist(None, f"({an}_n{d} == {size})")
+                windowed = self._hoist(set(), f"({an}_n{d} == {size})")
                 mapped = f"({windowed} ? {mapped} % {size} : {mapped})"
-            return self._hoist(index, mapped)
+            return self._hoist(mentioned, mapped)
         ref = f"{name}[{', '.join(format_expression(s) for s in subscripts)}]"
         self.inline.append((ref, why))
         raw = self.fresh("_i")

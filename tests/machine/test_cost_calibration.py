@@ -144,9 +144,10 @@ class TestCalibration:
     def test_team_costs_track_the_native_baseline(self):
         """``from_native_bench`` fits ``team_fork`` and ``team_barrier``
         from the team rows of the committed BENCH_native.json (one thread
-        against a team of two, at two ``maxK`` of a barrier-bound grid);
-        the shipped defaults stay within a 2x band of that derivation, and
-        a payload without team rows leaves them alone."""
+        against a team of two, at two ``maxK`` of a barrier-bound grid, and
+        hyperplane Gauss-Seidel at M = 384); the shipped defaults stay
+        within a 2x band of that derivation, and a payload without team
+        rows leaves them alone."""
         payload = json.loads((BASELINE.parent / "BENCH_native.json").read_text())
         derived = MachineModel.from_native_bench(payload)
         default = MachineModel()
@@ -160,9 +161,19 @@ class TestCalibration:
         assert (unfitted.team_fork, unfitted.team_barrier) == (
             default.team_fork, default.team_barrier
         )
+        # the hyperplane row is what sets the barrier: its thin, sliding
+        # planes pay more than Jacobi's full ones, and the team still wins
+        jacobi_only = MachineModel.from_native_bench({
+            **payload,
+            "rows": [r for r in payload["rows"] if r["workload"] != "gs_hyper"],
+        })
+        assert jacobi_only.team_barrier < derived.team_barrier
+        (hyper,) = [r for r in payload["rows"] if r["workload"] == "gs_hyper"]
+        assert hyper["team_seconds"] <= hyper["native_seconds"]
         # the speedup the rows were measured for: M = 512, two threads
         big = max(
-            (r for r in payload["rows"] if r["backend"] == "team"),
+            (r for r in payload["rows"]
+             if r["backend"] == "team" and r["workload"] == "jacobi"),
             key=lambda r: r["grid"],
         )
         assert big["team_seconds"] <= 0.65 * big["native_seconds"]

@@ -4,9 +4,10 @@ Plans depend on whether the host builds OpenMP, so every test here fixes
 the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
 ``cpu_count``. Pinned:
 
-* the Jacobi grids of ``benchmarks/e2e`` at two cores take ``team x2``;
-  hyperplane Gauss-Seidel is refused, with the reason, because its kernel
-  keeps range checks inside the loop;
+* the Jacobi grids of ``benchmarks/e2e`` at two cores take ``team x2``,
+  and so does hyperplane Gauss-Seidel now that its entry proof discharges
+  every range check; the hyperplane alignment's thin planes do not pay
+  for their barriers, and ``explain()`` says so;
 * a one-worker plan never consults the probe, so it is the plan of a host
   without OpenMP;
 * a team sits only on a ``nest`` over a ``DO`` met on the caller's thread —
@@ -28,7 +29,7 @@ from repro.plan.planner import KNOWN_BACKENDS, build_plan
 from repro.runtime.executor import ExecutionOptions
 from repro.schedule.scheduler import schedule_module
 
-from tests.plan.conftest import WORKLOADS
+from tests.plan.conftest import DP_SOURCE, WORKLOADS
 from tests.runtime.test_kernel_sources import CORPUS
 
 JACOBI_TEAM = """\
@@ -59,13 +60,33 @@ JACOBI_TEAM_EXPLAIN = """\
 
 GS_HYPER = """\
     plan RelaxationHyper: backend=serial workers=2 kernels=native windows=off [auto]
-    DO Kp -> nest; trip 209; compiled in order
+    DO Kp -> nest; trip 209; compiled in order; team x2
         DOALL Ip -> nest; trip 8; fused
             DOALL Jp -> nest; trip 98; fused
                 eq.1 [kernel=native]
     DOALL I -> nest; trip 98; fused nest kernel
         DOALL J -> nest; trip 98; fused
             eq.2 [kernel=native]"""
+
+GS_HYPER_EXPLAIN = """\
+    provenance RelaxationHyper: auto -> serial
+      * serial: predicted ~N cycles; [calibration miss]
+        vectorized: predicted ~N cycles; [calibration miss]
+        threaded: predicted ~N cycles; [calibration miss]
+        process: predicted ~N cycles; [calibration miss]
+    winner: serial — lowest predicted cycles (no calibration record for these sizes)
+      DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
+      native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
+      native full kernel @(1,) (DOALL I): range checks: 5 of 5 proven at entry
+      Ap: uninitialised, every element is defined; recycled between runs
+      newA: uninitialised, every element is defined; below 128 KiB: left to malloc"""
+
+ALIGN_HYPER = """\
+    plan AlignHyper: backend=serial workers=2 kernels=native windows=off [auto]
+    DO Ip -> nest; trip 513; compiled in order
+        DOALL Jp -> nest; trip 257; fused
+            eq.1 [kernel=native]
+    eq.2 [kernel=scalar]"""
 
 #: a size for every integer parameter the corpus declares
 SIZES = {"M": 64, "maxK": 8, "n": 4000, "m": 64, "r": 4, "c": 512, "k": 3}
@@ -120,18 +141,27 @@ class TestTeamGoldens:
         # one C function either way: the team kernel replaces the full one
         assert plan.native_kernels() == [((1,), "team")]
 
-    def test_hyperplane_gauss_seidel_is_refused_with_the_reason(self, openmp_host):
+    def test_hyperplane_gauss_seidel_takes_a_team_of_two(self, openmp_host):
         analyzed = hyperplane_transform(gauss_seidel_analyzed()).transformed
         plan = _plan(analyzed, schedule_module(analyzed), {"M": 96, "maxK": 8}, 2)
         assert plan.pretty() == textwrap.dedent(GS_HYPER)
+        assert _masked(plan.explain()) == textwrap.dedent(GS_HYPER_EXPLAIN)
+        (note,) = plan.provenance["do_loops"]
+        assert (note["team"], note["team_note"]) == (2, "")
+        assert plan.native_kernels() == [((0,), "team"), ((1,), "full")]
+
+    def test_hyperplane_alignment_keeps_one_thread(self, openmp_host):
+        """Every check of the alignment's ``DO Ip`` is proven, so a team
+        is offered — and priced dearer: 513 planes of 257 elements, each
+        paying a barrier."""
+        result = compile_source(DP_SOURCE, CompilerOptions(hyperplane=True))
+        plan = _plan(result.analyzed, result.flowchart, {"n": 256}, 2)
+        assert plan.pretty() == textwrap.dedent(ALIGN_HYPER)
         (note,) = plan.provenance["do_loops"]
         assert note["team"] is None
-        assert note["team_note"] == (
-            "team refused: in-loop range checks: 3 of 20 proven at entry "
-            "(InitialA[Jp, Kp - 2 * Ip - Jp]: under a guard the proof does "
-            "not read)"
-        )
+        assert re.fullmatch(r"team x2 not cheaper \(~\d+ cycles\)", note["team_note"])
         assert "; " + note["team_note"] in plan.explain()
+        assert "range checks: 10 of 10 proven at entry" in plan.explain()
 
     def test_without_openmp_the_grid_plans_as_before(self):
         analyzed = jacobi_analyzed()
@@ -194,7 +224,7 @@ class TestTeamsStayOnTheCallersThread:
             tag for tag, analyzed, flow, sizes in CORPUS_PLANS
             if any(lp.team for lp in _plan(analyzed, flow, sizes, 2).loops.values())
         ]
-        assert {"jacobi/h0", "tallskinny/h0"} <= set(teams)
+        assert {"jacobi/h0", "tallskinny/h1", "align/h1"} <= set(teams)
 
 
 class TestMoreWorkersNeverCostMore:

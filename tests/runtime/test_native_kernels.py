@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.genprog import generate_program, program_args
-from repro.core.paper import jacobi_analyzed
+from repro.core.paper import RELAXATION_GAUSS_SEIDEL_SOURCE, jacobi_analyzed
+from repro.core.pipeline import CompilerOptions, compile_source
 from repro.errors import ExecutionError
 from repro.machine.cost import MachineModel
 from repro.plan.planner import build_plan, forced_plan
@@ -30,7 +31,7 @@ from repro.schedule.flowchart import LoopDescriptor
 from repro.schedule.scheduler import schedule_module
 
 from tests.runtime.test_kernel_sources import TALLSKINNY_SOURCE
-from tests.runtime.test_kernels import ALL_BACKENDS, WORKLOADS
+from tests.runtime.test_kernels import ALL_BACKENDS, DP_SOURCE, WORKLOADS
 
 needs_toolchain = pytest.mark.skipif(
     not native_supported(), reason="no C compiler / cffi on this machine"
@@ -531,6 +532,12 @@ GUARD_FORMS = [
     ("I = n", "X[I - n + 1]", True),
     ("k > 1", "X[I + k]", True),            # index-free: never taken
     ("k > 0", "X[I + k]", False),
+    # linear facts: a scaled index, an index with an offset on its side
+    ("I + 1 < n", "X[I + 1]", True),
+    ("I + 1 <= n", "X[I + 2]", False),
+    ("2 * I <= n", "X[2 * I]", True),
+    ("2 * I <= n + 1", "X[2 * I]", False),
+    ("not (n - I < 2)", "X[I + 2 - k]", True),
     # a partly unread guard: what sits below it keeps its inline check,
     # so the stray subscript is reported by the loop, not by the proof
     ("I > 1 and X[I - 1] > 0.0", "X[I - 1]", True),
@@ -792,6 +799,226 @@ end Box;
         )
         assert got == reference
         assert cache.stats()["native"] > 0
+
+
+#: ``Y[I, J] = if <guard> then X[<s1>] else X[<s2>]`` over ``I = 1 .. n``,
+#: ``J = 1 .. m``, with ``X`` declared ``xlo .. xhi`` at run time
+LINEAR_SOURCE = """\
+Lin: module (X: array[xlo .. xhi] of real; n: int; m: int; xlo: int; xhi: int):
+     [Y: array[1 .. n, 1 .. m] of real];
+type I = 1 .. n; J = 1 .. m;
+define
+    Y[I, J] = if {guard} then X[{then}] else X[{orelse}];
+end Lin;
+"""
+
+#: the subscripts the property draws: (PS text, value at (I, J, c)) — two
+#: indices, a form stored negated (``J - I``), and one index bounded only
+#: through what a linear guard implies for it
+LINEAR_SUBSCRIPTS = [
+    ("I + J + {c}", lambda i, j, c: i + j + c),
+    ("I - J + {c}", lambda i, j, c: i - j + c),
+    ("2 * I - J", lambda i, j, c: 2 * i - j),
+    ("J - I + {c}", lambda i, j, c: j - i + c),
+    ("{c} - I", lambda i, j, c: c - i),
+    ("I + {c}", lambda i, j, c: i + c),
+    ("J + {c}", lambda i, j, c: j + c),
+]
+
+_PY_OPS = {
+    "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+    ">": lambda x, y: x > y, ">=": lambda x, y: x >= y,
+    "=": lambda x, y: x == y, "<>": lambda x, y: x != y,
+}
+
+
+def _linear_term(a, b):
+    """``a * I + b * J`` as PS text (``a``, ``b`` not both zero)."""
+    text = ""
+    for k, name in ((a, "I"), (b, "J")):
+        if k == 0:
+            continue
+        mag = name if abs(k) == 1 else f"{abs(k)} * {name}"
+        text += (" - " if k < 0 else " + ") + mag if text else (
+            f"- {mag}" if k < 0 else mag
+        )
+    return text
+
+
+_atoms = st.tuples(
+    st.integers(-2, 2), st.integers(-2, 2), st.sampled_from(sorted(_PY_OPS)),
+    st.integers(-3, 6),
+).filter(lambda t: t[0] or t[1])
+
+
+@st.composite
+def _linear_programs(draw):
+    """(source, reached): a guard of one or two linear atoms under ``and``
+    / ``or`` / ``not`` choosing between two linear subscripts of ``X``;
+    ``reached(n, m)`` lists the subscripts the evaluation reads."""
+    atoms = draw(st.lists(_atoms, min_size=1, max_size=2))
+    joiner = draw(st.sampled_from(["and", "or"]))
+    negate = draw(st.booleans())
+    subs = [
+        (draw(st.sampled_from(LINEAR_SUBSCRIPTS)), draw(st.integers(-2, 3)))
+        for _ in range(2)
+    ]
+
+    def reached(n, m):
+        out = []
+        for i in range(1, n + 1):
+            for j in range(1, m + 1):
+                values = [_PY_OPS[op](a * i + b * j, c) for a, b, op, c in atoms]
+                held = (all if joiner == "and" else any)(values) != negate
+                (_pat, value), c = subs[0 if held else 1]
+                out.append(value(i, j, c))
+        return out
+
+    text = f" {joiner} ".join(
+        f"{_linear_term(a, b)} {op} {c}" for a, b, op, c in atoms
+    )
+    if negate:
+        text = f"not ({text})"
+    then, orelse = (pat.format(c=c) for (pat, _f), c in subs)
+    return LINEAR_SOURCE.format(guard=text, then=then, orelse=orelse), reached
+
+
+def _native_against_evaluator(analyzed, flow, args, use_windows):
+    """(evaluator outcome, native outcome, native cache) of one run, every
+    loop planned onto the C tier."""
+    reference = _outcome(
+        analyzed, flow, args,
+        ExecutionOptions(
+            backend="serial", use_kernels=False, use_windows=use_windows
+        ),
+    )
+    options = ExecutionOptions(
+        backend="serial", kernel_tier="native", use_windows=use_windows
+    )
+    cache = KernelCache(analyzed, flow)
+    sizes = {k: v for k, v in args.items() if isinstance(v, int)}
+    got = _outcome(
+        analyzed, flow, args, options, kernel_cache=cache,
+        plan=build_plan(
+            analyzed, flow, options, sizes,
+            model=MachineModel(native_build=0.0), cpu_count=2,
+        ),
+    )
+    return reference, got, cache
+
+
+@needs_toolchain
+class TestLinearFacts:
+    """Range proofs over linear forms in several indices: guards like
+    ``a * I + b * J op c`` record an interval and tighten the box, and
+    subscripts like ``I - J + c`` are proven from it — soundly (the
+    evaluator's answer or its error, never a stray read) and, on the §4
+    hyperplane programs, completely."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        program=_linear_programs(),
+        sizes=st.lists(
+            st.tuples(st.integers(2, 6), st.integers(2, 6)),
+            min_size=3, max_size=3,
+        ),
+        use_windows=st.booleans(),
+    )
+    def test_generated_two_index_programs_match_the_evaluator(
+        self, program, sizes, use_windows
+    ):
+        """One kernel, several grids, and ``X`` declared exactly over what
+        each grid reads, or one element short at one end and generous at
+        the other — so a bound the proof got too wide there cannot hide
+        one it got too narrow here: the same bits or the same message as
+        the evaluator."""
+        source, reached = program
+        analyzed, flow = _module(source)
+        for n, m in sizes:
+            lo, hi = min(reached(n, m)), max(reached(n, m))
+            for cut in ("none", "lo", "hi")[: 3 if lo < hi else 1]:
+                xlo = {"none": lo, "lo": lo + 1, "hi": lo - 32}[cut]
+                xhi = {"none": hi, "lo": hi + 32, "hi": hi - 1}[cut]
+                args = {
+                    "X": np.arange(1.0, xhi - xlo + 2), "n": n, "m": m,
+                    "xlo": xlo, "xhi": xhi,
+                }
+                reference, got, cache = _native_against_evaluator(
+                    analyzed, flow, args, use_windows
+                )
+                assert got == reference, (n, m, cut)
+                assert cache.stats()["native"] > 0
+
+    @pytest.mark.parametrize("s", [2**62, 2**62 + 7, 2**63 - 4])
+    @pytest.mark.parametrize("d", [0, 2, -1])
+    def test_scalars_near_the_int64_edge_never_give_wrong_bits(self, s, d):
+        """``s`` and ``t = s - d`` near 2**62 and 2**63: the guard's side
+        ``2 * I - J + s`` wraps in C for the largest ``s``, and the
+        subscript ``I + J + s - t`` is small only as an exact sum. The
+        call is proven and right, or unproven and rerun a tier down —
+        never the C kernel's wrapped answer."""
+        source = """\
+Far: module (X: array[1 .. 12] of real; n: int; s: int; t: int):
+     [Y: array[1 .. n, 1 .. n] of real];
+type I = 1 .. n; J = 1 .. n;
+define
+    Y[I, J] = if 2 * I - J + s > t then X[I + J + s - t] else X[J];
+end Far;
+"""
+        args = {"X": np.arange(1.0, 13.0), "n": 5, "s": s, "t": s - d}
+        reference, got, cache = _native_against_evaluator(
+            *_module(source), args, False
+        )
+        assert got == reference
+        proven, unproven = _proofs(cache)
+        assert proven + unproven == 1
+        if s + 2 * 5 - 1 > 2**63 - 1:  # a side of the guard wraps
+            assert unproven == 1
+
+    def test_a_wrapped_linear_subscript_proves_nothing(self):
+        """``I + J + s`` with ``s = 2**63 - 3`` wraps for ``I + J >= 3``;
+        the exact ends of the ``__int128`` sum lie past the array, so the
+        call is unproven and the evaluator's message comes out."""
+        source = """\
+Wrap: module (X: array[1 .. 8] of real; n: int; s: int):
+      [Y: array[1 .. n, 1 .. n] of real];
+type I = 1 .. n; J = 1 .. n;
+define
+    Y[I, J] = X[I + J + s];
+end Wrap;
+"""
+        s = 2**63 - 3
+        args = {"X": np.arange(1.0, 9.0), "n": 2, "s": s}
+        reference, got, cache = _native_against_evaluator(
+            *_module(source), args, False
+        )
+        assert reference == (
+            "error", f"index {2 + s} out of range [1, 8] in dimension 0 of 'X'"
+        )
+        assert got == reference
+        assert _proofs(cache) == (0, 1)
+
+    @pytest.mark.parametrize("program, checks", [
+        ("gs_hyper", {"Kp": (20, 20), "I": (5, 5)}),
+        ("align_hyper", {"Ip": (10, 10)}),
+    ])
+    def test_hyperplane_kernels_prove_every_check_at_entry(
+        self, program, checks
+    ):
+        source = {
+            "gs_hyper": RELAXATION_GAUSS_SEIDEL_SOURCE,
+            "align_hyper": DP_SOURCE,
+        }[program]
+        result = compile_source(source, CompilerOptions(hyperplane=True))
+        flow = result.flowchart
+        for desc in flow.descriptors:
+            if not isinstance(desc, LoopDescriptor):
+                continue
+            for w in (False, True):
+                spec = native_mod.native_spec(desc, result.analyzed, flow, w)
+                assert (spec.checks, spec.proven) == checks[desc.index]
+                assert spec.inline == ()
+                assert "return 1; }" not in spec.function
 
 
 class TestPersistPlan:

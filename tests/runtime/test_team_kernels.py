@@ -258,7 +258,7 @@ class TestLibgompLifetime:
             from repro.serve import Session
 
             rng = np.random.default_rng(0)
-            args = {"InitialA": rng.random((34, 34)), "M": 32, "maxK": 10}
+            args = {"InitialA": rng.random((66, 66)), "M": 64, "maxK": 10}
             session = Session(ExecutionOptions(backend="auto", workers=2))
             session.load(RELAXATION_JACOBI_SOURCE)
             session.run("Relaxation", args)
@@ -280,7 +280,7 @@ class TestLibgompLifetime:
             from repro.serve import Session
 
             rng = np.random.default_rng(0)
-            args = {"InitialA": rng.random((34, 34)), "M": 32, "maxK": 10}
+            args = {"InitialA": rng.random((66, 66)), "M": 64, "maxK": 10}
             session = Session(ExecutionOptions(backend="auto", workers=2))
             session.load(RELAXATION_JACOBI_SOURCE)
             want = session.run("Relaxation", args)["newA"]
