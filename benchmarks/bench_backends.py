@@ -8,8 +8,8 @@ across every execution backend and a range of worker counts, checks that all
 backends agree numerically, and writes the measured-vs-predicted trajectory
 to ``BENCH_backends.json``.
 
-Acceptance gate: a chunked backend (threaded or process) must beat the
-serial reference backend wall-clock on the Jacobi workload at >= 4 workers.
+Acceptance gate: the chunked backend (threaded) must beat the serial
+reference backend wall-clock on the Jacobi workload at >= 4 workers.
 """
 
 import json
@@ -65,10 +65,7 @@ def _matrix_for(name, analyzed, flowchart, args):
     )
     rows.append({"workload": name, "backend": "serial", "workers": 1,
                  "seconds": t_serial, "speedup": 1.0})
-    combos = [
-        ("vectorized", [1]),
-        *((b, WORKER_COUNTS) for b in ("threaded", "process")),
-    ]
+    combos = [("vectorized", [1]), ("threaded", WORKER_COUNTS)]
     for backend, worker_counts in combos:
         for w in worker_counts:
             t, out = _time(
@@ -104,17 +101,15 @@ def test_backend_matrix(artifact):
     }
     serial = by_key[("jacobi", "serial", 1)]["seconds"]
     threaded4 = by_key[("jacobi", "threaded", 4)]["seconds"]
-    process4 = by_key[("jacobi", "process", 4)]["seconds"]
     # The acceptance gate: real parallel execution beats the serial
     # reference on the paper's main workload at 4 workers.
-    assert min(threaded4, process4) < serial, (
-        f"no chunked backend beat serial: serial={serial:.4f}s "
-        f"threaded@4={threaded4:.4f}s process@4={process4:.4f}s"
+    assert threaded4 < serial, (
+        f"the chunked backend did not beat serial: serial={serial:.4f}s "
+        f"threaded@4={threaded4:.4f}s"
     )
     payload["gate"] = {
         "jacobi_serial_seconds": serial,
         "jacobi_threaded4_seconds": threaded4,
-        "jacobi_process4_seconds": process4,
         "passed": True,
     }
     artifact("BENCH_backends.json", json.dumps(payload, indent=2))
@@ -134,17 +129,3 @@ def test_backend_threaded_wallclock(benchmark):
     )
     assert out["newA"].shape == (m + 2, m + 2)
 
-
-def test_backend_process_wallclock(benchmark):
-    """pytest-benchmark series for the process backend at 4 workers."""
-    analyzed = jacobi_analyzed()
-    m, maxk = 16, 6
-    rng = np.random.default_rng(0)
-    args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
-    out = benchmark(
-        lambda: execute_module(
-            analyzed, args,
-            options=ExecutionOptions(backend="process", workers=4),
-        )
-    )
-    assert out["newA"].shape == (m + 2, m + 2)

@@ -161,8 +161,8 @@ def test_kernel_wallclock_vectorized(benchmark):
     assert out["newA"].shape == (VECTOR_GRIDS[-1] + 2, VECTOR_GRIDS[-1] + 2)
 
 
-def test_kernel_wallclock_process_pool(benchmark):
-    """pytest-benchmark series: persistent-pool process backend, 4 workers."""
+def test_kernel_wallclock_threaded_pool(benchmark):
+    """pytest-benchmark series: persistent-pool threaded backend, 4 workers."""
     analyzed, flow, args = _jacobi(48, maxk=8)
-    out = benchmark(lambda: _run(analyzed, flow, args, "process", True, 4))
+    out = benchmark(lambda: _run(analyzed, flow, args, "threaded", True, 4))
     assert out["newA"].shape == (50, 50)

@@ -8,7 +8,7 @@ The ExecutionPlan layer (``repro.plan``) claims four things worth gating:
   runs, where scheduler jitter dominates);
 * fusing a DOALL nest into one compiled kernel pays on the serial path:
   >= 1.5x over the per-equation kernels on Jacobi;
-* *collapsing* a tall-skinny DOALL nest pays on the process backend: on a
+* *collapsing* a tall-skinny DOALL nest pays on the threaded backend: on a
   4x4096 Jacobi grid at >= 4 workers, the flattened fused-chunk path beats
   the inner-chunking plan — outer DOALL ``serial``, inner DOALL ``chunk``
   (one dispatch wave per sweep instead of one per row);
@@ -41,17 +41,16 @@ AUTO_GATE_GRACE = 0.005
 #: nest-fused kernels must beat per-equation kernels by this factor
 NEST_GATE_SPEEDUP = 1.5
 #: the collapsed fused-chunk path must beat the serial+inner-chunk path
-#: per backend ("beats" with a little noise margin; the threaded win
-#: is structural — one dispatch wave instead of one per row — so it gates
-#: harder)
-COLLAPSE_GATE_SPEEDUP = {"threaded": 1.3, "process": 1.05}
+#: per backend (the win is structural — one dispatch wave instead of one
+#: per row)
+COLLAPSE_GATE_SPEEDUP = {"threaded": 1.3}
 #: fused flat kernels must beat the per-equation flat-chunk walk
 COLLAPSE_FUSE_GATE_SPEEDUP = 1.5
 #: worker count for the collapse gates (the ISSUE floor is 4)
 COLLAPSE_WORKERS = 8
 
 #: hand-picked candidates auto competes against
-CANDIDATES = ["serial", "vectorized", "threaded", "process"]
+CANDIDATES = ["serial", "vectorized", "threaded"]
 
 #: tall-skinny Jacobi: a handful of rows, thousands of columns, maxK sweeps
 #: — the geometry where chunking on the outer DOALL alone starves workers
@@ -250,8 +249,8 @@ def _tall_skinny_setup(r=4, c=4096, maxk=6):
 def test_collapse_beats_iterate_on_tall_skinny(artifact):
     """Gate (c): on the 4x4096 tall-skinny Jacobi grid at >= 4 workers the
     collapsed fused-chunk path beats the inner-chunking path (each copy
-    loop's outer DOALL ``serial``, its inner DOALL ``chunk``) on both
-    parallel backends — one dispatch wave per sweep over a balanced flat
+    loop's outer DOALL ``serial``, its inner DOALL ``chunk``) on the
+    threaded backend — one dispatch wave per sweep over a balanced flat
     space instead of one wave per row. The planner picks ``collapse`` for
     the copy loops; both timed plans are forced the same way everywhere
     else, so the comparison is plan-for-plan. (The artifact keeps its
@@ -320,16 +319,16 @@ def test_collapse_beats_iterate_on_tall_skinny(artifact):
 
 def test_fused_flat_chunks_beat_per_equation_walk(artifact):
     """Gate (d): the fused flat kernels >= 1.5x over the *same* flat
-    chunks executed through the per-equation walk on the process backend —
+    chunks executed through the per-equation walk on the threaded backend —
     the chunked analogue of the serial nest-fusion gate."""
     analyzed, flow, args, scalars = _tall_skinny_setup(maxk=3)
-    options = ExecutionOptions(backend="process", workers=COLLAPSE_WORKERS)
+    options = ExecutionOptions(backend="threaded", workers=COLLAPSE_WORKERS)
 
     fused = forced_plan(
-        analyzed, flow, "process", options, scalars, default="collapse"
+        analyzed, flow, "threaded", options, scalars, default="collapse"
     )
     unfused = forced_plan(
-        analyzed, flow, "process", options, scalars, default="collapse"
+        analyzed, flow, "threaded", options, scalars, default="collapse"
     )
     for lp in unfused.loops.values():
         lp.fuse = False
@@ -357,7 +356,7 @@ def test_fused_flat_chunks_beat_per_equation_walk(artifact):
                 "grid": [4, 4096],
                 "maxk": 3,
                 "workers": COLLAPSE_WORKERS,
-                "backend": "process",
+                "backend": "threaded",
                 "per_equation_seconds": t_walk,
                 "fused_seconds": t_fused,
                 "speedup": speedup,

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Pluggable DOALL execution backends: the same schedule, four engines.
+"""Pluggable DOALL execution backends: the same schedule, three engines.
 
 The scheduler emits DOALL loops because their iterations are independent;
 the execution backends exploit that on real hardware:
 
 * ``serial``     — scalar reference semantics (the correctness baseline);
 * ``vectorized`` — each DOALL dimension becomes one NumPy operation;
-* ``threaded``   — chunked subranges on a thread pool (NumPy kernels
-                   release the GIL);
-* ``process``    — chunked subranges in forked workers over shared-memory
-                   arrays, one barrier per wavefront.
+* ``threaded``   — chunked subranges on a thread pool (native and NumPy
+                   kernels release the GIL), one join per wavefront.
 
 Equivalent CLI:  repro run relaxation.ps --set M=24 --set maxK=6 \\
                      --backend threaded --workers 4
@@ -48,7 +46,6 @@ def main() -> None:
         ("serial", None),
         ("vectorized", None),
         ("threaded", 4),
-        ("process", 4),
     ]
     reference = None
     print(f"{'backend':>12} {'workers':>8} {'wall clock':>12} {'vs serial':>10}")
@@ -63,7 +60,7 @@ def main() -> None:
         assert np.allclose(out["newA"], reference)
         print(f"{backend:>12} {workers or 1:>8} {dt * 1e3:>10.1f} ms "
               f"{t_serial / dt:>9.1f}x")
-    print("-> all four backends produce identical grids.")
+    print("-> all three backends produce identical grids.")
 
     print()
     print("=" * 72)
@@ -77,14 +74,14 @@ def main() -> None:
     print("-> the 1987 cost model predicts speedup from dividing iterations")
     print("   over processors; the measured column also captures what the")
     print("   model cannot see — NumPy chunk kernels vs the scalar")
-    print("   interpreter baseline, GIL contention, and fork overhead.")
+    print("   interpreter baseline, GIL contention, and pool dispatch.")
 
     print()
     print("CLI equivalents:")
     print("  repro run relaxation.ps --set M=24 --set maxK=6 "
           "--backend threaded --workers 4")
     print("  repro run relaxation.ps --set M=24 --set maxK=6 "
-          "--backend process --workers 4 --windows")
+          "--backend threaded --workers 4 --windows")
 
 
 if __name__ == "__main__":

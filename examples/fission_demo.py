@@ -4,8 +4,10 @@
 The merge pass happily fuses every loop over the same subrange into one
 nest — that is what Gokhale's flowchart construction is for.  But a fused
 body is priced as a unit: one equation the kernel tier cannot compile (a
-module call with index-dependent arguments, say) drags every sibling in
-the nest down to the per-element evaluator.
+per-element call of a module with a loop of its own, say) drags every
+sibling in the nest down to the per-element evaluator.  (A call of a
+loop-free scalar module never gets that far: the front end inlines it,
+and the nest compiles whole.)
 
 Fission is the inverse transform, applied *selectively*.  The body's
 units are grouped by dependence structure (an SCC condensation restricted
@@ -20,7 +22,9 @@ Two acts:
 * **Isolation** — a nest mixing a module-call recurrence with clean
   Jacobi-style update recurrences.  Unfissioned, the call poisons the
   whole body onto the evaluator.  Fissioned, the clean updates regain
-  native kernels and the call piece alone bounds the runtime.
+  native kernels and the call piece alone bounds the runtime.  With a
+  loop-free callee the call is inlined instead, and the unsplit nest is
+  one compiled ``DO``.
 * **Declining** — the pure-recurrence ``Mixed`` nest.  Fused, it already
   runs as one compiled in-order kernel (``DO I -> nest``).  Fission could
   split it into three recurrences, but each would be its own compiled
@@ -46,12 +50,28 @@ from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
-PROGRAM = """\
+#: ``Damp`` with a loop of its own: the front end keeps the call
+KEPT_DAMP = """\
+Damp: module (v: int): [w: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
+define
+    P[K] = v * 3 + 1;
+    w = P[1];
+end Damp;
+"""
+
+#: the same ``Damp`` loop-free: the front end inlines the call
+INLINED_DAMP = """\
 Damp: module (v: int): [w: int];
 define
     w = v * 3 + 1;
 end Damp;
+"""
 
+SWEEP = """\
 Sweep: module (X: array[1 .. n] of int; n: int):
        [T: array[0 .. n] of int; S: array[0 .. n] of int;
         M: array[0 .. n] of int; Q: array[0 .. n] of int];
@@ -95,7 +115,7 @@ def main() -> None:
     print("=" * 72)
     print("Act 1 — isolation: a module call poisons the fused nest")
     print("=" * 72)
-    program = analyze_program(parse_program(PROGRAM))
+    program = analyze_program(parse_program(KEPT_DAMP + SWEEP))
     sweep = program["Sweep"]
     chart = _merged(sweep)
     _MERGED_CACHE[id(sweep)] = chart
@@ -133,14 +153,29 @@ def main() -> None:
         assert np.array_equal(np.asarray(ref[name]), np.asarray(res[name])), (
             f"{name}: fissioned result diverged"
         )
+    assert ("I", "fission") in plan.strategies(), "the split should win on merit"
+
+    # the same nest calling the loop-free Damp: inlined, one compiled DO
+    inlined_program = analyze_program(parse_program(INLINED_DAMP + SWEEP))
+    inlined = inlined_program["Sweep"]
+    _MERGED_CACHE[id(inlined)] = _merged(inlined)
+    inlined_plan = build_plan(inlined, _MERGED_CACHE[id(inlined)], auto, {"n": n})
+    assert inlined_plan.strategies() == [("I", "nest")], inlined_plan.pretty()
+    t_inlined, res = _time(inlined, args, auto, inlined_program)
+    for name in ("T", "S", "M", "Q"):
+        assert np.array_equal(np.asarray(ref[name]), np.asarray(res[name])), (
+            f"{name}: inlined result diverged"
+        )
     print()
     print(f"unfissioned: {t_fused * 1e3:8.1f} ms   (whole body on the evaluator)")
     print(f"fissioned:   {t_split * 1e3:8.1f} ms   (call piece alone bounds the time)")
     print(f"speedup:     {t_fused / t_split:8.2f}x  — bit-exact")
+    print(f"inlined:     {t_inlined * 1e3:8.1f} ms   (loop-free Damp: one compiled DO)")
     print()
-    print("The call still costs what it costs — Amdahl caps this act.  The")
-    print("point is the isolation: the three update recurrences now run on")
-    print("native in-order kernels instead of riding the evaluator.")
+    print("The kept call still costs what it costs — Amdahl caps the split.")
+    print("The point is the isolation: the three update recurrences now run")
+    print("on native in-order kernels instead of riding the evaluator.  A")
+    print("loop-free callee needs no split: inlined, the whole nest compiles.")
 
     print()
     print("=" * 72)

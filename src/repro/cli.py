@@ -360,7 +360,8 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
                    choices=["auto", *available_backends()],
                    help="DOALL execution backend (default: planner's choice)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count for the threaded/process backends")
+                   help="worker count for the threaded backend's pool and "
+                        "native teams")
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled kernels (reference evaluator only)")
     p.add_argument("--kernel-tier", default="native",
@@ -451,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
                    help="prefer this strategy wherever it is valid")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count for the threaded/process backends "
-                        "(default: cpu count)")
+                   help="worker count for the threaded backend's pool and "
+                        "native teams (default: cpu count)")
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled equation kernels and run "
                         "everything on the reference tree-walking evaluator")

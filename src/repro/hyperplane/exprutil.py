@@ -9,7 +9,9 @@ Constant folding keeps the generated PS source readable — the paper writes
 
 from __future__ import annotations
 
-from repro.ps.ast import BinOp, Expr, IfExpr, Index, IntLit, Name, UnOp, Call, FieldRef
+from dataclasses import replace
+
+from repro.ps.ast import BinOp, Expr, Index, IntLit, Name, UnOp, map_children
 
 
 def intlit(v: int) -> IntLit:
@@ -102,29 +104,10 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     in the mapping)."""
     if isinstance(expr, Name):
         return mapping.get(expr.ident, expr)
-    if isinstance(expr, IntLit) or not isinstance(
-        expr, (BinOp, UnOp, IfExpr, Index, Call, FieldRef)
-    ):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, UnOp):
-        return UnOp(expr.op, substitute(expr.operand, mapping))
-    if isinstance(expr, IfExpr):
-        return IfExpr(
-            substitute(expr.cond, mapping),
-            substitute(expr.then, mapping),
-            substitute(expr.orelse, mapping),
-        )
-    if isinstance(expr, Index):
+    if isinstance(expr, Index) and isinstance(expr.base, Name):
         # Base is left alone when it is a bare array name.
-        base = expr.base if isinstance(expr.base, Name) else substitute(expr.base, mapping)
-        return Index(base, [substitute(s, mapping) for s in expr.subscripts])
-    if isinstance(expr, Call):
-        return Call(expr.func, [substitute(a, mapping) for a in expr.args])
-    if isinstance(expr, FieldRef):
-        return FieldRef(substitute(expr.base, mapping), expr.fieldname)
-    raise TypeError(type(expr).__name__)  # pragma: no cover
+        return replace(expr, subscripts=[substitute(s, mapping) for s in expr.subscripts])
+    return map_children(expr, lambda e: substitute(e, mapping))
 
 
 def conjoin(conds: list[Expr]) -> Expr | None:

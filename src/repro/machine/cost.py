@@ -82,10 +82,10 @@ class MachineModel:
     native_call_overhead: float = 400.0
     #: one-time cost of building one more native kernel function (≈ 15 ms
     #: of ``cc`` per function inside a shared translation unit; a unit's
-    #: fixed ≈ 45 ms is shared by the whole plan). Priced like
-    #: ``process_spinup`` — a one-time term, not amortised: a sequential
-    #: loop whose whole predicted walk costs less than this is not worth a
-    #: compiler run and takes the exec-compiled Python dialect instead
+    #: fixed ≈ 45 ms is shared by the whole plan). A one-time term, not
+    #: amortised: a sequential loop whose whole predicted walk costs less
+    #: than this is not worth a compiler run and takes the exec-compiled
+    #: Python dialect instead
     native_build: float = 300000.0
     #: fraction of the scalar equation cost a NumPy vector op pays per
     #: element once the span is large enough to amortise dispatch
@@ -102,10 +102,6 @@ class MachineModel:
     vector_setup: float = 250.0
     #: submitting + collecting one chunk on the thread pool
     chunk_dispatch: float = 3500.0
-    #: submitting + collecting one chunk task on the persistent process pool
-    process_dispatch: float = 40000.0
-    #: one-time cost of forking the persistent process pool
-    process_spinup: float = 120000.0
     #: entering one OpenMP parallel region of a team kernel (waking the
     #: pool's threads), once per native call — fitted with ``team_barrier``
     #: from the team rows of BENCH_native.json (≈ 12 µs on a 2-core VM)

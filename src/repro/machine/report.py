@@ -284,15 +284,10 @@ def compare_plans(
     the feedback loop of the plan cache's online recalibration."""
     import numpy as np
 
-    from repro.plan.planner import AUTO_CANDIDATES, build_plan
-    from repro.runtime.backends.process import _fork_available
+    from repro.plan.planner import KNOWN_BACKENDS, build_plan
     from repro.runtime.executor import ExecutionOptions, execute_module
 
-    backends = list(backends or AUTO_CANDIDATES)
-    if not _fork_available():
-        # Spawn-only platform: pinning the process backend raises by design,
-        # so the comparison measures the backends that can actually run.
-        backends = [b for b in backends if b != "process"]
+    backends = list(backends or KNOWN_BACKENDS)
     base = ExecutionOptions.resolve(execution)
     if workers is None:
         workers = base.workers

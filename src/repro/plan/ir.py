@@ -3,8 +3,7 @@
 An :class:`ExecutionPlan` is a per-module execution recipe produced once by
 the planner (:mod:`repro.plan.planner`) and consumed by every execution
 backend. It mirrors the flowchart's loop tree: one :class:`LoopPlan` per
-loop descriptor (addressed by the descriptor's child-index path, the same
-picklable handle the process backend already uses) plus one
+loop descriptor (addressed by the descriptor's child-index path) plus one
 :class:`EquationPlan` per equation. The plan is inspectable —
 ``repro plan module.ps`` pretty-prints it — and *forcible*: tests and
 benchmarks build hand-forced plans to pin a strategy per loop, and any
@@ -328,8 +327,6 @@ class ExecutionPlan:
             else:
                 bits.append("[calibration miss]")
             lines.append(f"  {mark} {row['backend']}: " + "; ".join(bits))
-        for backend, why in p.get("excluded", []):
-            lines.append(f"    {backend}: excluded ({why})")
         if p.get("reason"):
             lines.append(f"winner: {self.backend} — {p['reason']}")
         for note in p.get("fission_loops", []):

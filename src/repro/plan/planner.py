@@ -4,8 +4,8 @@ The planner makes every decision the backends used to re-derive at loop
 entry, exactly once per (module, options, scalar bindings):
 
 * which backend executes the module — ``backend="auto"`` compares the
-  calibrated cost of a serial, vectorized, threaded, and process execution
-  at the *effective* parallelism ``min(workers, cpu_count)`` and picks the
+  calibrated cost of a serial, vectorized and threaded execution at the
+  *effective* parallelism ``min(workers, cpu_count)`` and picks the
   cheapest; an explicit backend pins the plan;
 * how each loop met on the walk runs — one walk over the strategy table
   :data:`repro.plan.strategy.LOOP_STRATEGIES` (``_Planner._decide``): a
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -54,6 +53,7 @@ from repro.plan.strategy import (
 )
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
+from repro.runtime.executor import ExecutionOptions
 from repro.runtime.kernels.emit import equation_affine_fast_path
 from repro.runtime.kernels.native import native_refusal, native_spec
 from repro.runtime.kernels.nest import kernelizable, kernelizable_reason
@@ -65,12 +65,10 @@ from repro.schedule.flowchart import (
     equation_vector_safe,
 )
 
-#: every backend a plan may target (the registry of
-#: ``repro.runtime.backends``; a test keeps the two sets equal)
+#: every backend a plan may target, and what ``backend="auto"`` chooses
+#: from (the registry of ``repro.runtime.backends``; a test keeps the two
+#: sets equal)
 KNOWN_BACKENDS = ("serial", "vectorized") + CHUNKED_BACKENDS
-
-#: the candidate set ``backend="auto"`` chooses from
-AUTO_CANDIDATES = ("serial", "vectorized", "threaded", "process")
 
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16
@@ -100,17 +98,6 @@ class Choice:
     verdicts: dict
 
 
-def _default_options() -> Any:
-    return SimpleNamespace(
-        use_windows=False,
-        debug_windows=False,
-        backend="auto",
-        workers=None,
-        use_kernels=True,
-        kernel_tier="native",
-    )
-
-
 def host_cpu_count() -> int:
     """The planner's one read of the host (``tests/plan`` forbids it)."""
     return os.cpu_count() or 1
@@ -129,7 +116,7 @@ def build_plan(
 ) -> ExecutionPlan:
     """Plan one module execution.
 
-    ``options`` duck-types :class:`repro.runtime.executor.ExecutionOptions`;
+    ``options`` is a :class:`repro.runtime.executor.ExecutionOptions`;
     ``scalar_env`` supplies integer parameter values for trip counts (loops
     whose bounds cannot be evaluated get a conservative default);
     ``cpu_count`` stands in for the machine's real core count (read only
@@ -139,18 +126,18 @@ def build_plan(
     is unset, so a plan built with it never depends on the host; ``backend``
     overrides ``options.backend`` (a backend walking a hand-built state
     pins the plan to itself); ``candidates`` narrows what ``auto`` may
-    choose from (module calls restrict callees to the in-process backends
-    — nested pools inside worker chunks would oversubscribe or crash);
+    choose from (module calls keep callees off the worker pool — nested
+    pools inside worker chunks would oversubscribe it);
     ``calibration`` is an optional
     :class:`repro.plan.calibration.PlanCalibration` store of measured wall
     clock per (module, sizes, backend) — when it has measurements for this
     configuration, ``auto`` ranks candidates by measured seconds instead of
     trusting predicted cycles alone (online recalibration).
     """
-    options = options or _default_options()
+    options = options or ExecutionOptions()
     scalar_env = scalar_env or {}
     model = model or MachineModel()
-    soft_strategy = getattr(options, "strategy", None)
+    soft_strategy = options.strategy
     if soft_strategy is not None and soft_strategy not in LOOP_STRATEGIES:
         raise ExecutionError(
             f"unknown strategy {soft_strategy!r}; "
@@ -162,42 +149,18 @@ def build_plan(
     ncpu = cpu_count if cpu_count is not None else host_cpu_count()
     workers = max(1, options.workers if options.workers is not None else ncpu)
     effective = max(1, min(workers, ncpu))
-    use_kernels = bool(options.use_kernels) and not options.debug_windows
-    tier = getattr(options, "kernel_tier", "native")
-    if tier == "evaluator":
-        use_kernels = False
+    use_kernels = options.runs_kernels()
+    tier = options.kernel_tier
 
-    requested = backend if backend is not None else getattr(options, "backend", "auto")
+    requested = backend if backend is not None else options.backend
     if requested != "auto" and requested not in KNOWN_BACKENDS:
         raise ExecutionError(
             f"unknown execution backend {requested!r}; "
             f"available: {', '.join(KNOWN_BACKENDS)}"
         )
-    if requested == "process":
-        # Pinning the process backend on a spawn-only platform (macOS's
-        # default, Windows) must fail up front with the platform named —
-        # not degrade silently, not AttributeError later in the pool.
-        # require_fork is a no-op when fork exists and consults the same
-        # probe the backends do, so one monkeypatch covers both layers.
-        from repro.runtime.backends.process import require_fork
-
-        require_fork(requested)
     if requested == "auto":
-        from repro.runtime.backends.process import _fork_available
-
-        pool = list(candidates or AUTO_CANDIDATES)
-        excluded: list[tuple[str, str]] = []
-        if not _fork_available():
-            # Without fork the process backend cannot run at all (its
-            # constructor raises), so auto never offers it.
-            excluded = [
-                (c, "fork start method unavailable on this platform")
-                for c in pool
-                if c == "process"
-            ]
-            pool = [c for c in pool if c != "process"]
         planners: list[_Planner] = []
-        for candidate in pool:
+        for candidate in candidates or KNOWN_BACKENDS:
             p = _Planner(
                 analyzed, flowchart, candidate, workers, effective,
                 scalar_env, model, use_kernels, bool(options.use_windows),
@@ -259,7 +222,6 @@ def build_plan(
                 }
                 for p, adj in zip(planners, totals)
             ],
-            "excluded": excluded,
             "reason": reason,
         }
         return plan
@@ -288,7 +250,6 @@ def build_plan(
                 "winner": True,
             }
         ],
-        "excluded": [],
         "reason": f"backend {requested!r} pinned by the caller",
     }
     return plan
@@ -325,11 +286,7 @@ def forced_plan(
                 f"unknown forced strategy {name!r}; "
                 f"available: {', '.join(LOOP_STRATEGIES)}"
             )
-    options = options or _default_options()
-    tier = getattr(options, "kernel_tier", "native")
-    use_kernels = bool(options.use_kernels) and not options.debug_windows
-    if tier == "evaluator":
-        use_kernels = False
+    options = options or ExecutionOptions()
     planner = _Planner(
         analyzed,
         flowchart,
@@ -338,9 +295,9 @@ def forced_plan(
         1,
         scalar_env or {},
         model or MachineModel(),
-        use_kernels,
+        options.runs_kernels(),
         bool(options.use_windows),
-        tier=tier,
+        tier=options.kernel_tier,
         force_default=default,
         force_overrides=overrides or {},
     )
@@ -405,7 +362,6 @@ class _Planner:
         self.loops: dict[tuple[int, ...], LoopPlan] = {}
         self.equations: dict[str, EquationPlan] = {}
         self.total = 0.0
-        self._chunked_somewhere = False
         self._trips: dict[int, int | None] = {}
         #: id(desc) -> the Choice for a loop met on the walk
         self._choices: dict[int, Choice] = {}
@@ -546,11 +502,6 @@ class _Planner:
             self.model.loop_overhead
             + sum(self._cost_interpreted(d) for d in desc.body)
         )
-
-    def _dispatch_cost(self) -> float:
-        if self.backend == "process":
-            return self.model.process_dispatch
-        return self.model.chunk_dispatch
 
     def _vector_costs(self, desc, span: float) -> tuple[float, float]:
         """(GIL-releasing, GIL-bound) cycles to run ``desc`` once inside a
@@ -753,13 +704,10 @@ class _Planner:
     # -- emission ----------------------------------------------------------
 
     def plan_module(self) -> None:
-        total = sum(
+        self.total = sum(
             self._emit(d, (i,), 0, "walk", 1.0)
             for i, d in enumerate(self.flowchart.descriptors)
         )
-        if self.backend == "process" and self._chunked_somewhere:
-            total += self.model.process_spinup
-        self.total = total
 
     def _emit_equation(self, desc: NodeDescriptor, path, depth, ctx, span) -> float:
         if not desc.node.is_equation:
@@ -895,8 +843,6 @@ class _Planner:
         """``ExecutionPlan.reuse``: where a warm run's storage for ``name``
         comes from, by the bytes it allocates at the plan's sizes (a window
         dimension at its window size)."""
-        if self.backend == "process":
-            return "a new shared-memory segment every run"
         sym = self.analyzed.symbol(name)
         windows = {}
         if self.use_windows and sym.kind is SymbolKind.VAR:

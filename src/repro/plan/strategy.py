@@ -47,7 +47,7 @@ from repro.schedule.flowchart import (
 )
 
 #: backends that divide a ``DOALL`` among a pool of workers
-CHUNKED_BACKENDS = ("threaded", "process")
+CHUNKED_BACKENDS = ("threaded",)
 
 #: a chunk-safe inner DOALL takes the team only when its own trip count
 #: keeps every worker busy at least this many chunks deep
@@ -307,14 +307,12 @@ class NestStrategy(LoopStrategy):
 
     def _price_team(self, planner, desc, alone: Price) -> Price:
         """The C kernel on the caller's thread (priced ``alone``) against
-        the same kernel on a team as wide as the plan's parallelism. Never
-        on the process backend: libgomp is not fork-safe once a team ran.
-        No candidate at parallelism 1, so a one-worker plan never changes,
+        the same kernel on a team as wide as the plan's parallelism. No
+        candidate at parallelism 1, so a one-worker plan never changes,
         and none without OpenMP on this host."""
         p = planner.parallelism
         if (
-            p < 2 or planner.backend == "process"
-            or team_unfit_reason(desc) is not None
+            p < 2 or team_unfit_reason(desc) is not None
             or not native_mod.openmp_supported()
         ):
             return alone
@@ -445,7 +443,7 @@ class PoolStrategy(LoopStrategy):
         if self.shape == "flat" and _idle_team(planner, desc) is not None:
             reason = _short_trip(planner, desc)
         return Price(
-            m.doall_fork + m.doall_barrier + parts * planner._dispatch_cost()
+            m.doall_fork + m.doall_barrier + parts * m.chunk_dispatch
             + waves * released + serialised * bound,
             parts=parts, reason=reason,
         )
@@ -469,7 +467,6 @@ class PoolStrategy(LoopStrategy):
             ctx, span = "collapse", te / price.parts
         else:
             ctx, span = "vector", float(ceil(te / price.parts))
-        planner._chunked_somewhere = True
         planner._emit_body(desc, path, depth, ctx, span, native)
         return price.cycles
 

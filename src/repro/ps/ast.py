@@ -14,7 +14,7 @@ rule 2) is provided by :func:`expr_equal`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -299,6 +299,28 @@ def walk_expr(expr: Expr):
     elif isinstance(expr, Call):
         for a in expr.args:
             yield from walk_expr(a)
+
+
+def map_children(expr: Expr, fn) -> Expr:
+    """``expr`` rebuilt with ``fn`` applied to each direct sub-expression,
+    positions kept; a leaf comes back as is."""
+    if isinstance(expr, BinOp):
+        return replace(expr, left=fn(expr.left), right=fn(expr.right))
+    if isinstance(expr, UnOp):
+        return replace(expr, operand=fn(expr.operand))
+    if isinstance(expr, IfExpr):
+        return replace(
+            expr, cond=fn(expr.cond), then=fn(expr.then), orelse=fn(expr.orelse)
+        )
+    if isinstance(expr, Index):
+        return replace(
+            expr, base=fn(expr.base), subscripts=[fn(s) for s in expr.subscripts]
+        )
+    if isinstance(expr, FieldRef):
+        return replace(expr, base=fn(expr.base))
+    if isinstance(expr, Call):
+        return replace(expr, args=[fn(a) for a in expr.args])
+    return expr
 
 
 def names_in(expr: Expr) -> set[str]:

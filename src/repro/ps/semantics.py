@@ -24,7 +24,7 @@ checks in :mod:`repro.ps.coverage`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import SemanticError
 from repro.ps.ast import (
@@ -48,6 +48,7 @@ from repro.ps.ast import (
     RecordTypeExpr,
     TypeExpr,
     UnOp,
+    map_children,
     walk_expr,
 )
 from repro.ps.symbols import Symbol, SymbolKind, SymbolTable
@@ -186,9 +187,17 @@ class AnalyzedModule:
         return [r.name for r in self.module.results]
 
 
+#: an inlinable module: (its parameter names, its one result as an
+#: expression over them)
+InlineBody = tuple[list[str], Expr]
+
+
 @dataclass
 class AnalyzedProgram:
     modules: dict[str, AnalyzedModule]
+    #: module name -> what a call to it inlines to (:func:`inline_body`),
+    #: None for a module whose calls stay calls
+    inline: dict[str, InlineBody | None] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> AnalyzedModule:
         return self.modules[name]
@@ -908,23 +917,141 @@ def _signature_of(analyzed: AnalyzedModule) -> tuple[list[Type], list[Type]]:
     return params, results
 
 
+# ---------------------------------------------------------------------------
+# Inlining loop-free scalar module calls
+# ---------------------------------------------------------------------------
+
+#: the data types an inlinable module may declare
+_INLINE_TYPES = (IntType, RealType, BoolType)
+
+#: the most expression nodes a module may inline to: a local read twice
+#: doubles the expression, so a chain of such locals (or a cycle of them)
+#: must not explode it
+INLINE_MAX_NODES = 256
+
+
+class _NotInlinable(Exception):
+    pass
+
+
+def _read_always(expr: Expr) -> set[str]:
+    """The names ``expr`` reads on every evaluation: not those only inside
+    an ``if`` branch or the short-circuited operand of ``and`` / ``or``."""
+    if isinstance(expr, Name):
+        return {expr.ident}
+    if isinstance(expr, IfExpr):
+        return _read_always(expr.cond)
+    if isinstance(expr, BinOp):
+        lazy = expr.op in ("and", "or")
+        return _read_always(expr.left) | (set() if lazy else _read_always(expr.right))
+    if isinstance(expr, UnOp):
+        return _read_always(expr.operand)
+    if isinstance(expr, Call):
+        return set().union(*map(_read_always, expr.args))
+    return set()
+
+
+def inline_body(analyzed: AnalyzedModule) -> InlineBody | None:
+    """What a call to ``analyzed`` is replaced with, or None when calls to
+    it stay calls. A module qualifies when it has no loops; every
+    parameter, result and local is an ``int``, ``real`` or ``bool``
+    scalar; it has exactly one result; and that result reads every
+    parameter and local on every evaluation (outside any ``if`` branch),
+    so every argument is still evaluated on every call. Locals become
+    their defining expressions; the module's own calls were inlined when
+    it was analysed, so a call left in it is one that stays, and it does
+    not qualify. A call binds scalar arguments and results without
+    coercion, so the substituted expression computes the value the call
+    returns."""
+    if len(analyzed.result_names) != 1 or any(
+        eq.atomic or eq.dims for eq in analyzed.equations
+    ):
+        return None
+    if any(sym.type not in _INLINE_TYPES for sym in analyzed.table.symbols.values()):
+        return None
+    params = set(analyzed.param_names)
+    defs = {eq.targets[0].name: eq.rhs for eq in analyzed.equations}
+    result = analyzed.result_names[0]
+    read: set[str] = set()
+    pending = [defs[result]]
+    while pending:
+        for name in _read_always(pending.pop()) - read:
+            read.add(name)
+            if name in defs:
+                pending.append(defs[name])
+    if not set(analyzed.table.symbols) - {result} <= read:
+        return None
+    budget = [INLINE_MAX_NODES]
+
+    def expand(expr: Expr) -> Expr:
+        budget[0] -= 1
+        if budget[0] < 0 or (isinstance(expr, Call) and not is_builtin(expr.func)):
+            raise _NotInlinable
+        if isinstance(expr, Name) and expr.ident not in params:
+            if expr.ident not in defs:
+                raise _NotInlinable  # an enum member
+            return expand(defs[expr.ident])
+        return map_children(expr, expand)
+
+    try:
+        return analyzed.param_names, expand(defs[result])
+    except _NotInlinable:
+        return None
+
+
+def _inline_calls(expr: Expr, inline: dict[str, InlineBody | None]) -> Expr:
+    """``expr`` with every call of an inlinable module replaced by the
+    module's result, its parameters bound to the call's arguments."""
+    expr = map_children(expr, lambda e: _inline_calls(e, inline))
+    if isinstance(expr, Call) and inline.get(expr.func) is not None:
+        params, body = inline[expr.func]
+        args = dict(zip(params, expr.args))
+
+        def bind(e: Expr) -> Expr:
+            return args[e.ident] if isinstance(e, Name) else map_children(e, bind)
+
+        return bind(body)
+    return expr
+
+
+def _analyze(
+    module: Module,
+    signatures: dict[str, tuple[list[Type], list[Type]]],
+    inline: dict[str, InlineBody | None],
+) -> AnalyzedModule:
+    """Analyse ``module``; when it calls an inlinable module, analyse it
+    again with those calls inlined. The first pass checks the program as
+    written (a callee's declared types), the second is what runs."""
+    analyzed = ModuleAnalyzer(module, signatures).analyze()
+    if not any(inline.get(name) for eq in analyzed.equations for name in eq.calls):
+        return analyzed
+    equations = [
+        replace(eq, rhs=_inline_calls(eq.rhs, inline)) for eq in module.equations
+    ]
+    return ModuleAnalyzer(replace(module, equations=equations), signatures).analyze()
+
+
 def analyze_program(program: Program) -> AnalyzedProgram:
     """Analyze all modules. A module may call any module defined *before* it
-    in the program (no forward references, no recursion between modules)."""
+    in the program (no forward references, no recursion between modules);
+    a call of a loop-free scalar module is inlined (:func:`inline_body`)."""
     signatures: dict[str, tuple[list[Type], list[Type]]] = {}
     modules: dict[str, AnalyzedModule] = {}
+    inline: dict[str, InlineBody | None] = {}
     for mod in program.modules:
         if mod.name in modules:
             raise SemanticError(f"duplicate module {mod.name!r}", mod.line)
-        analyzed = ModuleAnalyzer(mod, signatures).analyze()
+        analyzed = _analyze(mod, signatures, inline)
         modules[mod.name] = analyzed
         signatures[mod.name] = _signature_of(analyzed)
-    return AnalyzedProgram(modules)
+        inline[mod.name] = inline_body(analyzed)
+    return AnalyzedProgram(modules, inline)
 
 
 def analyze_module(module: Module, program: AnalyzedProgram | None = None) -> AnalyzedModule:
-    """Analyze a single module; ``program`` supplies callable modules."""
-    signatures: dict[str, tuple[list[Type], list[Type]]] = {}
-    if program is not None:
-        signatures = {name: _signature_of(m) for name, m in program.modules.items()}
-    return ModuleAnalyzer(module, signatures).analyze()
+    """Analyze a single module; ``program`` supplies callable modules (and
+    inlines the calls it can, as :func:`analyze_program` does)."""
+    if program is None:
+        return ModuleAnalyzer(module, {}).analyze()
+    signatures = {name: _signature_of(m) for name, m in program.modules.items()}
+    return _analyze(module, signatures, program.inline)

@@ -1,7 +1,7 @@
 """Execution substrate: runtime arrays (with window storage), an expression
 evaluator (scalar reference semantics and a vectorised NumPy path for DOALL
 dimensions), the flowchart interpreter, and the pluggable parallel execution
-backends (serial / vectorized / threaded / process)."""
+backends (serial / vectorized / threaded)."""
 
 from repro.runtime.backends import available_backends
 from repro.runtime.executor import (

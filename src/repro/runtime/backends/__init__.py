@@ -5,10 +5,9 @@ Registry::
     from repro.runtime.backends import instantiate_backend, available_backends
     backend = instantiate_backend("threaded", workers=4)
 
-Four backends: ``serial`` (the scalar reference walk), ``vectorized``
-(whole subranges as NumPy operations), ``threaded`` (chunks on a thread
-pool) and ``process`` (chunks on a persistent pool of forked workers over
-shared memory). Which backend a run uses is the planner's decision
+Three backends: ``serial`` (the scalar reference walk), ``vectorized``
+(whole subranges as NumPy operations) and ``threaded`` (chunks on a thread
+pool). Which backend a run uses is the planner's decision
 (:mod:`repro.plan.planner` resolves ``ExecutionOptions.backend``, ``"auto"``
 included); the executor instantiates ``plan.backend`` from this registry.
 """
@@ -21,7 +20,6 @@ from repro.runtime.backends.base import (
     ExecutionState,
     equation_is_vector_safe,
 )
-from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.backends.serial import SerialBackend
 from repro.runtime.backends.threaded import ThreadedBackend, free_threading_active
 from repro.runtime.backends.vectorized import VectorizedBackend
@@ -30,7 +28,6 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     VectorizedBackend.name: VectorizedBackend,
     ThreadedBackend.name: ThreadedBackend,
-    ProcessBackend.name: ProcessBackend,
 }
 
 
@@ -54,7 +51,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "ExecutionState",
-    "ProcessBackend",
     "SerialBackend",
     "ThreadedBackend",
     "VectorizedBackend",

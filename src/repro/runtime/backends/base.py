@@ -10,9 +10,7 @@ parallel backends override is :meth:`ExecutionBackend.dispatch`, where the
 ``chunk`` / ``collapse`` strategies hand a wavefront of chunks: each chunk
 runs through :meth:`ExecutionBackend.run_chunk` on the loop's own kernel —
 inline here, on a thread pool in
-:class:`~repro.runtime.backends.threaded.ThreadedBackend`, and in a
-persistent pool of forked workers over shared memory in
-:class:`~repro.runtime.backends.process.ProcessBackend` — with one join
+:class:`~repro.runtime.backends.threaded.ThreadedBackend` — with one join
 per wavefront.
 
 No backend re-derives chunking, safety, or kernel decisions from the
@@ -108,10 +106,8 @@ class ExecutionState:
     def fork(self) -> ExecutionState:
         """A shallow copy with private eval counts, for one worker chunk.
         The data environment stays shared: a thread-pool chunk sees the
-        parent's dict itself, a pool process its own copy whose arrays
-        address the same shared-memory segments. Either way chunk workers
-        only *write* array elements, which chunk-safety guarantees are
-        disjoint."""
+        parent's dict itself, and only *writes* array elements, which
+        chunk-safety guarantees are disjoint."""
         return ExecutionState(
             self.analyzed,
             self.flowchart,
@@ -152,12 +148,6 @@ class ExecutionBackend:
     #: registry key, e.g. ``"serial"`` — set by each subclass
     name = "base"
 
-    #: whether a long-lived owner (a serve :class:`Session`) must
-    #: serialise concurrent runs on one instance — the process backend
-    #: streams every run's wavefronts through one task/result queue pair,
-    #: so interleaved runs would consume each other's results
-    serialize_runs = False
-
     def __init__(self, workers: int | None = None):
         self.workers = max(1, workers if workers is not None else os.cpu_count() or 1)
         # Imported here: the plan layer imports the runtime.
@@ -171,8 +161,7 @@ class ExecutionBackend:
         self.counters = dict.fromkeys(RUN_COUNTERS, 0)
         self._counters_lock = threading.Lock()
         #: where the big arrays of a plan's second and later runs come from
-        #: (None: storage is shared memory, a new segment every run)
-        self.store: BufferStore | None = BufferStore()
+        self.store = BufferStore()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -180,8 +169,7 @@ class ExecutionBackend:
         """Execute the whole flowchart against ``state``."""
         if state.kernels is not None:
             # Kernels with module calls dispatch through the cache's call
-            # box; point it at this execution's handler before anything runs
-            # (forked pool workers inherit the binding with the cache).
+            # box; point it at this execution's handler before anything runs.
             state.kernels.bind_call_fn(state.evaluator.call_fn)
         if state.plan is None:
             # A hand-built state: plan for *this* backend (the executor
@@ -209,16 +197,16 @@ class ExecutionBackend:
         state.plan.ran = True
 
     def end_run(self) -> None:
-        """Release *per-run* resources (e.g. this run's shared-memory
-        segments) while keeping long-lived ones — worker pools, warmed
-        caches — for the next run. Called after results are exported when
+        """Release *per-run* resources (idle recycled buffers beyond what
+        the next run needs) while keeping long-lived ones — worker pools,
+        warmed caches — for the next run. Called after results are exported when
         the backend's lifetime outlives one execution (a
         :class:`~repro.serve.session.Session` owns such backends);
         :meth:`close` implies it."""
         self.store.trim()
 
     def close(self) -> None:
-        """Release pools/segments. Called after results are exported."""
+        """Release pools and buffers. Called after results are read."""
         self.end_run()
 
     # -- storage hooks -----------------------------------------------------
@@ -231,19 +219,14 @@ class ExecutionBackend:
         return new_storage(shape, dtype, zero)
 
     def import_array(self, array, dtype) -> np.ndarray:
-        """The storage a run reads an array argument from. In process:
-        the caller's array itself, borrowed read-only for the run — PS is
+        """The storage a run reads an array argument from: the caller's
+        array itself, borrowed read-only for the run — PS is
         single-assignment, no lowering can write an argument — and copied
         only when its dtype, byte order or layout must be converted."""
         out = np.ascontiguousarray(array, dtype=dtype)
         took = isinstance(array, np.ndarray) and np.may_share_memory(out, array)
         self.count("arg_bytes_borrowed" if took else "arg_bytes_converted", out.nbytes)
         return out
-
-    def export_result(self, array: np.ndarray) -> np.ndarray:
-        """Detach a result from backend-owned storage (a no-op unless the
-        storage dies with the backend, as shared memory does)."""
-        return array
 
     # -- the walk ----------------------------------------------------------
 
@@ -640,7 +623,7 @@ class ExecutionBackend:
                     zero = not memo[1]
                 self.count("arrays_zeroed" if zero else "arrays_uninitialised")
                 make = self.make_storage
-                if self.store is not None and state.plan is not None and state.plan.ran:
+                if state.plan is not None and state.plan.ran:
                     make = self.store.take
                 state.data[target.name] = RuntimeArray.allocate(
                     target.name,

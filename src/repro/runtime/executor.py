@@ -10,9 +10,12 @@ program would: a ``DO`` loop runs its subrange low-to-high sequentially; a
   ``DO`` nested under a vectorised ``DOALL`` keeps its own scalar loop);
 * ``threaded`` — chunked subranges on a thread pool, native and NumPy
   kernels releasing the GIL (on a no-GIL build the Python-level chunk work
-  overlaps too);
-* ``process`` — chunked subranges on a persistent pool of forked workers
-  over shared-memory arrays.
+  overlaps too).
+
+A call of a loop-free scalar module was inlined by the front end
+(:func:`repro.ps.semantics.inline_body`) and runs wherever its caller's
+equation does; any other module call runs the callee through this module
+per call, on a plan without a worker pool.
 
 Every parallel wavefront ends in one join: all of its chunks finish (or
 fail) before the next descriptor runs, and the first failure is re-raised.
@@ -56,16 +59,15 @@ if TYPE_CHECKING:  # a module-level import would cycle through the package
 class ExecutionOptions:
     use_windows: bool = False
     debug_windows: bool = False
-    #: execution backend: "auto", "serial", "vectorized", "threaded",
-    #: "process" — "auto" asks the cost-driven planner to choose;
-    #: "serial" is the scalar reference path
+    #: execution backend: "auto", "serial", "vectorized" or "threaded" —
+    #: "auto" asks the cost-driven planner to choose; "serial" is the
+    #: scalar reference path
     backend: str = "auto"
     #: worker count for the chunked backends (None: os.cpu_count())
     workers: int | None = None
     #: dispatch equations through cached exec-compiled kernels (the fast
     #: path); off, everything runs on the tree-walking reference evaluator.
-    #: Window-debug runs always use the evaluator (kernels skip the
-    #: fault-on-overwrite tags).
+    #: Window-debug runs always use the evaluator (see :meth:`runs_kernels`).
     use_kernels: bool = True
     #: highest kernel tier DOALL nests may use: "native" (cffi-compiled C,
     #: degrading to the NumPy kernels when no C compiler exists), "numpy"
@@ -108,6 +110,16 @@ class ExecutionOptions:
             return cls(**effective)
         return replace(base, **effective) if effective else base
 
+    def runs_kernels(self) -> bool:
+        """Whether a run dispatches compiled kernels at all — the one rule
+        the planner, the executor and ``Session.warm`` share. Not with
+        ``use_kernels`` off or ``kernel_tier="evaluator"``, and not under
+        ``debug_windows``: kernels skip the fault-on-overwrite tags."""
+        return (
+            self.use_kernels and not self.debug_windows
+            and self.kernel_tier != "evaluator"
+        )
+
     def key(self) -> tuple:
         """Every field's value, in declaration order — THE definition of
         "these options are the same plan" for every cache that keys on
@@ -133,8 +145,7 @@ def execute_module(
     Array arguments are NumPy arrays shaped to the declared bounds; scalar
     arguments are Python numbers. Array arguments are *borrowed*: read in
     place for the duration of the run (copied only to convert dtype, byte
-    order or layout, or into shared memory by a process backend), never
-    written, and never aliased by a result. A result's bytes are the
+    order or layout), never written, and never aliased by a result. A result's bytes are the
     caller's while any view of them is held; with a ``backend`` that has run
     ``plan`` before, big results are views (``owndata`` false) of buffers
     that backend reuses once the last view is gone. ``kernel_cache`` carries
@@ -197,10 +208,7 @@ def execute_module(
         )
 
     try:
-        # Input arrays come in through the backend: borrowed in process,
-        # copied into named shared-memory segments by a process backend — a
-        # persistent pool forked on an earlier run re-attaches this run's
-        # inputs by name instead of relying on fork-time inheritance.
+        # Input arrays come in through the backend: borrowed in place.
         for pname in analyzed.param_names:
             sym = analyzed.symbol(pname)
             if isinstance(sym.type, ArrayType):
@@ -218,11 +226,7 @@ def execute_module(
                 data[key] = value
 
         kernels: KernelCache | None = None
-        if (
-            options.use_kernels
-            and not options.debug_windows
-            and getattr(options, "kernel_tier", "native") != "evaluator"
-        ):
+        if options.runs_kernels():
             kernels = kernel_cache or KernelCache(analyzed, flowchart)
 
         state = ExecutionState(
@@ -249,7 +253,7 @@ def execute_module(
         for rname in analyzed.result_names:
             value = state.data.get(rname)
             if isinstance(value, RuntimeArray):
-                value = backend.export_result(value.to_numpy())
+                value = value.to_numpy()
             results[rname] = value
         return results
     finally:
@@ -318,9 +322,9 @@ def _callee_plan(
     if plan is None:
         from repro.plan.planner import build_plan
 
-        # Callees run in-process even under "auto": the planner must not
-        # hand a per-element module call its own worker pool (nested pools
-        # inside worker chunks would oversubscribe or crash).
+        # Callees never get a worker pool, even under "auto": a
+        # per-element module call with its own pool would nest pools inside
+        # worker chunks and oversubscribe them.
         plan = build_plan(
             callee, flowchart, options, scalar_env,
             candidates=("serial", "vectorized"),
@@ -341,9 +345,9 @@ def _call_module(
         )
     callee = program[name]
     call_args = dict(zip(callee.param_names, cargs))
-    # Callees run on the in-process backends: parallelism belongs to the
-    # outermost module (nested pools/forks inside worker chunks would
-    # oversubscribe or crash).
+    # Callees run without a worker pool: parallelism belongs to the
+    # outermost module (nested pools inside worker chunks would
+    # oversubscribe them).
     callee_options = options
     if callee_options.backend not in ("auto", "serial", "vectorized"):
         callee_options = replace(callee_options, backend="auto")

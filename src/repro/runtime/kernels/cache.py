@@ -19,10 +19,9 @@ applies. A ``None`` is memoized like any other
 answer (:meth:`KernelCache._memo`), so a refusal or a broken toolchain is
 paid for once. Native kernels are built in batches
 (:meth:`KernelCache.prepare`): the kernels a plan will dispatch before its
-first run, the whole warm set in the process backend's pre-fork
-:meth:`KernelCache.warm` (forked workers inherit the loaded library), or a
-batch of one on a lazy request — each batch is one translation unit and at
-most one compiler process.
+first run, the whole warm set in :meth:`KernelCache.warm`, or a batch of
+one on a lazy request — each batch is one translation unit and at most one
+compiler process.
 
 A native kernel proves the range of its provable-form subscripts once per
 call, at entry (:mod:`repro.runtime.kernels.ranges`); the cache counts the
@@ -33,8 +32,8 @@ backend — so a loop that keeps falling off the native tier is visible.
 The cache also owns the *call box*: a one-slot list every compiled kernel
 reads module-call handlers through. :meth:`bind_call_fn` points it at the
 executing state's ``call_fn`` once per run — that is what lets kernels
-containing index-independent module calls stay compiled (and forked pool
-workers inherit the binding with the cache).
+containing index-independent module calls stay compiled. (A call of a
+loop-free scalar module never gets here: the front end inlined it.)
 """
 
 from __future__ import annotations
@@ -228,9 +227,8 @@ class KernelCache:
         meets them. Every loop takes ``"full"`` (a ``DOALL``'s nest or
         chunk kernel, a ``DO``'s compiled in-order nest) and a ``DOALL``
         ``"flat"`` too when its chain is collapse-safe. A ``DO``'s
-        ``"team"`` kernel is left to the plan that takes it: the process
-        backend warms this set before it forks, and libgomp has no
-        business in a unit the workers inherit."""
+        ``"team"`` kernel is left to the plan that takes it: only a plan
+        at a parallelism above one builds it."""
         # Lazy import: fission sits above the kernel layer.
         from repro.schedule.fission import fission_splits
 
@@ -246,12 +244,9 @@ class KernelCache:
 
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop
-        kernel up front — the process backend calls this before forking
-        so workers inherit the full cache (including dlopened native
-        libraries) and never compile anything themselves, and
-        ``Session.warm`` calls it so first-request latency never pays an
-        in-flight cc compile. The native kernels of the whole warm set
-        are one :meth:`prepare` batch."""
+        kernel up front — ``Session.warm`` calls it so first-request
+        latency never pays an in-flight cc compile. The native kernels of
+        the whole warm set are one :meth:`prepare` batch."""
         for eq in self.analyzed.equations:
             for vector in (False, True):
                 self.kernel_for(eq, vector, use_windows)

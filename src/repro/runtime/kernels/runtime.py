@@ -75,7 +75,7 @@ def make_module_call(call_box):
     """The ``_mc`` helper bound into kernel namespaces: dispatch a module
     call through the cache's one-slot *call box*. The box is rebound per
     execution (see ``KernelCache.bind_call_fn``) so one compiled kernel
-    serves every run — and forked pool workers inherit the binding. Args
+    serves every run. Args
     arrive already evaluated; ``RuntimeArray`` conversion mirrors the
     evaluator's ``_eval_Call`` (kernelizable call args are scalar
     expressions, so the convert step is a no-op kept for parity)."""

@@ -21,7 +21,7 @@ from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 from repro.ps.types import ArrayType, BoolType, RealType, Type
 
 def new_storage(shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
-    """Fresh array storage (the in-process ``make_storage``). ``zero=False``
+    """Fresh array storage (``ExecutionBackend.make_storage``). ``zero=False``
     is for an array the run's equations define everywhere before anything
     reads it (:func:`undefined_part`): its pages are first touched by the
     kernel that writes them. The test suites poison such storage."""

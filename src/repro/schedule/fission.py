@@ -47,8 +47,8 @@ rejects the split for any nest touching windowed arrays.
 
 Verdicts are memoized on the flowchart (``annotate_flowchart`` fills them
 eagerly for scheduler output; merged flowcharts — which are never
-re-annotated — fill them lazily on first planner contact, always in the
-parent process, before any worker pool forks). Replica descriptors share
+re-annotated — fill them lazily on first planner contact, before any
+worker chunk runs). Replica descriptors share
 the original body's descriptor objects and are addressed by *marker
 paths*: ``loop_path + (-1, k)`` names replica ``k`` of the loop at
 ``loop_path`` — the ``-1`` component (never a valid child index) routes
@@ -378,8 +378,7 @@ def _analyze_loop(
         mode_hazard=mode_hazard,
     )
     # Fill the replicas' safety caches for both window modes up front, the
-    # same eager discipline annotate_flowchart applies to the main tree
-    # (and, for the process backends, before any pool forks).
+    # same eager discipline annotate_flowchart applies to the main tree.
     for piece in pieces:
         if piece.parallel:
             for use_windows in (False, True):

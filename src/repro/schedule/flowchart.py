@@ -350,9 +350,8 @@ class Flowchart:
         return self.windows.get(name, {})
 
     def path_of(self, target: Descriptor) -> tuple[int, ...] | None:
-        """The child-index path of ``target`` in the descriptor tree — a
-        picklable descriptor handle the process backend sends to persistent
-        workers (which resolve it against their inherited flowchart).
+        """The child-index path of ``target`` in the descriptor tree — the
+        handle plans and kernel caches key loops by.
 
         Fission replica loops (which live outside the main tree but share
         its body descriptors) resolve to *marker paths*

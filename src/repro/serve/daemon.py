@@ -4,9 +4,8 @@ behind a socket.
 The asyncio loop owns only the transport — accept, read a message, write
 a message. Every request body (array decode and encode included) executes
 in a thread pool against one shared warm session, so concurrent clients
-overlap wherever the session allows (always for planning and in-process
-backends; process-pool runs serialise on their backend). Two pressure
-valves bound a burst of clients:
+overlap: planning coalesces per key, and runs on every backend proceed
+side by side. Two pressure valves bound a burst of clients:
 
 * ``max_inflight`` requests execute at once (a semaphore over the
   executor), and
@@ -56,7 +55,7 @@ class ReproDaemon:
     Synchronous construction; :meth:`serve_forever` runs the asyncio loop
     until :meth:`request_shutdown` (or a client ``shutdown`` op). The
     session is owned: closing the daemon closes it, tearing down worker
-    pools and unlinking every shared-memory segment.
+    pools.
     """
 
     def __init__(
@@ -356,7 +355,7 @@ class ReproDaemon:
             self._shutdown.set()
 
     def close(self) -> None:
-        """Tear down the executor and the owned session (pools + shm)."""
+        """Tear down the executor and the owned session (and its pools)."""
         self._executor.shutdown(wait=True)
         self.session.close()
 

@@ -12,22 +12,20 @@ survived a request. A :class:`Session` owns all of it across requests:
   warmed caches);
 * the per-module plan cache / kernel cache / calibration trio, via the
   owned ``CompileResult``s;
-* *persistent* execution backends: thread pools and forked process pools
-  (over shared memory) are created once per ``(module, backend, workers,
-  options)`` and reused by every subsequent run — only per-run resources
-  (a run's shared-memory segments) are released between requests;
+* *persistent* execution backends: thread pools are created once per
+  ``(backend, workers, options)`` and reused by every subsequent run of
+  any module — only per-run resources (idle recycled buffers) are released
+  between requests;
 * warmed native kernels: :meth:`warm` compiles every reachable kernel
   (including the cffi/C tier) and optionally primes plans and pools with a
   throwaway run, so the first real request compiles nothing.
 
 Thread safety: ``run()`` may be called concurrently from many threads (the
 serve daemon does). Identical ``(module, sizes)`` plan lookups coalesce on
-a per-key lock so the planner runs once; runs on a pooled process backend
-serialise on the backend instance (its task/result queues multiplex one
-run at a time — see ``ExecutionBackend.serialize_runs``), while in-process
-backends run concurrently. Array arguments are *borrowed*: a run reads
-them in place (copying only to convert dtype, byte order or layout, or into
-shared memory on the process backends) and never writes them, so the same
+a per-key lock so the planner runs once; runs on one backend instance
+proceed concurrently. Array arguments are *borrowed*: a run reads them in
+place (copying only to convert dtype, byte order or layout) and never
+writes them, so the same
 array may feed concurrent runs — but the caller must not mutate it until
 every run reading it has returned. A result's bytes are the caller's for as
 long as the caller holds any view of them (the array, a slice, a
@@ -38,7 +36,6 @@ reuses for a later run only after the last such view is gone.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from collections import Counter
@@ -52,8 +49,7 @@ from repro.errors import SessionError
 from repro.plan.ir import ExecutionPlan
 from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RecordType
-from repro.runtime.backends import BACKENDS, instantiate_backend
-from repro.runtime.backends.base import RUN_COUNTERS
+from repro.runtime.backends import ExecutionBackend, instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.values import array_bounds, dtype_for
 
@@ -112,15 +108,6 @@ def describe_module(analyzed: AnalyzedModule) -> dict[str, Any]:
 
 
 @dataclass
-class _BackendSlot:
-    """A persistent backend plus the lock that serialises runs on it when
-    the backend cannot multiplex concurrent runs (process pools)."""
-
-    backend: Any
-    lock: threading.Lock | None = None
-
-
-@dataclass
 class SessionStats:
     """Counters a long-lived session exposes (`repro client stats`)."""
 
@@ -168,7 +155,7 @@ class Session:
         self._compiler = compiler or CompilerOptions()
         self._modules: dict[str, CompileResult] = {}
         self._by_hash: dict[str, CompileResult] = {}
-        self._backends: dict[tuple, _BackendSlot] = {}
+        self._backends: dict[tuple, ExecutionBackend] = {}
         self._plan_locks: dict[tuple, threading.Lock] = {}
         self._lock = threading.Lock()
         self._load_lock = threading.Lock()
@@ -176,8 +163,6 @@ class Session:
         self._runs = 0
         self._plans_built = 0
         self._plan_requests = 0
-        #: the run counters of backends already retired
-        self._retired = dict.fromkeys(RUN_COUNTERS, 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -192,18 +177,18 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Tear down every persistent backend (worker pools exit, every
-        shared-memory segment is unlinked) and drop the loaded modules.
+        """Tear down every persistent backend (worker pools exit) and drop
+        the loaded modules.
         Idempotent; the session refuses further work afterwards."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            slots = list(self._backends.values())
+            backends = list(self._backends.values())
             self._backends.clear()
             self._plan_locks.clear()
-        for slot in slots:
-            slot.backend.close()
+        for backend in backends:
+            backend.close()
         self._modules.clear()
         self._by_hash.clear()
 
@@ -327,8 +312,8 @@ class Session:
         """Execute one request against the warm state: cached plan,
         compiled kernels, and a persistent backend. Array arguments are
         borrowed read-only for the duration of the run — read in place,
-        copied only to convert dtype / byte order / layout or into shared
-        memory on the process backends — so they are never mutated here and
+        copied only to convert dtype / byte order / layout — so they are
+        never mutated here and
         must not be mutated by another thread meanwhile. A result's bytes
         are yours while you hold any view of them (the array, a slice, a
         ``memoryview``) and never alias an argument; a big result is itself
@@ -339,61 +324,30 @@ class Session:
         options = options or self.options(**overrides)
         okey = options.key()
         plan = self._plan(module, args, options, okey)
-        slot = self._backend_slot(module, plan, okey)
-        ctx = slot.lock if slot.lock is not None else contextlib.nullcontext()
-        try:
-            with ctx:
-                out = execute_module(
-                    result.analyzed,
-                    args,
-                    flowchart=result.flowchart,
-                    options=options,
-                    kernel_cache=result.kernel_cache,
-                    plan=plan,
-                    backend=slot.backend,
-                )
-        except BaseException:
-            if slot.lock is not None:
-                # A failed run can leave a pooled backend's queues in an
-                # undefined state (a worker may have died mid-wavefront);
-                # retire the pool so the next request forks a fresh one.
-                self._retire_backend(slot)
-            raise
+        out = execute_module(
+            result.analyzed,
+            args,
+            flowchart=result.flowchart,
+            options=options,
+            kernel_cache=result.kernel_cache,
+            plan=plan,
+            backend=self._backend(plan, okey),
+        )
         with self._lock:
             self._runs += 1
         return out
 
-    def _backend_slot(
-        self, module: str, plan: ExecutionPlan, okey: tuple
-    ) -> _BackendSlot:
-        cls = BACKENDS[plan.backend]
-        # Pooled backends are scoped per module: forked workers hold the
-        # fork-time flowchart, so their pool must only ever see that
-        # module's descriptors. In-process backends are module-agnostic.
-        scope = module if cls.serialize_runs else None
-        key = (scope, plan.backend, plan.workers, okey)
+    def _backend(self, plan: ExecutionPlan, okey: tuple) -> ExecutionBackend:
+        """The persistent backend for ``plan`` under options ``okey``,
+        shared by every module."""
+        key = (plan.backend, plan.workers, okey)
         with self._lock:
             self._check_open()
-            slot = self._backends.get(key)
-            if slot is None:
-                slot = _BackendSlot(
-                    instantiate_backend(plan.backend, workers=plan.workers),
-                    threading.Lock() if cls.serialize_runs else None,
-                )
-                self._backends[key] = slot
-        return slot
-
-    def _retire_backend(self, slot: _BackendSlot) -> None:
-        with self._lock:
-            for key, existing in list(self._backends.items()):
-                if existing is slot:
-                    del self._backends[key]
-                    for counter, n in slot.backend.counters.items():
-                        self._retired[counter] += n
-        try:
-            slot.backend.close()
-        except Exception:
-            pass  # teardown of an already-broken pool is best effort
+            backend = self._backends.get(key)
+            if backend is None:
+                backend = instantiate_backend(plan.backend, workers=plan.workers)
+                self._backends[key] = backend
+        return backend
 
     # -- warm-up -----------------------------------------------------------
 
@@ -410,7 +364,7 @@ class Session:
         compile every reachable kernel (native C tier included), build and
         cache the plan for ``sizes``, and — when ``prime`` is true and
         ``sizes`` are given — execute one throwaway run with every other
-        parameter zero (scalars and arrays alike), which forks worker
+        parameter zero (scalars and arrays alike), which starts worker
         pools and exercises the exact request path. ``module=None`` warms
         every loaded module. Returns per-module kernel-cache statistics."""
         self._check_open()
@@ -419,9 +373,8 @@ class Session:
         report: dict[str, Any] = {}
         for served in names:
             result = self._result(served)
-            tier = getattr(options, "kernel_tier", "native")
-            if options.use_kernels and tier != "evaluator":
-                result.kernel_cache.warm(options.use_windows, tier=tier)
+            if options.runs_kernels():
+                result.kernel_cache.warm(options.use_windows, tier=options.kernel_tier)
             if sizes:
                 self.plan(served, dict(sizes), options=options)
                 if prime:
@@ -457,22 +410,18 @@ class Session:
 
     def stats(self) -> SessionStats:
         with self._lock:
-            backends = sorted(
-                {slot.backend.name for slot in self._backends.values()}
-            )
+            backends = sorted({b.name for b in self._backends.values()})
             runs, built, requests = (
                 self._runs, self._plans_built, self._plan_requests
             )
-            storage = Counter(self._retired)
-            for slot in self._backends.values():
-                storage.update(slot.backend.counters)
-                store = slot.backend.store
-                if store is not None:
-                    storage.update(
-                        storage_bytes_recycled=store.recycled,
-                        storage_bytes_fresh=store.fresh,
-                        storage_bytes_held=store.held(),
-                    )
+            storage: Counter = Counter()
+            for backend in self._backends.values():
+                storage.update(backend.counters)
+                storage.update(
+                    storage_bytes_recycled=backend.store.recycled,
+                    storage_bytes_fresh=backend.store.fresh,
+                    storage_bytes_held=backend.store.held(),
+                )
         return SessionStats(
             modules=self.modules(),
             runs=runs,

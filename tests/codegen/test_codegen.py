@@ -161,7 +161,10 @@ class TestPythonGeneration:
 
         program = analyze_program(
             parse_program(
-                "Inc: module (x: int): [y: int]; define y = x + 1; end Inc;\n"
+                # a loop of its own: the call is not inlined
+                "Inc: module (x: int): [y: int]; type K = 1 .. 1;\n"
+                "var P: array [1 .. 1] of int;\n"
+                "define P[K] = x + 1; y = P[1]; end Inc;\n"
                 "Use: module (x: int): [y: int]; define y = Inc(x); end Use;"
             )
         )

@@ -37,14 +37,12 @@ def _poisoned_uninitialised_storage():
     import numpy as np
 
     from repro.runtime.backends.base import ExecutionBackend
-    from repro.runtime.backends.process import ProcessBackend
     from repro.runtime.values import BufferStore
 
     originals = {
         (cls, name): getattr(cls, name)
         for cls, name in (
             (ExecutionBackend, "make_storage"),
-            (ProcessBackend, "make_storage"),
             (BufferStore, "take"),
         )
     }

@@ -69,10 +69,10 @@ class TestCalibrationStore:
     def test_records_are_per_worker_count(self):
         """A 1-worker measurement must not re-rank a 16-worker plan."""
         cal = PlanCalibration()
-        cal.record("M", {"n": 4}, "process", seconds=9.0, workers=1)
-        assert cal.measured("M", {"n": 4}, "process", workers=16) is None
+        cal.record("M", {"n": 4}, "threaded", seconds=9.0, workers=1)
+        assert cal.measured("M", {"n": 4}, "threaded", workers=16) is None
         costs = cal.adjusted_costs(
-            "M", {"n": 4}, [("serial", 10.0), ("process", 5.0)], workers=16
+            "M", {"n": 4}, [("serial", 10.0), ("threaded", 5.0)], workers=16
         )
         assert costs == [10.0, 5.0]  # untouched: no evidence at 16 workers
 

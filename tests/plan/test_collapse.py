@@ -111,9 +111,7 @@ end Vec;
 
 @pytest.mark.usefixtures("pinned_host")
 class TestCollapseExecution:
-    @pytest.mark.parametrize(
-        "backend", ["serial", "vectorized", "threaded", "process"]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded"])
     def test_forced_collapse_parity(self, backend):
         analyzed, flow, scalars = _setup(SCALE_SOURCE, r=5, c=67)
         args = _scale_args(5, 67)
@@ -358,7 +356,7 @@ class TestPlannerChoice:
         analyzed, flow, _ = _setup(SCALE_SOURCE)
         plan = build_plan(
             analyzed, flow,
-            ExecutionOptions(backend="process", workers=8, use_kernels=False),
+            ExecutionOptions(backend="threaded", workers=8, use_kernels=False),
             {"r": 4, "c": 4096}, cpu_count=8,
         )
         assert all(lp.strategy != "collapse" for lp in plan.loops.values())

@@ -3,9 +3,11 @@ against the unfissioned plan, provenance (taken and rejected), a ``serial``
 pin as the escape hatch, and forced-strategy validation.
 
 Fission wins on merit where it isolates a module call the kernel tier
-cannot compile (the ``Sweep`` nest of ``examples/fission_demo.py``); over
-the pure recurrences of ``Mixed`` it never does — three compiled passes
-over memory cost more than one compiled ``DO``."""
+cannot compile — a call of a module with a loop of its own, which the front
+end does not inline (the ``Sweep`` nest of ``examples/fission_demo.py``);
+with a loop-free callee the call is inlined and the nest is one compiled
+``DO``. Over the pure recurrences of ``Mixed`` fission never wins — three
+compiled passes over memory cost more than one compiled ``DO``."""
 
 import pytest
 
@@ -19,10 +21,17 @@ from repro.runtime.executor import ExecutionOptions
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
+#: callees with a loop of their own: the front end leaves calls of them
+#: alone, so the calling equation stays off the kernel tier
 POISONED_PROGRAM = """\
 Scale: module (v: int): [w: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
 define
-    w = v * 3;
+    P[K] = v * 3;
+    w = P[1];
 end Scale;
 
 Body: module (X: array[1 .. n] of int; n: int):
@@ -59,14 +68,7 @@ DO I -> fission x3; trip 64; forced dependence split
     DO I -> nest; trip 64; compiled in order
         eq.6 [kernel=nest]"""
 
-#: a module-call recurrence merged with three clean ones: unsplit, the call
-#: poisons the whole nest onto the walk
-SWEEP_PROGRAM = """\
-Damp: module (v: int): [w: int];
-define
-    w = v * 3 + 1;
-end Damp;
-
+SWEEP = """\
 Sweep: module (X: array[1 .. n] of int; n: int):
        [T: array[0 .. n] of int; S: array[0 .. n] of int;
         M: array[0 .. n] of int; Q: array[0 .. n] of int];
@@ -84,6 +86,30 @@ define
 end Sweep;
 """
 
+#: a module-call recurrence merged with three clean ones: unsplit, the call
+#: poisons the whole nest onto the walk
+SWEEP_PROGRAM = """\
+Damp: module (v: int): [w: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
+define
+    P[K] = v * 3 + 1;
+    w = P[1];
+end Damp;
+
+""" + SWEEP
+
+#: the same nest calling a loop-free ``Damp``, which the front end inlines
+INLINED_SWEEP_PROGRAM = """\
+Damp: module (v: int): [w: int];
+define
+    w = v * 3 + 1;
+end Damp;
+
+""" + SWEEP
+
 #: trips and worker counts the merit tests sweep
 TRIPS = (64, 20_000, 2_000_000, 200_000_000)
 WORKERS = (1, 2, 4, 8)
@@ -99,8 +125,8 @@ def _merit_plan(analyzed, chart, n, workers=4, **options):
     return plan, (notes[0] if notes else None)
 
 
-def _sweep():
-    analyzed = analyze_program(parse_program(SWEEP_PROGRAM))["Sweep"]
+def _sweep(source=SWEEP_PROGRAM):
+    analyzed = analyze_program(parse_program(source))["Sweep"]
     return analyzed, _merged(analyzed)
 
 
@@ -133,6 +159,16 @@ class TestFissionDecision:
             ("I", "nest"), ("I", "nest"), ("I", "nest"),
         ]
         assert "fission @" in plan.explain()
+
+    @pytest.mark.parametrize("workers", WORKERS, ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize("n", TRIPS, ids=lambda n: f"n{n}")
+    def test_an_inlined_call_leaves_one_compiled_do(self, n, workers):
+        analyzed, chart = _sweep(INLINED_SWEEP_PROGRAM)
+        assert all(not eq.calls for eq in analyzed.equations)
+        plan, note = _merit_plan(analyzed, chart, n, workers)
+        assert plan.strategies() == [("I", "nest")]
+        assert not note["chosen"]
+        assert plan.provenance["slow_loops"] == []
 
     @pytest.mark.parametrize("workers", WORKERS, ids=lambda p: f"p{p}")
     @pytest.mark.parametrize("n", TRIPS, ids=lambda n: f"n{n}")

@@ -41,7 +41,7 @@ def _outer_inner(plan):
 
 
 class TestTallSkinnyGrid:
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     def test_planner_collapses_the_nest(self, backend):
         """A 4-row grid cannot keep 8 workers busy chunking on rows; with
         a collapse-safe fusable chain the planner now flattens the whole
@@ -61,7 +61,7 @@ class TestTallSkinnyGrid:
         assert "trip 4 < 8 workers" in outer.reason
         assert inner.strategy == "collapse"
 
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     def test_without_collapse_the_inner_doall_takes_the_team(self, backend):
         """With no kernel to fuse (kernels off) the nest cannot collapse:
         the outer DOALL runs in order and says which inner DOALL takes the

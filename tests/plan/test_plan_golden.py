@@ -84,7 +84,7 @@ GOLDEN = {
 #: — the texts pin that the policy composes with ordinary planning)
 GOLDEN_COLLAPSE = {
     "jacobi": """\
-        plan Relaxation: backend=process workers=4 kernels=native windows=off [pinned]
+        plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
         DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
             DOALL J -> collapse; trip 10; collapsed
                 eq.1 [kernel=native]
@@ -96,7 +96,7 @@ GOLDEN_COLLAPSE = {
             DOALL J -> collapse; trip 10; collapsed
                 eq.2 [kernel=native]""",
     "gauss_seidel": """\
-        plan Relaxation: backend=process workers=4 kernels=native windows=off [pinned]
+        plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
         DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
             DOALL J -> collapse; trip 10; collapsed
                 eq.1 [kernel=native]
@@ -108,7 +108,7 @@ GOLDEN_COLLAPSE = {
             DOALL J -> collapse; trip 10; collapsed
                 eq.2 [kernel=native]""",
     "hyperplane_gs": """\
-        plan RelaxationHyper: backend=process workers=4 kernels=native windows=off [pinned]
+        plan RelaxationHyper: backend=threaded workers=4 kernels=native windows=off [pinned]
         DO Kp -> serial; trip 25
             DOALL Ip -> collapse x4; depth 2 flat 40; trip 4; forced
                 DOALL Jp -> collapse; trip 10; collapsed
@@ -117,7 +117,7 @@ GOLDEN_COLLAPSE = {
             DOALL J -> collapse; trip 10; collapsed
                 eq.2 [kernel=native]""",
     "dp": """\
-        plan Align: backend=process workers=4 kernels=native windows=off [pinned]
+        plan Align: backend=threaded workers=4 kernels=native windows=off [pinned]
         DOALL _i1 -> chunk x4; trip 7
             eq.1 [kernel=native]
         DOALL I -> chunk x4; trip 6
@@ -127,7 +127,7 @@ GOLDEN_COLLAPSE = {
                 eq.3 [kernel=nest]
         eq.4 [kernel=scalar]""",
     "paths_int": """\
-        plan Paths: backend=process workers=4 kernels=native windows=off [pinned]
+        plan Paths: backend=threaded workers=4 kernels=native windows=off [pinned]
         DOALL _i1 -> chunk x4; trip 7
             eq.1 [kernel=native]
         DOALL I -> chunk x4; trip 6
@@ -315,8 +315,8 @@ class TestGoldenCollapsePlans:
             and "collapse" in valid_strategies(analyzed, flow, desc)
         }
         plan = forced_plan(
-            analyzed, flow, "process",
-            ExecutionOptions(backend="process", workers=4),
+            analyzed, flow, "threaded",
+            ExecutionOptions(backend="threaded", workers=4),
             _scalars(args), overrides=overrides,
         )
         assert plan.pretty() == textwrap.dedent(GOLDEN_COLLAPSE[name])

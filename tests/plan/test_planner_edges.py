@@ -1,5 +1,6 @@
-"""Planner edge cases surfaced by review: GIL-aware process selection,
-in-process callee plans, plan re-binding, auto always being measurable,
+"""Planner edge cases surfaced by review: module calls (inlined ones
+compile, kept ones hold the GIL), callee plans without a pool, plan
+re-binding, auto always being measurable,
 recognised recurrences planning as the compiled ``DO`` at every size,
 ``DOALL``-only strategies forced on a ``DO``, and the retired ``pipeline``
 and ``scan`` strategies refused by name."""
@@ -24,6 +25,8 @@ from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions, execute_program_module
 from repro.schedule.scheduler import schedule_module
 
+from tests.runtime.test_kernels import KEPT_CALL_PROGRAM_SOURCE
+
 CALL_PROGRAM_SOURCE = """\
 Scale: module (x: real): [y: real]; define y = x * 2.0; end Scale;
 Use: module (A: array[1 .. n] of real; n: int): [B: array[1 .. n] of real];
@@ -34,21 +37,37 @@ end Use;
 
 
 class TestGilAwareChunkCosts:
-    def test_auto_picks_process_for_gil_bound_work(self):
-        """A chunk-safe DOALL whose body is a per-element module call
-        (vector-unsafe, non-kernelizable) holds the GIL — threads cannot
-        help, forked processes can. With real cores available, auto must
-        reach for the process backend; this is exactly the workload class
-        the dominated-by-threaded cost model used to make unreachable."""
+    def test_an_inlined_call_runs_on_a_compiled_kernel(self):
+        """A per-element call of a loop-free module is inlined by the front
+        end, so its DOALL compiles like any other: at two workers ``auto``
+        puts it on a native kernel, not on the evaluator."""
         program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
         use = program["Use"]
-        flow = schedule_module(use)
+        assert use.equations[0].calls == []
         plan = build_plan(
-            use, flow,
-            ExecutionOptions(backend="auto", workers=8),
-            {"n": 20000}, cpu_count=8,
+            use, schedule_module(use),
+            ExecutionOptions(backend="auto", workers=2),
+            {"n": 200_000}, cpu_count=2,
         )
-        assert plan.backend == "process"
+        assert plan.equations["eq.1"].kernel == "native"
+        explain = plan.explain()
+        assert "native full kernel @(0,) (DOALL I)" in explain
+        assert "not kernelizable" not in explain
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_a_kept_call_holds_the_gil_so_threads_do_not_pay(self, workers):
+        """A call the front end keeps (its callee has a loop) runs on the
+        evaluator and holds the GIL: a thread pool cannot help, so ``auto``
+        leaves the loop off the pool and ``explain()`` names the call."""
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
+        use = program["Use"]
+        plan = build_plan(
+            use, schedule_module(use),
+            ExecutionOptions(backend="auto", workers=workers),
+            {"n": 20000}, cpu_count=workers,
+        )
+        assert plan.backend in ("serial", "vectorized")
+        assert "eq.1 not kernelizable — calls module Scale" in plan.explain()
 
     def test_numpy_bound_work_still_prefers_vectorized(self):
         """The preference holds on both kernel tiers: the calibrated
@@ -88,8 +107,8 @@ class TestGilAwareChunkCosts:
 class TestCalleePlansStayInProcess:
     def test_callee_memo_never_plans_a_pool(self):
         """Module calls fire per element; the callee's auto plan must stay
-        on the in-process backends even when the caller runs a pool."""
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        off the worker pool even when the caller runs one."""
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         rng = np.random.default_rng(3)
         args = {"A": rng.random(8), "n": 8}
         out = execute_program_module(

@@ -12,7 +12,7 @@ the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
   without OpenMP;
 * a team sits only on a ``nest`` over a ``DO`` met on the caller's thread —
   never on a chunk, span or flat kernel, never below a ``chunk`` or
-  ``collapse`` loop, never on the process backend;
+  ``collapse`` loop;
 * asking for a second worker never raises ``auto``'s predicted cost.
 """
 
@@ -51,7 +51,6 @@ JACOBI_TEAM_EXPLAIN = """\
         serial: predicted ~N cycles; [calibration miss]
       * vectorized: predicted ~N cycles; [calibration miss]
         threaded: predicted ~N cycles; [calibration miss]
-        process: predicted ~N cycles; [calibration miss]
     winner: vectorized — within 5% of the cheapest candidate, and it builds the fewest native functions
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
       native team kernel @(1,) (DO K): range checks: 18 of 18 proven at entry
@@ -73,7 +72,6 @@ GS_HYPER_EXPLAIN = """\
       * serial: predicted ~N cycles; [calibration miss]
         vectorized: predicted ~N cycles; [calibration miss]
         threaded: predicted ~N cycles; [calibration miss]
-        process: predicted ~N cycles; [calibration miss]
     winner: serial — lowest predicted cycles (no calibration record for these sizes)
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
@@ -202,7 +200,6 @@ class TestTeamsStayOnTheCallersThread:
             for path, lp in plan.loops.items():
                 if not lp.team:
                     continue
-                assert plan.backend != "process"
                 assert (lp.strategy, lp.keyword) == ("nest", "DO")
                 assert lp.team == workers
                 assert lp.kernel_shape() == "team"

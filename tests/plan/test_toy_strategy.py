@@ -71,7 +71,7 @@ def test_forced_plan_honours_it_and_pretty_prints_it(reverse):
 
 
 @pytest.mark.usefixtures("pinned_host")
-@pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded", "process"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded"])
 def test_every_backend_runs_it_bit_equal_to_the_evaluator(reverse, backend):
     analyzed, flow = _jacobi()
     args = {"InitialA": np.random.default_rng(3).random((8, 8)), **SIZES}

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CoverageError, SemanticError
 from repro.ps.ast import Index, IntLit
 from repro.ps.parser import parse_module, parse_program
+from repro.ps.printer import format_expression
 from repro.ps.semantics import analyze_module, analyze_program
 from repro.ps.types import ArrayType, BoolType, RealType
 
@@ -279,14 +280,21 @@ class TestIndexVariables:
         assert len(eq1.targets[0].subscripts) == 3
 
 
+#: a callee with a loop of its own, which the front end does not inline
+LOOP_INC = (
+    "Inc: module (x: int): [y: int]; type K = 1 .. 1;\n"
+    "var P: array [1 .. 1] of int; define P[K] = x + 1; y = P[1]; end Inc;\n"
+)
+
+
 class TestPrograms:
     def test_module_call(self):
-        src = (
-            "Inc: module (x: int): [y: int]; define y = x + 1; end Inc;\n"
+        src = LOOP_INC + (
             "Use: module (x: int): [y: int]; define y = Inc(Inc(x)); end Use;"
         )
         p = analyze_program(parse_program(src))
         assert p["Use"].equations[0].calls == ["Inc", "Inc"]
+
 
     def test_forward_call_rejected(self):
         src = (
@@ -335,3 +343,86 @@ class TestPrograms:
         )
         with pytest.raises(SemanticError, match="duplicate"):
             analyze_program(parse_program(src))
+
+
+def _use(callee: str, rhs: str, params: str = "A: array[1 .. n] of real; n: int"):
+    """``Use`` computing ``B[I] = rhs`` after ``callee``: (its equation's
+    right-hand side as text, the modules it still calls)."""
+    src = callee + "\n" + (
+        f"Use: module ({params}): [B: array[1 .. n] of real];\n"
+        f"type I = 1 .. n; define B[I] = {rhs}; end Use;"
+    )
+    (eq,) = analyze_program(parse_program(src))["Use"].equations
+    return format_expression(eq.rhs), eq.calls
+
+
+#: callees the inline pass refuses, each for one reason
+REFUSED = {
+    "own-loop": "Inc: module (x: real; k: int): [y: real]; type K = 1 .. 1;\n"
+    "var P: array [1 .. 1] of real; define P[K] = x + k; y = P[1]; end Inc;",
+    "array-parameter": "Inc: module (x: real; V: array[1 .. 2] of real): [y: real];\n"
+    "define y = x + V[1]; end Inc;",
+    "parameter-only-in-a-branch": "Inc: module (x: real; k: int): [y: real];\n"
+    "define y = if k > 0 then x else 0.0; end Inc;",
+    "parameter-only-short-circuited": "Inc: module (x: real; k: int): [y: real];\n"
+    "define y = if k > 0 and x > 0.0 then 1.0 else 0.0; end Inc;",
+    "two-results": "Inc: module (x: real; k: int): [y: real; z: real];\n"
+    "define y = x; z = x + k; end Inc;",
+    "local-never-read": "Inc: module (x: real; k: int): [y: real]; var t: real;\n"
+    "define t = x / k; y = x + k; end Inc;",
+    "too-big": "Inc: module (x: real; k: int): [y: real];\n"
+    "var t0, t1, t2, t3, t4, t5, t6, t7: real;\n"
+    "define t0 = x + k; "
+    + " ".join(f"t{i} = t{i - 1} * t{i - 1};" for i in range(1, 8))
+    + " y = t7; end Inc;",
+}
+
+
+class TestInlining:
+    """A call of a loop-free scalar module is replaced by the callee's
+    result before the caller is analysed."""
+
+    def test_a_call_becomes_the_callees_result(self):
+        callee = "Scale: module (x: real): [y: real]; define y = x * 2.0; end Scale;\n"
+        assert _use(callee, "Scale(A[I]) + 1.0") == ("A[I] * 2.0 + 1.0", [])
+
+    def test_locals_and_nested_calls_are_substituted(self):
+        callee = (
+            "Sq: module (x: real): [y: real]; define y = x * x; end Sq;\n"
+            "Poly: module (x: real; k: int): [y: real]; var t: real;\n"
+            "define t = Sq(x) + k; y = if t > 0.0 then t else -t; end Poly;\n"
+        )
+        assert _use(callee, "Poly(A[I], I)") == (
+            "if A[I] * A[I] + I > 0.0 then A[I] * A[I] + I "
+            "else -(A[I] * A[I] + I)",
+            [],
+        )
+
+    @pytest.mark.parametrize("callee", REFUSED.values(), ids=REFUSED.keys())
+    def test_a_refused_callee_is_not_inlined(self, callee):
+        assert analyze_program(parse_program(callee)).inline["Inc"] is None
+
+    def test_a_refused_callee_keeps_its_call(self):
+        assert _use(REFUSED["own-loop"], "Inc(A[I], I)") == ("Inc(A[I], I)", ["Inc"])
+
+    def test_types_are_checked_as_written(self):
+        # Half's result is declared real: ``div`` refuses it, even though
+        # the inlined expression would be an int
+        src = (
+            "Half: module (x: int): [y: real]; define y = x; end Half;\n"
+            "Use: module (n: int): [B: array[1 .. n] of int];\n"
+            "type I = 1 .. n; define B[I] = Half(I) div 2; end Use;"
+        )
+        with pytest.raises(SemanticError, match="div"):
+            analyze_program(parse_program(src))
+
+    def test_analyze_module_inlines_through_its_program(self):
+        program = analyze_program(parse_program(
+            "Scale: module (x: real): [y: real]; define y = x * 2.0; end Scale;"
+        ))
+        use = analyze_module(parse_module(
+            "Use: module (A: array[1 .. n] of real; n: int): [B: array[1 .. n] of real];\n"
+            "type I = 1 .. n; define B[I] = Scale(A[I]); end Use;"
+        ), program)
+        assert format_expression(use.equations[0].rhs) == "A[I] * 2.0"
+        assert program.inline["Scale"] is not None

@@ -1,4 +1,4 @@
-"""Backend parity: serial == vectorized == threaded == process.
+"""Backend parity: serial == vectorized == threaded.
 
 Every workload is executed on the serial reference backend and on each of
 the other backends (with enough workers to force real chunking), with and
@@ -20,16 +20,18 @@ from repro.hyperplane.pipeline import hyperplane_transform
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.backends import available_backends, instantiate_backend
-from repro.runtime.backends.process import _fork_available
 from repro.runtime.backends.threaded import ThreadedBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 
-PARALLEL_BACKENDS = ["vectorized", "threaded", "process"]
+PARALLEL_BACKENDS = ["vectorized", "threaded"]
 
-#: registry names that were retired (the fork-per-wavefront pool and the
-#: thread pool's second name), built from parts so no live code spells them
-RETIRED_BACKENDS = ["-".join(("process", "fork")), "-".join(("free", "threading"))]
-SURVIVORS = "serial, vectorized, threaded, process"
+#: registry names that were retired (the pool of forked workers over shared
+#: memory, the fork-per-wavefront pool and the thread pool's second name),
+#: the last two built from parts so no live code spells them
+RETIRED_BACKENDS = [
+    "process", "-".join(("process", "fork")), "-".join(("free", "threading")),
+]
+SURVIVORS = "serial, vectorized, threaded"
 
 #: Needleman-Wunsch-style DP table (the wavefront example module).
 DP_SOURCE = """\
@@ -77,7 +79,7 @@ def options_for(backend: str, use_windows: bool = False) -> ExecutionOptions:
 
 class TestRegistry:
     def test_available_backends(self):
-        assert available_backends() == ["process", "serial", "threaded", "vectorized"]
+        assert available_backends() == ["serial", "threaded", "vectorized"]
 
     def test_planner_knows_exactly_the_registry(self):
         from repro.plan.planner import KNOWN_BACKENDS
@@ -221,7 +223,7 @@ class TestChunkedExecution:
     """The chunked backends must agree with serial whatever the worker
     count, including degenerate splits (more workers than iterations)."""
 
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 16])
     def test_worker_counts(self, backend, workers):
         analyzed = jacobi_analyzed()
@@ -328,57 +330,3 @@ class TestOneJoin:
         finally:
             backend.close()
         assert np.array_equal(out["Y"], ref["Y"])
-
-
-@pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
-class TestWindowDebugOnThePool:
-    @pytest.mark.parametrize("strategy", ["chunk", "collapse"])
-    @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    def test_runs_on_the_persistent_pool(self, monkeypatch, strategy, use_windows):
-        """A window-debug run streams its wavefronts through the pool
-        forked once, and workers check and stamp the same shared
-        fault-on-overwrite tags as the parent: the sweeps run on the pool,
-        the copy-in and copy-out loops on the parent's tag-checking walk,
-        which reads what the workers wrote. The second run on the instance
-        re-attaches every array, tags included; both match ``serial`` bit
-        for bit."""
-        from repro.plan.planner import forced_plan
-        from repro.schedule.flowchart import LoopDescriptor
-        from repro.schedule.scheduler import schedule_module
-
-        analyzed = jacobi_analyzed()
-        flow = schedule_module(analyzed)
-        m, maxk, workers = 8, 6, 4
-        options = ExecutionOptions(
-            backend="process", workers=workers,
-            use_windows=use_windows, debug_windows=True,
-        )
-        do_k = next(
-            d for d in flow.descriptors
-            if isinstance(d, LoopDescriptor) and not d.parallel
-        )
-        plan = forced_plan(
-            analyzed, flow, "process", options, {"M": m, "maxK": maxk},
-            default="serial", overrides={flow.path_of(do_k.body[0]): strategy},
-        )
-        backend = instantiate_backend("process", workers=workers)
-        started = []
-
-        class CountingProcess(backend._ctx.Process):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(backend._ctx, "Process", CountingProcess)
-        try:
-            for seed in (0, 1):
-                rng = np.random.default_rng(seed)
-                args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
-                ref = execute_module(analyzed, dict(args), options=options_for("serial"))
-                out = execute_module(
-                    analyzed, dict(args), flow, options, plan=plan, backend=backend
-                )
-                assert np.array_equal(out["newA"], ref["newA"]), seed
-        finally:
-            backend.close()
-        assert len(started) == workers

@@ -2,7 +2,7 @@
 
 A run reads its array arguments in place — PS is single-assignment, so no
 lowering can write one — and copies only to convert dtype, byte order or
-layout (or, on the process backends, into shared memory). These tests pin
+layout. These tests pin
 the contract from the caller's side, on every backend x kernel tier x
 window mode: the caller's arrays are untouched, read-only arrays are
 accepted, awkward layouts give the contiguous answer bit for bit, and no
@@ -21,7 +21,7 @@ from repro.runtime.backends import instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import Session
 
-BACKENDS = ["serial", "vectorized", "threaded", "process"]
+BACKENDS = ["serial", "vectorized", "threaded"]
 TIERS = ["native", "numpy", "evaluator"]
 
 
@@ -103,7 +103,7 @@ def _awkward(arr: np.ndarray, how: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("how", ["strided", "big-endian", "fortran", "int32"])
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("backend", ["serial", "threaded"])
 def test_awkward_arguments_are_converted_bit_exactly(backend, how):
     options = ExecutionOptions(backend=backend, workers=2)
     for name, analyzed, args in WORKLOADS:
@@ -130,13 +130,6 @@ def test_counters_tell_borrowed_from_converted():
     assert backend.counters["arg_bytes_borrowed"] == nbytes
     assert backend.counters["arg_bytes_converted"] == nbytes  # as int64
     backend.close()
-    shared = instantiate_backend("process", workers=2)
-    execute_module(
-        analyzed, args, options=ExecutionOptions(backend="process"), backend=shared
-    )
-    assert shared.counters["arg_bytes_borrowed"] == 0
-    assert shared.counters["arg_bytes_converted"] == nbytes  # into shared memory
-    shared.close()
 
 
 def test_concurrent_runs_may_share_one_argument_object():

@@ -45,7 +45,7 @@ from repro.runtime.kernels import native as native_mod
 from repro.schedule.flowchart import LoopDescriptor
 from repro.schedule.scheduler import schedule_module
 
-from tests.runtime.test_fission_exec import _backend_available, _merged
+from tests.runtime.test_fission_exec import _merged
 from tests.runtime.test_kernels import ALL_BACKENDS, WORKLOADS
 from tests.runtime.test_native_kernels import (
     LOOKUP_CONDITIONS,
@@ -128,8 +128,6 @@ class TestDifferential:
     def test_forced_compiled_do_equals_the_evaluator(
         self, backend, use_windows, model
     ):
-        if not _backend_available(backend):
-            pytest.skip("fork unavailable")
         pinned_somewhere = 0
         for name, analyzed, flow, args, outputs in PROGRAMS:
             pins = _outermost_lowerable_dos(analyzed, flow, use_windows)

@@ -3,18 +3,16 @@
 A chunk- or collapse-planned ``DOALL`` hands each wavefront to the
 backend's ``dispatch(state, desc, strategy, spans, env, fuse)``, and every
 span runs through ``run_chunk`` — inline on ``serial`` and ``vectorized``,
-on the thread pool on ``threaded``, in the persistent forked workers on
-``process``. On every backend and for both pool strategies (``chunk``,
+on the thread pool on ``threaded``. On every backend and for both pool strategies (``chunk``,
 whose chunks run the ``"full"`` kernel over rows, and ``collapse``, whose
 chunks run the ``"flat"`` kernel over the flattened nest) these tests pin:
 
-* the spans of a wavefront partition its iteration space, each run once
-  (the ``process`` workers report through a queue they inherit at fork);
+* the spans of a wavefront partition its iteration space, each run once;
 * element-evaluation statistics come back exactly once per element;
 * window-debug runs — fault-on-overwrite tags armed — match the evaluator
   bit for bit on the paper workloads and at degenerate worker counts;
 * a poisoned tag is caught on every dispatch path, so workers check the
-  tags the parent stamped rather than a private copy;
+  tags the caller stamped;
 * a failed wave on a pool joins every chunk before raising, and the same
   backend instance then serves the next run.
 """
@@ -30,7 +28,6 @@ from repro.core.paper import jacobi_analyzed
 from repro.plan.planner import forced_plan, valid_strategies
 from repro.runtime.backends import instantiate_backend
 from repro.runtime.backends.base import ExecutionBackend
-from repro.runtime.backends.process import _fork_available
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.flowchart import LoopDescriptor
 from repro.schedule.scheduler import schedule_module
@@ -38,8 +35,8 @@ from repro.schedule.scheduler import schedule_module
 from tests.plan.test_collapse import SCALE_SOURCE, _scale_args, _setup
 from tests.runtime.test_kernels import WORKLOADS
 
-ALL_BACKENDS = ["serial", "vectorized", "threaded", "process"]
-POOL_BACKENDS = ["threaded", "process"]
+ALL_BACKENDS = ["serial", "vectorized", "threaded"]
+POOL_BACKENDS = ["threaded"]
 #: the kernel shape each pool strategy's chunks run
 KIND_OF = {"chunk": "full", "collapse": "flat"}
 #: the two-dimensional paper workloads, where both strategies apply once
@@ -53,11 +50,6 @@ WINDOW_DEBUG_CASES = [
     ("paths_int", "chunk"),
 ]
 WORKLOAD_BY_NAME = {w[0]: w for w in WORKLOADS}
-
-
-def _needs(backend):
-    if backend == "process" and not _fork_available():
-        pytest.skip("fork unavailable")
 
 
 def _scalars(args):
@@ -123,14 +115,6 @@ def _jacobi_args(m, maxk, seed=0):
     return {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
 
 
-def _recorder(backend):
-    """A queue ``run_chunk`` can report to from wherever it runs — a
-    process backend's workers inherit it at fork."""
-    if backend.name == "process":
-        return backend._ctx.SimpleQueue()
-    return queue.SimpleQueue()
-
-
 def _drain(q):
     out = []
     while not q.empty():
@@ -148,14 +132,13 @@ class TestOneHook:
         planned strategy, and together the spans cover the loop's range
         (the rows for ``chunk``, the flattened nest for ``collapse``)
         without overlap."""
-        _needs(backend_name)
         r, c = 5, 67
         options = ExecutionOptions(
             backend=backend_name, workers=3, kernel_tier="numpy"
         )
         analyzed, flow, plan, args = _scale_plan(backend_name, strategy, options, r, c)
         backend = instantiate_backend(backend_name, workers=3)
-        calls = _recorder(backend)
+        calls = queue.SimpleQueue()
         original = ExecutionBackend.run_chunk
 
         def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
@@ -182,10 +165,8 @@ class TestOneHook:
     @pytest.mark.parametrize("strategy", ["chunk", "collapse"])
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_eval_counts_come_back_once(self, backend_name, strategy):
-        """Each chunk counts on a private substate (in a worker process:
-        its own copy) and ``dispatch`` merges the counts into the run's
+        """Each chunk counts on a private substate and ``dispatch`` merges the counts into the run's
         state: one evaluation per element, none lost or doubled."""
-        _needs(backend_name)
         r, c = 5, 67
         options = ExecutionOptions(
             backend=backend_name, workers=3, kernel_tier="numpy"
@@ -218,9 +199,8 @@ class TestWindowDebugParity:
     def test_forced_plan_matches_the_evaluator(self, case, backend_name):
         """Windowed storage with the fault-on-overwrite tags armed, every
         outermost loop that can go to the pool sent there: the tags the
-        chunks stamp are the ones the later walks check, on every backend
-        (on ``process`` they live in shared segments next to the data)."""
-        _needs(backend_name)
+        chunks stamp are the ones the later walks check, on every
+        backend."""
         name, strategy = case
         _, analyzed, flow, args, out = WORKLOAD_BY_NAME[name]
         if name == "paths_int":
@@ -250,7 +230,6 @@ class TestWindowDebugParity:
         """One worker (no wave at all), uneven splits, and more workers
         than the sweep has rows: the tags stay consistent whatever the
         chunk shape."""
-        _needs(backend_name)
         m, maxk = 2, 4
         options = ExecutionOptions(
             backend=backend_name, workers=workers,
@@ -267,14 +246,10 @@ class TestWindowDebugParity:
 
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_a_poisoned_tag_is_caught_in_the_chunk(self, backend_name):
-        """A clean run first (on ``process`` it forks the pool, so the
-        next run's arrays reach the workers by segment name). Then, before
-        each wave, the parent marks every plane of ``A`` as overwritten:
-        the collapsed sweep's per-element walk reads ``A[K-1]`` and must
-        report the window violation — wherever the chunk runs. A worker
-        with a private (or no) copy of the tags would compute on and miss
-        it."""
-        _needs(backend_name)
+        """A clean run first; then, before each wave, the caller marks every
+        plane of ``A`` as overwritten: the collapsed sweep's per-element walk
+        reads ``A[K-1]`` and must report the window violation — wherever the
+        chunk runs."""
         m, maxk = 4, 4
         options = ExecutionOptions(
             backend=backend_name, workers=2,
@@ -324,16 +299,14 @@ class TestFailedWave:
     ):
         """While armed, chunk 0 fails at once and chunk 1 finishes 0.2 s
         later. The failure reaches the caller only after the sibling
-        finished; the same instance then runs bit-equal to the evaluator —
-        on ``process`` without forking a single new worker."""
-        _needs(backend_name)
+        finished; the same instance then runs bit-equal to the
+        evaluator."""
         options = ExecutionOptions(
             backend=backend_name, workers=2, kernel_tier="numpy"
         )
         analyzed, flow, plan, args = _scale_plan(backend_name, strategy, options)
         backend = instantiate_backend(backend_name, workers=2)
-        sync = backend._ctx if backend_name == "process" else threading
-        armed, sibling_done = sync.Event(), sync.Event()
+        armed, sibling_done = threading.Event(), threading.Event()
         armed.set()
         first = {"full": 1, "flat": 0}
         original = ExecutionBackend.run_chunk
@@ -347,15 +320,6 @@ class TestFailedWave:
             original(self, state, desc, strategy, lo, hi, env, fuse)
 
         monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
-        started = []
-        if backend_name == "process":
-
-            class CountingProcess(backend._ctx.Process):
-                def start(self):
-                    started.append(self)
-                    super().start()
-
-            monkeypatch.setattr(backend._ctx, "Process", CountingProcess)
         try:
             with pytest.raises(Exception, match="chunk 0 failed"):
                 execute_module(
@@ -369,5 +333,3 @@ class TestFailedWave:
         finally:
             backend.close()
         assert np.array_equal(out["B"], _scale_reference(analyzed, flow, args))
-        if backend_name == "process":
-            assert len(started) == 2

@@ -21,7 +21,7 @@ from repro.schedule.fission import fission_splits
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
-ALL_BACKENDS = ("serial", "vectorized", "threaded", "process")
+ALL_BACKENDS = ("serial", "vectorized", "threaded")
 
 
 def _merged(analyzed):
@@ -47,14 +47,6 @@ def _unfissioned(analyzed, chart, options, args):
     )
 
 
-def _backend_available(backend):
-    if backend == "process":
-        from repro.runtime.backends.process import _fork_available
-
-        return _fork_available()
-    return True
-
-
 class TestFissionParity:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize(
@@ -65,8 +57,6 @@ class TestFissionParity:
     def test_forced_fission_bit_exact(self, backend, use_windows, debug_windows):
         # win-debug arms the fault-on-overwrite tags: each fissioned piece
         # stamps and checks them wherever it runs.
-        if not _backend_available(backend):
-            pytest.skip("fork unavailable")
         analyzed = mixed_analyzed()
         chart = _merged(analyzed)
         args = mixed_args(n=300)
@@ -85,8 +75,6 @@ class TestFissionParity:
     def test_auto_bit_exact(self, backend):
         # No force: whatever the pricing decides (threaded picks fission
         # on merit at this size, serial may not) must match the reference.
-        if not _backend_available(backend):
-            pytest.skip("fork unavailable")
         analyzed = mixed_analyzed()
         chart = _merged(analyzed)
         args = mixed_args(n=300)

@@ -137,7 +137,7 @@ def _compilations():
                     result.analyzed,
                     result.flowchart,
                 )
-    # index-independent module calls compile through the call box
+    # a per-element call of a loop-free module: inlined, so it emits
     use = analyze_program(parse_program(CALL_PROGRAM_SOURCE))["Use"]
     yield "call/h0m0", use, schedule_module(use)
 

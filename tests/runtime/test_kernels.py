@@ -32,7 +32,7 @@ from repro.runtime.kernels.runtime import affine_gather, affine_scatter
 from repro.runtime.values import RuntimeArray
 from repro.schedule.scheduler import schedule_module
 
-ALL_BACKENDS = ["serial", "vectorized", "threaded", "process"]
+ALL_BACKENDS = ["serial", "vectorized", "threaded"]
 
 DP_SOURCE = """\
 Align: module (CostA: array[1 .. n] of real;
@@ -66,8 +66,23 @@ define
 end Paths;
 """
 
+#: a per-element call of a loop-free scalar module: the front end inlines it
 CALL_PROGRAM_SOURCE = """\
 Scale: module (x: real): [y: real]; define y = x * 2.0; end Scale;
+Use: module (A: array[1 .. n] of real; n: int): [B: array[1 .. n] of real];
+type I = 1 .. n;
+define B[I] = Scale(A[I]) + 1.0;
+end Use;
+"""
+
+#: the same call of a module with a loop of its own: the call stays a call,
+#: and its equation stays on the evaluator
+KEPT_CALL_PROGRAM_SOURCE = """\
+Scale: module (x: real): [y: real];
+type K = 1 .. 1;
+var P: array [1 .. 1] of real;
+define P[K] = x * 2.0; y = P[1];
+end Scale;
 Use: module (A: array[1 .. n] of real; n: int): [B: array[1 .. n] of real];
 type I = 1 .. n;
 define B[I] = Scale(A[I]) + 1.0;
@@ -209,7 +224,7 @@ class TestKernelizability:
             assert kernelizable(eq, analyzed)
 
     def test_module_calls_are_not(self):
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         use = program["Use"]
         eq = use.equations[0]
         assert not kernelizable(eq, use)
@@ -218,7 +233,7 @@ class TestKernelizability:
 
     def test_module_call_fallback_is_exact(self):
         """Non-kernelizable equations run on the evaluator and still agree."""
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         rng = np.random.default_rng(11)
         args = {"A": rng.random(6), "n": 6}
         off = execute_program_module(
@@ -257,7 +272,7 @@ class TestKernelCache:
         assert np.array_equal(r1["newA"], r2["newA"])
 
     def test_non_kernelizable_is_cached_as_none(self):
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         use = program["Use"]
         cache = KernelCache(use, schedule_module(use))
         eq = use.equations[0]
@@ -271,7 +286,7 @@ class TestKernelCache:
     def test_callee_runtime_is_memoized_across_calls(self):
         """Module calls reuse one schedule + kernel cache per callee —
         a per-element call must not re-schedule or re-compile anything."""
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         rng = np.random.default_rng(4)
         args = {"A": rng.random(8), "n": 8}
         execute_program_module(

@@ -4,7 +4,9 @@ A module call whose arguments never mention the equation's loop indices
 evaluates to one value per invocation; binding the execution's ``call_fn``
 through the kernel cache's call box lets such equations leave the
 evaluator — and stops them from forcing their whole nest onto the
-per-element fallback. Index-*dependent* calls still reject.
+per-element fallback. Index-*dependent* calls still reject. ``Offset`` has a
+loop of its own, so the front end does not inline its calls (a loop-free
+scalar callee would be inlined, leaving no call to compile).
 """
 
 import numpy as np
@@ -24,8 +26,13 @@ from repro.schedule.scheduler import schedule_module
 
 PROGRAM = """\
 Offset: module (base: real): [y: real];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of real;
 define
-    y = base * 3.0 + 1.0;
+    P[K] = base * 3.0 + 1.0;
+    y = P[1];
 end Offset;
 
 Grid: module (A: array[1 .. n, 1 .. n] of real; base: real; n: int):
@@ -39,8 +46,13 @@ end Grid;
 
 INDEXED_PROGRAM = """\
 Offset: module (base: real): [y: real];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of real;
 define
-    y = base * 3.0 + 1.0;
+    P[K] = base * 3.0 + 1.0;
+    y = P[1];
 end Offset;
 
 Grid: module (A: array[1 .. n, 1 .. n] of real; n: int):

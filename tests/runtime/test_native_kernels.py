@@ -232,20 +232,6 @@ class TestNativeParity:
         native_mod.compile_native_nest(nest, analyzed, flow, False)
         assert calls == []  # compiler never invoked again
 
-    def test_process_pool_inherits_native_kernels(self, native_cache_dir):
-        """warm() loads the shared objects pre-fork; pool workers execute
-        native chunks bit-exactly."""
-        name, analyzed, flow, args, result = WORKLOADS[0]
-        expected = execute_module(
-            analyzed, args, flowchart=flow,
-            options=ExecutionOptions(backend="serial", use_kernels=False),
-        )[result]
-        got = execute_module(
-            analyzed, args, flowchart=flow,
-            options=_options("process", "native"),
-        )[result]
-        assert np.array_equal(got, expected)
-
 
 class TestGracefulDegradation:
     def test_no_compiler_falls_back_to_numpy_tier(self, monkeypatch):
@@ -414,9 +400,9 @@ class TestEmittability:
         from repro.ps.parser import parse_program
         from repro.ps.semantics import analyze_program
 
-        from tests.runtime.test_kernels import CALL_PROGRAM_SOURCE
+        from tests.runtime.test_kernels import KEPT_CALL_PROGRAM_SOURCE
 
-        program = analyze_program(parse_program(CALL_PROGRAM_SOURCE))
+        program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         use = program["Use"]
         flow = schedule_module(use)
         for nest in _outermost_parallel(flow.descriptors):

@@ -45,7 +45,7 @@ from repro.schedule.scheduler import schedule_module
 
 from tests.runtime.test_kernels import WORKLOADS
 
-CHUNKED_BACKENDS = ["threaded", "process"]
+CHUNKED_BACKENDS = ["threaded"]
 
 needs_toolchain = pytest.mark.skipif(
     not native_supported(), reason="no C compiler / cffi on this machine"
@@ -350,10 +350,7 @@ class TestUnprovenChunk:
             analyzed, flow, backend_name, options, {"n": n}, default="chunk"
         )
         backend = instantiate_backend(backend_name, workers=3)
-        done = (
-            backend._ctx.SimpleQueue() if backend_name == "process"
-            else queue.SimpleQueue()
-        )
+        done = queue.SimpleQueue()
         original = ExecutionBackend.run_chunk
 
         def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):

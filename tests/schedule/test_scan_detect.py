@@ -127,10 +127,16 @@ end Skip;
         from repro.ps.parser import parse_program
         from repro.ps.semantics import analyze_program
 
+        # (Helper has a loop of its own, so the call is not inlined.)
         program = analyze_program(parse_program("""\
 Helper: module (x: int): [y: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
 define
-    y = x * 2;
+    P[K] = x * 2;
+    y = P[1];
 end Helper;
 
 Caller: module (X: array[1 .. n] of int; n: int):

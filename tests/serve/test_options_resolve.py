@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
 from repro.core.pipeline import compile_source
+from repro.errors import ExecutionError
 from repro.runtime.executor import ExecutionOptions
 from repro.serve import Session
 
@@ -21,6 +22,12 @@ SURVIVING_FIELDS = [
     "use_windows", "debug_windows", "backend", "workers", "use_kernels",
     "kernel_tier", "strategy",
 ]
+
+
+def _session_plan(options):
+    with Session() as session:
+        session.load(RELAXATION_JACOBI_SOURCE)
+        return session.plan("Relaxation", ARGS, options=options)
 
 
 def _session_run(**overrides):
@@ -47,7 +54,7 @@ class TestResolve:
 
     def test_base_is_never_mutated(self):
         base = ExecutionOptions(backend="threaded")
-        ExecutionOptions.resolve(base, backend="process", workers=9)
+        ExecutionOptions.resolve(base, backend="vectorized", workers=9)
         assert base.backend == "threaded"
         assert base.workers is None
 
@@ -71,6 +78,21 @@ class TestResolve:
             resolve(**{retired: True})
         assert repr([retired]) in str(exc.value)
         assert f"valid fields: {sorted(SURVIVING_FIELDS)}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            lambda o: compile_source(RELAXATION_JACOBI_SOURCE).plan(ARGS, o),
+            _session_plan,
+        ],
+        ids=["CompileResult.plan", "Session.plan"],
+    )
+    def test_the_retired_process_backend_fails_at_plan_time(self, plan):
+        options = ExecutionOptions(backend="process")
+        with pytest.raises(ExecutionError) as exc:
+            plan(options)
+        assert "unknown execution backend 'process'" in str(exc.value)
+        assert "available: serial, vectorized, threaded" in str(exc.value)
 
     def test_base_is_positional_only(self):
         # keyword base would silently collide with a field named "base" if

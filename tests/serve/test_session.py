@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import repro.runtime.backends.process as process_mod
 import repro.runtime.kernels.cache as cache_mod
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
 from repro.core.recurrences import COUPLED_SOURCE, SCAN_SOURCE
@@ -137,6 +136,23 @@ class TestExecution:
             s.warm(name, {"n": 16})
             assert s.stats().runs == 1
 
+    def test_window_debug_warm_builds_no_kernels(self):
+        """A window-debug run never calls a kernel (kernels skip the
+        fault-on-overwrite tags), so warming one compiles none: no ``cc``
+        translation unit, no exec-compiled equation — and the primed run
+        still matches the evaluator."""
+        options = ExecutionOptions(use_windows=True, debug_windows=True)
+        with Session(execution=options) as s:
+            s.load(RELAXATION_JACOBI_SOURCE)
+            report = s.warm("Relaxation", SIZES)["Relaxation"]
+            assert report["tus"] == 0
+            assert report["compiled"] == 0
+            args = {**SIZES, "InitialA": make_input(4)}
+            out = s.run("Relaxation", args)
+            ref = serial_reference(s, "Relaxation", args)
+            assert np.array_equal(out["newA"], ref["newA"])
+            assert s.result_for("Relaxation").kernel_cache.stats()["tus"] == 0
+
     def test_plan_coalesces_concurrent_lookups(self, session):
         barrier = threading.Barrier(8)
 
@@ -220,31 +236,31 @@ class TestLifecycle:
         assert s.closed
 
 
-@pytest.mark.skipif(
-    not process_mod._fork_available(), reason="fork unavailable"
-)
 class TestPersistentPools:
     def _session(self, workers: int = 2) -> Session:
         s = Session(
-            execution=ExecutionOptions(backend="process", workers=workers)
+            execution=ExecutionOptions(
+                backend="threaded", workers=workers, strategy="chunk"
+            )
         )
         s.load(RELAXATION_JACOBI_SOURCE)
         return s
 
-    def test_pool_pids_survive_across_runs_and_sizes(self):
+    def test_pool_survives_across_runs_and_sizes(self):
         with self._session() as s:
             s.warm("Relaxation", {"M": 16, "maxK": 3})
-            backend = next(iter(s._backends.values())).backend
-            pids = {p.pid for p in backend._procs}
-            assert len(pids) == 2, "warm must fork the pool"
+            (backend,) = s._backends.values()
+            pool = backend._pool
+            assert pool is not None, "warm must start the pool"
             for seed, m in [(0, 16), (1, 24), (2, 16)]:
                 args = {"M": m, "maxK": 3, "InitialA": make_input(seed, m)}
                 out = s.run("Relaxation", args)
                 ref = serial_reference(s, "Relaxation", args)
                 assert np.array_equal(out["newA"], ref["newA"])
-            assert {p.pid for p in backend._procs} == pids
+            assert list(s._backends.values()) == [backend]
+            assert backend._pool is pool
 
-    def test_concurrent_pool_runs_serialize_correctly(self):
+    def test_concurrent_pool_runs_are_correct(self):
         with self._session() as s:
             s.warm("Relaxation", {"M": 12, "maxK": 3})
             inputs = [make_input(i, 12) for i in range(4)]
@@ -265,34 +281,13 @@ class TestPersistentPools:
             for i in range(4):
                 assert np.array_equal(outputs[i], expected[i])
 
-    def test_close_terminates_pool_and_unlinks_all_segments(self, monkeypatch):
-        class Spy(process_mod.shared_memory.SharedMemory):
-            created: list = []
-            unlinked: list = []
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if kwargs.get("create"):
-                    Spy.created.append(self.name)
-
-            def unlink(self):
-                Spy.unlinked.append(self.name)
-                super().unlink()
-
-        monkeypatch.setattr(process_mod.shared_memory, "SharedMemory", Spy)
+    def test_close_shuts_the_pool_down(self):
         s = self._session()
         s.warm("Relaxation", {"M": 16, "maxK": 3})
-        for seed in range(2):
-            s.run(
-                "Relaxation",
-                {"M": 16, "maxK": 3, "InitialA": make_input(seed, 16)},
-            )
-        backend = next(iter(s._backends.values())).backend
-        procs = list(backend._procs)
-        assert procs
+        (backend,) = s._backends.values()
+        threads = list(backend._pool._threads)
+        assert threads
         s.close()
-        assert Spy.created, "expected shared-memory storage"
-        assert set(Spy.created) == set(Spy.unlinked)
-        for p in procs:
-            p.join(timeout=10)
-            assert p.exitcode is not None, "pool worker still alive"
+        assert backend._pool is None
+        for t in threads:
+            assert not t.is_alive(), "pool thread still alive"

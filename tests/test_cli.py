@@ -186,7 +186,7 @@ class TestRun:
         )
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded"])
     def test_backend_flag(self, jacobi_file, backend, capsys):
         rc = main(
             ["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
@@ -202,12 +202,22 @@ class TestRun:
 
     @pytest.mark.parametrize("name", RETIRED_BACKENDS)
     def test_backend_flag_rejects_retired_names(self, jacobi_file, name, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
                   "--backend", name])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err
-        assert "'process', 'serial', 'threaded', 'vectorized'" in err
+        assert "'auto', 'serial', 'threaded', 'vectorized')" in err
+
+    def test_plan_rejects_the_retired_process_backend(self, jacobi_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", jacobi_file, "--set", "M=3", "--set", "maxK=3",
+                  "--backend", "process"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process'" in err
+        assert "'auto', 'serial', 'threaded', 'vectorized')" in err
 
     @pytest.mark.parametrize("argv", [
         ["plan", "--allow-reassoc"],
