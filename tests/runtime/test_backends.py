@@ -1,4 +1,4 @@
-"""Backend parity: serial == vectorized == threaded.
+"""Backend parity: serial == vectorized == threaded == auto.
 
 Every workload is executed on the serial reference backend and on each of
 the other backends (with enough workers to force real chunking), with and
@@ -23,7 +23,9 @@ from repro.runtime.backends import available_backends, instantiate_backend
 from repro.runtime.backends.threaded import ThreadedBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 
-PARALLEL_BACKENDS = ["vectorized", "threaded"]
+#: the parallel backends, and ``auto``: whatever the planner picks per loop
+#: must agree with the serial reference too
+PARALLEL_BACKENDS = ["vectorized", "threaded", "auto"]
 
 #: registry names that were retired (the pool of forked workers over shared
 #: memory, the fork-per-wavefront pool and the thread pool's second name),
@@ -223,7 +225,7 @@ class TestChunkedExecution:
     """The chunked backends must agree with serial whatever the worker
     count, including degenerate splits (more workers than iterations)."""
 
-    @pytest.mark.parametrize("backend", ["threaded"])
+    @pytest.mark.parametrize("backend", ["threaded", "auto"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 16])
     def test_worker_counts(self, backend, workers):
         analyzed = jacobi_analyzed()
@@ -330,3 +332,49 @@ class TestOneJoin:
         finally:
             backend.close()
         assert np.array_equal(out["Y"], ref["Y"])
+
+
+class TestWindowDebugOnThePool:
+    @pytest.mark.parametrize("strategy", ["chunk", "collapse"])
+    @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
+    def test_runs_on_the_persistent_pool(self, strategy, use_windows):
+        """A window-debug run streams its wavefronts through the thread
+        pool the backend builds once, and the chunks check and stamp the
+        same fault-on-overwrite tags as the caller's walk: the sweeps run
+        on the pool, the copy-in and copy-out loops on the tag-checking
+        walk, which reads what the chunks wrote. The second run on the
+        instance reuses the pool; both match ``serial`` bit for bit."""
+        from repro.plan.planner import forced_plan
+        from repro.schedule.flowchart import LoopDescriptor
+        from repro.schedule.scheduler import schedule_module
+
+        analyzed = jacobi_analyzed()
+        flow = schedule_module(analyzed)
+        m, maxk, workers = 8, 6, 4
+        options = ExecutionOptions(
+            backend="threaded", workers=workers,
+            use_windows=use_windows, debug_windows=True,
+        )
+        do_k = next(
+            d for d in flow.descriptors
+            if isinstance(d, LoopDescriptor) and not d.parallel
+        )
+        plan = forced_plan(
+            analyzed, flow, "threaded", options, {"M": m, "maxK": maxk},
+            default="serial", overrides={flow.path_of(do_k.body[0]): strategy},
+        )
+        backend = instantiate_backend("threaded", workers=workers)
+        pools = []
+        try:
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
+                ref = execute_module(analyzed, dict(args), options=options_for("serial"))
+                out = execute_module(
+                    analyzed, dict(args), flow, options, plan=plan, backend=backend
+                )
+                assert np.array_equal(out["newA"], ref["newA"]), seed
+                pools.append(backend._pool)
+        finally:
+            backend.close()
+        assert pools[0] is not None and pools[1] is pools[0]

@@ -21,7 +21,8 @@ from repro.runtime.backends import instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import Session
 
-BACKENDS = ["serial", "vectorized", "threaded"]
+#: every backend, and ``auto``, which plans over them
+BACKENDS = ["serial", "vectorized", "threaded", "auto"]
 TIERS = ["native", "numpy", "evaluator"]
 
 
@@ -103,7 +104,7 @@ def _awkward(arr: np.ndarray, how: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("how", ["strided", "big-endian", "fortran", "int32"])
-@pytest.mark.parametrize("backend", ["serial", "threaded"])
+@pytest.mark.parametrize("backend", ["serial", "threaded", "auto"])
 def test_awkward_arguments_are_converted_bit_exactly(backend, how):
     options = ExecutionOptions(backend=backend, workers=2)
     for name, analyzed, args in WORKLOADS:

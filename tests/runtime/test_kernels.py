@@ -141,7 +141,7 @@ def _options(backend, kernels, use_windows=False):
 
 
 class TestKernelParity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", [*ALL_BACKENDS, "auto"])
     @pytest.mark.parametrize("use_windows", [False, True])
     def test_bit_exact_on_every_workload(self, backend, use_windows):
         for name, analyzed, flow, args, result in WORKLOADS:

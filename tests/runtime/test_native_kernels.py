@@ -88,7 +88,7 @@ def _outermost_parallel(descs):
 
 @needs_toolchain
 class TestNativeParity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", [*ALL_BACKENDS, "auto"])
     @pytest.mark.parametrize("use_windows", [False, True])
     def test_bit_exact_on_every_workload(
         self, backend, use_windows, native_cache_dir

@@ -186,7 +186,7 @@ class TestRun:
         )
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threaded"])
+    @pytest.mark.parametrize("backend", ["auto", "serial", "vectorized", "threaded"])
     def test_backend_flag(self, jacobi_file, backend, capsys):
         rc = main(
             ["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
