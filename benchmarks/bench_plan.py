@@ -40,10 +40,10 @@ AUTO_GATE_FACTOR = 1.15
 AUTO_GATE_GRACE = 0.005
 #: nest-fused kernels must beat per-equation kernels by this factor
 NEST_GATE_SPEEDUP = 1.5
-#: the collapsed fused-chunk path must beat the serial+inner-chunk path
-#: per backend (the win is structural — one dispatch wave instead of one
-#: per row)
-COLLAPSE_GATE_SPEEDUP = {"threaded": 1.3}
+#: the collapsed fused-chunk path must beat the serial+inner-chunk path on
+#: the threaded backend (the win is structural — one dispatch wave instead
+#: of one per row)
+COLLAPSE_GATE_SPEEDUP = 1.3
 #: fused flat kernels must beat the per-equation flat-chunk walk
 COLLAPSE_FUSE_GATE_SPEEDUP = 1.5
 #: worker count for the collapse gates (the ISSUE floor is 4)
@@ -270,50 +270,48 @@ def test_collapse_beats_iterate_on_tall_skinny(artifact):
         "grid": [4, 4096], "maxk": 6, "workers": COLLAPSE_WORKERS,
         "gates": {},
     }
-    for backend, required in COLLAPSE_GATE_SPEEDUP.items():
-        options = ExecutionOptions(backend=backend, workers=COLLAPSE_WORKERS)
-        chosen = build_plan(analyzed, flow, options, scalars)
-        assert all(chosen.loops[p].strategy == "collapse" for p in copies), (
-            chosen.pretty()
+    options = ExecutionOptions(backend="threaded", workers=COLLAPSE_WORKERS)
+    chosen = build_plan(analyzed, flow, options, scalars)
+    assert all(chosen.loops[p].strategy == "collapse" for p in copies), (
+        chosen.pretty()
+    )
+    collapse_plan = forced_plan(
+        analyzed, flow, "threaded", options, scalars,
+        overrides={p: "collapse" for p in copies},
+    )
+    inner_plan = forced_plan(
+        analyzed, flow, "threaded", options, scalars,
+        overrides={
+            **{p: "serial" for p in copies},
+            **{p + (0,): "chunk" for p in copies},
+        },
+    )
+    t_collapse, out_collapse = _time(
+        lambda: execute_module(
+            analyzed, args, flowchart=flow, options=options, plan=collapse_plan
         )
-        collapse_plan = forced_plan(
-            analyzed, flow, backend, options, scalars,
-            overrides={p: "collapse" for p in copies},
+    )
+    t_iterate, out_iterate = _time(
+        lambda: execute_module(
+            analyzed, args, flowchart=flow, options=options, plan=inner_plan
         )
-        inner_plan = forced_plan(
-            analyzed, flow, backend, options, scalars,
-            overrides={
-                **{p: "serial" for p in copies},
-                **{p + (0,): "chunk" for p in copies},
-            },
-        )
+    )
+    assert np.array_equal(out_collapse["newA"], expected)
+    assert np.array_equal(out_iterate["newA"], expected)
 
-        t_collapse, out_collapse = _time(
-            lambda options=options, plan=collapse_plan: execute_module(
-                analyzed, args, flowchart=flow, options=options, plan=plan
-            )
-        )
-        t_iterate, out_iterate = _time(
-            lambda options=options, plan=inner_plan: execute_module(
-                analyzed, args, flowchart=flow, options=options, plan=plan
-            )
-        )
-        assert np.array_equal(out_collapse["newA"], expected)
-        assert np.array_equal(out_iterate["newA"], expected)
-
-        speedup = t_iterate / t_collapse
-        assert speedup >= required, (
-            f"collapsed fused chunks only {speedup:.2f}x over "
-            f"serial+inner chunk on the 4x4096 tall-skinny Jacobi "
-            f"({backend}, {COLLAPSE_WORKERS} workers; gate: {required}x)"
-        )
-        payload["gates"][f"collapse_{backend}"] = {
-            "iterate_seconds": t_iterate,
-            "collapse_seconds": t_collapse,
-            "speedup": speedup,
-            "required": required,
-            "passed": True,
-        }
+    speedup = t_iterate / t_collapse
+    assert speedup >= COLLAPSE_GATE_SPEEDUP, (
+        f"collapsed fused chunks only {speedup:.2f}x over "
+        f"serial+inner chunk on the 4x4096 tall-skinny Jacobi "
+        f"(threaded, {COLLAPSE_WORKERS} workers; gate: {COLLAPSE_GATE_SPEEDUP}x)"
+    )
+    payload["gates"]["collapse_threaded"] = {
+        "iterate_seconds": t_iterate,
+        "collapse_seconds": t_collapse,
+        "speedup": speedup,
+        "required": COLLAPSE_GATE_SPEEDUP,
+        "passed": True,
+    }
     artifact("BENCH_plan_collapse.json", json.dumps(payload, indent=2))
 
 

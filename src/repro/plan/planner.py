@@ -43,7 +43,6 @@ from repro.plan.ir import (
     PlanError,
 )
 from repro.plan.strategy import (
-    CHUNKED_BACKENDS,
     FISSION,
     LOOP_STRATEGIES,
     NEST,
@@ -68,7 +67,7 @@ from repro.schedule.flowchart import (
 #: every backend a plan may target, and what ``backend="auto"`` chooses
 #: from (the registry of ``repro.runtime.backends``; a test keeps the two
 #: sets equal)
-KNOWN_BACKENDS = ("serial", "vectorized") + CHUNKED_BACKENDS
+KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16

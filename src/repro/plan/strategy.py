@@ -46,9 +46,6 @@ from repro.schedule.flowchart import (
     split_range,
 )
 
-#: backends that divide a ``DOALL`` among a pool of workers
-CHUNKED_BACKENDS = ("threaded",)
-
 #: a chunk-safe inner DOALL takes the team only when its own trip count
 #: keeps every worker busy at least this many chunks deep
 INNER_CHUNK_FACTOR = 2
@@ -116,7 +113,7 @@ class LoopStrategy:
 def _pool_refusal(planner, desc: LoopDescriptor) -> str | None:
     """Why the backend's workers cannot divide ``desc``, None when they
     can."""
-    if planner.backend not in CHUNKED_BACKENDS:
+    if planner.backend != "threaded":
         return f"the {planner.backend} backend has no worker pool"
     why = CHUNK.recognise(planner, desc, forced=True)
     if why is not None:
@@ -212,7 +209,7 @@ class VectorStrategy(LoopStrategy):
             return IN_ORDER
         if forced or planner.backend == "vectorized":
             return None
-        if planner.backend not in CHUNKED_BACKENDS:
+        if planner.backend != "threaded":
             return f"the {planner.backend} backend runs no vector spans"
         if _pool_refusal(planner, desc) is None:
             return "the workers divide it"
@@ -221,7 +218,7 @@ class VectorStrategy(LoopStrategy):
     def price(self, planner, desc):
         t = planner._trip_est(desc)
         cycles = sum(planner._cost(d, "vector", t) for d in desc.body)
-        if planner.backend not in CHUNKED_BACKENDS:
+        if planner.backend != "threaded":
             return Price(cycles)
         return Price(cycles, reason=_pool_refusal(planner, desc) or "")
 

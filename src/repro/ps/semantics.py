@@ -24,6 +24,7 @@ checks in :mod:`repro.ps.coverage`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.errors import SemanticError
@@ -924,9 +925,10 @@ def _signature_of(analyzed: AnalyzedModule) -> tuple[list[Type], list[Type]]:
 #: the data types an inlinable module may declare
 _INLINE_TYPES = (IntType, RealType, BoolType)
 
-#: the most expression nodes a module may inline to: a local read twice
-#: doubles the expression, so a chain of such locals (or a cycle of them)
-#: must not explode it
+#: the most expression nodes a module, or one call of it with its arguments
+#: put in, may inline to: a local or parameter read twice doubles the
+#: expression, so a chain of such locals or of nested calls must not
+#: explode it
 INLINE_MAX_NODES = 256
 
 
@@ -999,19 +1001,37 @@ def inline_body(analyzed: AnalyzedModule) -> InlineBody | None:
         return None
 
 
+def _size(expr: Expr) -> int:
+    return sum(1 for _ in walk_expr(expr))
+
+
 def _inline_calls(expr: Expr, inline: dict[str, InlineBody | None]) -> Expr:
     """``expr`` with every call of an inlinable module replaced by the
-    module's result, its parameters bound to the call's arguments."""
+    module's result, its parameters bound to the call's arguments. An
+    argument is pasted once per read of its parameter, so a call stays a
+    call when that would run a kept module call more than once, or grow
+    the expression past ``INLINE_MAX_NODES`` (a nest of calls that each
+    read their parameter twice would double per level)."""
     expr = map_children(expr, lambda e: _inline_calls(e, inline))
-    if isinstance(expr, Call) and inline.get(expr.func) is not None:
-        params, body = inline[expr.func]
-        args = dict(zip(params, expr.args))
+    if not isinstance(expr, Call) or inline.get(expr.func) is None:
+        return expr
+    params, body = inline[expr.func]
+    reads = Counter(e.ident for e in walk_expr(body) if isinstance(e, Name))
+    size = _size(body)
+    for param, arg in zip(params, expr.args):
+        if reads[param] > 1 and any(
+            isinstance(e, Call) and not is_builtin(e.func) for e in walk_expr(arg)
+        ):
+            return expr
+        size += reads[param] * (_size(arg) - 1)
+    if size > INLINE_MAX_NODES:
+        return expr
+    args = dict(zip(params, expr.args))
 
-        def bind(e: Expr) -> Expr:
-            return args[e.ident] if isinstance(e, Name) else map_children(e, bind)
+    def bind(e: Expr) -> Expr:
+        return args[e.ident] if isinstance(e, Name) else map_children(e, bind)
 
-        return bind(body)
-    return expr
+    return bind(body)
 
 
 def _analyze(

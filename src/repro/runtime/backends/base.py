@@ -374,7 +374,7 @@ class ExecutionBackend:
         before its region) degrade to the Python dialect (scalar loops,
         range-checked); ``"flat"`` goes to the strictly serial walk,
         because its NumPy tier is vector rows, which clip a stray
-        subscript instead of raising."""
+        subscript inside an ``if`` branch instead of raising."""
         if shape == "flat":
             self.exec_flat_walk(state, desc, lo, hi, env)
             return

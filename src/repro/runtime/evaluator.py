@@ -6,8 +6,10 @@ Two modes share one code path:
   (reference semantics: the guarded branch is never touched, so boundary
   equations never read out of range);
 * **vector** — some index variables are NumPy arrays; ``if`` becomes
-  ``np.where`` with *both* branches evaluated, so array reads clip indices
-  into range (masked lanes are discarded by the `where`). This is how DOALL
+  ``np.where`` with *both* branches evaluated, so array reads inside a
+  branch (or the right operand of ``and`` / ``or``) clip indices into range
+  (masked lanes are discarded by the `where`). Every other read is live on
+  every lane and range-checked, as in scalar mode. This is how DOALL
   dimensions execute as single NumPy operations — the guides' "vectorize
   your loops" applied to the paper's concurrent loops.
 """
@@ -51,6 +53,12 @@ _BUILTIN_FUNCS: dict[str, Callable] = {
     "trunc": lambda x: np.trunc(x).astype(np.int64),
     "round": lambda x: np.round(x).astype(np.int64),
 }
+
+
+#: the ``vector`` mode of a subexpression whose lanes may be masked: inside
+#: an ``if`` branch or the right operand of ``and`` / ``or``, which scalar
+#: mode evaluates lazily
+GUARDED = "guarded"
 
 
 def _is_vector(v: Any) -> bool:
@@ -107,7 +115,7 @@ class Evaluator:
         base = self.eval(expr.base, env, vector)
         subs = [self.eval(s, env, vector) for s in expr.subscripts]
         if isinstance(base, RuntimeArray):
-            return base.get(subs, clip=vector)
+            return base.get(subs, clip=vector == GUARDED)
         arr = np.asarray(base)
         if vector:
             subs = [
@@ -160,13 +168,13 @@ class Evaluator:
             left = self.eval(expr.left, env, vector)
             if not vector and not _is_vector(left):
                 return bool(left) and bool(self.eval(expr.right, env, vector))
-            right = self.eval(expr.right, env, vector)
+            right = self.eval(expr.right, env, GUARDED)
             return np.logical_and(left, right)
         if op == "or":
             left = self.eval(expr.left, env, vector)
             if not vector and not _is_vector(left):
                 return bool(left) or bool(self.eval(expr.right, env, vector))
-            right = self.eval(expr.right, env, vector)
+            right = self.eval(expr.right, env, GUARDED)
             return np.logical_or(left, right)
 
         left = self.eval(expr.left, env, vector)
@@ -223,6 +231,6 @@ class Evaluator:
                 if cond
                 else self.eval(expr.orelse, env, vector)
             )
-        then = self.eval(expr.then, env, True)
-        orelse = self.eval(expr.orelse, env, True)
+        then = self.eval(expr.then, env, GUARDED)
+        orelse = self.eval(expr.orelse, env, GUARDED)
         return np.where(cond, then, orelse)

@@ -10,8 +10,10 @@ Kernels come in two Python dialects, both driven by the one walk in
   like the evaluator). Per-equation scalar kernels and ``"full"`` nest
   kernels speak it;
 * **vector** — index variables may be contiguous NumPy aranges; ``if``
-  lowers to ``np.where`` and array reads clip into range exactly like the
-  vector evaluator, but affine subscripts (``I + c``) go through
+  lowers to ``np.where``, and array reads inside a branch (or the right
+  operand of ``and`` / ``or``) clip into range while every other read is
+  range-checked, exactly like the vector evaluator; affine subscripts
+  (``I + c``) go through
   :func:`~repro.runtime.kernels.runtime.affine_gather`, which selects the
   same values via basic slices instead of fancy indexing. Per-equation
   vector kernels and the row loop of ``"flat"`` nest kernels speak it.
@@ -292,14 +294,26 @@ class _VectorLowerer(_KernelLowerer):
 
     count_code = "int(np.size(__v))"
 
+    #: how many ``if`` branches / lazy operands enclose the walk's position:
+    #: reads there may be masked lanes, so they clip instead of raising
+    guarded = 0
+
     def lower_array_ref(self, name: str, subscripts: list[Expr]) -> str:
         wins = self.register_array(name)
         pname = py_name(name)
+        clip = ", clip=True" if self.guarded else ""
         specs = self._affine_specs(subscripts, wins)
         if specs is not None:
-            return f"_ag(_a_{pname}, ({', '.join(specs)},))"
+            return f"_ag(_a_{pname}, ({', '.join(specs)},){clip})"
         codes = ", ".join(self.lower(s) for s in subscripts)
-        return f"_a_{pname}.get([{codes}], clip=True)"
+        return f"_a_{pname}.get([{codes}]{clip})"
+
+    def _lower_guarded(self, expr: Expr) -> str:
+        self.guarded += 1
+        try:
+            return self.lower(expr)
+        finally:
+            self.guarded -= 1
 
     def lower_array_store(self, name: str, subscripts: list[Expr]) -> str:
         pname = py_name(name)
@@ -345,14 +359,16 @@ class _VectorLowerer(_KernelLowerer):
         code = self.lower(expr)
         return ("affine", var, code if sign == "+" else f"-({code})")
 
-    def lower_logical(self, op: str, left: str, right: str) -> str:
-        fn = "np.logical_and" if op == "and" else "np.logical_or"
-        return f"{fn}({left}, {right})"
+    def lower_binop(self, expr: BinOp) -> str:
+        if expr.op in ("and", "or"):
+            fn = "np.logical_and" if expr.op == "and" else "np.logical_or"
+            return f"{fn}({self.lower(expr.left)}, {self._lower_guarded(expr.right)})"
+        return super().lower_binop(expr)
 
     def lower_if(self, expr) -> str:
         return (
-            f"np.where({self.lower(expr.cond)}, {self.lower(expr.then)}, "
-            f"{self.lower(expr.orelse)})"
+            f"np.where({self.lower(expr.cond)}, {self._lower_guarded(expr.then)}, "
+            f"{self._lower_guarded(expr.orelse)})"
         )
 
 

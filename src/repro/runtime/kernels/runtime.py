@@ -139,16 +139,17 @@ def _clip_axis(block: np.ndarray, axis: int, start: int, n: int, lo: int, hi: in
     return np.concatenate(parts, axis=axis) if len(parts) > 1 else parts[0]
 
 
-def affine_gather(arr: RuntimeArray, specs):
-    """Read ``arr`` at affine subscripts, clipping like the vector evaluator.
+def affine_gather(arr: RuntimeArray, specs, clip: bool = False):
+    """Read ``arr`` at affine subscripts like the vector evaluator.
 
     ``specs`` holds one ``(base, offset)`` pair per dimension: ``base`` is the
     runtime value of the subscript's index variable (a contiguous arange with
     trailing broadcast axes when the loop is vectorised, a scalar otherwise —
     or the whole subscript's value when it has no index variable), ``offset``
     the compile-time-known additive rest. Returns exactly the values of
-    ``arr.get([base + offset, ...], clip=True)``, reshaped to the same
+    ``arr.get([base + offset, ...], clip=clip)``, reshaped to the same
     broadcast axes, but via basic slices wherever the subrange is contiguous.
+    Without ``clip`` an out-of-range subscript raises ``ExecutionError``.
     """
     sto = arr.storage
     los, his, wins = arr.los, arr.his, arr.windows
@@ -161,10 +162,21 @@ def affine_gather(arr: RuntimeArray, specs):
                 raise ExecutionError(
                     f"kernel fast path on windowed dimension {d} of {arr.name!r}"
                 )
-            vecs.append((int(base.flat[0]) + int(off), int(base.size), base.ndim - 1, d))
+            start, n = int(base.flat[0]) + int(off), int(base.size)
+            if not clip and (start < lo or start + n - 1 > hi):
+                raise ExecutionError(
+                    f"index {start if start < lo else hi + 1} out of range "
+                    f"[{lo}, {hi}] in dimension {d} of {arr.name!r}"
+                )
+            vecs.append((start, n, base.ndim - 1, d))
             core.append(slice(None))
         else:
             i = int(base) + int(off)
+            if not clip and (i < lo or i > hi):
+                raise ExecutionError(
+                    f"index {i} out of range [{lo}, {hi}] in dimension {d} of "
+                    f"{arr.name!r}"
+                )
             i = lo if i < lo else (hi if i > hi else i)
             r = i - lo
             w = wins.get(d)

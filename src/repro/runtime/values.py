@@ -231,7 +231,7 @@ class RuntimeArray:
         bad = (idx < lo) | (idx > hi)
         if np.any(bad):
             raise ExecutionError(
-                f"index {idx} out of range [{lo}, {hi}] in dimension {d} of "
+                f"index {idx[bad][0]} out of range [{lo}, {hi}] in dimension {d} of "
                 f"{self.name!r}"
             )
 

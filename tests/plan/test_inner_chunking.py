@@ -41,8 +41,7 @@ def _outer_inner(plan):
 
 
 class TestTallSkinnyGrid:
-    @pytest.mark.parametrize("backend", ["threaded"])
-    def test_planner_collapses_the_nest(self, backend):
+    def test_planner_collapses_the_nest(self):
         """A 4-row grid cannot keep 8 workers busy chunking on rows; with
         a collapse-safe fusable chain the planner now flattens the whole
         nest into one chunked iteration space (PR 4) instead of iterating
@@ -50,7 +49,7 @@ class TestTallSkinnyGrid:
         analyzed, flow, args = _setup(4, 4096)
         plan = build_plan(
             analyzed, flow,
-            ExecutionOptions(backend=backend, workers=8),
+            ExecutionOptions(backend="threaded", workers=8),
             {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
@@ -61,15 +60,14 @@ class TestTallSkinnyGrid:
         assert "trip 4 < 8 workers" in outer.reason
         assert inner.strategy == "collapse"
 
-    @pytest.mark.parametrize("backend", ["threaded"])
-    def test_without_collapse_the_inner_doall_takes_the_team(self, backend):
+    def test_without_collapse_the_inner_doall_takes_the_team(self):
         """With no kernel to fuse (kernels off) the nest cannot collapse:
         the outer DOALL runs in order and says which inner DOALL takes the
         workers, and that one chunks."""
         analyzed, flow, args = _setup(4, 4096)
         plan = build_plan(
             analyzed, flow,
-            ExecutionOptions(backend=backend, workers=8, use_kernels=False),
+            ExecutionOptions(backend="threaded", workers=8, use_kernels=False),
             {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)

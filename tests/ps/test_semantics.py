@@ -6,7 +6,7 @@ from repro.errors import CoverageError, SemanticError
 from repro.ps.ast import Index, IntLit
 from repro.ps.parser import parse_module, parse_program
 from repro.ps.printer import format_expression
-from repro.ps.semantics import analyze_module, analyze_program
+from repro.ps.semantics import INLINE_MAX_NODES, analyze_module, analyze_program
 from repro.ps.types import ArrayType, BoolType, RealType
 
 
@@ -404,6 +404,28 @@ class TestInlining:
 
     def test_a_refused_callee_keeps_its_call(self):
         assert _use(REFUSED["own-loop"], "Inc(A[I], I)") == ("Inc(A[I], I)", ["Inc"])
+
+    def test_a_deep_nest_of_calls_stays_linear(self):
+        """``Sq`` reads ``x`` twice, so each level of inlining would double
+        the expression: past ``INLINE_MAX_NODES`` the outer calls stay."""
+        callee = "Sq: module (x: real): [y: real]; define y = x * x; end Sq;\n"
+        depth = 40
+        text, calls = _use(callee, "Sq(" * depth + "A[I]" + ")" * depth)
+        assert set(calls) == {"Sq"}
+        assert text.count("Sq(") < depth
+        assert len(text) < depth * INLINE_MAX_NODES
+
+    def test_a_kept_call_is_not_pasted_twice(self):
+        """An argument holding a call that stays would run once per read of
+        ``Sq``'s parameter: ``Sq`` keeps its call, and ``Scale``, which
+        reads its parameter once, is inlined around the kept call."""
+        callee = REFUSED["own-loop"] + (
+            "Sq: module (x: real): [y: real]; define y = x * x; end Sq;\n"
+            "Scale: module (x: real): [y: real]; define y = x * 2.0; end Scale;\n"
+        )
+        assert _use(callee, "Sq(Inc(A[I], I))") == ("Sq(Inc(A[I], I))", ["Inc", "Sq"])
+        assert _use(callee, "Scale(Inc(A[I], I))") == ("Inc(A[I], I) * 2.0", ["Inc"])
+        assert _use(callee, "Sq(abs(A[I]))") == ("abs(A[I]) * abs(A[I])", [])
 
     def test_types_are_checked_as_written(self):
         # Half's result is declared real: ``div`` refuses it, even though

@@ -36,7 +36,6 @@ from tests.plan.test_collapse import SCALE_SOURCE, _scale_args, _setup
 from tests.runtime.test_kernels import WORKLOADS
 
 ALL_BACKENDS = ["serial", "vectorized", "threaded"]
-POOL_BACKENDS = ["threaded"]
 #: the kernel shape each pool strategy's chunks run
 KIND_OF = {"chunk": "full", "collapse": "flat"}
 #: the two-dimensional paper workloads, where both strategies apply once
@@ -225,17 +224,16 @@ class TestWindowDebugParity:
             assert ref[out] == got[out]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 6])
-    @pytest.mark.parametrize("backend_name", POOL_BACKENDS)
-    def test_degenerate_worker_counts(self, backend_name, workers):
+    def test_degenerate_worker_counts(self, workers):
         """One worker (no wave at all), uneven splits, and more workers
         than the sweep has rows: the tags stay consistent whatever the
-        chunk shape."""
+        chunk shape of the threaded pool."""
         m, maxk = 2, 4
         options = ExecutionOptions(
-            backend=backend_name, workers=workers,
+            backend="threaded", workers=workers,
             use_windows=True, debug_windows=True,
         )
-        analyzed, flow, plan = _jacobi_debug_plan(backend_name, options, m, maxk)
+        analyzed, flow, plan = _jacobi_debug_plan("threaded", options, m, maxk)
         args = _jacobi_args(m, maxk, seed=workers)
         ref = execute_module(
             analyzed, dict(args),
@@ -293,19 +291,14 @@ class TestWindowDebugParity:
 
 class TestFailedWave:
     @pytest.mark.parametrize("strategy", ["chunk", "collapse"])
-    @pytest.mark.parametrize("backend_name", POOL_BACKENDS)
-    def test_joins_every_chunk_then_serves_the_next_run(
-        self, monkeypatch, backend_name, strategy
-    ):
+    def test_joins_every_chunk_then_serves_the_next_run(self, monkeypatch, strategy):
         """While armed, chunk 0 fails at once and chunk 1 finishes 0.2 s
         later. The failure reaches the caller only after the sibling
-        finished; the same instance then runs bit-equal to the
+        finished; the same threaded pool then runs bit-equal to the
         evaluator."""
-        options = ExecutionOptions(
-            backend=backend_name, workers=2, kernel_tier="numpy"
-        )
-        analyzed, flow, plan, args = _scale_plan(backend_name, strategy, options)
-        backend = instantiate_backend(backend_name, workers=2)
+        options = ExecutionOptions(backend="threaded", workers=2, kernel_tier="numpy")
+        analyzed, flow, plan, args = _scale_plan("threaded", strategy, options)
+        backend = instantiate_backend("threaded", workers=2)
         armed, sibling_done = threading.Event(), threading.Event()
         armed.set()
         first = {"full": 1, "flat": 0}

@@ -105,6 +105,20 @@ class TestVectorMode:
         )
         np.testing.assert_allclose(out, [0.0, 10.0, 11.0, 12.0])
 
+    def test_unguarded_array_reads_are_range_checked(self):
+        """A read outside any ``if`` branch is live on every lane: it
+        raises the scalar walk's error; the lazy operand of ``and`` clips."""
+        arr = RuntimeArray.allocate("A", RealType, [(0, 3)])
+        arr.set([np.arange(4)], np.array([10.0, 11.0, 12.0, 13.0]))
+        e = ev({"A": arr})
+        env = {"I": np.arange(4)}
+        with pytest.raises(ExecutionError, match=r"index -1 out of range \[0, 3\]"):
+            e.eval(parse_expression("A[I-1] * 2.0"), env, vector=True)
+        with pytest.raises(ExecutionError, match="index -1 out of range"):
+            e.eval(parse_expression("if A[I-1] > 0.0 then 1 else 0"), env, vector=True)
+        out = e.eval(parse_expression("I > 0 and A[I-1] > 10.5"), env, vector=True)
+        np.testing.assert_array_equal(out, [False, False, True, True])
+
     def test_two_axis_broadcast(self):
         e = ev()
         env = {"I": np.arange(3)[:, None], "J": np.arange(4)}

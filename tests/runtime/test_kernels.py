@@ -321,9 +321,20 @@ class TestAffineHelpers:
         i = np.arange(1, 8)[:, None]  # deliberately out of range both ends
         j = np.arange(-4, 3)
         expected = arr.get([np.clip(i, 2, 6), np.clip(j - 1, -3, 3)], clip=True)
-        got = affine_gather(arr, ((i, 0), (j, -1)))
+        got = affine_gather(arr, ((i, 0), (j, -1)), clip=True)
         assert np.array_equal(got, expected)
         assert got.shape == expected.shape
+
+    def test_gather_out_of_range_raises_unless_clipped(self):
+        """An unguarded read is live on every lane: it raises like ``get``."""
+        from repro.errors import ExecutionError
+
+        arr = RuntimeArray.from_numpy("A", np.arange(3.0), [(0, 2)])
+        with pytest.raises(ExecutionError, match="out of range"):
+            affine_gather(arr, ((np.arange(0, 3), 1),))
+        with pytest.raises(ExecutionError, match="out of range"):
+            affine_gather(arr, ((5, 0),))
+        assert np.array_equal(affine_gather(arr, ((np.arange(0, 3), 1),), clip=True), [1, 2, 2])
 
     def test_gather_scalar_axes(self):
         rng = np.random.default_rng(1)

@@ -45,8 +45,6 @@ from repro.schedule.scheduler import schedule_module
 
 from tests.runtime.test_kernels import WORKLOADS
 
-CHUNKED_BACKENDS = ["threaded"]
-
 needs_toolchain = pytest.mark.skipif(
     not native_supported(), reason="no C compiler / cffi on this machine"
 )
@@ -189,12 +187,11 @@ def _two_cache():
 @needs_toolchain
 class TestSpanParity:
     @pytest.mark.parametrize("use_windows", [False, True])
-    @pytest.mark.parametrize("backend", CHUNKED_BACKENDS)
     @pytest.mark.parametrize(
         "workload", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
     def test_bit_exact_chunk_forced(
-        self, workload, backend, use_windows, span_cache
+        self, workload, use_windows, span_cache
     ):
         """Chunk-forced execution on the native tier == the kernel-less
         serial reference == the NumPy tier, bit for bit."""
@@ -207,20 +204,20 @@ class TestSpanParity:
         )
         for tier in ("native", "numpy"):
             options = ExecutionOptions(
-                backend=backend, workers=3, use_windows=use_windows,
+                backend="threaded", workers=3, use_windows=use_windows,
                 kernel_tier=tier,
             )
             plan = _chunk_forced_plan(
-                analyzed, flow, backend, options, _scalars(args)
+                analyzed, flow, "threaded", options, _scalars(args)
             )
             got = execute_module(
                 analyzed, dict(args), flow, options, plan=plan
             )
             r, g = ref[out], got[out]
             if isinstance(r, np.ndarray):
-                assert np.array_equal(r, g), (name, backend, tier)
+                assert np.array_equal(r, g), (name, tier)
             else:
-                assert r == g, (name, backend, tier)
+                assert r == g, (name, tier)
 
     def test_auto_plan_stays_bit_exact(self, span_cache):
         """The cost-driven plan (whatever it picks) matches the reference
@@ -241,9 +238,8 @@ class TestSpanParity:
 class TestChunkOnTheFullKernel:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    @pytest.mark.parametrize("backend", CHUNKED_BACKENDS)
     def test_doall_over_a_do_chunks_natively(
-        self, backend, use_windows, workers, span_cache
+        self, use_windows, workers, span_cache
     ):
         """``rec`` chunk-forced: every chunked loop — with windows off the
         ``DOALL I (DO J ...)`` too — is served by its native kernel, and
@@ -259,9 +255,9 @@ class TestChunkOnTheFullKernel:
             ),
         )
         options = ExecutionOptions(
-            backend=backend, workers=workers, use_windows=use_windows
+            backend="threaded", workers=workers, use_windows=use_windows
         )
-        plan = _chunk_forced_plan(analyzed, flow, backend, options, {"n": n})
+        plan = _chunk_forced_plan(analyzed, flow, "threaded", options, {"n": n})
         chunked = _chunked(plan)
         assert ((1,) in chunked) == (not use_windows)
         cache = KernelCache(analyzed, flow)
@@ -328,9 +324,8 @@ class TestUnprovenChunk:
             ("full", "numpy", True),
         ]
 
-    @pytest.mark.parametrize("backend_name", CHUNKED_BACKENDS)
     def test_a_real_stray_raises_the_evaluator_error_after_its_siblings(
-        self, backend_name, span_cache, monkeypatch
+        self, span_cache, monkeypatch
     ):
         """``X[I + 1]`` leaves ``X`` at ``I = n`` only: the last chunk's
         proof fails, its rerun on the Python dialect raises the evaluator's
@@ -345,11 +340,11 @@ class TestUnprovenChunk:
                 analyzed, dict(args), flow,
                 ExecutionOptions(backend="serial", kernel_tier="evaluator"),
             )
-        options = ExecutionOptions(backend=backend_name, workers=3)
+        options = ExecutionOptions(backend="threaded", workers=3)
         plan = forced_plan(
-            analyzed, flow, backend_name, options, {"n": n}, default="chunk"
+            analyzed, flow, "threaded", options, {"n": n}, default="chunk"
         )
-        backend = instantiate_backend(backend_name, workers=3)
+        backend = instantiate_backend("threaded", workers=3)
         done = queue.SimpleQueue()
         original = ExecutionBackend.run_chunk
 
@@ -388,9 +383,8 @@ class TestUnprovenChunk:
             ("full", "native"), ("full", "native"), ("full", "native"),
             ("full", "numpy"),
         ]
-        if backend_name == "threaded":
-            stats = cache.stats()
-            assert (stats["range_proven"], stats["range_unproven"]) == (2, 1)
+        stats = cache.stats()
+        assert (stats["range_proven"], stats["range_unproven"]) == (2, 1)
 
 
 @needs_toolchain
