@@ -174,12 +174,11 @@ def _outcome(source, options):
 @pytest.mark.parametrize("backend", ["auto", *BACKENDS])
 @pytest.mark.parametrize("tier", ["native", "numpy", "evaluator"])
 def test_an_out_of_range_argument_raises_everywhere(loop, backend, tier):
-    """``A[I + 1]`` reads past ``A`` at ``I = n``. The call evaluated its
-    arguments on the evaluator's scalar walk and raised the out-of-range
-    error on every backend and tier. Inlined, the read is live on every
-    lane (outside any ``if`` branch), so NumPy vector rows range-check it
-    too: the run raises the call's error, as the equation written out by
-    hand does."""
+    """``A[I + 1]`` reads past ``A`` at ``I = n``. A call evaluates every
+    argument on every call, so the read raises the out-of-range error on
+    every backend and tier. Inlined, the read is live on every lane
+    (outside any ``if`` branch), so NumPy vector rows range-check it too:
+    the run raises that error, as the equation written out by hand does."""
     options = ExecutionOptions(backend=backend, workers=2, kernel_tier=tier)
     inlined = _outcome(
         OOR_CALLEE + _caller("int", "int", "A[I + 1]", "I", loop), options
