@@ -122,6 +122,7 @@ class CompileResult:
         args: dict[str, Any] | None = None,
         execution: ExecutionOptions | None = None,
         options_key: tuple | None = None,
+        served: bool = False,
     ) -> ExecutionPlan:
         """The execution plan for this compilation under the given options
         and (integer) arguments, cached across ``run()`` calls.
@@ -129,6 +130,8 @@ class CompileResult:
         ``backend="auto"`` (the default) asks the cost-driven planner to
         choose; an explicit backend pins the plan to it. ``options_key`` is
         ``execution.key()`` when the caller has already built it.
+        ``served`` asks for the plan priced with the native build sunk
+        (see :func:`repro.plan.planner.build_plan`), cached apart.
         """
         execution = execution or ExecutionOptions()
         scalars = {
@@ -137,6 +140,8 @@ class CompileResult:
             if isinstance(v, (int, np.integer))
         }
         key = (options_key or execution.key(), tuple(sorted(scalars.items())))
+        if served:
+            key += ("served",)
         # Calibration only influences the auto decision, so pinned-backend
         # entries stay valid across calibrations; an auto entry is replaced
         # (not stranded) when new measurements arrive.
@@ -148,7 +153,7 @@ class CompileResult:
             return cached[1]
         plan = build_plan(
             self.analyzed, self.flowchart, execution, scalars,
-            calibration=self._calibration,
+            calibration=self._calibration, served=served,
         )
         self._plan_cache[key] = (version, plan)
         return plan

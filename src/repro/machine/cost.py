@@ -82,10 +82,14 @@ class MachineModel:
     native_call_overhead: float = 400.0
     #: one-time cost of building one more native kernel function (≈ 15 ms
     #: of ``cc`` per function inside a shared translation unit; a unit's
-    #: fixed ≈ 45 ms is shared by the whole plan). A one-time term, not
-    #: amortised: a sequential loop whose whole predicted walk costs less
-    #: than this is not worth a compiler run and takes the exec-compiled
-    #: Python dialect instead
+    #: fixed ≈ 45 ms is shared by the whole plan). Charged in full to a
+    #: one-shot plan (``compile_source``, ``repro run``): a sequential loop
+    #: whose whole predicted walk costs less than this is not worth a
+    #: compiler run there and takes the exec-compiled Python dialect
+    #: instead. A served plan sinks it: a ``Session`` replans a key that
+    #: runs a second time with the build at zero and compiles the new
+    #: plan's kernels in the background (``explain()`` says which pricing
+    #: a plan used)
     native_build: float = 300000.0
     #: fraction of the scalar equation cost a NumPy vector op pays per
     #: element once the span is large enough to amortise dispatch

@@ -329,6 +329,10 @@ class ExecutionPlan:
             lines.append(f"  {mark} {row['backend']}: " + "; ".join(bits))
         if p.get("reason"):
             lines.append(f"winner: {self.backend} — {p['reason']}")
+        lines.append(
+            "pricing: native build sunk (served plan)" if p.get("served")
+            else "pricing: native build charged to this run"
+        )
         for note in p.get("fission_loops", []):
             verdict = "chosen" if note.get("chosen") else "rejected"
             if note.get("parts"):

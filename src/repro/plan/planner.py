@@ -112,6 +112,7 @@ def build_plan(
     backend: str | None = None,
     candidates: tuple[str, ...] | None = None,
     calibration: Any | None = None,
+    served: bool = False,
 ) -> ExecutionPlan:
     """Plan one module execution.
 
@@ -131,7 +132,11 @@ def build_plan(
     :class:`repro.plan.calibration.PlanCalibration` store of measured wall
     clock per (module, sizes, backend) — when it has measurements for this
     configuration, ``auto`` ranks candidates by measured seconds instead of
-    trusting predicted cycles alone (online recalibration).
+    trusting predicted cycles alone (online recalibration);
+    ``served`` prices the plan for a server that runs it again and again:
+    the one-time native build is sunk (``MachineModel.native_build`` is
+    charged to a one-shot plan only) — a :class:`repro.serve.Session`
+    replans with it once a plan key runs a second time.
     """
     options = options or ExecutionOptions()
     scalar_env = scalar_env or {}
@@ -164,6 +169,7 @@ def build_plan(
                 analyzed, flowchart, candidate, workers, effective,
                 scalar_env, model, use_kernels, bool(options.use_windows),
                 tier=tier, force_default=soft_strategy, force_soft=True,
+                served=served,
             )
             p.plan_module()
             planners.append(p)
@@ -222,6 +228,7 @@ def build_plan(
                 for p, adj in zip(planners, totals)
             ],
             "reason": reason,
+            "served": served,
         }
         return plan
 
@@ -229,6 +236,7 @@ def build_plan(
         analyzed, flowchart, requested, workers, effective,
         scalar_env, model, use_kernels, bool(options.use_windows),
         tier=tier, force_default=soft_strategy, force_soft=True,
+        served=served,
     )
     planner.plan_module()
     plan = planner.finish(analyzed.name, requested=requested, pinned=True)
@@ -250,6 +258,7 @@ def build_plan(
             }
         ],
         "reason": f"backend {requested!r} pinned by the caller",
+        "served": served,
     }
     return plan
 
@@ -338,6 +347,7 @@ class _Planner:
         force_default: str | None = None,
         force_overrides: dict[tuple[int, ...], str] | None = None,
         force_soft: bool = False,
+        served: bool = False,
     ):
         self.analyzed = analyzed
         self.flowchart = flowchart
@@ -346,6 +356,9 @@ class _Planner:
         self.parallelism = parallelism
         self.scalar_env = scalar_env
         self.model = model
+        #: what one native build costs this plan: nothing once it is
+        #: sunk in a served plan
+        self.native_build = 0.0 if served else model.native_build
         self.use_kernels = use_kernels
         self.use_windows = use_windows
         self.tier = tier

@@ -285,13 +285,14 @@ class NestStrategy(LoopStrategy):
         needs the tier to allow it and the nest to lower to bit-exact C;
         over a ``DO`` it must also be worth a compiler run: a loop whose
         whole walk element by element (:meth:`_Planner._cost_interpreted`)
-        is cheaper than one native build (``MachineModel.native_build``)
-        stays off ``cc``."""
+        is cheaper than one native build (``_Planner.native_build``: zero
+        in a served plan, where the build is sunk) stays off ``cc``."""
         m = planner.model
         t = planner._trip_est(desc)
         reason = "fused nest kernel" if desc.parallel else "compiled in order"
         if planner._native_ok(desc, "full") and (
-            desc.parallel or planner._cost_interpreted(desc) >= m.native_build
+            desc.parallel
+            or planner._cost_interpreted(desc) >= planner.native_build
         ):
             alone = m.native_call_overhead + sum(
                 planner._cost(d, "native", t) for d in desc.body
@@ -332,7 +333,7 @@ class NestStrategy(LoopStrategy):
             return (
                 f"walked element by element it costs "
                 f"~{planner._cost_interpreted(desc):.0f} cycles, less than "
-                f"one native build (~{planner.model.native_build:.0f}), and "
+                f"one native build (~{planner.native_build:.0f}), and "
                 f"the Python-dialect nest (~{price.cycles:.0f}) loses to "
                 f"the walk"
             )

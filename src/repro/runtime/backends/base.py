@@ -37,6 +37,7 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule, AnalyzedProgram
 from repro.ps.symbols import SymbolKind
 from repro.ps.types import ArrayType
 from repro.runtime.evaluator import Evaluator
+from repro.runtime.kernels.cache import plan_keys
 from repro.runtime.kernels.native import RangeUnproven, team_width
 from repro.runtime.values import (
     BufferStore,
@@ -187,11 +188,9 @@ class ExecutionBackend:
             # One translation unit per (module, plan): every native kernel
             # the plan will dispatch is built now, as one batch — not one
             # compiler process per kernel as the walk meets them.
-            windows = bool(state.options.use_windows)
-            state.native_ready = state.kernels.prepare([
-                (path, windows, shape)
-                for path, shape in state.plan.native_kernels()
-            ])
+            state.native_ready = state.kernels.prepare(
+                plan_keys(state.plan, state.options.use_windows)
+            )
         for desc in state.flowchart.descriptors:
             self.exec_descriptor(state, desc, {}, [])
         state.plan.ran = True

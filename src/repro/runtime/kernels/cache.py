@@ -51,6 +51,13 @@ from repro.schedule.flowchart import Flowchart, LoopDescriptor, loop_collapse_sa
 _Key = tuple[tuple[int, ...], bool, str]
 
 
+def plan_keys(plan, use_windows: bool) -> list[_Key]:
+    """The keys of every native kernel ``plan`` dispatches in window mode
+    ``use_windows``: one translation unit's worth (:meth:`KernelCache.prepare`)."""
+    windows = bool(use_windows)
+    return [(path, windows, shape) for path, shape in plan.native_kernels()]
+
+
 class KernelCache:
     def __init__(self, analyzed: AnalyzedModule, flowchart: Flowchart):
         self.analyzed = analyzed
@@ -158,9 +165,15 @@ class KernelCache:
             self._memo(self._native, missing, True, self._build_native)
         return all(self._native[key] is not None for key in keys)
 
-    def _build_native(self, keys: list[_Key]) -> dict:
+    def native_specs(self, keys: list[_Key]) -> dict:
+        """The C specs of those ``keys`` this cache has no native answer
+        for yet — a loop that does not lower, or a team kernel on a host
+        without OpenMP, is left out. A session batches the specs of many
+        caches into one unit, then hands each its own to :meth:`adopt`."""
         specs: dict[_Key, native_mod.NativeKernelSpec] = {}
         for key in keys:
+            if key in self._native:
+                continue
             path, use_windows, shape = key
             if shape == "team" and not native_mod.openmp_supported():
                 continue  # a unit cc cannot build would sink the batch
@@ -171,6 +184,16 @@ class KernelCache:
                 )
             except KernelError:
                 pass  # this loop alone does not lower; the batch goes on
+        return specs
+
+    def adopt(self, specs: dict) -> None:
+        """Serve the native kernels of ``specs`` (from :meth:`native_specs`,
+        built by :func:`native.build_kernels`)."""
+        for key, spec in specs.items():
+            self._native[key] = native_mod.bind_kernel(spec, self._book_proof)
+
+    def _build_native(self, keys: list[_Key]) -> dict:
+        specs = self.native_specs(keys)
         native_mod.build_kernels(list(specs.values()), self._built)
         return {
             key: native_mod.bind_kernel(spec, self._book_proof)

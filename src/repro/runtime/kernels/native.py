@@ -60,7 +60,11 @@ Compiled artifacts persist in an on-disk cache keyed by the SHA-256 of the
 generated translation unit (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro/native``):
 a second process — or a later session — dlopens the existing ``.so``
-without invoking the compiler. The generated ``.c`` is kept next to it,
+without invoking the compiler. An index beside the ``.so`` s records which
+unit holds each kernel function, so a function built in any batch — a
+session's batch of tier-ups included, whose digest depends on what happened
+to be pending together — is dlopened from that unit rather than compiled
+again into another. The generated ``.c`` is kept next to each ``.so``,
 and :func:`persist_plan` stores execution plans beside the generated C for
 offline builds. Everything degrades gracefully: no C compiler or no cffi
 means :func:`native_supported` is False and the cache quietly serves the
@@ -70,6 +74,7 @@ NumPy tier.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -821,18 +826,29 @@ def native_refusal(
 #: and kernel function name -> the (lib, ffi) of the unit defining it
 _loaded: dict[str, tuple] = {}
 
-#: serializes build+dlopen within this process. Request threads planning the
-#: same module race to build the same kernels; without the lock they also
-#: duplicated cc invocations for one digest.
-_load_lock = threading.RLock()
+#: guards ``_loaded`` and ``_building`` only — never held across ``cc``, so
+#: a foreground build never queues behind a background one
+_load_lock = threading.Lock()
+
+#: translation-unit digest -> the lock its one in-process compile holds:
+#: request threads planning the same module race to build the same unit,
+#: and without it they duplicated ``cc`` runs for one digest
+_building: dict[str, threading.Lock] = {}
+
+
+def _idle_priority() -> None:
+    """Run in the forked compiler before ``exec``: lowest CPU priority, so
+    a background build only takes cycles foreground work leaves over."""
+    os.nice(19)
 
 
 def _compile_so(
-    source: str, digest: str, flags: tuple[str, ...] = C_FLAGS
+    source: str, digest: str, flags: tuple[str, ...] = C_FLAGS,
+    idle: bool = False,
 ) -> tuple[Path, bool]:
     """Compile ``source`` with ``flags`` into the on-disk cache (or reuse
     the cached ``.so``); returns the shared-object path and whether ``cc``
-    ran.
+    ran. ``idle`` runs the compiler at the lowest CPU priority.
 
     Every file lands via ``os.replace`` from a unique temp name — including
     the ``.c``, and the compiler reads the *temp* copy. A concurrent
@@ -856,11 +872,15 @@ def _compile_so(
     ) as tmp:
         tmp_path = Path(tmp.name)
     try:
-        proc = subprocess.run(
-            [cc, *flags, "-shared", "-o", str(tmp_path), tmp_c, "-lm"],
-            capture_output=True,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [cc, *flags, "-shared", "-o", str(tmp_path), tmp_c, "-lm"],
+                capture_output=True,
+                text=True,
+                preexec_fn=_idle_priority if idle else None,
+            )
+        except OSError as exc:  # the compiler went away since the probe
+            raise KernelError(f"C compiler {cc} did not start: {exc}") from exc
         if proc.returncode != 0:
             raise KernelError(
                 f"C compilation failed ({cc}): {proc.stderr.strip()[:500]}"
@@ -876,40 +896,109 @@ def _compile_so(
     return so_path, True
 
 
+def _dlopen(so_path: Path, cdef: str) -> tuple:
+    cffi = _ffi_module()
+    if cffi is None:
+        raise KernelError("cffi is not available")
+    ffi = cffi.FFI()
+    ffi.cdef(cdef)
+    # Never unloaded: libgomp's pool threads may still be spinning in a
+    # team kernel when the interpreter tears the library object down at
+    # exit.
+    return ffi.dlopen(str(so_path), ffi.RTLD_NOW | ffi.RTLD_NODELETE), ffi
+
+
+def _unit_digest(source: str, flags: tuple[str, ...]) -> str:
+    # The flags are part of the artifact's semantics (-ffp-contract=off,
+    # -fwrapv): a .so built under different flags must not be reused.
+    return hashlib.sha256((source + "|" + " ".join(flags)).encode()).hexdigest()
+
+
 def load_library(
     source: str, cdef: str, counters: dict[str, int] | None = None,
-    flags: tuple[str, ...] = C_FLAGS,
+    flags: tuple[str, ...] = C_FLAGS, idle: bool = False,
 ) -> tuple:
     """Compile (or reuse from cache) one C translation unit and dlopen it,
     returning ``(lib, ffi)`` — the one place a compiler process starts.
     Raises :class:`KernelError` when no compiler or cffi is available.
     ``counters`` (a :class:`KernelCache`'s) books the unit under ``"tus"``
-    and a real compile under ``"cc_calls"``."""
-    # The flags are part of the artifact's semantics (-ffp-contract=off,
-    # -fwrapv): a .so built under different flags must not be reused.
-    key = source + "|" + " ".join(flags)
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    entry = _loaded.get(digest)
-    if entry is None:
-        with _load_lock:
-            entry = _loaded.get(digest)
-            if entry is None:
-                cffi = _ffi_module()
-                if cffi is None:
-                    raise KernelError("cffi is not available")
-                so_path, compiled = _compile_so(source, digest, flags)
-                ffi = cffi.FFI()
-                ffi.cdef(cdef)
-                # Never unloaded: libgomp's pool threads may still be
-                # spinning in a team kernel when the interpreter tears the
-                # library object down at exit.
-                lib = ffi.dlopen(str(so_path), ffi.RTLD_NOW | ffi.RTLD_NODELETE)
-                entry = (lib, ffi)
+    and a real compile under ``"cc_calls"``; ``idle`` compiles at the
+    lowest CPU priority."""
+    digest = _unit_digest(source, flags)
+    with _load_lock:
+        entry = _loaded.get(digest)
+        if entry is not None:
+            return entry
+        building = _building.setdefault(digest, threading.Lock())
+    with building:  # one compile per digest; other units build meanwhile
+        entry = _loaded.get(digest)
+        if entry is None:
+            if _ffi_module() is None:
+                raise KernelError("cffi is not available")
+            so_path, compiled = _compile_so(source, digest, flags, idle)
+            entry = _dlopen(so_path, cdef)
+            with _load_lock:
                 _loaded[digest] = entry
-                if counters is not None:
-                    counters["tus"] += 1
-                    counters["cc_calls"] += compiled
+            if counters is not None:
+                counters["tus"] += 1
+                counters["cc_calls"] += compiled
     return entry
+
+
+def _index_path() -> Path:
+    """Which cached unit holds each kernel function, for units built with
+    this prelude and these flags (a function's name hashes its own text
+    only, so a unit under another prelude must not be reused for it)."""
+    tag = hashlib.sha256(
+        (C_PRELUDE + "|" + " ".join(C_FLAGS)).encode()
+    ).hexdigest()[:12]
+    return cache_dir() / f"units-{tag}.json"
+
+
+def _read_index() -> dict[str, str]:
+    try:
+        return json.loads(_index_path().read_text())
+    except (OSError, ValueError):
+        return {}
+
+
+def _record_units(digest: str, names: list[str]) -> None:
+    """Add ``names`` -> ``digest`` to the unit index, landed by atomic
+    rename. Two processes updating it at once may each drop the other's
+    new entries; that costs a later ``cc``, never a wrong kernel."""
+    index = _read_index()
+    index.update(dict.fromkeys(names, digest))
+    path = _index_path()
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
+    with os.fdopen(fd, "w") as f:
+        json.dump(index, f)
+    os.replace(tmp, path)
+
+
+def _load_cached_units(
+    missing: dict[str, NativeKernelSpec], counters: dict[str, int] | None
+) -> None:
+    """dlopen the units on disk — any process's, any batch's — that
+    already hold functions of ``missing``, and drop those from it."""
+    held: dict[str, list[str]] = {}
+    for name, digest in _read_index().items():
+        if name in missing:
+            held.setdefault(digest, []).append(name)
+    for digest, names in held.items():
+        so_path = cache_dir() / f"{digest}.so"
+        if not so_path.exists():
+            continue
+        entry = _dlopen(
+            so_path,
+            "typedef int64_t i64; " + " ".join(missing[n].decl for n in names),
+        )
+        with _load_lock:
+            for name in names:
+                _loaded[name] = entry
+        for name in names:
+            del missing[name]
+        if counters is not None:
+            counters["tus"] += 1
 
 
 def unit_source(specs: list[NativeKernelSpec]) -> str:
@@ -930,29 +1019,48 @@ def unit_flags(specs: list[NativeKernelSpec]) -> tuple[str, ...]:
 
 
 def build_kernels(
-    specs: list[NativeKernelSpec], counters: dict[str, int] | None = None
+    specs: list[NativeKernelSpec], counters: dict[str, int] | None = None,
+    idle: bool = False,
 ) -> None:
     """THE native build path, for a batch of any size: every function of
     ``specs`` this process has not loaded yet goes into **one** translation
     unit — the prelude once, the functions after it in name order, one
-    ``cc``, one ``dlopen``, the digest over the set. A plan's kernels, the
-    warm set and a lone lazily requested kernel are the same call with
-    different batches. A unit of one is byte-for-byte ``spec.source``."""
+    ``cc``, one ``dlopen``, the digest over the set. When no ``.so`` of
+    that digest is on disk, the functions some cached unit already holds
+    (the index beside the ``.so`` s says which) are dlopened from it first,
+    and only the rest is compiled. A plan's kernels, the warm set, a lone
+    lazily requested kernel and a session's batch of tier-ups (``idle``:
+    ``cc`` at the lowest CPU priority) are the same call with different
+    batches. A unit of one is byte-for-byte ``spec.source``."""
     with _load_lock:
         missing = {
             s.fn_name: s for s in specs if s.fn_name not in _loaded
         }
+    if not missing:
+        return
+    unit = [missing[name] for name in sorted(missing)]
+    source, flags = unit_source(unit), unit_flags(unit)
+    digest = _unit_digest(source, flags)
+    cached = (cache_dir() / f"{digest}.so").exists()
+    if not cached:
+        _load_cached_units(missing, counters)
         if not missing:
             return
         unit = [missing[name] for name in sorted(missing)]
-        entry = load_library(
-            unit_source(unit),
-            "typedef int64_t i64; " + " ".join(s.decl for s in unit),
-            counters,
-            unit_flags(unit),
-        )
-        for s in unit:
-            _loaded[s.fn_name] = entry
+        source, flags = unit_source(unit), unit_flags(unit)
+        digest = _unit_digest(source, flags)
+    entry = load_library(
+        source,
+        "typedef int64_t i64; " + " ".join(s.decl for s in unit),
+        counters,
+        flags,
+        idle,
+    )
+    if not cached:
+        _record_units(digest, sorted(missing))
+    with _load_lock:
+        for name in missing:
+            _loaded[name] = entry
 
 
 def bind_kernel(
@@ -971,9 +1079,11 @@ def bind_kernel(
     lib, ffi = _loaded[spec.fn_name]
     fn = getattr(lib, spec.fn_name)
     array_names = [name for name, _kind in spec.arrays]
-    ptr_types = [
-        C_STORAGE_TYPES[kind] + " *" for _name, kind in spec.arrays
+    # parsed once: ffi.new / from_buffer on a C type string reparse it
+    buffer_types = [
+        ffi.typeof(C_STORAGE_TYPES[kind] + "[]") for _name, kind in spec.arrays
     ]
+    i64s = ffi.typeof("int64_t[]")
     geom_size = 3 * sum(spec.ranks)
     scalars = spec.scalars
     env_names = spec.env_names
@@ -984,14 +1094,14 @@ def bind_kernel(
 
     def _kernel(data, env, nlo, nhi, width=1):
         cargs = []
-        geom = ffi.new("int64_t[]", geom_size)
+        geom = ffi.new(i64s, geom_size)
         pos = 0
-        holders = []
-        for name, ptr_t in zip(array_names, ptr_types):
+        for name, buffer_t in zip(array_names, buffer_types):
             arr = data[name]
             sto = arr.storage
-            holders.append(sto)  # keep the buffer alive across the call
-            cargs.append(ffi.cast(ptr_t, sto.ctypes.data))
+            # the cdata holds the buffer alive across the call, and refuses
+            # one that is not C-contiguous, which the geometry assumes
+            cargs.append(ffi.from_buffer(buffer_t, sto))
             for d in range(sto.ndim):
                 geom[pos] = arr.los[d]
                 geom[pos + 1] = arr.his[d]
@@ -1003,8 +1113,8 @@ def bind_kernel(
             cargs.append(float(v) if kind == "real" else int(v))
         for name in env_names:
             cargs.append(int(env[name]))
-        counts = ffi.new("int64_t[]", max(1, len(counters)))
-        err = ffi.new("int64_t[]", 4)
+        counts = ffi.new(i64s, max(1, len(counters)))
+        err = ffi.new(i64s, 4)
         cargs += [int(nlo), int(nhi), counts, err]
         if team:
             cargs.append(int(width))

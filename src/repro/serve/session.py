@@ -18,7 +18,16 @@ survived a request. A :class:`Session` owns all of it across requests:
   between requests;
 * warmed native kernels: :meth:`warm` compiles every reachable kernel
   (including the cffi/C tier) and optionally primes plans and pools with a
-  throwaway run, so the first real request compiles nothing.
+  throwaway run, so the first real request compiles nothing;
+* **tier-up**: a plan key's first run plans exactly as a one-shot
+  ``compile_source`` would, charging the native build to that run. Its
+  second run is evidence the plan is served, so it queues the key on the
+  session's one builder thread, which replans it with the build sunk
+  (``build_plan(served=True)``). An unchanged plan text settles the key;
+  the changed plans of every tier-up pending at once compile as **one**
+  translation unit at idle CPU priority, and the session swaps each key's
+  plan between runs. Runs in flight finish on the old plan, no request
+  waits on ``cc``, and a failed build keeps the old plan (no retry).
 
 Thread safety: ``run()`` may be called concurrently from many threads (the
 serve daemon does). Identical ``(module, sizes)`` plan lookups coalesce on
@@ -37,9 +46,10 @@ reuses for a later run only after the last such view is gone.
 from __future__ import annotations
 
 import hashlib
+import logging
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -51,7 +61,19 @@ from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RecordType
 from repro.runtime.backends import ExecutionBackend, instantiate_backend
 from repro.runtime.executor import ExecutionOptions, execute_module
+from repro.runtime.kernels import native as native_mod
+from repro.runtime.kernels.cache import plan_keys
 from repro.runtime.values import array_bounds, dtype_for
+
+#: a plan key's tier-up state once past its run count: waiting for (or in)
+#: the builder, on the plan with the build sunk, kept on its first plan
+#: because that replans to the same text, kept there after a failed build
+QUEUED, SERVED, SETTLED, FAILED = "queued", "served", "settled", "failed"
+
+#: seconds without a new tier-up before the builder takes the batch
+TIER_UP_QUIET = 0.05
+
+_log = logging.getLogger(__name__)
 
 
 def fill_random_arrays(
@@ -132,6 +154,15 @@ class SessionStats:
     #: said (a daemon's per-request cap, or a forked process)
     team_calls: int = 0
     team_capped: int = 0
+    #: plan keys swapped to their plan with the native build sunk, keys
+    #: whose build failed (they keep their first plan), and keys queued
+    #: for (or in) the background builder
+    tier_ups: int = 0
+    tier_up_failures: int = 0
+    builds_pending: int = 0
+    #: the builder's translation units loaded, and how many of them
+    #: started a compiler (the rest came from the on-disk cache)
+    tier_up_builds: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -163,6 +194,15 @@ class Session:
         self._runs = 0
         self._plans_built = 0
         self._plan_requests = 0
+        #: plan key -> its run count, or its tier-up state once queued
+        self._tiers: dict[tuple, int | str] = {}
+        #: tier-ups the builder has not taken yet
+        self._pending: list[tuple] = []
+        self._wake = threading.Condition(self._lock)
+        self._builder: threading.Thread | None = None
+        self._tier_ups = 0
+        self._tier_up_failures = 0
+        self._tier_up_builds = {"tus": 0, "cc_calls": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -177,16 +217,21 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Tear down every persistent backend (worker pools exit) and drop
-        the loaded modules.
+        """Stop the tier-up builder (a ``cc`` it has started runs to its
+        end), tear down every persistent backend (worker pools exit) and
+        drop the loaded modules.
         Idempotent; the session refuses further work afterwards."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._wake.notify_all()
+            builder = self._builder
             backends = list(self._backends.values())
             self._backends.clear()
             self._plan_locks.clear()
+        if builder is not None:
+            builder.join()
         for backend in backends:
             backend.close()
         self._modules.clear()
@@ -259,7 +304,8 @@ class Session:
         options: ExecutionOptions | None = None,
         **overrides: Any,
     ) -> ExecutionPlan:
-        """The cached execution plan for ``(module, sizes, options)``.
+        """The execution plan ``(module, sizes, options)`` is served with
+        now: its first plan, or its tiered-up one once swapped in.
 
         Identical concurrent lookups coalesce: the first caller builds the
         plan under a per-key lock while the rest wait and then hit the
@@ -267,7 +313,8 @@ class Session:
         one planner run, not N."""
         self._check_open()
         options = options or self.options(**overrides)
-        return self._plan(module, sizes, options, options.key())
+        okey = options.key()
+        return self._plan(self._key(module, sizes, okey), options)
 
     def options(self, **overrides: Any) -> ExecutionOptions:
         """The session's execution options with ``overrides`` applied: what
@@ -276,24 +323,35 @@ class Session:
         once per request, which is also where it rejects an unknown name."""
         return ExecutionOptions.resolve(self._execution, **overrides)
 
-    def _plan(
-        self, module: str, sizes: dict | None, options: ExecutionOptions, okey: tuple
-    ) -> ExecutionPlan:
-        result = self._result(module)
-        sizes = {
-            k: int(v)
+    def _key(self, module: str, sizes: dict | None, okey: tuple) -> tuple:
+        """The plan key: module, options key, integer sizes."""
+        self._result(module)
+        ints = sorted(
+            (k, int(v))
             for k, v in (sizes or {}).items()
             if isinstance(v, (int, np.integer))
-        }
-        key = (module, okey, tuple(sorted(sizes.items())))
+        )
+        return (module, okey, tuple(ints))
+
+    def _plan(
+        self, key: tuple, options: ExecutionOptions, served: bool | None = None
+    ) -> ExecutionPlan:
+        """The plan of ``key``: priced as its tier-up state says, or as
+        ``served`` says when given (the builder's replan)."""
+        module, okey, sizes = key
+        result = self._result(module)
         with self._lock:
-            self._plan_requests += 1
-            lock = self._plan_locks.get(key)
+            if served is None:
+                self._plan_requests += 1
+                served = self._tiers.get(key) == SERVED
+            lock = self._plan_locks.get((key, served))
             if lock is None:
-                lock = self._plan_locks[key] = threading.Lock()
+                lock = self._plan_locks[key, served] = threading.Lock()
         with lock:
             before = len(result._plan_cache)
-            plan = result.plan(sizes, execution=options, options_key=okey)
+            plan = result.plan(
+                dict(sizes), execution=options, options_key=okey, served=served
+            )
             if len(result._plan_cache) != before:
                 with self._lock:
                     self._plans_built += 1
@@ -318,12 +376,17 @@ class Session:
         are yours while you hold any view of them (the array, a slice, a
         ``memoryview``) and never alias an argument; a big result is itself
         a view (``owndata`` false, ``.base`` the store's owner) of a buffer
-        that a later run reuses only after the last view of it is gone."""
+        that a later run reuses only after the last view of it is gone.
+        A plan key's second run queues its tier-up (see the module
+        docstring); this run and the ones until the swap keep the first
+        plan."""
         self._check_open()
         result = self._result(module)
         options = options or self.options(**overrides)
         okey = options.key()
-        plan = self._plan(module, args, options, okey)
+        key = self._key(module, args, okey)
+        self._count_run(key, result, options)
+        plan = self._plan(key, options)
         out = execute_module(
             result.analyzed,
             args,
@@ -349,6 +412,104 @@ class Session:
                 self._backends[key] = backend
         return backend
 
+    # -- tier-up -----------------------------------------------------------
+
+    def _count_run(
+        self, key: tuple, result: CompileResult, options: ExecutionOptions
+    ) -> None:
+        """Count a run of ``key``; its second queues the tier-up. A key
+        whose runs call no native kernel has nothing to sink and settles."""
+        with self._lock:
+            state = self._tiers.get(key, 0)
+            if not isinstance(state, int) or self._closed:
+                return
+            if state == 0:
+                self._tiers[key] = 1
+            elif not options.runs_kernels() or options.kernel_tier != "native":
+                self._tiers[key] = SETTLED
+            else:
+                self._tiers[key] = QUEUED
+                self._pending.append((key, result, options))
+                if self._builder is None:
+                    self._builder = threading.Thread(
+                        target=self._build_loop, name="repro-tier-up",
+                        daemon=True,
+                    )
+                    self._builder.start()
+                self._wake.notify()
+
+    def _build_loop(self) -> None:
+        """The builder thread: one batch of tier-ups after another. A batch
+        starts once no tier-up has been queued for ``TIER_UP_QUIET``
+        seconds, so a client's pass over many programs lands in one unit."""
+        while True:
+            with self._lock:
+                while not self._pending and not self._closed:
+                    self._wake.wait()
+                queued = -1
+                while queued != len(self._pending) and not self._closed:
+                    queued = len(self._pending)
+                    self._wake.wait(TIER_UP_QUIET)
+                if self._closed:
+                    return
+            self._tier_up()
+
+    def _tier_up(self) -> None:
+        """Replan every pending key with the build sunk, taking keys that
+        arrive meanwhile into the same batch; settle the unchanged ones,
+        then build the changed plans' missing kernels as one unit at idle
+        priority and swap them in."""
+        changed: list[tuple] = []
+        while True:
+            with self._lock:
+                batch, self._pending = self._pending, []
+                if not batch or self._closed:
+                    break
+            for key, result, options in batch:
+                try:
+                    first = self._plan(key, options, served=False)
+                    tiered = self._plan(key, options, served=True)
+                    if tiered.pretty() == first.pretty():
+                        self._settle(key, SETTLED)
+                        continue
+                    cache = result.kernel_cache
+                    specs = cache.native_specs(
+                        plan_keys(tiered, options.use_windows)
+                    )
+                except Exception:  # the key keeps its first plan
+                    _log.warning("tier-up replan of %s failed", key, exc_info=True)
+                    self._settle(key, FAILED)
+                    continue
+                changed.append((key, cache, specs))
+        if not changed:
+            return
+        try:
+            native_mod.build_kernels(
+                [spec for _, _, specs in changed for spec in specs.values()],
+                self._tier_up_builds,
+                idle=True,
+            )
+            for _, cache, specs in changed:
+                cache.adopt(specs)
+        except Exception:  # a failed build keeps every old plan: no retry
+            _log.warning(
+                "tier-up build of %d plans failed; they keep their first plan",
+                len(changed), exc_info=True,
+            )
+            for key, _, _ in changed:
+                self._settle(key, FAILED)
+            return
+        for key, _, _ in changed:
+            self._settle(key, SERVED)
+
+    def _settle(self, key: tuple, state: str) -> None:
+        with self._lock:
+            if self._tiers.get(key) != QUEUED:
+                return  # warm() took the key over meanwhile
+            self._tiers[key] = state
+            self._tier_ups += state == SERVED
+            self._tier_up_failures += state == FAILED
+
     # -- warm-up -----------------------------------------------------------
 
     def warm(
@@ -362,21 +523,31 @@ class Session:
     ) -> dict[str, Any]:
         """Do all one-time work up front so the first request pays nothing:
         compile every reachable kernel (native C tier included), build and
-        cache the plan for ``sizes``, and — when ``prime`` is true and
-        ``sizes`` are given — execute one throwaway run with every other
+        cache the plan for ``sizes`` — priced as served, with the native
+        build sunk, its kernels built here and now, so the key never tiers
+        up later — and, when ``prime`` is true and
+        ``sizes`` are given, execute one throwaway run with every other
         parameter zero (scalars and arrays alike), which starts worker
         pools and exercises the exact request path. ``module=None`` warms
         every loaded module. Returns per-module kernel-cache statistics."""
         self._check_open()
         names = [module] if module is not None else self.modules()
         options = options or self.options(**overrides)
+        okey = options.key()
         report: dict[str, Any] = {}
         for served in names:
             result = self._result(served)
             if options.runs_kernels():
                 result.kernel_cache.warm(options.use_windows, tier=options.kernel_tier)
             if sizes:
-                self.plan(served, dict(sizes), options=options)
+                key = self._key(served, sizes, okey)
+                with self._lock:
+                    self._tiers[key] = SERVED
+                plan = self._plan(key, options)
+                if options.runs_kernels() and options.kernel_tier == "native":
+                    result.kernel_cache.prepare(
+                        plan_keys(plan, options.use_windows)
+                    )
                 if prime:
                     args: dict[str, Any] = dict(sizes)
                     analyzed = result.analyzed
@@ -422,6 +593,14 @@ class Session:
                     storage_bytes_fresh=backend.store.fresh,
                     storage_bytes_held=backend.store.held(),
                 )
+            tiers = {
+                "tier_ups": self._tier_ups,
+                "tier_up_failures": self._tier_up_failures,
+                "builds_pending": sum(
+                    state == QUEUED for state in self._tiers.values()
+                ),
+                "tier_up_builds": dict(self._tier_up_builds),
+            }
         return SessionStats(
             modules=self.modules(),
             runs=runs,
@@ -433,4 +612,5 @@ class Session:
                 for name, result in sorted(self._modules.items())
             },
             **storage,
+            **tiers,
         )

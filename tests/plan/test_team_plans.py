@@ -52,6 +52,7 @@ JACOBI_TEAM_EXPLAIN = """\
       * vectorized: predicted ~N cycles; [calibration miss]
         threaded: predicted ~N cycles; [calibration miss]
     winner: vectorized — within 5% of the cheapest candidate, and it builds the fewest native functions
+    pricing: native build charged to this run
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
       native team kernel @(1,) (DO K): range checks: 18 of 18 proven at entry
       A: {a}; recycled between runs
@@ -73,6 +74,7 @@ GS_HYPER_EXPLAIN = """\
         vectorized: predicted ~N cycles; [calibration miss]
         threaded: predicted ~N cycles; [calibration miss]
     winner: serial — lowest predicted cycles (no calibration record for these sizes)
+    pricing: native build charged to this run
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
       native full kernel @(1,) (DOALL I): range checks: 5 of 5 proven at entry
