@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plan for evaluator-only execution")
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before planning "
-                        "(merged nests are what fission splits)")
+                        "(a merged nest plans as one loop)")
     p.add_argument("--kernel-tier", default="native",
                    choices=["native", "numpy", "evaluator"],
                    help="highest kernel tier the plan budgets for "

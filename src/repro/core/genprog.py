@@ -1,22 +1,19 @@
-"""Seeded random PS program generator for the fission property suites.
+"""Seeded random PS program generator for the merged-nest property suites.
 
 Every generated module is one fusable family of equations over ``I = 1
 .. n``: each *unit* writes its own rank-1 ``int`` array ``Vj`` (base case
 ``Vj[0]`` plus a loop equation), and units may read earlier units'
 values at offset ``[I]`` (same iteration) or ``[I-1]`` (previous
 iteration) — exactly the dependence shapes ``merge_loops`` fuses into a
-single ``DO`` nest and :mod:`repro.schedule.fission` then partitions
-back apart. The drawn unit kinds:
+single ``DO`` nest, which then plans as written. The drawn unit kinds:
 
 * ``map`` — a pointwise combination of inputs and earlier targets; on
-  its own a DOALL candidate, so fission can *promote* its group.
-* ``scan+`` / ``scanmax`` — an associative self-recurrence; a split
-  leaves it alone in its replica, a compiled ``DO`` of its own.
+  its own a DOALL candidate.
+* ``scan+`` / ``scanmax`` — an associative self-recurrence.
 * ``linrec`` — ``Vj[I] = C[I] * Vj[I-1] + term`` with loop-varying
   coefficients.
 * ``coupled`` — a mutually recursive *pair* of units (each reads the
-  other across the carry), forcing a two-member dependence group: the
-  condensation must keep them together or the split is wrong.
+  other across the carry), a two-member dependence group.
 
 All arithmetic is integer with small magnitudes (``|X| <= 5``,
 ``C[I]`` in ``{-1, 0, 1}``, constants ``<= 5``) so values stay far from
@@ -68,8 +65,7 @@ def generate_program(
 
     ``allow_locals`` lets intermediate targets be ``var`` locals instead
     of results — locals are window-allocation candidates, so the same
-    program can be fissionable in full-storage mode and hazard-rejected
-    in window mode (both sides of ``FissionSplit.usable``)."""
+    program runs on full storage and, window mode on, on windows."""
     rng = random.Random(seed)
     n_units = rng.randint(min_units, max_units)
     kinds: list[str] = []

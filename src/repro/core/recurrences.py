@@ -130,9 +130,9 @@ end ILinRec;
 
 MIXED_SOURCE = """\
 (* Three independent integer recurrences over one subrange. The
-   loop-merging pass fuses them into a single DO nest, which is the
-   fission gate workload: the split recovers one replica loop per
-   recurrence. *)
+   loop-merging pass fuses them into a single DO nest, which runs as
+   one compiled in-order loop; unmerged, each recurrence is a DO of
+   its own. *)
 Mixed: module (X: array[1 .. n] of int; A: array[1 .. n] of int;
                B: array[1 .. n] of int; n: int):
        [T: array[0 .. n] of int; S: array[0 .. n] of int;

@@ -15,12 +15,12 @@ Loop strategies
 ``LoopPlan.strategy`` names one entry of
 :data:`repro.plan.strategy.LOOP_STRATEGIES` — ``serial`` (the reference
 walk), ``vector`` (one NumPy span), ``nest`` (one compiled kernel, on a
-``DOALL`` or a ``DO`` root), ``chunk`` / ``collapse`` (a ``DOALL``'s
-subrange, or a perfect chain's flattened space, divided among workers) and
-``fission`` (a dependence split into replica loops at the marker paths
-``loop_path + (-1, k)``). Each is one object that recognises, prices,
-emits and executes loops, and its docstring is the reference; the plan
-reads a loop's kernel shape and the head of its ``pretty()`` row from it.
+``DOALL`` or a ``DO`` root) and ``chunk`` / ``collapse`` (a ``DOALL``'s
+subrange, or a perfect chain's flattened space, divided among workers).
+Each is one object that recognises, prices, emits and executes loops, and
+its docstring is the reference; the plan reads a loop's kernel shape and
+the head of its ``pretty()`` row from it. Every path a plan holds names a
+loop of the flowchart's own tree.
 A compiled loop's ``LoopPlan.dialect`` says which text of its kernel runs
 — C (``"native"``) or the exec-compiled Python dialect (``"python"``) —
 and ``LoopPlan.team`` (``team xN``) that a ``DO`` over ``DOALL`` s runs as
@@ -44,13 +44,13 @@ from repro.plan.strategy import LOOP_STRATEGIES
 VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
-#: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``
-#: and blocked ``scan``, which no plan carries and every entry point
-#: refuses. The end-to-end benchmark still declares ``plan.loops.iterate``,
-#: ``plan.loops.pipeline`` and ``plan.loops.scan`` counts (always 0) and
-#: reads them from this tuple; the retired names leave here when those rows
-#: leave the benchmark.
-STRATEGIES = (*VALID_STRATEGIES, "iterate", "pipeline", "scan")
+#: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``,
+#: blocked ``scan`` and dependence-split ``fission``, which no plan carries
+#: and every entry point refuses. The end-to-end benchmark still declares
+#: ``plan.loops.<name>`` counts for them (always 0) and reads them from
+#: this tuple; the retired names leave here when those rows leave the
+#: benchmark.
+STRATEGIES = (*VALID_STRATEGIES, "iterate", "pipeline", "scan", "fission")
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
 #: enclosing nest lowers to the cffi-compiled C tier (degrading to the
@@ -90,7 +90,7 @@ class LoopPlan:
     index: str
     keyword: str  # "DO" | "DOALL"
     strategy: str
-    #: chunk (``chunk`` / ``collapse``) or replica (``fission``) count
+    #: chunk count (``chunk`` / ``collapse``)
     parts: int | None = None
     #: trip count the planner saw (None: bounds not statically evaluable)
     trip: int | None = None
@@ -224,19 +224,6 @@ class ExecutionPlan:
                 stack.extend(
                     (path + (i,), d) for i, d in enumerate(desc.body)
                 )
-        # Fission replica plans live at marker paths (a -1 component) that
-        # the main-tree walk above never visits: resolve them through the
-        # flowchart's split memo. Replica *bodies* are the original shared
-        # descriptors, already indexed by their main-tree paths.
-        for path, plan in self.loops.items():
-            if -1 not in path:
-                continue
-            try:
-                desc = flowchart.descriptor_at(path)
-            except (LookupError, IndexError):
-                continue
-            if isinstance(desc, LoopDescriptor):
-                by_id[id(desc)] = plan
         self._by_id = by_id
         self._bound_to = id(flowchart)
         return self
@@ -333,28 +320,6 @@ class ExecutionPlan:
             "pricing: native build sunk (served plan)" if p.get("served")
             else "pricing: native build charged to this run"
         )
-        for note in p.get("fission_loops", []):
-            verdict = "chosen" if note.get("chosen") else "rejected"
-            if note.get("parts"):
-                shape = (
-                    f"{note['parts']} pieces "
-                    f"[{' | '.join(note.get('pieces', []))}]"
-                )
-            else:
-                shape = "no legal split"
-            row = (
-                f"  fission @{note['index']} ({note['keyword']} "
-                f"{note['loop_index']}): {shape}, trip {note['trip']} — "
-                f"{verdict}"
-            )
-            if note.get("fission_cycles") is not None:
-                row += (
-                    f": predicted ~{note['fission_cycles']:.0f} vs "
-                    f"~{note['unfissioned_cycles']:.0f} cycles unfissioned"
-                )
-            if note.get("why"):
-                row += f" ({note['why']})"
-            lines.append(row)
         for note in p.get("do_loops", []):
             if note["dialect"]:
                 dialect = note["dialect"]
@@ -398,8 +363,6 @@ class ExecutionPlan:
                 f"{note['loop_index']}): {note['label']} not kernelizable "
                 f"— {note['reason']}"
             )
-            if note.get("fission"):
-                row += f"; {note['fission']}"
             lines.append(row)
         for name, how in self.storage.items():
             if isinstance(how, tuple):

@@ -13,9 +13,9 @@ entry, exactly once per (module, options, scalar bindings):
   recognises the loop on this backend is priced, and a later entry wins
   only when it is strictly cheaper. So a ``DO`` compiles in order
   (``nest``) when that beats the walk, a ``DOALL`` takes the backend's
-  vector span, fused nest or worker chunks, a low-trip ``DOALL`` hands the
-  workers to the ``DOALL`` inside it, and a fission split replaces a loop
-  only when its pieces are cheaper than the loop run whole;
+  vector span, fused nest or worker chunks, and a low-trip ``DOALL`` hands
+  the workers to the ``DOALL`` inside it. Every plan names loops of the
+  flowchart's own tree: a nest the ``--merge`` pass built runs as written;
 * which kernel variant each equation uses (scalar, vector, fused nest, or
   the reference evaluator for non-kernelizable equations).
 
@@ -43,7 +43,6 @@ from repro.plan.ir import (
     PlanError,
 )
 from repro.plan.strategy import (
-    FISSION,
     LOOP_STRATEGIES,
     NEST,
     SERIAL,
@@ -88,11 +87,6 @@ class Choice:
 
     strategy: Any
     price: Price
-    #: (strategy, price) that would run the loop whole — the plan a
-    #: transform (``fission``) was weighed against
-    base: tuple | None
-    #: the strategy a caller forced on the loop, None when none was
-    forced: Any
     #: strategy name -> its refusal or its price, for every one asked
     verdicts: dict
 
@@ -209,7 +203,6 @@ def build_plan(
             )
         plan = best.finish(analyzed.name, requested="auto", pinned=False)
         plan.provenance = {
-            "fission_loops": best.fission_notes,
             "do_loops": best.do_notes,
             "native_nests": best.native_notes(),
             "slow_loops": best.slow_notes(),
@@ -241,7 +234,6 @@ def build_plan(
     planner.plan_module()
     plan = planner.finish(analyzed.name, requested=requested, pinned=True)
     plan.provenance = {
-        "fission_loops": planner.fission_notes,
         "do_loops": planner.do_notes,
         "native_nests": planner.native_notes(),
         "slow_loops": planner.slow_notes(),
@@ -282,11 +274,9 @@ def forced_plan(
     the refusal, rather than risking semantics or dropping the pin. A loop
     that refuses the ``default`` stays on the walk (``serial``), so the
     forced loops inside it are the ones that run — a ``DO`` under a
-    ``DOALL``-only default, say; a ``fission`` default leaves a loop with
-    no legal split to the planner's own choice. Unless a path pins it, a
-    loop with a legal split is still split when the pieces are cheaper.
-    ``cpu_count`` stands in for the host's core count when
-    ``options.workers`` is unset, exactly as in :func:`build_plan`.
+    ``DOALL``-only default, say. ``cpu_count`` stands in for the host's
+    core count when ``options.workers`` is unset, exactly as in
+    :func:`build_plan`.
     """
     for name in (default, *(overrides or {}).values()):
         if name is not None and name not in LOOP_STRATEGIES:
@@ -366,8 +356,6 @@ class _Planner:
         self.force_overrides = force_overrides or {}
         self.force_soft = force_soft
         self.entries: list[PlanEntry] = []
-        #: one provenance note per fission-considered loop (split or not)
-        self.fission_notes: list[dict] = []
         #: one provenance note per sequential DO planned on its own: the
         #: compiled nest against the walk, and why the loser lost
         self.do_notes: list[dict] = []
@@ -546,73 +534,61 @@ class _Planner:
         )
 
     def _forced(self, desc: LoopDescriptor):
-        """(the strategy forced on ``desc``, the plan's rationale for it,
-        whether a per-path pin fixes it) — ``(None, "", False)`` when the
-        loop is the planner's to choose. A strategy that refuses a pin
-        raises; one that refuses a soft preference — or a ``default`` that
-        is a transform — leaves the choice to the planner; one that refuses
-        a hard ``default`` leaves the loop on the walk, so the loops inside
-        it take the default."""
+        """(the strategy forced on ``desc``, the plan's rationale for it) —
+        ``(None, "")`` when the loop is the planner's to choose. A strategy
+        that refuses a pin raises; one that refuses a soft preference
+        leaves the choice to the planner; one that refuses a hard
+        ``default`` leaves the loop on the walk, so the loops inside it
+        take the default."""
         if self.force_default is None and not self.force_overrides:
-            return None, "", False
+            return None, ""
         path = self.flowchart.path_of(desc)
         name = self.force_overrides.get(path, self.force_default)
         if name is None:
-            return None, "", False
+            return None, ""
         strategy = LOOP_STRATEGIES[name]
-        pinned = not self.force_soft and path in self.force_overrides
         why = strategy.recognise(self, desc, forced=True)
         if why is None:
-            return strategy, strategy.forced_reason, pinned
-        if pinned:
+            return strategy, "forced"
+        if not self.force_soft and path in self.force_overrides:
             raise PlanError(
                 f"cannot force {name!r} on {desc.keyword} {desc.index}: {why}"
             )
-        if self.force_soft or strategy.transform:
-            return None, "", False
-        return SERIAL, f"{name} refused: {why}", False
+        if self.force_soft:
+            return None, ""
+        return SERIAL, f"{name} refused: {why}"
 
     def _decide(self, desc: LoopDescriptor) -> Choice:
         """How a loop met on the walk runs: one walk over
         :data:`LOOP_STRATEGIES`, in table order. A forced strategy takes
         the loop; otherwise every strategy that recognises it is priced and
-        a later one wins only when strictly cheaper. A transform (fission)
-        competes with whatever runs the loop whole — forced or not — unless
-        a pin fixes the loop; forced itself, it still lets the others price
-        the loop whole, which is what it is measured against. Memoized per
+        a later one wins only when strictly cheaper. Memoized per
         descriptor."""
         cached = self._choices.get(id(desc))
         if cached is not None:
             return cached
-        forced, reason, pinned = self._forced(desc)
-        best = base = None
+        forced, reason = self._forced(desc)
+        best = None
         verdicts: dict[str, Any] = {}
-        for s in LOOP_STRATEGIES.values():
-            if forced is not None and s is not forced and (
-                s.transform == forced.transform or (s.transform and pinned)
-            ):
-                continue
-            if s is forced:
-                price = replace(s.price(self, desc), reason=reason)
-                best = (s, price)
-            else:
+        if forced is not None:
+            best = (forced, replace(forced.price(self, desc), reason=reason))
+            verdicts[forced.name] = best[1]
+        else:
+            for s in LOOP_STRATEGIES.values():
                 why = s.recognise(self, desc)
                 if why is not None:
                     verdicts[s.name] = why
                     continue
-                price = s.price(self, desc)
+                price = verdicts[s.name] = s.price(self, desc)
                 if best is None or price.cycles < best[1].cycles:
                     best = (s, price)
-            verdicts[s.name] = price
-            if not s.transform:
-                base = best
         if best is None:
             raise PlanError(
                 f"no strategy applies to {desc.keyword} {desc.index} on the "
                 f"{self.backend} backend"
             )
         choice = self._choices[id(desc)] = Choice(
-            best[0], best[1], base, forced, verdicts
+            best[0], best[1], verdicts
         )
         return choice
 
@@ -667,24 +643,14 @@ class _Planner:
 
     def slow_notes(self) -> list[dict]:
         """Per-loop why-not provenance for nests left on the slow path: the
-        first non-kernelizable equation (with the emitter's reason) and the
-        fission verdict for its loop. Outermost loop wins when an equation
-        sits under several; replicas defer to their original loop."""
-        from repro.schedule.fission import fission_reject
-
+        first non-kernelizable equation, with the emitter's reason.
+        Outermost loop wins when an equation sits under several."""
         notes: list[dict] = []
         if not self.use_kernels:
             return notes
         seen: set[str] = set()
         for lp in self.loops.values():
-            if -1 in lp.path:
-                continue
-            try:
-                desc = self.flowchart.descriptor_at(lp.path)
-            except (LookupError, IndexError):
-                continue
-            if not isinstance(desc, LoopDescriptor):
-                continue
+            desc = self.flowchart.descriptor_at(lp.path)
             label = why = None
             for eq in desc.nested_equations():
                 r = kernelizable_reason(eq, self.analyzed)
@@ -694,22 +660,12 @@ class _Planner:
             if label is None or label in seen:
                 continue
             seen.add(label)
-            fission = None
-            if LOOP_STRATEGIES[lp.strategy] is FISSION:
-                fission = "split: the offender runs in its own loop"
-            else:
-                r = fission_reject(
-                    self.analyzed, self.flowchart, desc, self.use_windows
-                )
-                if r is not None:
-                    fission = f"fission rejected: {r}"
             notes.append({
                 "index": str(lp.path),
                 "keyword": lp.keyword,
                 "loop_index": lp.index,
                 "label": label,
                 "reason": why,
-                "fission": fission,
             })
         return notes
 
@@ -796,10 +752,7 @@ class _Planner:
 
         # ctx == "walk": the loop's own decision, and its provenance
         choice = self._decide(desc)
-        note = FISSION.note(self, desc, path, choice)
-        if note is not None:
-            self.fission_notes.append(note)
-        if not desc.parallel and not choice.strategy.transform:
+        if not desc.parallel:
             self.do_notes.append(self._do_note(desc, path, choice))
         return choice.strategy.emit(self, desc, path, depth, choice.price)
 

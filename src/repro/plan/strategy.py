@@ -22,8 +22,11 @@ by element; :class:`VectorStrategy` (``vector``) runs a ``DOALL`` as one
 NumPy span; :class:`NestStrategy` (``nest``) runs a whole nest as one
 compiled kernel; :class:`PoolStrategy` (``chunk`` and ``collapse``) divides
 a ``DOALL`` among the backend's workers, each chunk on the loop's own
-kernel; :class:`FissionStrategy` (``fission``) splits a loop along its
-dependence groups into replica loops that plan on their own.
+kernel.
+
+Every strategy runs the loop the scheduler (or the ``--merge`` pass) built:
+none splits or replaces it, so every plan names loops of the flowchart's
+own tree.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from repro.runtime.kernels.nest import (
     nest_unfusable_reason,
     team_unfit_reason,
 )
-from repro.schedule.fission import fission_reject, fission_split
 from repro.schedule.flowchart import (
     LoopDescriptor,
     collapse_chain,
@@ -60,7 +62,7 @@ class Price:
 
     #: predicted cycles of one execution (a build is not part of a run)
     cycles: float
-    #: chunks (``chunk`` / ``collapse``) or replica loops (``fission``)
+    #: chunks (``chunk`` / ``collapse``)
     parts: int | None = None
     #: the one-line rationale the plan prints beside the strategy
     reason: str = ""
@@ -73,19 +75,12 @@ class Price:
 
 
 class LoopStrategy:
-    """What every strategy shares: no kernel of its own, ``forced`` as the
-    rationale of a forced choice, and a ``pretty()`` row headed by its
-    name (with its part count, where it has one)."""
+    """What every strategy shares: no kernel of its own, and a ``pretty()``
+    row headed by its name (with its part count, where it has one)."""
 
     name = ""
     #: the nest-kernel shape the loop runs (None: it dispatches no kernel)
     shape: str | None = None
-    #: the plan's rationale when a caller forced the strategy on the loop
-    forced_reason = "forced"
-    #: the strategy replaces the loop by other loops (``fission``). It
-    #: then competes with whatever runs the loop — forced or chosen —
-    #: unless a per-path pin fixes the loop's strategy.
-    transform = False
 
     def recognise(self, planner, desc: LoopDescriptor, forced: bool = False) -> str | None:
         """None when the strategy applies to ``desc``, else why not. The
@@ -514,110 +509,6 @@ class PoolStrategy(LoopStrategy):
             backend.exec_vector_span(state, desc, lo, hi, env, [])
 
 
-class FissionStrategy(LoopStrategy):
-    """``fission``: a multi-unit loop body split along its dependence
-    structure (:mod:`repro.schedule.fission`) into one replica loop per
-    group, in topological order over the same subrange, each planned on its
-    own at the marker path ``loop_path + (-1, k)`` — a piece that comes out
-    all-``DOALL`` regains ``nest`` / ``chunk`` / ``collapse``, a lone
-    recurrence runs as its own compiled ``DO``. Each equation lands in
-    exactly one replica, so evaluation counts match the unsplit walk. It
-    replaces the loop rather than running it, so it is priced last, against
-    whatever would run the loop whole, and wins only when strictly cheaper."""
-
-    name = "fission"
-    forced_reason = "forced dependence split"
-    transform = True
-
-    @staticmethod
-    def _split(planner, desc):
-        return fission_split(
-            planner.analyzed, planner.flowchart, desc, planner.use_windows
-        )
-
-    def recognise(self, planner, desc, forced=False):
-        if self._split(planner, desc) is not None:
-            return None
-        return (
-            fission_reject(
-                planner.analyzed, planner.flowchart, desc, planner.use_windows
-            )
-            or "the body is a single dependence unit"
-        )
-
-    def price(self, planner, desc):
-        split = self._split(planner, desc)
-        return Price(
-            sum(planner._cost(piece, "walk", 1) for piece in split.pieces),
-            parts=split.parts, reason="dependence split",
-        )
-
-    def note(self, planner, desc, path, choice) -> dict | None:
-        """The provenance note of a loop this strategy was asked about
-        (None: it was not, or the loop has a single body unit): the split
-        and both prices, or why there is no legal split."""
-        verdict = choice.verdicts.get(self.name)
-        if verdict is None:
-            return None
-        note = {
-            "index": str(path), "keyword": desc.keyword,
-            "loop_index": desc.index, "parts": None,
-            "trip": planner._trip_est(desc), "pieces": [],
-            "fission_cycles": None, "unfissioned_cycles": None,
-            "chosen": False, "why": "",
-        }
-        if isinstance(verdict, str):
-            why = fission_reject(
-                planner.analyzed, planner.flowchart, desc, planner.use_windows
-            )
-            if why is None:
-                return None
-            note["why"] = why
-            return note
-        split = self._split(planner, desc)
-        note["parts"] = split.parts
-        note["pieces"] = split.describe()
-        note["fission_cycles"] = verdict.cycles
-        note["unfissioned_cycles"] = choice.base[1].cycles
-        note["chosen"] = choice.strategy is self
-        if choice.forced is self:
-            note["why"] = "forced"
-        elif note["chosen"]:
-            note["why"] = "split pieces are cheaper"
-        else:
-            note["why"] = "unfissioned plan is cheaper"
-            if not desc.parallel and choice.base[0] is NEST:
-                note["why"] += (
-                    f": {split.parts} passes over memory > one compiled DO"
-                )
-        return note
-
-    def emit(self, planner, desc, path, depth, price):
-        """The original loop's plan carries the strategy and the piece
-        count; the replicas plan as an ordinary sibling list at the marker
-        container ``path + (-1,)``."""
-        lp = planner._loop(
-            desc, path, depth, self.name, parts=price.parts, reason=price.reason,
-        )
-        lp.cycles = sum(
-            planner._emit(piece, path + (-1, k), depth + 1, "walk", 1.0)
-            for k, piece in enumerate(self._split(planner, desc).pieces)
-        )
-        return lp.cycles
-
-    def execute(self, backend, state, desc, lo, hi, env):
-        split = fission_split(
-            state.analyzed, state.flowchart, desc, state.options.use_windows
-        )
-        if split is None:
-            # Memoized at annotate time; missing means a foreign flowchart
-            # copy — run the loop as scheduled (bit-exact, just unsplit).
-            backend.exec_sequential_loop(state, desc, lo, hi, env, [])
-            return
-        for piece in split.pieces:
-            backend.exec_descriptor(state, piece, env, [])
-
-
 SERIAL = SerialStrategy()
 VECTOR = VectorStrategy()
 NEST = NestStrategy()
@@ -626,10 +517,9 @@ COLLAPSE = PoolStrategy(
     "collapse", "flat", loop_collapse_safe,
     "not a collapse-safe perfect DOALL chain",
 )
-FISSION = FissionStrategy()
 
 #: plan-strategy name -> strategy object, in the order the planner's walk
 #: asks them
 LOOP_STRATEGIES = {
-    s.name: s for s in (SERIAL, VECTOR, NEST, CHUNK, COLLAPSE, FISSION)
+    s.name: s for s in (SERIAL, VECTOR, NEST, CHUNK, COLLAPSE)
 }

@@ -243,24 +243,15 @@ class KernelCache:
 
     def _warm_set(self, use_windows: bool) -> Iterator[tuple[LoopDescriptor, str]]:
         """Every (loop, shape) a run can dispatch a kernel from. All loops
-        of the main tree, not just the outermost ones: when an enclosing
-        loop plans ``serial`` the scalar walk meets the inner loops
-        directly. And the pieces of every usable fission split: replicas
-        live outside the main tree (marker paths), so ``loops()`` never
-        meets them. Every loop takes ``"full"`` (a ``DOALL``'s nest or
-        chunk kernel, a ``DO``'s compiled in-order nest) and a ``DOALL``
-        ``"flat"`` too when its chain is collapse-safe. A ``DO``'s
-        ``"team"`` kernel is left to the plan that takes it: only a plan
-        at a parallelism above one builds it."""
-        # Lazy import: fission sits above the kernel layer.
-        from repro.schedule.fission import fission_splits
-
-        loops = list(self.flowchart.loops())
-        for split in fission_splits(self.analyzed, self.flowchart).values():
-            if split.usable(use_windows):
-                loops.extend(split.pieces)
+        of the tree, not just the outermost ones: when an enclosing loop
+        plans ``serial`` the scalar walk meets the inner loops directly.
+        Every loop takes ``"full"`` (a ``DOALL``'s nest or chunk kernel, a
+        ``DO``'s compiled in-order nest) and a ``DOALL`` ``"flat"`` too
+        when its chain is collapse-safe. A ``DO``'s ``"team"`` kernel is
+        left to the plan that takes it: only a plan at a parallelism above
+        one builds it."""
         windows = self.flowchart.windows
-        for desc in loops:
+        for desc in self.flowchart.loops():
             yield desc, "full"
             if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
                 yield desc, "flat"

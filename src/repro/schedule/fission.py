@@ -1,21 +1,25 @@
-"""Loop fission: split a multi-unit loop body along its dependence
-structure (Aubert et al., arXiv 2206.08760, adapted to the paper's
-flowchart IR).
+"""Loop fission analysis: split a multi-unit loop body along its
+dependence structure (Aubert et al., arXiv 2206.08760, adapted to the
+paper's flowchart IR) — analysis only: no plan strategy, kernel or backend
+acts on a split.
 
 The scheduler never builds fissionable bodies itself — it emits one loop
-per strongly connected component — but the loop-*merging* improvement pass
-(:mod:`repro.schedule.merge`), hand-built flowcharts, and generated
-programs all produce loops whose bodies mix independent pieces: a
-recurrence sharing a ``DO`` with an unrelated reduction, a module call
-riding along with pure DOALL arithmetic. One such unit poisons the whole
-nest down to the scalar evaluator. Fission is the planner-priced inverse
-of merging: partition the body's direct child descriptors ("units") into
-minimal groups by the loop-carried/loop-independent dependence structure
-(the condensation of the unit dependence graph restricted to the nest),
-replicate the enclosing loop once per group in topological order, and let
-the planner price each replica independently — an all-DOALL piece regains
-nest/chunk/collapse native kernels, a lone module call stops poisoning its
-siblings, and a lone recurrence piece runs as its own compiled ``DO``.
+per strongly connected component — but the loop-*merging* pass
+(:mod:`repro.schedule.merge`) and hand-built flowcharts produce loops
+whose bodies mix independent pieces. Such a loop runs as written: one
+compiled ``DO`` over a merged nest of recurrences measured cheaper than a
+compiled pass per dependence group. This module stays because the
+end-to-end benchmark counts legal splits (``schedule.fission_splits``)
+and the recognisers behind its ``schedule.scan_loops`` /
+``schedule.pipeline_groups`` counters (:mod:`repro.schedule.scan_detect`,
+:mod:`repro.schedule.pipeline_stages`) walk the replicas; it goes when
+those counters do.
+
+:func:`fission_splits` partitions a loop body's direct child descriptors
+("units") into minimal groups by the loop-carried/loop-independent
+dependence structure (the condensation of the unit dependence graph
+restricted to the nest) and replicates the enclosing loop once per group,
+in topological order.
 
 Legality is all-or-nothing per unit pair, classified at the writer's
 carry position (the subscript position where the loop index appears bare
@@ -36,23 +40,17 @@ in the write):
   rejects the split entirely.
 
 ``DO`` groups whose every intra-group carried read is identity
-(``delta == 0``) are *promoted* to ``DOALL`` replicas — the parallelism
-the merge buried is recovered, not invented: iterations write disjoint
-rows and read only completed or external data.
+(``delta == 0``) are *promoted* to ``DOALL`` replicas: iterations write
+disjoint rows and read only completed or external data.
 
 Splits are structural (window-mode independent) with a per-mode hazard:
 windowed (virtual-dimension) storage rotates planes as the loop advances,
 so splitting the interleaving would read rotated-away rows — window mode
 rejects the split for any nest touching windowed arrays.
 
-Verdicts are memoized on the flowchart (``annotate_flowchart`` fills them
-eagerly for scheduler output; merged flowcharts — which are never
-re-annotated — fill them lazily on first planner contact, before any
-worker chunk runs). Replica descriptors share
-the original body's descriptor objects and are addressed by *marker
-paths*: ``loop_path + (-1, k)`` names replica ``k`` of the loop at
-``loop_path`` — the ``-1`` component (never a valid child index) routes
-``Flowchart.descriptor_at`` through the split.
+Splits are memoized on the flowchart on first request. Replica
+descriptors share the original body's descriptor objects; the
+recognisers key a replica by ``loop_path + (-1, k)``.
 """
 
 from __future__ import annotations
@@ -67,23 +65,18 @@ from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
     NodeDescriptor,
-    loop_chunk_safe,
-    loop_collapse_safe,
 )
-
-#: the marker component of a replica path (never a valid child index)
-FISSION_MARKER = -1
 
 
 @dataclass(frozen=True)
 class FissionSplit:
     """A legal fission of one loop into replica loops.
 
-    ``pieces[k]`` is the replica at marker path ``path + (-1, k)``; its
-    body holds the *shared* original unit descriptors of ``groups[k]`` in
-    textual order. ``promoted[k]`` records a DO group that became a DOALL
-    replica. ``mode_hazard`` maps ``use_windows`` to ``None`` (usable) or
-    the hazard that rejects the split in that mode."""
+    ``pieces[k]`` is replica ``k`` of the loop at ``path``; its body holds
+    the *shared* original unit descriptors of ``groups[k]`` in textual
+    order. ``promoted[k]`` records a DO group that became a DOALL replica.
+    ``mode_hazard`` maps ``use_windows`` to ``None`` (usable) or the hazard
+    that rejects the split in that mode."""
 
     path: tuple[int, ...]
     pieces: tuple[LoopDescriptor, ...]
@@ -97,23 +90,6 @@ class FissionSplit:
 
     def usable(self, use_windows: bool) -> bool:
         return self.mode_hazard[bool(use_windows)] is None
-
-    def describe(self) -> list[str]:
-        """Per-piece display strings for plan provenance."""
-        return [
-            f"{piece.keyword}({', '.join(_unit_labels(piece.body))})"
-            for piece in self.pieces
-        ]
-
-
-def _unit_labels(units: list[Descriptor]) -> list[str]:
-    labels: list[str] = []
-    for u in units:
-        if isinstance(u, NodeDescriptor):
-            labels.append(u.label)
-        else:
-            labels.extend(eq.label for eq in u.nested_equations())
-    return labels
 
 
 @dataclass
@@ -370,39 +346,25 @@ def _analyze_loop(
         )
         pieces.append(piece)
         promoted.append(promote)
-    split = FissionSplit(
+    return FissionSplit(
         path=path,
         pieces=tuple(pieces),
         groups=tuple(tuple(g) for g in groups),
         promoted=tuple(promoted),
         mode_hazard=mode_hazard,
     )
-    # Fill the replicas' safety caches for both window modes up front, the
-    # same eager discipline annotate_flowchart applies to the main tree.
-    for piece in pieces:
-        if piece.parallel:
-            for use_windows in (False, True):
-                loop_chunk_safe(
-                    piece, analyzed, flowchart.windows, use_windows
-                )
-                loop_collapse_safe(
-                    piece, analyzed, flowchart.windows, use_windows
-                )
-    return split
 
 
 def fission_splits(
     analyzed, flowchart: Flowchart
 ) -> dict[tuple[int, ...], FissionSplit]:
     """Every legal split in the flowchart, keyed by loop path. Memoized on
-    the flowchart (structural — window-mode validity lives on each split);
-    rejection reasons for considered multi-unit loops are memoized
-    alongside for plan provenance."""
+    the flowchart (structural — window-mode validity lives on each
+    split)."""
     memo = getattr(flowchart, "_fission_splits", None)
     if memo is not None:
         return memo
     splits: dict[tuple[int, ...], FissionSplit] = {}
-    rejects: dict[tuple[int, ...], str] = {}
 
     def walk(descs: list[Descriptor], prefix: tuple[int, ...]) -> None:
         for i, d in enumerate(descs):
@@ -411,43 +373,11 @@ def fission_splits(
             path = prefix + (i,)
             if len(d.body) >= 2:
                 result = _analyze_loop(d, path, analyzed, flowchart)
-                if isinstance(result, str):
-                    rejects[path] = result
-                else:
+                if not isinstance(result, str):
                     splits[path] = result
             walk(d.body, path)
 
     walk(flowchart.descriptors, ())
-    flowchart._fission_rejects = rejects
     flowchart._fission_splits = splits
     return splits
 
-
-def fission_split(
-    analyzed, flowchart: Flowchart, desc: LoopDescriptor, use_windows: bool
-) -> FissionSplit | None:
-    """The usable split for one loop in one window mode, or None."""
-    splits = fission_splits(analyzed, flowchart)
-    path = flowchart.path_of(desc)
-    if path is None:
-        return None
-    split = splits.get(path)
-    if split is None or not split.usable(use_windows):
-        return None
-    return split
-
-
-def fission_reject(
-    analyzed, flowchart: Flowchart, desc: LoopDescriptor, use_windows: bool
-) -> str | None:
-    """Why a *considered* loop (two or more body units) has no usable
-    split in this mode — None for unconsidered or successfully split
-    loops. Feeds the planner's rejected-transform provenance."""
-    splits = fission_splits(analyzed, flowchart)
-    path = flowchart.path_of(desc)
-    if path is None:
-        return None
-    split = splits.get(path)
-    if split is not None:
-        return split.mode_hazard[bool(use_windows)]
-    return getattr(flowchart, "_fission_rejects", {}).get(path)

@@ -260,9 +260,8 @@ def loop_chunk_safe(
 
 
 def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
-    """Precompute every loop's chunk-safety (both window modes), every
-    equation's vector-safety, and the loop fission candidates at
-    flowchart-build time."""
+    """Precompute every loop's chunk-safety (both window modes) and every
+    equation's vector-safety at flowchart-build time."""
     for desc in flowchart.walk():
         if isinstance(desc, LoopDescriptor):
             for use_windows in (False, True):
@@ -272,11 +271,6 @@ def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
                 equation_vector_safe(eq)
         elif desc.node.is_equation:
             equation_vector_safe(desc.node.equation)
-    # Lazy import: fission consumes the dependence graph machinery, which
-    # must not become a schedule-time import cycle.
-    from repro.schedule.fission import fission_splits
-
-    fission_splits(analyzed, flowchart)
 
 
 def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -351,12 +345,8 @@ class Flowchart:
 
     def path_of(self, target: Descriptor) -> tuple[int, ...] | None:
         """The child-index path of ``target`` in the descriptor tree — the
-        handle plans and kernel caches key loops by.
-
-        Fission replica loops (which live outside the main tree but share
-        its body descriptors) resolve to *marker paths*
-        ``loop_path + (-1, k)``; the inner descriptors themselves resolve
-        to their main-tree paths."""
+        handle plans and kernel caches key loops by; None when ``target``
+        is not in the tree."""
 
         def search(descs: list[Descriptor], prefix: tuple[int, ...]):
             for i, d in enumerate(descs):
@@ -368,37 +358,15 @@ class Flowchart:
                         return found
             return None
 
-        found = search(self.descriptors, ())
-        if found is not None:
-            return found
-        for lpath, split in getattr(self, "_fission_splits", {}).items():
-            for k, piece in enumerate(split.pieces):
-                if piece is target:
-                    return lpath + (-1, k)
-        return None
+        return search(self.descriptors, ())
 
     def descriptor_at(self, path: tuple[int, ...]) -> Descriptor:
-        """The descriptor named by a :meth:`path_of` path. A ``-1``
-        component routes through the memoized fission split of the loop at
-        the preceding prefix: ``path[:i] + (-1, k)`` is replica ``k`` of
-        that loop, and further components descend into its body."""
+        """The descriptor named by a :meth:`path_of` path."""
         descs = self.descriptors
         desc: Descriptor | None = None
-        i = 0
-        while i < len(path):
-            c = path[i]
-            if c == -1:
-                prefix = tuple(path[:i])
-                split = getattr(self, "_fission_splits", {}).get(prefix)
-                if split is None:
-                    raise LookupError(f"no fission split at {prefix!r}")
-                desc = split.pieces[path[i + 1]]
-                descs = desc.body
-                i += 2
-                continue
+        for c in path:
             desc = descs[c]
             descs = desc.body if isinstance(desc, LoopDescriptor) else []
-            i += 1
         if desc is None:
             raise IndexError("empty descriptor path")
         return desc

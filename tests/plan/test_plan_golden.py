@@ -1,20 +1,23 @@
 """Golden-text plan stability: ``ExecutionPlan.pretty()`` is part of the
 tool's interface (``repro plan``), so its text on the five paper workloads
-is pinned. The planner runs with an explicit ``cpu_count`` — ``auto``'s
-backend choice must not depend on the machine running the tests."""
+and on the loop-merging pass's ``Mixed`` nest is pinned. The planner runs
+with an explicit ``cpu_count`` — ``auto``'s backend choice must not depend
+on the machine running the tests."""
 
 import textwrap
 
 import pytest
 
 from repro.core.paper import jacobi_analyzed
+from repro.core.recurrences import mixed_analyzed
 from repro.plan.planner import build_plan, forced_plan, valid_strategies
-from repro.ps.parser import parse_module
-from repro.ps.semantics import analyze_module
+from repro.ps.parser import parse_module, parse_program
+from repro.ps.semantics import analyze_module, analyze_program
 from repro.runtime.executor import ExecutionOptions
 from repro.schedule.scheduler import schedule_module
 
 from tests.plan.conftest import WORKLOADS
+from tests.runtime.test_compiled_do import _merged
 from tests.runtime.test_kernel_sources import TALLSKINNY_SOURCE
 
 GOLDEN = {
@@ -320,3 +323,83 @@ class TestGoldenCollapsePlans:
             _scalars(args), overrides=overrides,
         )
         assert plan.pretty() == textwrap.dedent(GOLDEN_COLLAPSE[name])
+
+
+GOLDEN_MERGED_MIXED = """\
+    plan Mixed: backend=threaded workers=4 kernels=native windows=off [pinned]
+    eq.1 [kernel=scalar]
+    eq.2 [kernel=scalar]
+    eq.3 [kernel=scalar]
+    DO I -> nest; trip 200000; compiled in order
+        eq.4 [kernel=native]
+        eq.5 [kernel=native]
+        eq.6 [kernel=native]"""
+
+
+#: ``Mixed`` with a fourth recurrence calling a loop-free module, which the
+#: front end inlines: the merged nest still lowers whole
+INLINED_CALL_PROGRAM = """\
+Damp: module (v: int): [w: int];
+define
+    w = v * 3 + 1;
+end Damp;
+
+Sweep: module (X: array[1 .. n] of int; n: int):
+       [T: array[0 .. n] of int; S: array[0 .. n] of int;
+        M: array[0 .. n] of int; Q: array[0 .. n] of int];
+type
+    I = 1 .. n;
+define
+    T[0] = 0;
+    S[0] = 0;
+    M[0] = X[1];
+    Q[0] = 0;
+    T[I] = T[I-1] + Damp(X[I]);
+    S[I] = S[I-1] + (X[I] * X[I] - 3 * X[I] + 7);
+    M[I] = max(M[I-1], X[I] * X[I] - 4 * X[I]);
+    Q[I] = Q[I-1] + (X[I] - 2) * (X[I] + 2);
+end Sweep;
+"""
+
+
+def _merged_mixed():
+    analyzed = mixed_analyzed()
+    return analyzed, _merged(analyzed)
+
+
+class TestMergedNestPlans:
+    """The loop-merging pass fuses ``Mixed``'s three integer recurrences
+    into one ``DO``, and the plan runs it as written: one compiled in-order
+    loop, never a loop per recurrence."""
+
+    def test_merged_mixed_plan_text(self):
+        analyzed, flow = _merged_mixed()
+        plan = build_plan(
+            analyzed, flow, ExecutionOptions(backend="threaded", workers=4),
+            {"n": 200_000}, cpu_count=4,
+        )
+        assert plan.pretty() == textwrap.dedent(GOLDEN_MERGED_MIXED)
+        explain = plan.explain()
+        assert "fission" not in explain
+        assert "DO I @(3,): compiled nest [native], trip 200000" in explain
+
+    @pytest.mark.parametrize("workers", (1, 2, 4, 8), ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize(
+        "n", (64, 20_000, 2_000_000, 200_000_000), ids=lambda n: f"n{n}"
+    )
+    def test_one_compiled_do_at_every_size(self, n, workers):
+        sweep = analyze_program(parse_program(INLINED_CALL_PROGRAM))["Sweep"]
+        assert all(not eq.calls for eq in sweep.equations)
+        for analyzed in (mixed_analyzed(), sweep):
+            plan = build_plan(
+                analyzed, _merged(analyzed),
+                ExecutionOptions(backend="threaded", workers=workers),
+                {"n": n}, cpu_count=workers,
+            )
+            assert plan.strategies() == [("I", "nest")], analyzed.name
+            assert plan.provenance["slow_loops"] == [], analyzed.name
+
+    def test_the_merged_do_offers_only_the_walk_and_the_nest(self):
+        analyzed, flow = _merged_mixed()
+        (loop,) = flow.loops()
+        assert valid_strategies(analyzed, flow, loop) == ["serial", "nest"]

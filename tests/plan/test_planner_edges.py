@@ -2,8 +2,9 @@
 compile, kept ones hold the GIL), callee plans without a pool, plan
 re-binding, auto always being measurable,
 recognised recurrences planning as the compiled ``DO`` at every size,
-``DOALL``-only strategies forced on a ``DO``, and the retired ``pipeline``
-and ``scan`` strategies refused by name."""
+``DOALL``-only strategies forced on a ``DO``, the retired ``iterate``,
+``pipeline``, ``scan`` and ``fission`` strategies refused by name, and the
+slow-loop provenance of a merged nest."""
 
 import re
 
@@ -25,6 +26,7 @@ from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions, execute_program_module
 from repro.schedule.scheduler import schedule_module
 
+from tests.runtime.test_compiled_do import _merged
 from tests.runtime.test_kernels import KEPT_CALL_PROGRAM_SOURCE
 
 CALL_PROGRAM_SOURCE = """\
@@ -259,7 +261,7 @@ class TestForcedOnADo:
 
 
 class TestRetiredStrategy:
-    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan"])
+    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan", "fission"])
     @pytest.mark.parametrize("plan_with, error", [
         (_build_with_strategy, ExecutionError),
         (_forced_default, PlanError),
@@ -268,12 +270,55 @@ class TestRetiredStrategy:
     def test_retired_names_are_refused_naming_the_survivors(
         self, plan_with, error, name
     ):
-        assert len(VALID_STRATEGIES) == 6
+        assert VALID_STRATEGIES == ("serial", "vector", "nest", "chunk", "collapse")
         # the count vocabulary keeps the retired names, always counted 0
-        assert STRATEGIES == (*VALID_STRATEGIES, "iterate", "pipeline", "scan")
+        assert STRATEGIES == (
+            *VALID_STRATEGIES, "iterate", "pipeline", "scan", "fission",
+        )
         # a recurrence feeding a consumer: the shape pipeline decoupled
         analyzed = scan_analyzed()
         flow = schedule_module(analyzed)
         survivors = re.escape(", ".join(VALID_STRATEGIES))
         with pytest.raises(error, match=f"'{name}'; available: {survivors}$"):
             plan_with(analyzed, flow, name)
+
+
+#: a call of a module with a loop of its own (kept, not inlined) merged into
+#: one nest with a clean equation
+POISONED_PROGRAM = """\
+Scale: module (v: int): [w: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
+define
+    P[K] = v * 3;
+    w = P[1];
+end Scale;
+
+Body: module (X: array[1 .. n] of int; n: int):
+      [Y: array[1 .. n] of int; Z: array[1 .. n] of int];
+type
+    I = 1 .. n;
+define
+    Y[I] = Scale(X[I]);
+    Z[I] = X[I] * X[I] + 2;
+end Body;
+"""
+
+
+class TestSlowLoopProvenance:
+    def test_a_merged_nest_names_its_unkernelizable_equation(self):
+        body = analyze_program(parse_program(POISONED_PROGRAM))["Body"]
+        plan = build_plan(
+            body, _merged(body),
+            ExecutionOptions(backend="threaded", workers=4),
+            {"n": 1000}, cpu_count=4,
+        )
+        why = "calls module Scale with index-dependent arguments"
+        assert plan.provenance["slow_loops"] == [{
+            "index": "(0,)", "keyword": "DOALL", "loop_index": "I",
+            "label": "eq.1", "reason": why,
+        }]
+        row = f"  slow loop @(0,) (DOALL I): eq.1 not kernelizable — {why}\n"
+        assert row in plan.explain()

@@ -24,9 +24,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.genprog import generate_program, program_args
+from repro.core.pipeline import CompilerOptions, compile_source
 from repro.core.recurrences import (
+    MIXED_SOURCE,
     RECURRENCE_WORKLOADS,
     ilinrec_analyzed,
     ilinrec_args,
@@ -34,6 +38,7 @@ from repro.core.recurrences import (
     mixed_args,
 )
 from repro.errors import ExecutionError
+from repro.graph.build import build_dependency_graph
 from repro.machine.cost import MachineModel
 from repro.plan.ir import PlanError
 from repro.plan.planner import build_plan, forced_plan, valid_strategies
@@ -42,10 +47,11 @@ from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
+from repro.schedule import fission
 from repro.schedule.flowchart import LoopDescriptor
+from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
-from tests.runtime.test_fission_exec import _merged
 from tests.runtime.test_kernels import ALL_BACKENDS, WORKLOADS
 from tests.runtime.test_native_kernels import (
     LOOKUP_CONDITIONS,
@@ -59,6 +65,12 @@ ALWAYS_C = MachineModel(native_build=0.0)
 NEVER_C = MachineModel(native_build=float("inf"))
 
 GENPROG_SEEDS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+
+
+def _merged(analyzed):
+    """``analyzed`` scheduled, then through the loop-merging pass."""
+    graph = build_dependency_graph(analyzed)
+    return merge_loops(schedule_module(analyzed, graph), graph)
 
 
 def _programs():
@@ -178,6 +190,59 @@ class TestDifferential:
         )
         want = _reference(analyzed, flow, args, ("S",))
         assert np.array_equal(np.asarray(got["S"]), want["S"])
+
+
+class TestMergedNests:
+    """A nest the loop-merging pass built runs as written: one loop of the
+    flowchart, planned like any other, never split into replica loops."""
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", "vectorized", "threaded", "auto"]
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=24),
+    )
+    def test_generated_programs_equal_the_evaluator(self, backend, seed, n):
+        # Unforced plans on both kernel tiers and in both window modes,
+        # uninitialised storage poisoned suite-wide: bit-equal to the
+        # scalar reference evaluator.
+        prog = generate_program(seed)
+        res = compile_source(prog.source, CompilerOptions(merge_loops=True))
+        args = program_args(prog, n, seed)
+        want = _reference(res.analyzed, res.flowchart, args, prog.outputs)
+        for tier in ("native", "numpy"):
+            for use_windows in (False, True):
+                got = res.run(args, ExecutionOptions(
+                    backend=backend, workers=2, kernel_tier=tier,
+                    use_windows=use_windows,
+                ))
+                for k in prog.outputs:
+                    assert np.array_equal(np.asarray(got[k]), want[k]), (
+                        k, tier, use_windows,
+                    )
+
+    def test_compiling_planning_and_running_never_split(self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("fission_splits was called")
+
+        monkeypatch.setattr(fission, "fission_splits", spy)
+        res = compile_source(MIXED_SOURCE, CompilerOptions(merge_loops=True))
+        args = mixed_args(n=40)
+        for backend in ("serial", "threaded"):
+            res.run(args, ExecutionOptions(backend=backend, workers=2))
+        res.kernel_cache.warm(False, tier="numpy")
+
+    def test_kernels_are_warmed_for_the_flowchart_loops_only(self):
+        # The merged nest has a legal split, but its replicas are not in
+        # the flowchart: nothing resolves them, nothing builds for them.
+        analyzed = mixed_analyzed()
+        flow = _merged(analyzed)
+        (split,) = fission.fission_splits(analyzed, flow).values()
+        assert all(flow.path_of(piece) is None for piece in split.pieces)
+        warmed = {id(d) for d, _ in KernelCache(analyzed, flow)._warm_set(False)}
+        assert warmed == {id(d) for d in flow.loops()}
 
 
 RANGE_SOURCE = """\

@@ -18,8 +18,7 @@ A point is one of
 over 51 programs, each with and without loop merging and window storage: the
 12 corpus modules and 3 shapes the kernel tests exercise (each also under the
 hyperplane transform, where it applies) and 36 generated modules drawn with
-the ``small_many`` stratification. Loops include fission pieces, which are
-kernel roots too.
+the ``small_many`` stratification.
 
 Regenerate after an *intended* change to emitted code with
 ``PYTHONPATH=src python -m tests.runtime.test_kernel_sources``.
@@ -40,7 +39,6 @@ from repro.ps.semantics import analyze_program
 from repro.runtime.kernels import KernelError
 from repro.runtime.kernels.emit import emit_kernel_source, emit_nest_kernel_source
 from repro.runtime.kernels.native import native_spec
-from repro.schedule.fission import fission_splits
 from repro.schedule.scheduler import schedule_module
 
 from tests.runtime.test_kernels import (
@@ -167,9 +165,6 @@ def census() -> dict[str, dict[str, str]]:
     out: dict[str, dict[str, str]] = {}
     for tag, analyzed, flow in _compilations():
         points = out[tag] = {}
-        loops = list(flow.loops())
-        for split in fission_splits(analyzed, flow).values():
-            loops.extend(split.pieces)
         for w in (False, True):
             at = f"w{int(w)}"
             for eq in analyzed.equations:
@@ -178,7 +173,7 @@ def census() -> dict[str, dict[str, str]]:
                     points[f"{at} eq {eq.label} {dialect}"] = _digest(
                         _equation_source, eq, analyzed, flow, vector, w
                     )
-            for desc in loops:
+            for desc in flow.loops():
                 path = ".".join(map(str, flow.path_of(desc)))
                 at_loop = f"{at} loop {path} {desc.index}"
                 for shape in ("full", "flat"):

@@ -1,21 +1,14 @@
-"""The fission analysis: SCC grouping, replica construction, marker-path
-addressing, DOALL promotion, and the all-or-nothing rejections (interlocked
-carries, shared-target output dependences, window-mode hazards)."""
-
-import pytest
+"""The fission analysis behind the benchmark's split counter: SCC
+grouping, replica construction, DOALL promotion, and the all-or-nothing
+rejections (interlocked carries, shared-target output dependences,
+window-mode hazards)."""
 
 from repro.core.genprog import generate_program
 from repro.core.recurrences import coupled_analyzed, mixed_analyzed
 from repro.graph.build import build_dependency_graph
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
-from repro.schedule.fission import (
-    FissionSplit,
-    _analyze_loop,
-    fission_reject,
-    fission_split,
-    fission_splits,
-)
+from repro.schedule.fission import FissionSplit, _analyze_loop, fission_splits
 from repro.schedule.flowchart import Flowchart, LoopDescriptor
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
@@ -30,6 +23,14 @@ def _analyze(source):
     return analyze_module(parse_module(source))
 
 
+def _pieces(split):
+    """``KEYWORD(labels)`` per replica, in replica order."""
+    return [
+        f"{p.keyword}({', '.join(eq.label for eq in p.nested_equations())})"
+        for p in split.pieces
+    ]
+
+
 class TestSplitStructure:
     def test_mixed_splits_into_three_recurrence_pieces(self):
         analyzed = mixed_analyzed()
@@ -39,7 +40,7 @@ class TestSplitStructure:
         assert split.parts == 3
         assert split.groups == ((0,), (1,), (2,))
         assert split.promoted == (False, False, False)
-        assert split.describe() == ["DO(eq.4)", "DO(eq.5)", "DO(eq.6)"]
+        assert _pieces(split) == ["DO(eq.4)", "DO(eq.5)", "DO(eq.6)"]
         assert split.usable(False) and split.usable(True)
 
     def test_each_unit_lands_in_exactly_one_piece(self):
@@ -55,17 +56,6 @@ class TestSplitStructure:
             assert [id(u) for u in piece.body] == [
                 id(loop.body[u]) for u in group
             ]
-
-    def test_marker_paths_round_trip(self):
-        analyzed = mixed_analyzed()
-        chart = _merged(analyzed)
-        (split,) = fission_splits(analyzed, chart).values()
-        for k, piece in enumerate(split.pieces):
-            marker = split.path + (-1, k)
-            assert chart.descriptor_at(marker) is piece
-            assert chart.path_of(piece) == marker
-        with pytest.raises(LookupError):
-            chart.descriptor_at((0, -1, 0))
 
     def test_ordered_flow_pins_the_replica_order(self):
         # R consumes U in the same iteration: two groups, U's first.
@@ -85,7 +75,7 @@ end Chain;
         chart = _merged(analyzed)
         (split,) = fission_splits(analyzed, chart).values()
         assert split.parts == 2
-        assert split.describe() == ["DO(eq.3)", "DO(eq.4)"]  # U before R
+        assert _pieces(split) == ["DO(eq.3)", "DO(eq.4)"]  # U before R
 
     def test_coupled_pair_stays_in_one_group(self):
         # Mutually recursive units condense into a single two-member
@@ -138,19 +128,19 @@ end Maps;
         (split,) = fission_splits(analyzed, hand).values()
         assert split.promoted == (True, True)
         assert all(p.parallel for p in split.pieces)
-        assert split.describe() == ["DOALL(eq.1)", "DOALL(eq.2)"]
+        assert _pieces(split) == ["DOALL(eq.1)", "DOALL(eq.2)"]
 
 
 class TestRejections:
     def test_interlocked_carries_reject(self):
-        # The coupled recurrence is one SCC: no legal split, and the
-        # reason is recorded for plan provenance.
+        # The coupled recurrence is one SCC: no legal split, and why.
         analyzed = coupled_analyzed()
         chart = _merged(analyzed)
         loop = next(d for d in chart.loops() if not d.parallel)
-        assert fission_split(analyzed, chart, loop, False) is None
+        path = chart.path_of(loop)
+        assert path not in fission_splits(analyzed, chart)
         assert (
-            fission_reject(analyzed, chart, loop, False)
+            _analyze_loop(loop, path, analyzed, chart)
             == "carried dependences interlock the body into one group"
         )
 
@@ -205,18 +195,15 @@ end WinMix;
         (split,) = fission_splits(analyzed, chart).values()
         assert split.usable(False)
         assert not split.usable(True)
-        assert "windowed array U" in split.mode_hazard[True]
-        loop = chart.descriptor_at(split.path)
-        assert fission_split(analyzed, chart, loop, True) is None
-        assert fission_split(analyzed, chart, loop, False) is split
-        assert "windowed array U" in fission_reject(analyzed, chart, loop, True)
+        assert split.mode_hazard[True] == "windowed array U in the nest"
 
     def test_single_unit_loops_are_not_considered(self):
         analyzed = coupled_analyzed()
         chart = schedule_module(analyzed)  # unmerged: loops stay small
+        splits = fission_splits(analyzed, chart)
         for loop in chart.loops():
             if len(loop.body) < 2:
-                assert fission_reject(analyzed, chart, loop, False) is None
+                assert chart.path_of(loop) not in splits
 
 
 class TestGeneratedPrograms:

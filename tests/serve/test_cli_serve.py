@@ -138,7 +138,7 @@ def test_serve_compiles_with_hyperplane(tmp_path):
 
 
 def test_serve_compiles_with_merge(tmp_path):
-    """``repro serve --merge``: merged nests are what fission splits."""
+    """``repro serve --merge``: a merged nest plans as one loop."""
     with _serving(tmp_path, MIXED_SOURCE, "--merge") as (_, sock):
         out = _client(
             "plan", "Mixed", "--set", "n=200000",

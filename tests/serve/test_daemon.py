@@ -158,7 +158,7 @@ class TestStructuredErrors:
             assert "valid fields" in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
-    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan"])
+    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan", "fission"])
     def test_retired_strategy_is_a_structured_error(self, served, name):
         daemon, _ = served
         with connect(daemon) as client:

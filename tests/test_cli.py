@@ -235,11 +235,13 @@ class TestRun:
         ["plan", "--no-fission"],
         ["run", "--no-fission"],
         ["serve", "--no-fission"],
+        ["plan", "--strategy", "fission"],
+        ["run", "--strategy", "fission"],
     ], ids=[
         "plan-option", "run-option", "serve-option", "plan-scan", "run-scan",
         "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
         "serve-no-collapse", "plan-iterate", "run-iterate", "plan-no-fission",
-        "run-no-fission", "serve-no-fission",
+        "run-no-fission", "serve-no-fission", "plan-fission", "run-fission",
     ])
     def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
         command, *flags = argv
