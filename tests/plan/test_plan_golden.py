@@ -17,7 +17,11 @@ from repro.runtime.executor import ExecutionOptions
 from repro.schedule.scheduler import schedule_module
 
 from tests.plan.conftest import WORKLOADS
-from tests.runtime.test_compiled_do import _merged
+from tests.runtime.test_compiled_do import (
+    INLINED_CALL_PROGRAM,
+    LOOPED_CALL_PROGRAM,
+    _merged,
+)
 from tests.runtime.test_kernel_sources import TALLSKINNY_SOURCE
 
 GOLDEN = {
@@ -336,35 +340,31 @@ GOLDEN_MERGED_MIXED = """\
         eq.6 [kernel=native]"""
 
 
-#: ``Mixed`` with a fourth recurrence calling a loop-free module, which the
-#: front end inlines: the merged nest still lowers whole
-INLINED_CALL_PROGRAM = """\
-Damp: module (v: int): [w: int];
-define
-    w = v * 3 + 1;
-end Damp;
-
-Sweep: module (X: array[1 .. n] of int; n: int):
-       [T: array[0 .. n] of int; S: array[0 .. n] of int;
-        M: array[0 .. n] of int; Q: array[0 .. n] of int];
-type
-    I = 1 .. n;
-define
-    T[0] = 0;
-    S[0] = 0;
-    M[0] = X[1];
-    Q[0] = 0;
-    T[I] = T[I-1] + Damp(X[I]);
-    S[I] = S[I-1] + (X[I] * X[I] - 3 * X[I] + 7);
-    M[I] = max(M[I-1], X[I] * X[I] - 4 * X[I]);
-    Q[I] = Q[I-1] + (X[I] - 2) * (X[I] + 2);
-end Sweep;
-"""
-
-
 def _merged_mixed():
     analyzed = mixed_analyzed()
     return analyzed, _merged(analyzed)
+
+
+def _sweep(source):
+    return analyze_program(parse_program(source))["Sweep"]
+
+
+def _threaded_plan(analyzed, n, workers):
+    """``analyzed``'s merged flowchart, planned on ``threaded``."""
+    return build_plan(
+        analyzed, _merged(analyzed),
+        ExecutionOptions(backend="threaded", workers=workers),
+        {"n": n}, cpu_count=workers,
+    )
+
+
+#: the trips and worker counts the merged-nest plans are pinned over
+_SIZES = [
+    (n, p) for n in (64, 20_000, 2_000_000, 200_000_000) for p in (1, 2, 4, 8)
+]
+SIZES = pytest.mark.parametrize(
+    "n, workers", _SIZES, ids=[f"n{n}-p{p}" for n, p in _SIZES]
+)
 
 
 class TestMergedNestPlans:
@@ -383,21 +383,38 @@ class TestMergedNestPlans:
         assert "fission" not in explain
         assert "DO I @(3,): compiled nest [native], trip 200000" in explain
 
-    @pytest.mark.parametrize("workers", (1, 2, 4, 8), ids=lambda p: f"p{p}")
-    @pytest.mark.parametrize(
-        "n", (64, 20_000, 2_000_000, 200_000_000), ids=lambda n: f"n{n}"
-    )
-    def test_one_compiled_do_at_every_size(self, n, workers):
-        sweep = analyze_program(parse_program(INLINED_CALL_PROGRAM))["Sweep"]
+    @SIZES
+    def test_merged_mixed_is_one_compiled_do(self, n, workers):
+        plan = _threaded_plan(mixed_analyzed(), n, workers)
+        assert plan.strategies() == [("I", "nest")]
+        assert plan.provenance["slow_loops"] == []
+
+    @SIZES
+    def test_an_inlined_call_leaves_one_compiled_do(self, n, workers):
+        sweep = _sweep(INLINED_CALL_PROGRAM)
         assert all(not eq.calls for eq in sweep.equations)
-        for analyzed in (mixed_analyzed(), sweep):
-            plan = build_plan(
-                analyzed, _merged(analyzed),
-                ExecutionOptions(backend="threaded", workers=workers),
-                {"n": n}, cpu_count=workers,
-            )
-            assert plan.strategies() == [("I", "nest")], analyzed.name
-            assert plan.provenance["slow_loops"] == [], analyzed.name
+        plan = _threaded_plan(sweep, n, workers)
+        assert plan.strategies() == [("I", "nest")]
+        assert plan.provenance["slow_loops"] == []
+
+    @SIZES
+    def test_an_uninlined_call_keeps_the_whole_nest_on_the_walk(
+        self, n, workers
+    ):
+        # The callee has a loop of its own, so the front end leaves the
+        # call, and the nest carrying it stays one walked loop: the three
+        # clean recurrences beside it are not split off into compiled ones.
+        sweep = _sweep(LOOPED_CALL_PROGRAM)
+        plan = _threaded_plan(sweep, n, workers)
+        assert plan.strategies() == [("I", "serial")]
+        why = "calls module Damp with index-dependent arguments"
+        assert plan.provenance["slow_loops"] == [{
+            "index": "(4,)", "keyword": "DO", "loop_index": "I",
+            "label": "eq.5", "reason": why,
+        }]
+        explain = plan.explain()
+        assert f"slow loop @(4,) (DO I): eq.5 not kernelizable — {why}" in explain
+        assert "fission" not in explain
 
     def test_the_merged_do_offers_only_the_walk_and_the_nest(self):
         analyzed, flow = _merged_mixed()

@@ -42,8 +42,9 @@ from repro.graph.build import build_dependency_graph
 from repro.machine.cost import MachineModel
 from repro.plan.ir import PlanError
 from repro.plan.planner import build_plan, forced_plan, valid_strategies
-from repro.ps.parser import parse_module
-from repro.ps.semantics import analyze_module
+from repro.ps.parser import parse_module, parse_program
+from repro.ps.semantics import analyze_module, analyze_program
+from repro.runtime.backends.threaded import ThreadedBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
@@ -71,6 +72,50 @@ def _merged(analyzed):
     """``analyzed`` scheduled, then through the loop-merging pass."""
     graph = build_dependency_graph(analyzed)
     return merge_loops(schedule_module(analyzed, graph), graph)
+
+
+SWEEP = """\
+Sweep: module (X: array[1 .. n] of int; n: int):
+       [T: array[0 .. n] of int; S: array[0 .. n] of int;
+        M: array[0 .. n] of int; Q: array[0 .. n] of int];
+type
+    I = 1 .. n;
+define
+    T[0] = 0;
+    S[0] = 0;
+    M[0] = X[1];
+    Q[0] = 0;
+    T[I] = T[I-1] + Damp(X[I]);
+    S[I] = S[I-1] + (X[I] * X[I] - 3 * X[I] + 7);
+    M[I] = max(M[I-1], X[I] * X[I] - 4 * X[I]);
+    Q[I] = Q[I-1] + (X[I] - 2) * (X[I] + 2);
+end Sweep;
+"""
+
+#: ``Sweep`` calling a loop-free ``Damp``, which the front end inlines: the
+#: merged nest of four recurrences lowers whole
+INLINED_CALL_PROGRAM = """\
+Damp: module (v: int): [w: int];
+define
+    w = v * 3 + 1;
+end Damp;
+
+""" + SWEEP
+
+#: ``Sweep`` calling a ``Damp`` with a loop of its own, which the front end
+#: leaves as a call: the merged nest carrying it stays on the walk
+LOOPED_CALL_PROGRAM = """\
+Damp: module (v: int): [w: int];
+type
+    K = 1 .. 1;
+var
+    P: array [1 .. 1] of int;
+define
+    P[K] = v * 3 + 1;
+    w = P[1];
+end Damp;
+
+""" + SWEEP
 
 
 def _programs():
@@ -222,6 +267,100 @@ class TestMergedNests:
                     assert np.array_equal(np.asarray(got[k]), want[k]), (
                         k, tier, use_windows,
                     )
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS + ["auto"])
+    @pytest.mark.parametrize(
+        "use_windows, debug_windows",
+        [(False, False), (True, False), (True, True)],
+        ids=["flat", "win", "win-debug"],
+    )
+    def test_merged_mixed_equals_the_evaluator(
+        self, backend, use_windows, debug_windows
+    ):
+        # win-debug arms the fault-on-overwrite tags inside the one loop
+        # that carries all three recurrences.
+        analyzed = mixed_analyzed()
+        flow = _merged(analyzed)
+        args = mixed_args(n=300)
+        options = ExecutionOptions(
+            backend=backend, workers=4,
+            use_windows=use_windows, debug_windows=debug_windows,
+        )
+        plan = build_plan(analyzed, flow, options, _scalars(args))
+        assert [idx for idx, _ in plan.strategies()] == ["I"]
+        got = execute_module(
+            analyzed, args, flowchart=flow, options=options, plan=plan,
+        )
+        want = _reference(analyzed, flow, args, ("T", "S", "M"))
+        for k in want:
+            assert np.array_equal(np.asarray(got[k]), want[k]), k
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_a_walked_nest_with_a_call_equals_the_evaluator(self, backend):
+        # The call keeps the whole merged nest on the walk; the clean
+        # recurrences beside it run there too, and still bit-exact.
+        program = analyze_program(parse_program(LOOPED_CALL_PROGRAM))
+        analyzed = program["Sweep"]
+        flow = _merged(analyzed)
+        (loop,) = flow.loops()
+        assert len(loop.body) == 4
+        args = {k: v for k, v in mixed_args(n=200).items() if k in ("X", "n")}
+        options = ExecutionOptions(backend=backend, workers=4)
+        plan = build_plan(analyzed, flow, options, _scalars(args))
+        assert plan.strategies() == [("I", "serial")]
+        got = execute_module(
+            analyzed, args, flowchart=flow, options=options, plan=plan,
+            program=program,
+        )
+        want = execute_module(
+            analyzed, args, flowchart=flow, program=program,
+            options=ExecutionOptions(backend="serial", use_kernels=False),
+        )
+        for k in ("T", "S", "M", "Q"):
+            assert np.array_equal(np.asarray(got[k]), np.asarray(want[k])), k
+
+    def test_a_failure_inside_the_merged_do_leaves_the_pool_usable(self):
+        # A failure raised from the compiled merged DO unwinds with the
+        # original exception, and the same backend (and its pools) then
+        # runs the module again bit-exact.
+        class Exploding(ThreadedBackend):
+            name = "threaded"
+
+            def __init__(self, workers=None):
+                super().__init__(workers)
+                self.armed = True
+                self.ran = []
+
+            def exec_nest_kernel(self, state, desc, lo, hi, env):
+                self.ran.append(tuple(eq.label for eq in desc.body))
+                if self.armed:
+                    self.armed = False
+                    raise RuntimeError("merged nest exploded mid-run")
+                return super().exec_nest_kernel(state, desc, lo, hi, env)
+
+        analyzed = mixed_analyzed()
+        flow = _merged(analyzed)
+        args = mixed_args(n=2000)
+        options = ExecutionOptions(backend="threaded", workers=4)
+        want = _reference(analyzed, flow, args, ("T", "S", "M"))
+        backend = Exploding(workers=4)
+        try:
+            with pytest.raises(RuntimeError, match="exploded mid-run"):
+                execute_module(
+                    analyzed, args, flowchart=flow, options=options,
+                    backend=backend,
+                )
+            # one loop carries the three recurrences: nothing else ran
+            assert backend.ran == [("eq.4", "eq.5", "eq.6")]
+            got = execute_module(
+                analyzed, args, flowchart=flow, options=options,
+                backend=backend,
+            )
+            for k in want:
+                assert np.array_equal(np.asarray(got[k]), want[k]), k
+            assert backend.ran == [("eq.4", "eq.5", "eq.6")] * 2
+        finally:
+            backend.close()
 
     def test_compiling_planning_and_running_never_split(self, monkeypatch):
         def spy(*args):
