@@ -33,7 +33,7 @@ from repro.ps.parser import parse_module
 from repro.ps.printer import format_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.backends import available_backends
-from repro.runtime.executor import ExecutionOptions, execute_module
+from repro.runtime.executor import KERNEL_TIERS, ExecutionOptions, execute_module
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
@@ -135,18 +135,13 @@ def _execution_options(args) -> ExecutionOptions:
 
 
 def _cmd_plan(args) -> int:
-    from repro.plan.calibration import PlanCalibration
     from repro.plan.planner import build_plan
 
     analyzed = analyze_module(_read_module(args.module))
     flow = _flowchart(analyzed, getattr(args, "merge", False))
     options = _execution_options(args)
     scalars = _parse_assignments(args.set or [], _local_scalar_types(analyzed))
-    # The durable per-machine store, so the provenance block reports the
-    # calibration hits/misses an actual auto run would see.
-    plan = build_plan(
-        analyzed, flow, options, scalars, calibration=PlanCalibration.load()
-    )
+    plan = build_plan(analyzed, flow, options, scalars)
     text = plan.pretty(cycles=args.cycles)
     print(text)
     print()
@@ -365,7 +360,7 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled kernels (reference evaluator only)")
     p.add_argument("--kernel-tier", default="native",
-                   choices=["native", "numpy", "evaluator"],
+                   choices=list(KERNEL_TIERS),
                    help="highest kernel tier (default: native)")
 
 
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply the loop-merging pass before planning "
                         "(a merged nest plans as one loop)")
     p.add_argument("--kernel-tier", default="native",
-                   choices=["native", "numpy", "evaluator"],
+                   choices=list(KERNEL_TIERS),
                    help="highest kernel tier the plan budgets for "
                         "(default: native, degrading to numpy at run time "
                         "when no C compiler exists)")
@@ -460,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before execution")
     p.add_argument("--kernel-tier", default="native",
-                   choices=["native", "numpy", "evaluator"],
+                   choices=list(KERNEL_TIERS),
                    help="highest kernel tier DOALL nests may use: native "
-                        "(cffi-compiled C, the default), numpy "
-                        "(exec-compiled NumPy kernels), or evaluator "
-                        "(reference tree walk only)")
+                        "(cffi-compiled C, the default) or numpy "
+                        "(exec-compiled NumPy kernels); --no-kernels runs "
+                        "the reference tree walk only")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(

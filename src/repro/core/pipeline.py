@@ -25,7 +25,6 @@ from repro.errors import CodegenError
 from repro.graph.build import build_dependency_graph
 from repro.graph.depgraph import DependencyGraph
 from repro.hyperplane.pipeline import HyperplaneResult, hyperplane_transform
-from repro.plan.calibration import PlanCalibration
 from repro.plan.ir import ExecutionPlan
 from repro.plan.planner import build_plan
 from repro.ps.ast import Module
@@ -72,15 +71,6 @@ class CompileResult:
     #: execution plans cached per (options, scalar bindings) — the planner
     #: runs once per distinct configuration, not once per run()
     _plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    #: measured-wall-clock feedback for the planner (see
-    #: :mod:`repro.plan.calibration`); :meth:`calibrate` fills it and the
-    #: plan cache keys on its version, so new measurements replan. Loaded
-    #: from (and re-saved to) the on-disk machine-fingerprinted store, so
-    #: every compilation — in any process, including the serve daemon —
-    #: starts from everything this machine has ever measured.
-    _calibration: PlanCalibration = field(
-        default_factory=PlanCalibration.load, repr=False, compare=False
-    )
 
     def _generated(self, language: str, enabled: bool, generate) -> str | None:
         """The whole-module text in ``language``, generated on first access
@@ -142,45 +132,14 @@ class CompileResult:
         key = (options_key or execution.key(), tuple(sorted(scalars.items())))
         if served:
             key += ("served",)
-        # Calibration only influences the auto decision, so pinned-backend
-        # entries stay valid across calibrations; an auto entry is replaced
-        # (not stranded) when new measurements arrive.
-        version = (
-            self._calibration.version if execution.backend == "auto" else None
-        )
-        cached = self._plan_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        plan = build_plan(
-            self.analyzed, self.flowchart, execution, scalars,
-            calibration=self._calibration, served=served,
-        )
-        self._plan_cache[key] = (version, plan)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = build_plan(
+                self.analyzed, self.flowchart, execution, scalars,
+                served=served,
+            )
+            self._plan_cache[key] = plan
         return plan
-
-    def calibrate(
-        self,
-        args: dict[str, Any],
-        execution: ExecutionOptions | None = None,
-        workers: int | None = None,
-        repeats: int = 3,
-    ):
-        """Measure every candidate backend on ``args`` and feed the wall
-        clock back into this compilation's plan calibration — the next
-        ``backend="auto"`` :meth:`plan` for these sizes ranks candidates by
-        the stopwatch instead of predicted cycles alone. Returns the
-        :class:`~repro.machine.report.PlanComparison`."""
-        from repro.machine.report import compare_plans
-
-        return compare_plans(
-            self.analyzed,
-            self.flowchart,
-            args,
-            workers=workers,
-            execution=execution,
-            repeats=repeats,
-            calibration=self._calibration,
-        )
 
     def run(
         self,

@@ -271,17 +271,11 @@ def compare_plans(
     execution=None,
     repeats: int = 3,
     workload: str = "",
-    calibration=None,
 ) -> PlanComparison:
     """Plan and execute ``analyzed`` on every candidate backend, pairing
     the planner's predicted cycles with measured wall clock, and record
-    which backend ``auto`` would pick.
-
-    ``calibration`` is an optional
-    :class:`~repro.plan.calibration.PlanCalibration`: the ``auto`` decision
-    consults it (so a store primed by an earlier comparison corrects a
-    mispredicting model), and every measured row is recorded back into it —
-    the feedback loop of the plan cache's online recalibration."""
+    which backend ``auto`` would pick. The measurements are only reported:
+    nothing here feeds them back into planning."""
     import numpy as np
 
     from repro.plan.planner import KNOWN_BACKENDS, build_plan
@@ -300,7 +294,7 @@ def compare_plans(
     auto_plan = build_plan(
         analyzed, flowchart,
         ExecutionOptions.resolve(base, backend="auto", workers=workers),
-        scalars, calibration=calibration,
+        scalars,
     )
     if auto_plan.backend not in backends:
         # auto must always be measurable against its own pick
@@ -325,11 +319,6 @@ def compare_plans(
                 "seconds": seconds,
             }
         )
-        if calibration is not None:
-            calibration.record(
-                analyzed.name, scalars, backend, seconds,
-                predicted_cycles=plan.cycles, workers=workers,
-            )
     return PlanComparison(
         workload=workload or analyzed.name,
         auto_backend=auto_plan.backend,

@@ -172,8 +172,7 @@ class ExecutionPlan:
     #: total predicted cycles for the planned execution (calibrated model)
     cycles: float | None = None
     #: how the backend decision was made (``auto`` only fills this fully):
-    #: candidate backends priced, their predicted cycles and
-    #: calibration-adjusted costs, which had measured records, and why the
+    #: candidate backends priced, their predicted cycles, and why the
     #: winner won — rendered by :meth:`explain` for ``repro plan``
     provenance: dict | None = field(default=None, repr=False, compare=False)
     #: how ``ensure_targets`` allocates each array the equations define: a
@@ -284,9 +283,8 @@ class ExecutionPlan:
         return "\n".join(lines)
 
     def explain(self) -> str:
-        """Render the backend-decision provenance: every candidate priced,
-        whether calibration had a measurement for it (hit) or the ranking
-        fell back to predicted cycles (miss), and why the winner won.
+        """Render the backend-decision provenance: every candidate priced
+        and why the winner won.
         Separate from :meth:`pretty` so golden tests pinning the plan text
         stay untouched by provenance additions."""
         if not self.provenance:
@@ -300,20 +298,10 @@ class ExecutionPlan:
         lines = [f"provenance {self.module}: {p['mode']} -> {self.backend}"]
         for row in p.get("candidates", []):
             mark = "*" if row.get("winner") else " "
-            bits = [f"predicted ~{row['predicted_cycles']:.0f} cycles"]
-            if row.get("measured_seconds") is not None:
-                bits.append(
-                    f"measured {row['measured_seconds']:.6f} s "
-                    f"[calibration hit]"
-                )
-            elif p.get("calibrated"):
-                bits.append(
-                    f"anchored ~{row['adjusted_cost']:.6f} s "
-                    f"[calibration miss]"
-                )
-            else:
-                bits.append("[calibration miss]")
-            lines.append(f"  {mark} {row['backend']}: " + "; ".join(bits))
+            lines.append(
+                f"  {mark} {row['backend']}: "
+                f"predicted ~{row['predicted_cycles']:.0f} cycles"
+            )
         if p.get("reason"):
             lines.append(f"winner: {self.backend} — {p['reason']}")
         lines.append(

@@ -51,7 +51,7 @@ from repro.plan.strategy import (
 )
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
-from repro.runtime.executor import ExecutionOptions
+from repro.runtime.executor import KERNEL_TIERS, ExecutionOptions
 from repro.runtime.kernels.emit import equation_affine_fast_path
 from repro.runtime.kernels.native import native_refusal, native_spec
 from repro.runtime.kernels.nest import kernelizable, kernelizable_reason
@@ -96,6 +96,17 @@ def host_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _kernel_tier(options: ExecutionOptions, error: type[Exception]) -> str:
+    """``options.kernel_tier``, or ``error`` naming every tier a plan may
+    be built for."""
+    if options.kernel_tier not in KERNEL_TIERS:
+        raise error(
+            f"unknown kernel tier {options.kernel_tier!r}; "
+            f"available: {', '.join(KERNEL_TIERS)}"
+        )
+    return options.kernel_tier
+
+
 def build_plan(
     analyzed,
     flowchart: Flowchart,
@@ -105,7 +116,6 @@ def build_plan(
     cpu_count: int | None = None,
     backend: str | None = None,
     candidates: tuple[str, ...] | None = None,
-    calibration: Any | None = None,
     served: bool = False,
 ) -> ExecutionPlan:
     """Plan one module execution.
@@ -122,11 +132,6 @@ def build_plan(
     pins the plan to itself); ``candidates`` narrows what ``auto`` may
     choose from (module calls keep callees off the worker pool — nested
     pools inside worker chunks would oversubscribe it);
-    ``calibration`` is an optional
-    :class:`repro.plan.calibration.PlanCalibration` store of measured wall
-    clock per (module, sizes, backend) — when it has measurements for this
-    configuration, ``auto`` ranks candidates by measured seconds instead of
-    trusting predicted cycles alone (online recalibration);
     ``served`` prices the plan for a server that runs it again and again:
     the one-time native build is sunk (``MachineModel.native_build`` is
     charged to a one-shot plan only) — a :class:`repro.serve.Session`
@@ -141,6 +146,7 @@ def build_plan(
             f"unknown strategy {soft_strategy!r}; "
             f"available: {', '.join(LOOP_STRATEGIES)}"
         )
+    tier = _kernel_tier(options, ExecutionError)
     # Resolve the machine's core count exactly once: a worker count and an
     # effective-parallelism bound read under two different affinity
     # settings would silently disagree.
@@ -148,7 +154,6 @@ def build_plan(
     workers = max(1, options.workers if options.workers is not None else ncpu)
     effective = max(1, min(workers, ncpu))
     use_kernels = options.runs_kernels()
-    tier = options.kernel_tier
 
     requested = backend if backend is not None else options.backend
     if requested != "auto" and requested not in KNOWN_BACKENDS:
@@ -168,19 +173,6 @@ def build_plan(
             p.plan_module()
             planners.append(p)
         totals = [p.total for p in planners]
-        measured: dict[str, float] = {}
-        if calibration is not None:
-            totals = calibration.adjusted_costs(
-                analyzed.name, scalar_env,
-                [(p.backend, p.total) for p in planners],
-                workers=workers,
-            )
-            for p in planners:
-                rec = calibration.measured(
-                    analyzed.name, scalar_env, p.backend, workers=workers
-                )
-                if rec is not None:
-                    measured[p.backend] = rec.seconds
         tied = (1.0 + AUTO_TIE) * min(totals)
         best = min(
             (pair for pair in zip(totals, planners) if pair[0] <= tied),
@@ -191,16 +183,8 @@ def build_plan(
                 f"within {AUTO_TIE:.0%} of the cheapest candidate, and it "
                 f"builds the fewest native functions"
             )
-        elif measured:
-            reason = (
-                "lowest measured/anchored seconds for these sizes "
-                "(online calibration)"
-            )
         else:
-            reason = (
-                "lowest predicted cycles (no calibration record for these "
-                "sizes)"
-            )
+            reason = "lowest predicted cycles"
         plan = best.finish(analyzed.name, requested="auto", pinned=False)
         plan.provenance = {
             "do_loops": best.do_notes,
@@ -208,17 +192,14 @@ def build_plan(
             "slow_loops": best.slow_notes(),
             "mode": "auto",
             "workers": workers,
-            "calibrated": bool(measured),
             "candidates": [
                 {
                     "backend": p.backend,
                     "predicted_cycles": p.total,
-                    "adjusted_cost": adj,
-                    "measured_seconds": measured.get(p.backend),
                     "native_functions": p.native_functions(),
                     "winner": p is best,
                 }
-                for p, adj in zip(planners, totals)
+                for p in planners
             ],
             "reason": reason,
             "served": served,
@@ -239,13 +220,10 @@ def build_plan(
         "slow_loops": planner.slow_notes(),
         "mode": "pinned",
         "workers": workers,
-        "calibrated": False,
         "candidates": [
             {
                 "backend": planner.backend,
                 "predicted_cycles": planner.total,
-                "adjusted_cost": planner.total,
-                "measured_seconds": None,
                 "winner": True,
             }
         ],
@@ -285,6 +263,7 @@ def forced_plan(
                 f"available: {', '.join(LOOP_STRATEGIES)}"
             )
     options = options or ExecutionOptions()
+    tier = _kernel_tier(options, PlanError)
     planner = _Planner(
         analyzed,
         flowchart,
@@ -295,7 +274,7 @@ def forced_plan(
         model or MachineModel(),
         options.runs_kernels(),
         bool(options.use_windows),
-        tier=options.kernel_tier,
+        tier=tier,
         force_default=default,
         force_overrides=overrides or {},
     )
@@ -790,7 +769,7 @@ class _Planner:
             use_windows=self.use_windows,
             use_kernels=self.use_kernels,
             pinned=pinned,
-            kernel_tier=self.tier if self.tier in ("native", "numpy") else "numpy",
+            kernel_tier=self.tier,
             entries=self.entries,
             loops=self.loops,
             equations=self.equations,

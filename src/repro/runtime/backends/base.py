@@ -42,6 +42,7 @@ from repro.runtime.kernels.native import RangeUnproven, team_width
 from repro.runtime.values import (
     BufferStore,
     RuntimeArray,
+    SelectedLaneClipped,
     array_bounds,
     eval_bound,
     new_storage,
@@ -357,7 +358,7 @@ class ExecutionBackend:
                 self.count("team_capped")
         try:
             self._run_kernel(state, kernel, env, lo, hi, width=width)
-        except RangeUnproven:
+        except (RangeUnproven, SelectedLaneClipped):
             self._rerun_checked(state, desc, shape, env, lo, hi)
         return True
 
@@ -365,15 +366,16 @@ class ExecutionBackend:
         self, state: ExecutionState, desc: LoopDescriptor, shape: str,
         env: dict[str, Any], lo: int, hi: int,
     ) -> None:
-        """A native kernel's entry range proof failed: it stored nothing,
-        and this call — this chunk, not its siblings — runs again on code
-        that checks every subscript per element. The proof is exact, so
-        this is where the evaluator's out-of-range error is raised, in
-        iteration order. ``"full"`` and ``"team"`` (whose proof returned
-        before its region) degrade to the Python dialect (scalar loops,
-        range-checked); ``"flat"`` goes to the strictly serial walk,
-        because its NumPy tier is vector rows, which clip a stray
-        subscript inside an ``if`` branch instead of raising."""
+        """A native kernel's entry range proof failed — it stored nothing —
+        or a NumPy ``"flat"`` kernel's row read a selected lane out of
+        range: this call — this chunk, not its siblings — runs again on
+        code that checks every subscript per element, which is where the
+        evaluator's out-of-range error is raised, in iteration order.
+        ``"full"`` and ``"team"`` (whose proof returned before its region)
+        degrade to the Python dialect (scalar loops, range-checked);
+        ``"flat"`` goes to the strictly serial walk, because its NumPy
+        tier is vector rows. (A flat chunk's earlier rows rerun too: a
+        collapse chain is all ``DOALL``, so they store the same values.)"""
         if shape == "flat":
             self.exec_flat_walk(state, desc, lo, hi, env)
             return
@@ -533,10 +535,16 @@ class ExecutionBackend:
             kernel = state.kernels.kernel_for(
                 eq, vector, state.options.use_windows
             )
-        if kernel is not None:
-            self._run_kernel(state, kernel, env, None, None, eq.label)
+        try:
+            if kernel is not None:
+                self._run_kernel(state, kernel, env, None, None, eq.label)
+                return
+            value = state.evaluator.eval(eq.rhs, env, vector=vector)
+        except SelectedLaneClipped:
+            # a lane the equation selects reads out of range: the scalar
+            # walk raises the exact error (nothing was stored yet)
+            self._exec_equation_scalar_fallback(state, eq, env, vector_names)
             return
-        value = state.evaluator.eval(eq.rhs, env, vector=vector)
         state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + (
             int(np.size(value)) if vector else 1
         )

@@ -8,8 +8,11 @@ Two modes share one code path:
 * **vector** — some index variables are NumPy arrays; ``if`` becomes
   ``np.where`` with *both* branches evaluated, so array reads inside a
   branch (or the right operand of ``and`` / ``or``) clip indices into range
-  (masked lanes are discarded by the `where`). Every other read is live on
-  every lane and range-checked, as in scalar mode. This is how DOALL
+  (masked lanes are discarded by the `where`). A clipped lane the branch
+  *selects* raises :class:`~repro.runtime.values.SelectedLaneClipped`, and
+  the caller reruns the span on the scalar walk, which raises the exact
+  out-of-range error. Every other read is live on every lane and
+  range-checked, as in scalar mode. This is how DOALL
   dimensions execute as single NumPy operations — the guides' "vectorize
   your loops" applied to the paper's concurrent loops.
 """
@@ -55,10 +58,13 @@ _BUILTIN_FUNCS: dict[str, Callable] = {
 }
 
 
-#: the ``vector`` mode of a subexpression whose lanes may be masked: inside
-#: an ``if`` branch or the right operand of ``and`` / ``or``, which scalar
-#: mode evaluates lazily
-GUARDED = "guarded"
+def guarded(vector, cond, selected: bool) -> tuple:
+    """The ``vector`` mode of a subexpression whose lanes may be masked —
+    an ``if`` branch or the right operand of ``and`` / ``or``, which scalar
+    mode evaluates lazily: its guards, the enclosing ones plus ``(cond,
+    selected)`` (see :func:`repro.runtime.values.check_clipped`)."""
+    outer = vector if isinstance(vector, tuple) else ()
+    return (*outer, (cond, selected))
 
 
 def _is_vector(v: Any) -> bool:
@@ -83,7 +89,7 @@ class Evaluator:
         self.call_fn = call_fn
         self.enums = enums or {}
 
-    def eval(self, expr: Expr, env: dict[str, Any], vector: bool = False) -> Any:
+    def eval(self, expr: Expr, env: dict[str, Any], vector: bool | tuple = False) -> Any:
         method = getattr(self, f"_eval_{type(expr).__name__}", None)
         if method is None:
             raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
@@ -115,7 +121,7 @@ class Evaluator:
         base = self.eval(expr.base, env, vector)
         subs = [self.eval(s, env, vector) for s in expr.subscripts]
         if isinstance(base, RuntimeArray):
-            return base.get(subs, clip=vector == GUARDED)
+            return base.get(subs, clip=vector if isinstance(vector, tuple) else False)
         arr = np.asarray(base)
         if vector:
             subs = [
@@ -168,13 +174,13 @@ class Evaluator:
             left = self.eval(expr.left, env, vector)
             if not vector and not _is_vector(left):
                 return bool(left) and bool(self.eval(expr.right, env, vector))
-            right = self.eval(expr.right, env, GUARDED)
+            right = self.eval(expr.right, env, guarded(vector, left, True))
             return np.logical_and(left, right)
         if op == "or":
             left = self.eval(expr.left, env, vector)
             if not vector and not _is_vector(left):
                 return bool(left) or bool(self.eval(expr.right, env, vector))
-            right = self.eval(expr.right, env, GUARDED)
+            right = self.eval(expr.right, env, guarded(vector, left, False))
             return np.logical_or(left, right)
 
         left = self.eval(expr.left, env, vector)
@@ -231,6 +237,6 @@ class Evaluator:
                 if cond
                 else self.eval(expr.orelse, env, vector)
             )
-        then = self.eval(expr.then, env, GUARDED)
-        orelse = self.eval(expr.orelse, env, GUARDED)
+        then = self.eval(expr.then, env, guarded(vector, cond, True))
+        orelse = self.eval(expr.orelse, env, guarded(vector, cond, False))
         return np.where(cond, then, orelse)

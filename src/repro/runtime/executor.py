@@ -55,6 +55,10 @@ if TYPE_CHECKING:  # a module-level import would cycle through the package
     from repro.plan.ir import ExecutionPlan
 
 
+#: every ``ExecutionOptions.kernel_tier`` a plan may be built for
+KERNEL_TIERS = ("native", "numpy")
+
+
 @dataclass
 class ExecutionOptions:
     use_windows: bool = False
@@ -69,10 +73,11 @@ class ExecutionOptions:
     #: path); off, everything runs on the tree-walking reference evaluator.
     #: Window-debug runs always use the evaluator (see :meth:`runs_kernels`).
     use_kernels: bool = True
-    #: highest kernel tier DOALL nests may use: "native" (cffi-compiled C,
-    #: degrading to the NumPy kernels when no C compiler exists), "numpy"
-    #: (exec-compiled NumPy kernels only), or "evaluator" (no kernels at
-    #: all — same as ``use_kernels=False``)
+    #: highest kernel tier DOALL nests may use, one of :data:`KERNEL_TIERS`:
+    #: "native" (cffi-compiled C, degrading to the NumPy kernels when no C
+    #: compiler exists) or "numpy" (exec-compiled NumPy kernels only). No
+    #: kernels at all is ``use_kernels=False``; any other name is refused
+    #: when the plan is built.
     kernel_tier: str = "native"
     #: soft strategy preference (``repro run/plan --strategy``): every loop
     #: the strategy validly applies to takes it, everything else plans
@@ -113,12 +118,9 @@ class ExecutionOptions:
     def runs_kernels(self) -> bool:
         """Whether a run dispatches compiled kernels at all — the one rule
         the planner, the executor and ``Session.warm`` share. Not with
-        ``use_kernels`` off or ``kernel_tier="evaluator"``, and not under
-        ``debug_windows``: kernels skip the fault-on-overwrite tags."""
-        return (
-            self.use_kernels and not self.debug_windows
-            and self.kernel_tier != "evaluator"
-        )
+        ``use_kernels`` off, and not under ``debug_windows``: kernels skip
+        the fault-on-overwrite tags."""
+        return self.use_kernels and not self.debug_windows
 
     def key(self) -> tuple:
         """Every field's value, in declaration order — THE definition of

@@ -27,8 +27,8 @@ lookup serves native (C compiled with the system compiler and loaded via
 cffi, :mod:`repro.runtime.kernels.native`) -> NumPy (``exec``-compiled
 Python, :mod:`repro.runtime.kernels.emit`) -> the reference evaluator for
 whatever neither dialect can specialize. ``ExecutionOptions(kernel_tier=...)``
-/ the CLI's ``--kernel-tier {native,numpy,evaluator}`` caps the tier;
-``--no-kernels`` remains the evaluator-only escape hatch.
+/ the CLI's ``--kernel-tier {native,numpy}`` caps the tier;
+``use_kernels=False`` / ``--no-kernels`` is the evaluator-only escape hatch.
 """
 
 from repro.runtime.kernels.cache import KernelCache

@@ -11,9 +11,10 @@ Kernels come in two Python dialects, both driven by the one walk in
   kernels speak it;
 * **vector** — index variables may be contiguous NumPy aranges; ``if``
   lowers to ``np.where``, and array reads inside a branch (or the right
-  operand of ``and`` / ``or``) clip into range while every other read is
-  range-checked, exactly like the vector evaluator; affine subscripts
-  (``I + c``) go through
+  operand of ``and`` / ``or``) clip into range — naming the conditions
+  that select their lanes, so a selected clipped lane raises — while every
+  other read is range-checked, exactly like the vector evaluator; affine
+  subscripts (``I + c``) go through
   :func:`~repro.runtime.kernels.runtime.affine_gather`, which selects the
   same values via basic slices instead of fancy indexing. Per-equation
   vector kernels and the row loop of ``"flat"`` nest kernels speak it.
@@ -294,26 +295,39 @@ class _VectorLowerer(_KernelLowerer):
 
     count_code = "int(np.size(__v))"
 
-    #: how many ``if`` branches / lazy operands enclose the walk's position:
-    #: reads there may be masked lanes, so they clip instead of raising
-    guarded = 0
+    #: the ``if`` branches / lazy operands enclosing the walk's position,
+    #: outermost first: ``(condition temp, selected)`` per branch. Reads
+    #: there may be masked lanes, so they clip, passing these guards (the
+    #: evaluator's, see :func:`repro.runtime.evaluator.guarded`)
+    guards: tuple = ()
 
     def lower_array_ref(self, name: str, subscripts: list[Expr]) -> str:
         wins = self.register_array(name)
         pname = py_name(name)
-        clip = ", clip=True" if self.guarded else ""
+        clip = ""
+        if self.guards:
+            pairs = "".join(f"({t}, {sel}), " for t, sel in self.guards)
+            clip = f", clip=({pairs})"
         specs = self._affine_specs(subscripts, wins)
         if specs is not None:
             return f"_ag(_a_{pname}, ({', '.join(specs)},){clip})"
         codes = ", ".join(self.lower(s) for s in subscripts)
         return f"_a_{pname}.get([{codes}]{clip})"
 
-    def _lower_guarded(self, expr: Expr) -> str:
-        self.guarded += 1
+    def _lower_guarded(self, expr: Expr, cond: str, selected: bool) -> str:
+        outer = self.guards
+        self.guards = (*outer, (cond, selected))
         try:
             return self.lower(expr)
         finally:
-            self.guarded -= 1
+            self.guards = outer
+
+    def _bind(self, expr: Expr) -> tuple[str, str]:
+        """``(temp, code)``: ``code`` lowers ``expr`` and binds its value to
+        ``temp``, for the guards of the branches it selects."""
+        tmp = f"_g{self._tmp}"
+        self._tmp += 1
+        return tmp, f"({tmp} := {self.lower(expr)})"
 
     def lower_array_store(self, name: str, subscripts: list[Expr]) -> str:
         pname = py_name(name)
@@ -362,13 +376,16 @@ class _VectorLowerer(_KernelLowerer):
     def lower_binop(self, expr: BinOp) -> str:
         if expr.op in ("and", "or"):
             fn = "np.logical_and" if expr.op == "and" else "np.logical_or"
-            return f"{fn}({self.lower(expr.left)}, {self._lower_guarded(expr.right)})"
+            tmp, left = self._bind(expr.left)
+            right = self._lower_guarded(expr.right, tmp, expr.op == "and")
+            return f"{fn}({left}, {right})"
         return super().lower_binop(expr)
 
     def lower_if(self, expr) -> str:
+        tmp, cond = self._bind(expr.cond)
         return (
-            f"np.where({self.lower(expr.cond)}, {self._lower_guarded(expr.then)}, "
-            f"{self._lower_guarded(expr.orelse)})"
+            f"np.where({cond}, {self._lower_guarded(expr.then, tmp, True)}, "
+            f"{self._lower_guarded(expr.orelse, tmp, False)})"
         )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.evaluator import _BUILTIN_FUNCS
-from repro.runtime.values import RuntimeArray
+from repro.runtime.values import RuntimeArray, check_clipped
 
 __all__ = [
     "BUILTIN_FUNCS",
@@ -139,7 +139,7 @@ def _clip_axis(block: np.ndarray, axis: int, start: int, n: int, lo: int, hi: in
     return np.concatenate(parts, axis=axis) if len(parts) > 1 else parts[0]
 
 
-def affine_gather(arr: RuntimeArray, specs, clip: bool = False):
+def affine_gather(arr: RuntimeArray, specs, clip=False):
     """Read ``arr`` at affine subscripts like the vector evaluator.
 
     ``specs`` holds one ``(base, offset)`` pair per dimension: ``base`` is the
@@ -149,12 +149,15 @@ def affine_gather(arr: RuntimeArray, specs, clip: bool = False):
     the compile-time-known additive rest. Returns exactly the values of
     ``arr.get([base + offset, ...], clip=clip)``, reshaped to the same
     broadcast axes, but via basic slices wherever the subrange is contiguous.
-    Without ``clip`` an out-of-range subscript raises ``ExecutionError``.
+    Without ``clip`` an out-of-range subscript raises ``ExecutionError``;
+    with the read's guards, a clipped lane they select raises
+    :class:`~repro.runtime.values.SelectedLaneClipped`.
     """
     sto = arr.storage
     los, his, wins = arr.los, arr.his, arr.windows
     core: list = []
     vecs: list = []  # (start, n, depth, dim)
+    clipped = False
     for d, (base, off) in enumerate(specs):
         lo, hi = los[d], his[d]
         if isinstance(base, np.ndarray) and base.ndim > 0:
@@ -163,26 +166,34 @@ def affine_gather(arr: RuntimeArray, specs, clip: bool = False):
                     f"kernel fast path on windowed dimension {d} of {arr.name!r}"
                 )
             start, n = int(base.flat[0]) + int(off), int(base.size)
-            if not clip and (start < lo or start + n - 1 > hi):
-                raise ExecutionError(
-                    f"index {start if start < lo else hi + 1} out of range "
-                    f"[{lo}, {hi}] in dimension {d} of {arr.name!r}"
-                )
+            if start < lo or start + n - 1 > hi:
+                if not clip:
+                    raise ExecutionError(
+                        f"index {start if start < lo else hi + 1} out of range "
+                        f"[{lo}, {hi}] in dimension {d} of {arr.name!r}"
+                    )
+                if clip is not True:
+                    i = base + int(off)
+                    clipped = clipped | (i < lo) | (i > hi)
             vecs.append((start, n, base.ndim - 1, d))
             core.append(slice(None))
         else:
             i = int(base) + int(off)
-            if not clip and (i < lo or i > hi):
-                raise ExecutionError(
-                    f"index {i} out of range [{lo}, {hi}] in dimension {d} of "
-                    f"{arr.name!r}"
-                )
+            if i < lo or i > hi:
+                if not clip:
+                    raise ExecutionError(
+                        f"index {i} out of range [{lo}, {hi}] in dimension "
+                        f"{d} of {arr.name!r}"
+                    )
+                clipped = True
             i = lo if i < lo else (hi if i > hi else i)
             r = i - lo
             w = wins.get(d)
             if w is not None:
                 r %= w
             core.append(r)
+    if clipped is not False:
+        check_clipped(clipped, clip, arr.name)
     block = sto[tuple(core)]
     if not vecs:
         return block

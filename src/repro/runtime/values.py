@@ -167,6 +167,26 @@ def dtype_for(element: Type):
     return np.int64
 
 
+class SelectedLaneClipped(ExecutionError):
+    """A vector read inside an ``if`` branch (or the lazy operand of
+    ``and`` / ``or``) clipped a lane its guards select: on that lane the
+    scalar walk reads out of range. Whoever ran the vector span reruns it
+    on the scalar walk, which raises the exact error in iteration order."""
+
+
+def check_clipped(clipped, guards, name: str) -> None:
+    """Raise :class:`SelectedLaneClipped` when a lane ``clipped`` marks is
+    one ``guards`` select. Each ``(condition, selected)`` pair of the
+    guards, one per enclosing branch, keeps the lanes where the condition
+    is ``selected``; ``guards=True`` clips without asking."""
+    if guards is True or not np.any(clipped):
+        return
+    for cond, selected in guards:
+        clipped = np.logical_and(clipped, cond if selected else np.logical_not(cond))
+    if np.any(clipped):
+        raise SelectedLaneClipped(f"a selected lane reads {name!r} out of range")
+
+
 @dataclass
 class RuntimeArray:
     """An array with per-dimension origins and optional window dimensions."""
@@ -235,19 +255,27 @@ class RuntimeArray:
                 f"{self.name!r}"
             )
 
-    def get(self, indices, clip: bool = False):
+    def get(self, indices, clip=False):
         """Read elements. ``clip`` clamps indices into range (used by the
         vectorised evaluator, whose masked lanes may form out-of-range
-        subscripts that the `where` discards)."""
+        subscripts that the `where` discards): ``True``, or the read's
+        guards (see :func:`check_clipped`), when a clipped lane they
+        select raises :class:`SelectedLaneClipped`."""
         mapped = []
+        clipped = False
         for d, idx in enumerate(indices):
             if not np.isscalar(idx) and not isinstance(idx, (int, np.integer)):
                 idx = np.asarray(idx)
             if clip:
-                idx = np.clip(idx, self.los[d], self.his[d])
+                kept = np.clip(idx, self.los[d], self.his[d])
+                if clip is not True:
+                    clipped = clipped | (kept != idx)
+                idx = kept
             else:
                 self._check_range(d, np.asarray(idx))
             mapped.append(self._map_index(d, idx))
+        if clip:
+            check_clipped(clipped, clip, self.name)
         out = self.storage[tuple(mapped)]
         if self.tags is not None and not clip:
             expected = self._expected_tag(indices)

@@ -3,15 +3,15 @@
 Gokhale's premise is that all scheduling and parallelization work happens
 at compile time and is amortized over many executions. A
 :class:`~repro.core.pipeline.CompileResult` already amortizes within one
-object — plan cache, kernel cache, calibration — but every ``run()`` still
+object — plan cache and kernel cache — but every ``run()`` still
 instantiated (and tore down) its execution backend, so worker pools never
 survived a request. A :class:`Session` owns all of it across requests:
 
 * compiled modules, de-duplicated by source hash — loading the same source
   twice serves the same :class:`CompileResult` (and therefore the same
   warmed caches);
-* the per-module plan cache / kernel cache / calibration trio, via the
-  owned ``CompileResult``s;
+* the per-module plan cache and kernel cache, via the owned
+  ``CompileResult``s;
 * *persistent* execution backends: thread pools are created once per
   ``(backend, workers, options)`` and reused by every subsequent run of
   any module — only per-run resources (idle recycled buffers) are released

@@ -283,6 +283,28 @@ class TestRetiredStrategy:
             plan_with(analyzed, flow, name)
 
 
+class TestUnknownKernelTier:
+    @pytest.mark.parametrize("tier", ["evaluator", "natve"])
+    @pytest.mark.parametrize("plan_with, error", [
+        (build_plan, ExecutionError),
+        (forced_plan, PlanError),
+    ], ids=["build_plan", "forced_plan"])
+    def test_unknown_tiers_are_refused_naming_both(self, plan_with, error, tier):
+        """No kernels at all is ``use_kernels=False``; any tier name but
+        ``native`` / ``numpy`` — the retired ``evaluator``, a typo — is
+        refused instead of silently planning another tier."""
+        analyzed = scan_analyzed()
+        flow = schedule_module(analyzed)
+        options = ExecutionOptions(
+            backend="threaded", workers=4, kernel_tier=tier
+        )
+        args = (options,) if plan_with is build_plan else ("threaded", options)
+        with pytest.raises(
+            error, match=f"unknown kernel tier '{tier}'; available: native, numpy$"
+        ):
+            plan_with(analyzed, flow, *args, {"n": 64})
+
+
 #: a call of a module with a loop of its own (kept, not inlined) merged into
 #: one nest with a clean equation
 POISONED_PROGRAM = """\

@@ -90,7 +90,7 @@ def test_every_backend_runs(pinned_host, spawn_only, backend):
     args = {"InitialA": rng.random((8, 8)), "M": 6, "maxK": 4}
     ref = execute_module(
         analyzed, dict(args),
-        options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        options=ExecutionOptions(backend="serial", use_kernels=False),
     )
     out = execute_module(
         analyzed, dict(args),

@@ -48,9 +48,9 @@ JACOBI_TEAM = """\
 #: cycle counts masked (``~N``): the constants behind them are refitted
 JACOBI_TEAM_EXPLAIN = """\
     provenance Relaxation: auto -> vectorized
-        serial: predicted ~N cycles; [calibration miss]
-      * vectorized: predicted ~N cycles; [calibration miss]
-        threaded: predicted ~N cycles; [calibration miss]
+        serial: predicted ~N cycles
+      * vectorized: predicted ~N cycles
+        threaded: predicted ~N cycles
     winner: vectorized — within 5% of the cheapest candidate, and it builds the fewest native functions
     pricing: native build charged to this run
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
@@ -70,10 +70,10 @@ GS_HYPER = """\
 
 GS_HYPER_EXPLAIN = """\
     provenance RelaxationHyper: auto -> serial
-      * serial: predicted ~N cycles; [calibration miss]
-        vectorized: predicted ~N cycles; [calibration miss]
-        threaded: predicted ~N cycles; [calibration miss]
-    winner: serial — lowest predicted cycles (no calibration record for these sizes)
+      * serial: predicted ~N cycles
+        vectorized: predicted ~N cycles
+        threaded: predicted ~N cycles
+    winner: serial — lowest predicted cycles
     pricing: native build charged to this run
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry

@@ -77,7 +77,7 @@ def test_every_backend_runs_it_bit_equal_to_the_evaluator(reverse, backend):
     args = {"InitialA": np.random.default_rng(3).random((8, 8)), **SIZES}
     want = execute_module(
         analyzed, dict(args), flowchart=flow,
-        options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        options=ExecutionOptions(backend="serial", use_kernels=False),
     )["newA"]
     options = ExecutionOptions(backend=backend, workers=2)
     plan = forced_plan(

@@ -320,7 +320,7 @@ class TestOneJoin:
         args = {"X": np.random.default_rng(5).random(64), "n": 64}
         ref = execute_module(
             analyzed, dict(args),
-            options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+            options=ExecutionOptions(backend="serial", use_kernels=False),
         )
         backend = _SlowSiblingBackend(workers=2)
         try:

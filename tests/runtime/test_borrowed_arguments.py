@@ -23,7 +23,12 @@ from repro.serve import Session
 
 #: every backend, and ``auto``, which plans over them
 BACKENDS = ["serial", "vectorized", "threaded", "auto"]
-TIERS = ["native", "numpy", "evaluator"]
+#: kernel tier -> the options that select it ("off": the evaluator only)
+TIERS = {
+    "native": {"kernel_tier": "native"},
+    "numpy": {"kernel_tier": "numpy"},
+    "off": {"use_kernels": False},
+}
 
 
 def _jacobi_args(m: int = 6, maxk: int = 4, seed: int = 3) -> dict:
@@ -50,7 +55,7 @@ def _reference(analyzed, args: dict) -> dict:
     """The tree-walking evaluator on the serial backend, on private copies."""
     return execute_module(
         analyzed, _copied(args),
-        options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        options=ExecutionOptions(backend="serial", use_kernels=False),
     )
 
 
@@ -74,7 +79,7 @@ def test_read_only_arguments_are_untouched_and_never_aliased(
     backend, tier, use_windows
 ):
     options = ExecutionOptions(
-        backend=backend, workers=2, kernel_tier=tier, use_windows=use_windows
+        backend=backend, workers=2, use_windows=use_windows, **TIERS[tier]
     )
     for name, analyzed, args in WORKLOADS:
         mine = _copied(args)

@@ -89,7 +89,7 @@ def _scale_plan(backend, strategy, options, r=5, c=67):
 def _scale_reference(analyzed, flow, args):
     return execute_module(
         analyzed, dict(args), flow,
-        ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        ExecutionOptions(backend="serial", use_kernels=False),
     )["B"]
 
 
@@ -214,7 +214,7 @@ class TestWindowDebugParity:
         ref = execute_module(
             analyzed, dict(args), flow,
             ExecutionOptions(
-                backend="serial", use_windows=True, kernel_tier="evaluator"
+                backend="serial", use_windows=True, use_kernels=False
             ),
         )
         got = execute_module(analyzed, dict(args), flow, options, plan=plan)

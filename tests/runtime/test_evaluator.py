@@ -9,7 +9,7 @@ from repro.errors import ExecutionError
 from repro.ps.parser import parse_expression
 from repro.ps.types import RealType
 from repro.runtime.evaluator import Evaluator
-from repro.runtime.values import RuntimeArray
+from repro.runtime.values import RuntimeArray, SelectedLaneClipped
 
 
 def ev(data=None, **kwargs):
@@ -118,6 +118,36 @@ class TestVectorMode:
             e.eval(parse_expression("if A[I-1] > 0.0 then 1 else 0"), env, vector=True)
         out = e.eval(parse_expression("I > 0 and A[I-1] > 10.5"), env, vector=True)
         np.testing.assert_array_equal(out, [False, False, True, True])
+
+    @pytest.mark.parametrize("text, raises", [
+        ("if I > 0 then A[I+1] else 0.0", True),
+        ("I > 2 and A[I+1] > 0.0", True),
+        ("I < 3 or A[I+1] > 0.0", True),
+        ("if I > 0 then (if I > 2 then A[I+1] else 0.0) else 0.0", True),
+        ("if I < 3 then A[I+1] else 0.0", False),
+        ("I < 3 and A[I+1] > 10.5", False),
+        ("I > 2 or A[I+1] > 11.5", False),
+        ("if I > 0 then (if I < 3 then A[I+1] else 0.0) else A[I+1]", False),
+    ])
+    def test_clipped_lanes_raise_only_where_selected(self, text, raises):
+        """A branch (or lazy operand) clips its reads on every lane. A
+        clipped lane it selects — ``I = 3`` reading ``A[4]`` — is an
+        out-of-range read on the scalar walk, so the vector read says so
+        and the caller reruns the span there; a clipped lane it discards
+        is harmless, and the lanes equal the scalar walk's."""
+        arr = RuntimeArray.allocate("A", RealType, [(0, 3)])
+        arr.set([np.arange(4)], np.array([10.0, 11.0, 12.0, 13.0]))
+        e = ev({"A": arr})
+        expr = parse_expression(text)
+        if raises:
+            with pytest.raises(SelectedLaneClipped):
+                e.eval(expr, {"I": np.arange(4)}, vector=True)
+            with pytest.raises(ExecutionError, match="index 4 out of range"):
+                for i in range(4):
+                    e.eval(expr, {"I": i})
+        else:
+            out = e.eval(expr, {"I": np.arange(4)}, vector=True)
+            assert list(out) == [e.eval(expr, {"I": i}) for i in range(4)]
 
     def test_two_axis_broadcast(self):
         e = ev()

@@ -10,7 +10,8 @@ Every run, on every backend and kernel tier (uninitialised storage
 poisoned by ``tests/conftest.py``), must equal the evaluator running the
 callee alone, element by element, exactly as a call would have. An
 argument that reads out of range raises the out-of-range error everywhere,
-as the call did.
+as the call did — and so does a read inside an ``if`` branch or a lazy
+operand, on every lane the branch selects.
 """
 
 import numpy as np
@@ -19,19 +20,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
+from repro.plan.planner import forced_plan
 from repro.ps.parser import parse_module, parse_program
 from repro.ps.semantics import AnalyzedProgram, analyze_module, analyze_program
-from repro.runtime.executor import ExecutionOptions, execute_program_module
+from repro.runtime.backends.base import ExecutionBackend
+from repro.runtime.executor import (
+    ExecutionOptions,
+    execute_module,
+    execute_program_module,
+)
+from repro.schedule.scheduler import schedule_module
 
 N = 20
 BACKENDS = ["serial", "vectorized", "threaded"]
 TIERS = ["native", "numpy"]
+#: kernel tier -> the options that select it ("off": the evaluator only)
+TIER_OPTIONS = {
+    "native": {"kernel_tier": "native"},
+    "numpy": {"kernel_tier": "numpy"},
+    "off": {"use_kernels": False},
+}
 
 #: the helper the callee may call: loop-free, so it is inlined into it
 HELPER = "H: module (a: int): [b: int]; define b = 3 * a - 2; end H;\n"
 
 #: the evaluator, calling every module it meets
-EVALUATOR = ExecutionOptions(backend="serial", kernel_tier="evaluator")
+EVALUATOR = ExecutionOptions(backend="serial", use_kernels=False)
 
 
 @st.composite
@@ -172,14 +186,14 @@ def _outcome(source, options):
 
 @pytest.mark.parametrize("loop", ["doall", "do"])
 @pytest.mark.parametrize("backend", ["auto", *BACKENDS])
-@pytest.mark.parametrize("tier", ["native", "numpy", "evaluator"])
+@pytest.mark.parametrize("tier", TIER_OPTIONS)
 def test_an_out_of_range_argument_raises_everywhere(loop, backend, tier):
     """``A[I + 1]`` reads past ``A`` at ``I = n``. A call evaluates every
     argument on every call, so the read raises the out-of-range error on
     every backend and tier. Inlined, the read is live on every lane
     (outside any ``if`` branch), so NumPy vector rows range-check it too:
     the run raises that error, as the equation written out by hand does."""
-    options = ExecutionOptions(backend=backend, workers=2, kernel_tier=tier)
+    options = ExecutionOptions(backend=backend, workers=2, **TIER_OPTIONS[tier])
     inlined = _outcome(
         OOR_CALLEE + _caller("int", "int", "A[I + 1]", "I", loop), options
     )
@@ -194,3 +208,111 @@ def test_an_out_of_range_argument_raises_everywhere(loop, backend, tier):
     # what the call raised, on every backend and tier
     assert inlined == (ExecutionError, f"index {N + 1} out of range [1, {N}] in dimension 0 of 'A'")
     assert written == inlined
+
+
+#: ``B[I] = <rhs>``, every read of ``A`` inside an ``if`` branch or the
+#: lazy operand of ``and`` / ``or``
+GUARD = """\
+Guard: module (A: array[1 .. n] of real; n: int): [B: array[1 .. n] of real];
+type I = 1 .. n;
+define
+    B[I] = {rhs};
+end Guard;
+"""
+
+
+def _guard(rhs, tier, backend, use_windows):
+    """``B`` of ``Guard`` at ``n = 8``, or the (class, message) it raised."""
+    program = analyze_program(parse_program(GUARD.format(rhs=rhs)))
+    options = ExecutionOptions(
+        backend=backend, workers=2, use_windows=use_windows, **TIER_OPTIONS[tier]
+    )
+    args = {"A": np.arange(1.0, 9.0), "n": 8}
+    try:
+        return execute_program_module(program, "Guard", args, options=options)["B"]
+    except ExecutionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("use_windows", [False, True], ids=["dense", "windows"])
+@pytest.mark.parametrize("backend", ["auto", *BACKENDS])
+@pytest.mark.parametrize("tier", TIER_OPTIONS)
+@pytest.mark.parametrize("rhs", [
+    "if I > 3 then A[I + 1] else 0.0",
+    "if I > 3 and A[I + 1] > 0.0 then 1.0 else 0.0",
+], ids=["if", "and"])
+def test_a_selected_guarded_read_out_of_range_raises_everywhere(
+    rhs, tier, backend, use_windows
+):
+    """At ``I = n`` the branch is selected and reads ``A[n + 1]``. A NumPy
+    vector row evaluates the branch on every lane and clips its reads; the
+    clipped lane ``I = n`` is a selected one, so the span reruns on the
+    scalar walk, which raises the error the serial reference raises."""
+    assert _guard(rhs, tier, backend, use_windows) == (
+        ExecutionError, "index 9 out of range [1, 8] in dimension 0 of 'A'"
+    )
+
+
+@pytest.mark.parametrize("use_windows", [False, True], ids=["dense", "windows"])
+@pytest.mark.parametrize("backend", ["auto", *BACKENDS])
+@pytest.mark.parametrize("tier", TIER_OPTIONS)
+@pytest.mark.parametrize("rhs", [
+    "if I < n then A[I + 1] else 0.0",
+    "if I = n or A[I + 1] > 4.0 then 1.0 else 0.0",
+], ids=["if", "or"])
+def test_an_unselected_clipped_lane_stays_on_the_vector_path(
+    rhs, tier, backend, use_windows, monkeypatch
+):
+    """The branch reads ``A[n + 1]`` only on the lane ``I = n``, which it
+    does not select: the vector row's clip is harmless, the run matches the
+    serial reference bit for bit, and nothing reruns on the scalar walk."""
+    want = _guard(rhs, "off", "serial", False)
+    assert isinstance(want, np.ndarray)
+
+    def rerun(*_args, **_kwargs):
+        raise AssertionError("an in-range span reran on the scalar walk")
+
+    monkeypatch.setattr(ExecutionBackend, "_exec_equation_scalar_fallback", rerun)
+    monkeypatch.setattr(ExecutionBackend, "_rerun_checked", rerun)
+    got = _guard(rhs, tier, backend, use_windows)
+    assert isinstance(got, np.ndarray), got
+    assert got.tobytes() == want.tobytes()
+
+
+GUARD_2D = """\
+Guard: module (A: array[1 .. n, 1 .. n] of real; n: int):
+       [B: array[1 .. n, 1 .. n] of real];
+type I = 1 .. n; J = 1 .. n;
+define
+    B[I, J] = if J > 3 then A[I, J + {gap}] else 0.0;
+end Guard;
+"""
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_collapsed_row_reruns_on_the_walk(tier):
+    """A ``collapse`` chunk runs its flat kernel one row at a time — C on
+    the native tier, NumPy vector rows on the NumPy tier. A selected lane
+    that clips fails the chunk over to the per-element walk, which raises
+    the reference error; with the read in range both match the reference."""
+    options = ExecutionOptions(backend="threaded", workers=2, kernel_tier=tier)
+    reference = ExecutionOptions(backend="serial", use_kernels=False)
+    args = {"A": np.arange(1.0, 65.0).reshape(8, 8), "n": 8}
+    for gap in (1, 0):
+        analyzed = analyze_module(parse_module(GUARD_2D.format(gap=gap)))
+        flow = schedule_module(analyzed)
+        plan = forced_plan(
+            analyzed, flow, "threaded", options, {"n": 8}, default="collapse",
+            cpu_count=2,
+        )
+        assert [s for _, s in plan.strategies()] == ["collapse", "collapse"]
+        if gap:
+            with pytest.raises(ExecutionError) as raised:
+                execute_module(analyzed, dict(args), flow, options, plan=plan)
+            assert str(raised.value) == (
+                "index 9 out of range [1, 8] in dimension 1 of 'A'"
+            )
+        else:
+            got = execute_module(analyzed, dict(args), flow, options, plan=plan)
+            want = execute_module(analyzed, dict(args), flow, reference)
+            assert got["B"].tobytes() == want["B"].tobytes()

@@ -29,7 +29,7 @@ from repro.runtime.kernels import (
     kernelizable,
 )
 from repro.runtime.kernels.runtime import affine_gather, affine_scatter
-from repro.runtime.values import RuntimeArray
+from repro.runtime.values import RuntimeArray, SelectedLaneClipped
 from repro.schedule.scheduler import schedule_module
 
 ALL_BACKENDS = ["serial", "vectorized", "threaded"]
@@ -335,6 +335,30 @@ class TestAffineHelpers:
         with pytest.raises(ExecutionError, match="out of range"):
             affine_gather(arr, ((5, 0),))
         assert np.array_equal(affine_gather(arr, ((np.arange(0, 3), 1),), clip=True), [1, 2, 2])
+
+    def test_guarded_gather_raises_only_on_a_selected_clipped_lane(self):
+        """Guards name the lanes a branch selects: a clipped lane among
+        them raises, like ``get`` under the same guards; a clipped lane
+        outside them is clipped as before."""
+        arr = RuntimeArray.from_numpy("A", np.arange(3.0), [(0, 2)])
+        i = np.arange(0, 3)
+        for cond, selected, raises in [
+            (i > 1, True, True), (i < 2, False, True),
+            (i < 2, True, False), (i > 1, False, False),
+        ]:
+            guards = ((cond, selected),)
+            if raises:
+                with pytest.raises(SelectedLaneClipped):
+                    affine_gather(arr, ((i, 1),), clip=guards)
+                with pytest.raises(SelectedLaneClipped):
+                    arr.get([i + 1], clip=guards)
+            else:
+                assert np.array_equal(affine_gather(arr, ((i, 1),), clip=guards), [1, 2, 2])
+                assert np.array_equal(arr.get([i + 1], clip=guards), [1, 2, 2])
+        # a scalar subscript clips every lane
+        with pytest.raises(SelectedLaneClipped):
+            affine_gather(arr, ((5, 0),), clip=((i > 1, True),))
+        assert affine_gather(arr, ((5, 0),), clip=((i > 5, True),)) == 2
 
     def test_gather_scalar_axes(self):
         rng = np.random.default_rng(1)

@@ -139,7 +139,8 @@ class TestNativeParity:
         args = {"InitialA": rng.random((8, 8)), "M": 6, "maxK": 4}
         on = execute_module(analyzed, args, options=_options("serial", "native"))
         off = execute_module(
-            analyzed, args, options=_options("serial", "evaluator")
+            analyzed, args,
+            options=ExecutionOptions(backend="serial", use_kernels=False),
         )
         assert np.array_equal(on["newA"], off["newA"])
 
@@ -158,20 +159,19 @@ class TestNativeParity:
         message = (
             f"index {k + n} out of range [1, {n}] in dimension 0 of 'X'"
         )
-        for tier in ("evaluator", "numpy", "native"):
+        for tier in ({"use_kernels": False}, {"kernel_tier": "numpy"}, {}):
             cache = KernelCache(analyzed, flow)
             with pytest.raises(ExecutionError) as raised:
                 execute_module(
                     analyzed, args, flowchart=flow, kernel_cache=cache,
-                    options=ExecutionOptions(backend="serial", kernel_tier=tier),
+                    options=ExecutionOptions(backend="serial", **tier),
                 )
             assert str(raised.value) == message, tier
-            if tier == "native":
+            if not tier:
                 assert _proofs(cache) == (0, 1)
         # Four threaded chunks of 16: the three in-range chunks prove and
         # run; only the chunk holding iteration k is rerun, on the nest's
-        # range-checked Python dialect. (The NumPy tier's vector spans clip
-        # instead of raising — a chunk never reruns on those.)
+        # range-checked Python dialect.
         options = ExecutionOptions(backend="threaded", workers=4)
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"n": n, "k": k},

@@ -338,7 +338,7 @@ class TestUnprovenChunk:
         with pytest.raises(ExecutionError) as expected:
             execute_module(
                 analyzed, dict(args), flow,
-                ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+                ExecutionOptions(backend="serial", use_kernels=False),
             )
         options = ExecutionOptions(backend="threaded", workers=3)
         plan = forced_plan(

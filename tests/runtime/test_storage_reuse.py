@@ -58,7 +58,7 @@ def _reference(source: str, args: dict) -> dict:
     analyzed = compile_source(source).analyzed
     return execute_module(
         analyzed, dict(args),
-        options=ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        options=ExecutionOptions(backend="serial", use_kernels=False),
     )
 
 

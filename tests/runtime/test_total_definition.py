@@ -97,7 +97,7 @@ def run_counting(source, args, options=SERIAL, **compiler):
         )
     finally:
         backend.close()
-    ref = result.run(args, ExecutionOptions(backend="serial", kernel_tier="evaluator"))
+    ref = result.run(args, ExecutionOptions(backend="serial", use_kernels=False))
     for name, value in ref.items():
         assert np.asarray(out[name]).tobytes() == np.asarray(value).tobytes(), name
     return out, backend.counters
@@ -208,9 +208,11 @@ class TestDeclines:
         _, counters = run_counting(RELAXATION_JACOBI_SOURCE, jacobi_args(), options)
         assert counters["arrays_uninitialised"] == 0
 
-    @pytest.mark.parametrize("tier", ["numpy", "evaluator"])
+    @pytest.mark.parametrize("tier", [
+        {"kernel_tier": "numpy"}, {"use_kernels": False},
+    ], ids=["numpy", "off"])
     def test_plans_without_native_kernels(self, tier):
-        options = ExecutionOptions(backend="serial", kernel_tier=tier)
+        options = ExecutionOptions(backend="serial", **tier)
         found = verdicts(RELAXATION_JACOBI_SOURCE, {"M": 6, "maxK": 4}, options)
         assert set(found.values()) == {"the plan dispatches no native kernels"}
 

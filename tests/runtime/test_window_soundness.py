@@ -126,7 +126,7 @@ def test_windows_on_equal_windows_off(shape, c, backend, debug_windows):
     flow = schedule_module(analyzed)
     full = execute_module(
         analyzed, {"n": 7}, flow,
-        ExecutionOptions(backend="serial", kernel_tier="evaluator"),
+        ExecutionOptions(backend="serial", use_kernels=False),
     )
     windowed = execute_module(
         analyzed, {"n": 7}, flow,

@@ -171,6 +171,21 @@ class TestStructuredErrors:
             assert f"unknown strategy {name!r}; available: " in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
+    @pytest.mark.parametrize("tier", ["evaluator", "natve"])
+    def test_unknown_kernel_tier_is_a_structured_error(self, served, tier):
+        daemon, _ = served
+        with connect(daemon) as client:
+            with pytest.raises(ClientError) as exc:
+                client.run(
+                    "Relaxation", {**SIZES, "InitialA": make_input(0)},
+                    kernel_tier=tier,
+                )
+            assert exc.value.kind == "ExecutionError"
+            assert str(exc.value).endswith(
+                f"unknown kernel tier {tier!r}; available: native, numpy"
+            )
+            assert client.ping() == "pong"  # connection survives
+
     @pytest.mark.parametrize("name", RETIRED_BACKENDS)
     def test_retired_backend_is_a_structured_error(self, served, name):
         daemon, _ = served

@@ -71,7 +71,7 @@ class TestPlan:
                      "--set", "M=8", "--set", "maxK=4"]) == 0
         out = capsys.readouterr().out
         assert "kernels=off" in out
-        assert "evaluator" in out
+        assert "[kernel=evaluator (kernels off)]" in out
 
     def test_kernel_tier_flag(self, jacobi_file, capsys):
         assert main(["plan", jacobi_file, "--kernel-tier", "numpy",
@@ -237,11 +237,17 @@ class TestRun:
         ["serve", "--no-fission"],
         ["plan", "--strategy", "fission"],
         ["run", "--strategy", "fission"],
+        ["plan", "--kernel-tier", "evaluator"],
+        ["run", "--kernel-tier", "evaluator"],
+        ["serve", "--kernel-tier", "evaluator"],
+        ["plan", "--kernel-tier", "natve"],
     ], ids=[
         "plan-option", "run-option", "serve-option", "plan-scan", "run-scan",
         "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
         "serve-no-collapse", "plan-iterate", "run-iterate", "plan-no-fission",
         "run-no-fission", "serve-no-fission", "plan-fission", "run-fission",
+        "plan-evaluator-tier", "run-evaluator-tier", "serve-evaluator-tier",
+        "plan-unknown-tier",
     ])
     def test_retired_flags_are_usage_errors(self, jacobi_file, argv, capsys):
         command, *flags = argv
@@ -249,7 +255,7 @@ class TestRun:
             main([command, jacobi_file, *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        if flags[0] == "--strategy":
+        if flags[0] in ("--strategy", "--kernel-tier"):
             assert f"invalid choice: '{flags[1]}'" in err
         else:
             assert "unrecognized arguments: " + flags[0] in err
