@@ -58,7 +58,7 @@ import pytest
 from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.plan.planner import build_plan, forced_plan
-from repro.runtime.backends import instantiate_backend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported, openmp_supported
 from repro.runtime.values import eval_bound
@@ -300,7 +300,7 @@ def _team_runner(analyzed, flow, args, width):
     assert sweep.dialect == "native"
     sweep.team = width
     cache = KernelCache(analyzed, flow)
-    backend = instantiate_backend("serial", workers=1)
+    backend = ExecutionBackend(workers=1)
     return partial(
         execute_module, analyzed, args, flowchart=flow, options=options,
         kernel_cache=cache, plan=plan, backend=backend,
@@ -360,7 +360,7 @@ def _auto_runner(analyzed, flow, args, workers):
     scalars = {k: v for k, v in args.items() if isinstance(v, int)}
     plan = build_plan(analyzed, flow, options, scalars, cpu_count=workers)
     cache = KernelCache(analyzed, flow)
-    backend = instantiate_backend(plan.backend, workers=workers)
+    backend = ExecutionBackend(workers=workers)
     return partial(
         execute_module, analyzed, args, flowchart=flow, options=options,
         kernel_cache=cache, plan=plan, backend=backend,

@@ -97,7 +97,6 @@ def __getattr__(name):
         "RELAXATION_GAUSS_SEIDEL_SOURCE": "repro.core.paper",
         "execute_module": "repro.runtime.executor",
         "ExecutionOptions": "repro.runtime.executor",
-        "available_backends": "repro.runtime.backends",
         "MachineModel": "repro.machine.cost",
         "simulate_flowchart": "repro.machine.simulator",
         "predicted_speedup": "repro.machine.simulator",

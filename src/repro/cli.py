@@ -28,11 +28,10 @@ from repro.errors import ReproError
 from repro.graph.build import build_dependency_graph
 from repro.graph.dot import to_dot, to_text
 from repro.hyperplane.pipeline import hyperplane_transform
-from repro.plan.ir import VALID_STRATEGIES
+from repro.plan.ir import KNOWN_BACKENDS, VALID_STRATEGIES
 from repro.ps.parser import parse_module
 from repro.ps.printer import format_module
 from repro.ps.semantics import analyze_module
-from repro.runtime.backends import available_backends
 from repro.runtime.executor import KERNEL_TIERS, ExecutionOptions, execute_module
 from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
@@ -352,16 +351,20 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--windows", action="store_true",
                    help="allocate virtual dimensions as windows")
     p.add_argument("--backend", default="auto",
-                   choices=["auto", *available_backends()],
-                   help="DOALL execution backend (default: planner's choice)")
+                   choices=["auto", *sorted(KNOWN_BACKENDS)],
+                   help="pin the plan to a backend label (default: auto, "
+                        "the cost-driven planner's choice)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count for the threaded backend's pool and "
-                        "native teams")
+                   help="worker count for the thread pool and native teams "
+                        "(default: cpu count)")
     p.add_argument("--no-kernels", action="store_true",
-                   help="disable compiled kernels (reference evaluator only)")
+                   help="disable compiled kernels and run everything on "
+                        "the reference tree-walking evaluator")
     p.add_argument("--kernel-tier", default="native",
                    choices=list(KERNEL_TIERS),
-                   help="highest kernel tier (default: native)")
+                   help="highest kernel tier: native (cffi-compiled C, the "
+                        "default, degrading to numpy when no C compiler "
+                        "exists) or numpy (exec-compiled NumPy kernels)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,25 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="scalar parameter, parsed by its declared type "
                         "(trip counts need sizes)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", *available_backends()],
-                   help="pin the plan to a backend (default: planner's choice)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count the plan budgets for")
+    _add_execution_flags(p)
     p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
                    help="prefer this strategy wherever it is valid")
-    p.add_argument("--windows", action="store_true",
-                   help="plan for window-allocated virtual dimensions")
-    p.add_argument("--no-kernels", action="store_true",
-                   help="plan for evaluator-only execution")
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before planning "
                         "(a merged nest plans as one loop)")
-    p.add_argument("--kernel-tier", default="native",
-                   choices=list(KERNEL_TIERS),
-                   help="highest kernel tier the plan budgets for "
-                        "(default: native, degrading to numpy at run time "
-                        "when no C compiler exists)")
     p.add_argument("--cycles", action="store_true",
                    help="include calibrated cycle predictions")
     p.add_argument("--save", action="store_true",
@@ -437,29 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="array parameter from a .npy file")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for auto-filled array parameters")
-    p.add_argument("--windows", action="store_true",
-                   help="allocate virtual dimensions as windows")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", *available_backends()],
-                   help="DOALL execution backend (auto: the cost-driven "
-                        "planner chooses; serial: the scalar reference "
-                        "interpreter)")
+    _add_execution_flags(p)
     p.add_argument("--strategy", default=None, choices=list(VALID_STRATEGIES),
                    help="prefer this strategy wherever it is valid")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count for the threaded backend's pool and "
-                        "native teams (default: cpu count)")
-    p.add_argument("--no-kernels", action="store_true",
-                   help="disable compiled equation kernels and run "
-                        "everything on the reference tree-walking evaluator")
     p.add_argument("--merge", action="store_true",
                    help="apply the loop-merging pass before execution")
-    p.add_argument("--kernel-tier", default="native",
-                   choices=list(KERNEL_TIERS),
-                   help="highest kernel tier DOALL nests may use: native "
-                        "(cffi-compiled C, the default) or numpy "
-                        "(exec-compiled NumPy kernels); --no-kernels runs "
-                        "the reference tree walk only")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -507,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0,
                    help="seed for daemon-filled array parameters")
     c.add_argument("--backend", default=None,
-                   choices=["auto", *available_backends()])
+                   choices=["auto", *sorted(KNOWN_BACKENDS)])
     c.add_argument("--workers", type=int, default=None, metavar="N")
     c.set_defaults(func=_cmd_client_run)
 
@@ -516,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("run_module", metavar="MODULE")
     c.add_argument("--set", action="append", metavar="NAME=VALUE")
     c.add_argument("--backend", default=None,
-                   choices=["auto", *available_backends()])
+                   choices=["auto", *sorted(KNOWN_BACKENDS)])
     c.add_argument("--workers", type=int, default=None, metavar="N")
     c.set_defaults(func=_cmd_client_plan)
 

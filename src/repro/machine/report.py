@@ -278,7 +278,8 @@ def compare_plans(
     nothing here feeds them back into planning."""
     import numpy as np
 
-    from repro.plan.planner import KNOWN_BACKENDS, build_plan
+    from repro.plan.ir import KNOWN_BACKENDS
+    from repro.plan.planner import build_plan
     from repro.runtime.executor import ExecutionOptions, execute_module
 
     backends = list(backends or KNOWN_BACKENDS)

@@ -7,8 +7,8 @@ DOALL is vectorised, chunked across workers (and at which nest level),
 collapsed into one flattened chunked iteration space, or lowered into one
 fused compiled kernel — using the calibrated
 :class:`~repro.machine.cost.MachineModel` alone, so a plan depends only on
-the module, its options, its sizes and the core count. Every backend consumes
-the resulting :class:`ExecutionPlan` instead of re-deriving those choices
+the module, its options, its sizes and the core count. The execution engine
+consumes the resulting :class:`ExecutionPlan` instead of re-deriving those choices
 at loop entry.
 """
 

@@ -1,8 +1,8 @@
 """The ExecutionPlan IR.
 
 An :class:`ExecutionPlan` is a per-module execution recipe produced once by
-the planner (:mod:`repro.plan.planner`) and consumed by every execution
-backend. It mirrors the flowchart's loop tree: one :class:`LoopPlan` per
+the planner (:mod:`repro.plan.planner`) and consumed by the execution
+engine. It mirrors the flowchart's loop tree: one :class:`LoopPlan` per
 loop descriptor (addressed by the descriptor's child-index path) plus one
 :class:`EquationPlan` per equation. The plan is inspectable —
 ``repro plan module.ps`` pretty-prints it — and *forcible*: tests and
@@ -42,6 +42,13 @@ from repro.plan.strategy import LOOP_STRATEGIES
 
 #: valid LoopPlan.strategy values
 VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
+
+#: every label ``ExecutionPlan.backend`` may carry, and what
+#: ``backend="auto"`` chooses from. Each plan runs on the one engine
+#: (:class:`repro.runtime.backends.ExecutionBackend`); the label decides
+#: which strategies the planner offers a loop, and only ``threaded`` sends
+#: wavefronts to the engine's thread pool.
+KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
 #: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``,
@@ -153,7 +160,7 @@ class ExecutionPlan:
     """The full per-module execution recipe."""
 
     module: str
-    #: the concrete backend registry key execution will instantiate
+    #: the resolved backend label, one of :data:`KNOWN_BACKENDS`
     backend: str
     #: what the user asked for ("auto" or an explicit backend)
     requested: str
@@ -204,7 +211,7 @@ class ExecutionPlan:
 
     def bind(self, flowchart) -> ExecutionPlan:
         """Index the plan against ``flowchart``'s descriptor identities so
-        backends can look up plans without recomputing paths. A no-op when
+        the engine can look up plans without recomputing paths. A no-op when
         already bound to this flowchart; otherwise the new index is built
         aside and swapped in atomically (plans are shared across runs — a
         concurrent reader must never observe a half-built index)."""

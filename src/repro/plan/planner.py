@@ -1,9 +1,9 @@
 """The cost-driven planner: annotated flowchart -> ExecutionPlan.
 
-The planner makes every decision the backends used to re-derive at loop
+The planner makes every decision the execution engine acts on at loop
 entry, exactly once per (module, options, scalar bindings):
 
-* which backend executes the module — ``backend="auto"`` compares the
+* which backend label the module plans under — ``backend="auto"`` compares the
   calibrated cost of a serial, vectorized and threaded execution at the
   *effective* parallelism ``min(workers, cpu_count)`` and picks the
   cheapest; an explicit backend pins the plan;
@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.machine.cost import MachineModel
 from repro.plan.ir import (
+    KNOWN_BACKENDS,
     EquationPlan,
     ExecutionPlan,
     LoopPlan,
@@ -62,11 +63,6 @@ from repro.schedule.flowchart import (
     NodeDescriptor,
     equation_vector_safe,
 )
-
-#: every backend a plan may target, and what ``backend="auto"`` chooses
-#: from (the registry of ``repro.runtime.backends``; a test keeps the two
-#: sets equal)
-KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16
@@ -107,6 +103,17 @@ def _kernel_tier(options: ExecutionOptions, error: type[Exception]) -> str:
     return options.kernel_tier
 
 
+def _workers(options: ExecutionOptions, error: type[Exception]) -> int | None:
+    """``options.workers``, or ``error`` unless it is None (the caller
+    picks a count) or a positive ``int``."""
+    workers = options.workers
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
+    ):
+        raise error(f"workers must be a positive integer; got {workers!r}")
+    return workers
+
+
 def build_plan(
     analyzed,
     flowchart: Flowchart,
@@ -114,7 +121,6 @@ def build_plan(
     scalar_env: dict[str, int] | None = None,
     model: MachineModel | None = None,
     cpu_count: int | None = None,
-    backend: str | None = None,
     candidates: tuple[str, ...] | None = None,
     served: bool = False,
 ) -> ExecutionPlan:
@@ -127,9 +133,8 @@ def build_plan(
     when this is None): it bounds the parallelism the cost model believes
     in — a worker count above it buys nothing, which is exactly what
     ``auto`` must know — and is the worker count when ``options.workers``
-    is unset, so a plan built with it never depends on the host; ``backend``
-    overrides ``options.backend`` (a backend walking a hand-built state
-    pins the plan to itself); ``candidates`` narrows what ``auto`` may
+    is unset, so a plan built with it never depends on the host;
+    ``candidates`` narrows what ``auto`` may
     choose from (module calls keep callees off the worker pool — nested
     pools inside worker chunks would oversubscribe it);
     ``served`` prices the plan for a server that runs it again and again:
@@ -147,15 +152,16 @@ def build_plan(
             f"available: {', '.join(LOOP_STRATEGIES)}"
         )
     tier = _kernel_tier(options, ExecutionError)
+    workers = _workers(options, ExecutionError)
     # Resolve the machine's core count exactly once: a worker count and an
     # effective-parallelism bound read under two different affinity
     # settings would silently disagree.
     ncpu = cpu_count if cpu_count is not None else host_cpu_count()
-    workers = max(1, options.workers if options.workers is not None else ncpu)
+    workers = workers or max(1, ncpu)
     effective = max(1, min(workers, ncpu))
     use_kernels = options.runs_kernels()
 
-    requested = backend if backend is not None else options.backend
+    requested = options.backend
     if requested != "auto" and requested not in KNOWN_BACKENDS:
         raise ExecutionError(
             f"unknown execution backend {requested!r}; "
@@ -264,11 +270,12 @@ def forced_plan(
             )
     options = options or ExecutionOptions()
     tier = _kernel_tier(options, PlanError)
+    workers = _workers(options, PlanError) or max(1, cpu_count or host_cpu_count())
     planner = _Planner(
         analyzed,
         flowchart,
         backend,
-        max(1, options.workers or cpu_count or host_cpu_count()),
+        workers,
         1,
         scalar_env or {},
         model or MachineModel(),

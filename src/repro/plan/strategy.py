@@ -11,7 +11,7 @@ and how a backend runs it (:meth:`execute`).
 The planner's choice for a loop met on the walk is one walk over the table
 (``_Planner._decide``): a forced name asks that one strategy; otherwise
 every strategy that recognises the loop is priced, and a later entry wins
-only when it is strictly cheaper. The backends' walk runs every planned
+only when it is strictly cheaper. The engine's walk runs every planned
 loop through its strategy's :meth:`execute`, and
 :class:`repro.plan.ir.LoopPlan` reads its kernel shape and the head of its
 ``pretty()`` row from it — so a strategy is one entry here, not a branch
@@ -411,7 +411,7 @@ class PoolStrategy(LoopStrategy):
         GIL, overlapping fully across workers; otherwise it is NumPy rows —
         vector work that overlaps, plus GIL-bound Python (scalar
         fallbacks, a collapsed chunk's per-row bookkeeping) that serialises
-        on the threaded backend. Plus one fork, one join and one dispatch
+        under a ``threaded`` plan. Plus one fork, one join and one dispatch
         per chunk. A ``collapse`` under the utilization rule says so."""
         m = planner.model
         loops, body = self._space(desc)
@@ -485,7 +485,7 @@ class PoolStrategy(LoopStrategy):
                 return
         for eq in desc.nested_equations():
             backend.ensure_targets(state, eq)
-        plan = state.plan_of(desc, backend.name)
+        plan = state.plan.loop_for(desc)
         spans = split_range(lo, hi, plan.parts or backend.workers)
         if len(spans) < 2:
             self.run_chunk(backend, state, desc, lo, hi, env, plan.fuse)

@@ -1,32 +1,43 @@
-"""The execution-backend interface and the shared flowchart walk.
+"""The one execution engine: the flowchart walk and the DOALL pool.
 
-A backend *executes* a scheduled flowchart according to an
-:class:`~repro.plan.ir.ExecutionPlan`. All backends share one walk
-(equation evaluation, lazy target allocation, vector spans, the reference
-walk of a loop) and one dispatch: every planned loop runs through
-``LOOP_STRATEGIES[plan.strategy].execute`` (:mod:`repro.plan.strategy`),
-which calls back into the walk's primitives here. The one hook the
-parallel backends override is :meth:`ExecutionBackend.dispatch`, where the
-``chunk`` / ``collapse`` strategies hand a wavefront of chunks: each chunk
-runs through :meth:`ExecutionBackend.run_chunk` on the loop's own kernel —
-inline here, on a thread pool in
-:class:`~repro.runtime.backends.threaded.ThreadedBackend` — with one join
-per wavefront.
+:class:`ExecutionBackend` *executes* a scheduled flowchart according to an
+:class:`~repro.plan.ir.ExecutionPlan`: equation evaluation, lazy target
+allocation, vector spans, the reference walk of a loop, and one dispatch —
+every planned loop runs through ``LOOP_STRATEGIES[plan.strategy].execute``
+(:mod:`repro.plan.strategy`), which calls back into the walk's primitives
+here. No decision is re-derived from the flowchart: chunking, safety and
+kernels live in the plan, built once per execution by
+:mod:`repro.plan.planner`, and every :class:`ExecutionState` carries its
+plan.
 
-No backend re-derives chunking, safety, or kernel decisions from the
-flowchart: those live in the plan, produced once per execution by
-:mod:`repro.plan.planner` (a state constructed without a plan gets one
-built on first use, so hand-built executions behave identically — the
-planner remains the single decision point). Equation evaluation dispatches
-through the compiled-kernel cache when one is attached to the state (see
-:mod:`repro.runtime.kernels`); the tree-walking evaluator remains the
-fallback.
+``plan.backend`` is the planner's label, not a class: ``serial``,
+``vectorized`` and ``threaded`` plans all run on this one engine, and the
+label decides the strategies a loop could take. The ``chunk`` / ``collapse``
+strategies hand :meth:`ExecutionBackend.dispatch` a wavefront of chunks,
+each one call of :meth:`~repro.plan.strategy.PoolStrategy.run_chunk` on the
+loop's own kernel. Under a ``threaded`` plan the wavefront goes to the
+engine's thread pool — created on first use, ``workers`` threads named
+``repro-doall`` — where a chunk runs its C kernel (cffi's ABI mode releases
+the GIL around the call, so chunks overlap on a GIL build) or the
+vectorised NumPy path (NumPy releases the GIL too, but the Python
+bookkeeping between kernels serialises unless the interpreter is a no-GIL
+build). Under any other plan — a ``chunk`` forced onto a ``serial`` plan, a
+callee's plan inside a worker chunk — the chunks run inline, so only a
+``threaded`` plan ever starts a pool thread. Every pooled wavefront ends in
+one join: all chunks finish before the first failure is re-raised, so a
+failed run leaves nothing of its own on a session's persistent pool.
+
+Equation evaluation dispatches through the compiled-kernel cache when one
+is attached to the state (see :mod:`repro.runtime.kernels`); the
+tree-walking evaluator remains the fallback.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,35 +79,16 @@ class ExecutionState:
     options: Any  # ExecutionOptions (kept untyped to avoid an import cycle)
     data: dict[str, Any]
     evaluator: Evaluator
+    #: the ExecutionPlan driving strategy dispatch
+    plan: Any  # ExecutionPlan (untyped: import cycle)
     program: AnalyzedProgram | None = None
     #: statistics: equation label -> number of element evaluations
     eval_counts: dict[str, int] = field(default_factory=dict)
     #: compiled-kernel cache (None: evaluate everything on the tree walk)
     kernels: Any = None  # KernelCache | None (untyped: import cycle)
-    #: the ExecutionPlan driving strategy dispatch (built lazily when a
-    #: state is constructed by hand without one)
-    plan: Any = None  # ExecutionPlan | None (untyped: import cycle)
     #: every native kernel the plan dispatches is built and loaded — what
     #: ``ensure_targets`` needs before it trusts ``plan.storage``
     native_ready: bool = False
-
-    def plan_of(self, desc, backend: str | None = None):
-        """The LoopPlan for ``desc``, building the module plan on first
-        use — the planner, not the backend, owns every strategy decision.
-        ``backend`` pins the lazily built plan to the backend actually
-        walking the state (a hand-driven walk must not execute under a
-        plan costed for a different backend)."""
-        if self.plan is None:
-            from repro.plan.planner import build_plan
-
-            self.plan = build_plan(
-                self.analyzed,
-                self.flowchart,
-                self.options,
-                self.scalar_env(),
-                backend=backend,
-            )
-        return self.plan.loop_for(desc)
 
     def scalar_env(self) -> dict[str, int]:
         return {
@@ -116,25 +108,24 @@ class ExecutionState:
             self.options,
             self.data,
             self.evaluator,
+            self.plan,
             program=self.program,
             eval_counts={},
             kernels=self.kernels,
-            plan=self.plan,
         )
 
     def merge_counts(self, counts: dict[str, int]) -> None:
         for label, n in counts.items():
             self.eval_counts[label] = self.eval_counts.get(label, 0) + n
 
-    def kernel_tier(self) -> str:
-        """The nest-kernel tier this execution looks up first
-        (``"native"`` unless the options narrowed it)."""
-        return getattr(self.options, "kernel_tier", "native")
 
-
-def equation_is_vector_safe(eq: AnalyzedEquation) -> bool:
-    """Cached vector-safety verdict (see ``repro.schedule.flowchart``)."""
-    return equation_vector_safe(eq)
+def free_threading_active() -> bool:
+    """True when this interpreter is actually running without a GIL (a
+    free-threaded CPython build with the GIL not re-enabled at runtime)."""
+    try:
+        return not sys._is_gil_enabled()
+    except AttributeError:  # < 3.13: always GIL-ful
+        return False
 
 
 #: what :attr:`ExecutionBackend.counters` counts
@@ -145,10 +136,8 @@ RUN_COUNTERS = (
 
 
 class ExecutionBackend:
-    """Base class: the shared walk plus the hooks backends override."""
-
-    #: registry key, e.g. ``"serial"`` — set by each subclass
-    name = "base"
+    """The engine: the flowchart walk, and a thread pool for the
+    wavefronts of ``threaded`` plans."""
 
     def __init__(self, workers: int | None = None):
         self.workers = max(1, workers if workers is not None else os.cpu_count() or 1)
@@ -164,6 +153,10 @@ class ExecutionBackend:
         self._counters_lock = threading.Lock()
         #: where the big arrays of a plan's second and later runs come from
         self.store = BufferStore()
+        self._pool: ThreadPoolExecutor | None = None
+        # A session-owned engine may serve overlapping runs from several
+        # request threads; pool creation must happen exactly once.
+        self._pool_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -173,19 +166,7 @@ class ExecutionBackend:
             # Kernels with module calls dispatch through the cache's call
             # box; point it at this execution's handler before anything runs.
             state.kernels.bind_call_fn(state.evaluator.call_fn)
-        if state.plan is None:
-            # A hand-built state: plan for *this* backend (the executor
-            # normally supplies the plan and instantiates plan.backend).
-            from repro.plan.planner import build_plan
-
-            state.plan = build_plan(
-                state.analyzed,
-                state.flowchart,
-                state.options,
-                state.scalar_env(),
-                backend=self.name,
-            )
-        if state.kernels is not None and state.kernel_tier() == "native":
+        if state.kernels is not None and state.options.kernel_tier == "native":
             # One translation unit per (module, plan): every native kernel
             # the plan will dispatch is built now, as one batch — not one
             # compiler process per kernel as the walk meets them.
@@ -198,7 +179,7 @@ class ExecutionBackend:
 
     def end_run(self) -> None:
         """Release *per-run* resources (idle recycled buffers beyond what
-        the next run needs) while keeping long-lived ones — worker pools,
+        the next run needs) while keeping long-lived ones — the thread pool,
         warmed caches — for the next run. Called after results are exported when
         the backend's lifetime outlives one execution (a
         :class:`~repro.serve.session.Session` owns such backends);
@@ -206,7 +187,10 @@ class ExecutionBackend:
         self.store.trim()
 
     def close(self) -> None:
-        """Release pools and buffers. Called after results are read."""
+        """Release the pool and buffers. Called after results are read."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         self.end_run()
 
     # -- storage hooks -----------------------------------------------------
@@ -255,7 +239,7 @@ class ExecutionBackend:
             else:
                 self.exec_sequential_loop(state, desc, lo, hi, env, vector_names)
             return
-        plan = state.plan_of(desc, self.name)
+        plan = state.plan.loop_for(desc)
         if plan is None:
             # a descriptor the plan does not cover: the reference walk
             self.exec_sequential_loop(state, desc, lo, hi, env, [])
@@ -290,7 +274,7 @@ class ExecutionBackend:
         vector_names: list[str],
     ) -> None:
         """Run one contiguous subrange of a DOALL as a vector operation.
-        The chunked backends reuse this per worker chunk."""
+        A ``chunk`` strategy's chunk without a kernel runs this too."""
         env2 = dict(env)
         for vn in vector_names:
             env2[vn] = np.asarray(env2[vn])[..., None]
@@ -341,10 +325,10 @@ class ExecutionBackend:
         decided, and counted."""
         if state.kernels is None:
             return False
-        plan = state.plan_of(desc, self.name)
+        plan = state.plan.loop_for(desc)
         kernel = state.kernels.nest_kernel_for(
             desc, state.options.use_windows, variant=shape,
-            tier=state.kernel_tier(),
+            tier=state.options.kernel_tier,
             build_native=plan is None or plan.dialect != "python",
             numpy=numpy,
         )
@@ -405,23 +389,8 @@ class ExecutionBackend:
         falls back to the scalar walk)."""
         for eq in desc.nested_equations():
             self.ensure_targets(state, eq)
-        shape = state.plan_of(desc, self.name).kernel_shape()
+        shape = state.plan.loop_for(desc).kernel_shape()
         return self._run_loop_kernel(state, desc, shape, env, lo, hi)
-
-    def run_chunk(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        strategy,
-        lo: int,
-        hi: int,
-        env: dict[str, Any],
-        fuse: bool,
-    ) -> None:
-        """One chunk of a wavefront: ``[lo, hi]`` of the iteration space
-        the pool ``strategy`` (:class:`repro.plan.strategy.PoolStrategy`)
-        divides, on the loop's kernel unless ``fuse`` is False."""
-        strategy.run_chunk(self, state, desc, lo, hi, env, fuse)
 
     def dispatch(
         self,
@@ -432,13 +401,51 @@ class ExecutionBackend:
         env: dict[str, Any],
         fuse: bool,
     ) -> None:
-        """Run one wavefront's chunks (see :meth:`run_chunk`) and return
-        when all of them have. The base implementation runs them inline —
-        a plan forced onto a backend without a worker pool stays correct,
-        just not concurrent; the parallel backends override this with
-        their pools."""
-        for lo, hi in spans:
-            self.run_chunk(state, desc, strategy, lo, hi, env, fuse)
+        """Run one wavefront's chunks — ``[lo, hi]`` each, through the pool
+        ``strategy`` (:class:`repro.plan.strategy.PoolStrategy`), on the
+        loop's kernel unless ``fuse`` is False — and return when all of
+        them have. A ``threaded`` plan sends them to the pool, each on a
+        private substate whose eval counts are merged after the join; any
+        other plan runs them inline, correct but not concurrent."""
+        if state.plan.backend != "threaded":
+            for lo, hi in spans:
+                strategy.run_chunk(self, state, desc, lo, hi, env, fuse)
+            return
+        pool = self._ensure_pool()
+        substates = [state.fork() for _ in spans]
+        self._join([
+            pool.submit(strategy.run_chunk, self, sub, desc, lo, hi, env, fuse)
+            for sub, (lo, hi) in zip(substates, spans)
+        ])
+        for sub in substates:
+            state.merge_counts(sub.eval_counts)
+
+    def _ensure_pool(self) -> ThreadPoolExecutor:
+        if self._pool is None:
+            with self._pool_lock:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.workers,
+                        thread_name_prefix="repro-doall",
+                    )
+        return self._pool
+
+    @staticmethod
+    def _join(futures) -> None:
+        """Wait for *every* future, then re-raise the first failure — the
+        one failure protocol of the pool. Raising at the first failed
+        future would leave its siblings running on the persistent pool,
+        where the next request's waves queue behind a dead run's work (a
+        failed run's partial writes are overwritten on re-run)."""
+        first: BaseException | None = None
+        for f in futures:
+            try:
+                f.result()
+            except BaseException as exc:
+                if first is None:
+                    first = exc
+        if first is not None:
+            raise first
 
     # -- collapsed nests ---------------------------------------------------
 
@@ -521,7 +528,7 @@ class ExecutionBackend:
         vector_names: list[str],
     ) -> None:
         vector = bool(vector_names)
-        if vector and not equation_is_vector_safe(eq):
+        if vector and not equation_vector_safe(eq):
             self._exec_equation_scalar_fallback(state, eq, env, vector_names)
             return
 
@@ -630,7 +637,7 @@ class ExecutionBackend:
                     zero = not memo[1]
                 self.count("arrays_zeroed" if zero else "arrays_uninitialised")
                 make = self.make_storage
-                if state.plan is not None and state.plan.ran:
+                if state.plan.ran:
                     make = self.store.take
                 state.data[target.name] = RuntimeArray.allocate(
                     target.name,

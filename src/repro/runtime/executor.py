@@ -2,15 +2,17 @@
 
 The interpreter walks the flowchart exactly as the generated procedural
 program would: a ``DO`` loop runs its subrange low-to-high sequentially; a
-``DOALL`` loop is semantically unordered and executes on the selected
-*execution backend* (see :mod:`repro.runtime.backends`):
+``DOALL`` loop is semantically unordered and runs as its plan says, on the
+one execution engine (:class:`repro.runtime.backends.ExecutionBackend`).
+The plan's backend label decides which strategies a loop may take:
 
-* ``serial`` — one scalar iteration at a time (the reference semantics);
+* ``serial`` — the reference walk, or one compiled nest kernel, one
+  iteration after another;
 * ``vectorized`` — the whole subrange as one NumPy operation (an inner
   ``DO`` nested under a vectorised ``DOALL`` keeps its own scalar loop);
-* ``threaded`` — chunked subranges on a thread pool, native and NumPy
-  kernels releasing the GIL (on a no-GIL build the Python-level chunk work
-  overlaps too).
+* ``threaded`` — chunked subranges on the engine's thread pool, native and
+  NumPy kernels releasing the GIL (on a no-GIL build the Python-level chunk
+  work overlaps too).
 
 A call of a loop-free scalar module was inlined by the front end
 (:func:`repro.ps.semantics.inline_body`) and runs wherever its caller's
@@ -22,9 +24,9 @@ fail) before the next descriptor runs, and the first failure is re-raised.
 
 Options:
 
-* ``backend`` / ``workers`` — backend selection; ``"auto"`` asks the
-  cost-driven planner (:mod:`repro.plan.planner`) to choose, while an
-  explicit backend pins the plan to it;
+* ``backend`` / ``workers`` — the plan's backend label and worker count;
+  ``"auto"`` asks the cost-driven planner (:mod:`repro.plan.planner`) to
+  choose, while an explicit label pins the plan to it;
 * ``use_windows`` — allocate virtual dimensions as windows, as the paper's
   section 3.4 directs the code generator to do;
 * ``debug_windows`` — arm window tags that fault on any read of an
@@ -41,8 +43,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.ps.semantics import AnalyzedModule, AnalyzedProgram
 from repro.ps.types import ArrayType
-from repro.runtime.backends import instantiate_backend
-from repro.runtime.backends.base import ExecutionState
+from repro.runtime.backends import ExecutionBackend, ExecutionState
 from repro.runtime.evaluator import Evaluator
 from repro.runtime.kernels import KernelCache
 from repro.runtime.values import RuntimeArray, array_bounds, dtype_for
@@ -67,7 +68,9 @@ class ExecutionOptions:
     #: "auto" asks the cost-driven planner to choose; "serial" is the
     #: scalar reference path
     backend: str = "auto"
-    #: worker count for the chunked backends (None: os.cpu_count())
+    #: worker count for the thread pool and native teams (None:
+    #: os.cpu_count()); anything but None or a positive int is refused
+    #: when the plan is built
     workers: int | None = None
     #: dispatch equations through cached exec-compiled kernels (the fast
     #: path); off, everything runs on the tree-walking reference evaluator.
@@ -140,7 +143,7 @@ def execute_module(
     program: AnalyzedProgram | None = None,
     kernel_cache: KernelCache | None = None,
     plan: ExecutionPlan | None = None,
-    backend: Any = None,
+    backend: ExecutionBackend | None = None,
 ) -> dict[str, Any]:
     """Execute a module with the given inputs; returns its results.
 
@@ -158,13 +161,12 @@ def execute_module(
     cost-driven planner runs once for this execution — ``backend="auto"``
     asks it to choose, an explicit backend pins the plan.
 
-    ``backend`` supplies a pre-instantiated
-    :class:`~repro.runtime.backends.base.ExecutionBackend` whose lifetime
-    the *caller* owns (a :class:`~repro.serve.session.Session` keeps worker
-    pools alive across runs this way): it must match the plan's backend
-    name, only per-run resources are released afterwards
-    (``backend.end_run()``), and ``backend.close()`` is never called here.
-    Without it a backend is instantiated for the plan and fully closed.
+    ``backend`` supplies an :class:`~repro.runtime.backends.ExecutionBackend`
+    whose lifetime the *caller* owns (a :class:`~repro.serve.session.Session`
+    keeps its thread pool and recycled buffers alive across runs this way):
+    only per-run resources are released afterwards (``backend.end_run()``),
+    and ``backend.close()`` is never called here. Without it an engine with
+    the plan's worker count runs the plan and is fully closed.
     """
     options = options or ExecutionOptions()
     if flowchart is None:
@@ -201,13 +203,7 @@ def execute_module(
 
     owned = backend is None
     if owned:
-        backend = instantiate_backend(plan.backend, workers=plan.workers)
-    elif backend.name != plan.backend:
-        raise ExecutionError(
-            f"supplied backend {backend.name!r} does not match the plan's "
-            f"backend {plan.backend!r} — resolve the plan first and hand "
-            f"execute_module the matching backend instance"
-        )
+        backend = ExecutionBackend(workers=plan.workers)
 
     try:
         # Input arrays come in through the backend: borrowed in place.
@@ -237,9 +233,9 @@ def execute_module(
             options,
             data,
             Evaluator(data, call_fn=None, enums=_enum_env(analyzed)),
+            plan,
             program=program,
             kernels=kernels,
-            plan=plan,
         )
         # The handler closes over the program and the options, not the
         # state: the kernel cache keeps the last handler bound (its call

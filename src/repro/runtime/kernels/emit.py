@@ -23,8 +23,8 @@ Both dialects share the expression walk with the whole-module Python
 generator (:mod:`repro.codegen.exprlower`), so runtime kernels and generated
 modules provably lower expressions through one code path. An equation the
 emitter cannot specialize (module calls, record fields, partial-rank array
-values, atomic multi-target equations) is *non-kernelizable*: the backends
-keep evaluating it on the reference tree-walking evaluator.
+values, atomic multi-target equations) is *non-kernelizable*: the engine
+keeps evaluating it on the reference tree-walking evaluator.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ the warm set, or of one lazily requested nest share one translation unit,
 one compiler process and one ``dlopen``. The result is
 registered in :class:`~repro.runtime.kernels.cache.KernelCache` with the
 same callable signature as the Python nest kernels (``kernel(data, env, lo,
-hi) -> dict[label, count]``), so every backend dispatches through it
+hi) -> dict[label, count]``), so the engine dispatches through it
 unchanged. Lookup order is **native -> NumPy kernel -> evaluator**.
 
 Bit-exactness contract: the emitted C performs the identical IEEE-754

@@ -82,7 +82,7 @@ def static_windows(
     name: str, analyzed: AnalyzedModule, flowchart: Flowchart, use_windows: bool
 ) -> dict[int, int]:
     """The window dimensions ``RuntimeArray.allocate`` will give ``name`` —
-    the emitter mirrors the allocation rule in the backends exactly."""
+    the emitter mirrors the engine's allocation rule exactly."""
     sym = analyzed.symbol(name)
     if not use_windows or sym.kind is not SymbolKind.VAR:
         return {}

@@ -122,18 +122,19 @@ def execute_transformed_windowed(
 
     # Run the independent descriptors first (there are typically none: the
     # rewriter merges initialisation into the recurrence).
-    from repro.runtime.backends import instantiate_backend
-    from repro.runtime.backends.base import ExecutionState
+    from repro.plan.planner import build_plan
+    from repro.runtime.backends import ExecutionBackend, ExecutionState
     from repro.runtime.executor import ExecutionOptions
 
-    options = ExecutionOptions()
-    backend = instantiate_backend("vectorized")
+    options = ExecutionOptions(backend="vectorized")
+    backend = ExecutionBackend()
     state = ExecutionState(
         analyzed,
         flowchart,
         options,
         data,
         evaluator,
+        build_plan(analyzed, flowchart, options, scalars),
     )
     for desc in others:
         backend.exec_descriptor(state, desc, {}, [])

@@ -122,7 +122,7 @@ Descriptor = NodeDescriptor | LoopDescriptor
 
 # -- execution metadata -------------------------------------------------------
 #
-# The parallel backends need two safety verdicts per wavefront: whether an
+# Parallel execution needs two safety verdicts per wavefront: whether an
 # equation may be evaluated as one vector operation, and whether a DOALL nest
 # may be split across concurrent workers. Both are static properties of the
 # analyzed module and the flowchart, so they are derived once here — eagerly

@@ -4,7 +4,7 @@ behind a socket.
 The asyncio loop owns only the transport — accept, read a message, write
 a message. Every request body (array decode and encode included) executes
 in a thread pool against one shared warm session, so concurrent clients
-overlap: planning coalesces per key, and runs on every backend proceed
+overlap: planning coalesces per key, and runs on one engine proceed
 side by side. Two pressure valves bound a burst of clients:
 
 * ``max_inflight`` requests execute at once (a semaphore over the

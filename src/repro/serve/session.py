@@ -4,7 +4,7 @@ Gokhale's premise is that all scheduling and parallelization work happens
 at compile time and is amortized over many executions. A
 :class:`~repro.core.pipeline.CompileResult` already amortizes within one
 object — plan cache and kernel cache — but every ``run()`` still
-instantiated (and tore down) its execution backend, so worker pools never
+created (and tore down) its execution engine, so the thread pool never
 survived a request. A :class:`Session` owns all of it across requests:
 
 * compiled modules, de-duplicated by source hash — loading the same source
@@ -12,10 +12,12 @@ survived a request. A :class:`Session` owns all of it across requests:
   warmed caches);
 * the per-module plan cache and kernel cache, via the owned
   ``CompileResult``s;
-* *persistent* execution backends: thread pools are created once per
-  ``(backend, workers, options)`` and reused by every subsequent run of
-  any module — only per-run resources (idle recycled buffers) are released
-  between requests;
+* *persistent* execution engines
+  (:class:`~repro.runtime.backends.ExecutionBackend`), one per plan label,
+  worker count and options, each with its recycled buffers and — once a
+  ``threaded`` plan runs on it — its thread pool, reused by every later run
+  of any module; only per-run resources (idle recycled buffers) are
+  released between requests;
 * warmed native kernels: :meth:`warm` compiles every reachable kernel
   (including the cffi/C tier) and optionally primes plans and pools with a
   throwaway run, so the first real request compiles nothing;
@@ -59,7 +61,7 @@ from repro.errors import SessionError
 from repro.plan.ir import ExecutionPlan
 from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RecordType
-from repro.runtime.backends import ExecutionBackend, instantiate_backend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.kernels.cache import plan_keys
@@ -401,14 +403,16 @@ class Session:
         return out
 
     def _backend(self, plan: ExecutionPlan, okey: tuple) -> ExecutionBackend:
-        """The persistent backend for ``plan`` under options ``okey``,
+        """The persistent engine for ``plan`` under options ``okey``,
         shared by every module."""
+        # keyed by label too: each engine's BufferStore trims to what its
+        # own plans ran, and `auto` alternates labels between programs
         key = (plan.backend, plan.workers, okey)
         with self._lock:
             self._check_open()
             backend = self._backends.get(key)
             if backend is None:
-                backend = instantiate_backend(plan.backend, workers=plan.workers)
+                backend = ExecutionBackend(workers=plan.workers)
                 self._backends[key] = backend
         return backend
 
@@ -581,7 +585,7 @@ class Session:
 
     def stats(self) -> SessionStats:
         with self._lock:
-            backends = sorted({b.name for b in self._backends.values()})
+            backends = sorted({key[0] for key in self._backends})
             runs, built, requests = (
                 self._runs, self._plans_built, self._plan_requests
             )

@@ -168,7 +168,7 @@ class TestCollapseExecution:
 
     def test_eval_counts_exact(self):
         """Every flat element is computed exactly once across chunks."""
-        from repro.runtime.backends import BACKENDS
+        from repro.runtime.backends import ExecutionBackend
         from repro.runtime.backends.base import ExecutionState
         from repro.runtime.evaluator import Evaluator
         from repro.runtime.values import RuntimeArray
@@ -189,7 +189,7 @@ class TestCollapseExecution:
             analyzed, flow, options, data, Evaluator(data),
             kernels=KernelCache(analyzed, flow), plan=plan,
         )
-        backend = BACKENDS["threaded"](workers=8)
+        backend = ExecutionBackend(workers=8)
         try:
             backend.run(state)
         finally:
@@ -228,7 +228,7 @@ class TestWalkReentrancy:
         below the chain): the unfused flat walk runs inside pool workers,
         so the body DOALL must execute strictly serially — re-entering
         chunk dispatch would block on the already-saturated pool."""
-        from repro.runtime.backends import BACKENDS
+        from repro.runtime.backends import ExecutionBackend
         from repro.runtime.backends.base import ExecutionState
         from repro.runtime.evaluator import Evaluator
         from repro.schedule.flowchart import Flowchart, NodeDescriptor
@@ -272,7 +272,7 @@ end Mix;
             analyzed, hand, options, data, Evaluator(data),
             kernels=KernelCache(analyzed, hand), plan=plan,
         )
-        backend = BACKENDS["threaded"](workers=2)
+        backend = ExecutionBackend(workers=2)
         try:
             backend.run(state)
         finally:

@@ -122,7 +122,7 @@ class TestTallSkinnyGrid:
     def test_inner_chunking_distributes_all_elements(self):
         """Eval counts survive the collapsed path: every element is
         computed exactly once."""
-        from repro.runtime.backends import BACKENDS
+        from repro.runtime.backends import ExecutionBackend
         from repro.runtime.backends.base import ExecutionState
         from repro.runtime.evaluator import Evaluator
         from repro.runtime.kernels import KernelCache
@@ -138,9 +138,10 @@ class TestTallSkinnyGrid:
         }
         state = ExecutionState(
             analyzed, flow, options, data, Evaluator(data),
+            build_plan(analyzed, flow, options, {"r": 4, "c": 512}),
             kernels=KernelCache(analyzed, flow),
         )
-        backend = BACKENDS["threaded"](workers=8)
+        backend = ExecutionBackend(workers=8)
         try:
             backend.run(state)
         finally:

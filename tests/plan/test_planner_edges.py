@@ -304,6 +304,24 @@ class TestUnknownKernelTier:
         ):
             plan_with(analyzed, flow, *args, {"n": 64})
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    @pytest.mark.parametrize("plan_with, error", [
+        (build_plan, ExecutionError),
+        (forced_plan, PlanError),
+    ], ids=["build_plan", "forced_plan"])
+    def test_bad_worker_counts_are_refused(self, plan_with, error, workers):
+        """A worker count is None (the host's) or a positive ``int``:
+        ``0``, a negative, a ``bool``, a float or a string is refused
+        instead of planning one worker, the host's cores or a fraction."""
+        analyzed = scan_analyzed()
+        flow = schedule_module(analyzed)
+        options = ExecutionOptions(backend="auto", workers=workers)
+        args = (options,) if plan_with is build_plan else ("threaded", options)
+        with pytest.raises(
+            error, match=re.escape(f"workers must be a positive integer; got {workers!r}")
+        ):
+            plan_with(analyzed, flow, *args, {"n": 64})
+
 
 #: a call of a module with a loop of its own (kept, not inlined) merged into
 #: one nest with a clean equation

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.paper import jacobi_analyzed
 from repro.machine.report import compare_plans
-from repro.plan.planner import KNOWN_BACKENDS, build_plan
+from repro.plan.ir import KNOWN_BACKENDS
+from repro.plan.planner import build_plan
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.scheduler import schedule_module
 

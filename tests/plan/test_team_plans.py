@@ -25,7 +25,8 @@ from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
 from repro.core.pipeline import CompilerOptions, compile_source
 from repro.errors import ReproError
 from repro.hyperplane.pipeline import hyperplane_transform
-from repro.plan.planner import KNOWN_BACKENDS, build_plan
+from repro.plan.ir import KNOWN_BACKENDS
+from repro.plan.planner import build_plan
 from repro.runtime.executor import ExecutionOptions
 from repro.schedule.scheduler import schedule_module
 

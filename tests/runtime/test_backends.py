@@ -1,10 +1,11 @@
-"""Backend parity: serial == vectorized == threaded == auto.
+"""Backend-label parity: serial == vectorized == threaded == auto.
 
-Every workload is executed on the serial reference backend and on each of
-the other backends (with enough workers to force real chunking), with and
-without window storage. Integer results must be bit-exact; floating-point
-results must agree to within a tight tolerance (element-wise expressions
-evaluate the same tree per element, so they are in practice bit-exact too).
+Every workload is executed under a serial reference plan and under each of
+the other plan labels (with enough workers to force real chunking), with
+and without window storage, on the one execution engine. Integer results
+must be bit-exact; floating-point results must agree to within a tight
+tolerance (element-wise expressions evaluate the same tree per element, so
+they are in practice bit-exact too).
 """
 
 import threading
@@ -19,8 +20,7 @@ from repro.errors import ExecutionError
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
-from repro.runtime.backends import available_backends, instantiate_backend
-from repro.runtime.backends.threaded import ThreadedBackend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 
 #: the parallel backends, and ``auto``: whatever the planner picks per loop
@@ -80,33 +80,29 @@ def options_for(backend: str, use_windows: bool = False) -> ExecutionOptions:
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        assert available_backends() == ["serial", "threaded", "vectorized"]
-
-    def test_planner_knows_exactly_the_registry(self):
-        from repro.plan.planner import KNOWN_BACKENDS
-
-        assert set(KNOWN_BACKENDS) == set(available_backends())
-
     @pytest.mark.parametrize("name", RETIRED_BACKENDS)
     def test_retired_name_fails_loudly_naming_the_survivors(self, name):
         from repro.plan.planner import build_plan
         from repro.schedule.scheduler import schedule_module
 
-        with pytest.raises(ExecutionError, match="unknown execution backend") as exc:
-            instantiate_backend(name)
-        for survivor in SURVIVORS.split(", "):
-            assert survivor in str(exc.value)
         analyzed = jacobi_analyzed()
-        with pytest.raises(ExecutionError, match=f"available: {SURVIVORS}"):
+        with pytest.raises(ExecutionError, match="unknown execution backend") as exc:
             build_plan(
                 analyzed, schedule_module(analyzed),
                 ExecutionOptions(backend=name), {"M": 4, "maxK": 3},
             )
+        assert str(exc.value).endswith(f"available: {SURVIVORS}")
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ExecutionError, match="unknown execution backend"):
-            instantiate_backend("gpu")
+        from repro.plan.planner import build_plan
+        from repro.schedule.scheduler import schedule_module
+
+        analyzed = jacobi_analyzed()
+        with pytest.raises(ExecutionError, match="unknown execution backend 'gpu'"):
+            build_plan(
+                analyzed, schedule_module(analyzed),
+                ExecutionOptions(backend="gpu"), {"M": 4, "maxK": 3},
+            )
 
     def test_unknown_backend_raises_at_execution(self):
         with pytest.raises(ExecutionError, match="unknown execution backend"):
@@ -154,6 +150,47 @@ class TestJacobiParity:
         np.testing.assert_allclose(
             out["newA"], ref["newA"], rtol=1e-12, atol=1e-12
         )
+
+
+    def test_one_engine_runs_every_label(self):
+        """One engine runs Jacobi under a ``serial``, a ``vectorized`` and a
+        ``threaded`` plan, then a ``threaded`` plan with ``chunk`` forced:
+        every output is bit-equal to the evaluator, and the pool starts
+        only for the ``threaded`` plan that sends it chunks."""
+        from repro.plan.planner import build_plan, forced_plan
+        from repro.schedule.scheduler import schedule_module
+
+        analyzed = jacobi_analyzed()
+        flow = schedule_module(analyzed)
+        m, maxk = 16, 4
+        sizes = {"M": m, "maxK": maxk}
+        rng = np.random.default_rng(16)
+        args = {"InitialA": rng.random((m + 2, m + 2)), **sizes}
+        ref = execute_module(
+            analyzed, dict(args), flow,
+            ExecutionOptions(backend="serial", use_kernels=False),
+        )["newA"]
+        runs = []
+        for label in ("serial", "vectorized", "threaded"):
+            options = ExecutionOptions(backend=label, workers=2)
+            runs.append((options, build_plan(analyzed, flow, options, sizes)))
+        options = ExecutionOptions(backend="threaded", workers=2)
+        chunked = forced_plan(analyzed, flow, "threaded", options, sizes, default="chunk")
+        assert "chunk" in {s for _, s in chunked.strategies()}
+        runs.append((options, chunked))
+        engine = ExecutionBackend(workers=2)
+        pools = []
+        try:
+            for options, plan in runs:
+                out = execute_module(
+                    analyzed, dict(args), flow, options, plan=plan, backend=engine
+                )
+                assert np.array_equal(out["newA"], ref), plan.backend
+                pools.append(engine._pool)
+        finally:
+            engine.close()
+        assert pools[:2] == [None, None]
+        assert pools[3] is not None
 
 
 class TestGaussSeidelParity:
@@ -242,10 +279,62 @@ class TestChunkedExecution:
             out["newA"], ref["newA"], rtol=1e-12, atol=1e-12
         )
 
+    @pytest.mark.parametrize("case", ["serial-chunk", "callee"])
+    def test_only_a_threaded_plan_starts_the_pool(self, monkeypatch, case):
+        """A ``chunk`` forced onto a ``serial`` plan runs its wavefronts
+        inline, and so does a module call's callee, whose plan is never
+        ``threaded``: no engine builds a pool, no ``repro-doall`` thread
+        starts, and the results are the evaluator's."""
+        from repro.plan.planner import forced_plan
+        from repro.ps.parser import parse_program
+        from repro.ps.semantics import analyze_program
+        from repro.schedule.scheduler import schedule_module
+
+        from tests.runtime.test_module_call_kernels import PROGRAM
+
+        pools = []
+        ensure_pool = ExecutionBackend._ensure_pool
+
+        def spy(self):
+            pools.append(self)
+            return ensure_pool(self)
+
+        monkeypatch.setattr(ExecutionBackend, "_ensure_pool", spy)
+        options = ExecutionOptions(backend="serial", workers=2)
+        if case == "serial-chunk":
+            program, analyzed, out = None, jacobi_analyzed(), "newA"
+            sizes = {"M": 8, "maxK": 4}
+            args = {"InitialA": np.random.default_rng(8).random((10, 10)), **sizes}
+        else:
+            program = analyze_program(parse_program(PROGRAM))
+            analyzed, out = program["Grid"], "B"
+            sizes = {"n": 12}
+            args = {"A": np.random.default_rng(12).random((12, 12)), "base": 0.5, **sizes}
+        flow = schedule_module(analyzed)
+        plan = forced_plan(analyzed, flow, "serial", options, sizes, default="chunk")
+        assert "chunk" in {s for _, s in plan.strategies()}
+        ref = execute_module(
+            analyzed, dict(args), flow,
+            ExecutionOptions(backend="serial", use_kernels=False), program=program,
+        )
+        before = {t for t in threading.enumerate() if t.name.startswith("repro-doall")}
+        engine = ExecutionBackend(workers=2)
+        try:
+            got = execute_module(
+                analyzed, dict(args), flow, options, plan=plan, backend=engine,
+                program=program,
+            )
+            assert engine._pool is None
+        finally:
+            engine.close()
+        after = {t for t in threading.enumerate() if t.name.startswith("repro-doall")}
+        assert pools == [] and after <= before
+        assert np.array_equal(got[out], ref[out])
+
     def test_eval_counts_preserved_across_chunks(self):
         """Worker chunks report their element-evaluation statistics back."""
-        from repro.runtime.backends.base import ExecutionState
-        from repro.runtime.backends.threaded import ThreadedBackend
+        from repro.plan.planner import build_plan
+        from repro.runtime.backends import ExecutionState
         from repro.runtime.evaluator import Evaluator
         from repro.schedule.scheduler import schedule_module
 
@@ -265,9 +354,10 @@ class TestChunkedExecution:
         }
         options = ExecutionOptions(backend="threaded", workers=4)
         state = ExecutionState(
-            analyzed, flowchart, options, data, Evaluator(data)
+            analyzed, flowchart, options, data, Evaluator(data),
+            build_plan(analyzed, flowchart, options, {"M": m, "maxK": maxk}),
         )
-        backend = ThreadedBackend(workers=4)
+        backend = ExecutionBackend(workers=4)
         try:
             backend.run(state)
         finally:
@@ -287,22 +377,22 @@ end Double;
 """
 
 
-class _SlowSiblingBackend(ThreadedBackend):
-    """While armed, chunk 0 fails at once and chunk 1 finishes 0.2 s later,
-    setting ``sibling_done``."""
+class _SlowSiblingBackend(ExecutionBackend):
+    """While armed, chunk 0 fails at once as it reaches its kernel, and
+    chunk 1 finishes 0.2 s later, setting ``sibling_done``."""
 
     def __init__(self, workers=None):
         super().__init__(workers)
         self.armed = True
         self.sibling_done = threading.Event()
 
-    def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
+    def _run_loop_kernel(self, state, desc, shape, env, lo, hi, numpy=True):
         if self.armed:
             if lo == 1:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.2)
             self.sibling_done.set()
-        super().run_chunk(state, desc, strategy, lo, hi, env, fuse)
+        return super()._run_loop_kernel(state, desc, shape, env, lo, hi, numpy)
 
 
 class TestOneJoin:
@@ -363,7 +453,7 @@ class TestWindowDebugOnThePool:
             analyzed, flow, "threaded", options, {"M": m, "maxK": maxk},
             default="serial", overrides={flow.path_of(do_k.body[0]): strategy},
         )
-        backend = instantiate_backend("threaded", workers=workers)
+        backend = ExecutionBackend(workers=workers)
         pools = []
         try:
             for seed in (0, 1):

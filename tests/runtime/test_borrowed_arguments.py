@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.paper import jacobi_analyzed
 from repro.core.recurrences import RECURRENCE_WORKLOADS, SCAN_SOURCE
-from repro.runtime.backends import instantiate_backend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import Session
 
@@ -126,7 +126,7 @@ def test_awkward_arguments_are_converted_bit_exactly(backend, how):
 def test_counters_tell_borrowed_from_converted():
     name, analyzed, args = next(w for w in WORKLOADS if w[0] == "isum")
     nbytes = args["X"].nbytes
-    backend = instantiate_backend("serial", workers=1)
+    backend = ExecutionBackend(workers=1)
     options = ExecutionOptions(backend="serial")
     execute_module(analyzed, args, options=options, backend=backend)
     assert backend.counters["arg_bytes_borrowed"] == nbytes

@@ -44,7 +44,7 @@ from repro.plan.ir import PlanError
 from repro.plan.planner import build_plan, forced_plan, valid_strategies
 from repro.ps.parser import parse_module, parse_program
 from repro.ps.semantics import analyze_module, analyze_program
-from repro.runtime.backends.threaded import ThreadedBackend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
@@ -323,9 +323,7 @@ class TestMergedNests:
         # A failure raised from the compiled merged DO unwinds with the
         # original exception, and the same backend (and its pools) then
         # runs the module again bit-exact.
-        class Exploding(ThreadedBackend):
-            name = "threaded"
-
+        class Exploding(ExecutionBackend):
             def __init__(self, workers=None):
                 super().__init__(workers)
                 self.armed = True

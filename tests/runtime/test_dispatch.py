@@ -1,9 +1,10 @@
-"""One chunk hook on every backend: ``dispatch`` over ``run_chunk``.
+"""One chunk hook under every plan label: ``dispatch`` over ``run_chunk``.
 
 A chunk- or collapse-planned ``DOALL`` hands each wavefront to the
-backend's ``dispatch(state, desc, strategy, spans, env, fuse)``, and every
-span runs through ``run_chunk`` — inline on ``serial`` and ``vectorized``,
-on the thread pool on ``threaded``. On every backend and for both pool strategies (``chunk``,
+engine's ``dispatch(state, desc, strategy, spans, env, fuse)``, and every
+span runs through ``PoolStrategy.run_chunk`` — inline under a ``serial`` or
+``vectorized`` plan, on the engine's thread pool under a ``threaded`` one.
+Under every label and for both pool strategies (``chunk``,
 whose chunks run the ``"full"`` kernel over rows, and ``collapse``, whose
 chunks run the ``"flat"`` kernel over the flattened nest) these tests pin:
 
@@ -14,7 +15,7 @@ chunks run the ``"flat"`` kernel over the flattened nest) these tests pin:
 * a poisoned tag is caught on every dispatch path, so workers check the
   tags the caller stamped;
 * a failed wave on a pool joins every chunk before raising, and the same
-  backend instance then serves the next run.
+  engine then serves the next run.
 """
 
 import queue
@@ -26,8 +27,8 @@ import pytest
 
 from repro.core.paper import jacobi_analyzed
 from repro.plan.planner import forced_plan, valid_strategies
-from repro.runtime.backends import instantiate_backend
-from repro.runtime.backends.base import ExecutionBackend
+from repro.plan.strategy import PoolStrategy
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.schedule.flowchart import LoopDescriptor
 from repro.schedule.scheduler import schedule_module
@@ -127,24 +128,24 @@ class TestOneHook:
     def test_spans_partition_the_iteration_space(
         self, monkeypatch, backend_name, strategy
     ):
-        """Every span of the wavefront reaches ``run_chunk`` once, with the
-        planned strategy, and together the spans cover the loop's range
-        (the rows for ``chunk``, the flattened nest for ``collapse``)
-        without overlap."""
+        """Every span of the wavefront reaches ``PoolStrategy.run_chunk``
+        once, with the planned strategy, and together the spans cover the
+        loop's range (the rows for ``chunk``, the flattened nest for
+        ``collapse``) without overlap."""
         r, c = 5, 67
         options = ExecutionOptions(
             backend=backend_name, workers=3, kernel_tier="numpy"
         )
         analyzed, flow, plan, args = _scale_plan(backend_name, strategy, options, r, c)
-        backend = instantiate_backend(backend_name, workers=3)
+        backend = ExecutionBackend(workers=3)
         calls = queue.SimpleQueue()
-        original = ExecutionBackend.run_chunk
+        original = PoolStrategy.run_chunk
 
-        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
-            calls.put((strategy.shape, lo, hi))
-            original(self, state, desc, strategy, lo, hi, env, fuse)
+        def run_chunk(self, backend, state, desc, lo, hi, env, fuse):
+            calls.put((self.shape, lo, hi))
+            original(self, backend, state, desc, lo, hi, env, fuse)
 
-        monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
+        monkeypatch.setattr(PoolStrategy, "run_chunk", run_chunk)
         try:
             out = execute_module(
                 analyzed, dict(args), flow, options, plan=plan, backend=backend
@@ -171,7 +172,7 @@ class TestOneHook:
             backend=backend_name, workers=3, kernel_tier="numpy"
         )
         analyzed, flow, plan, args = _scale_plan(backend_name, strategy, options, r, c)
-        backend = instantiate_backend(backend_name, workers=3)
+        backend = ExecutionBackend(workers=3)
         states = []
         original = backend.run
 
@@ -261,7 +262,7 @@ class TestWindowDebugParity:
             analyzed, dict(args),
             options=ExecutionOptions(backend="serial", use_windows=True),
         )
-        backend = instantiate_backend(backend_name, workers=2)
+        backend = ExecutionBackend(workers=2)
         waves = []
         poison = []
         original = backend.dispatch
@@ -298,21 +299,21 @@ class TestFailedWave:
         evaluator."""
         options = ExecutionOptions(backend="threaded", workers=2, kernel_tier="numpy")
         analyzed, flow, plan, args = _scale_plan("threaded", strategy, options)
-        backend = instantiate_backend("threaded", workers=2)
+        backend = ExecutionBackend(workers=2)
         armed, sibling_done = threading.Event(), threading.Event()
         armed.set()
         first = {"full": 1, "flat": 0}
-        original = ExecutionBackend.run_chunk
+        original = PoolStrategy.run_chunk
 
-        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
+        def run_chunk(self, backend, state, desc, lo, hi, env, fuse):
             if armed.is_set():
-                if lo == first[strategy.shape]:
+                if lo == first[self.shape]:
                     raise RuntimeError("chunk 0 failed")
                 time.sleep(0.2)
                 sibling_done.set()
-            original(self, state, desc, strategy, lo, hi, env, fuse)
+            original(self, backend, state, desc, lo, hi, env, fuse)
 
-        monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
+        monkeypatch.setattr(PoolStrategy, "run_chunk", run_chunk)
         try:
             with pytest.raises(Exception, match="chunk 0 failed"):
                 execute_module(

@@ -188,8 +188,8 @@ class TestKernelParity:
 
     def test_eval_counts_match(self):
         """The kernels maintain the same per-equation statistics."""
-        from repro.runtime.backends import instantiate_backend
-        from repro.runtime.backends.base import ExecutionState
+        from repro.plan.planner import build_plan
+        from repro.runtime.backends import ExecutionBackend, ExecutionState
 
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
@@ -206,9 +206,10 @@ class TestKernelParity:
             )
             state = ExecutionState(
                 analyzed, flow, opts, data, Evaluator(data),
+                build_plan(analyzed, flow, opts, {"M": 5, "maxK": 4}),
                 kernels=KernelCache(analyzed, flow) if kernels else None,
             )
-            backend = instantiate_backend(opts.backend, opts.workers)
+            backend = ExecutionBackend(opts.workers)
             try:
                 backend.run(state)
             finally:

@@ -31,11 +31,11 @@ import pytest
 from repro.core.pipeline import CompilerOptions, compile_source
 from repro.errors import ExecutionError
 from repro.plan.planner import forced_plan, valid_strategies
+from repro.plan.strategy import PoolStrategy
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.ps.types import RealType
-from repro.runtime.backends import instantiate_backend
-from repro.runtime.backends.base import ExecutionBackend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
@@ -156,7 +156,7 @@ def _run_two(cache, n=40):
     options = ExecutionOptions(backend="threaded", workers=2)
     plan = forced_plan(analyzed, flow, "threaded", options, {"n": n}, default="chunk")
     assert plan.loops[(0,)].parts == 2
-    backend = instantiate_backend("threaded", workers=2)
+    backend = ExecutionBackend(workers=2)
     states = []
     original = backend.run
 
@@ -344,17 +344,17 @@ class TestUnprovenChunk:
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"n": n}, default="chunk"
         )
-        backend = instantiate_backend("threaded", workers=3)
+        backend = ExecutionBackend(workers=3)
         done = queue.SimpleQueue()
-        original = ExecutionBackend.run_chunk
+        original = PoolStrategy.run_chunk
 
-        def run_chunk(self, state, desc, strategy, lo, hi, env, fuse):
+        def run_chunk(self, backend, state, desc, lo, hi, env, fuse):
             if lo == 1:
                 time.sleep(0.2)  # the in-range sibling finishes last
-            original(self, state, desc, strategy, lo, hi, env, fuse)
+            original(self, backend, state, desc, lo, hi, env, fuse)
             done.put(lo)
 
-        monkeypatch.setattr(ExecutionBackend, "run_chunk", run_chunk)
+        monkeypatch.setattr(PoolStrategy, "run_chunk", run_chunk)
         cache = KernelCache(analyzed, flow)
         real_lookup = cache.nest_kernel_for
 

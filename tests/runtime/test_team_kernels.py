@@ -37,8 +37,7 @@ from repro.machine.cost import MachineModel
 from repro.plan.planner import forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
-from repro.runtime.backends import instantiate_backend
-from repro.runtime.backends.base import ExecutionBackend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, openmp_supported
 from repro.runtime.kernels import native as native_mod
@@ -200,7 +199,7 @@ class TestDifferential:
         got = {}
         for width in (None, *WIDTHS):
             options, plan = _team_plan(analyzed, flow, args, use_windows, width)
-            backend = instantiate_backend("serial", workers=1)
+            backend = ExecutionBackend(workers=1)
             got[width] = execute_module(
                 analyzed, args, flowchart=flow, options=options, plan=plan,
                 kernel_cache=KernelCache(analyzed, flow), backend=backend,
@@ -227,7 +226,7 @@ class TestDifferential:
             _evaluator(analyzed, args, flow)
         options, plan = _team_plan(analyzed, flow, args, False, 2)
         cache = KernelCache(analyzed, flow)
-        backend = instantiate_backend("serial", workers=1)
+        backend = ExecutionBackend(workers=1)
         with pytest.raises(ExecutionError, match="out of range") as team:
             execute_module(
                 analyzed, args, flowchart=flow, options=options, plan=plan,
@@ -366,7 +365,7 @@ class TestWithoutOpenMP:
         flow = schedule_module(analyzed)
         options, plan = _team_plan(analyzed, flow, args, False, 2)
         monkeypatch.setattr(native_mod, "openmp_supported", lambda: False)
-        backend = instantiate_backend("serial", workers=1)
+        backend = ExecutionBackend(workers=1)
         cache = KernelCache(analyzed, flow)
         got = execute_module(
             analyzed, args, flowchart=flow, options=options, plan=plan,

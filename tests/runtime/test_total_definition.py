@@ -18,7 +18,7 @@ from repro.core.paper import (
 from repro.core.pipeline import CompilerOptions, compile_source
 from repro.core.recurrences import COUPLED_SOURCE, SCAN_SOURCE
 from repro.plan.planner import forced_plan
-from repro.runtime.backends import instantiate_backend
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.values import undefined_part
@@ -89,7 +89,7 @@ def verdicts(source, sizes, options=SERIAL, **compiler) -> dict[str, str | None]
 def run_counting(source, args, options=SERIAL, **compiler):
     """(results, backend counters) of one run, checked against the evaluator."""
     result = compile_source(source, CompilerOptions(**compiler))
-    backend = instantiate_backend(options.backend, workers=2)
+    backend = ExecutionBackend(workers=2)
     try:
         out = execute_module(
             result.analyzed, args, flowchart=result.flowchart, options=options,
@@ -185,7 +185,7 @@ class TestDeclines:
         """The verdict is remembered per (array, sizes), not per plan."""
         result = compile_source(PREFIX_SOURCE)
         plan = result.plan({"n": 50000, "m": 50000}, SERIAL)
-        backend = instantiate_backend("serial", workers=1)
+        backend = ExecutionBackend(workers=1)
         for m, uninitialised in ((50000, 1), (20000, 1), (50000, 2), (50000, 3)):
             out = execute_module(
                 result.analyzed, {"n": 50000, "m": m}, flowchart=result.flowchart,

@@ -199,6 +199,21 @@ class TestStructuredErrors:
             assert f"available: {SURVIVORS}" in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    def test_bad_worker_count_is_a_structured_error(self, served, workers):
+        daemon, _ = served
+        with connect(daemon) as client:
+            with pytest.raises(ClientError) as exc:
+                client.run(
+                    "Relaxation", {**SIZES, "InitialA": make_input(0)},
+                    workers=workers,
+                )
+            assert exc.value.kind == "ExecutionError"
+            assert str(exc.value).endswith(
+                f"workers must be a positive integer; got {workers!r}"
+            )
+            assert client.ping() == "pong"  # connection survives
+
     def test_args_must_be_object(self, served):
         daemon, _ = served
         with connect(daemon) as client:

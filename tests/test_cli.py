@@ -195,6 +195,18 @@ class TestRun:
         assert rc == 0
         assert "newA =" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_refuses_non_positive_counts(
+        self, jacobi_file, command, workers, capsys
+    ):
+        rc = main([command, jacobi_file, "--set", "M=3", "--set", "maxK=3",
+                   "--workers", workers])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().endswith(
+            f"error: workers must be a positive integer; got {workers}"
+        )
+
     def test_backend_flag_rejects_unknown(self, jacobi_file, capsys):
         with pytest.raises(SystemExit):
             main(["run", jacobi_file, "--set", "M=3", "--set", "maxK=3",
