@@ -3,9 +3,10 @@
 The ExecutionPlan layer (``repro.plan``) claims four things worth gating:
 
 * ``backend="auto"`` is a *good* choice: on every paper workload the
-  planner-picked backend lands within 15% of the best hand-picked backend's
-  measured wall clock (plus a small absolute grace for sub-millisecond
-  runs, where scheduler jitter dominates);
+  ``auto`` plan, timed as a row of its own, lands within 15% of the best
+  measured row — itself or a plan pinned to a hand-picked label — (plus a
+  small absolute grace for sub-millisecond runs, where scheduler jitter
+  dominates);
 * fusing a DOALL nest into one compiled kernel pays on the serial path:
   >= 1.5x over the per-equation kernels on Jacobi;
 * *collapsing* a tall-skinny DOALL nest pays on the threaded backend: on a
@@ -49,7 +50,7 @@ COLLAPSE_FUSE_GATE_SPEEDUP = 1.5
 #: worker count for the collapse gates (the ISSUE floor is 4)
 COLLAPSE_WORKERS = 8
 
-#: hand-picked candidates auto competes against
+#: hand-picked labels auto competes against
 CANDIDATES = ["serial", "vectorized", "threaded"]
 
 #: tall-skinny Jacobi: a handful of rows, thousands of columns, maxK sweeps

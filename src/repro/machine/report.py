@@ -208,14 +208,17 @@ def measure_backend_speedups(
 
 @dataclass
 class PlanComparison:
-    """For one workload: what the calibrated model *predicted* each backend
-    would cost, what the planner consequently *planned*, and what the wall
-    clock *measured*. The planner is honest when the backend it picks for
-    ``auto`` lands within noise of the measured-best backend."""
+    """For one workload: what the calibrated model *predicted* the ``auto``
+    plan and each pinned backend label would cost, what the planner
+    consequently *planned*, and what the wall clock *measured*. The planner
+    is honest when its ``auto`` plan lands within noise of the
+    measured-best row."""
 
     workload: str
+    #: the label the ``auto`` plan took from its loops
     auto_backend: str
-    #: per candidate backend: predicted cycles, plan fingerprint, seconds
+    #: per row (``"auto"`` and each pinned label): predicted cycles, plan
+    #: fingerprint, seconds
     rows: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -224,13 +227,7 @@ class PlanComparison:
 
     @property
     def auto_seconds(self) -> float:
-        for r in self.rows:
-            if r["backend"] == self.auto_backend:
-                return r["seconds"]
-        raise ValueError(
-            f"auto-planned backend {self.auto_backend!r} was not measured "
-            f"(rows: {[r['backend'] for r in self.rows]})"
-        )
+        return next(r["seconds"] for r in self.rows if r["backend"] == "auto")
 
     @property
     def best_seconds(self) -> float:
@@ -272,10 +269,11 @@ def compare_plans(
     repeats: int = 3,
     workload: str = "",
 ) -> PlanComparison:
-    """Plan and execute ``analyzed`` on every candidate backend, pairing
-    the planner's predicted cycles with measured wall clock, and record
-    which backend ``auto`` would pick. The measurements are only reported:
-    nothing here feeds them back into planning."""
+    """Plan and execute ``analyzed`` under ``auto`` and pinned to each of
+    ``backends`` (every label by default), pairing the planner's predicted
+    cycles with measured wall clock; the ``auto`` row is always measured.
+    The measurements are only reported: nothing here feeds them back into
+    planning."""
     import numpy as np
 
     from repro.plan.ir import KNOWN_BACKENDS
@@ -292,16 +290,8 @@ def compare_plans(
         if isinstance(v, (int, np.integer))
     }
 
-    auto_plan = build_plan(
-        analyzed, flowchart,
-        ExecutionOptions.resolve(base, backend="auto", workers=workers),
-        scalars,
-    )
-    if auto_plan.backend not in backends:
-        # auto must always be measurable against its own pick
-        backends.append(auto_plan.backend)
     rows: list[dict[str, Any]] = []
-    for backend in backends:
+    for backend in ["auto", *backends]:
         options = ExecutionOptions.resolve(
             base, backend=backend, workers=workers
         )
@@ -315,6 +305,7 @@ def compare_plans(
         rows.append(
             {
                 "backend": backend,
+                "label": plan.backend,
                 "predicted_cycles": plan.cycles,
                 "strategies": plan.strategies(),
                 "seconds": seconds,
@@ -322,7 +313,7 @@ def compare_plans(
         )
     return PlanComparison(
         workload=workload or analyzed.name,
-        auto_backend=auto_plan.backend,
+        auto_backend=rows[0]["label"],
         rows=rows,
     )
 

@@ -43,11 +43,12 @@ from repro.plan.strategy import LOOP_STRATEGIES
 #: valid LoopPlan.strategy values
 VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
 
-#: every label ``ExecutionPlan.backend`` may carry, and what
-#: ``backend="auto"`` chooses from. Each plan runs on the one engine
-#: (:class:`repro.runtime.backends.ExecutionBackend`); the label decides
-#: which strategies the planner offers a loop, and only ``threaded`` sends
-#: wavefronts to the engine's thread pool.
+#: every label ``ExecutionPlan.backend`` may carry. Each plan runs on the
+#: one engine (:class:`repro.runtime.backends.ExecutionBackend`), and only
+#: a ``threaded`` plan sends wavefronts to the engine's thread pool. A
+#: pinned label decides which strategies the planner offers a ``DOALL``
+#: (``_Planner._pin_refusal``); an ``auto`` plan offers every strategy per
+#: loop and takes its label from the loops it planned.
 KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
@@ -167,8 +168,6 @@ class ExecutionPlan:
     workers: int
     use_windows: bool
     use_kernels: bool
-    #: True when an explicit --backend pinned the plan
-    pinned: bool
     #: highest kernel tier the plan budgets for ("native" | "numpy")
     kernel_tier: str = "native"
     entries: list[PlanEntry] = field(default_factory=list)
@@ -178,9 +177,10 @@ class ExecutionPlan:
     equations: dict[str, EquationPlan] = field(default_factory=dict)
     #: total predicted cycles for the planned execution (calibrated model)
     cycles: float | None = None
-    #: how the backend decision was made (``auto`` only fills this fully):
-    #: candidate backends priced, their predicted cycles, and why the
-    #: winner won — rendered by :meth:`explain` for ``repro plan``
+    #: how the planner decided each loop — every strategy a ``DOALL`` was
+    #: priced or refused on, the compiled ``DO`` s against the walk — and
+    #: what it proved about native kernels and storage; rendered by
+    #: :meth:`explain` for ``repro plan``
     provenance: dict | None = field(default=None, repr=False, compare=False)
     #: how ``ensure_targets`` allocates each array the equations define: a
     #: string says why it is zero-filled; an ``(ArrayType, boxes)`` pair
@@ -206,6 +206,11 @@ class ExecutionPlan:
     )
     #: id() of the flowchart the index above was built against
     _bound_to: int | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def pinned(self) -> bool:
+        """True when an explicit backend label pinned the plan."""
+        return self.requested != "auto"
 
     # -- lookup ------------------------------------------------------------
 
@@ -290,8 +295,9 @@ class ExecutionPlan:
         return "\n".join(lines)
 
     def explain(self) -> str:
-        """Render the backend-decision provenance: every candidate priced
-        and why the winner won.
+        """Render the planner's provenance: per ``DOALL`` every strategy
+        priced or refused and the winner, per ``DO`` the compiled nest
+        against the walk, then native range proofs and storage.
         Separate from :meth:`pretty` so golden tests pinning the plan text
         stay untouched by provenance additions."""
         if not self.provenance:
@@ -303,14 +309,6 @@ class ExecutionPlan:
 
         p = self.provenance
         lines = [f"provenance {self.module}: {p['mode']} -> {self.backend}"]
-        for row in p.get("candidates", []):
-            mark = "*" if row.get("winner") else " "
-            lines.append(
-                f"  {mark} {row['backend']}: "
-                f"predicted ~{row['predicted_cycles']:.0f} cycles"
-            )
-        if p.get("reason"):
-            lines.append(f"winner: {self.backend} — {p['reason']}")
         lines.append(
             "pricing: native build sunk (served plan)" if p.get("served")
             else "pricing: native build charged to this run"
@@ -337,6 +335,24 @@ class ExecutionPlan:
             if note.get("team_note"):
                 row += f"; {note['team_note']}"
             lines.append(row)
+        for note in p.get("doall_loops", []):
+            verdicts = note["verdicts"]
+            priced = ", ".join(
+                f"{'*' if name == note['strategy'] else ''}{name} ~{v.cycles:.0f}"
+                for name, v in verdicts.items() if not isinstance(v, str)
+            )
+            row = (
+                f"  DOALL {note['loop_index']} @{note['index']}: "
+                f"{note['strategy']}, trip {note['trip']}: {priced} cycles"
+            )
+            if verdicts[note["strategy"]].reason == "forced":
+                row += "; forced"
+            if note["tie"]:
+                row += f"; tie: {note['tie']}"
+            lines.append(row + "".join(
+                f"; {name} refused ({v})"
+                for name, v in verdicts.items() if isinstance(v, str)
+            ))
         for note in p.get("native_nests", []):
             checks, proven = note["checks"], note["proven"]
             row = (

@@ -3,19 +3,18 @@
 The planner makes every decision the execution engine acts on at loop
 entry, exactly once per (module, options, scalar bindings):
 
-* which backend label the module plans under — ``backend="auto"`` compares the
-  calibrated cost of a serial, vectorized and threaded execution at the
-  *effective* parallelism ``min(workers, cpu_count)`` and picks the
-  cheapest; an explicit backend pins the plan;
-* how each loop met on the walk runs — one walk over the strategy table
-  :data:`repro.plan.strategy.LOOP_STRATEGIES` (``_Planner._decide``): a
-  forced name asks that one strategy; otherwise every strategy that
-  recognises the loop on this backend is priced, and a later entry wins
-  only when it is strictly cheaper. So a ``DO`` compiles in order
-  (``nest``) when that beats the walk, a ``DOALL`` takes the backend's
-  vector span, fused nest or worker chunks, and a low-trip ``DOALL`` hands
-  the workers to the ``DOALL`` inside it. Every plan names loops of the
-  flowchart's own tree: a nest the ``--merge`` pass built runs as written;
+* how each loop met on the walk runs — one walk over the flowchart, and
+  per loop one walk over :data:`repro.plan.strategy.LOOP_STRATEGIES`
+  (``_Planner._decide``): a forced name asks that one strategy; otherwise
+  every strategy that recognises the loop is priced at the *effective*
+  parallelism ``min(workers, cpu_count)`` and the cheapest wins. Under
+  ``backend="auto"`` every strategy is on offer (:data:`AUTO_TIE` settles
+  a ``DOALL``'s near-ties); a label pins the plan to the strategies it
+  offers a ``DOALL`` (``_Planner._pin_refusal``, the one label rule). So a
+  ``DO`` compiles in order (``nest``) when that beats the walk, a
+  ``DOALL`` takes a vector span, a fused nest or worker chunks, and a
+  low-trip ``DOALL`` hands the workers to the ``DOALL`` inside it. Every
+  plan names loops of the flowchart's own tree;
 * which kernel variant each equation uses (scalar, vector, fused nest, or
   the reference evaluator for non-kernelizable equations).
 
@@ -49,6 +48,8 @@ from repro.plan.strategy import (
     SERIAL,
     VECTOR,
     Price,
+    _idle_team,
+    _pool_refusal,
 )
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
@@ -67,12 +68,13 @@ from repro.schedule.flowchart import (
 #: assumed trip count when subrange bounds are not statically evaluable
 DEFAULT_TRIP = 16
 
-#: ``auto`` treats candidates predicted within this fraction of the cheapest
-#: as tied — well inside the model's error (``plan.pred_spread``) — and a
-#: tie goes to the plan that builds the fewest native functions: equal run
-#: time is not worth a longer cold start. This is what keeps one-shot copies
-#: (``eq.1`` / ``eq.2`` of Jacobi) on NumPy spans beside a compiled sweep,
-#: instead of a serial plan that compiles all three for a 1 % edge.
+#: ``auto`` treats a ``DOALL``'s strategies predicted within this fraction
+#: of its cheapest as tied — well inside the model's error (``plan.pred_spread``)
+#: — and a tie goes to one that builds no native function of its own: equal
+#: run time is not worth a longer cold start. This is what keeps small
+#: one-shot copies (``eq.1`` / ``eq.2`` of Jacobi) on NumPy spans beside a
+#: compiled sweep, instead of compiling all three for a few percent. A ``DO``
+#: and a pin take the cheapest.
 AUTO_TIE = 0.05
 
 
@@ -85,6 +87,9 @@ class Choice:
     price: Price
     #: strategy name -> its refusal or its price, for every one asked
     verdicts: dict
+    #: why the tie rule took this strategy over a cheaper one ("" when it
+    #: did not decide)
+    tie: str = ""
 
 
 def host_cpu_count() -> int:
@@ -101,6 +106,17 @@ def _kernel_tier(options: ExecutionOptions, error: type[Exception]) -> str:
             f"available: {', '.join(KERNEL_TIERS)}"
         )
     return options.kernel_tier
+
+
+def _backend(label: str, error: type[Exception]) -> str:
+    """``label`` — ``auto`` or a pin — or ``error`` naming every label a
+    plan may be pinned to."""
+    if label != "auto" and label not in KNOWN_BACKENDS:
+        raise error(
+            f"unknown execution backend {label!r}; "
+            f"available: {', '.join(KNOWN_BACKENDS)}"
+        )
+    return label
 
 
 def _workers(options: ExecutionOptions, error: type[Exception]) -> int | None:
@@ -121,7 +137,6 @@ def build_plan(
     scalar_env: dict[str, int] | None = None,
     model: MachineModel | None = None,
     cpu_count: int | None = None,
-    candidates: tuple[str, ...] | None = None,
     served: bool = False,
 ) -> ExecutionPlan:
     """Plan one module execution.
@@ -134,9 +149,6 @@ def build_plan(
     in — a worker count above it buys nothing, which is exactly what
     ``auto`` must know — and is the worker count when ``options.workers``
     is unset, so a plan built with it never depends on the host;
-    ``candidates`` narrows what ``auto`` may
-    choose from (module calls keep callees off the worker pool — nested
-    pools inside worker chunks would oversubscribe it);
     ``served`` prices the plan for a server that runs it again and again:
     the one-time native build is sunk (``MachineModel.native_build`` is
     charged to a one-shot plan only) — a :class:`repro.serve.Session`
@@ -159,81 +171,22 @@ def build_plan(
     ncpu = cpu_count if cpu_count is not None else host_cpu_count()
     workers = workers or max(1, ncpu)
     effective = max(1, min(workers, ncpu))
-    use_kernels = options.runs_kernels()
-
-    requested = options.backend
-    if requested != "auto" and requested not in KNOWN_BACKENDS:
-        raise ExecutionError(
-            f"unknown execution backend {requested!r}; "
-            f"available: {', '.join(KNOWN_BACKENDS)}"
-        )
-    if requested == "auto":
-        planners: list[_Planner] = []
-        for candidate in candidates or KNOWN_BACKENDS:
-            p = _Planner(
-                analyzed, flowchart, candidate, workers, effective,
-                scalar_env, model, use_kernels, bool(options.use_windows),
-                tier=tier, force_default=soft_strategy, force_soft=True,
-                served=served,
-            )
-            p.plan_module()
-            planners.append(p)
-        totals = [p.total for p in planners]
-        tied = (1.0 + AUTO_TIE) * min(totals)
-        best = min(
-            (pair for pair in zip(totals, planners) if pair[0] <= tied),
-            key=lambda pair: (pair[1].native_functions(), pair[0]),
-        )[1]
-        if totals[planners.index(best)] > min(totals):
-            reason = (
-                f"within {AUTO_TIE:.0%} of the cheapest candidate, and it "
-                f"builds the fewest native functions"
-            )
-        else:
-            reason = "lowest predicted cycles"
-        plan = best.finish(analyzed.name, requested="auto", pinned=False)
-        plan.provenance = {
-            "do_loops": best.do_notes,
-            "native_nests": best.native_notes(),
-            "slow_loops": best.slow_notes(),
-            "mode": "auto",
-            "workers": workers,
-            "candidates": [
-                {
-                    "backend": p.backend,
-                    "predicted_cycles": p.total,
-                    "native_functions": p.native_functions(),
-                    "winner": p is best,
-                }
-                for p in planners
-            ],
-            "reason": reason,
-            "served": served,
-        }
-        return plan
-
+    requested = _backend(options.backend, ExecutionError)
     planner = _Planner(
         analyzed, flowchart, requested, workers, effective,
-        scalar_env, model, use_kernels, bool(options.use_windows),
+        scalar_env, model, options.runs_kernels(), bool(options.use_windows),
         tier=tier, force_default=soft_strategy, force_soft=True,
         served=served,
     )
     planner.plan_module()
-    plan = planner.finish(analyzed.name, requested=requested, pinned=True)
+    plan = planner.finish(analyzed.name)
     plan.provenance = {
         "do_loops": planner.do_notes,
+        "doall_loops": planner.doall_notes,
         "native_nests": planner.native_notes(),
         "slow_loops": planner.slow_notes(),
-        "mode": "pinned",
+        "mode": "auto" if requested == "auto" else "pinned",
         "workers": workers,
-        "candidates": [
-            {
-                "backend": planner.backend,
-                "predicted_cycles": planner.total,
-                "winner": True,
-            }
-        ],
-        "reason": f"backend {requested!r} pinned by the caller",
         "served": served,
     }
     return plan
@@ -258,9 +211,10 @@ def forced_plan(
     the refusal, rather than risking semantics or dropping the pin. A loop
     that refuses the ``default`` stays on the walk (``serial``), so the
     forced loops inside it are the ones that run — a ``DO`` under a
-    ``DOALL``-only default, say. ``cpu_count`` stands in for the host's
-    core count when ``options.workers`` is unset, exactly as in
-    :func:`build_plan`.
+    ``DOALL``-only default, say. ``backend`` is a label as in
+    :func:`build_plan`: the loops left to the planner plan under it.
+    ``cpu_count`` stands in for the host's core count when
+    ``options.workers`` is unset, exactly as in :func:`build_plan`.
     """
     for name in (default, *(overrides or {}).values()):
         if name is not None and name not in LOOP_STRATEGIES:
@@ -268,6 +222,7 @@ def forced_plan(
                 f"unknown forced strategy {name!r}; "
                 f"available: {', '.join(LOOP_STRATEGIES)}"
             )
+    backend = _backend(backend, PlanError)
     options = options or ExecutionOptions()
     tier = _kernel_tier(options, PlanError)
     workers = _workers(options, PlanError) or max(1, cpu_count or host_cpu_count())
@@ -286,7 +241,7 @@ def forced_plan(
         force_overrides=overrides or {},
     )
     planner.plan_module()
-    return planner.finish(analyzed.name, requested=backend, pinned=True)
+    return planner.finish(analyzed.name)
 
 
 def valid_strategies(
@@ -306,7 +261,8 @@ def valid_strategies(
 
 
 class _Planner:
-    """One backend-pinned planning pass (auto runs one per candidate)."""
+    """One planning pass: a walk over the flowchart that decides every
+    loop met on it, under ``auto`` or a pinned backend label."""
 
     def __init__(
         self,
@@ -327,7 +283,11 @@ class _Planner:
     ):
         self.analyzed = analyzed
         self.flowchart = flowchart
+        #: ``auto`` or the pinned label — read here, never by a strategy
         self.backend = backend
+        #: whether the plan has a worker pool — the one plan property the
+        #: strategies read
+        self.pool = backend in ("threaded", "auto")
         self.workers = workers
         self.parallelism = parallelism
         self.scalar_env = scalar_env
@@ -345,6 +305,9 @@ class _Planner:
         #: one provenance note per sequential DO planned on its own: the
         #: compiled nest against the walk, and why the loser lost
         self.do_notes: list[dict] = []
+        #: one provenance note per DOALL decided on the walk: every
+        #: strategy's price or refusal, and the winner
+        self.doall_notes: list[dict] = []
         self.loops: dict[tuple[int, ...], LoopPlan] = {}
         self.equations: dict[str, EquationPlan] = {}
         self.total = 0.0
@@ -544,38 +507,74 @@ class _Planner:
             return None, ""
         return SERIAL, f"{name} refused: {why}"
 
+    def _pin_refusal(self, strategy, desc: LoopDescriptor) -> str | None:
+        """The one label rule: why the pinned label does not offer
+        ``strategy`` for an unforced ``DOALL`` (None: it does). ``serial``
+        offers the walk and the fused nest, ``vectorized`` the vector span,
+        ``threaded`` the worker chunks where the workers can divide the
+        loop and the vector span where they cannot (the walk only under the
+        utilization rule, the nest never); ``auto`` offers everything, and
+        a ``DO`` chooses between the walk and the nest under any label."""
+        if self.backend == "auto" or not desc.parallel:
+            return None
+        if self.backend == "serial":
+            offered = strategy in (SERIAL, NEST)
+        elif self.backend == "vectorized":
+            offered = strategy is VECTOR
+        elif strategy is SERIAL:
+            offered = _idle_team(self, desc) is not None
+        elif strategy is VECTOR:
+            offered = _pool_refusal(self, desc) is not None
+        else:
+            offered = strategy is not NEST
+        return None if offered else f"the {self.backend} pin does not offer it"
+
     def _decide(self, desc: LoopDescriptor) -> Choice:
         """How a loop met on the walk runs: one walk over
         :data:`LOOP_STRATEGIES`, in table order. A forced strategy takes
-        the loop; otherwise every strategy that recognises it is priced and
-        a later one wins only when strictly cheaper. Memoized per
-        descriptor."""
+        the loop; otherwise every strategy that recognises it and the pin
+        offers is priced, and the cheapest wins (the first in table order
+        on equal prices) — for an ``auto`` ``DOALL``, the cheapest of those
+        within :data:`AUTO_TIE` of it that builds no native function of its
+        own. Memoized per descriptor."""
         cached = self._choices.get(id(desc))
         if cached is not None:
             return cached
         forced, reason = self._forced(desc)
-        best = None
         verdicts: dict[str, Any] = {}
         if forced is not None:
-            best = (forced, replace(forced.price(self, desc), reason=reason))
-            verdicts[forced.name] = best[1]
+            price = verdicts[forced.name] = replace(
+                forced.price(self, desc), reason=reason
+            )
+            choice = Choice(forced, price, verdicts)
         else:
             for s in LOOP_STRATEGIES.values():
-                why = s.recognise(self, desc)
-                if why is not None:
-                    verdicts[s.name] = why
-                    continue
-                price = verdicts[s.name] = s.price(self, desc)
-                if best is None or price.cycles < best[1].cycles:
-                    best = (s, price)
-        if best is None:
-            raise PlanError(
-                f"no strategy applies to {desc.keyword} {desc.index} on the "
-                f"{self.backend} backend"
-            )
-        choice = self._choices[id(desc)] = Choice(
-            best[0], best[1], verdicts
-        )
+                why = s.recognise(self, desc) or self._pin_refusal(s, desc)
+                verdicts[s.name] = why if why is not None else s.price(self, desc)
+            priced = [
+                (LOOP_STRATEGIES[name], v) for name, v in verdicts.items()
+                if isinstance(v, Price)
+            ]
+            if not priced:
+                raise PlanError(
+                    f"no strategy applies to {desc.keyword} {desc.index} "
+                    f"under the {self.backend} pin"
+                )
+            cheapest = best = min(priced, key=lambda sp: sp[1].cycles)
+            tie = ""
+            if self.backend == "auto" and desc.parallel:
+                band = (1.0 + AUTO_TIE) * cheapest[1].cycles
+                best = min(
+                    (sp for sp in priced if sp[1].cycles <= band),
+                    key=lambda sp: (sp[1].dialect == "native", sp[1].cycles),
+                )
+                if best is not cheapest:
+                    tie = (
+                        f"within {AUTO_TIE:.0%} of {cheapest[0].name}, and it "
+                        f"builds no native function"
+                    )
+            choice = Choice(best[0], best[1], verdicts, tie)
+        self._choices[id(desc)] = choice
         return choice
 
     def _do_note(self, desc: LoopDescriptor, path, choice: Choice) -> dict:
@@ -622,10 +621,6 @@ class _Planner:
                 "inline": spec.inline[0] if spec.inline else None,
             })
         return notes
-
-    def native_functions(self) -> int:
-        """How many distinct C functions this plan builds."""
-        return len({note["function"] for note in self.native_notes()})
 
     def slow_notes(self) -> list[dict]:
         """Per-loop why-not provenance for nests left on the slow path: the
@@ -738,7 +733,13 @@ class _Planner:
 
         # ctx == "walk": the loop's own decision, and its provenance
         choice = self._decide(desc)
-        if not desc.parallel:
+        if desc.parallel:
+            self.doall_notes.append({
+                "index": str(path), "loop_index": desc.index,
+                "strategy": choice.strategy.name, "trip": self._trip_est(desc),
+                "verdicts": choice.verdicts, "tie": choice.tie,
+            })
+        else:
             self.do_notes.append(self._do_note(desc, path, choice))
         return choice.strategy.emit(self, desc, path, depth, choice.price)
 
@@ -766,16 +767,27 @@ class _Planner:
         self.entries.append(PlanEntry(depth, loop=lp))
         return lp
 
-    def finish(self, module: str, requested: str, pinned: bool) -> ExecutionPlan:
+    def finish(self, module: str) -> ExecutionPlan:
+        """The plan of the walk. An ``auto`` plan's label follows from its
+        loops: ``threaded`` when one divides among workers, else
+        ``vectorized`` when one runs a vector span, else ``serial``."""
         storage = self._storage()
+        backend = self.backend
+        if backend == "auto":
+            loops = self.loops.values()
+            if any((lp.parts or 0) > 1 for lp in loops):
+                backend = "threaded"
+            elif any(lp.strategy == VECTOR.name for lp in loops):
+                backend = "vectorized"
+            else:
+                backend = "serial"
         plan = ExecutionPlan(
             module=module,
-            backend=self.backend,
-            requested=requested,
+            backend=backend,
+            requested=self.backend,
             workers=self.workers,
             use_windows=self.use_windows,
             use_kernels=self.use_kernels,
-            pinned=pinned,
             kernel_tier=self.tier,
             entries=self.entries,
             loops=self.loops,

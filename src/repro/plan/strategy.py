@@ -8,20 +8,23 @@ print), what it would cost there (:meth:`price`, against the planner as
 cost context), how it appears in the plan (:meth:`emit`, :meth:`annotate`)
 and how a backend runs it (:meth:`execute`).
 
-The planner's choice for a loop met on the walk is one walk over the table
+A strategy judges a loop by its shape and by whether the plan has a
+worker pool (``_Planner.pool``); which strategies a pinned label offers is
+the planner's one label rule (``_Planner._pin_refusal``). The planner's
+choice for a loop met on the walk is one walk over the table
 (``_Planner._decide``): a forced name asks that one strategy; otherwise
-every strategy that recognises the loop is priced, and a later entry wins
-only when it is strictly cheaper. The engine's walk runs every planned
-loop through its strategy's :meth:`execute`, and
-:class:`repro.plan.ir.LoopPlan` reads its kernel shape and the head of its
-``pretty()`` row from it — so a strategy is one entry here, not a branch
-in each of those places.
+every strategy that recognises the loop, and the pin offers, is priced and
+the cheapest wins (``AUTO_TIE`` settles an ``auto`` ``DOALL``'s near-ties).
+The engine's walk runs every planned loop through its strategy's
+:meth:`execute`, and :class:`repro.plan.ir.LoopPlan` reads its kernel
+shape and the head of its ``pretty()`` row from it — so a strategy is one
+entry here, not a branch in each of those places.
 
 In table order: :class:`SerialStrategy` (``serial``) walks a loop element
 by element; :class:`VectorStrategy` (``vector``) runs a ``DOALL`` as one
 NumPy span; :class:`NestStrategy` (``nest``) runs a whole nest as one
 compiled kernel; :class:`PoolStrategy` (``chunk`` and ``collapse``) divides
-a ``DOALL`` among the backend's workers, each chunk on the loop's own
+a ``DOALL`` among the plan's workers, each chunk on the loop's own
 kernel.
 
 Every strategy runs the loop the scheduler (or the ``--merge`` pass) built:
@@ -84,8 +87,8 @@ class LoopStrategy:
 
     def recognise(self, planner, desc: LoopDescriptor, forced: bool = False) -> str | None:
         """None when the strategy applies to ``desc``, else why not. The
-        loop's shape always counts; unless ``forced``, so does whether
-        this backend offers the strategy for such a loop."""
+        loop's shape always counts; unless ``forced``, so does whether the
+        plan's workers should divide it."""
         raise NotImplementedError
 
     def price(self, planner, desc: LoopDescriptor) -> Price:
@@ -106,10 +109,10 @@ class LoopStrategy:
 
 
 def _pool_refusal(planner, desc: LoopDescriptor) -> str | None:
-    """Why the backend's workers cannot divide ``desc``, None when they
+    """Why the plan's workers cannot divide ``desc``, None when they
     can."""
-    if planner.backend != "threaded":
-        return f"the {planner.backend} backend has no worker pool"
+    if not planner.pool:
+        return "the plan has no worker pool"
     why = CHUNK.recognise(planner, desc, forced=True)
     if why is not None:
         return why
@@ -149,19 +152,13 @@ def _short_trip(planner, desc: LoopDescriptor) -> str:
 class SerialStrategy(LoopStrategy):
     """``serial``: the reference walk — one iteration at a time in
     subrange order, every body equation on its scalar kernel or the
-    evaluator. Any loop may be forced onto it. Unforced, every ``DO``
-    offers it (the price a compiled ``DO`` has to beat), and so does a
-    ``DOALL`` on the serial backend — or, on a pool backend, a ``DOALL``
-    under the utilization rule (``trip 4 < 8 workers: DOALL J takes
-    them``)."""
+    evaluator. Every loop offers it: for a ``DO`` it is the price a
+    compiled ``DO`` has to beat; a ``DOALL`` under the utilization rule
+    says so (``trip 4 < 8 workers: DOALL J takes them``)."""
 
     name = "serial"
 
     def recognise(self, planner, desc, forced=False):
-        if forced or not desc.parallel or planner.backend == "serial":
-            return None
-        if _idle_team(planner, desc) is None:
-            return f"the {planner.backend} backend runs a DOALL whole"
         return None
 
     def price(self, planner, desc):
@@ -193,27 +190,19 @@ class SerialStrategy(LoopStrategy):
 
 class VectorStrategy(LoopStrategy):
     """``vector``: a ``DOALL``'s whole subrange as one NumPy operation,
-    nested ``DOALL`` s broadcasting. Unforced, the vectorized backend's way
-    to run a ``DOALL``, and a pool backend's when the workers cannot divide
-    the loop (the plan says why)."""
+    nested ``DOALL`` s broadcasting. Every ``DOALL`` offers it; on a plan
+    with a worker pool the price says why the workers do not divide the
+    loop, when they cannot."""
 
     name = "vector"
 
     def recognise(self, planner, desc, forced=False):
-        if not desc.parallel:
-            return IN_ORDER
-        if forced or planner.backend == "vectorized":
-            return None
-        if planner.backend != "threaded":
-            return f"the {planner.backend} backend runs no vector spans"
-        if _pool_refusal(planner, desc) is None:
-            return "the workers divide it"
-        return None
+        return None if desc.parallel else IN_ORDER
 
     def price(self, planner, desc):
         t = planner._trip_est(desc)
         cycles = sum(planner._cost(d, "vector", t) for d in desc.body)
-        if planner.backend != "threaded":
+        if not planner.pool:
             return Price(cycles)
         return Price(cycles, reason=_pool_refusal(planner, desc) or "")
 
@@ -258,8 +247,7 @@ class NestStrategy(LoopStrategy):
     sequential loop as real compiled code instead of a per-element walk.
     A ``DO`` over ``DOALL`` s may also run its C kernel on a team of
     threads (``team xN``) — priced here, against the same kernel alone.
-    Unforced, every ``DO`` whose nest lowers offers it; of the ``DOALL``
-    s, only the serial backend's."""
+    Every loop whose nest fuses offers it."""
 
     name = "nest"
     #: the kernel shape the loop runs (``"team"`` when it has a team)
@@ -268,8 +256,6 @@ class NestStrategy(LoopStrategy):
     def recognise(self, planner, desc, forced=False):
         if not planner.use_kernels:
             return "kernels off"
-        if desc.parallel and not forced and planner.backend != "serial":
-            return f"the {planner.backend} backend does not fuse a DOALL nest"
         why = nest_unfusable_reason(desc, planner.analyzed)
         if why is None and not desc.parallel and planner._pinned_inside(desc):
             why = "a loop inside it is pinned to its own strategy"
@@ -364,8 +350,8 @@ class PoolStrategy(LoopStrategy):
     its ``"flat"`` kernel, so a nest whose outer trip is below the team
     still divides evenly. Where no C kernel builds, a ``chunk`` runs NumPy
     vector spans and a ``collapse`` chunk the NumPy flat kernel, then the
-    per-element walk. Unforced, only a pool backend offers them, and
-    ``chunk`` steps aside under the utilization rule."""
+    per-element walk. Unforced, only a plan with a worker pool offers
+    them, and ``chunk`` steps aside under the utilization rule."""
 
     def __init__(self, name: str, shape: str, safe, refusal: str):
         self.name = name
@@ -378,7 +364,7 @@ class PoolStrategy(LoopStrategy):
 
     def recognise(self, planner, desc, forced=False):
         """None when the chunks may run concurrently (and, unforced, the
-        backend's workers should divide this loop), else why not."""
+        plan's workers should divide this loop), else why not."""
         if not desc.parallel:
             return IN_ORDER
         if not self._safe(
@@ -411,15 +397,17 @@ class PoolStrategy(LoopStrategy):
         GIL, overlapping fully across workers; otherwise it is NumPy rows —
         vector work that overlaps, plus GIL-bound Python (scalar
         fallbacks, a collapsed chunk's per-row bookkeeping) that serialises
-        under a ``threaded`` plan. Plus one fork, one join and one dispatch
-        per chunk. A ``collapse`` under the utilization rule says so."""
+        on a plan with a worker pool. Plus one fork, one join and one
+        dispatch per chunk. A ``collapse`` under the utilization rule says
+        so. The dialect is ``"native"`` when the chunks run C."""
         m = planner.model
         loops, body = self._space(desc)
         space = prod(max(1, planner._trip_est(loop)) for loop in loops)
         row = max(1, planner._trip_est(loops[-1]))
         parts = max(1, min(planner.workers, space))
         per_chunk = ceil(space / parts)
-        if planner._native_ok(desc, self.shape):
+        native = planner._native_ok(desc, self.shape)
+        if native:
             released = m.native_call_overhead + sum(
                 planner._cost(d, "native", per_chunk) for d in body
             )
@@ -431,23 +419,23 @@ class PoolStrategy(LoopStrategy):
             released = rows * sum(r for r, _ in pairs)
             bound = rows * (overhead + sum(b for _, b in pairs))
         waves = ceil(parts / planner.parallelism)
-        serialised = parts if planner.backend == "threaded" else waves
+        serialised = parts if planner.pool else waves
         reason = ""
         if self.shape == "flat" and _idle_team(planner, desc) is not None:
             reason = _short_trip(planner, desc)
         return Price(
             m.doall_fork + m.doall_barrier + parts * m.chunk_dispatch
             + waves * released + serialised * bound,
-            parts=parts, reason=reason,
+            parts=parts, reason=reason, dialect="native" if native else None,
         )
 
     def emit(self, planner, desc, path, depth, price):
-        native = planner._native_ok(desc, self.shape)
+        native = price.dialect == "native"
         fuse = NEST.recognise(planner, desc, forced=True) is None
         lp = planner._loop(
             desc, path, depth, self.name, parts=price.parts, fuse=fuse,
             cycles=price.cycles, reason=price.reason,
-            dialect=("native" if native else "python") if native or fuse else None,
+            dialect=price.dialect or ("python" if fuse else None),
         )
         te = planner._trip_est(desc)
         if self.shape == "flat":

@@ -3,21 +3,17 @@
 The interpreter walks the flowchart exactly as the generated procedural
 program would: a ``DO`` loop runs its subrange low-to-high sequentially; a
 ``DOALL`` loop is semantically unordered and runs as its plan says, on the
-one execution engine (:class:`repro.runtime.backends.ExecutionBackend`).
-The plan's backend label decides which strategies a loop may take:
-
-* ``serial`` — the reference walk, or one compiled nest kernel, one
-  iteration after another;
-* ``vectorized`` — the whole subrange as one NumPy operation (an inner
-  ``DO`` nested under a vectorised ``DOALL`` keeps its own scalar loop);
-* ``threaded`` — chunked subranges on the engine's thread pool, native and
-  NumPy kernels releasing the GIL (on a no-GIL build the Python-level chunk
-  work overlaps too).
+one execution engine (:class:`repro.runtime.backends.ExecutionBackend`):
+the reference walk, one compiled nest kernel, the whole subrange as one
+NumPy operation (an inner ``DO`` nested under a vectorised ``DOALL`` keeps
+its own scalar loop), or chunked subranges on the engine's thread pool,
+native and NumPy kernels releasing the GIL (on a no-GIL build the
+Python-level chunk work overlaps too). The planner chooses per loop.
 
 A call of a loop-free scalar module was inlined by the front end
 (:func:`repro.ps.semantics.inline_body`) and runs wherever its caller's
 equation does; any other module call runs the callee through this module
-per call, on a plan without a worker pool.
+per call, on a one-worker plan: no worker pool and no team.
 
 Every parallel wavefront ends in one join: all of its chunks finish (or
 fail) before the next descriptor runs, and the first failure is re-raised.
@@ -26,7 +22,8 @@ Options:
 
 * ``backend`` / ``workers`` — the plan's backend label and worker count;
   ``"auto"`` asks the cost-driven planner (:mod:`repro.plan.planner`) to
-  choose, while an explicit label pins the plan to it;
+  choose every loop's strategy, while an explicit label pins the plan to
+  the strategies that label offers;
 * ``use_windows`` — allocate virtual dimensions as windows, as the paper's
   section 3.4 directs the code generator to do;
 * ``debug_windows`` — arm window tags that fault on any read of an
@@ -64,9 +61,10 @@ KERNEL_TIERS = ("native", "numpy")
 class ExecutionOptions:
     use_windows: bool = False
     debug_windows: bool = False
-    #: execution backend: "auto", "serial", "vectorized" or "threaded" —
-    #: "auto" asks the cost-driven planner to choose; "serial" is the
-    #: scalar reference path
+    #: backend label: "auto", "serial", "vectorized" or "threaded" —
+    #: "auto" asks the cost-driven planner to choose per loop; a label pins
+    #: the plan to what it offers a DOALL (``serial``: the walk or a fused
+    #: nest, ``vectorized``: vector spans, ``threaded``: worker chunks)
     backend: str = "auto"
     #: worker count for the thread pool and native teams (None:
     #: os.cpu_count()); anything but None or a positive int is refused
@@ -320,13 +318,7 @@ def _callee_plan(
     if plan is None:
         from repro.plan.planner import build_plan
 
-        # Callees never get a worker pool, even under "auto": a
-        # per-element module call with its own pool would nest pools inside
-        # worker chunks and oversubscribe them.
-        plan = build_plan(
-            callee, flowchart, options, scalar_env,
-            candidates=("serial", "vectorized"),
-        )
+        plan = build_plan(callee, flowchart, options, scalar_env)
         memo[key] = plan
     return plan
 
@@ -343,12 +335,10 @@ def _call_module(
         )
     callee = program[name]
     call_args = dict(zip(callee.param_names, cargs))
-    # Callees run without a worker pool: parallelism belongs to the
-    # outermost module (nested pools inside worker chunks would
-    # oversubscribe them).
-    callee_options = options
-    if callee_options.backend not in ("auto", "serial", "vectorized"):
-        callee_options = replace(callee_options, backend="auto")
+    # Callees plan for one worker — no pool chunks, no team: parallelism
+    # belongs to the outermost module (nested pools inside worker chunks
+    # would oversubscribe them).
+    callee_options = replace(options, workers=1)
     flowchart, kernel_cache = _callee_runtime(program, name)
     scalar_env = {
         k: int(v) for k, v in call_args.items() if isinstance(v, (int, np.integer))

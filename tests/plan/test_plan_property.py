@@ -5,15 +5,18 @@ computes — so every valid assignment of strategies to loops must reproduce
 the serial reference evaluator bit for bit, on every workload. Covered:
 the all-serial plan, the all-vectorized plan, and seeded-random plans
 drawing a valid strategy per loop (including forced chunking and nest
-fusion where safe)."""
+fusion where safe). And ``auto``, which prices every strategy per loop on
+one walk, never predicts a plan dearer than the cheapest pin (up to its
+tie rule), on generated programs as well as the workloads."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.plan.ir import PlanError
-from repro.plan.planner import forced_plan, valid_strategies
+from repro.core.genprog import generate_program
+from repro.plan.ir import KNOWN_BACKENDS, PlanError
+from repro.plan.planner import AUTO_TIE, build_plan, forced_plan, valid_strategies
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions, execute_module
@@ -148,3 +151,54 @@ class TestValidStrategies:
         name, analyzed, flow, args, result = WORKLOADS[1]  # gauss_seidel
         do = next(d for d in flow.loops() if not d.parallel)
         assert valid_strategies(analyzed, flow, do) == ["serial", "nest"]
+
+
+#: generated programs the auto-versus-pins property is checked on, and the
+#: sizes each is planned at
+GENERATED_SEEDS = range(60)
+GENERATED_SIZES = (4, 32, 2000)
+
+
+def _auto_cases():
+    """(tag, analyzed, flowchart, sizes): every generated program at every
+    size, then the five plan workloads at their own."""
+    for seed in GENERATED_SEEDS:
+        analyzed = generate_program(seed).analyzed()
+        flow = schedule_module(analyzed)
+        for n in GENERATED_SIZES:
+            yield f"gen{seed}/n{n}", analyzed, flow, {"n": n}
+    for name, analyzed, flow, args, _ in WORKLOADS:
+        sizes = {k: v for k, v in args.items() if isinstance(v, int)}
+        yield name, analyzed, flow, sizes
+
+
+AUTO_CASES = list(_auto_cases())
+
+
+class TestAutoNeverWorseThanAPin:
+    """``auto`` prices on one walk every strategy any pin would offer, so
+    its predicted cost is never above the cheapest pinned plan's — up to
+    the tie rule, which may give up ``AUTO_TIE`` at every level of loop
+    nesting to build no native function."""
+
+    @pytest.mark.parametrize("served", [False, True], ids=["first", "served"])
+    @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"p{w}")
+    def test_auto_predicts_no_worse_than_the_cheapest_pin(
+        self, workers, served, monkeypatch
+    ):
+        def reached():
+            raise AssertionError("a plan here read the host's cpu count")
+
+        monkeypatch.setattr("repro.plan.planner.host_cpu_count", reached)
+        for tag, analyzed, flow, sizes in AUTO_CASES:
+            cycles = {
+                backend: build_plan(
+                    analyzed, flow,
+                    ExecutionOptions(backend=backend, workers=workers), sizes,
+                    cpu_count=workers, served=served,
+                ).cycles
+                for backend in ("auto", *KNOWN_BACKENDS)
+            }
+            depth = max((len(flow.path_of(d)) for d in flow.loops()), default=0)
+            best_pin = min(cycles[label] for label in KNOWN_BACKENDS)
+            assert cycles["auto"] <= (1 + AUTO_TIE) ** depth * best_pin, tag

@@ -1,12 +1,14 @@
 """Planner edge cases surfaced by review: module calls (inlined ones
 compile, kept ones hold the GIL), callee plans without a pool, plan
-re-binding, auto always being measurable,
+re-binding, auto always being measured, one planning walk per plan, labels
+checked by both plan builders,
 recognised recurrences planning as the compiled ``DO`` at every size,
 ``DOALL``-only strategies forced on a ``DO``, the retired ``iterate``,
 ``pipeline``, ``scan`` and ``fission`` strategies refused by name, and the
 slow-loop provenance of a merged nest."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from repro.core.recurrences import (
 )
 from repro.errors import ExecutionError
 from repro.plan.ir import STRATEGIES, VALID_STRATEGIES, PlanError
-from repro.plan.planner import build_plan, forced_plan
+from repro.plan.planner import _Planner, build_plan, forced_plan
 from repro.ps.parser import parse_program
 from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions, execute_program_module
@@ -107,9 +109,19 @@ class TestGilAwareChunkCosts:
 
 @pytest.mark.usefixtures("pinned_host")
 class TestCalleePlansStayInProcess:
-    def test_callee_memo_never_plans_a_pool(self):
-        """Module calls fire per element; the callee's auto plan must stay
-        off the worker pool even when the caller runs one."""
+    def test_callee_memo_never_plans_a_pool(self, monkeypatch):
+        """Module calls fire per element; the callee's plan must stay off
+        the worker pool (and off a team) even when the caller's chunks run
+        the calls on the pool: no callee loop is divided, and no pool
+        thread starts another."""
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append((threading.current_thread().name, thread.name))
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
         program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         rng = np.random.default_rng(3)
         args = {"A": rng.random(8), "n": 8}
@@ -121,7 +133,14 @@ class TestCalleePlansStayInProcess:
         memo = program._plan_memo
         assert memo, "expected a memoized callee plan"
         for plan in memo.values():
-            assert plan.backend in ("serial", "vectorized")
+            assert plan.workers == 1
+            assert all((lp.parts or 0) <= 1 for lp in plan.loops.values())
+            assert not any(lp.team for lp in plan.loops.values())
+        nested = [
+            pair for pair in started
+            if all(name.startswith("repro-doall") for name in pair)
+        ]
+        assert started and not nested
 
 
 class TestPlanRebinding:
@@ -144,7 +163,9 @@ class TestPlanRebinding:
 
 @pytest.mark.usefixtures("pinned_host")
 class TestComparePlansAlwaysMeasuresAuto:
-    def test_auto_backend_appended_to_candidates(self):
+    def test_auto_plan_is_its_own_row(self):
+        """``auto`` plans per loop, so its plan need not be any label's:
+        it is timed as a row of its own, whatever labels are asked for."""
         from repro.machine.report import compare_plans
 
         analyzed = jacobi_analyzed()
@@ -154,9 +175,59 @@ class TestComparePlansAlwaysMeasuresAuto:
         cmp = compare_plans(
             analyzed, flow, args, backends=["serial"], workers=1, repeats=1
         )
-        assert cmp.auto_backend in [r["backend"] for r in cmp.rows]
-        assert cmp.auto_seconds > 0
+        assert [r["backend"] for r in cmp.rows] == ["auto", "serial"]
+        auto = cmp.rows[0]
+        assert cmp.auto_seconds == auto["seconds"] > 0
+        assert cmp.auto_backend == auto["label"]
         assert cmp.to_dict()["auto_backend"] == cmp.auto_backend
+
+
+@pytest.mark.usefixtures("pinned_host")
+class TestOneWalk:
+    @pytest.mark.parametrize("backend", ["auto", "serial", "vectorized", "threaded"])
+    def test_build_plan_walks_the_flowchart_once(self, backend, monkeypatch):
+        """``auto`` prices every strategy per loop on one walk instead of
+        planning the module once per label."""
+        walks = []
+        plan_module = _Planner.plan_module
+
+        def counting(planner):
+            walks.append(planner.backend)
+            plan_module(planner)
+
+        monkeypatch.setattr(_Planner, "plan_module", counting)
+        analyzed = jacobi_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend=backend, workers=2), {"M": 8, "maxK": 4},
+            cpu_count=2,
+        )
+        assert walks == [backend]
+        assert plan.requested == backend and plan.pinned == (backend != "auto")
+
+    def test_explain_prices_or_refuses_every_strategy_per_doall(self):
+        """``explain()`` says why each ``DOALL`` took its strategy: every
+        strategy priced, the winner starred, every refusal with its
+        reason — a pin's included."""
+        analyzed = jacobi_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(backend="serial", workers=2), {"M": 8, "maxK": 4},
+            cpu_count=2,
+        )
+        rows = [
+            re.sub(r"~\d+", "~N", line) for line in plan.explain().splitlines()
+            if line.startswith("  DOALL")
+        ]
+        assert [row.split(":")[0] for row in rows] == [
+            "  DOALL I @(0,)", "  DOALL I @(1, 0)", "  DOALL I @(2,)",
+        ]
+        assert rows[0] == (
+            "  DOALL I @(0,): nest, trip 10: serial ~N, *nest ~N cycles; "
+            "vector refused (the serial pin does not offer it); "
+            "chunk refused (the plan has no worker pool); "
+            "collapse refused (the plan has no worker pool)"
+        )
 
 
 #: the (trip, workers) grid on which a blocked scan once outpriced the
@@ -281,6 +352,43 @@ class TestRetiredStrategy:
         survivors = re.escape(", ".join(VALID_STRATEGIES))
         with pytest.raises(error, match=f"'{name}'; available: {survivors}$"):
             plan_with(analyzed, flow, name)
+
+
+class TestUnknownBackendLabel:
+    @pytest.mark.parametrize("label", ["gpu", "process", "Serial"])
+    @pytest.mark.parametrize("plan_with, error", [
+        (build_plan, ExecutionError),
+        (forced_plan, PlanError),
+    ], ids=["build_plan", "forced_plan"])
+    def test_unknown_labels_are_refused_naming_every_label(
+        self, plan_with, error, label
+    ):
+        """Both plan builders share one label check: an unknown label is
+        refused by name instead of printing as the plan's backend (and
+        running) or failing on the first loop."""
+        analyzed = scan_analyzed()
+        flow = schedule_module(analyzed)
+        options = ExecutionOptions(backend=label, workers=2)
+        args = (options,) if plan_with is build_plan else (label, options)
+        with pytest.raises(
+            error,
+            match=f"unknown execution backend '{label}'; "
+            f"available: serial, vectorized, threaded$",
+        ):
+            plan_with(analyzed, flow, *args, {"n": 64}, cpu_count=2)
+
+    def test_forced_plan_accepts_auto(self):
+        """``auto`` is the one walk, so a forced plan may leave its
+        unforced loops to it."""
+        analyzed = jacobi_analyzed()
+        flow = schedule_module(analyzed)
+        plan = forced_plan(
+            analyzed, flow, "auto", ExecutionOptions(workers=2),
+            {"M": 8, "maxK": 4}, overrides={(1, 0): "chunk"}, cpu_count=2,
+        )
+        assert not plan.pinned
+        assert plan.loops[(1, 0)].strategy == "chunk"
+        assert plan.backend == "threaded"
 
 
 class TestUnknownKernelTier:

@@ -45,8 +45,8 @@ GOLDEN = {
             eq.5 [kernel=native]""",
     "line_sweep": """\
         plan LineSweep: backend=threaded workers={w} kernels=native windows=off [auto]
-        DOALL J -> chunk x{w}; trip 4002
-            eq.1 [kernel=native]
+        DOALL J -> vector; trip 4002
+            eq.1 [kernel=vector]
         DO I -> nest; trip 4000; compiled in order
             DOALL J -> nest; trip 4002; fused
                 eq.2 [kernel=native]

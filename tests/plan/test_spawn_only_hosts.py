@@ -5,7 +5,7 @@ neither the planner nor a run has any business asking the host which
 ``multiprocessing`` start methods it offers. These tests simulate a
 spawn-only platform (macOS's default, Windows) by replacing the probes
 with recording fakes, and pin that: no probe is ever made, every plan has
-the text it has anywhere else, ``compare_plans`` measures every backend,
+the text it has anywhere else, ``compare_plans`` measures ``auto`` and every label,
 and a run of each backend matches the serial reference.
 """
 
@@ -107,5 +107,6 @@ def test_compare_plans_measures_every_backend(pinned_host, spawn_only):
     rng = np.random.default_rng(3)
     args = {"InitialA": rng.random((6, 6)), "M": 4, "maxK": 3}
     cmp = compare_plans(analyzed, flow, args, workers=2, repeats=1)
-    assert {r["backend"] for r in cmp.rows} == set(KNOWN_BACKENDS)
+    assert [r["backend"] for r in cmp.rows] == ["auto", *KNOWN_BACKENDS]
+    assert cmp.auto_seconds == cmp.rows[0]["seconds"]
     assert spawn_only == []

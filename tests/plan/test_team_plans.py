@@ -4,9 +4,10 @@ Plans depend on whether the host builds OpenMP, so every test here fixes
 the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
 ``cpu_count``. Pinned:
 
-* the Jacobi grids of ``benchmarks/e2e`` at two cores take ``team x2``,
-  and so does hyperplane Gauss-Seidel now that its entry proof discharges
-  every range check; the hyperplane alignment's thin planes do not pay
+* the Jacobi grids of ``benchmarks/e2e`` at two cores take ``team x2``
+  (their one-shot copies, priced per loop, compile too), and so does
+  hyperplane Gauss-Seidel now that its entry proof discharges every range
+  check; the hyperplane alignment's thin planes do not pay
   for their barriers, and ``explain()`` says so;
 * a one-worker plan never consults the probe, so it is the plan of a host
   without OpenMP;
@@ -34,28 +35,28 @@ from tests.plan.conftest import DP_SOURCE, WORKLOADS
 from tests.runtime.test_kernel_sources import CORPUS
 
 JACOBI_TEAM = """\
-    plan Relaxation: backend=vectorized workers=2 kernels=native windows={w} [auto]
-    DOALL I -> vector; trip 130
-        DOALL J -> vector; trip 130; nested in span
-            eq.1 [kernel=vector]
+    plan Relaxation: backend=serial workers=2 kernels=native windows={w} [auto]
+    DOALL I -> nest; trip 130; fused nest kernel
+        DOALL J -> nest; trip 130; fused
+            eq.1 [kernel=native]
     DO K -> nest; trip 39; compiled in order; team x2
         DOALL I -> nest; trip 130; fused
             DOALL J -> nest; trip 130; fused
                 eq.3 [kernel=native]
-    DOALL I -> vector; trip 130
-        DOALL J -> vector; trip 130; nested in span
-            eq.2 [kernel=vector]"""
+    DOALL I -> nest; trip 130; fused nest kernel
+        DOALL J -> nest; trip 130; fused
+            eq.2 [kernel=native]"""
 
 #: cycle counts masked (``~N``): the constants behind them are refitted
 JACOBI_TEAM_EXPLAIN = """\
-    provenance Relaxation: auto -> vectorized
-        serial: predicted ~N cycles
-      * vectorized: predicted ~N cycles
-        threaded: predicted ~N cycles
-    winner: vectorized — within 5% of the cheapest candidate, and it builds the fewest native functions
+    provenance Relaxation: auto -> serial
     pricing: native build charged to this run
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
+      DOALL I @(0,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
+      DOALL I @(2,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
+      native full kernel @(0,) (DOALL I): range checks: 5 of 5 proven at entry
       native team kernel @(1,) (DO K): range checks: 18 of 18 proven at entry
+      native full kernel @(2,) (DOALL I): range checks: 5 of 5 proven at entry
       A: {a}; recycled between runs
       newA: uninitialised, every element is defined; recycled between runs"""
 
@@ -71,12 +72,9 @@ GS_HYPER = """\
 
 GS_HYPER_EXPLAIN = """\
     provenance RelaxationHyper: auto -> serial
-      * serial: predicted ~N cycles
-        vectorized: predicted ~N cycles
-        threaded: predicted ~N cycles
-    winner: serial — lowest predicted cycles
     pricing: native build charged to this run
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
+      DOALL I @(1,): nest, trip 98: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
       native full kernel @(1,) (DOALL I): range checks: 5 of 5 proven at entry
       Ap: uninitialised, every element is defined; recycled between runs
@@ -139,8 +137,10 @@ class TestTeamGoldens:
             a="zero-filled, it has a window dimension" if use_windows
             else "uninitialised, every element is defined"
         )
-        # one C function either way: the team kernel replaces the full one
-        assert plan.native_kernels() == [((1,), "team")]
+        # the team kernel replaces the sweep's full one
+        assert plan.native_kernels() == [
+            ((0,), "full"), ((1,), "team"), ((2,), "full"),
+        ]
 
     def test_hyperplane_gauss_seidel_takes_a_team_of_two(self, openmp_host):
         analyzed = hyperplane_transform(gauss_seidel_analyzed()).transformed
@@ -168,7 +168,9 @@ class TestTeamGoldens:
         analyzed = jacobi_analyzed()
         plan = _plan(analyzed, schedule_module(analyzed), {"M": 128, "maxK": 40}, 2)
         assert "team" not in plan.pretty() + plan.explain()
-        assert plan.native_kernels() == [((1,), "full")]
+        assert plan.native_kernels() == [
+            ((0,), "full"), ((1,), "full"), ((2,), "full"),
+        ]
 
 
 class TestOneWorkerPlansUnchanged:

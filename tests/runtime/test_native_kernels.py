@@ -871,7 +871,7 @@ def _linear_programs(draw):
 
 def _native_against_evaluator(analyzed, flow, args, use_windows):
     """(evaluator outcome, native outcome, native cache) of one run, every
-    loop planned onto the C tier."""
+    loop the nest kernel takes forced onto it, on the C tier."""
     reference = _outcome(
         analyzed, flow, args,
         ExecutionOptions(
@@ -879,7 +879,8 @@ def _native_against_evaluator(analyzed, flow, args, use_windows):
         ),
     )
     options = ExecutionOptions(
-        backend="serial", kernel_tier="native", use_windows=use_windows
+        backend="serial", kernel_tier="native", use_windows=use_windows,
+        strategy="nest",
     )
     cache = KernelCache(analyzed, flow)
     sizes = {k: v for k, v in args.items() if isinstance(v, int)}

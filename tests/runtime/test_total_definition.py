@@ -118,13 +118,16 @@ class TestTotal:
         assert counters["arrays_zeroed"] == 0
 
     def test_jacobi_auto_plan_defines_plane_one_on_the_vector_tier(self):
-        """``A[1] = InitialA`` and ``newA = A[maxK]`` run as NumPy spans in
-        the ``auto`` plan: a vector-tier *store* is exact, and the reader
-        comes after every definition of ``A``."""
-        auto = ExecutionOptions(backend="auto", workers=2)
+        """``A[1] = InitialA`` and ``newA = A[maxK]`` forced onto NumPy
+        spans in an ``auto`` plan that compiles the sweep: a vector-tier
+        *store* is exact, and the reader comes after every definition of
+        ``A``."""
+        auto = ExecutionOptions(backend="auto", workers=2, strategy="vector")
         sizes = {"M": 128, "maxK": 40}
         plan = compile_source(RELAXATION_JACOBI_SOURCE).plan(sizes, auto)
         assert plan.equations["eq.1"].kernel == "vector"
+        assert plan.equations["eq.2"].kernel == "vector"
+        assert plan.equations["eq.3"].kernel == "native"
         assert verdicts(RELAXATION_JACOBI_SOURCE, sizes, auto)["A"] is None
 
     @pytest.mark.parametrize(
