@@ -1,6 +1,6 @@
 """B-plan — the cost-driven planner against the stopwatch.
 
-The ExecutionPlan layer (``repro.plan``) claims four things worth gating:
+The ExecutionPlan layer (``repro.plan``) claims two things worth gating:
 
 * ``backend="auto"`` is a *good* choice: on every paper workload the
   ``auto`` plan, timed as a row of its own, lands within 15% of the best
@@ -8,13 +8,7 @@ The ExecutionPlan layer (``repro.plan``) claims four things worth gating:
   small absolute grace for sub-millisecond runs, where scheduler jitter
   dominates);
 * fusing a DOALL nest into one compiled kernel pays on the serial path:
-  >= 1.5x over the per-equation kernels on Jacobi;
-* *collapsing* a tall-skinny DOALL nest pays on the threaded backend: on a
-  4x4096 Jacobi grid at >= 4 workers, the flattened fused-chunk path beats
-  the inner-chunking plan — outer DOALL ``serial``, inner DOALL ``chunk``
-  (one dispatch wave per sweep instead of one per row);
-* the fused flat kernels themselves pay: >= 1.5x over running the same
-  flat chunks through the per-equation walk.
+  >= 1.5x over the per-equation kernels on Jacobi.
 
 Every timed pair is checked bit-exact against the serial reference first.
 Results land in ``BENCH_plan.json`` (the perf-trend artifact CI diffs
@@ -29,7 +23,7 @@ import numpy as np
 from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.machine.report import compare_plans
-from repro.plan.planner import build_plan, forced_plan
+from repro.plan.planner import forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions, execute_module
@@ -41,35 +35,9 @@ AUTO_GATE_FACTOR = 1.15
 AUTO_GATE_GRACE = 0.005
 #: nest-fused kernels must beat per-equation kernels by this factor
 NEST_GATE_SPEEDUP = 1.5
-#: the collapsed fused-chunk path must beat the serial+inner-chunk path on
-#: the threaded backend (the win is structural — one dispatch wave instead
-#: of one per row)
-COLLAPSE_GATE_SPEEDUP = 1.3
-#: fused flat kernels must beat the per-equation flat-chunk walk
-COLLAPSE_FUSE_GATE_SPEEDUP = 1.5
-#: worker count for the collapse gates (the ISSUE floor is 4)
-COLLAPSE_WORKERS = 8
 
 #: hand-picked labels auto competes against
 CANDIDATES = ["serial", "vectorized", "threaded"]
-
-#: tall-skinny Jacobi: a handful of rows, thousands of columns, maxK sweeps
-#: — the geometry where chunking on the outer DOALL alone starves workers
-TALL_SKINNY_JACOBI_SOURCE = """\
-Relax: module (InitialA: array[0 .. r + 1, 0 .. c + 1] of real;
-               r: int; c: int; maxK: int):
-       [newA: array[0 .. r + 1, 0 .. c + 1] of real];
-type
-    I = 1 .. r; J = 1 .. c; K = 1 .. maxK;
-var
-    A: array [0 .. maxK, 0 .. r + 1, 0 .. c + 1] of real;
-define
-    A[0, I, J] = InitialA[I, J];
-    A[K, I, J] = (A[K-1, I-1, J] + A[K-1, I+1, J] +
-                  A[K-1, I, J-1] + A[K-1, I, J+1]) / 4.0;
-    newA[I, J] = A[maxK, I, J];
-end Relax;
-"""
 
 DP_SOURCE = """\
 Align: module (CostA: array[1 .. n] of real;
@@ -228,138 +196,6 @@ def test_nest_fusion_beats_per_equation_kernels(artifact):
                 "nest_seconds": t_fused,
                 "speedup": speedup,
                 "required": NEST_GATE_SPEEDUP,
-                "passed": True,
-            },
-            indent=2,
-        ),
-    )
-
-
-def _tall_skinny_setup(r=4, c=4096, maxk=6):
-    analyzed = analyze_module(parse_module(TALL_SKINNY_JACOBI_SOURCE))
-    flow = schedule_module(analyzed)
-    rng = np.random.default_rng(4)
-    args = {
-        "InitialA": rng.random((r + 2, c + 2)),
-        "r": r, "c": c, "maxK": maxk,
-    }
-    scalars = {"r": r, "c": c, "maxK": maxk}
-    return analyzed, flow, args, scalars
-
-
-def test_collapse_beats_iterate_on_tall_skinny(artifact):
-    """Gate (c): on the 4x4096 tall-skinny Jacobi grid at >= 4 workers the
-    collapsed fused-chunk path beats the inner-chunking path (each copy
-    loop's outer DOALL ``serial``, its inner DOALL ``chunk``) on the
-    threaded backend — one dispatch wave per sweep over a balanced flat
-    space instead of one wave per row. The planner picks ``collapse`` for
-    the copy loops; both timed plans are forced the same way everywhere
-    else, so the comparison is plan-for-plan. (The artifact keeps its
-    ``iterate_seconds`` key for the trend history.)
-    """
-    analyzed, flow, args, scalars = _tall_skinny_setup()
-    expected = execute_module(
-        analyzed, args, flowchart=flow,
-        options=ExecutionOptions(backend="serial", use_kernels=False),
-    )["newA"]
-    copies = [
-        flow.path_of(d) for d in flow.descriptors
-        if getattr(d, "parallel", False)
-    ]
-
-    payload = {
-        "grid": [4, 4096], "maxk": 6, "workers": COLLAPSE_WORKERS,
-        "gates": {},
-    }
-    options = ExecutionOptions(backend="threaded", workers=COLLAPSE_WORKERS)
-    chosen = build_plan(analyzed, flow, options, scalars)
-    assert all(chosen.loops[p].strategy == "collapse" for p in copies), (
-        chosen.pretty()
-    )
-    collapse_plan = forced_plan(
-        analyzed, flow, "threaded", options, scalars,
-        overrides={p: "collapse" for p in copies},
-    )
-    inner_plan = forced_plan(
-        analyzed, flow, "threaded", options, scalars,
-        overrides={
-            **{p: "serial" for p in copies},
-            **{p + (0,): "chunk" for p in copies},
-        },
-    )
-    t_collapse, out_collapse = _time(
-        lambda: execute_module(
-            analyzed, args, flowchart=flow, options=options, plan=collapse_plan
-        )
-    )
-    t_iterate, out_iterate = _time(
-        lambda: execute_module(
-            analyzed, args, flowchart=flow, options=options, plan=inner_plan
-        )
-    )
-    assert np.array_equal(out_collapse["newA"], expected)
-    assert np.array_equal(out_iterate["newA"], expected)
-
-    speedup = t_iterate / t_collapse
-    assert speedup >= COLLAPSE_GATE_SPEEDUP, (
-        f"collapsed fused chunks only {speedup:.2f}x over "
-        f"serial+inner chunk on the 4x4096 tall-skinny Jacobi "
-        f"(threaded, {COLLAPSE_WORKERS} workers; gate: {COLLAPSE_GATE_SPEEDUP}x)"
-    )
-    payload["gates"]["collapse_threaded"] = {
-        "iterate_seconds": t_iterate,
-        "collapse_seconds": t_collapse,
-        "speedup": speedup,
-        "required": COLLAPSE_GATE_SPEEDUP,
-        "passed": True,
-    }
-    artifact("BENCH_plan_collapse.json", json.dumps(payload, indent=2))
-
-
-def test_fused_flat_chunks_beat_per_equation_walk(artifact):
-    """Gate (d): the fused flat kernels >= 1.5x over the *same* flat
-    chunks executed through the per-equation walk on the threaded backend —
-    the chunked analogue of the serial nest-fusion gate."""
-    analyzed, flow, args, scalars = _tall_skinny_setup(maxk=3)
-    options = ExecutionOptions(backend="threaded", workers=COLLAPSE_WORKERS)
-
-    fused = forced_plan(
-        analyzed, flow, "threaded", options, scalars, default="collapse"
-    )
-    unfused = forced_plan(
-        analyzed, flow, "threaded", options, scalars, default="collapse"
-    )
-    for lp in unfused.loops.values():
-        lp.fuse = False
-
-    t_fused, out_fused = _time(
-        lambda: execute_module(
-            analyzed, args, flowchart=flow, options=options, plan=fused
-        )
-    )
-    t_walk, out_walk = _time(
-        lambda: execute_module(
-            analyzed, args, flowchart=flow, options=options, plan=unfused
-        )
-    )
-    assert np.array_equal(out_fused["newA"], out_walk["newA"])
-    speedup = t_walk / t_fused
-    assert speedup >= COLLAPSE_FUSE_GATE_SPEEDUP, (
-        f"fused flat chunk kernels only {speedup:.2f}x over the "
-        f"per-equation flat walk (gate: {COLLAPSE_FUSE_GATE_SPEEDUP}x)"
-    )
-    artifact(
-        "BENCH_plan_collapse_fuse.json",
-        json.dumps(
-            {
-                "grid": [4, 4096],
-                "maxk": 3,
-                "workers": COLLAPSE_WORKERS,
-                "backend": "threaded",
-                "per_equation_seconds": t_walk,
-                "fused_seconds": t_fused,
-                "speedup": speedup,
-                "required": COLLAPSE_FUSE_GATE_SPEEDUP,
                 "passed": True,
             },
             indent=2,

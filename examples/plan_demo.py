@@ -2,9 +2,9 @@
 
 Compiles the paper's Figure-1 Jacobi Relaxation, prints the cost-driven
 execution plan ``backend="auto"`` produces next to the pinned serial and
-threaded plans, shows the collapse decision on a tall-skinny grid (and,
-forced, the inner-chunking plan it replaces), and finishes with a
-predicted-vs-planned-vs-measured comparison across every backend.
+threaded plans, shows who takes the workers on a tall-skinny grid (the
+threaded pin's inner chunks beside ``auto``'s own plan), and finishes with
+a predicted-vs-planned-vs-measured comparison across every backend.
 
 Run: ``PYTHONPATH=src python examples/plan_demo.py``
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.paper import jacobi_analyzed
 from repro.machine.report import compare_plans
-from repro.plan.planner import build_plan, forced_plan
+from repro.plan.planner import build_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions
@@ -45,28 +45,21 @@ def main() -> None:
         print(plan.pretty(cycles=True))
 
     print()
-    print("=== Tall-skinny grid (4 x 4096, 8 workers): loop collapse ===")
+    print("=== Tall-skinny grid (4 x 4096, 8 workers): who takes the workers ===")
     scale = analyze_module(parse_module(TALL_SKINNY))
     sflow = schedule_module(scale)
-    plan = build_plan(
-        scale, sflow,
-        ExecutionOptions(backend="threaded", workers=8),
-        {"r": 4, "c": 4096},
-    )
-    print(plan.pretty())
-    print("(the perfect DOALL nest flattens into one 16384-element space; "
-          "each of the 8 flat chunks runs one fused flat kernel)")
-    print()
-    plan = forced_plan(
-        scale, sflow, "threaded",
-        ExecutionOptions(backend="threaded", workers=8), {"r": 4, "c": 4096},
-        overrides={(0,): "serial", (0, 0): "chunk"},
-    )
-    print("forced: the outer DOALL serial, the inner one chunked:")
-    print(plan.pretty())
-    print("(the outer DOALL runs in order so the 8 workers chunk the "
-          "4096-wide inner DOALL — one dispatch wave per row instead of one "
-          "total)")
+    for backend in ("threaded", "auto"):
+        plan = build_plan(
+            scale, sflow,
+            ExecutionOptions(backend=backend, workers=8),
+            {"r": 4, "c": 4096},
+        )
+        print(plan.pretty())
+        print()
+    print("(4 rows cannot keep 8 workers busy: the threaded pin runs the "
+          "outer DOALL in order and chunks the 4096-wide inner one, one "
+          "dispatch wave per row; auto prices that against every other "
+          "strategy per loop)")
 
     print()
     print("=== Predicted vs planned vs measured ===")

@@ -1,8 +1,9 @@
 """Shared C expression lowering: normalised PS expressions -> C statements.
 
-The native kernel tier (:mod:`repro.runtime.kernels.native`) and the
-whole-module C generator (:mod:`repro.codegen.cgen`) both translate PS
-expressions to C. The pieces they must agree on live here:
+The native kernel tier (:mod:`repro.runtime.kernels.native`) translates
+PS expressions to C through :class:`CExprLowerer`. The whole-module C
+generator (:mod:`repro.codegen.cgen`) has its own expression printer and
+shares only :data:`C_PRELUDE` with it. What lives here:
 
 * :data:`C_PRELUDE` — the runtime helper functions every generated
   translation unit includes. ``ps_fdiv``/``ps_mod`` implement *floored*

@@ -42,8 +42,7 @@ from repro.ps.ast import (
 #: execution modes the model distinguishes (see :func:`element_cost`);
 #: "gather" is the vector path off the affine fast path (fancy indexing)
 EXECUTION_MODES = (
-    "abstract", "evaluator", "kernel", "nest", "collapse", "vector",
-    "gather", "native",
+    "abstract", "evaluator", "kernel", "nest", "vector", "gather", "native",
 )
 
 
@@ -68,10 +67,6 @@ class MachineModel:
     #: per-element tax inside a fused nest kernel (hoisting amortised over
     #: the whole nest; only the compiled loop body remains)
     nest_element_overhead: float = 12.0
-    #: per-row bookkeeping of a *flat* (collapse-chunked) nest kernel: one
-    #: divmod cascade, one arange, and the row-segment clipping — elements
-    #: inside a row run as NumPy spans and price like ``vector``
-    collapse_row_overhead: float = 60.0
     #: fraction of the structural equation cost one element costs inside a
     #: cffi-compiled native nest kernel: real machine code with its range
     #: checks proven at entry, about a third of the NumPy vector factor
@@ -122,10 +117,8 @@ class MachineModel:
 
     def element_overhead(self, mode: str) -> float:
         """The per-element execution-mode tax added to the structural
-        equation cost (``"abstract"``: the paper-era machine, no tax;
-        ``"collapse"`` rows are NumPy spans, taxed per row not per
-        element)."""
-        if mode in ("abstract", "vector", "collapse", "gather", "native"):
+        equation cost (``"abstract"``: the paper-era machine, no tax)."""
+        if mode in ("abstract", "vector", "gather", "native"):
             return 0.0
         if mode == "evaluator":
             return self.eval_element_overhead
@@ -140,7 +133,7 @@ class MachineModel:
         ``"abstract"`` stays integral — the paper-era simulator artifacts
         print whole cycle counts."""
         base = equation_cost(eq, self)
-        if mode in ("vector", "collapse"):
+        if mode == "vector":
             return base * self.vector_element_factor
         if mode == "gather":
             return base * self.vector_gather_factor

@@ -15,8 +15,8 @@ Loop strategies
 ``LoopPlan.strategy`` names one entry of
 :data:`repro.plan.strategy.LOOP_STRATEGIES` — ``serial`` (the reference
 walk), ``vector`` (one NumPy span), ``nest`` (one compiled kernel, on a
-``DOALL`` or a ``DO`` root) and ``chunk`` / ``collapse`` (a ``DOALL``'s
-subrange, or a perfect chain's flattened space, divided among workers).
+``DOALL`` or a ``DO`` root) and ``chunk`` (a ``DOALL``'s subrange divided
+among workers).
 Each is one object that recognises, prices, emits and executes loops, and
 its docstring is the reference; the plan reads a loop's kernel shape and
 the head of its ``pretty()`` row from it. Every path a plan holds names a
@@ -52,13 +52,17 @@ VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
 KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
-#: the retired ``iterate`` (folded into ``serial``), decoupled ``pipeline``,
-#: blocked ``scan`` and dependence-split ``fission``, which no plan carries
-#: and every entry point refuses. The end-to-end benchmark still declares
+#: the retired ``collapse`` (a perfect chain's flattened space divided
+#: among workers; ``chunk`` does that job), ``iterate`` (folded into
+#: ``serial``), decoupled ``pipeline``, blocked ``scan`` and
+#: dependence-split ``fission``, which no plan carries and every entry
+#: point refuses. The end-to-end benchmark still declares
 #: ``plan.loops.<name>`` counts for them (always 0) and reads them from
 #: this tuple; the retired names leave here when those rows leave the
 #: benchmark.
-STRATEGIES = (*VALID_STRATEGIES, "iterate", "pipeline", "scan", "fission")
+STRATEGIES = (
+    *VALID_STRATEGIES, "collapse", "iterate", "pipeline", "scan", "fission",
+)
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
 #: enclosing nest lowers to the cffi-compiled C tier (degrading to the
@@ -98,25 +102,18 @@ class LoopPlan:
     index: str
     keyword: str  # "DO" | "DOALL"
     strategy: str
-    #: chunk count (``chunk`` / ``collapse``)
+    #: chunk count (``chunk``)
     parts: int | None = None
     #: trip count the planner saw (None: bounds not statically evaluable)
     trip: int | None = None
     #: whether this nest is fused into one compiled kernel
     fuse: bool = False
-    #: how many perfectly nested DOALLs are flattened (strategy "collapse"
-    #: on the chain root; inner chain loops carry strategy "collapse" with
-    #: depth None — their iteration space is owned by the root)
-    collapse_depth: int | None = None
-    #: the flattened trip count (product of the chain's trips; None when
-    #: any chain bound is not statically evaluable)
-    flat_trip: int | None = None
     #: predicted cycles for the chosen strategy (calibrated model)
     cycles: float | None = None
     #: one-line rationale for the choice
     reason: str = ""
     #: which dialect of its nest kernel a kernel-dispatching loop runs
-    #: (``nest`` / ``chunk`` / ``collapse`` roots):
+    #: (``nest`` / ``chunk`` roots):
     #: ``"native"`` — C, built before the plan's first run, degrading to
     #: the Python dialect and then the walk when the toolchain fails — or
     #: ``"python"`` — the exec-compiled kernels only; no compiler is

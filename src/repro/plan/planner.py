@@ -363,8 +363,8 @@ class _Planner:
     def _eq_mode(self, eq, ctx: str) -> str:
         """Which execution path an equation takes under ``ctx``; one of the
         cost model's modes ("evaluator" | "kernel" | "vector" | "nest" |
-        "collapse" | "native")."""
-        if ctx in ("nest", "collapse", "native"):
+        "native")."""
+        if ctx in ("nest", "native"):
             return ctx
         if not (self.use_kernels and kernelizable(eq, self.analyzed)):
             return "evaluator"
@@ -412,12 +412,7 @@ class _Planner:
         if ctx == "vector":
             released, bound = self._eq_vector_costs(eq, span)
             return released + bound
-        mode = self._eq_mode(eq, ctx)
-        if mode == "collapse" and self._vector_mode(eq) == "gather":
-            # flat-kernel rows run the same vector lowering per row — off
-            # the fast path they pay the gather tax too
-            mode = "gather"
-        return span * self.model.element_cost(eq, mode)
+        return span * self.model.element_cost(eq, self._eq_mode(eq, ctx))
 
     def _cost(self, desc, ctx: str, span: float) -> float:
         """Cycles to execute ``desc`` once in context ``ctx`` with ``span``
@@ -428,7 +423,7 @@ class _Planner:
             return self._eq_cost(desc.node.equation, ctx, span)
         assert isinstance(desc, LoopDescriptor)
         t = self._trip_est(desc)
-        if ctx in ("nest", "collapse", "native"):
+        if ctx in ("nest", "native"):
             return sum(self._cost(d, ctx, span * t) for d in desc.body)
         if ctx == "vector":
             released, bound = self._vector_costs(desc, span)
@@ -664,13 +659,11 @@ class _Planner:
             return 0.0
         eq = desc.node.equation
         mode = self._eq_mode(eq, ctx)
-        if mode in ("nest", "collapse", "vector", "kernel") and self._native_root:
+        if mode in ("nest", "vector", "kernel") and self._native_root:
             # The enclosing nest/span lowers to the native C tier — the
             # equation's per-element cost and kernel label follow.
             mode = "native"
-        # Inside a collapsed chain the equation runs in the fused (flat)
-        # nest kernel — "collapse" is a costing mode, not a kernel variant.
-        kernel, reason = ("nest" if mode == "collapse" else mode), ""
+        kernel, reason = mode, ""
         if mode == "evaluator":
             if not self.use_kernels:
                 reason = "kernels off"
@@ -691,12 +684,9 @@ class _Planner:
         assert isinstance(desc, LoopDescriptor)
         te = self._trip_est(desc)
 
-        if ctx in ("nest", "collapse"):
-            # a loop inside a fused or collapsed kernel: part of its root
-            lp = self._loop(
-                desc, path, depth, ctx, fuse=True,
-                reason="fused" if ctx == "nest" else "collapsed",
-            )
+        if ctx == "nest":
+            # a loop inside a fused kernel: part of its root
+            lp = self._loop(desc, path, depth, ctx, fuse=True, reason="fused")
             lp.cycles = sum(
                 self._emit(d, path + (i,), depth + 1, ctx, span * te)
                 for i, d in enumerate(desc.body)

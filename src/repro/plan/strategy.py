@@ -23,9 +23,8 @@ entry here, not a branch in each of those places.
 In table order: :class:`SerialStrategy` (``serial``) walks a loop element
 by element; :class:`VectorStrategy` (``vector``) runs a ``DOALL`` as one
 NumPy span; :class:`NestStrategy` (``nest``) runs a whole nest as one
-compiled kernel; :class:`PoolStrategy` (``chunk`` and ``collapse``) divides
-a ``DOALL`` among the plan's workers, each chunk on the loop's own
-kernel.
+compiled kernel; :class:`ChunkStrategy` (``chunk``) divides a ``DOALL``'s
+subrange among the plan's workers, each chunk on the loop's own kernel.
 
 Every strategy runs the loop the scheduler (or the ``--merge`` pass) built:
 none splits or replaces it, so every plan names loops of the flowchart's
@@ -35,7 +34,7 @@ own tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, prod
+from math import ceil
 
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.kernels.nest import (
@@ -43,13 +42,7 @@ from repro.runtime.kernels.nest import (
     nest_unfusable_reason,
     team_unfit_reason,
 )
-from repro.schedule.flowchart import (
-    LoopDescriptor,
-    collapse_chain,
-    loop_chunk_safe,
-    loop_collapse_safe,
-    split_range,
-)
+from repro.schedule.flowchart import LoopDescriptor, loop_chunk_safe, split_range
 
 #: a chunk-safe inner DOALL takes the team only when its own trip count
 #: keeps every worker busy at least this many chunks deep
@@ -65,7 +58,7 @@ class Price:
 
     #: predicted cycles of one execution (a build is not part of a run)
     cycles: float
-    #: chunks (``chunk`` / ``collapse``)
+    #: chunks (``chunk``)
     parts: int | None = None
     #: the one-line rationale the plan prints beside the strategy
     reason: str = ""
@@ -340,139 +333,89 @@ class NestStrategy(LoopStrategy):
             backend.exec_sequential_loop(state, desc, lo, hi, env, [])
 
 
-class PoolStrategy(LoopStrategy):
-    """``chunk`` / ``collapse``: a ``DOALL``'s iteration space split into
-    ``parts`` contiguous chunks on the backend's workers, every chunk
-    running the whole loop body over its iterations — noelle's ``DOALL``
-    task. ``chunk`` divides the root subrange and runs each part on the
-    loop's ``"full"`` kernel (one C call per chunk); ``collapse`` divides
-    the flattened space of a perfect ``DOALL`` chain and runs each part on
-    its ``"flat"`` kernel, so a nest whose outer trip is below the team
-    still divides evenly. Where no C kernel builds, a ``chunk`` runs NumPy
-    vector spans and a ``collapse`` chunk the NumPy flat kernel, then the
-    per-element walk. Unforced, only a plan with a worker pool offers
-    them, and ``chunk`` steps aside under the utilization rule."""
+class ChunkStrategy(LoopStrategy):
+    """``chunk``: a ``DOALL``'s root subrange split into ``parts``
+    contiguous chunks on the backend's workers, every chunk running the
+    whole loop body over its iterations — noelle's ``DOALL`` task. A chunk
+    is one call of the loop's ``"full"`` kernel over its part of the
+    subrange (one C call behind a released GIL); where no C kernel builds it
+    runs NumPy vector spans. Unforced, only a plan with a worker pool offers
+    it, and it steps aside under the utilization rule."""
 
-    def __init__(self, name: str, shape: str, safe, refusal: str):
-        self.name = name
-        #: the kernel shape every chunk runs
-        self.shape = shape
-        #: the safety verdict a loop needs (``loop_chunk_safe`` /
-        #: ``loop_collapse_safe``) and the refusal when it lacks it
-        self._safe = safe
-        self._refusal = refusal
+    name = "chunk"
+    #: the kernel shape every chunk runs
+    shape = "full"
 
     def recognise(self, planner, desc, forced=False):
         """None when the chunks may run concurrently (and, unforced, the
         plan's workers should divide this loop), else why not."""
         if not desc.parallel:
             return IN_ORDER
-        if not self._safe(
+        if not loop_chunk_safe(
             desc, planner.analyzed, planner.flowchart.windows, planner.use_windows
         ):
-            return self._refusal
+            return "not chunk-safe"
         if forced:
             return None
         why = _pool_refusal(planner, desc)
         if why is not None:
             return why
-        if self.shape == "flat":
-            # priced on its flat kernel: the nest must lower
-            return NEST.recognise(planner, desc, forced=True)
         inner = _idle_team(planner, desc)
         if inner is not None:
             return f"{_short_trip(planner, desc)}: DOALL {inner.index} takes them"
         return None
 
-    def _space(self, desc: LoopDescriptor):
-        """(the loops whose iterations the chunks divide, the body below
-        them)."""
-        if self.shape == "flat":
-            return collapse_chain(desc)
-        return [desc], desc.body
-
     def price(self, planner, desc):
-        """One chunk per worker, fewer when the space is smaller. A chunk
-        of a loop that lowers to C is one kernel call behind a released
-        GIL, overlapping fully across workers; otherwise it is NumPy rows —
-        vector work that overlaps, plus GIL-bound Python (scalar
-        fallbacks, a collapsed chunk's per-row bookkeeping) that serialises
-        on a plan with a worker pool. Plus one fork, one join and one
-        dispatch per chunk. A ``collapse`` under the utilization rule says
-        so. The dialect is ``"native"`` when the chunks run C."""
+        """One chunk per worker, fewer when the trip is smaller. A chunk of
+        a loop that lowers to C is one kernel call behind a released GIL,
+        overlapping fully across workers; otherwise it is one NumPy span —
+        vector work that overlaps, plus GIL-bound Python (scalar fallbacks)
+        that serialises on a plan with a worker pool. Plus one fork, one
+        join and one dispatch per chunk. The dialect is ``"native"`` when
+        the chunks run C."""
         m = planner.model
-        loops, body = self._space(desc)
-        space = prod(max(1, planner._trip_est(loop)) for loop in loops)
-        row = max(1, planner._trip_est(loops[-1]))
-        parts = max(1, min(planner.workers, space))
-        per_chunk = ceil(space / parts)
+        trip = max(1, planner._trip_est(desc))
+        parts = max(1, min(planner.workers, trip))
+        per_chunk = ceil(trip / parts)
         native = planner._native_ok(desc, self.shape)
         if native:
             released = m.native_call_overhead + sum(
-                planner._cost(d, "native", per_chunk) for d in body
+                planner._cost(d, "native", per_chunk) for d in desc.body
             )
             bound = 0.0
         else:
-            rows = ceil(per_chunk / row)
-            pairs = [planner._vector_costs(d, min(per_chunk, row)) for d in body]
-            overhead = m.collapse_row_overhead if self.shape == "flat" else 0.0
-            released = rows * sum(r for r, _ in pairs)
-            bound = rows * (overhead + sum(b for _, b in pairs))
+            pairs = [planner._vector_costs(d, per_chunk) for d in desc.body]
+            released = sum(r for r, _ in pairs)
+            bound = sum(b for _, b in pairs)
         waves = ceil(parts / planner.parallelism)
         serialised = parts if planner.pool else waves
-        reason = ""
-        if self.shape == "flat" and _idle_team(planner, desc) is not None:
-            reason = _short_trip(planner, desc)
         return Price(
             m.doall_fork + m.doall_barrier + parts * m.chunk_dispatch
             + waves * released + serialised * bound,
-            parts=parts, reason=reason, dialect="native" if native else None,
+            parts=parts, dialect="native" if native else None,
         )
 
     def emit(self, planner, desc, path, depth, price):
         native = price.dialect == "native"
         fuse = NEST.recognise(planner, desc, forced=True) is None
-        lp = planner._loop(
+        planner._loop(
             desc, path, depth, self.name, parts=price.parts, fuse=fuse,
             cycles=price.cycles, reason=price.reason,
             dialect=price.dialect or ("python" if fuse else None),
         )
-        te = planner._trip_est(desc)
-        if self.shape == "flat":
-            loops, _ = self._space(desc)
-            trips = [planner.trip(loop) for loop in loops]
-            lp.collapse_depth = len(loops)
-            lp.flat_trip = None if None in trips else prod(trips)
-            # the chain loops below multiply the span by their own trips,
-            # so equations see roughly the per-chunk element count
-            ctx, span = "collapse", te / price.parts
-        else:
-            ctx, span = "vector", float(ceil(te / price.parts))
-        planner._emit_body(desc, path, depth, ctx, span, native)
+        span = float(ceil(planner._trip_est(desc) / price.parts))
+        planner._emit_body(desc, path, depth, "vector", span, native)
         return price.cycles
 
-    def annotate(self, lp):
-        bits = super().annotate(lp)
-        if lp.collapse_depth:
-            depth = f"depth {lp.collapse_depth}"
-            if lp.flat_trip is not None:
-                depth += f" flat {lp.flat_trip}"
-            bits.append(depth)
-        return bits
-
     def execute(self, backend, state, desc, lo, hi, env):
-        """Split the space into the planned chunk count and hand the
+        """Split the subrange into the planned chunk count and hand the
         chunks to :meth:`~repro.runtime.backends.base.ExecutionBackend.
         dispatch` — one wavefront, joined before the next descriptor runs.
         Targets are allocated first, so inside a chunk workers only write
-        array elements, which :meth:`recognise` guarantees are disjoint."""
-        if self.shape == "flat":
-            extents = backend._flat_geometry(state, desc, lo, hi)[3]
-            lo, hi = 0, prod(extents) - 1
-            if hi < lo:
-                return
-        for eq in desc.nested_equations():
-            backend.ensure_targets(state, eq)
+        array elements, which :meth:`recognise` guarantees are disjoint.
+        A nest that stores nothing sends no wavefront."""
+        if not backend.ensure_nest_targets(state, desc):
+            return
         plan = state.plan.loop_for(desc)
         spans = split_range(lo, hi, plan.parts or backend.workers)
         if len(spans) < 2:
@@ -481,33 +424,28 @@ class PoolStrategy(LoopStrategy):
             backend.dispatch(state, desc, self, spans, env, plan.fuse)
 
     def run_chunk(self, backend, state, desc: LoopDescriptor, lo, hi, env, fuse) -> None:
-        """One chunk, ``[lo, hi]`` of the space, wherever the pool runs it:
-        the loop's kernel (unless the plan said not to fuse), else the
-        NumPy path — a ``chunk``'s vector span rather than the Python
-        dialect's scalar loops, a ``collapse``'s flat kernel and then its
-        per-element walk."""
-        flat = self.shape == "flat"
+        """One chunk, ``[lo, hi]`` of the subrange, wherever the pool runs
+        it: the loop's C kernel (unless the plan said not to fuse), else a
+        NumPy vector span rather than the Python dialect's scalar loops —
+        or, under ``debug_windows``, the reference walk, which checks the
+        tag of every read a vector span would clip under a guard."""
+        if state.options.debug_windows:
+            backend.exec_walk_span(state, desc, lo, hi, env)
+            return
         if fuse and backend._run_loop_kernel(
-            state, desc, self.shape, env, lo, hi, numpy=flat
+            state, desc, self.shape, env, lo, hi, numpy=False
         ):
             return
-        if flat:
-            backend.exec_flat_walk(state, desc, lo, hi, env)
-        else:
-            backend.exec_vector_span(state, desc, lo, hi, env, [])
+        backend.exec_vector_span(state, desc, lo, hi, env, [])
 
 
 SERIAL = SerialStrategy()
 VECTOR = VectorStrategy()
 NEST = NestStrategy()
-CHUNK = PoolStrategy("chunk", "full", loop_chunk_safe, "not chunk-safe")
-COLLAPSE = PoolStrategy(
-    "collapse", "flat", loop_collapse_safe,
-    "not a collapse-safe perfect DOALL chain",
-)
+CHUNK = ChunkStrategy()
 
 #: plan-strategy name -> strategy object, in the order the planner's walk
 #: asks them
 LOOP_STRATEGIES = {
-    s.name: s for s in (SERIAL, VECTOR, NEST, CHUNK, COLLAPSE)
+    s.name: s for s in (SERIAL, VECTOR, NEST, CHUNK)
 }

@@ -12,10 +12,10 @@ plan.
 
 ``plan.backend`` is the planner's label, not a class: ``serial``,
 ``vectorized`` and ``threaded`` plans all run on this one engine, and the
-label decides the strategies a loop could take. The ``chunk`` / ``collapse``
-strategies hand :meth:`ExecutionBackend.dispatch` a wavefront of chunks,
-each one call of :meth:`~repro.plan.strategy.PoolStrategy.run_chunk` on the
-loop's own kernel. Under a ``threaded`` plan the wavefront goes to the
+label decides the strategies a loop could take. The ``chunk`` strategy
+hands :meth:`ExecutionBackend.dispatch` a wavefront of chunks, each one call
+of :meth:`~repro.plan.strategy.ChunkStrategy.run_chunk` on the loop's own
+kernel. Under a ``threaded`` plan the wavefront goes to the
 engine's thread pool — created on first use, ``workers`` threads named
 ``repro-doall`` — where a chunk runs its C kernel (cffi's ABI mode releases
 the GIL around the call, so chunks overlap on a GIL build) or the
@@ -64,7 +64,6 @@ from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
     NodeDescriptor,
-    collapse_chain,
     equation_vector_safe,
 )
 
@@ -342,33 +341,38 @@ class ExecutionBackend:
                 self.count("team_capped")
         try:
             self._run_kernel(state, kernel, env, lo, hi, width=width)
-        except (RangeUnproven, SelectedLaneClipped):
-            self._rerun_checked(state, desc, shape, env, lo, hi)
+        except RangeUnproven:
+            self._rerun_checked(state, desc, env, lo, hi)
         return True
 
     def _rerun_checked(
-        self, state: ExecutionState, desc: LoopDescriptor, shape: str,
+        self, state: ExecutionState, desc: LoopDescriptor,
         env: dict[str, Any], lo: int, hi: int,
     ) -> None:
-        """A native kernel's entry range proof failed — it stored nothing —
-        or a NumPy ``"flat"`` kernel's row read a selected lane out of
-        range: this call — this chunk, not its siblings — runs again on
-        code that checks every subscript per element, which is where the
-        evaluator's out-of-range error is raised, in iteration order.
-        ``"full"`` and ``"team"`` (whose proof returned before its region)
-        degrade to the Python dialect (scalar loops, range-checked);
-        ``"flat"`` goes to the strictly serial walk, because its NumPy
-        tier is vector rows. (A flat chunk's earlier rows rerun too: a
-        collapse chain is all ``DOALL``, so they store the same values.)"""
-        if shape == "flat":
-            self.exec_flat_walk(state, desc, lo, hi, env)
-            return
+        """A native kernel's entry range proof failed — it stored nothing:
+        this call — this chunk, not its siblings — runs again on code that
+        checks every subscript per element, which is where the evaluator's
+        out-of-range error is raised, in iteration order. ``"full"`` and
+        ``"team"`` (whose proof returned before its region) alike degrade
+        to the Python dialect (scalar loops, range-checked)."""
         kernel = state.kernels.nest_kernel_for(
             desc, state.options.use_windows, variant="full", tier="numpy"
         )
         if kernel is not None:
             self._run_kernel(state, kernel, env, lo, hi)
             return
+        self.exec_walk_span(state, desc, lo, hi, env)
+
+    def exec_walk_span(
+        self, state: ExecutionState, desc: LoopDescriptor,
+        lo: int, hi: int, env: dict[str, Any],
+    ) -> None:
+        """The reference walk over ``[lo, hi]`` of ``desc``'s subrange:
+        its body element by element, checking every subscript and, under
+        ``debug_windows``, every window tag. The walk is *strictly serial*
+        and never consults loop plans: it may be running inside a pool
+        worker, where a body ``DOALL`` re-entering chunk dispatch would wait
+        on the very pool executing it."""
         for i in range(lo, hi + 1):
             env2 = dict(env)
             env2[desc.index] = i
@@ -386,9 +390,10 @@ class ExecutionBackend:
         """Run the root subrange ``[lo, hi]`` of the whole nest as one
         compiled kernel, in iteration order — on a team of threads when
         the plan gave it one; False when no kernel is available (the caller
-        falls back to the scalar walk)."""
-        for eq in desc.nested_equations():
-            self.ensure_targets(state, eq)
+        falls back to the scalar walk). A nest that stores nothing runs
+        nothing."""
+        if not self.ensure_nest_targets(state, desc):
+            return True
         shape = state.plan.loop_for(desc).kernel_shape()
         return self._run_loop_kernel(state, desc, shape, env, lo, hi)
 
@@ -401,8 +406,8 @@ class ExecutionBackend:
         env: dict[str, Any],
         fuse: bool,
     ) -> None:
-        """Run one wavefront's chunks — ``[lo, hi]`` each, through the pool
-        ``strategy`` (:class:`repro.plan.strategy.PoolStrategy`), on the
+        """Run one wavefront's chunks — ``[lo, hi]`` each, through
+        ``strategy`` (:class:`repro.plan.strategy.ChunkStrategy`), on the
         loop's kernel unless ``fuse`` is False — and return when all of
         them have. A ``threaded`` plan sends them to the pool, each on a
         private substate whose eval counts are merged after the join; any
@@ -446,57 +451,6 @@ class ExecutionBackend:
                     first = exc
         if first is not None:
             raise first
-
-    # -- collapsed nests ---------------------------------------------------
-
-    def _flat_geometry(
-        self, state: ExecutionState, desc: LoopDescriptor, lo: int, hi: int
-    ) -> tuple[list[LoopDescriptor], list[Descriptor], list[int], list[int]]:
-        """(chain, body-below-chain, per-loop lows, per-loop extents) of the
-        collapsed iteration space rooted at ``desc``; ``[lo, hi]`` is the
-        root subrange already evaluated by the caller."""
-        chain, chain_body = collapse_chain(desc)
-        scalar_env = state.scalar_env()
-        los = [lo]
-        extents = [max(0, hi - lo + 1)]
-        for loop in chain[1:]:
-            llo = eval_bound(loop.subrange.lo, scalar_env)
-            lhi = eval_bound(loop.subrange.hi, scalar_env)
-            los.append(llo)
-            extents.append(max(0, lhi - llo + 1))
-        return chain, chain_body, los, extents
-
-    def exec_flat_walk(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        flo: int,
-        fhi: int,
-        env: dict[str, Any],
-    ) -> None:
-        """The per-equation reference path over a flat subrange: recover
-        the chain indices from each flat offset (row-major, innermost
-        fastest — ascending flat order is exactly the serial nest order)
-        and walk the body descriptors element by element. The body walk is
-        *strictly serial* and never consults loop plans: this path may
-        already be running inside a pool worker, and a body DOALL planned
-        "collapse"/"chunk" re-entering chunk dispatch would block on the
-        very pool executing it."""
-        scalar_env = state.scalar_env()
-        lo = eval_bound(desc.subrange.lo, scalar_env)
-        hi = eval_bound(desc.subrange.hi, scalar_env)
-        chain, chain_body, los, extents = self._flat_geometry(
-            state, desc, lo, hi
-        )
-        for flat in range(flo, fhi + 1):
-            env2 = dict(env)
-            r = flat
-            for k in range(len(chain) - 1, 0, -1):
-                env2[chain[k].index] = r % extents[k] + los[k]
-                r //= extents[k]
-            env2[chain[0].index] = r + los[0]
-            for d in chain_body:
-                self._exec_descriptor_strictly_serial(state, d, env2)
 
     def _exec_descriptor_strictly_serial(
         self, state: ExecutionState, desc: Descriptor, env: dict[str, Any]
@@ -607,6 +561,29 @@ class ExecutionBackend:
             else:
                 state.data[target.name] = v
         state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + 1
+
+    def ensure_nest_targets(self, state: ExecutionState, desc: LoopDescriptor) -> bool:
+        """Allocate the targets of the nest ``desc`` before a kernel or a
+        wavefront stores into them (at once True when all of them exist);
+        False, allocating nothing, when the nest stores nothing — a loop on
+        the way to each of its equations has an empty range, so the walk
+        would not reach one either."""
+        eqs = desc.nested_equations()
+        if all(t.name in state.data for eq in eqs for t in eq.targets):
+            return True
+        env = state.scalar_env()
+
+        def stores(d: Descriptor) -> bool:
+            if isinstance(d, NodeDescriptor):
+                return d.node.is_equation
+            lo, hi = eval_bound(d.subrange.lo, env), eval_bound(d.subrange.hi, env)
+            return lo <= hi and any(map(stores, d.body))
+
+        if not stores(desc):
+            return False
+        for eq in eqs:
+            self.ensure_targets(state, eq)
+        return True
 
     def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
         """Allocate target arrays on first definition — zero-filled, unless

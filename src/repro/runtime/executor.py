@@ -85,8 +85,8 @@ class ExecutionOptions:
     #: normally — unlike :func:`repro.plan.planner.forced_plan`, an
     #: inapplicable preference degrades instead of raising. One of
     #: :data:`repro.plan.ir.VALID_STRATEGIES`; any other name, the retired
-    #: ``iterate``, ``pipeline``, ``scan`` and ``fission`` included, is
-    #: refused when the plan is built.
+    #: ``collapse``, ``iterate``, ``pipeline``, ``scan`` and ``fission``
+    #: included, is refused when the plan is built.
     strategy: str | None = None
 
     @classmethod

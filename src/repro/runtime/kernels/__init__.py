@@ -6,15 +6,13 @@ specialized code once per compilation and caches the compiled functions.
 
 **Shapes.** Every kernel is the same walk over a scheduled loop nest
 (:mod:`repro.runtime.kernels.nest`) under three parameters — *slice* (a root
-subrange ``[lo, hi]``, or a flat range of the collapsed DOALL chain),
-*dialect* (Python over ints, Python over NumPy row vectors, C) and *team*
-(one thread, or a team of OpenMP threads):
+subrange ``[lo, hi]``), *dialect* (Python over ints, Python over NumPy
+vectors, C) and *team* (one thread, or a team of OpenMP threads):
 
 * ``"full"`` — root subrange x whole body: what the ``nest`` strategy runs
   over a ``DOALL`` or a ``DO`` root alike (the body runs in iteration order
   either way; the old ``"seq"`` variant was this shape over a ``DO``), and
   what one ``chunk`` of a ``DOALL`` runs over its part of the subrange;
-* ``"flat"`` — flat range x whole body: one chunk of a collapsed nest;
 * ``"team"`` — ``"full"`` over a ``DO`` root on a team of OpenMP threads,
   its ``DOALL`` s divided among them: the compiled ``DO`` that owns its
   threads, C only;

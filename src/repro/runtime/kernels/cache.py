@@ -39,13 +39,13 @@ loop-free scalar module never gets here: the front end inlined it.)
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.runtime.kernels import native as native_mod
 from repro.runtime.kernels.emit import compile_kernel, compile_nest_kernel
 from repro.runtime.kernels.nest import NEST_SHAPES, KernelError
-from repro.schedule.flowchart import Flowchart, LoopDescriptor, loop_collapse_safe
+from repro.schedule.flowchart import Flowchart, LoopDescriptor
 
 #: (descriptor path, window mode, shape) — what loop kernels are keyed by
 _Key = tuple[tuple[int, ...], bool, str]
@@ -202,11 +202,10 @@ class KernelCache:
 
     def _build_numpy(self, keys: list[_Key]) -> dict:
         (key,) = keys
-        path, use_windows, shape = key
+        path, use_windows, _shape = key  # "full": a team falls back to it
         desc = self.flowchart.descriptor_at(path)
         return {key: compile_nest_kernel(
-            desc, self.analyzed, self.flowchart, use_windows, shape,
-            self._call_box,
+            desc, self.analyzed, self.flowchart, use_windows, self._call_box,
         )}
 
     def nest_kernel_for(
@@ -225,8 +224,7 @@ class KernelCache:
         subrange (of a ``DOALL`` — the whole of it or one chunk — or in
         order of a ``DO``), ``"team"`` a ``DO``'s subrange on a team of
         threads (its ``"full"`` kernel where no team kernel builds — the
-        callable's ``__team__`` says which came back), ``"flat"`` a
-        collapse-chunked flat range.
+        callable's ``__team__`` says which came back).
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
@@ -241,37 +239,28 @@ class KernelCache:
             desc, use_windows, variant, tier, build_native, numpy
         )
 
-    def _warm_set(self, use_windows: bool) -> Iterator[tuple[LoopDescriptor, str]]:
-        """Every (loop, shape) a run can dispatch a kernel from. All loops
-        of the tree, not just the outermost ones: when an enclosing loop
-        plans ``serial`` the scalar walk meets the inner loops directly.
-        Every loop takes ``"full"`` (a ``DOALL``'s nest or chunk kernel, a
-        ``DO``'s compiled in-order nest) and a ``DOALL`` ``"flat"`` too
-        when its chain is collapse-safe. A ``DO``'s ``"team"`` kernel is
-        left to the plan that takes it: only a plan at a parallelism above
-        one builds it."""
-        windows = self.flowchart.windows
-        for desc in self.flowchart.loops():
-            yield desc, "full"
-            if loop_collapse_safe(desc, self.analyzed, windows, use_windows):
-                yield desc, "flat"
-
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop
         kernel up front — ``Session.warm`` calls it so first-request
-        latency never pays an in-flight cc compile. The native kernels of
-        the whole warm set are one :meth:`prepare` batch."""
+        latency never pays an in-flight cc compile. Reachable is every
+        loop of the tree, not just the outermost ones (when an enclosing
+        loop plans ``serial`` the scalar walk meets the inner loops
+        directly), each in shape ``"full"``: a ``DOALL``'s nest or chunk
+        kernel, a ``DO``'s compiled in-order nest. A ``DO``'s ``"team"``
+        kernel is left to the plan that takes it: only a plan at a
+        parallelism above one builds it. The native kernels of the warm
+        set are one :meth:`prepare` batch."""
         for eq in self.analyzed.equations:
             for vector in (False, True):
                 self.kernel_for(eq, vector, use_windows)
-        wanted = list(self._warm_set(use_windows))
+        loops = self.flowchart.loops()
         if tier == "native":
             self.prepare([
-                (self.flowchart.path_of(desc), bool(use_windows), shape)
-                for desc, shape in wanted
+                (self.flowchart.path_of(desc), bool(use_windows), "full")
+                for desc in loops
             ])
-        for desc, shape in wanted:
-            self._lookup(desc, use_windows, shape, tier)
+        for desc in loops:
+            self._lookup(desc, use_windows, "full", tier)
 
     def stats(self) -> dict[str, int]:
         compiled = sum(1 for v in self._compiled.values() if v is not None)

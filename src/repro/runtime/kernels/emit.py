@@ -17,7 +17,7 @@ Kernels come in two Python dialects, both driven by the one walk in
   subscripts (``I + c``) go through
   :func:`~repro.runtime.kernels.runtime.affine_gather`, which selects the
   same values via basic slices instead of fancy indexing. Per-equation
-  vector kernels and the row loop of ``"flat"`` nest kernels speak it.
+  vector kernels speak it.
 
 Both dialects share the expression walk with the whole-module Python
 generator (:mod:`repro.codegen.exprlower`), so runtime kernels and generated
@@ -51,7 +51,6 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule, is_builtin
 from repro.ps.types import ArrayType
 from repro.runtime.kernels import runtime as _rt
 from repro.runtime.kernels.nest import (
-    NEST_VARIANTS,
     KernelError,
     lower_equation,
     lower_nest,
@@ -258,9 +257,9 @@ class _ScalarLowerer(_KernelLowerer):
         The in-range fast path is an inline chained comparison — the
         ``_ck`` helper is reached only to raise the identical out-of-range
         error, so the common case costs no Python call. Per-element calls
-        are the dominant tax of the scalar kernels (fused nest and flat
-        kernels loop over millions of elements), which makes this inline
-        worth its ugliness."""
+        are the dominant tax of the scalar kernels (fused nest kernels
+        loop over millions of elements), which makes this inline worth its
+        ugliness."""
         pname = py_name(name)
         wins = self.arrays[name]
         tmp = f"_t{self._tmp}"
@@ -452,7 +451,6 @@ class _PyKernel:
         self.builtins: set[str] = set()
         self.bounds = _BoundLowerer(self.scalar_names)
         self.counters: list[str] = []  # equation labels, emission order
-        self.prologue: list[str] = []
         self.body: list[str] = []
         self.indent = 2  # inside ``def`` and ``with np.errstate``
 
@@ -471,40 +469,6 @@ class _PyKernel:
 
     def close_loop(self) -> None:
         self.indent -= 1
-
-    def open_flat(self, chain: list[LoopDescriptor]) -> None:
-        """The row loop of a flat kernel. The prologue evaluates every
-        chain extent from the data environment (bounds only ever reference
-        integer parameters); the body walks the flat chunk one *row* at a
-        time — a row is one combination of the outer chain indices with a
-        contiguous segment of the innermost subrange, clipped to the chunk
-        at its ends — recovering the outer indices with a divmod cascade
-        per row and running the innermost dimension as a NumPy vector. A
-        chunk may start and end mid-row, which is what load-balances
-        tall-skinny nests over workers."""
-        for k, loop in enumerate(chain):
-            lo = self.bounds.lower(loop.subrange.lo)
-            hi = self.bounds.lower(loop.subrange.hi)
-            self.prologue.append(f"    _lo{k} = {lo}")
-            if k > 0:
-                self.prologue.append(f"    _n{k} = ({hi}) - _lo{k} + 1")
-        last = len(chain) - 1
-        self.line(f"_row0, _off0 = divmod(_nlo, _n{last})")
-        self.line(f"_row1, _off1 = divmod(_nhi, _n{last})")
-        self.line("for _row in range(_row0, _row1 + 1):")
-        self.indent += 1
-        self.line(f"_jlo = _lo{last} + (_off0 if _row == _row0 else 0)")
-        self.line(
-            f"_jhi = _lo{last} + (_off1 if _row == _row1 else _n{last} - 1)"
-        )
-        self.line("_r = _row")
-        for k in range(last - 1, 0, -1):
-            self.line(f"_v_{py_name(chain[k].index)} = _r % _n{k} + _lo{k}")
-            self.line(f"_r //= _n{k}")
-        self.line(f"_v_{py_name(chain[0].index)} = _r + _lo0")
-        self.line(
-            f"_v_{py_name(chain[last].index)} = np.arange(_jlo, _jhi + 1)"
-        )
 
     def store(self, eq: AnalyzedEquation) -> None:
         low = self.lowerer_cls(
@@ -545,7 +509,6 @@ class _PyKernel:
             lines.append(f"    _v_{py_name(name)} = env[{name!r}]")
         for name in sorted(self.scalar_names):
             lines.append(f"    _v_{py_name(name)} = data[{name!r}]")
-        lines.extend(self.prologue)
         if nest:
             lines.extend(f"    _c{i} = 0" for i in range(len(self.counters)))
         lines.append("    with np.errstate(invalid='ignore', divide='ignore'):")
@@ -580,24 +543,17 @@ def emit_nest_kernel_source(
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
-    variant: str = "full",
 ) -> tuple[str, set[str]]:
-    """Emit one kernel for the whole nest; ``(source, builtins_used)``.
-
-    ``variant="full"``: the scalar dialect over the root subrange
-    ``[lo, hi]`` (chunkable by the caller on the root index; in-order
-    blocks when the root is a ``DO``). ``variant="flat"``: the vector
-    dialect over an inclusive range of *flat* offsets into the collapsed
-    chain's row-major iteration space (``0 .. prod(extents) - 1``).
-    """
-    if variant not in NEST_VARIANTS:
-        raise KernelError(f"unknown nest-kernel variant {variant!r}")
+    """Emit one kernel for the whole nest in the scalar dialect, over the
+    root subrange ``[lo, hi]`` (chunkable by the caller on the root index;
+    in-order blocks when the root is a ``DO``); ``(source,
+    builtins_used)``."""
     return lower_nest(
         lambda: _PyKernel(
             analyzed, flowchart, use_windows,
-            vector=variant == "flat", nest_indices=desc.nest_indices(),
+            vector=False, nest_indices=desc.nest_indices(),
         ),
-        desc, analyzed, flowchart, use_windows, variant,
+        desc, analyzed, flowchart, use_windows,
     )
 
 
@@ -653,15 +609,13 @@ def compile_nest_kernel(
     analyzed: AnalyzedModule,
     flowchart: Flowchart,
     use_windows: bool,
-    variant: str = "full",
     call_box: list | None = None,
 ) -> Callable:
     """Emit and compile the nest kernel for ``desc``: ``kernel(data, env,
-    lo, hi) -> dict[str, int]`` (per-equation element counts; ``[lo, hi]``
-    is a root subrange for ``variant="full"``, a flat collapsed range for
-    ``variant="flat"``), writing its targets in place."""
+    lo, hi) -> dict[str, int]`` (per-equation element counts over the root
+    subrange ``[lo, hi]``), writing its targets in place."""
     return _compile(
-        emit_nest_kernel_source(desc, analyzed, flowchart, use_windows, variant),
-        f"<kernel:{analyzed.name}.nest-{desc.index}:{variant}>",
+        emit_nest_kernel_source(desc, analyzed, flowchart, use_windows),
+        f"<kernel:{analyzed.name}.nest-{desc.index}:full>",
         call_box,
     )

@@ -39,10 +39,10 @@ in the loop and its storage-relative terms are computed in the header of
 the innermost loop that binds one of its indices. A kernel whose proof fails
 returns before its first store and the wrapper raises
 :class:`RangeUnproven`; the backend reruns that one call a tier down
-(the nest's Python dialect, or the strictly serial walk for a flat chunk —
-code that checks every subscript), which is where the evaluator's
-out-of-range error comes from. Every other subscript keeps a
-compare-and-return per element, reporting through the error channel.
+(the nest's Python dialect — code that checks every subscript), which is
+where the evaluator's out-of-range error comes from. Every other subscript
+keeps a compare-and-return per element, reporting through the error
+channel.
 
 A ``DO`` over ``DOALL`` s may also be printed as a **team** kernel (shape
 ``"team"``): one ``#pragma omp parallel`` around the ``DO``, whose width
@@ -374,7 +374,6 @@ class _NativeKernel(CExprLowerer):
         self.scalar_names: set[str] = set()
         self.env_names: set[str] = set()
         self.counters: list[str] = []  # equation labels, emission order
-        self.prologue: list[str] = []
         self.proof = RangeProof(self._offset, self.lower_name, self.fresh)
         #: hoisted subscript terms: function entry, then one header per
         #: open loop as (indices it binds, header), innermost last
@@ -552,9 +551,8 @@ class _NativeKernel(CExprLowerer):
     def bound(self, expr: Expr) -> str:
         """Subrange bound -> C (integer parameters only, like the Python
         nest kernels' ``_BoundLowerer``). Bounds with ``div``/``mod`` are
-        rejected: they evaluate in prologue initialisers where the
-        zero-divisor guard cannot be emitted, so such nests stay on the
-        NumPy tier."""
+        rejected: they evaluate in loop headers, where the zero-divisor
+        guard cannot be emitted, so such nests stay on the NumPy tier."""
         if isinstance(expr, IntLit):
             return str(expr.value)
         if isinstance(expr, Name):
@@ -584,7 +582,7 @@ class _NativeKernel(CExprLowerer):
         self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; {var}++) {{")
         self.indent += 1
         self._open_header({d.index})
-        self.proof.open_loops([(d.index, lo, hi)])
+        self.proof.open_loop(d.index, lo, hi)
 
     def _open_header(self, indices: set[str]) -> None:
         header = _Header(self.indent)
@@ -593,7 +591,7 @@ class _NativeKernel(CExprLowerer):
 
     def close_loop(self) -> None:
         self.headers.pop()
-        self.proof.close_loops()
+        self.proof.close_loop()
         self.indent -= 1
         self.stmt("}")
 
@@ -617,43 +615,6 @@ class _NativeKernel(CExprLowerer):
     def close_single(self) -> None:
         self.indent -= 1
         self.stmt("}")
-
-    def open_flat(self, chain: list[LoopDescriptor]) -> None:
-        """One loop over the flat range ``[nlo, nhi]``, recovering the
-        chain indices with a divmod cascade per element (row-major,
-        innermost fastest — the exact iteration order of the reference
-        ``exec_flat_walk``)."""
-        for k, loop in enumerate(chain):
-            self.prologue.append(
-                f"    const i64 _clo{k} = {self.bound(loop.subrange.lo)};"
-            )
-            if k > 0:
-                hi_c = self.bound(loop.subrange.hi)
-                self.prologue.append(
-                    f"    const i64 _cn{k} = ({hi_c}) - _clo{k} + 1;"
-                )
-        for loop in chain:
-            self.index_names.add(loop.index)
-        self.stmt("for (i64 _f = nlo; _f <= nhi; _f++) {")
-        self.indent += 1
-        self.stmt("i64 _r = _f;")
-        for k in range(len(chain) - 1, 0, -1):
-            var = f"v_{c_name(chain[k].index)}"
-            self.stmt(f"i64 {var} = _r % _cn{k} + _clo{k};")
-            self.stmt(f"_r /= _cn{k};")
-        self.stmt(f"i64 v_{c_name(chain[0].index)} = _r + _clo0;")
-        # The flat range is a slice of the chain's box; the proof is over
-        # the whole box (exact for a call that covers it, conservative for
-        # a chunk), empty when the flat range is.
-        self._open_header({loop.index for loop in chain})
-        self.proof.open_loops(
-            [
-                (loop.index, self.bound(loop.subrange.lo),
-                 self.bound(loop.subrange.hi))
-                for loop in chain
-            ],
-            empty="(nlo > nhi)",
-        )
 
     def store(self, eq: AnalyzedEquation) -> None:
         """RHS, range-checked flattened target subscript, element-kind
@@ -718,7 +679,6 @@ class _NativeKernel(CExprLowerer):
                 body.append(f"    const i64 {an}_hi{d} = geom[{pos + 1}];")
                 body.append(f"    const i64 {an}_n{d} = geom[{pos + 2}];")
                 pos += 3
-        body.extend(self.prologue)
         body.extend("    " + line for line in self.proof.lines())
         body.extend(self.entry.lines())
         for i in range(len(counters)):
@@ -767,13 +727,12 @@ def native_spec(
     """Lower the nest rooted at ``desc`` to C in ``shape``: ``"full"`` (the
     root subrange ``[nlo, nhi]``, inner loops at their declared bounds;
     in-order blocks when the root is a ``DO``; a chunk of a ``DOALL`` is
-    this function over a smaller range), ``"team"`` (the same over a team
-    of threads) or ``"flat"`` (the inclusive flat range of the collapsed
-    chain).
+    this function over a smaller range) or ``"team"`` (the same over a team
+    of threads).
 
     Raises :class:`KernelError` when the nest is not natively emittable
-    (module calls, transcendental builtins, non-rectangular chains, scalar
-    targets — anything whose C translation would not be bit-exact).
+    (module calls, transcendental builtins, scalar targets — anything whose
+    C translation would not be bit-exact).
     Whether this machine can *compile* the result is
     :func:`native_supported`; this answer is machine-independent.
 

@@ -6,19 +6,17 @@ around equation bodies — seen through three parameters:
 
 * **slice** — which iterations one call executes: the root subrange
   ``[lo, hi]`` with inner loops at their declared bounds (shape
-  ``"full"``), or an inclusive range of *flat* offsets into the collapsed
-  perfect DOALL chain (shape ``"flat"``). A chunk of a ``DOALL`` is the
-  same ``"full"`` kernel called over a smaller ``[lo, hi]``; a
-  per-equation kernel is the walk of one equation with no loops at all
-  (:func:`lower_equation`);
-* **dialect** — what the text looks like: Python over ints, Python over
-  NumPy row vectors (:mod:`repro.runtime.kernels.emit`), or C
-  (:mod:`repro.runtime.kernels.native`, which also follows the walk with
-  the loop box its entry range proof is stated over —
+  ``"full"``). A chunk of a ``DOALL`` is the same ``"full"`` kernel called
+  over a smaller ``[lo, hi]``; a per-equation kernel is the walk of one
+  equation with no loops at all (:func:`lower_equation`);
+* **dialect** — what the text looks like: Python over ints or over NumPy
+  vectors (:mod:`repro.runtime.kernels.emit`; a nest kernel is always the
+  former), or C (:mod:`repro.runtime.kernels.native`, which also follows
+  the walk with the loop box its entry range proof is stated over —
   :mod:`repro.runtime.kernels.ranges`). A dialect object is one kernel
-  under construction; it supplies ``open_loop`` / ``open_flat`` /
-  ``close_loop`` / ``store`` / ``array_windows`` / ``assemble`` and
-  nothing else differs between tiers;
+  under construction; it supplies ``open_loop`` / ``close_loop`` /
+  ``store`` / ``array_windows`` / ``assemble`` and nothing else differs
+  between tiers;
 * **team** — whether one call runs on one thread or on a team of them
   (shape ``"team"``: the ``"full"`` slice of a ``DO`` root, every thread
   walking the sequential loops and the first ``DOALL`` on each path divided
@@ -30,10 +28,9 @@ The ``"full"`` shape does not care whether its root is a ``DOALL`` or a
 ``DO``: the body runs in strict iteration order either way, so running a
 sequential root's subrange through it (the compiled ``DO`` of the ``nest``
 strategy) is bit-exact by construction. Whether a ``DO`` *may* take it is
-the caller's decision. ``"flat"`` reorders iterations and demands a
-parallel root. ``"team"`` keeps the ``"full"`` order wherever it matters:
-a ``DOALL``'s elements are independent, each is stored by exactly one
-thread, and the barrier ends every unit before the next one starts.
+the caller's decision. ``"team"`` keeps the ``"full"`` order wherever it
+matters: a ``DOALL``'s elements are independent, each is stored by exactly
+one thread, and the barrier ends every unit before the next one starts.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from repro.schedule.flowchart import (
     Flowchart,
     LoopDescriptor,
     NodeDescriptor,
-    collapse_chain,
 )
 
 
@@ -68,14 +64,10 @@ class KernelError(ReproError):
     """The equation or nest cannot be lowered to a specialized kernel."""
 
 
-#: single-kernel nest shapes: ``"full"`` executes the root subrange
-#: ``[lo, hi]`` (chunkable on the root index only); ``"flat"`` executes the
-#: inclusive *flat* range ``[flo, fhi]`` of the collapsed perfect DOALL
-#: chain, delinearizing each flat offset back to the chain indices in-loop
-NEST_VARIANTS = ("full", "flat")
-
-#: every nest shape; ``"team"`` is ``"full"`` on a team of threads
-NEST_SHAPES = (*NEST_VARIANTS, "team")
+#: every nest shape: ``"full"`` executes the root subrange ``[lo, hi]``
+#: (chunkable on the root index only); ``"team"`` is ``"full"`` on a team
+#: of threads
+NEST_SHAPES = ("full", "team")
 
 
 def static_windows(
@@ -231,29 +223,6 @@ def nest_fusable(
     return nest_unfusable_reason(desc, analyzed) is None
 
 
-def _rectangular_chain(
-    desc: LoopDescriptor,
-) -> tuple[list[LoopDescriptor], list[Descriptor]]:
-    """The collapsed chain of a ``"flat"`` kernel and the body below it;
-    raises unless it is a perfect, rectangular nest of two or more loops."""
-    chain, body = collapse_chain(desc)
-    if len(chain) < 2:
-        # One loop alone is plain chunking — the full shape already covers
-        # it, and the row/divmod delinearization needs an inner dimension.
-        raise KernelError(
-            f"DOALL {desc.index} is not a perfect nest; nothing to collapse"
-        )
-    chain_indices = {loop.index for loop in chain}
-    for loop in chain:
-        for bound in (loop.subrange.lo, loop.subrange.hi):
-            if names_in(bound) & chain_indices:
-                raise KernelError(
-                    f"non-rectangular nest: bound of {loop.index} "
-                    f"references a collapsed index"
-                )
-    return chain, body
-
-
 def holds_doall(d: Descriptor) -> bool:
     """Whether ``d`` is a ``DOALL`` or a loop with one inside — what a team
     can divide."""
@@ -347,16 +316,8 @@ def lower_nest(
         why = team_unfit_reason(desc)
         if why is not None:
             raise KernelError(why)
-    elif shape != "full" and not desc.parallel:
-        raise KernelError(f"loop {desc.index} is not DOALL")
     out = new_kernel()
-    if shape == "flat":
-        chain, chain_body = _rectangular_chain(desc)
-        out.open_flat(chain)
-        for child in chain_body:
-            _walk(child, out)
-        out.close_loop()
-    elif shape == "team":
+    if shape == "team":
         if not hasattr(out, "open_region"):
             raise KernelError("only the C dialect runs a team")
         out.open_region()

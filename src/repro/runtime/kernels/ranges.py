@@ -14,8 +14,8 @@ prints a kernel, a :class:`RangeProof` follows it and keeps the box every
 array reference is evaluated over:
 
 * the **loop box** — one interval per open loop (``nlo..nhi`` at the root,
-  the declared bounds inside, the chain bounds of a ``"flat"`` kernel) and
-  a point for every enclosing index that arrives through ``env``;
+  the declared bounds inside) and a point for every enclosing index that
+  arrives through ``env``;
 * **refined by the guards the reference sits under** — the facts stack of
   :class:`repro.codegen.clower.CExprLowerer` reports each ``if`` / ``and``
   / ``or`` operand it lowers under a condition. A comparison of an index
@@ -245,23 +245,19 @@ class RangeProof:
 
     # -- the loop box --------------------------------------------------------
 
-    def open_loops(self, loops: list[tuple[str, str, str]], empty: str = "0") -> None:
-        """Enter loops binding ``(index, lo, hi)`` each; ``empty`` is a
-        further C condition under which none of their bodies runs."""
+    def open_loop(self, index: str, lo: str, hi: str) -> None:
+        """Enter a loop binding ``index`` over ``lo .. hi``."""
         known = self._known[-1]
         # Loops are statements: never below an expression guard.
         assert known is not None and len(known) == 1
         box = known[0]
-        intervals = dict(box.intervals)
-        gone = _either(box.empty, empty)
-        for index, lo, hi in loops:
-            intervals[index] = (lo, hi)
-            gone = _either(gone, _compare(lo, ">", hi))
+        intervals = {**box.intervals, index: (lo, hi)}
+        gone = _either(box.empty, _compare(lo, ">", hi))
         flag = self._fresh("_e")
         line = f"const i64 {flag} = {gone};"
         self._known.append([_Box(box, [line], flag, intervals)])
 
-    def close_loops(self) -> None:
+    def close_loop(self) -> None:
         self._known.pop()
 
     def _interval(self, box: _Box, index: str) -> tuple[str, str]:

@@ -55,10 +55,6 @@ class LoopDescriptor:
     #: flowchart-build time by :func:`annotate_flowchart` (or lazily by the
     #: execution backends) so wavefront execution never re-derives them
     chunk_safety: dict[bool, bool] = field(default_factory=dict, repr=False, compare=False)
-    #: precomputed collapse-safety verdicts (may the perfect DOALL chain
-    #: rooted here be flattened and chunked as one iteration space?), same
-    #: keying and fill discipline as :attr:`chunk_safety`
-    collapse_safety: dict[bool, bool] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def keyword(self) -> str:
@@ -170,48 +166,6 @@ def collapse_chain(
     return chain, body
 
 
-def compute_collapse_safety(
-    desc: LoopDescriptor,
-    analyzed,
-    window_map: dict[str, dict[int, int]],
-    use_windows: bool,
-) -> bool:
-    """Whether the DOALL chain rooted at ``desc`` may be *collapsed*: the
-    flattened iteration space split into contiguous flat chunks executed
-    concurrently. Requires a chain of at least two perfectly nested DOALLs
-    (one loop alone is plain chunking), the root's chunk-safety verdict
-    (which already covers every nested write and windowed dimension against
-    the whole nest's index set), and *rectangularity*: an inner chain
-    loop's bounds must not reference an outer chain index — delinearizing a
-    flat offset needs every inner extent to be iteration-invariant."""
-    chain, _body = collapse_chain(desc)
-    if len(chain) < 2:
-        return False
-    if not loop_chunk_safe(desc, analyzed, window_map, use_windows):
-        return False
-    chain_indices = {loop.index for loop in chain}
-    for loop in chain[1:]:
-        bound_names = names_in(loop.subrange.lo) | names_in(loop.subrange.hi)
-        if bound_names & chain_indices:
-            return False
-    return True
-
-
-def loop_collapse_safe(
-    desc: LoopDescriptor,
-    analyzed,
-    window_map: dict[str, dict[int, int]],
-    use_windows: bool,
-) -> bool:
-    """The cached collapse-safety verdict, computing it on a cache miss."""
-    use_windows = bool(use_windows)
-    cached = desc.collapse_safety.get(use_windows)
-    if cached is None:
-        cached = compute_collapse_safety(desc, analyzed, window_map, use_windows)
-        desc.collapse_safety[use_windows] = cached
-    return cached
-
-
 def compute_chunk_safety(
     desc: LoopDescriptor,
     analyzed,
@@ -266,7 +220,6 @@ def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
         if isinstance(desc, LoopDescriptor):
             for use_windows in (False, True):
                 loop_chunk_safe(desc, analyzed, flowchart.windows, use_windows)
-                loop_collapse_safe(desc, analyzed, flowchart.windows, use_windows)
             for eq in desc.nested_equations():
                 equation_vector_safe(eq)
         elif desc.node.is_equation:

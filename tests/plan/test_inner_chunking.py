@@ -1,8 +1,7 @@
 """Inner-DOALL chunking: a DOALL whose trip count is below the worker
-count must not leave workers idle — the planner collapses the nest, or
-runs the outer DOALL ``serial`` and hands the team to a chunk-safe inner
-DOALL (``chunk``), the waste the backends could never fix at loop entry on
-their own."""
+count must not leave workers idle — the planner runs the outer DOALL
+``serial`` and hands the team to a chunk-safe inner DOALL (``chunk``), the
+waste the backends could never fix at loop entry on their own."""
 
 import numpy as np
 import pytest
@@ -41,11 +40,10 @@ def _outer_inner(plan):
 
 
 class TestTallSkinnyGrid:
-    def test_planner_collapses_the_nest(self):
-        """A 4-row grid cannot keep 8 workers busy chunking on rows; with
-        a collapse-safe fusable chain the planner now flattens the whole
-        nest into one chunked iteration space (PR 4) instead of iterating
-        the outer DOALL (PR 3)."""
+    def test_the_inner_doall_takes_the_team(self):
+        """A 4-row grid cannot keep 8 workers busy chunking on rows: the
+        outer DOALL runs in order and says which inner DOALL takes the
+        workers, and that one chunks, each chunk on its C kernel."""
         analyzed, flow, args = _setup(4, 4096)
         plan = build_plan(
             analyzed, flow,
@@ -53,17 +51,20 @@ class TestTallSkinnyGrid:
             {"r": 4, "c": 4096}, cpu_count=8,
         )
         outer, inner = _outer_inner(plan)
-        assert outer.strategy == "collapse"
-        assert outer.parts == 8
-        assert outer.collapse_depth == 2
-        assert outer.flat_trip == 4 * 4096
-        assert "trip 4 < 8 workers" in outer.reason
-        assert inner.strategy == "collapse"
+        assert outer.strategy == "serial"
+        assert outer.reason == f"trip 4 < 8 workers: DOALL {inner.index} takes them"
+        assert inner.strategy == "chunk"
+        assert inner.parts == 8
+        assert inner.dialect == "native"
+        assert plan.pretty().splitlines()[1:4] == [
+            "DOALL I -> serial; trip 4; trip 4 < 8 workers: DOALL J takes them",
+            "    DOALL J -> chunk x8; trip 4096",
+            "        eq.1 [kernel=native]",
+        ]
 
-    def test_without_collapse_the_inner_doall_takes_the_team(self):
-        """With no kernel to fuse (kernels off) the nest cannot collapse:
-        the outer DOALL runs in order and says which inner DOALL takes the
-        workers, and that one chunks."""
+    def test_without_kernels_the_inner_doall_takes_the_team(self):
+        """The same with no kernel at all (kernels off): the utilization
+        rule does not depend on the kernels the chunks run."""
         analyzed, flow, args = _setup(4, 4096)
         plan = build_plan(
             analyzed, flow,
@@ -120,7 +121,7 @@ class TestTallSkinnyGrid:
 
     @pytest.mark.usefixtures("pinned_host")
     def test_inner_chunking_distributes_all_elements(self):
-        """Eval counts survive the collapsed path: every element is
+        """Eval counts survive one wavefront per row: every element is
         computed exactly once."""
         from repro.runtime.backends import ExecutionBackend
         from repro.runtime.backends.base import ExecutionState

@@ -90,43 +90,44 @@ GOLDEN = {
 }
 
 
-#: the same five workloads under the collapse-forcing policy: every
-#: collapse-safe DOALL chain is forced to "collapse" (dp and paths_int have
-#: no perfect DOALL nest, so their plans fall back to the planner's choice
-#: — the texts pin that the policy composes with ordinary planning)
-GOLDEN_COLLAPSE = {
+#: the same five workloads under the chunk-forcing policy: the root of
+#: every perfect DOALL nest (a DOALL whose body is one DOALL) is forced to
+#: "chunk" (dp and paths_int have no perfect DOALL nest, so their plans
+#: fall back to the planner's choice — the texts pin that the policy
+#: composes with ordinary planning)
+GOLDEN_CHUNK = {
     "jacobi": """\
         plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-            DOALL J -> collapse; trip 10; collapsed
+        DOALL I -> chunk x4; trip 10; forced
+            DOALL J -> vector; trip 10; nested in native span
                 eq.1 [kernel=native]
         DO K -> serial; trip 3
-            DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-                DOALL J -> collapse; trip 10; collapsed
+            DOALL I -> chunk x4; trip 10; forced
+                DOALL J -> vector; trip 10; nested in native span
                     eq.3 [kernel=native]
-        DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-            DOALL J -> collapse; trip 10; collapsed
+        DOALL I -> chunk x4; trip 10; forced
+            DOALL J -> vector; trip 10; nested in native span
                 eq.2 [kernel=native]""",
     "gauss_seidel": """\
         plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-            DOALL J -> collapse; trip 10; collapsed
+        DOALL I -> chunk x4; trip 10; forced
+            DOALL J -> vector; trip 10; nested in native span
                 eq.1 [kernel=native]
         DO K -> nest; trip 3; compiled in order
             DO I -> nest; trip 10; fused
                 DO J -> nest; trip 10; fused
                     eq.3 [kernel=nest]
-        DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-            DOALL J -> collapse; trip 10; collapsed
+        DOALL I -> chunk x4; trip 10; forced
+            DOALL J -> vector; trip 10; nested in native span
                 eq.2 [kernel=native]""",
     "hyperplane_gs": """\
         plan RelaxationHyper: backend=threaded workers=4 kernels=native windows=off [pinned]
         DO Kp -> serial; trip 25
-            DOALL Ip -> collapse x4; depth 2 flat 40; trip 4; forced
-                DOALL Jp -> collapse; trip 10; collapsed
+            DOALL Ip -> chunk x4; trip 4; forced
+                DOALL Jp -> vector; trip 10; nested in native span
                     eq.1 [kernel=native]
-        DOALL I -> collapse x4; depth 2 flat 100; trip 10; forced
-            DOALL J -> collapse; trip 10; collapsed
+        DOALL I -> chunk x4; trip 10; forced
+            DOALL J -> vector; trip 10; nested in native span
                 eq.2 [kernel=native]""",
     "dp": """\
         plan Align: backend=threaded workers=4 kernels=native windows=off [pinned]
@@ -192,11 +193,9 @@ class TestGoldenPlans:
                 DOALL J -> nest; trip 10; fused
                     eq.2 [kernel=native]""")
 
-    def test_pinned_threaded_jacobi_collapses(self):
-        # Near-tie between chunk (the native full kernel per chunk of
-        # rows) and collapse (the native flat kernel per flat chunk):
-        # collapse wins on balance — 10 rows split 3/3/2/2 over 4 workers,
-        # the 100-element flat space 25/25/25/25.
+    def test_pinned_threaded_jacobi_chunks(self):
+        # The copies divide their 10 rows 3/3/2/2 over 4 workers, each
+        # chunk one call of the native full kernel.
         # The three 10x10 sweeps under DO K are cheaper as one in-order
         # Python-dialect nest than as three pool dispatches (and far too
         # small to be worth a compiler run).
@@ -208,15 +207,15 @@ class TestGoldenPlans:
         )
         assert plan.pretty() == textwrap.dedent("""\
             plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-            DOALL I -> collapse x4; depth 2 flat 100; trip 10
-                DOALL J -> collapse; trip 10; collapsed
+            DOALL I -> chunk x4; trip 10
+                DOALL J -> vector; trip 10; nested in native span
                     eq.1 [kernel=native]
             DO K -> nest; trip 3; compiled in order
                 DOALL I -> nest; trip 10; fused
                     DOALL J -> nest; trip 10; fused
                         eq.3 [kernel=nest]
-            DOALL I -> collapse x4; depth 2 flat 100; trip 10
-                DOALL J -> collapse; trip 10; collapsed
+            DOALL I -> chunk x4; trip 10
+                DOALL J -> vector; trip 10; nested in native span
                     eq.2 [kernel=native]""")
 
     def test_cycles_rendering_is_optional(self):
@@ -313,27 +312,29 @@ class TestCompiledSweepPins:
         assert "tie:" not in plan.explain()
 
 
-class TestGoldenCollapsePlans:
+class TestGoldenChunkPlans:
     def test_every_workload_has_a_golden(self):
-        assert set(GOLDEN_COLLAPSE) == {w[0] for w in WORKLOADS}
+        assert set(GOLDEN_CHUNK) == {w[0] for w in WORKLOADS}
 
     @pytest.mark.parametrize(
         "workload", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    def test_collapse_forced_plan_text(self, workload):
+    def test_chunk_forced_plan_text(self, workload):
         name, analyzed, flow, args, _ = workload
         overrides = {
-            flow.path_of(desc): "collapse"
+            flow.path_of(desc): "chunk"
             for desc in flow.loops()
             if desc.parallel
-            and "collapse" in valid_strategies(analyzed, flow, desc)
+            and len(desc.body) == 1
+            and getattr(desc.body[0], "parallel", False)
+            and "chunk" in valid_strategies(analyzed, flow, desc)
         }
         plan = forced_plan(
             analyzed, flow, "threaded",
             ExecutionOptions(backend="threaded", workers=4),
             _scalars(args), overrides=overrides,
         )
-        assert plan.pretty() == textwrap.dedent(GOLDEN_COLLAPSE[name])
+        assert plan.pretty() == textwrap.dedent(GOLDEN_CHUNK[name])
 
 
 GOLDEN_MERGED_MIXED = """\

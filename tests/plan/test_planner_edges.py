@@ -205,6 +205,24 @@ class TestOneWalk:
         assert walks == [backend]
         assert plan.requested == backend and plan.pinned == (backend != "auto")
 
+    def test_explain_names_the_four_strategies_per_doall(self):
+        """Under ``auto`` every ``DOALL`` row prices or refuses each of the
+        four strategies exactly once — and nothing else."""
+        analyzed = jacobi_analyzed()
+        plan = build_plan(
+            analyzed, schedule_module(analyzed),
+            ExecutionOptions(workers=4), {"M": 8, "maxK": 4}, cpu_count=4,
+        )
+        rows = [
+            line for line in plan.explain().splitlines()
+            if line.startswith("  DOALL")
+        ]
+        assert rows
+        for row in rows:
+            verdicts = row.split(": ", 2)[2]
+            named = re.findall(r"(?:^|[,;] )\*?([a-z]+) (?:~|refused)", verdicts)
+            assert sorted(named) == ["chunk", "nest", "serial", "vector"], row
+
     def test_explain_prices_or_refuses_every_strategy_per_doall(self):
         """``explain()`` says why each ``DOALL`` took its strategy: every
         strategy priced, the winner starred, every refusal with its
@@ -225,8 +243,7 @@ class TestOneWalk:
         assert rows[0] == (
             "  DOALL I @(0,): nest, trip 10: serial ~N, *nest ~N cycles; "
             "vector refused (the serial pin does not offer it); "
-            "chunk refused (the plan has no worker pool); "
-            "collapse refused (the plan has no worker pool)"
+            "chunk refused (the plan has no worker pool)"
         )
 
 
@@ -308,7 +325,7 @@ class TestForcedOnADo:
         (do_k,) = [d for d in flow.loops() if not d.parallel]
         return analyzed, flow, flow.path_of(do_k)
 
-    @pytest.mark.parametrize("name", ["vector", "chunk", "collapse"])
+    @pytest.mark.parametrize("name", ["vector", "chunk"])
     def test_a_pin_raises_naming_the_loop(self, name):
         analyzed, flow, path = self._jacobi()
         with pytest.raises(
@@ -320,7 +337,7 @@ class TestForcedOnADo:
                 {"M": 16, "maxK": 4}, overrides={path: name}, cpu_count=2,
             )
 
-    @pytest.mark.parametrize("name", ["vector", "chunk", "collapse"])
+    @pytest.mark.parametrize("name", ["vector", "chunk"])
     def test_a_default_leaves_the_do_on_the_walk(self, name):
         analyzed, flow, path = self._jacobi()
         plan = forced_plan(
@@ -332,7 +349,9 @@ class TestForcedOnADo:
 
 
 class TestRetiredStrategy:
-    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan", "fission"])
+    @pytest.mark.parametrize(
+        "name", ["collapse", "iterate", "pipeline", "scan", "fission"]
+    )
     @pytest.mark.parametrize("plan_with, error", [
         (_build_with_strategy, ExecutionError),
         (_forced_default, PlanError),
@@ -341,10 +360,11 @@ class TestRetiredStrategy:
     def test_retired_names_are_refused_naming_the_survivors(
         self, plan_with, error, name
     ):
-        assert VALID_STRATEGIES == ("serial", "vector", "nest", "chunk", "collapse")
+        assert VALID_STRATEGIES == ("serial", "vector", "nest", "chunk")
         # the count vocabulary keeps the retired names, always counted 0
         assert STRATEGIES == (
-            *VALID_STRATEGIES, "iterate", "pipeline", "scan", "fission",
+            *VALID_STRATEGIES, "collapse", "iterate", "pipeline", "scan",
+            "fission",
         )
         # a recurrence feeding a consumer: the shape pipeline decoupled
         analyzed = scan_analyzed()

@@ -12,8 +12,7 @@ the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
 * a one-worker plan never consults the probe, so it is the plan of a host
   without OpenMP;
 * a team sits only on a ``nest`` over a ``DO`` met on the caller's thread —
-  never on a chunk, span or flat kernel, never below a ``chunk`` or
-  ``collapse`` loop;
+  never on a chunk or span, never below a ``chunk`` loop;
 * asking for a second worker never raises ``auto``'s predicted cost.
 """
 
@@ -52,8 +51,8 @@ JACOBI_TEAM_EXPLAIN = """\
     provenance Relaxation: auto -> serial
     pricing: native build charged to this run
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
-      DOALL I @(0,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
-      DOALL I @(2,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
+      DOALL I @(0,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
+      DOALL I @(2,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
       native full kernel @(0,) (DOALL I): range checks: 5 of 5 proven at entry
       native team kernel @(1,) (DO K): range checks: 18 of 18 proven at entry
       native full kernel @(2,) (DOALL I): range checks: 5 of 5 proven at entry
@@ -74,7 +73,7 @@ GS_HYPER_EXPLAIN = """\
     provenance RelaxationHyper: auto -> serial
     pricing: native build charged to this run
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
-      DOALL I @(1,): nest, trip 98: serial ~N, vector ~N, *nest ~N, chunk ~N, collapse ~N cycles
+      DOALL I @(1,): nest, trip 98: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
       native full kernel @(1,) (DOALL I): range checks: 5 of 5 proven at entry
       Ap: uninitialised, every element is defined; recycled between runs
@@ -213,7 +212,7 @@ class TestTeamsStayOnTheCallersThread:
                     if path[:k] in plan.loops
                 ]
                 assert all(
-                    o.strategy not in ("chunk", "collapse", "nest")
+                    o.strategy not in ("chunk", "nest")
                     for o in outer
                 ), f"team at {path} below a pool or another kernel"
             shapes = dict(plan.native_kernels())

@@ -425,15 +425,17 @@ class TestOneJoin:
 
 
 class TestWindowDebugOnThePool:
-    @pytest.mark.parametrize("strategy", ["chunk", "collapse"])
+    @pytest.mark.parametrize("placement", ["chunk", "inner-chunk"])
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    def test_runs_on_the_persistent_pool(self, strategy, use_windows):
+    def test_runs_on_the_persistent_pool(self, placement, use_windows):
         """A window-debug run streams its wavefronts through the thread
         pool the backend builds once, and the chunks check and stamp the
         same fault-on-overwrite tags as the caller's walk: the sweeps run
-        on the pool, the copy-in and copy-out loops on the tag-checking
-        walk, which reads what the chunks wrote. The second run on the
-        instance reuses the pool; both match ``serial`` bit for bit."""
+        on the pool — the sweep's ``DOALL I`` chunked, or (``inner-chunk``)
+        walked with its ``DOALL J`` chunked, one wave per row — the copy-in
+        and copy-out loops on the tag-checking walk, which reads what the
+        chunks wrote. The second run on the instance reuses the pool; both
+        match ``serial`` bit for bit."""
         from repro.plan.planner import forced_plan
         from repro.schedule.flowchart import LoopDescriptor
         from repro.schedule.scheduler import schedule_module
@@ -449,9 +451,13 @@ class TestWindowDebugOnThePool:
             d for d in flow.descriptors
             if isinstance(d, LoopDescriptor) and not d.parallel
         )
+        sweep = flow.path_of(do_k.body[0])
+        overrides = {sweep: "chunk"}
+        if placement == "inner-chunk":
+            overrides = {sweep: "serial", sweep + (0,): "chunk"}
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"M": m, "maxK": maxk},
-            default="serial", overrides={flow.path_of(do_k.body[0]): strategy},
+            default="serial", overrides=overrides,
         )
         backend = ExecutionBackend(workers=workers)
         pools = []

@@ -378,8 +378,11 @@ class TestMergedNests:
         flow = _merged(analyzed)
         (split,) = fission.fission_splits(analyzed, flow).values()
         assert all(flow.path_of(piece) is None for piece in split.pieces)
-        warmed = {id(d) for d, _ in KernelCache(analyzed, flow)._warm_set(False)}
-        assert warmed == {id(d) for d in flow.loops()}
+        cache = KernelCache(analyzed, flow)
+        cache.warm(False, tier="numpy")
+        assert {path for path, _, _ in cache._nests} == {
+            flow.path_of(d) for d in flow.loops()
+        }
 
 
 RANGE_SOURCE = """\

@@ -10,10 +10,9 @@ A point is one of
 
 * an equation in the scalar or the vector dialect — the per-equation Python
   kernels;
-* a loop in shape ``full`` or ``flat``, in Python or C, or in shape
-  ``team`` in C — the nest kernels. ``full`` over a ``DO`` is what used to
-  be called the ``"seq"`` variant; a chunk of a ``DOALL`` runs its ``full``
-  kernel.
+* a loop in shape ``full``, in Python or C, or in shape ``team`` in C —
+  the nest kernels. ``full`` over a ``DO`` is what used to be called the
+  ``"seq"`` variant; a chunk of a ``DOALL`` runs its ``full`` kernel.
 
 over 51 programs, each with and without loop merging and window storage: the
 12 corpus modules and 3 shapes the kernel tests exercise (each also under the
@@ -144,8 +143,8 @@ def _equation_source(eq, analyzed, flow, vector, w):
     return [emit_kernel_source(eq, analyzed, flow, vector, w)[0]]
 
 
-def _nest_source(desc, analyzed, flow, w, shape):
-    return [emit_nest_kernel_source(desc, analyzed, flow, w, shape)[0]]
+def _nest_source(desc, analyzed, flow, w):
+    return [emit_nest_kernel_source(desc, analyzed, flow, w)[0]]
 
 
 def _native_sources(desc, analyzed, flow, w, shape):
@@ -176,11 +175,10 @@ def census() -> dict[str, dict[str, str]]:
             for desc in flow.loops():
                 path = ".".join(map(str, flow.path_of(desc)))
                 at_loop = f"{at} loop {path} {desc.index}"
-                for shape in ("full", "flat"):
-                    points[f"{at_loop} {shape} py"] = _digest(
-                        _nest_source, desc, analyzed, flow, w, shape
-                    )
-                for shape in ("full", "flat", "team"):
+                points[f"{at_loop} full py"] = _digest(
+                    _nest_source, desc, analyzed, flow, w
+                )
+                for shape in ("full", "team"):
                     points[f"{at_loop} {shape} c"] = _digest(
                         _native_sources, desc, analyzed, flow, w, shape
                     )

@@ -134,14 +134,14 @@ class TestExecutionParity:
         )["B"]
         assert np.array_equal(out, expected)
 
-    def test_forced_collapse_with_call_parity(self):
+    def test_forced_chunk_with_call_parity(self):
         program, grid = _program(PROGRAM)
         flow = schedule_module(grid)
         args = self._args()
         expected = self._reference(program, args)
         options = ExecutionOptions(backend="threaded", workers=2)
         plan = forced_plan(
-            grid, flow, "threaded", options, {"n": 6}, default="collapse"
+            grid, flow, "threaded", options, {"n": 6}, default="chunk"
         )
         out = execute_module(
             grid, args, flowchart=flow, options=options, program=program,

@@ -121,6 +121,18 @@ class TestNativeParity:
         assert cache.stats()["native"] > 0
         assert list(native_cache_dir.glob("*.so"))  # artifacts persisted
 
+    def test_warm_builds_one_full_kernel_per_loop(self, native_cache_dir):
+        """The warm set is every loop's ``"full"`` kernel, in one unit and
+        one ``cc``: Jacobi's seven loops, seven native kernels."""
+        analyzed = jacobi_analyzed()
+        flow = schedule_module(analyzed)
+        cache = KernelCache(analyzed, flow)
+        cache.warm(False)
+        stats = cache.stats()
+        assert stats["native"] == len(flow.loops()) == 7
+        assert (stats["tus"], stats["cc_calls"]) == (1, 1)
+        assert {shape for _, _, shape in cache._native} == {"full"}
+
     def test_numpy_tier_skips_native(self, native_cache_dir):
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
@@ -260,7 +272,6 @@ class TestGracefulDegradation:
 #: dialect's scalar loops)
 LOOKUP_SHAPES = {
     "full": ("nest", "jacobi"),
-    "flat": ("collapse", "jacobi"),
     "chunk": ("chunk", "jacobi"),
     "do": ("nest", "isum"),
 }
@@ -353,10 +364,7 @@ class TestTieredLookup:
         )
 
         def lookup():
-            return cache.nest_kernel_for(
-                desc, False, variant="flat" if shape == "flat" else "full",
-                numpy=shape != "chunk",
-            )
+            return cache.nest_kernel_for(desc, False, numpy=shape != "chunk")
 
         served = lookup()
         if expected is None:
@@ -1019,7 +1027,7 @@ class TestPersistPlan:
         specs = [
             native_mod.native_spec(desc, analyzed, flow, False, shape)
             for desc in _outermost_parallel(flow.descriptors)
-            for shape in ("full", "flat", "full")
+            for shape in ("full", "full")
         ]
         names = {spec.fn_name for spec in specs}
         assert 1 < len(names) < len(specs)  # one function per distinct text

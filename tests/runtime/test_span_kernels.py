@@ -31,7 +31,7 @@ import pytest
 from repro.core.pipeline import CompilerOptions, compile_source
 from repro.errors import ExecutionError
 from repro.plan.planner import forced_plan, valid_strategies
-from repro.plan.strategy import PoolStrategy
+from repro.plan.strategy import ChunkStrategy
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.ps.types import RealType
@@ -346,7 +346,7 @@ class TestUnprovenChunk:
         )
         backend = ExecutionBackend(workers=3)
         done = queue.SimpleQueue()
-        original = PoolStrategy.run_chunk
+        original = ChunkStrategy.run_chunk
 
         def run_chunk(self, backend, state, desc, lo, hi, env, fuse):
             if lo == 1:
@@ -354,7 +354,7 @@ class TestUnprovenChunk:
             original(self, backend, state, desc, lo, hi, env, fuse)
             done.put(lo)
 
-        monkeypatch.setattr(PoolStrategy, "run_chunk", run_chunk)
+        monkeypatch.setattr(ChunkStrategy, "run_chunk", run_chunk)
         cache = KernelCache(analyzed, flow)
         real_lookup = cache.nest_kernel_for
 

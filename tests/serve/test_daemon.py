@@ -158,7 +158,9 @@ class TestStructuredErrors:
             assert "valid fields" in str(exc.value)
             assert client.ping() == "pong"  # connection survives
 
-    @pytest.mark.parametrize("name", ["iterate", "pipeline", "scan", "fission"])
+    @pytest.mark.parametrize(
+        "name", ["collapse", "iterate", "pipeline", "scan", "fission"]
+    )
     def test_retired_strategy_is_a_structured_error(self, served, name):
         daemon, _ = served
         with connect(daemon) as client:
@@ -168,8 +170,16 @@ class TestStructuredErrors:
                     strategy=name,
                 )
             assert exc.value.kind == "ExecutionError"
-            assert f"unknown strategy {name!r}; available: " in str(exc.value)
-            assert client.ping() == "pong"  # connection survives
+            assert (
+                f"unknown strategy {name!r}; "
+                f"available: serial, vector, nest, chunk"
+            ) in str(exc.value)
+            # the connection survives: the next run on it succeeds
+            out = client.run(
+                "Relaxation", {**SIZES, "InitialA": make_input(0)},
+                strategy="chunk",
+            )
+            assert out["newA"].shape == (SIZES["M"] + 2, SIZES["M"] + 2)
 
     @pytest.mark.parametrize("tier", ["evaluator", "natve"])
     def test_unknown_kernel_tier_is_a_structured_error(self, served, tier):

@@ -94,6 +94,23 @@ class TestResolve:
         assert "unknown execution backend 'process'" in str(exc.value)
         assert "available: serial, vectorized, threaded" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            lambda o: compile_source(RELAXATION_JACOBI_SOURCE).plan(ARGS, o),
+            _session_plan,
+            lambda o: _session_run(strategy=o.strategy),
+        ],
+        ids=["CompileResult.plan", "Session.plan", "Session.run"],
+    )
+    def test_the_retired_collapse_strategy_fails_at_plan_time(self, plan):
+        options = ExecutionOptions(strategy="collapse")
+        with pytest.raises(ExecutionError) as exc:
+            plan(options)
+        assert str(exc.value) == (
+            "unknown strategy 'collapse'; available: serial, vector, nest, chunk"
+        )
+
     def test_base_is_positional_only(self):
         # keyword base would silently collide with a field named "base" if
         # one ever appeared; the signature forbids it outright

@@ -249,6 +249,8 @@ class TestRun:
         ["serve", "--no-fission"],
         ["plan", "--strategy", "fission"],
         ["run", "--strategy", "fission"],
+        ["plan", "--strategy", "collapse"],
+        ["run", "--strategy", "collapse"],
         ["plan", "--kernel-tier", "evaluator"],
         ["run", "--kernel-tier", "evaluator"],
         ["serve", "--kernel-tier", "evaluator"],
@@ -258,6 +260,7 @@ class TestRun:
         "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
         "serve-no-collapse", "plan-iterate", "run-iterate", "plan-no-fission",
         "run-no-fission", "serve-no-fission", "plan-fission", "run-fission",
+        "plan-collapse", "run-collapse",
         "plan-evaluator-tier", "run-evaluator-tier", "serve-evaluator-tier",
         "plan-unknown-tier",
     ])
