@@ -65,17 +65,3 @@ def test_p1_wallclock_scalar_reference(benchmark):
         )
     )
     assert out["newA"].shape == (m + 2, m + 2)
-
-
-def test_p1_wallclock_generated_python(benchmark):
-    """Generated standalone Python (window allocation on)."""
-    from repro.codegen.pygen import compile_python
-
-    analyzed = jacobi_analyzed()
-    fn = compile_python(analyzed)
-    m, maxk = 32, 10
-    rng = np.random.default_rng(0)
-    initial = rng.random((m + 2, m + 2))
-
-    out = benchmark(lambda: fn(initial, m, maxk))
-    assert out.shape == (m + 2, m + 2)

@@ -3,7 +3,7 @@
 
 Walks the whole pipeline on the paper's running example:
 parse -> analyze -> dependency graph (Figure 3) -> MSCCs (Figure 5) ->
-flowchart (Figure 6) -> annotated C -> execution.
+flowchart (Figure 6) -> the C that runs -> execution.
 
 Run:  python examples/quickstart.py
 """
@@ -47,7 +47,8 @@ def main() -> None:
 
     print()
     print("=" * 72)
-    print("Generated C (annotated loops, window allocation)")
+    print("Generated C: a header with the flowchart and window allocation,")
+    print("then the C function the native tier builds for each loop nest")
     print("=" * 72)
     print(result.c_source)
 

@@ -5,8 +5,9 @@ The package implements the PS nonprocedural dataflow language, the
 dependency-graph scheduler that emits iterative (DO) and concurrent (DOALL)
 loops, the virtual-dimension (memory window) analysis, and the hyperplane
 restructuring transformation of section 4 — plus the execution substrates
-needed to evaluate them: a flowchart interpreter, a vectorised NumPy backend,
-a C code generator, and a simulated MIMD machine.
+needed to evaluate them: a flowchart interpreter, NumPy and C kernels
+printed by one nest walk (``result.c_source`` lists the C that runs), and
+a simulated MIMD machine.
 
 Quickstart::
 

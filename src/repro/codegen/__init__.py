@@ -1,12 +1,10 @@
 """Code generation from flowcharts.
 
-``cgen`` emits the paper's artifact: C declarations and loops, each loop
-annotated iterative/concurrent, with window allocation for virtual
-dimensions. ``pygen`` emits an executable Python function used to cross-
-check the interpreter (and to give downstream users standalone code).
+``clower`` and ``exprlower`` are the expression dialects the runtime's
+kernels are printed in (:mod:`repro.runtime.kernels`). ``cgen`` and
+``pygen`` list those kernels for a whole module — ``generate_c`` the C
+translation unit the native tier builds, ``generate_python`` the NumPy
+tier's kernels — under a header holding the flowchart and the window
+allocation (``listing``). A listing is the code that runs, never a second
+translation of the module.
 """
-
-from repro.codegen.cgen import generate_c
-from repro.codegen.pygen import compile_python, generate_python
-
-__all__ = ["compile_python", "generate_c", "generate_python"]

@@ -1,325 +1,52 @@
-"""C code generation (paper section 3.4 and the code-generator component).
+"""The C listing (paper section 3.4 and the code-generator component).
 
-"The code generation phase generates C declarations and assignment
-statements. For each variable ... an equivalent C declaration is generated.
-Then, using the flowchart, the code generator emits for loops and assignment
-statements." Loops carry the iterative/concurrent annotation; a concurrent
-loop additionally gets an OpenMP pragma so the output compiles into a real
-parallel program on a modern toolchain.
-
-Virtual dimensions are allocated as windows and indexed modulo the window
-size, "directing the code generator to allocate only two instances rather
-than maxK instances".
+"Using the flowchart, the code generator emits for loops and assignment
+statements." Here that generator is the nest walk the runtime compiles
+(:mod:`repro.runtime.kernels.nest`), so ``repro compile --emit c`` prints
+what runs: a header comment with the flowchart and each array's window
+allocation (:mod:`repro.codegen.listing`), then one translation unit
+(:func:`~repro.runtime.kernels.native.unit_source`) holding the ``"full"``
+C function of every outermost loop whose nest lowers. It is the same text
+``KernelCache.warm`` builds, and it builds on its own with ``cc
+-shared`` and :data:`~repro.codegen.clower.C_FLAGS`. ``DO`` / ``DOALL``
+headers show inside each function as ``for`` loops; how a plan divides a
+``DOALL`` among workers is ``repro plan``'s answer, and ``repro plan
+--save`` writes one plan's unit, team kernels included.
 """
 
 from __future__ import annotations
 
-from repro.codegen.clower import C_PRELUDE
-from repro.codegen.naming import c_name
-from repro.errors import CodegenError
-from repro.ps.ast import (
-    BinOp,
-    BoolLit,
-    Call,
-    Expr,
-    FieldRef,
-    IfExpr,
-    Index,
-    IntLit,
-    Name,
-    RealLit,
-    UnOp,
-)
-from repro.ps.printer import format_expression
+from repro.codegen.listing import entries, header
 from repro.ps.semantics import AnalyzedModule
-from repro.ps.symbols import SymbolKind
-from repro.ps.types import ArrayType, BoolType, IntType, RealType, SubrangeType
-from repro.schedule.flowchart import Descriptor, Flowchart, LoopDescriptor, NodeDescriptor
+from repro.runtime.kernels.native import native_spec, unit_source
+from repro.runtime.kernels.nest import KernelError
+from repro.schedule.flowchart import Flowchart
 from repro.schedule.scheduler import schedule_module
-
-_C_TYPES = {"real": "double", "int": "long", "bool": "int"}
-
-_BUILTIN_C = {
-    "abs": "fabs",
-    "sqrt": "sqrt",
-    "sin": "sin",
-    "cos": "cos",
-    "tan": "tan",
-    "exp": "exp",
-    "ln": "log",
-    "log": "log",
-    # NaN-propagating helpers from the shared C prelude: np.minimum /
-    # np.maximum propagate NaN, C's fmin/fmax suppress it.
-    "min": "ps_min",
-    "max": "ps_max",
-    "floor": "floor",
-    "ceil": "ceil",
-    "trunc": "trunc",
-    "round": "round",
-}
-
-
-class CGenerator:
-    def __init__(
-        self,
-        analyzed: AnalyzedModule,
-        flowchart: Flowchart | None = None,
-        use_windows: bool = True,
-        emit_openmp: bool = True,
-    ):
-        self.analyzed = analyzed
-        self.flowchart = flowchart or schedule_module(analyzed)
-        self.use_windows = use_windows
-        self.emit_openmp = emit_openmp
-        self.lines: list[str] = []
-        self.indent = 0
-        self._extent_vars: dict[str, list[str]] = {}  # array -> extent var names
-
-    # -- emission helpers -----------------------------------------------------
-
-    def _emit(self, text: str = "") -> None:
-        self.lines.append(("    " * self.indent + text) if text else "")
-
-    def _ctype(self, t) -> str:
-        if t == RealType:
-            return "double"
-        if t == BoolType:
-            return "int"
-        if t == IntType or isinstance(t, SubrangeType):
-            return "long"
-        from repro.ps.types import EnumType
-
-        if isinstance(t, EnumType):
-            return "int"
-        raise CodegenError(f"no C type for {t}")
-
-    # -- top level -----------------------------------------------------------
-
-    def generate(self) -> str:
-        mod = self.analyzed.module
-        self._emit(f"/* Generated from PS module {mod.name} (Gokhale-1987 scheduler). */")
-        self._emit("#include <stdlib.h>")
-        for line in C_PRELUDE.splitlines():
-            self._emit(line)
-        self._emit()
-        self._signature()
-        self._emit("{")
-        self.indent += 1
-        self._declarations()
-        self._emit()
-        for desc in self.flowchart.descriptors:
-            self._descriptor(desc)
-        self._frees()
-        self.indent -= 1
-        self._emit("}")
-        return "\n".join(self.lines) + "\n"
-
-    def _signature(self) -> None:
-        mod = self.analyzed.module
-        params = []
-        for p in mod.params:
-            sym = self.analyzed.symbol(p.name)
-            if isinstance(sym.type, ArrayType):
-                params.append(f"const {self._ctype(sym.type.element)} *{c_name(p.name)}")
-            else:
-                params.append(f"{self._ctype(sym.type)} {c_name(p.name)}")
-        for r in mod.results:
-            sym = self.analyzed.symbol(r.name)
-            if isinstance(sym.type, ArrayType):
-                params.append(f"{self._ctype(sym.type.element)} *{c_name(r.name)}")
-            else:
-                params.append(f"{self._ctype(sym.type)} *{c_name(r.name)}")
-        args = ",\n    ".join(params) if params else "void"
-        self._emit(f"void {c_name(mod.name)}(")
-        self._emit(f"    {args})")
-
-    def _declarations(self) -> None:
-        """Extent variables for every array dimension plus local arrays
-        (window-allocated where the scheduler marked dimensions virtual)."""
-        for sym in self.analyzed.table.symbols.values():
-            if not isinstance(sym.type, ArrayType):
-                if sym.kind is SymbolKind.VAR:
-                    self._emit(f"{self._ctype(sym.type)} {c_name(sym.name)};")
-                continue
-            names = []
-            for d, sub in enumerate(sym.type.dims):
-                lo = self._expr(sub.lo)
-                hi = self._expr(sub.hi)
-                lo_var = f"{c_name(sym.name)}_lo{d}"
-                ext_var = f"{c_name(sym.name)}_n{d}"
-                self._emit(f"const long {lo_var} = {lo};")
-                self._emit(f"const long {ext_var} = ({hi}) - ({lo}) + 1;")
-                names.append(ext_var)
-            self._extent_vars[sym.name] = names
-            if sym.kind is SymbolKind.VAR:
-                windows = self._windows_of(sym.name)
-                dims = []
-                for d, ext in enumerate(names):
-                    if d in windows:
-                        self._emit(
-                            f"/* dimension {d} of {sym.name} is virtual: "
-                            f"window of {windows[d]} */"
-                        )
-                        dims.append(str(windows[d]))
-                    else:
-                        dims.append(ext)
-                size = " * ".join(dims)
-                ctype = self._ctype(sym.type.element)
-                self._emit(
-                    f"{ctype} *{c_name(sym.name)} = "
-                    f"({ctype} *)malloc(sizeof({ctype}) * {size});"
-                )
-
-    def _frees(self) -> None:
-        self._emit()
-        for sym in self.analyzed.table.symbols.values():
-            if sym.kind is SymbolKind.VAR and isinstance(sym.type, ArrayType):
-                self._emit(f"free({c_name(sym.name)});")
-
-    def _windows_of(self, name: str) -> dict[int, int]:
-        return self.flowchart.window_of(name) if self.use_windows else {}
-
-    # -- flowchart walking ----------------------------------------------------
-
-    def _descriptor(self, desc: Descriptor) -> None:
-        if isinstance(desc, NodeDescriptor):
-            if desc.node.is_equation:
-                self._equation(desc.node.equation)
-            return
-        assert isinstance(desc, LoopDescriptor)
-        idx = c_name(desc.index)
-        lo = self._expr(desc.subrange.lo)
-        hi = self._expr(desc.subrange.hi)
-        if desc.parallel:
-            self._emit("/* concurrent for */")
-            if self.emit_openmp:
-                self._emit("#pragma omp parallel for")
-        else:
-            self._emit("/* iterative for */")
-        self._emit(f"for (long {idx} = {lo}; {idx} <= {hi}; {idx}++) {{")
-        self.indent += 1
-        for d in desc.body:
-            self._descriptor(d)
-        self.indent -= 1
-        self._emit("}")
-
-    def _equation(self, eq) -> None:
-        if eq.atomic:
-            raise CodegenError(
-                f"{eq.label}: multi-result module calls are not supported by "
-                f"the C generator"
-            )
-        self._emit(f"/* {eq.label}: {format_expression(eq.rhs)[:60]} */")
-        target = eq.targets[0]
-        sym = self.analyzed.symbol(target.name)
-        value = self._expr(eq.rhs)
-        if isinstance(sym.type, ArrayType):
-            ref = self._array_ref(target.name, target.subscripts)
-            self._emit(f"{ref} = {value};")
-        elif sym.kind is SymbolKind.RESULT:
-            self._emit(f"*{c_name(target.name)} = {value};")
-        else:
-            self._emit(f"{c_name(target.name)} = {value};")
-
-    # -- expressions ------------------------------------------------------------
-
-    def _array_ref(self, name: str, subscripts: list[Expr]) -> str:
-        sym = self.analyzed.symbol(name)
-        assert isinstance(sym.type, ArrayType)
-        windows = self._windows_of(name) if sym.kind is SymbolKind.VAR else {}
-        exts = self._extent_vars[name]
-        parts = []
-        for d, sub in enumerate(subscripts):
-            rel = f"(({self._expr(sub)}) - {c_name(name)}_lo{d})"
-            if d in windows:
-                rel = f"({rel} % {windows[d]})"
-            parts.append(rel)
-        # Row-major flattening.
-        flat = parts[0]
-        for d in range(1, len(parts)):
-            dim_size = str(windows[d]) if d in windows else exts[d]
-            flat = f"({flat} * {dim_size} + {parts[d]})"
-        return f"{c_name(name)}[{flat}]"
-
-    def _expr(self, expr: Expr) -> str:
-        if isinstance(expr, IntLit):
-            return str(expr.value)
-        if isinstance(expr, RealLit):
-            return repr(expr.value)
-        if isinstance(expr, BoolLit):
-            return "1" if expr.value else "0"
-        if isinstance(expr, Name):
-            sym = self.analyzed.table.symbol(expr.ident)
-            if sym is not None and sym.kind is SymbolKind.RESULT and not isinstance(
-                sym.type, ArrayType
-            ):
-                return f"(*{c_name(expr.ident)})"
-            if expr.ident in self.analyzed.table.enum_members:
-                _, ordinal = self.analyzed.table.enum_members[expr.ident]
-                return str(ordinal)
-            return c_name(expr.ident)
-        if isinstance(expr, Index):
-            if isinstance(expr.base, Name) and self.analyzed.table.symbol(
-                expr.base.ident
-            ):
-                return self._array_ref(expr.base.ident, expr.subscripts)
-            raise CodegenError("indexing of computed values is not supported in C")
-        if isinstance(expr, BinOp):
-            return self._binop(expr)
-        if isinstance(expr, UnOp):
-            op = {"-": "-", "+": "+", "not": "!"}[expr.op]
-            return f"({op}{self._expr(expr.operand)})"
-        if isinstance(expr, IfExpr):
-            return (
-                f"({self._expr(expr.cond)} ? {self._expr(expr.then)} "
-                f": {self._expr(expr.orelse)})"
-            )
-        if isinstance(expr, Call):
-            if expr.func in _BUILTIN_C:
-                args = ", ".join(self._expr(a) for a in expr.args)
-                return f"{_BUILTIN_C[expr.func]}({args})"
-            raise CodegenError(
-                f"module call {expr.func!r} is not supported by the "
-                f"single-module C generator"
-            )
-        if isinstance(expr, FieldRef):
-            raise CodegenError("record fields are not supported by the C generator")
-        raise CodegenError(f"cannot generate C for {type(expr).__name__}")
-
-    def _binop(self, expr: BinOp) -> str:
-        left = self._expr(expr.left)
-        right = self._expr(expr.right)
-        op = expr.op
-        if op == "/":
-            return f"((double)({left}) / (double)({right}))"
-        # PS div/mod are *floored* (the reference evaluator follows Python);
-        # C's native / and % truncate toward zero, which disagrees on
-        # negative operands — the dormant generator emitted them anyway.
-        if op == "div":
-            return f"ps_fdiv({left}, {right})"
-        if op == "mod":
-            return f"ps_mod({left}, {right})"
-        c_op = {
-            "+": "+",
-            "-": "-",
-            "*": "*",
-            "=": "==",
-            "<>": "!=",
-            "<": "<",
-            "<=": "<=",
-            ">": ">",
-            ">=": ">=",
-            "and": "&&",
-            "or": "||",
-        }[op]
-        return f"({left} {c_op} {right})"
 
 
 def generate_c(
     analyzed: AnalyzedModule,
     flowchart: Flowchart | None = None,
     use_windows: bool = True,
-    emit_openmp: bool = True,
 ) -> str:
-    """Emit annotated C for a scheduled module."""
-    return CGenerator(analyzed, flowchart, use_windows, emit_openmp).generate()
+    """The C listing of a scheduled module."""
+    flowchart = flowchart or schedule_module(analyzed)
+
+    def walked(_eq):
+        raise KernelError("runs on the walk (C functions hold loop nests)")
+
+    lines = [*header(analyzed, flowchart, use_windows), "", "C functions:"]
+    specs = []
+    for depth, what, spec, refusal in entries(
+        flowchart,
+        lambda d: native_spec(d, analyzed, flowchart, use_windows),
+        walked,
+    ):
+        if spec is not None:
+            specs.append(spec)
+        named = spec.fn_name if spec is not None else refusal
+        lines.append("  " * (depth + 1) + f"{what}: {named}")
+    comment = "\n".join(
+        (" * " + line.replace("*/", "* /")).rstrip() for line in lines
+    )
+    return f"/*\n{comment}\n */\n" + unit_source(specs)

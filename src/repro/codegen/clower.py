@@ -1,9 +1,9 @@
 """Shared C expression lowering: normalised PS expressions -> C statements.
 
 The native kernel tier (:mod:`repro.runtime.kernels.native`) translates
-PS expressions to C through :class:`CExprLowerer`. The whole-module C
-generator (:mod:`repro.codegen.cgen`) has its own expression printer and
-shares only :data:`C_PRELUDE` with it. What lives here:
+PS expressions to C through :class:`CExprLowerer`, and ``repro compile
+--emit c`` (:mod:`repro.codegen.cgen`) lists the functions it prints, so
+there is one C printer. What lives here:
 
 * :data:`C_PRELUDE` — the runtime helper functions every generated
   translation unit includes. ``ps_fdiv``/``ps_mod`` implement *floored*
@@ -261,9 +261,6 @@ class CExprLowerer(ExprLowerer):
             helper = "ps_fdiv" if expr.op == "div" else "ps_mod"
             return f"{helper}({left}, {right})"
         return super().lower_binop(expr)
-
-    def lower_logical(self, op: str, left: str, right: str) -> str:
-        raise AssertionError("handled in lower_binop via statements")
 
     # -- the facts stack ----------------------------------------------------
     #

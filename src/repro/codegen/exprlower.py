@@ -1,13 +1,11 @@
-"""Shared expression lowering: normalised PS expressions -> Python source.
+"""Shared expression lowering: normalised PS expressions -> source text.
 
-Both code paths that turn equations into executable Python — the whole-module
-generator (:mod:`repro.codegen.pygen`) and the runtime kernel emitter
-(:mod:`repro.runtime.kernels.emit`) — walk the same AST and agree on the
-skeleton of the translation (literals, operator spellings, parenthesisation).
-Factoring the walk here guarantees they cannot drift apart structurally: a
-dialect only overrides the *hooks* (name resolution, array references,
-builtin calls, and the handful of operators whose runtime semantics differ
-between scalar Python, NumPy, and the reference evaluator).
+Every kernel dialect — the Python ones of :mod:`repro.runtime.kernels.emit`
+and the C one of :mod:`repro.codegen.clower` — walks the same AST here and
+agrees on the skeleton of the translation (literals, operator spellings,
+parenthesisation). A dialect only supplies the *hooks*: name resolution,
+array references, builtin calls, and the operators whose runtime semantics
+differ between scalar Python, NumPy, C and the reference evaluator.
 """
 
 from __future__ import annotations
@@ -42,11 +40,12 @@ INFIX_OPS = {
 
 
 class ExprLowerer:
-    """The shared walk. Subclasses provide a dialect via the hook methods.
-
-    The default hook implementations lower to plain scalar Python (lazy
-    ``if``, ``and``/``or`` short-circuit, ``//`` and ``%``), which is the
-    dialect the whole-module Python generator needs.
+    """The shared walk. A dialect subclass provides the hooks the walk
+    reaches for it: ``lower_name``, ``lower_array_ref``, ``lower_call``,
+    ``lower_div``, ``lower_floordiv``, ``lower_mod``, ``lower_logical`` and
+    ``lower_not`` (none for an operator it intercepts in ``lower_binop``
+    or ``lower``). ``lower_if`` defaults to Python's lazy conditional
+    expression, which the scalar kernels speak.
     """
 
     #: exception type raised on unsupported constructs
@@ -82,16 +81,7 @@ class ExprLowerer:
             raise self.error("record fields are not supported")
         raise self.error(f"cannot lower {type(expr).__name__}")
 
-    # -- dialect hooks -----------------------------------------------------
-
-    def lower_name(self, ident: str) -> str:
-        raise NotImplementedError
-
-    def lower_array_ref(self, name: str, subscripts: list[Expr]) -> str:
-        raise NotImplementedError
-
-    def lower_call(self, expr: Call) -> str:
-        raise NotImplementedError
+    # -- the operators ----------------------------------------------------
 
     def lower_binop(self, expr: BinOp) -> str:
         left = self.lower(expr.left)
@@ -112,25 +102,6 @@ class ExprLowerer:
         if expr.op == "not":
             return self.lower_not(operand)
         return f"({expr.op}{operand})"
-
-    # The operators below differ between dialects (scalar Python vs NumPy vs
-    # the reference evaluator's runtime dispatch); the defaults are the plain
-    # scalar-Python forms used by the whole-module generator.
-
-    def lower_div(self, left: str, right: str) -> str:
-        return f"({left} / {right})"
-
-    def lower_floordiv(self, left: str, right: str) -> str:
-        return f"({left} // {right})"
-
-    def lower_mod(self, left: str, right: str) -> str:
-        return f"({left} % {right})"
-
-    def lower_logical(self, op: str, left: str, right: str) -> str:
-        return f"({left} {op} {right})"
-
-    def lower_not(self, operand: str) -> str:
-        return f"(not {operand})"
 
     def lower_if(self, expr: IfExpr) -> str:
         return (

@@ -1,205 +1,22 @@
-"""Python code generation: a standalone function per module.
+"""The Python listing: the NumPy tier's kernels, in flowchart order.
 
-The generated function mirrors the flowchart exactly (``DO`` and ``DOALL``
-both become ``for`` loops, annotated in comments), allocates virtual
-dimensions as windows, and uses NumPy arrays with origin-shifted indexing.
-It is exec'd and cross-checked against the interpreter in the tests —
-generated code and reference semantics must agree bit for bit.
+``repro compile --emit python`` prints the header of
+:mod:`repro.codegen.listing`, then the Python dialect of the same walk the
+C listing prints: the ``"full"`` nest kernel of every outermost loop whose
+nest lowers (:func:`~repro.runtime.kernels.emit.emit_nest_kernel_source`)
+and the scalar kernel of every equation met outside one
+(:func:`~repro.runtime.kernels.emit.emit_kernel_source`). Each is the
+``__kernel_source__`` the NumPy tier ``exec``-compiles and runs; window
+allocation shapes their subscripts, so ``use_windows`` shapes the text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.codegen.exprlower import ExprLowerer
-from repro.codegen.naming import py_name
-from repro.errors import CodegenError
-from repro.ps.ast import Call, Expr
-from repro.ps.semantics import AnalyzedModule, is_builtin
-from repro.ps.symbols import SymbolKind
-from repro.ps.types import ArrayType, BoolType, RealType
-from repro.schedule.flowchart import (
-    Descriptor,
-    Flowchart,
-    LoopDescriptor,
-    NodeDescriptor,
-)
+from repro.codegen.listing import entries, header
+from repro.ps.semantics import AnalyzedModule
+from repro.runtime.kernels.emit import emit_kernel_source, emit_nest_kernel_source
+from repro.schedule.flowchart import Flowchart
 from repro.schedule.scheduler import schedule_module
-
-_BUILTIN_PY = {
-    "abs": "abs",
-    "sqrt": "math.sqrt",
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tan": "math.tan",
-    "exp": "math.exp",
-    "ln": "math.log",
-    "log": "math.log",
-    "min": "min",
-    "max": "max",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "trunc": "math.trunc",
-    "round": "round",
-}
-
-
-class _PygenLowerer(ExprLowerer):
-    """The whole-module dialect: plain scalar Python over ``math``, mangled
-    identifiers, and origin-shifted (optionally windowed) array indexing."""
-
-    error_type = CodegenError
-
-    def __init__(self, generator: PyGenerator):
-        self.generator = generator
-
-    def lower_name(self, ident: str) -> str:
-        table = self.generator.analyzed.table
-        if ident in table.enum_members:
-            _, ordinal = table.enum_members[ident]
-            return str(ordinal)
-        return py_name(ident)
-
-    def lower_array_ref(self, name: str, subscripts: list[Expr]) -> str:
-        if not self.generator.analyzed.table.symbol(name):
-            raise self.error("indexing of computed values is not supported")
-        return self.generator._array_ref(name, subscripts)
-
-    def lower_call(self, expr: Call) -> str:
-        if is_builtin(expr.func):
-            args = ", ".join(self.lower(a) for a in expr.args)
-            return f"{_BUILTIN_PY[expr.func]}({args})"
-        raise self.error(
-            f"module call {expr.func!r} is not supported by the "
-            f"single-module Python generator"
-        )
-
-
-class PyGenerator:
-    def __init__(
-        self,
-        analyzed: AnalyzedModule,
-        flowchart: Flowchart | None = None,
-        use_windows: bool = True,
-    ):
-        self.analyzed = analyzed
-        self.flowchart = flowchart or schedule_module(analyzed)
-        self.use_windows = use_windows
-        self.lines: list[str] = []
-        self.indent = 0
-        self.lowerer = _PygenLowerer(self)
-
-    def _emit(self, text: str = "") -> None:
-        self.lines.append(("    " * self.indent + text) if text else "")
-
-    def generate(self) -> str:
-        mod = self.analyzed.module
-        fname = py_name(mod.name)
-        params = ", ".join(py_name(p.name) for p in mod.params)
-        self._emit("import math")
-        self._emit("import numpy as np")
-        self._emit()
-        self._emit(f"def {fname}({params}):")
-        self.indent += 1
-        self._emit(f'"""Generated from PS module {mod.name}."""')
-        self._declarations()
-        for desc in self.flowchart.descriptors:
-            self._descriptor(desc)
-        results = ", ".join(py_name(r.name) for r in mod.results)
-        self._emit(f"return {results}")
-        self.indent -= 1
-        return "\n".join(self.lines) + "\n"
-
-    def _dtype(self, t) -> str:
-        if t == RealType:
-            return "np.float64"
-        if t == BoolType:
-            return "np.bool_"
-        return "np.int64"
-
-    def _declarations(self) -> None:
-        for sym in self.analyzed.table.symbols.values():
-            if not isinstance(sym.type, ArrayType):
-                continue
-            name = py_name(sym.name)
-            for d, sub in enumerate(sym.type.dims):
-                self._emit(f"{name}_lo{d} = {self._expr(sub.lo)}")
-                self._emit(
-                    f"{name}_n{d} = ({self._expr(sub.hi)}) - ({self._expr(sub.lo)}) + 1"
-                )
-            if sym.kind is SymbolKind.PARAM:
-                continue
-            windows = self._windows_of(sym.name)
-            dims = []
-            for d in range(sym.type.rank):
-                if d in windows:
-                    dims.append(str(windows[d]))
-                else:
-                    dims.append(f"{name}_n{d}")
-            if windows:
-                self._emit(
-                    f"# window allocation: "
-                    + ", ".join(f"dim {d} -> {w} planes" for d, w in windows.items())
-                )
-            self._emit(
-                f"{name} = np.zeros(({', '.join(dims)},), dtype={self._dtype(sym.type.element)})"
-            )
-
-    def _windows_of(self, name: str) -> dict[int, int]:
-        if not self.use_windows:
-            return {}
-        sym = self.analyzed.symbol(name)
-        if sym.kind is not SymbolKind.VAR:
-            return {}
-        return self.flowchart.window_of(name)
-
-    def _descriptor(self, desc: Descriptor) -> None:
-        if isinstance(desc, NodeDescriptor):
-            if desc.node.is_equation:
-                self._equation(desc.node.equation)
-            return
-        assert isinstance(desc, LoopDescriptor)
-        idx = py_name(desc.index)
-        lo = self._expr(desc.subrange.lo)
-        hi = self._expr(desc.subrange.hi)
-        kind = "DOALL (concurrent)" if desc.parallel else "DO (iterative)"
-        self._emit(f"# {kind}")
-        self._emit(f"for {idx} in range({lo}, ({hi}) + 1):")
-        self.indent += 1
-        if not desc.body:
-            self._emit("pass")
-        for d in desc.body:
-            self._descriptor(d)
-        self.indent -= 1
-
-    def _equation(self, eq) -> None:
-        if eq.atomic:
-            raise CodegenError(
-                f"{eq.label}: multi-result module calls are not supported by "
-                f"the Python generator"
-            )
-        self._emit(f"# {eq.label}")
-        target = eq.targets[0]
-        sym = self.analyzed.symbol(target.name)
-        value = self._expr(eq.rhs)
-        if isinstance(sym.type, ArrayType):
-            self._emit(f"{self._array_ref(target.name, target.subscripts)} = {value}")
-        else:
-            self._emit(f"{py_name(target.name)} = {value}")
-
-    def _array_ref(self, name: str, subscripts: list[Expr]) -> str:
-        pname = py_name(name)
-        windows = self._windows_of(name)
-        parts = []
-        for d, sub in enumerate(subscripts):
-            rel = f"({self._expr(sub)}) - {pname}_lo{d}"
-            if d in windows:
-                rel = f"({rel}) % {windows[d]}"
-            parts.append(rel)
-        return f"{pname}[{', '.join(parts)}]"
-
-    def _expr(self, expr: Expr) -> str:
-        return self.lowerer.lower(expr)
 
 
 def generate_python(
@@ -207,17 +24,21 @@ def generate_python(
     flowchart: Flowchart | None = None,
     use_windows: bool = True,
 ) -> str:
-    """Emit standalone Python source for a scheduled module."""
-    return PyGenerator(analyzed, flowchart, use_windows).generate()
-
-
-def compile_python(
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart | None = None,
-    use_windows: bool = True,
-) -> Callable:
-    """Generate, exec, and return the module as a callable."""
-    source = generate_python(analyzed, flowchart, use_windows)
-    namespace: dict = {}
-    exec(compile(source, f"<pygen:{analyzed.name}>", "exec"), namespace)
-    return namespace[py_name(analyzed.name)]
+    """The Python listing of a scheduled module."""
+    flowchart = flowchart or schedule_module(analyzed)
+    out = ["# " + line if line else "#" for line in header(
+        analyzed, flowchart, use_windows
+    )]
+    for depth, what, emitted, refusal in entries(
+        flowchart,
+        lambda d: emit_nest_kernel_source(d, analyzed, flowchart, use_windows),
+        lambda eq: emit_kernel_source(
+            eq, analyzed, flowchart, False, use_windows
+        ),
+    ):
+        note = "# " + "  " * depth + what
+        if emitted is None:
+            out += ["", f"{note}: {refusal}"]
+        else:
+            out += ["", note, emitted[0].rstrip("\n")]
+    return "\n".join(out) + "\n"

@@ -7,21 +7,19 @@ and window allocation (section 3.4).
 
     result = compile_source(RELAXATION_JACOBI_SOURCE)
     result.flowchart.pretty()   # Figure 6
-    result.c_source             # annotated C (generated on first access)
-    result.run({...})           # execute via the interpreter
+    result.c_source             # the C kernels that run (listed on first access)
+    result.run({...})           # execute on the planned backend
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.codegen.cgen import generate_c
-from repro.codegen.pygen import compile_python, generate_python
-from repro.errors import CodegenError
+from repro.codegen.pygen import generate_python
 from repro.graph.build import build_dependency_graph
 from repro.graph.depgraph import DependencyGraph
 from repro.hyperplane.pipeline import HyperplaneResult, hyperplane_transform
@@ -41,9 +39,9 @@ from repro.schedule.scheduler import schedule_module
 class CompilerOptions:
     merge_loops: bool = False  # apply the loop-merging improvement pass
     hyperplane: bool = False  # restructure recursive components (section 4)
-    use_windows: bool = True  # window allocation in generated code
+    use_windows: bool = True  # window allocation in the Python listing
     #: whether ``CompileResult.c_source`` / ``.python_source`` may be
-    #: generated at all (they are generated on first access, never during
+    #: listed at all (they are listed on first access, never during
     #: compilation; off, the property is None)
     emit_c: bool = True
     emit_python: bool = True
@@ -58,7 +56,7 @@ class CompileResult:
     options: CompilerOptions
     hyperplane_result: HyperplaneResult | None = None
     warnings: list[str] = field(default_factory=list)
-    #: generated module texts by language, filled on first access
+    #: module listings by language, filled on first access
     _sources: dict[str, str | None] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -73,33 +71,26 @@ class CompileResult:
     _plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _generated(self, language: str, enabled: bool, generate) -> str | None:
-        """The whole-module text in ``language``, generated on first access
-        (only ``repro compile --emit`` and callers of these properties read
-        it — compilation itself never pays for it). A module the generator
-        cannot express yields None and a warning."""
+        """The module's listing in ``language``, made on first access (only
+        ``repro compile --emit`` and callers of these properties read it —
+        compilation itself never pays for it)."""
         if language not in self._sources:
-            text = None
-            if enabled:
-                try:
-                    text = generate(
-                        self.analyzed, self.flowchart,
-                        use_windows=self.options.use_windows,
-                    )
-                except CodegenError as exc:
-                    self.warnings.append(f"{language} generation skipped: {exc}")
-            self._sources[language] = text
+            self._sources[language] = generate(
+                self.analyzed, self.flowchart,
+                use_windows=self.options.use_windows,
+            ) if enabled else None
         return self._sources[language]
 
     @property
     def c_source(self) -> str | None:
-        """The paper's annotated C for the whole module."""
+        """The C translation unit of the module's loop nests, under a
+        header with the flowchart and window allocation."""
         return self._generated("C", self.options.emit_c, generate_c)
 
     @property
     def python_source(self) -> str | None:
-        return self._generated(
-            "Python", self.options.emit_python, generate_python
-        )
+        """The NumPy tier's kernels, under the same header."""
+        return self._generated("Python", self.options.emit_python, generate_python)
 
     @property
     def kernel_cache(self) -> KernelCache:
@@ -165,12 +156,6 @@ class CompileResult:
             options=execution,
             kernel_cache=self.kernel_cache,
             plan=plan,
-        )
-
-    def compile_python(self) -> Callable:
-        """Exec the generated Python and return the callable."""
-        return compile_python(
-            self.analyzed, self.flowchart, use_windows=self.options.use_windows
         )
 
 

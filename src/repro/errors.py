@@ -72,7 +72,8 @@ class ExecutionError(ReproError):
 
 
 class CodegenError(ReproError):
-    """The code generator cannot emit a construct."""
+    """The code generator cannot emit a construct. The listings of
+    ``repro compile`` never raise it: they name what does not lower."""
 
 
 class SessionError(ReproError):

@@ -71,6 +71,26 @@ def _is_vector(v: Any) -> bool:
     return isinstance(v, np.ndarray) and v.ndim > 0
 
 
+def divide(left, right):
+    """PS ``/``: IEEE division, except that a zero divisor yields +inf for
+    a dividend >= 0 and -inf otherwise (NaN included), on scalars and
+    vectors alike — ``np.divide`` alone would give NaN for ``0 / 0`` and
+    ``NaN / 0``, where the scalar rule and the C tier's ``ps_div`` give an
+    infinity."""
+    if not _is_vector(left) and not _is_vector(right):
+        if right != 0:
+            return left / right
+        return float("inf") * (1 if left >= 0 else -1)
+    quotient = np.divide(left, right)
+    if not _is_vector(right) and right != 0:
+        return quotient
+    zero = np.equal(right, 0)
+    if not zero.any():
+        return quotient
+    signed = np.where(np.greater_equal(left, 0), np.inf, -np.inf)
+    return np.where(zero, signed, quotient)
+
+
 class Evaluator:
     """Evaluates normalised expressions against a data environment.
 
@@ -193,9 +213,7 @@ class Evaluator:
             if op == "*":
                 return left * right
             if op == "/":
-                return np.divide(left, right) if _is_vector(left) or _is_vector(right) else (
-                    left / right if right != 0 else float("inf") * (1 if left >= 0 else -1)
-                )
+                return divide(left, right)
             if op == "div":
                 if not _is_vector(left) and not _is_vector(right):
                     return left // right

@@ -19,9 +19,10 @@ Kernels come in two Python dialects, both driven by the one walk in
   same values via basic slices instead of fancy indexing. Per-equation
   vector kernels speak it.
 
-Both dialects share the expression walk with the whole-module Python
-generator (:mod:`repro.codegen.exprlower`), so runtime kernels and generated
-modules provably lower expressions through one code path. An equation the
+Both dialects, and the C one, are hooks on the one expression walk
+(:mod:`repro.codegen.exprlower`); ``repro compile --emit python``
+(:mod:`repro.codegen.pygen`) lists the scalar dialect's kernels as this
+module emits them. An equation the
 emitter cannot specialize (module calls, record fields, partial-rank array
 values, atomic multi-target equations) is *non-kernelizable*: the engine
 keeps evaluating it on the reference tree-walking evaluator.

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.evaluator import _BUILTIN_FUNCS
+from repro.runtime.evaluator import divide as kdiv
 from repro.runtime.values import RuntimeArray, check_clipped
 
 __all__ = [
@@ -43,16 +44,6 @@ BUILTIN_FUNCS = _BUILTIN_FUNCS
 
 def _is_vec(v) -> bool:
     return isinstance(v, np.ndarray) and v.ndim > 0
-
-
-def kdiv(left, right):
-    """PS ``/`` with the evaluator's exact semantics (vector: ``np.divide``;
-    scalar: signed infinity on division by zero)."""
-    if _is_vec(left) or _is_vec(right):
-        return np.divide(left, right)
-    if right != 0:
-        return left / right
-    return float("inf") * (1 if left >= 0 else -1)
 
 
 def kfloordiv(left, right):

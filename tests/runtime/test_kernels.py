@@ -392,12 +392,12 @@ class TestAffineHelpers:
 
 
 class TestSharedLowering:
-    def test_pygen_and_kernels_share_the_lowerer(self):
-        """Both code paths must subclass the one expression walk."""
+    def test_every_kernel_dialect_shares_the_lowerer(self):
+        """The Python and C dialects must subclass the one expression walk."""
+        from repro.codegen.clower import CExprLowerer
         from repro.codegen.exprlower import ExprLowerer
-        from repro.codegen.pygen import _PygenLowerer
         from repro.runtime.kernels.emit import _ScalarLowerer, _VectorLowerer
 
-        assert issubclass(_PygenLowerer, ExprLowerer)
+        assert issubclass(CExprLowerer, ExprLowerer)
         assert issubclass(_ScalarLowerer, ExprLowerer)
         assert issubclass(_VectorLowerer, ExprLowerer)

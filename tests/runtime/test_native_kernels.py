@@ -481,8 +481,7 @@ class TestFlooredSemantics:
 
     def test_div_mod_on_negative_operands(self, native_cache_dir):
         """PS div/mod are floored (Python semantics); the C tier must not
-        inherit C's truncation — regression for the cgen bug the native
-        tier's shared prelude fixes."""
+        inherit C's truncation — the prelude's ``ps_fdiv`` / ``ps_mod``."""
         from repro.ps.parser import parse_module
         from repro.ps.semantics import analyze_module
 

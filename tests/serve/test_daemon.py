@@ -398,11 +398,20 @@ class TestDisconnects:
         def shm() -> set:
             return set(glob.glob("/dev/shm/psm_*"))
 
+        def threads() -> int:
+            """Threads outside the daemon's executor. That one is bounded,
+            but grows lazily: a request may start another worker while an
+            idle one has not yet marked itself free."""
+            names = [t.name for t in threading.enumerate()]
+            workers = sum(name.startswith("repro-serve") for name in names)
+            assert workers <= daemon.max_inflight
+            return len(names) - workers
+
         args = {**SIZES, "InitialA": make_input(5)}
         expected = serial_reference(session, args)
         with connect(daemon) as client:
-            client.run("Relaxation", args)  # executor thread started
-        before = tasks(), threading.active_count(), shm()
+            client.run("Relaxation", args)
+        before = tasks(), threads(), shm()
         for _ in range(4):
             sock = socket.create_connection(daemon.address)
             header = {"op": "run", "module": "Relaxation", "blobs": [1 << 20]}
@@ -414,7 +423,7 @@ class TestDisconnects:
         deadline = time.monotonic() + 30
         while not (
             tasks() <= before[0]
-            and threading.active_count() <= before[1]
+            and threads() <= before[1]
             and shm() <= before[2]
         ):
             assert time.monotonic() < deadline, "a connection left something"

@@ -117,12 +117,12 @@ class TestCompile:
     def test_emit_c(self, jacobi_file, capsys):
         assert main(["compile", jacobi_file, "--emit", "c"]) == 0
         out = capsys.readouterr().out
-        assert "void Relaxation(" in out
-        assert "/* concurrent for */" in out
+        assert "A: dimension 0 is virtual: window of 2" in out
+        assert "\nint k_" in out and "#include <math.h>" in out
 
     def test_emit_python(self, jacobi_file, capsys):
         assert main(["compile", jacobi_file, "--emit", "python"]) == 0
-        assert "def Relaxation(" in capsys.readouterr().out
+        assert "def _kernel(data, env, _nlo, _nhi):" in capsys.readouterr().out
 
     def test_emit_flowchart(self, jacobi_file, capsys):
         assert main(["compile", jacobi_file, "--emit", "flowchart"]) == 0
@@ -136,7 +136,10 @@ class TestCompile:
 
     def test_no_windows(self, jacobi_file, capsys):
         assert main(["compile", jacobi_file, "--no-windows"]) == 0
-        assert "% 2" not in capsys.readouterr().out
+        assert "A: full storage" in capsys.readouterr().out
+        assert main(["compile", jacobi_file, "--no-windows",
+                     "--emit", "python"]) == 0
+        assert "_w_A_0" not in capsys.readouterr().out
 
 
 class TestTransform:

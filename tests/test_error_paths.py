@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    CodegenError,
     ExecutionError,
     InfeasibleScheduleError,
     ParseError,
@@ -117,25 +116,6 @@ class TestExecutionErrors:
             jacobi_analyzed(), {"InitialA": initial, "M": 2, "maxK": 1}
         )
         np.testing.assert_allclose(out["newA"], initial)
-
-
-class TestCodegenErrors:
-    def test_atomic_equation_in_c(self):
-        from repro.codegen.cgen import generate_c
-        from repro.ps.parser import parse_program
-        from repro.ps.semantics import analyze_program
-
-        program = analyze_program(
-            parse_program(
-                "DivMod: module (a: int; b: int): [q: int; r: int];\n"
-                "define q = a div b; r = a mod b; end DivMod;\n"
-                "Use: module (x: int): [s: int];\n"
-                "var q: int; r: int;\n"
-                "define q, r = DivMod(x, 3); s = q + r; end Use;"
-            )
-        )
-        with pytest.raises(CodegenError, match="multi-result"):
-            generate_c(program["Use"])
 
 
 class TestSchedulerDeterminism:
