@@ -2,10 +2,18 @@
 behind a socket.
 
 The asyncio loop owns only the transport — accept, read a message, write
-a message. Every request body (array decode and encode included) executes
-in a thread pool against one shared warm session, so concurrent clients
-overlap: planning coalesces per key, and runs on one engine proceed
-side by side. Two pressure valves bound a burst of clients:
+a message — and drives it with the loop's own socket calls on
+non-blocking sockets (``sock_accept``, ``sock_recv_into``), no stream
+layer between. A header line is received into a small per-connection
+scratch buffer; a request's frame is received straight into a buffer of
+the daemon's frame store (a :class:`~repro.runtime.values.BufferStore`, so
+a repeated MB-sized request lands on pages an earlier frame already
+touched) and decoded as read-only views the run borrows; a reply's header
+line and blobs leave in one ``sendmsg``. Every request body (array decode
+and encode included) executes in a thread pool against one shared warm
+session, so concurrent clients overlap: planning coalesces per key, and
+runs on one engine proceed side by side. Two pressure valves bound a
+burst of clients:
 
 * ``max_inflight`` requests execute at once (a semaphore over the
   executor), and
@@ -24,7 +32,8 @@ a frame of raw array bytes (see :mod:`repro.serve.wire`). Requests carry
 "result": ...}`` or a structured error. A malformed line gets a
 ``BadRequest`` error and the connection stays open — one bad request must
 not kill a client's pipeline; only an unusable frame (oversize, or cut
-short) closes it, because the stream cannot be resynchronised.
+short) or a header line over :data:`~repro.serve.wire.MAX_LINE` closes
+it, because the stream cannot be resynchronised.
 
 Supported ops: ``ping``, ``modules``, ``describe``, ``stats``, ``plan``,
 ``warm``, ``run``, ``shutdown``.
@@ -34,19 +43,98 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import itertools
 import json
 import os
 import socket
+import stat
 import threading
 from time import perf_counter
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ReproError, SessionError
 from repro.runtime.executor import ExecutionOptions
 from repro.runtime.kernels.native import cap_teams
+from repro.runtime.values import BufferStore
 from repro.serve import wire
 from repro.serve.session import Session, fill_random_arrays
+
+#: bytes one connection receives at a time while it looks for a newline
+SCRATCH_BYTES = 64 << 10
+#: seconds to wait before accepting again after ``accept`` failed
+_ACCEPT_RETRY = 0.1
+
+
+class _Connection:
+    """One accepted socket, read and written straight through the event
+    loop's socket calls.
+
+    A header line is received into a per-connection scratch buffer; a frame
+    is received straight into a buffer of the daemon's frame store (after
+    the bytes the scratch buffer already holds), and handed on read-only,
+    so the arrays decoded from it are borrowed by the run and never
+    written. A reply leaves in one ``sendmsg``."""
+
+    def __init__(self, sock: socket.socket, frames: BufferStore):
+        self.sock = sock
+        self._frames = frames
+        self._loop = asyncio.get_running_loop()
+        self._scratch = bytearray(SCRATCH_BYTES)
+        self._view = memoryview(self._scratch)
+        self._pos = self._end = 0  # received, not yet read: [_pos, _end)
+
+    async def readline(self) -> bytes:
+        """The next line, newline included; at the end of the stream, what
+        is left of it (maybe nothing). A line longer than
+        :data:`wire.MAX_LINE` bytes raises WireError."""
+        carried = bytearray()  # the start of a line the scratch buffer outgrew
+        while True:
+            newline = self._scratch.find(b"\n", self._pos, self._end)
+            stop = self._end if newline < 0 else newline + 1
+            if len(carried) + stop - self._pos > wire.MAX_LINE:
+                raise wire.WireError(f"request line over {wire.MAX_LINE} bytes")
+            chunk, self._pos = self._view[self._pos : stop], stop
+            if newline >= 0 and not carried:
+                return bytes(chunk)
+            carried += chunk
+            if newline >= 0:
+                return bytes(carried)
+            self._pos = 0
+            self._end = await self._loop.sock_recv_into(self.sock, self._view)
+            if not self._end:
+                return bytes(carried)
+
+    async def readframe(self, size: int) -> memoryview:
+        """The next ``size`` bytes, read-only, on a frame store buffer;
+        WireError when the stream ends first."""
+        frame = memoryview(self._frames.take((size,), np.uint8, zero=False))
+        have = min(size, self._end - self._pos)
+        frame[:have] = self._view[self._pos : self._pos + have]
+        self._pos += have
+        while have < size:
+            got = await self._loop.sock_recv_into(self.sock, frame[have:])
+            if not got:
+                raise wire.WireError(f"frame cut short: {have} of {size} bytes")
+            have += got
+        return frame.toreadonly()
+
+    async def send(self, buffers: list) -> None:
+        """Write one message: every buffer in one ``sendmsg``, and what the
+        socket's send buffer had no room for with ``sock_sendall``."""
+        buffers = [b for b in buffers if len(b)]
+        try:
+            sent = self.sock.sendmsg(buffers)
+        except BlockingIOError:
+            sent = 0
+        for buf in buffers:
+            if sent >= len(buf):
+                sent -= len(buf)
+            else:
+                await self._loop.sock_sendall(self.sock, memoryview(buf)[sent:])
+                sent = 0
 
 
 class ReproDaemon:
@@ -79,11 +167,15 @@ class ReproDaemon:
         self._pending = 0
         self._pending_lock = threading.Lock()
         #: what `stats` reports about the daemon itself (under the lock);
-        #: the seconds leave out time spent waiting on the socket
+        #: only ``recv_s`` / ``send_s`` count time spent waiting on the socket
         self._totals = {
             "requests": 0, "bytes_in": 0, "bytes_out": 0,
-            "decode_s": 0.0, "queue_s": 0.0, "run_s": 0.0, "encode_s": 0.0,
+            "recv_s": 0.0, "decode_s": 0.0, "queue_s": 0.0, "run_s": 0.0,
+            "encode_s": 0.0, "send_s": 0.0,
         }
+        #: where request frames land: buffers of earlier frames nothing
+        #: references any more, so a repeated big request finds warm pages
+        self._frames = BufferStore()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
@@ -91,7 +183,7 @@ class ReproDaemon:
             initargs=(self.team_cap,),
         )
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._clients: set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
         self._ready = threading.Event()
         self.address: tuple[str, int] | str | None = None
@@ -105,10 +197,14 @@ class ReproDaemon:
 
     def stats(self) -> dict[str, Any]:
         """The session's counters plus this daemon's own: requests answered,
-        payload bytes each way, and where the seconds went — wire-bound
-        (decode + encode), saturated (queue) or kernel-bound (run)?"""
+        payload bytes each way, where the seconds went — socket-bound (recv
+        + send), wire-bound (decode + encode), saturated (queue) or
+        kernel-bound (run)? — and how many frame bytes landed on recycled
+        or on fresh pages."""
         with self._pending_lock:
             own = dict(self._totals)
+        own["frame_bytes_recycled"] = self._frames.recycled
+        own["frame_bytes_fresh"] = self._frames.fresh
         return {**self.session.stats().to_dict(), "daemon": own}
 
     def _handle(
@@ -201,48 +297,57 @@ class ReproDaemon:
 
     # -- connection loop ---------------------------------------------------
 
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        writer.get_extra_info("socket").setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER
-        )
+    async def _accept(self, listener: socket.socket) -> None:
+        """Accept connections until cancelled, one task each."""
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = await loop.sock_accept(listener)
+            except OSError:  # out of descriptors, or the peer left first
+                await asyncio.sleep(_ACCEPT_RETRY)
+                continue
+            if sock.family != socket.AF_UNIX:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
+            task = loop.create_task(self._serve_client(_Connection(sock, self._frames)))
+            self._clients.add(task)
+            task.add_done_callback(self._clients.discard)
+
+    async def _serve_client(self, conn: _Connection) -> None:
         try:
             while not self._shutdown.is_set():
                 try:
-                    line = await reader.readline()
+                    line = await conn.readline()
                     if not line:
                         break
-                    reply, reusable = await self._respond(line, reader)
+                    reply, reusable = await self._respond(line, conn)
                 except (ValueError, ConnectionError):
                     # over-long line or peer reset: nothing sane to answer on
                     break
                 stop = reply is _SHUTDOWN
                 if stop:
                     reply = wire.frame(wire.ok("shutting down"))
-                self._count(requests=1, bytes_out=sum(map(len, reply)))
-                # (no empty buffers: 3.12's sendmsg path never drains them)
-                writer.writelines([b for b in reply if len(b)])
-                await writer.drain()
+                sending = perf_counter()
+                await conn.send(reply)
+                self._count(
+                    requests=1,
+                    bytes_out=sum(map(len, reply)),
+                    send_s=perf_counter() - sending,
+                )
                 reply = None  # sent: the session may reuse the result arrays
+                self._frames.trim()
                 if stop:
                     self.request_shutdown()
                 if not reusable:
                     break
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # peer gone mid-reply, or the daemon shut down while we idled
+        except ConnectionError:
+            pass  # peer gone mid-reply
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
-                pass
+            conn.sock.close()
 
-    async def _respond(
-        self, line: bytes, reader: asyncio.StreamReader
-    ) -> tuple[Any, bool]:
+    async def _respond(self, line: bytes, conn: _Connection) -> tuple[Any, bool]:
         """The reply buffers for one request line (reading its frame off
-        ``reader``), and whether the stream can carry another request."""
+        ``conn``), and whether the stream can carry another request."""
 
         def reject(message: str, reusable: bool = True) -> tuple[list, bool]:
             return wire.frame(wire.error("BadRequest", message)), reusable
@@ -259,18 +364,15 @@ class ReproDaemon:
         try:
             sizes = wire.blob_sizes(request)
             if sizes is not None:
-                frame = memoryview(await reader.readexactly(sum(sizes)))
+                frame = await conn.readframe(sum(sizes))
                 ends = list(itertools.accumulate(sizes))
                 blobs = [frame[end - n : end] for n, end in zip(sizes, ends)]
         except wire.WireError as exc:
             return reject(str(exc), reusable=False)
-        except asyncio.IncompleteReadError as exc:
-            return reject(
-                f"frame cut short: {len(exc.partial)} of {exc.expected} bytes",
-                reusable=False,
-            )
         self._count(
-            bytes_in=len(line) + sum(sizes or ()), decode_s=parsed - received
+            bytes_in=len(line) + sum(sizes or ()),
+            decode_s=parsed - received,
+            recv_s=0.0 if blobs is None else perf_counter() - parsed,
         )
         if request.get("op") == "shutdown":
             return _SHUTDOWN, False
@@ -308,31 +410,51 @@ class ReproDaemon:
         finally:
             with self._pending_lock:
                 self._pending -= 1
+            if blobs:
+                # the executor's work item may hold this list a while after
+                # the reply is out: let go of the frame for the next request
+                blobs.clear()
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _start(self) -> None:
-        if self.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._serve_client, path=self.unix_path, limit=wire.MAX_LINE
-            )
-            self.address = self.unix_path
+    def _listen(self) -> socket.socket:
+        if self.unix_path is None:
+            family = socket.getaddrinfo(
+                self.host, self.port, type=socket.SOCK_STREAM
+            )[0][0]
+            listener = socket.create_server((self.host, self.port), family=family)
+            self.address = listener.getsockname()[:2]
+            self.port = self.address[1]
         else:
-            self._server = await asyncio.start_server(
-                self._serve_client, self.host, self.port, limit=wire.MAX_LINE
-            )
-            sock = self._server.sockets[0].getsockname()
-            self.address = (sock[0], sock[1])
-            self.port = sock[1]
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
+            # a socket file left by an earlier daemon goes; any other file
+            # stays, and bind refuses it (address in use)
+            with contextlib.suppress(FileNotFoundError):
+                if stat.S_ISSOCK(os.stat(self.unix_path).st_mode):
+                    os.remove(self.unix_path)
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                listener.bind(self.unix_path)
+                listener.listen()
+            except OSError:
+                listener.close()
+                raise
+            self.address = self.unix_path
+        listener.setblocking(False)
+        return listener
 
     async def _run(self) -> None:
-        await self._start()
+        listener = self._listen()
+        self._loop = asyncio.get_running_loop()
+        self._ready.set()
+        accepting = asyncio.create_task(self._accept(listener))
         try:
-            async with self._server:
-                await self._shutdown.wait()
+            await self._shutdown.wait()
+            tasks = [accepting, *self._clients]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
         finally:
+            listener.close()
             self.close()
 
     def serve_forever(self) -> None:

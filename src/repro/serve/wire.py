@@ -18,15 +18,18 @@ float and complex kinds are accepted).
 
 A decoded array is a **view on the bytes it arrived in** — copied only
 when those bytes are misaligned for its dtype — so it is writeable exactly
-when that buffer is: the daemon reads a request's frame into one ``bytes``
-object, so the arrays of a framed request are read-only views that reach
-the kernels without a copy (a run borrows its arguments and never writes
-them); an inline array sits on the ``bytes`` base64 decoding returned and
-is read-only too; :class:`~repro.serve.client.ReproClient` receives each
-result blob into a writeable buffer of its own — from 128 KiB up a recycled
-one, reused for a later response only after the caller has dropped every
-view of the array on it — so result arrays are writeable and the caller's
-for as long as the caller holds them.
+when that buffer is: the daemon receives a request's frame straight off
+the socket into a buffer of its own — from 128 KiB up one an earlier
+frame used, once nothing references it — and decodes it through a
+read-only view, so the arrays of a framed request are read-only views
+that reach the kernels without a copy (a run borrows its arguments and
+never writes them); an inline array sits on the ``bytes`` base64
+decoding returned and is read-only too;
+:class:`~repro.serve.client.ReproClient` receives each result blob into a
+writeable buffer of its own — from 128 KiB up a recycled one, reused for
+a later response only after the caller has dropped every view of the
+array on it — so result arrays are writeable and the caller's for as long
+as the caller holds them.
 
 **Framed** — what :class:`~repro.serve.client.ReproClient` sends. The
 header has ``"blobs": [n0, n1, ...]`` and exactly ``n0 + n1 + ...`` raw

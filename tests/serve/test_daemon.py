@@ -3,9 +3,13 @@ structured errors that keep the connection alive, deterministic
 backpressure, and clean shutdown."""
 
 import asyncio
+import contextlib
 import glob
 import json
+import os
 import socket
+import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.paper import RELAXATION_JACOBI_SOURCE
-from repro.errors import ClientError
+from repro.errors import ClientError, SessionError
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import DaemonThread, ReproClient, Session, wire
+from repro.serve.daemon import SCRATCH_BYTES
 
 from tests.runtime.test_backends import RETIRED_BACKENDS, SURVIVORS
 
@@ -80,12 +85,15 @@ class TestProtocol:
             own = client.stats()["daemon"]
         assert own["requests"] == 2  # the stats request is still in flight
         assert own["bytes_in"] > a.nbytes and own["bytes_out"] > a.nbytes
-        for phase in ("decode_s", "queue_s", "run_s", "encode_s"):
+        for phase in ("recv_s", "decode_s", "queue_s", "run_s", "encode_s", "send_s"):
             assert own[phase] > 0, phase
+        # a 512-byte frame is below the frame store's threshold: left to malloc
+        assert own["frame_bytes_recycled"] == own["frame_bytes_fresh"] == 0
 
     def test_a_request_array_reaches_the_run_without_a_copy(self, served):
-        """The frame's bytes are decoded as a read-only view and the run
-        borrows it: nothing between the socket and the kernel copies."""
+        """The frame is received straight into a daemon buffer and decoded
+        as a read-only view of it, which the run borrows: nothing between
+        the socket and the kernel copies."""
         daemon, _ = served
         a = make_input(2)
         with connect(daemon) as client:
@@ -320,6 +328,37 @@ class TestConcurrency:
         for i in range(8):
             assert np.array_equal(outputs[i], expected[i]), f"client {i}"
 
+    def test_concurrent_big_frames_never_share_a_buffer(self, served):
+        """Six clients each send frames of over 128 KiB, which the daemon
+        receives onto buffers it recycles between connections: a buffer
+        handed out while a run still reads it would mix two inputs."""
+        daemon, session = served
+        big = {"M": 127, "maxK": 2}
+        inputs = [make_input(400 + i, m=127) for i in range(6)]
+        expected = [
+            serial_reference(session, {**big, "InitialA": a}).tobytes()
+            for a in inputs
+        ]
+        barrier = threading.Barrier(6)
+
+        def one_client(i):
+            with connect(daemon) as client:
+                barrier.wait()
+                for round_ in range(5):
+                    j = (i + round_) % 6
+                    out = client.run("Relaxation", {**big, "InitialA": inputs[j]})
+                    assert out["newA"].tobytes() == expected[j], (i, round_)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                for future in [pool.submit(one_client, i) for i in range(6)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert daemon.stats()["daemon"]["frame_bytes_recycled"] > 0
+
     def test_overload_returns_structured_error(self, monkeypatch):
         """With one execution slot, no queue, and a run that blocks until
         released, a second concurrent request must be answered Overloaded
@@ -357,28 +396,165 @@ class TestConcurrency:
             first.close()
 
 
+@pytest.fixture()
+def accepted(monkeypatch):
+    """The daemon's end of every connection accepted from now on."""
+    socks = []
+    real = socket.socket.accept
+
+    def spy(self):
+        conn, address = real(self)
+        socks.append(conn)
+        return conn, address
+
+    monkeypatch.setattr(socket.socket, "accept", spy)
+    return socks
+
+
 class TestSendBuffers:
-    def test_both_ends_size_their_send_buffer_for_a_frame(self, served, monkeypatch):
+    def test_both_ends_size_their_send_buffer_for_a_frame(
+        self, served, accepted, monkeypatch
+    ):
         """Client and daemon each ask for ``wire.SEND_BUFFER`` of SO_SNDBUF
         on their end of a connection, so a MB-sized frame is not handed
         over one default socket buffer at a time."""
         daemon, _ = served
         asked = []
-        real = asyncio.trsock.TransportSocket.setsockopt
+        real = socket.socket.setsockopt
 
         def spy(self, *args):
-            asked.append(args)
+            asked.append((self, args))
             return real(self, *args)
 
-        monkeypatch.setattr(asyncio.trsock.TransportSocket, "setsockopt", spy)
+        monkeypatch.setattr(socket.socket, "setsockopt", spy)
         with socket.socket() as probe:  # what the kernel grants that request
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
+            real(probe, socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
             granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
         with connect(daemon) as client:
             assert client.ping() == "pong"
             mine = client._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
         assert mine == granted
-        assert asked == [(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)]
+        [theirs] = accepted
+        assert [
+            args for sock, args in asked
+            if sock is theirs and args[0] == socket.SOL_SOCKET
+        ] == [(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)]
+
+    def test_tcp_connections_disable_nagle(self, served, accepted):
+        """A reply's last segment leaves at once, not after the peer's
+        delayed ACK."""
+        daemon, _ = served
+        with connect(daemon) as client:
+            assert client.ping() == "pong"
+            [theirs] = accepted
+            assert theirs.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
+def framed(args: dict) -> tuple[bytes, bytes]:
+    """A framed ``run`` request of Relaxation: its header line and frame."""
+    blobs: list = []
+    header = {
+        "op": "run", "module": "Relaxation",
+        "args": wire.encode_mapping(args, blobs),
+    }
+    line, *frame = wire.frame(header, blobs)
+    return line, b"".join(frame)
+
+
+def read_reply(stream) -> dict:
+    """The next reply on a file over the socket, its arrays decoded."""
+    response = json.loads(stream.readline())
+    assert response["ok"], response
+    blobs = [stream.read(n) for n in wire.blob_sizes(response) or ()]
+    return wire.decode_mapping(response["result"], blobs)
+
+
+def raw_connection(daemon) -> socket.socket:
+    sock = socket.create_connection(daemon.address, timeout=30)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class TestTransport:
+    """How request bytes arrive does not change the reply: each one is bit
+    for bit a serial run of its own input."""
+
+    def test_a_request_trickling_in_pieces(self, served):
+        daemon, session = served
+        args = {**SIZES, "InitialA": make_input(20)}
+        with raw_connection(daemon) as sock, sock.makefile("rb") as stream:
+            for part in framed(args):
+                for piece in (part[:1], part[1:8], part[8:]):
+                    sock.sendall(piece)
+                    time.sleep(0.01)  # each piece its own segment
+            out = read_reply(stream)["newA"]
+        assert out.tobytes() == serial_reference(session, args).tobytes()
+
+    def test_two_pipelined_requests_in_one_send(self, served):
+        daemon, session = served
+        inputs = [{**SIZES, "InitialA": make_input(21 + i)} for i in range(2)]
+        with raw_connection(daemon) as sock, sock.makefile("rb") as stream:
+            sock.sendall(b"".join(b"".join(framed(args)) for args in inputs))
+            for args in inputs:
+                out = read_reply(stream)["newA"]
+                assert out.tobytes() == serial_reference(session, args).tobytes()
+
+    def test_an_inline_request_longer_than_the_scratch_buffer(self, served):
+        daemon, session = served
+        args = {"M": 90, "maxK": 2, "InitialA": make_input(22, m=90)}
+        line = json.dumps(
+            {"op": "run", "module": "Relaxation", "args": wire.encode_mapping(args)}
+        ).encode() + b"\n"
+        assert len(line) > SCRATCH_BYTES
+        with raw_connection(daemon) as sock, sock.makefile("rb") as stream:
+            sock.sendall(line)
+            out = read_reply(stream)["newA"]
+        assert out.tobytes() == serial_reference(session, args).tobytes()
+
+    def test_a_line_over_the_limit_closes_only_its_connection(
+        self, served, monkeypatch
+    ):
+        daemon, _ = served
+        monkeypatch.setattr(wire, "MAX_LINE", 1 << 20)
+        with raw_connection(daemon) as sock:
+            with contextlib.suppress(ConnectionError):
+                sock.sendall(b"x" * ((1 << 20) + 1))  # and no newline
+            with contextlib.suppress(ConnectionResetError):
+                assert sock.recv(1) == b""
+        with connect(daemon) as client:
+            assert client.ping() == "pong"
+
+    def test_a_frame_cut_short_is_a_bad_request_then_closed(self, served):
+        daemon, _ = served
+        header = {"op": "run", "module": "Relaxation", "args": {}, "blobs": [1000]}
+        with raw_connection(daemon) as sock, sock.makefile("rb") as stream:
+            sock.sendall(json.dumps(header).encode() + b"\n" + bytes(10))
+            sock.shutdown(socket.SHUT_WR)
+            response = json.loads(stream.readline())
+            assert response["error"] == {
+                "type": "BadRequest", "message": "frame cut short: 10 of 1000 bytes",
+            }
+            assert stream.read() == b""
+
+    def test_a_repeated_big_request_lands_on_a_recycled_frame(self, served):
+        """A frame of 128 KiB and more is received into a buffer of an
+        earlier frame that nothing references any more, and the run still
+        borrows the read-only array decoded from it."""
+        daemon, session = served
+        big = {"M": 361, "maxK": 2}  # InitialA: 363 x 363 reals, just over 1 MB
+        args = {**big, "InitialA": make_input(23, m=361)}
+        assert args["InitialA"].nbytes > 1 << 20
+        expected = serial_reference(session, args).tobytes()
+        with connect(daemon) as client:
+            before = client.stats()
+            for _ in range(4):
+                assert client.run("Relaxation", args)["newA"].tobytes() == expected
+            after = client.stats()
+        assert after["daemon"]["frame_bytes_recycled"] >= 3 * args["InitialA"].nbytes
+        assert after["daemon"]["frame_bytes_fresh"] == args["InitialA"].nbytes
+        borrowed = after["arg_bytes_borrowed"] - before["arg_bytes_borrowed"]
+        assert borrowed == 4 * args["InitialA"].nbytes
+        assert after["arg_bytes_converted"] == 0
 
 
 class TestDisconnects:
@@ -428,6 +604,38 @@ class TestDisconnects:
         ):
             assert time.monotonic() < deadline, "a connection left something"
             time.sleep(0.01)
+        # the buffers the half frames went into were let go of, and at most
+        # those four stay idle for the next big frame
+        assert 0 < daemon._frames.held() <= 4 << 20
+
+
+class TestUnixSocket:
+    @pytest.fixture()
+    def path(self):
+        # unix socket paths are capped (~108 bytes); keep it in a short tmp dir
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as where:
+            yield os.path.join(where, "d.sock")
+
+    def test_a_stale_socket_file_is_replaced(self, path):
+        with socket.socket(socket.AF_UNIX) as earlier:
+            earlier.bind(path)  # closed without unlinking: a stale file
+        session = Session()
+        session.load(RELAXATION_JACOBI_SOURCE)
+        with DaemonThread(session, unix_path=path):
+            with ReproClient(unix_path=path) as client:
+                assert client.ping() == "pong"
+
+    # the daemon thread dies of the bind error
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_path_that_is_not_a_socket_is_refused(self, path):
+        with open(path, "w") as fh:
+            fh.write("mine")
+        with Session() as session:
+            runner = DaemonThread(session, unix_path=path)
+            with pytest.raises(SessionError, match="failed to bind"):
+                runner.start()
+        with open(path) as fh:
+            assert fh.read() == "mine"
 
 
 class TestShutdown:
