@@ -239,9 +239,6 @@ class CExprLowerer(ExprLowerer):
             return "real" if "real" in ks else "int"
         raise self.error(f"builtin {fn!r} is not bit-exact in C")
 
-    def value_ctype(self, expr: Expr) -> str:
-        return C_VALUE_TYPES[self.kind(expr)]
-
     # -- dialect hooks -----------------------------------------------------
 
     def lower_div(self, left: str, right: str) -> str:

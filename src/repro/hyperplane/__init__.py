@@ -4,8 +4,9 @@ Pipeline: extract constant-offset dependence vectors from a recursive
 component -> derive strict dependence inequalities over a linear time
 function ``t = aK + bI + cJ`` -> find the least integer coefficients ->
 complete the time row into a unimodular coordinate change -> rewrite the
-module in the new coordinates -> re-schedule (the outer time loop is
-iterative, everything inside is parallel).
+module in the new coordinates -> analyze it. The compiler pipeline
+schedules the output (the outer time loop is iterative, everything inside
+is parallel); the transform itself schedules nothing.
 """
 
 from repro.hyperplane.dependences import DependenceSet, extract_dependences

@@ -1,21 +1,15 @@
 """Symbolic expression helpers for the hyperplane rewrite.
 
 These build and simplify the small class of ASTs the transformation needs:
-linear combinations of index variables (``Kp - 2*Ip - Jp``), offset
-subscripts (``Kp - 1``) and substitution of index variables by expressions.
+linear combinations of index variables (``Kp - 2*Ip - Jp``) and offset
+subscripts (``Kp - 1``).
 Constant folding keeps the generated PS source readable — the paper writes
 ``K' - 2I' - J'``, not ``1*Kp + -2*Ip + -1*Jp + 0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.ps.ast import BinOp, Expr, Index, IntLit, Name, UnOp, map_children
-
-
-def intlit(v: int) -> IntLit:
-    return IntLit(v)
+from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 
 
 def _fold_int(expr: Expr) -> int | None:
@@ -96,18 +90,6 @@ def offset(var: str, delta: int) -> Expr:
     if delta > 0:
         return BinOp("+", base, IntLit(delta))
     return BinOp("-", base, IntLit(-delta))
-
-
-def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Replace every ``Name(v)`` with ``mapping[v]`` (value positions only;
-    array base names are Name nodes too, so callers must not put array names
-    in the mapping)."""
-    if isinstance(expr, Name):
-        return mapping.get(expr.ident, expr)
-    if isinstance(expr, Index) and isinstance(expr.base, Name):
-        # Base is left alone when it is a bare array name.
-        return replace(expr, subscripts=[substitute(s, mapping) for s in expr.subscripts])
-    return map_children(expr, lambda e: substitute(e, mapping))
 
 
 def conjoin(conds: list[Expr]) -> Expr | None:

@@ -10,8 +10,10 @@ the full derivation the paper performs by hand:
 3. complete to a unimodular coordinate change (``K' = 2K+I+J, I' = K,
    J' = I``);
 4. rewrite the module in the new coordinates (executable PS source);
-5. re-analyze and re-schedule — the transformed component now schedules as
-   ``DO K' (DOALL I' (DOALL J'))``, the Figure-6 shape;
+5. analyze the rewritten module. The pipeline schedules it — the
+   transformed component now schedules as ``DO K' (DOALL I' (DOALL J'))``,
+   the Figure-6 shape — and nothing is scheduled here: both flowcharts of a
+   :class:`HyperplaneResult` are made the first time something reads them;
 6. report window sizes and the storage comparison (window ``1 + max pi.d``
    for the transformed array: 3 planes for the example, versus 2 full grids
    for the untransformed iterative version).
@@ -19,9 +21,10 @@ the full derivation the paper performs by hand:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from repro.errors import TransformError
+from repro.errors import SourceError, TransformError
 from repro.graph.build import build_dependency_graph
 from repro.graph.depgraph import DependencyGraph
 from repro.hyperplane.dependences import (
@@ -41,6 +44,8 @@ from repro.schedule.scheduler import schedule_module
 @dataclass
 class HyperplaneResult:
     original: AnalyzedModule
+    #: the original's dependency graph (the dependences come from it)
+    graph: DependencyGraph
     array: str
     dependences: DependenceSet
     inequalities: list[str]
@@ -49,10 +54,17 @@ class HyperplaneResult:
     Tinv: Matrix
     transformed_module: Module
     transformed: AnalyzedModule
-    original_flowchart: Flowchart
-    transformed_flowchart: Flowchart
     new_array: str
-    new_names: list[str] = field(default_factory=list)
+    #: index variables of the transformed array, the time index first
+    new_names: list[str]
+
+    @cached_property
+    def original_flowchart(self) -> Flowchart:
+        return schedule_module(self.original, self.graph)
+
+    @cached_property
+    def transformed_flowchart(self) -> Flowchart:
+        return schedule_module(self.transformed)
 
     @property
     def time_equation(self) -> str:
@@ -154,23 +166,17 @@ def hyperplane_transform(
     Tinv = integer_inverse(T)
     inequalities = format_inequalities(deps.vectors)
 
-    module2 = rewrite_module(analyzed, deps, T, new_module_name=new_module_name)
-    analyzed2 = analyze_module(module2, program)
-
-    flow1 = schedule_module(analyzed, graph)
-    flow2 = schedule_module(analyzed2)
-
-    new_array = next(
-        nm for nm in analyzed2.table.symbols if nm not in analyzed.table.symbols
+    module2, new_array, new_names = rewrite_module(
+        analyzed, deps, T, new_module_name=new_module_name
     )
-    # Identify the new index names from the transformed defining equation.
-    new_eq = next(
-        eq for eq in analyzed2.equations if any(t.name == new_array for t in eq.targets)
-    )
-    new_names = [d.index for d in new_eq.dims]
+    try:
+        analyzed2 = analyze_module(module2, program)
+    except SourceError as exc:
+        raise TransformError(f"the rewritten module is not valid PS: {exc}") from exc
 
     return HyperplaneResult(
         original=analyzed,
+        graph=graph,
         array=array,
         dependences=deps,
         inequalities=inequalities,
@@ -179,8 +185,6 @@ def hyperplane_transform(
         Tinv=Tinv,
         transformed_module=module2,
         transformed=analyzed2,
-        original_flowchart=flow1,
-        transformed_flowchart=flow2,
         new_array=new_array,
         new_names=new_names,
     )

@@ -15,7 +15,8 @@ in which:
   carried out in the opposite (preferable) direction: the program works
   entirely in the transformed array;
 * references to ``X`` from *other* equations are rewritten through ``T``
-  (``A[maxK,I,J]`` becomes ``Ap[2*maxK+I+J, maxK, I]``) — the rotate-out.
+  (``A[maxK,I,J]`` becomes ``Ap[2*maxK+I+J, maxK, I]``) — the rotate-out;
+  when ``X`` is a result, the equation ``X[x] = Xp[T x]`` keeps it defined.
 
 The rewrite requires the non-time rows of ``T`` to be standard basis vectors
 (the paper's construction guarantees this for its example; the greedy
@@ -28,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TransformError
+from repro.graph.labels import _probe
 from repro.hyperplane.dependences import DependenceSet
-from repro.hyperplane.exprutil import conjoin, linear_combination, offset, substitute
+from repro.hyperplane.exprutil import add, conjoin, linear_combination, offset
 from repro.hyperplane.unimodular import Matrix, integer_inverse
 from repro.ps.ast import (
     ArrayTypeExpr,
@@ -37,6 +39,7 @@ from repro.ps.ast import (
     BoolLit,
     Equation,
     Expr,
+    IfExpr,
     Index,
     IntLit,
     LhsItem,
@@ -48,8 +51,11 @@ from repro.ps.ast import (
     TypeDecl,
     VarDecl,
     expr_equal,
-    walk_expr,
+    map_children,
+    names_in,
 )
+from repro.ps.coverage import definition_boxes
+from repro.ps.printer import format_expression
 from repro.ps.semantics import AnalyzedModule
 from repro.ps.types import ArrayType, RealType
 
@@ -58,35 +64,9 @@ from repro.ps.types import ArrayType, RealType
 class RewritePlan:
     array: str
     new_array: str
-    dim_names: list[str]  # original index variables (K, I, J)
     new_names: list[str]  # transformed index variables (Kp, Ip, Jp)
     T: Matrix
-    Tinv: Matrix
     orig_exprs: list[Expr]  # original coords as expressions in new indices
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    candidate = base
-    while candidate in taken:
-        candidate += "p"
-    return candidate
-
-
-def _probe_delta(expr: Expr, index: str) -> int | None:
-    """expr == index + delta with slope 1, or None."""
-    from repro.graph.labels import _probe
-
-    f0 = _probe(expr, index, 0)
-    f1 = _probe(expr, index, 1)
-    if f0 is None or f1 is None or f1 - f0 != 1:
-        return None
-    return f0
-
-
-def _literal(expr: Expr) -> int | None:
-    from repro.graph.labels import _literal_int
-
-    return _literal_int(expr)
 
 
 def _zero_for(element_type) -> Expr:
@@ -102,8 +82,9 @@ def rewrite_module(
     deps: DependenceSet,
     T: Matrix,
     new_module_name: str | None = None,
-) -> Module:
-    """Produce the transformed PS module."""
+) -> tuple[Module, str, list[str]]:
+    """The transformed PS module, the name of its transformed array and
+    that array's index variables (the time index first)."""
     module = analyzed.module
     array = deps.array
     sym = analyzed.table.symbol(array)
@@ -132,35 +113,38 @@ def rewrite_module(
     taken = set(analyzed.table.symbols) | set(analyzed.table.subranges) | set(
         analyzed.table.enums
     )
-    new_array = _fresh_name(array + "p", taken)
-    taken.add(new_array)
+    typedecls = list(module.typedecls)
+
+    def fresh(base: str) -> str:
+        name = base
+        while name in taken:
+            name += "p"
+        taken.add(name)
+        return name
+
+    def declare(base: str, lo: Expr, hi: Expr) -> str:
+        """A fresh subrange ``lo .. hi`` declared under a name like ``base``."""
+        name = fresh(base)
+        typedecls.append(TypeDecl([name], RangeTypeExpr(lo, hi)))
+        return name
+
+    # ---- the transformed array over new subranges ----------------------------
+    new_array = fresh(array + "p")
+    decl_los = [d.lo for d in arr_type.dims]
+    decl_his = [d.hi for d in arr_type.dims]
+    ranges = [(linear_combination(list(pi), decl_los), linear_combination(list(pi), decl_his))]
+    ranges += [(decl_los[i], decl_his[i]) for i in selected]
     new_names = [
-        _fresh_name(deps.dim_names[i] + "p", taken) for i in range(n)
+        declare(deps.dim_names[j] + "p", lo, hi) for j, (lo, hi) in enumerate(ranges)
     ]
-    taken.update(new_names)
 
     # Original coordinates as expressions of the new indices: x = Tinv y.
     new_name_exprs: list[Expr] = [Name(nm) for nm in new_names]
     orig_exprs = [
         linear_combination(list(Tinv[i]), new_name_exprs) for i in range(n)
     ]
+    plan = RewritePlan(array, new_array, new_names, T, orig_exprs)
 
-    plan = RewritePlan(array, new_array, deps.dim_names, new_names, T, Tinv, orig_exprs)
-
-    # ---- new subrange declarations ------------------------------------------
-    decl_los = [d.lo for d in arr_type.dims]
-    decl_his = [d.hi for d in arr_type.dims]
-    time_lo = linear_combination(list(pi), decl_los)
-    time_hi = linear_combination(list(pi), decl_his)
-    new_typedecls = list(module.typedecls)
-    new_typedecls.append(TypeDecl([new_names[0]], RangeTypeExpr(time_lo, time_hi)))
-    for j, src_dim in enumerate(selected):
-        sub = arr_type.dims[src_dim]
-        new_typedecls.append(
-            TypeDecl([new_names[j + 1]], RangeTypeExpr(sub.lo, sub.hi))
-        )
-
-    # ---- new variable declarations ------------------------------------------
     elem_te = _element_typeexpr(arr_type)
     new_dims_te = [NamedTypeExpr(nm) for nm in new_names]
     new_vardecls: list[VarDecl] = []
@@ -170,38 +154,38 @@ def rewrite_module(
             new_vardecls.append(VarDecl(names, decl.typeexpr))
     new_vardecls.append(VarDecl([new_array], ArrayTypeExpr(new_dims_te, elem_te)))
 
-    # ---- split equations -------------------------------------------------------
+    # ---- equations -------------------------------------------------------------
     defining = [eq for eq in module.equations if any(l.name == array for l in eq.lhs)]
-
-    merged = _merge_defining_equations(analyzed, defining, arr_type, plan)
+    merged = [_merge_defining_equations(analyzed, defining, arr_type, plan)]
+    if any(p.name == array for p in module.results):
+        merged.append(_rotate_out(arr_type, plan, declare))
 
     # Foreign equations are rewritten from their *normalised* forms so that
     # partial references like A[maxK] appear with full subscripts.
     analyzed_by_label = {aeq.label: aeq for aeq in analyzed.equations}
+    declared = set(analyzed.table.subranges)
     new_equations: list[Equation] = []
-    label = 1
-    inserted = False
     for eq in module.equations:
         if any(l.name == array for l in eq.lhs):
-            if not inserted:
-                merged.label = f"eq.{label}"
-                label += 1
-                new_equations.append(merged)
-                inserted = True
+            new_equations += merged
+            merged = []
             continue
-        new_eq = _rewrite_foreign_equation(analyzed_by_label[eq.label], arr_type, plan)
-        new_eq.label = f"eq.{label}"
-        label += 1
-        new_equations.append(new_eq)
+        new_equations.append(
+            _rewrite_foreign_equation(
+                analyzed_by_label[eq.label], arr_type, plan, declared, declare
+            )
+        )
+    for label, eq in enumerate(new_equations, 1):
+        eq.label = f"eq.{label}"
 
     return Module(
         name=new_module_name or module.name + "Hyper",
         params=list(module.params),
         results=list(module.results),
-        typedecls=new_typedecls,
+        typedecls=typedecls,
         vardecls=new_vardecls,
         equations=new_equations,
-    )
+    ), new_array, new_names
 
 
 def _element_typeexpr(arr_type: ArrayType):
@@ -248,36 +232,100 @@ def _merge_defining_equations(
 
     # Branches, one per defining equation, in source order.
     analyzed_by_label = {eq.label: eq for eq in analyzed.equations}
-    branches: list[tuple[Expr | None, Expr]] = []
-    for eq in defining:
-        aeq = analyzed_by_label[eq.label]
-        guard, body = _transform_defining(aeq, arr_type, plan)
-        branches.append((guard, body))
+    branches = [
+        _transform_defining(analyzed_by_label[eq.label], arr_type, plan)
+        for eq in defining
+    ]
 
-    # Assemble if-cascade, innermost first. The final else is the last
-    # branch's body (domains partition the box), so no guard is wasted.
-    result: Expr = branches[-1][1]
+    # Assemble the if-cascade, innermost first. When the definition domains
+    # tile the declared box, the final else is the last branch's body and no
+    # guard is wasted; otherwise the elements no equation defines read as
+    # zero, as they do in the untransformed module's zero-filled storage.
+    guard, result = branches[-1]
+    declared = [(d.lo, d.hi) for d in arr_type.dims]
+    if guard is not None and not _tiles(
+        definition_boxes(analyzed).get(plan.array, []), declared
+    ):
+        result = IfExpr(guard, result, zero)
     for guard, body in reversed(branches[:-1]):
         assert guard is not None, "only the last branch may be unguarded"
-        result = _if(guard, body, result)
+        result = IfExpr(guard, body, result)
     if padding is not None:
-        result = _if(padding, zero, result)
+        result = IfExpr(padding, zero, result)
 
     lhs = LhsItem(plan.new_array, [Name(nm) for nm in plan.new_names])
     return Equation([lhs], result)
 
 
-def _if(cond: Expr, then: Expr, orelse: Expr) -> Expr:
-    from repro.ps.ast import IfExpr
+def _tiles(boxes: list, declared: list[tuple[Expr, Expr]]) -> bool:
+    """Whether the definition ``boxes`` (one ``(lo, hi)`` per dimension)
+    provably tile the ``declared`` box: some dimension cuts them into slabs
+    that follow one another from its lower to its upper bound, and inside
+    each slab the boxes tile the other dimensions."""
+    if not declared:
+        return len(boxes) == 1
+    for d, (lo, hi) in enumerate(declared):
+        slabs: dict[str, tuple[Expr, list]] = {}  # by lower bound
+        for box in boxes:
+            (box_lo, box_hi), rest = box[d], box[:d] + box[d + 1 :]
+            slab_hi, members = slabs.setdefault(format_expression(box_lo), (box_hi, []))
+            if not expr_equal(slab_hi, box_hi):
+                break
+            members.append(rest)
+        else:
+            at, chained = lo, 0
+            while chained < len(slabs) and format_expression(at) in slabs:
+                at = add(slabs[format_expression(at)][0], IntLit(1))
+                chained += 1
+            others = declared[:d] + declared[d + 1 :]
+            if (
+                chained == len(slabs)
+                and expr_equal(at, add(hi, IntLit(1)))
+                and all(_tiles(inner, others) for _, inner in slabs.values())
+            ):
+                return True
+    return False
 
-    return IfExpr(cond, then, orelse)
+
+def _rotate_out(arr_type: ArrayType, plan: RewritePlan, declare) -> Equation:
+    """``X[x] = Xp[T x]`` over the declared dimensions of ``X``: a result
+    the rewrite moved into the transformed array keeps its definition."""
+    names: list[str] = []
+    for pos, dim in enumerate(arr_type.dims):
+        if dim.anonymous or dim.name in names:
+            names.append(declare(f"i{pos}", dim.lo, dim.hi))
+        else:
+            names.append(dim.name)
+    x: list[Expr] = [Name(nm) for nm in names]
+    return Equation([LhsItem(plan.array, x)], _transformed_ref(plan, x))
+
+
+def _transformed_ref(plan: RewritePlan, subs: list[Expr]) -> Index:
+    """``Xp[T e]`` for the original coordinates ``e``."""
+    return Index(
+        Name(plan.new_array),
+        [linear_combination(list(row), subs) for row in plan.T],
+    )
+
+
+def _rewrite_expr(expr: Expr, array: str, mapping: dict[str, Expr], on_ref) -> Expr:
+    """``expr`` with names replaced by ``mapping`` and every reference
+    ``array[...]`` by ``on_ref(reference)``."""
+    if isinstance(expr, Index) and isinstance(expr.base, Name) and expr.base.ident == array:
+        return on_ref(expr)
+    if isinstance(expr, Name):
+        if expr.ident == array:
+            raise TransformError(
+                f"whole-array reference to {array!r} cannot be rewritten"
+            )
+        return mapping.get(expr.ident, expr)
+    return map_children(expr, lambda e: _rewrite_expr(e, array, mapping, on_ref))
 
 
 def _transform_defining(
     aeq, arr_type: ArrayType, plan: RewritePlan
 ) -> tuple[Expr | None, Expr]:
     """Guard + transformed body for one defining equation of the array."""
-    n = arr_type.rank
     target = next(t for t in aeq.targets if t.name == plan.array)
 
     # Substitution of the equation's index variables by inverse expressions.
@@ -300,117 +348,64 @@ def _transform_defining(
             # Constant slice, e.g. A[1] = ... -> guard orig_expr == 1.
             conds.append(BinOp("=", plan.orig_exprs[i], sub_expr))
 
-    body = _rewrite_refs(aeq.rhs, arr_type, plan, mapping)
-    return conjoin(conds), body
-
-
-def _rewrite_refs(
-    expr: Expr, arr_type: ArrayType, plan: RewritePlan, mapping: dict[str, Expr]
-) -> Expr:
-    """Rewrite self-references X[x + delta] -> Xp[y + T delta]; substitute
-    index variables everywhere else."""
-    if isinstance(expr, Index) and isinstance(expr.base, Name) and expr.base.ident == plan.array:
-        deltas: list[int] = []
-        for i, sub in enumerate(expr.subscripts):
-            # The subscript is v_i + delta where v_i is the equation's index
-            # variable for position i (guaranteed by extract_dependences).
-            d = _uniform_delta(sub)
-            if d is None:
-                raise TransformError(
-                    f"self-reference subscript at position {i} is not uniform"
-                )
-            deltas.append(d)
-        newdelta = [
-            sum(plan.T[j][i] * deltas[i] for i in range(len(deltas)))
-            for j in range(len(deltas))
-        ]
-        subs = [offset(plan.new_names[j], newdelta[j]) for j in range(len(deltas))]
-        return Index(Name(plan.new_array), subs)
-    if isinstance(expr, Index):
+    def shift(ref: Index) -> Index:
+        """``X[x + delta]`` -> ``Xp[y + T delta]``: each subscript is its
+        position's index variable plus a constant (``extract_dependences``
+        guarantees it)."""
+        deltas = [_uniform_delta(s) for s in ref.subscripts]
+        if None in deltas:
+            raise TransformError(
+                f"self-reference subscript at position {deltas.index(None)} "
+                "is not uniform"
+            )
         return Index(
-            expr.base
-            if isinstance(expr.base, Name)
-            else _rewrite_refs(expr.base, arr_type, plan, mapping),
-            [_rewrite_refs(s, arr_type, plan, mapping) for s in expr.subscripts],
+            Name(plan.new_array),
+            [
+                offset(name, sum(t * d for t, d in zip(row, deltas)))
+                for name, row in zip(plan.new_names, plan.T)
+            ],
         )
-    if isinstance(expr, Name):
-        return mapping.get(expr.ident, expr)
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            _rewrite_refs(expr.left, arr_type, plan, mapping),
-            _rewrite_refs(expr.right, arr_type, plan, mapping),
-        )
-    from repro.ps.ast import Call, FieldRef, IfExpr, UnOp
 
-    if isinstance(expr, UnOp):
-        return UnOp(expr.op, _rewrite_refs(expr.operand, arr_type, plan, mapping))
-    if isinstance(expr, IfExpr):
-        return IfExpr(
-            _rewrite_refs(expr.cond, arr_type, plan, mapping),
-            _rewrite_refs(expr.then, arr_type, plan, mapping),
-            _rewrite_refs(expr.orelse, arr_type, plan, mapping),
-        )
-    if isinstance(expr, Call):
-        return Call(expr.func, [_rewrite_refs(a, arr_type, plan, mapping) for a in expr.args])
-    if isinstance(expr, FieldRef):
-        return FieldRef(_rewrite_refs(expr.base, arr_type, plan, mapping), expr.fieldname)
-    return expr
+    body = _rewrite_expr(aeq.rhs, plan.array, mapping, shift)
+    return conjoin(conds), body
 
 
 def _uniform_delta(sub: Expr) -> int | None:
     """Delta of a uniform subscript ``v + delta`` (slope 1 in its single
     index variable), or None when the subscript is not of that form."""
-    candidates = {n.ident for n in walk_expr(sub) if isinstance(n, Name)}
+    candidates = names_in(sub)
     if len(candidates) != 1:
         return None
-    return _probe_delta(sub, next(iter(candidates)))
+    index = next(iter(candidates))
+    f0 = _probe(sub, index, 0)
+    f1 = _probe(sub, index, 1)
+    if f0 is None or f1 is None or f1 - f0 != 1:
+        return None
+    return f0
 
 
 def _rewrite_foreign_equation(
-    aeq, arr_type: ArrayType, plan: RewritePlan
+    aeq, arr_type: ArrayType, plan: RewritePlan, declared: set[str], declare
 ) -> Equation:
     """Rewrite references to X in a non-defining (analyzed, normalised)
-    equation: X[e] -> Xp[T e]."""
+    equation: X[e] -> Xp[T e]. An implicit dimension the analyser named
+    itself (``_i0``, over an anonymous range) gets a declared name."""
+    mapping: dict[str, Expr] = {
+        d.index: Name(declare(d.index.lstrip("_"), d.subrange.lo, d.subrange.hi))
+        for d in aeq.dims
+        if d.index not in declared
+    }
 
-    def walk(expr: Expr) -> Expr:
-        if (
-            isinstance(expr, Index)
-            and isinstance(expr.base, Name)
-            and expr.base.ident == plan.array
-        ):
-            subs = [walk(s) for s in expr.subscripts]
-            if len(subs) != arr_type.rank:
-                raise TransformError(
-                    f"partial reference to {plan.array!r} outside its "
-                    f"defining component cannot be rewritten"
-                )
-            new_subs = [
-                linear_combination(list(plan.T[j]), subs) for j in range(arr_type.rank)
-            ]
-            return Index(Name(plan.new_array), new_subs)
-        if isinstance(expr, Index):
-            return Index(walk(expr.base) if not isinstance(expr.base, Name) else expr.base,
-                         [walk(s) for s in expr.subscripts])
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, walk(expr.left), walk(expr.right))
-        from repro.ps.ast import Call, FieldRef, IfExpr, UnOp
-
-        if isinstance(expr, UnOp):
-            return UnOp(expr.op, walk(expr.operand))
-        if isinstance(expr, IfExpr):
-            return IfExpr(walk(expr.cond), walk(expr.then), walk(expr.orelse))
-        if isinstance(expr, Call):
-            return Call(expr.func, [walk(a) for a in expr.args])
-        if isinstance(expr, FieldRef):
-            return FieldRef(walk(expr.base), expr.fieldname)
-        if isinstance(expr, Name) and expr.ident == plan.array:
+    def rotate(ref: Index) -> Index:
+        if len(ref.subscripts) != arr_type.rank:
             raise TransformError(
-                f"whole-array reference to {plan.array!r} cannot be rewritten"
+                f"partial reference to {plan.array!r} outside its "
+                f"defining component cannot be rewritten"
             )
-        return expr
+        return _transformed_ref(plan, [rewrite(s) for s in ref.subscripts])
 
-    lhs = [
-        LhsItem(t.name, [walk(s) for s in t.subscripts]) for t in aeq.targets
-    ]
-    return Equation(lhs, walk(aeq.rhs))
+    def rewrite(expr: Expr) -> Expr:
+        return _rewrite_expr(expr, plan.array, mapping, rotate)
+
+    lhs = [LhsItem(t.name, [rewrite(s) for s in t.subscripts]) for t in aeq.targets]
+    return Equation(lhs, rewrite(aeq.rhs))

@@ -11,9 +11,6 @@ one — for the relaxation example ``(a, b, c) = (2, 1, 1)``. Coefficients may
 be zero or negative in general (Lamport's method allows it); the search
 space is widened to negative values only for coordinates where some
 dependence has a positive entry to push against.
-
-Infeasibility (e.g. antiparallel dependences) is detected by linear
-programming when scipy is available, else by search-space exhaustion.
 """
 
 from __future__ import annotations
@@ -23,23 +20,6 @@ import itertools
 from repro.errors import InfeasibleScheduleError
 
 
-def _feasible_lp(vectors: list[tuple[int, ...]]) -> bool | None:
-    """LP feasibility of {pi : D pi >= 1}. None when scipy is unavailable."""
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        return None
-    D = np.array(vectors, dtype=float)
-    n = D.shape[1]
-    # minimize sum |pi| via split pi = u - v, u,v >= 0
-    c = np.ones(2 * n)
-    A_ub = np.hstack([-D, D])  # -D(u - v) <= -1
-    b_ub = -np.ones(D.shape[0])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (2 * n), method="highs")
-    return bool(res.success)
-
-
 def solve_time_vector(
     vectors: list[tuple[int, ...]], max_norm: int = 24
 ) -> tuple[int, ...]:
@@ -47,7 +27,8 @@ def solve_time_vector(
     dependence vector ``d`` (minimal L1 norm, ties broken lexicographically
     largest-first so positive leading coefficients are preferred).
 
-    Raises :class:`InfeasibleScheduleError` when no such vector exists.
+    Raises :class:`InfeasibleScheduleError` when no such vector of L1 norm
+    at most ``max_norm`` exists.
     """
     if not vectors:
         raise InfeasibleScheduleError("no dependence vectors given")
@@ -78,14 +59,9 @@ def solve_time_vector(
             # matching the paper's (2,1,1) presentation.
             return max(candidates)
 
-    feasible = _feasible_lp(vectors)
-    if feasible is False or feasible is None:
-        raise InfeasibleScheduleError(
-            f"no linear schedule exists for dependence vectors {vectors}"
-        )
-    raise InfeasibleScheduleError(  # pragma: no cover - gigantic coefficients
-        f"no time vector with L1 norm <= {max_norm} found (LP says feasible; "
-        f"increase max_norm)"
+    raise InfeasibleScheduleError(
+        f"no linear schedule with L1 norm <= {max_norm} exists for "
+        f"dependence vectors {vectors}"
     )
 
 

@@ -240,9 +240,6 @@ class ExecutionPlan:
         """The plan for a loop descriptor of the bound flowchart."""
         return self._by_id.get(id(desc))
 
-    def equation_for(self, label: str) -> EquationPlan | None:
-        return self.equations.get(label)
-
     def native_kernels(self) -> list[tuple[tuple[int, ...], str]]:
         """(descriptor path, shape) of every native kernel this plan will
         dispatch — what one translation unit per (module, plan) holds."""

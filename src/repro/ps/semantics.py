@@ -127,10 +127,6 @@ class Reference:
     fieldpath: tuple[str, ...] = ()
     explicit: int = 0  # how many subscripts were written in the source
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self.subscripts and not self.fieldpath
-
 
 @dataclass
 class AnalyzedTarget:

@@ -32,10 +32,6 @@ class Symbol:
     type: Type
     order: int  # declaration order, used for deterministic graph layout
 
-    @property
-    def is_input(self) -> bool:
-        return self.kind is SymbolKind.PARAM
-
 
 @dataclass
 class SymbolTable:
@@ -87,12 +83,3 @@ class SymbolTable:
 
     def subrange(self, name: str) -> SubrangeType | None:
         return self.subranges.get(name)
-
-    def is_declared(self, name: str) -> bool:
-        return (
-            name in self.symbols
-            or name in self.subranges
-            or name in self.enums
-            or name in self.enum_members
-            or name in self.records
-        )

@@ -32,7 +32,11 @@ whatever neither dialect can specialize. ``ExecutionOptions(kernel_tier=...)``
 from repro.runtime.kernels.cache import KernelCache
 from repro.runtime.kernels.emit import emit_kernel_source
 from repro.runtime.kernels.native import native_supported, openmp_supported
-from repro.runtime.kernels.nest import KernelError, kernelizable, nest_fusable
+from repro.runtime.kernels.nest import (
+    KernelError,
+    kernelizable,
+    nest_unfusable_reason,
+)
 
 __all__ = [
     "KernelCache",
@@ -40,6 +44,6 @@ __all__ = [
     "emit_kernel_source",
     "kernelizable",
     "native_supported",
-    "nest_fusable",
+    "nest_unfusable_reason",
     "openmp_supported",
 ]

@@ -554,7 +554,7 @@ def emit_nest_kernel_source(
             analyzed, flowchart, use_windows,
             vector=False, nest_indices=desc.nest_indices(),
         ),
-        desc, analyzed, flowchart, use_windows,
+        desc, analyzed,
     )
 
 

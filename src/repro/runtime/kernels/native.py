@@ -750,7 +750,7 @@ def native_spec(
                 lambda: _NativeKernel(
                     analyzed, flowchart, use_windows, desc.nest_indices()
                 ),
-                desc, analyzed, flowchart, use_windows, shape,
+                desc, analyzed, shape,
             )
         except KernelError as exc:
             found = str(exc)

@@ -212,17 +212,6 @@ def nest_unfusable_reason(
     return None if saw_equation else "no equation in the nest"
 
 
-def nest_fusable(
-    desc: LoopDescriptor,
-    analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
-) -> bool:
-    """Static check: can this nest be lowered into one kernel? (See
-    :func:`nest_unfusable_reason` for the rules and the refusal.)"""
-    return nest_unfusable_reason(desc, analyzed) is None
-
-
 def holds_doall(d: Descriptor) -> bool:
     """Whether ``d`` is a ``DOALL`` or a loop with one inside — what a team
     can divide."""
@@ -300,8 +289,6 @@ def lower_nest(
     new_kernel: Callable[[], object],
     desc: LoopDescriptor,
     analyzed: AnalyzedModule,
-    flowchart: Flowchart,
-    use_windows: bool,
     shape: str = "full",
 ):
     """Lower the nest rooted at ``desc`` in ``shape`` into ``new_kernel()``
@@ -310,8 +297,9 @@ def lower_nest(
     dialect refuses."""
     if shape not in NEST_SHAPES:
         raise KernelError(f"unknown nest-kernel variant {shape!r}")
-    if not nest_fusable(desc, analyzed, flowchart, use_windows):
-        raise KernelError(f"{desc.index} nest is not fusable")
+    why = nest_unfusable_reason(desc, analyzed)
+    if why is not None:
+        raise KernelError(f"{desc.index} nest is not fusable: {why}")
     if shape == "team":
         why = team_unfit_reason(desc)
         if why is not None:

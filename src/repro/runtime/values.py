@@ -378,13 +378,5 @@ def undefined_part(arr_type: ArrayType, boxes: list, env: dict[str, int]) -> str
     return None if defined == declared else f"{defined} of {declared} elements defined"
 
 
-def zero_scalar(t: Type):
-    if t == RealType:
-        return 0.0
-    if t == BoolType:
-        return False
-    return 0
-
-
 def array_bounds(arr_type: ArrayType, env: dict[str, int]) -> list[tuple[int, int]]:
     return [(eval_bound(d.lo, env), eval_bound(d.hi, env)) for d in arr_type.dims]

@@ -33,8 +33,7 @@ from repro.ps.semantics import AnalyzedEquation
 from repro.ps.types import ArrayType
 from repro.runtime.evaluator import Evaluator
 from repro.runtime.values import RuntimeArray, array_bounds, dtype_for, eval_bound
-from repro.schedule.flowchart import Flowchart, LoopDescriptor, NodeDescriptor
-from repro.schedule.scheduler import schedule_module
+from repro.schedule.flowchart import LoopDescriptor, NodeDescriptor
 
 
 @dataclass
@@ -64,7 +63,7 @@ def execute_transformed_windowed(
     """Execute the transformed module with window storage for the
     transformed array and fused extraction."""
     analyzed = hyper.transformed
-    flowchart: Flowchart = schedule_module(analyzed)
+    flowchart = hyper.transformed_flowchart
     new_array = hyper.new_array
     window = hyper.recurrence_window
 

@@ -140,10 +140,11 @@ class _Connection:
 class ReproDaemon:
     """Serve one warm :class:`Session` over TCP or a unix socket.
 
-    Synchronous construction; :meth:`serve_forever` runs the asyncio loop
-    until :meth:`request_shutdown` (or a client ``shutdown`` op). The
-    session is owned: closing the daemon closes it, tearing down worker
-    pools.
+    Synchronous construction; :meth:`listen` binds the address in the
+    calling thread, and :meth:`serve_forever` runs the asyncio loop until
+    :meth:`request_shutdown` (or a client ``shutdown`` op). The session is
+    owned: closing the daemon — or a failed bind — closes it, tearing down
+    worker pools.
     """
 
     def __init__(
@@ -183,9 +184,11 @@ class ReproDaemon:
             initargs=(self.team_cap,),
         )
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: a shutdown asked for before the loop ran (under the lock)
+        self._stopping = False
+        self._listener: socket.socket | None = None
         self._clients: set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
-        self._ready = threading.Event()
         self.address: tuple[str, int] | str | None = None
 
     # -- request handling --------------------------------------------------
@@ -442,12 +445,27 @@ class ReproDaemon:
         listener.setblocking(False)
         return listener
 
-    async def _run(self) -> None:
-        listener = self._listen()
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        accepting = asyncio.create_task(self._accept(listener))
+    def listen(self) -> None:
+        """Bind and listen on the daemon's address in the calling thread.
+        A failed bind closes the daemon and raises :class:`SessionError`
+        naming the address and the OS reason."""
         try:
+            self._listener = self._listen()
+        except OSError as exc:
+            self.close()
+            where = self.unix_path or f"{self.host}:{self.port}"
+            raise SessionError(
+                f"serve daemon failed to bind {where}: {exc.strerror or exc}"
+            ) from exc
+
+    async def _run(self) -> None:
+        listener = self._listener
+        try:
+            with self._pending_lock:
+                self._loop = asyncio.get_running_loop()
+                if self._stopping:
+                    self._shutdown.set()
+            accepting = asyncio.create_task(self._accept(listener))
             await self._shutdown.wait()
             tasks = [accepting, *self._clients]
             for task in tasks:
@@ -458,23 +476,21 @@ class ReproDaemon:
             self.close()
 
     def serve_forever(self) -> None:
-        """Run the daemon until shutdown. Blocks the calling thread."""
-        try:
-            asyncio.run(self._run())
-        finally:
-            self._ready.set()  # unblock wait_ready() even on startup failure
-
-    def wait_ready(self, timeout: float | None = None) -> bool:
-        """Block until the daemon is accepting connections (or failed)."""
-        return self._ready.wait(timeout)
+        """Run the daemon until shutdown. Blocks the calling thread; binds
+        first unless :meth:`listen` already has."""
+        if self._listener is None:
+            self.listen()
+        asyncio.run(self._run())
 
     def request_shutdown(self) -> None:
-        """Ask the serve loop to stop; safe from any thread."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._shutdown.set)
-        else:
-            self._shutdown.set()
+        """Ask the serve loop to stop; safe from any thread, also before
+        the loop runs."""
+        with self._pending_lock:
+            self._stopping = True
+            loop = self._loop
+        if loop is not None:
+            with contextlib.suppress(RuntimeError):  # closed: already stopped
+                loop.call_soon_threadsafe(self._shutdown.set)
 
     def close(self) -> None:
         """Tear down the executor and the owned session (and its pools)."""
@@ -508,7 +524,7 @@ class DaemonThread:
     def __init__(self, session: Session, **kwargs: Any):
         self.daemon = ReproDaemon(session, **kwargs)
         self._thread = threading.Thread(
-            target=self.daemon.serve_forever, daemon=True
+            target=self.daemon.serve_forever, name="repro-serve", daemon=True
         )
 
     def __enter__(self) -> ReproDaemon:
@@ -519,11 +535,10 @@ class DaemonThread:
         self.stop()
 
     def start(self) -> ReproDaemon:
+        """Bind in the calling thread, then serve on the background one: a
+        failed bind raises here, with the daemon and its session closed."""
+        self.daemon.listen()
         self._thread.start()
-        if not self.daemon.wait_ready(timeout=30):
-            raise SessionError("serve daemon failed to start within 30s")
-        if self.daemon.address is None:
-            raise SessionError("serve daemon failed to bind")
         return self.daemon
 
     def join(self, timeout: float | None = None) -> None:

@@ -10,7 +10,6 @@ from repro.hyperplane.exprutil import (
     mul,
     offset,
     sub,
-    substitute,
 )
 from repro.ps.ast import BinOp, IntLit, Name
 from repro.ps.parser import parse_expression
@@ -71,23 +70,6 @@ class TestLinearCombination:
         env = dict(zip(names, values))
         expected = sum(c * v for c, v in zip(coeffs, values)) + 7
         assert eval_bound(e, env) == expected
-
-
-class TestSubstitute:
-    def test_name_replacement(self):
-        e = parse_expression("I + J * 2")
-        out = substitute(e, {"I": parse_expression("Jp"), "J": parse_expression("Kp - 1")})
-        assert format_expression(out) == "Jp + (Kp - 1) * 2"
-
-    def test_array_base_untouched(self):
-        e = parse_expression("A[I - 1]")
-        out = substitute(e, {"I": parse_expression("t"), "A": parse_expression("WRONG")})
-        assert format_expression(out) == "A[t - 1]"
-
-    def test_if_and_calls(self):
-        e = parse_expression("if I = 0 then min(I, 1) else -I")
-        out = substitute(e, {"I": parse_expression("x + 1")})
-        assert format_expression(out) == "if x + 1 = 0 then min(x + 1, 1) else -(x + 1)"
 
 
 class TestConjoin:

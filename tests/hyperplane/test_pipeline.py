@@ -1,15 +1,25 @@
 """End-to-end hyperplane transformation tests (paper section 4)."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
+from repro.core.paper import (
+    RELAXATION_GAUSS_SEIDEL_SOURCE,
+    gauss_seidel_analyzed,
+    jacobi_analyzed,
+)
+from repro.core.pipeline import CompilerOptions, compile_source
 from repro.errors import TransformError
+from repro.graph.build import build_dependency_graph
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.ps.parser import parse_module
 from repro.ps.printer import format_module
 from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions, execute_module
+from repro.runtime.wavefront import execute_transformed_windowed
+from repro.schedule.scheduler import schedule_module
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +171,52 @@ class TestOtherRecurrences:
     def test_named_array_not_recursive(self):
         with pytest.raises(TransformError, match="not part"):
             hyperplane_transform(gauss_seidel_analyzed(), array="InitialA")
+
+
+class TestSinglePass:
+    """The transform analyses its output and schedules nothing: compiling a
+    section-4 program builds each module's dependency graph once and
+    schedules only the transformed module, once."""
+
+    @staticmethod
+    def _spy(monkeypatch, fn, calls: list) -> None:
+        def spy(analyzed, *args, **kwargs):
+            calls.append(analyzed.name)
+            return fn(analyzed, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, spy)
+
+    def test_compile_schedules_the_transformed_module_once(self, monkeypatch):
+        graphs: list[str] = []
+        schedules: list[str] = []
+        self._spy(monkeypatch, build_dependency_graph, graphs)
+        self._spy(monkeypatch, schedule_module, schedules)
+        result = compile_source(
+            RELAXATION_GAUSS_SEIDEL_SOURCE, CompilerOptions(hyperplane=True)
+        )
+        assert sorted(graphs) == ["Relaxation", "RelaxationHyper"]
+        assert schedules == ["RelaxationHyper"]
+        assert result.flowchart.loop_kinds()[0] == ("DO", "Kp")
+
+    def test_flowcharts_are_made_on_first_read(self, monkeypatch):
+        schedules: list[str] = []
+        self._spy(monkeypatch, schedule_module, schedules)
+        res = hyperplane_transform(gauss_seidel_analyzed())
+        assert schedules == []
+        assert res.transformed_flowchart is res.transformed_flowchart
+        assert res.original_flowchart is res.original_flowchart
+        assert schedules == ["RelaxationHyper", "Relaxation"]
+
+    def test_windowed_run_reads_the_transformed_flowchart(self, monkeypatch):
+        res = hyperplane_transform(gauss_seidel_analyzed())
+        schedules: list[str] = []
+        self._spy(monkeypatch, schedule_module, schedules)
+        m, maxk = 4, 5
+        args = {"InitialA": np.ones((m + 2, m + 2)), "M": m, "maxK": maxk}
+        for _ in range(2):
+            report = execute_transformed_windowed(res, args)
+            assert report.allocated_elements["Ap"] == 3 * maxk * (m + 2)
+        assert schedules == ["RelaxationHyper"]

@@ -21,7 +21,7 @@ from repro.runtime.executor import (
     execute_module,
     execute_program_module,
 )
-from repro.runtime.kernels import KernelCache, kernelizable, nest_fusable
+from repro.runtime.kernels import KernelCache, kernelizable, nest_unfusable_reason
 from repro.schedule.scheduler import schedule_module
 
 PROGRAM = """\
@@ -87,13 +87,13 @@ class TestKernelizability:
         _, grid = _program(PROGRAM)
         flow = schedule_module(grid)
         outer = next(d for d in flow.loops() if d.parallel)
-        assert nest_fusable(outer, grid, flow, use_windows=False)
+        assert nest_unfusable_reason(outer, grid) is None
 
     def test_index_dependent_nest_still_unfusable(self):
         _, grid = _program(INDEXED_PROGRAM)
         flow = schedule_module(grid)
         outer = next(d for d in flow.loops() if d.parallel)
-        assert not nest_fusable(outer, grid, flow, use_windows=False)
+        assert "not kernelizable" in nest_unfusable_reason(outer, grid)
 
 
 class TestExecutionParity:

@@ -625,17 +625,32 @@ class TestUnixSocket:
             with ReproClient(unix_path=path) as client:
                 assert client.ping() == "pong"
 
-    # the daemon thread dies of the bind error
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_a_path_that_is_not_a_socket_is_refused(self, path):
         with open(path, "w") as fh:
             fh.write("mine")
-        with Session() as session:
-            runner = DaemonThread(session, unix_path=path)
-            with pytest.raises(SessionError, match="failed to bind"):
-                runner.start()
+        session = Session()
+        runner = DaemonThread(session, unix_path=path)
+        # the bind fails in the caller's thread, naming the address and why
+        with pytest.raises(SessionError, match=f"{path}: Address already in use"):
+            runner.start()
+        assert session.closed
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("repro-serve")
+        ]
         with open(path) as fh:
             assert fh.read() == "mine"
+
+    def test_serve_on_a_path_that_is_not_a_socket_exits_1(self, path, capsys):
+        from repro.cli import main
+
+        with open(path, "w") as fh:
+            fh.write("mine")
+        module = os.path.join(os.path.dirname(path), "relax.ps")
+        with open(module, "w") as fh:
+            fh.write(RELAXATION_JACOBI_SOURCE)
+        assert main(["serve", module, "--socket", path]) == 1
+        err = capsys.readouterr().err
+        assert f"failed to bind {path}: Address already in use" in err
 
 
 class TestShutdown:

@@ -1,5 +1,7 @@
 """CLI tests (direct invocation of repro.cli.main)."""
 
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,57 @@ class TestCompile:
         assert "_w_A_0" not in capsys.readouterr().out
 
 
+#: ``repro transform`` on the paper's Gauss-Seidel module, both schedules
+GS_TRANSFORM_REPORT = """\
+    recursive array     : A
+    dependence vectors  : [(1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, -1), (1, -1, 0)]
+    inequalities        : a > 0; c > 0; b > 0; a > c; a > b
+    time vector         : (2, 1, 1)
+    time equation       : t(A[K, I, J]) = 2K + I + J
+    transformation T    : [[2, 1, 1], [1, 0, 0], [0, 1, 0]]
+    inverse             : [[0, 1, 0], [0, 0, 1], [1, -2, -1]]
+    recurrence window   : 3
+
+    schedule before:
+    DOALL I (
+        DOALL J (
+            eq.1
+        )
+    )
+    DO K (
+        DO I (
+            DO J (
+                eq.3
+            )
+        )
+    )
+    DOALL I (
+        DOALL J (
+            eq.2
+        )
+    )
+
+    schedule after:
+    DO Kp (
+        DOALL Ip (
+            DOALL Jp (
+                eq.1
+            )
+        )
+    )
+    DOALL I (
+        DOALL J (
+            eq.2
+        )
+    )
+"""
+
+
 class TestTransform:
+    def test_report_is_unchanged(self, gs_file, capsys):
+        assert main(["transform", gs_file]) == 0
+        assert capsys.readouterr().out == textwrap.dedent(GS_TRANSFORM_REPORT)
+
     def test_report(self, gs_file, capsys):
         assert main(["transform", gs_file]) == 0
         out = capsys.readouterr().out
