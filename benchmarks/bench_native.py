@@ -31,6 +31,10 @@ Acceptance gates (CI-enforced):
   at one and two workers and the untransformed program at both;
 * every timed pair agrees **bit-exactly** with the evaluator.
 
+Ungated rows: the §4 alignment sweep (n = 1024) and windowed Jacobi (M =
+512, ``maxK`` = 40) on one thread in ns per element — the kernels whose
+innermost loops run as segments with their index guards folded away.
+
 Every serial row records Python-nest, native and NumPy-span seconds of one
 grid, so ``MachineModel.from_native_bench`` fits ``native_element_factor``
 and ``vector_element_factor`` — and therefore their ratio — from one
@@ -58,6 +62,8 @@ import pytest
 from repro.core.paper import gauss_seidel_analyzed, jacobi_analyzed
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.plan.planner import build_plan, forced_plan
+from repro.ps.parser import parse_module
+from repro.ps.semantics import analyze_module
 from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported, openmp_supported
@@ -287,13 +293,13 @@ def test_threaded_native_gate(artifact):
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
 
 
-def _team_runner(analyzed, flow, args, width):
+def _team_runner(analyzed, flow, args, width, use_windows=False):
     """Warm executions with every nest compiled and the ``DO K`` sweep run
     as one native call on a team ``width`` threads wide (None: on the
     calling thread alone, the plan ``auto`` makes at one worker) — one
     plan and one backend across runs, so from the second run on the
     arrays are recycled, as in a ``Session``."""
-    options = ExecutionOptions(backend="serial", workers=1)
+    options = ExecutionOptions(backend="serial", workers=1, use_windows=use_windows)
     scalars = {k: v for k, v in args.items() if isinstance(v, int)}
     plan = forced_plan(analyzed, flow, "serial", options, scalars, default="nest")
     sweep = next(lp for lp in plan.loops.values() if lp.keyword == "DO")
@@ -350,6 +356,72 @@ def test_team_gate(artifact):
         "required": TEAM_GATE_RATIO,
         "passed": True,
     }
+    artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
+
+
+#: the split-guard rows: the §4 alignment kernel and windowed Jacobi, one
+#: thread, in ns per element — what the segmented loops leave of ROADMAP
+#: item 3's headroom
+ALIGN_N = 1024
+SPLIT_JACOBI_GRID, SPLIT_JACOBI_MAXK = 512, 40
+
+ALIGN_SOURCE = """\
+Align: module (CostA: array[1 .. n] of real;
+               CostB: array[1 .. n] of real;
+               gap: real; n: int):
+       [score: real];
+type
+    I, J = 1 .. n;
+var
+    D: array [0 .. n, 0 .. n] of real;
+define
+    D[0] = 0.0;
+    D[I, 0] = I * gap;
+    D[I, J] = min(D[I-1, J-1] + abs(CostA[I] - CostB[J]),
+                  min(D[I-1, J] + gap, D[I, J-1] + gap));
+    score = D[n, n];
+end Align;
+"""
+
+
+def test_split_guard_rows(artifact):
+    """One-thread rows, no gate: the §4 alignment sweep (``DO Ip`` over
+    the padded, skewed ``Dp``; four leaves) at n = 1024 and the windowed
+    Jacobi sweep (two leaves) at M = 512, ``maxK`` = 40, each in ns per
+    element of its sweep, bit-exact against the evaluator's plan."""
+    align = analyze_module(parse_module(ALIGN_SOURCE))
+    align = hyperplane_transform(align).transformed
+    rng = np.random.default_rng(2)
+    n = ALIGN_N
+    cases = [(
+        "align_hyper", align, schedule_module(align), False,
+        {"CostA": rng.random(n), "CostB": rng.random(n), "gap": 0.4, "n": n},
+        (2 * n + 1) * (n + 1),
+    )]
+    m, maxk = SPLIT_JACOBI_GRID, SPLIT_JACOBI_MAXK
+    jacobi, flow, args = _jacobi(m, maxk)
+    cases.append(("jacobi_win", jacobi, flow, True, args, (maxk - 1) * (m + 2) ** 2))
+    for name, analyzed, flow, windows, args, elements in cases:
+        run = _team_runner(analyzed, flow, args, None, use_windows=windows)
+        run()  # compile outside the timing
+        seconds, out = _time(run, repeats=5)
+        want = execute_module(
+            analyzed, args, flowchart=flow,
+            options=ExecutionOptions(workers=1, use_windows=windows),
+        )
+        for key, value in want.items():
+            assert np.array_equal(np.asarray(out[key]), np.asarray(value)), (
+                f"split-guard rows: {name} diverged in {key}"
+            )
+        _PAYLOAD["rows"].append({
+            "workload": name,
+            "backend": "native",
+            "grid": args.get("M", args.get("n")),
+            "workers": 1,
+            "native_seconds": seconds,
+            "elements": elements,
+            "ns_per_element": seconds / elements * 1e9,
+        })
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
 
 

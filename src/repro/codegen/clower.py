@@ -27,6 +27,12 @@ there is one C printer. What lives here:
   side of ``and`` / ``or`` under the left). The native kernel's range
   proof (:mod:`repro.runtime.kernels.ranges`) listens there to learn the
   guards an array reference sits under; the hooks do nothing otherwise.
+  Under a map of **decided** guards (:attr:`CExprLowerer.decided`: the
+  native kernel's segmented loops, :mod:`repro.runtime.kernels.segments`)
+  a decided comparison prints as ``0`` / ``1``, an ``if`` whose condition
+  :func:`fold` decides prints only its taken branch, and ``and`` / ``or``
+  print only the operands still to be evaluated. The facts are pushed all
+  the same, so the range proof sees what it sees without the map.
 
 Bit-exactness ground rules baked in here: only operations whose IEEE-754
 behaviour is identical between NumPy and C are emitted (add/sub/mul/div,
@@ -121,6 +127,28 @@ static i64 ps_abs_i(i64 a) { return a < 0 ? -a : a; }
 """
 
 
+def fold(expr: Expr, value) -> bool | None:
+    """The truth of the condition ``expr`` when deciding it evaluates
+    nothing — ``value(node)`` gives a decided comparison's truth, None for
+    anything else; None when ``expr`` still has to be evaluated. ``and`` /
+    ``or`` decide left to right the way they evaluate: a left operand that
+    must be evaluated leaves the whole undecided."""
+    v = value(expr)
+    if v is not None:
+        return v
+    if isinstance(expr, BinOp) and expr.op in ("and", "or"):
+        left = fold(expr.left, value)
+        if left is None:
+            return None
+        if left == (expr.op == "or"):
+            return left
+        return fold(expr.right, value)
+    if isinstance(expr, UnOp) and expr.op == "not":
+        inner = fold(expr.operand, value)
+        return None if inner is None else not inner
+    return None
+
+
 def kind_of_type(t) -> str:
     """"real" | "int" | "bool" for a PS scalar type (arrays: element)."""
     if isinstance(t, ArrayType):
@@ -156,6 +184,9 @@ class CExprLowerer(ExprLowerer):
         self.lines: list[str] = []
         self.indent = 1
         self._tmp = 0
+        #: id(comparison) -> its truth wherever this body runs (empty: the
+        #: body decides every guard per element)
+        self.decided: dict[int, bool] = {}
 
     # -- emission helpers --------------------------------------------------
 
@@ -275,7 +306,14 @@ class CExprLowerer(ExprLowerer):
     def pop_fact(self) -> None:
         pass
 
+    def _fold(self, expr: Expr) -> bool | None:
+        return fold(expr, lambda e: self.decided.get(id(e)))
+
     def lower_binop_logical(self, expr) -> str:
+        if self.decided:
+            folded = self._lower_logical_decided(expr)
+            if folded is not None:
+                return folded
         tmp = self.fresh("_b")
         left = self.lower(expr.left)
         self.stmt(f"int64_t {tmp} = {self.truth(left, expr.left)};")
@@ -290,7 +328,31 @@ class CExprLowerer(ExprLowerer):
         self.stmt("}")
         return tmp
 
+    def _lower_logical_decided(self, expr) -> str | None:
+        """``and`` / ``or`` with decided operands: only what is still
+        evaluated is printed (:func:`repro.runtime.kernels.segments._trace`
+        follows these decisions step for step). None: nothing decided."""
+        whole = self._fold(expr)
+        if whole is not None:
+            return str(int(whole))
+        left = self._fold(expr.left)
+        if left is not None:
+            # left is the operand's neutral value: the right one decides
+            self.push_fact(expr.left, left)
+            right = self.lower(expr.right)
+            self.pop_fact()
+            return self.truth(right, expr.right)
+        right = self._fold(expr.right)
+        if right is None:
+            return None
+        tmp = self.fresh("_b")
+        code = self.lower(expr.left)
+        self.stmt(f"int64_t {tmp} = {self.truth(code, expr.left)};")
+        return tmp if right == (expr.op == "and") else str(int(right))
+
     def lower(self, expr: Expr) -> str:
+        if self.decided and id(expr) in self.decided:
+            return str(int(self.decided[id(expr)]))
         if isinstance(expr, BinOp) and expr.op in ("and", "or"):
             return self.lower_binop_logical(expr)
         return super().lower(expr)
@@ -302,6 +364,12 @@ class CExprLowerer(ExprLowerer):
         """A real ``if``/``else`` block: the untaken branch (and its range
         checks) is never evaluated — the reference lazy semantics."""
         ctype = C_VALUE_TYPES[self.kind(expr)]
+        cond = self._fold(expr.cond) if self.decided else None
+        if cond is not None:
+            self.push_fact(expr.cond, cond)
+            value = self.lower(expr.then if cond else expr.orelse)
+            self.pop_fact()
+            return f"(({ctype})({value}))"
         tmp = self.fresh("_v")
         self.stmt(f"{ctype} {tmp};")
         cond = self.lower(expr.cond)

@@ -211,14 +211,15 @@ def _merge_defining_equations(
 
     # Padding guard: original coordinates produced by non-trivial inverse
     # rows must lie inside the declared box. An original coordinate i is
-    # trivially in range when some non-time row j of T is the basis vector
-    # e_i — then the new dimension j *is* x_i and was declared with exactly
-    # x_i's bounds.
+    # trivially in range when some row j of T is the basis vector e_i —
+    # then the new dimension j *is* x_i and was declared with exactly x_i's
+    # bounds (the time row too: its extent ``pi . lo .. pi . hi`` is then
+    # x_i's own).
     pad_conds: list[Expr] = []
     for i in range(n):
         covered = any(
             sum(abs(v) for v in plan.T[j]) == 1 and plan.T[j][i] == 1
-            for j in range(1, n)
+            for j in range(n)
         )
         if covered:
             continue

@@ -185,7 +185,9 @@ class ExecutionPlan:
     #: :func:`repro.runtime.values.undefined_part` finds it totally defined
     #: leaves it uninitialised. An array not named here is zero-filled.
     storage: dict = field(default_factory=dict, repr=False, compare=False)
-    #: array name -> (sizes, totally defined?) of the last run that asked
+    #: array name -> (sizes, the storage slabs a run at those sizes zeroes:
+    #: ``[]`` when it is totally defined, None when all of it) of the last
+    #: run that asked
     defined: dict = field(default_factory=dict, repr=False, compare=False)
     #: a run of this plan has completed: later ones recycle their arrays
     ran: bool = field(default=False, repr=False, compare=False)

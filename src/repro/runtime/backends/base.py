@@ -56,6 +56,7 @@ from repro.runtime.values import (
     SelectedLaneClipped,
     array_bounds,
     eval_bound,
+    halo_slabs,
     new_storage,
     undefined_part,
 )
@@ -588,7 +589,9 @@ class ExecutionBackend:
     def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
         """Allocate target arrays on first definition — zero-filled, unless
         nothing in the plan reads the array early (``ExecutionPlan.storage``)
-        and at this run's sizes it is totally defined (:func:`undefined_part`).
+        and at this run's sizes it is totally defined (:func:`undefined_part`)
+        — or its definitions tile a box inside its bounds, when only the
+        halo around that box is zeroed (:func:`halo_slabs`).
         Only a plan that has completed a run takes from the store, so a
         process that runs each plan once retains nothing."""
         for target in eq.targets:
@@ -602,29 +605,34 @@ class ExecutionBackend:
                 if state.options.use_windows and sym.kind is SymbolKind.VAR:
                     windows = dict(state.flowchart.window_of(target.name))
                 how = state.native_ready and state.plan.storage.get(target.name)
-                zero = True
+                halo = None  # the slabs to zero; None: all of it
                 if isinstance(how, tuple) and not windows:
                     # one verdict per (array, sizes): a session's plan is
                     # cached per sizes, so its warm runs all hit the memo
                     sizes = tuple(env.items())
                     memo = state.plan.defined.get(target.name)
                     if memo is None or memo[0] != sizes:
-                        memo = sizes, undefined_part(*how, env) is None
+                        memo = sizes, (
+                            [] if undefined_part(*how, env) is None
+                            else halo_slabs(*how, env)
+                        )
                         state.plan.defined[target.name] = memo
-                    zero = not memo[1]
-                self.count("arrays_zeroed" if zero else "arrays_uninitialised")
+                    halo = memo[1]
+                self.count("arrays_uninitialised" if halo == [] else "arrays_zeroed")
                 make = self.make_storage
                 if state.plan.ran:
                     make = self.store.take
-                state.data[target.name] = RuntimeArray.allocate(
+                array = state.data[target.name] = RuntimeArray.allocate(
                     target.name,
                     sym.type.element,
                     bounds,
                     windows=windows,
                     debug=state.options.debug_windows,
                     make=make,
-                    zero=zero,
+                    zero=halo is None,
                 )
+                for slab in halo or ():
+                    array.storage[slab] = 0
             # Scalars are created on assignment.
 
 

@@ -81,7 +81,7 @@ import subprocess
 import tempfile
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.codegen.clower import (
@@ -91,6 +91,7 @@ from repro.codegen.clower import (
     CExprLowerer,
     kind_of_type,
 )
+from repro.codegen.exprlower import INFIX_OPS
 from repro.codegen.naming import c_name
 from repro.errors import ExecutionError
 from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
@@ -99,7 +100,8 @@ from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.ps.types import ArrayType
 from repro.runtime.kernels.nest import KernelError, lower_nest, static_windows
 from repro.runtime.kernels.ranges import UNPROVEN, RangeProof
-from repro.schedule.flowchart import Flowchart, LoopDescriptor
+from repro.runtime.kernels.segments import Atom, SegmentPlan, Side, plan_segments
+from repro.schedule.flowchart import Flowchart, LoopDescriptor, NodeDescriptor
 
 # ---------------------------------------------------------------------------
 # Toolchain discovery and the on-disk artifact cache
@@ -320,6 +322,27 @@ class _Header:
         return [f"{pad}const i64 {n} = {t};" for t, n in self.terms.items()]
 
 
+@dataclass
+class _Segment:
+    """A segmented loop between its header and its leaves."""
+
+    index: str
+    plan: SegmentPlan
+    leaf: str  # C variable: the segment's leaf
+    end: str  # C variable: the segment's last index
+    shared: bool
+    #: (equation, counter) in body order, lowered once per leaf
+    equations: list[tuple[AnalyzedEquation, int]] = field(default_factory=list)
+
+
+def _tree_c(tree, flags: dict[Atom, str]) -> str:
+    """The leaf a segment's guard flags pick, as a C expression."""
+    if isinstance(tree, int):
+        return str(tree)
+    atom, yes, no = tree
+    return f"({flags[atom]} ? {_tree_c(yes, flags)} : {_tree_c(no, flags)})"
+
+
 class _NativeKernel(CExprLowerer):
     """One C kernel under construction — what the nest walk drives. Loop
     indices and hoisted scalars are function parameters/locals, array
@@ -339,12 +362,32 @@ class _NativeKernel(CExprLowerer):
     subscripts, products of indices, references below a guard like ``I
     mod 2 = 0`` — keeps the per-element compare-and-return it always had.
 
-    **No-trap rule.** Entry obligations and hoisted terms run before
-    guards and checks that used to precede them, so they contain nothing
-    that traps or loads: integer ``+ - *`` over parameters and loop
-    indices (wrapping, ``-fwrapv``), comparisons, and ``%`` by a positive
-    literal — never ``%`` or ``/`` by a run-time value, never an array
-    read."""
+    **Segmented loops.** An innermost loop whose equations branch on an
+    affine index guard (:mod:`repro.runtime.kernels.segments`: ``J = 0``,
+    ``Kp - 2 * Ip - Jp > M + 1``, or ``I = 0`` inside the ``J`` loop) is
+    printed as a loop over segments. Each segment's header decides the
+    guards at its first index, counts how many more indices keep every
+    guard's truth (``uint64_t`` differences of ``int64`` values, taken
+    only where they are exact; a guard side that would wrap ends the
+    segment where it does), and picks the segment's leaf: the body lowered
+    under that outcome (:attr:`decided`), the branches not taken never
+    printed. Each element is still computed by its own expression, in
+    iteration order, and stored once; the facts a decided condition would
+    have pushed are pushed all the same, so the entry proof owes what it
+    owed (:attr:`RangeProof.replay` makes a fact met again in another leaf
+    the same box). A team's shared leaf loop divides whole pieces, one
+    per thread, each segmented on its own. A loop without such a guard —
+    or with more than :data:`~repro.runtime.kernels.segments.MAX_LEAVES`
+    leaves — prints as it always did.
+
+    **No-trap rule.** Entry obligations, hoisted terms and segment
+    headers run before guards and checks that used to precede them, so
+    they contain nothing that traps or loads: integer ``+ - *`` over
+    parameters and loop indices (wrapping, ``-fwrapv``), comparisons, and
+    ``%`` by a positive literal — never ``%`` or ``/`` by a run-time value,
+    never an array read. (A segment header decides a guard the reference
+    evaluates lazily, perhaps never; its sides are linear over indices and
+    integer scalars, so deciding it early is harmless.)"""
 
     error_type = KernelError
 
@@ -386,6 +429,13 @@ class _NativeKernel(CExprLowerer):
         self.guards = 0
         #: the root loop runs on a team (see :meth:`open_region`)
         self.team = False
+        #: the next loop opened is divided among the team (:meth:`share`)
+        self._shared = False
+        #: the open segmented loop, whose equations wait for its leaves
+        self._segment: _Segment | None = None
+        #: while a segmented loop prints its leaves: the subscripts counted
+        #: already (each leaf lowers them again; each counts once)
+        self._counted: set[int] | None = None
 
     def register_array(self, name: str) -> tuple[int, int, str, dict[int, int]]:
         entry = self.arrays.get(name)
@@ -472,12 +522,15 @@ class _NativeKernel(CExprLowerer):
         ``err``). May emit statements; returns C."""
         ordinal, _rank, _kind, wins = self.arrays[name]
         an = c_name(name)
-        self.checks += 1
+        first = self._counted is None or id(sub) not in self._counted
+        if self._counted is not None:
+            self._counted.add(id(sub))
+        self.checks += first
         why, mentioned = self.proof.prove(
             sub, self.indices, f"{an}_lo{d}", f"{an}_hi{d}"
         )
         if why is None:
-            self.proven += 1
+            self.proven += first
             mapped = f"({self.lower(sub)} - {an}_lo{d})"
             size = self.window_sizes[name].get(d)
             if size:
@@ -579,10 +632,182 @@ class _NativeKernel(CExprLowerer):
             if root
             else (self.bound(d.subrange.lo), self.bound(d.subrange.hi))
         )
-        self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; {var}++) {{")
-        self.indent += 1
-        self._open_header({d.index})
+        shared, self._shared = self._shared, False
+        plan = self._plan_segments(d)
+        if plan is None:
+            self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; {var}++) {{")
+            self.indent += 1
+            self._open_header({d.index})
+        else:
+            self._open_segments(d.index, plan, lo, hi, shared)
         self.proof.open_loop(d.index, lo, hi)
+
+    # -- segmented leaf loops ------------------------------------------------
+
+    def _plan_segments(self, d: LoopDescriptor) -> SegmentPlan | None:
+        """How the leaf loop ``d`` splits
+        (:func:`~repro.runtime.kernels.segments.plan_segments`): only a
+        loop whose body is all equations, its guards read as the range
+        proof reads linear forms (so their sides are in the ``bound()``
+        language). A loop that splits points name resolution at its
+        equations' indices for its segment header."""
+        if not d.body or not all(isinstance(c, NodeDescriptor) for c in d.body):
+            return None
+        eqs = [c.node.equation for c in d.body]
+        dims = set().union(*(eq.index_names for eq in eqs))
+        indices = self.index_names | dims
+        exprs = [e for eq in eqs for e in (eq.rhs, *eq.targets[0].subscripts)]
+        plan = plan_segments(
+            exprs, d.index, lambda e: self.proof.linear(e, indices)
+        )
+        if plan is not None:
+            self.current_dims, self.indices = dims, indices
+        return plan
+
+    def _side(self, side: Side) -> str:
+        """A guard side in C, in the ``int64`` arithmetic (wrapping) the
+        per-element test computes it in: the same value modulo 2**64."""
+        coeffs, offset = side
+        terms = []
+        for name, c in coeffs:
+            v = self.lower_name(name)
+            terms.append(v if c == 1 else f"-{v}" if c == -1 else f"{c} * {v}")
+        if offset != "0" or not terms:
+            terms.append(offset)
+        text = terms[0]
+        for t in terms[1:]:
+            text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return text if len(terms) == 1 else f"({text})"
+
+    def _open_segments(
+        self, index: str, plan: SegmentPlan, lo: str, hi: str, shared: bool
+    ) -> None:
+        """Open the loop over ``index`` as a loop over segments: each
+        segment's header decides the guards at its first index, works out
+        how many more elements keep every guard's truth, and picks the
+        leaf; :meth:`_close_segments` prints the leaves. Lengths are
+        ``uint64_t`` differences of ``int64`` values, exact where the
+        difference is taken, so nothing wraps."""
+        var = f"v_{c_name(index)}"
+        if shared:
+            # the omp for divides whole pieces, one per thread, each then
+            # segmented on its own
+            piece, size, part, extra, count, last = (
+                self.fresh(p) for p in ("_p", "_n", "_q", "_x", "_m", "_h")
+            )
+            width = "(nthreads > 1 ? nthreads : 1)"
+            self.stmt(f"for (i64 {piece} = 0; {piece} < {width}; {piece}++) {{")
+            self.indent += 1
+            self.stmt(
+                f"const uint64_t {size} = {hi} < {lo} ? 0 : "
+                f"(uint64_t){hi} - (uint64_t){lo} + 1;"
+            )
+            self.stmt(
+                f"const uint64_t {part} = {size} / {width}, "
+                f"{extra} = {size} % {width}, "
+                f"{count} = {part} + ({piece} < {extra});"
+            )
+            first = (
+                f"(uint64_t){lo} + {piece} * {part} + "
+                f"({piece} < {extra} ? {piece} : {extra})"
+            )
+            self.stmt(f"const i64 {last} = (i64)({first} + {count} - 1);")
+            self.stmt(
+                f"for (i64 {var} = (i64)({first}); {count} && {var} <= {last}; ) {{"
+            )
+            hi = last
+        else:
+            self.stmt(f"for (i64 {var} = {lo}; {var} <= {hi}; ) {{")
+        self.indent += 1
+        run = None
+        if any(a.x for a in plan.atoms):
+            # the elements after this one the segment still takes
+            run = self.fresh("_r")
+            self.stmt(f"uint64_t {run} = (uint64_t){hi} - (uint64_t){var};")
+        flags: dict[Atom, str] = {}
+        moved: dict[str, str] = {}  # a guard side's text -> its variable
+        for atom in plan.atoms:
+            flag = flags[atom] = self.fresh("_a")
+            left, right = self._side(atom.left), self._side(atom.right)
+            if atom.x and left != var and left not in moved:
+                # a side that moves with the index and is more than the
+                # index: it moves by one per element until int64 wraps it
+                moved[left] = self.fresh("_g")
+                self.stmt(f"const i64 {moved[left]} = {left};")
+                self._shorten(run, (
+                    f"(uint64_t)INT64_MAX - (uint64_t){moved[left]}" if atom.x > 0
+                    else f"(uint64_t){moved[left]} - (uint64_t)INT64_MIN"
+                ))
+            left = moved.get(left, left)
+            self.stmt(f"const i64 {flag} = ({left} {INFIX_OPS[atom.op]} {right});")
+            if atom.x:
+                self._cut(left, atom.x, atom.op, right, run)
+        end = hi
+        if run is not None:
+            end = self.fresh("_o")
+            self.stmt(f"const i64 {end} = (i64)((uint64_t){var} + {run});")
+        leaf = self.fresh("_k")
+        self.stmt(f"const i64 {leaf} = {_tree_c(plan.tree, flags)};")
+        self._segment = _Segment(index, plan, leaf, end, shared)
+
+    def _cut(self, s: str, step: int, op: str, c: str, run: str) -> None:
+        """Shorten ``run`` to the elements over which ``s op c`` keeps the
+        truth it has here, ``s`` moving by ``step`` (±1) per element:
+        ``run = min(run, left)``, ``left`` all ones where the truth never
+        turns (branch-free: each branch is more code for ``cc``)."""
+        group = {"<": "<", ">=": "<", "<=": "<=", ">": "<=", "=": "=", "<>": "="}
+        if step > 0:  # s rises: the truth turns where s reaches c
+            gap = f"(uint64_t){c} - (uint64_t){s}"
+            turns, left = {
+                "<": ("<", f"{gap} - 1"), "<=": ("<=", gap), "=": ("<", f"{gap} - 1"),
+            }[group[op]]
+        else:
+            gap = f"(uint64_t){s} - (uint64_t){c}"
+            turns, left = {
+                "<": (">=", gap), "<=": (">", f"{gap} - 1"), "=": (">", f"{gap} - 1"),
+            }[group[op]]
+        left = f"({left}) | -(uint64_t)!({s} {turns} {c})"
+        if group[op] == "=":  # s == c: this element alone
+            left = f"({left}) & -(uint64_t)({s} != {c})"
+        self._shorten(run, left)
+
+    def _shorten(self, run: str, left: str) -> None:
+        name = self.fresh("_m")
+        self.stmt(f"const uint64_t {name} = {left};")
+        self.stmt(f"{run} = {name} < {run} ? {name} : {run};")
+
+    def _close_segments(self) -> None:
+        """Print each leaf of the open segmented loop: the segment's
+        elements in order, the body lowered under the leaf's decided
+        guards, then close the segment loop."""
+        seg, self._segment = self._segment, None
+        var = f"v_{c_name(seg.index)}"
+        self.proof.replay, self._counted = {}, set()
+        last = len(seg.plan.leaves) - 1
+        for k, decided in enumerate(seg.plan.leaves):
+            if k == 0:
+                self.stmt(f"if ({seg.leaf} == 0) {{")
+            elif k == last:
+                self.stmt("} else {")
+            else:
+                self.stmt(f"}} else if ({seg.leaf} == {k}) {{")
+            self.indent += 1
+            self.stmt(f"for (; {var} <= {seg.end}; {var}++) {{")
+            self.indent += 1
+            self._open_header({seg.index})
+            self.decided = decided
+            for eq, counter in seg.equations:
+                self._store(eq, counter)
+            self.decided = {}
+            self.headers.pop()
+            self.indent -= 1
+            self.stmt("}")
+            self.indent -= 1
+        self.stmt("}")
+        self.proof.replay, self._counted = None, None
+        if seg.shared:
+            self.indent -= 1
+            self.stmt("}")
 
     def _open_header(self, indices: set[str]) -> None:
         header = _Header(self.indent)
@@ -590,7 +815,10 @@ class _NativeKernel(CExprLowerer):
         self.headers.append((indices, header))
 
     def close_loop(self) -> None:
-        self.headers.pop()
+        if self._segment is not None:
+            self._close_segments()
+        else:
+            self.headers.pop()
         self.proof.close_loop()
         self.indent -= 1
         self.stmt("}")
@@ -606,6 +834,7 @@ class _NativeKernel(CExprLowerer):
         """Divide the loop that opens next among the team; its implicit
         barrier is the join."""
         self.stmt("#pragma omp for schedule(static)")
+        self._shared = True
 
     def open_single(self) -> None:
         self.stmt("#pragma omp single")
@@ -618,7 +847,15 @@ class _NativeKernel(CExprLowerer):
 
     def store(self, eq: AnalyzedEquation) -> None:
         """RHS, range-checked flattened target subscript, element-kind
-        cast, and the per-label evaluation counter."""
+        cast, and the per-label evaluation counter — in a segmented loop,
+        once per leaf when the loop closes."""
+        if self._segment is not None:
+            self._segment.equations.append((eq, len(self.counters)))
+        else:
+            self._store(eq, len(self.counters))
+        self.counters.append(eq.label)
+
+    def _store(self, eq: AnalyzedEquation, counter: int) -> None:
         self.current_dims = set(eq.index_names)
         self.indices = self.index_names | self.current_dims
         target = eq.targets[0]
@@ -630,8 +867,7 @@ class _NativeKernel(CExprLowerer):
             self.stmt(f"{element} = ({ctype})(({value}) != 0);")
         else:
             self.stmt(f"{element} = ({ctype})({value});")
-        self.stmt(f"_c{len(self.counters)} += 1;")
-        self.counters.append(eq.label)
+        self.stmt(f"_c{counter} += 1;")
 
     def array_windows(self):
         return ((name, entry[3]) for name, entry in self.arrays.items())

@@ -31,6 +31,15 @@ strategy) is bit-exact by construction. Whether a ``DO`` *may* take it is
 the caller's decision. ``"team"`` keeps the ``"full"`` order wherever it
 matters: a ``DOALL``'s elements are independent, each is stored by exactly
 one thread, and the barrier ends every unit before the next one starts.
+
+The C dialect may print a *leaf* loop — one whose body is all equations —
+as a **segmented loop** (:mod:`repro.runtime.kernels.segments`): where its
+equations branch on affine index guards (Jacobi's ``J = 0 or J = M+1``,
+the §4 padding test), ``open_loop`` prints a loop over segments whose
+header decides those guards once per segment, ``store`` holds the
+equations back, and ``close_loop`` lowers them once per outcome with the
+guards folded away. The walk is the same; every element is still stored
+once, by its own expression, in iteration order.
 """
 
 from __future__ import annotations

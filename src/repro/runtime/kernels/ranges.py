@@ -242,6 +242,11 @@ class RangeProof:
         self._known: list[list[_Box] | None] = [[_Box(None, [], "0", {})]]
         #: id(expression) -> (expression, its linear form or None)
         self._linear_memo: dict[int, tuple] = {}
+        #: while not None, what each fact made, by (id(boxes it refined),
+        #: id(guard), truth): a segmented loop lowers its body once per
+        #: leaf and meets the same facts again, which must make the same
+        #: boxes — the same obligations, owed once
+        self.replay: dict[tuple, tuple] | None = None
 
     # -- the loop box --------------------------------------------------------
 
@@ -271,7 +276,14 @@ class RangeProof:
     # -- guards --------------------------------------------------------------
 
     def push_fact(self, cond: Expr, truth: bool, indices: set[str]) -> None:
-        self._known.append(self._assume(self._known[-1], cond, truth, indices))
+        known = self._known[-1]
+        if self.replay is None:
+            self._known.append(self._assume(known, cond, truth, indices))
+            return
+        key = (id(known), id(cond), truth)
+        if key not in self.replay:
+            self.replay[key] = (known, self._assume(known, cond, truth, indices))
+        self._known.append(self.replay[key][1])
 
     def pop_fact(self) -> None:
         self._known.pop()
@@ -354,13 +366,15 @@ class RangeProof:
 
     # -- linear facts --------------------------------------------------------
 
-    def _linear(self, expr: Expr, indices: set[str]):
+    def linear(self, expr: Expr, indices: set[str]):
         """``(coefficients, offset)`` of ``expr`` as ``sum(c * index) +
         offset``: integer literal coefficients (at most
         :data:`MAX_COEFFICIENT`), the offset C text in the ``bound()``
         language (``"0"`` for none); None when it is not such a form.
         Memoized per expression: the facts stack reports one guard once
-        per operand it brackets."""
+        per operand it brackets, and a segmented loop's guards
+        (:mod:`repro.runtime.kernels.segments`) are read through here
+        too."""
         key = id(expr)
         if key not in self._linear_memo:
             self._linear_memo[key] = (expr, self._linear_of(expr, indices))
@@ -370,13 +384,13 @@ class RangeProof:
         if isinstance(expr, Name) and expr.ident in indices:
             return {expr.ident: 1}, "0"
         if isinstance(expr, UnOp) and expr.op in ("+", "-"):
-            inner = self._linear(expr.operand, indices)
+            inner = self.linear(expr.operand, indices)
             if inner is None or expr.op == "+":
                 return inner
             return _scaled(inner, -1)
         if isinstance(expr, BinOp) and expr.op in ("+", "-"):
-            left = self._linear(expr.left, indices)
-            right = self._linear(expr.right, indices)
+            left = self.linear(expr.left, indices)
+            right = self.linear(expr.right, indices)
             if left is None or right is None:
                 return None
             if expr.op == "-":
@@ -389,8 +403,8 @@ class RangeProof:
                 _plus(left[1], right[1]),
             )
         if isinstance(expr, BinOp) and expr.op == "*":
-            left = self._linear(expr.left, indices)
-            right = self._linear(expr.right, indices)
+            left = self.linear(expr.left, indices)
+            right = self.linear(expr.right, indices)
             if left is None or right is None:
                 return None
             if not left[0] and not right[0]:
@@ -411,8 +425,8 @@ class RangeProof:
         (``op`` mirrored when ``sign`` is negative), ``e`` an ``__int128``
         C expression; ``sides`` are the sides' linear forms that mention an
         index (what must not wrap). None when not linear."""
-        left = self._linear(cond.left, indices)
-        right = self._linear(cond.right, indices)
+        left = self.linear(cond.left, indices)
+        right = self.linear(cond.right, indices)
         if left is None or right is None:
             return None
         coeffs = dict(left[0])
@@ -642,7 +656,7 @@ class RangeProof:
         """:meth:`prove` for a subscript linear in several indices (or
         scaled): exact ``__int128`` ends over each box, so a subscript that
         would wrap is unproven."""
-        linear = self._linear(sub, indices)
+        linear = self.linear(sub, indices)
         if linear is None or not linear[0]:
             return _why_not_affine(sub, indices), set()
         coeffs, off = linear

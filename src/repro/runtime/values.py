@@ -346,6 +346,66 @@ def undefined_part(arr_type: ArrayType, boxes: list, env: dict[str, int]) -> str
     inside the declared bounds, they are pairwise disjoint and their volumes
     sum to the declared volume — the array is *totally defined* and needs no
     zero-fill. Otherwise the phrase ``plan.explain()`` prints."""
+    found = _definition_spans(arr_type, boxes, env)
+    if isinstance(found, str):
+        return found
+    bounds, spans = found
+    rank = len(bounds)
+    for d, (blo, bhi) in enumerate(bounds):
+        cover = [box[d] for box in spans]
+        if any(lo < blo or hi > bhi for lo, hi in cover):
+            return f"a definition leaves the bounds of dimension {d}"
+        for i in sorted({blo, *(hi + 1 for _, hi in cover)}):
+            if i <= bhi and not any(lo <= i <= hi for lo, hi in cover):
+                at = ", ".join(str(i) if k == d else "*" for k in range(rank))
+                return f"[{at}] never defined"
+    if _overlap(spans):
+        return "two definitions overlap"
+    defined, declared = _volume(spans), _volume([bounds])
+    return None if defined == declared else f"{defined} of {declared} elements defined"
+
+
+def halo_slabs(
+    arr_type: ArrayType, boxes: list, env: dict[str, int]
+) -> list[tuple[slice, ...]] | None:
+    """The storage an array's definitions never reach, as at most ``2 *
+    rank`` disjoint slabs (tuples of slices of the dense storage), when
+    the definition ``boxes`` at the sizes ``env`` lie inside the declared
+    bounds, are pairwise disjoint and tile their bounding box — the halo
+    between that box and the bounds is then all a run has to zero
+    (``tallskinny``'s rim). None when they do not."""
+    found = _definition_spans(arr_type, boxes, env)
+    if isinstance(found, str) or not found[1]:
+        return None
+    bounds, spans = found
+    rank = len(bounds)
+    hull = [
+        (min(box[d][0] for box in spans), max(box[d][1] for box in spans))
+        for d in range(rank)
+    ]
+    if any(lo < blo or hi > bhi for (lo, hi), (blo, bhi) in zip(hull, bounds)):
+        return None
+    if _overlap(spans) or _volume(spans) != _volume([hull]):
+        return None
+    slabs = []
+    for d, ((lo, hi), (blo, bhi)) in enumerate(zip(hull, bounds)):
+        # below and above the hull in dimension d; the hull's extent in the
+        # dimensions before d, everything in those after it
+        inner = tuple(
+            slice(hull[k][0] - bounds[k][0], hull[k][1] - bounds[k][0] + 1)
+            for k in range(d)
+        )
+        rest = (slice(None),) * (rank - d - 1)
+        if lo > blo:
+            slabs.append((*inner, slice(0, lo - blo), *rest))
+        if hi < bhi:
+            slabs.append((*inner, slice(hi - blo + 1, None), *rest))
+    return slabs
+
+
+def _definition_spans(arr_type: ArrayType, boxes: list, env: dict[str, int]):
+    """``(bounds, spans)``: the declared bounds and each definition box as
+    integer ``(lo, hi)`` pairs at the sizes ``env``, or why there are none."""
     try:
         bounds = array_bounds(arr_type, env)
         spans = [
@@ -356,26 +416,19 @@ def undefined_part(arr_type: ArrayType, boxes: list, env: dict[str, int]) -> str
         return "a range is not an integer expression of the plan's sizes"
     if any(hi < lo for box in (bounds, *spans) for lo, hi in box):
         return "a definition range is empty"
-    rank = len(bounds)
-    for d, (blo, bhi) in enumerate(bounds):
-        cover = [box[d] for box in spans]
-        if any(lo < blo or hi > bhi for lo, hi in cover):
-            return f"a definition leaves the bounds of dimension {d}"
-        for i in sorted({blo, *(hi + 1 for _, hi in cover)}):
-            if i <= bhi and not any(lo <= i <= hi for lo, hi in cover):
-                at = ", ".join(str(i) if k == d else "*" for k in range(rank))
-                return f"[{at}] never defined"
-    if any(
-        all(a[d][0] <= b[d][1] and b[d][0] <= a[d][1] for d in range(rank))
+    return bounds, spans
+
+
+def _overlap(spans: list) -> bool:
+    return any(
+        all(a[d][0] <= b[d][1] and b[d][0] <= a[d][1] for d in range(len(a)))
         for i, a in enumerate(spans)
         for b in spans[i + 1 :]
-    ):
-        return "two definitions overlap"
-    defined, declared = (
-        sum(math.prod(hi - lo + 1 for lo, hi in box) for box in group)
-        for group in (spans, [bounds])
     )
-    return None if defined == declared else f"{defined} of {declared} elements defined"
+
+
+def _volume(boxes: list) -> int:
+    return sum(math.prod(hi - lo + 1 for lo, hi in box) for box in boxes)
 
 
 def array_bounds(arr_type: ArrayType, env: dict[str, int]) -> list[tuple[int, int]]:

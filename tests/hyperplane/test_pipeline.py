@@ -161,6 +161,41 @@ class TestOtherRecurrences:
         assert res.pi == (1, 0, 0)
         assert res.recurrence_window == 2
 
+    def test_time_row_basis_vector_needs_no_padding_guard(self):
+        """When the time row of T is a basis vector, the time index *is*
+        the original coordinate over its declared bounds: the transformed
+        equation tests no padding, and still runs bit-equal to the
+        evaluator on the original module. A skewed time row keeps its
+        guard."""
+        from repro.core.recurrences import ISUM_SOURCE
+        from repro.core.paper import RELAXATION_JACOBI_SOURCE
+
+        evaluator = ExecutionOptions(use_kernels=False)
+        cases = [
+            (ISUM_SOURCE, {"X": np.arange(-5, 7), "n": 12}, "T",
+             ("Ip < 0", "Ip > n")),
+            (RELAXATION_JACOBI_SOURCE,
+             {"InitialA": np.random.default_rng(3).random((7, 7)),
+              "M": 5, "maxK": 6}, "newA", ("Kp < 1", "Kp > maxK")),
+        ]
+        for source, args, out, padding in cases:
+            plain = compile_source(source, CompilerOptions(emit_c=False))
+            hyper = compile_source(
+                source, CompilerOptions(hyperplane=True, emit_c=False)
+            )
+            text = format_module(hyper.module)
+            assert not any(test in text for test in padding), text
+            want = execute_module(plain.analyzed, args, options=evaluator)[out]
+            got = execute_module(hyper.analyzed, args)[out]
+            assert np.array_equal(got, want)
+        skewed = format_module(
+            compile_source(
+                RELAXATION_GAUSS_SEIDEL_SOURCE,
+                CompilerOptions(hyperplane=True, emit_c=False),
+            ).module
+        )
+        assert "if Kp - 2 * Ip - Jp < 0 or Kp - 2 * Ip - Jp > M + 1 then 0.0" in skewed
+
     def test_no_recursive_component(self):
         analyzed = analyze_module(
             parse_module("T: module (x: int): [y: int];\ndefine y = x + 1;\nend T;")

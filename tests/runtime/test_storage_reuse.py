@@ -172,6 +172,24 @@ def test_a_never_defined_halo_reads_zero_from_a_dirty_buffer():
     assert not out[:, 0].any() and not out[:, -1].any()
 
 
+def test_a_halo_zeroed_array_reads_zero_from_a_nan_buffer():
+    """``tallskinny``'s ``A`` and ``newA`` are defined on a box inside their
+    bounds: they are allocated without a fill and only the rim is zeroed.
+    A recycled buffer full of NaN must not show through it."""
+    sizes = {"r": 3, "c": 4100, "maxK": 3}
+    args = {"InitialA": np.random.default_rng(5).random((5, 4102)) + 1.0, **sizes}
+    expected = _reference(TALLSKINNY_SOURCE, args)["newA"]
+    with _session() as session:
+        served = session.load(TALLSKINNY_SOURCE)
+        for _ in range(2):
+            session.run(served, args)
+        store = _store(session)
+        for owner in store._owners:
+            owner.view(np.float64)[...] = np.nan
+        out = session.run(served, args)["newA"]
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_concurrent_runs_on_one_slot_never_share_an_owner(scan_cases):
     """More threads than cores, a short switch interval, results held across
     a barrier while the others run: every thread's answer must still be its

@@ -21,7 +21,7 @@ from repro.plan.planner import forced_plan
 from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import native as native_mod
-from repro.runtime.values import undefined_part
+from repro.runtime.values import halo_slabs, undefined_part
 
 TALLSKINNY_SOURCE = """\
 Relax: module (InitialA: array[0 .. r + 1, 0 .. c + 1] of real;
@@ -166,6 +166,27 @@ class TestDeclines:
         out, counters = run_counting(TALLSKINNY_SOURCE, args)
         assert counters["arrays_zeroed"] == 2
         assert not out["newA"][0].any() and not out["newA"][:, -1].any()
+
+    def test_tallskinny_zeroes_only_its_halo(self):
+        """The definitions of ``A`` tile ``[0 .. maxK, 1 .. r, 1 .. c]``:
+        the slabs to zero are exactly the rim of dimensions 1 and 2."""
+        sizes = {"r": 2, "c": 5, "maxK": 3}
+        plan = compile_source(TALLSKINNY_SOURCE).plan(sizes, SERIAL)
+        slabs = halo_slabs(*plan.storage["A"], sizes)
+        shape = (4, 4, 7)
+        rim = np.ones(shape, bool)
+        rim[:, 1:3, 1:6] = False
+        covered = np.zeros(shape, int)
+        for slab in slabs:
+            covered[slab] += 1
+        assert len(slabs) == 4
+        assert np.array_equal(covered, rim.astype(int))
+        assert halo_slabs(*plan.storage["newA"], sizes) is not None
+        # overlapping or gapped definitions have no halo of their own
+        for source, at in ((OVERLAP_SOURCE, {"n": 4, "m": 2}),
+                           (PREFIX_SOURCE, {"n": 4, "m": 6})):
+            plan = compile_source(source).plan(at, SERIAL)
+            assert halo_slabs(*plan.storage["Y"], at) is None
 
     def test_overlapping_boxes(self):
         found = verdicts(OVERLAP_SOURCE, {"n": 4, "m": 2})
