@@ -18,6 +18,7 @@ client     talk to a running serve daemon (run/plan/describe/stats/...)
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from collections.abc import Sequence
 
@@ -140,15 +141,12 @@ def _cmd_plan(args) -> int:
     print()
     print(plan.explain())
     if args.save:
-        from repro.runtime.kernels import native
+        from repro.runtime.kernels import KernelCache, native
+        from repro.runtime.kernels.cache import plan_keys
 
-        specs = [
-            native.native_spec(
-                flow.descriptor_at(path), analyzed, flow, plan.use_windows,
-                shape,
-            )
-            for path, shape in plan.native_kernels()
-        ]
+        specs = list(KernelCache(analyzed, flow).native_specs(
+            plan_keys(plan, plan.use_windows)
+        ).values())
         out = native.persist_plan(analyzed.name, text, specs)
         print(
             f"saved plan + its translation unit "
@@ -233,11 +231,24 @@ def _cmd_run(args) -> int:
     results = execute_module(
         analyzed, run_args, flowchart=flow, options=options
     )
+    _print_results(results)
+    return 0
+
+
+def _print_results(results: dict) -> None:
+    """Each result as NumPy prints it (summarised, 6 decimals), then one
+    ``sha256=<hex>`` line over its dtype, shape and raw bytes — what a
+    ``cmp`` of two outputs compares for every element."""
     with np.printoptions(precision=6, suppress=True):
         for name, value in results.items():
             print(f"{name} =")
             print(value)
-    return 0
+            array = np.asarray(value)
+            digest = hashlib.sha256(f"{array.dtype.str} {array.shape}\n".encode())
+            digest.update(
+                repr(value).encode() if array.dtype.hasobject else array.tobytes()
+            )
+            print(f"sha256={digest.hexdigest()}")
 
 
 def _cmd_serve(args) -> int:
@@ -300,10 +311,7 @@ def _cmd_client_run(args) -> int:
             seed=args.seed,
             **_client_overrides(args),
         )
-    with np.printoptions(precision=6, suppress=True):
-        for name, value in results.items():
-            print(f"{name} =")
-            print(value)
+    _print_results(results)
     return 0
 
 

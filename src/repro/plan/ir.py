@@ -185,9 +185,10 @@ class ExecutionPlan:
     #: :func:`repro.runtime.values.undefined_part` finds it totally defined
     #: leaves it uninitialised. An array not named here is zero-filled.
     storage: dict = field(default_factory=dict, repr=False, compare=False)
-    #: array name -> (sizes, the storage slabs a run at those sizes zeroes:
-    #: ``[]`` when it is totally defined, None when all of it) of the last
-    #: run that asked
+    #: array name -> ((sizes, native kernels ready, window mode), (bounds,
+    #: windows, the storage slabs a run at those sizes zeroes: ``[]`` when
+    #: it is totally defined, None when all of it)) of the last run that
+    #: asked
     defined: dict = field(default_factory=dict, repr=False, compare=False)
     #: a run of this plan has completed: later ones recycle their arrays
     ran: bool = field(default=False, repr=False, compare=False)
@@ -198,6 +199,16 @@ class ExecutionPlan:
     window_refusals: dict = field(default_factory=dict, repr=False, compare=False)
     #: the sizes the plan was built for (``explain`` evaluates boxes at them)
     sizes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    #: how a run of the plan executes, decided once when the kernel cache
+    #: builds its unit: its ``run_<module>`` entry's name, or why the runs
+    #: walk the flowchart (None: not decided yet)
+    entry: str | None = field(default=None, repr=False, compare=False)
+    #: (sizes, what the module entry's runs at those sizes allocate and
+    #: call — None: they walk — and their geometry) of the last sizes run
+    layout: tuple | None = field(default=None, repr=False, compare=False)
+    #: (kernel cache, window mode, every native kernel built, the module
+    #: entry) as the cache's ``prepare`` answered the plan's first run
+    prepared: tuple | None = field(default=None, repr=False, compare=False)
     #: id(descriptor) -> LoopPlan for O(1) lookup during execution; rebuilt
     #: by bind() — valid only against the flowchart the plan was built from
     _by_id: dict[int, LoopPlan] = field(
@@ -250,6 +261,31 @@ class ExecutionPlan:
             for path, lp in self.loops.items()
             if lp.dialect == "native"
         ]
+
+    def entry_shapes(self) -> tuple[str | None, str | None]:
+        """``("run <shape> ...", None)`` — the kernel shape of each loop at
+        the top of the flowchart, which the module's ``run_<module>`` C
+        entry calls in order — when every one of them is a native nest on
+        one team width — and there is one: an entry alone would start a
+        compiler — else ``(None, why not)``. Whether the equations outside
+        the loops lower to C is the entry's own question."""
+        shapes, teams = ["run"], set()
+        for path, lp in sorted(self.loops.items()):
+            if len(path) > 1:
+                continue
+            if lp.strategy != "nest" or lp.dialect != "native":
+                how = lp.dialect or "the walk"
+                return None, (
+                    f"{lp.keyword} {lp.index} @{path} runs {lp.strategy} "
+                    f"[{how}]"
+                )
+            shapes.append(lp.kernel_shape())
+            teams.add(lp.team)
+        if len(shapes) == 1:
+            return None, "no native loop to call"
+        if len(teams - {None}) > 1:
+            return None, "its teams differ in width"
+        return " ".join(shapes), None
 
     # -- summaries ---------------------------------------------------------
 
@@ -371,6 +407,8 @@ class ExecutionPlan:
                 f"— {note['reason']}"
             )
             lines.append(row)
+        if self.entry is not None:
+            lines.append(f"  module entry: {self.entry}")
         for name, how in self.storage.items():
             if isinstance(how, tuple):
                 how = undefined_part(*how, self.sizes)

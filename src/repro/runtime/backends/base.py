@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -161,21 +162,79 @@ class ExecutionBackend:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, state: ExecutionState) -> None:
-        """Execute the whole flowchart against ``state``."""
-        if state.kernels is not None:
+        """Execute the whole flowchart against ``state``: as one call of the
+        plan's module entry (``run_<module>``, built with the plan's unit,
+        named by ``plan.explain()``) where it has one, else — and after any
+        failure of that call — by the walk."""
+        entry = None
+        kernels, plan = state.kernels, state.plan
+        if kernels is not None:
             # Kernels with module calls dispatch through the cache's call
             # box; point it at this execution's handler before anything runs.
-            state.kernels.bind_call_fn(state.evaluator.call_fn)
-        if state.kernels is not None and state.options.kernel_tier == "native":
-            # One translation unit per (module, plan): every native kernel
-            # the plan will dispatch is built now, as one batch — not one
-            # compiler process per kernel as the walk meets them.
-            state.native_ready = state.kernels.prepare(
-                plan_keys(state.plan, state.options.use_windows)
+            kernels.bind_call_fn(state.evaluator.call_fn)
+            if state.options.kernel_tier == "native":
+                entry = self._prepare(state)
+        if entry is None or not self._run_entry(state, entry):
+            for desc in state.flowchart.descriptors:
+                self.exec_descriptor(state, desc, {}, [])
+        plan.ran = True
+
+    def _prepare(self, state: ExecutionState):
+        """Build every native kernel the plan dispatches, its module entry
+        included, as one batch — one translation unit per (module, plan),
+        not one compiler process per kernel as the walk meets them — and
+        return the entry. Asked once per (plan, kernel cache)."""
+        kernels, plan = state.kernels, state.plan
+        windows = bool(state.options.use_windows)
+        memo = plan.prepared
+        if memo is None or memo[0]() is not kernels or memo[1] != windows:
+            memo = plan.prepared = (
+                weakref.ref(kernels), windows,
+                kernels.prepare(plan_keys(plan, windows)),
+                kernels.module_entry(plan, windows),
             )
-        for desc in state.flowchart.descriptors:
-            self.exec_descriptor(state, desc, {}, [])
-        state.plan.ran = True
+        state.native_ready = memo[2]
+        return memo[3]
+
+    def _run_entry(self, state: ExecutionState, entry) -> bool:
+        """Run the plan as one call of its module ``entry``: allocate the
+        targets the walk would allocate, then the call over a geometry
+        vector built once per (plan, sizes). False when the walk must run
+        it instead — the sizes leave a loop the walk would not enter, or
+        the call returned non-zero (an unproven range, an out-of-range
+        subscript, a zero divisor), its arrays dropped first: the walk
+        raises the evaluator's exact error or reruns the loop on checked
+        code, and arguments are never written."""
+        env = state.scalar_env()
+        sizes = tuple(env.items())
+        memo = state.plan.layout
+        if memo is None or memo[0] != sizes:
+            memo = state.plan.layout = sizes, _entry_layout(state, entry, env), None
+        sizes, layout, geom = memo
+        if layout is None:
+            return False
+        eqs, teams, team, proofs = layout
+        before = len(state.data)
+        for eq in eqs:
+            self.ensure_targets(state, eq, env)
+        if geom is None:
+            geom = entry.geometry(state.data)  # None: a skipped loop's array
+            state.plan.layout = sizes, layout if geom is not None else None, geom
+            if geom is None:
+                return False
+        width = team_width(team) if teams else 1
+        out = entry(state.data, geom, width, proofs)
+        if out is None:
+            for name in list(state.data)[before:]:
+                del state.data[name]  # its buffer goes back to the store
+            return False
+        state.merge_counts(out[0])
+        state.data.update(out[1])
+        if teams:
+            self.count("team_calls", teams)
+            if width < team:
+                self.count("team_capped", teams)
+        return True
 
     def end_run(self) -> None:
         """Release *per-run* resources (idle recycled buffers beyond what
@@ -208,7 +267,9 @@ class ExecutionBackend:
         single-assignment, no lowering can write an argument — and copied
         only when its dtype, byte order or layout must be converted."""
         out = np.ascontiguousarray(array, dtype=dtype)
-        took = isinstance(array, np.ndarray) and np.may_share_memory(out, array)
+        took = out is array or (
+            isinstance(array, np.ndarray) and np.may_share_memory(out, array)
+        )
         self.count("arg_bytes_borrowed" if took else "arg_bytes_converted", out.nbytes)
         return out
 
@@ -572,68 +633,110 @@ class ExecutionBackend:
         eqs = desc.nested_equations()
         if all(t.name in state.data for eq in eqs for t in eq.targets):
             return True
-        env = state.scalar_env()
-
-        def stores(d: Descriptor) -> bool:
-            if isinstance(d, NodeDescriptor):
-                return d.node.is_equation
-            lo, hi = eval_bound(d.subrange.lo, env), eval_bound(d.subrange.hi, env)
-            return lo <= hi and any(map(stores, d.body))
-
-        if not stores(desc):
+        if not _stores(desc, state.scalar_env()):
             return False
         for eq in eqs:
             self.ensure_targets(state, eq)
         return True
 
-    def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
+    def ensure_targets(
+        self, state: ExecutionState, eq: AnalyzedEquation,
+        env: dict[str, int] | None = None,
+    ) -> None:
         """Allocate target arrays on first definition — zero-filled, unless
         nothing in the plan reads the array early (``ExecutionPlan.storage``)
         and at this run's sizes it is totally defined (:func:`undefined_part`)
         — or its definitions tile a box inside its bounds, when only the
         halo around that box is zeroed (:func:`halo_slabs`).
         Only a plan that has completed a run takes from the store, so a
-        process that runs each plan once retains nothing."""
+        process that runs each plan once retains nothing. ``env`` is
+        ``state.scalar_env()`` when the caller has it."""
         for target in eq.targets:
             if target.name in state.data:
                 continue
             sym = state.analyzed.symbol(target.name)
-            if isinstance(sym.type, ArrayType):
+            if not isinstance(sym.type, ArrayType):
+                continue  # scalars are created on assignment
+            if env is None:
                 env = state.scalar_env()
-                bounds = array_bounds(sym.type, env)
-                windows: dict[int, int] = {}
-                if state.options.use_windows and sym.kind is SymbolKind.VAR:
-                    windows = dict(state.flowchart.window_of(target.name))
-                how = state.native_ready and state.plan.storage.get(target.name)
-                halo = None  # the slabs to zero; None: all of it
-                if isinstance(how, tuple) and not windows:
-                    # one verdict per (array, sizes): a session's plan is
-                    # cached per sizes, so its warm runs all hit the memo
-                    sizes = tuple(env.items())
-                    memo = state.plan.defined.get(target.name)
-                    if memo is None or memo[0] != sizes:
-                        memo = sizes, (
-                            [] if undefined_part(*how, env) is None
-                            else halo_slabs(*how, env)
-                        )
-                        state.plan.defined[target.name] = memo
-                    halo = memo[1]
-                self.count("arrays_uninitialised" if halo == [] else "arrays_zeroed")
-                make = self.make_storage
-                if state.plan.ran:
-                    make = self.store.take
-                array = state.data[target.name] = RuntimeArray.allocate(
-                    target.name,
-                    sym.type.element,
-                    bounds,
-                    windows=windows,
-                    debug=state.options.debug_windows,
-                    make=make,
-                    zero=halo is None,
-                )
-                for slab in halo or ():
-                    array.storage[slab] = 0
-            # Scalars are created on assignment.
+            # one layout per (array, sizes): a session's plan is cached per
+            # sizes, so its warm runs all hit the memo
+            key = tuple(env.items()), state.native_ready, state.options.use_windows
+            memo = state.plan.defined.get(target.name)
+            if memo is None or memo[0] != key:
+                memo = key, _storage_layout(state, target.name, sym, env)
+                state.plan.defined[target.name] = memo
+            bounds, windows, halo = memo[1]
+            self.count("arrays_uninitialised" if halo == [] else "arrays_zeroed")
+            make = self.make_storage
+            if state.plan.ran:
+                make = self.store.take
+            array = state.data[target.name] = RuntimeArray.allocate(
+                target.name,
+                sym.type.element,
+                bounds,
+                windows=windows,
+                debug=state.options.debug_windows,
+                make=make,
+                zero=halo is None,
+            )
+            for slab in halo or ():
+                array.storage[slab] = 0
+
+
+def _storage_layout(state: ExecutionState, name: str, sym, env: dict[str, int]):
+    """``(bounds, windows, halo)`` of the array ``name`` at sizes ``env``:
+    ``halo`` the slabs to zero, ``[]`` none, None all of it."""
+    bounds = array_bounds(sym.type, env)
+    windows: dict[int, int] = {}
+    if state.options.use_windows and sym.kind is SymbolKind.VAR:
+        windows = dict(state.flowchart.window_of(name))
+    how = state.native_ready and state.plan.storage.get(name)
+    halo = None
+    if isinstance(how, tuple) and not windows:
+        halo = [] if undefined_part(*how, env) is None else halo_slabs(*how, env)
+    return bounds, windows, halo
+
+
+def _stores(d: Descriptor, env: dict[str, int]) -> bool:
+    """Whether the walk of ``d`` reaches an equation at sizes ``env``."""
+    if isinstance(d, NodeDescriptor):
+        return d.node.is_equation
+    lo, hi = eval_bound(d.subrange.lo, env), eval_bound(d.subrange.hi, env)
+    return lo <= hi and any(_stores(c, env) for c in d.body)
+
+
+def _entry_layout(state: ExecutionState, entry, env: dict[str, int]):
+    """``(equations whose targets the walk allocates, team calls, their
+    width, calls proving their ranges)`` of ``entry``'s runs at sizes
+    ``env``; None when they must walk: a loop with iterations that stores
+    nothing, or a bound that does not evaluate or fit ``int64`` (the entry
+    evaluates the bounds again in C)."""
+    eqs: dict[str, AnalyzedEquation] = {}  # one equation per target
+    teams = team = proofs = 0
+    calls = iter(entry.spec.calls)
+    for desc in state.flowchart.descriptors:
+        if isinstance(desc, NodeDescriptor):
+            if desc.node.is_equation:
+                eqs.setdefault(desc.node.equation.targets[0].name, desc.node.equation)
+            continue
+        call = next(calls)
+        try:
+            lo, hi = (eval_bound(b, env) for b in (desc.subrange.lo, desc.subrange.hi))
+            if not all(-(2**63) <= v < 2**63 for v in (lo, hi)):
+                return None
+            if lo > hi:
+                continue
+            if not _stores(desc, env):
+                return None
+        except ExecutionError:
+            return None
+        for eq in desc.nested_equations():
+            eqs.setdefault(eq.targets[0].name, eq)
+        proofs += call.proven > 0
+        if call.team:
+            teams, team = teams + 1, state.plan.loop_for(desc).team
+    return list(eqs.values()), teams, team, proofs
 
 
 def _broadcast_shape(env: dict[str, Any], vector_names: list[str]):

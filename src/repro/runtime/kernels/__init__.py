@@ -18,7 +18,11 @@ vectors, C) and *team* (one thread, or a team of OpenMP threads):
   threads, C only;
 * a per-equation kernel — one equation with no loops left, in the scalar
   and the vector Python dialects; the general walk calls these per element
-  or per vector span.
+  or per vector span;
+* a module entry — ``run_<module>``, C only: every top-level loop's
+  function called in flowchart order and the equations between them
+  inline, so a plan whose top-level loops are all native nests runs as one
+  C call.
 
 **Tiers.** All backends dispatch through :class:`KernelCache`, whose one
 lookup serves native (C compiled with the system compiler and loaded via

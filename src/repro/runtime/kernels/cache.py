@@ -47,15 +47,23 @@ from repro.runtime.kernels.emit import compile_kernel, compile_nest_kernel
 from repro.runtime.kernels.nest import NEST_SHAPES, KernelError
 from repro.schedule.flowchart import Flowchart, LoopDescriptor
 
-#: (descriptor path, window mode, shape) — what loop kernels are keyed by
+#: (descriptor path, window mode, shape) — what loop kernels are keyed by;
+#: a module entry's path is the module's own, ``()``, and its shape
+#: ``"run"`` and the shapes of the loops it calls
 _Key = tuple[tuple[int, ...], bool, str]
 
 
 def plan_keys(plan, use_windows: bool) -> list[_Key]:
     """The keys of every native kernel ``plan`` dispatches in window mode
-    ``use_windows``: one translation unit's worth (:meth:`KernelCache.prepare`)."""
+    ``use_windows`` — its module entry last, where every loop at the top
+    of the flowchart is a native nest: one translation unit's worth
+    (:meth:`KernelCache.prepare`)."""
     windows = bool(use_windows)
-    return [(path, windows, shape) for path, shape in plan.native_kernels()]
+    keys = [(path, windows, shape) for path, shape in plan.native_kernels()]
+    shapes, _why = plan.entry_shapes()
+    if shapes is not None:
+        keys.append(((), windows, shapes))
+    return keys
 
 
 class KernelCache:
@@ -74,6 +82,8 @@ class KernelCache:
         #: an unproven call was rerun one tier down by the backend
         self._proofs = {"range_proven": 0, "range_unproven": 0}
         self._proofs_lock = threading.Lock()
+        #: module-entry key -> why its entry does not lower
+        self._refusals: dict[_Key, str] = {}
         #: one-slot module-call dispatch box shared by every compiled kernel
         self._call_box: list = [None]
 
@@ -83,9 +93,9 @@ class KernelCache:
         the box at call time, so already-compiled kernels follow."""
         self._call_box[0] = call_fn
 
-    def _book_proof(self, held: bool) -> None:
+    def _book_proof(self, held: bool, calls: int = 1) -> None:
         with self._proofs_lock:
-            self._proofs["range_proven" if held else "range_unproven"] += 1
+            self._proofs["range_proven" if held else "range_unproven"] += calls
 
     def _memo(self, table: dict, keys: list, native: bool, build) -> None:
         """Answer every key of ``keys`` in ``table`` with one
@@ -163,7 +173,25 @@ class KernelCache:
         missing = [key for key in keys if key not in self._native]
         if missing:
             self._memo(self._native, missing, True, self._build_native)
-        return all(self._native[key] is not None for key in keys)
+        return all(self._native[key] is not None for key in keys if key[0])
+
+    def module_entry(self, plan, use_windows: bool):
+        """The plan's ``run_<module>``
+        (:class:`~repro.runtime.kernels.native.ModuleEntry`) as
+        :meth:`prepare` built it with the plan's unit — None: its runs walk
+        the flowchart. Noted on the plan with the reason, for
+        ``explain()``."""
+        shapes, why = plan.entry_shapes()
+        key = ((), bool(use_windows), shapes)
+        entry = self._native.get(key) if shapes is not None else None
+        plan.entry = (
+            f"{entry.spec.fn_name}, one native call per run"
+            if entry is not None
+            else "walked: " + (
+                why or self._refusals.get(key, "its unit did not build")
+            )
+        )
+        return entry
 
     def native_specs(self, keys: list[_Key]) -> dict:
         """The C specs of those ``keys`` this cache has no native answer
@@ -175,30 +203,54 @@ class KernelCache:
             if key in self._native:
                 continue
             path, use_windows, shape = key
-            if shape == "team" and not native_mod.openmp_supported():
+            if "team" in shape.split() and not native_mod.openmp_supported():
                 continue  # a unit cc cannot build would sink the batch
             try:
-                specs[key] = native_mod.native_spec(
-                    self.flowchart.descriptor_at(path), self.analyzed,
-                    self.flowchart, use_windows, shape,
-                )
-            except KernelError:
-                pass  # this loop alone does not lower; the batch goes on
+                specs[key] = self._spec(path, use_windows, shape)
+            except KernelError as exc:
+                # this loop alone does not lower; the batch goes on
+                if not path:
+                    self._refusals[key] = str(exc)
         return specs
+
+    def _spec(self, path, use_windows: bool, shape: str):
+        if path:
+            return native_mod.native_spec(
+                self.flowchart.descriptor_at(path), self.analyzed,
+                self.flowchart, use_windows, shape,
+            )
+        loops = [d for d in self.flowchart.descriptors if isinstance(d, LoopDescriptor)]
+        shapes = shape.split()[1:]
+        if len(shapes) != len(loops):
+            raise KernelError("a top-level loop is not planned")
+        return native_mod.entry_spec(
+            self.analyzed, self.flowchart, use_windows, [
+                native_mod.native_spec(
+                    d, self.analyzed, self.flowchart, use_windows, s
+                )
+                for d, s in zip(loops, shapes)
+            ],
+        )
+
+    def _bind(self, key: _Key, spec):
+        if key[0]:
+            return native_mod.bind_kernel(spec, self._book_proof)
+        try:
+            return native_mod.ModuleEntry(spec, self._book_proof)
+        except KernelError as exc:
+            self._refusals[key] = str(exc)
+            return None
 
     def adopt(self, specs: dict) -> None:
         """Serve the native kernels of ``specs`` (from :meth:`native_specs`,
         built by :func:`native.build_kernels`)."""
         for key, spec in specs.items():
-            self._native[key] = native_mod.bind_kernel(spec, self._book_proof)
+            self._native[key] = self._bind(key, spec)
 
     def _build_native(self, keys: list[_Key]) -> dict:
         specs = self.native_specs(keys)
         native_mod.build_kernels(list(specs.values()), self._built)
-        return {
-            key: native_mod.bind_kernel(spec, self._book_proof)
-            for key, spec in specs.items()
-        }
+        return {key: self._bind(key, spec) for key, spec in specs.items()}
 
     def _build_numpy(self, keys: list[_Key]) -> dict:
         (key,) = keys
@@ -265,7 +317,8 @@ class KernelCache:
     def stats(self) -> dict[str, int]:
         compiled = sum(1 for v in self._compiled.values() if v is not None)
         nests = sum(1 for v in self._nests.values() if v is not None)
-        natives = sum(1 for v in self._native.values() if v is not None)
+        # loop kernels: a module entry only calls them
+        natives = sum(1 for k, v in self._native.items() if v is not None and k[0])
         return {
             "entries": len(self._compiled) + len(self._nests) + len(self._native),
             "compiled": compiled + nests + natives,

@@ -56,6 +56,14 @@ the region and the first store. Team units are the only ones compiled with
 be unloaded: libgomp's pool threads outlive the interpreter's teardown.
 :func:`team_width` says how wide a call really runs.
 
+A plan whose every top-level loop is a native nest also gets a **module
+entry** in its unit (:func:`entry_spec`, :class:`ModuleEntry`):
+``run_<module>`` evaluates each top-level loop's bounds, calls the loop's
+function through its address and stores the equations outside the loops
+inline, in flowchart order, so a warm run is one cffi call. It stops at
+the first non-zero return, which the backend answers by walking the
+flowchart from fresh storage.
+
 Compiled artifacts persist in an on-disk cache keyed by the SHA-256 of the
 generated translation unit (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro/native``):
@@ -76,6 +84,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -83,6 +92,8 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.codegen.clower import (
     C_FLAGS,
@@ -98,9 +109,21 @@ from repro.ps.ast import BinOp, Expr, IntLit, Name, UnOp
 from repro.ps.printer import format_expression
 from repro.ps.semantics import AnalyzedEquation, AnalyzedModule
 from repro.ps.types import ArrayType
-from repro.runtime.kernels.nest import KernelError, lower_nest, static_windows
+from repro.runtime.kernels.nest import (
+    KernelError,
+    finish,
+    kernelizable_reason,
+    lower_nest,
+    static_windows,
+)
 from repro.runtime.kernels.ranges import UNPROVEN, RangeProof
-from repro.runtime.kernels.segments import Atom, SegmentPlan, Side, plan_segments
+from repro.runtime.kernels.segments import (
+    Atom,
+    SegmentPlan,
+    Side,
+    merge_leaves,
+    plan_segments,
+)
 from repro.schedule.flowchart import Flowchart, LoopDescriptor, NodeDescriptor
 
 # ---------------------------------------------------------------------------
@@ -282,6 +305,10 @@ class NativeKernelSpec:
     inline: tuple[tuple[str, str], ...] = ()
     #: a team kernel: the team's width is the last argument
     team: bool = False
+    #: a module entry: the functions it calls, in ``fns`` order, and the
+    #: scalars it returns in ``outs``
+    calls: tuple[NativeKernelSpec, ...] = ()
+    results: tuple[str, ...] = ()
 
     @property
     def source(self) -> str:
@@ -331,6 +358,9 @@ class _Segment:
     leaf: str  # C variable: the segment's leaf
     end: str  # C variable: the segment's last index
     shared: bool
+    #: how it was opened: the loop's bounds, and where its lines start at
+    #: which indent (a loop whose leaves merge is printed again from there)
+    opened: tuple[str, str, int, int]
     #: (equation, counter) in body order, lowered once per leaf
     equations: list[tuple[AnalyzedEquation, int]] = field(default_factory=list)
 
@@ -341,6 +371,45 @@ def _tree_c(tree, flags: dict[Atom, str]) -> str:
         return str(tree)
     atom, yes, no = tree
     return f"({flags[atom]} ? {_tree_c(yes, flags)} : {_tree_c(no, flags)})"
+
+
+#: a C temporary (:meth:`CExprLowerer.fresh`) where it is declared
+_DECLARED = re.compile(r"\b(?:i64|int64_t|uint64_t|double) (_[a-z]\d+)\b")
+
+
+def _leaf_text(lines: list) -> str:
+    """A leaf's lines as text to compare with another leaf's: the
+    temporaries it declares numbered from zero, and a value cast twice to
+    one type (``((double)(((double)(x))))``: a decided ``if`` inside
+    another) cast once — both leave what the code computes unchanged."""
+    text = "\n".join(
+        "\n".join(line.lines()) if isinstance(line, _Header) else line
+        for line in lines
+    )
+    names = {
+        name: f"_{n}"
+        for n, name in enumerate(dict.fromkeys(_DECLARED.findall(text)))
+    }
+    text = re.sub(r"\b_[a-z]\d+\b", lambda m: names.get(m[0], m[0]), text)
+    for ctype in ("double", "int64_t"):
+        cast = f"(({ctype})("
+        while (at := text.find(cast + cast)) >= 0:
+            inner = at + len(cast)
+            end = _closing(text, inner)
+            if text[end + 1:end + 3] != "))":
+                break
+            text = text[:inner] + text[inner + len(cast):end - 1] + text[end + 1:]
+    return text
+
+
+def _closing(text: str, at: int) -> int:
+    """Where the parenthesis opened at ``text[at]`` closes."""
+    depth = 0
+    for i in range(at, len(text)):
+        depth += {"(": 1, ")": -1}.get(text[i], 0)
+        if depth == 0:
+            return i
+    raise ValueError("unbalanced parentheses")
 
 
 class _NativeKernel(CExprLowerer):
@@ -390,6 +459,9 @@ class _NativeKernel(CExprLowerer):
     integer scalars, so deciding it early is harmless.)"""
 
     error_type = KernelError
+    #: what the function's name starts with, and its last parameters
+    prefix = "k_"
+    tail = ("i64 nlo", "i64 nhi", "i64 *counts", "i64 *err")
 
     def __init__(
         self,
@@ -436,6 +508,12 @@ class _NativeKernel(CExprLowerer):
         #: while a segmented loop prints its leaves: the subscripts counted
         #: already (each leaf lowers them again; each counts once)
         self._counted: set[int] | None = None
+        #: a module entry's (:class:`_ModuleEntry`): the functions it calls,
+        #: the real scalars it returns in ``outs``, and the geometry entries
+        #: and counters of its calls so far
+        self.calls: list[NativeKernelSpec] = []
+        self.results: list[str] = []
+        self._geom = self._counts = 0
 
     def register_array(self, name: str) -> tuple[int, int, str, dict[int, int]]:
         entry = self.arrays.get(name)
@@ -689,6 +767,7 @@ class _NativeKernel(CExprLowerer):
         ``uint64_t`` differences of ``int64`` values, exact where the
         difference is taken, so nothing wraps."""
         var = f"v_{c_name(index)}"
+        opened = (lo, hi, len(self.lines), self.indent)
         if shared:
             # the omp for divides whole pieces, one per thread, each then
             # segmented on its own
@@ -748,7 +827,7 @@ class _NativeKernel(CExprLowerer):
             self.stmt(f"const i64 {end} = (i64)((uint64_t){var} + {run});")
         leaf = self.fresh("_k")
         self.stmt(f"const i64 {leaf} = {_tree_c(plan.tree, flags)};")
-        self._segment = _Segment(index, plan, leaf, end, shared)
+        self._segment = _Segment(index, plan, leaf, end, shared, opened)
 
     def _cut(self, s: str, step: int, op: str, c: str, run: str) -> None:
         """Shorten ``run`` to the elements over which ``s op c`` keeps the
@@ -779,11 +858,32 @@ class _NativeKernel(CExprLowerer):
     def _close_segments(self) -> None:
         """Print each leaf of the open segmented loop: the segment's
         elements in order, the body lowered under the leaf's decided
-        guards, then close the segment loop."""
+        guards, then close the segment loop. Leaves that print the same
+        body (:func:`~repro.runtime.kernels.segments.merge_leaves`) are
+        made one and the loop is printed again from its header."""
         seg, self._segment = self._segment, None
-        var = f"v_{c_name(seg.index)}"
         self.proof.replay, self._counted = {}, set()
+        bodies = self._print_leaves(seg)
+        merged = merge_leaves(seg.plan, [_leaf_text(b) for b in bodies])
+        if merged is not None:
+            lo, hi, mark, indent = seg.opened
+            del self.lines[mark:]
+            self.indent = indent
+            self._open_segments(seg.index, merged, lo, hi, seg.shared)
+            self._segment.equations, seg = seg.equations, self._segment
+            self._segment = None
+            self._print_leaves(seg)
+        self.proof.replay, self._counted = None, None
+        if seg.shared:
+            self.indent -= 1
+            self.stmt("}")
+
+    def _print_leaves(self, seg: _Segment) -> list[list]:
+        """The leaves of ``seg`` and the segment loop's close; returns
+        each leaf's lines."""
+        var = f"v_{c_name(seg.index)}"
         last = len(seg.plan.leaves) - 1
+        bodies = []
         for k, decided in enumerate(seg.plan.leaves):
             if k == 0:
                 self.stmt(f"if ({seg.leaf} == 0) {{")
@@ -792,6 +892,7 @@ class _NativeKernel(CExprLowerer):
             else:
                 self.stmt(f"}} else if ({seg.leaf} == {k}) {{")
             self.indent += 1
+            start = len(self.lines)
             self.stmt(f"for (; {var} <= {seg.end}; {var}++) {{")
             self.indent += 1
             self._open_header({seg.index})
@@ -803,11 +904,9 @@ class _NativeKernel(CExprLowerer):
             self.indent -= 1
             self.stmt("}")
             self.indent -= 1
+            bodies.append(self.lines[start:])
         self.stmt("}")
-        self.proof.replay, self._counted = None, None
-        if seg.shared:
-            self.indent -= 1
-            self.stmt("}")
+        return bodies
 
     def _open_header(self, indices: set[str]) -> None:
         header = _Header(self.indent)
@@ -875,9 +974,9 @@ class _NativeKernel(CExprLowerer):
     def assemble(self) -> NativeKernelSpec:
         """The lowered body as a full translation unit with the shared
         parameter layout (array pointers, geometry, hoisted scalars, env
-        names, subrange, counters, error channel)."""
+        names, then :attr:`tail`: subrange, counters, error channel)."""
         arrays = sorted(self.arrays.items(), key=lambda kv: kv[1][0])
-        scalar_names = sorted(self.scalar_names)
+        scalar_names = sorted(self.scalar_names - set(self.results))
         env_names = sorted(self.env_names - self.nest_indices)
         counters = self.counters
         params: list[str] = []
@@ -892,7 +991,7 @@ class _NativeKernel(CExprLowerer):
             params.append(f"{ctype} v_{c_name(name)}")
         for name in env_names:
             params.append(f"i64 v_{c_name(name)}")
-        params.extend(["i64 nlo", "i64 nhi", "i64 *counts", "i64 *err"])
+        params.extend(self.tail)
         if self.team:
             # Nothing may leave a parallel region early: the entry proof,
             # which runs before it, must be the only return.
@@ -907,7 +1006,7 @@ class _NativeKernel(CExprLowerer):
             params.append("i64 nthreads")
 
         body: list[str] = []
-        pos = 0
+        pos = self._geom  # a module entry's own geometry follows its calls'
         for name, (_ordinal, rank, _kind, _wins) in arrays:
             an = c_name(name)
             for d in range(rank):
@@ -919,6 +1018,8 @@ class _NativeKernel(CExprLowerer):
         body.extend(self.entry.lines())
         for i in range(len(counters)):
             body.append(f"    i64 _c{i} = 0;")
+        if self._counts:  # a loop the entry does not call counts 0
+            body.append(f"    for (i64 _i = 0; _i < {self._counts}; _i++) counts[_i] = 0;")
         if self.team:
             sums = ", ".join(f"_c{i}" for i in range(len(counters)))
             body.append(
@@ -931,26 +1032,123 @@ class _NativeKernel(CExprLowerer):
             else:
                 body.append(line)
         for i in range(len(counters)):
-            body.append(f"    counts[{i}] = _c{i};")
+            body.append(f"    counts[{self._counts + i}] = _c{i};")
+        for j, name in enumerate(self.results):
+            body.append(f"    outs[{j}] = v_{c_name(name)};")
         body.append("    return 0;")
 
         digest_src = "\n".join(body) + "|" + ", ".join(params)
-        fn_name = "k_" + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
+        fn_name = self.prefix + hashlib.sha256(digest_src.encode()).hexdigest()[:16]
         signature = f"int {fn_name}({', '.join(params)})"
         return NativeKernelSpec(
             function=signature + "\n{\n" + "\n".join(body) + "\n}\n",
             fn_name=fn_name,
-            decl=signature.replace("const i64 *geom", "const int64_t *geom") + ";",
+            # no parameter names: fewer tokens for cffi's C parser
+            decl=re.sub(r"\s*\b\w+(?=[,)])", "", signature) + ";",
             arrays=[(name, entry[2]) for name, entry in arrays],
             ranks=[entry[1] for _name, entry in arrays],
             scalars=scalar_kinds,
             env_names=env_names,
-            counters=counters,
+            counters=[*(label for c in self.calls for label in c.counters), *counters],
             checks=self.checks,
             proven=self.proven,
             inline=tuple(dict.fromkeys(self.inline)),
             team=self.team,
+            calls=tuple(self.calls),
+            results=tuple(self.results),
         )
+
+
+class _ModuleEntry(_NativeKernel):
+    """``run_<module>``: the flowchart's top level in order — each loop's
+    bounds evaluated and, over a range that is not empty, its function
+    called through its address in ``fns``, each equation stored inline —
+    returning the first non-zero code a call or its own entry proof
+    returns, ``err[3]`` naming the loop. ``geom`` and ``counts`` hold each
+    call's segment in call order, then the entry's own. A real scalar an
+    equation assigns is a local that later calls read and ``outs``
+    returns; an integer or boolean one might be a later bound: refused."""
+
+    tail = ("const i64 *fns", "i64 nthreads", "i64 *counts", "double *outs", "i64 *err")
+
+    def __init__(self, analyzed, flowchart, use_windows):
+        super().__init__(analyzed, flowchart, use_windows, set())
+        self.prefix = f"run_{c_name(analyzed.name)}_"
+
+    def lower_name(self, ident: str) -> str:
+        if ident in self.results:
+            return f"v_{c_name(ident)}"
+        return super().lower_name(ident)
+
+    def call(self, desc: LoopDescriptor, spec: NativeKernelSpec) -> None:
+        lo, hi, rc = self.fresh("_lo"), self.fresh("_hi"), self.fresh("_rc")
+        self.stmt(f"const i64 {lo} = {self.bound(desc.subrange.lo)};")
+        self.stmt(f"const i64 {hi} = {self.bound(desc.subrange.hi)};")
+        args = []
+        for name, _kind in spec.arrays:
+            self.register_array(name)
+            args.append(f"s_{c_name(name)}")
+        args.append(f"geom + {self._geom}")
+        args += [self.lower_name(name) for name, _kind in spec.scalars]
+        args += [lo, hi, f"counts + {self._counts}", "err"]
+        if spec.team:
+            args.append("nthreads")
+        pointer = spec.function.split("\n", 1)[0].replace(
+            f" {spec.fn_name}(", " (*)(", 1
+        )
+        k = len(self.calls)
+        self.stmt(f"if ({lo} <= {hi}) {{  /* {desc.keyword} {desc.index}: {spec.fn_name} */")
+        self.stmt(
+            f"    const int {rc} = (({pointer})(intptr_t)fns[{k}])({', '.join(args)});"
+        )
+        self.stmt(f"    if ({rc}) {{ err[3] = {k}; return {rc}; }}")
+        self.stmt("}")
+        self.calls.append(spec)
+        self._geom += 3 * sum(spec.ranks)
+        self._counts += len(spec.counters)
+
+    def store(self, eq: AnalyzedEquation) -> None:
+        target = eq.targets[0]
+        sym = self.analyzed.symbol(target.name)
+        if isinstance(sym.type, ArrayType):
+            super().store(eq)
+            return
+        kind = kind_of_type(sym.type)
+        if kind != "real":
+            raise KernelError(
+                f"{eq.label} assigns the {kind} scalar {target.name}, which a "
+                f"later bound may read"
+            )
+        self.current_dims, self.indices = set(), set()
+        value = self.lower(eq.rhs)
+        self.stmt(f"const double v_{c_name(target.name)} = (double)({value});")
+        self.stmt(f"_c{len(self.counters)} += 1;")
+        self.counters.append(eq.label)
+        self.results.append(target.name)
+
+
+def entry_spec(
+    analyzed: AnalyzedModule,
+    flowchart: Flowchart,
+    use_windows: bool,
+    loops: list[NativeKernelSpec],
+) -> NativeKernelSpec:
+    """``run_<module>`` (:class:`_ModuleEntry`) over ``loops``, the C
+    functions of the flowchart's top-level loops in order. Raises
+    :class:`KernelError` when an equation outside the loops does not
+    lower to C."""
+    out = _ModuleEntry(analyzed, flowchart, use_windows)
+    functions = iter(loops)
+    for d in flowchart.descriptors:
+        if isinstance(d, LoopDescriptor):
+            out.call(d, next(functions))
+        elif d.node.is_equation:
+            eq = d.node.equation
+            why = kernelizable_reason(eq, analyzed)
+            if why is not None:
+                raise KernelError(f"{eq.label}: {why}")
+            out.store(eq)
+    return finish(out, analyzed)
 
 
 def native_spec(
@@ -1091,12 +1289,22 @@ def _compile_so(
     return so_path, True
 
 
+#: the one FFI every unit is opened through: a declaration or a type it
+#: parsed once serves every later unit (a parse costs ~0.3 ms)
+_ffi: list = []
+
+
 def _dlopen(so_path: Path, cdef: str) -> tuple:
     cffi = _ffi_module()
     if cffi is None:
         raise KernelError("cffi is not available")
-    ffi = cffi.FFI()
-    ffi.cdef(cdef)
+    with _load_lock:
+        if not _ffi:
+            _ffi.append(cffi.FFI())
+            _ffi[0].cdef("typedef int64_t i64;")
+    ffi = _ffi[0]
+    # a function another unit holds too is declared again, identically
+    ffi.cdef(cdef, override=True)
     # Never unloaded: libgomp's pool threads may still be spinning in a
     # team kernel when the interpreter tears the library object down at
     # exit.
@@ -1185,7 +1393,7 @@ def _load_cached_units(
             continue
         entry = _dlopen(
             so_path,
-            "typedef int64_t i64; " + " ".join(missing[n].decl for n in names),
+            " ".join(missing[n].decl for n in names),
         )
         with _load_lock:
             for name in names:
@@ -1246,7 +1454,7 @@ def build_kernels(
         digest = _unit_digest(source, flags)
     entry = load_library(
         source,
-        "typedef int64_t i64; " + " ".join(s.decl for s in unit),
+        " ".join(s.decl for s in unit),
         counters,
         flags,
         idle,
@@ -1335,12 +1543,88 @@ def bind_kernel(
                 f"index {err[0]} out of range [{arr.los[d]}, {arr.his[d]}] "
                 f"in dimension {d} of {name!r}"
             )
-        return {label: counts[i] for i, label in enumerate(counters)}
+        # an equation whose loop ran no iteration was not evaluated: the
+        # walk books nothing for it either
+        return {label: counts[i] for i, label in enumerate(counters) if counts[i]}
 
     _kernel.__kernel_source__ = spec.source
     _kernel.__native__ = True
     _kernel.__team__ = team
     return _kernel
+
+
+class ModuleEntry:
+    """A built ``run_<module>`` (:class:`_ModuleEntry`) as Python calls it:
+    ``fn``, the cffi function, once per run over every array's storage,
+    the scalars, the loop functions' addresses and the team width. A call
+    returns the evaluation counts (zero ones dropped, as the walk books
+    none) and the scalars the equations assigned, or None for a non-zero
+    return: the C stopped at the first failure."""
+
+    def __init__(self, spec: NativeKernelSpec, on_proof=None):
+        if any(c.fn_name not in _loaded for c in spec.calls):
+            raise KernelError("a loop function of the module entry did not load")
+        lib, ffi = _loaded[spec.fn_name]
+        self.spec, self.fn, self._ffi = spec, getattr(lib, spec.fn_name), ffi
+        # the types the unit's loop functions parsed: a new one costs a parse
+        self._i64s = ffi.typeof("int64_t[]")
+        self._fns = ffi.new(self._i64s, [
+            int(ffi.cast(self._i64s.item, getattr(_loaded[c.fn_name][0], c.fn_name)))
+            for c in spec.calls
+        ] or [0])
+        self._buffers = [
+            (name, ffi.typeof(C_STORAGE_TYPES[kind] + "[]"))
+            for name, kind in spec.arrays
+        ]
+        self._outs = ffi.typeof("double[]") if spec.results else None
+        self._local = threading.local()
+        self._geometry = [  # each segment's arrays, in vector order
+            name for c in (*spec.calls, spec) for name, _kind in c.arrays
+        ]
+        self._on_proof = on_proof
+
+    def geometry(self, data):
+        """``(lo, hi, extent)`` per dimension of each segment's arrays in
+        ``data``; None when one is missing."""
+        values: list[int] = []
+        for name in self._geometry:
+            arr = data.get(name)
+            if arr is None:
+                return None
+            for d, n in enumerate(arr.storage.shape):
+                values += (arr.los[d], arr.his[d], n)
+        return self._ffi.new(self._i64s, values or [0])
+
+    def __call__(self, data, geom, width: int, proofs: int = 0):
+        """Run the module; ``proofs`` of its calls prove their ranges at
+        entry, booked when it succeeds."""
+        ffi, spec = self._ffi, self.spec
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None:  # one set per thread: the C zeroes the counts
+            buffers = self._local.buffers = (
+                ffi.new(self._i64s, len(spec.counters) or 1),
+                ffi.new(self._outs, len(spec.results)) if spec.results else ffi.NULL,
+                ffi.new(self._i64s, 4),
+            )
+        cargs = [ffi.from_buffer(t, data[name].storage) for name, t in self._buffers]
+        cargs.append(geom)
+        for name, kind in spec.scalars:
+            v = data[name]
+            cargs.append(float(v) if kind == "real" else int(v))
+        counts, outs, err = buffers
+        if self.fn(*cargs, self._fns, width, counts, outs, err):
+            return None
+        if proofs and self._on_proof is not None:
+            self._on_proof(True, proofs)
+        booked = {
+            label: n
+            for label, n in zip(spec.counters, ffi.unpack(counts, len(spec.counters)))
+            if n
+        }
+        results = {
+            name: np.float64(outs[j]) for j, name in enumerate(spec.results)
+        }
+        return booked, results
 
 
 def compile_native_nest(

@@ -268,7 +268,7 @@ def _walk(d: Descriptor, out, root: bool = False, team: bool = False) -> None:
     out.close_loop()
 
 
-def _finish(out, analyzed: AnalyzedModule):
+def finish(out, analyzed: AnalyzedModule):
     # An atomic equation elsewhere may rebind an array wholesale, dropping
     # its window mapping; a kernel that baked the mapping in would then
     # address stale planes. Such kernels stay on the evaluator.
@@ -291,7 +291,7 @@ def lower_equation(out, eq: AnalyzedEquation, analyzed: AnalyzedModule):
     if why is not None:
         raise KernelError(f"{eq.label}: {why}")
     out.store(eq)
-    return _finish(out, analyzed)
+    return finish(out, analyzed)
 
 
 def lower_nest(
@@ -321,4 +321,4 @@ def lower_nest(
         _walk(desc, out, root=True, team=True)
     else:
         _walk(desc, out, root=True)
-    return _finish(out, analyzed)
+    return finish(out, analyzed)

@@ -26,7 +26,8 @@ prints it.
   lowering consults and what they come out as (:func:`plan_segments`
   traces the lowering's decisions, so two outcomes that print the same
   body share a leaf — Jacobi's four boundary tests give two leaves, the §4
-  alignment kernel four).
+  relaxation four; :func:`merge_leaves` then makes one of the leaves that
+  print the same text, so the §4 alignment kernel has three).
 * The **tree** picks a segment's leaf from its guards' truth values.
 
 Guard sides are in the ``bound()`` language — integer ``+ - *`` over
@@ -241,6 +242,11 @@ def plan_segments(
     tree = walk({})
     if tree is None or isinstance(tree, int) or len(leaves) > MAX_LEAVES:
         return None
+    return SegmentPlan(_used(order, tree), leaves, tree)
+
+
+def _used(atoms, tree) -> list[Atom]:
+    """The atoms ``tree`` consults, in the order of ``atoms``."""
     used: set[Atom] = set()
     stack = [tree]
     while stack:
@@ -248,4 +254,28 @@ def plan_segments(
         if not isinstance(t, int):
             used.add(t[0])
             stack.extend(t[1:])
-    return SegmentPlan([a for a in order if a in used], leaves, tree)
+    return [a for a in atoms if a in used]
+
+
+def merge_leaves(plan: SegmentPlan, bodies: list[str]) -> SegmentPlan | None:
+    """``plan`` with the leaves whose printed ``bodies`` are equal made one
+    (the first of them kept), the tree pruned where both outcomes of a
+    guard now pick the same leaf; None when no two bodies are equal. Two
+    decision traces may print one body: the §4 padding test and ``Jp =
+    0`` both store ``0.0``."""
+    first: dict[str, int] = {}
+    keep = [first.setdefault(body, k) for k, body in enumerate(bodies)]
+    if len(first) == len(bodies):
+        return None
+    number = {leaf: n for n, leaf in enumerate(sorted(first.values()))}
+
+    def remap(t):
+        if isinstance(t, int):
+            return number[keep[t]]
+        atom, yes, no = t
+        yes, no = remap(yes), remap(no)
+        return yes if yes == no else (atom, yes, no)
+
+    tree = remap(plan.tree)
+    leaves = [plan.leaves[leaf] for leaf in sorted(first.values())]
+    return SegmentPlan(_used(plan.atoms, tree), leaves, tree)

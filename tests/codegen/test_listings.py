@@ -9,8 +9,10 @@ benchmark and 30 generated ones:
   ``unit_source`` of the outermost loops that lower;
 * every Python kernel in ``generate_python`` is the ``__kernel_source__``
   the NumPy tier compiles and runs;
+* where every top-level loop and equation lowers, the unit also holds the
+  ``run_<module>`` entry over those functions;
 * the C listing builds on its own with ``cc`` and ``C_FLAGS`` and exports
-  exactly the ``k_...`` functions it defines.
+  exactly the ``k_...`` and ``run_...`` functions it defines.
 
 A probe module then checks the listed constructs where the retired
 whole-module generators computed other values than a run (``abs`` of a
@@ -37,7 +39,12 @@ from repro.ps.parser import parse_program
 from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions
 from repro.runtime.kernels import KernelCache, KernelError
-from repro.runtime.kernels.native import find_compiler, native_spec, unit_source
+from repro.runtime.kernels.native import (
+    entry_spec,
+    find_compiler,
+    native_spec,
+    unit_source,
+)
 from repro.schedule.flowchart import LoopDescriptor
 
 from tests.runtime.test_kernel_sources import CORPUS
@@ -109,13 +116,32 @@ def _c_functions(listing: str) -> dict[str, str]:
     return {m.group(1): m.group(0) for m in _C_FUNCTION.finditer(listing)}
 
 
+def _entry_or_none(result):
+    """The module's ``run_<module>`` over every top-level loop's ``"full"``
+    function, or None when there is no loop or a loop or an equation
+    outside them does not lower."""
+    flow = result.flowchart
+    loops = [d for d in flow.descriptors if isinstance(d, LoopDescriptor)]
+    specs = [_native_or_none(result)(d) for d in loops]
+    if not specs or None in specs:
+        return None
+    try:
+        return entry_spec(result.analyzed, flow, True, specs)
+    except KernelError:
+        return None
+
+
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_c_listing_is_the_native_unit(program):
     result = _compiled(program)
     listing = generate_c(result.analyzed, result.flowchart, use_windows=True)
     specs = _top_level_kernels(result.flowchart, _native_or_none(result))
+    entry = _entry_or_none(result)
     head, _, unit = listing.partition("\n */\n")
-    assert unit == unit_source(specs)
+    assert unit == unit_source(specs + ([entry] if entry else []))
+    if entry is not None:
+        assert f"module entry: {entry.fn_name}" in head
+        assert [c.fn_name for c in entry.calls] == [s.fn_name for s in specs]
     every = {
         spec.fn_name: spec.function
         for desc in result.flowchart.loops()
@@ -172,8 +198,10 @@ def test_c_listing_builds_standalone(program, tmp_path):
         [nm, "-D", "--defined-only", "listing.so"],
         cwd=tmp_path, check=True, capture_output=True, text=True,
     ).stdout.split()
-    exported = {s for s in symbols if s.startswith("k_")}
-    assert exported == set(_c_functions(listing))
+    exported = {s for s in symbols if s.startswith(("k_", "run_"))}
+    assert exported == set(_c_functions(listing)) | set(
+        re.findall(r"^int (run_\w+)\(", listing, re.M)
+    )
 
 
 class TestHeader:

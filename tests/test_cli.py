@@ -1,5 +1,6 @@
 """CLI tests (direct invocation of repro.cli.main)."""
 
+import hashlib
 import textwrap
 
 import numpy as np
@@ -344,8 +345,27 @@ class TestRun:
         for v in x:
             s = s * 0.5 + v
             want.append(s * s + v)
+        digest = hashlib.sha256(b"<f8 (4,)\n" + np.array(want).tobytes())
         with np.printoptions(precision=6, suppress=True):
-            assert capsys.readouterr().out == f"Y =\n{np.array(want)}\n"
+            assert capsys.readouterr().out == (
+                f"Y =\n{np.array(want)}\nsha256={digest.hexdigest()}\n"
+            )
+
+    def test_run_prints_a_digest_of_every_element(self, scan_file, tmp_path, capsys):
+        """The printed grid is summarised; the digest line after it covers
+        dtype, shape and every byte, so outputs that differ in one element
+        out of sight differ there."""
+        x = np.zeros(2000)
+        outputs = []
+        for at in (None, 1000):
+            if at is not None:
+                x[at] = 1e-9
+            np.save(tmp_path / "x.npy", x)
+            assert main(["run", scan_file, "--set", "n=2000", "--set", "a=0.5",
+                         "--load", f"X={tmp_path / 'x.npy'}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        grid = [out.rsplit("sha256=", 1)[0] for out in outputs]
+        assert grid[0] == grid[1] and outputs[0] != outputs[1]
 
     @pytest.mark.parametrize("command", ["run", "plan"])
     @pytest.mark.parametrize("pair, needle", [
