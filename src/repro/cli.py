@@ -325,6 +325,7 @@ def _cmd_client_plan(args) -> int:
           f"cycles: {plan['cycles']:.0f}")
     for index, strategy in plan["strategies"]:
         print(f"  loop {index}: {strategy}")
+    print(plan["explain"])
     return 0
 
 

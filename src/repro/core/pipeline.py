@@ -35,6 +35,14 @@ from repro.schedule.merge import merge_loops
 from repro.schedule.scheduler import schedule_module
 
 
+def plan_sizes(args: dict[str, Any]) -> tuple[tuple[str, int], ...]:
+    """The integer arguments of ``args``, sorted: what a plan is priced
+    for, and so part of every plan key."""
+    sizes = [(k, int(v)) for k, v in args.items() if isinstance(v, (int, np.integer))]
+    sizes.sort()
+    return tuple(sizes)
+
+
 @dataclass
 class CompilerOptions:
     merge_loops: bool = False  # apply the loop-merging improvement pass
@@ -115,18 +123,12 @@ class CompileResult:
         (see :func:`repro.plan.planner.build_plan`), cached apart.
         """
         execution = execution or ExecutionOptions()
-        scalars = {
-            k: int(v)
-            for k, v in (args or {}).items()
-            if isinstance(v, (int, np.integer))
-        }
-        key = (options_key or execution.key(), tuple(sorted(scalars.items())))
-        if served:
-            key += ("served",)
+        sizes = plan_sizes(args or {})
+        key = (options_key or execution.key(), sizes, served)
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = build_plan(
-                self.analyzed, self.flowchart, execution, scalars,
+                self.analyzed, self.flowchart, execution, dict(sizes),
                 served=served,
             )
             self._plan_cache[key] = plan

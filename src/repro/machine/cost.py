@@ -73,7 +73,10 @@ class MachineModel:
     #: (both fitted from one serial Jacobi row of BENCH_native.json)
     native_element_factor: float = 0.004
     #: per-invocation cost of one native kernel call (the cffi wrapper
-    #: marshals array pointers, geometry, and scalars)
+    #: marshals array pointers, geometry, and scalars). A loop the module
+    #: entry calls through a C function pointer does not pay it: a served
+    #: plan run as one ``run_<module>`` call pays it once for all of them
+    #: (``_Planner.price_entry``)
     native_call_overhead: float = 400.0
     #: one-time cost of building one more native kernel function (≈ 15 ms
     #: of ``cc`` per function inside a shared translation unit; a unit's
@@ -97,7 +100,10 @@ class MachineModel:
     #: cheap spans made the planner blind to the native serial tier
     #: beating them)
     vector_gather_factor: float = 0.12
-    #: per-equation launch cost of one NumPy vector span
+    #: per-equation launch cost of one NumPy vector span. A span is never
+    #: inside the module entry: a plan with one at its top level walks, so
+    #: a served plan weighs its spans against the same loops as nests
+    #: inside one entry call
     vector_setup: float = 250.0
     #: submitting + collecting one chunk on the thread pool
     chunk_dispatch: float = 3500.0

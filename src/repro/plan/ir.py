@@ -36,6 +36,7 @@ recurrence as the compiled ``DO`` (``nest``), each consumer as an ordinary
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import ReproError
 from repro.plan.strategy import LOOP_STRATEGIES
@@ -185,11 +186,6 @@ class ExecutionPlan:
     #: :func:`repro.runtime.values.undefined_part` finds it totally defined
     #: leaves it uninitialised. An array not named here is zero-filled.
     storage: dict = field(default_factory=dict, repr=False, compare=False)
-    #: array name -> ((sizes, native kernels ready, window mode), (bounds,
-    #: windows, the storage slabs a run at those sizes zeroes: ``[]`` when
-    #: it is totally defined, None when all of it)) of the last run that
-    #: asked
-    defined: dict = field(default_factory=dict, repr=False, compare=False)
     #: a run of this plan has completed: later ones recycle their arrays
     ran: bool = field(default=False, repr=False, compare=False)
     #: array name -> where its storage comes from on those later runs
@@ -203,12 +199,10 @@ class ExecutionPlan:
     #: builds its unit: its ``run_<module>`` entry's name, or why the runs
     #: walk the flowchart (None: not decided yet)
     entry: str | None = field(default=None, repr=False, compare=False)
-    #: (sizes, what the module entry's runs at those sizes allocate and
-    #: call — None: they walk — and their geometry) of the last sizes run
-    layout: tuple | None = field(default=None, repr=False, compare=False)
-    #: (kernel cache, window mode, every native kernel built, the module
-    #: entry) as the cache's ``prepare`` answered the plan's first run
-    prepared: tuple | None = field(default=None, repr=False, compare=False)
+    #: what every run at the last sizes run does alike — its arguments'
+    #: and arrays' layouts, its module entry call
+    #: (:class:`repro.runtime.backends.base.Recipe`)
+    recipe: Any = field(default=None, repr=False, compare=False)
     #: id(descriptor) -> LoopPlan for O(1) lookup during execution; rebuilt
     #: by bind() — valid only against the flowchart the plan was built from
     _by_id: dict[int, LoopPlan] = field(
@@ -230,10 +224,10 @@ class ExecutionPlan:
         already bound to this flowchart; otherwise the new index is built
         aside and swapped in atomically (plans are shared across runs — a
         concurrent reader must never observe a half-built index)."""
-        from repro.schedule.flowchart import LoopDescriptor
-
         if self._bound_to == id(flowchart) and self._by_id:
             return self
+        from repro.schedule.flowchart import LoopDescriptor
+
         by_id: dict[int, LoopPlan] = {}
         stack = [((i,), d) for i, d in enumerate(flowchart.descriptors)]
         while stack:
@@ -373,9 +367,10 @@ class ExecutionPlan:
                 f"{'*' if name == note['strategy'] else ''}{name} ~{v.cycles:.0f}"
                 for name, v in verdicts.items() if not isinstance(v, str)
             )
+            moved = f" ({note['entry']})" if note.get("entry") else ""
             row = (
                 f"  DOALL {note['loop_index']} @{note['index']}: "
-                f"{note['strategy']}, trip {note['trip']}: {priced} cycles"
+                f"{note['strategy']}{moved}, trip {note['trip']}: {priced} cycles"
             )
             if verdicts[note["strategy"]].reason == "forced":
                 row += "; forced"
@@ -408,7 +403,12 @@ class ExecutionPlan:
             )
             lines.append(row)
         if self.entry is not None:
-            lines.append(f"  module entry: {self.entry}")
+            row = f"  module entry: {self.entry}"
+            if "entry_cycles" in p:
+                row += " (entry ~{:.0f} vs walked ~{:.0f} cycles)".format(
+                    *p["entry_cycles"]
+                )
+            lines.append(row)
         for name, how in self.storage.items():
             if isinstance(how, tuple):
                 how = undefined_part(*how, self.sizes)

@@ -55,7 +55,7 @@ from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
 from repro.runtime.executor import KERNEL_TIERS, ExecutionOptions
 from repro.runtime.kernels.emit import equation_affine_fast_path
-from repro.runtime.kernels.native import native_refusal, native_spec
+from repro.runtime.kernels.native import entry_refusal, native_refusal, native_spec
 from repro.runtime.kernels.nest import kernelizable, kernelizable_reason
 from repro.runtime.values import RECYCLE_MIN_BYTES, array_bounds, dtype_for, eval_bound
 from repro.schedule.flowchart import (
@@ -90,6 +90,9 @@ class Choice:
     #: why the tie rule took this strategy over a cheaper one ("" when it
     #: did not decide)
     tie: str = ""
+    #: why :meth:`_Planner.price_entry` moved the loop to ``nest`` ("" when
+    #: it did not)
+    entry: str = ""
 
 
 def host_cpu_count() -> int:
@@ -179,6 +182,7 @@ def build_plan(
         served=served,
     )
     planner.plan_module()
+    planner.price_entry()
     plan = planner.finish(analyzed.name)
     plan.provenance = {
         "do_loops": planner.do_notes,
@@ -189,6 +193,8 @@ def build_plan(
         "workers": workers,
         "served": served,
     }
+    if planner.entry_cycles is not None:
+        plan.provenance["entry_cycles"] = planner.entry_cycles
     return plan
 
 
@@ -292,9 +298,13 @@ class _Planner:
         self.parallelism = parallelism
         self.scalar_env = scalar_env
         self.model = model
+        self.served = served
         #: what one native build costs this plan: nothing once it is
         #: sunk in a served plan
         self.native_build = 0.0 if served else model.native_build
+        #: (the plan run as one call of its module entry, walked) cycles,
+        #: where :meth:`price_entry` priced both
+        self.entry_cycles: tuple[float, float] | None = None
         self.use_kernels = use_kernels
         self.use_windows = use_windows
         self.tier = tier
@@ -653,6 +663,55 @@ class _Planner:
             for i, d in enumerate(self.flowchart.descriptors)
         )
 
+    def price_entry(self) -> None:
+        """The one post-pass, for a served ``auto`` plan on the native tier:
+        where every top-level loop is a native nest, or a vector ``DOALL``
+        whose ``nest`` verdict is native on the same team width, the plan
+        can run as one call of its module entry, in which a loop pays no
+        ``native_call_overhead`` of its own and a vector span saves nothing.
+        Price it both ways — walked, today's total; as the entry, each
+        loop's nest without its call overhead plus one call — and re-emit
+        those ``DOALL`` s as ``nest`` when the entry is cheaper."""
+        if not (
+            self.served and self.backend == "auto" and self.force_default is None
+            and self.tier == "native" and self.use_kernels
+        ):
+            return
+        overhead = self.model.native_call_overhead
+        entry, moved, teams = self.total + overhead, [], set()
+        for desc in self.flowchart.descriptors:
+            if isinstance(desc, NodeDescriptor):
+                if desc.node.is_equation and entry_refusal(
+                    desc.node.equation, self.analyzed
+                ):
+                    return
+                continue
+            choice = self._decide(desc)
+            price = choice.price
+            if choice.strategy is VECTOR:
+                price = choice.verdicts[NEST.name]
+                moved.append((desc, choice, price))
+            elif choice.strategy is not NEST:
+                return
+            if not isinstance(price, Price) or price.dialect != "native":
+                return
+            teams.add(price.team)
+            entry += price.cycles - overhead - choice.price.cycles
+        if not teams or len(teams - {None}) > 1:
+            return
+        walked = self.total
+        self.entry_cycles = entry, walked
+        if entry >= walked:
+            return
+        why = f"module entry ~{entry:.0f} vs walked ~{walked:.0f} cycles"
+        for desc, choice, price in moved:
+            self._choices[id(desc)] = Choice(NEST, price, choice.verdicts, entry=why)
+        if moved:
+            self.entries, self.loops, self.equations = [], {}, {}
+            self.do_notes, self.doall_notes = [], []
+            self.plan_module()
+        self.total = entry
+
     def _emit_equation(self, desc: NodeDescriptor, path, depth, ctx, span) -> float:
         if not desc.node.is_equation:
             self.entries.append(PlanEntry(depth, label=desc.node.id))
@@ -728,6 +787,7 @@ class _Planner:
                 "index": str(path), "loop_index": desc.index,
                 "strategy": choice.strategy.name, "trip": self._trip_est(desc),
                 "verdicts": choice.verdicts, "tie": choice.tie,
+                "entry": choice.entry,
             })
         else:
             self.do_notes.append(self._do_note(desc, path, choice))

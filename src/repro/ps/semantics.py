@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.errors import SemanticError
 from repro.ps.ast import (
@@ -178,6 +179,20 @@ class AnalyzedModule:
     @property
     def param_names(self) -> list[str]:
         return [p.name for p in self.module.params]
+
+    @cached_property
+    def params_by_kind(self) -> tuple[tuple[str, ...], ...]:
+        """The parameter names, in order, as (scalars, arrays, records):
+        what a run binds from its arguments, every run alike."""
+        scalars, arrays, records = [], [], []
+        for name in self.param_names:
+            t = self.symbol(name).type
+            kind = (
+                arrays if isinstance(t, ArrayType)
+                else records if isinstance(t, RecordType) else scalars
+            )
+            kind.append(name)
+        return tuple(scalars), tuple(arrays), tuple(records)
 
     @property
     def result_names(self) -> list[str]:

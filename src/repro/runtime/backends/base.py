@@ -39,7 +39,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -53,6 +53,7 @@ from repro.runtime.kernels.cache import plan_keys
 from repro.runtime.kernels.native import RangeUnproven, team_width
 from repro.runtime.values import (
     BufferStore,
+    Layout,
     RuntimeArray,
     SelectedLaneClipped,
     array_bounds,
@@ -87,9 +88,8 @@ class ExecutionState:
     eval_counts: dict[str, int] = field(default_factory=dict)
     #: compiled-kernel cache (None: evaluate everything on the tree walk)
     kernels: Any = None  # KernelCache | None (untyped: import cycle)
-    #: every native kernel the plan dispatches is built and loaded — what
-    #: ``ensure_targets`` needs before it trusts ``plan.storage``
-    native_ready: bool = False
+    #: the plan's :class:`Recipe` at this run's sizes (None: not asked yet)
+    recipe: Recipe | None = None
 
     def scalar_env(self) -> dict[str, int]:
         return {
@@ -113,6 +113,7 @@ class ExecutionState:
             program=self.program,
             eval_counts={},
             kernels=self.kernels,
+            recipe=self.recipe,
         )
 
     def merge_counts(self, counts: dict[str, int]) -> None:
@@ -127,6 +128,33 @@ def free_threading_active() -> bool:
         return not sys._is_gil_enabled()
     except AttributeError:  # < 3.13: always GIL-ful
         return False
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """What every run of one plan at one set of sizes does alike, worked
+    out at the first run there (:meth:`ExecutionBackend.recipe`) and shared
+    by every later one — two threads' included: a run keeps its own arrays
+    and buffers, and never writes here."""
+
+    #: (sizes, kernel cache, window mode, kernel tier) it is for
+    key: tuple
+    #: every native kernel the plan dispatches is built and loaded
+    ready: bool
+    #: the array arguments, and every array an equation defines whose
+    #: layout these sizes decide
+    args: tuple[Layout, ...]
+    targets: dict[str, Layout]
+    #: the module entry (None: the runs walk), the arrays its runs
+    #: allocate, its geometry vector, its team calls, their width, its
+    #: calls that prove their ranges and the allocation counters it books
+    entry: Any = None
+    allocs: tuple[Layout, ...] = ()
+    geom: Any = None
+    teams: int = 0
+    team: int = 0
+    proofs: int = 0
+    booked: tuple = ()
 
 
 #: what :attr:`ExecutionBackend.counters` counts
@@ -164,76 +192,67 @@ class ExecutionBackend:
     def run(self, state: ExecutionState) -> None:
         """Execute the whole flowchart against ``state``: as one call of the
         plan's module entry (``run_<module>``, built with the plan's unit,
-        named by ``plan.explain()``) where it has one, else — and after any
-        failure of that call — by the walk."""
-        entry = None
-        kernels, plan = state.kernels, state.plan
-        if kernels is not None:
+        named by ``plan.explain()``) where its recipe has one, else — and
+        after any failure of that call — by the walk."""
+        if state.kernels is not None:
             # Kernels with module calls dispatch through the cache's call
             # box; point it at this execution's handler before anything runs.
-            kernels.bind_call_fn(state.evaluator.call_fn)
-            if state.options.kernel_tier == "native":
-                entry = self._prepare(state)
-        if entry is None or not self._run_entry(state, entry):
+            state.kernels.bind_call_fn(state.evaluator.call_fn)
+        recipe = state.recipe or self.recipe(state)
+        if recipe.entry is None or not self._run_entry(state, recipe):
             for desc in state.flowchart.descriptors:
                 self.exec_descriptor(state, desc, {}, [])
-        plan.ran = True
+        state.plan.ran = True
 
-    def _prepare(self, state: ExecutionState):
-        """Build every native kernel the plan dispatches, its module entry
-        included, as one batch — one translation unit per (module, plan),
-        not one compiler process per kernel as the walk meets them — and
-        return the entry. Asked once per (plan, kernel cache)."""
-        kernels, plan = state.kernels, state.plan
-        windows = bool(state.options.use_windows)
-        memo = plan.prepared
-        if memo is None or memo[0]() is not kernels or memo[1] != windows:
-            memo = plan.prepared = (
-                weakref.ref(kernels), windows,
-                kernels.prepare(plan_keys(plan, windows)),
-                kernels.module_entry(plan, windows),
-            )
-        state.native_ready = memo[2]
-        return memo[3]
+    def recipe(self, state: ExecutionState) -> Recipe:
+        """The plan's :class:`Recipe` at the sizes in ``state``, kept on the
+        plan for the runs at those sizes, and set on ``state``."""
+        env, kernels, options = state.scalar_env(), state.kernels, state.options
+        key = (tuple(env.items()), kernels and weakref.ref(kernels),
+               bool(options.use_windows), options.kernel_tier)
+        recipe = state.plan.recipe
+        if recipe is None or recipe.key != key:
+            recipe = state.plan.recipe = _recipe(state, env, key)
+        state.recipe = recipe
+        return recipe
 
-    def _run_entry(self, state: ExecutionState, entry) -> bool:
-        """Run the plan as one call of its module ``entry``: allocate the
-        targets the walk would allocate, then the call over a geometry
-        vector built once per (plan, sizes). False when the walk must run
-        it instead — the sizes leave a loop the walk would not enter, or
-        the call returned non-zero (an unproven range, an out-of-range
-        subscript, a zero divisor), its arrays dropped first: the walk
-        raises the evaluator's exact error or reruns the loop on checked
-        code, and arguments are never written."""
-        env = state.scalar_env()
-        sizes = tuple(env.items())
-        memo = state.plan.layout
-        if memo is None or memo[0] != sizes:
-            memo = state.plan.layout = sizes, _entry_layout(state, entry, env), None
-        sizes, layout, geom = memo
-        if layout is None:
+    def import_args(self, recipe: Recipe, data: dict[str, Any], args: dict[str, Any]) -> None:
+        """Bind the array arguments in ``args`` into ``data``, each through
+        :meth:`import_array` as ``recipe`` lays it out."""
+        for layout in recipe.args:
+            name = layout.name
+            if name not in args:
+                raise ExecutionError(f"missing argument {name!r}")
+            array = self.import_array(args[name], layout.dtype)
+            if array.shape != layout.shape:
+                raise ExecutionError(
+                    f"argument {name!r} has shape {array.shape}, expected "
+                    f"{layout.shape} from the declared bounds"
+                )
+            data[name] = RuntimeArray(name, layout.los, layout.his, array, {})
+
+    def _run_entry(self, state: ExecutionState, recipe: Recipe) -> bool:
+        """Run the plan as one call of its module entry: allocate what the
+        walk would allocate, then the call. False when the walk must run it
+        instead — the call returned non-zero (an unproven range, an
+        out-of-range subscript, a zero divisor), its arrays dropped first:
+        the walk raises the evaluator's exact error or reruns the loop on
+        checked code, and arguments are never written."""
+        data = state.data
+        make = self.store.take if state.plan.ran else self.make_storage
+        for layout in recipe.allocs:
+            data[layout.name] = layout.allocate(make)
+        self.book(recipe.booked)
+        width = team_width(recipe.team) if recipe.teams else 1
+        if not recipe.entry(data, recipe.geom, width, recipe.proofs, state.eval_counts):
+            for layout in recipe.allocs:
+                del data[layout.name]  # its buffer goes back to the store
             return False
-        eqs, teams, team, proofs = layout
-        before = len(state.data)
-        for eq in eqs:
-            self.ensure_targets(state, eq, env)
-        if geom is None:
-            geom = entry.geometry(state.data)  # None: a skipped loop's array
-            state.plan.layout = sizes, layout if geom is not None else None, geom
-            if geom is None:
-                return False
-        width = team_width(team) if teams else 1
-        out = entry(state.data, geom, width, proofs)
-        if out is None:
-            for name in list(state.data)[before:]:
-                del state.data[name]  # its buffer goes back to the store
-            return False
-        state.merge_counts(out[0])
-        state.data.update(out[1])
-        if teams:
-            self.count("team_calls", teams)
-            if width < team:
-                self.count("team_capped", teams)
+        if recipe.teams:
+            self.book((
+                ("team_calls", recipe.teams),
+                ("team_capped", recipe.teams if width < recipe.team else 0),
+            ))
         return True
 
     def end_run(self) -> None:
@@ -255,8 +274,13 @@ class ExecutionBackend:
     # -- storage hooks -----------------------------------------------------
 
     def count(self, counter: str, n: int = 1) -> None:
+        self.book(((counter, n),))
+
+    def book(self, counts) -> None:
+        """Add each ``(counter, n)`` of ``counts``, under one lock."""
         with self._counters_lock:
-            self.counters[counter] += n
+            for counter, n in counts:
+                self.counters[counter] += n
 
     def make_storage(self, shape: tuple[int, ...], dtype, zero: bool = True) -> np.ndarray:
         return new_storage(shape, dtype, zero)
@@ -639,63 +663,87 @@ class ExecutionBackend:
             self.ensure_targets(state, eq)
         return True
 
-    def ensure_targets(
-        self, state: ExecutionState, eq: AnalyzedEquation,
-        env: dict[str, int] | None = None,
-    ) -> None:
-        """Allocate target arrays on first definition — zero-filled, unless
-        nothing in the plan reads the array early (``ExecutionPlan.storage``)
-        and at this run's sizes it is totally defined (:func:`undefined_part`)
-        — or its definitions tile a box inside its bounds, when only the
-        halo around that box is zeroed (:func:`halo_slabs`).
-        Only a plan that has completed a run takes from the store, so a
-        process that runs each plan once retains nothing. ``env`` is
-        ``state.scalar_env()`` when the caller has it."""
+    def ensure_targets(self, state: ExecutionState, eq: AnalyzedEquation) -> None:
+        """Allocate target arrays on first definition, as the run's recipe
+        lays them out (:func:`_storage_layout`): zero-filled, unless nothing
+        in the plan reads the array early (``ExecutionPlan.storage``) and at
+        this run's sizes it is totally defined (:func:`undefined_part`) — or
+        its definitions tile a box inside its bounds, when only the halo
+        around that box is zeroed (:func:`halo_slabs`). Only a plan that has
+        completed a run takes from the store, so a process that runs each
+        plan once retains nothing."""
         for target in eq.targets:
-            if target.name in state.data:
+            name = target.name
+            if name in state.data:
                 continue
-            sym = state.analyzed.symbol(target.name)
-            if not isinstance(sym.type, ArrayType):
-                continue  # scalars are created on assignment
-            if env is None:
-                env = state.scalar_env()
-            # one layout per (array, sizes): a session's plan is cached per
-            # sizes, so its warm runs all hit the memo
-            key = tuple(env.items()), state.native_ready, state.options.use_windows
-            memo = state.plan.defined.get(target.name)
-            if memo is None or memo[0] != key:
-                memo = key, _storage_layout(state, target.name, sym, env)
-                state.plan.defined[target.name] = memo
-            bounds, windows, halo = memo[1]
-            self.count("arrays_uninitialised" if halo == [] else "arrays_zeroed")
-            make = self.make_storage
-            if state.plan.ran:
-                make = self.store.take
-            array = state.data[target.name] = RuntimeArray.allocate(
-                target.name,
-                sym.type.element,
-                bounds,
-                windows=windows,
-                debug=state.options.debug_windows,
-                make=make,
-                zero=halo is None,
-            )
-            for slab in halo or ():
-                array.storage[slab] = 0
+            layout = state.recipe.targets.get(name) if state.recipe else None
+            if layout is None:  # a scalar, or an array of a computed size
+                sym = state.analyzed.symbol(name)
+                if not isinstance(sym.type, ArrayType):
+                    continue  # scalars are created on assignment
+                layout = _storage_layout(
+                    state, name, sym, state.scalar_env(),
+                    bool(state.recipe and state.recipe.ready),
+                )
+            self.count("arrays_uninitialised" if layout.halo == [] else "arrays_zeroed")
+            make = self.store.take if state.plan.ran else self.make_storage
+            state.data[name] = layout.allocate(make, state.options.debug_windows)
 
 
-def _storage_layout(state: ExecutionState, name: str, sym, env: dict[str, int]):
-    """``(bounds, windows, halo)`` of the array ``name`` at sizes ``env``:
-    ``halo`` the slabs to zero, ``[]`` none, None all of it."""
-    bounds = array_bounds(sym.type, env)
+def _storage_layout(
+    state: ExecutionState, name: str, sym, env: dict[str, int], ready: bool,
+) -> Layout:
+    """How the array ``name`` is stored at sizes ``env``, the plan's
+    native kernels ``ready`` or not: its bounds, windows, and the slabs an
+    allocation zeroes — ``[]`` none, None all."""
     windows: dict[int, int] = {}
     if state.options.use_windows and sym.kind is SymbolKind.VAR:
-        windows = dict(state.flowchart.window_of(name))
-    how = state.native_ready and state.plan.storage.get(name)
+        windows = state.flowchart.window_of(name)
+    how = ready and state.plan.storage.get(name)
     halo = None
     if isinstance(how, tuple) and not windows:
         halo = [] if undefined_part(*how, env) is None else halo_slabs(*how, env)
-    return bounds, windows, halo
+    return Layout.of(name, sym.type.element, array_bounds(sym.type, env), windows, halo)
+
+
+def _recipe(state: ExecutionState, env: dict[str, int], key: tuple) -> Recipe:
+    """The :class:`Recipe` of ``state``'s plan at the sizes ``env``: on the
+    native tier, after building every native kernel the plan dispatches,
+    its module entry included, as one batch — one translation unit per
+    (module, plan), not one compiler process per kernel as the walk meets
+    them."""
+    analyzed, plan, kernels = state.analyzed, state.plan, state.kernels
+    ready, entry, windows = False, None, key[2]
+    if kernels is not None and key[3] == "native":
+        ready = kernels.prepare(plan_keys(plan, windows))
+        entry = kernels.module_entry(plan, windows)
+    args = []
+    for name in analyzed.params_by_kind[1]:
+        t = analyzed.symbol(name).type
+        args.append(Layout.of(name, t.element, array_bounds(t, env)))
+    targets = {}
+    for name in dict.fromkeys(t.name for eq in analyzed.equations for t in eq.targets):
+        sym = analyzed.symbol(name)
+        if isinstance(sym.type, ArrayType):
+            try:
+                targets[name] = _storage_layout(state, name, sym, env, ready)
+            except ExecutionError:
+                pass  # the walk raises it where it allocates the array
+    recipe = Recipe(key, ready, tuple(args), targets)
+    run = entry and _entry_layout(state, entry, env, targets)
+    if not run:
+        return recipe
+    allocs, teams, team, proofs = run
+    geom = entry.geometry({layout.name: layout for layout in (*args, *allocs)})
+    if geom is None:  # an array the walk would not allocate
+        return recipe
+    zeroed = sum(layout.halo != [] for layout in allocs)
+    return replace(
+        recipe, entry=entry, allocs=allocs, geom=geom, teams=teams, team=team,
+        proofs=proofs, booked=(
+            ("arrays_uninitialised", len(allocs) - zeroed), ("arrays_zeroed", zeroed),
+        ),
+    )
 
 
 def _stores(d: Descriptor, env: dict[str, int]) -> bool:
@@ -706,19 +754,19 @@ def _stores(d: Descriptor, env: dict[str, int]) -> bool:
     return lo <= hi and any(_stores(c, env) for c in d.body)
 
 
-def _entry_layout(state: ExecutionState, entry, env: dict[str, int]):
-    """``(equations whose targets the walk allocates, team calls, their
-    width, calls proving their ranges)`` of ``entry``'s runs at sizes
-    ``env``; None when they must walk: a loop with iterations that stores
-    nothing, or a bound that does not evaluate or fit ``int64`` (the entry
-    evaluates the bounds again in C)."""
-    eqs: dict[str, AnalyzedEquation] = {}  # one equation per target
+def _entry_layout(state: ExecutionState, entry, env: dict[str, int], targets: dict):
+    """``(the arrays the walk allocates, as ``targets`` lays them out, team
+    calls, their width, calls proving their ranges)`` of ``entry``'s runs at
+    sizes ``env``; None when they must walk: a loop with iterations that
+    stores nothing, a bound that does not evaluate or fit ``int64`` (the
+    entry evaluates the bounds again in C), or an array without a layout."""
+    names: dict[str, None] = {}  # the arrays and scalars stored, in order
     teams = team = proofs = 0
     calls = iter(entry.spec.calls)
     for desc in state.flowchart.descriptors:
         if isinstance(desc, NodeDescriptor):
             if desc.node.is_equation:
-                eqs.setdefault(desc.node.equation.targets[0].name, desc.node.equation)
+                names[desc.node.equation.targets[0].name] = None
             continue
         call = next(calls)
         try:
@@ -731,12 +779,14 @@ def _entry_layout(state: ExecutionState, entry, env: dict[str, int]):
                 return None
         except ExecutionError:
             return None
-        for eq in desc.nested_equations():
-            eqs.setdefault(eq.targets[0].name, eq)
+        names.update(dict.fromkeys(eq.targets[0].name for eq in desc.nested_equations()))
         proofs += call.proven > 0
         if call.team:
             teams, team = teams + 1, state.plan.loop_for(desc).team
-    return list(eqs.values()), teams, team, proofs
+    arrays = [name for name in names if name not in entry.spec.results]
+    if any(name not in targets for name in arrays):
+        return None
+    return tuple(targets[name] for name in arrays), teams, team, proofs
 
 
 def _broadcast_shape(env: dict[str, Any], vector_names: list[str]):

@@ -214,14 +214,14 @@ class Evaluator:
                 return left * right
             if op == "/":
                 return divide(left, right)
-            if op == "div":
-                if not _is_vector(left) and not _is_vector(right):
-                    return left // right
-                return np.floor_divide(left, right)
-            if op == "mod":
-                if not _is_vector(left) and not _is_vector(right):
-                    return left % right
-                return np.mod(left, right)
+            if op in ("div", "mod"):
+                if _is_vector(left) or _is_vector(right):
+                    return (np.floor_divide if op == "div" else np.mod)(left, right)
+                if not vector and isinstance(right, (int, np.integer)) and right == 0:
+                    # the C tier's error: NumPy integers would give 0 under
+                    # the errstate above (a vector lane may be masked)
+                    raise ZeroDivisionError("integer division or modulo by zero")
+                return left // right if op == "div" else left % right
             if op == "=":
                 return left == right
             if op == "<>":

@@ -43,7 +43,7 @@ from repro.ps.types import ArrayType
 from repro.runtime.backends import ExecutionBackend, ExecutionState
 from repro.runtime.evaluator import Evaluator
 from repro.runtime.kernels import KernelCache
-from repro.runtime.values import RuntimeArray, array_bounds, dtype_for
+from repro.runtime.values import RuntimeArray, array_bounds
 from repro.schedule.flowchart import Flowchart
 from repro.schedule.scheduler import schedule_module
 
@@ -170,57 +170,38 @@ def execute_module(
     if flowchart is None:
         flowchart = schedule_module(analyzed)
 
-    from repro.ps.types import RecordType
-
+    scalars, _arrays, records = analyzed.params_by_kind
     data: dict[str, Any] = {}
     # Bind scalar parameters first: array bounds may use them.
-    for pname in analyzed.param_names:
-        sym = analyzed.symbol(pname)
-        if isinstance(sym.type, RecordType):
-            # Record parameters arrive as dotted names ("p.x") or as a dict.
-            if pname in args and isinstance(args[pname], dict):
-                for fname, fval in args[pname].items():
-                    data[f"{pname}.{fname}"] = fval
-            continue
-        if not isinstance(sym.type, ArrayType):
-            if pname not in args:
-                raise ExecutionError(f"missing argument {pname!r}")
-            data[pname] = args[pname]
-    scalar_env = {
-        k: int(v) for k, v in data.items() if isinstance(v, (int, np.integer))
-    }
+    for pname in records:
+        # Record parameters arrive as dotted names ("p.x") or as a dict.
+        if isinstance(args.get(pname), dict):
+            for fname, fval in args[pname].items():
+                data[f"{pname}.{fname}"] = fval
+    for pname in scalars:
+        if pname not in args:
+            raise ExecutionError(f"missing argument {pname!r}")
+        data[pname] = args[pname]
 
     if plan is None:
         from repro.plan.planner import build_plan
 
+        scalar_env = {
+            k: int(v) for k, v in data.items() if isinstance(v, (int, np.integer))
+        }
         plan = build_plan(analyzed, flowchart, options, scalar_env)
     else:
         # A supplied plan may have been built against another copy of the
         # flowchart tree; re-index it on these descriptor identities.
         plan.bind(flowchart)
+    if records:
+        data.update((k, v) for k, v in args.items() if k not in data and "." in k)
 
     owned = backend is None
     if owned:
         backend = ExecutionBackend(workers=plan.workers)
 
     try:
-        # Input arrays come in through the backend: borrowed in place.
-        for pname in analyzed.param_names:
-            sym = analyzed.symbol(pname)
-            if isinstance(sym.type, ArrayType):
-                if pname not in args:
-                    raise ExecutionError(f"missing argument {pname!r}")
-                bounds = array_bounds(sym.type, scalar_env)
-                data[pname] = RuntimeArray.from_numpy(
-                    pname,
-                    backend.import_array(args[pname], dtype_for(sym.type.element)),
-                    bounds,
-                )
-        # Record parameters may arrive as dicts; flatten dotted names.
-        for key, value in args.items():
-            if key not in data and "." in key:
-                data[key] = value
-
         kernels: KernelCache | None = None
         if options.runs_kernels():
             kernels = kernel_cache or KernelCache(analyzed, flowchart)
@@ -243,11 +224,13 @@ def execute_module(
         state.evaluator.call_fn = lambda name, cargs: _call_module(
             program, options, name, cargs
         )
-
+        # Input arrays come in through the backend, as the plan's recipe at
+        # these sizes reads them: borrowed in place.
+        backend.import_args(backend.recipe(state), data, args)
         backend.run(state)
         results = {}
         for rname in analyzed.result_names:
-            value = state.data.get(rname)
+            value = data.get(rname)
             if isinstance(value, RuntimeArray):
                 value = value.to_numpy()
             results[rname] = value

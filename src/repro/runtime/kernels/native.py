@@ -1113,12 +1113,6 @@ class _ModuleEntry(_NativeKernel):
         if isinstance(sym.type, ArrayType):
             super().store(eq)
             return
-        kind = kind_of_type(sym.type)
-        if kind != "real":
-            raise KernelError(
-                f"{eq.label} assigns the {kind} scalar {target.name}, which a "
-                f"later bound may read"
-            )
         self.current_dims, self.indices = set(), set()
         value = self.lower(eq.rhs)
         self.stmt(f"const double v_{c_name(target.name)} = (double)({value});")
@@ -1143,12 +1137,27 @@ def entry_spec(
         if isinstance(d, LoopDescriptor):
             out.call(d, next(functions))
         elif d.node.is_equation:
-            eq = d.node.equation
-            why = kernelizable_reason(eq, analyzed)
+            why = entry_refusal(d.node.equation, analyzed)
             if why is not None:
-                raise KernelError(f"{eq.label}: {why}")
-            out.store(eq)
+                raise KernelError(why)
+            out.store(d.node.equation)
     return finish(out, analyzed)
+
+
+def entry_refusal(eq: AnalyzedEquation, analyzed: AnalyzedModule) -> str | None:
+    """Why ``run_<module>`` cannot store ``eq``, an equation outside the
+    loops, inline — None when it can."""
+    why = kernelizable_reason(eq, analyzed)
+    if why is not None:
+        return f"{eq.label}: {why}"
+    target = eq.targets[0]
+    t = analyzed.symbol(target.name).type
+    if not isinstance(t, ArrayType) and kind_of_type(t) != "real":
+        return (
+            f"{eq.label} assigns the {kind_of_type(t)} scalar {target.name}, "
+            f"which a later bound may read"
+        )
+    return None
 
 
 def native_spec(
@@ -1556,10 +1565,7 @@ def bind_kernel(
 class ModuleEntry:
     """A built ``run_<module>`` (:class:`_ModuleEntry`) as Python calls it:
     ``fn``, the cffi function, once per run over every array's storage,
-    the scalars, the loop functions' addresses and the team width. A call
-    returns the evaluation counts (zero ones dropped, as the walk books
-    none) and the scalars the equations assigned, or None for a non-zero
-    return: the C stopped at the first failure."""
+    the scalars, the loop functions' addresses and the team width."""
 
     def __init__(self, spec: NativeKernelSpec, on_proof=None):
         if any(c.fn_name not in _loaded for c in spec.calls):
@@ -1576,6 +1582,9 @@ class ModuleEntry:
             (name, ffi.typeof(C_STORAGE_TYPES[kind] + "[]"))
             for name, kind in spec.arrays
         ]
+        self._scalars = [
+            (name, float if kind == "real" else int) for name, kind in spec.scalars
+        ]
         self._outs = ffi.typeof("double[]") if spec.results else None
         self._local = threading.local()
         self._geometry = [  # each segment's arrays, in vector order
@@ -1583,48 +1592,48 @@ class ModuleEntry:
         ]
         self._on_proof = on_proof
 
-    def geometry(self, data):
-        """``(lo, hi, extent)`` per dimension of each segment's arrays in
-        ``data``; None when one is missing."""
+    def geometry(self, layouts: dict):
+        """``(lo, hi, extent)`` per dimension of each segment's arrays as
+        ``layouts`` (name -> :class:`~repro.runtime.values.Layout`) store
+        them; None when one is missing."""
         values: list[int] = []
         for name in self._geometry:
-            arr = data.get(name)
-            if arr is None:
+            layout = layouts.get(name)
+            if layout is None:
                 return None
-            for d, n in enumerate(arr.storage.shape):
-                values += (arr.los[d], arr.his[d], n)
+            for dim in zip(layout.los, layout.his, layout.shape):
+                values += dim
         return self._ffi.new(self._i64s, values or [0])
 
-    def __call__(self, data, geom, width: int, proofs: int = 0):
-        """Run the module; ``proofs`` of its calls prove their ranges at
-        entry, booked when it succeeds."""
+    def __call__(self, data, geom, width: int, proofs: int, counts: dict) -> bool:
+        """Run the module over ``data``: book its evaluation counts into
+        ``counts`` (zero ones dropped, as the walk books none) and store the
+        scalars the equations assign into ``data``. False for a non-zero
+        return: the C stopped at the first failure. ``proofs`` of its calls
+        prove their ranges at entry, booked when it succeeds."""
         ffi, spec = self._ffi, self.spec
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:  # one set per thread: the C zeroes the counts
-            buffers = self._local.buffers = (
+        try:
+            booked, outs, err = self._local.buffers
+        except AttributeError:  # one set per thread: the C zeroes the counts
+            booked, outs, err = self._local.buffers = (
                 ffi.new(self._i64s, len(spec.counters) or 1),
                 ffi.new(self._outs, len(spec.results)) if spec.results else ffi.NULL,
                 ffi.new(self._i64s, 4),
             )
-        cargs = [ffi.from_buffer(t, data[name].storage) for name, t in self._buffers]
+        from_buffer = ffi.from_buffer
+        cargs = [from_buffer(t, data[name].storage) for name, t in self._buffers]
         cargs.append(geom)
-        for name, kind in spec.scalars:
-            v = data[name]
-            cargs.append(float(v) if kind == "real" else int(v))
-        counts, outs, err = buffers
-        if self.fn(*cargs, self._fns, width, counts, outs, err):
-            return None
+        cargs += [convert(data[name]) for name, convert in self._scalars]
+        if self.fn(*cargs, self._fns, width, booked, outs, err):
+            return False
         if proofs and self._on_proof is not None:
             self._on_proof(True, proofs)
-        booked = {
-            label: n
-            for label, n in zip(spec.counters, ffi.unpack(counts, len(spec.counters)))
-            if n
-        }
-        results = {
-            name: np.float64(outs[j]) for j, name in enumerate(spec.results)
-        }
-        return booked, results
+        for label, n in zip(spec.counters, ffi.unpack(booked, len(spec.counters))):
+            if n:
+                counts[label] = counts.get(label, 0) + n
+        for j, name in enumerate(spec.results):
+            data[name] = np.float64(outs[j])
+        return True
 
 
 def compile_native_nest(

@@ -187,6 +187,58 @@ def check_clipped(clipped, guards, name: str) -> None:
         raise SelectedLaneClipped(f"a selected lane reads {name!r} out of range")
 
 
+#: the debug tag of a slot no store has written yet: it holds its fill
+UNWRITTEN = -(10**9)
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How one array is stored at one run's sizes (never mutated, so any
+    number of runs may share it)."""
+
+    name: str
+    dtype: type
+    los: list[int]
+    his: list[int]
+    shape: tuple[int, ...]
+    windows: dict[int, int]  # dim -> window size
+    #: the storage slabs an allocation zeroes: ``[]`` none, None all of it
+    halo: list | None = None
+
+    @classmethod
+    def of(
+        cls, name: str, element: Type, bounds: list[tuple[int, int]],
+        windows: dict[int, int] | None = None, halo: list | None = None,
+    ) -> Layout:
+        windows = dict(windows or {})
+        shape = []
+        for d, (lo, hi) in enumerate(bounds):
+            extent = hi - lo + 1
+            if extent < 0:
+                raise ExecutionError(
+                    f"dimension {d} of {name!r} has negative extent "
+                    f"({lo} .. {hi})"
+                )
+            if d in windows:
+                extent = windows[d] = min(extent, windows[d])
+            shape.append(extent)
+        return cls(
+            name, dtype_for(element), [lo for lo, _ in bounds],
+            [hi for _, hi in bounds], tuple(shape), windows, halo,
+        )
+
+    def allocate(self, make=new_storage, debug: bool = False) -> RuntimeArray:
+        """``make`` is a backend's ``make_storage(shape, dtype, zero)``."""
+        storage = make(self.shape, self.dtype, self.halo is None)
+        for slab in self.halo or ():
+            storage[slab] = 0
+        tags = None
+        if debug and self.windows:
+            tags = make(self.shape, np.int64, False)
+            tags[...] = UNWRITTEN
+        return RuntimeArray(self.name, self.los, self.his, storage, self.windows, tags)
+
+
 @dataclass
 class RuntimeArray:
     """An array with per-dimension origins and optional window dimensions."""
@@ -209,28 +261,9 @@ class RuntimeArray:
         make=new_storage,
         zero: bool = True,
     ) -> RuntimeArray:
-        """``make`` is a backend's ``make_storage(shape, dtype, zero)``."""
-        windows = dict(windows or {})
-        los = [lo for lo, _ in bounds]
-        his = [hi for _, hi in bounds]
-        shape = []
-        for d, (lo, hi) in enumerate(bounds):
-            extent = hi - lo + 1
-            if extent < 0:
-                raise ExecutionError(
-                    f"dimension {d} of {name!r} has negative extent "
-                    f"({lo} .. {hi})"
-                )
-            if d in windows:
-                extent = min(extent, windows[d])
-                windows[d] = extent
-            shape.append(extent)
-        storage = make(tuple(shape), dtype_for(element), zero)
-        tags = None
-        if debug and windows:
-            tags = make(tuple(shape), np.int64, False)
-            tags[...] = -(10**9)
-        return cls(name, los, his, storage, windows, tags)
+        """See :meth:`Layout.allocate`."""
+        layout = Layout.of(name, element, bounds, windows, None if zero else [])
+        return layout.allocate(make, debug)
 
     @property
     def rank(self) -> int:
@@ -278,9 +311,9 @@ class RuntimeArray:
             check_clipped(clipped, clip, self.name)
         out = self.storage[tuple(mapped)]
         if self.tags is not None and not clip:
-            expected = self._expected_tag(indices)
+            # a slot no store has written reads its fill, as in full storage
             actual = self.tags[tuple(mapped)]
-            if np.any(actual != expected):
+            if np.any((actual != self._expected_tag(indices)) & (actual != UNWRITTEN)):
                 raise ExecutionError(
                     f"window violation: read of {self.name} at {indices} "
                     f"finds a plane that has been overwritten"

@@ -267,6 +267,7 @@ class ReproDaemon:
                 "workers": plan.workers,
                 "cycles": plan.cycles,
                 "strategies": [list(pair) for pair in plan.strategies()],
+                "explain": plan.explain(),
             }
         if op == "warm":
             module = request.get("module")

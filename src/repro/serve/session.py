@@ -56,7 +56,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.pipeline import CompilerOptions, CompileResult, compile_source
+from repro.core.pipeline import CompilerOptions, CompileResult, compile_source, plan_sizes
 from repro.errors import SessionError
 from repro.plan.ir import ExecutionPlan
 from repro.ps.semantics import AnalyzedModule
@@ -328,12 +328,7 @@ class Session:
     def _key(self, module: str, sizes: dict | None, okey: tuple) -> tuple:
         """The plan key: module, options key, integer sizes."""
         self._result(module)
-        ints = sorted(
-            (k, int(v))
-            for k, v in (sizes or {}).items()
-            if isinstance(v, (int, np.integer))
-        )
-        return (module, okey, tuple(ints))
+        return (module, okey, plan_sizes(sizes or {}))
 
     def _plan(
         self, key: tuple, options: ExecutionOptions, served: bool | None = None
@@ -342,10 +337,14 @@ class Session:
         ``served`` says when given (the builder's replan)."""
         module, okey, sizes = key
         result = self._result(module)
-        with self._lock:
-            if served is None:
+        if served is None:
+            with self._lock:
                 self._plan_requests += 1
                 served = self._tiers.get(key) == SERVED
+        plan = result._plan_cache.get((okey, sizes, served))
+        if plan is not None:
+            return plan
+        with self._lock:
             lock = self._plan_locks.get((key, served))
             if lock is None:
                 lock = self._plan_locks[key, served] = threading.Lock()
@@ -386,9 +385,8 @@ class Session:
         result = self._result(module)
         options = options or self.options(**overrides)
         okey = options.key()
-        key = self._key(module, args, okey)
-        self._count_run(key, result, options)
-        plan = self._plan(key, options)
+        key = (module, okey, plan_sizes(args))
+        plan = self._plan(key, options, self._count_run(key, result, options))
         out = execute_module(
             result.analyzed,
             args,
@@ -408,6 +406,9 @@ class Session:
         # keyed by label too: each engine's BufferStore trims to what its
         # own plans ran, and `auto` alternates labels between programs
         key = (plan.backend, plan.workers, okey)
+        backend = self._backends.get(key)
+        if backend is not None:
+            return backend
         with self._lock:
             self._check_open()
             backend = self._backends.get(key)
@@ -420,13 +421,16 @@ class Session:
 
     def _count_run(
         self, key: tuple, result: CompileResult, options: ExecutionOptions
-    ) -> None:
-        """Count a run of ``key``; its second queues the tier-up. A key
-        whose runs call no native kernel has nothing to sink and settles."""
+    ) -> bool:
+        """Count a run of ``key`` and its plan request; its second run
+        queues the tier-up. A key whose runs call no native kernel has
+        nothing to sink and settles. True when the run takes the plan
+        with the build sunk."""
         with self._lock:
+            self._plan_requests += 1
             state = self._tiers.get(key, 0)
             if not isinstance(state, int) or self._closed:
-                return
+                return state == SERVED
             if state == 0:
                 self._tiers[key] = 1
             elif not options.runs_kernels() or options.kernel_tier != "native":
@@ -441,6 +445,7 @@ class Session:
                     )
                     self._builder.start()
                 self._wake.notify()
+        return False
 
     def _build_loop(self) -> None:
         """The builder thread: one batch of tier-ups after another. A batch

@@ -29,6 +29,14 @@ class TestScalarMode:
         assert ev().eval(parse_expression("x div 4"), {"x": 9}) == 2
         assert ev().eval(parse_expression("x mod 4"), {"x": 9}) == 1
 
+    @pytest.mark.parametrize("op", ["div", "mod"])
+    def test_div_mod_of_numpy_integers_by_zero_raise(self, op):
+        """An array element is a NumPy integer: a zero divisor raises the C
+        tier's error, not NumPy's 0."""
+        env = {"x": np.int64(9), "y": np.int64(0)}
+        with pytest.raises(ZeroDivisionError, match="integer division or modulo"):
+            ev().eval(parse_expression(f"x {op} y"), env)
+
     def test_comparisons(self):
         e = ev()
         assert e.eval(parse_expression("x < 5"), {"x": 3}) is True

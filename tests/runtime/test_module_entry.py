@@ -322,8 +322,7 @@ def test_a_failed_entry_raises_the_walks_error_and_leaks_nothing(bad, monkeypatc
         args = _fail_args(**bad)
         error = _raised(lambda: run(args))
         gc.collect()
-        if "D" not in bad:  # the evaluator's int64 division by 0 gives 0
-            assert error == _raised(lambda: _evaluator(analyzed, args, flow))
+        assert error == _raised(lambda: _evaluator(analyzed, args, flow))
         with monkeypatch.context() as patch:
             patch.setattr(KernelCache, "module_entry", lambda *_: None)
             walked = forced_plan(

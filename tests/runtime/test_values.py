@@ -115,6 +115,19 @@ class TestWindows:
         with pytest.raises(ExecutionError, match="window violation"):
             arr.get([1])
 
+    def test_debug_tags_read_a_never_written_element_as_its_fill(self):
+        """``tallskinny`` reads its never-defined row 0 at every plane: zero,
+        as in full storage — while a plane a store rotated out still
+        faults."""
+        arr = RuntimeArray.allocate(
+            "A", RealType, [(0, 5), (0, 3)], windows={0: 2}, debug=True
+        )
+        for k in range(1, 4):
+            arr.set([k, 1], float(k))
+            assert arr.get([k - 1, 0]) == 0.0  # row 0: never written
+        with pytest.raises(ExecutionError, match="window violation"):
+            arr.get([1, 1])  # plane 1's slot now holds plane 3
+
     def test_debug_tags_allow_fresh_reads(self):
         arr = RuntimeArray.allocate(
             "A", RealType, [(1, 10)], windows={0: 3}, debug=True

@@ -109,7 +109,8 @@ class TestProtocol:
         daemon, _ = served
         with connect(daemon) as client:
             plan = client.plan("Relaxation", SIZES)
-        assert set(plan) >= {"backend", "workers", "cycles", "strategies"}
+        assert set(plan) >= {"backend", "workers", "cycles", "strategies", "explain"}
+        assert plan["explain"].startswith("provenance Relaxation: auto")
 
     def test_server_side_fill_is_seeded(self, served):
         daemon, _ = served
