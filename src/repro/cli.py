@@ -157,7 +157,7 @@ def _cmd_plan(args) -> int:
 
 
 def _local_scalar_types(analyzed) -> dict[str, str]:
-    from repro.serve.session import describe_module  # lazy: pulls asyncio
+    from repro.serve.session import describe_module  # lazy: loads the serve package
 
     return _scalar_types(describe_module(analyzed))
 

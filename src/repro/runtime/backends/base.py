@@ -38,9 +38,8 @@ import os
 import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -69,6 +68,9 @@ from repro.schedule.flowchart import (
     NodeDescriptor,
     equation_vector_safe,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass
@@ -513,6 +515,9 @@ class ExecutionBackend:
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
+            # imported here: only a ``threaded`` plan's waves use the pool
+            from concurrent.futures import ThreadPoolExecutor
+
             with self._pool_lock:
                 if self._pool is None:
                     self._pool = ThreadPoolExecutor(

@@ -11,9 +11,10 @@ Two modes share one code path:
   (masked lanes are discarded by the `where`). A clipped lane the branch
   *selects* raises :class:`~repro.runtime.values.SelectedLaneClipped`, and
   the caller reruns the span on the scalar walk, which raises the exact
-  out-of-range error. Every other read is live on every lane and
-  range-checked, as in scalar mode. This is how DOALL
-  dimensions execute as single NumPy operations — the guides' "vectorize
+  out-of-range error; an integer zero divisor of ``div`` / ``mod`` on any
+  lane takes the same rerun (:func:`floor_div_mod`). Every other read is
+  live on every lane and range-checked, as in scalar mode. This is how
+  DOALL dimensions execute as single NumPy operations — the guides' "vectorize
   your loops" applied to the paper's concurrent loops.
 """
 
@@ -38,7 +39,7 @@ from repro.ps.ast import (
     RealLit,
     UnOp,
 )
-from repro.runtime.values import RuntimeArray
+from repro.runtime.values import RuntimeArray, SelectedLaneClipped
 
 _BUILTIN_FUNCS: dict[str, Callable] = {
     "abs": np.abs,
@@ -89,6 +90,27 @@ def divide(left, right):
         return quotient
     signed = np.where(np.greater_equal(left, 0), np.inf, -np.inf)
     return np.where(zero, signed, quotient)
+
+
+def floor_div_mod(op: str, left, right, vector: bool | tuple = False):
+    """PS ``div`` / ``mod`` (``op``): Python's ``//`` / ``%`` on scalars,
+    NumPy's on vectors. An integer zero divisor raises the C tier's
+    ``ZeroDivisionError`` in scalar mode — NumPy integers would give 0. In
+    vector mode its lane may be masked, so it raises
+    :class:`~repro.runtime.values.SelectedLaneClipped`, and the span reruns
+    on the scalar walk, which raises only where the division is reached."""
+    lanes = _is_vector(left) or _is_vector(right)
+    if _is_vector(right):
+        zero = right.dtype.kind in "iu" and not right.all()
+    else:
+        zero = isinstance(right, (int, np.integer)) and right == 0
+    if zero:
+        if vector or lanes:
+            raise SelectedLaneClipped("a lane divides by an integer zero")
+        raise ZeroDivisionError("integer division or modulo by zero")
+    if lanes:
+        return (np.floor_divide if op == "div" else np.mod)(left, right)
+    return left // right if op == "div" else left % right
 
 
 class Evaluator:
@@ -215,13 +237,7 @@ class Evaluator:
             if op == "/":
                 return divide(left, right)
             if op in ("div", "mod"):
-                if _is_vector(left) or _is_vector(right):
-                    return (np.floor_divide if op == "div" else np.mod)(left, right)
-                if not vector and isinstance(right, (int, np.integer)) and right == 0:
-                    # the C tier's error: NumPy integers would give 0 under
-                    # the errstate above (a vector lane may be masked)
-                    raise ZeroDivisionError("integer division or modulo by zero")
-                return left // right if op == "div" else left % right
+                return floor_div_mod(op, left, right, vector)
             if op == "=":
                 return left == right
             if op == "<>":

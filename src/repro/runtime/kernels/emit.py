@@ -31,6 +31,7 @@ keeps evaluating it on the reference tree-walking evaluator.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -559,11 +560,16 @@ def emit_nest_kernel_source(
 
 
 def _compile(
-    emitted: tuple[str, set[str]], filename: str, call_box: list | None
+    emitted: tuple[str, set[str]],
+    filename: str,
+    call_box: list | None,
+    vector: bool = False,
 ) -> Callable:
     """``compile()``/``exec`` one emitted kernel. ``call_box`` is the
     one-slot module-call box the kernel's ``_mc`` reads at call time (see
-    :func:`repro.runtime.kernels.runtime.module_call`)."""
+    :func:`repro.runtime.kernels.runtime.module_call`); a ``vector``
+    kernel's ``div`` / ``mod`` treat every operand as a lane that may be
+    masked."""
     source, builtins = emitted
     namespace: dict = {
         "np": np,
@@ -572,9 +578,9 @@ def _compile(
         "_asc": _rt.affine_scatter,
         "_ck": _rt.check_index,
         "_div": _rt.kdiv,
-        "_fdiv": _rt.kfloordiv,
+        "_fdiv": partial(_rt.floor_div_mod, "div", vector=vector),
         "_mc": _rt.make_module_call(call_box),
-        "_mod": _rt.kmod,
+        "_mod": partial(_rt.floor_div_mod, "mod", vector=vector),
         "_not": _rt.knot,
         "_store": _rt.store_scalar,
     }
@@ -602,6 +608,7 @@ def compile_kernel(
         emit_kernel_source(eq, analyzed, flowchart, vector, use_windows),
         f"<kernel:{analyzed.name}.{eq.label}:{variant}>",
         call_box,
+        vector,
     )
 
 

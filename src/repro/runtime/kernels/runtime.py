@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.runtime.evaluator import _BUILTIN_FUNCS
+from repro.runtime.evaluator import _BUILTIN_FUNCS, floor_div_mod
 from repro.runtime.evaluator import divide as kdiv
 from repro.runtime.values import RuntimeArray, check_clipped
 
@@ -30,9 +30,8 @@ __all__ = [
     "affine_gather",
     "affine_scatter",
     "check_index",
+    "floor_div_mod",
     "kdiv",
-    "kfloordiv",
-    "kmod",
     "knot",
     "make_module_call",
     "store_scalar",
@@ -44,18 +43,6 @@ BUILTIN_FUNCS = _BUILTIN_FUNCS
 
 def _is_vec(v) -> bool:
     return isinstance(v, np.ndarray) and v.ndim > 0
-
-
-def kfloordiv(left, right):
-    if not _is_vec(left) and not _is_vec(right):
-        return left // right
-    return np.floor_divide(left, right)
-
-
-def kmod(left, right):
-    if not _is_vec(left) and not _is_vec(right):
-        return left % right
-    return np.mod(left, right)
 
 
 def knot(v):

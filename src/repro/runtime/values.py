@@ -170,8 +170,10 @@ def dtype_for(element: Type):
 class SelectedLaneClipped(ExecutionError):
     """A vector read inside an ``if`` branch (or the lazy operand of
     ``and`` / ``or``) clipped a lane its guards select: on that lane the
-    scalar walk reads out of range. Whoever ran the vector span reruns it
-    on the scalar walk, which raises the exact error in iteration order."""
+    scalar walk reads out of range. A vector ``div`` / ``mod`` with an
+    integer zero divisor on any lane raises it too. Whoever ran the vector
+    span reruns it on the scalar walk, which raises the exact error in
+    iteration order, or none where no selected lane divides by zero."""
 
 
 def check_clipped(clipped, guards, name: str) -> None:

@@ -1,24 +1,25 @@
 """The ``repro serve`` daemon: a :class:`~repro.serve.session.Session`
 behind a socket.
 
-The asyncio loop owns only the transport — accept, read a message, write
-a message — and drives it with the loop's own socket calls on
-non-blocking sockets (``sock_accept``, ``sock_recv_into``), no stream
-layer between. A header line is received into a small per-connection
-scratch buffer; a request's frame is received straight into a buffer of
-the daemon's frame store (a :class:`~repro.runtime.values.BufferStore`, so
-a repeated MB-sized request lands on pages an earlier frame already
-touched) and decoded as read-only views the run borrows; a reply's header
-line and blobs leave in one ``sendmsg``. Every request body (array decode
-and encode included) executes in a thread pool against one shared warm
+There is no event loop: the daemon accepts on the thread that calls
+:meth:`ReproDaemon.serve_forever` and serves each connection on a thread
+of its own (named ``repro-serve-conn``) with blocking sockets, so a
+request is received, executed and answered on one thread. A header line
+is received into a small per-connection scratch buffer; a request's
+frame is received straight into a buffer of the daemon's frame store (a
+:class:`~repro.runtime.values.BufferStore`, so a repeated MB-sized
+request lands on pages an earlier frame already touched) and decoded as
+read-only views the run borrows; a reply's header line and blobs leave
+in one ``sendmsg``. Every connection runs against one shared warm
 session, so concurrent clients overlap: planning coalesces per key, and
-runs on one engine proceed side by side. Two pressure valves bound a
-burst of clients:
+runs on one engine proceed side by side. An idle connection costs one
+blocked thread and no CPU. Two pressure valves bound a burst of clients:
 
-* ``max_inflight`` requests execute at once (a semaphore over the
-  executor), and
+* ``max_inflight`` requests execute at once (a semaphore around each
+  request's execution; ``stats`` reports the wait for a slot as
+  ``queue_s``), and
 * at most ``max_queue`` more may wait; beyond that the daemon answers
-  ``Overloaded`` immediately instead of buffering unboundedly.
+  ``Overloaded`` immediately instead of queueing without bound.
 
 Requests running side by side share the cores, so a team kernel (a
 compiled ``DO`` on a team of threads) runs at most ``cpu_count //
@@ -41,8 +42,6 @@ Supported ops: ``ping``, ``modules``, ``describe``, ``stats``, ``plan``,
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextlib
 import itertools
 import json
@@ -50,7 +49,7 @@ import os
 import socket
 import stat
 import threading
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any
 
 import numpy as np
@@ -69,8 +68,8 @@ _ACCEPT_RETRY = 0.1
 
 
 class _Connection:
-    """One accepted socket, read and written straight through the event
-    loop's socket calls.
+    """One accepted socket, read and written with blocking calls on the
+    thread that serves it.
 
     A header line is received into a per-connection scratch buffer; a frame
     is received straight into a buffer of the daemon's frame store (after
@@ -81,12 +80,11 @@ class _Connection:
     def __init__(self, sock: socket.socket, frames: BufferStore):
         self.sock = sock
         self._frames = frames
-        self._loop = asyncio.get_running_loop()
         self._scratch = bytearray(SCRATCH_BYTES)
         self._view = memoryview(self._scratch)
         self._pos = self._end = 0  # received, not yet read: [_pos, _end)
 
-    async def readline(self) -> bytes:
+    def readline(self) -> bytes:
         """The next line, newline included; at the end of the stream, what
         is left of it (maybe nothing). A line longer than
         :data:`wire.MAX_LINE` bytes raises WireError."""
@@ -103,11 +101,11 @@ class _Connection:
             if newline >= 0:
                 return bytes(carried)
             self._pos = 0
-            self._end = await self._loop.sock_recv_into(self.sock, self._view)
+            self._end = self.sock.recv_into(self._view)
             if not self._end:
                 return bytes(carried)
 
-    async def readframe(self, size: int) -> memoryview:
+    def readframe(self, size: int) -> memoryview:
         """The next ``size`` bytes, read-only, on a frame store buffer;
         WireError when the stream ends first."""
         frame = memoryview(self._frames.take((size,), np.uint8, zero=False))
@@ -115,25 +113,22 @@ class _Connection:
         frame[:have] = self._view[self._pos : self._pos + have]
         self._pos += have
         while have < size:
-            got = await self._loop.sock_recv_into(self.sock, frame[have:])
+            got = self.sock.recv_into(frame[have:])
             if not got:
                 raise wire.WireError(f"frame cut short: {have} of {size} bytes")
             have += got
         return frame.toreadonly()
 
-    async def send(self, buffers: list) -> None:
-        """Write one message: every buffer in one ``sendmsg``, and what the
-        socket's send buffer had no room for with ``sock_sendall``."""
+    def send(self, buffers: list) -> None:
+        """Write one message: every buffer in one ``sendmsg``, and with
+        ``sendall`` what that call left unsent."""
         buffers = [b for b in buffers if len(b)]
-        try:
-            sent = self.sock.sendmsg(buffers)
-        except BlockingIOError:
-            sent = 0
+        sent = self.sock.sendmsg(buffers)
         for buf in buffers:
             if sent >= len(buf):
                 sent -= len(buf)
             else:
-                await self._loop.sock_sendall(self.sock, memoryview(buf)[sent:])
+                self.sock.sendall(memoryview(buf)[sent:])
                 sent = 0
 
 
@@ -141,10 +136,10 @@ class ReproDaemon:
     """Serve one warm :class:`Session` over TCP or a unix socket.
 
     Synchronous construction; :meth:`listen` binds the address in the
-    calling thread, and :meth:`serve_forever` runs the asyncio loop until
-    :meth:`request_shutdown` (or a client ``shutdown`` op). The session is
-    owned: closing the daemon — or a failed bind — closes it, tearing down
-    worker pools.
+    calling thread, and :meth:`serve_forever` accepts connections, each
+    served on a thread of its own, until :meth:`request_shutdown` (or a
+    client ``shutdown`` op). The session is owned: closing the daemon — or
+    a failed bind — closes it, tearing down worker pools.
     """
 
     def __init__(
@@ -164,9 +159,10 @@ class ReproDaemon:
         self.max_queue = max(0, int(max_queue))
         #: the widest team one request's kernels may run on
         self.team_cap = max(1, (os.cpu_count() or 1) // self.max_inflight)
-        self._sem = asyncio.Semaphore(self.max_inflight)
+        #: a slot per request allowed to execute at once
+        self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._pending = 0
-        self._pending_lock = threading.Lock()
+        self._lock = threading.Lock()
         #: what `stats` reports about the daemon itself (under the lock);
         #: only ``recv_s`` / ``send_s`` count time spent waiting on the socket
         self._totals = {
@@ -177,24 +173,18 @@ class ReproDaemon:
         #: where request frames land: buffers of earlier frames nothing
         #: references any more, so a repeated big request finds warm pages
         self._frames = BufferStore()
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_inflight,
-            thread_name_prefix="repro-serve",
-            initializer=cap_teams,
-            initargs=(self.team_cap,),
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        #: a shutdown asked for before the loop ran (under the lock)
+        #: set once, under the lock, by :meth:`request_shutdown`
         self._stopping = False
         self._listener: socket.socket | None = None
-        self._clients: set[asyncio.Task] = set()
-        self._shutdown = asyncio.Event()
+        #: every connection socket and the thread serving it (under the
+        #: lock); entries of finished threads go at the next accept
+        self._clients: dict[socket.socket, threading.Thread] = {}
         self.address: tuple[str, int] | str | None = None
 
     # -- request handling --------------------------------------------------
 
     def _count(self, **amounts: float) -> None:
-        with self._pending_lock:
+        with self._lock:
             for key, amount in amounts.items():
                 self._totals[key] += amount
 
@@ -204,7 +194,7 @@ class ReproDaemon:
         + send), wire-bound (decode + encode), saturated (queue) or
         kernel-bound (run)? — and how many frame bytes landed on recycled
         or on fresh pages."""
-        with self._pending_lock:
+        with self._lock:
             own = dict(self._totals)
         own["frame_bytes_recycled"] = self._frames.recycled
         own["frame_bytes_fresh"] = self._frames.fresh
@@ -213,7 +203,7 @@ class ReproDaemon:
     def _handle(
         self, request: dict[str, Any], blobs: list | None, accepted: float
     ) -> tuple[list, dict[str, float]]:
-        """Execute one request synchronously (runs on the executor): the
+        """Execute one request on its connection's thread: the
         buffers of its reply, framed iff the request was, and where the
         seconds since it was ``accepted`` went."""
         started = perf_counter()
@@ -282,7 +272,7 @@ class ReproDaemon:
         module = request.get("module")
         if not isinstance(module, str):
             raise _BadRequest("request needs a string 'module' field")
-        if module not in self.session.modules():
+        if module not in self.session._modules:
             raise _UnknownModule(
                 f"unknown module {module!r} "
                 f"(serving: {', '.join(self.session.modules()) or 'none'})"
@@ -299,40 +289,42 @@ class ReproDaemon:
         except TypeError as exc:
             raise _BadRequest(str(exc)) from None
 
-    # -- connection loop ---------------------------------------------------
+    # -- connections -------------------------------------------------------
 
-    async def _accept(self, listener: socket.socket) -> None:
-        """Accept connections until cancelled, one task each."""
-        loop = asyncio.get_running_loop()
-        while True:
-            try:
-                sock, _ = await loop.sock_accept(listener)
-            except OSError:  # out of descriptors, or the peer left first
-                await asyncio.sleep(_ACCEPT_RETRY)
-                continue
-            if sock.family != socket.AF_UNIX:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
-            task = loop.create_task(self._serve_client(_Connection(sock, self._frames)))
-            self._clients.add(task)
-            task.add_done_callback(self._clients.discard)
+    def _start_client(self, sock: socket.socket) -> None:
+        """Serve a newly accepted socket on a thread of its own."""
+        if sock.family != socket.AF_UNIX:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)
+        thread = threading.Thread(
+            target=self._serve_client, args=(sock,), name="repro-serve-conn",
+            daemon=True,
+        )
+        with self._lock:
+            if self._stopping:  # accepted as the daemon stopped
+                sock.close()
+                return
+            self._clients = {
+                s: t for s, t in self._clients.items() if t.is_alive()
+            }
+            self._clients[sock] = thread
+        thread.start()
 
-    async def _serve_client(self, conn: _Connection) -> None:
+    def _serve_client(self, sock: socket.socket) -> None:
+        """Answer one connection's requests in order, each run inline."""
+        cap_teams(self.team_cap)
+        conn = _Connection(sock, self._frames)
         try:
-            while not self._shutdown.is_set():
-                try:
-                    line = await conn.readline()
-                    if not line:
-                        break
-                    reply, reusable = await self._respond(line, conn)
-                except (ValueError, ConnectionError):
-                    # over-long line or peer reset: nothing sane to answer on
+            while not self._stopping:
+                line = conn.readline()
+                if not line:
                     break
+                reply, reusable = self._respond(line, conn)
                 stop = reply is _SHUTDOWN
                 if stop:
                     reply = wire.frame(wire.ok("shutting down"))
                 sending = perf_counter()
-                await conn.send(reply)
+                conn.send(reply)
                 self._count(
                     requests=1,
                     bytes_out=sum(map(len, reply)),
@@ -344,12 +336,13 @@ class ReproDaemon:
                     self.request_shutdown()
                 if not reusable:
                     break
-        except ConnectionError:
-            pass  # peer gone mid-reply
+        except (ValueError, ConnectionError):
+            pass  # an over-long line or the peer gone: nothing sane to answer
         finally:
-            conn.sock.close()
+            with self._lock:  # not while request_shutdown shuts it down
+                sock.close()
 
-    async def _respond(self, line: bytes, conn: _Connection) -> tuple[Any, bool]:
+    def _respond(self, line: bytes, conn: _Connection) -> tuple[Any, bool]:
         """The reply buffers for one request line (reading its frame off
         ``conn``), and whether the stream can carry another request."""
 
@@ -368,7 +361,7 @@ class ReproDaemon:
         try:
             sizes = wire.blob_sizes(request)
             if sizes is not None:
-                frame = await conn.readframe(sum(sizes))
+                frame = conn.readframe(sum(sizes))
                 ends = list(itertools.accumulate(sizes))
                 blobs = [frame[end - n : end] for n, end in zip(sizes, ends)]
         except wire.WireError as exc:
@@ -380,7 +373,7 @@ class ReproDaemon:
         )
         if request.get("op") == "shutdown":
             return _SHUTDOWN, False
-        with self._pending_lock:
+        with self._lock:
             if self._pending >= self.max_inflight + self.max_queue:
                 return wire.frame(
                     wire.error(
@@ -392,12 +385,9 @@ class ReproDaemon:
             self._pending += 1
         try:
             accepted = perf_counter()
-            async with self._sem:
-                loop = asyncio.get_running_loop()
+            with self._slots:
                 try:
-                    reply, seconds = await loop.run_in_executor(
-                        self._executor, self._handle, request, blobs, accepted
-                    )
+                    reply, seconds = self._handle(request, blobs, accepted)
                     self._count(**seconds)
                     return reply, True
                 except _DaemonReject as exc:
@@ -412,12 +402,8 @@ class ReproDaemon:
                     )
                 return wire.frame(failure), True
         finally:
-            with self._pending_lock:
+            with self._lock:
                 self._pending -= 1
-            if blobs:
-                # the executor's work item may hold this list a while after
-                # the reply is out: let go of the frame for the next request
-                blobs.clear()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -443,7 +429,6 @@ class ReproDaemon:
                 listener.close()
                 raise
             self.address = self.unix_path
-        listener.setblocking(False)
         return listener
 
     def listen(self) -> None:
@@ -459,43 +444,43 @@ class ReproDaemon:
                 f"serve daemon failed to bind {where}: {exc.strerror or exc}"
             ) from exc
 
-    async def _run(self) -> None:
-        listener = self._listener
-        try:
-            with self._pending_lock:
-                self._loop = asyncio.get_running_loop()
-                if self._stopping:
-                    self._shutdown.set()
-            accepting = asyncio.create_task(self._accept(listener))
-            await self._shutdown.wait()
-            tasks = [accepting, *self._clients]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-        finally:
-            listener.close()
-            self.close()
-
     def serve_forever(self) -> None:
-        """Run the daemon until shutdown. Blocks the calling thread; binds
-        first unless :meth:`listen` already has."""
+        """Accept connections until shutdown, then wait for every
+        connection thread (a request already running sends its reply) and
+        close. Blocks the calling thread; binds first unless :meth:`listen`
+        already has."""
         if self._listener is None:
             self.listen()
-        asyncio.run(self._run())
+        try:
+            while not self._stopping:
+                try:
+                    sock, _ = self._listener.accept()
+                except OSError:  # shut down, out of descriptors, or the peer left
+                    if not self._stopping:
+                        sleep(_ACCEPT_RETRY)
+                    continue
+                self._start_client(sock)
+        finally:
+            with self._lock:
+                self._listener.close()
+                threads = list(self._clients.values())
+            for thread in threads:
+                thread.join()
+            self.close()
 
     def request_shutdown(self) -> None:
-        """Ask the serve loop to stop; safe from any thread, also before
-        the loop runs."""
-        with self._pending_lock:
+        """Stop accepting, and wake every connection thread waiting for
+        bytes; safe from any thread, also before serving starts. Only the
+        read side is shut down, so a request already running still sends
+        its reply."""
+        with self._lock:
             self._stopping = True
-            loop = self._loop
-        if loop is not None:
-            with contextlib.suppress(RuntimeError):  # closed: already stopped
-                loop.call_soon_threadsafe(self._shutdown.set)
+            for sock in filter(None, [self._listener, *self._clients]):
+                with contextlib.suppress(OSError):  # closed, or reset
+                    sock.shutdown(socket.SHUT_RD)
 
     def close(self) -> None:
-        """Tear down the executor and the owned session (and its pools)."""
-        self._executor.shutdown(wait=True)
+        """Close the owned session (and its pools)."""
         self.session.close()
 
 

@@ -2,12 +2,12 @@
 structured errors that keep the connection alive, deterministic
 backpressure, and clean shutdown."""
 
-import asyncio
 import contextlib
 import glob
 import json
 import os
 import socket
+import subprocess
 import sys
 import tempfile
 import threading
@@ -21,7 +21,7 @@ from repro.core.paper import RELAXATION_JACOBI_SOURCE
 from repro.errors import ClientError, SessionError
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.serve import DaemonThread, ReproClient, Session, wire
-from repro.serve.daemon import SCRATCH_BYTES
+from repro.serve.daemon import SCRATCH_BYTES, _Connection
 
 from tests.runtime.test_backends import RETIRED_BACKENDS, SURVIVORS
 
@@ -397,24 +397,15 @@ class TestConcurrency:
             first.close()
 
 
-@pytest.fixture()
-def accepted(monkeypatch):
-    """The daemon's end of every connection accepted from now on."""
-    socks = []
-    real = socket.socket.accept
-
-    def spy(self):
-        conn, address = real(self)
-        socks.append(conn)
-        return conn, address
-
-    monkeypatch.setattr(socket.socket, "accept", spy)
-    return socks
+def daemon_ends(daemon) -> list[socket.socket]:
+    """The daemon's end of every connection it is serving now."""
+    with daemon._lock:
+        return [sock for sock, t in daemon._clients.items() if t.is_alive()]
 
 
 class TestSendBuffers:
     def test_both_ends_size_their_send_buffer_for_a_frame(
-        self, served, accepted, monkeypatch
+        self, served, monkeypatch
     ):
         """Client and daemon each ask for ``wire.SEND_BUFFER`` of SO_SNDBUF
         on their end of a connection, so a MB-sized frame is not handed
@@ -434,21 +425,32 @@ class TestSendBuffers:
         with connect(daemon) as client:
             assert client.ping() == "pong"
             mine = client._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            [theirs] = daemon_ends(daemon)
         assert mine == granted
-        [theirs] = accepted
         assert [
             args for sock, args in asked
             if sock is theirs and args[0] == socket.SOL_SOCKET
         ] == [(socket.SOL_SOCKET, socket.SO_SNDBUF, wire.SEND_BUFFER)]
 
-    def test_tcp_connections_disable_nagle(self, served, accepted):
+    def test_tcp_connections_disable_nagle(self, served):
         """A reply's last segment leaves at once, not after the peer's
         delayed ACK."""
         daemon, _ = served
         with connect(daemon) as client:
             assert client.ping() == "pong"
-            [theirs] = accepted
+            [theirs] = daemon_ends(daemon)
             assert theirs.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
+def live_threads(prefix: str) -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+def wait_for(condition, what: str = "timed out", timeout: float = 30) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
 
 
 def framed(args: dict) -> tuple[bytes, bytes]:
@@ -561,34 +563,32 @@ class TestTransport:
 class TestDisconnects:
     def test_peer_vanishing_mid_frame_leaks_nothing(self, served):
         """A header that announces 1 MB, half of it, then a dead socket:
-        the connection's task ends, no thread or shm segment stays behind,
-        and the daemon keeps serving."""
+        the connection's thread ends, no other thread or shm segment stays
+        behind, and the daemon keeps serving."""
         daemon, session = served
 
-        def tasks() -> int:
-            async def count():
-                return len(asyncio.all_tasks())
-
-            future = asyncio.run_coroutine_threadsafe(count(), daemon._loop)
-            return future.result(30) - 1  # minus the counting task itself
+        def connections() -> int:
+            return len(live_threads("repro-serve-conn"))
 
         def shm() -> set:
             return set(glob.glob("/dev/shm/psm_*"))
 
         def threads() -> int:
-            """Threads outside the daemon's executor. That one is bounded,
-            but grows lazily: a request may start another worker while an
-            idle one has not yet marked itself free."""
-            names = [t.name for t in threading.enumerate()]
-            workers = sum(name.startswith("repro-serve") for name in names)
-            assert workers <= daemon.max_inflight
-            return len(names) - workers
+            return threading.active_count() - connections()
+
+        def settled(before: tuple) -> bool:
+            return (
+                connections() == 0
+                and threads() <= before[0]
+                and shm() <= before[1]
+            )
 
         args = {**SIZES, "InitialA": make_input(5)}
         expected = serial_reference(session, args)
         with connect(daemon) as client:
             client.run("Relaxation", args)
-        before = tasks(), threads(), shm()
+        wait_for(lambda: connections() == 0)
+        before = threads(), shm()
         for _ in range(4):
             sock = socket.create_connection(daemon.address)
             header = {"op": "run", "module": "Relaxation", "blobs": [1 << 20]}
@@ -597,14 +597,7 @@ class TestDisconnects:
         with connect(daemon) as client:
             out = client.run("Relaxation", args)
         assert np.array_equal(out["newA"], expected)
-        deadline = time.monotonic() + 30
-        while not (
-            tasks() <= before[0]
-            and threads() <= before[1]
-            and shm() <= before[2]
-        ):
-            assert time.monotonic() < deadline, "a connection left something"
-            time.sleep(0.01)
+        wait_for(lambda: settled(before), "a connection left something")
         # the buffers the half frames went into were let go of, and at most
         # those four stay idle for the next big frame
         assert 0 < daemon._frames.held() <= 4 << 20
@@ -654,7 +647,124 @@ class TestUnixSocket:
         assert f"failed to bind {path}: Address already in use" in err
 
 
+class TestThreads:
+    def test_a_run_executes_on_the_thread_that_received_it(
+        self, served, monkeypatch
+    ):
+        """No handoff: each connection's thread reads its requests and runs
+        them itself."""
+        daemon, session = served
+        readers, runners = [], []
+        real_readline, real_run = _Connection.readline, session.run
+
+        def readline(conn):
+            readers.append(threading.current_thread())
+            return real_readline(conn)
+
+        def run(*args, **kwargs):
+            runners.append(threading.current_thread())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(_Connection, "readline", readline)
+        monkeypatch.setattr(session, "run", run)
+        with connect(daemon) as first, connect(daemon) as second:
+            for client in (first, second, first):
+                client.run("Relaxation", {**SIZES, "InitialA": make_input(0)})
+        assert [t.name for t in runners] == ["repro-serve-conn"] * 3
+        assert runners[0] is runners[2] is not runners[1]
+        assert set(runners) <= set(readers)
+
+    def test_importing_the_serve_layer_starts_no_event_loop_machinery(self):
+        code = (
+            "import sys, repro.serve; "
+            "print(sorted({'asyncio', 'concurrent.futures.thread'} & set(sys.modules)))"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)}, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+
+def relaxation_session() -> Session:
+    session = Session()
+    session.load(RELAXATION_JACOBI_SOURCE)
+    return session
+
+
 class TestShutdown:
+    @pytest.mark.parametrize("how", ["stop", "client"])
+    def test_an_idle_connection_does_not_hold_the_daemon(self, how):
+        """A client holding a connection open without a request wakes up
+        to the end of its stream, and no serve thread survives."""
+        session = relaxation_session()
+        runner = DaemonThread(session, port=0)
+        daemon = runner.start()
+        idle = connect(daemon)
+        assert idle.ping() == "pong"
+        started = time.monotonic()
+        if how == "stop":
+            runner.stop()
+        else:
+            with connect(daemon) as client:
+                assert client.shutdown() == "shutting down"
+            runner.join(30)
+        assert time.monotonic() - started < 30
+        assert not runner._thread.is_alive()
+        assert session.closed
+        assert live_threads("repro-serve") == []
+        assert idle._sock.recv(1) == b""
+        idle.close()
+
+    def test_a_request_in_flight_is_answered_before_the_session_closes(
+        self, monkeypatch
+    ):
+        session = relaxation_session()
+        entered, release = threading.Event(), threading.Event()
+        events = []
+
+        def slow_run(module, args, **overrides):
+            entered.set()
+            assert release.wait(30)
+            return {}
+
+        real_send, real_close = _Connection.send, session.close
+
+        def send(conn, buffers):
+            real_send(conn, buffers)
+            events.append("reply")
+
+        def close():
+            events.append("close")
+            real_close()
+
+        monkeypatch.setattr(session, "run", slow_run)
+        monkeypatch.setattr(session, "close", close)
+        monkeypatch.setattr(_Connection, "send", send)
+        runner = DaemonThread(session, port=0)
+        daemon = runner.start()
+        result = []
+        with connect(daemon) as client:
+            worker = threading.Thread(
+                target=lambda: result.append(
+                    client.request({"op": "run", "module": "Relaxation", "args": {}})
+                )
+            )
+            worker.start()
+            assert entered.wait(30), "the request never started executing"
+            stopper = threading.Thread(target=runner.stop)
+            stopper.start()
+            wait_for(lambda: daemon._stopping)
+            assert not session.closed
+            release.set()
+            worker.join(30)
+            stopper.join(30)
+        assert not worker.is_alive() and not stopper.is_alive()
+        assert result == [{}]
+        assert events == ["reply", "close"]
+        assert live_threads("repro-serve") == []
+
     def test_client_shutdown_stops_daemon_and_closes_session(self):
         session = Session()
         session.load(RELAXATION_JACOBI_SOURCE)
