@@ -162,7 +162,8 @@ def test_kernel_wallclock_vectorized(benchmark):
 
 
 def test_kernel_wallclock_threaded_pool(benchmark):
-    """pytest-benchmark series: persistent-pool threaded backend, 4 workers."""
+    """pytest-benchmark series: a ``threaded`` plan at 4 workers (the name
+    keeps the series the retired thread pool started)."""
     analyzed, flow, args = _jacobi(48, maxk=8)
     out = benchmark(lambda: _run(analyzed, flow, args, "threaded", True, 4))
     assert out["newA"].shape == (50, 50)

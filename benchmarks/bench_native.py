@@ -17,10 +17,6 @@ Acceptance gates (CI-enforced):
 * the native tier is no slower than the **NumPy spans** of the vectorized
   backend on the same grid — the comparison ``auto`` actually decides on
   (a compiled ``DO K`` nest against 8 vector sweeps), measured ~0.3x;
-* chunk-forced **threaded + native span kernels** (GIL released inside
-  the C calls) is no slower than 1.10x the same chunks on the NumPy tier
-  on Jacobi at 4 workers — each chunk one C call instead of NumPy rows
-  with Python bookkeeping between them;
 * the compiled ``DO K`` on a **team of 2 threads** (one OpenMP region
   around the ``DO``, its ``DOALL I`` shared out) takes at most 0.65x the
   same kernel on one thread on Jacobi at M = 512 — the paper's wavefront
@@ -33,14 +29,15 @@ Acceptance gates (CI-enforced):
 
 Ungated rows: the §4 alignment sweep (n = 1024) and windowed Jacobi (M =
 512, ``maxK`` = 40) on one thread in ns per element — the kernels whose
-innermost loops run as segments with their index guards folded away.
+innermost loops run as segments with their index guards folded away — and
+the ``doall_team`` row: ``rec`` at n = 2000, ``auto`` at one worker
+against ``auto`` at two, whose middle ``DOALL`` runs on a team of two (one
+``omp for`` over its root).
 
 Every serial row records Python-nest, native and NumPy-span seconds of one
 grid, so ``MachineModel.from_native_bench`` fits ``native_element_factor``
 and ``vector_element_factor`` — and therefore their ratio — from one
-payload. The threaded rows carry ``native_seconds`` + ``workers`` so it can
-recalibrate ``chunk_dispatch`` from the same artifact, and the team rows
-(one thread vs two, at M = 512 and at two ``maxK`` of a barrier-bound
+payload. The team rows (one thread vs two, at M = 512 and at two ``maxK`` of a barrier-bound
 M = 32) fit ``team_fork`` and ``team_barrier``; the hyperplane team row
 refits ``team_barrier`` upward to what one of its planes pays beyond half a
 thread's work. The tests accumulate into one ``BENCH_native.json``
@@ -85,11 +82,6 @@ NATIVE_GATE_SPEEDUP = 1.5
 
 #: native seconds may be at most this multiple of NumPy-span seconds
 NATIVE_VS_SPAN_GATE = 1.0
-
-#: the threaded-native gate: native chunks' wall clock may exceed the
-#: NumPy-tier chunks' by at most this factor on chunk-forced Jacobi
-THREADED_GATE_RATIO = 1.10
-GATE_WORKERS = 4
 
 #: the team gate: a width-2 team's seconds over one thread's, Jacobi M=512
 TEAM_GATE_RATIO = 0.65
@@ -230,69 +222,6 @@ def test_native_speedup_matrix(artifact):
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
 
 
-def _run_chunked(analyzed, flow, args, tier, cache, workers):
-    """One chunk-forced execution on the threaded backend: every DOALL that
-    can chunk is chunked, and on the native tier each chunk runs the
-    GIL-released span kernels."""
-    options = ExecutionOptions(backend="threaded", workers=workers, kernel_tier=tier)
-    scalars = {k: v for k, v in args.items() if isinstance(v, int)}
-    plan = forced_plan(analyzed, flow, "threaded", options, scalars, default="chunk")
-    return execute_module(
-        analyzed, args, flowchart=flow, options=options,
-        kernel_cache=cache, plan=plan,
-    )
-
-
-def test_threaded_native_gate(artifact):
-    """Chunk-forced threaded execution with native span kernels must keep
-    pace with (or beat) the same chunks on the NumPy tier on Jacobi at 4
-    workers."""
-    m = GRIDS[1]
-    analyzed, flow, args = _jacobi(m)
-    ref = execute_module(
-        analyzed, args, flowchart=flow,
-        options=ExecutionOptions(backend="serial", use_kernels=False),
-    )
-    caches = {t: KernelCache(analyzed, flow) for t in ("native", "numpy")}
-    times, outs = {}, {}
-    for tier in ("native", "numpy"):
-        _run_chunked(analyzed, flow, args, tier, caches[tier],
-                     GATE_WORKERS)  # warm-up: compile + pool spin-up
-        times[tier], outs[tier] = _time(
-            lambda t=tier: _run_chunked(
-                analyzed, flow, args, t, caches[t], GATE_WORKERS
-            ),
-            repeats=3,
-        )
-        assert np.array_equal(outs[tier]["newA"], ref["newA"]), (
-            f"threaded-native gate: the {tier} tier diverged from the evaluator"
-        )
-    assert caches["native"].stats()["native"] > 0, (
-        "threaded gate ran without native span kernels"
-    )
-    ratio = times["native"] / times["numpy"]
-    _PAYLOAD["rows"].append({
-        "workload": "jacobi",
-        "backend": "threaded",
-        "grid": m,
-        "maxk": args["maxK"],
-        "workers": GATE_WORKERS,
-        "native_seconds": times["native"],
-        "numpy_seconds": times["numpy"],
-    })
-    assert ratio <= THREADED_GATE_RATIO, (
-        f"threaded+native-span took {ratio:.2f}x the NumPy-tier chunks on "
-        f"jacobi M={m} at {GATE_WORKERS} workers "
-        f"(gate: <= {THREADED_GATE_RATIO}x)"
-    )
-    _PAYLOAD["gates"][f"jacobi_threaded_native_vs_numpy_M{m}"] = {
-        "ratio": ratio,
-        "required": THREADED_GATE_RATIO,
-        "passed": True,
-    }
-    artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
-
-
 def _team_runner(analyzed, flow, args, width, use_windows=False):
     """Warm executions with every nest compiled and the ``DO K`` sweep run
     as one native call on a team ``width`` threads wide (None: on the
@@ -306,7 +235,7 @@ def _team_runner(analyzed, flow, args, width, use_windows=False):
     assert sweep.dialect == "native"
     sweep.team = width
     cache = KernelCache(analyzed, flow)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     return partial(
         execute_module, analyzed, args, flowchart=flow, options=options,
         kernel_cache=cache, plan=plan, backend=backend,
@@ -432,7 +361,7 @@ def _auto_runner(analyzed, flow, args, workers):
     scalars = {k: v for k, v in args.items() if isinstance(v, int)}
     plan = build_plan(analyzed, flow, options, scalars, cpu_count=workers)
     cache = KernelCache(analyzed, flow)
-    backend = ExecutionBackend(workers=workers)
+    backend = ExecutionBackend()
     return partial(
         execute_module, analyzed, args, flowchart=flow, options=options,
         kernel_cache=cache, plan=plan, backend=backend,
@@ -497,6 +426,57 @@ def test_hyperplane_team_rows(artifact):
         "required": 1.0,
         "passed": True,
     }
+    artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
+
+
+#: a DOALL whose body is a sequential DO: the doall_team row's program
+REC_SOURCE = """\
+Rec: module (n: int): [Y: array[1 .. n] of int];
+type
+    I = 1 .. n; J = 1 .. n;
+var
+    W: array [1 .. n, 0 .. n] of int;
+define
+    W[I, 0] = 1;
+    W[I, J] = W[I, J-1] + I;
+    Y[I] = W[I, n];
+end Rec;
+"""
+REC_N = 2000
+
+
+def test_doall_team_row(artifact):
+    """``rec`` at n = 2000: ``auto`` at one worker against ``auto`` at two,
+    whose ``DOALL I`` runs on a team of two — bit-equal, times recorded
+    (ungated)."""
+    if not openmp_supported() or (os.cpu_count() or 1) < 2:
+        pytest.skip("team kernels need OpenMP and two cores")
+    analyzed = analyze_module(parse_module(REC_SOURCE))
+    flow = schedule_module(analyzed)
+    args = {"n": REC_N}
+    runs = {w: _auto_runner(analyzed, flow, args, w) for w in (1, 2)}
+    assert any(
+        lp.keyword == "DOALL" and lp.team == 2
+        for lp in runs[2].keywords["plan"].loops.values()
+    ), "rec at two workers planned no DOALL team"
+    times, outs = {}, {}
+    for w, run in runs.items():
+        # one second of warm-up per variant, as in test_team_gate
+        start = time.perf_counter()
+        while time.perf_counter() - start < 1.0:
+            run()
+        times[w], outs[w] = _time(run, repeats=7)
+    assert np.array_equal(outs[1]["Y"], outs[2]["Y"]), (
+        "doall_team row: the team diverged from one thread"
+    )
+    _PAYLOAD["rows"].append({
+        "workload": "rec",
+        "backend": "doall_team",
+        "grid": REC_N,
+        "workers": 2,
+        "native_seconds": times[1],
+        "team_seconds": times[2],
+    })
     artifact("BENCH_native.json", json.dumps(_PAYLOAD, indent=2))
 
 

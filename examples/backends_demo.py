@@ -6,8 +6,8 @@ the execution backends exploit that on real hardware:
 
 * ``serial``     — scalar reference semantics (the correctness baseline);
 * ``vectorized`` — each DOALL dimension becomes one NumPy operation;
-* ``threaded``   — chunked subranges on a thread pool (native and NumPy
-                   kernels release the GIL), one join per wavefront.
+* ``threaded``   — vector spans, or a fused C nest on a team of OpenMP
+                   threads where that is cheaper, its join inside the call.
 
 Equivalent CLI:  repro run relaxation.ps --set M=24 --set maxK=6 \\
                      --backend threaded --workers 4
@@ -73,8 +73,8 @@ def main() -> None:
     print()
     print("-> the 1987 cost model predicts speedup from dividing iterations")
     print("   over processors; the measured column also captures what the")
-    print("   model cannot see — NumPy chunk kernels vs the scalar")
-    print("   interpreter baseline, GIL contention, and pool dispatch.")
+    print("   model cannot see — NumPy spans and compiled nests vs the")
+    print("   scalar interpreter baseline, and what a team costs to start.")
 
     print()
     print("CLI equivalents:")

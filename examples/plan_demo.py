@@ -2,9 +2,9 @@
 
 Compiles the paper's Figure-1 Jacobi Relaxation, prints the cost-driven
 execution plan ``backend="auto"`` produces next to the pinned serial and
-threaded plans, shows who takes the workers on a tall-skinny grid (the
-threaded pin's inner chunks beside ``auto``'s own plan), and finishes with
-a predicted-vs-planned-vs-measured comparison across every backend.
+threaded plans, shows what a tall-skinny grid does with 8 workers (the
+threaded pin beside ``auto``'s own plan), and finishes with a
+predicted-vs-planned-vs-measured comparison across every backend.
 
 Run: ``PYTHONPATH=src python examples/plan_demo.py``
 """
@@ -45,7 +45,7 @@ def main() -> None:
         print(plan.pretty(cycles=True))
 
     print()
-    print("=== Tall-skinny grid (4 x 4096, 8 workers): who takes the workers ===")
+    print("=== Tall-skinny grid (4 x 4096, 8 workers): what the workers get ===")
     scale = analyze_module(parse_module(TALL_SKINNY))
     sflow = schedule_module(scale)
     for backend in ("threaded", "auto"):
@@ -56,10 +56,10 @@ def main() -> None:
         )
         print(plan.pretty())
         print()
-    print("(4 rows cannot keep 8 workers busy: the threaded pin runs the "
-          "outer DOALL in order and chunks the 4096-wide inner one, one "
-          "dispatch wave per row; auto prices that against every other "
-          "strategy per loop)")
+    print("(4 rows cannot keep 8 workers busy: a team divides the root "
+          "DOALL's rows, so at most 4 threads share the nest; the planner "
+          "prices that against the span and the nest on one thread, per "
+          "loop)")
 
     print()
     print("=== Predicted vs planned vs measured ===")

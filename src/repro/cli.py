@@ -6,11 +6,11 @@ schedule   print the flowchart (Figure-6 style) and window analysis
 graph      print the dependency graph (text or Graphviz dot)
 compile    list the C or Python kernels that run, or the flowchart
 transform  run the section-4 hyperplane derivation and print the report
-plan       print the cost-driven execution plan (backend, chunking, and
+plan       print the cost-driven execution plan (backend, strategy, team and
            kernel choice per loop nest)
 run        execute a module (scalars via --set, array inputs random or
            loaded from .npy via --load)
-serve      compile modules once, warm plans/kernels/worker pools, and
+serve      compile modules once, warm plans and kernels, and
            serve run requests over TCP or a unix socket
 client     talk to a running serve daemon (run/plan/describe/stats/...)
 """
@@ -358,7 +358,7 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
                    help="pin the plan to a backend label (default: auto, "
                         "the cost-driven planner's choice)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count for the thread pool and native teams "
+                   help="worker count for native teams "
                         "(default: cpu count)")
     p.add_argument("--no-kernels", action="store_true",
                    help="disable compiled kernels and run everything on "
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="serve on a unix socket instead of TCP")
     p.add_argument("--warm", action="append", metavar="NAME=INT",
-                   help="sizes to pre-plan and prime pools for (repeatable); "
+                   help="sizes to pre-plan and prime for (repeatable); "
                         "kernels warm regardless")
     p.add_argument("--max-inflight", type=int, default=8, metavar="N",
                    help="requests executing at once (default 8)")
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("modules", "list served modules"),
         ("describe", "print a module's parameter/result signature"),
         ("stats", "print session counters and cache statistics"),
-        ("shutdown", "stop the daemon (pools torn down, shm unlinked)"),
+        ("shutdown", "stop the daemon (session closed, shm unlinked)"),
     ]:
         c = csub.add_parser(op, parents=[conn], help=help_text)
         if op == "describe":

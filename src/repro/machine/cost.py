@@ -105,8 +105,6 @@ class MachineModel:
     #: a served plan weighs its spans against the same loops as nests
     #: inside one entry call
     vector_setup: float = 250.0
-    #: submitting + collecting one chunk on the thread pool
-    chunk_dispatch: float = 3500.0
     #: entering one OpenMP parallel region of a team kernel (waking the
     #: pool's threads), once per native call — fitted with ``team_barrier``
     #: from the team rows of BENCH_native.json (≈ 12 µs on a 2-core VM)
@@ -205,18 +203,6 @@ class MachineModel:
         nest against a NumPy span on — is measured on one machine, one
         grid, one run.
 
-        When the payload additionally carries a **threaded** Jacobi row
-        (the threaded-native gate: native chunk kernels dispatched on the
-        thread pool, with ``workers``), ``chunk_dispatch`` is recalibrated
-        too. The serial nest row anchors seconds-per-cycle; the threaded
-        row's wall clock is then modelled as native chunk work (overlapping
-        across ``workers``) plus one dispatch per chunk, approximating the
-        dispatch count as ``maxk * workers`` (one chunked wavefront per
-        sweep). The residual over the compute term, divided by that count,
-        is the measured per-dispatch cost — clamped positive, and left
-        untouched when the residual is noise (measured <= modelled
-        compute).
-
         **Team** rows time the compiled ``DO K`` on one thread
         (``native_seconds``) and on a team of ``workers`` threads
         (``team_seconds``) at two ``maxk`` of one grid. Across them, one
@@ -259,27 +245,6 @@ class MachineModel:
         cycle = row["nest_seconds"] / (
             (row.get("maxk", 8) + 1) * (row["grid"] + 2) ** 2 * nest_per_element
         )
-        threaded = [
-            r
-            for r in bench.get("rows", [])
-            if r["workload"] == "jacobi" and r["backend"] == "threaded"
-            and r.get("native_seconds") and r.get("workers")
-        ]
-        if threaded:
-            trow = max(threaded, key=lambda r: r["grid"])
-            maxk = trow.get("maxk", 8)
-            workers = max(1, int(trow["workers"]))
-            elements = (maxk + 1) * (trow["grid"] + 2) ** 2
-            compute_cycles = (
-                elements * eqc * model.native_element_factor / workers
-            )
-            dispatches = max(1, maxk * workers)
-            residual = trow["native_seconds"] / cycle - compute_cycles
-            if residual > 0:
-                model = replace(
-                    model, chunk_dispatch=max(1.0, residual / dispatches)
-                )
-
         team = [
             r
             for r in bench.get("rows", [])

@@ -14,17 +14,16 @@ Loop strategies
 
 ``LoopPlan.strategy`` names one entry of
 :data:`repro.plan.strategy.LOOP_STRATEGIES` — ``serial`` (the reference
-walk), ``vector`` (one NumPy span), ``nest`` (one compiled kernel, on a
-``DOALL`` or a ``DO`` root) and ``chunk`` (a ``DOALL``'s subrange divided
-among workers).
+walk), ``vector`` (one NumPy span) and ``nest`` (one compiled kernel, on a
+``DOALL`` or a ``DO`` root).
 Each is one object that recognises, prices, emits and executes loops, and
-its docstring is the reference; the plan reads a loop's kernel shape and
-the head of its ``pretty()`` row from it. Every path a plan holds names a
-loop of the flowchart's own tree.
+its docstring is the reference; the plan reads a loop's kernel shape from
+it. Every path a plan holds names a loop of the flowchart's own tree.
 A compiled loop's ``LoopPlan.dialect`` says which text of its kernel runs
 — C (``"native"``) or the exec-compiled Python dialect (``"python"``) —
-and ``LoopPlan.team`` (``team xN``) that a ``DO`` over ``DOALL`` s runs as
-one C call on ``N`` OpenMP threads.
+and ``LoopPlan.team`` (``team xN``) that its nest — a ``DOALL`` root or a
+``DO`` over ``DOALL`` s — runs as one C call on ``N`` OpenMP threads, the
+only way a plan runs iterations concurrently.
 
 Every strategy is bit-exact against the reference evaluator: none
 reassociates floating-point arithmetic. A run of sibling loops over one
@@ -45,24 +44,25 @@ from repro.plan.strategy import LOOP_STRATEGIES
 VALID_STRATEGIES = tuple(LOOP_STRATEGIES)
 
 #: every label ``ExecutionPlan.backend`` may carry. Each plan runs on the
-#: one engine (:class:`repro.runtime.backends.ExecutionBackend`), and only
-#: a ``threaded`` plan sends wavefronts to the engine's thread pool. A
-#: pinned label decides which strategies the planner offers a ``DOALL``
+#: one engine (:class:`repro.runtime.backends.ExecutionBackend`). A pinned
+#: label decides which strategies the planner offers a ``DOALL``
 #: (``_Planner._pin_refusal``); an ``auto`` plan offers every strategy per
-#: loop and takes its label from the loops it planned.
+#: loop and takes its label from the loops it planned (never
+#: ``threaded``).
 KNOWN_BACKENDS = ("serial", "vectorized", "threaded")
 
 #: the names per-strategy loop counts are kept under: the valid ones plus
 #: the retired ``collapse`` (a perfect chain's flattened space divided
-#: among workers; ``chunk`` does that job), ``iterate`` (folded into
-#: ``serial``), decoupled ``pipeline``, blocked ``scan`` and
-#: dependence-split ``fission``, which no plan carries and every entry
-#: point refuses. The end-to-end benchmark still declares
+#: among workers), ``iterate`` (folded into ``serial``), decoupled
+#: ``pipeline``, blocked ``scan``, dependence-split ``fission`` and
+#: ``chunk`` (a ``DOALL``'s subrange divided among a Python thread pool;
+#: a team of the ``nest`` kernel does that job), which no plan carries and
+#: every entry point refuses. The end-to-end benchmark still declares
 #: ``plan.loops.<name>`` counts for them (always 0) and reads them from
 #: this tuple; the retired names leave here when those rows leave the
 #: benchmark.
 STRATEGIES = (
-    *VALID_STRATEGIES, "collapse", "iterate", "pipeline", "scan", "fission",
+    *VALID_STRATEGIES, "collapse", "iterate", "pipeline", "scan", "fission", "chunk",
 )
 
 #: valid EquationPlan.kernel values — "native" marks an equation whose
@@ -103,8 +103,6 @@ class LoopPlan:
     index: str
     keyword: str  # "DO" | "DOALL"
     strategy: str
-    #: chunk count (``chunk``)
-    parts: int | None = None
     #: trip count the planner saw (None: bounds not statically evaluable)
     trip: int | None = None
     #: whether this nest is fused into one compiled kernel
@@ -114,14 +112,15 @@ class LoopPlan:
     #: one-line rationale for the choice
     reason: str = ""
     #: which dialect of its nest kernel a kernel-dispatching loop runs
-    #: (``nest`` / ``chunk`` roots):
+    #: (``nest`` roots):
     #: ``"native"`` — C, built before the plan's first run, degrading to
     #: the Python dialect and then the walk when the toolchain fails — or
     #: ``"python"`` — the exec-compiled kernels only; no compiler is
     #: started for this loop. ``None``: the loop dispatches no kernel.
     dialect: str | None = None
     #: how many threads the loop's C kernel runs on (a ``nest`` over a
-    #: ``DO`` that holds ``DOALL`` s); ``None``: the caller's thread alone
+    #: ``DOALL`` or a ``DO`` that holds ``DOALL`` s); ``None``: the
+    #: caller's thread alone
     team: int | None = None
 
     def kernel_shape(self) -> str | None:
@@ -133,7 +132,7 @@ class LoopPlan:
         return LOOP_STRATEGIES[self.strategy].shape
 
     def annotation(self) -> str:
-        bits = LOOP_STRATEGIES[self.strategy].annotate(self)
+        bits = [self.strategy]
         if self.trip is not None:
             bits.append(f"trip {self.trip}")
         if self.reason:
@@ -376,6 +375,10 @@ class ExecutionPlan:
                 row += "; forced"
             if note["tie"]:
                 row += f"; tie: {note['tie']}"
+            row += "".join(
+                f"; {v.note}" for v in verdicts.values()
+                if not isinstance(v, str) and v.note
+            )
             lines.append(row + "".join(
                 f"; {name} refused ({v})"
                 for name, v in verdicts.items() if isinstance(v, str)

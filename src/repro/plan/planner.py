@@ -11,14 +11,14 @@ entry, exactly once per (module, options, scalar bindings):
   ``backend="auto"`` every strategy is on offer (:data:`AUTO_TIE` settles
   a ``DOALL``'s near-ties); a label pins the plan to the strategies it
   offers a ``DOALL`` (``_Planner._pin_refusal``, the one label rule). So a
-  ``DO`` compiles in order (``nest``) when that beats the walk, a
-  ``DOALL`` takes a vector span, a fused nest or worker chunks, and a
-  low-trip ``DOALL`` hands the workers to the ``DOALL`` inside it. Every
-  plan names loops of the flowchart's own tree;
+  ``DO`` compiles in order (``nest``) when that beats the walk, and a
+  ``DOALL`` takes a vector span or a fused nest — either nest on a team of
+  OpenMP threads where that is cheaper than one thread. Every plan names
+  loops of the flowchart's own tree;
 * which kernel variant each equation uses (scalar, vector, fused nest, or
   the reference evaluator for non-kernelizable equations).
 
-Safety verdicts (chunk-safety, vector-safety, nest fusability) come from
+Safety verdicts (team-safety, vector-safety, nest fusability) come from
 the flowchart annotations and the kernel emitter's static checks; the plan
 only ever narrows execution strategy, never semantics — any plan must stay
 bit-exact against the serial reference evaluator.
@@ -48,8 +48,6 @@ from repro.plan.strategy import (
     SERIAL,
     VECTOR,
     Price,
-    _idle_team,
-    _pool_refusal,
 )
 from repro.ps.coverage import definition_boxes
 from repro.ps.symbols import SymbolKind
@@ -211,10 +209,10 @@ def forced_plan(
 ) -> ExecutionPlan:
     """A hand-forced plan: every loop met on the walk takes ``default``
     (when given), individual loops take ``overrides[path]``. A strategy
-    that refuses a loop it is pinned to by path — ``chunk`` on a
-    chunk-unsafe loop, ``nest`` on an unfusable one, any ``DOALL``-only
-    strategy on a ``DO`` — raises :class:`PlanError` naming the loop and
-    the refusal, rather than risking semantics or dropping the pin. A loop
+    that refuses a loop it is pinned to by path — ``nest`` on an unfusable
+    loop, any ``DOALL``-only strategy on a ``DO`` — raises
+    :class:`PlanError` naming the loop and the refusal, rather than
+    risking semantics or dropping the pin. A loop
     that refuses the ``default`` stays on the walk (``serial``), so the
     forced loops inside it are the ones that run — a ``DO`` under a
     ``DOALL``-only default, say. ``backend`` is a label as in
@@ -291,9 +289,6 @@ class _Planner:
         self.flowchart = flowchart
         #: ``auto`` or the pinned label — read here, never by a strategy
         self.backend = backend
-        #: whether the plan has a worker pool — the one plan property the
-        #: strategies read
-        self.pool = backend in ("threaded", "auto")
         self.workers = workers
         self.parallelism = parallelism
         self.scalar_env = scalar_env
@@ -396,33 +391,20 @@ class _Planner:
             return "vector"
         return "gather"
 
-    def _eq_vector_costs(self, eq, span: float) -> tuple[float, float]:
-        """(GIL-releasing, GIL-bound) cycles for one span of ``eq`` on the
-        vector path. NumPy spans release the GIL; the per-element scalar
-        fallback (vector-unsafe or non-kernelizable equations) holds it —
-        the distinction the chunk-cost model needs to price the threaded
-        backend honestly."""
-        mode = self._eq_mode(eq, "vector")
+    def _eq_cost(self, eq, ctx: str, span: float) -> float:
+        mode = self._eq_mode(eq, ctx)
         m = self.model
         if mode == "vector":
-            per_el = m.element_cost(eq, self._vector_mode(eq))
-            return (m.vector_setup + span * per_el, 0.0)
-        if mode == "evaluator" and equation_vector_safe(eq):
+            return m.vector_setup + span * m.element_cost(eq, self._vector_mode(eq))
+        if ctx == "vector" and mode == "evaluator" and equation_vector_safe(eq):
             # vector-safe but non-kernelizable: the vector *evaluator* runs
             # it — one tree walk per span, NumPy per element
             return (
                 4 * m.vector_setup
-                + 2 * span * m.element_cost(eq, self._vector_mode(eq)),
-                0.0,
+                + 2 * span * m.element_cost(eq, self._vector_mode(eq))
             )
-        # per-element scalar fallback inside the span
-        return (0.0, span * m.element_cost(eq, mode))
-
-    def _eq_cost(self, eq, ctx: str, span: float) -> float:
-        if ctx == "vector":
-            released, bound = self._eq_vector_costs(eq, span)
-            return released + bound
-        return span * self.model.element_cost(eq, self._eq_mode(eq, ctx))
+        # inside a span, the per-element scalar fallback
+        return span * m.element_cost(eq, mode)
 
     def _cost(self, desc, ctx: str, span: float) -> float:
         """Cycles to execute ``desc`` once in context ``ctx`` with ``span``
@@ -433,11 +415,15 @@ class _Planner:
             return self._eq_cost(desc.node.equation, ctx, span)
         assert isinstance(desc, LoopDescriptor)
         t = self._trip_est(desc)
-        if ctx in ("nest", "native"):
+        if ctx in ("nest", "native") or (ctx == "vector" and desc.parallel):
+            # a DOALL inside a span broadcasts
             return sum(self._cost(d, ctx, span * t) for d in desc.body)
         if ctx == "vector":
-            released, bound = self._vector_costs(desc, span)
-            return released + bound
+            # a DO inside a span keeps its own loop
+            return t * (
+                self.model.loop_overhead
+                + sum(self._cost(d, ctx, span) for d in desc.body)
+            )
         # ctx == "walk"
         return self._decide(desc).price.cycles
 
@@ -456,23 +442,6 @@ class _Planner:
             self.model.loop_overhead
             + sum(self._cost_interpreted(d) for d in desc.body)
         )
-
-    def _vector_costs(self, desc, span: float) -> tuple[float, float]:
-        """(GIL-releasing, GIL-bound) cycles to run ``desc`` once inside a
-        vector span of ``span`` elements per lane."""
-        if isinstance(desc, NodeDescriptor):
-            if not desc.node.is_equation:
-                return (0.0, 0.0)
-            return self._eq_vector_costs(desc.node.equation, span)
-        assert isinstance(desc, LoopDescriptor)
-        t = self._trip_est(desc)
-        if desc.parallel:
-            pairs = [self._vector_costs(d, span * t) for d in desc.body]
-            return (sum(r for r, _ in pairs), sum(b for _, b in pairs))
-        pairs = [self._vector_costs(d, span) for d in desc.body]
-        released = t * sum(r for r, _ in pairs)
-        bound = t * (self.model.loop_overhead + sum(b for _, b in pairs))
-        return (released, bound)
 
     # -- strategy choice ---------------------------------------------------
 
@@ -516,23 +485,17 @@ class _Planner:
         """The one label rule: why the pinned label does not offer
         ``strategy`` for an unforced ``DOALL`` (None: it does). ``serial``
         offers the walk and the fused nest, ``vectorized`` the vector span,
-        ``threaded`` the worker chunks where the workers can divide the
-        loop and the vector span where they cannot (the walk only under the
-        utilization rule, the nest never); ``auto`` offers everything, and
-        a ``DO`` chooses between the walk and the nest under any label."""
+        ``threaded`` the vector span and the fused nest (on a team where
+        that is cheaper); ``auto`` offers everything, and a ``DO`` chooses
+        between the walk and the nest under any label."""
         if self.backend == "auto" or not desc.parallel:
             return None
-        if self.backend == "serial":
-            offered = strategy in (SERIAL, NEST)
-        elif self.backend == "vectorized":
-            offered = strategy is VECTOR
-        elif strategy is SERIAL:
-            offered = _idle_team(self, desc) is not None
-        elif strategy is VECTOR:
-            offered = _pool_refusal(self, desc) is not None
-        else:
-            offered = strategy is not NEST
-        return None if offered else f"the {self.backend} pin does not offer it"
+        offered = {
+            "serial": (SERIAL, NEST),
+            "vectorized": (VECTOR,),
+            "threaded": (VECTOR, NEST),
+        }[self.backend]
+        return None if strategy in offered else f"the {self.backend} pin does not offer it"
 
     def _decide(self, desc: LoopDescriptor) -> Choice:
         """How a loop met on the walk runs: one walk over
@@ -819,18 +782,14 @@ class _Planner:
 
     def finish(self, module: str) -> ExecutionPlan:
         """The plan of the walk. An ``auto`` plan's label follows from its
-        loops: ``threaded`` when one divides among workers, else
-        ``vectorized`` when one runs a vector span, else ``serial``."""
+        loops: ``vectorized`` when one runs a vector span, else
+        ``serial``."""
         storage = self._storage()
         backend = self.backend
         if backend == "auto":
-            loops = self.loops.values()
-            if any((lp.parts or 0) > 1 for lp in loops):
-                backend = "threaded"
-            elif any(lp.strategy == VECTOR.name for lp in loops):
+            backend = "serial"
+            if any(lp.strategy == VECTOR.name for lp in self.loops.values()):
                 backend = "vectorized"
-            else:
-                backend = "serial"
         plan = ExecutionPlan(
             module=module,
             backend=backend,

@@ -1,31 +1,23 @@
-"""The one execution engine: the flowchart walk and the DOALL pool.
+"""The one execution engine: the flowchart walk.
 
 :class:`ExecutionBackend` *executes* a scheduled flowchart according to an
 :class:`~repro.plan.ir.ExecutionPlan`: equation evaluation, lazy target
-allocation, vector spans, the reference walk of a loop, and one dispatch —
+allocation, vector spans, the reference walk of a loop and kernel calls —
 every planned loop runs through ``LOOP_STRATEGIES[plan.strategy].execute``
 (:mod:`repro.plan.strategy`), which calls back into the walk's primitives
-here. No decision is re-derived from the flowchart: chunking, safety and
+here. No decision is re-derived from the flowchart: safety, teams and
 kernels live in the plan, built once per execution by
 :mod:`repro.plan.planner`, and every :class:`ExecutionState` carries its
 plan.
 
 ``plan.backend`` is the planner's label, not a class: ``serial``,
 ``vectorized`` and ``threaded`` plans all run on this one engine, and the
-label decides the strategies a loop could take. The ``chunk`` strategy
-hands :meth:`ExecutionBackend.dispatch` a wavefront of chunks, each one call
-of :meth:`~repro.plan.strategy.ChunkStrategy.run_chunk` on the loop's own
-kernel. Under a ``threaded`` plan the wavefront goes to the
-engine's thread pool — created on first use, ``workers`` threads named
-``repro-doall`` — where a chunk runs its C kernel (cffi's ABI mode releases
-the GIL around the call, so chunks overlap on a GIL build) or the
-vectorised NumPy path (NumPy releases the GIL too, but the Python
-bookkeeping between kernels serialises unless the interpreter is a no-GIL
-build). Under any other plan — a ``chunk`` forced onto a ``serial`` plan, a
-callee's plan inside a worker chunk — the chunks run inline, so only a
-``threaded`` plan ever starts a pool thread. Every pooled wavefront ends in
-one join: all chunks finish before the first failure is re-raised, so a
-failed run leaves nothing of its own on a session's persistent pool.
+label decides the strategies a loop could take. The engine starts no
+thread of its own: the walk runs on the caller's thread, and the only
+concurrency is a team kernel's OpenMP region (``LoopPlan.team``), entered
+from that thread and joined inside the one C call — so a failed team
+call, like any other kernel call, has nothing left running when it
+raises.
 
 Equation evaluation dispatches through the compiled-kernel cache when one
 is attached to the state (see :mod:`repro.runtime.kernels`); the
@@ -34,12 +26,10 @@ tree-walking evaluator remains the fallback.
 
 from __future__ import annotations
 
-import os
-import sys
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -69,9 +59,6 @@ from repro.schedule.flowchart import (
     equation_vector_safe,
 )
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
 
 @dataclass
 class ExecutionState:
@@ -100,36 +87,9 @@ class ExecutionState:
             if isinstance(v, (int, np.integer))
         }
 
-    def fork(self) -> ExecutionState:
-        """A shallow copy with private eval counts, for one worker chunk.
-        The data environment stays shared: a thread-pool chunk sees the
-        parent's dict itself, and only *writes* array elements, which
-        chunk-safety guarantees are disjoint."""
-        return ExecutionState(
-            self.analyzed,
-            self.flowchart,
-            self.options,
-            self.data,
-            self.evaluator,
-            self.plan,
-            program=self.program,
-            eval_counts={},
-            kernels=self.kernels,
-            recipe=self.recipe,
-        )
-
     def merge_counts(self, counts: dict[str, int]) -> None:
         for label, n in counts.items():
             self.eval_counts[label] = self.eval_counts.get(label, 0) + n
-
-
-def free_threading_active() -> bool:
-    """True when this interpreter is actually running without a GIL (a
-    free-threaded CPython build with the GIL not re-enabled at runtime)."""
-    try:
-        return not sys._is_gil_enabled()
-    except AttributeError:  # < 3.13: always GIL-ful
-        return False
 
 
 @dataclass(frozen=True)
@@ -167,11 +127,9 @@ RUN_COUNTERS = (
 
 
 class ExecutionBackend:
-    """The engine: the flowchart walk, and a thread pool for the
-    wavefronts of ``threaded`` plans."""
+    """The engine: the flowchart walk."""
 
-    def __init__(self, workers: int | None = None):
-        self.workers = max(1, workers if workers is not None else os.cpu_count() or 1)
+    def __init__(self):
         # Imported here: the plan layer imports the runtime.
         from repro.plan.strategy import LOOP_STRATEGIES
 
@@ -184,10 +142,6 @@ class ExecutionBackend:
         self._counters_lock = threading.Lock()
         #: where the big arrays of a plan's second and later runs come from
         self.store = BufferStore()
-        self._pool: ThreadPoolExecutor | None = None
-        # A session-owned engine may serve overlapping runs from several
-        # request threads; pool creation must happen exactly once.
-        self._pool_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -259,18 +213,15 @@ class ExecutionBackend:
 
     def end_run(self) -> None:
         """Release *per-run* resources (idle recycled buffers beyond what
-        the next run needs) while keeping long-lived ones — the thread pool,
-        warmed caches — for the next run. Called after results are exported when
+        the next run needs) while keeping long-lived ones — warmed caches —
+        for the next run. Called after results are exported when
         the backend's lifetime outlives one execution (a
         :class:`~repro.serve.session.Session` owns such backends);
         :meth:`close` implies it."""
         self.store.trim()
 
     def close(self) -> None:
-        """Release the pool and buffers. Called after results are read."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release the buffers. Called after results are read."""
         self.end_run()
 
     # -- storage hooks -----------------------------------------------------
@@ -360,8 +311,7 @@ class ExecutionBackend:
         env: dict[str, Any],
         vector_names: list[str],
     ) -> None:
-        """Run one contiguous subrange of a DOALL as a vector operation.
-        A ``chunk`` strategy's chunk without a kernel runs this too."""
+        """Run one contiguous subrange of a DOALL as a vector operation."""
         env2 = dict(env)
         for vn in vector_names:
             env2[vn] = np.asarray(env2[vn])[..., None]
@@ -398,15 +348,14 @@ class ExecutionBackend:
 
     def _run_loop_kernel(
         self, state: ExecutionState, desc: LoopDescriptor, shape: str,
-        env: dict[str, Any], lo: int, hi: int, numpy: bool = True,
+        env: dict[str, Any], lo: int, hi: int,
     ) -> bool:
         """Run ``[lo, hi]`` of ``desc`` on its compiled kernel of
-        ``shape`` — the native (C) tier first, then (unless ``numpy`` is
-        False) the NumPy tier; False when there is none and the caller must
-        walk the range itself. The loop's plan says which dialect it was
-        priced on: a ``"python"`` loop starts no native build (it runs a
-        native kernel only if one is already loaded). A ``"team"`` kernel
-        runs as wide as the plan
+        ``shape`` — the native (C) tier first, then the NumPy tier; False
+        when there is none and the caller must walk the range itself. The
+        loop's plan says which dialect it was priced on: a ``"python"`` loop
+        starts no native build (it runs a native kernel only if one is
+        already loaded). A ``"team"`` kernel runs as wide as the plan
         says, narrowed by :func:`~repro.runtime.kernels.native.team_width`
         (a server's cap, a forked process) — the one place a width is
         decided, and counted."""
@@ -417,7 +366,6 @@ class ExecutionBackend:
             desc, state.options.use_windows, variant=shape,
             tier=state.options.kernel_tier,
             build_native=plan is None or plan.dialect != "python",
-            numpy=numpy,
         )
         if kernel is None:
             return False
@@ -438,7 +386,7 @@ class ExecutionBackend:
         env: dict[str, Any], lo: int, hi: int,
     ) -> None:
         """A native kernel's entry range proof failed — it stored nothing:
-        this call — this chunk, not its siblings — runs again on code that
+        this call runs again on code that
         checks every subscript per element, which is where the evaluator's
         out-of-range error is raised, in iteration order. ``"full"`` and
         ``"team"`` (whose proof returned before its region) alike degrade
@@ -458,9 +406,7 @@ class ExecutionBackend:
         """The reference walk over ``[lo, hi]`` of ``desc``'s subrange:
         its body element by element, checking every subscript and, under
         ``debug_windows``, every window tag. The walk is *strictly serial*
-        and never consults loop plans: it may be running inside a pool
-        worker, where a body ``DOALL`` re-entering chunk dispatch would wait
-        on the very pool executing it."""
+        and never consults loop plans."""
         for i in range(lo, hi + 1):
             env2 = dict(env)
             env2[desc.index] = i
@@ -484,64 +430,6 @@ class ExecutionBackend:
             return True
         shape = state.plan.loop_for(desc).kernel_shape()
         return self._run_loop_kernel(state, desc, shape, env, lo, hi)
-
-    def dispatch(
-        self,
-        state: ExecutionState,
-        desc: LoopDescriptor,
-        strategy,
-        spans: list[tuple[int, int]],
-        env: dict[str, Any],
-        fuse: bool,
-    ) -> None:
-        """Run one wavefront's chunks — ``[lo, hi]`` each, through
-        ``strategy`` (:class:`repro.plan.strategy.ChunkStrategy`), on the
-        loop's kernel unless ``fuse`` is False — and return when all of
-        them have. A ``threaded`` plan sends them to the pool, each on a
-        private substate whose eval counts are merged after the join; any
-        other plan runs them inline, correct but not concurrent."""
-        if state.plan.backend != "threaded":
-            for lo, hi in spans:
-                strategy.run_chunk(self, state, desc, lo, hi, env, fuse)
-            return
-        pool = self._ensure_pool()
-        substates = [state.fork() for _ in spans]
-        self._join([
-            pool.submit(strategy.run_chunk, self, sub, desc, lo, hi, env, fuse)
-            for sub, (lo, hi) in zip(substates, spans)
-        ])
-        for sub in substates:
-            state.merge_counts(sub.eval_counts)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            # imported here: only a ``threaded`` plan's waves use the pool
-            from concurrent.futures import ThreadPoolExecutor
-
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-doall",
-                    )
-        return self._pool
-
-    @staticmethod
-    def _join(futures) -> None:
-        """Wait for *every* future, then re-raise the first failure — the
-        one failure protocol of the pool. Raising at the first failed
-        future would leave its siblings running on the persistent pool,
-        where the next request's waves queue behind a dead run's work (a
-        failed run's partial writes are overwritten on re-run)."""
-        first: BaseException | None = None
-        for f in futures:
-            try:
-                f.result()
-            except BaseException as exc:
-                if first is None:
-                    first = exc
-        if first is not None:
-            raise first
 
     def _exec_descriptor_strictly_serial(
         self, state: ExecutionState, desc: Descriptor, env: dict[str, Any]
@@ -654,8 +542,8 @@ class ExecutionBackend:
         state.eval_counts[eq.label] = state.eval_counts.get(eq.label, 0) + 1
 
     def ensure_nest_targets(self, state: ExecutionState, desc: LoopDescriptor) -> bool:
-        """Allocate the targets of the nest ``desc`` before a kernel or a
-        wavefront stores into them (at once True when all of them exist);
+        """Allocate the targets of the nest ``desc`` before a kernel stores
+        into them (at once True when all of them exist);
         False, allocating nothing, when the nest stores nothing — a loop on
         the way to each of its equations has an empty range, so the walk
         would not reach one either."""

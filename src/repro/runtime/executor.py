@@ -4,19 +4,18 @@ The interpreter walks the flowchart exactly as the generated procedural
 program would: a ``DO`` loop runs its subrange low-to-high sequentially; a
 ``DOALL`` loop is semantically unordered and runs as its plan says, on the
 one execution engine (:class:`repro.runtime.backends.ExecutionBackend`):
-the reference walk, one compiled nest kernel, the whole subrange as one
+the reference walk, one compiled nest kernel — on the caller's thread, or
+as one C call on a team of OpenMP threads — or the whole subrange as one
 NumPy operation (an inner ``DO`` nested under a vectorised ``DOALL`` keeps
-its own scalar loop), or chunked subranges on the engine's thread pool,
-native and NumPy kernels releasing the GIL (on a no-GIL build the
-Python-level chunk work overlaps too). The planner chooses per loop.
+its own scalar loop). The planner chooses per loop.
 
 A call of a loop-free scalar module was inlined by the front end
 (:func:`repro.ps.semantics.inline_body`) and runs wherever its caller's
 equation does; any other module call runs the callee through this module
-per call, on a one-worker plan: no worker pool and no team.
+per call, on a one-worker plan: no team.
 
-Every parallel wavefront ends in one join: all of its chunks finish (or
-fail) before the next descriptor runs, and the first failure is re-raised.
+A team's region ends inside its one C call: every thread finishes before
+the next descriptor runs, and the call reports a failure only after that.
 
 Options:
 
@@ -64,9 +63,10 @@ class ExecutionOptions:
     #: backend label: "auto", "serial", "vectorized" or "threaded" —
     #: "auto" asks the cost-driven planner to choose per loop; a label pins
     #: the plan to what it offers a DOALL (``serial``: the walk or a fused
-    #: nest, ``vectorized``: vector spans, ``threaded``: worker chunks)
+    #: nest, ``vectorized``: vector spans, ``threaded``: vector spans or a
+    #: fused nest)
     backend: str = "auto"
-    #: worker count for the thread pool and native teams (None:
+    #: worker count for native teams (None:
     #: os.cpu_count()); anything but None or a positive int is refused
     #: when the plan is built
     workers: int | None = None
@@ -85,8 +85,8 @@ class ExecutionOptions:
     #: normally — unlike :func:`repro.plan.planner.forced_plan`, an
     #: inapplicable preference degrades instead of raising. One of
     #: :data:`repro.plan.ir.VALID_STRATEGIES`; any other name, the retired
-    #: ``collapse``, ``iterate``, ``pipeline``, ``scan`` and ``fission``
-    #: included, is refused when the plan is built.
+    #: ``collapse``, ``iterate``, ``pipeline``, ``scan``, ``fission`` and
+    #: ``chunk`` included, is refused when the plan is built.
     strategy: str | None = None
 
     @classmethod
@@ -161,7 +161,7 @@ def execute_module(
 
     ``backend`` supplies an :class:`~repro.runtime.backends.ExecutionBackend`
     whose lifetime the *caller* owns (a :class:`~repro.serve.session.Session`
-    keeps its thread pool and recycled buffers alive across runs this way):
+    keeps its recycled buffers alive across runs this way):
     only per-run resources are released afterwards (``backend.end_run()``),
     and ``backend.close()`` is never called here. Without it an engine with
     the plan's worker count runs the plan and is fully closed.
@@ -199,7 +199,7 @@ def execute_module(
 
     owned = backend is None
     if owned:
-        backend = ExecutionBackend(workers=plan.workers)
+        backend = ExecutionBackend()
 
     try:
         kernels: KernelCache | None = None
@@ -318,9 +318,8 @@ def _call_module(
         )
     callee = program[name]
     call_args = dict(zip(callee.param_names, cargs))
-    # Callees plan for one worker — no pool chunks, no team: parallelism
-    # belongs to the outermost module (nested pools inside worker chunks
-    # would oversubscribe them).
+    # Callees plan for one worker — no team: parallelism belongs to the
+    # outermost module (a team inside a team would oversubscribe it).
     callee_options = replace(options, workers=1)
     flowchart, kernel_cache = _callee_runtime(program, name)
     scalar_env = {

@@ -11,11 +11,10 @@ vectors, C) and *team* (one thread, or a team of OpenMP threads):
 
 * ``"full"`` — root subrange x whole body: what the ``nest`` strategy runs
   over a ``DOALL`` or a ``DO`` root alike (the body runs in iteration order
-  either way; the old ``"seq"`` variant was this shape over a ``DO``), and
-  what one ``chunk`` of a ``DOALL`` runs over its part of the subrange;
-* ``"team"`` — ``"full"`` over a ``DO`` root on a team of OpenMP threads,
-  its ``DOALL`` s divided among them: the compiled ``DO`` that owns its
-  threads, C only;
+  either way; the old ``"seq"`` variant was this shape over a ``DO``);
+* ``"team"`` — ``"full"`` on a team of OpenMP threads: a ``DOALL`` root
+  divided among them, or a ``DO`` root whose ``DOALL`` s are — the
+  compiled nest that owns its threads, C only;
 * a per-equation kernel — one equation with no loops left, in the scalar
   and the vector Python dialects; the general walk calls these per element
   or per vector span;

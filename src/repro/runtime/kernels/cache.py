@@ -13,9 +13,8 @@ Loop kernels come in **tiers** and every public lookup goes through
 :meth:`KernelCache._lookup`: the cffi-compiled *native* kernel when the
 requested tier is ``"native"``, the nest lowers to bit-exact C and this
 machine has a C compiler (see :mod:`repro.runtime.kernels.native`); the
-exec-compiled NumPy kernel otherwise (unless the caller asks for the C
-kernel alone); ``None`` — the caller walks the loop — when neither
-applies. A ``None`` is memoized like any other
+exec-compiled NumPy kernel otherwise; ``None`` — the caller walks the
+loop — when neither applies. A ``None`` is memoized like any other
 answer (:meth:`KernelCache._memo`), so a refusal or a broken toolchain is
 paid for once. Native kernels are built in batches
 (:meth:`KernelCache.prepare`): the kernels a plan will dispatch before its
@@ -136,14 +135,14 @@ class KernelCache:
 
     def _lookup(
         self, desc: LoopDescriptor, use_windows: bool, shape: str, tier: str,
-        build_native: bool = True, numpy: bool = True,
+        build_native: bool = True,
     ):
         """The kernel of ``shape`` for the loop ``desc``, highest tier
         first: native -> NumPy -> ``None`` (the caller walks the loop on
         per-equation kernels or the evaluator). ``build_native=False``
         still serves a native kernel some earlier batch built, but starts
         no build for this one: the plan priced the loop as not worth a
-        compiler run. ``numpy=False`` stops after the native tier."""
+        compiler run."""
         path = self.flowchart.path_of(desc)
         if path is None:
             return None
@@ -157,8 +156,6 @@ class KernelCache:
         if shape == "team":
             # the same loop on one thread: the C kernel, then Python
             return self._lookup(desc, use_windows, "full", tier, build_native)
-        if not numpy:
-            return None
         if key not in self._nests:
             self._memo(self._nests, [key], False, self._build_numpy)
         return self._nests[key]
@@ -267,29 +264,25 @@ class KernelCache:
         variant: str = "full",
         tier: str = "native",
         build_native: bool = True,
-        numpy: bool = True,
     ) -> Callable | None:
         """The kernel for a whole nest — ``kernel(data, env, lo, hi) ->
         {label: count}`` — or None when the nest cannot be lowered (the
         caller then walks it descriptor by descriptor). ``variant`` is a
         shape of :mod:`repro.runtime.kernels.nest`: ``"full"`` runs a root
-        subrange (of a ``DOALL`` — the whole of it or one chunk — or in
-        order of a ``DO``), ``"team"`` a ``DO``'s subrange on a team of
-        threads (its ``"full"`` kernel where no team kernel builds — the
-        callable's ``__team__`` says which came back).
+        subrange (of a ``DOALL``, or in order of a ``DO``), ``"team"`` the
+        same subrange on a team of threads (its ``"full"`` kernel where no
+        team kernel builds — the callable's ``__team__`` says which came
+        back).
 
         ``tier="native"`` (the default lookup order) serves the
         cffi-compiled C kernel when one compiles on this machine, degrading
-        to the NumPy kernel otherwise — unless ``numpy=False``: a chunk
-        would rather run NumPy vector spans than the Python dialect's
-        scalar loops; ``tier="numpy"`` skips the native tier outright;
+        to the NumPy kernel otherwise; ``tier="numpy"`` skips the native
+        tier outright;
         ``build_native=False`` (a loop the plan put on the Python dialect)
         takes a native kernel only when it is already built."""
         if variant not in NEST_SHAPES:
             raise KernelError(f"unknown nest-kernel variant {variant!r}")
-        return self._lookup(
-            desc, use_windows, variant, tier, build_native, numpy
-        )
+        return self._lookup(desc, use_windows, variant, tier, build_native)
 
     def warm(self, use_windows: bool, tier: str = "native") -> None:
         """Compile every equation's kernels and every *reachable* loop
@@ -297,9 +290,9 @@ class KernelCache:
         latency never pays an in-flight cc compile. Reachable is every
         loop of the tree, not just the outermost ones (when an enclosing
         loop plans ``serial`` the scalar walk meets the inner loops
-        directly), each in shape ``"full"``: a ``DOALL``'s nest or chunk
-        kernel, a ``DO``'s compiled in-order nest. A ``DO``'s ``"team"``
-        kernel is left to the plan that takes it: only a plan at a
+        directly), each in shape ``"full"``: a ``DOALL``'s nest kernel, a
+        ``DO``'s compiled in-order nest. A ``"team"`` kernel is left to
+        the plan that takes it: only a plan at a
         parallelism above one builds it. The native kernels of the warm
         set are one :meth:`prepare` batch."""
         for eq in self.analyzed.equations:

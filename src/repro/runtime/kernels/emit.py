@@ -426,7 +426,7 @@ class _PyKernel:
     ``kernel(data, env, lo, hi) -> {label: count}`` that binds those loop
     indices itself and reads only the *enclosing* ones from ``env``.
 
-    A nest kernel pays one prologue hoist and one call per *chunk* where
+    A nest kernel pays one prologue hoist and one call per *subrange* where
     the per-equation scalar kernel pays them per element. Semantics are
     identical to the serial walk: descriptors execute in order inside each
     iteration, subranges ascend, and every element store goes through the
@@ -547,8 +547,8 @@ def emit_nest_kernel_source(
     use_windows: bool,
 ) -> tuple[str, set[str]]:
     """Emit one kernel for the whole nest in the scalar dialect, over the
-    root subrange ``[lo, hi]`` (chunkable by the caller on the root index;
-    in-order blocks when the root is a ``DO``); ``(source,
+    root subrange ``[lo, hi]`` (in-order blocks when the root is a
+    ``DO``); ``(source,
     builtins_used)``."""
     return lower_nest(
         lambda: _PyKernel(

@@ -44,14 +44,18 @@ where the evaluator's out-of-range error comes from. Every other subscript
 keeps a compare-and-return per element, reporting through the error
 channel.
 
-A ``DO`` over ``DOALL`` s may also be printed as a **team** kernel (shape
-``"team"``): one ``#pragma omp parallel`` around the ``DO``, whose width
-is the function's last argument, ``omp for schedule(static)`` on the
-outermost ``DOALL`` of each body unit and ``omp single`` around the rest;
-the implicit barrier of each construct is the wavefront join. Only a kernel
+A ``DOALL`` root, or a ``DO`` over ``DOALL`` s, may also be printed as a
+**team** kernel (shape ``"team"``): one ``#pragma omp parallel`` around
+the root, whose width is the function's last argument. A ``DOALL`` root is
+one ``omp for schedule(static)`` over the root subrange; a ``DO`` root is
+walked by every thread, with ``omp for schedule(static)`` on the outermost
+``DOALL`` of each body unit and ``omp single`` around the rest. The
+implicit barrier of each construct is the wavefront join — the only one a
+plan has: no loop runs on a thread pool outside a C call. Only a kernel
 with no exit inside the region takes a team — every subscript proven at
 entry, no ``div`` / ``mod`` guard — so a failed proof still returns before
-the region and the first store. Team units are the only ones compiled with
+the region and the first store; and only a ``DOALL`` root whose iterations
+are chunk-safe (:func:`native_spec` refuses the rest). Team units are the only ones compiled with
 ``-fopenmp`` (when :func:`openmp_supported`). Every unit is loaded never to
 be unloaded: libgomp's pool threads outlive the interpreter's teardown.
 :func:`team_width` says how wide a call really runs.
@@ -124,7 +128,12 @@ from repro.runtime.kernels.segments import (
     merge_leaves,
     plan_segments,
 )
-from repro.schedule.flowchart import Flowchart, LoopDescriptor, NodeDescriptor
+from repro.schedule.flowchart import (
+    Flowchart,
+    LoopDescriptor,
+    NodeDescriptor,
+    loop_chunk_safe,
+)
 
 # ---------------------------------------------------------------------------
 # Toolchain discovery and the on-disk artifact cache
@@ -1169,9 +1178,9 @@ def native_spec(
 ) -> NativeKernelSpec:
     """Lower the nest rooted at ``desc`` to C in ``shape``: ``"full"`` (the
     root subrange ``[nlo, nhi]``, inner loops at their declared bounds;
-    in-order blocks when the root is a ``DO``; a chunk of a ``DOALL`` is
-    this function over a smaller range) or ``"team"`` (the same over a team
-    of threads).
+    in-order blocks when the root is a ``DO``) or ``"team"`` (the same
+    over a team of threads; a ``DOALL`` root's iterations must then be as
+    independent as concurrent threads need, :func:`loop_chunk_safe`).
 
     Raises :class:`KernelError` when the nest is not natively emittable
     (module calls, transcendental builtins, scalar targets — anything whose
@@ -1189,6 +1198,11 @@ def native_spec(
     found = memo.get(key) if path is not None else None
     if found is None:
         try:
+            if shape == "team" and desc.parallel and not loop_chunk_safe(
+                desc, analyzed, flowchart.windows, use_windows
+            ):
+                # one omp for shares the root's iterations among threads
+                raise KernelError("not chunk-safe")
             found = lower_nest(
                 lambda: _NativeKernel(
                     analyzed, flowchart, use_windows, desc.nest_indices()

@@ -6,9 +6,8 @@ around equation bodies — seen through three parameters:
 
 * **slice** — which iterations one call executes: the root subrange
   ``[lo, hi]`` with inner loops at their declared bounds (shape
-  ``"full"``). A chunk of a ``DOALL`` is the same ``"full"`` kernel called
-  over a smaller ``[lo, hi]``; a per-equation kernel is the walk of one
-  equation with no loops at all (:func:`lower_equation`);
+  ``"full"``); a per-equation kernel is the walk of one equation with no
+  loops at all (:func:`lower_equation`);
 * **dialect** — what the text looks like: Python over ints or over NumPy
   vectors (:mod:`repro.runtime.kernels.emit`; a nest kernel is always the
   former), or C (:mod:`repro.runtime.kernels.native`, which also follows
@@ -18,11 +17,12 @@ around equation bodies — seen through three parameters:
   ``store`` / ``array_windows`` / ``assemble`` and nothing else differs
   between tiers;
 * **team** — whether one call runs on one thread or on a team of them
-  (shape ``"team"``: the ``"full"`` slice of a ``DO`` root, every thread
-  walking the sequential loops and the first ``DOALL`` on each path divided
-  among them, the rest of the body on one thread, a barrier after each
-  body unit). Only the C dialect prints it (``open_region`` / ``share`` /
-  ``open_single`` / ``close_single``).
+  (shape ``"team"``: the ``"full"`` slice, every thread walking the
+  sequential loops and the first ``DOALL`` on each path divided among
+  them, the rest of the body on one thread, a barrier after each body
+  unit; a ``DOALL`` root is itself that first ``DOALL``, one ``omp for``
+  over the root subrange). Only the C dialect prints it (``open_region`` /
+  ``share`` / ``open_single`` / ``close_single``).
 
 The ``"full"`` shape does not care whether its root is a ``DOALL`` or a
 ``DO``: the body runs in strict iteration order either way, so running a
@@ -73,9 +73,8 @@ class KernelError(ReproError):
     """The equation or nest cannot be lowered to a specialized kernel."""
 
 
-#: every nest shape: ``"full"`` executes the root subrange ``[lo, hi]``
-#: (chunkable on the root index only); ``"team"`` is ``"full"`` on a team
-#: of threads
+#: every nest shape: ``"full"`` executes the root subrange ``[lo, hi]``;
+#: ``"team"`` is ``"full"`` on a team of threads
 NEST_SHAPES = ("full", "team")
 
 
@@ -231,11 +230,10 @@ def holds_doall(d: Descriptor) -> bool:
 
 def team_unfit_reason(desc: LoopDescriptor) -> str | None:
     """Why the nest rooted at ``desc`` has no ``"team"`` shape by its
-    structure alone — ``None`` when it has one: a ``DO`` root whose body
-    holds a ``DOALL``. (The C dialect adds its own refusal: a team kernel
-    may not exit inside the region.)"""
-    if desc.parallel:
-        return f"loop {desc.index} is a DOALL, not a DO over DOALLs"
+    structure alone — ``None`` when it has one: a ``DOALL`` root, or a
+    ``DO`` root whose body holds a ``DOALL``. (The C dialect adds its own
+    refusals: a team kernel may not exit inside the region, and a
+    ``DOALL`` root's iterations must be chunk-safe.)"""
     if not holds_doall(desc):
         return f"no DOALL inside DO {desc.index}"
     return None

@@ -226,24 +226,6 @@ def annotate_flowchart(flowchart: Flowchart, analyzed) -> None:
             equation_vector_safe(desc.node.equation)
 
 
-def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split the inclusive subrange ``[lo, hi]`` into at most ``parts``
-    balanced contiguous subranges (sizes differ by at most one) — the chunk
-    shape the parallel execution backends hand to their workers."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    parts = max(1, min(parts, n))
-    base, extra = divmod(n, parts)
-    spans: list[tuple[int, int]] = []
-    start = lo
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        spans.append((start, start + size - 1))
-        start += size
-    return spans
-
-
 @dataclass
 class Flowchart:
     """The scheduler's output for one module (or one component)."""

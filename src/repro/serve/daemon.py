@@ -139,7 +139,7 @@ class ReproDaemon:
     calling thread, and :meth:`serve_forever` accepts connections, each
     served on a thread of its own, until :meth:`request_shutdown` (or a
     client ``shutdown`` op). The session is owned: closing the daemon — or
-    a failed bind — closes it, tearing down worker pools.
+    a failed bind — closes it.
     """
 
     def __init__(
@@ -480,7 +480,7 @@ class ReproDaemon:
                     sock.shutdown(socket.SHUT_RD)
 
     def close(self) -> None:
-        """Close the owned session (and its pools)."""
+        """Close the owned session."""
         self.session.close()
 
 

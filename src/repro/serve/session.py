@@ -4,8 +4,9 @@ Gokhale's premise is that all scheduling and parallelization work happens
 at compile time and is amortized over many executions. A
 :class:`~repro.core.pipeline.CompileResult` already amortizes within one
 object — plan cache and kernel cache — but every ``run()`` still
-created (and tore down) its execution engine, so the thread pool never
-survived a request. A :class:`Session` owns all of it across requests:
+created (and tore down) its execution engine, so its recycled buffers
+never survived a request. A :class:`Session` owns all of it across
+requests:
 
 * compiled modules, de-duplicated by source hash — loading the same source
   twice serves the same :class:`CompileResult` (and therefore the same
@@ -14,12 +15,11 @@ survived a request. A :class:`Session` owns all of it across requests:
   ``CompileResult``s;
 * *persistent* execution engines
   (:class:`~repro.runtime.backends.ExecutionBackend`), one per plan label,
-  worker count and options, each with its recycled buffers and — once a
-  ``threaded`` plan runs on it — its thread pool, reused by every later run
-  of any module; only per-run resources (idle recycled buffers) are
-  released between requests;
+  worker count and options, each with its recycled buffers, reused by
+  every later run of any module; only per-run resources (idle recycled
+  buffers) are released between requests;
 * warmed native kernels: :meth:`warm` compiles every reachable kernel
-  (including the cffi/C tier) and optionally primes plans and pools with a
+  (including the cffi/C tier) and optionally primes plans with a
   throwaway run, so the first real request compiles nothing;
 * **tier-up**: a plan key's first run plans exactly as a one-shot
   ``compile_source`` would, charging the native build to that run. Its
@@ -220,7 +220,7 @@ class Session:
 
     def close(self) -> None:
         """Stop the tier-up builder (a ``cc`` it has started runs to its
-        end), tear down every persistent backend (worker pools exit) and
+        end), tear down every persistent backend and
         drop the loaded modules.
         Idempotent; the session refuses further work afterwards."""
         with self._lock:
@@ -405,7 +405,7 @@ class Session:
         shared by every module."""
         # keyed by label too: each engine's BufferStore trims to what its
         # own plans ran, and `auto` alternates labels between programs
-        key = (plan.backend, plan.workers, okey)
+        key = (plan.backend, okey)
         backend = self._backends.get(key)
         if backend is not None:
             return backend
@@ -413,7 +413,7 @@ class Session:
             self._check_open()
             backend = self._backends.get(key)
             if backend is None:
-                backend = ExecutionBackend(workers=plan.workers)
+                backend = ExecutionBackend()
                 self._backends[key] = backend
         return backend
 
@@ -536,8 +536,8 @@ class Session:
         build sunk, its kernels built here and now, so the key never tiers
         up later — and, when ``prime`` is true and
         ``sizes`` are given, execute one throwaway run with every other
-        parameter zero (scalars and arrays alike), which starts worker
-        pools and exercises the exact request path. ``module=None`` warms
+        parameter zero (scalars and arrays alike), which exercises the
+        exact request path. ``module=None`` warms
         every loaded module. Returns per-module kernel-cache statistics."""
         self._check_open()
         names = [module] if module is not None else self.modules()

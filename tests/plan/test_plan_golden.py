@@ -10,12 +10,7 @@ import pytest
 
 from repro.core.paper import jacobi_analyzed
 from repro.core.recurrences import mixed_analyzed
-from repro.plan.planner import (
-    AUTO_TIE,
-    build_plan,
-    forced_plan,
-    valid_strategies,
-)
+from repro.plan.planner import AUTO_TIE, build_plan, valid_strategies
 from repro.ps.parser import parse_program
 from repro.ps.semantics import analyze_program
 from repro.runtime.executor import ExecutionOptions
@@ -90,69 +85,6 @@ GOLDEN = {
 }
 
 
-#: the same five workloads under the chunk-forcing policy: the root of
-#: every perfect DOALL nest (a DOALL whose body is one DOALL) is forced to
-#: "chunk" (dp and paths_int have no perfect DOALL nest, so their plans
-#: fall back to the planner's choice — the texts pin that the policy
-#: composes with ordinary planning)
-GOLDEN_CHUNK = {
-    "jacobi": """\
-        plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL I -> chunk x4; trip 10; forced
-            DOALL J -> vector; trip 10; nested in native span
-                eq.1 [kernel=native]
-        DO K -> serial; trip 3
-            DOALL I -> chunk x4; trip 10; forced
-                DOALL J -> vector; trip 10; nested in native span
-                    eq.3 [kernel=native]
-        DOALL I -> chunk x4; trip 10; forced
-            DOALL J -> vector; trip 10; nested in native span
-                eq.2 [kernel=native]""",
-    "gauss_seidel": """\
-        plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL I -> chunk x4; trip 10; forced
-            DOALL J -> vector; trip 10; nested in native span
-                eq.1 [kernel=native]
-        DO K -> nest; trip 3; compiled in order
-            DO I -> nest; trip 10; fused
-                DO J -> nest; trip 10; fused
-                    eq.3 [kernel=nest]
-        DOALL I -> chunk x4; trip 10; forced
-            DOALL J -> vector; trip 10; nested in native span
-                eq.2 [kernel=native]""",
-    "hyperplane_gs": """\
-        plan RelaxationHyper: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DO Kp -> serial; trip 25
-            DOALL Ip -> chunk x4; trip 4; forced
-                DOALL Jp -> vector; trip 10; nested in native span
-                    eq.1 [kernel=native]
-        DOALL I -> chunk x4; trip 10; forced
-            DOALL J -> vector; trip 10; nested in native span
-                eq.2 [kernel=native]""",
-    "dp": """\
-        plan Align: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL _i1 -> chunk x4; trip 7
-            eq.1 [kernel=native]
-        DOALL I -> chunk x4; trip 6
-            eq.2 [kernel=native]
-        DO I -> nest; trip 6; compiled in order
-            DO J -> nest; trip 6; fused
-                eq.3 [kernel=nest]
-        eq.4 [kernel=scalar]""",
-    "paths_int": """\
-        plan Paths: backend=threaded workers=4 kernels=native windows=off [pinned]
-        DOALL _i1 -> chunk x4; trip 7
-            eq.1 [kernel=native]
-        DOALL I -> chunk x4; trip 6
-            eq.2 [kernel=native]
-        DO I -> nest; trip 6; compiled in order
-            DO J -> nest; trip 6; fused
-                eq.3 [kernel=nest]
-        DOALL _i0 -> chunk x4; trip 7
-            eq.4 [kernel=native]""",
-}
-
-
 def _scalars(args):
     return {k: v for k, v in args.items() if isinstance(v, int)}
 
@@ -193,12 +125,10 @@ class TestGoldenPlans:
                 DOALL J -> nest; trip 10; fused
                     eq.2 [kernel=native]""")
 
-    def test_pinned_threaded_jacobi_chunks(self):
-        # The copies divide their 10 rows 3/3/2/2 over 4 workers, each
-        # chunk one call of the native full kernel.
-        # The three 10x10 sweeps under DO K are cheaper as one in-order
-        # Python-dialect nest than as three pool dispatches (and far too
-        # small to be worth a compiler run).
+    def test_pinned_threaded_jacobi(self):
+        # The pin offers the vector span and the fused nest; at 10x10 the
+        # spans win, and the sweeps' DO K walks: one in-order nest is far
+        # too small to be worth a compiler run.
         name, analyzed, flow, args, _ = WORKLOADS[0]
         plan = build_plan(
             analyzed, flow,
@@ -207,16 +137,16 @@ class TestGoldenPlans:
         )
         assert plan.pretty() == textwrap.dedent("""\
             plan Relaxation: backend=threaded workers=4 kernels=native windows=off [pinned]
-            DOALL I -> chunk x4; trip 10
-                DOALL J -> vector; trip 10; nested in native span
-                    eq.1 [kernel=native]
-            DO K -> nest; trip 3; compiled in order
-                DOALL I -> nest; trip 10; fused
-                    DOALL J -> nest; trip 10; fused
-                        eq.3 [kernel=nest]
-            DOALL I -> chunk x4; trip 10
-                DOALL J -> vector; trip 10; nested in native span
-                    eq.2 [kernel=native]""")
+            DOALL I -> vector; trip 10
+                DOALL J -> vector; trip 10; nested in span
+                    eq.1 [kernel=vector]
+            DO K -> serial; trip 3
+                DOALL I -> vector; trip 10
+                    DOALL J -> vector; trip 10; nested in span
+                        eq.3 [kernel=vector]
+            DOALL I -> vector; trip 10
+                DOALL J -> vector; trip 10; nested in span
+                    eq.2 [kernel=vector]""")
 
     def test_cycles_rendering_is_optional(self):
         name, analyzed, flow, args, _ = WORKLOADS[0]
@@ -310,31 +240,6 @@ class TestCompiledSweepPins:
             assert (1 + AUTO_TIE) * nest < vector
             assert (note["strategy"], note["tie"]) == ("nest", "")
         assert "tie:" not in plan.explain()
-
-
-class TestGoldenChunkPlans:
-    def test_every_workload_has_a_golden(self):
-        assert set(GOLDEN_CHUNK) == {w[0] for w in WORKLOADS}
-
-    @pytest.mark.parametrize(
-        "workload", WORKLOADS, ids=[w[0] for w in WORKLOADS]
-    )
-    def test_chunk_forced_plan_text(self, workload):
-        name, analyzed, flow, args, _ = workload
-        overrides = {
-            flow.path_of(desc): "chunk"
-            for desc in flow.loops()
-            if desc.parallel
-            and len(desc.body) == 1
-            and getattr(desc.body[0], "parallel", False)
-            and "chunk" in valid_strategies(analyzed, flow, desc)
-        }
-        plan = forced_plan(
-            analyzed, flow, "threaded",
-            ExecutionOptions(backend="threaded", workers=4),
-            _scalars(args), overrides=overrides,
-        )
-        assert plan.pretty() == textwrap.dedent(GOLDEN_CHUNK[name])
 
 
 GOLDEN_MERGED_MIXED = """\

@@ -4,8 +4,8 @@ The planner only ever chooses *how* a DOALL executes, never what it
 computes — so every valid assignment of strategies to loops must reproduce
 the serial reference evaluator bit for bit, on every workload. Covered:
 the all-serial plan, the all-vectorized plan, and seeded-random plans
-drawing a valid strategy per loop (including forced chunking and nest
-fusion where safe). And ``auto``, which prices every strategy per loop on
+drawing a valid strategy per loop (including forced nest fusion where
+safe). And ``auto``, which prices every strategy per loop on
 one walk, never predicts a plan dearer than the cheapest pin (up to its
 tie rule), on generated programs as well as the workloads."""
 
@@ -94,27 +94,30 @@ class TestForcedPlansStayExact:
                 name, trial, sorted(overrides.items()),
             )
 
-    def test_forced_chunk_on_unsafe_loop_raises(self):
+    def test_a_chunk_unsafe_doall_refuses_the_team(self, openmp_host):
         """A DOALL over a windowed dimension writes every row into one
-        plane — chunking it under windows is rejected, not silently
-        planned."""
+        plane — dividing it among a team under windows is refused, not
+        silently planned, and ``explain()`` says why. Without windows the
+        same loop may take the team."""
         analyzed = analyze_module(parse_module(ROWS_SOURCE))
         flow = schedule_module(analyzed)
         assert flow.window_of("A") == {0: 1, 1: 2}
-        options = ExecutionOptions(backend="threaded", use_windows=True)
-        unsafe = None
-        for desc in flow.loops():
-            if desc.parallel and "chunk" not in valid_strategies(
-                analyzed, flow, desc, use_windows=True
-            ):
-                unsafe = desc
-                break
-        assert unsafe is not None, "expected a chunk-unsafe DOALL"
-        with pytest.raises(PlanError, match="not chunk-safe"):
-            forced_plan(
-                analyzed, flow, "threaded", options,
-                overrides={flow.path_of(unsafe): "chunk"},
+        doall = next(d for d in flow.loops() if d.parallel)
+        rows = {}
+        for use_windows in (False, True):
+            plan = build_plan(
+                analyzed, flow,
+                ExecutionOptions(workers=2, use_windows=use_windows),
+                {"n": 400}, cpu_count=2,
             )
+            (row,) = [
+                line for line in plan.explain().splitlines()
+                if line.startswith(f"  DOALL {doall.index} ")
+            ]
+            rows[use_windows] = row
+            assert not plan.loops[flow.path_of(doall)].team or not use_windows
+        assert "team refused: not chunk-safe" in rows[True]
+        assert "team refused" not in rows[False]
 
     def test_forced_nest_on_unfusable_loop_raises(self):
         name, analyzed, flow, args, result = WORKLOADS[0]

@@ -1,10 +1,11 @@
 """Planner edge cases surfaced by review: module calls (inlined ones
-compile, kept ones hold the GIL), callee plans without a pool, plan
+compile, kept ones hold the GIL), callee plans on one worker, plan
 re-binding, auto always being measured, one planning walk per plan, labels
 checked by both plan builders,
 recognised recurrences planning as the compiled ``DO`` at every size,
-``DOALL``-only strategies forced on a ``DO``, the retired ``iterate``,
-``pipeline``, ``scan`` and ``fission`` strategies refused by name, and the
+``DOALL``-only strategies forced on a ``DO``, the retired ``collapse``,
+``iterate``, ``pipeline``, ``scan``, ``fission`` and ``chunk`` strategies
+refused by name, and the
 slow-loop provenance of a merged nest."""
 
 import re
@@ -61,8 +62,8 @@ class TestGilAwareChunkCosts:
     @pytest.mark.parametrize("workers", [2, 8])
     def test_a_kept_call_holds_the_gil_so_threads_do_not_pay(self, workers):
         """A call the front end keeps (its callee has a loop) runs on the
-        evaluator and holds the GIL: a thread pool cannot help, so ``auto``
-        leaves the loop off the pool and ``explain()`` names the call."""
+        evaluator and holds the GIL: no team can run it, so ``auto`` keeps
+        the loop on one thread and ``explain()`` names the call."""
         program = analyze_program(parse_program(KEPT_CALL_PROGRAM_SOURCE))
         use = program["Use"]
         plan = build_plan(
@@ -111,9 +112,8 @@ class TestGilAwareChunkCosts:
 class TestCalleePlansStayInProcess:
     def test_callee_memo_never_plans_a_pool(self, monkeypatch):
         """Module calls fire per element; the callee's plan must stay off
-        the worker pool (and off a team) even when the caller's chunks run
-        the calls on the pool: no callee loop is divided, and no pool
-        thread starts another."""
+        a team even under a ``threaded`` caller: it plans one worker, and
+        no run starts a Python thread."""
         started = []
         start = threading.Thread.start
 
@@ -134,13 +134,8 @@ class TestCalleePlansStayInProcess:
         assert memo, "expected a memoized callee plan"
         for plan in memo.values():
             assert plan.workers == 1
-            assert all((lp.parts or 0) <= 1 for lp in plan.loops.values())
             assert not any(lp.team for lp in plan.loops.values())
-        nested = [
-            pair for pair in started
-            if all(name.startswith("repro-doall") for name in pair)
-        ]
-        assert started and not nested
+        assert not started
 
 
 class TestPlanRebinding:
@@ -205,9 +200,9 @@ class TestOneWalk:
         assert walks == [backend]
         assert plan.requested == backend and plan.pinned == (backend != "auto")
 
-    def test_explain_names_the_four_strategies_per_doall(self):
+    def test_explain_names_the_three_strategies_per_doall(self):
         """Under ``auto`` every ``DOALL`` row prices or refuses each of the
-        four strategies exactly once — and nothing else."""
+        three strategies exactly once — and nothing else."""
         analyzed = jacobi_analyzed()
         plan = build_plan(
             analyzed, schedule_module(analyzed),
@@ -221,7 +216,7 @@ class TestOneWalk:
         for row in rows:
             verdicts = row.split(": ", 2)[2]
             named = re.findall(r"(?:^|[,;] )\*?([a-z]+) (?:~|refused)", verdicts)
-            assert sorted(named) == ["chunk", "nest", "serial", "vector"], row
+            assert sorted(named) == ["nest", "serial", "vector"], row
 
     def test_explain_prices_or_refuses_every_strategy_per_doall(self):
         """``explain()`` says why each ``DOALL`` took its strategy: every
@@ -242,8 +237,7 @@ class TestOneWalk:
         ]
         assert rows[0] == (
             "  DOALL I @(0,): nest, trip 10: serial ~N, *nest ~N cycles; "
-            "vector refused (the serial pin does not offer it); "
-            "chunk refused (the plan has no worker pool)"
+            "vector refused (the serial pin does not offer it)"
         )
 
 
@@ -325,7 +319,7 @@ class TestForcedOnADo:
         (do_k,) = [d for d in flow.loops() if not d.parallel]
         return analyzed, flow, flow.path_of(do_k)
 
-    @pytest.mark.parametrize("name", ["vector", "chunk"])
+    @pytest.mark.parametrize("name", ["vector"])
     def test_a_pin_raises_naming_the_loop(self, name):
         analyzed, flow, path = self._jacobi()
         with pytest.raises(
@@ -337,7 +331,7 @@ class TestForcedOnADo:
                 {"M": 16, "maxK": 4}, overrides={path: name}, cpu_count=2,
             )
 
-    @pytest.mark.parametrize("name", ["vector", "chunk"])
+    @pytest.mark.parametrize("name", ["vector"])
     def test_a_default_leaves_the_do_on_the_walk(self, name):
         analyzed, flow, path = self._jacobi()
         plan = forced_plan(
@@ -350,7 +344,7 @@ class TestForcedOnADo:
 
 class TestRetiredStrategy:
     @pytest.mark.parametrize(
-        "name", ["collapse", "iterate", "pipeline", "scan", "fission"]
+        "name", ["collapse", "iterate", "pipeline", "scan", "fission", "chunk"]
     )
     @pytest.mark.parametrize("plan_with, error", [
         (_build_with_strategy, ExecutionError),
@@ -360,11 +354,11 @@ class TestRetiredStrategy:
     def test_retired_names_are_refused_naming_the_survivors(
         self, plan_with, error, name
     ):
-        assert VALID_STRATEGIES == ("serial", "vector", "nest", "chunk")
+        assert VALID_STRATEGIES == ("serial", "vector", "nest")
         # the count vocabulary keeps the retired names, always counted 0
         assert STRATEGIES == (
             *VALID_STRATEGIES, "collapse", "iterate", "pipeline", "scan",
-            "fission",
+            "fission", "chunk",
         )
         # a recurrence feeding a consumer: the shape pipeline decoupled
         analyzed = scan_analyzed()
@@ -404,11 +398,11 @@ class TestUnknownBackendLabel:
         flow = schedule_module(analyzed)
         plan = forced_plan(
             analyzed, flow, "auto", ExecutionOptions(workers=2),
-            {"M": 8, "maxK": 4}, overrides={(1, 0): "chunk"}, cpu_count=2,
+            {"M": 8, "maxK": 4}, overrides={(1, 0): "vector"}, cpu_count=2,
         )
         assert not plan.pinned
-        assert plan.loops[(1, 0)].strategy == "chunk"
-        assert plan.backend == "threaded"
+        assert plan.loops[(1, 0)].strategy == "vector"
+        assert plan.backend == "vectorized"
 
 
 class TestUnknownKernelTier:

@@ -28,33 +28,33 @@ from repro.schedule.scheduler import schedule_module
 
 GOLDEN = {
     "scan": """\
-        plan Scan: backend=threaded workers={w} kernels=native windows=off [auto]
+        plan Scan: backend=serial workers={w} kernels=native windows=off [auto]
         eq.1 [kernel=scalar]
         DO I -> nest; trip 2000000; compiled in order
             eq.2 [kernel=native]
-        DOALL I -> chunk x{w}; trip 2000000
+        DOALL I -> nest; trip 2000000; fused nest kernel
             eq.3 [kernel=native]""",
     "coupled": """\
-        plan Coupled: backend=threaded workers={w} kernels=native windows=off [auto]
+        plan Coupled: backend=serial workers={w} kernels=native windows=off [auto]
         eq.1 [kernel=scalar]
         eq.2 [kernel=scalar]
         DO I -> nest; trip 2000000; compiled in order
             eq.3 [kernel=native]
             eq.4 [kernel=native]
-        DOALL I -> chunk x{w}; trip 2000000
+        DOALL I -> nest; trip 2000000; fused nest kernel
             eq.5 [kernel=native]""",
     "line_sweep": """\
-        plan LineSweep: backend=threaded workers={w} kernels=native windows=off [auto]
+        plan LineSweep: backend=vectorized workers={w} kernels=native windows=off [auto]
         DOALL J -> vector; trip 4002
             eq.1 [kernel=vector]
         DO I -> nest; trip 4000; compiled in order
             DOALL J -> nest; trip 4002; fused
                 eq.2 [kernel=native]
-        DOALL I -> chunk x{w}; trip 4000
-            DOALL J -> vector; trip 4002; nested in native span
+        DOALL I -> nest; trip 4000; fused nest kernel
+            DOALL J -> nest; trip 4002; fused
                 eq.3 [kernel=native]
-        DOALL I -> chunk x{w}; trip 4000
-            DOALL J -> vector; trip 4002; nested in native span
+        DOALL I -> nest; trip 4000; fused nest kernel
+            DOALL J -> nest; trip 4002; fused
                 eq.4 [kernel=native]""",
     # merged: one DO over three independent recurrences, left unsplit
     "mixed": """\

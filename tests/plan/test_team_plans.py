@@ -1,4 +1,5 @@
-"""Team plans: a compiled ``DO`` over ``DOALL`` s on a team of threads.
+"""Team plans: a compiled ``DOALL`` or ``DO`` over ``DOALL`` s on a team of
+threads.
 
 Plans depend on whether the host builds OpenMP, so every test here fixes
 the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
@@ -11,8 +12,10 @@ the probe (``openmp_host``, or the suite's default of no OpenMP) as well as
   for their barriers, and ``explain()`` says so;
 * a one-worker plan never consults the probe, so it is the plan of a host
   without OpenMP;
-* a team sits only on a ``nest`` over a ``DO`` met on the caller's thread —
-  never on a chunk or span, never below a ``chunk`` loop;
+* a team sits only on a ``nest`` met on the caller's thread — never on a
+  span, never below another kernel; a ``DOALL`` root takes one where it
+  is chunk-safe and the team is cheaper (``rec`` at n = 2000 does, with
+  windows off);
 * asking for a second worker never raises ``auto``'s predicted cost.
 """
 
@@ -27,11 +30,15 @@ from repro.errors import ReproError
 from repro.hyperplane.pipeline import hyperplane_transform
 from repro.plan.ir import KNOWN_BACKENDS
 from repro.plan.planner import build_plan
+from repro.ps.parser import parse_module
+from repro.ps.semantics import analyze_module
 from repro.runtime.executor import ExecutionOptions
+from repro.runtime.kernels.native import native_refusal
 from repro.schedule.scheduler import schedule_module
 
 from tests.plan.conftest import DP_SOURCE, WORKLOADS
 from tests.runtime.test_kernel_sources import CORPUS
+from tests.runtime.test_span_kernels import REC_SOURCE
 
 JACOBI_TEAM = """\
     plan Relaxation: backend=serial workers=2 kernels=native windows={w} [auto]
@@ -46,13 +53,16 @@ JACOBI_TEAM = """\
         DOALL J -> nest; trip 130; fused
             eq.2 [kernel=native]"""
 
+#: a copy's team does not pay for its fork and barrier
+NOT_CHEAPER = "team x2 not cheaper (~N cycles)"
+
 #: cycle counts masked (``~N``): the constants behind them are refitted
 JACOBI_TEAM_EXPLAIN = """\
     provenance Relaxation: auto -> serial
     pricing: native build charged to this run
       DO K @(1,): compiled nest [native, team x2], trip 39: predicted ~N vs ~N cycles on the walk (compiled in order)
-      DOALL I @(0,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
-      DOALL I @(2,): nest, trip 130: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
+      DOALL I @(0,): nest, trip 130: serial ~N, vector ~N, *nest ~N cycles; {nc}
+      DOALL I @(2,): nest, trip 130: serial ~N, vector ~N, *nest ~N cycles; {nc}
       native full kernel @(0,) (DOALL I): range checks: 5 of 5 proven at entry
       native team kernel @(1,) (DO K): range checks: 18 of 18 proven at entry
       native full kernel @(2,) (DOALL I): range checks: 5 of 5 proven at entry
@@ -73,7 +83,7 @@ GS_HYPER_EXPLAIN = """\
     provenance RelaxationHyper: auto -> serial
     pricing: native build charged to this run
       DO Kp @(0,): compiled nest [native, team x2], trip 209: predicted ~N vs ~N cycles on the walk (compiled in order)
-      DOALL I @(1,): nest, trip 98: serial ~N, vector ~N, *nest ~N, chunk ~N cycles
+      DOALL I @(1,): nest, trip 98: serial ~N, vector ~N, *nest ~N cycles; {nc}
       native team kernel @(0,) (DO Kp): range checks: 20 of 20 proven at entry
       native full kernel @(1,) (DOALL I): range checks: 5 of 5 proven at entry
       Ap: uninitialised, every element is defined; recycled between runs
@@ -134,7 +144,8 @@ class TestTeamGoldens:
             JACOBI_TEAM_EXPLAIN
         ).format(
             a="zero-filled, it has a window dimension" if use_windows
-            else "uninitialised, every element is defined"
+            else "uninitialised, every element is defined",
+            nc=NOT_CHEAPER,
         )
         # the team kernel replaces the sweep's full one
         assert plan.native_kernels() == [
@@ -145,7 +156,9 @@ class TestTeamGoldens:
         analyzed = hyperplane_transform(gauss_seidel_analyzed()).transformed
         plan = _plan(analyzed, schedule_module(analyzed), {"M": 96, "maxK": 8}, 2)
         assert plan.pretty() == textwrap.dedent(GS_HYPER)
-        assert _masked(plan.explain()) == textwrap.dedent(GS_HYPER_EXPLAIN)
+        assert _masked(plan.explain()) == textwrap.dedent(GS_HYPER_EXPLAIN).format(
+            nc=NOT_CHEAPER
+        )
         (note,) = plan.provenance["do_loops"]
         assert (note["team"], note["team_note"]) == (2, "")
         assert plan.native_kernels() == [((0,), "team"), ((1,), "full")]
@@ -195,7 +208,7 @@ class TestOneWorkerPlansUnchanged:
 class TestTeamsStayOnTheCallersThread:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("case", CORPUS_PLANS, ids=CORPUS_IDS)
-    def test_a_team_is_a_nest_over_a_do_with_no_pool_around_it(
+    def test_a_team_is_a_nest_with_no_kernel_around_it(
         self, openmp_host, case, workers
     ):
         _tag, analyzed, flow, sizes = case
@@ -204,7 +217,7 @@ class TestTeamsStayOnTheCallersThread:
             for path, lp in plan.loops.items():
                 if not lp.team:
                     continue
-                assert (lp.strategy, lp.keyword) == ("nest", "DO")
+                assert lp.strategy == "nest"
                 assert lp.team == workers
                 assert lp.kernel_shape() == "team"
                 outer = [
@@ -212,9 +225,8 @@ class TestTeamsStayOnTheCallersThread:
                     if path[:k] in plan.loops
                 ]
                 assert all(
-                    o.strategy not in ("chunk", "nest")
-                    for o in outer
-                ), f"team at {path} below a pool or another kernel"
+                    o.strategy != "nest" for o in outer
+                ), f"team at {path} below another kernel"
             shapes = dict(plan.native_kernels())
             assert all(
                 plan.loops[path].team for path, s in shapes.items() if s == "team"
@@ -242,3 +254,51 @@ class TestMoreWorkersNeverCostMore:
         one = _plan(analyzed, flow, sizes, 1)
         two = _plan(analyzed, flow, sizes, 2)
         assert two.cycles <= one.cycles
+
+
+class TestDoallTeams:
+    @staticmethod
+    def _rec(workers, use_windows=False, **options):
+        analyzed = analyze_module(parse_module(REC_SOURCE))
+        return _plan(
+            analyzed, schedule_module(analyzed), {"n": 2000}, workers,
+            use_windows=use_windows, **options,
+        )
+
+    def test_rec_takes_a_team_of_two(self, openmp_host):
+        """``rec`` n = 2000: its middle ``DOALL I`` — a ``DO J`` per row —
+        is one shared unit, priced as its work divided among the team plus
+        one barrier, and takes ``team x2``."""
+        plan = self._rec(2)
+        lp = plan.loops[(1,)]
+        assert (lp.keyword, lp.strategy, lp.team) == ("DOALL", "nest", 2)
+        assert lp.kernel_shape() == "team"
+        assert ((1,), "team") in plan.native_kernels()
+        assert "DOALL I -> nest; trip 2000; fused nest kernel; team x2" in plan.pretty()
+
+    def test_rec_with_windows_plans_as_one_worker(self, openmp_host):
+        """With windows on, ``W``'s window on ``J`` makes the ``DOALL``
+        chunk-unsafe: no team, ``explain()`` says so, and the plan is the
+        one-worker plan."""
+        two, one = self._rec(2, use_windows=True), self._rec(1, use_windows=True)
+        assert not any(lp.team for lp in two.loops.values())
+        assert two.pretty().split("\n")[1:] == one.pretty().split("\n")[1:]
+        assert "team refused: not chunk-safe" in two.explain()
+
+    def test_the_c_emitter_refuses_the_unsafe_root(self):
+        """The refusal is the emitter's, not the planner's: a plan built
+        any other way finds no team kernel for that root either."""
+        analyzed = analyze_module(parse_module(REC_SOURCE))
+        flow = schedule_module(analyzed)
+        root = flow.descriptor_at((1,))
+        assert native_refusal(root, analyzed, flow, True, "team") == "not chunk-safe"
+        assert native_refusal(root, analyzed, flow, False, "team") is None
+
+    @pytest.mark.parametrize("case", CORPUS_PLANS, ids=CORPUS_IDS)
+    def test_on_the_numpy_tier_two_workers_plan_as_one(self, openmp_host, case):
+        """No team without C, and no pool to lose to: every ``x2`` plan of
+        the NumPy tier is its ``x1`` plan."""
+        _tag, analyzed, flow, sizes = case
+        one = _plan(analyzed, flow, sizes, 1, kernel_tier="numpy")
+        two = _plan(analyzed, flow, sizes, 2, kernel_tier="numpy")
+        assert two.pretty().split("\n")[1:] == one.pretty().split("\n")[1:]

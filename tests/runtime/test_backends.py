@@ -1,15 +1,14 @@
 """Backend-label parity: serial == vectorized == threaded == auto.
 
 Every workload is executed under a serial reference plan and under each of
-the other plan labels (with enough workers to force real chunking), with
-and without window storage, on the one execution engine. Integer results
-must be bit-exact; floating-point results must agree to within a tight
-tolerance (element-wise expressions evaluate the same tree per element, so
-they are in practice bit-exact too).
+the other plan labels (at four workers), with and without window storage,
+on the one execution engine. Integer results must be bit-exact;
+floating-point results must agree to within a tight tolerance
+(element-wise expressions evaluate the same tree per element, so they are
+in practice bit-exact too).
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -154,10 +153,10 @@ class TestJacobiParity:
 
     def test_one_engine_runs_every_label(self):
         """One engine runs Jacobi under a ``serial``, a ``vectorized`` and a
-        ``threaded`` plan, then a ``threaded`` plan with ``chunk`` forced:
-        every output is bit-equal to the evaluator, and the pool starts
-        only for the ``threaded`` plan that sends it chunks."""
-        from repro.plan.planner import build_plan, forced_plan
+        ``threaded`` plan: every output is bit-equal to the evaluator, and
+        no run starts a Python thread — a team's threads live inside its
+        C call."""
+        from repro.plan.planner import build_plan
         from repro.schedule.scheduler import schedule_module
 
         analyzed = jacobi_analyzed()
@@ -174,23 +173,17 @@ class TestJacobiParity:
         for label in ("serial", "vectorized", "threaded"):
             options = ExecutionOptions(backend=label, workers=2)
             runs.append((options, build_plan(analyzed, flow, options, sizes)))
-        options = ExecutionOptions(backend="threaded", workers=2)
-        chunked = forced_plan(analyzed, flow, "threaded", options, sizes, default="chunk")
-        assert "chunk" in {s for _, s in chunked.strategies()}
-        runs.append((options, chunked))
-        engine = ExecutionBackend(workers=2)
-        pools = []
+        before = set(threading.enumerate())
+        engine = ExecutionBackend()
         try:
             for options, plan in runs:
                 out = execute_module(
                     analyzed, dict(args), flow, options, plan=plan, backend=engine
                 )
                 assert np.array_equal(out["newA"], ref), plan.backend
-                pools.append(engine._pool)
+                assert set(threading.enumerate()) <= before
         finally:
             engine.close()
-        assert pools[:2] == [None, None]
-        assert pools[3] is not None
 
 
 class TestGaussSeidelParity:
@@ -259,8 +252,8 @@ class TestIntegerBitExact:
 
 
 class TestChunkedExecution:
-    """The chunked backends must agree with serial whatever the worker
-    count, including degenerate splits (more workers than iterations)."""
+    """The parallel labels must agree with serial whatever the worker
+    count, including more workers than iterations."""
 
     @pytest.mark.parametrize("backend", ["threaded", "auto"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 16])
@@ -279,60 +272,9 @@ class TestChunkedExecution:
             out["newA"], ref["newA"], rtol=1e-12, atol=1e-12
         )
 
-    @pytest.mark.parametrize("case", ["serial-chunk", "callee"])
-    def test_only_a_threaded_plan_starts_the_pool(self, monkeypatch, case):
-        """A ``chunk`` forced onto a ``serial`` plan runs its wavefronts
-        inline, and so does a module call's callee, whose plan is never
-        ``threaded``: no engine builds a pool, no ``repro-doall`` thread
-        starts, and the results are the evaluator's."""
-        from repro.plan.planner import forced_plan
-        from repro.ps.parser import parse_program
-        from repro.ps.semantics import analyze_program
-        from repro.schedule.scheduler import schedule_module
-
-        from tests.runtime.test_module_call_kernels import PROGRAM
-
-        pools = []
-        ensure_pool = ExecutionBackend._ensure_pool
-
-        def spy(self):
-            pools.append(self)
-            return ensure_pool(self)
-
-        monkeypatch.setattr(ExecutionBackend, "_ensure_pool", spy)
-        options = ExecutionOptions(backend="serial", workers=2)
-        if case == "serial-chunk":
-            program, analyzed, out = None, jacobi_analyzed(), "newA"
-            sizes = {"M": 8, "maxK": 4}
-            args = {"InitialA": np.random.default_rng(8).random((10, 10)), **sizes}
-        else:
-            program = analyze_program(parse_program(PROGRAM))
-            analyzed, out = program["Grid"], "B"
-            sizes = {"n": 12}
-            args = {"A": np.random.default_rng(12).random((12, 12)), "base": 0.5, **sizes}
-        flow = schedule_module(analyzed)
-        plan = forced_plan(analyzed, flow, "serial", options, sizes, default="chunk")
-        assert "chunk" in {s for _, s in plan.strategies()}
-        ref = execute_module(
-            analyzed, dict(args), flow,
-            ExecutionOptions(backend="serial", use_kernels=False), program=program,
-        )
-        before = {t for t in threading.enumerate() if t.name.startswith("repro-doall")}
-        engine = ExecutionBackend(workers=2)
-        try:
-            got = execute_module(
-                analyzed, dict(args), flow, options, plan=plan, backend=engine,
-                program=program,
-            )
-            assert engine._pool is None
-        finally:
-            engine.close()
-        after = {t for t in threading.enumerate() if t.name.startswith("repro-doall")}
-        assert pools == [] and after <= before
-        assert np.array_equal(got[out], ref[out])
-
     def test_eval_counts_preserved_across_chunks(self):
-        """Worker chunks report their element-evaluation statistics back."""
+        """A ``threaded`` plan at four workers counts every element
+        evaluation exactly once."""
         from repro.plan.planner import build_plan
         from repro.runtime.backends import ExecutionState
         from repro.runtime.evaluator import Evaluator
@@ -357,7 +299,7 @@ class TestChunkedExecution:
             analyzed, flowchart, options, data, Evaluator(data),
             build_plan(analyzed, flowchart, options, {"M": m, "maxK": maxk}),
         )
-        backend = ExecutionBackend(workers=4)
+        backend = ExecutionBackend()
         try:
             backend.run(state)
         finally:
@@ -366,101 +308,37 @@ class TestChunkedExecution:
         assert state.eval_counts["eq.3"] == (maxk - 1) * (m + 2) * (m + 2)
 
 
-#: one DOALL, two chunks at two workers: [1, 32] and [33, 64]
-DOUBLE_SOURCE = """\
-Double: module (X: array[1 .. n] of real; n: int): [Y: array[1 .. n] of real];
-type
-    I = 1 .. n;
-define
-    Y[I] = X[I] * 2.0;
-end Double;
-"""
-
-
-class _SlowSiblingBackend(ExecutionBackend):
-    """While armed, chunk 0 fails at once as it reaches its kernel, and
-    chunk 1 finishes 0.2 s later, setting ``sibling_done``."""
-
-    def __init__(self, workers=None):
-        super().__init__(workers)
-        self.armed = True
-        self.sibling_done = threading.Event()
-
-    def _run_loop_kernel(self, state, desc, shape, env, lo, hi, numpy=True):
-        if self.armed:
-            if lo == 1:
-                raise RuntimeError("chunk 0 failed")
-            time.sleep(0.2)
-            self.sibling_done.set()
-        return super()._run_loop_kernel(state, desc, shape, env, lo, hi, numpy)
-
-
-class TestOneJoin:
-    def test_a_failed_wave_joins_every_chunk_before_raising(self):
-        """The first failure is re-raised only after its sibling chunks
-        finished, so nothing of a failed run is left on the pool; the same
-        instance then runs bit-equal to the evaluator."""
-        from repro.plan.planner import forced_plan
-        from repro.schedule.scheduler import schedule_module
-
-        analyzed = analyze_module(parse_module(DOUBLE_SOURCE))
-        flow = schedule_module(analyzed)
-        options = ExecutionOptions(backend="threaded", workers=2)
-        plan = forced_plan(analyzed, flow, "threaded", options, {"n": 64}, default="chunk")
-        args = {"X": np.random.default_rng(5).random(64), "n": 64}
-        ref = execute_module(
-            analyzed, dict(args),
-            options=ExecutionOptions(backend="serial", use_kernels=False),
-        )
-        backend = _SlowSiblingBackend(workers=2)
-        try:
-            with pytest.raises(RuntimeError, match="chunk 0 failed"):
-                execute_module(analyzed, dict(args), flow, options, plan=plan, backend=backend)
-            assert backend.sibling_done.is_set()
-            backend.armed = False
-            out = execute_module(analyzed, dict(args), flow, options, plan=plan, backend=backend)
-        finally:
-            backend.close()
-        assert np.array_equal(out["Y"], ref["Y"])
-
-
-class TestWindowDebugOnThePool:
-    @pytest.mark.parametrize("placement", ["chunk", "inner-chunk"])
-    @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    def test_runs_on_the_persistent_pool(self, placement, use_windows):
-        """A window-debug run streams its wavefronts through the thread
-        pool the backend builds once, and the chunks check and stamp the
-        same fault-on-overwrite tags as the caller's walk: the sweeps run
-        on the pool — the sweep's ``DOALL I`` chunked, or (``inner-chunk``)
-        walked with its ``DOALL J`` chunked, one wave per row — the copy-in
-        and copy-out loops on the tag-checking walk, which reads what the
-        chunks wrote. The second run on the instance reuses the pool; both
-        match ``serial`` bit for bit."""
+class TestWindowDebugWalk:
+    @staticmethod
+    def _walked(m, maxk):
+        """Jacobi planned on the tag-checking walk everywhere, and its
+        sweep (the ``DOALL`` inside ``DO K``)."""
         from repro.plan.planner import forced_plan
         from repro.schedule.flowchart import LoopDescriptor
         from repro.schedule.scheduler import schedule_module
 
         analyzed = jacobi_analyzed()
         flow = schedule_module(analyzed)
-        m, maxk, workers = 8, 6, 4
         options = ExecutionOptions(
-            backend="threaded", workers=workers,
-            use_windows=use_windows, debug_windows=True,
+            backend="threaded", workers=4, use_windows=True, debug_windows=True,
         )
         do_k = next(
             d for d in flow.descriptors
             if isinstance(d, LoopDescriptor) and not d.parallel
         )
-        sweep = flow.path_of(do_k.body[0])
-        overrides = {sweep: "chunk"}
-        if placement == "inner-chunk":
-            overrides = {sweep: "serial", sweep + (0,): "chunk"}
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"M": m, "maxK": maxk},
-            default="serial", overrides=overrides,
+            default="serial",
         )
-        backend = ExecutionBackend(workers=workers)
-        pools = []
+        return analyzed, flow, options, plan, do_k.body[0]
+
+    def test_runs_twice_on_one_backend(self):
+        """A window-debug run checks and stamps the fault-on-overwrite tags
+        on the walk; a second run on the same instance matches ``serial``
+        bit for bit too."""
+        m, maxk = 8, 6
+        analyzed, flow, options, plan, _sweep = self._walked(m, maxk)
+        backend = ExecutionBackend()
         try:
             for seed in (0, 1):
                 rng = np.random.default_rng(seed)
@@ -470,7 +348,41 @@ class TestWindowDebugOnThePool:
                     analyzed, dict(args), flow, options, plan=plan, backend=backend
                 )
                 assert np.array_equal(out["newA"], ref["newA"]), seed
-                pools.append(backend._pool)
         finally:
             backend.close()
-        assert pools[0] is not None and pools[1] is pools[0]
+
+    def test_a_poisoned_tag_is_caught_on_the_walk(self):
+        """A clean run first; then, before each sweep, every plane of ``A``
+        is marked overwritten: the walk reads ``A[K-1]`` under the boundary
+        ``if`` and must report the window violation."""
+        m, maxk = 4, 4
+        analyzed, flow, options, plan, sweep = self._walked(m, maxk)
+        rng = np.random.default_rng(0)
+        args = {"InitialA": rng.random((m + 2, m + 2)), "M": m, "maxK": maxk}
+        ref = execute_module(analyzed, dict(args), options=options_for("serial"))
+        backend = ExecutionBackend()
+        poison, sweeps = [], []
+        walk = backend.exec_sequential_loop
+
+        def spy(state, desc, lo, hi, env, vector_names):
+            if desc is sweep:
+                sweeps.append(lo)
+                if poison:
+                    state.data["A"].tags[...] = -1
+            walk(state, desc, lo, hi, env, vector_names)
+
+        backend.exec_sequential_loop = spy
+        try:
+            out = execute_module(
+                analyzed, dict(args), flow, options, plan=plan, backend=backend
+            )
+            assert np.array_equal(out["newA"], ref["newA"])
+            poison.append(True)
+            with pytest.raises(ExecutionError, match="window violation"):
+                execute_module(
+                    analyzed, dict(args), flow, options, plan=plan, backend=backend
+                )
+        finally:
+            backend.close()
+        # one sweep per K = 2 .. maxK, then the poisoned run's first
+        assert len(sweeps) == maxk

@@ -126,7 +126,7 @@ def test_awkward_arguments_are_converted_bit_exactly(backend, how):
 def test_counters_tell_borrowed_from_converted():
     name, analyzed, args = next(w for w in WORKLOADS if w[0] == "isum")
     nbytes = args["X"].nbytes
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     options = ExecutionOptions(backend="serial")
     execute_module(analyzed, args, options=options, backend=backend)
     assert backend.counters["arg_bytes_borrowed"] == nbytes

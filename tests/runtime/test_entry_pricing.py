@@ -104,7 +104,7 @@ def test_a_served_plan_takes_the_entry_exactly_when_the_nest_plan_does(tag, widt
     plans = {}
     for strategy in (None, "nest"):
         options, plan = plans[strategy] = _served(result, args, width, strategy)
-        backend = ExecutionBackend(workers=width)
+        backend = ExecutionBackend()
         try:
             for _ in range(2):  # the second run replays the recipe
                 _same(_run(result, args, options, plan, backend), want)
@@ -171,8 +171,8 @@ def test_a_warm_recipe_run_is_one_cffi_call_and_books_what_the_walk_books(monkey
     result = compile_source(CORPUS["coupled"])
     args = _args(result.analyzed)
     options, plan = _served(result, args, 1)
-    backend = ExecutionBackend(workers=1)
-    walker = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
+    walker = ExecutionBackend()
     try:
         _run(result, args, options, plan, backend)
         entry = plan.recipe.entry
@@ -232,7 +232,7 @@ def test_two_threads_replay_one_recipe_exactly():
     inputs = [{"X": np.random.default_rng(s).random(32), "n": 32} for s in (1, 2)]
     wants = [_evaluator(result.analyzed, a, result.flowchart) for a in inputs]
     options, plan = _served(result, inputs[0], 1)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     errors = []
 
     def worker(args, want):
@@ -272,7 +272,7 @@ def test_a_failed_recipe_run_raises_the_walks_error_and_the_next_is_exact(bad):
     args[name][at] = value
     want = _evaluator(result.analyzed, good, result.flowchart)
     options, plan = _served(result, good, 1)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     try:
         for _ in range(2):
             _same(_run(result, good, options, plan, backend), want)

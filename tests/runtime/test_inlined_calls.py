@@ -289,13 +289,14 @@ end Guard;
 """
 
 
+@pytest.mark.parametrize("strategy", ["vector", "nest"])
 @pytest.mark.parametrize("tier", TIERS)
-def test_a_chunked_row_reruns_on_the_walk(tier):
-    """A ``chunk`` runs its rows on the loop's C kernel on the native tier
-    — whose entry proof fails and reruns the chunk on the Python dialect —
-    and as one NumPy vector span on the NumPy tier, where a selected lane
-    that clips reruns the span on the scalar walk. Either way the reference
-    error is raised; with the read in range both match the reference."""
+def test_a_guarded_row_reruns_on_the_walk(tier, strategy):
+    """A ``nest`` runs its rows on the loop's C kernel on the native tier —
+    whose entry proof fails and reruns on the Python dialect — and a
+    ``vector`` span, where a selected lane that clips reruns the span on
+    the scalar walk. Either way the reference error is raised; with the
+    read in range both match the reference."""
     options = ExecutionOptions(backend="threaded", workers=2, kernel_tier=tier)
     reference = ExecutionOptions(backend="serial", use_kernels=False)
     args = {"A": np.arange(1.0, 65.0).reshape(8, 8), "n": 8}
@@ -303,10 +304,10 @@ def test_a_chunked_row_reruns_on_the_walk(tier):
         analyzed = analyze_module(parse_module(GUARD_2D.format(gap=gap)))
         flow = schedule_module(analyzed)
         plan = forced_plan(
-            analyzed, flow, "threaded", options, {"n": 8}, default="chunk",
+            analyzed, flow, "threaded", options, {"n": 8}, default=strategy,
             cpu_count=2,
         )
-        assert [s for _, s in plan.strategies()] == ["chunk", "vector"]
+        assert plan.strategies()[0] == ("I", strategy)
         if gap:
             with pytest.raises(ExecutionError) as raised:
                 execute_module(analyzed, dict(args), flow, options, plan=plan)

@@ -12,7 +12,8 @@ A point is one of
   kernels;
 * a loop in shape ``full``, in Python or C, or in shape ``team`` in C —
   the nest kernels. ``full`` over a ``DO`` is what used to be called the
-  ``"seq"`` variant; a chunk of a ``DOALL`` runs its ``full`` kernel.
+  ``"seq"`` variant; ``team`` over a ``DOALL`` is one ``omp for`` over its
+  root.
 
 over 51 programs, each with and without loop merging and window storage: the
 12 corpus modules and 3 shapes the kernel tests exercise (each also under the

@@ -209,7 +209,7 @@ class TestKernelParity:
                 build_plan(analyzed, flow, opts, {"M": 5, "maxK": 4}),
                 kernels=KernelCache(analyzed, flow) if kernels else None,
             )
-            backend = ExecutionBackend(opts.workers)
+            backend = ExecutionBackend()
             try:
                 backend.run(state)
             finally:

@@ -134,21 +134,6 @@ class TestExecutionParity:
         )["B"]
         assert np.array_equal(out, expected)
 
-    def test_forced_chunk_with_call_parity(self):
-        program, grid = _program(PROGRAM)
-        flow = schedule_module(grid)
-        args = self._args()
-        expected = self._reference(program, args)
-        options = ExecutionOptions(backend="threaded", workers=2)
-        plan = forced_plan(
-            grid, flow, "threaded", options, {"n": 6}, default="chunk"
-        )
-        out = execute_module(
-            grid, args, flowchart=flow, options=options, program=program,
-            plan=plan,
-        )["B"]
-        assert np.array_equal(out, expected)
-
     def test_index_dependent_call_still_correct(self):
         program, _ = _program(INDEXED_PROGRAM)
         rng = np.random.default_rng(12)

@@ -160,7 +160,7 @@ def test_every_corpus_program_answers_the_evaluator_and_the_walk(
     counts = states[-1].eval_counts
     assert all(counts.values())
 
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     try:
         for _ in range(2):  # the second run recycles what it can
             _same(_run(result, args, options, plan, backend), want)
@@ -187,7 +187,7 @@ def test_a_warm_run_is_one_cffi_call():
     result, args = _scan()
     options = ExecutionOptions(backend="serial", workers=1)
     plan = result.plan({"n": args["n"]}, options)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     want = _run(result, args, options, plan, backend)
     cache = result.kernel_cache
     entry = cache.module_entry(plan, False)
@@ -219,7 +219,7 @@ def test_a_plan_with_a_vector_loop_walks():
         result.analyzed, flow, "vectorized", options, {"n": args["n"]},
         default="nest", overrides={flow.path_of(doall): "vector"}, model=ALWAYS_C,
     )
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     try:
         got = _run(result, args, options, plan, backend)
     finally:
@@ -302,7 +302,7 @@ def test_a_failed_entry_raises_the_walks_error_and_leaks_nothing(bad, monkeypatc
         model=ALWAYS_C,
     )
     cache = KernelCache(analyzed, flow)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
 
     def run(args, plan=plan, cache=cache):
         return execute_module(
@@ -344,7 +344,7 @@ def test_an_exception_inside_the_entry_call_unwinds_and_the_next_run_is_exact():
     result, args = _scan()
     options = ExecutionOptions(backend="serial", workers=1)
     plan = result.plan({"n": args["n"]}, options)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     try:
         want = _run(result, args, options, plan, backend)
         entry = result.kernel_cache.module_entry(plan, False)

@@ -23,6 +23,7 @@ from repro.machine.cost import MachineModel
 from repro.plan.planner import build_plan, forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, native_supported
 from repro.runtime.kernels import native as native_mod
@@ -163,8 +164,8 @@ class TestNativeParity:
         the kernel's entry proof fails (``X[I + n]`` under ``I = k`` is
         out of range exactly when ``k`` is an iteration), the call returns
         before its first store and is rerun on per-element checks — as a
-        whole nest on the serial backend, as the one offending chunk on a
-        thread pool."""
+        whole nest on the serial backend, and as a whole nest on a team of
+        threads, whose proof returns before its region."""
         analyzed, flow = _module(SHIFT_SOURCE)
         n = 64
         args = {"X": np.arange(1.0, n + 1), "n": n, "k": k}
@@ -181,22 +182,28 @@ class TestNativeParity:
             assert str(raised.value) == message, tier
             if not tier:
                 assert _proofs(cache) == (0, 1)
-        # Four threaded chunks of 16: the three in-range chunks prove and
-        # run; only the chunk holding iteration k is rerun, on the nest's
-        # range-checked Python dialect.
+        if not native_mod.openmp_supported():
+            return
+        # The same nest on a team of four: the proof fails before the
+        # region, and the rerun on the range-checked Python dialect raises.
         options = ExecutionOptions(backend="threaded", workers=4)
         plan = forced_plan(
             analyzed, flow, "threaded", options, {"n": n, "k": k},
-            default="chunk",
+            default="nest",
         )
+        (lp,) = plan.loops.values()
+        lp.team = 4
         cache = KernelCache(analyzed, flow)
+        backend = ExecutionBackend()
         with pytest.raises(ExecutionError) as raised:
             execute_module(
                 analyzed, args, flowchart=flow, kernel_cache=cache,
-                options=options, plan=plan,
+                options=options, plan=plan, backend=backend,
             )
+        backend.close()
         assert str(raised.value) == message
-        assert _proofs(cache) == (3, 1)
+        assert _proofs(cache) == (0, 1)
+        assert backend.counters["team_calls"] == 1
 
     def test_a_bare_kernel_call_reports_the_failed_proof(self, native_cache_dir):
         """Outside a backend there is no tier to fall to: the callable
@@ -266,13 +273,9 @@ class TestGracefulDegradation:
 
 
 #: lookup -> (strategy that dispatches it, workload name); "do" is the
-#: "full" shape over a sequential DO root — the compiled in-order nest —
-#: and "chunk" the "full" shape asked for its C kernel alone, as a chunk
-#: asks for it (a chunk runs NumPy vector spans rather than the Python
-#: dialect's scalar loops)
+#: "full" shape over a sequential DO root — the compiled in-order nest
 LOOKUP_SHAPES = {
     "full": ("nest", "jacobi"),
-    "chunk": ("chunk", "jacobi"),
     "do": ("nest", "isum"),
 }
 
@@ -341,9 +344,6 @@ class TestTieredLookup:
         strategy, workload = LOOKUP_SHAPES[shape]
         analyzed, flow, args, result, desc = _lookup_workload(workload)
         expected = LOOKUP_CONDITIONS[condition]
-        if shape == "chunk" and expected == "numpy":
-            # nothing to serve: the chunk runs its vector spans
-            expected = None
         _impose(monkeypatch, condition)
 
         cache = KernelCache(analyzed, flow)
@@ -364,7 +364,7 @@ class TestTieredLookup:
         )
 
         def lookup():
-            return cache.nest_kernel_for(desc, False, numpy=shape != "chunk")
+            return cache.nest_kernel_for(desc, False)
 
         served = lookup()
         if expected is None:

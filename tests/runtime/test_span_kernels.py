@@ -1,44 +1,34 @@
-"""Chunk kernels: every chunk of a DOALL is one call of the loop's own
-``"full"`` C kernel over its part of the subrange.
+"""Full kernels on a ``DOALL``: the whole subrange as one call of the
+loop's own kernel, or one NumPy span.
 
-The chunked backends split a ``chunk``-planned DOALL into contiguous
-subranges and call the nest's one compiled function for each — the same
-function the ``nest`` strategy calls for the whole subrange. These tests
-pin:
+Covered here:
 
-* bit-exact parity — every paper workload, chunk-forced on every chunked
-  backend, in both window modes, against the kernel-less serial reference,
-  on the native *and* NumPy tiers;
-* a DOALL over a sequential ``DO`` (the ``rec`` program) chunks on its
-  native kernel, where per-equation kernels could not lower it;
-* one kernel call per chunk, however many equations the loop holds;
-* a chunk whose entry range proof fails reruns alone on the nest's
-  range-checked Python dialect, and the evaluator's error comes out after
-  its sibling chunks have finished;
-* genuine parallelism — a Python thread keeps running while another sits
-  inside a GIL-released native kernel.
+* bit-exact parity — every paper workload with ``vector`` or ``nest``
+  forced, on both kernel tiers, windows off and on, against the
+  kernel-less serial reference;
+* a ``DOALL`` over a sequential ``DO`` (the ``rec`` program) runs on its
+  native kernel;
+* the kernel shapes a ``DOALL`` asks the cache for, the retired ``"flat"``
+  shape's refusal, and an empty inner range;
+* the C call releases the GIL.
 """
 
 import os
-import queue
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import CompilerOptions, compile_source
-from repro.errors import ExecutionError
 from repro.plan.planner import forced_plan, valid_strategies
-from repro.plan.strategy import ChunkStrategy
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
 from repro.ps.types import RealType
-from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
-from repro.runtime.kernels import KernelCache, native_supported
+from repro.runtime.kernels import KernelCache, KernelError, native_supported
 from repro.runtime.kernels import native as native_mod
+from repro.runtime.kernels.emit import emit_nest_kernel_source
+from repro.runtime.kernels.native import native_refusal
 from repro.runtime.values import RuntimeArray
 from repro.schedule.flowchart import LoopDescriptor
 from repro.schedule.scheduler import schedule_module
@@ -50,7 +40,7 @@ needs_toolchain = pytest.mark.skipif(
 )
 
 #: a DOALL whose body is a sequential DO (W[I, J] carries a dependence
-#: along J): its chunks run the whole DO per row, in order
+#: along J): each iteration runs the whole DO over its row, in order
 REC_SOURCE = """\
 Rec: module (n: int): [Y: array[1 .. n] of int];
 type
@@ -62,26 +52,6 @@ define
     W[I, J] = W[I, J-1] + I;
     Y[I] = W[I, n];
 end Rec;
-"""
-
-#: two equations over one DOALL once the loops are merged
-TWO_SOURCE = """\
-Two: module (X: array[1 .. n] of real; n: int):
-     [Y: array[1 .. n] of real; Z: array[1 .. n] of real];
-type I = 1 .. n;
-define
-    Y[I] = X[I] * 2.0;
-    Z[I] = X[I] + 1.0;
-end Two;
-"""
-
-#: ``X[I + 1]`` leaves ``X`` on the last iteration only
-SHIFT_SOURCE = """\
-Shift: module (X: array[1 .. n] of real; n: int): [Y: array[1 .. n] of real];
-type I = 1 .. n;
-define
-    Y[I] = X[I + 1];
-end Shift;
 """
 
 #: an arithmetic-heavy single-equation nest for the concurrency test —
@@ -106,7 +76,7 @@ end Heavy;
 def span_cache(tmp_path_factory):
     """One on-disk cache for the whole module: each kernel compiles once
     and later tests reload the memoized library."""
-    d = tmp_path_factory.mktemp("native-chunk-cache")
+    d = tmp_path_factory.mktemp("native-span-cache")
     old = os.environ.get("REPRO_NATIVE_CACHE")
     os.environ["REPRO_NATIVE_CACHE"] = str(d)
     yield d
@@ -116,85 +86,59 @@ def span_cache(tmp_path_factory):
         os.environ["REPRO_NATIVE_CACHE"] = old
 
 
-def _chunk_forced_plan(analyzed, flow, backend, options, scalars):
-    """Force ``chunk`` on every loop where it is valid (outermost wins) so
-    the run exercises the chunk dispatch path regardless of what the
-    cost-driven planner would pick at these tiny sizes."""
-    overrides = {}
+#: a perfect two-deep nest
+SCALE_SOURCE = """\
+Scale: module (A: array[1 .. r, 1 .. c] of real; r: int; c: int):
+       [B: array[1 .. r, 1 .. c] of real];
+type
+    I = 1 .. r; J = 1 .. c;
+define
+    B[I, J] = A[I, J] * 2.0 + 1.0;
+end Scale;
+"""
 
-    def walk(path, descs):
-        for i, d in enumerate(descs):
-            p = path + (i,)
-            if not isinstance(d, LoopDescriptor):
-                continue
-            if "chunk" in valid_strategies(
-                analyzed, flow, d, options.use_windows
-            ):
-                overrides[p] = "chunk"
-            else:
-                walk(p, d.body)
+#: a perfect three-deep nest
+CUBE_SOURCE = """\
+Cube: module (n: int): [B: array[1 .. n, 1 .. n, 1 .. n] of int];
+type
+    I = 1 .. n; J = 1 .. n; K = 1 .. n;
+define
+    B[I, J, K] = I * 10000 + J * 100 + K;
+end Cube;
+"""
 
-    walk((), flow.descriptors)
-    return forced_plan(
-        analyzed, flow, backend, options, scalars, overrides=overrides
-    )
+#: one DOALL, one equation
+VEC_SOURCE = """\
+Vec: module (A: array[1 .. n] of real; n: int):
+     [B: array[1 .. n] of real];
+type
+    I = 1 .. n;
+define
+    B[I] = A[I] + 1.0;
+end Vec;
+"""
+
+
+def _setup(source):
+    analyzed = analyze_module(parse_module(source))
+    return analyzed, schedule_module(analyzed)
 
 
 def _scalars(args):
     return {k: int(v) for k, v in args.items() if isinstance(v, int)}
 
 
-def _chunked(plan):
-    return [path for path, lp in plan.loops.items() if lp.strategy == "chunk"]
-
-
-def _run_two(cache, n=40):
-    """Run ``TWO_SOURCE`` (merged) chunk-forced on two threads through
-    ``cache``; check the results and return (the run's state, ``n``)."""
-    analyzed, flow = cache.analyzed, cache.flowchart
-    args = {"X": np.linspace(0.0, 1.0, n), "n": n}
-    options = ExecutionOptions(backend="threaded", workers=2)
-    plan = forced_plan(analyzed, flow, "threaded", options, {"n": n}, default="chunk")
-    assert plan.loops[(0,)].parts == 2
-    backend = ExecutionBackend(workers=2)
-    states = []
-    original = backend.run
-
-    def run(state):
-        states.append(state)
-        original(state)
-
-    backend.run = run
-    try:
-        got = execute_module(
-            analyzed, dict(args), flow, options, kernel_cache=cache,
-            plan=plan, backend=backend,
-        )
-    finally:
-        backend.close()
-    assert np.array_equal(got["Y"], args["X"] * 2.0)
-    assert np.array_equal(got["Z"], args["X"] + 1.0)
-    return states[0], n
-
-
-def _two_cache():
-    result = compile_source(TWO_SOURCE, CompilerOptions(merge_loops=True))
-    (loop,) = result.flowchart.loops()
-    assert len(loop.nested_equations()) == 2
-    return KernelCache(result.analyzed, result.flowchart)
-
-
 @needs_toolchain
 class TestSpanParity:
+    @pytest.mark.parametrize("strategy", ["vector", "nest"])
     @pytest.mark.parametrize("use_windows", [False, True])
     @pytest.mark.parametrize(
         "workload", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    def test_bit_exact_chunk_forced(
-        self, workload, use_windows, span_cache
-    ):
-        """Chunk-forced execution on the native tier == the kernel-less
-        serial reference == the NumPy tier, bit for bit."""
+    def test_bit_exact_forced(self, workload, use_windows, strategy, span_cache):
+        """Every loop the strategy applies to forced onto it, on the native
+        and the NumPy tier: the kernel-less serial reference, bit for
+        bit."""
         name, analyzed, flow, args, out = workload
         ref = execute_module(
             analyzed, dict(args), flow,
@@ -207,9 +151,11 @@ class TestSpanParity:
                 backend="threaded", workers=3, use_windows=use_windows,
                 kernel_tier=tier,
             )
-            plan = _chunk_forced_plan(
-                analyzed, flow, "threaded", options, _scalars(args)
+            plan = forced_plan(
+                analyzed, flow, "threaded", options, _scalars(args),
+                default=strategy,
             )
+            assert strategy in {s for _, s in plan.strategies()}
             got = execute_module(
                 analyzed, dict(args), flow, options, plan=plan
             )
@@ -235,18 +181,13 @@ class TestSpanParity:
 
 
 @needs_toolchain
-class TestChunkOnTheFullKernel:
-    @pytest.mark.parametrize("workers", [2, 3])
+class TestTheFullKernel:
     @pytest.mark.parametrize("use_windows", [False, True], ids=["flat", "win"])
-    def test_doall_over_a_do_chunks_natively(
-        self, use_windows, workers, span_cache
-    ):
-        """``rec`` chunk-forced: every chunked loop — with windows off the
-        ``DOALL I (DO J ...)`` too — is served by its native kernel, and
-        the answer is the evaluator's, bit for bit, with uninitialised
-        storage poisoned."""
-        analyzed = analyze_module(parse_module(REC_SOURCE))
-        flow = schedule_module(analyzed)
+    def test_doall_over_a_do_runs_natively(self, use_windows, span_cache):
+        """``rec`` with ``nest`` forced: the ``DOALL I (DO J ...)`` is
+        served by its native kernel, and the answer is the evaluator's,
+        bit for bit, with uninitialised storage poisoned."""
+        analyzed, flow = _setup(REC_SOURCE)
         n = 37
         ref = execute_module(
             analyzed, {"n": n}, flow,
@@ -255,136 +196,82 @@ class TestChunkOnTheFullKernel:
             ),
         )
         options = ExecutionOptions(
-            backend="threaded", workers=workers, use_windows=use_windows
+            backend="serial", workers=1, use_windows=use_windows
         )
-        plan = _chunk_forced_plan(analyzed, flow, "threaded", options, {"n": n})
-        chunked = _chunked(plan)
-        assert ((1,) in chunked) == (not use_windows)
+        plan = forced_plan(
+            analyzed, flow, "serial", options, {"n": n}, default="nest"
+        )
+        assert ((1,), "full") in plan.native_kernels()
         cache = KernelCache(analyzed, flow)
         got = execute_module(
             analyzed, {"n": n}, flow, options, kernel_cache=cache, plan=plan
         )
         assert np.array_equal(got["Y"], ref["Y"])
-        assert chunked == [path for path, _ in plan.native_kernels()]
-        assert all(
-            cache._native[(path, use_windows, "full")] is not None
-            for path in chunked
+        assert cache._native[((1,), use_windows, "full")] is not None
+
+
+class TestNestKernelShapes:
+    def test_a_doall_offers_the_three_strategies(self):
+        analyzed, flow = _setup(VEC_SOURCE)
+        (loop,) = flow.loops()
+        assert valid_strategies(analyzed, flow, loop) == ["serial", "vector", "nest"]
+
+    def test_the_python_nest_kernel_loops_over_the_root_subrange(self):
+        analyzed, flow = _setup(SCALE_SOURCE)
+        outer = next(d for d in flow.loops() if d.parallel)
+        source, _ = emit_nest_kernel_source(
+            outer, analyzed, flow, use_windows=False
         )
+        assert "for _v_I in range(_nlo, _nhi + 1):" in source
+        assert "np.arange" not in source
 
-    def test_one_kernel_call_per_chunk(self, span_cache):
-        """A chunk of a two-equation loop is one C call that stores both
-        equations — not one call per equation. Every call with an entry
-        proof reports its verdict once: the spy counts the calls."""
-        cache = _two_cache()
-        calls = []
-        cache._book_proof = calls.append
-        state, n = _run_two(cache)
-        assert calls == [True, True]
-        assert state.eval_counts == {"eq.1": n, "eq.2": n}
-
-
-@needs_toolchain
-class TestUnprovenChunk:
-    def test_reruns_on_the_python_full_kernel_counting_once(
-        self, span_cache, monkeypatch
-    ):
-        """A chunk whose native call reports a failed entry proof has
-        stored nothing; it alone runs again, on the nest's range-checked
-        Python dialect — not on vector spans — and each element is counted
-        exactly once."""
-        real_bind = native_mod.bind_kernel
-
-        def unproven_from_21(spec, on_proof=None):
-            kernel = real_bind(spec, on_proof)
-
-            def fails(data, env, lo, hi, *width):
-                if lo == 21:
-                    raise native_mod.RangeUnproven("simulated")
-                return kernel(data, env, lo, hi, *width)
-
-            fails.__native__ = True
-            return fails
-
-        monkeypatch.setattr(native_mod, "bind_kernel", unproven_from_21)
-        cache = _two_cache()
-        lookups = []
-        real_lookup = cache.nest_kernel_for
-
-        def lookup(desc, use_windows, variant="full", tier="native", **kw):
-            lookups.append((variant, tier, kw.get("numpy", True)))
-            return real_lookup(desc, use_windows, variant, tier, **kw)
-
-        cache.nest_kernel_for = lookup
-        state, n = _run_two(cache)
-        assert state.eval_counts == {"eq.1": n, "eq.2": n}
-        # both chunks asked for the C kernel alone; the failed one then
-        # asked for the Python dialect of the same shape
-        assert sorted(lookups) == [
-            ("full", "native", False), ("full", "native", False),
-            ("full", "numpy", True),
-        ]
-
-    def test_a_real_stray_raises_the_evaluator_error_after_its_siblings(
-        self, span_cache, monkeypatch
-    ):
-        """``X[I + 1]`` leaves ``X`` at ``I = n`` only: the last chunk's
-        proof fails, its rerun on the Python dialect raises the evaluator's
-        exact error, and the other chunks have run to completion by the
-        time it reaches the caller."""
-        analyzed = analyze_module(parse_module(SHIFT_SOURCE))
-        flow = schedule_module(analyzed)
-        n = 30
-        args = {"X": np.arange(1.0, n + 1), "n": n}
-        with pytest.raises(ExecutionError) as expected:
-            execute_module(
-                analyzed, dict(args), flow,
-                ExecutionOptions(backend="serial", use_kernels=False),
-            )
-        options = ExecutionOptions(backend="threaded", workers=3)
-        plan = forced_plan(
-            analyzed, flow, "threaded", options, {"n": n}, default="chunk"
-        )
-        backend = ExecutionBackend(workers=3)
-        done = queue.SimpleQueue()
-        original = ChunkStrategy.run_chunk
-
-        def run_chunk(self, backend, state, desc, lo, hi, env, fuse):
-            if lo == 1:
-                time.sleep(0.2)  # the in-range sibling finishes last
-            original(self, backend, state, desc, lo, hi, env, fuse)
-            done.put(lo)
-
-        monkeypatch.setattr(ChunkStrategy, "run_chunk", run_chunk)
+    def test_the_retired_flat_shape_is_refused(self):
+        analyzed, flow = _setup(SCALE_SOURCE)
+        outer = next(d for d in flow.loops() if d.parallel)
         cache = KernelCache(analyzed, flow)
-        real_lookup = cache.nest_kernel_for
+        with pytest.raises(KernelError, match="unknown nest-kernel variant 'flat'"):
+            cache.nest_kernel_for(outer, False, variant="flat")
+        assert native_refusal(outer, analyzed, flow, False, "flat") == (
+            "unknown nest-kernel variant 'flat'"
+        )
 
-        def lookup(desc, use_windows, variant="full", tier="native", **kw):
-            done.put((variant, tier))
-            return real_lookup(desc, use_windows, variant, tier, **kw)
+    def test_a_team_request_on_the_numpy_tier_serves_the_full_kernel(self):
+        analyzed, flow = _setup(SCALE_SOURCE)
+        outer = next(d for d in flow.loops() if d.parallel)
+        cache = KernelCache(analyzed, flow)
+        full = cache.nest_kernel_for(outer, False, tier="numpy")
+        assert full is not None
+        assert cache.nest_kernel_for(outer, False, tier="numpy") is full
+        assert cache.nest_kernel_for(outer, False, variant="team", tier="numpy") is full
 
-        cache.nest_kernel_for = lookup
-        try:
-            with pytest.raises(ExecutionError) as raised:
-                execute_module(
-                    analyzed, dict(args), flow, options, kernel_cache=cache,
-                    plan=plan, backend=backend,
-                )
-        finally:
-            backend.close()
-        assert str(expected.value) in str(raised.value)
-        heard = []
-        while not done.empty():
-            heard.append(done.get())
-        finished = sorted(x for x in heard if isinstance(x, int))
-        assert finished == [1, 11]  # both in-range chunks joined
-        # three chunks asked for the C kernel; the failed one, then, for
-        # the Python dialect
-        assert sorted(x for x in heard if isinstance(x, tuple)) == [
-            ("full", "native"), ("full", "native"), ("full", "native"),
-            ("full", "numpy"),
-        ]
-        stats = cache.stats()
-        assert (stats["range_proven"], stats["range_unproven"]) == (2, 1)
+    def test_warm_builds_the_full_shape_of_every_loop(self):
+        analyzed, flow = _setup(CUBE_SOURCE)
+        cache = KernelCache(analyzed, flow)
+        cache.warm(False, tier="numpy")
+        assert sorted(cache._nests) == sorted(
+            (flow.path_of(d), False, "full") for d in flow.loops()
+        )
+
+    @pytest.mark.usefixtures("span_cache")
+    @pytest.mark.parametrize("strategy", ["vector", "nest"])
+    def test_empty_inner_range(self, strategy):
+        """A zero-extent inner loop: the nest stores nothing, so neither the
+        span nor the nest kernel allocates a target or runs — exactly what
+        the reference walk does."""
+        analyzed, flow = _setup(SCALE_SOURCE)
+        args = {"A": np.zeros((3, 0)), "r": 3, "c": 0}
+        expected = execute_module(
+            analyzed, dict(args), flow,
+            ExecutionOptions(backend="serial", use_kernels=False),
+        )["B"]
+        options = ExecutionOptions(backend="threaded", workers=4)
+        plan = forced_plan(
+            analyzed, flow, "threaded", options, {"r": 3, "c": 0}, default=strategy
+        )
+        out = execute_module(
+            analyzed, args, flowchart=flow, options=options, plan=plan
+        )["B"]
+        assert (out is None and expected is None) or np.array_equal(out, expected)
 
 
 @needs_toolchain

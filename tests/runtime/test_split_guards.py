@@ -110,7 +110,7 @@ def test_segmented_nests_equal_the_evaluator(seed, three, states):  # noqa: F811
     flow = schedule_module(analyzed)
     teams = openmp_supported() and any(
         native_mod.native_refusal(d, analyzed, flow, False, "team") is None
-        for d in flow.loops()
+        for d in flow.loops() if not d.parallel
     )
     for m in SIZES:
         rng = np.random.default_rng(100 * seed + m)
@@ -124,7 +124,7 @@ def test_segmented_nests_equal_the_evaluator(seed, three, states):  # noqa: F811
                 got = _native_run(analyzed, flow, args, sizes)["A"]
             else:
                 options, plan = _team_plan(analyzed, flow, args, False, width)
-                backend = ExecutionBackend(workers=1)
+                backend = ExecutionBackend()
                 got = execute_module(
                     analyzed, args, flowchart=flow, options=options, plan=plan,
                     kernel_cache=KernelCache(analyzed, flow), backend=backend,
@@ -140,7 +140,7 @@ def _native_run(analyzed, flow, args, sizes):
     plan = forced_plan(
         analyzed, flow, "serial", options, sizes, default="nest", model=ALWAYS_C
     )
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     try:
         return execute_module(
             analyzed, args, flowchart=flow, options=options, plan=plan,
@@ -243,7 +243,7 @@ def test_the_paper_kernels_split_into_their_leaves(name, hyper, leaves, checks):
         analyzed, flow, "serial", options, sizes, default="nest", model=ALWAYS_C
     )
     cache = KernelCache(analyzed, flow)
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     got = execute_module(
         analyzed, args, flowchart=flow, options=options, plan=plan,
         kernel_cache=cache, backend=backend,
@@ -283,7 +283,7 @@ def test_an_inline_check_in_a_boundary_leaf_raises_the_evaluators_error():
         model=ALWAYS_C,
     )
     assert plan.loops[flow.path_of(root)].dialect == "native"
-    backend = ExecutionBackend(workers=1)
+    backend = ExecutionBackend()
     cache = KernelCache(analyzed, flow)
     with pytest.raises(ExecutionError) as native:
         execute_module(

@@ -1,12 +1,19 @@
-"""Team kernels: a compiled ``DO`` over ``DOALL`` s as one OpenMP region.
+"""Team kernels: a compiled ``DOALL`` or ``DO`` over ``DOALL`` s as one
+OpenMP region.
 
 * differential — Jacobi (full storage and windows), tall-skinny (an outer
   trip of 4, below a team of 7), the line sweep and a ``DO`` body with a
   plain equation beside its ``DOALL`` (the ``omp single`` path), each at
   widths 1, 2, 3 and 7, against the evaluator and against width 1, with
   equal evaluation counts and uninitialised storage poisoned;
+* every ``DOALL`` -rooted nest of the corpus (plain and §4) and of the 36
+  generated ``small_many`` programs, one ``omp for`` over its root, at the
+  same widths, windows off and on, against the evaluator;
 * a failed entry proof returns before the region, and the rerun a tier
-  down raises the evaluator's error;
+  down raises the evaluator's error — a ``DO`` root's and a ``DOALL``
+  root's alike, after which the next run is exact; a ``div`` guard keeps
+  a ``DOALL`` off the team, and its zero divisor raises as the evaluator
+  does;
 * libgomp lifetime: a process that ran a team exits cleanly with the pool
   spinning (``OMP_WAIT_POLICY=active``), and a child forked after its
   parent ran one runs at width 1 instead of hanging — both in
@@ -21,6 +28,7 @@ this machine has: a team of two runs correctly on one core too.
 """
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -30,21 +38,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.genprog import generate_program, program_args
 from repro.core.paper import RELAXATION_JACOBI_SOURCE, jacobi_analyzed
+from repro.core.pipeline import CompilerOptions, compile_source
 from repro.core.recurrences import LINE_SWEEP_SOURCE
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.machine.cost import MachineModel
 from repro.plan.planner import forced_plan
 from repro.ps.parser import parse_module
 from repro.ps.semantics import analyze_module
+from repro.ps.types import ArrayType
 from repro.runtime.backends import ExecutionBackend
 from repro.runtime.executor import ExecutionOptions, execute_module
 from repro.runtime.kernels import KernelCache, openmp_supported
 from repro.runtime.kernels import native as native_mod
+from repro.runtime.values import array_bounds, dtype_for
+from repro.schedule.flowchart import LoopDescriptor, loop_chunk_safe
 from repro.schedule.scheduler import schedule_module
 from repro.serve import DaemonThread, ReproClient, Session
 
-from tests.runtime.test_kernel_sources import TALLSKINNY_SOURCE
+from tests.runtime.test_kernel_sources import (
+    CORPUS,
+    GENERATED_PER_UNIT_COUNT,
+    TALLSKINNY_SOURCE,
+)
 
 pytestmark = pytest.mark.skipif(
     not openmp_supported(), reason="no OpenMP-capable C compiler here"
@@ -174,16 +191,23 @@ def states(monkeypatch):
 @pytest.fixture()
 def widths(monkeypatch):
     """The width argument of every team kernel call, with the calling
-    thread."""
+    thread — a module entry's teams included."""
     seen = []
     real = ExecutionBackend._run_kernel
+    real_entry = ExecutionBackend._run_entry
 
     def spy(self, state, kernel, env, lo=None, hi=None, label=None, width=None):
         if width is not None:
             seen.append((width, threading.current_thread()))
         return real(self, state, kernel, env, lo, hi, label, width=width)
 
+    def spy_entry(self, state, recipe):
+        if recipe.teams:
+            seen.append((native_mod.team_width(recipe.team), threading.current_thread()))
+        return real_entry(self, state, recipe)
+
     monkeypatch.setattr(ExecutionBackend, "_run_kernel", spy)
+    monkeypatch.setattr(ExecutionBackend, "_run_entry", spy_entry)
     return seen
 
 
@@ -199,7 +223,7 @@ class TestDifferential:
         got = {}
         for width in (None, *WIDTHS):
             options, plan = _team_plan(analyzed, flow, args, use_windows, width)
-            backend = ExecutionBackend(workers=1)
+            backend = ExecutionBackend()
             got[width] = execute_module(
                 analyzed, args, flowchart=flow, options=options, plan=plan,
                 kernel_cache=KernelCache(analyzed, flow), backend=backend,
@@ -226,7 +250,7 @@ class TestDifferential:
             _evaluator(analyzed, args, flow)
         options, plan = _team_plan(analyzed, flow, args, False, 2)
         cache = KernelCache(analyzed, flow)
-        backend = ExecutionBackend(workers=1)
+        backend = ExecutionBackend()
         with pytest.raises(ExecutionError, match="out of range") as team:
             execute_module(
                 analyzed, args, flowchart=flow, options=options, plan=plan,
@@ -301,8 +325,8 @@ class TestLibgompLifetime:
         assert done.stdout.split()[-1] == "0"
 
     def test_team_calls_stay_on_the_callers_thread(self, widths, two_cores):
-        # threaded x2: the copies around the sweep are chunked on the pool,
-        # the sweep's team is entered from the calling thread only
+        # threaded x2: the sweep's team is entered from the calling thread
+        # only
         with Session(ExecutionOptions(backend="threaded", workers=2)) as session:
             session.load(RELAXATION_JACOBI_SOURCE)
             args = {
@@ -311,7 +335,6 @@ class TestLibgompLifetime:
             }
             plan = session.plan("Relaxation", args)
             assert any(lp.team for lp in plan.loops.values())
-            assert any(lp.strategy == "chunk" for lp in plan.loops.values())
             session.run("Relaxation", args)
         assert widths and all(
             t is threading.current_thread() for _w, t in widths
@@ -365,7 +388,7 @@ class TestWithoutOpenMP:
         flow = schedule_module(analyzed)
         options, plan = _team_plan(analyzed, flow, args, False, 2)
         monkeypatch.setattr(native_mod, "openmp_supported", lambda: False)
-        backend = ExecutionBackend(workers=1)
+        backend = ExecutionBackend()
         cache = KernelCache(analyzed, flow)
         got = execute_module(
             analyzed, args, flowchart=flow, options=options, plan=plan,
@@ -377,3 +400,218 @@ class TestWithoutOpenMP:
         assert backend.counters["team_calls"] == 0
         # the sweep still ran in C, on the caller's thread
         assert cache.stats()["native"] >= 1
+
+
+#: a size for every integer parameter the corpus declares, small enough to
+#: run every program at every width
+RUN_SIZES = {"M": 9, "maxK": 4, "n": 23, "m": 11, "r": 3, "c": 17, "k": 3}
+
+
+def _corpus_args(analyzed, rng):
+    """An argument for every parameter of a corpus program: its size from
+    :data:`RUN_SIZES`, small integers or reals in ``[0, 1)``."""
+    args = {}
+    for name in analyzed.param_names:
+        t = analyzed.symbol(name).type
+        if not isinstance(t, ArrayType):
+            args[name] = RUN_SIZES[name] if np.dtype(dtype_for(t)).kind == "i" else 0.5
+    env = {k: v for k, v in args.items() if isinstance(v, int)}
+    for name in analyzed.param_names:
+        t = analyzed.symbol(name).type
+        if isinstance(t, ArrayType):
+            shape = tuple(hi - lo + 1 for lo, hi in array_bounds(t, env))
+            if np.dtype(dtype_for(t.element)).kind == "i":
+                args[name] = rng.integers(-5, 6, shape)
+            else:
+                args[name] = rng.random(shape)
+    return args
+
+
+def _doall_rooted():
+    """(tag, analyzed, flowchart, args) for every corpus program, plain and
+    §4-transformed, and every generated ``small_many`` program."""
+    rng = np.random.default_rng(11)
+    for name, source in CORPUS.items():
+        for hyper in (False, True):
+            try:
+                result = compile_source(source, CompilerOptions(hyperplane=hyper))
+            except ReproError:
+                continue
+            analyzed = result.analyzed
+            yield (
+                f"{name}/h{int(hyper)}", analyzed, result.flowchart,
+                _corpus_args(analyzed, rng),
+            )
+    draw = random.Random(1)
+    want = dict(GENERATED_PER_UNIT_COUNT)
+    while any(want.values()):
+        prog = generate_program(draw.randrange(1 << 30))
+        units = len(prog.kinds)
+        if not want.get(units):
+            continue
+        want[units] -= 1
+        result = compile_source(prog.source)
+        yield (
+            f"gen{prog.seed}", result.analyzed, result.flowchart,
+            program_args(prog, 32, seed=units),
+        )
+
+
+
+
+def _doall_team_plan(analyzed, flow, args, use_windows):
+    """Every ``DOALL`` met on the walk outside another ``DOALL`` forced onto
+    ``nest`` (a ``DO`` holding one is walked, so its ``DOALL`` s are roots),
+    and the loops whose team kernel lowers and which are chunk-safe."""
+    overrides = {}
+
+    def walk(descs, path):
+        for i, d in enumerate(descs):
+            if isinstance(d, LoopDescriptor) and not d.parallel:
+                overrides[path + (i,)] = "serial"
+                walk(d.body, path + (i,))
+
+    walk(flow.descriptors, ())
+    options = ExecutionOptions(backend="serial", workers=1, use_windows=use_windows)
+    scalars = {k: v for k, v in args.items() if isinstance(v, int)}
+    plan = forced_plan(
+        analyzed, flow, "serial", options, scalars, default="nest",
+        overrides=overrides, model=ALWAYS_C,
+    )
+    teams = [
+        lp for path, lp in plan.loops.items()
+        if lp.keyword == "DOALL" and lp.strategy == "nest"
+        and lp.dialect == "native"
+        and loop_chunk_safe(
+            flow.descriptor_at(path), analyzed, flow.windows, use_windows
+        )
+        and native_mod.native_refusal(
+            flow.descriptor_at(path), analyzed, flow, use_windows, "team"
+        ) is None
+    ]
+    return options, plan, teams
+
+
+#: (tag, analyzed, flowchart, args, window mode) of every program and mode
+#: in which a ``DOALL`` lowers to a team
+DOALL_TEAM_CASES = [
+    (tag, analyzed, flow, args, use_windows)
+    for tag, analyzed, flow, args in _doall_rooted()
+    for use_windows in (False, True)
+    if _doall_team_plan(analyzed, flow, args, use_windows)[2]
+]
+
+
+class TestDoallTeams:
+    @pytest.mark.parametrize(
+        "case", DOALL_TEAM_CASES,
+        ids=[f"{c[0]}-{'win' if c[4] else 'flat'}" for c in DOALL_TEAM_CASES],
+    )
+    def test_every_width_equals_the_evaluator(self, case, states):
+        """Every ``DOALL`` -rooted nest on a team 1, 2, 3 and 7 wide, one
+        ``omp for`` over its root, with uninitialised storage poisoned:
+        the evaluator's bytes (its windowed run with the debug tags
+        armed), each element evaluated once."""
+        tag, analyzed, flow, args, use_windows = case
+        options, plan, teams = _doall_team_plan(analyzed, flow, args, use_windows)
+        want = _evaluator(analyzed, args, flow, use_windows)
+        reference_counts = dict(states[-1].eval_counts)
+        cache = KernelCache(analyzed, flow)
+        for width in WIDTHS:
+            for lp in teams:
+                lp.team = width
+            backend = ExecutionBackend()
+            got = execute_module(
+                analyzed, args, flowchart=flow, options=options, plan=plan,
+                kernel_cache=cache, backend=backend,
+            )
+            backend.close()
+            assert backend.counters["team_calls"] >= 1, (tag, width)
+            assert dict(states[-1].eval_counts) == reference_counts, (tag, width)
+            for k in analyzed.result_names:
+                g, w = np.asarray(got[k]), np.asarray(want[k])
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (
+                    tag, width, k,
+                )
+
+    def test_the_corpus_has_doall_teams_to_check(self):
+        tags = {tag for tag, *_rest, use_windows in DOALL_TEAM_CASES if not use_windows}
+        assert {"jacobi/h0", "rec/h0", "scan/h0"} <= tags
+        assert any(tag.startswith("gen") for tag in tags)
+        assert any(use_windows for *_rest, use_windows in DOALL_TEAM_CASES)
+
+
+#: ``X[I + s]`` leaves ``X`` at ``I = n`` when ``s = 1``; in range at 0
+OFFSET_SOURCE = """\
+Offset: module (X: array[1 .. n] of real; n: int; s: int):
+        [Y: array[1 .. n] of real];
+type I = 1 .. n;
+define
+    Y[I] = X[I + s] * 2.0;
+end Offset;
+"""
+
+#: an integer division by ``D[1]``
+QUOT_SOURCE = """\
+Quot: module (n: int; X: array[1 .. n] of int; D: array[1 .. 2] of int):
+      [B: array[1 .. n] of int];
+type I = 1 .. n;
+define
+    B[I] = X[I] div D[1];
+end Quot;
+"""
+
+
+class TestDoallTeamErrors:
+    def test_an_out_of_range_read_raises_the_evaluators_error(self):
+        """The entry proof fails before the region: the call reruns on the
+        range-checked Python dialect, which raises the evaluator's exact
+        error; the same plan, cache and engine then run an in-range input
+        bit-equal to the evaluator."""
+        analyzed = analyze_module(parse_module(OFFSET_SOURCE))
+        flow = schedule_module(analyzed)
+        n = 40
+        bad = {"X": np.arange(1.0, n + 1), "n": n, "s": 1}
+        with pytest.raises(ExecutionError, match="out of range") as evaluator:
+            _evaluator(analyzed, bad, flow)
+        options, plan, teams = _doall_team_plan(analyzed, flow, bad, False)
+        (lp,) = teams
+        lp.team = 2
+        cache = KernelCache(analyzed, flow)
+        backend = ExecutionBackend()
+        with pytest.raises(ExecutionError, match="out of range") as team:
+            execute_module(
+                analyzed, bad, flowchart=flow, options=options, plan=plan,
+                kernel_cache=cache, backend=backend,
+            )
+        assert str(team.value) == str(evaluator.value)
+        assert cache.stats()["range_unproven"] == 1
+        good = {**bad, "s": 0}
+        got = execute_module(
+            analyzed, good, flowchart=flow, options=options, plan=plan,
+            kernel_cache=cache, backend=backend,
+        )
+        backend.close()
+        assert got["Y"].tobytes() == _evaluator(analyzed, good, flow)["Y"].tobytes()
+        assert backend.counters["team_calls"] == 2
+
+    def test_a_zero_divisor_keeps_the_team_off_and_raises(self, two_cores):
+        """A ``div`` guard may return inside the loop, which no team region
+        may: ``explain()`` says the team is refused, the run raises the
+        evaluator's ``ZeroDivisionError``, and the next run is exact."""
+        result = compile_source(QUOT_SOURCE)
+        options = ExecutionOptions(strategy="nest", workers=2)
+        plan = result.plan({"n": 8}, options)
+        assert (
+            "team refused: a div/mod guard may return inside the loop"
+            in plan.explain()
+        )
+        assert not any(lp.team for lp in plan.loops.values())
+        args = {"n": 8, "X": np.arange(-3, 5, dtype=np.int64), "D": np.array([0, 7])}
+        reference = ExecutionOptions(backend="serial", use_kernels=False)
+        for opts in (reference, options):
+            with pytest.raises(ZeroDivisionError, match="integer division or modulo"):
+                result.run(args, opts)
+        good = {**args, "D": np.array([-2, 7])}
+        want = result.run(good, reference)["B"]
+        assert result.run(good, options)["B"].tobytes() == want.tobytes()

@@ -89,7 +89,7 @@ def verdicts(source, sizes, options=SERIAL, **compiler) -> dict[str, str | None]
 def run_counting(source, args, options=SERIAL, **compiler):
     """(results, backend counters) of one run, checked against the evaluator."""
     result = compile_source(source, CompilerOptions(**compiler))
-    backend = ExecutionBackend(workers=2)
+    backend = ExecutionBackend()
     try:
         out = execute_module(
             result.analyzed, args, flowchart=result.flowchart, options=options,
@@ -209,7 +209,7 @@ class TestDeclines:
         """The verdict is remembered per (array, sizes), not per plan."""
         result = compile_source(PREFIX_SOURCE)
         plan = result.plan({"n": 50000, "m": 50000}, SERIAL)
-        backend = ExecutionBackend(workers=1)
+        backend = ExecutionBackend()
         for m, uninitialised in ((50000, 1), (20000, 1), (50000, 2), (50000, 3)):
             out = execute_module(
                 result.analyzed, {"n": 50000, "m": m}, flowchart=result.flowchart,

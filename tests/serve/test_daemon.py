@@ -168,7 +168,7 @@ class TestStructuredErrors:
             assert client.ping() == "pong"  # connection survives
 
     @pytest.mark.parametrize(
-        "name", ["collapse", "iterate", "pipeline", "scan", "fission"]
+        "name", ["collapse", "iterate", "pipeline", "scan", "fission", "chunk"]
     )
     def test_retired_strategy_is_a_structured_error(self, served, name):
         daemon, _ = served
@@ -181,12 +181,12 @@ class TestStructuredErrors:
             assert exc.value.kind == "ExecutionError"
             assert (
                 f"unknown strategy {name!r}; "
-                f"available: serial, vector, nest, chunk"
+                f"available: serial, vector, nest"
             ) in str(exc.value)
             # the connection survives: the next run on it succeeds
             out = client.run(
                 "Relaxation", {**SIZES, "InitialA": make_input(0)},
-                strategy="chunk",
+                strategy="nest",
             )
             assert out["newA"].shape == (SIZES["M"] + 2, SIZES["M"] + 2)
 

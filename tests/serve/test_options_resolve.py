@@ -108,7 +108,7 @@ class TestResolve:
         with pytest.raises(ExecutionError) as exc:
             plan(options)
         assert str(exc.value) == (
-            "unknown strategy 'collapse'; available: serial, vector, nest, chunk"
+            "unknown strategy 'collapse'; available: serial, vector, nest"
         )
 
     def test_base_is_positional_only(self):

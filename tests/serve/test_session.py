@@ -236,31 +236,24 @@ class TestLifecycle:
         assert s.closed
 
 
-class TestPersistentPools:
+class TestPersistentBackends:
     def _session(self, workers: int = 2) -> Session:
-        s = Session(
-            execution=ExecutionOptions(
-                backend="threaded", workers=workers, strategy="chunk"
-            )
-        )
+        s = Session(execution=ExecutionOptions(backend="threaded", workers=workers))
         s.load(RELAXATION_JACOBI_SOURCE)
         return s
 
-    def test_pool_survives_across_runs_and_sizes(self):
+    def test_backend_survives_across_runs_and_sizes(self):
         with self._session() as s:
             s.warm("Relaxation", {"M": 16, "maxK": 3})
             (backend,) = s._backends.values()
-            pool = backend._pool
-            assert pool is not None, "warm must start the pool"
             for seed, m in [(0, 16), (1, 24), (2, 16)]:
                 args = {"M": m, "maxK": 3, "InitialA": make_input(seed, m)}
                 out = s.run("Relaxation", args)
                 ref = serial_reference(s, "Relaxation", args)
                 assert np.array_equal(out["newA"], ref["newA"])
             assert list(s._backends.values()) == [backend]
-            assert backend._pool is pool
 
-    def test_concurrent_pool_runs_are_correct(self):
+    def test_concurrent_runs_are_correct(self):
         with self._session() as s:
             s.warm("Relaxation", {"M": 12, "maxK": 3})
             inputs = [make_input(i, 12) for i in range(4)]
@@ -280,14 +273,3 @@ class TestPersistentPools:
                 outputs = list(pool.map(client, range(4)))
             for i in range(4):
                 assert np.array_equal(outputs[i], expected[i])
-
-    def test_close_shuts_the_pool_down(self):
-        s = self._session()
-        s.warm("Relaxation", {"M": 16, "maxK": 3})
-        (backend,) = s._backends.values()
-        threads = list(backend._pool._threads)
-        assert threads
-        s.close()
-        assert backend._pool is None
-        for t in threads:
-            assert not t.is_alive(), "pool thread still alive"

@@ -307,6 +307,8 @@ class TestRun:
         ["run", "--strategy", "fission"],
         ["plan", "--strategy", "collapse"],
         ["run", "--strategy", "collapse"],
+        ["plan", "--strategy", "chunk"],
+        ["run", "--strategy", "chunk"],
         ["plan", "--kernel-tier", "evaluator"],
         ["run", "--kernel-tier", "evaluator"],
         ["serve", "--kernel-tier", "evaluator"],
@@ -316,7 +318,7 @@ class TestRun:
         "plan-pipeline", "run-pipeline", "plan-no-collapse", "run-no-collapse",
         "serve-no-collapse", "plan-iterate", "run-iterate", "plan-no-fission",
         "run-no-fission", "serve-no-fission", "plan-fission", "run-fission",
-        "plan-collapse", "run-collapse",
+        "plan-collapse", "run-collapse", "plan-chunk", "run-chunk",
         "plan-evaluator-tier", "run-evaluator-tier", "serve-evaluator-tier",
         "plan-unknown-tier",
     ])
